@@ -1,4 +1,4 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the paper table/figure binaries.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated binary
 //! in `src/bin/`; this library holds the pieces they share: the standard
@@ -35,32 +35,6 @@ pub fn sample_duration_secs() -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(90.0)
-}
-
-/// Environment variable that switches the Criterion benches to their
-/// reduced CI smoke workload (any non-empty value other than `0`).
-pub const BENCH_SMOKE_ENV: &str = "FOCUS_BENCH_SMOKE";
-
-/// Whether the benches should run their reduced CI smoke workload.
-pub fn bench_smoke() -> bool {
-    std::env::var(BENCH_SMOKE_ENV)
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-/// The per-stream workload length a bench should use: `full_secs` normally,
-/// half of it under [`bench_smoke`]. Throughput metrics (frames/sec,
-/// queries/sec) are insensitive to the cut because per-frame and per-query
-/// work dominates, which is what lets CI compare the smoke run against the
-/// committed full-workload baselines with a single tolerance. (A deeper cut
-/// starts shifting per-query characteristics — candidate-set sizes, batch
-/// amortization — and produces false regressions.)
-pub fn bench_workload_secs(full_secs: f64) -> f64 {
-    if bench_smoke() {
-        full_secs / 2.0
-    } else {
-        full_secs
-    }
 }
 
 /// The standard experiment configuration used by the figure binaries.
@@ -174,931 +148,6 @@ pub fn banner(title: &str, paper_reference: &str) {
     println!("{title}");
     println!("(reproduces {paper_reference})");
     println!("==============================================================");
-}
-
-/// Regression guarding for the committed `BENCH_*.json` trajectory files.
-///
-/// Two layers:
-///
-/// * [`compare_rates`](guard::compare_rates) — the original
-///   throughput-only comparison: every key ending in `_per_sec` must hold
-///   a minimum ratio of its baseline.
-/// * [`compare_metrics`](guard::compare_metrics) — **direction-aware**
-///   guarding: a rule table ([`MetricRule`](guard::MetricRule)) maps key
-///   patterns to a direction (higher-is-better
-///   throughput/hit-rates/accuracy vs lower-is-better latency/opens) and
-///   a per-metric tolerance, so a cache whose hit rate collapses or a
-///   query path that starts opening twice the segments fails CI even
-///   though no `*_per_sec` moved.
-///   [`default_rules`](guard::default_rules) is the table the
-///   `bench_guard` binary ships.
-///
-/// Tolerances differ by metric class because their noise differs:
-/// wall-clock rates and latencies vary with runner hardware (wide
-/// tolerance), while hit rates / recalls / opens-per-query are
-/// deterministic functions of the workload (tight tolerance, with slack
-/// only for the smoke run's halved workload).
-pub mod guard {
-    use serde::Value;
-
-    /// Which way a metric is allowed to move.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum MetricDirection {
-        /// Bigger is better (throughput, hit rates, recall): the guard
-        /// fails when `fresh / baseline` falls below the tolerance.
-        HigherIsBetter,
-        /// Smaller is better (latency, segments opened): the guard fails
-        /// when `fresh / baseline` rises above the tolerance.
-        LowerIsBetter,
-    }
-
-    /// One pattern → (direction, tolerance) rule. Patterns match by
-    /// substring on the metric's key (the last path component), first
-    /// match wins.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct MetricRule {
-        /// Substring of the metric key this rule applies to.
-        pub pattern: &'static str,
-        /// Which way the metric is allowed to move.
-        pub direction: MetricDirection,
-        /// Ratio bound: minimum `fresh/baseline` for higher-is-better,
-        /// maximum for lower-is-better.
-        pub tolerance: f64,
-    }
-
-    /// The standard rule table. `rate_tolerance` is the wall-clock
-    /// tolerance (e.g. `0.7` = fail on a >30% throughput regression);
-    /// deterministic workload metrics get tighter bounds with slack for
-    /// the smoke run's halved workloads.
-    pub fn default_rules(rate_tolerance: f64) -> Vec<MetricRule> {
-        vec![
-            MetricRule {
-                pattern: "_per_sec",
-                direction: MetricDirection::HigherIsBetter,
-                tolerance: rate_tolerance,
-            },
-            MetricRule {
-                pattern: "_hit_rate",
-                direction: MetricDirection::HigherIsBetter,
-                // Hit rates are deterministic per workload but shift a
-                // little under the smoke run's halved workloads (measured
-                // ≈0.92 of full scale); a broken cache reads ≈0 and still
-                // fails loudly.
-                tolerance: 0.80,
-            },
-            MetricRule {
-                // Anytime-query cost-to-first metrics
-                // (`time_to_first_result_secs`,
-                // `inferences_to_first_result`): the whole point of the
-                // anytime path is reaching the first distinct result
-                // cheaply, so creeping back toward exhaustive cost must
-                // fail even while total throughput holds.
-                pattern: "_to_first_result",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Anytime inference budgets to a recall level
-                // (`inferences_to_90_recall`). Must sit before the
-                // `_recall` rule: that one is higher-is-better and would
-                // otherwise claim the key by substring.
-                pattern: "inferences_to_",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Total GT inferences a planned path spends
-                // (`inferences_sketch_planned_total`,
-                // `inferences_class_only_total`): lower-is-better cost
-                // counters. Must sit after `_to_first_result` and
-                // `inferences_to_` so the anytime cost-to-X keys keep
-                // their dedicated rules.
-                pattern: "inferences_",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Fraction of class-matched candidates the track-sketch
-                // intersection drops before GT verification — the
-                // track-query planner's whole advantage. Deterministic per
-                // workload; the smoke run's halved archive shifts the mix
-                // of tracks a little.
-                pattern: "candidates_pruned",
-                direction: MetricDirection::HigherIsBetter,
-                tolerance: 0.80,
-            },
-            MetricRule {
-                // Distinct results surfaced per fresh GT inference — the
-                // anytime sampler's efficiency. Deterministic per workload;
-                // the smoke run's halved archive shifts it a little.
-                pattern: "results_per_inference",
-                direction: MetricDirection::HigherIsBetter,
-                tolerance: 0.80,
-            },
-            MetricRule {
-                pattern: "_recall",
-                direction: MetricDirection::HigherIsBetter,
-                tolerance: 0.95,
-            },
-            MetricRule {
-                pattern: "_precision",
-                direction: MetricDirection::HigherIsBetter,
-                tolerance: 0.95,
-            },
-            MetricRule {
-                pattern: "segments_opened_per_query",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Block fetches hitting disk (binary segments read
-                // per-block): a footer regression that starts pulling
-                // whole files again shows up here first.
-                pattern: "blocks_read",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Cold-path read volume is deterministic per workload; the
-                // smoke run's halved workload only ever shrinks it.
-                pattern: "bytes_read",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Cost-share metrics (e.g. the adaptive service's
-                // audit+re-selection GPU bill as a share of GT-ingest-all)
-                // are deterministic per workload: a controller that starts
-                // sweeping more often must fail here even while every
-                // throughput metric stays green.
-                pattern: "gpu_share",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.15,
-            },
-            MetricRule {
-                // Tail-latency percentiles from the serving plane's
-                // log-bucketed histograms (latency_p50_secs /
-                // latency_p99_secs / latency_p999_secs). The bench runs on
-                // a virtual clock, so the values are deterministic; the
-                // tolerance is ~one histogram bucket (G = 2^(1/4) ≈ 1.19).
-                pattern: "latency_p",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Fraction of submits the request plane shed. Deterministic
-                // per workload on the virtual clock: a plane that starts
-                // over-shedding (admission or queue-bound regression) fails
-                // here even while every latency metric improves.
-                pattern: "shed_fraction",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.15,
-            },
-            MetricRule {
-                pattern: "latency_secs",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.0 / rate_tolerance,
-            },
-            MetricRule {
-                // Mean shards contacted per scattered query batch. Exact
-                // per placement/filter mix (simulated transport): a fleet
-                // that quietly degrades to broadcast fails here.
-                pattern: "scatter_width",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.05,
-            },
-            MetricRule {
-                // Simulated bytes over the wire per query — deterministic;
-                // the smoke run's halved workload only ever shrinks it.
-                pattern: "wire_bytes",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-            MetricRule {
-                // Virtual-clock seconds from node loss to the first
-                // gathered answer (detection + replay + manifest round +
-                // scatter).
-                pattern: "failover_to_first_answer",
-                direction: MetricDirection::LowerIsBetter,
-                tolerance: 1.25,
-            },
-        ]
-    }
-
-    /// One direction-aware metric compared between baseline and fresh run.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct MetricCheck {
-        /// Dotted JSON path of the metric.
-        pub path: String,
-        /// The committed baseline value.
-        pub baseline: f64,
-        /// The freshly measured value.
-        pub fresh: f64,
-        /// Direction the metric is allowed to move.
-        pub direction: MetricDirection,
-        /// The rule's ratio bound.
-        pub tolerance: f64,
-    }
-
-    impl MetricCheck {
-        /// fresh / baseline (infinite when the baseline is zero; a zero
-        /// baseline never blocks for higher-is-better and always compares
-        /// against zero for lower-is-better).
-        pub fn ratio(&self) -> f64 {
-            if self.baseline == 0.0 {
-                if self.fresh == 0.0 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                self.fresh / self.baseline
-            }
-        }
-
-        /// Whether the fresh value is within tolerance of baseline, in
-        /// the metric's allowed direction.
-        pub fn passes(&self) -> bool {
-            match self.direction {
-                MetricDirection::HigherIsBetter => self.ratio() >= self.tolerance,
-                MetricDirection::LowerIsBetter => self.ratio() <= self.tolerance,
-            }
-        }
-    }
-
-    /// The first rule whose pattern occurs in `key`.
-    fn rule_for<'r>(key: &str, rules: &'r [MetricRule]) -> Option<&'r MetricRule> {
-        rules.iter().find(|r| key.contains(r.pattern))
-    }
-
-    /// Recursively collects `(dotted-path, key, value)` for every numeric
-    /// field matched by some rule.
-    fn collect_ruled(
-        value: &Value,
-        prefix: &str,
-        rules: &[MetricRule],
-        out: &mut Vec<(String, String, f64)>,
-    ) {
-        match value {
-            Value::Object(entries) => {
-                for (key, child) in entries {
-                    let path = if prefix.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{prefix}.{key}")
-                    };
-                    let numeric = match child {
-                        Value::Float(f) => Some(*f),
-                        Value::UInt(n) => Some(*n as f64),
-                        Value::Int(n) => Some(*n as f64),
-                        _ => None,
-                    };
-                    match numeric {
-                        Some(v) if rule_for(key, rules).is_some() => {
-                            out.push((path, key.clone(), v));
-                        }
-                        Some(_) => {}
-                        None => collect_ruled(child, &path, rules, out),
-                    }
-                }
-            }
-            Value::Array(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    collect_ruled(item, &format!("{prefix}[{i}]"), rules, out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Pairs every rule-matched baseline metric with the fresh run's
-    /// value at the same path, attaching each metric's direction and
-    /// tolerance. A baseline metric missing from the fresh run is an
-    /// error (a silently dropped metric must not pass the guard); fresh
-    /// metrics with no baseline are ignored (new benches need a first
-    /// commit to become baselines).
-    pub fn compare_metrics(
-        baseline: &Value,
-        fresh: &Value,
-        rules: &[MetricRule],
-    ) -> Result<Vec<MetricCheck>, String> {
-        let mut baseline_metrics = Vec::new();
-        collect_ruled(baseline, "", rules, &mut baseline_metrics);
-        if baseline_metrics.is_empty() {
-            return Err("baseline contains no guarded metrics".to_string());
-        }
-        let mut fresh_metrics = Vec::new();
-        collect_ruled(fresh, "", rules, &mut fresh_metrics);
-        let mut checks = Vec::with_capacity(baseline_metrics.len());
-        for (path, key, base) in baseline_metrics {
-            let Some((_, _, measured)) = fresh_metrics.iter().find(|(p, _, _)| *p == path) else {
-                return Err(format!("fresh run is missing baseline metric `{path}`"));
-            };
-            let rule = rule_for(&key, rules).expect("collected metrics always have a rule");
-            checks.push(MetricCheck {
-                path,
-                baseline: base,
-                fresh: *measured,
-                direction: rule.direction,
-                tolerance: rule.tolerance,
-            });
-        }
-        Ok(checks)
-    }
-
-    /// One throughput metric compared between baseline and fresh run.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct RateCheck {
-        /// Dotted JSON path of the metric (e.g. `runs.serial.frames_per_sec`).
-        pub path: String,
-        /// The committed baseline rate.
-        pub baseline: f64,
-        /// The freshly measured rate.
-        pub fresh: f64,
-    }
-
-    impl RateCheck {
-        /// fresh / baseline (infinite when the baseline is zero).
-        pub fn ratio(&self) -> f64 {
-            if self.baseline == 0.0 {
-                f64::INFINITY
-            } else {
-                self.fresh / self.baseline
-            }
-        }
-
-        /// Whether the fresh rate holds at least `min_ratio` of baseline.
-        pub fn passes(&self, min_ratio: f64) -> bool {
-            self.ratio() >= min_ratio
-        }
-    }
-
-    /// Recursively collects `(dotted-path, value)` for every numeric field
-    /// whose key ends in `_per_sec`.
-    pub fn collect_rates(value: &Value, prefix: &str, out: &mut Vec<(String, f64)>) {
-        match value {
-            Value::Object(entries) => {
-                for (key, child) in entries {
-                    let path = if prefix.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{prefix}.{key}")
-                    };
-                    match child {
-                        Value::Float(f) if key.ends_with("_per_sec") => out.push((path, *f)),
-                        Value::UInt(n) if key.ends_with("_per_sec") => out.push((path, *n as f64)),
-                        Value::Int(n) if key.ends_with("_per_sec") => out.push((path, *n as f64)),
-                        other => collect_rates(other, &path, out),
-                    }
-                }
-            }
-            Value::Array(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    collect_rates(item, &format!("{prefix}[{i}]"), out);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Pairs every baseline rate with the fresh run's rate at the same
-    /// path. A baseline metric missing from the fresh run is an error (a
-    /// silently dropped metric must not pass the guard); fresh metrics with
-    /// no baseline are ignored (new benches need a first commit to become
-    /// baselines).
-    pub fn compare_rates(baseline: &Value, fresh: &Value) -> Result<Vec<RateCheck>, String> {
-        let mut baseline_rates = Vec::new();
-        collect_rates(baseline, "", &mut baseline_rates);
-        if baseline_rates.is_empty() {
-            return Err("baseline contains no *_per_sec metrics".to_string());
-        }
-        let mut fresh_rates = Vec::new();
-        collect_rates(fresh, "", &mut fresh_rates);
-        let mut checks = Vec::with_capacity(baseline_rates.len());
-        for (path, base) in baseline_rates {
-            let Some((_, measured)) = fresh_rates.iter().find(|(p, _)| *p == path) else {
-                return Err(format!("fresh run is missing baseline metric `{path}`"));
-            };
-            checks.push(RateCheck {
-                path,
-                baseline: base,
-                fresh: *measured,
-            });
-        }
-        Ok(checks)
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn parse(json: &str) -> Value {
-            serde_json::parse(json).unwrap()
-        }
-
-        #[test]
-        fn collects_nested_rates_only() {
-            let value = parse(
-                r#"{"frames_total": 100, "runs": {"serial": {"secs": 0.5, "frames_per_sec": 200.0},
-                   "sharded": {"frames_per_sec": 400.0}}, "other": [{"queries_per_sec": 10.0}]}"#,
-            );
-            let mut rates = Vec::new();
-            collect_rates(&value, "", &mut rates);
-            let paths: Vec<&str> = rates.iter().map(|(p, _)| p.as_str()).collect();
-            assert_eq!(
-                paths,
-                vec![
-                    "runs.serial.frames_per_sec",
-                    "runs.sharded.frames_per_sec",
-                    "other[0].queries_per_sec"
-                ]
-            );
-        }
-
-        #[test]
-        fn compare_flags_regressions_and_passes_improvements() {
-            let baseline = parse(
-                r#"{"runs": {"a": {"frames_per_sec": 100.0}, "b": {"queries_per_sec": 50.0}}}"#,
-            );
-            let fresh = parse(
-                r#"{"runs": {"a": {"frames_per_sec": 80.0}, "b": {"queries_per_sec": 75.0}}}"#,
-            );
-            let checks = compare_rates(&baseline, &fresh).unwrap();
-            assert_eq!(checks.len(), 2);
-            let a = checks.iter().find(|c| c.path.contains(".a.")).unwrap();
-            assert!((a.ratio() - 0.8).abs() < 1e-12);
-            assert!(a.passes(0.7));
-            assert!(!a.passes(0.9));
-            let b = checks.iter().find(|c| c.path.contains(".b.")).unwrap();
-            assert!(b.passes(0.7));
-        }
-
-        #[test]
-        fn missing_fresh_metric_is_an_error() {
-            let baseline = parse(r#"{"x": {"frames_per_sec": 100.0}}"#);
-            let fresh = parse(r#"{"y": {"frames_per_sec": 100.0}}"#);
-            assert!(compare_rates(&baseline, &fresh).is_err());
-        }
-
-        #[test]
-        fn baseline_without_rates_is_an_error() {
-            let baseline = parse(r#"{"x": 1}"#);
-            let fresh = parse(r#"{"x": {"frames_per_sec": 100.0}}"#);
-            assert!(compare_rates(&baseline, &fresh).is_err());
-        }
-
-        #[test]
-        fn extra_fresh_metrics_are_ignored() {
-            let baseline = parse(r#"{"x": {"frames_per_sec": 100.0}}"#);
-            let fresh = parse(r#"{"x": {"frames_per_sec": 100.0}, "y": {"frames_per_sec": 1.0}}"#);
-            assert_eq!(compare_rates(&baseline, &fresh).unwrap().len(), 1);
-        }
-
-        #[test]
-        fn zero_baseline_never_blocks() {
-            let check = RateCheck {
-                path: "x".into(),
-                baseline: 0.0,
-                fresh: 0.0,
-            };
-            assert!(check.passes(0.7));
-        }
-
-        #[test]
-        fn serving_percentile_keys_hit_the_dedicated_latency_rule() {
-            let rules = default_rules(0.7);
-            for key in ["latency_p50_secs", "latency_p99_secs", "latency_p999_secs"] {
-                let rule = rule_for(key, &rules).expect(key);
-                assert_eq!(rule.pattern, "latency_p", "{key}");
-                assert_eq!(rule.direction, MetricDirection::LowerIsBetter);
-                assert!(rule.tolerance < 1.0 / 0.7, "tighter than generic latency");
-            }
-            // The generic rule still owns plain latency keys, and the shed
-            // fraction gets its own lower-is-better bound.
-            assert_eq!(
-                rule_for("serve_latency_secs", &rules).unwrap().pattern,
-                "latency_secs"
-            );
-            let shed = rule_for("shed_fraction", &rules).unwrap();
-            assert_eq!(shed.direction, MetricDirection::LowerIsBetter);
-        }
-
-        #[test]
-        fn anytime_keys_hit_their_own_rules_without_shadowing() {
-            let rules = default_rules(0.7);
-            // The new anytime rules claim their keys in the right
-            // directions...
-            for key in ["time_to_first_result_secs", "inferences_to_first_result"] {
-                let rule = rule_for(key, &rules).expect(key);
-                assert_eq!(rule.pattern, "_to_first_result", "{key}");
-                assert_eq!(rule.direction, MetricDirection::LowerIsBetter);
-            }
-            let to_recall = rule_for("inferences_to_90_recall", &rules).unwrap();
-            assert_eq!(
-                to_recall.pattern, "inferences_to_",
-                "an inference *budget* to a recall level is lower-is-better; \
-                 the higher-is-better _recall rule must not claim it"
-            );
-            assert_eq!(to_recall.direction, MetricDirection::LowerIsBetter);
-            let rpi = rule_for("results_per_inference", &rules).unwrap();
-            assert_eq!(rpi.pattern, "results_per_inference");
-            assert_eq!(rpi.direction, MetricDirection::HigherIsBetter);
-
-            // ...and the pre-existing keys keep the rules they had: the
-            // new patterns shadow neither the latency family nor the
-            // fleet's failover / recall metrics.
-            assert_eq!(
-                rule_for("latency_p99_secs", &rules).unwrap().pattern,
-                "latency_p"
-            );
-            assert_eq!(
-                rule_for("serve_latency_secs", &rules).unwrap().pattern,
-                "latency_secs"
-            );
-            assert_eq!(
-                rule_for("failover_to_first_answer_secs", &rules)
-                    .unwrap()
-                    .pattern,
-                "failover_to_first_answer"
-            );
-            let recall = rule_for("post_drift_recall", &rules).unwrap();
-            assert_eq!(recall.pattern, "_recall");
-            assert_eq!(recall.direction, MetricDirection::HigherIsBetter);
-        }
-
-        #[test]
-        fn track_query_keys_hit_their_own_rules_without_shadowing() {
-            let rules = default_rules(0.7);
-            // The track-query planner's keys claim the new rules...
-            let pruned = rule_for("candidates_pruned_fraction", &rules).unwrap();
-            assert_eq!(pruned.pattern, "candidates_pruned");
-            assert_eq!(pruned.direction, MetricDirection::HigherIsBetter);
-            for key in [
-                "inferences_sketch_planned_total",
-                "inferences_class_only_total",
-            ] {
-                let rule = rule_for(key, &rules).expect(key);
-                assert_eq!(rule.pattern, "inferences_", "{key}");
-                assert_eq!(rule.direction, MetricDirection::LowerIsBetter);
-            }
-            assert_eq!(
-                rule_for("track_mix_queries_per_sec", &rules)
-                    .unwrap()
-                    .pattern,
-                "_per_sec"
-            );
-            // ...without shadowing the anytime cost-to-X keys, whose
-            // dedicated rules sit earlier in the table.
-            assert_eq!(
-                rule_for("inferences_to_first_result", &rules)
-                    .unwrap()
-                    .pattern,
-                "_to_first_result"
-            );
-            assert_eq!(
-                rule_for("inferences_to_90_recall", &rules).unwrap().pattern,
-                "inferences_to_"
-            );
-            // The generic counter rule also newly claims the anytime
-            // exhaustive total — in the direction that total should move.
-            let exhaustive = rule_for("exhaustive_inferences_total", &rules).unwrap();
-            assert_eq!(exhaustive.pattern, "inferences_");
-            assert_eq!(exhaustive.direction, MetricDirection::LowerIsBetter);
-        }
-
-        #[test]
-        fn track_pruning_regressions_fail_in_their_directions() {
-            let rules = default_rules(0.7);
-            let baseline = parse(
-                r#"{"mix": {"candidates_pruned_fraction": 0.5,
-                    "inferences_sketch_planned_total": 40.0,
-                    "inferences_class_only_total": 80.0,
-                    "track_mix_queries_per_sec": 100.0}}"#,
-            );
-            // A planner that stops pruning (fraction collapses, sketch
-            // path creeps back toward class-only cost) fails on both axes
-            // even while throughput holds.
-            let unpruned = parse(
-                r#"{"mix": {"candidates_pruned_fraction": 0.1,
-                    "inferences_sketch_planned_total": 75.0,
-                    "inferences_class_only_total": 80.0,
-                    "track_mix_queries_per_sec": 100.0}}"#,
-            );
-            let checks = compare_metrics(&baseline, &unpruned, &rules).unwrap();
-            let failed: Vec<&str> = checks
-                .iter()
-                .filter(|c| !c.passes())
-                .map(|c| c.path.as_str())
-                .collect();
-            assert_eq!(
-                failed,
-                vec![
-                    "mix.candidates_pruned_fraction",
-                    "mix.inferences_sketch_planned_total"
-                ]
-            );
-            // Pruning more (and spending less) passes everywhere.
-            let better = parse(
-                r#"{"mix": {"candidates_pruned_fraction": 0.7,
-                    "inferences_sketch_planned_total": 25.0,
-                    "inferences_class_only_total": 80.0,
-                    "track_mix_queries_per_sec": 110.0}}"#,
-            );
-            let checks = compare_metrics(&baseline, &better, &rules).unwrap();
-            assert!(checks.iter().all(MetricCheck::passes), "{checks:?}");
-        }
-
-        #[test]
-        fn anytime_cost_regressions_fail_in_their_directions() {
-            let rules = default_rules(0.7);
-            let baseline = parse(
-                r#"{"anytime": {"time_to_first_result_secs": 0.02,
-                    "inferences_to_first_result": 3.0,
-                    "inferences_to_90_recall": 40.0,
-                    "results_per_inference": 0.5,
-                    "exhaustive_recall": 1.0}}"#,
-            );
-            // Creeping back toward exhaustive: more inferences before the
-            // first result and before 90% recall must fail even though
-            // recall itself held.
-            let lazier = parse(
-                r#"{"anytime": {"time_to_first_result_secs": 0.02,
-                    "inferences_to_first_result": 9.0,
-                    "inferences_to_90_recall": 80.0,
-                    "results_per_inference": 0.5,
-                    "exhaustive_recall": 1.0}}"#,
-            );
-            let checks = compare_metrics(&baseline, &lazier, &rules).unwrap();
-            let failed: Vec<&str> = checks
-                .iter()
-                .filter(|c| !c.passes())
-                .map(|c| c.path.as_str())
-                .collect();
-            assert_eq!(
-                failed,
-                vec![
-                    "anytime.inferences_to_first_result",
-                    "anytime.inferences_to_90_recall"
-                ]
-            );
-            // A collapsed sampler (fewer results per inference) fails its
-            // higher-is-better bound; an improvement on every axis passes.
-            let inefficient = parse(
-                r#"{"anytime": {"time_to_first_result_secs": 0.02,
-                    "inferences_to_first_result": 3.0,
-                    "inferences_to_90_recall": 40.0,
-                    "results_per_inference": 0.2,
-                    "exhaustive_recall": 1.0}}"#,
-            );
-            let checks = compare_metrics(&baseline, &inefficient, &rules).unwrap();
-            let rpi = checks
-                .iter()
-                .find(|c| c.path.ends_with("results_per_inference"))
-                .unwrap();
-            assert_eq!(rpi.direction, MetricDirection::HigherIsBetter);
-            assert!(!rpi.passes());
-            let better = parse(
-                r#"{"anytime": {"time_to_first_result_secs": 0.01,
-                    "inferences_to_first_result": 1.0,
-                    "inferences_to_90_recall": 25.0,
-                    "results_per_inference": 0.8,
-                    "exhaustive_recall": 1.0}}"#,
-            );
-            let checks = compare_metrics(&baseline, &better, &rules).unwrap();
-            assert!(checks.iter().all(MetricCheck::passes), "{checks:?}");
-        }
-
-        #[test]
-        fn serving_tail_regressions_fail_and_improvements_pass() {
-            let rules = default_rules(0.7);
-            let baseline = parse(
-                r#"{"rates": {"above_capacity": {"latency_p99_secs": 0.2,
-                    "latency_p999_secs": 0.4, "shed_fraction": 0.8}}}"#,
-            );
-            // p999 blows past one histogram bucket: must fail even though
-            // every other metric is unchanged.
-            let regressed = parse(
-                r#"{"rates": {"above_capacity": {"latency_p99_secs": 0.2,
-                    "latency_p999_secs": 0.6, "shed_fraction": 0.8}}}"#,
-            );
-            let checks = compare_metrics(&baseline, &regressed, &rules).unwrap();
-            let p999 = checks.iter().find(|c| c.path.contains("p999")).unwrap();
-            assert!(!p999.passes());
-            assert!(checks.iter().filter(|c| !c.passes()).count() == 1);
-
-            // Across-the-board improvement (lower tails, fewer sheds)
-            // passes.
-            let better = parse(
-                r#"{"rates": {"above_capacity": {"latency_p99_secs": 0.1,
-                    "latency_p999_secs": 0.3, "shed_fraction": 0.7}}}"#,
-            );
-            let checks = compare_metrics(&baseline, &better, &rules).unwrap();
-            assert!(checks.iter().all(|c| c.passes()));
-
-            // An over-shedding plane fails on shed_fraction alone.
-            let shedding = parse(
-                r#"{"rates": {"above_capacity": {"latency_p99_secs": 0.2,
-                    "latency_p999_secs": 0.4, "shed_fraction": 0.95}}}"#,
-            );
-            let checks = compare_metrics(&baseline, &shedding, &rules).unwrap();
-            let shed = checks.iter().find(|c| c.path.contains("shed")).unwrap();
-            assert!(!shed.passes());
-        }
-
-        #[test]
-        fn direction_aware_rules_classify_and_judge() {
-            let rules = default_rules(0.7);
-            let baseline = parse(
-                r#"{"runs": {"a": {"frames_per_sec": 100.0, "serve_latency_secs": 0.5}},
-                    "live": {"cache_hit_rate": 0.9, "segments_opened_per_query": 4.0},
-                    "accuracy": {"post_drift_recall": 0.96}}"#,
-            );
-            // Better on every axis: faster, higher hit rate, fewer opens,
-            // lower latency, higher recall.
-            let better = parse(
-                r#"{"runs": {"a": {"frames_per_sec": 140.0, "serve_latency_secs": 0.3}},
-                    "live": {"cache_hit_rate": 0.99, "segments_opened_per_query": 2.0},
-                    "accuracy": {"post_drift_recall": 1.0}}"#,
-            );
-            let checks = compare_metrics(&baseline, &better, &rules).unwrap();
-            assert_eq!(checks.len(), 5);
-            assert!(checks.iter().all(MetricCheck::passes), "{checks:?}");
-
-            // A *higher* value must fail a lower-is-better metric even
-            // though every higher-is-better metric improved.
-            let more_opens = parse(
-                r#"{"runs": {"a": {"frames_per_sec": 140.0, "serve_latency_secs": 0.3}},
-                    "live": {"cache_hit_rate": 0.99, "segments_opened_per_query": 9.0},
-                    "accuracy": {"post_drift_recall": 1.0}}"#,
-            );
-            let checks = compare_metrics(&baseline, &more_opens, &rules).unwrap();
-            let failed: Vec<&str> = checks
-                .iter()
-                .filter(|c| !c.passes())
-                .map(|c| c.path.as_str())
-                .collect();
-            assert_eq!(failed, vec!["live.segments_opened_per_query"]);
-
-            // A collapsed hit rate fails its own (tight) tolerance while
-            // the wide rate tolerance would have let the same ratio pass.
-            let cold_cache = parse(
-                r#"{"runs": {"a": {"frames_per_sec": 75.0, "serve_latency_secs": 0.5}},
-                    "live": {"cache_hit_rate": 0.68, "segments_opened_per_query": 4.0},
-                    "accuracy": {"post_drift_recall": 0.96}}"#,
-            );
-            let checks = compare_metrics(&baseline, &cold_cache, &rules).unwrap();
-            let hit = checks
-                .iter()
-                .find(|c| c.path == "live.cache_hit_rate")
-                .unwrap();
-            assert!(!hit.passes(), "0.68/0.9 < 0.8 must fail");
-            assert!(
-                hit.ratio() > 0.7,
-                "...even though the rate tolerance would pass it"
-            );
-            let rate = checks
-                .iter()
-                .find(|c| c.path == "runs.a.frames_per_sec")
-                .unwrap();
-            assert!(rate.passes(), "75/100 is within the 0.7 rate tolerance");
-        }
-
-        #[test]
-        fn cost_share_metrics_are_guarded_lower_is_better() {
-            let rules = default_rules(0.7);
-            let baseline = parse(r#"{"live": {"adaptation_gpu_share_of_gt_ingest": 0.5}}"#);
-            let worse = parse(r#"{"live": {"adaptation_gpu_share_of_gt_ingest": 0.9}}"#);
-            let checks = compare_metrics(&baseline, &worse, &rules).unwrap();
-            assert_eq!(checks.len(), 1);
-            assert_eq!(checks[0].direction, MetricDirection::LowerIsBetter);
-            assert!(!checks[0].passes(), "a costlier controller must fail");
-            let same = compare_metrics(&baseline, &baseline, &rules).unwrap();
-            assert!(same[0].passes());
-        }
-
-        #[test]
-        fn block_and_byte_read_metrics_are_guarded_lower_is_better() {
-            let rules = default_rules(0.7);
-            let baseline = parse(
-                r#"{"pruning": {"blocks_read_per_query_cold": 4.0, "cold_bytes_read": 1000}}"#,
-            );
-            let regressed = parse(
-                r#"{"pruning": {"blocks_read_per_query_cold": 9.0, "cold_bytes_read": 400}}"#,
-            );
-            let checks = compare_metrics(&baseline, &regressed, &rules).unwrap();
-            assert_eq!(checks.len(), 2);
-            assert!(checks
-                .iter()
-                .all(|c| c.direction == MetricDirection::LowerIsBetter));
-            let failed: Vec<&str> = checks
-                .iter()
-                .filter(|c| !c.passes())
-                .map(|c| c.path.as_str())
-                .collect();
-            assert_eq!(failed, vec!["pruning.blocks_read_per_query_cold"]);
-        }
-
-        #[test]
-        fn fleet_metrics_are_guarded_in_their_directions() {
-            let rules = default_rules(0.7);
-            let baseline = parse(
-                r#"{"nodes": {"n2": {"scatter_width": 2.5, "wire_bytes_per_query": 4000.0,
-                    "queries_per_sec": 120.0, "failover_to_first_answer_secs": 0.02}}}"#,
-            );
-            // A fleet that degrades to broadcast (wider scatter, more
-            // bytes) fails even though throughput held.
-            let broadcasty = parse(
-                r#"{"nodes": {"n2": {"scatter_width": 3.0, "wire_bytes_per_query": 9000.0,
-                    "queries_per_sec": 120.0, "failover_to_first_answer_secs": 0.02}}}"#,
-            );
-            let checks = compare_metrics(&baseline, &broadcasty, &rules).unwrap();
-            let failed: Vec<&str> = checks
-                .iter()
-                .filter(|c| !c.passes())
-                .map(|c| c.path.as_str())
-                .collect();
-            assert_eq!(
-                failed,
-                vec!["nodes.n2.scatter_width", "nodes.n2.wire_bytes_per_query"]
-            );
-            // A slower failover fails its own bound; a faster one passes.
-            let slow_failover = parse(
-                r#"{"nodes": {"n2": {"scatter_width": 2.5, "wire_bytes_per_query": 4000.0,
-                    "queries_per_sec": 120.0, "failover_to_first_answer_secs": 0.2}}}"#,
-            );
-            let checks = compare_metrics(&baseline, &slow_failover, &rules).unwrap();
-            let failover = checks.iter().find(|c| c.path.contains("failover")).unwrap();
-            assert_eq!(failover.direction, MetricDirection::LowerIsBetter);
-            assert!(!failover.passes());
-            let checks = compare_metrics(&baseline, &baseline, &rules).unwrap();
-            assert_eq!(checks.len(), 4, "queries_per_sec is guarded too");
-            assert!(checks.iter().all(MetricCheck::passes));
-        }
-
-        #[test]
-        fn direction_aware_missing_metric_is_an_error() {
-            let rules = default_rules(0.7);
-            let baseline = parse(r#"{"live": {"cache_hit_rate": 0.9}}"#);
-            let fresh = parse(r#"{"live": {"other": 1.0}}"#);
-            assert!(compare_metrics(&baseline, &fresh, &rules).is_err());
-            let no_metrics = parse(r#"{"x": "y"}"#);
-            assert!(compare_metrics(&no_metrics, &fresh, &rules).is_err());
-        }
-
-        #[test]
-        fn zero_baselines_are_sane_in_both_directions() {
-            let check = |direction, baseline, fresh, tolerance| MetricCheck {
-                path: "x".into(),
-                baseline,
-                fresh,
-                direction,
-                tolerance,
-            };
-            // 0 → 0 passes both directions.
-            assert!(check(MetricDirection::HigherIsBetter, 0.0, 0.0, 0.7).passes());
-            assert!(check(MetricDirection::LowerIsBetter, 0.0, 0.0, 1.25).passes());
-            // 0 → positive: an improvement for higher-is-better, a
-            // regression for lower-is-better.
-            assert!(check(MetricDirection::HigherIsBetter, 0.0, 5.0, 0.7).passes());
-            assert!(!check(MetricDirection::LowerIsBetter, 0.0, 5.0, 1.25).passes());
-        }
-
-        #[test]
-        fn committed_baselines_pass_against_themselves_direction_aware() {
-            for file in [
-                "BENCH_ingest.json",
-                "BENCH_query.json",
-                "BENCH_segments.json",
-                "BENCH_service.json",
-                "BENCH_adaptive.json",
-                "BENCH_serving.json",
-                "BENCH_cluster.json",
-                "BENCH_anytime.json",
-                "BENCH_tracks.json",
-            ] {
-                let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + file;
-                let text = std::fs::read_to_string(&path).unwrap();
-                let value = serde_json::parse(&text).unwrap();
-                let checks = compare_metrics(&value, &value, &default_rules(0.7)).unwrap();
-                assert!(!checks.is_empty(), "{file} has no guarded metrics");
-                assert!(checks.iter().all(MetricCheck::passes), "{file}: {checks:?}");
-            }
-        }
-
-        #[test]
-        fn real_committed_baselines_parse() {
-            // The committed trajectory files must keep working as guard
-            // baselines.
-            for file in ["BENCH_ingest.json", "BENCH_query.json"] {
-                let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../").to_string() + file;
-                let text = std::fs::read_to_string(&path).unwrap();
-                let value = serde_json::parse(&text).unwrap();
-                let mut rates = Vec::new();
-                collect_rates(&value, "", &mut rates);
-                assert!(!rates.is_empty(), "{file} has no rates");
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -33,17 +33,6 @@ pub struct AccuracyReport {
     pub correct_segments: usize,
 }
 
-impl AccuracyReport {
-    /// F1 score of the report (harmonic mean of precision and recall).
-    pub fn f1(&self) -> f64 {
-        if self.precision + self.recall == 0.0 {
-            0.0
-        } else {
-            2.0 * self.precision * self.recall / (self.precision + self.recall)
-        }
-    }
-}
-
 /// Per-frame ground-truth class sets, computed once per dataset and reused
 /// across queries (running the GT-CNN over every object is the expensive
 /// oracle step, so callers should share one `GroundTruthLabels`).
@@ -136,12 +125,6 @@ impl GroundTruthLabels {
             })
             .map(|(segment, _)| segment)
             .collect()
-    }
-
-    /// Converts a list of returned frames into the set of segments they
-    /// touch.
-    pub fn frames_to_segments(&self, frames: &[FrameId]) -> HashSet<u64> {
-        frames.iter().map(|f| self.segment_of(*f)).collect()
     }
 
     /// The segments a query *covers*: segments where the returned frames
@@ -239,7 +222,6 @@ mod tests {
         // a segment where the class appears in under 50% of frames counts as
         // a false positive under the smoothing rule.
         assert!(report.precision > 0.9, "precision = {}", report.precision);
-        assert!(report.f1() > 0.9);
     }
 
     #[test]
@@ -250,7 +232,6 @@ mod tests {
         assert_eq!(report.retrieved_segments, 0);
         assert_eq!(report.precision, 1.0);
         assert!(report.recall < 0.5);
-        assert_eq!(report.f1(), 0.0_f64.max(report.f1()));
     }
 
     #[test]
@@ -301,7 +282,7 @@ mod tests {
     #[test]
     fn segment_mapping_uses_fps() {
         let (_, labels) = labels_for("auburn_c", 10.0);
-        let segs = labels.frames_to_segments(&[FrameId(0), FrameId(29), FrameId(30), FrameId(61)]);
-        assert_eq!(segs, [0u64, 1, 2].into_iter().collect());
+        let segs = [0, 29, 30, 61].map(|f| labels.segment_of(FrameId(f)));
+        assert_eq!(segs, [0, 0, 1, 2]);
     }
 }

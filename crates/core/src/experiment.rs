@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
 use focus_index::QueryFilter;
-use focus_runtime::{GpuClusterSpec, GpuMeter, WorkerPool};
+use focus_runtime::{GpuClusterSpec, GpuMeter};
 use focus_video::sampling::sample_dataset;
 use focus_video::{ClassId, StreamProfile, VideoDataset};
 
@@ -359,30 +359,6 @@ impl ExperimentRunner {
             all_queried_cheaper_factor: all_queried.focus_cheaper_factor,
             query_time_only_faster_factor: query_time_only.focus_faster_factor,
             queries,
-        })
-    }
-
-    /// Runs the experiment for several streams, skipping streams for which
-    /// no viable configuration exists (and reporting them).
-    pub fn run_streams(
-        &self,
-        profiles: &[StreamProfile],
-    ) -> Vec<Result<StreamExperimentReport, ExperimentError>> {
-        profiles.iter().map(|p| self.run_stream(p)).collect()
-    }
-
-    /// Like [`run_streams`](Self::run_streams), but runs the per-stream
-    /// experiments concurrently on `pool` (each stream's experiment is
-    /// independent: its own dataset, parameter selection, ingest and
-    /// queries). Results come back in profile order regardless of
-    /// scheduling.
-    pub fn run_streams_parallel(
-        &self,
-        profiles: &[StreamProfile],
-        pool: &WorkerPool,
-    ) -> Vec<Result<StreamExperimentReport, ExperimentError>> {
-        pool.map(profiles.iter().collect(), |profile| {
-            self.run_stream(profile)
         })
     }
 }

@@ -29,7 +29,8 @@
 //! [`VirtualClock`]), the same capability discipline `GpuMeter`/`IoMeter`
 //! apply to compute and storage. Scatter width, bytes over the wire and
 //! failover time are therefore exact and machine-independent — CI asserts
-//! them (`fleet-faults` job), the `fleet_scatter` bench guards them.
+//! them (`fleet-faults` job), the benchmark's `fleet_scatter` workload
+//! tracks them.
 
 pub mod manifest;
 
@@ -881,8 +882,7 @@ impl FleetCoordinator {
     /// without segment-bound pruning. Answers are byte-identical to
     /// [`serve`](Self::serve) (record-level filtering is unchanged); only
     /// the cost differs — strictly more segments opened under a selective
-    /// time filter, which the fleet proptest and `fleet_scatter` bench
-    /// pin.
+    /// time filter, which the fleet proptest pins.
     pub fn serve_broadcast(
         &mut self,
         requests: &[QueryRequest],

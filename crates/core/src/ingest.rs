@@ -6,7 +6,7 @@
 //! emission — lives in [`crate::pipeline`]; this module owns the batch
 //! driver ([`IngestEngine`]), the ingest model handle ([`IngestCnn`]) and
 //! the output bookkeeping ([`IngestOutput`]). The live, frame-by-frame
-//! driver is [`StreamWorker`](crate::worker::StreamWorker); the multi-stream
+//! driver is [`FocusService`](crate::service::FocusService); the multi-stream
 //! parallel driver is [`ShardedIngest`](crate::shard::ShardedIngest).
 
 use std::collections::HashMap;
@@ -222,16 +222,6 @@ impl IngestOutput {
             self.objects_total as f64 / self.clusters as f64
         }
     }
-
-    /// Fraction of observations whose ingest CNN inference was skipped by
-    /// pixel differencing.
-    pub fn pixel_diff_savings(&self) -> f64 {
-        if self.objects_total == 0 {
-            0.0
-        } else {
-            1.0 - self.objects_classified as f64 / self.objects_total as f64
-        }
-    }
 }
 
 /// The ingest engine: applies the ingest pipeline of Figure 4 to a recorded
@@ -378,8 +368,8 @@ mod tests {
         .ingest(&ds, &GpuMeter::new());
         assert!(with.objects_classified < without.objects_classified);
         assert_eq!(without.objects_classified, without.objects_total);
-        assert!(with.pixel_diff_savings() > 0.1);
-        assert_eq!(without.pixel_diff_savings(), 0.0);
+        // Differencing skips more than a tenth of the inferences.
+        assert!(with.objects_classified * 10 < with.objects_total * 9);
         assert!(with.gpu_cost < without.gpu_cost);
     }
 

@@ -108,7 +108,7 @@ pub use serving::{
     TenantConfig, TenantId, Ticket,
 };
 pub use shard::{ingest_serial, MultiIngestOutput, ShardedIngest};
-pub use worker::{SpecializationLifecycle, StreamWorker, StreamWorkerConfig, StreamWorkerStats};
+pub use worker::{SpecializationLifecycle, StreamWorkerConfig};
 
 /// Convenience prelude re-exporting the types most applications need.
 pub mod prelude {
@@ -126,5 +126,5 @@ pub mod prelude {
     pub use crate::service::{FocusService, ServiceConfig, ServiceStats};
     pub use crate::serving::{RequestPlane, ServingConfig, TenantConfig, TenantId};
     pub use crate::shard::{MultiIngestOutput, ShardedIngest};
-    pub use crate::worker::{StreamWorker, StreamWorkerConfig};
+    pub use crate::worker::StreamWorkerConfig;
 }

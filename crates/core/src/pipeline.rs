@@ -1,13 +1,13 @@
 //! The shared per-frame ingest pipeline (IT1–IT4 in Figure 4 of the paper).
 //!
-//! [`FramePipeline`] is the single implementation of the per-frame work both
-//! ingest drivers run on:
+//! [`FramePipeline`] is the single implementation of the per-frame work
+//! every ingest driver runs on:
 //!
 //! * [`IngestEngine`](crate::ingest::IngestEngine) replays a recorded
 //!   dataset through one pipeline (batch driver);
-//! * [`StreamWorker`](crate::worker::StreamWorker) pushes live frames
-//!   through one pipeline, sealing an epoch whenever its model changes
-//!   (streaming driver);
+//! * [`FocusService`](crate::service::FocusService) pushes live frames
+//!   through one pipeline per stream, sealing an epoch whenever the
+//!   stream's model changes (streaming driver);
 //! * [`ShardedIngest`](crate::shard::ShardedIngest) runs one pipeline per
 //!   stream shard concurrently on a worker pool.
 //!

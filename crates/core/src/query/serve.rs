@@ -129,20 +129,6 @@ impl QueryEngine {
             self.gpus.latency_secs(gpu_cost),
         )
     }
-
-    /// Runs several class queries and returns the outcomes in order.
-    pub fn query_many(
-        &self,
-        ingest: &IngestOutput,
-        classes: &[ClassId],
-        filter: &QueryFilter,
-        meter: &GpuMeter,
-    ) -> Vec<QueryOutcome> {
-        classes
-            .iter()
-            .map(|c| self.query(ingest, *c, filter, meter))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -303,19 +289,6 @@ mod tests {
         assert_eq!(outcome.confirmed_clusters, 0);
         assert!(outcome.frames.is_empty());
         assert!(outcome.objects.is_empty());
-    }
-
-    #[test]
-    fn query_many_preserves_order() {
-        let ds = dataset();
-        let ingest = ingest_generic(&ds, 10);
-        let classes = ds.dominant_classes(3);
-        let engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
-        let outcomes = engine.query_many(&ingest, &classes, &QueryFilter::any(), &GpuMeter::new());
-        assert_eq!(outcomes.len(), 3);
-        for (outcome, class) in outcomes.iter().zip(classes.iter()) {
-            assert_eq!(outcome.class, *class);
-        }
     }
 
     #[test]

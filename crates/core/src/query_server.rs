@@ -245,19 +245,6 @@ impl QueryServer {
         }
     }
 
-    /// Serves one query; equivalent to a single-element
-    /// [`serve`](Self::serve) batch.
-    pub fn serve_one(
-        &self,
-        ingest: &IngestOutput,
-        request: &QueryRequest,
-        meter: &GpuMeter,
-    ) -> QueryOutcome {
-        self.serve(ingest, std::slice::from_ref(request), meter)
-            .pop()
-            .expect("one outcome per request")
-    }
-
     /// Serves a batch of concurrent queries over `ingest`, returning one
     /// outcome per request, in request order.
     ///
@@ -394,13 +381,13 @@ impl QueryServer {
         })
     }
 
-    /// One round of centroid verification for the anytime query path:
-    /// classifies exactly the given centroids (in order) through the same
+    /// One round of centroid verification — the core every
+    /// [`serve`](Self::serve) batch and every anytime round runs:
+    /// classifies exactly the given centroids (in order) through the
     /// pin-epoch / dedupe-against-cache / batched-classify / memoize
-    /// pipeline as [`serve`](Self::serve), charging the amortized batch
-    /// cost to `meter` under the caller-named `phase` (the anytime loop
-    /// passes `"anytime"` so the [`GpuScheduler`] can arbitrate it on the
-    /// query side of the budget).
+    /// pipeline, charging the amortized batch cost to `meter` under the
+    /// caller-named `phase` (the anytime loop passes `"anytime"` so the
+    /// [`GpuScheduler`] can arbitrate it on the query side of the budget).
     ///
     /// The returned [`VerifiedBatch`] keeps cache hits and fresh GT
     /// inferences separate: a cached verdict costs nothing and must not
@@ -421,6 +408,14 @@ impl QueryServer {
         meter: &GpuMeter,
         phase: &str,
     ) -> VerifiedBatch {
+        /// Where one position's verdict comes from: copied out of the cache
+        /// at dedupe time, or an index into the round's fresh results.
+        #[derive(Clone, Copy)]
+        enum VerdictSource {
+            Cached(ClassId),
+            Fresh(usize),
+        }
+
         // Pin the (model, epoch) pair for the round.
         let (gt, epoch) = {
             let guard = self.gt.lock();
@@ -478,7 +473,10 @@ impl QueryServer {
             .batch_cost(gt.cost_per_inference(), fresh.len());
         meter.charge(phase, cost);
 
-        // Memoize under the pinned epoch, shared with every other path.
+        // Memoize under the pinned epoch, shared with every other path. (If
+        // a concurrent bump raced past the pinned epoch, these entries are
+        // unreachable and bounded — correctness is carried by the epoch in
+        // the key, not by the purge.)
         {
             let mut cache = self.cache.lock();
             for (id, label) in fresh.iter().zip(fresh_labels.iter()) {
@@ -513,11 +511,11 @@ impl QueryServer {
         }
     }
 
-    /// QT3/QT4 shared by the in-memory and segmented paths: pin the
-    /// (model, epoch) pair, dedupe the union of candidate centroids against
-    /// the verdict cache, verify the fresh set in GPU batches, memoize, and
-    /// assemble one outcome per plan. `get_record(i, handle)` resolves a
-    /// confirmed candidate of `plans[i]` to its cluster record.
+    /// QT3/QT4 shared by the in-memory and segmented paths: one
+    /// [`verify_round`](Self::verify_round) over the plans' candidate
+    /// centroids, flattened in plan order, then one assembled outcome per
+    /// plan. `get_record(i, handle)` resolves a confirmed candidate of
+    /// `plans[i]` to its cluster record.
     fn verify_and_assemble<'a>(
         &self,
         plans: &[QueryPlan],
@@ -525,128 +523,42 @@ impl QueryServer {
         meter: &GpuMeter,
         get_record: impl Fn(usize, &CentroidHandle) -> &'a ClusterRecord,
     ) -> Vec<QueryOutcome> {
-        // Pin the (model, epoch) pair for the whole batch.
-        let (gt, epoch) = {
-            let guard = self.gt.lock();
-            (Arc::clone(&guard), self.epoch())
-        };
-
-        // Dedupe the union of needed centroid inferences across the
-        // in-flight queries, skipping verdicts cached for this epoch. Each
-        // candidate's verdict source is captured locally — a cached label is
-        // copied out, a fresh centroid becomes an index into the fresh set —
-        // so assembly below never re-reads the shared cache (which a
-        // concurrent epoch bump may clear under an in-flight batch).
-        let mut fresh: Vec<ObjectId> = Vec::new();
-        let mut fresh_per_query = vec![0usize; plans.len()];
-        let mut sources: Vec<Vec<VerdictSource>> = Vec::with_capacity(plans.len());
-        let mut hits = 0usize;
-        {
-            let cache = self.cache.lock();
-            let mut scheduled: HashMap<ObjectId, usize> = HashMap::new();
-            for (plan, fresh_count) in plans.iter().zip(fresh_per_query.iter_mut()) {
-                let mut plan_sources = Vec::with_capacity(plan.candidates.len());
-                for handle in &plan.candidates {
-                    if let Some(label) = cache.get(&(handle.centroid, epoch)) {
-                        hits += 1;
-                        plan_sources.push(VerdictSource::Cached(*label));
-                    } else if let Some(&index) = scheduled.get(&handle.centroid) {
-                        // Already scheduled by an earlier in-flight query:
-                        // computed once, shared within the batch.
-                        hits += 1;
-                        plan_sources.push(VerdictSource::Fresh(index));
-                    } else {
-                        let index = fresh.len();
-                        scheduled.insert(handle.centroid, index);
-                        fresh.push(handle.centroid);
-                        *fresh_count += 1;
-                        plan_sources.push(VerdictSource::Fresh(index));
-                    }
-                }
-                sources.push(plan_sources);
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::SeqCst);
-        self.misses.fetch_add(fresh.len(), Ordering::SeqCst);
-
-        // QT3: batched GT-CNN verification of the deduplicated fresh set.
-        let batches: Vec<Vec<ObjectObservation>> = fresh
-            .chunks(self.batching.max_batch)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|id| {
-                        resolve_centroid(*id).expect("ingest stored every centroid observation")
-                    })
-                    .collect()
-            })
+        let centroids: Vec<ObjectId> = plans
+            .iter()
+            .flat_map(|plan| plan.candidates.iter().map(|handle| handle.centroid))
             .collect();
-        let gt_worker = Arc::clone(&gt);
-        let labels: Vec<ClassId> = self
-            .pool
-            .map(batches, move |batch| gt_worker.classify_batch(batch))
-            .into_iter()
-            .flatten()
-            .collect();
-        let batch_cost = self
-            .batching
-            .batch_cost(gt.cost_per_inference(), fresh.len());
-        meter.charge("query", batch_cost);
+        let verified = self.verify_round(&centroids, resolve_centroid, meter, "query");
 
-        // Memoize the fresh verdicts under the pinned epoch, for future
-        // serve calls. (If a concurrent bump raced past the pinned epoch,
-        // these entries are unreachable and bounded — correctness is
-        // carried by the epoch in the key, not by the purge.)
-        {
-            let mut cache = self.cache.lock();
-            for (id, label) in fresh.iter().zip(labels.iter()) {
-                cache.insert((*id, epoch), *label);
-            }
-        }
-
-        // QT4: assemble every outcome from the batch-local verdict
-        // snapshot, without holding any lock. Fresh work is attributed to
-        // the first query that needed it; the batch's wall-clock latency is
-        // shared.
-        let latency_secs = self.gpus.latency_secs(batch_cost);
-        let share = if fresh.is_empty() {
+        // QT4: fresh work is attributed to the first query that needed it
+        // (the `true`s of its slice of the mask); the batch's wall-clock
+        // latency is shared.
+        let share = if verified.fresh_inferences == 0 {
             GpuCost::ZERO
         } else {
-            batch_cost / fresh.len() as f64
+            verified.cost / verified.fresh_inferences as f64
         };
+        let mut start = 0;
         plans
             .iter()
-            .zip(sources.iter())
-            .zip(fresh_per_query.iter())
             .enumerate()
-            .map(|(plan_idx, ((plan, plan_sources), fresh_count))| {
-                let verdicts: Vec<ClassId> = plan_sources
+            .map(|(plan_idx, plan)| {
+                let slice = start..start + plan.candidates.len();
+                start = slice.end;
+                let fresh_count = verified.fresh_mask[slice.clone()]
                     .iter()
-                    .map(|source| match source {
-                        VerdictSource::Cached(label) => *label,
-                        VerdictSource::Fresh(index) => labels[*index],
-                    })
-                    .collect();
+                    .filter(|fresh| **fresh)
+                    .count();
                 assemble_outcome_from(
                     plan,
-                    &verdicts,
-                    *fresh_count,
-                    share * *fresh_count,
-                    latency_secs,
+                    &verified.labels[slice],
+                    fresh_count,
+                    share * fresh_count,
+                    verified.latency_secs,
                     |handle| get_record(plan_idx, handle),
                 )
             })
             .collect()
     }
-}
-
-/// Where one candidate's verdict comes from within a `serve` batch: copied
-/// out of the cache at dedupe time, or an index into the batch's fresh
-/// classification results.
-#[derive(Debug, Clone, Copy)]
-enum VerdictSource {
-    Cached(ClassId),
-    Fresh(usize),
 }
 
 /// The result of one [`QueryServer::verify_round`] call: one verdict per
@@ -765,7 +677,9 @@ mod tests {
         let server = server();
         let serial_engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
         let serial = serial_engine.query(&out, class, &QueryFilter::any(), &GpuMeter::new());
-        let served = server.serve_one(&out, &QueryRequest::new(class), &GpuMeter::new());
+        let served = server
+            .serve(&out, &[QueryRequest::new(class)], &GpuMeter::new())
+            .remove(0);
         assert_eq!(served.frames, serial.frames);
         assert_eq!(served.centroid_inferences, serial.centroid_inferences);
         if served.centroid_inferences > 1 {
@@ -830,11 +744,13 @@ mod tests {
         let (_, out) = setup(4);
         let server = server();
         let meter = GpuMeter::new();
-        let outcome = server.serve_one(
-            &out,
-            &QueryRequest::new(ClassId(850)).with_filter(QueryFilter::any().with_kx(1)),
-            &meter,
-        );
+        let outcome = server
+            .serve(
+                &out,
+                &[QueryRequest::new(ClassId(850)).with_filter(QueryFilter::any().with_kx(1))],
+                &meter,
+            )
+            .remove(0);
         // GT confirmation rejects stray postings for a class that never
         // occurs in the stream.
         assert_eq!(outcome.confirmed_clusters, 0);

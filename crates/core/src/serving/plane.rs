@@ -219,20 +219,6 @@ impl RequestPlane {
                 .is_some_and(|d| now >= d - self.config.dispatch_margin_secs)
     }
 
-    /// When the batch now forming will close by deadline pressure alone
-    /// (`None` when nothing is queued). A driver loop sleeps (or a virtual
-    /// clock advances) to `min(next_dispatch_at, next arrival)`.
-    pub fn next_dispatch_at(&self) -> Option<f64> {
-        let state = self.inner.lock();
-        if state.queue.len() >= self.config.batch_max_requests {
-            return Some(self.clock.now_secs());
-        }
-        state
-            .queue
-            .oldest_deadline_secs()
-            .map(|d| d - self.config.dispatch_margin_secs)
-    }
-
     /// Closes one batch and serves it through `serve`, returning every
     /// request completed by the call (answers and expiries, in fair-queue
     /// order). Returns an empty vec when nothing is due.
@@ -617,7 +603,6 @@ mod tests {
             !plane.batch_ready(),
             "one fresh request: neither rule fires"
         );
-        assert_eq!(plane.next_dispatch_at(), Some(0.9), "deadline − margin");
         plane.submit(tenant, request()).unwrap();
         plane.submit(tenant, request()).unwrap();
         assert!(plane.batch_ready(), "size rule");

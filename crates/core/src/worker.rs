@@ -1,12 +1,7 @@
-//! Live, frame-by-frame stream ingestion: the per-stream worker process of
-//! §5 of the paper, including bootstrap specialization and periodic
-//! retraining (§4.3).
-//!
-//! [`StreamWorker`] is the streaming driver of the shared
-//! [`FramePipeline`]:
-//! [`IngestEngine`](crate::ingest::IngestEngine) replays a recorded dataset
-//! through one pipeline in a single call, while the worker pushes live
-//! frames through one pipeline and layers model lifecycle management on top:
+//! The per-stream model lifecycle of §4.3/§5 of the paper: bootstrap
+//! specialization and periodic retraining, run by the live
+//! [`FocusService`](crate::service::FocusService) over each stream's
+//! [`FramePipeline`](crate::pipeline::FramePipeline):
 //!
 //! 1. **Bootstrap** — the first `bootstrap_secs` of video are indexed with a
 //!    generic compressed CNN while a ground-truth-labelled sample is
@@ -19,7 +14,7 @@
 //!    interval here is configurable in stream-seconds).
 //!
 //! Each model epoch uses its own clusterer (feature spaces of different
-//! models are not comparable) — the worker seals the pipeline's epoch on
+//! models are not comparable) — the driver seals the pipeline's epoch on
 //! every model switch — and sealed epochs accumulate in one top-K index, so
 //! queries spanning epochs behave exactly like queries over a
 //! batch-ingested recording.
@@ -29,10 +24,9 @@ use serde::{Deserialize, Serialize};
 use focus_cnn::specialize::SpecializationLevel;
 use focus_cnn::{Classifier, GroundTruthCnn, ModelSpec, SpecializedCnn};
 use focus_runtime::GpuMeter;
-use focus_video::{ClassId, Frame, ObjectObservation, StreamId};
+use focus_video::{ClassId, ObjectObservation, StreamId};
 
-use crate::ingest::{IngestCnn, IngestOutput, IngestParams};
-use crate::pipeline::FramePipeline;
+use crate::ingest::{IngestCnn, IngestParams};
 
 /// Configuration of a live stream worker.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,30 +66,9 @@ impl Default for StreamWorkerConfig {
     }
 }
 
-/// Counters describing the worker's activity so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct StreamWorkerStats {
-    /// Frames pushed to the worker.
-    pub frames: usize,
-    /// Frames with at least one moving object.
-    pub frames_with_motion: usize,
-    /// Object observations seen.
-    pub objects: usize,
-    /// Objects classified by the ingest CNN (after pixel differencing).
-    pub objects_classified: usize,
-    /// Objects additionally labelled by the ground-truth CNN for
-    /// (re)training.
-    pub objects_gt_labelled: usize,
-    /// Number of times a specialized model was (re)trained.
-    pub retrains: usize,
-    /// Model epochs sealed into the index so far (excluding the live one).
-    pub sealed_epochs: usize,
-}
-
-/// The per-stream model lifecycle of §4.3/§5, factored out of the live
-/// worker so any driver — the standalone [`StreamWorker`] or the unified
-/// [`FocusService`](crate::service::FocusService) — can run bootstrap →
-/// specialize → periodic retrain over its own pipeline:
+/// The per-stream model lifecycle of §4.3/§5, which the
+/// [`FocusService`](crate::service::FocusService) runs over each stream's
+/// pipeline (bootstrap → specialize → periodic retrain):
 ///
 /// * [`observe`](Self::observe) maintains the ground-truth-labelled sample
 ///   (a small fraction of objects goes through the GT-CNN, charged to the
@@ -141,11 +114,6 @@ impl SpecializationLifecycle {
         self.gt = gt;
     }
 
-    /// Objects labelled by the ground-truth CNN so far.
-    pub fn objects_gt_labelled(&self) -> usize {
-        self.objects_gt_labelled
-    }
-
     /// Class histogram of the ground-truth-labelled sample accumulated so
     /// far — the reference distribution the drift detector
     /// ([`crate::adapt::DriftDetector`]) compares live audit labels
@@ -168,8 +136,8 @@ impl SpecializationLifecycle {
     /// for the labelled sample when the configured fraction is due
     /// (charging `meter` under `"specialization"`). `objects_seen` is the
     /// running 1-based count of observed objects, as delivered by
-    /// [`FramePipeline::push_frame_observed`]. Returns whether the object
-    /// was labelled.
+    /// [`FramePipeline::push_frame_observed`](crate::pipeline::FramePipeline::push_frame_observed).
+    /// Returns whether the object was labelled.
     pub fn observe(
         &mut self,
         obj: &ObjectObservation,
@@ -211,252 +179,5 @@ impl SpecializationLifecycle {
         )?;
         self.retrains += 1;
         Some(IngestCnn::specialized(specialized))
-    }
-}
-
-/// A live ingestion worker for one video stream.
-pub struct StreamWorker {
-    stream_id: StreamId,
-    model: IngestCnn,
-    pipeline: FramePipeline,
-    lifecycle: SpecializationLifecycle,
-    meter: GpuMeter,
-    /// Classifications already surfaced on `meter` (the pipeline accrues
-    /// cost lock-free; the worker forwards per-frame charges so the meter
-    /// stays live for external observers). The authoritative run total is
-    /// [`IngestOutput::gpu_cost`], taken from the pipeline itself.
-    inferences_metered: usize,
-}
-
-impl std::fmt::Debug for StreamWorker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamWorker")
-            .field("stream_id", &self.stream_id)
-            .field("model", &self.model.descriptor)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl StreamWorker {
-    /// Creates a worker for one stream.
-    pub fn new(
-        stream_id: StreamId,
-        fps: u32,
-        config: StreamWorkerConfig,
-        gt: GroundTruthCnn,
-        meter: GpuMeter,
-    ) -> Self {
-        let model = IngestCnn::generic(config.bootstrap_model);
-        let pipeline = FramePipeline::new(stream_id, fps, config.params);
-        Self {
-            stream_id,
-            model,
-            pipeline,
-            lifecycle: SpecializationLifecycle::new(stream_id, config, gt),
-            meter,
-            inferences_metered: 0,
-        }
-    }
-
-    /// The model currently used for ingestion.
-    pub fn current_model(&self) -> &IngestCnn {
-        &self.model
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> StreamWorkerStats {
-        let pipeline = self.pipeline.stats();
-        StreamWorkerStats {
-            frames: pipeline.frames,
-            frames_with_motion: pipeline.frames_with_motion,
-            objects: pipeline.objects,
-            objects_classified: pipeline.objects_classified,
-            objects_gt_labelled: self.lifecycle.objects_gt_labelled(),
-            retrains: self.lifecycle.retrains(),
-            sealed_epochs: pipeline.epochs_sealed,
-        }
-    }
-
-    /// The GPU meter charged by this worker (`ingest` and `specialization`
-    /// phases).
-    pub fn meter(&self) -> &GpuMeter {
-        &self.meter
-    }
-
-    /// Pushes one live frame into the worker.
-    pub fn push_frame(&mut self, frame: &Frame) {
-        // Destructure so the observer closure can borrow the lifecycle
-        // while the pipeline is borrowed mutably.
-        let Self {
-            pipeline,
-            model,
-            lifecycle,
-            meter,
-            inferences_metered,
-            ..
-        } = self;
-        pipeline.push_frame_observed(frame, model.classifier.as_ref(), |obj, objects_seen| {
-            // Maintain the labelled sample used for (re)training by sending
-            // a small fraction of objects through the ground-truth CNN.
-            lifecycle.observe(obj, objects_seen, meter);
-        });
-        // Surface the frame's ingest cost on the live meter: the number of
-        // new classifications times the current model's per-inference cost
-        // (the model cannot change mid-frame — retraining runs below).
-        // Counting inferences keeps the charge exact, with no floating-point
-        // subtraction of running totals.
-        let classified = pipeline.stats().objects_classified;
-        let new_inferences = classified - *inferences_metered;
-        if new_inferences > 0 {
-            meter.charge_inferences(
-                "ingest",
-                model.classifier.cost_per_inference(),
-                new_inferences,
-            );
-            *inferences_metered = classified;
-        }
-        self.maybe_retrain(frame.timestamp_secs);
-    }
-
-    fn maybe_retrain(&mut self, now_secs: f64) {
-        if let Some(model) = self.lifecycle.maybe_retrain(now_secs) {
-            // Seal the clusters built with the previous model before
-            // switching: feature vectors of different models are not
-            // comparable.
-            self.pipeline.seal_epoch();
-            self.model = model;
-        }
-    }
-
-    /// Seals the live epoch and returns the accumulated index and
-    /// statistics, consuming the worker.
-    pub fn finalize(self) -> IngestOutput {
-        IngestOutput::from_pipeline(self.pipeline.finish(), self.model)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use focus_index::QueryFilter;
-    use focus_video::profile::profile_by_name;
-    use focus_video::VideoDataset;
-
-    fn run_worker(duration_secs: f64, config: StreamWorkerConfig) -> (VideoDataset, IngestOutput) {
-        let profile = profile_by_name("auburn_c").unwrap();
-        let dataset = VideoDataset::generate(profile.clone(), duration_secs);
-        let mut worker = StreamWorker::new(
-            profile.stream_id,
-            profile.fps,
-            config,
-            GroundTruthCnn::resnet152(),
-            GpuMeter::new(),
-        );
-        for frame in &dataset.frames {
-            worker.push_frame(frame);
-        }
-        (dataset, worker.finalize())
-    }
-
-    #[test]
-    fn worker_specializes_after_bootstrap() {
-        let profile = profile_by_name("auburn_c").unwrap();
-        let dataset = VideoDataset::generate(profile.clone(), 150.0);
-        let mut worker = StreamWorker::new(
-            profile.stream_id,
-            profile.fps,
-            StreamWorkerConfig {
-                bootstrap_secs: 30.0,
-                retrain_interval_secs: 60.0,
-                ..StreamWorkerConfig::default()
-            },
-            GroundTruthCnn::resnet152(),
-            GpuMeter::new(),
-        );
-        assert!(!worker.current_model().descriptor.is_specialized());
-        for frame in &dataset.frames {
-            worker.push_frame(frame);
-        }
-        assert!(worker.current_model().descriptor.is_specialized());
-        let stats = worker.stats();
-        assert!(stats.retrains >= 2, "retrains = {}", stats.retrains);
-        assert!(stats.objects_gt_labelled > 0);
-        assert!(stats.objects_gt_labelled < stats.objects / 10);
-        assert!(worker.meter().phase("specialization").seconds() > 0.0);
-    }
-
-    #[test]
-    fn finalized_index_covers_every_object_and_answers_queries() {
-        let (dataset, output) = run_worker(120.0, StreamWorkerConfig::default());
-        assert_eq!(output.objects_total, dataset.object_count());
-        let indexed: usize = output.index.clusters().map(|c| c.len()).sum();
-        assert_eq!(indexed, output.objects_total);
-        // Querying the dominant class through the index finds clusters.
-        let class = dataset.dominant_classes(1)[0];
-        let lookup_class = output.model.effective_query_class(class);
-        assert!(!output
-            .index
-            .lookup(lookup_class, &QueryFilter::any())
-            .is_empty());
-        // Every centroid observation was retained for query-time
-        // verification.
-        for record in output.index.clusters() {
-            assert!(output.centroids.contains_key(&record.centroid_object));
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch_ingest_for_a_fixed_model() {
-        // With retraining disabled (interval beyond the recording) and the
-        // same generic model, the streaming worker and the batch engine run
-        // the identical shared pipeline, so their indexes are byte-identical
-        // and their GPU costs bitwise equal.
-        let profile = profile_by_name("lausanne").unwrap();
-        let dataset = VideoDataset::generate(profile.clone(), 90.0);
-        let params = IngestParams {
-            k: 10,
-            ..IngestParams::default()
-        };
-        let batch =
-            crate::ingest::IngestEngine::new(IngestCnn::generic(ModelSpec::cheap_cnn_1()), params)
-                .ingest(&dataset, &GpuMeter::new());
-
-        let mut worker = StreamWorker::new(
-            profile.stream_id,
-            profile.fps,
-            StreamWorkerConfig {
-                params,
-                bootstrap_model: ModelSpec::cheap_cnn_1(),
-                bootstrap_secs: 1e9,
-                retrain_interval_secs: 1e9,
-                gt_label_fraction: 0.0,
-                ..StreamWorkerConfig::default()
-            },
-            GroundTruthCnn::resnet152(),
-            GpuMeter::new(),
-        );
-        for frame in &dataset.frames {
-            worker.push_frame(frame);
-        }
-        let streamed = worker.finalize();
-        assert_eq!(streamed.objects_total, batch.objects_total);
-        assert_eq!(streamed.objects_classified, batch.objects_classified);
-        assert_eq!(streamed.index.len(), batch.index.len());
-        assert_eq!(
-            streamed.gpu_cost.seconds().to_bits(),
-            batch.gpu_cost.seconds().to_bits()
-        );
-        assert_eq!(
-            focus_index::persist::to_json(&streamed.index).unwrap(),
-            focus_index::persist::to_json(&batch.index).unwrap()
-        );
-    }
-
-    #[test]
-    fn clusters_counter_matches_index() {
-        let (_, output) = run_worker(60.0, StreamWorkerConfig::default());
-        assert_eq!(output.clusters, output.index.len());
-        assert!(output.clusters > 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The binary columnar segment format (`seg-*.bin`).
 //!
 //! JSON segments pay their whole decode cost on every cold load — the
-//! ~32× cold/warm cliff `BENCH_segments.json` measured. This format makes
+//! ~32× cold/warm cliff the first segmented-store measurements showed. This format makes
 //! cold reads proportional to what a query actually touches:
 //!
 //! ```text

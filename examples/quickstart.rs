@@ -29,7 +29,7 @@ fn main() {
     // 2. Ingest with a generic compressed CNN (ResNet18-class, ~8x cheaper
     //    than the ground truth) and a top-60 index — the operating point
     //    Figure 5 of the paper picks for this model. (Per-stream specialized
-    //    models do even better; see the live_pipeline and
+    //    models do even better; see the live_service and
     //    traffic_investigation examples.)
     let meter = GpuMeter::new();
     let ingest = IngestEngine::new(

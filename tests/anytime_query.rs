@@ -18,9 +18,9 @@ use focus::core::serving::{AnytimeResponse, RequestPlane, ServingConfig, TenantI
 use focus::core::{IngestParams, QueryRequest, SealPolicy, StreamWorkerConfig};
 use focus::runtime::{GpuClusterSpec, GpuMeter, VirtualClock};
 use focus::video::profile::profile_by_name;
-use focus::video::{Frame, FrameId, ObjectId, VideoDataset};
+use focus::video::{ClassId, Frame, FrameId, ObjectId, VideoDataset};
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -229,6 +229,74 @@ proptest! {
         prop_assert_eq!(streamed_objects, final_objects);
         prop_assert_eq!(streamed_frames, final_frames);
     }
+}
+
+/// What anytime execution is for: on a rare-class mix over a many-segment
+/// archive, the first distinct result and 90% of the results each arrive
+/// after strictly fewer fresh GT inferences than the exhaustive planner
+/// spends in total.
+#[test]
+fn first_result_and_90_percent_recall_cost_less_than_exhaustive() {
+    let datasets = workload(30.0);
+    let frames = interleave(&datasets, 64);
+    let service = ingested_service("early", 6.0, &datasets, &frames);
+    let reference = ingested_service("early_ref", 6.0, &datasets, &frames);
+
+    // The two rarest classes that still have something to find.
+    let mut hist: HashMap<ClassId, usize> = HashMap::new();
+    for ds in &datasets {
+        for (class, count) in ds.class_histogram() {
+            *hist.entry(class).or_insert(0) += count;
+        }
+    }
+    let mut mix: Vec<(usize, ClassId)> = hist
+        .into_iter()
+        .filter(|&(_, count)| count >= 2)
+        .map(|(class, count)| (count, class))
+        .collect();
+    mix.sort();
+    mix.truncate(2);
+    assert_eq!(mix.len(), 2, "archive too shallow for the mix");
+
+    let (mut exhaustive_total, mut to_first_total, mut to_90_total) = (0, 0, 0);
+    for (_, class) in mix {
+        let exhaustive = reference
+            .serve(&[QueryRequest::new(class)])
+            .unwrap()
+            .remove(0);
+        assert!(
+            !exhaustive.objects.is_empty(),
+            "class {class:?} has results"
+        );
+        let target_90 = (exhaustive.objects.len() as f64 * 0.9).ceil() as usize;
+        exhaustive_total += exhaustive.centroid_inferences;
+
+        let request = QueryRequest::new(class).with_anytime(AnytimeMode::incremental(4));
+        let (mut spent, mut found) = (0, 0);
+        let (mut to_first, mut to_90) = (None, None);
+        service
+            .serve_anytime_with(&request, |partial| {
+                spent += partial.inferences_spent;
+                found += partial.new_results.len();
+                if found > 0 {
+                    to_first.get_or_insert(spent);
+                }
+                if found >= target_90 {
+                    to_90.get_or_insert(spent);
+                }
+            })
+            .unwrap();
+        to_first_total += to_first.expect("some round surfaced the first result");
+        to_90_total += to_90.expect("exhaustion reaches any recall level");
+    }
+    assert!(
+        to_first_total < exhaustive_total,
+        "first result: {to_first_total} vs exhaustive {exhaustive_total}"
+    );
+    assert!(
+        to_90_total < exhaustive_total,
+        "90% recall: {to_90_total} vs exhaustive {exhaustive_total}"
+    );
 }
 
 /// A small fresh-inference budget stops the loop early with an honest

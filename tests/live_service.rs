@@ -9,10 +9,10 @@ use proptest::prelude::*;
 use focus::cnn::{GpuCost, GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
 use focus::core::{
-    IngestCnn, IngestOutput, IngestParams, QueryEngine, QueryRequest, SealPolicy,
+    IngestCnn, IngestEngine, IngestOutput, IngestParams, QueryEngine, QueryRequest, SealPolicy,
     StreamWorkerConfig,
 };
-use focus::index::{QueryFilter, SegmentFormat};
+use focus::index::{persist, QueryFilter, SegmentFormat};
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{Frame, VideoDataset};
@@ -210,6 +210,40 @@ fn gt_inferences_never_exceed_the_serial_engine() {
     for (a, b) in outcomes.iter().zip(again.iter()) {
         assert_eq!(a.frames, b.frames);
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The live driver against the batch reference: with the model fixed (no
+/// bootstrap, no retrain, no GT labelling) and no seal before the end of
+/// the recording, frame-by-frame `advance` runs the same shared pipeline
+/// as one `IngestEngine::ingest` call, so the index is byte-identical and
+/// the ingest GPU seconds bitwise equal.
+#[test]
+fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
+    let dataset = VideoDataset::generate(profile_by_name("lausanne").unwrap(), 90.0);
+    let batch = IngestEngine::new(
+        IngestCnn::generic(ModelSpec::cheap_cnn_1()),
+        config(1e9).worker.params,
+    )
+    .ingest(&dataset, &GpuMeter::new());
+
+    let (mut service, dir) = service_with("live_vs_batch", 1e9, std::slice::from_ref(&dataset));
+    for frame in &dataset.frames {
+        let report = service.advance(std::slice::from_ref(frame)).unwrap();
+        assert_eq!((report.segments_sealed, report.retrains), (0, 0));
+    }
+    assert_eq!(service.seal_all().unwrap().len(), 1);
+
+    let stats = service.stats();
+    assert_eq!(stats.objects_indexed, batch.objects_total);
+    assert_eq!(
+        stats.gpu.submitted_by_phase["ingest"].to_bits(),
+        batch.gpu_cost.seconds().to_bits()
+    );
+    assert_eq!(
+        persist::to_json(&service.store().merged_index().unwrap()).unwrap(),
+        persist::to_json(&batch.index).unwrap()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -154,7 +154,7 @@ fn server_handles_absent_classes_and_empty_batches() {
     let (_, out) = ingest(30.0, 4);
     let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(2));
     assert!(server.serve(&out, &[], &GpuMeter::new()).is_empty());
-    let outcome = server.serve_one(&out, &QueryRequest::new(ClassId(850)), &GpuMeter::new());
+    let outcome = &server.serve(&out, &[QueryRequest::new(ClassId(850))], &GpuMeter::new())[0];
     assert_eq!(outcome.confirmed_clusters, 0);
     assert!(outcome.frames.is_empty());
 }
