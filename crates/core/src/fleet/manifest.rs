@@ -148,14 +148,15 @@ impl ClusterManifest {
     /// Writes the manifest atomically to every replica path (fleet root
     /// first, then each node directory). A crash between replicas leaves a
     /// mixed-epoch set; [`load`](Self::load) resolves it by taking the
-    /// highest valid epoch.
-    pub fn save(&self, replicas: &[PathBuf]) -> Result<(), FleetError> {
+    /// highest valid epoch. Returns the bytes of one replica — what a
+    /// placement round ships to each node.
+    pub fn save(&self, replicas: &[PathBuf]) -> Result<u64, FleetError> {
         let json = serde_json::to_string(self).expect("manifest serializes");
         for dir in replicas {
             let path = dir.join(CLUSTER_MANIFEST_FILE);
             write_atomic(&path, &json).map_err(|source| FleetError::Io { path, source })?;
         }
-        Ok(())
+        Ok(json.len() as u64)
     }
 
     /// Loads the highest-epoch valid replica. Replicas that are missing,

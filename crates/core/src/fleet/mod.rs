@@ -9,8 +9,8 @@
 //! segment time/stream bounds intersect the request, then **gather**
 //! through the existing
 //! [`QueryServer::serve_resolved`](crate::query_server::QueryServer::serve_resolved)
-//! seam — so a fleet-served answer is byte-identical (canonical
-//! `serde_json`) to a single-node service over the union of streams
+//! seam — so a fleet-served answer is byte-identical (canonical JSON) to a
+//! single-node service over the union of streams
 //! (`tests/fleet.rs` pins this with a proptest over arbitrary placements
 //! and node-loss schedules).
 //!
@@ -24,15 +24,17 @@
 //! stay byte-identical to a never-crashed single node.
 //!
 //! **Simulated transport.** No sockets: every coordinator↔node exchange
-//! is an in-process call whose serialized size is measured and charged to
-//! a [`NetMeter`]/[`NetCostModel`] (and, when attached, a
-//! [`VirtualClock`]), the same capability discipline `GpuMeter`/`IoMeter`
-//! apply to compute and storage. Scatter width, bytes over the wire and
-//! failover time are therefore exact and machine-independent — CI asserts
-//! them (`fleet-faults` job), the benchmark's `fleet_scatter` workload
-//! tracks them.
+//! is an in-process call whose messages are weighed by the wire layout's
+//! length function (`fleet/wire.rs` — nothing is encoded) and charged to a
+//! [`NetMeter`]/[`NetCostModel`] (and, when attached, a [`VirtualClock`]),
+//! the same capability discipline `GpuMeter`/`IoMeter` apply to compute and
+//! storage. Scatter width, bytes over the wire and failover time are
+//! therefore exact and machine-independent — CI asserts them
+//! (`fleet-faults` job), the benchmark's `fleet_scatter` workload tracks
+//! them.
 
 pub mod manifest;
+mod wire;
 
 pub use manifest::{ClusterManifest, ShardAssignment, CLUSTER_MANIFEST_FILE};
 
@@ -42,15 +44,18 @@ use std::path::PathBuf;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
-use focus_index::{CentroidHandle, ClusterKey, ClusterRecord, SegmentError};
+use focus_index::{CentroidHandle, ClusterKey, ClusterRecord, SegmentError, TrackKey};
 use focus_runtime::{GpuMeter, NetCostModel, NetMeter, NetStats, VirtualClock};
 use focus_video::{ClassId, Frame, ObjectId, ObjectObservation, StreamId};
 
 use crate::ingest::IngestCnn;
 use crate::query::plan::{QueryPlan, QueryRequest};
+use crate::query::track::TrackScope;
 use crate::query::QueryOutcome;
 use crate::query_server::QueryServer;
-use crate::service::{AdvanceReport, FocusService, MaintenanceReport, ServiceConfig};
+use crate::service::{FocusService, MaintenanceReport, ServiceConfig};
+
+use wire::WireLen;
 
 /// Errors from fleet coordination (placement, routing, node liveness) or
 /// the per-shard services underneath.
@@ -79,6 +84,11 @@ pub enum FleetError {
     },
     /// No alive node remains to take over a dead node's shards.
     NoSurvivor,
+    /// A scatter/gather invariant was broken: a cluster contributed by two
+    /// responses, a planned record whose centroid observation its shard
+    /// cannot resolve, or a batch gathered with a different number of
+    /// requests than it was scattered with.
+    Scatter(String),
 }
 
 impl std::fmt::Display for FleetError {
@@ -95,6 +105,7 @@ impl std::fmt::Display for FleetError {
                 )
             }
             Self::NoSurvivor => write!(f, "no alive node left to adopt orphaned shards"),
+            Self::Scatter(msg) => write!(f, "scatter/gather invariant broken: {msg}"),
         }
     }
 }
@@ -141,7 +152,8 @@ impl Default for FleetConfig {
 /// What one [`FleetCoordinator::advance`] call did, summed over shards.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetAdvanceReport {
-    /// Per-shard [`AdvanceReport`]s folded together.
+    /// Per-shard [`AdvanceReport`](crate::service::AdvanceReport)s folded
+    /// together.
     pub frames: usize,
     /// Segments sealed across all shards.
     pub segments_sealed: usize,
@@ -198,9 +210,9 @@ pub struct FleetStats {
     pub query_gpu_secs: f64,
 }
 
-/// Scalar projection of a shard plan's `SegmentAccess` (the wire format
-/// carries plain counts; `SegmentAccess` itself is not serialized).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Scalar projection of a shard plan's `SegmentAccess` (the wire carries
+/// plain counts).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WireAccess {
     /// Live segments in the shard's store.
     pub segments_total: usize,
@@ -221,7 +233,7 @@ impl WireAccess {
 }
 
 /// One shard's answer for one request of a scattered batch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardRequestPlan {
     /// Matching records, sorted by cluster key (key-disjoint across shards
     /// by construction, which is what makes the gather merge exactly-once).
@@ -235,13 +247,12 @@ pub struct ShardRequestPlan {
     /// Tracks this shard's sketches rejected for the request's track
     /// filter (empty without one). Shards hold disjoint streams, so the
     /// coordinator unions these losslessly into the gathered plan's
-    /// [`TrackScope`](crate::query::track::TrackScope).
-    #[serde(default)]
-    pub rejected_tracks: Vec<focus_index::TrackKey>,
+    /// [`TrackScope`].
+    pub rejected_tracks: Vec<TrackKey>,
 }
 
 /// One shard's full response to a scattered plan request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardPlanMsg {
     /// The responding shard.
     pub shard: u32,
@@ -249,13 +260,15 @@ pub struct ShardPlanMsg {
     pub per_request: Vec<ShardRequestPlan>,
 }
 
-/// The coordinator→node plan request (serialized only to measure wire
-/// bytes; the call itself is in-process). Owned fields: the vendored serde
-/// derive does not support generic/borrowed derive targets.
-#[derive(Debug, Serialize)]
-struct PlanRequestMsg {
-    requests: Vec<QueryRequest>,
-    lookup_classes: Vec<Vec<ClassId>>,
+/// The coordinator→node plan request. Borrowed: the call is in-process, so
+/// the node-side handler reads the coordinator's own data.
+#[derive(Debug, Clone, Copy)]
+struct PlanRequest<'a> {
+    requests: &'a [QueryRequest],
+    /// The fleet-wide lookup classes of each request, parallel to
+    /// `requests`.
+    lookup_classes: &'a [Vec<ClassId>],
+    /// Whether the shard may prune segments by their bounds.
     prune_segments: bool,
 }
 
@@ -272,6 +285,8 @@ pub struct ScatterBatch {
     /// Whether shard-level segment pruning was pushed down (`false` is the
     /// broadcast baseline: every alive shard, no bound pruning).
     pub prune: bool,
+    /// Requests the batch was scattered with; every response answers each.
+    requests: usize,
     responses: Vec<ShardPlanMsg>,
 }
 
@@ -559,48 +574,83 @@ impl FleetCoordinator {
     /// order preserved — the only order a per-stream pipeline observes, so
     /// routing is ingest-equivalent to a single node seeing the full
     /// interleaving). Each touched shard costs one simulated exchange.
-    /// Replay buffers are extended and then trimmed to each stream's
+    /// Each routed batch is moved into its streams' replay buffers once its
+    /// shard call returns, and the buffers are then trimmed to each stream's
     /// since-last-seal suffix.
+    ///
+    /// On an error nothing further is sent, but every frame routed before
+    /// the error is still buffered — the failed shard's batch and the
+    /// batches of shards not reached — so a [`failover`](Self::failover)
+    /// after a [`FleetError::NodeDown`] replays the dead owner's share of
+    /// the batch.
     pub fn advance(&mut self, frames: &[Frame]) -> Result<FleetAdvanceReport, FleetError> {
         let mut by_shard: BTreeMap<u32, Vec<Frame>> = BTreeMap::new();
+        let mut routing = Ok(());
         for frame in frames {
-            let shard = self.shard_of_stream(frame.stream_id)?;
-            by_shard.entry(shard).or_default().push(frame.clone());
-            self.replay
-                .get_mut(&frame.stream_id)
-                .expect("placed stream has a replay buffer")
-                .push(frame.clone());
+            match self.shard_of_stream(frame.stream_id) {
+                Ok(shard) => by_shard.entry(shard).or_default().push(frame.clone()),
+                Err(err) => {
+                    routing = Err(err);
+                    break;
+                }
+            }
         }
         let mut report = FleetAdvanceReport::default();
-        for (shard, batch) in by_shard {
-            // Resolve ownership fresh per shard: an earlier error leaves
-            // untouched shards untouched.
-            let (node_id, _) = self.shard_service(shard)?;
-            let sent = wire_bytes(&batch);
-            let service = self
-                .nodes
-                .get_mut(&node_id)
-                .expect("owner checked alive")
-                .shards
-                .get_mut(&shard)
-                .expect("owner checked present");
-            let shard_report: AdvanceReport = service.advance(&batch)?;
-            let received = wire_bytes(&shard_report);
-            let pending = service.pending_frames_by_stream();
-            self.net.record_exchange(sent, received);
-            self.tick(self.config.net.exchange_secs(sent + received));
-            if shard_report.retrains > 0 {
-                // Mirror the single-node epoch bump: a new model generation
-                // invalidates the (gather-side) verdict cache.
-                self.gather_server.invalidate();
-            }
-            report.frames += shard_report.frames;
-            report.segments_sealed += shard_report.segments_sealed;
-            report.retrains += shard_report.retrains;
-            report.shards_touched += 1;
-            self.trim_replay(&pending);
+        let mut routed = by_shard.into_iter();
+        let result = routing.and_then(|()| {
+            routed.by_ref().try_for_each(|(shard, batch)| {
+                let pending = self.advance_shard(shard, &batch, &mut report);
+                self.buffer_for_replay(batch);
+                self.trim_replay(&pending?);
+                Ok(())
+            })
+        });
+        for (_, batch) in routed {
+            self.buffer_for_replay(batch);
         }
-        Ok(report)
+        result.map(|()| report)
+    }
+
+    /// One ingest exchange with `shard`'s owner: ships `batch`, folds the
+    /// shard's report into `report`, and returns the shard's pending-frame
+    /// counts (what its replay buffers must keep).
+    fn advance_shard(
+        &mut self,
+        shard: u32,
+        batch: &[Frame],
+        report: &mut FleetAdvanceReport,
+    ) -> Result<BTreeMap<StreamId, usize>, FleetError> {
+        // Resolve ownership fresh per shard: an earlier error leaves
+        // untouched shards untouched.
+        let (node_id, _) = self.shard_service(shard)?;
+        let service = self
+            .nodes
+            .get_mut(&node_id)
+            .expect("owner checked alive")
+            .shards
+            .get_mut(&shard)
+            .expect("owner checked present");
+        let shard_report = service.advance(batch)?;
+        let pending = service.pending_frames_by_stream();
+        let (sent, received) = (batch.wire_len(), shard_report.wire_len());
+        self.net.record_exchange(sent, received);
+        self.tick(self.config.net.exchange_secs(sent + received));
+        if shard_report.retrains > 0 {
+            // Mirror the single-node epoch bump: a new model generation
+            // invalidates the (gather-side) verdict cache.
+            self.gather_server.invalidate();
+        }
+        report.frames += shard_report.frames;
+        report.segments_sealed += shard_report.segments_sealed;
+        report.retrains += shard_report.retrains;
+        report.shards_touched += 1;
+        Ok(pending)
+    }
+
+    fn buffer_for_replay(&mut self, batch: Vec<Frame>) {
+        for frame in batch {
+            self.replay.entry(frame.stream_id).or_default().push(frame);
+        }
     }
 
     fn trim_replay(&mut self, pending: &BTreeMap<StreamId, usize>) {
@@ -633,7 +683,7 @@ impl FleetCoordinator {
                 .expect("owner checked present");
             let report = service.maintain()?;
             let pending = service.pending_frames_by_stream();
-            let received = wire_bytes(&report);
+            let received = report.wire_len();
             self.net.record_exchange(0, received);
             self.tick(self.config.net.exchange_secs(received));
             total.segments_sealed += report.segments_sealed;
@@ -760,12 +810,12 @@ impl FleetCoordinator {
             .collect();
         let mut contacted = Vec::new();
         let mut responses = Vec::new();
-        let request_msg = PlanRequestMsg {
-            requests: requests.to_vec(),
-            lookup_classes: lookup_classes.clone(),
+        let plan_request = PlanRequest {
+            requests,
+            lookup_classes: &lookup_classes,
             prune_segments: prune,
         };
-        let sent = wire_bytes(&request_msg);
+        let sent = plan_request.wire_len();
         let mut per_node_bytes = Vec::new();
         for assignment in &self.manifest.assignments {
             let (_, service) = self.shard_service(assignment.shard)?;
@@ -776,9 +826,8 @@ impl FleetCoordinator {
             if !relevant {
                 continue;
             }
-            let response =
-                plan_on_shard(assignment.shard, service, requests, &lookup_classes, prune)?;
-            let received = wire_bytes(&response);
+            let response = plan_on_shard(assignment.shard, service, plan_request)?;
+            let received = response.wire_len();
             self.net.record_exchange(sent, received);
             per_node_bytes.push(sent + received);
             contacted.push(assignment.shard);
@@ -791,6 +840,7 @@ impl FleetCoordinator {
             epoch: self.manifest.epoch,
             contacted,
             prune,
+            requests: requests.len(),
             responses,
         })
     }
@@ -799,61 +849,71 @@ impl FleetCoordinator {
     /// [`QueryServer::serve_resolved`] — the exact single-node seam, fed
     /// the exact single-node plan: shard record maps are key-disjoint, so
     /// the merged, key-sorted candidate set is byte-identical to planning
-    /// on one node over the union of streams. A shard contributing the
-    /// same cluster twice (a double-counted scatter) panics rather than
-    /// double-serving.
+    /// on one node over the union of streams. The batch is consumed:
+    /// records, centroid observations and rejected tracks move into the
+    /// merged plan. A cluster contributed twice (a double-counted scatter),
+    /// or a `requests` slice of a different length than the batch was
+    /// scattered with, is a [`FleetError::Scatter`] — nothing is served.
     pub fn gather(
         &mut self,
         requests: &[QueryRequest],
         batch: ScatterBatch,
     ) -> Result<Vec<QueryOutcome>, FleetError> {
-        let mut plans: Vec<QueryPlan> = Vec::with_capacity(requests.len());
+        if requests.len() != batch.requests {
+            return Err(FleetError::Scatter(format!(
+                "batch scattered with {} requests gathered with {}",
+                batch.requests,
+                requests.len()
+            )));
+        }
         let mut records: Vec<HashMap<ClusterKey, ClusterRecord>> =
-            Vec::with_capacity(requests.len());
+            vec![HashMap::new(); requests.len()];
+        let mut rejected: Vec<Vec<TrackKey>> = vec![Vec::new(); requests.len()];
         let mut centroids: HashMap<ObjectId, ObjectObservation> = HashMap::new();
         let mut segments_opened = 0;
-        for (i, request) in requests.iter().enumerate() {
-            let mut merged: BTreeMap<ClusterKey, ClusterRecord> = BTreeMap::new();
-            let mut track_scope = crate::query::track::TrackScope::default();
-            for response in &batch.responses {
-                let part = &response.per_request[i];
-                track_scope.merge(&crate::query::track::TrackScope {
-                    rejected: part.rejected_tracks.clone(),
-                });
-                for record in &part.records {
-                    let replaced = merged.insert(record.key, record.clone());
-                    assert!(
-                        replaced.is_none(),
-                        "cluster {:?} contributed by two shards — scatter must be exactly-once",
-                        record.key
-                    );
-                }
-                for (id, observation) in &part.centroids {
-                    centroids.insert(*id, observation.clone());
-                }
-                if i == 0 {
-                    for p in &response.per_request {
-                        segments_opened += p.access.opened();
+        for response in batch.responses {
+            let parts = response.per_request.into_iter();
+            for ((part, records), rejected) in parts.zip(&mut records).zip(&mut rejected) {
+                segments_opened += part.access.opened();
+                rejected.extend(part.rejected_tracks);
+                centroids.extend(part.centroids);
+                for record in part.records {
+                    let key = record.key;
+                    if records.insert(key, record).is_some() {
+                        return Err(FleetError::Scatter(format!(
+                            "cluster {key:?} contributed twice (by shard {} and an earlier \
+                             response) — scatter must be exactly-once",
+                            response.shard
+                        )));
                     }
                 }
             }
-            let candidates: Vec<CentroidHandle> = merged
-                .values()
-                .map(|record| CentroidHandle {
-                    cluster: record.key,
-                    centroid: record.centroid_object,
-                    centroid_frame: record.centroid_frame,
-                })
-                .collect();
-            plans.push(QueryPlan {
-                class: request.class,
-                lookup_class: self.bootstrap.effective_query_class(request.class),
-                candidates,
-                track_scope,
-            });
-            records.push(merged.into_iter().collect());
         }
+        let plans: Vec<QueryPlan> = requests
+            .iter()
+            .zip(&records)
+            .zip(rejected)
+            .map(|((request, records), rejected)| {
+                let mut candidates: Vec<CentroidHandle> = records
+                    .values()
+                    .map(|record| CentroidHandle {
+                        cluster: record.key,
+                        centroid: record.centroid_object,
+                        centroid_frame: record.centroid_frame,
+                    })
+                    .collect();
+                candidates.sort_unstable_by_key(|handle| handle.cluster);
+                QueryPlan {
+                    class: request.class,
+                    lookup_class: self.bootstrap.effective_query_class(request.class),
+                    candidates,
+                    track_scope: TrackScope::from_rejected(rejected),
+                }
+            })
+            .collect();
         let meter = GpuMeter::new();
+        // The resolver hands an owned observation to the GT-CNN: one clone
+        // per fresh inference, none per candidate.
         let outcomes = self.gather_server.serve_resolved(
             &plans,
             &records,
@@ -957,7 +1017,7 @@ impl FleetCoordinator {
                     replayed.extend(buffer.iter().cloned());
                 }
             }
-            let replay_bytes = wire_bytes(&replayed);
+            let replay_bytes = replayed.wire_len();
             if !replayed.is_empty() {
                 let shard_report = service.advance(&replayed)?;
                 if shard_report.retrains > 0 {
@@ -984,8 +1044,7 @@ impl FleetCoordinator {
         manifest.epoch += 1;
         let manifest = manifest.seal();
         manifest.validate()?;
-        let manifest_bytes = wire_bytes(&manifest);
-        manifest.save(&self.replica_dirs())?;
+        let manifest_bytes = manifest.save(&self.replica_dirs())?;
         self.manifest = manifest;
         report.secs += self.config.net.exchange_secs(manifest_bytes);
         self.tick(report.secs);
@@ -1036,8 +1095,7 @@ impl FleetCoordinator {
         manifest.epoch += 1;
         let manifest = manifest.seal();
         manifest.validate()?;
-        let manifest_bytes = wire_bytes(&manifest);
-        manifest.save(&self.replica_dirs())?;
+        let manifest_bytes = manifest.save(&self.replica_dirs())?;
         self.manifest = manifest;
         // 3. Open on the target, drop the source handle.
         self.nodes
@@ -1075,14 +1133,6 @@ impl FleetCoordinator {
     }
 }
 
-/// Serialized size of a value on the simulated wire (canonical
-/// `serde_json`, the fleet's interchange format).
-fn wire_bytes<T: Serialize>(value: &T) -> u64 {
-    serde_json::to_string(value)
-        .expect("wire value serializes")
-        .len() as u64
-}
-
 /// The node-side plan handler: plans every request of the batch against
 /// this shard's sealed segments + hot tail with the coordinator's global
 /// lookup-class set, and resolves each record's centroid observation so
@@ -1090,30 +1140,39 @@ fn wire_bytes<T: Serialize>(value: &T) -> u64 {
 fn plan_on_shard(
     shard: u32,
     service: &FocusService,
-    requests: &[QueryRequest],
-    lookup_classes: &[Vec<ClassId>],
-    prune: bool,
-) -> Result<ShardPlanMsg, SegmentError> {
+    msg: PlanRequest<'_>,
+) -> Result<ShardPlanMsg, FleetError> {
     let tail = service.tail_snapshot();
     let corpus = service.corpus();
-    let mut per_request = Vec::with_capacity(requests.len());
-    for (request, classes) in requests.iter().zip(lookup_classes) {
-        let planned = corpus.plan_with_tail_scoped(request, Some(&tail), classes, prune, true)?;
+    let mut per_request = Vec::with_capacity(msg.requests.len());
+    for (request, classes) in msg.requests.iter().zip(msg.lookup_classes) {
+        let planned = corpus.plan_with_tail_scoped(
+            request,
+            Some(&tail),
+            classes,
+            msg.prune_segments,
+            true,
+        )?;
         let mut records: Vec<ClusterRecord> = planned.records.into_values().collect();
         records.sort_by_key(|record| record.key);
-        let mut centroids: Vec<(ObjectId, ObjectObservation)> = records
+        let mut centroids = records
             .iter()
             .map(|record| {
                 let id = record.centroid_object;
-                let observation = corpus
+                corpus
                     .centroids
                     .get(&id)
                     .or_else(|| tail.centroid(id))
-                    .cloned()
-                    .expect("planned record's centroid observation resolvable on its shard");
-                (id, observation)
+                    .map(|observation| (id, observation.clone()))
+                    .ok_or_else(|| {
+                        FleetError::Scatter(format!(
+                            "shard {shard} cannot resolve the centroid observation of \
+                             planned cluster {:?}",
+                            record.key
+                        ))
+                    })
             })
-            .collect();
+            .collect::<Result<Vec<_>, FleetError>>()?;
         centroids.sort_by_key(|(id, _)| *id);
         centroids.dedup_by_key(|(id, _)| *id);
         per_request.push(ShardRequestPlan {
@@ -1131,4 +1190,58 @@ fn plan_on_shard(
         });
     }
     Ok(ShardPlanMsg { shard, per_request })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use focus_video::profile::profile_by_name;
+    use focus_video::VideoDataset;
+
+    /// A one-node, one-camera fleet with 12 s ingested, and a class that
+    /// recording contains.
+    fn small_fleet(name: &str) -> (FleetCoordinator, ClassId, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("focus_fleet_unit_{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let profile = profile_by_name("auburn_c").unwrap();
+        let ds = VideoDataset::generate(profile.clone(), 12.0);
+        let config = FleetConfig {
+            nodes: 1,
+            ..FleetConfig::default()
+        };
+        let mut fleet =
+            FleetCoordinator::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        fleet
+            .register_stream(profile.stream_id, profile.fps)
+            .unwrap();
+        fleet.advance(&ds.frames).unwrap();
+        (fleet, ds.dominant_classes(1)[0], dir)
+    }
+
+    #[test]
+    fn gather_rejects_a_response_counted_twice() {
+        let (mut fleet, class, dir) = small_fleet("dup");
+        let requests = [QueryRequest::new(class)];
+        let mut batch = fleet.scatter(&requests, true).unwrap();
+        assert!(!batch.responses[0].per_request[0].records.is_empty());
+        batch.responses.push(batch.responses[0].clone());
+        let err = fleet.gather(&requests, batch).unwrap_err();
+        assert!(matches!(err, FleetError::Scatter(_)), "{err}");
+        assert_eq!(fleet.stats().serves, 0, "nothing was served");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn gather_rejects_a_request_slice_of_another_length() {
+        let (mut fleet, class, dir) = small_fleet("short");
+        let requests = [QueryRequest::new(class), QueryRequest::new(class)];
+        let batch = fleet.scatter(&requests, true).unwrap();
+        let err = fleet.gather(&requests[..1], batch).unwrap_err();
+        assert!(matches!(err, FleetError::Scatter(_)), "{err}");
+        // The same batch shape gathers fine with the slice it was
+        // scattered with.
+        let batch = fleet.scatter(&requests, true).unwrap();
+        assert_eq!(fleet.gather(&requests, batch).unwrap().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

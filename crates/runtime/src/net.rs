@@ -21,9 +21,10 @@ pub struct NetStats {
     pub messages_sent: usize,
     /// Response messages received node → coordinator.
     pub messages_received: usize,
-    /// Serialized request bytes coordinator → node.
+    /// Wire-layout bytes of requests, coordinator → node: what the caller's
+    /// length function says each message would occupy — nothing is encoded.
     pub bytes_sent: u64,
-    /// Serialized response bytes node → coordinator.
+    /// Wire-layout bytes of responses, node → coordinator.
     pub bytes_received: u64,
     /// Scatter fan-outs recorded (one per scattered query batch).
     pub scatters: usize,

@@ -272,6 +272,125 @@ fn conflicting_segment_range_claims_rejected_at_recover() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The wire account is a pure function of the messages' shapes: two fleets
+/// fed the same frames and requests report bit-identical `NetStats`.
+#[test]
+fn identical_fleets_report_identical_net_stats() {
+    let secs = 30.0;
+    let datasets = workload(secs);
+    let frames = interleave(&datasets, 64);
+    let requests = request_mix(&datasets, secs);
+    let run = |name: &str| {
+        let (mut fleet, dir) = fleet_with(name, 2, 6.0, &datasets);
+        for chunk in frames.chunks(500) {
+            fleet.advance(chunk).unwrap();
+        }
+        fleet.maintain().unwrap();
+        fleet.serve(&requests).unwrap();
+        fleet.serve_broadcast(&requests).unwrap();
+        let net = fleet.stats().net;
+        std::fs::remove_dir_all(&dir).ok();
+        net
+    };
+    let (a, b) = (run("net_a"), run("net_b"));
+    assert_eq!(a, b);
+    assert!(a.bytes_sent > 0 && a.bytes_received > 0);
+}
+
+/// What pruning saves on the wire: a one-camera request costs exactly one
+/// exchange and strictly fewer bytes than its broadcast; a time-filtered
+/// all-camera request never costs more than its broadcast.
+#[test]
+fn scatter_charges_no_more_wire_than_broadcast() {
+    let secs = 30.0;
+    let datasets = workload(secs);
+    let (mut fleet, dir) = fleet_with("wire_cost", 2, 6.0, &datasets);
+    fleet.advance(&interleave(&datasets, 64)).unwrap();
+    let class = datasets[0].dominant_classes(1)[0];
+    let mut cost = |request: QueryRequest, broadcast: bool| {
+        let before = fleet.stats().net;
+        let requests = [request];
+        if broadcast {
+            fleet.serve_broadcast(&requests).unwrap();
+        } else {
+            fleet.serve(&requests).unwrap();
+        }
+        let after = fleet.stats().net;
+        (
+            after.messages_sent - before.messages_sent,
+            after.bytes_total() - before.bytes_total(),
+        )
+    };
+
+    let one_camera = QueryRequest::new(class)
+        .with_filter(QueryFilter::for_stream(datasets[0].profile.stream_id));
+    let (exchanges, bytes) = cost(one_camera.clone(), false);
+    let (broadcast_exchanges, broadcast_bytes) = cost(one_camera, true);
+    assert_eq!(exchanges, 1, "a one-camera request contacts one shard");
+    assert_eq!(broadcast_exchanges, datasets.len());
+    assert!(
+        bytes < broadcast_bytes,
+        "one-camera scatter moved {bytes} B, broadcast {broadcast_bytes} B"
+    );
+
+    let windowed =
+        QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(0.0, secs / 3.0));
+    let (_, bytes) = cost(windowed.clone(), false);
+    let (_, broadcast_bytes) = cost(windowed, true);
+    assert!(
+        bytes <= broadcast_bytes,
+        "windowed scatter moved {bytes} B, broadcast {broadcast_bytes} B"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An `advance` that fails part-way — the last touched shard's owner is
+/// dead — still leaves that shard's share of the batch in the replay
+/// buffer, so the failover delivers it and the fleet ends up equal to a twin
+/// that saw every frame once.
+#[test]
+fn owner_lost_mid_advance_is_made_whole_by_failover() {
+    let secs = 30.0;
+    let datasets = workload(secs);
+    let frames = interleave(&datasets, 64);
+    let requests = request_mix(&datasets, secs);
+    let (first, rest) = frames.split_at(frames.len() / 3);
+    let (second, third) = rest.split_at(rest.len() / 2);
+
+    // Four nodes, three shards: every shard has its own node, so killing
+    // the last shard's owner fails the batch after the others were served.
+    let (mut fleet, dir) = fleet_with("mid_advance", 4, 7.0, &datasets);
+    fleet.advance(first).unwrap();
+    let last = fleet.manifest().assignments.last().unwrap().clone();
+    fleet.kill_node(last.node);
+    let err = fleet.advance(second).unwrap_err();
+    assert!(
+        matches!(err, FleetError::NodeDown { shard, .. } if shard == last.shard),
+        "{err}"
+    );
+    let lost = second
+        .iter()
+        .filter(|frame| last.streams.contains(&frame.stream_id.0))
+        .count();
+    let report = fleet.failover().unwrap();
+    assert_eq!(report.shards_recovered, 1);
+    assert!(
+        report.frames_replayed >= lost,
+        "replayed {} frames, the failed batch alone held {lost}",
+        report.frames_replayed
+    );
+    fleet.advance(third).unwrap();
+
+    let (mut twin, twin_dir) = twin_with("mid_advance_twin", 7.0, &datasets);
+    twin.advance(&frames).unwrap();
+    assert_eq!(
+        canonical(&fleet.serve(&requests).unwrap()),
+        canonical(&twin.serve(&requests).unwrap())
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&twin_dir).ok();
+}
+
 /// The deterministic fault scenario the `fleet-faults` CI matrix runs per
 /// node count: ingest, lose a loaded node mid-ingest, fail over (replaying
 /// the buffered tail), keep ingesting, lose another mid-query (between
