@@ -98,7 +98,7 @@ pub use params::{
     pareto_boundary, ConfigurationPoint, ModelChoice, ParameterSelector, SelectedConfiguration,
     SelectionResult, SweepSpace,
 };
-pub use pipeline::{FramePipeline, PipelineOutput, PipelineStats};
+pub use pipeline::{FramePipeline, PipelineOutput, PipelineStats, TailPart};
 pub use query::{QueryEngine, QueryOutcome, QueryPlan, QueryRequest, SegmentedCorpus, TailOverlay};
 pub use query_server::{CacheStats, QueryServer};
 pub use segment_ingest::{SealPolicy, SegmentedIngest, SegmentedIngestOutput, StreamSegmenter};

@@ -36,6 +36,9 @@
 //! sharded ingest layer relies on to guarantee serial/parallel equivalence.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use focus_cluster::IncrementalClusterer;
 use focus_cnn::{Classifier, GpuCost};
@@ -101,6 +104,63 @@ impl Epoch {
     }
 }
 
+/// One stream's hot tail as an immutable value: the records and sketches
+/// [`FramePipeline::seal_segment`] would drain at the instant the part was
+/// built, plus the centroid observation behind every record.
+///
+/// Parts are handed out behind an [`Arc`] by
+/// [`FramePipeline::peek_shared`] and never change afterwards, which is
+/// what lets any number of readers share one build and keeps a
+/// [`TailOverlay`](crate::query::segmented::TailOverlay) holding them
+/// snapshot-consistent while the pipeline moves on.
+#[derive(Debug)]
+pub struct TailPart {
+    stream: StreamId,
+    index: TopKIndex,
+    centroids: HashMap<ObjectId, ObjectObservation>,
+}
+
+impl TailPart {
+    /// Wraps one stream's tail snapshot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record belongs to a stream other than `stream` (the
+    /// per-stream uniqueness check of a
+    /// [`TailOverlay`](crate::query::segmented::TailOverlay) relies on the
+    /// stamp).
+    pub fn new(
+        stream: StreamId,
+        index: TopKIndex,
+        centroids: HashMap<ObjectId, ObjectObservation>,
+    ) -> Self {
+        assert!(
+            index.clusters().all(|r| r.key.stream == stream),
+            "a tail part holds the records of exactly one stream"
+        );
+        Self {
+            stream,
+            index,
+            centroids,
+        }
+    }
+
+    /// The stream whose pipeline this part was peeked from.
+    pub fn stream(&self) -> StreamId {
+        self.stream
+    }
+
+    /// The part's records and track sketches.
+    pub fn index(&self) -> &TopKIndex {
+        &self.index
+    }
+
+    /// The centroid observation of every record in the part.
+    pub fn centroids(&self) -> &HashMap<ObjectId, ObjectObservation> {
+        &self.centroids
+    }
+}
+
 /// The shared per-frame ingest pipeline for one stream.
 pub struct FramePipeline {
     stream: StreamId,
@@ -118,6 +178,15 @@ pub struct FramePipeline {
     clusters: usize,
     epochs_sealed: usize,
     gpu_cost: GpuCost,
+    /// Bumped by every `&mut self` mutator: two reads at the same
+    /// generation see the same pipeline state, so they can share one
+    /// [`TailPart`].
+    generation: u64,
+    /// The part built at `generation` (first field), if any reader asked
+    /// since. Writers never touch the slot — a stale part is replaced by
+    /// the next [`peek_shared`](Self::peek_shared), not freed on the write
+    /// path.
+    tail_cache: Mutex<Option<(u64, Arc<TailPart>)>>,
 }
 
 impl std::fmt::Debug for FramePipeline {
@@ -148,6 +217,8 @@ impl FramePipeline {
             clusters: 0,
             epochs_sealed: 0,
             gpu_cost: GpuCost(0.0),
+            generation: 0,
+            tail_cache: Mutex::new(None),
         }
     }
 
@@ -193,6 +264,7 @@ impl FramePipeline {
             next >= self.next_cluster_key,
             "cluster keys must not move backwards"
         );
+        self.generation += 1;
         self.next_cluster_key = next;
     }
 
@@ -212,6 +284,7 @@ impl FramePipeline {
             self.epoch.observations.is_empty(),
             "parameters can only change on an epoch boundary: seal the epoch first"
         );
+        self.generation += 1;
         self.params = params;
         self.epoch = Epoch::new(&params);
     }
@@ -256,6 +329,7 @@ impl FramePipeline {
         classifier: &dyn Classifier,
         mut observer: impl FnMut(&ObjectObservation, usize),
     ) {
+        self.generation += 1;
         if !self.motion.admit(frame) {
             return;
         }
@@ -336,6 +410,7 @@ impl FramePipeline {
     /// epoch. The streaming driver calls this when its model changes; both
     /// drivers call it (via [`finish`](Self::finish)) at the end of input.
     pub fn seal_epoch(&mut self) {
+        self.generation += 1;
         // Pixel-diff reuse is scoped to one epoch (the gate in
         // `ingest_object` already rejected cross-epoch duplicates), so the
         // filter's signature window resets with the epoch. This keeps the
@@ -346,28 +421,15 @@ impl FramePipeline {
         self.pixel_diff.reset_window();
         let finished = std::mem::replace(&mut self.epoch, Epoch::new(&self.params));
         if self.params.enable_clustering {
-            let (clusters, _stats) = finished.clusterer.finish();
-            for cluster in clusters {
-                let representative = ObjectId(cluster.representative().item);
-                let members: Vec<MemberRef> = cluster
-                    .members
-                    .iter()
-                    .map(|m| MemberRef {
-                        object: ObjectId(m.item),
-                        frame: FrameId(m.tag),
-                        track: finished.observations[&ObjectId(m.item)].track_id,
-                    })
-                    .collect();
-                let record = build_record(
-                    self.stream,
-                    self.fps,
-                    &finished.top_k,
-                    &finished.observations,
-                    &mut self.centroids,
-                    &mut self.next_cluster_key,
-                    representative,
-                    members,
-                );
+            for record in epoch_records(
+                self.stream,
+                self.fps,
+                finished.clusterer,
+                &finished.top_k,
+                &finished.observations,
+                &mut self.centroids,
+                &mut self.next_cluster_key,
+            ) {
                 self.index.insert(record);
                 self.clusters += 1;
             }
@@ -392,6 +454,7 @@ impl FramePipeline {
     /// absorb-merging downstream reconstructs exactly the continuous
     /// sketch — seal boundaries never change a track query's answer).
     pub fn seal_segment(&mut self) -> TopKIndex {
+        self.generation += 1;
         self.seal_epoch();
         for sketch in self.sketcher.drain_window() {
             self.index.insert_sketch(sketch);
@@ -425,28 +488,15 @@ impl FramePipeline {
             .collect();
         let mut next_key = self.next_cluster_key;
         if self.params.enable_clustering {
-            let (clusters, _stats) = self.epoch.clusterer.clone().finish();
-            for cluster in clusters {
-                let representative = ObjectId(cluster.representative().item);
-                let members: Vec<MemberRef> = cluster
-                    .members
-                    .iter()
-                    .map(|m| MemberRef {
-                        object: ObjectId(m.item),
-                        frame: FrameId(m.tag),
-                        track: self.epoch.observations[&ObjectId(m.item)].track_id,
-                    })
-                    .collect();
-                let record = build_record(
-                    self.stream,
-                    self.fps,
-                    &self.epoch.top_k,
-                    &self.epoch.observations,
-                    &mut centroids,
-                    &mut next_key,
-                    representative,
-                    members,
-                );
+            for record in epoch_records(
+                self.stream,
+                self.fps,
+                self.epoch.clusterer.clone(),
+                &self.epoch.top_k,
+                &self.epoch.observations,
+                &mut centroids,
+                &mut next_key,
+            ) {
                 index.insert(record);
             }
         }
@@ -454,6 +504,56 @@ impl FramePipeline {
             index.insert_sketch(sketch);
         }
         (index, centroids)
+    }
+
+    /// The [`peek_segment`](Self::peek_segment) snapshot as a shared,
+    /// immutable [`TailPart`], built at most once per pipeline state.
+    ///
+    /// Every `&mut self` mutator bumps the pipeline's generation; a part
+    /// cached at the current generation is therefore exactly what
+    /// `peek_segment` would rebuild, and is returned as is (O(1)).
+    /// Otherwise the part is built while the cache slot is held, so
+    /// concurrent readers of a freshly written pipeline wait for one build
+    /// instead of each doing their own. The cost model is one build per
+    /// write burst, not one per read.
+    ///
+    /// Debug builds rebuild on every hit and assert the cached part still
+    /// equals a fresh peek, which turns every test that reads a live tail
+    /// into a stale-cache detector; release builds skip the check.
+    pub fn peek_shared(&self) -> Arc<TailPart> {
+        let mut slot = self.tail_cache.lock();
+        if let Some((generation, part)) = slot.as_ref() {
+            if *generation == self.generation {
+                #[cfg(debug_assertions)]
+                self.assert_coherent(part);
+                return Arc::clone(part);
+            }
+        }
+        let (index, centroids) = self.peek_segment();
+        let part = Arc::new(TailPart::new(self.stream, index, centroids));
+        *slot = Some((self.generation, Arc::clone(&part)));
+        part
+    }
+
+    /// Panics unless `cached` equals a fresh
+    /// [`peek_segment`](Self::peek_segment): same records, same sketches,
+    /// same centroids. A failure means some mutator forgot to bump the
+    /// generation.
+    #[cfg(debug_assertions)]
+    fn assert_coherent(&self, cached: &TailPart) {
+        fn sorted(index: &TopKIndex) -> (Vec<&ClusterRecord>, Vec<&focus_index::TrackSketch>) {
+            let mut records: Vec<_> = index.clusters().collect();
+            records.sort_by_key(|r| r.key);
+            let mut sketches: Vec<_> = index.sketches().collect();
+            sketches.sort_by_key(|s| s.key);
+            (records, sketches)
+        }
+        let (index, centroids) = self.peek_segment();
+        assert!(
+            sorted(&index) == sorted(&cached.index) && centroids == cached.centroids,
+            "stale tail part for stream {}: a mutator did not bump the generation",
+            self.stream.0
+        );
     }
 
     /// Puts a drained-but-not-persisted part back into the pipeline's
@@ -472,6 +572,7 @@ impl FramePipeline {
     /// Panics if the part shares a key with a live record (meaning it was
     /// not drained from this pipeline, or was restored twice).
     pub fn restore_drained(&mut self, part: TopKIndex) {
+        self.generation += 1;
         let replaced = self.index.merge(part);
         assert_eq!(replaced, 0, "restored part must be key-disjoint");
     }
@@ -499,12 +600,54 @@ impl FramePipeline {
     }
 }
 
+/// Turns an epoch's finished clusters into index records, in the
+/// clusterer's finish order: resolves each cluster's members, remembers its
+/// centroid observation in `centroids` and draws its key from
+/// `next_cluster_key`. The one loop behind both
+/// [`FramePipeline::seal_epoch`] (the epoch's own clusterer, the pipeline's
+/// centroid map and key counter) and [`FramePipeline::peek_segment`] (a
+/// clone of the clusterer, scratch map and counter), so a peek and a real
+/// seal cannot drift apart.
+fn epoch_records(
+    stream: StreamId,
+    fps: u32,
+    clusterer: IncrementalClusterer,
+    top_k: &HashMap<ObjectId, Vec<ClassId>>,
+    observations: &HashMap<ObjectId, ObjectObservation>,
+    centroids: &mut HashMap<ObjectId, ObjectObservation>,
+    next_cluster_key: &mut u64,
+) -> Vec<ClusterRecord> {
+    let (clusters, _stats) = clusterer.finish();
+    clusters
+        .into_iter()
+        .map(|cluster| {
+            let members = cluster
+                .members
+                .iter()
+                .map(|m| MemberRef {
+                    object: ObjectId(m.item),
+                    frame: FrameId(m.tag),
+                    track: observations[&ObjectId(m.item)].track_id,
+                })
+                .collect();
+            build_record(
+                stream,
+                fps,
+                top_k,
+                observations,
+                centroids,
+                next_cluster_key,
+                ObjectId(cluster.representative().item),
+                members,
+            )
+        })
+        .collect()
+}
+
 /// Builds the index record for a finished cluster: resolves the
 /// representative's cached top-K and observation, remembers the centroid
 /// observation in `centroids` for query-time verification, and assigns the
-/// next sequential cluster key. Shared by the mutating seal path and the
-/// non-destructive [`FramePipeline::peek_segment`] snapshot, which is what
-/// keeps the two byte-identical.
+/// next sequential cluster key.
 #[allow(clippy::too_many_arguments)]
 fn build_record(
     stream: StreamId,
@@ -706,6 +849,69 @@ mod tests {
                 focus_index::persist::to_json(&sealed).unwrap()
             );
         }
+    }
+
+    /// The three properties the shared tail part must have: every mutator
+    /// invalidates it, a rebuilt part equals a fresh `peek_segment`, and
+    /// reads with no write in between share one `Arc`.
+    #[test]
+    fn peek_shared_rebuilds_after_every_mutator_and_only_then() {
+        fn check(pipeline: &FramePipeline, previous: &Arc<TailPart>, after: &str) -> Arc<TailPart> {
+            let part = pipeline.peek_shared();
+            assert!(
+                !Arc::ptr_eq(&part, previous),
+                "{after} must invalidate the shared part"
+            );
+            let (index, centroids) = pipeline.peek_segment();
+            assert_eq!(
+                focus_index::persist::to_json(part.index()).unwrap(),
+                focus_index::persist::to_json(&index).unwrap(),
+                "after {after}"
+            );
+            assert_eq!(part.centroids(), &centroids, "after {after}");
+            assert_eq!(part.stream(), pipeline.stream());
+            assert!(
+                Arc::ptr_eq(&part, &pipeline.peek_shared()),
+                "no write since {after}: the part is shared, not rebuilt"
+            );
+            part
+        }
+
+        let profile = profile_by_name("auburn_c").unwrap();
+        let dataset = VideoDataset::generate(profile.clone(), 30.0);
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let third = dataset.frames.len() / 3;
+        let mut pipeline =
+            FramePipeline::new(profile.stream_id, profile.fps, IngestParams::default());
+        let part = pipeline.peek_shared();
+        assert!(Arc::ptr_eq(&part, &pipeline.peek_shared()));
+
+        pipeline.start_cluster_keys_at(7);
+        let part = check(&pipeline, &part, "start_cluster_keys_at");
+        pipeline.push_frame(&dataset.frames[0], model.classifier.as_ref());
+        let mut part = check(&pipeline, &part, "push_frame");
+        for frame in &dataset.frames[1..third] {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        part = check(&pipeline, &part, "more frames");
+        assert!(!part.index().is_empty());
+        pipeline.seal_epoch();
+        let part = check(&pipeline, &part, "seal_epoch");
+        pipeline.set_params(IngestParams {
+            k: 3,
+            ..IngestParams::default()
+        });
+        let mut part = check(&pipeline, &part, "set_params");
+        for frame in &dataset.frames[third..2 * third] {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        part = check(&pipeline, &part, "frames under the new parameters");
+        let drained = pipeline.seal_segment();
+        let part = check(&pipeline, &part, "seal_segment");
+        assert!(part.index().is_empty(), "the drain emptied the tail");
+        pipeline.restore_drained(drained);
+        let part = check(&pipeline, &part, "restore_drained");
+        assert!(!part.index().is_empty());
     }
 
     #[test]

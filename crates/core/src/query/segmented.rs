@@ -17,7 +17,8 @@
 //!
 //! **Live overlay** — a long-lived service also holds records that are not
 //! yet sealed to any segment (the hot tail of each stream's pipeline).
-//! [`TailOverlay`] is that in-memory tail as a resolvable index, and
+//! [`TailOverlay`] is that in-memory tail as a list of shared per-stream
+//! parts (each built by its pipeline at most once per write), and
 //! [`SegmentedCorpus::plan_with_tail`] plans one query over the union of
 //! sealed segments *plus* the overlay — the LSM-style memtable + SSTable
 //! read path the [`FocusService`](crate::service::FocusService) serves
@@ -29,6 +30,7 @@
 //! [`QueryServer::serve_segmented`]: crate::query_server::QueryServer::serve_segmented
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -40,21 +42,29 @@ use focus_index::{
 use focus_video::{ClassId, ObjectId, ObjectObservation, StreamId};
 
 use crate::ingest::IngestCnn;
+use crate::pipeline::TailPart;
 use crate::query::plan::{QueryPlan, QueryRequest};
 use crate::query::track::TrackScope;
 use crate::segment_ingest::SegmentedIngestOutput;
 
-/// The not-yet-sealed tail of a live corpus: cluster records drained from
-/// pipelines' [`peek_segment`](crate::pipeline::FramePipeline::peek_segment)
-/// snapshots, plus the centroid observations backing them.
+/// The not-yet-sealed tail of a live corpus: one immutable [`TailPart`]
+/// per stream with pending records, each the
+/// [`peek_shared`](crate::pipeline::FramePipeline::peek_shared) snapshot of
+/// that stream's pipeline.
 ///
-/// An overlay is assembled fresh per serve call (one `peek` per stream),
-/// which is what makes serving snapshot-consistent: every query of the call
-/// sees the same tail instant.
+/// The overlay is a list of shared parts, not a merged index: assembling
+/// one costs a reference-count bump per stream, and lookups walk the parts.
+/// The parts are built by the pipelines at most once per write (any `&mut`
+/// on a pipeline bumps its generation; a read at an unchanged generation
+/// reuses the cached part), so a serve call pays for a build only on the
+/// first read after a stream moved.
+///
+/// Serving stays snapshot-consistent: a part never changes after it is
+/// built, so every query planned against one overlay sees the same tail
+/// instant — even if the service advances or seals afterwards.
 #[derive(Debug, Default)]
 pub struct TailOverlay {
-    index: TopKIndex,
-    centroids: HashMap<ObjectId, ObjectObservation>,
+    parts: Vec<Arc<TailPart>>,
 }
 
 impl TailOverlay {
@@ -64,47 +74,77 @@ impl TailOverlay {
         Self::default()
     }
 
-    /// Adds one stream's tail snapshot.
+    /// Adds one stream's shared tail part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a part of the same stream was already added: one
+    /// pipeline's snapshots overlap, so a second part of a stream can only
+    /// be a key collision (`O(parts)`, no record is touched).
+    pub fn add_shared(&mut self, part: Arc<TailPart>) {
+        assert!(
+            self.parts.iter().all(|p| p.stream() != part.stream()),
+            "tail parts must be key-disjoint: stream {} was added twice",
+            part.stream().0
+        );
+        self.parts.push(part);
+    }
+
+    /// Adds one stream's tail snapshot by value — the
+    /// [`peek_segment`](crate::pipeline::FramePipeline::peek_segment)
+    /// shape. An index without records adds nothing.
     ///
     /// # Panics
     ///
     /// Panics if the part shares a cluster key with a previously added part
     /// (per-stream keys are disjoint by construction; a collision means two
-    /// snapshots of the same stream were added).
+    /// snapshots of the same stream were added), or if its records span
+    /// more than one stream.
     pub fn add_part(&mut self, index: TopKIndex, centroids: HashMap<ObjectId, ObjectObservation>) {
-        let replaced = self.index.merge(index);
-        assert_eq!(replaced, 0, "tail parts must be key-disjoint");
-        self.centroids.extend(centroids);
+        let Some(stream) = index.clusters().next().map(|r| r.key.stream) else {
+            return;
+        };
+        assert!(
+            index
+                .clusters()
+                .all(|r| self.parts.iter().all(|p| p.index().get(r.key).is_none())),
+            "tail parts must be key-disjoint"
+        );
+        self.parts
+            .push(Arc::new(TailPart::new(stream, index, centroids)));
     }
 
     /// Records currently in the tail.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.parts.iter().map(|p| p.index().len()).sum()
     }
 
     /// Whether the tail holds no records.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.parts.iter().all(|p| p.index().is_empty())
     }
 
-    /// The tail's records as an index.
-    pub fn index(&self) -> &TopKIndex {
-        &self.index
+    /// The tail's parts, in the order they were added.
+    pub fn parts(&self) -> &[Arc<TailPart>] {
+        &self.parts
     }
 
     /// The centroid observation behind a tail record, if present.
     pub fn centroid(&self, id: ObjectId) -> Option<&ObjectObservation> {
-        self.centroids.get(&id)
+        self.parts.iter().find_map(|p| p.centroids().get(&id))
     }
 
     /// Tail records matching `class` under `filter`, cloned and sorted by
     /// cluster key — the same contract as a segment lookup.
     pub fn lookup(&self, class: ClassId, filter: &QueryFilter) -> Vec<ClusterRecord> {
-        self.index
-            .lookup(class, filter)
-            .into_iter()
+        let mut records: Vec<ClusterRecord> = self
+            .parts
+            .iter()
+            .flat_map(|p| p.index().lookup(class, filter))
             .cloned()
-            .collect()
+            .collect();
+        records.sort_by_key(|r| r.key);
+        records
     }
 }
 
@@ -392,7 +432,7 @@ impl SegmentedCorpus {
         let (mut sketches, sketch_access) = self.store.sketches(&request.filter)?;
         access.merge(&sketch_access);
         if let Some(tail) = tail {
-            for sketch in tail.index().sketches() {
+            for sketch in tail.parts().iter().flat_map(|p| p.index().sketches()) {
                 match sketches.get_mut(&sketch.key) {
                     Some(merged) => merged.absorb(sketch),
                     None => {
@@ -731,6 +771,100 @@ mod tests {
         let mut overlay = TailOverlay::new();
         overlay.add_part(index.clone(), centroids.clone());
         overlay.add_part(index, centroids);
+    }
+
+    #[test]
+    #[should_panic(expected = "key-disjoint")]
+    fn overlay_rejects_a_second_shared_part_of_one_stream() {
+        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 10.0);
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let mut pipeline = crate::pipeline::FramePipeline::new(
+            ds.profile.stream_id,
+            ds.profile.fps,
+            IngestParams::default(),
+        );
+        let mut overlay = TailOverlay::new();
+        overlay.add_shared(pipeline.peek_shared());
+        for frame in &ds.frames {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        overlay.add_shared(pipeline.peek_shared());
+    }
+
+    /// Snapshot isolation: an overlay is a list of immutable parts, so it
+    /// keeps planning and resolving centroids exactly as at the instant it
+    /// was taken, whatever the pipeline does afterwards.
+    #[test]
+    fn overlay_is_isolated_from_later_writes_and_seals() {
+        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
+        let class = ds.dominant_classes(1)[0];
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let params = IngestParams {
+            k: 10,
+            ..IngestParams::default()
+        };
+        let third = ds.frames.len() / 3;
+        let dir = test_dir("tail_isolation");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut pipeline =
+            crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params);
+        for frame in &ds.frames[..third] {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        store.seal(&pipeline.seal_segment()).unwrap();
+        for frame in &ds.frames[third..2 * third] {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        let mut tail = TailOverlay::new();
+        tail.add_shared(pipeline.peek_shared());
+        assert!(!tail.is_empty());
+        let corpus = SegmentedCorpus::new(store, HashMap::new(), model.clone());
+
+        let observe = |tail: &TailOverlay| {
+            [
+                QueryFilter::any(),
+                QueryFilter::any().with_time_range(15.0, 45.0),
+                QueryFilter::any().with_kx(2),
+            ]
+            .into_iter()
+            .map(|filter| {
+                let request = QueryRequest::new(class).with_filter(filter);
+                let planned = corpus.plan_with_tail(&request, Some(tail)).unwrap();
+                let centroids: Vec<ObjectObservation> = planned
+                    .plan
+                    .candidates
+                    .iter()
+                    .filter_map(|handle| tail.centroid(handle.centroid).cloned())
+                    .collect();
+                assert_eq!(centroids.len(), planned.tail_records, "{request:?}");
+                (
+                    planned.plan,
+                    planned.records,
+                    planned.tail_records,
+                    centroids,
+                )
+            })
+            .collect::<Vec<_>>()
+        };
+        let before = observe(&tail);
+        assert!(before
+            .iter()
+            .any(|(_, _, tail_records, _)| *tail_records > 0));
+
+        // The stream moves on: more frames, then a seal that drains
+        // everything the overlay holds out of the pipeline.
+        for frame in &ds.frames[2 * third..] {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        let mid = pipeline.peek_shared();
+        assert!(mid.index().len() > tail.len());
+        drop(pipeline.seal_segment());
+        let now = pipeline.peek_shared();
+        assert!(now.index().is_empty());
+        assert!(!Arc::ptr_eq(&now, &tail.parts()[0]));
+
+        assert_eq!(observe(&tail), before);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

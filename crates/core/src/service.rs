@@ -9,13 +9,15 @@
 //! * **Hot tail + sealed past** (LSM-style read path): each stream owns a
 //!   [`StreamSegmenter`] whose pipeline accumulates not-yet-sealed records
 //!   in memory; sealed segments live in the durable [`SegmentStore`]. A
-//!   [`serve`](FocusService::serve) call snapshots every stream's tail
-//!   once ([`FramePipeline::peek_segment`]), overlays it on the store
-//!   ([`SegmentedCorpus::plan_with_tail`]) and answers from the union —
-//!   proven byte-identical to sealing everything first and then querying
-//!   (`tests/live_service.rs`).
-//! * **Snapshot consistency**: the tail overlay is built once per serve
-//!   call, so every query of the call sees the same instant; the verdict
+//!   [`serve`](FocusService::serve) call takes every stream's shared tail
+//!   part ([`FramePipeline::peek_shared`] — built once per write to the
+//!   stream, reused by every read until the next one), overlays the parts
+//!   on the store ([`SegmentedCorpus::plan_with_tail`]) and answers from
+//!   the union — proven byte-identical to sealing everything first and
+//!   then querying (`tests/live_service.rs`).
+//! * **Snapshot consistency**: the tail overlay is assembled once per
+//!   serve call from immutable parts, so every query of the call sees the
+//!   same instant; the verdict
 //!   cache keys by `(centroid, ground-truth epoch)` exactly as in the
 //!   standalone [`QueryServer`], so nothing cached for the current epoch
 //!   is ever re-verified.
@@ -823,13 +825,16 @@ impl FocusService {
     }
 
     /// A snapshot of every stream's not-yet-sealed records, taken at one
-    /// instant (streams in id order).
+    /// instant (streams in id order). Each stream contributes its
+    /// pipeline's shared part ([`FramePipeline::peek_shared`]): a stream
+    /// that has not been written since the last snapshot costs a
+    /// reference-count bump, not a rebuild.
     pub fn tail_snapshot(&self) -> TailOverlay {
         let mut tail = TailOverlay::new();
         for state in self.streams.values() {
-            let (index, centroids) = state.segmenter.pipeline().peek_segment();
-            if !index.is_empty() {
-                tail.add_part(index, centroids);
+            let part = state.segmenter.pipeline().peek_shared();
+            if !part.index().is_empty() {
+                tail.add_shared(part);
             }
         }
         tail

@@ -46,7 +46,9 @@ use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use focus_video::ClassId;
 
@@ -741,7 +743,7 @@ impl SegmentStore {
     /// `capacity` entries (minimum 1; the default is
     /// [`DEFAULT_CACHE_CAPACITY`]).
     pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        let raw_capacity = self.cache.lock().unwrap().raw_capacity;
+        let raw_capacity = self.cache.lock().raw_capacity;
         SegmentStore {
             cache: Mutex::new(TieredCache::new(capacity, raw_capacity)),
             ..self
@@ -751,7 +753,7 @@ impl SegmentStore {
     /// Returns the store with the raw-bytes tier capped at `bytes` (0
     /// disables the tier; the default is [`DEFAULT_RAW_CACHE_BYTES`]).
     pub fn with_raw_capacity(self, bytes: u64) -> Self {
-        let decoded_capacity = self.cache.lock().unwrap().decoded_capacity;
+        let decoded_capacity = self.cache.lock().decoded_capacity;
         SegmentStore {
             cache: Mutex::new(TieredCache::new(decoded_capacity, bytes)),
             ..self
@@ -798,7 +800,7 @@ impl SegmentStore {
 
     /// Occupancy and hit rates of both cache tiers.
     pub fn cache_occupancy(&self) -> LruOccupancy {
-        self.cache.lock().unwrap().occupancy()
+        self.cache.lock().occupancy()
     }
 
     /// Serializes `index` in `format`.
@@ -892,7 +894,7 @@ impl SegmentStore {
     ) -> Result<(Arc<TopKIndex>, LoadServed, u64), SegmentError> {
         let key = (meta.id, BlockKey::Whole);
         let raw = {
-            let mut cache = self.cache.lock().unwrap();
+            let mut cache = self.cache.lock();
             if let Some(DecodedEntry::Whole(index)) = cache.decoded_get(key) {
                 return Ok((index, LoadServed::Decoded, 0));
             }
@@ -902,7 +904,6 @@ impl SegmentStore {
             let index = Arc::new(self.decode_segment(meta, &bytes)?);
             self.cache
                 .lock()
-                .unwrap()
                 .decoded_insert(key, DecodedEntry::Whole(Arc::clone(&index)));
             return Ok((index, LoadServed::Raw, 0));
         }
@@ -923,7 +924,7 @@ impl SegmentStore {
         }
         let index = Arc::new(self.decode_segment(meta, &bytes)?);
         let len = bytes.len() as u64;
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.cache.lock();
         cache.disk_reads += 1;
         if note_cold {
             cache.note_cold(meta.id);
@@ -943,7 +944,7 @@ impl SegmentStore {
         touched_disk: &mut bool,
     ) -> Result<Arc<SegmentFooter>, SegmentError> {
         let key = (meta.id, BlockKey::Footer);
-        if let Some(DecodedEntry::Footer(footer)) = self.cache.lock().unwrap().decoded_get(key) {
+        if let Some(DecodedEntry::Footer(footer)) = self.cache.lock().decoded_get(key) {
             access.block_hits += 1;
             return Ok(footer);
         }
@@ -977,7 +978,7 @@ impl SegmentStore {
         access.blocks_read += 1;
         access.bytes_read += binseg::TRAILER_LEN as u64 + len;
         *touched_disk = true;
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.cache.lock();
         cache.disk_reads += 1;
         cache.decoded_insert(key, DecodedEntry::Footer(Arc::clone(&footer)));
         Ok(footer)
@@ -1003,7 +1004,7 @@ impl SegmentStore {
     ) -> Result<Arc<T>, SegmentError> {
         let cache_key = (meta.id, key);
         let raw = {
-            let mut cache = self.cache.lock().unwrap();
+            let mut cache = self.cache.lock();
             if let Some(entry) = cache.decoded_get(cache_key) {
                 if let Some(value) = extract(entry) {
                     access.block_hits += 1;
@@ -1021,7 +1022,6 @@ impl SegmentStore {
             access.block_raw_hits += 1;
             self.cache
                 .lock()
-                .unwrap()
                 .decoded_insert(cache_key, wrap(Arc::clone(&value)));
             return Ok(value);
         }
@@ -1038,7 +1038,7 @@ impl SegmentStore {
         access.blocks_read += 1;
         access.bytes_read += len;
         *touched_disk = true;
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.cache.lock();
         cache.disk_reads += 1;
         cache.note_cold(meta.id);
         cache.raw_insert(cache_key, Arc::new(bytes));
@@ -1198,11 +1198,8 @@ impl SegmentStore {
             let mut records: Vec<ClusterRecord> = Vec::new();
             // Whichever the format, a resident whole index is the fastest
             // path: no block navigation at all.
-            if let Some(DecodedEntry::Whole(index)) = self
-                .cache
-                .lock()
-                .unwrap()
-                .decoded_get((meta.id, BlockKey::Whole))
+            if let Some(DecodedEntry::Whole(index)) =
+                self.cache.lock().decoded_get((meta.id, BlockKey::Whole))
             {
                 access.cache_hits += 1;
                 access.block_hits += 1;
@@ -1307,11 +1304,8 @@ impl SegmentStore {
         {
             access.segments_considered += 1;
             // A resident whole index is the fastest path for either format.
-            if let Some(DecodedEntry::Whole(index)) = self
-                .cache
-                .lock()
-                .unwrap()
-                .decoded_get((meta.id, BlockKey::Whole))
+            if let Some(DecodedEntry::Whole(index)) =
+                self.cache.lock().decoded_get((meta.id, BlockKey::Whole))
             {
                 access.cache_hits += 1;
                 access.block_hits += 1;
@@ -1456,7 +1450,6 @@ impl SegmentStore {
                 .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
             this.cache
                 .lock()
-                .unwrap()
                 .decoded_insert((id, BlockKey::Whole), DecodedEntry::Whole(Arc::new(merged)));
             obsolete.append(run);
             new_segments.push(meta);
@@ -1484,7 +1477,7 @@ impl SegmentStore {
             self.manifest.segments = old;
             return Err(e.into());
         }
-        let mut cache = self.cache.lock().unwrap();
+        let mut cache = self.cache.lock();
         for meta in &obsolete {
             cache.remove_segment(meta.id);
             let _ = fs::remove_file(self.dir.join(&meta.file));
@@ -1538,7 +1531,7 @@ impl SegmentStore {
             let _ = fs::remove_file(self.dir.join(&old_meta.file));
             // The raw tier holds the old JSON bytes; the decoded whole index
             // is format-independent and stays.
-            self.cache.lock().unwrap().remove_raw_segment(old_meta.id);
+            self.cache.lock().remove_raw_segment(old_meta.id);
             migrated += 1;
         }
         Ok(migrated)
@@ -1555,7 +1548,7 @@ impl SegmentStore {
         if budget == 0 || self.manifest.segments.is_empty() {
             return Ok(0);
         }
-        let cold = self.cache.lock().unwrap().take_recent_cold();
+        let cold = self.cache.lock().take_recent_cold();
         if cold.is_empty() {
             return Ok(0);
         }
@@ -1580,12 +1573,7 @@ impl SegmentStore {
             let Some(meta) = self.manifest.segment(id) else {
                 continue;
             };
-            if self
-                .cache
-                .lock()
-                .unwrap()
-                .decoded_contains((id, BlockKey::Whole))
-            {
+            if self.cache.lock().decoded_contains((id, BlockKey::Whole)) {
                 continue;
             }
             let (_, served, _) = self.load_counted(meta, false)?;
