@@ -1,7 +1,7 @@
 //! The classifier interface, the ground-truth CNN and generic cheap CNNs.
 //!
-//! The heart of the substitution described in `DESIGN.md`: instead of real
-//! CNN inference, classification outcomes are drawn from a calibrated,
+//! The heart of the simulated CNN substrate: instead of real CNN
+//! inference, classification outcomes are drawn from a calibrated,
 //! deterministic error model. What Focus needs from a classifier is
 //!
 //! * the GPU cost of one inference (from [`crate::architecture::ModelSpec`]),

@@ -688,7 +688,6 @@ impl FleetCoordinator {
             self.tick(self.config.net.exchange_secs(received));
             total.segments_sealed += report.segments_sealed;
             total.segments_folded += report.segments_folded;
-            total.segments_migrated += report.segments_migrated;
             total.segments_prefetched += report.segments_prefetched;
             self.trim_replay(&pending);
         }

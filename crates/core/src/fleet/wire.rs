@@ -145,7 +145,7 @@ impl WireLen for AdvanceReport {
 
 impl WireLen for MaintenanceReport {
     fn wire_len(&self) -> u64 {
-        5 * WORD + option(self.governor_query_share.map(|_| WORD)) + TICK_REPORT
+        4 * WORD + option(self.governor_query_share.map(|_| WORD)) + TICK_REPORT
     }
 }
 
@@ -322,7 +322,7 @@ mod tests {
             governor_query_share: Some(0.4),
             ..MaintenanceReport::default()
         };
-        assert_eq!(idle.wire_len(), 40 + 1 + 40);
+        assert_eq!(idle.wire_len(), 32 + 1 + 40);
         assert_eq!(governed.wire_len(), idle.wire_len() + 8);
     }
 }

@@ -7,7 +7,7 @@
 //! driver ([`IngestEngine`]), the ingest model handle ([`IngestCnn`]) and
 //! the output bookkeeping ([`IngestOutput`]). The live, frame-by-frame
 //! driver is [`FocusService`](crate::service::FocusService); the multi-stream
-//! parallel driver is [`ShardedIngest`](crate::shard::ShardedIngest).
+//! parallel driver is [`SegmentedIngest`](crate::segment_ingest::SegmentedIngest).
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -75,7 +75,6 @@ pub mod query_server;
 pub mod segment_ingest;
 pub mod service;
 pub mod serving;
-pub mod shard;
 pub mod worker;
 
 pub use accuracy::{AccuracyReport, GroundTruthLabels};
@@ -107,7 +106,6 @@ pub use serving::{
     Completed, Overloaded, RequestPlane, Response, ServingConfig, ServingStats, ShedReason,
     TenantConfig, TenantId, Ticket,
 };
-pub use shard::{ingest_serial, MultiIngestOutput, ShardedIngest};
 pub use worker::{SpecializationLifecycle, StreamWorkerConfig};
 
 /// Convenience prelude re-exporting the types most applications need.
@@ -125,6 +123,5 @@ pub mod prelude {
     pub use crate::segment_ingest::{SealPolicy, SegmentedIngest};
     pub use crate::service::{FocusService, ServiceConfig, ServiceStats};
     pub use crate::serving::{RequestPlane, ServingConfig, TenantConfig, TenantId};
-    pub use crate::shard::{MultiIngestOutput, ShardedIngest};
     pub use crate::worker::StreamWorkerConfig;
 }

@@ -8,8 +8,9 @@
 //! * [`FocusService`](crate::service::FocusService) pushes live frames
 //!   through one pipeline per stream, sealing an epoch whenever the
 //!   stream's model changes (streaming driver);
-//! * [`ShardedIngest`](crate::shard::ShardedIngest) runs one pipeline per
-//!   stream shard concurrently on a worker pool.
+//! * [`SegmentedIngest`](crate::segment_ingest::SegmentedIngest) runs one
+//!   pipeline per stream concurrently on a worker pool, sealing segments
+//!   into a store (multi-stream batch driver).
 //!
 //! For every frame the pipeline
 //!
@@ -33,7 +34,7 @@
 //! sequence, the parameters and the classifier. Cluster keys are assigned
 //! from a per-stream counter in epoch-seal order, so replaying the same
 //! stream always yields byte-identical cluster records — the property the
-//! sharded ingest layer relies on to guarantee serial/parallel equivalence.
+//! segmented ingest driver relies on to stay byte-identical at any pool width.
 
 use std::collections::HashMap;
 use std::sync::Arc;

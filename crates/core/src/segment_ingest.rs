@@ -1,23 +1,23 @@
 //! Segmented ingest: sealing the pipeline's output into a durable,
 //! time-partitioned [`SegmentStore`].
 //!
-//! The batch and sharded drivers build one in-memory index per run — fine
+//! The single-stream batch driver builds one in-memory index per run — fine
 //! for an experiment, useless for weeks of footage: a restart replays
 //! ingest from scratch and every query scans the whole postings map.
-//! [`SegmentedIngest`] instead seals the [`FramePipeline`]'s records into an
+//! [`SegmentedIngest`], the multi-stream batch driver, instead seals the [`FramePipeline`]'s records into an
 //! immutable segment whenever a configurable frame or time budget is hit,
 //! writing each segment durably (atomic file + crash-safe manifest) as
 //! ingest progresses. Time-restricted queries then open only the segments
 //! whose bounds intersect (see [`crate::query::segmented`]).
 //!
 //! Determinism: per-stream pipelines run concurrently on the worker pool
-//! (one shard per stream, exactly like [`ShardedIngest`]), but segments are
-//! sealed to the store on the caller's thread in workload order, so the
-//! resulting store — manifest, ids, file bytes, checksums — is
-//! byte-identical for any shard count. `tests/segment_durability.rs` pins
-//! this.
+//! (one shard per stream with a private pipeline, index and cost tally, so
+//! scheduling cannot perturb it — a shard indexes and costs exactly what one
+//! [`IngestEngine`] run over its stream does), but segments are sealed to the store and the caller's meter is charged on the caller's
+//! thread in workload order, so the resulting store — manifest, ids, file
+//! bytes, checksums — is byte-identical and the meter totals are bitwise
+//! equal for any shard count. `tests/segment_durability.rs` pins both.
 //!
-//! [`ShardedIngest`]: crate::shard::ShardedIngest
 //! [`FramePipeline`]: crate::pipeline::FramePipeline
 
 use std::collections::HashMap;
@@ -143,19 +143,10 @@ impl SegmentedIngest {
     ///
     /// Panics if `shards` is zero.
     pub fn new(model: IngestCnn, params: IngestParams, policy: SealPolicy, shards: usize) -> Self {
-        Self::with_pool(
-            IngestEngine::new(model, params),
-            policy,
-            WorkerPool::new(shards),
-        )
-    }
-
-    /// Creates a segmented ingest layer around an existing engine and pool.
-    pub fn with_pool(engine: IngestEngine, policy: SealPolicy, pool: WorkerPool) -> Self {
         Self {
-            engine,
+            engine: IngestEngine::new(model, params),
             policy,
-            pool,
+            pool: WorkerPool::new(shards),
         }
     }
 
@@ -164,24 +155,17 @@ impl SegmentedIngest {
         &self.engine
     }
 
-    /// The seal policy.
-    pub fn policy(&self) -> SealPolicy {
-        self.policy
-    }
-
     /// Ingests a multi-camera workload, sealing segments into `store` and
     /// returning the sealed metadata plus the merged in-memory reference.
     ///
     /// GPU cost is charged to `meter` under the phase `"ingest"`, one charge
-    /// per stream in workload order (the same bitwise-reproducible
-    /// discipline as [`ShardedIngest::ingest`]).
+    /// per stream in workload order, so meter totals are bitwise
+    /// reproducible for any shard count.
     ///
     /// # Panics
     ///
     /// Panics if two datasets share a stream id (a shard is *the* ingest
     /// worker of its stream) or if the workload is empty.
-    ///
-    /// [`ShardedIngest::ingest`]: crate::shard::ShardedIngest::ingest
     pub fn ingest_to_store(
         &self,
         datasets: &[VideoDataset],
@@ -308,11 +292,6 @@ impl StreamSegmenter {
     /// epochs through this on retrain).
     pub fn pipeline_mut(&mut self) -> &mut FramePipeline {
         &mut self.pipeline
-    }
-
-    /// The seal policy.
-    pub fn policy(&self) -> SealPolicy {
-        self.policy
     }
 
     /// Frames pushed since the last seal (the pending tail of this stream).

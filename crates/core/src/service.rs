@@ -52,9 +52,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
 use focus_index::persist::{write_atomic, PersistError};
-use focus_index::{
-    LruOccupancy, SegmentError, SegmentFormat, SegmentMeta, SegmentStore, TopKIndex,
-};
+use focus_index::{LruOccupancy, SegmentError, SegmentMeta, SegmentStore, TopKIndex};
 use focus_runtime::{
     GpuClusterSpec, GpuMeter, GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats,
     TickReport,
@@ -110,17 +108,6 @@ pub struct ServiceConfig {
     /// Fold budget handed to [`SegmentStore::compact`]: adjacent segments
     /// are merged while their combined record count stays within this.
     pub compact_max_clusters: usize,
-    /// On-disk format newly sealed segments are written in. Binary by
-    /// default; pinning [`SegmentFormat::Json`] keeps a store
-    /// human-readable (existing JSON segments are still served either way,
-    /// and migrated when [`ServiceConfig::migrate_per_maintain`] allows).
-    #[serde(default)]
-    pub seal_format: SegmentFormat,
-    /// JSON segments rewritten to the binary format per maintenance tick
-    /// ([`SegmentStore::migrate_format`]; 0 disables migration — the value
-    /// a config persisted before this field existed deserializes to).
-    #[serde(default)]
-    pub migrate_per_maintain: usize,
     /// Manifest-adjacent segments prefetched into the cache per maintenance
     /// tick ([`SegmentStore::prefetch_adjacent`]; 0 disables prefetch —
     /// the value a config persisted before this field existed deserializes
@@ -151,8 +138,6 @@ impl Default for ServiceConfig {
             small_segment_clusters: 32,
             compact_small_threshold: 8,
             compact_max_clusters: 256,
-            seal_format: SegmentFormat::Binary,
-            migrate_per_maintain: 2,
             prefetch_per_maintain: 2,
             adaptation: None,
             governor: None,
@@ -181,10 +166,6 @@ pub struct MaintenanceReport {
     /// Segments folded away by compaction (zero when the small-segment
     /// trigger was not crossed).
     pub segments_folded: usize,
-    /// JSON segments rewritten to the binary format this tick (see
-    /// [`ServiceConfig::migrate_per_maintain`]).
-    #[serde(default)]
-    pub segments_migrated: usize,
     /// Recently-cold-adjacent segments prefetched into the cache this tick
     /// (see [`ServiceConfig::prefetch_per_maintain`]).
     #[serde(default)]
@@ -541,7 +522,6 @@ impl FocusService {
     }
 
     fn assemble(store: SegmentStore, config: ServiceConfig, gt: GroundTruthCnn) -> Self {
-        let store = store.with_seal_format(config.seal_format);
         let bootstrap = IngestCnn::generic(config.worker.bootstrap_model);
         let corpus = SegmentedCorpus::new(store, HashMap::new(), bootstrap);
         let server = QueryServer::new(gt.clone(), config.gpus);
@@ -844,10 +824,8 @@ impl FocusService {
     /// hit its seal budget (exactly the segments the next frame push would
     /// have sealed, so maintenance never changes the partitioning),
     /// compacts the store when the small-segment count crosses the
-    /// configured threshold, migrates a bounded number of JSON segments to
-    /// the binary format and prefetches segments adjacent to recently-cold
-    /// ones (see [`ServiceConfig::migrate_per_maintain`] /
-    /// [`ServiceConfig::prefetch_per_maintain`]), runs the adaptation
+    /// configured threshold, prefetches segments adjacent to recently-cold
+    /// ones (see [`ServiceConfig::prefetch_per_maintain`]), runs the adaptation
     /// controllers (drift check → re-select → install, when
     /// [`ServiceConfig::adaptation`] is on) and the workload governor
     /// (when [`ServiceConfig::governor`] is on), and drains one
@@ -883,14 +861,8 @@ impl FocusService {
                 self.compactions += 1;
             }
         }
-        // Format migration and adjacency prefetch are steady background
-        // work: a bounded budget each tick, never a stop-the-world pass.
-        if self.config.migrate_per_maintain > 0 {
-            report.segments_migrated = self
-                .corpus
-                .store_mut()
-                .migrate_format(self.config.migrate_per_maintain)?;
-        }
+        // Adjacency prefetch is steady background work: a bounded budget
+        // each tick, never a stop-the-world pass.
         if self.config.prefetch_per_maintain > 0 {
             report.segments_prefetched = self
                 .corpus

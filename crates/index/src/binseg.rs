@@ -1,8 +1,9 @@
 //! The binary columnar segment format (`seg-*.bin`).
 //!
-//! JSON segments pay their whole decode cost on every cold load — the
-//! ~32× cold/warm cliff the first segmented-store measurements showed. This format makes
-//! cold reads proportional to what a query actually touches:
+//! The one module that knows how a segment is laid out. A whole-file
+//! format pays its whole decode cost on every cold load — the ~32×
+//! cold/warm cliff the first segmented-store measurements showed. This
+//! format makes cold reads proportional to what a query actually touches:
 //!
 //! ```text
 //! ┌──────────┬───────────────┬────────────────┬──────────┬────────┬─────────┐
@@ -39,7 +40,7 @@
 //! track ids and it has no tracks block. Readers accept both (v1 members
 //! decode with the default track id and an empty sketch set); [`encode`]
 //! writes version 2, and [`encode_with_version`] can still produce v1
-//! files so the store's format-migration path stays testable.
+//! files so the v1 read path stays testable.
 //!
 //! [`encode`]/[`decode`] round-trip an entire [`TopKIndex`]
 //! byte-identically under the canonical JSON representation
@@ -747,14 +748,15 @@ pub fn parse_trailer(trailer: &[u8]) -> Result<(u64, u64, u64, BinsegVersion), B
 ///
 /// Deterministic: records are sorted by key, postings by class and
 /// sketches by track key, so two equal indexes always produce identical
-/// bytes (the property sharded ingest equivalence relies on).
+/// bytes (the property every byte-identity test on sealed stores relies
+/// on).
 pub fn encode(index: &TopKIndex) -> Vec<u8> {
     encode_with_version(index, BinsegVersion::V2)
 }
 
 /// Encodes an index as a specific format version. Version 1 drops member
-/// track ids and the tracks block — it exists so the store's per-segment
-/// format migration (v1 file in, v2 file out) stays testable end to end.
+/// track ids and the tracks block — it exists so reading v1 files stays
+/// testable end to end.
 pub fn encode_with_version(index: &TopKIndex, version: BinsegVersion) -> Vec<u8> {
     let mut records: Vec<&ClusterRecord> = index.clusters().collect();
     records.sort_by_key(|r| r.key);
@@ -995,7 +997,7 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         // Same records inserted in different orders must produce identical
-        // bytes — sharded-ingest equivalence depends on it.
+        // bytes — every byte-identity test on sealed stores depends on it.
         let a = sample();
         let mut b = TopKIndex::new();
         for r in {

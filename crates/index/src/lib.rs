@@ -9,8 +9,8 @@
 //!
 //! in MongoDB (§5). This crate provides the equivalent embedded store: an
 //! inverted index from class to cluster records with camera / time-range /
-//! dynamic-Kx filtering at lookup time and a serde-based snapshot format for
-//! persistence. GPU-time accounting in the paper excludes index I/O, so an
+//! dynamic-Kx filtering at lookup time, persisted through the segment store
+//! below. GPU-time accounting in the paper excludes index I/O, so an
 //! in-process store preserves the measured quantities while keeping the
 //! system self-contained.
 //!
@@ -19,14 +19,14 @@
 //! stable [`CentroidHandle`]s — the form the query-serving layer plans with
 //! and keys its cross-query verdict cache by.
 //!
-//! For corpora too large (or too long-lived) for one monolithic snapshot,
-//! the [`segment`] module provides a durable, time-partitioned store:
-//! ingest seals immutable checksummed [`segment`] files under a crash-safe
-//! [`manifest`], and time/camera-restricted lookups open only the segments
-//! whose bounds intersect the filter (see `docs/storage.md` at the
-//! workspace root). Segments persist in the binary columnar [`binseg`]
-//! format by default (block-granular reads, per-block checksums), with
-//! JSON kept as a per-segment migration/debug format.
+//! The [`segment`] module is the persistence API, a durable,
+//! time-partitioned store: ingest seals immutable checksummed [`segment`]
+//! files under a crash-safe [`manifest`], and time/camera-restricted
+//! lookups open only the segments whose bounds intersect the filter (see
+//! `docs/storage.md` at the workspace root). Segments persist in the binary
+//! columnar [`binseg`] format (block-granular reads, per-block checksums);
+//! [`persist`] holds the atomic-write primitives under it and the canonical
+//! JSON text form used to compare and inspect indexes.
 
 #![deny(missing_docs)]
 

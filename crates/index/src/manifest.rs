@@ -49,18 +49,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// How a segment's file is encoded on disk.
 ///
-/// The manifest records the format per segment, so a store can hold a mix
-/// — the state [`SegmentStore::migrate_format`](crate::segment::SegmentStore::migrate_format)
-/// moves through while rewriting JSON segments as binary. Manifests written
-/// before the tag existed deserialize as [`Json`](SegmentFormat::Json)
-/// (the only format that existed then).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// The manifest records the tag per segment. Binary is the only format; a
+/// manifest entry tagged anything else (or, from before the tag existed,
+/// not tagged at all) fails [`Manifest::load`] with
+/// [`PersistError::Format`] instead of being read as something it is not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SegmentFormat {
-    /// A versioned JSON index snapshot (`seg-*.json`, see
-    /// [`crate::persist`]) — the debug/migration format: human-readable,
-    /// but decoded whole on every cold load.
-    #[default]
-    Json,
     /// The binary columnar format (`seg-*.bin`, see [`crate::binseg`]):
     /// checksummed blocks behind a footer index, read per-block.
     Binary,
@@ -70,7 +64,6 @@ impl SegmentFormat {
     /// The segment file name for segment `id` in this format.
     pub fn file_name(&self, id: u64) -> String {
         match self {
-            SegmentFormat::Json => format!("seg-{id:06}.json"),
             SegmentFormat::Binary => format!("seg-{id:06}.bin"),
         }
     }
@@ -100,9 +93,7 @@ pub struct SegmentMeta {
     pub clusters: usize,
     /// FNV-1a 64-bit checksum of the segment file's bytes.
     pub checksum: u64,
-    /// On-disk encoding of the segment file. Absent in pre-format-tag
-    /// manifests, which could only hold JSON segments.
-    #[serde(default)]
+    /// On-disk encoding of the segment file.
     pub format: SegmentFormat,
 }
 
@@ -222,13 +213,13 @@ mod tests {
     fn meta(id: u64, t_start: f64, t_end: f64, streams: &[u32]) -> SegmentMeta {
         SegmentMeta {
             id,
-            file: format!("seg-{id:06}.json"),
+            file: SegmentFormat::Binary.file_name(id),
             t_start,
             t_end,
             streams: streams.iter().map(|s| StreamId(*s)).collect(),
             clusters: 3,
             checksum: 42,
-            format: SegmentFormat::Json,
+            format: SegmentFormat::Binary,
         }
     }
 
@@ -273,32 +264,9 @@ mod tests {
         let restored = Manifest::load(&path).unwrap();
         assert_eq!(restored, m);
         assert_eq!(restored.streams(), vec![StreamId(0), StreamId(1)]);
-        assert_eq!(restored.segment(1).unwrap().file, "seg-000001.json");
+        assert_eq!(restored.segment(1).unwrap().file, "seg-000001.bin");
         assert!(restored.segment(9).is_none());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn format_tag_defaults_to_json_for_old_manifests() {
-        // A manifest written before the format tag existed has no `format`
-        // field; it must deserialize as Json (the only format back then).
-        let mut m = Manifest::new();
-        m.segments.push(meta(0, 0.0, 1.0, &[0]));
-        let json = serde_json::to_string(&m).unwrap();
-        let stripped = json.replace(",\"format\":\"Json\"", "");
-        assert_ne!(json, stripped, "format tag must be serialized");
-        let restored: Manifest = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(restored.segments[0].format, SegmentFormat::Json);
-        // And the tag round-trips when present.
-        let mut bin = meta(1, 0.0, 1.0, &[0]);
-        bin.format = SegmentFormat::Binary;
-        bin.file = SegmentFormat::Binary.file_name(1);
-        m.segments.push(bin);
-        let restored: Manifest = serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
-        assert_eq!(restored.segments[1].format, SegmentFormat::Binary);
-        assert_eq!(restored.segments[1].file, "seg-000001.bin");
-        assert_eq!(SegmentFormat::Json.file_name(7), "seg-000007.json");
-        assert_eq!(SegmentFormat::default(), SegmentFormat::Json);
     }
 
     #[test]

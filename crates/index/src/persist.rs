@@ -1,19 +1,22 @@
-//! Snapshot persistence for the top-K index.
+//! The canonical text form of an index, and the durability primitives.
 //!
-//! The paper stores the index in MongoDB; here the index lives in memory and
-//! can be snapshotted to a JSON file. The format is self-describing and
-//! versioned so future layout changes can be detected instead of silently
-//! misread.
+//! The paper stores the index in MongoDB; here it persists through the
+//! segment store (see [`crate::segment`]). This module holds what that
+//! store is built on:
 //!
-//! Writes go through [`write_atomic`] (temp file + `fsync` + rename), so a
-//! crash mid-write can never truncate an existing snapshot: the target path
-//! either still holds the previous complete snapshot or already holds the
-//! new one. The same helper backs the segment store's manifest and segment
-//! files (see [`crate::segment`]).
+//! * [`to_json`] / [`from_json`] — a self-describing, versioned JSON
+//!   rendering of a whole [`TopKIndex`]. Nothing is stored in it; it is the
+//!   canonical form byte-identity tests compare indexes through, and the way
+//!   to look inside a segment (`to_json(&*store.load(id)?)`).
+//! * [`write_atomic`] / [`write_atomic_bytes`] (temp file + `fsync` +
+//!   rename) — a crash mid-write can never truncate an existing file: the
+//!   target path either still holds the previous complete contents or
+//!   already holds the new ones. Manifests and segment files are written
+//!   through them.
 //!
-//! Every error carries the file path it occurred on (when a file was
-//! involved), so a failed load in a store of hundreds of segments points at
-//! the exact file instead of a bare "invalid JSON".
+//! Every [`PersistError`] carries the file path it occurred on (when a file
+//! was involved), so a failed load in a store of hundreds of segments points
+//! at the exact file instead of a bare "invalid JSON".
 
 use std::fs;
 use std::io::{self, Write};
@@ -26,7 +29,7 @@ use crate::topk::TopKIndex;
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Errors produced by snapshot save/load, each carrying the path of the
+/// Errors produced by reading or writing persisted state, each carrying the path of the
 /// file involved (absent for in-memory encode/decode).
 #[derive(Debug)]
 pub enum PersistError {
@@ -62,25 +65,6 @@ impl PersistError {
             PersistError::Io { path, .. } => Some(path),
             PersistError::Format { path, .. } => path.as_deref(),
             PersistError::VersionMismatch { path, .. } => path.as_deref(),
-        }
-    }
-
-    /// Attaches `path` to an error produced by the in-memory encode/decode
-    /// helpers, so file-level entry points report which file failed.
-    fn at(self, path: &Path) -> Self {
-        match self {
-            PersistError::Format { source, .. } => PersistError::Format {
-                path: Some(path.to_path_buf()),
-                source,
-            },
-            PersistError::VersionMismatch {
-                found, expected, ..
-            } => PersistError::VersionMismatch {
-                path: Some(path.to_path_buf()),
-                found,
-                expected,
-            },
-            io @ PersistError::Io { .. } => io,
         }
     }
 }
@@ -214,27 +198,6 @@ pub fn write_atomic_bytes(path: &Path, contents: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes a snapshot of `index` to `path` atomically (temp file + rename):
-/// a crash mid-write can never truncate an existing snapshot at `path`.
-pub fn save(index: &TopKIndex, path: &Path) -> Result<(), PersistError> {
-    let json = to_json(index)?;
-    write_atomic(path, &json).map_err(|source| PersistError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    Ok(())
-}
-
-/// Loads an index snapshot from `path`. Errors name the file: an I/O
-/// failure, malformed JSON, or a version mismatch all report `path`.
-pub fn load(path: &Path) -> Result<TopKIndex, PersistError> {
-    let json = fs::read_to_string(path).map_err(|source| PersistError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    from_json(&json).map_err(|e| e.at(path))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,43 +239,17 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
-        let idx = sample_index();
-        let dir = std::env::temp_dir().join("focus_index_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.json");
-        save(&idx, &path).unwrap();
-        let restored = load(&path).unwrap();
-        assert_eq!(restored.len(), idx.len());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn save_is_atomic_and_replaces_existing_snapshots() {
+    fn write_atomic_replaces_existing_files_and_leaves_no_temp() {
         let dir = std::env::temp_dir().join("focus_index_persist_atomic");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.json");
-        // First save, then overwrite with a bigger index; the temp file must
-        // not linger and the final content must be the second snapshot.
-        let mut idx = TopKIndex::new();
-        idx.insert(ClusterRecord {
-            key: ClusterKey::new(StreamId(0), 0),
-            centroid_object: ObjectId(0),
-            centroid_frame: FrameId(0),
-            top_k_classes: vec![ClassId(1)],
-            members: vec![MemberRef {
-                object: ObjectId(0),
-                frame: FrameId(0),
-                track: TrackId(0),
-            }],
-            start_secs: 0.0,
-            end_secs: 1.0,
-        });
-        save(&idx, &path).unwrap();
-        let full = sample_index();
-        save(&full, &path).unwrap();
+        // Overwrite a snapshot with a bigger one: the temp file must not
+        // linger and the final content must be the second snapshot.
+        write_atomic(&path, &to_json(&TopKIndex::new()).unwrap()).unwrap();
+        let full = to_json(&sample_index()).unwrap();
+        write_atomic(&path, &full).unwrap();
         assert!(!path.with_file_name("index.json.tmp").exists());
-        assert_eq!(load(&path).unwrap().len(), full.len());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
         std::fs::remove_file(&path).ok();
     }
 
@@ -345,23 +282,6 @@ mod tests {
 
     #[test]
     fn file_errors_name_the_file() {
-        let missing = Path::new("/nonexistent/focus-index.json");
-        let err = load(missing).unwrap_err();
-        assert!(matches!(err, PersistError::Io { .. }));
-        assert_eq!(err.path(), Some(missing));
-        assert!(err.to_string().contains("focus-index.json"));
-
-        // A malformed file reports its path too.
-        let dir = std::env::temp_dir().join("focus_index_persist_badfile");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{not json").unwrap();
-        let err = load(&bad).unwrap_err();
-        assert!(matches!(err, PersistError::Format { path: Some(_), .. }));
-        assert_eq!(err.path(), Some(bad.as_path()));
-        assert!(err.to_string().contains("bad.json"));
-        std::fs::remove_file(&bad).ok();
-
         let errors = [
             PersistError::Io {
                 path: PathBuf::from("/x/y.json"),
@@ -372,14 +292,17 @@ mod tests {
                 found: 2,
                 expected: 1,
             },
-            PersistError::VersionMismatch {
-                path: None,
-                found: 2,
-                expected: 1,
-            },
         ];
         for e in errors {
-            assert!(!e.to_string().is_empty());
+            assert_eq!(e.path(), Some(Path::new("/x/y.json")));
+            assert!(e.to_string().contains("/x/y.json"));
         }
+        let unnamed = PersistError::VersionMismatch {
+            path: None,
+            found: 2,
+            expected: 1,
+        };
+        assert!(unnamed.path().is_none());
+        assert!(!unnamed.to_string().is_empty());
     }
 }

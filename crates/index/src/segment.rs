@@ -14,16 +14,11 @@
 //!   MANIFEST.json      # versioned list of live segments (see `manifest`)
 //!   seg-000000.bin     # one immutable index snapshot per segment
 //!   seg-000001.bin     # (binary columnar, see `binseg`)
-//!   seg-000002.json    # legacy/debug JSON segments still serve
 //!   ...
 //! ```
 //!
-//! Segments are written in the binary columnar format of [`crate::binseg`]
-//! by default; the manifest records each segment's format tag, so JSON
-//! segments from older stores (or stores pinned to
-//! [`SegmentFormat::Json`](crate::manifest::SegmentFormat) for debugging)
-//! keep serving, and [`migrate_format`](SegmentStore::migrate_format)
-//! rewrites them to binary one at a time without a stop-the-world step.
+//! Segments are written and read in the binary columnar format of
+//! [`crate::binseg`], the one module that knows how a segment is laid out.
 //!
 //! Durability protocol: a segment file is written atomically (temp +
 //! rename), then the manifest is rewritten atomically to list it. The
@@ -35,8 +30,8 @@
 //!
 //! Reads go through a two-tier cache: a decoded-block LRU (whole indexes,
 //! footers, record blocks, postings blocks) above a raw-bytes LRU, so a
-//! decoded eviction costs a re-decode rather than a disk read. Binary
-//! lookups read and checksum-verify only the blocks a query needs — the
+//! decoded eviction costs a re-decode rather than a disk read. Lookups
+//! read and checksum-verify only the blocks a query needs — the
 //! trailer/footer, one postings block, and the record blocks covering the
 //! candidate keys; [`SegmentAccess`] reports per-call pruning, cache and
 //! block behaviour so callers can account for storage cost (the runtime
@@ -55,15 +50,14 @@ use focus_video::ClassId;
 use crate::binseg::{self, BinsegError, SegmentFooter};
 use crate::cluster_store::{ClusterKey, ClusterRecord};
 use crate::manifest::{fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE};
-use crate::persist::{self, write_atomic_bytes, PersistError};
+use crate::persist::{write_atomic_bytes, PersistError};
 use crate::query::QueryFilter;
-use crate::topk::{CentroidHandle, TopKIndex};
+use crate::topk::TopKIndex;
 use crate::track::{TrackKey, TrackSketch};
 
 /// Default capacity of the decoded-block LRU cache, in entries. An entry is
 /// one decoded unit — a whole segment index, a footer, a record block or a
-/// postings block — so block-granular binary reads get a much deeper cache
-/// than the old whole-segment-only LRU at similar memory.
+/// postings block.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// Default capacity of the raw-bytes LRU tier, in bytes.
@@ -186,8 +180,7 @@ pub struct SegmentAccess {
     pub cache_hits: usize,
     /// Bytes read from disk for the cold loads.
     pub bytes_read: u64,
-    /// Block fetches that went to disk (a whole-file JSON read counts as
-    /// one block).
+    /// Block fetches that went to disk.
     pub blocks_read: usize,
     /// Block fetches served by re-decoding bytes from the raw tier.
     pub block_raw_hits: usize,
@@ -459,21 +452,6 @@ impl TieredCache {
         self.recent_cold.retain(|x| *x != id);
     }
 
-    /// Drops segment `id`'s raw-tier bytes only (its decoded entries stay
-    /// valid — used when migration rewrites the file under a new format).
-    fn remove_raw_segment(&mut self, id: u64) {
-        self.raw_order.retain(|k| k.0 != id);
-        let raw_used = &mut self.raw_used;
-        self.raw.retain(|k, v| {
-            if k.0 == id {
-                *raw_used -= v.len() as u64;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
     fn note_cold(&mut self, id: u64) {
         if self.recent_cold.contains(&id) {
             return;
@@ -500,17 +478,6 @@ impl TieredCache {
             disk_reads: self.disk_reads,
         }
     }
-}
-
-/// How a whole-segment load was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoadServed {
-    /// Straight from the decoded tier.
-    Decoded,
-    /// Re-decoded from raw-tier bytes (no disk).
-    Raw,
-    /// Read from disk.
-    Disk,
 }
 
 /// A lazily opened read handle on one segment file. A block-granular
@@ -566,8 +533,8 @@ impl<'a> SegmentFile<'a> {
 /// A durable, time-partitioned index store (see the module docs for the
 /// on-disk layout and durability protocol).
 ///
-/// All mutations (`seal`, `compact`, `migrate_format`) take `&mut self` and
-/// serialize their atomic writes; reads (`load`, `lookup`,
+/// All mutations (`seal`, `compact`) take `&mut self` and serialize their
+/// atomic writes; reads (`load`, `lookup`,
 /// `prefetch_adjacent`) take `&self` and share the tiered cache behind a
 /// mutex, so a store can serve concurrent queries.
 ///
@@ -608,7 +575,6 @@ impl<'a> SegmentFile<'a> {
 pub struct SegmentStore {
     dir: PathBuf,
     manifest: Manifest,
-    seal_format: SegmentFormat,
     cache: Mutex<TieredCache>,
 }
 
@@ -621,9 +587,7 @@ const _: () = {
 
 impl SegmentStore {
     /// Creates a fresh, empty store at `dir` (creating the directory if
-    /// needed) and writes its initial manifest. New segments seal in the
-    /// binary format unless [`with_seal_format`](Self::with_seal_format)
-    /// pins JSON.
+    /// needed) and writes its initial manifest.
     ///
     /// Fails with an I/O error if `dir` already contains a manifest — use
     /// [`open`](Self::open) for an existing store.
@@ -650,7 +614,6 @@ impl SegmentStore {
         Ok(SegmentStore {
             dir,
             manifest,
-            seal_format: SegmentFormat::Binary,
             cache: Mutex::new(TieredCache::new(
                 DEFAULT_CACHE_CAPACITY,
                 DEFAULT_RAW_CACHE_BYTES,
@@ -698,8 +661,9 @@ impl SegmentStore {
         manifest.segments = verified;
 
         // Sweep the directory for crash leftovers: interrupted temp writes
-        // and complete segments (either format) the manifest never
-        // acknowledged.
+        // and complete segment files the manifest never acknowledged
+        // (`.json` too: a leftover from a store that once held JSON
+        // segments is as unlisted as any other).
         let listed: HashMap<&str, ()> = manifest
             .segments
             .iter()
@@ -729,7 +693,6 @@ impl SegmentStore {
             SegmentStore {
                 dir,
                 manifest,
-                seal_format: SegmentFormat::Binary,
                 cache: Mutex::new(TieredCache::new(
                     DEFAULT_CACHE_CAPACITY,
                     DEFAULT_RAW_CACHE_BYTES,
@@ -760,17 +723,11 @@ impl SegmentStore {
         }
     }
 
-    /// Returns the store sealing new segments in `format` (the default is
-    /// [`SegmentFormat::Binary`]; pin [`SegmentFormat::Json`] for the
-    /// debug/migration reader).
-    pub fn with_seal_format(mut self, format: SegmentFormat) -> Self {
-        self.seal_format = format;
+    /// Returns the store unchanged: [`SegmentFormat::Binary`] is the only
+    /// format, and this builder remains only because the benchmark's probe
+    /// names it.
+    pub fn with_seal_format(self, _format: SegmentFormat) -> Self {
         self
-    }
-
-    /// The format new segments seal in.
-    pub fn seal_format(&self) -> SegmentFormat {
-        self.seal_format
     }
 
     /// The store directory.
@@ -803,36 +760,41 @@ impl SegmentStore {
         self.cache.lock().occupancy()
     }
 
-    /// Serializes `index` in `format`.
-    fn encode_payload(index: &TopKIndex, format: SegmentFormat) -> Result<Vec<u8>, SegmentError> {
-        Ok(match format {
-            SegmentFormat::Json => persist::to_json(index)?.into_bytes(),
-            SegmentFormat::Binary => binseg::encode(index),
+    /// Decodes a whole segment's bytes.
+    fn decode_segment(&self, meta: &SegmentMeta, bytes: &[u8]) -> Result<TopKIndex, SegmentError> {
+        binseg::decode(bytes).map_err(|source| SegmentError::InvalidSegment {
+            path: self.dir.join(&meta.file),
+            source,
         })
     }
 
-    /// Decodes a whole segment's bytes per its manifest format tag.
-    fn decode_segment(&self, meta: &SegmentMeta, bytes: &[u8]) -> Result<TopKIndex, SegmentError> {
-        match meta.format {
-            SegmentFormat::Json => {
-                let json = String::from_utf8_lossy(bytes);
-                persist::from_json(&json).map_err(|e| {
-                    SegmentError::Persist(match e {
-                        PersistError::Format { source, .. } => PersistError::Format {
-                            path: Some(self.dir.join(&meta.file)),
-                            source,
-                        },
-                        other => other,
-                    })
-                })
-            }
-            SegmentFormat::Binary => {
-                binseg::decode(bytes).map_err(|source| SegmentError::InvalidSegment {
-                    path: self.dir.join(&meta.file),
-                    source,
-                })
-            }
-        }
+    /// Encodes `index` as the next segment and writes its file atomically.
+    /// The returned entry is not live until the caller commits it to the
+    /// manifest; until then the file is an orphan [`open`](Self::open)
+    /// would quarantine.
+    fn write_segment(
+        &mut self,
+        index: &TopKIndex,
+        t_start: f64,
+        t_end: f64,
+    ) -> Result<SegmentMeta, SegmentError> {
+        let id = self.manifest.allocate_id();
+        let format = SegmentFormat::Binary;
+        let file = format.file_name(id);
+        let payload = binseg::encode(index);
+        let path = self.dir.join(&file);
+        write_atomic_bytes(&path, &payload)
+            .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
+        Ok(SegmentMeta {
+            id,
+            file,
+            t_start,
+            t_end,
+            streams: index.streams(),
+            clusters: index.len(),
+            checksum: fnv1a64(&payload),
+            format,
+        })
     }
 
     /// Seals `index` as one new immutable segment: writes the segment file
@@ -852,23 +814,7 @@ impl SegmentStore {
             t_start = t_start.min(record.start_secs);
             t_end = t_end.max(record.end_secs);
         }
-        let id = self.manifest.allocate_id();
-        let format = self.seal_format;
-        let file = format.file_name(id);
-        let payload = Self::encode_payload(index, format)?;
-        let meta = SegmentMeta {
-            id,
-            file: file.clone(),
-            t_start,
-            t_end,
-            streams: index.streams(),
-            clusters: index.len(),
-            checksum: fnv1a64(&payload),
-            format,
-        };
-        let path = self.dir.join(&file);
-        write_atomic_bytes(&path, &payload)
-            .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
+        let meta = self.write_segment(index, t_start, t_end)?;
         self.manifest.segments.push(meta.clone());
         self.manifest.save(&self.dir.join(MANIFEST_FILE))?;
         Ok(Some(meta))
@@ -876,27 +822,55 @@ impl SegmentStore {
 
     /// Loads segment `id`, serving it from the cache tiers when possible
     /// and verifying the manifest checksum on every cold load.
+    ///
+    /// Segment files are binary; to read one as text, render the loaded
+    /// index in its canonical JSON form:
+    ///
+    /// ```
+    /// use focus_index::{persist, ClusterKey, ClusterRecord, MemberRef, SegmentStore, TopKIndex};
+    /// use focus_video::{ClassId, FrameId, ObjectId, StreamId, TrackId};
+    ///
+    /// let dir = std::env::temp_dir().join("focus_segment_inspect_doc_example");
+    /// let _ = std::fs::remove_dir_all(&dir);
+    /// let mut store = SegmentStore::create(&dir).unwrap();
+    /// let mut seg = TopKIndex::new();
+    /// seg.insert(ClusterRecord {
+    ///     key: ClusterKey::new(StreamId(0), 0),
+    ///     centroid_object: ObjectId(0),
+    ///     centroid_frame: FrameId(0),
+    ///     top_k_classes: vec![ClassId(7)],
+    ///     members: vec![MemberRef { object: ObjectId(0), frame: FrameId(0), track: TrackId(0) }],
+    ///     start_secs: 0.0,
+    ///     end_secs: 10.0,
+    /// });
+    /// let id = store.seal(&seg).unwrap().unwrap().id;
+    ///
+    /// let text = persist::to_json(&*store.load(id).unwrap()).unwrap();
+    /// assert!(text.starts_with("{\"version\":1,"));
+    /// assert_eq!(text, persist::to_json(&seg).unwrap());
+    /// # std::fs::remove_dir_all(&dir).ok();
+    /// ```
     pub fn load(&self, id: u64) -> Result<Arc<TopKIndex>, SegmentError> {
         let meta = self
             .manifest
             .segment(id)
             .ok_or(SegmentError::UnknownSegment { id })?;
-        let (index, _, _) = self.load_counted(meta, true)?;
+        let (index, _) = self.load_whole(meta, true)?;
         Ok(index)
     }
 
     /// Loads a whole segment through the cache tiers; returns the decoded
-    /// index, how it was served, and the bytes read (zero off-disk).
-    fn load_counted(
+    /// index and whether it was already resident in the decoded tier.
+    fn load_whole(
         &self,
         meta: &SegmentMeta,
         note_cold: bool,
-    ) -> Result<(Arc<TopKIndex>, LoadServed, u64), SegmentError> {
+    ) -> Result<(Arc<TopKIndex>, bool), SegmentError> {
         let key = (meta.id, BlockKey::Whole);
         let raw = {
             let mut cache = self.cache.lock();
             if let Some(DecodedEntry::Whole(index)) = cache.decoded_get(key) {
-                return Ok((index, LoadServed::Decoded, 0));
+                return Ok((index, true));
             }
             cache.raw_get(key)
         };
@@ -905,7 +879,7 @@ impl SegmentStore {
             self.cache
                 .lock()
                 .decoded_insert(key, DecodedEntry::Whole(Arc::clone(&index)));
-            return Ok((index, LoadServed::Raw, 0));
+            return Ok((index, false));
         }
         let path = self.dir.join(&meta.file);
         let bytes = fs::read(&path).map_err(|source| {
@@ -923,7 +897,6 @@ impl SegmentStore {
             });
         }
         let index = Arc::new(self.decode_segment(meta, &bytes)?);
-        let len = bytes.len() as u64;
         let mut cache = self.cache.lock();
         cache.disk_reads += 1;
         if note_cold {
@@ -931,7 +904,7 @@ impl SegmentStore {
         }
         cache.raw_insert(key, Arc::new(bytes));
         cache.decoded_insert(key, DecodedEntry::Whole(Arc::clone(&index)));
-        Ok((index, LoadServed::Disk, len))
+        Ok((index, false))
     }
 
     /// The footer of a binary segment: from the decoded tier when resident,
@@ -1136,23 +1109,11 @@ impl SegmentStore {
         Ok(())
     }
 
-    /// The segments whose bounds intersect `filter` — the ones a query must
-    /// open; everything else is pruned.
-    pub fn segments_for(&self, filter: &QueryFilter) -> Vec<SegmentMeta> {
-        self.manifest
-            .segments
-            .iter()
-            .filter(|m| m.admits_filter(filter))
-            .cloned()
-            .collect()
-    }
-
     /// Pruned lookup: opens only the segments intersecting `filter`, runs
-    /// [`TopKIndex::lookup`] in each (reading only the needed blocks of
-    /// binary segments), and returns the union sorted by cluster key —
-    /// byte-identical to looking `class` up in the merged in-memory index
-    /// (segments are key-disjoint, so no deduplication across segments is
-    /// ever needed).
+    /// [`TopKIndex::lookup`] in each (reading only the needed blocks), and
+    /// returns the union sorted by cluster key — byte-identical to looking
+    /// `class` up in the merged in-memory index (segments are key-disjoint,
+    /// so no deduplication across segments is ever needed).
     pub fn lookup(
         &self,
         class: ClassId,
@@ -1196,67 +1157,21 @@ impl SegmentStore {
         {
             access.segments_considered += 1;
             let mut records: Vec<ClusterRecord> = Vec::new();
-            // Whichever the format, a resident whole index is the fastest
-            // path: no block navigation at all.
-            if let Some(DecodedEntry::Whole(index)) =
-                self.cache.lock().decoded_get((meta.id, BlockKey::Whole))
-            {
+            // A resident whole index is the fastest path: no block
+            // navigation at all.
+            let whole = self.cache.lock().decoded_get((meta.id, BlockKey::Whole));
+            if let Some(DecodedEntry::Whole(index)) = whole {
                 access.cache_hits += 1;
                 access.block_hits += 1;
                 records.extend(index.lookup(class, filter).into_iter().cloned());
-                if !records.is_empty() {
-                    groups.push((meta.id, records));
-                }
-                continue;
-            }
-            match meta.format {
-                SegmentFormat::Json => {
-                    let (index, served, bytes) = self.load_counted(meta, true)?;
-                    match served {
-                        LoadServed::Disk => {
-                            access.cold_loads += 1;
-                            access.blocks_read += 1;
-                            access.bytes_read += bytes;
-                        }
-                        LoadServed::Raw => {
-                            access.cache_hits += 1;
-                            access.block_raw_hits += 1;
-                        }
-                        LoadServed::Decoded => {
-                            access.cache_hits += 1;
-                            access.block_hits += 1;
-                        }
-                    }
-                    records.extend(index.lookup(class, filter).into_iter().cloned());
-                }
-                SegmentFormat::Binary => {
-                    self.lookup_binary(meta, class, filter, &mut access, &mut records)?
-                }
+            } else {
+                self.lookup_binary(meta, class, filter, &mut access, &mut records)?;
             }
             if !records.is_empty() {
                 groups.push((meta.id, records));
             }
         }
         Ok(GroupedLookup { groups, access })
-    }
-
-    /// Like [`lookup`](Self::lookup), but returns stable
-    /// [`CentroidHandle`]s — the shape the query-planning layer consumes.
-    pub fn lookup_centroids(
-        &self,
-        class: ClassId,
-        filter: &QueryFilter,
-    ) -> Result<(Vec<CentroidHandle>, SegmentAccess), SegmentError> {
-        let SegmentLookup { records, access } = self.lookup(class, filter)?;
-        let handles = records
-            .iter()
-            .map(|record| CentroidHandle {
-                cluster: record.key,
-                centroid: record.centroid_object,
-                centroid_frame: record.centroid_frame,
-            })
-            .collect();
-        Ok((handles, access))
     }
 
     /// All track sketches reachable under `filter`'s *stream* restriction,
@@ -1266,9 +1181,8 @@ impl SegmentStore {
     /// life, so a time-restricted query must still see the complete path —
     /// pruning by the filter's time range would truncate sketches at
     /// segment boundaries and turn the conservative track planner unsound.
-    /// JSON segments load whole (their sketches ride in the snapshot);
-    /// binary segments read only the trailer/footer and the tracks block,
-    /// each verified against its checksum — a flipped bit inside the tracks
+    /// Reads only each segment's trailer/footer and tracks block, each
+    /// verified against its checksum — a flipped bit inside the tracks
     /// block surfaces as [`SegmentError::Corrupt`] exactly like record and
     /// postings blocks.
     pub fn sketches(
@@ -1303,7 +1217,7 @@ impl SegmentStore {
             })
         {
             access.segments_considered += 1;
-            // A resident whole index is the fastest path for either format.
+            // A resident whole index is the fastest path.
             if let Some(DecodedEntry::Whole(index)) =
                 self.cache.lock().decoded_get((meta.id, BlockKey::Whole))
             {
@@ -1314,61 +1228,35 @@ impl SegmentStore {
                 }
                 continue;
             }
-            match meta.format {
-                SegmentFormat::Json => {
-                    let (index, served, bytes) = self.load_counted(meta, true)?;
-                    match served {
-                        LoadServed::Disk => {
-                            access.cold_loads += 1;
-                            access.blocks_read += 1;
-                            access.bytes_read += bytes;
-                        }
-                        LoadServed::Raw => {
-                            access.cache_hits += 1;
-                            access.block_raw_hits += 1;
-                        }
-                        LoadServed::Decoded => {
-                            access.cache_hits += 1;
-                            access.block_hits += 1;
-                        }
-                    }
-                    for sketch in index.sketches() {
-                        absorb(&mut merged, sketch);
-                    }
+            let mut touched_disk = false;
+            let path = self.dir.join(&meta.file);
+            let mut file = SegmentFile::new(&path);
+            let footer = self.binary_footer(meta, &mut file, &mut access, &mut touched_disk)?;
+            if let Some(tmeta) = footer.tracks {
+                let sketches = self.binary_block(
+                    meta,
+                    &mut file,
+                    BlockKey::Tracks,
+                    tmeta.offset,
+                    tmeta.len,
+                    tmeta.checksum,
+                    &mut access,
+                    &mut touched_disk,
+                    binseg::decode_tracks_block,
+                    DecodedEntry::Tracks,
+                    |entry| match entry {
+                        DecodedEntry::Tracks(sketches) => Some(sketches),
+                        _ => None,
+                    },
+                )?;
+                for sketch in sketches.iter() {
+                    absorb(&mut merged, sketch);
                 }
-                SegmentFormat::Binary => {
-                    let mut touched_disk = false;
-                    let path = self.dir.join(&meta.file);
-                    let mut file = SegmentFile::new(&path);
-                    let footer =
-                        self.binary_footer(meta, &mut file, &mut access, &mut touched_disk)?;
-                    if let Some(tmeta) = footer.tracks {
-                        let sketches = self.binary_block(
-                            meta,
-                            &mut file,
-                            BlockKey::Tracks,
-                            tmeta.offset,
-                            tmeta.len,
-                            tmeta.checksum,
-                            &mut access,
-                            &mut touched_disk,
-                            binseg::decode_tracks_block,
-                            DecodedEntry::Tracks,
-                            |entry| match entry {
-                                DecodedEntry::Tracks(sketches) => Some(sketches),
-                                _ => None,
-                            },
-                        )?;
-                        for sketch in sketches.iter() {
-                            absorb(&mut merged, sketch);
-                        }
-                    }
-                    if touched_disk {
-                        access.cold_loads += 1;
-                    } else {
-                        access.cache_hits += 1;
-                    }
-                }
+            }
+            if touched_disk {
+                access.cold_loads += 1;
+            } else {
+                access.cache_hits += 1;
             }
         }
         Ok((merged, access))
@@ -1380,7 +1268,7 @@ impl SegmentStore {
     pub fn merged_index(&self) -> Result<TopKIndex, SegmentError> {
         let mut merged = TopKIndex::new();
         for meta in &self.manifest.segments {
-            let (index, _, _) = self.load_counted(meta, false)?;
+            let (index, _) = self.load_whole(meta, false)?;
             let replaced = merged.merge_from(&index);
             assert_eq!(replaced, 0, "segments must be key-disjoint");
         }
@@ -1389,9 +1277,8 @@ impl SegmentStore {
 
     /// Folds runs of adjacent small segments into larger ones: consecutive
     /// segments (in seal order) whose combined record count stays within
-    /// `max_clusters` are merged into a single new segment (sealed in the
-    /// store's current seal format). Query results are unchanged — the same
-    /// records end up live, in fewer files.
+    /// `max_clusters` are merged into a single new segment. Query results are
+    /// unchanged — the same records end up live, in fewer files.
     ///
     /// Crash-safe in the same way as sealing: each replacement segment file
     /// is written atomically before the manifest commits the swap, and the
@@ -1424,33 +1311,20 @@ impl SegmentStore {
             }
             let mut merged = TopKIndex::new();
             for meta in run.iter() {
-                let (index, _, _) = this.load_counted(meta, false)?;
+                let (index, _) = this.load_whole(meta, false)?;
                 let replaced = merged.merge_from(&index);
                 assert_eq!(replaced, 0, "segments must be key-disjoint");
             }
-            let id = this.manifest.allocate_id();
-            let format = this.seal_format;
-            let file = format.file_name(id);
-            let payload = Self::encode_payload(&merged, format)?;
-            let meta = SegmentMeta {
-                id,
-                file: file.clone(),
-                t_start: run.iter().map(|m| m.t_start).fold(f64::INFINITY, f64::min),
-                t_end: run
-                    .iter()
-                    .map(|m| m.t_end)
-                    .fold(f64::NEG_INFINITY, f64::max),
-                streams: merged.streams(),
-                clusters: merged.len(),
-                checksum: fnv1a64(&payload),
-                format,
-            };
-            let path = this.dir.join(&file);
-            write_atomic_bytes(&path, &payload)
-                .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
-            this.cache
-                .lock()
-                .decoded_insert((id, BlockKey::Whole), DecodedEntry::Whole(Arc::new(merged)));
+            let t_start = run.iter().map(|m| m.t_start).fold(f64::INFINITY, f64::min);
+            let t_end = run
+                .iter()
+                .map(|m| m.t_end)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let meta = this.write_segment(&merged, t_start, t_end)?;
+            this.cache.lock().decoded_insert(
+                (meta.id, BlockKey::Whole),
+                DecodedEntry::Whole(Arc::new(merged)),
+            );
             obsolete.append(run);
             new_segments.push(meta);
             Ok(())
@@ -1484,57 +1358,6 @@ impl SegmentStore {
         }
         drop(cache);
         Ok(before - self.manifest.segments.len())
-    }
-
-    /// Rewrites up to `budget` JSON segments into the binary format, one
-    /// crash-safe step each: the binary file is written atomically first
-    /// (its name differs only by extension, so the JSON original is never
-    /// clobbered), then the manifest entry swaps file/checksum/format in one
-    /// atomic save, and only then is the JSON file deleted. A crash at any
-    /// point leaves either the old entry serving the old file or the new
-    /// entry serving the new file — a leftover file of the other format is
-    /// an unlisted orphan the next [`open`](Self::open) quarantines.
-    ///
-    /// Mixed-format stores serve correctly throughout: every read
-    /// dispatches on the manifest's per-segment format tag.
-    ///
-    /// Returns how many segments were migrated.
-    pub fn migrate_format(&mut self, budget: usize) -> Result<usize, SegmentError> {
-        let mut migrated = 0usize;
-        for pos in 0..self.manifest.segments.len() {
-            if migrated >= budget {
-                break;
-            }
-            if self.manifest.segments[pos].format != SegmentFormat::Json {
-                continue;
-            }
-            let old_meta = self.manifest.segments[pos].clone();
-            let (index, _, _) = self.load_counted(&old_meta, false)?;
-            let payload = binseg::encode(&index);
-            let file = SegmentFormat::Binary.file_name(old_meta.id);
-            let path = self.dir.join(&file);
-            write_atomic_bytes(&path, &payload)
-                .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
-            let new_meta = SegmentMeta {
-                file,
-                checksum: fnv1a64(&payload),
-                format: SegmentFormat::Binary,
-                ..old_meta.clone()
-            };
-            self.manifest.segments[pos] = new_meta;
-            if let Err(e) = self.manifest.save(&self.dir.join(MANIFEST_FILE)) {
-                // Keep the in-memory list matching the manifest on disk; the
-                // already-written binary file is an orphan open() quarantines.
-                self.manifest.segments[pos] = old_meta;
-                return Err(e.into());
-            }
-            let _ = fs::remove_file(self.dir.join(&old_meta.file));
-            // The raw tier holds the old JSON bytes; the decoded whole index
-            // is format-independent and stays.
-            self.cache.lock().remove_raw_segment(old_meta.id);
-            migrated += 1;
-        }
-        Ok(migrated)
     }
 
     /// Warms up to `budget` segments that are manifest-adjacent to segments
@@ -1576,8 +1399,8 @@ impl SegmentStore {
             if self.cache.lock().decoded_contains((id, BlockKey::Whole)) {
                 continue;
             }
-            let (_, served, _) = self.load_counted(meta, false)?;
-            if served != LoadServed::Decoded {
+            let (_, resident) = self.load_whole(meta, false)?;
+            if !resident {
                 warmed += 1;
             }
         }
@@ -1600,6 +1423,7 @@ fn quarantine_path(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
     use crate::cluster_store::{ClusterKey, MemberRef};
+    use crate::persist;
     use focus_video::{FrameId, ObjectId, StreamId, TrackId};
 
     fn test_dir(name: &str) -> PathBuf {
@@ -1655,13 +1479,23 @@ mod tests {
         store
     }
 
-    /// The same three segments, pinned to the JSON format.
-    fn populated_json(dir: &Path) -> SegmentStore {
-        let mut store = SegmentStore::create(dir)
-            .unwrap()
-            .with_seal_format(SegmentFormat::Json);
-        seal_populated(&mut store);
-        store
+    /// What one cold lookup of `class` costs in each segment, read off the
+    /// file's own footer: the block fetches (footer, the class's postings
+    /// block, the record blocks covering its keys — each also one decoded
+    /// entry) and the bytes that land in the raw tier (every block but the
+    /// footer, which is cached decoded only).
+    fn lookup_costs(store: &SegmentStore, class: u16) -> Vec<(usize, u64)> {
+        let cost = |meta: &SegmentMeta| {
+            let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
+            let footer = binseg::footer_of(&bytes).unwrap();
+            let postings = footer.postings_for(ClassId(class)).unwrap();
+            let end = (postings.offset + postings.len) as usize;
+            let block = &bytes[postings.offset as usize..end];
+            let covering = footer.blocks_covering(&binseg::decode_postings_block(block).unwrap());
+            let record_bytes: u64 = covering.iter().map(|b| footer.record_blocks[*b].len).sum();
+            (2 + covering.len(), postings.len + record_bytes)
+        };
+        store.segments().iter().map(cost).collect()
     }
 
     #[test]
@@ -1674,7 +1508,6 @@ mod tests {
             .unwrap();
         assert_eq!(meta.id, 0);
         assert_eq!(meta.file, "seg-000000.bin");
-        assert_eq!(meta.format, SegmentFormat::Binary);
         assert_eq!(meta.t_start, 2.0);
         assert_eq!(meta.t_end, 35.0);
         assert_eq!(meta.streams, vec![StreamId(0)]);
@@ -1685,24 +1518,6 @@ mod tests {
         // Sealing an empty index is a no-op.
         assert!(store.seal(&TopKIndex::new()).unwrap().is_none());
         assert_eq!(store.len(), 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn seal_format_can_pin_json() {
-        let dir = test_dir("seal_json");
-        let mut store = SegmentStore::create(&dir)
-            .unwrap()
-            .with_seal_format(SegmentFormat::Json);
-        assert_eq!(store.seal_format(), SegmentFormat::Json);
-        let meta = store
-            .seal(&segment_of(&[record(0, 0, 5, 0.0)]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(meta.file, "seg-000000.json");
-        assert_eq!(meta.format, SegmentFormat::Json);
-        let bytes = fs::read(dir.join(&meta.file)).unwrap();
-        assert!(!crate::binseg::is_binseg(&bytes));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1756,33 +1571,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_json_stores_answer_identically() {
-        let bin_dir = test_dir("parity_bin");
-        let json_dir = test_dir("parity_json");
-        let bin = populated(&bin_dir);
-        let json = populated_json(&json_dir);
-        // Same logical contents, canonically identical.
-        assert_eq!(
-            persist::to_json(&bin.merged_index().unwrap()).unwrap(),
-            persist::to_json(&json.merged_index().unwrap()).unwrap()
-        );
-        for class in [5u16, 6, 7, 0, 99] {
-            for filter in [
-                QueryFilter::any(),
-                QueryFilter::any().with_time_range(0.0, 20.0),
-                QueryFilter::for_stream(StreamId(1)),
-                QueryFilter::any().with_kx(1),
-            ] {
-                let b = bin.lookup(ClassId(class), &filter).unwrap();
-                let j = json.lookup(ClassId(class), &filter).unwrap();
-                assert_eq!(b.records, j.records, "class {class} filter {filter:?}");
-            }
-        }
-        fs::remove_dir_all(&bin_dir).ok();
-        fs::remove_dir_all(&json_dir).ok();
-    }
-
-    #[test]
     fn binary_cold_lookup_reads_only_needed_blocks() {
         let dir = test_dir("block_reads");
         let mut store = SegmentStore::create(&dir).unwrap();
@@ -1824,32 +1612,45 @@ mod tests {
     #[test]
     fn lru_cache_serves_warm_lookups_without_reads() {
         let dir = test_dir("lru");
-        // JSON store with the raw tier disabled: the original whole-segment
-        // LRU semantics.
-        let store = populated_json(&dir)
-            .with_cache_capacity(2)
+        let store = populated(&dir);
+        let blocks: Vec<usize> = lookup_costs(&store, 5).iter().map(|c| c.0).collect();
+        let all_blocks: usize = blocks.iter().sum();
+        // Raw tier off, and a decoded tier that holds exactly the blocks of
+        // the two most recently read segments.
+        let store = store
+            .with_cache_capacity(blocks[1] + blocks[2])
             .with_raw_capacity(0);
         let cold = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         assert_eq!(cold.access.cold_loads, 3);
         assert_eq!(cold.access.cache_hits, 0);
+        assert_eq!(cold.access.blocks_read, all_blocks);
+        assert_eq!(cold.access.block_hits, 0);
         assert!(cold.access.bytes_read > 0);
-        // Capacity 2 holds the two most recent segments; a pruned lookup
-        // touching only the last-loaded segment is served entirely warm.
+        // A pruned lookup touching only the last-read segment is served
+        // entirely warm.
         let last = QueryFilter::for_stream(StreamId(1));
         let warm = store.lookup(ClassId(5), &last).unwrap();
         assert_eq!(warm.access.segments_considered, 1);
         assert_eq!(warm.access.cache_hits, 1);
         assert_eq!(warm.access.cold_loads, 0);
-        // A full sequential rescan of 3 segments thrashes a 2-entry LRU:
-        // every access evicts the entry the next access needs.
+        assert_eq!(warm.access.block_hits, blocks[2]);
+        assert_eq!(warm.access.blocks_read, 0);
+        // A full sequential rescan thrashes an LRU smaller than the working
+        // set: every fetch evicts the block the scan needs next, and with no
+        // raw tier every miss goes to disk.
         let rescan = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         assert_eq!(rescan.access.cold_loads, 3);
+        assert_eq!(rescan.access.blocks_read, all_blocks);
+        assert_eq!(rescan.access.block_hits, 0);
+        assert_eq!(rescan.access.block_raw_hits, 0);
+        assert_eq!(rescan.records, cold.records);
         // A large-capacity store is fully warm on the second pass.
         let (store, _) = SegmentStore::open(&dir).unwrap();
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         let warm = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         assert_eq!(warm.access.cache_hits, 3);
         assert_eq!(warm.access.cold_loads, 0);
+        assert_eq!(warm.access.block_hits, all_blocks);
         assert_eq!(warm.access.bytes_read, 0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1857,22 +1658,44 @@ mod tests {
     #[test]
     fn raw_tier_rescues_decoded_evictions_without_disk() {
         let dir = test_dir("raw_tier");
-        // Decoded tier too small for the working set, raw tier roomy: the
-        // rescan that used to thrash to disk is served by re-decoding.
-        let store = populated_json(&dir).with_cache_capacity(2);
-        let cold = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(cold.access.cold_loads, 3);
-        let rescan = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(rescan.access.cold_loads, 0);
-        assert_eq!(rescan.access.cache_hits, 3);
-        assert_eq!(rescan.access.block_raw_hits, 3);
-        assert_eq!(rescan.access.bytes_read, 0);
-        assert_eq!(rescan.records, cold.records);
+        // One segment, the first half of its records class 1 and the second
+        // half class 2: each class's keys live in their own record blocks,
+        // so the two lookups share nothing but the footer.
+        let mut store = SegmentStore::create(&dir).unwrap();
+        let records: Vec<ClusterRecord> = (0..256u64)
+            .map(|local| record(0, local, 1 + (local / 128) as u16, local as f64))
+            .collect();
+        store.seal(&segment_of(&records)).unwrap();
+        let (blocks, raw_bytes) = lookup_costs(&store, 1)[0];
+        let (other_blocks, other_raw_bytes) = lookup_costs(&store, 2)[0];
+        assert_eq!(other_blocks, blocks);
+        assert!(blocks > 3, "each class must span several record blocks");
+        // The decoded tier holds one lookup's blocks, not two: alternating
+        // the classes evicts every block of the other class, while the
+        // footer (touched first by every lookup) stays resident.
+        let store = store.with_cache_capacity(blocks);
+        let first = store.lookup(ClassId(1), &QueryFilter::any()).unwrap();
+        assert_eq!(first.access.cold_loads, 1);
+        assert_eq!(first.access.blocks_read, blocks);
+        let other = store.lookup(ClassId(2), &QueryFilter::any()).unwrap();
+        assert_eq!(other.access.block_hits, 1, "the footer");
+        assert_eq!(other.access.blocks_read, blocks - 1);
+        let disk_reads = store.cache_occupancy().disk_reads;
+        assert_eq!(disk_reads as usize, 2 * blocks - 1);
+        // The evicted blocks are re-decoded from the raw tier, never re-read.
+        let again = store.lookup(ClassId(1), &QueryFilter::any()).unwrap();
+        assert_eq!(again.records, first.records);
+        assert_eq!(again.access.cold_loads, 0);
+        assert_eq!(again.access.cache_hits, 1);
+        assert_eq!(again.access.block_hits, 1, "the footer");
+        assert_eq!(again.access.block_raw_hits, blocks - 1);
+        assert_eq!(again.access.blocks_read, 0);
+        assert_eq!(again.access.bytes_read, 0);
         let occ = store.cache_occupancy();
-        assert_eq!(occ.raw_entries, 3);
-        assert!(occ.raw_occupancy_bytes > 0);
-        assert_eq!(occ.disk_reads, 3);
-        assert_eq!(occ.raw_hits, 3);
+        assert_eq!(occ.disk_reads, disk_reads);
+        assert_eq!(occ.raw_hits as usize, blocks - 1);
+        assert_eq!(occ.raw_entries, 2 * (blocks - 1));
+        assert_eq!(occ.raw_occupancy_bytes, raw_bytes + other_raw_bytes);
         assert!(occ.raw_hit_rate() > 0.0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -2020,19 +1843,15 @@ mod tests {
             track: TrackId(3),
         }));
 
-        // JSON segments answer identically: sketches ride the snapshot.
-        let json_dir = test_dir("sketches_store_json");
-        let mut json_store = SegmentStore::create(&json_dir)
-            .unwrap()
-            .with_seal_format(SegmentFormat::Json);
-        json_store.seal(&sketched_index(0, 0, 0.0, 7)).unwrap();
-        json_store.seal(&sketched_index(0, 1, 100.0, 7)).unwrap();
-        json_store.seal(&sketched_index(1, 2, 0.0, 3)).unwrap();
-        let (from_json, _) = json_store.sketches(&QueryFilter::any()).unwrap();
-        assert_eq!(from_json, all);
+        // Resident whole indexes answer identically to the tracks blocks:
+        // sketches ride the decoded index too.
+        store.merged_index().unwrap();
+        let (from_whole, whole_access) = store.sketches(&QueryFilter::any()).unwrap();
+        assert_eq!(from_whole, all);
+        assert_eq!(whole_access.block_hits, 3);
+        assert_eq!(whole_access.blocks_read, 0);
 
         fs::remove_dir_all(&dir).ok();
-        fs::remove_dir_all(&json_dir).ok();
     }
 
     #[test]
@@ -2084,8 +1903,9 @@ mod tests {
         let expected = persist::to_json(&store.merged_index().unwrap()).unwrap();
         drop(store);
         // A crash mid-write leaves a temp file; a crash between segment
-        // rename and manifest update leaves a complete but unlisted segment
-        // — of either format.
+        // rename and manifest update leaves a complete but unlisted segment;
+        // a `.json` leftover from a store that once held JSON segments is
+        // swept the same way.
         fs::write(dir.join("seg-000099.json.tmp"), "{\"partial").unwrap();
         fs::write(
             dir.join("seg-000098.json"),
@@ -2180,51 +2000,6 @@ mod tests {
     }
 
     #[test]
-    fn migrate_format_rewrites_json_segments_one_at_a_time() {
-        let dir = test_dir("migrate");
-        let mut store = populated_json(&dir);
-        let before = persist::to_json(&store.merged_index().unwrap()).unwrap();
-        let old_files: Vec<String> = store.segments().iter().map(|m| m.file.clone()).collect();
-
-        // Budget 1 migrates exactly one segment, leaving a mixed store.
-        assert_eq!(store.migrate_format(1).unwrap(), 1);
-        assert_eq!(store.segments()[0].format, SegmentFormat::Binary);
-        assert_eq!(store.segments()[1].format, SegmentFormat::Json);
-        assert!(!dir.join(&old_files[0]).exists());
-        assert!(dir.join(&store.segments()[0].file).exists());
-        // The mixed-format store answers identically.
-        assert_eq!(
-            persist::to_json(&store.merged_index().unwrap()).unwrap(),
-            before
-        );
-        let lookup = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(lookup.records.len(), 4);
-        // And reopens cleanly mid-migration.
-        let (mut reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(
-            persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
-            before
-        );
-
-        // A large budget finishes the job; another call is a no-op.
-        assert_eq!(reopened.migrate_format(usize::MAX).unwrap(), 2);
-        assert!(reopened
-            .segments()
-            .iter()
-            .all(|m| m.format == SegmentFormat::Binary));
-        assert_eq!(reopened.migrate_format(usize::MAX).unwrap(), 0);
-        assert_eq!(
-            persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
-            before
-        );
-        for file in &old_files {
-            assert!(!dir.join(file).exists(), "JSON original {file} must go");
-        }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn prefetch_warms_manifest_adjacent_segments() {
         let dir = test_dir("prefetch");
         let store = populated(&dir);
@@ -2248,20 +2023,26 @@ mod tests {
     #[test]
     fn cache_occupancy_tracks_both_tiers() {
         let dir = test_dir("occupancy");
-        let store = populated_json(&dir).with_cache_capacity(2);
+        let store = populated(&dir);
+        let costs = lookup_costs(&store, 5);
+        let blocks: usize = costs.iter().map(|c| c.0).sum();
+        let raw_bytes: u64 = costs.iter().map(|c| c.1).sum();
+        let capacity = blocks - costs[0].0;
+        let store = store.with_cache_capacity(capacity);
         let empty = store.cache_occupancy();
         assert_eq!(empty.occupancy, 0);
-        assert_eq!(empty.capacity, 2);
+        assert_eq!(empty.capacity, capacity);
         assert_eq!(empty.fill_fraction(), 0.0);
         assert_eq!(empty.decoded_hit_rate(), 0.0);
         assert_eq!(empty.raw_hit_rate(), 0.0);
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         let full = store.cache_occupancy();
-        assert_eq!(full.occupancy, 2, "3 segments thrash a 2-entry LRU");
+        assert_eq!(full.occupancy, capacity, "the scan overflows the LRU");
         assert_eq!(full.fill_fraction(), 1.0);
-        assert_eq!(full.disk_reads, 3);
-        assert_eq!(full.raw_entries, 3);
-        assert!(full.raw_occupancy_bytes > 0);
+        assert_eq!(full.disk_reads as usize, blocks);
+        // Every block but the three footers also sits in the raw tier.
+        assert_eq!(full.raw_entries, blocks - 3);
+        assert_eq!(full.raw_occupancy_bytes, raw_bytes);
         assert!(full.raw_fill_fraction() > 0.0);
         assert_eq!(full.raw_capacity_bytes, DEFAULT_RAW_CACHE_BYTES);
         assert_eq!(LruOccupancy::default().fill_fraction(), 0.0);
@@ -2311,7 +2092,7 @@ mod tests {
                 expected: 1,
             }),
             SegmentError::Corrupt {
-                path: PathBuf::from("/s/seg-000001.json"),
+                path: PathBuf::from("/s/seg-000001.bin"),
                 expected: 1,
                 found: 2,
             },

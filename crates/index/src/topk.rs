@@ -323,28 +323,6 @@ impl TopKIndex {
         }
         replaced
     }
-
-    /// Builds one index out of per-shard ingest outputs.
-    ///
-    /// Shards are merged in iteration order; because per-stream keys are
-    /// disjoint the result is independent of shard scheduling, which is what
-    /// makes parallel sharded ingest byte-identical to a serial run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two shards contain a record with the same key (meaning two
-    /// shards ingested the same stream).
-    pub fn from_shards(shards: impl IntoIterator<Item = TopKIndex>) -> TopKIndex {
-        let mut merged = TopKIndex::new();
-        for shard in shards {
-            let replaced = merged.merge(shard);
-            assert_eq!(
-                replaced, 0,
-                "shard outputs must be key-disjoint (one shard per stream)"
-            );
-        }
-        merged
-    }
 }
 
 #[cfg(test)]
@@ -506,27 +484,6 @@ mod tests {
         for record in owned.clusters() {
             assert_eq!(borrowed.get(record.key), Some(record));
         }
-    }
-
-    #[test]
-    fn from_shards_merges_disjoint_streams() {
-        let mut a = TopKIndex::new();
-        a.insert(record(0, 0, &[0], 1, 0.0));
-        let mut b = TopKIndex::new();
-        b.insert(record(1, 0, &[0], 1, 0.0));
-        let merged = TopKIndex::from_shards([a, b]);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged.streams(), vec![StreamId(0), StreamId(1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "key-disjoint")]
-    fn from_shards_rejects_overlapping_streams() {
-        let mut a = TopKIndex::new();
-        a.insert(record(0, 0, &[0], 1, 0.0));
-        let mut b = TopKIndex::new();
-        b.insert(record(0, 0, &[0], 1, 0.0));
-        let _ = TopKIndex::from_shards([a, b]);
     }
 
     #[test]

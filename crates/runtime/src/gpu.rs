@@ -36,7 +36,7 @@ pub struct GpuMeter {
     inner: Arc<Mutex<PhaseBreakdown>>,
 }
 
-// The sharded ingest layer hands meter clones to worker threads; this
+// The ingest and query layers hand meter clones to worker threads; this
 // compile-time assertion keeps the meter's cross-thread shareability an
 // explicit API guarantee rather than an accident of its field types.
 const _: () = {

@@ -27,8 +27,7 @@ pub struct IoStats {
     pub cache_hits: usize,
     /// Bytes read from disk across all cold loads.
     pub bytes_read: u64,
-    /// Block fetches that went to disk (binary segments read per-block; a
-    /// whole-file JSON read counts as one block).
+    /// Block fetches that went to disk.
     #[serde(default)]
     pub block_loads: usize,
     /// Block fetches served by re-decoding bytes held in the raw cache tier.
@@ -144,7 +143,7 @@ impl IoMeter {
 }
 
 /// A simple latency model for cold segment loads: a fixed per-load cost
-/// (open + seek + decode setup) plus a per-byte cost (read + JSON decode
+/// (open + seek + decode setup) plus a per-byte cost (read + decode
 /// throughput).
 ///
 /// ```text
@@ -177,7 +176,7 @@ pub struct SegmentLoadCost {
 impl Default for SegmentLoadCost {
     fn default() -> Self {
         // ~2 ms fixed per segment open and ~500 MB/s sustained read+decode:
-        // conservative numbers for JSON segments on local SSD.
+        // conservative numbers for segments on local SSD.
         Self {
             secs_per_load: 2e-3,
             secs_per_byte: 2e-9,

@@ -4,9 +4,9 @@
 //! and parallelizes a query's GT-CNN work across idle worker processes. The
 //! [`WorkerPool`] here reproduces that structure with threads and serves both
 //! sides of the system: the query path maps the GT-CNN over cluster
-//! centroids with [`map`](WorkerPool::map), and the sharded ingest layer
-//! runs one heterogeneous job per stream shard with
-//! [`run_jobs`](WorkerPool::run_jobs).
+//! centroids and the segmented ingest driver maps one pipeline over each
+//! stream shard with [`map`](WorkerPool::map), itself built on the
+//! heterogeneous-job primitive [`run_jobs`](WorkerPool::run_jobs).
 //!
 //! Jobs are distributed over crossbeam channels; results are gathered and
 //! returned **in submission order** regardless of which worker finished

@@ -5,10 +5,8 @@
 //!
 //! The workspace reproduces the system described in *"Focus: Querying Large
 //! Video Datasets with Low Latency and Low Cost"* (Hsieh et al., OSDI
-//! 2018). See `README.md` for the architecture overview, `DESIGN.md` for
-//! the system inventory and the substitutions made for unavailable
-//! hardware/data, and `EXPERIMENTS.md` for the paper-vs-measured record of
-//! every table and figure.
+//! 2018). See `README.md` for the architecture overview and `docs/` for
+//! the storage, query-path, service and fleet walkthroughs.
 //!
 //! # Crate map
 //!
@@ -17,9 +15,9 @@
 //! | [`video`] | `focus-video` | Synthetic stream substrate: the 13 Table-1 stream profiles, frame/object/track generation, motion filtering, frame sampling |
 //! | [`cnn`] | `focus-cnn` | Simulated CNN substrate: ground-truth CNN, compressed cheap CNNs, per-stream specialization, feature vectors, GPU cost model |
 //! | [`cluster`] | `focus-cluster` | Single-pass incremental clustering |
-//! | [`index`] | `focus-index` | The top-K inverted index with camera/time/Kx filtering, shard merging and persistence |
+//! | [`index`] | `focus-index` | The top-K inverted index with camera/time/Kx filtering, merging and the durable segment store |
 //! | [`runtime`] | `focus-runtime` | GPU accounting, the GPU-cluster latency model, the reusable worker pool, the shared ingest/query `GpuScheduler` |
-//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, batch/streaming/sharded ingest drivers, the query subsystem (serial engine plus the concurrent, batched, cached `QueryServer`), the live `FocusService`, parameter selection, policies, baselines, experiment runner |
+//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, batch, segmented and live ingest drivers, the query subsystem (serial engine plus the concurrent, batched, cached `QueryServer`), the live `FocusService`, parameter selection, policies, baselines, experiment runner |
 //!
 //! # Quick start
 //!
@@ -51,8 +49,8 @@
 //!
 //! A multi-camera recording is ingested shard-parallel — one
 //! [`FramePipeline`](focus_core::pipeline::FramePipeline) per stream on a
-//! worker pool — and merged into one index; the result is byte-identical to
-//! a serial run for any shard count:
+//! worker pool — sealed into a segment store and merged into one index; the
+//! result is byte-identical for any shard count:
 //!
 //! ```
 //! use focus::prelude::*;
@@ -65,14 +63,19 @@
 //!     })
 //!     .collect();
 //!
+//! let dir = std::env::temp_dir().join("focus_facade_multi_camera_doc");
+//! let _ = std::fs::remove_dir_all(&dir);
+//! let mut store = focus::index::SegmentStore::create(&dir).unwrap();
 //! let meter = focus::runtime::GpuMeter::new();
-//! let sharded = ShardedIngest::new(
+//! let ingest = SegmentedIngest::new(
 //!     IngestCnn::generic(focus::cnn::ModelSpec::cheap_cnn_1()),
 //!     IngestParams::default(),
+//!     SealPolicy::every_secs(10.0),
 //!     2, // shards (worker threads)
 //! );
-//! let combined = sharded.ingest(&datasets, &meter).into_combined();
+//! let combined = ingest.ingest_to_store(&datasets, &mut store, &meter).unwrap().combined;
 //! assert_eq!(combined.index.streams().len(), 2);
+//! assert_eq!(store.merged_index().unwrap().len(), combined.index.len());
 //!
 //! let engine = QueryEngine::new(
 //!     focus::cnn::GroundTruthCnn::resnet152(),
@@ -81,6 +84,7 @@
 //! let class = datasets[0].dominant_classes(1)[0];
 //! let result = engine.query(&combined, class, &focus::index::QueryFilter::any(), &meter);
 //! assert!(result.matched_clusters > 0);
+//! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 //!
 //! # Concurrent query serving

@@ -1,11 +1,11 @@
-//! Integration test: multi-camera ingestion through the sharded pipeline
+//! Integration test: multi-camera ingestion through the segmented driver
 //! into one merged index, with camera- and time-restricted queries (the
 //! paper's query formulation in §3 allows restricting a query to a subset
 //! of cameras and a time range).
 
 use focus::cnn::{GroundTruthCnn, ModelSpec};
-use focus::core::{IngestCnn, IngestParams, QueryEngine, ShardedIngest};
-use focus::index::QueryFilter;
+use focus::core::{IngestCnn, IngestParams, QueryEngine, SealPolicy, SegmentedIngest};
+use focus::index::{QueryFilter, SegmentStore};
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{StreamId, VideoDataset};
@@ -20,16 +20,23 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
     let stream_ids: Vec<StreamId> = datasets.iter().map(|d| d.profile.stream_id).collect();
 
     // One shard per camera, ingested in parallel and merged.
-    let sharded = ShardedIngest::new(
+    let ingest = SegmentedIngest::new(
         IngestCnn::generic(ModelSpec::cheap_cnn_1()),
         IngestParams {
             k: 10,
             ..IngestParams::default()
         },
+        SealPolicy::default(),
         cameras.len(),
     );
+    let dir = std::env::temp_dir().join("focus_multi_camera");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = SegmentStore::create(&dir).unwrap();
     let meter = GpuMeter::new();
-    let combined = sharded.ingest(&datasets, &meter).into_combined();
+    let combined = ingest
+        .ingest_to_store(&datasets, &mut store, &meter)
+        .unwrap()
+        .combined;
     assert_eq!(combined.index.streams(), {
         let mut ids = stream_ids.clone();
         ids.sort();
@@ -65,4 +72,5 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
     let nothing = query_engine.query(&combined, class, &ghost, &meter);
     assert_eq!(nothing.matched_clusters, 0);
     assert!(nothing.frames.is_empty());
+    std::fs::remove_dir_all(&dir).ok();
 }

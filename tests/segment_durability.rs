@@ -8,10 +8,14 @@ use proptest::prelude::*;
 
 use focus::cnn::{GroundTruthCnn, ModelSpec};
 use focus::core::segment_ingest::{SealPolicy, SegmentedIngest, SegmentedIngestOutput};
-use focus::core::{IngestCnn, IngestParams, QueryRequest, QueryServer, SegmentedCorpus};
+use focus::core::{
+    FocusService, IngestCnn, IngestParams, QueryRequest, QueryServer, SegmentedCorpus,
+    ServiceConfig,
+};
+use focus::index::persist::{self, PersistError};
 use focus::index::{
-    binseg, persist, ClusterKey, ClusterRecord, MemberRef, QueryFilter, SegmentError,
-    SegmentFormat, SegmentStore, TopKIndex,
+    binseg, ClusterKey, ClusterRecord, Manifest, MemberRef, QueryFilter, SegmentError,
+    SegmentStore, TopKIndex,
 };
 use focus::runtime::{GpuClusterSpec, GpuMeter, IoMeter};
 use focus::video::profile::profile_by_name;
@@ -50,19 +54,9 @@ fn build(
     policy: SealPolicy,
     shards: usize,
 ) -> (Vec<VideoDataset>, SegmentedIngestOutput, PathBuf) {
-    build_with_format(name, secs, policy, shards, SegmentFormat::Binary)
-}
-
-fn build_with_format(
-    name: &str,
-    secs: f64,
-    policy: SealPolicy,
-    shards: usize,
-    format: SegmentFormat,
-) -> (Vec<VideoDataset>, SegmentedIngestOutput, PathBuf) {
     let datasets = workload(secs);
     let dir = test_dir(name);
-    let mut store = SegmentStore::create(&dir).unwrap().with_seal_format(format);
+    let mut store = SegmentStore::create(&dir).unwrap();
     let output = segmented(policy, shards)
         .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
         .unwrap();
@@ -75,19 +69,58 @@ fn server() -> QueryServer {
 
 /// Satellite: round-trip save/open across 1/2/4 shards asserting
 /// canonical-JSON equality between the store (reopened from disk) and the
-/// in-memory combined index.
+/// in-memory combined index — and that the pool width changes nothing a
+/// caller can observe: index and GPU accounting are bitwise what
+/// per-dataset [`IngestEngine`](focus::core::IngestEngine) runs produce.
 #[test]
 fn store_roundtrip_matches_in_memory_index_across_shard_counts() {
     let datasets = workload(45.0);
+    let bits = |cost: focus::cnn::GpuCost| cost.seconds().to_bits();
+    let ingest = |policy, shards, datasets: &[VideoDataset], name: &str, meter: &GpuMeter| {
+        let dir = test_dir(&format!("roundtrip_{name}_{shards}"));
+        let mut store = SegmentStore::create(&dir).unwrap();
+        let output = segmented(policy, shards)
+            .ingest_to_store(datasets, &mut store, meter)
+            .unwrap();
+        (output, dir)
+    };
+
+    // One shard is one direct engine run: the driver adds nothing and loses
+    // nothing. (Sealed as a single segment — a seal boundary closes the
+    // clusters open across it, so only that run compares to the engine's.)
+    let whole = SealPolicy::every_secs(f64::INFINITY);
+    let engine = segmented(whole, 1).engine().clone();
+    let direct_meter = GpuMeter::new();
+    let mut direct_index = TopKIndex::new();
+    for dataset in &datasets {
+        let direct = engine.ingest(dataset, &direct_meter);
+        let one = std::slice::from_ref(dataset);
+        let (single, dir) = ingest(whole, 1, one, "single", &GpuMeter::new());
+        assert_eq!(bits(single.combined.gpu_cost), bits(direct.gpu_cost));
+        assert_eq!(direct_index.merge(direct.index), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    let direct_index = persist::to_json(&direct_index).unwrap();
+
     let mut canonical: Option<String> = None;
     for shards in [1usize, 2, 4] {
-        let dir = test_dir(&format!("roundtrip_{shards}"));
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let output = segmented(SealPolicy::every_secs(15.0), shards)
-            .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-            .unwrap();
-        drop(store);
+        // At any width the whole workload equals the per-dataset engine
+        // runs charged in workload order, bit for bit.
+        let meter = GpuMeter::new();
+        let (output, dir) = ingest(whole, shards, &datasets, "whole", &meter);
+        let combined = output.combined;
+        assert_eq!(persist::to_json(&combined.index).unwrap(), direct_index);
+        for (got, want) in [
+            (meter.total(), direct_meter.total()),
+            (meter.phase("ingest"), direct_meter.phase("ingest")),
+            (combined.gpu_cost, direct_meter.total()),
+        ] {
+            assert_eq!(bits(got), bits(want), "shards={shards}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
 
+        let policy = SealPolicy::every_secs(15.0);
+        let (output, dir) = ingest(policy, shards, &datasets, "sealed", &GpuMeter::new());
         let (reopened, report) = SegmentStore::open(&dir).unwrap();
         assert!(report.is_clean(), "shards={shards}: {report:?}");
         let from_disk = persist::to_json(&reopened.merged_index().unwrap()).unwrap();
@@ -119,6 +152,9 @@ fn time_filtered_queries_are_identical_and_open_fewer_segments() {
             [
                 QueryRequest::new(*c).with_filter(QueryFilter::any().with_time_range(0.0, 10.0)),
                 QueryRequest::new(*c).with_filter(QueryFilter::any().with_time_range(30.0, 44.0)),
+                QueryRequest::new(*c),
+                QueryRequest::new(*c)
+                    .with_filter(QueryFilter::any().with_time_range(10.0, 40.0).with_kx(3)),
             ]
         })
         .collect();
@@ -139,10 +175,11 @@ fn time_filtered_queries_are_identical_and_open_fewer_segments() {
     }
 
     // Strictly fewer segments opened than the store holds, per query and in
-    // total: every request above spans at most half the timeline.
+    // total: every time-restricted request above spans at most half the
+    // timeline.
     let total_segments = corpus.store().len();
     assert!(total_segments >= 8, "expected a well-segmented store");
-    for request in &requests {
+    for request in requests.iter().filter(|r| r.filter.time_range.is_some()) {
         let planned = corpus.plan(request).unwrap();
         assert!(
             planned.access.segments_considered < total_segments,
@@ -223,138 +260,66 @@ fn kill_between_writes_recovers_every_sealed_segment() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Acceptance criterion: the binary segment format answers every query
-/// byte-identically to the JSON (whole-file) format — through the pruned
-/// query server as well as canonically via the merged index.
+/// Satellite: a store from before binary became the only segment format —
+/// its manifest lists a `"format":"Json"` segment or, older still, carries
+/// no format tag at all — is refused with a typed error naming the
+/// manifest, and the refusal touches nothing: no sweep of the stray temp
+/// file, no quarantine, no manifest rewrite.
 #[test]
-fn binary_and_json_sealed_stores_answer_byte_identically() {
-    let policy = || SealPolicy::every_secs(15.0);
-    let (datasets, json_output, json_dir) =
-        build_with_format("fmt_json", 45.0, policy(), 2, SegmentFormat::Json);
-    let (_, bin_output, bin_dir) =
-        build_with_format("fmt_bin", 45.0, policy(), 2, SegmentFormat::Binary);
+fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
+    let mut index = TopKIndex::new();
+    index.insert(ClusterRecord {
+        key: ClusterKey::new(StreamId(0), 0),
+        centroid_object: ObjectId(0),
+        centroid_frame: FrameId(0),
+        top_k_classes: vec![ClassId(7)],
+        members: Vec::new(),
+        start_secs: 0.0,
+        end_secs: 5.0,
+    });
+    let segment = persist::to_json(&index).unwrap();
+    let checksum = focus::index::manifest::fnv1a64(segment.as_bytes());
+    let listing = |dir: &PathBuf| -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .map(|entry| (entry.file_name(), std::fs::read(entry.path()).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
 
-    let (json_store, report) = SegmentStore::open(&json_dir).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    let (bin_store, report) = SegmentStore::open(&bin_dir).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    assert!(json_store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Json && m.file.ends_with(".json")));
-    assert!(bin_store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Binary && m.file.ends_with(".bin")));
-
-    // The canonical merged bytes agree across formats.
-    assert_eq!(
-        persist::to_json(&json_store.merged_index().unwrap()).unwrap(),
-        persist::to_json(&bin_store.merged_index().unwrap()).unwrap()
-    );
-
-    // So does everything the query server returns, filtered or not.
-    let classes = datasets[0].dominant_classes(3);
-    let requests: Vec<QueryRequest> = classes
-        .iter()
-        .flat_map(|c| {
-            [
-                QueryRequest::new(*c),
-                QueryRequest::new(*c).with_filter(QueryFilter::any().with_time_range(0.0, 20.0)),
-                QueryRequest::new(*c)
-                    .with_filter(QueryFilter::any().with_time_range(10.0, 40.0).with_kx(3)),
-            ]
-        })
-        .collect();
-    let json_corpus = SegmentedCorpus::from_output(json_store, &json_output);
-    let bin_corpus = SegmentedCorpus::from_output(bin_store, &bin_output);
-    let from_json = server()
-        .serve_segmented(&json_corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    let from_bin = server()
-        .serve_segmented(&bin_corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    let reference = server().serve(&bin_output.combined, &requests, &GpuMeter::new());
-    let canonical = serde_json::to_string(&reference).unwrap();
-    assert_eq!(serde_json::to_string(&from_json).unwrap(), canonical);
-    assert_eq!(serde_json::to_string(&from_bin).unwrap(), canonical);
-    std::fs::remove_dir_all(&json_dir).ok();
-    std::fs::remove_dir_all(&bin_dir).ok();
-}
-
-/// Satellite: format migration rewrites a JSON store to binary one segment
-/// at a time; the mixed-format store keeps serving byte-identical results
-/// mid-migration, reopens cleanly, and ends fully binary with the legacy
-/// files gone.
-#[test]
-fn migration_serves_identically_mid_and_post() {
-    let (datasets, output, dir) = build_with_format(
-        "migrate",
-        45.0,
-        SealPolicy::every_secs(15.0),
-        2,
-        SegmentFormat::Json,
-    );
-    let classes = datasets[0].dominant_classes(2);
-    let requests: Vec<QueryRequest> = classes
-        .iter()
-        .flat_map(|c| {
-            [
-                QueryRequest::new(*c),
-                QueryRequest::new(*c).with_filter(QueryFilter::any().with_time_range(5.0, 30.0)),
-            ]
-        })
-        .collect();
-    let reference =
-        serde_json::to_string(&server().serve(&output.combined, &requests, &GpuMeter::new()))
-            .unwrap();
-
-    let (mut store, report) = SegmentStore::open(&dir).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    let total = store.len();
-    assert!(store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Json));
-
-    // One segment at a time: after the first step the store is mixed.
-    assert_eq!(store.migrate_format(1).unwrap(), 1);
-    let formats: Vec<SegmentFormat> = store.segments().iter().map(|m| m.format).collect();
-    assert!(formats.contains(&SegmentFormat::Binary));
-    assert!(formats.contains(&SegmentFormat::Json));
-    let mixed_corpus = SegmentedCorpus::from_output(store, &output);
-    let mid = server()
-        .serve_segmented(&mixed_corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    assert_eq!(serde_json::to_string(&mid).unwrap(), reference);
-    drop(mixed_corpus);
-
-    // The mixed store reopens cleanly (the manifest never dangles), and an
-    // unbounded budget finishes the rewrite.
-    let (mut store, report) = SegmentStore::open(&dir).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(store.migrate_format(usize::MAX).unwrap(), total - 1);
-    assert!(store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Binary && m.file.ends_with(".bin")));
-    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        assert!(
-            !(name.starts_with("seg-") && name.ends_with(".json")),
-            "legacy segment file left behind: {name}"
+    for (name, tag) in [("tagged", ",\"format\":\"Json\""), ("untagged", "")] {
+        let dir = test_dir(&format!("legacy_{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("seg-000000.json"), &segment).unwrap();
+        let manifest = dir.join("MANIFEST.json");
+        let entry = format!(
+            "{{\"id\":0,\"file\":\"seg-000000.json\",\"t_start\":0.0,\"t_end\":5.0,\
+             \"streams\":[0],\"clusters\":1,\"checksum\":{checksum}{tag}}}"
         );
+        let json = format!("{{\"version\":1,\"next_segment_id\":1,\"segments\":[{entry}]}}");
+        std::fs::write(&manifest, json).unwrap();
+        // Bait for the open-time sweep, should it ever run.
+        std::fs::write(dir.join("seg-000001.bin.tmp"), b"partial").unwrap();
+        let before = listing(&dir);
+
+        let gt = GroundTruthCnn::resnet152();
+        for refused in [
+            Manifest::load(&manifest).map(|_| ()).map_err(Into::into),
+            SegmentStore::open(&dir).map(|_| ()),
+            FocusService::recover(&dir, ServiceConfig::default(), gt).map(|_| ()),
+        ] {
+            match refused {
+                Err(SegmentError::Persist(e @ PersistError::Format { .. })) => {
+                    assert_eq!(e.path(), Some(manifest.as_path()), "{e}")
+                }
+                other => panic!("expected a manifest format error, got {other:?}"),
+            }
+        }
+        assert_eq!(listing(&dir), before);
+        std::fs::remove_dir_all(&dir).ok();
     }
-    let corpus = SegmentedCorpus::from_output(store, &output);
-    let post = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    assert_eq!(serde_json::to_string(&post).unwrap(), reference);
-    assert_eq!(
-        persist::to_json(&corpus.store().merged_index().unwrap()).unwrap(),
-        persist::to_json(&output.combined.index).unwrap()
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Satellite regression: a bit flipped inside a binary record block after
@@ -365,7 +330,6 @@ fn migration_serves_identically_mid_and_post() {
 fn bit_flipped_binary_block_fails_block_checksum_at_lookup() {
     let (_, output, dir) = build("block_corrupt", 45.0, SealPolicy::every_secs(15.0), 2);
     let victim = output.sealed[1].clone();
-    assert_eq!(victim.format, SegmentFormat::Binary);
 
     // The class held by the victim's first record block, discovered via a
     // scratch handle so the store under test caches nothing.
