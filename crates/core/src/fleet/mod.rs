@@ -893,14 +893,8 @@ impl FleetCoordinator {
             .zip(&records)
             .zip(rejected)
             .map(|((request, records), rejected)| {
-                let mut candidates: Vec<CentroidHandle> = records
-                    .values()
-                    .map(|record| CentroidHandle {
-                        cluster: record.key,
-                        centroid: record.centroid_object,
-                        centroid_frame: record.centroid_frame,
-                    })
-                    .collect();
+                let mut candidates: Vec<CentroidHandle> =
+                    records.values().map(CentroidHandle::from).collect();
                 candidates.sort_unstable_by_key(|handle| handle.cluster);
                 QueryPlan {
                     class: request.class,

@@ -5,9 +5,9 @@
 //! cheap-CNN classification, incremental clustering and index-record
 //! emission — lives in [`crate::pipeline`]; this module owns the batch
 //! driver ([`IngestEngine`]), the ingest model handle ([`IngestCnn`]) and
-//! the output bookkeeping ([`IngestOutput`]). The live, frame-by-frame
-//! driver is [`FocusService`](crate::service::FocusService); the multi-stream
-//! parallel driver is [`SegmentedIngest`](crate::segment_ingest::SegmentedIngest).
+//! the output bookkeeping ([`IngestOutput`]). The live, frame-by-frame,
+//! durable driver is [`FocusService`](crate::service::FocusService); this
+//! one is the in-memory reference it is compared against.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -15,16 +15,18 @@
 //!   [`query_server::QueryServer`] serves many queries concurrently,
 //!   deduplicating and batching the centroid verifications and memoizing
 //!   verdicts in a cross-query cache (see `docs/query-path.md`).
-//! * **Durable storage** ([`segment_ingest`], [`query::segmented`]):
-//!   ingest seals the index into immutable time-partitioned segments under
-//!   a crash-safe manifest, and time/camera-restricted queries open only
-//!   the segments whose bounds intersect (see `docs/storage.md`).
-//! * **Live serving** ([`service`]): the long-lived
-//!   [`service::FocusService`] interleaves ingest ticks with
-//!   query waves — queries see a snapshot-consistent union of sealed
-//!   segments and the in-memory hot tail, specialization retrains bump the
-//!   verdict-cache epoch automatically, and all GPU work shares one
-//!   scheduled budget (see `docs/service.md`).
+//! * **Durable storage and live serving** ([`service`],
+//!   [`segment_ingest`], [`query::segmented`]): the long-lived
+//!   [`service::FocusService`] is the one durable driver. It seals each
+//!   stream's index into immutable time-partitioned segments under a
+//!   crash-safe manifest (centroid observations persisted beside them, so a
+//!   recovered store is queryable), and time/camera-restricted queries open
+//!   only the segments whose bounds intersect (see `docs/storage.md`). It
+//!   interleaves ingest ticks with query waves — queries see a
+//!   snapshot-consistent union of sealed segments and the in-memory hot
+//!   tail, specialization retrains bump the verdict-cache epoch
+//!   automatically, and all GPU work shares one scheduled budget (see
+//!   `docs/service.md`).
 //! * **Parameter selection** ([`params`]): the sweep over (cheap CNN, K,
 //!   Ls, T) on a GT-labelled sample, the Pareto frontier of ingest cost vs
 //!   query latency, and the Opt-Ingest / Balance / Opt-Query policies.
@@ -100,7 +102,7 @@ pub use params::{
 pub use pipeline::{FramePipeline, PipelineOutput, PipelineStats, TailPart};
 pub use query::{QueryEngine, QueryOutcome, QueryPlan, QueryRequest, SegmentedCorpus, TailOverlay};
 pub use query_server::{CacheStats, QueryServer};
-pub use segment_ingest::{SealPolicy, SegmentedIngest, SegmentedIngestOutput, StreamSegmenter};
+pub use segment_ingest::{SealPolicy, StreamSegmenter};
 pub use service::{AdvanceReport, FocusService, MaintenanceReport, ServiceConfig, ServiceStats};
 pub use serving::{
     Completed, Overloaded, RequestPlane, Response, ServingConfig, ServingStats, ShedReason,
@@ -120,7 +122,7 @@ pub mod prelude {
     pub use crate::pipeline::FramePipeline;
     pub use crate::query::{QueryEngine, QueryOutcome, QueryRequest, SegmentedCorpus};
     pub use crate::query_server::{CacheStats, QueryServer};
-    pub use crate::segment_ingest::{SealPolicy, SegmentedIngest};
+    pub use crate::segment_ingest::SealPolicy;
     pub use crate::service::{FocusService, ServiceConfig, ServiceStats};
     pub use crate::serving::{RequestPlane, ServingConfig, TenantConfig, TenantId};
     pub use crate::worker::StreamWorkerConfig;

@@ -7,10 +7,8 @@
 //!   dataset through one pipeline (batch driver);
 //! * [`FocusService`](crate::service::FocusService) pushes live frames
 //!   through one pipeline per stream, sealing an epoch whenever the
-//!   stream's model changes (streaming driver);
-//! * [`SegmentedIngest`](crate::segment_ingest::SegmentedIngest) runs one
-//!   pipeline per stream concurrently on a worker pool, sealing segments
-//!   into a store (multi-stream batch driver).
+//!   stream's model changes and draining segments into a durable store
+//!   (streaming driver).
 //!
 //! For every frame the pipeline
 //!
@@ -33,8 +31,8 @@
 //! Determinism: a pipeline's outputs are a pure function of the frame
 //! sequence, the parameters and the classifier. Cluster keys are assigned
 //! from a per-stream counter in epoch-seal order, so replaying the same
-//! stream always yields byte-identical cluster records — the property the
-//! segmented ingest driver relies on to stay byte-identical at any pool width.
+//! stream always yields byte-identical cluster records — the property that
+//! makes the live service's index byte-identical to a batch run's.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -439,9 +437,9 @@ impl FramePipeline {
     }
 
     /// Seals the live epoch, then drains every record sealed so far into a
-    /// standalone index — the unit the segmented ingest driver persists as
-    /// one immutable time-partitioned segment (see
-    /// [`SegmentedIngest`](crate::segment_ingest::SegmentedIngest)).
+    /// standalone index — the unit the service persists as one immutable
+    /// time-partitioned segment (see
+    /// [`StreamSegmenter`](crate::segment_ingest::StreamSegmenter)).
     ///
     /// Cluster keys keep counting monotonically across drains, so the
     /// drained indexes of one pipeline are key-disjoint by construction and

@@ -191,7 +191,7 @@ impl SegmentedCorpus {
             if chunk_records.is_empty() {
                 continue;
             }
-            let candidates = chunk_records.values().map(handle_of).collect();
+            let candidates = chunk_records.values().map(CentroidHandle::from).collect();
             chunks.push(AnytimeChunk {
                 source: ChunkSource::Segment(segment),
                 candidates,
@@ -200,7 +200,7 @@ impl SegmentedCorpus {
         }
         let tail_records = tail_hits.len();
         if !tail_hits.is_empty() {
-            let candidates = tail_hits.values().map(handle_of).collect();
+            let candidates = tail_hits.values().map(CentroidHandle::from).collect();
             chunks.push(AnytimeChunk {
                 source: ChunkSource::Tail,
                 candidates,
@@ -221,14 +221,6 @@ impl SegmentedCorpus {
             tail_records,
             track_scope,
         })
-    }
-}
-
-fn handle_of(record: &ClusterRecord) -> CentroidHandle {
-    CentroidHandle {
-        cluster: record.key,
-        centroid: record.centroid_object,
-        centroid_frame: record.centroid_frame,
     }
 }
 

@@ -232,11 +232,7 @@ impl QueryPlan {
                     .iter()
                     .any(|m| track_scope.admits(TrackKey::new(record.key.stream, m.track)))
             })
-            .map(|record| CentroidHandle {
-                cluster: record.key,
-                centroid: record.centroid_object,
-                centroid_frame: record.centroid_frame,
-            })
+            .map(CentroidHandle::from)
             .collect();
         QueryPlan {
             class: request.class,

@@ -10,10 +10,11 @@
 //! against the merged in-memory index while opening strictly fewer segments
 //! on time-restricted workloads (`tests/segment_durability.rs`).
 //!
-//! [`SegmentedCorpus`] is the query-side view of a segmented ingest run:
-//! the store plus the centroid observations and ingest model the
-//! verification stage needs. [`QueryServer::serve_segmented`] consumes its
-//! plans with the same dedupe/batch/cache machinery as the in-memory path.
+//! [`SegmentedCorpus`] is the query-side view of a durable corpus: the
+//! store plus the centroid observations and ingest model the verification
+//! stage needs. [`FocusService::serve`](crate::service::FocusService::serve)
+//! hands its plans to [`QueryServer::serve_resolved`], the same
+//! dedupe/batch/cache machinery as the in-memory path.
 //!
 //! **Live overlay** — a long-lived service also holds records that are not
 //! yet sealed to any segment (the hot tail of each stream's pipeline).
@@ -27,7 +28,7 @@
 //! the union needs no reconciliation and is byte-identical to sealing the
 //! tail first and planning over segments alone.
 //!
-//! [`QueryServer::serve_segmented`]: crate::query_server::QueryServer::serve_segmented
+//! [`QueryServer::serve_resolved`]: crate::query_server::QueryServer::serve_resolved
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -36,8 +37,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::OTHER_CLASS;
 use focus_index::{
-    ClusterKey, ClusterRecord, QueryFilter, SegmentAccess, SegmentError, SegmentStore, TopKIndex,
-    TrackKey,
+    ClusterKey, ClusterRecord, QueryFilter, SegmentAccess, SegmentError, SegmentStore, TrackKey,
 };
 use focus_video::{ClassId, ObjectId, ObjectObservation, StreamId};
 
@@ -45,7 +45,6 @@ use crate::ingest::IngestCnn;
 use crate::pipeline::TailPart;
 use crate::query::plan::{QueryPlan, QueryRequest};
 use crate::query::track::TrackScope;
-use crate::segment_ingest::SegmentedIngestOutput;
 
 /// The not-yet-sealed tail of a live corpus: one immutable [`TailPart`]
 /// per stream with pending records, each the
@@ -88,30 +87,6 @@ impl TailOverlay {
             part.stream().0
         );
         self.parts.push(part);
-    }
-
-    /// Adds one stream's tail snapshot by value — the
-    /// [`peek_segment`](crate::pipeline::FramePipeline::peek_segment)
-    /// shape. An index without records adds nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the part shares a cluster key with a previously added part
-    /// (per-stream keys are disjoint by construction; a collision means two
-    /// snapshots of the same stream were added), or if its records span
-    /// more than one stream.
-    pub fn add_part(&mut self, index: TopKIndex, centroids: HashMap<ObjectId, ObjectObservation>) {
-        let Some(stream) = index.clusters().next().map(|r| r.key.stream) else {
-            return;
-        };
-        assert!(
-            index
-                .clusters()
-                .all(|r| self.parts.iter().all(|p| p.index().get(r.key).is_none())),
-            "tail parts must be key-disjoint"
-        );
-        self.parts
-            .push(Arc::new(TailPart::new(stream, index, centroids)));
     }
 
     /// Records currently in the tail.
@@ -157,31 +132,28 @@ impl TailOverlay {
 /// ```
 /// use focus_core::prelude::*;
 /// use focus_core::query::QueryRequest;
-/// use focus_core::query::segmented::SegmentedCorpus;
-/// use focus_core::segment_ingest::{SealPolicy, SegmentedIngest};
-/// use focus_index::{QueryFilter, SegmentStore};
+/// use focus_index::QueryFilter;
 /// use focus_video::profile::profile_by_name;
 ///
 /// let ds = focus_video::VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
 /// let dir = std::env::temp_dir().join("focus_segmented_corpus_doc");
 /// let _ = std::fs::remove_dir_all(&dir);
-/// let mut store = SegmentStore::create(&dir).unwrap();
-/// let output = SegmentedIngest::new(
-///     IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1()),
-///     IngestParams { k: 10, ..IngestParams::default() },
-///     SealPolicy::every_secs(10.0),
-///     1,
-/// )
-/// .ingest_to_store(std::slice::from_ref(&ds), &mut store, &focus_runtime::GpuMeter::new())
-/// .unwrap();
+/// let config = ServiceConfig {
+///     seal: SealPolicy::every_secs(10.0),
+///     ..ServiceConfig::default()
+/// };
+/// let mut service =
+///     FocusService::create(&dir, config, focus_cnn::GroundTruthCnn::resnet152()).unwrap();
+/// service.register_stream(ds.profile.stream_id, ds.profile.fps).unwrap();
+/// service.advance(&ds.frames).unwrap();
+/// service.seal_all().unwrap();
 ///
-/// let corpus = SegmentedCorpus::from_output(store, &output);
 /// let class = ds.dominant_classes(1)[0];
 /// // A query restricted to the first quarter of the stream opens one of
 /// // the four segments and prunes the rest.
 /// let request = QueryRequest::new(class)
 ///     .with_filter(QueryFilter::any().with_time_range(0.0, 9.0));
-/// let planned = corpus.plan(&request).unwrap();
+/// let planned = service.corpus().plan_with_tail(&request, None).unwrap();
 /// assert!(planned.access.segments_considered <= 1);
 /// assert_eq!(planned.access.segments_total, 4);
 /// # std::fs::remove_dir_all(&dir).ok();
@@ -300,16 +272,6 @@ impl SegmentedCorpus {
         }
     }
 
-    /// Builds a corpus from a segmented ingest run, cloning the centroid
-    /// map and model from its combined output.
-    pub fn from_output(store: SegmentStore, output: &SegmentedIngestOutput) -> Self {
-        Self::new(
-            store,
-            output.combined.centroids.clone(),
-            output.combined.model.clone(),
-        )
-    }
-
     /// The underlying segment store.
     pub fn store(&self) -> &SegmentStore {
         &self.store
@@ -376,19 +338,14 @@ impl SegmentedCorpus {
         classes
     }
 
-    /// Plans one query with segment pruning (QT1/QT2): routes the class
-    /// through the model's OTHER handling, opens only the segments whose
-    /// bounds intersect the filter, and returns the plan together with the
-    /// records backing every candidate (for QT4 assembly) and the access
-    /// account (for storage-cost accounting).
-    pub fn plan(&self, request: &QueryRequest) -> Result<SegmentedPlan, SegmentError> {
-        self.plan_with_tail(request, None)
-    }
-
-    /// Like [`plan`](Self::plan), but over the union of the sealed
-    /// segments and an in-memory [`TailOverlay`] of not-yet-sealed records
-    /// — the live service's read path. With `None` (or an empty overlay)
-    /// this is exactly [`plan`](Self::plan).
+    /// Plans one query with segment pruning (QT1/QT2) over the union of the
+    /// sealed segments and an in-memory [`TailOverlay`] of not-yet-sealed
+    /// records — the live service's read path: routes the class through
+    /// the model's OTHER handling, opens only the segments whose bounds
+    /// intersect the filter, and returns the plan together with the records
+    /// backing every candidate (for QT4 assembly) and the access account
+    /// (for storage-cost accounting). With `None` (or an empty overlay)
+    /// only the sealed segments are planned.
     ///
     /// Candidates come back sorted by cluster key across both sources, and
     /// tail/segment key-disjointness is asserted, so the plan is
@@ -531,11 +488,7 @@ impl SegmentedCorpus {
         let tail_records = tail_keys.iter().filter(|k| merged.contains_key(k)).count();
         let candidates = merged
             .values()
-            .map(|record| focus_index::CentroidHandle {
-                cluster: record.key,
-                centroid: record.centroid_object,
-                centroid_frame: record.centroid_frame,
-            })
+            .map(focus_index::CentroidHandle::from)
             .collect();
         let records = merged.into_iter().collect();
         Ok(SegmentedPlan {
@@ -549,17 +502,6 @@ impl SegmentedCorpus {
             access,
             tail_records,
         })
-    }
-
-    /// Convenience lookup mirroring
-    /// [`TopKIndex::lookup`](focus_index::TopKIndex::lookup) over the
-    /// segmented store.
-    pub fn lookup(
-        &self,
-        class: ClassId,
-        filter: &QueryFilter,
-    ) -> Result<Vec<ClusterRecord>, SegmentError> {
-        Ok(self.store.lookup(class, filter)?.records)
     }
 }
 
@@ -586,11 +528,10 @@ pub struct SegmentedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::IngestParams;
+    use crate::ingest::{IngestOutput, IngestParams};
     use crate::query::plan::QueryPlan;
-    use crate::segment_ingest::{SealPolicy, SegmentedIngest};
-    use focus_cnn::ModelSpec;
-    use focus_runtime::GpuMeter;
+    use crate::segment_ingest::{SealPolicy, StreamSegmenter};
+    use focus_cnn::{GpuCost, ModelSpec};
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
     use std::path::PathBuf;
@@ -601,36 +542,71 @@ mod tests {
         dir
     }
 
-    fn corpus(
+    fn params() -> IngestParams {
+        IngestParams {
+            k: 10,
+            ..IngestParams::default()
+        }
+    }
+
+    /// Replays each dataset through its own [`StreamSegmenter`], sealing
+    /// every drained part (the final partial one included) into a fresh
+    /// store, and returns the corpus over that store.
+    fn sealed_corpus(
         name: &str,
-    ) -> (
-        VideoDataset,
-        SegmentedCorpus,
-        SegmentedIngestOutput,
-        PathBuf,
-    ) {
-        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
+        datasets: &[VideoDataset],
+        policy: SealPolicy,
+    ) -> (SegmentedCorpus, PathBuf) {
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
         let dir = test_dir(name);
         let mut store = SegmentStore::create(&dir).unwrap();
-        let output = SegmentedIngest::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
+        let mut centroids = HashMap::new();
+        for ds in datasets {
+            let mut segmenter =
+                StreamSegmenter::new(ds.profile.stream_id, ds.profile.fps, params(), policy);
+            for frame in &ds.frames {
+                if let Some(part) = segmenter.push_frame(frame, model.classifier.as_ref()) {
+                    store.seal(&part).unwrap();
+                }
+            }
+            let (part, output) = segmenter.finish();
+            if let Some(part) = part {
+                store.seal(&part).unwrap();
+            }
+            centroids.extend(output.centroids);
+        }
+        (SegmentedCorpus::new(store, centroids, model), dir)
+    }
+
+    /// One minute of `auburn_c` in four 15-second segments.
+    fn corpus(name: &str) -> (VideoDataset, SegmentedCorpus, PathBuf) {
+        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
+        let (corpus, dir) = sealed_corpus(
+            name,
+            std::slice::from_ref(&ds),
             SealPolicy::every_secs(15.0),
-            2,
-        )
-        .ingest_to_store(std::slice::from_ref(&ds), &mut store, &GpuMeter::new())
-        .unwrap();
-        let corpus = SegmentedCorpus::from_output(store, &output);
-        (ds, corpus, output, dir)
+        );
+        (ds, corpus, dir)
     }
 
     #[test]
     fn segmented_plan_matches_in_memory_plan() {
-        let (ds, corpus, output, dir) = corpus("plan_match");
+        let (ds, corpus, dir) = corpus("plan_match");
         let class = ds.dominant_classes(1)[0];
+        // The in-memory reference: the same records merged into one index.
+        let index = corpus.store().merged_index().unwrap();
+        let reference = IngestOutput {
+            clusters: index.len(),
+            objects_total: index.stats().objects,
+            objects_classified: index.stats().objects,
+            index,
+            centroids: corpus.centroids.clone(),
+            model: corpus.model.clone(),
+            params: params(),
+            gpu_cost: GpuCost::ZERO,
+            frames_total: ds.frames.len(),
+            frames_with_motion: 0,
+        };
         for filter in [
             QueryFilter::any(),
             QueryFilter::any().with_time_range(0.0, 10.0),
@@ -638,9 +614,8 @@ mod tests {
             QueryFilter::any().with_time_range(20.0, 40.0).with_kx(3),
         ] {
             let request = QueryRequest::new(class).with_filter(filter);
-            let segmented = corpus.plan(&request).unwrap();
-            let reference = QueryPlan::build(&output.combined, &request);
-            assert_eq!(segmented.plan, reference);
+            let segmented = corpus.plan_with_tail(&request, None).unwrap();
+            assert_eq!(segmented.plan, QueryPlan::build(&reference, &request));
             // Every candidate's record was captured for assembly.
             for handle in &segmented.plan.candidates {
                 assert_eq!(
@@ -654,14 +629,17 @@ mod tests {
 
     #[test]
     fn time_restriction_opens_strictly_fewer_segments() {
-        let (ds, corpus, _, dir) = corpus("pruning");
+        let (ds, corpus, dir) = corpus("pruning");
         let class = ds.dominant_classes(1)[0];
-        let full = corpus.plan(&QueryRequest::new(class)).unwrap();
+        let full = corpus
+            .plan_with_tail(&QueryRequest::new(class), None)
+            .unwrap();
         assert_eq!(full.access.segments_considered, full.access.segments_total);
         let narrow = corpus
-            .plan(
+            .plan_with_tail(
                 &QueryRequest::new(class)
                     .with_filter(QueryFilter::any().with_time_range(0.0, 10.0)),
+                None,
             )
             .unwrap();
         assert!(narrow.access.segments_considered < narrow.access.segments_total);
@@ -677,44 +655,29 @@ mod tests {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
         let class = ds.dominant_classes(1)[0];
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let params = IngestParams {
-            k: 10,
-            ..IngestParams::default()
-        };
         let policy = SealPolicy::every_secs(15.0);
 
         // Reference: everything sealed.
-        let dir_all = test_dir("tail_ref");
-        let mut store_all = SegmentStore::create(&dir_all).unwrap();
-        let output = SegmentedIngest::new(model.clone(), params, policy, 1)
-            .ingest_to_store(std::slice::from_ref(&ds), &mut store_all, &GpuMeter::new())
-            .unwrap();
-        let reference = SegmentedCorpus::from_output(store_all, &output);
+        let (reference, dir_all) = sealed_corpus("tail_ref", std::slice::from_ref(&ds), policy);
 
         // Live: only the parts drained before the midpoint reach the
         // store; the rest stays in the pipeline and is peeked as a tail.
         let dir_live = test_dir("tail_live");
         let mut store_live = SegmentStore::create(&dir_live).unwrap();
-        let mut segmenter = crate::segment_ingest::StreamSegmenter::new(
-            ds.profile.stream_id,
-            ds.profile.fps,
-            params,
-            policy,
-        );
+        let mut segmenter =
+            StreamSegmenter::new(ds.profile.stream_id, ds.profile.fps, params(), policy);
         for frame in &ds.frames {
             if let Some(part) = segmenter.push_frame(frame, model.classifier.as_ref()) {
                 store_live.seal(&part).unwrap();
             }
         }
-        let (tail_index, tail_centroids) = segmenter.pipeline().peek_segment();
         let mut tail = TailOverlay::new();
-        tail.add_part(tail_index, tail_centroids);
+        tail.add_shared(segmenter.pipeline().peek_shared());
         assert!(
             !tail.is_empty(),
             "the final partial segment stays in memory"
         );
-        let live =
-            SegmentedCorpus::new(store_live, output.combined.centroids.clone(), model.clone());
+        let live = SegmentedCorpus::new(store_live, reference.centroids.clone(), model);
 
         for filter in [
             QueryFilter::any(),
@@ -724,7 +687,7 @@ mod tests {
         ] {
             let request = QueryRequest::new(class).with_filter(filter);
             let with_tail = live.plan_with_tail(&request, Some(&tail)).unwrap();
-            let sealed = reference.plan(&request).unwrap();
+            let sealed = reference.plan_with_tail(&request, None).unwrap();
             assert_eq!(with_tail.plan, sealed.plan, "{request:?}");
             // The overlay never costs a segment open.
             assert!(
@@ -744,33 +707,15 @@ mod tests {
         assert_eq!(late.tail_records, late.plan.candidates.len());
         // Without the overlay the same corpus simply cannot see the tail.
         let blind = live
-            .plan(
+            .plan_with_tail(
                 &QueryRequest::new(class)
                     .with_filter(QueryFilter::any().with_time_range(46.0, 60.0)),
+                None,
             )
             .unwrap();
         assert!(blind.plan.candidates.len() < late.plan.candidates.len());
         std::fs::remove_dir_all(&dir_all).ok();
         std::fs::remove_dir_all(&dir_live).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "key-disjoint")]
-    fn overlay_rejects_duplicate_parts() {
-        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 10.0);
-        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let mut pipeline = crate::pipeline::FramePipeline::new(
-            ds.profile.stream_id,
-            ds.profile.fps,
-            IngestParams::default(),
-        );
-        for frame in &ds.frames {
-            pipeline.push_frame(frame, model.classifier.as_ref());
-        }
-        let (index, centroids) = pipeline.peek_segment();
-        let mut overlay = TailOverlay::new();
-        overlay.add_part(index.clone(), centroids.clone());
-        overlay.add_part(index, centroids);
     }
 
     #[test]
@@ -799,15 +744,11 @@ mod tests {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
         let class = ds.dominant_classes(1)[0];
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let params = IngestParams {
-            k: 10,
-            ..IngestParams::default()
-        };
         let third = ds.frames.len() / 3;
         let dir = test_dir("tail_isolation");
         let mut store = SegmentStore::create(&dir).unwrap();
         let mut pipeline =
-            crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params);
+            crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params());
         for frame in &ds.frames[..third] {
             pipeline.push_frame(frame, model.classifier.as_ref());
         }
@@ -872,7 +813,7 @@ mod tests {
         use focus_cnn::{Classifier, GroundTruthCnn, SpecializedCnn, OTHER_CLASS};
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
         let class = ds.dominant_classes(1)[0];
-        let (_, mut corpus, _, dir) = corpus("stream_models");
+        let (_, mut corpus, dir) = corpus("stream_models");
 
         // Specialize the stream's model on a sample that does NOT include
         // some rare class: queries for it must route through OTHER for this
@@ -906,7 +847,9 @@ mod tests {
             .into_iter()
             .find(|c| !specialized_classes.contains(c) && *c != OTHER_CLASS)
             .expect("some indexed class outside the specialized set");
-        let before = corpus.plan(&QueryRequest::new(hidden_candidate)).unwrap();
+        let before = corpus
+            .plan_with_tail(&QueryRequest::new(hidden_candidate), None)
+            .unwrap();
         assert!(!before.plan.candidates.is_empty());
 
         corpus.stream_models.insert(stream, specialized);
@@ -922,7 +865,9 @@ mod tests {
         // pre-retrain history — the plan is a superset of the pre-override
         // plan (the OTHER lookup may add candidates; GT verification keeps
         // precision).
-        let after = corpus.plan(&QueryRequest::new(hidden_candidate)).unwrap();
+        let after = corpus
+            .plan_with_tail(&QueryRequest::new(hidden_candidate), None)
+            .unwrap();
         for handle in &before.plan.candidates {
             assert!(
                 after.plan.candidates.contains(handle),
@@ -930,7 +875,9 @@ mod tests {
             );
         }
         // Planning a routed query stays well-formed (sorted, disjoint).
-        let plan = corpus.plan(&QueryRequest::new(ClassId(999))).unwrap();
+        let plan = corpus
+            .plan_with_tail(&QueryRequest::new(ClassId(999)), None)
+            .unwrap();
         assert!(plan
             .plan
             .candidates
@@ -947,7 +894,7 @@ mod tests {
         // itself). Without retired-model routing the gen-2 install would
         // stop scanning OTHER and gen-1's C records would vanish.
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
-        let (_, mut corpus, _, dir) = corpus("retired_models");
+        let (_, mut corpus, dir) = corpus("retired_models");
         let stream = ds.profile.stream_id;
         let gt = GroundTruthCnn::resnet152();
         let sample: Vec<_> = ds
@@ -983,7 +930,9 @@ mod tests {
             .expect("gen2's larger set covers a class gen1 lacks");
 
         corpus.install_stream_model(stream, gen1.clone());
-        let gen1_plan = corpus.plan(&QueryRequest::new(split_class)).unwrap();
+        let gen1_plan = corpus
+            .plan_with_tail(&QueryRequest::new(split_class), None)
+            .unwrap();
         assert_eq!(
             corpus.route(stream, split_class),
             OTHER_CLASS,
@@ -998,7 +947,9 @@ mod tests {
             "gen2 specializes for it"
         );
         assert_eq!(corpus.retired_routes[&stream].generations, 1);
-        let gen2_plan = corpus.plan(&QueryRequest::new(split_class)).unwrap();
+        let gen2_plan = corpus
+            .plan_with_tail(&QueryRequest::new(split_class), None)
+            .unwrap();
         for handle in &gen1_plan.plan.candidates {
             assert!(
                 gen2_plan.plan.candidates.contains(handle),
@@ -1020,20 +971,8 @@ mod tests {
             .iter()
             .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), 40.0))
             .collect();
-        let dir = test_dir("filter_scope");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let output = SegmentedIngest::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-            SealPolicy::every_secs(10.0),
-            2,
-        )
-        .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-        .unwrap();
-        let mut corpus = SegmentedCorpus::from_output(store, &output);
+        let (mut corpus, dir) =
+            sealed_corpus("filter_scope", &datasets, SealPolicy::every_secs(10.0));
 
         let gt = GroundTruthCnn::resnet152();
         let sample: Vec<_> = datasets[1]
@@ -1044,7 +983,7 @@ mod tests {
         let auburn = datasets[0].profile.stream_id;
         let rare = ClassId(999);
         let only_auburn = QueryRequest::new(rare).with_filter(QueryFilter::for_stream(auburn));
-        let before = corpus.plan(&only_auburn).unwrap();
+        let before = corpus.plan_with_tail(&only_auburn, None).unwrap();
 
         corpus.stream_models.insert(
             lausanne,
@@ -1061,12 +1000,14 @@ mod tests {
         // The override routes `rare` through OTHER — but only for queries
         // that can reach lausanne. The auburn-restricted query's scan is
         // unchanged; an unrestricted query pays the extra lookup class.
-        let after = corpus.plan(&only_auburn).unwrap();
+        let after = corpus.plan_with_tail(&only_auburn, None).unwrap();
         assert_eq!(
             after.access.segments_considered,
             before.access.segments_considered
         );
-        let unrestricted = corpus.plan(&QueryRequest::new(rare)).unwrap();
+        let unrestricted = corpus
+            .plan_with_tail(&QueryRequest::new(rare), None)
+            .unwrap();
         assert!(
             unrestricted.access.segments_considered > after.access.segments_considered,
             "the reachable override adds the OTHER scan"
@@ -1076,18 +1017,12 @@ mod tests {
 
     #[test]
     fn accessors_expose_store_and_model() {
-        let (_, mut corpus, output, dir) = corpus("accessors");
-        assert_eq!(corpus.store().len(), output.sealed.len());
+        let (_, mut corpus, dir) = corpus("accessors");
+        assert_eq!(corpus.store().len(), 4);
         assert!(!corpus.centroids.is_empty());
         let folded = corpus.store_mut().compact(usize::MAX).unwrap();
         assert!(folded > 0);
         assert_eq!(corpus.store().len(), 1);
-        let records = corpus.lookup(ClassId(0), &QueryFilter::any()).unwrap();
-        let merged = corpus.store().merged_index().unwrap();
-        assert_eq!(
-            records.len(),
-            merged.lookup(ClassId(0), &QueryFilter::any()).len()
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -33,12 +33,11 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::{Classifier, GpuCost, GroundTruthCnn};
-use focus_index::{CentroidHandle, ClusterRecord, SegmentError};
-use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter, IoMeter, WorkerPool};
+use focus_index::{CentroidHandle, ClusterRecord};
+use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter, WorkerPool};
 use focus_video::{ClassId, ObjectId, ObjectObservation};
 
 use crate::ingest::IngestOutput;
-use crate::query::segmented::{SegmentedCorpus, SegmentedPlan};
 use crate::query::{assemble_outcome_from, QueryOutcome, QueryPlan, QueryRequest};
 
 /// Snapshot of the verdict cache's activity, as returned by
@@ -297,62 +296,14 @@ impl QueryServer {
         )
     }
 
-    /// Serves a batch of concurrent queries over a durable segmented corpus
-    /// — the same dedupe / batched-verification / verdict-cache pipeline as
-    /// [`serve`](Self::serve), but with planning pruned at the segment
-    /// level: only segments whose manifest bounds intersect a query's
-    /// camera/time restriction are opened (lazily, through the store's LRU
-    /// cache). Results are byte-identical to [`serve`](Self::serve) over
-    /// the merged in-memory index (`tests/segment_durability.rs` pins
-    /// this).
-    ///
-    /// Storage work — cold segment loads, bytes read, LRU hits — is charged
-    /// to `io`; GPU accounting on `meter` is unchanged from
-    /// [`serve`](Self::serve).
-    pub fn serve_segmented(
-        &self,
-        corpus: &SegmentedCorpus,
-        requests: &[QueryRequest],
-        meter: &GpuMeter,
-        io: &IoMeter,
-    ) -> Result<Vec<QueryOutcome>, SegmentError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        // QT1/QT2 with pruning: plan every query concurrently; each plan
-        // carries the records it resolved from the segments it opened.
-        let planned: Vec<Result<SegmentedPlan, SegmentError>> = self
-            .pool
-            .map(requests.to_vec(), |request| corpus.plan(request));
-        let mut plans = Vec::with_capacity(planned.len());
-        let mut records = Vec::with_capacity(planned.len());
-        for result in planned {
-            let segmented = result?;
-            io.record_loads(segmented.access.cold_loads, segmented.access.bytes_read);
-            io.record_cache_hits(segmented.access.cache_hits);
-            io.record_blocks(
-                segmented.access.blocks_read,
-                segmented.access.block_raw_hits,
-                segmented.access.block_hits,
-            );
-            plans.push(segmented.plan);
-            records.push(segmented.records);
-        }
-        Ok(self.serve_resolved(
-            &plans,
-            &records,
-            |id| corpus.centroids.get(&id).cloned(),
-            meter,
-        ))
-    }
-
     /// Serves pre-built plans whose candidate records were already resolved
-    /// by the caller — the entry point for planners the server does not
-    /// know about, such as the live service's segments-plus-tail union
-    /// ([`SegmentedCorpus::plan_with_tail`]). `records[i]` must hold the
-    /// cluster record of every candidate in `plans[i]`;
-    /// `resolve_centroid` must return the observation behind every
-    /// candidate centroid (from the durable corpus or the in-memory tail).
+    /// by the caller — the entry point for every planner over durable
+    /// storage: the live service's segments-plus-tail union
+    /// ([`SegmentedCorpus::plan_with_tail`]) and the fleet's gathered shard
+    /// plans. `records[i]` must hold the cluster record of every candidate
+    /// in `plans[i]`; `resolve_centroid` must return the observation behind
+    /// every candidate centroid (from the durable corpus or the in-memory
+    /// tail).
     ///
     /// Runs the exact QT3/QT4 pipeline of [`serve`](Self::serve) — dedupe
     /// against the verdict cache for the current ground-truth epoch,
@@ -511,7 +462,8 @@ impl QueryServer {
         }
     }
 
-    /// QT3/QT4 shared by the in-memory and segmented paths: one
+    /// QT3/QT4 shared by [`serve`](Self::serve) and
+    /// [`serve_resolved`](Self::serve_resolved): one
     /// [`verify_round`](Self::verify_round) over the plans' candidate
     /// centroids, flattened in plan order, then one assembled outcome per
     /// plan. `get_record(i, handle)` resolves a confirmed candidate of

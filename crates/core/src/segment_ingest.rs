@@ -1,38 +1,35 @@
-//! Segmented ingest: sealing the pipeline's output into a durable,
-//! time-partitioned [`SegmentStore`].
+//! Segment sealing: the policy that decides when a stream's pending records
+//! become an immutable segment, and the per-stream [`StreamSegmenter`] that
+//! applies it frame by frame.
 //!
-//! The single-stream batch driver builds one in-memory index per run — fine
-//! for an experiment, useless for weeks of footage: a restart replays
-//! ingest from scratch and every query scans the whole postings map.
-//! [`SegmentedIngest`], the multi-stream batch driver, instead seals the [`FramePipeline`]'s records into an
-//! immutable segment whenever a configurable frame or time budget is hit,
-//! writing each segment durably (atomic file + crash-safe manifest) as
-//! ingest progresses. Time-restricted queries then open only the segments
-//! whose bounds intersect (see [`crate::query::segmented`]).
+//! One in-memory index per run is fine for an experiment, useless for weeks
+//! of footage: a restart replays ingest from scratch and every query scans
+//! the whole postings map. The live
+//! [`FocusService`](crate::service::FocusService) instead owns one
+//! [`StreamSegmenter`] per stream and seals the records it drains — whenever
+//! a configurable frame or time budget is hit — durably into a
+//! [`SegmentStore`](focus_index::SegmentStore) (centroid delta, then atomic
+//! segment file, then crash-safe manifest) as ingest progresses.
+//! Time-restricted queries then open only the segments whose bounds
+//! intersect (see [`crate::query::segmented`]).
 //!
-//! Determinism: per-stream pipelines run concurrently on the worker pool
-//! (one shard per stream with a private pipeline, index and cost tally, so
-//! scheduling cannot perturb it — a shard indexes and costs exactly what one
-//! [`IngestEngine`] run over its stream does), but segments are sealed to the store and the caller's meter is charged on the caller's
-//! thread in workload order, so the resulting store — manifest, ids, file
-//! bytes, checksums — is byte-identical and the meter totals are bitwise
-//! equal for any shard count. `tests/segment_durability.rs` pins both.
-//!
-//! [`FramePipeline`]: crate::pipeline::FramePipeline
-
-use std::collections::HashMap;
+//! Determinism: a segmenter's drained parts are a pure function of the
+//! frame sequence, the parameters, the classifier and the [`SealPolicy`], so
+//! replaying a stream always reproduces the same segment partitioning, ids
+//! and bytes. `tests/live_service.rs`
+//! (`live_ingest_matches_batch_ingest_for_a_fixed_model`) pins the service's
+//! index and ingest GPU seconds to the in-memory batch reference.
 
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::Classifier;
-use focus_index::{SegmentError, SegmentMeta, SegmentStore, TopKIndex};
-use focus_runtime::{GpuMeter, WorkerPool};
-use focus_video::{Frame, ObjectId, ObjectObservation, StreamId, VideoDataset};
+use focus_index::TopKIndex;
+use focus_video::{Frame, ObjectObservation, StreamId};
 
-use crate::ingest::{IngestCnn, IngestEngine, IngestOutput, IngestParams};
+use crate::ingest::IngestParams;
 use crate::pipeline::{FramePipeline, PipelineOutput};
 
-/// When the segmented driver seals the live records into a segment: after
+/// When a stream's pending records are sealed into a segment: after
 /// `max_frames` frames or `max_secs` of stream time, whichever comes first.
 ///
 /// # Examples
@@ -83,171 +80,14 @@ impl SealPolicy {
     }
 }
 
-/// The combined result of a segmented ingest run.
-#[derive(Debug)]
-pub struct SegmentedIngestOutput {
-    /// The whole corpus as one in-memory [`IngestOutput`] (merged across
-    /// streams and segments) — the reference the segmented query path is
-    /// proven byte-identical against, and what callers use when they want
-    /// in-memory serving anyway.
-    pub combined: IngestOutput,
-    /// The segments sealed to the store, in seal order.
-    pub sealed: Vec<SegmentMeta>,
-}
-
-/// Multi-stream ingest that seals its output into a durable
-/// [`SegmentStore`] as it goes: one [`FramePipeline`] per stream shard on
-/// the worker pool, one immutable segment per [`SealPolicy`] budget.
-///
-/// # Examples
-///
-/// ```
-/// use focus_core::prelude::*;
-/// use focus_core::segment_ingest::{SealPolicy, SegmentedIngest};
-/// use focus_index::SegmentStore;
-/// use focus_video::profile::profile_by_name;
-///
-/// let ds = focus_video::VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
-/// let dir = std::env::temp_dir().join("focus_segmented_ingest_doc");
-/// let _ = std::fs::remove_dir_all(&dir);
-/// let mut store = SegmentStore::create(&dir).unwrap();
-///
-/// let ingest = SegmentedIngest::new(
-///     IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1()),
-///     IngestParams { k: 10, ..IngestParams::default() },
-///     SealPolicy::every_secs(10.0),
-///     2,
-/// );
-/// let output = ingest
-///     .ingest_to_store(std::slice::from_ref(&ds), &mut store, &focus_runtime::GpuMeter::new())
-///     .unwrap();
-///
-/// // 40 seconds at a 10-second budget: four durable segments whose merge
-/// // is exactly the in-memory combined index.
-/// assert_eq!(output.sealed.len(), 4);
-/// assert_eq!(store.merged_index().unwrap().len(), output.combined.index.len());
-/// # std::fs::remove_dir_all(&dir).ok();
-/// ```
-#[derive(Debug, Clone)]
-pub struct SegmentedIngest {
-    engine: IngestEngine,
-    policy: SealPolicy,
-    pool: WorkerPool,
-}
-
-impl SegmentedIngest {
-    /// Creates a segmented ingest layer running every stream with the same
-    /// `model` and `params` on `shards` pool threads, sealing per `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(model: IngestCnn, params: IngestParams, policy: SealPolicy, shards: usize) -> Self {
-        Self {
-            engine: IngestEngine::new(model, params),
-            policy,
-            pool: WorkerPool::new(shards),
-        }
-    }
-
-    /// The engine each stream shard runs.
-    pub fn engine(&self) -> &IngestEngine {
-        &self.engine
-    }
-
-    /// Ingests a multi-camera workload, sealing segments into `store` and
-    /// returning the sealed metadata plus the merged in-memory reference.
-    ///
-    /// GPU cost is charged to `meter` under the phase `"ingest"`, one charge
-    /// per stream in workload order, so meter totals are bitwise
-    /// reproducible for any shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two datasets share a stream id (a shard is *the* ingest
-    /// worker of its stream) or if the workload is empty.
-    pub fn ingest_to_store(
-        &self,
-        datasets: &[VideoDataset],
-        store: &mut SegmentStore,
-        meter: &GpuMeter,
-    ) -> Result<SegmentedIngestOutput, SegmentError> {
-        let mut streams: Vec<_> = datasets.iter().map(|d| d.profile.stream_id).collect();
-        streams.sort();
-        streams.dedup();
-        assert_eq!(
-            streams.len(),
-            datasets.len(),
-            "each shard must own a distinct stream"
-        );
-        assert!(
-            !datasets.is_empty(),
-            "cannot ingest an empty segmented workload"
-        );
-
-        // Per-stream pipelines run concurrently; each drains a list of
-        // segment-sized indexes at its seal boundaries.
-        let engine = &self.engine;
-        let policy = self.policy;
-        let per_stream: Vec<(Vec<TopKIndex>, PipelineOutput)> =
-            self.pool.map(datasets.iter().collect(), |dataset| {
-                ingest_stream_segmented(engine, policy, dataset)
-            });
-
-        // Seal to the store on this thread, in workload order: the store
-        // contents are deterministic for any shard count.
-        let mut sealed = Vec::new();
-        let mut index = TopKIndex::new();
-        let mut centroids: HashMap<ObjectId, ObjectObservation> = HashMap::new();
-        let mut combined: Option<IngestOutput> = None;
-        for (parts, output) in per_stream {
-            meter.charge("ingest", output.gpu_cost);
-            for part in &parts {
-                if let Some(meta) = store.seal(part)? {
-                    sealed.push(meta);
-                }
-                let replaced = index.merge_from(part);
-                assert_eq!(replaced, 0, "drained segments must be key-disjoint");
-            }
-            let mut stream_output =
-                IngestOutput::from_pipeline(output, self.engine.model().clone());
-            let stream_centroids = std::mem::take(&mut stream_output.centroids);
-            let expected = centroids.len() + stream_centroids.len();
-            centroids.extend(stream_centroids);
-            assert_eq!(
-                centroids.len(),
-                expected,
-                "cross-stream ObjectId collision: centroid observations would be clobbered"
-            );
-            combined = Some(match combined {
-                None => stream_output,
-                Some(mut acc) => {
-                    acc.gpu_cost += stream_output.gpu_cost;
-                    acc.frames_total += stream_output.frames_total;
-                    acc.frames_with_motion += stream_output.frames_with_motion;
-                    acc.objects_total += stream_output.objects_total;
-                    acc.objects_classified += stream_output.objects_classified;
-                    acc
-                }
-            });
-        }
-        let mut combined = combined.expect("non-empty workload");
-        combined.index = index;
-        combined.centroids = centroids;
-        combined.clusters = combined.index.len();
-        Ok(SegmentedIngestOutput { combined, sealed })
-    }
-}
-
 /// Incremental seal/advance over one stream: a [`FramePipeline`] plus the
 /// [`SealPolicy`] bookkeeping that decides, frame by frame, when the
 /// pending records become an immutable segment.
 ///
-/// This is the unit the one-shot [`SegmentedIngest::ingest_to_store`]
-/// driver loops over a recorded dataset, and the unit the live
-/// [`FocusService`](crate::service::FocusService) advances continuously —
-/// both produce the exact same segment partitioning for the same frame
-/// sequence.
+/// This is the unit the live
+/// [`FocusService`](crate::service::FocusService) advances continuously,
+/// one per registered stream; the same frame sequence always produces the
+/// same segment partitioning.
 ///
 /// **Boundary semantics** (regression-pinned in
 /// `tests/segment_durability.rs`): segment time is derived from the frame
@@ -256,6 +96,39 @@ impl SegmentedIngest {
 /// boundary seals the pending segment and becomes the first frame of the
 /// next one — every frame lands in exactly one segment, never zero, never
 /// two.
+///
+/// # Examples
+///
+/// ```
+/// use focus_core::prelude::*;
+/// use focus_core::segment_ingest::StreamSegmenter;
+/// use focus_video::profile::profile_by_name;
+///
+/// let ds = focus_video::VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
+/// let model = IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1());
+/// let mut segmenter = StreamSegmenter::new(
+///     ds.profile.stream_id,
+///     ds.profile.fps,
+///     IngestParams { k: 10, ..IngestParams::default() },
+///     SealPolicy::every_secs(10.0),
+/// );
+/// let mut parts: Vec<focus_index::TopKIndex> = ds
+///     .frames
+///     .iter()
+///     .filter_map(|frame| segmenter.push_frame(frame, model.classifier.as_ref()))
+///     .collect();
+/// let (last, output) = segmenter.finish();
+/// parts.extend(last);
+///
+/// // 40 seconds at a 10-second budget: four key-disjoint parts that hold
+/// // every object of the stream between them.
+/// assert_eq!(parts.len(), 4);
+/// let mut merged = focus_index::TopKIndex::new();
+/// for part in &parts {
+///     assert_eq!(merged.merge_from(part), 0);
+/// }
+/// assert_eq!(merged.stats().objects, output.stats.objects);
+/// ```
 #[derive(Debug)]
 pub struct StreamSegmenter {
     pipeline: FramePipeline,
@@ -384,180 +257,73 @@ impl StreamSegmenter {
     }
 }
 
-/// Runs one stream through a segmenter, draining a segment index at every
-/// seal boundary. The final partial segment is drained too, so the
-/// pipeline's own output index comes back empty and `parts` holds every
-/// record of the stream.
-fn ingest_stream_segmented(
-    engine: &IngestEngine,
-    policy: SealPolicy,
-    dataset: &VideoDataset,
-) -> (Vec<TopKIndex>, PipelineOutput) {
-    let classifier = engine.model().classifier.as_ref();
-    let mut segmenter = StreamSegmenter::new(
-        dataset.profile.stream_id,
-        dataset.profile.fps,
-        engine.params(),
-        policy,
-    );
-    let mut parts = Vec::new();
-    for frame in &dataset.frames {
-        if let Some(part) = segmenter.push_frame(frame, classifier) {
-            parts.push(part);
-        }
-    }
-    let (final_part, output) = segmenter.finish();
-    parts.extend(final_part);
-    (parts, output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingest::IngestCnn;
     use focus_cnn::ModelSpec;
-    use focus_index::persist;
     use focus_video::profile::profile_by_name;
-    use std::path::PathBuf;
+    use focus_video::VideoDataset;
 
-    fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("focus_segment_ingest_{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn workload(names: &[&str], secs: f64) -> Vec<VideoDataset> {
-        names
+    /// Replays `dataset` through one segmenter and returns every drained
+    /// part, the final partial one included.
+    fn drain(dataset: &VideoDataset, params: IngestParams, policy: SealPolicy) -> Vec<TopKIndex> {
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let mut segmenter = StreamSegmenter::new(
+            dataset.profile.stream_id,
+            dataset.profile.fps,
+            params,
+            policy,
+        );
+        let mut parts: Vec<TopKIndex> = dataset
+            .frames
             .iter()
-            .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), secs))
-            .collect()
+            .filter_map(|frame| segmenter.push_frame(frame, model.classifier.as_ref()))
+            .collect();
+        parts.extend(segmenter.finish().0);
+        parts
     }
 
-    fn ingest(shards: usize) -> SegmentedIngest {
-        SegmentedIngest::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-            SealPolicy::every_secs(15.0),
-            shards,
-        )
-    }
-
-    #[test]
-    fn store_merge_equals_combined_index() {
-        let datasets = workload(&["auburn_c", "lausanne"], 45.0);
-        let dir = test_dir("merge_equals");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let meter = GpuMeter::new();
-        let output = ingest(2)
-            .ingest_to_store(&datasets, &mut store, &meter)
-            .unwrap();
-        // 45 s at a 15-s budget: 3 segments per stream.
-        assert_eq!(output.sealed.len(), 6);
-        assert_eq!(store.len(), 6);
-        assert_eq!(
-            persist::to_json(&store.merged_index().unwrap()).unwrap(),
-            persist::to_json(&output.combined.index).unwrap()
-        );
-        // Bookkeeping is whole-run: every object indexed exactly once, every
-        // centroid retained, the meter charged the full cost.
-        let indexed: usize = output.combined.index.clusters().map(|c| c.len()).sum();
-        assert_eq!(indexed, output.combined.objects_total);
-        assert_eq!(
-            output.combined.objects_total,
-            datasets.iter().map(|d| d.object_count()).sum::<usize>()
-        );
-        for record in output.combined.index.clusters() {
-            assert!(output
-                .combined
-                .centroids
-                .contains_key(&record.centroid_object));
-        }
-        assert!(
-            (meter.phase("ingest").seconds() - output.combined.gpu_cost.seconds()).abs() < 1e-12
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    /// The stream-time span `[start, end]` covered by a part's records.
+    fn bounds(part: &TopKIndex) -> (f64, f64) {
+        part.clusters()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), r| {
+                (lo.min(r.start_secs), hi.max(r.end_secs))
+            })
     }
 
     #[test]
     fn segment_bounds_partition_stream_time() {
-        let datasets = workload(&["auburn_c"], 60.0);
-        let dir = test_dir("bounds");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let output = ingest(1)
-            .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-            .unwrap();
-        assert_eq!(output.sealed.len(), 4);
-        for window in output.sealed.windows(2) {
-            // Consecutive segments of one stream cover later and later time.
-            assert!(window[0].t_start <= window[1].t_start);
-            assert!(window[0].t_end <= window[1].t_end);
-        }
-        for (i, meta) in output.sealed.iter().enumerate() {
-            assert!(meta.t_end >= meta.t_start);
+        let dataset = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
+        let params = IngestParams {
+            k: 10,
+            ..IngestParams::default()
+        };
+        let parts = drain(&dataset, params, SealPolicy::every_secs(15.0));
+        assert_eq!(parts.len(), 4);
+        for (i, part) in parts.iter().enumerate() {
+            let (t_start, t_end) = bounds(part);
+            assert!(t_end >= t_start);
             // Each 15-second budget window stays within its slice of the
             // stream (clusters can't span a seal boundary).
-            assert!(meta.t_start >= i as f64 * 15.0 - 1e-9);
-            assert!(meta.t_end <= (i + 1) as f64 * 15.0 + 1e-9);
+            assert!(t_start >= i as f64 * 15.0 - 1e-9);
+            assert!(t_end <= (i + 1) as f64 * 15.0 + 1e-9);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn frame_budget_seals_too() {
-        let datasets = workload(&["bend"], 30.0);
-        let fps = datasets[0].profile.fps as usize;
-        let dir = test_dir("frame_budget");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let ingest = SegmentedIngest::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
+        let dataset = VideoDataset::generate(profile_by_name("bend").unwrap(), 30.0);
+        let fps = dataset.profile.fps as usize;
+        let parts = drain(
+            &dataset,
             IngestParams::default(),
             SealPolicy::every_frames(fps * 10),
-            1,
         );
-        let output = ingest
-            .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-            .unwrap();
         // 30 s at a 10-s-of-frames budget: up to 3 segments (sparse streams
         // may seal empty windows, which are skipped).
-        assert!(!output.sealed.is_empty());
-        assert!(output.sealed.len() <= 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn store_contents_are_identical_for_any_shard_count() {
-        let datasets = workload(&["auburn_c", "lausanne", "bend"], 30.0);
-        let mut manifests = Vec::new();
-        for shards in [1usize, 2, 4] {
-            let dir = test_dir(&format!("shards_{shards}"));
-            let mut store = SegmentStore::create(&dir).unwrap();
-            ingest(shards)
-                .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-                .unwrap();
-            let manifest_json =
-                std::fs::read_to_string(dir.join(focus_index::manifest::MANIFEST_FILE)).unwrap();
-            let segment_bytes: Vec<Vec<u8>> = store
-                .segments()
-                .iter()
-                .map(|m| std::fs::read(dir.join(&m.file)).unwrap())
-                .collect();
-            manifests.push((manifest_json, segment_bytes));
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        assert_eq!(manifests[0], manifests[1]);
-        assert_eq!(manifests[0], manifests[2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct stream")]
-    fn duplicate_streams_are_rejected() {
-        let mut datasets = workload(&["auburn_c"], 10.0);
-        datasets.push(datasets[0].clone());
-        let dir = test_dir("duplicate");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let _ = ingest(2).ingest_to_store(&datasets, &mut store, &GpuMeter::new());
+        assert!(!parts.is_empty());
+        assert!(parts.len() <= 3);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The live Focus service: one long-lived object that ingests and serves
 //! at the same time.
 //!
-//! The batch drivers run the paper's two sides as disjoint phases — ingest
-//! finishes, *then* queries are served — so frames indexed since the last
-//! segment seal are invisible to queries and nothing arbitrates the GPU
-//! between the sides. [`FocusService`] unifies them:
+//! The in-memory reference pair ([`IngestEngine`](crate::ingest::IngestEngine)
+//! then [`QueryEngine`](crate::query::QueryEngine)) runs the paper's two
+//! sides as disjoint phases — ingest finishes, *then* queries are served —
+//! so nothing is durable, nothing is visible before the end of the
+//! recording and nothing arbitrates the GPU between the sides.
+//! [`FocusService`] is the one durable driver and unifies them:
 //!
 //! * **Hot tail + sealed past** (LSM-style read path): each stream owns a
 //!   [`StreamSegmenter`] whose pipeline accumulates not-yet-sealed records
@@ -52,7 +54,9 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
 use focus_index::persist::{write_atomic, PersistError};
-use focus_index::{LruOccupancy, SegmentError, SegmentMeta, SegmentStore, TopKIndex};
+use focus_index::{
+    LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
+};
 use focus_runtime::{
     GpuClusterSpec, GpuMeter, GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats,
     TickReport,
@@ -385,12 +389,13 @@ impl FocusService {
         Ok(Self::assemble(store, config, gt))
     }
 
-    /// Reopens a service from a store directory: verifies and repairs the
-    /// manifest ([`SegmentStore::open`]), reads the `service_state.json`
-    /// sidecar and the per-seal centroid deltas, checks that every sealed
-    /// cluster's centroid observation is resolvable, re-registers the
-    /// recorded streams and resumes their cluster-key counters past the
-    /// sealed segments.
+    /// Reopens a service from a store directory: reads and validates the
+    /// `service_state.json` sidecar (a directory without a usable one is
+    /// refused before anything in it is touched), verifies and repairs the
+    /// manifest ([`SegmentStore::open`]), reads the per-seal centroid
+    /// deltas, checks that every sealed cluster's centroid observation is
+    /// resolvable, re-registers the recorded streams and resumes their
+    /// cluster-key counters past the sealed segments.
     ///
     /// Ingest models restart from the bootstrap model and re-specialize on
     /// fresh samples (models are process state, not data); sealed records
@@ -401,7 +406,10 @@ impl FocusService {
         gt: GroundTruthCnn,
     ) -> Result<(Self, focus_index::OpenReport), SegmentError> {
         let dir = dir.into();
-        let (store, report) = SegmentStore::open(&dir)?;
+        // Validate the sidecar before the store is opened: opening repairs
+        // (sweeps temp files, quarantines orphans, may rewrite the
+        // manifest), and a directory this service cannot serve must be
+        // refused untouched.
         let state_path = dir.join(SERVICE_STATE_FILE);
         let json = std::fs::read_to_string(&state_path).map_err(|source| {
             SegmentError::Persist(PersistError::Io {
@@ -422,6 +430,7 @@ impl FocusService {
                 expected: SERVICE_STATE_VERSION,
             }));
         }
+        let (store, report) = SegmentStore::open(&dir)?;
         let (centroids, next_delta) = Self::load_centroid_deltas(&dir)?;
 
         // Every sealed cluster must be verifiable after recovery, and new
@@ -708,7 +717,7 @@ impl FocusService {
         // Accumulate accounting locally and commit only once every plan
         // succeeded: a planning error mid-batch serves nothing, so it must
         // also count nothing.
-        let mut access = focus_index::SegmentAccess::default();
+        let mut access = SegmentAccess::default();
         let mut tail_candidates = 0usize;
         let mut candidates = 0usize;
         for request in requests {
@@ -719,10 +728,7 @@ impl FocusService {
             plans.push(planned.plan);
             records.push(planned.records);
         }
-        self.io.record_loads(access.cold_loads, access.bytes_read);
-        self.io.record_cache_hits(access.cache_hits);
-        self.io
-            .record_blocks(access.blocks_read, access.block_raw_hits, access.block_hits);
+        self.charge_access(&access);
         self.tail_candidates_served
             .fetch_add(tail_candidates, Ordering::SeqCst);
         self.candidates_served
@@ -772,14 +778,7 @@ impl FocusService {
     ) -> Result<AnytimeOutcome, SegmentError> {
         let tail = self.tail_snapshot();
         let plan = self.corpus.plan_anytime_with_tail(request, Some(&tail))?;
-        self.io
-            .record_loads(plan.access.cold_loads, plan.access.bytes_read);
-        self.io.record_cache_hits(plan.access.cache_hits);
-        self.io.record_blocks(
-            plan.access.blocks_read,
-            plan.access.block_raw_hits,
-            plan.access.block_hits,
-        );
+        self.charge_access(&plan.access);
         self.tail_candidates_served
             .fetch_add(plan.tail_records, Ordering::SeqCst);
         self.candidates_served
@@ -802,6 +801,15 @@ impl FocusService {
         self.scheduler.submit("anytime", meter.phase("anytime"));
         self.queries_served.fetch_add(1, Ordering::SeqCst);
         Ok(outcome)
+    }
+
+    /// Charges what one planning pass touched in the store to the
+    /// service's I/O meter.
+    fn charge_access(&self, access: &SegmentAccess) {
+        self.io.record_loads(access.cold_loads, access.bytes_read);
+        self.io.record_cache_hits(access.cache_hits);
+        self.io
+            .record_blocks(access.blocks_read, access.block_raw_hits, access.block_hits);
     }
 
     /// A snapshot of every stream's not-yet-sealed records, taken at one
@@ -1447,11 +1455,11 @@ mod tests {
         );
         // And OTHER records really were involved (the scan needed the
         // retired routing, not just the class itself).
-        let other_records = recovered
-            .corpus()
+        let other = recovered
+            .store()
             .lookup(OTHER_CLASS, &focus_index::QueryFilter::any())
             .unwrap();
-        assert!(!other_records.is_empty());
+        assert!(!other.records.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -219,6 +219,33 @@ impl RequestPlane {
                 .is_some_and(|d| now >= d - self.config.dispatch_margin_secs)
     }
 
+    /// Batch formation, shared by both dispatch paths: pops up to
+    /// `batch_max_requests` requests off the fair queue. Those whose
+    /// deadline passed before `now` come back first (booked as expired;
+    /// they occupy no batch slot), the rest form the batch, which is
+    /// counted when non-empty.
+    fn close_batch(&self, now: f64) -> (Vec<Queued>, Vec<Queued>) {
+        let mut expired = Vec::new();
+        let mut batch = Vec::new();
+        let mut state = self.inner.lock();
+        while batch.len() < self.config.batch_max_requests {
+            let Some(queued) = state.queue.pop() else {
+                break;
+            };
+            if now > queued.deadline_secs {
+                state.stats.expired += 1;
+                state.stats.tenant_mut(queued.tenant).expired += 1;
+                expired.push(queued);
+            } else {
+                batch.push(queued);
+            }
+        }
+        if !batch.is_empty() {
+            state.stats.batches += 1;
+        }
+        (expired, batch)
+    }
+
     /// Closes one batch and serves it through `serve`, returning every
     /// request completed by the call (answers and expiries, in fair-queue
     /// order). Returns an empty vec when nothing is due.
@@ -234,36 +261,19 @@ impl RequestPlane {
         F: FnOnce(&[QueryRequest]) -> Result<Vec<QueryOutcome>, SegmentError>,
     {
         let now = self.clock.now_secs();
-        let mut completed = Vec::new();
-        let mut batch: Vec<Queued> = Vec::new();
-        {
-            let mut state = self.inner.lock();
-            if state.queue.is_empty() {
-                return Ok(completed);
-            }
-            while batch.len() < self.config.batch_max_requests {
-                let Some(queued) = state.queue.pop() else {
-                    break;
-                };
-                if now > queued.deadline_secs {
-                    state.stats.expired += 1;
-                    let tenant = state.stats.tenant_mut(queued.tenant);
-                    tenant.expired += 1;
-                    completed.push(Completed {
-                        ticket: Ticket(queued.ticket),
-                        tenant: queued.tenant,
-                        response: Response::DeadlineExpired,
-                        latency_secs: now - queued.arrival_secs,
-                        deadline_missed: true,
-                    });
-                } else {
-                    batch.push(queued);
-                }
-            }
-            if batch.is_empty() {
-                return Ok(completed);
-            }
-            state.stats.batches += 1;
+        let (expired, batch) = self.close_batch(now);
+        let mut completed: Vec<Completed> = expired
+            .into_iter()
+            .map(|queued| Completed {
+                ticket: Ticket(queued.ticket),
+                tenant: queued.tenant,
+                response: Response::DeadlineExpired,
+                latency_secs: now - queued.arrival_secs,
+                deadline_missed: true,
+            })
+            .collect();
+        if batch.is_empty() {
+            return Ok(completed);
         }
 
         let requests: Vec<QueryRequest> = batch.iter().map(|q| q.request.clone()).collect();
@@ -283,15 +293,8 @@ impl RequestPlane {
         let finished = self.clock.now_secs();
         let mut state = self.inner.lock();
         for (queued, outcome) in batch.into_iter().zip(outcomes) {
-            let latency_secs = finished - queued.arrival_secs;
-            let deadline_missed = finished > queued.deadline_secs;
-            state.stats.answered += 1;
-            state.stats.deadline_misses += u64::from(deadline_missed);
-            state.stats.latency.record(latency_secs);
-            let tenant = state.stats.tenant_mut(queued.tenant);
-            tenant.answered += 1;
-            tenant.deadline_misses += u64::from(deadline_missed);
-            tenant.latency.record(latency_secs);
+            let (latency_secs, deadline_missed) =
+                record_answered(&mut state.stats, &queued, finished);
             completed.push(Completed {
                 ticket: Ticket(queued.ticket),
                 tenant: queued.tenant,
@@ -339,37 +342,20 @@ impl RequestPlane {
         ) -> Result<AnytimeOutcome, SegmentError>,
     {
         let now = self.clock.now_secs();
-        let mut completed = Vec::new();
-        let mut batch: Vec<Queued> = Vec::new();
-        {
-            let mut state = self.inner.lock();
-            if state.queue.is_empty() {
-                return Ok(completed);
-            }
-            while batch.len() < self.config.batch_max_requests {
-                let Some(queued) = state.queue.pop() else {
-                    break;
-                };
-                if now > queued.deadline_secs {
-                    state.stats.expired += 1;
-                    let tenant = state.stats.tenant_mut(queued.tenant);
-                    tenant.expired += 1;
-                    completed.push(AnytimeCompleted {
-                        ticket: Ticket(queued.ticket),
-                        tenant: queued.tenant,
-                        response: AnytimeResponse::DeadlineExpired,
-                        latency_secs: now - queued.arrival_secs,
-                        first_result_latency_secs: f64::INFINITY,
-                        deadline_missed: true,
-                    });
-                } else {
-                    batch.push(queued);
-                }
-            }
-            if batch.is_empty() {
-                return Ok(completed);
-            }
-            state.stats.batches += 1;
+        let (expired, batch) = self.close_batch(now);
+        let mut completed: Vec<AnytimeCompleted> = expired
+            .into_iter()
+            .map(|queued| AnytimeCompleted {
+                ticket: Ticket(queued.ticket),
+                tenant: queued.tenant,
+                response: AnytimeResponse::DeadlineExpired,
+                latency_secs: now - queued.arrival_secs,
+                first_result_latency_secs: f64::INFINITY,
+                deadline_missed: true,
+            })
+            .collect();
+        if batch.is_empty() {
+            return Ok(completed);
         }
 
         let mut answered: Vec<(Queued, AnytimeOutcome, f64)> = Vec::new();
@@ -409,8 +395,8 @@ impl RequestPlane {
         let finished = self.clock.now_secs();
         let mut state = self.inner.lock();
         for (queued, outcome, to_first) in answered {
-            let latency_secs = finished - queued.arrival_secs;
-            let deadline_missed = finished > queued.deadline_secs;
+            let (latency_secs, deadline_missed) =
+                record_answered(&mut state.stats, &queued, finished);
             let queue_wait = now - queued.arrival_secs;
             let first_result_latency_secs = if to_first.is_finite() {
                 let total = queue_wait + to_first;
@@ -419,13 +405,6 @@ impl RequestPlane {
             } else {
                 f64::INFINITY
             };
-            state.stats.answered += 1;
-            state.stats.deadline_misses += u64::from(deadline_missed);
-            state.stats.latency.record(latency_secs);
-            let tenant = state.stats.tenant_mut(queued.tenant);
-            tenant.answered += 1;
-            tenant.deadline_misses += u64::from(deadline_missed);
-            tenant.latency.record(latency_secs);
             completed.push(AnytimeCompleted {
                 ticket: Ticket(queued.ticket),
                 tenant: queued.tenant,
@@ -477,6 +456,22 @@ impl RequestPlane {
         stats.serving = self.serving_stats();
         stats
     }
+}
+
+/// Books one request answered at `finished` into the global and per-tenant
+/// counters and latency histograms; returns its `(latency_secs,
+/// deadline_missed)`.
+fn record_answered(stats: &mut ServingStats, queued: &Queued, finished: f64) -> (f64, bool) {
+    let latency_secs = finished - queued.arrival_secs;
+    let deadline_missed = finished > queued.deadline_secs;
+    stats.answered += 1;
+    stats.deadline_misses += u64::from(deadline_missed);
+    stats.latency.record(latency_secs);
+    let tenant = stats.tenant_mut(queued.tenant);
+    tenant.answered += 1;
+    tenant.deadline_misses += u64::from(deadline_missed);
+    tenant.latency.record(latency_secs);
+    (latency_secs, deadline_missed)
 }
 
 impl std::fmt::Debug for RequestPlane {

@@ -44,6 +44,16 @@ pub struct CentroidHandle {
     pub centroid_frame: FrameId,
 }
 
+impl From<&ClusterRecord> for CentroidHandle {
+    fn from(record: &ClusterRecord) -> Self {
+        Self {
+            cluster: record.key,
+            centroid: record.centroid_object,
+            centroid_frame: record.centroid_frame,
+        }
+    }
+}
+
 /// Summary statistics of an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct IndexStats {
@@ -253,11 +263,7 @@ impl TopKIndex {
     pub fn lookup_centroids(&self, class: ClassId, filter: &QueryFilter) -> Vec<CentroidHandle> {
         self.lookup(class, filter)
             .into_iter()
-            .map(|record| CentroidHandle {
-                cluster: record.key,
-                centroid: record.centroid_object,
-                centroid_frame: record.centroid_frame,
-            })
+            .map(CentroidHandle::from)
             .collect()
     }
 

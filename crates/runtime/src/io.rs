@@ -2,16 +2,10 @@
 //!
 //! The paper's cost metrics are GPU time only (§6.1 excludes index I/O),
 //! but a production service paging index segments in and out of a durable
-//! store needs to see that work to size caches and provision disks. This
-//! module mirrors the GPU side's split between *accounting* and *latency
-//! modelling*:
-//!
-//! * [`IoMeter`] — thread-safe counters of segment loads, cache hits and
-//!   bytes read (the analogue of [`GpuMeter`](crate::GpuMeter));
-//! * [`SegmentLoadCost`] — converts a load count and byte volume into
-//!   modelled wall-clock seconds (the analogue of
-//!   [`GpuClusterSpec::latency_secs`](crate::GpuClusterSpec::latency_secs)),
-//!   so benchmarks can report cold-query latency that includes storage.
+//! store needs to see that work to size caches and provision disks:
+//! [`IoMeter`] holds thread-safe counters of segment loads, cache hits,
+//! block fetches and bytes read (the analogue of
+//! [`GpuMeter`](crate::GpuMeter)).
 
 use std::sync::Arc;
 
@@ -135,66 +129,6 @@ impl IoMeter {
     pub fn snapshot(&self) -> IoStats {
         *self.inner.lock()
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        *self.inner.lock() = IoStats::default();
-    }
-}
-
-/// A simple latency model for cold segment loads: a fixed per-load cost
-/// (open + seek + decode setup) plus a per-byte cost (read + decode
-/// throughput).
-///
-/// ```text
-/// secs(loads, bytes) = loads × secs_per_load + bytes × secs_per_byte
-/// ```
-///
-/// Cache hits are free — the decoded index is already in memory.
-///
-/// # Examples
-///
-/// ```
-/// use focus_runtime::{IoMeter, SegmentLoadCost};
-///
-/// let io = IoMeter::new();
-/// io.record_loads(4, 1_000_000);
-/// let model = SegmentLoadCost::default();
-/// let secs = model.stats_secs(&io.snapshot());
-/// assert!(secs > 0.0);
-/// // More bytes never cost less.
-/// assert!(model.load_secs(4, 2_000_000) > secs);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SegmentLoadCost {
-    /// Fixed seconds per cold load (open + metadata + decode setup).
-    pub secs_per_load: f64,
-    /// Seconds per byte read and decoded.
-    pub secs_per_byte: f64,
-}
-
-impl Default for SegmentLoadCost {
-    fn default() -> Self {
-        // ~2 ms fixed per segment open and ~500 MB/s sustained read+decode:
-        // conservative numbers for segments on local SSD.
-        Self {
-            secs_per_load: 2e-3,
-            secs_per_byte: 2e-9,
-        }
-    }
-}
-
-impl SegmentLoadCost {
-    /// Modelled wall-clock seconds for `loads` cold loads totalling
-    /// `bytes` bytes.
-    pub fn load_secs(&self, loads: usize, bytes: u64) -> f64 {
-        loads as f64 * self.secs_per_load + bytes as f64 * self.secs_per_byte
-    }
-
-    /// Modelled wall-clock seconds for everything a meter recorded.
-    pub fn stats_secs(&self, stats: &IoStats) -> f64 {
-        self.load_secs(stats.segment_loads, stats.bytes_read)
-    }
 }
 
 #[cfg(test)]
@@ -202,7 +136,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn meter_accumulates_and_resets() {
+    fn meter_accumulates() {
         let io = IoMeter::new();
         io.record_loads(1, 100);
         io.record_loads(2, 300);
@@ -213,9 +147,7 @@ mod tests {
         assert_eq!(stats.bytes_read, 400);
         assert_eq!(stats.segments_opened(), 8);
         assert!((stats.hit_rate() - 5.0 / 8.0).abs() < 1e-12);
-        io.reset();
-        assert_eq!(io.snapshot(), IoStats::default());
-        assert_eq!(io.snapshot().hit_rate(), 0.0);
+        assert_eq!(IoMeter::new().snapshot().hit_rate(), 0.0);
     }
 
     #[test]
@@ -252,23 +184,5 @@ mod tests {
         assert_eq!(stats.segment_loads, 400);
         assert_eq!(stats.cache_hits, 800);
         assert_eq!(stats.bytes_read, 4000);
-    }
-
-    #[test]
-    fn load_cost_is_linear_in_loads_and_bytes() {
-        let model = SegmentLoadCost {
-            secs_per_load: 0.5,
-            secs_per_byte: 0.001,
-        };
-        assert_eq!(model.load_secs(0, 0), 0.0);
-        assert!((model.load_secs(2, 1000) - 2.0).abs() < 1e-12);
-        let stats = IoStats {
-            segment_loads: 2,
-            cache_hits: 99,
-            bytes_read: 1000,
-            ..IoStats::default()
-        };
-        // Cache hits are free.
-        assert!((model.stats_secs(&stats) - 2.0).abs() < 1e-12);
     }
 }

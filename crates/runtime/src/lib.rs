@@ -17,9 +17,9 @@
 //! * [`WorkerPool`] — a real thread pool (crossbeam channels) used to
 //!   parallelize query-time classification across workers, mirroring the
 //!   paper's worker processes.
-//! * [`IoMeter`] / [`SegmentLoadCost`] — storage-I/O accounting and a
-//!   latency model for cold index-segment loads, so the segmented query
-//!   path can report what paging the index in actually costs.
+//! * [`IoMeter`] — storage-I/O accounting (cold segment loads, block
+//!   fetches per cache tier, bytes read), so the service can report what
+//!   paging the index in actually costs.
 //! * [`GpuScheduler`] — one metered budget shared by ingest classification
 //!   and query-time GT verification, drained in ticks under a configurable
 //!   ingest/query priority policy (the paper's §5 tradeoff, live).
@@ -40,7 +40,7 @@ pub mod workers;
 pub use clock::{Clock, RealClock, VirtualClock};
 pub use gpu::{BatchCostModel, GpuClusterSpec, GpuMeter, PhaseBreakdown};
 pub use hist::LatencyHistogram;
-pub use io::{IoMeter, IoStats, SegmentLoadCost};
+pub use io::{IoMeter, IoStats};
 pub use net::{NetCostModel, NetMeter, NetStats};
 pub use sched::{GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats, GpuSide, TickReport};
 pub use workers::WorkerPool;

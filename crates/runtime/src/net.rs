@@ -94,8 +94,7 @@ impl NetMeter {
     }
 }
 
-/// Latency/bandwidth cost model for the simulated transport, the network
-/// analogue of [`SegmentLoadCost`](crate::SegmentLoadCost): a fixed
+/// Latency/bandwidth cost model for the simulated transport: a fixed
 /// round-trip charge per exchange plus a size-proportional transfer charge.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetCostModel {

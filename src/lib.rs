@@ -17,7 +17,7 @@
 //! | [`cluster`] | `focus-cluster` | Single-pass incremental clustering |
 //! | [`index`] | `focus-index` | The top-K inverted index with camera/time/Kx filtering, merging and the durable segment store |
 //! | [`runtime`] | `focus-runtime` | GPU accounting, the GPU-cluster latency model, the reusable worker pool, the shared ingest/query `GpuScheduler` |
-//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, batch, segmented and live ingest drivers, the query subsystem (serial engine plus the concurrent, batched, cached `QueryServer`), the live `FocusService`, parameter selection, policies, baselines, experiment runner |
+//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, the in-memory batch ingest driver and the live, durable `FocusService`, the query subsystem (serial engine plus the concurrent, batched, cached `QueryServer`), the live `FocusService`, parameter selection, policies, baselines, experiment runner |
 //!
 //! # Quick start
 //!
@@ -47,10 +47,13 @@
 //!
 //! # Multi-camera workloads
 //!
-//! A multi-camera recording is ingested shard-parallel — one
-//! [`FramePipeline`](focus_core::pipeline::FramePipeline) per stream on a
-//! worker pool — sealed into a segment store and merged into one index; the
-//! result is byte-identical for any shard count:
+//! A multi-camera deployment runs on the live, durable
+//! [`FocusService`](focus_core::service::FocusService): one
+//! [`FramePipeline`](focus_core::pipeline::FramePipeline) per registered
+//! stream, frames arriving in any interleaving, the index sealed into a
+//! segment store as ingest progresses, and queries answered over the sealed
+//! segments plus the not-yet-sealed tail. Dropping the service and calling
+//! `FocusService::recover` on the directory gives the same answers:
 //!
 //! ```
 //! use focus::prelude::*;
@@ -65,25 +68,28 @@
 //!
 //! let dir = std::env::temp_dir().join("focus_facade_multi_camera_doc");
 //! let _ = std::fs::remove_dir_all(&dir);
-//! let mut store = focus::index::SegmentStore::create(&dir).unwrap();
-//! let meter = focus::runtime::GpuMeter::new();
-//! let ingest = SegmentedIngest::new(
-//!     IngestCnn::generic(focus::cnn::ModelSpec::cheap_cnn_1()),
-//!     IngestParams::default(),
-//!     SealPolicy::every_secs(10.0),
-//!     2, // shards (worker threads)
-//! );
-//! let combined = ingest.ingest_to_store(&datasets, &mut store, &meter).unwrap().combined;
-//! assert_eq!(combined.index.streams().len(), 2);
-//! assert_eq!(store.merged_index().unwrap().len(), combined.index.len());
+//! let config = ServiceConfig {
+//!     seal: SealPolicy::every_secs(10.0),
+//!     ..ServiceConfig::default()
+//! };
+//! let gt = focus::cnn::GroundTruthCnn::resnet152();
+//! let mut service = FocusService::create(&dir, config.clone(), gt.clone()).unwrap();
+//! for dataset in &datasets {
+//!     service.register_stream(dataset.profile.stream_id, dataset.profile.fps).unwrap();
+//!     service.advance(&dataset.frames).unwrap();
+//! }
+//! assert_eq!(service.stats().streams, 2);
 //!
-//! let engine = QueryEngine::new(
-//!     focus::cnn::GroundTruthCnn::resnet152(),
-//!     focus::runtime::GpuClusterSpec::new(4),
-//! );
 //! let class = datasets[0].dominant_classes(1)[0];
-//! let result = engine.query(&combined, class, &focus::index::QueryFilter::any(), &meter);
-//! assert!(result.matched_clusters > 0);
+//! let request = [QueryRequest::new(class)];
+//! let live = service.serve(&request).unwrap();
+//! assert!(live[0].matched_clusters > 0);
+//!
+//! // Checkpoint, restart, same answer.
+//! service.seal_all().unwrap();
+//! drop(service);
+//! let (recovered, _) = FocusService::recover(&dir, config, gt).unwrap();
+//! assert_eq!(recovered.serve(&request).unwrap()[0].frames, live[0].frames);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 //!

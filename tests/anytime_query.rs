@@ -9,15 +9,17 @@
 //! `ServiceStats`, and the request plane's streaming-partials dispatch
 //! with its `first_result_latency` histogram.
 
+mod common;
+
 use proptest::prelude::*;
 
-use focus::cnn::{Classifier, GroundTruthCnn};
+use common::{interleave, service_at, workload};
+use focus::cnn::Classifier;
 use focus::core::query::{AnytimeMode, AnytimeTermination, ChunkEstimate};
-use focus::core::service::{FocusService, ServiceConfig};
+use focus::core::service::FocusService;
 use focus::core::serving::{AnytimeResponse, RequestPlane, ServingConfig, TenantId};
-use focus::core::{IngestParams, QueryRequest, SealPolicy, StreamWorkerConfig};
-use focus::runtime::{GpuClusterSpec, GpuMeter, VirtualClock};
-use focus::video::profile::profile_by_name;
+use focus::core::QueryRequest;
+use focus::runtime::{GpuMeter, VirtualClock};
 use focus::video::{ClassId, Frame, FrameId, ObjectId, VideoDataset};
 
 use std::collections::{BTreeSet, HashMap};
@@ -30,66 +32,13 @@ fn test_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Specialization disabled (stable ground-truth epoch): the backend is
-/// deterministic, so anytime-vs-exhaustive comparisons are exact.
-fn config(seal_secs: f64) -> ServiceConfig {
-    ServiceConfig {
-        worker: StreamWorkerConfig {
-            params: IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-            bootstrap_secs: 1e9,
-            retrain_interval_secs: 1e9,
-            gt_label_fraction: 0.0,
-            ..StreamWorkerConfig::default()
-        },
-        seal: SealPolicy::every_secs(seal_secs),
-        gpus: GpuClusterSpec::new(4),
-        ..ServiceConfig::default()
-    }
-}
-
-fn workload(secs: f64) -> Vec<VideoDataset> {
-    ["auburn_c", "lausanne"]
-        .iter()
-        .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), secs))
-        .collect()
-}
-
-fn interleave(datasets: &[VideoDataset], chunk: usize) -> Vec<Frame> {
-    let mut cursors = vec![0usize; datasets.len()];
-    let mut frames = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (ds, cursor) in datasets.iter().zip(cursors.iter_mut()) {
-            let end = (*cursor + chunk).min(ds.frames.len());
-            if *cursor < end {
-                frames.extend(ds.frames[*cursor..end].iter().cloned());
-                *cursor = end;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return frames;
-        }
-    }
-}
-
 fn ingested_service(
     name: &str,
     seal_secs: f64,
     datasets: &[VideoDataset],
     frames: &[Frame],
 ) -> FocusService {
-    let dir = test_dir(name);
-    let mut service =
-        FocusService::create(&dir, config(seal_secs), GroundTruthCnn::resnet152()).unwrap();
-    for ds in datasets {
-        service
-            .register_stream(ds.profile.stream_id, ds.profile.fps)
-            .unwrap();
-    }
+    let mut service = service_at(&test_dir(name), seal_secs, datasets);
     service.advance(frames).unwrap();
     service
 }

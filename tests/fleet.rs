@@ -6,16 +6,19 @@
 //! deterministic kill/recover/rebalance matrix the `fleet-faults` CI job
 //! runs per node count; `fleet_failover_soak` is the nightly soak.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{config, interleave, service_at};
 use focus::cnn::GroundTruthCnn;
 use focus::core::fleet::{FleetConfig, FleetCoordinator, FleetError};
-use focus::core::service::{FocusService, ServiceConfig};
-use focus::core::{IngestParams, QueryRequest, SealPolicy, StreamWorkerConfig};
+use focus::core::service::FocusService;
+use focus::core::QueryRequest;
 use focus::index::QueryFilter;
-use focus::runtime::{Clock, GpuClusterSpec, NetCostModel, VirtualClock};
+use focus::runtime::{Clock, NetCostModel, VirtualClock};
 use focus::video::profile::profile_by_name;
-use focus::video::{Frame, VideoDataset};
+use focus::video::VideoDataset;
 
 use std::path::PathBuf;
 
@@ -26,30 +29,13 @@ fn test_dir(name: &str) -> PathBuf {
 }
 
 /// Specialization and adaptation are per-process schedules that a failover
-/// resets, so the equivalence tests run with both disabled — the regime in
-/// which fleet answers are provably byte-identical to a single node's.
-fn service_config(seal_secs: f64) -> ServiceConfig {
-    ServiceConfig {
-        worker: StreamWorkerConfig {
-            params: IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-            bootstrap_secs: 1e9,
-            retrain_interval_secs: 1e9,
-            gt_label_fraction: 0.0,
-            ..StreamWorkerConfig::default()
-        },
-        seal: SealPolicy::every_secs(seal_secs),
-        gpus: GpuClusterSpec::new(4),
-        ..ServiceConfig::default()
-    }
-}
-
+/// resets, so the equivalence tests run with both disabled
+/// ([`common::config`]) — the regime in which fleet answers are provably
+/// byte-identical to a single node's.
 fn fleet_config(nodes: usize, seal_secs: f64) -> FleetConfig {
     FleetConfig {
         nodes,
-        service: service_config(seal_secs),
+        service: config(seal_secs),
         net: NetCostModel::default(),
     }
 }
@@ -59,27 +45,6 @@ fn workload(secs: f64) -> Vec<VideoDataset> {
         .iter()
         .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), secs))
         .collect()
-}
-
-/// Round-robin interleaving in `chunk`-frame runs — multi-camera arrival
-/// order.
-fn interleave(datasets: &[VideoDataset], chunk: usize) -> Vec<Frame> {
-    let mut cursors = vec![0usize; datasets.len()];
-    let mut frames = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (ds, cursor) in datasets.iter().zip(cursors.iter_mut()) {
-            let end = (*cursor + chunk).min(ds.frames.len());
-            if *cursor < end {
-                frames.extend(ds.frames[*cursor..end].iter().cloned());
-                *cursor = end;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return frames;
-        }
-    }
 }
 
 /// The standard request mix: unfiltered, two time windows, a stream
@@ -126,13 +91,7 @@ fn fleet_with(
 /// The single-node twin: one `FocusService` over the union of streams.
 fn twin_with(name: &str, seal_secs: f64, datasets: &[VideoDataset]) -> (FocusService, PathBuf) {
     let dir = test_dir(name);
-    let mut twin =
-        FocusService::create(&dir, service_config(seal_secs), GroundTruthCnn::resnet152()).unwrap();
-    for ds in datasets {
-        twin.register_stream(ds.profile.stream_id, ds.profile.fps)
-            .unwrap();
-    }
-    (twin, dir)
+    (service_at(&dir, seal_secs, datasets), dir)
 }
 
 fn canonical(outcomes: &[focus::core::QueryOutcome]) -> String {

@@ -4,15 +4,18 @@
 //! pruned segmented path and never re-verifying a centroid already cached
 //! for the current ground-truth epoch.
 
+mod common;
+
 use proptest::prelude::*;
 
-use focus::cnn::{GpuCost, GroundTruthCnn, ModelSpec};
+use common::{config, interleave, reference_output, service_at, workload};
+use focus::cnn::{GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
 use focus::core::{
-    ConfigurationPoint, IngestCnn, IngestEngine, IngestOutput, IngestParams, ModelChoice,
-    QueryEngine, QueryRequest, SealPolicy, SelectedConfiguration, StreamWorkerConfig,
+    ConfigurationPoint, IngestCnn, IngestEngine, IngestParams, ModelChoice, QueryEngine,
+    QueryRequest, SealPolicy, SelectedConfiguration, StreamWorkerConfig,
 };
-use focus::index::{persist, QueryFilter};
+use focus::index::{persist, QueryFilter, TopKIndex};
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{Frame, VideoDataset};
@@ -25,65 +28,9 @@ fn test_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// A service config with specialization disabled (identity query routing),
-/// so results can be compared against the serial engine over the merged
-/// corpus.
-fn config(seal_secs: f64) -> ServiceConfig {
-    ServiceConfig {
-        worker: StreamWorkerConfig {
-            params: IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-            bootstrap_secs: 1e9,
-            retrain_interval_secs: 1e9,
-            gt_label_fraction: 0.0,
-            ..StreamWorkerConfig::default()
-        },
-        seal: SealPolicy::every_secs(seal_secs),
-        gpus: GpuClusterSpec::new(4),
-        ..ServiceConfig::default()
-    }
-}
-
-fn workload(secs: f64) -> Vec<VideoDataset> {
-    ["auburn_c", "lausanne"]
-        .iter()
-        .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), secs))
-        .collect()
-}
-
 fn service_with(name: &str, seal_secs: f64, datasets: &[VideoDataset]) -> (FocusService, PathBuf) {
     let dir = test_dir(name);
-    let mut service =
-        FocusService::create(&dir, config(seal_secs), GroundTruthCnn::resnet152()).unwrap();
-    for ds in datasets {
-        service
-            .register_stream(ds.profile.stream_id, ds.profile.fps)
-            .unwrap();
-    }
-    (service, dir)
-}
-
-/// Round-robin interleaving of the datasets' frames in `chunk`-frame runs —
-/// the arrival order a live multi-camera service sees.
-fn interleave(datasets: &[VideoDataset], chunk: usize) -> Vec<Frame> {
-    let mut cursors = vec![0usize; datasets.len()];
-    let mut frames = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (ds, cursor) in datasets.iter().zip(cursors.iter_mut()) {
-            let end = (*cursor + chunk).min(ds.frames.len());
-            if *cursor < end {
-                frames.extend(ds.frames[*cursor..end].iter().cloned());
-                *cursor = end;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return frames;
-        }
-    }
+    (service_at(&dir, seal_secs, datasets), dir)
 }
 
 fn request_mix(datasets: &[VideoDataset], secs: f64) -> Vec<QueryRequest> {
@@ -163,27 +110,7 @@ fn gt_inferences_never_exceed_the_serial_engine() {
     let service_inferences: usize = outcomes.iter().map(|o| o.centroid_inferences).sum();
 
     // Serial reference over the same corpus: merged segments + tail.
-    let mut merged = service.store().merged_index().unwrap();
-    let tail = service.tail_snapshot();
-    let mut centroids = service.corpus().centroids.clone();
-    for part in tail.parts() {
-        assert_eq!(merged.merge_from(part.index()), 0);
-        centroids.extend(part.centroids().clone());
-    }
-    let objects_total = merged.stats().objects;
-    let clusters = merged.len();
-    let reference = IngestOutput {
-        index: merged,
-        centroids,
-        model: IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-        params: config(12.0).worker.params,
-        gpu_cost: GpuCost::ZERO,
-        frames_total: 0,
-        frames_with_motion: 0,
-        objects_total,
-        objects_classified: objects_total,
-        clusters,
-    };
+    let reference = reference_output(&service);
     let engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
     let mut serial_inferences = 0;
     for (request, outcome) in requests.iter().zip(outcomes.iter()) {
@@ -210,37 +137,69 @@ fn gt_inferences_never_exceed_the_serial_engine() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The live driver against the batch reference: with the model fixed (no
-/// bootstrap, no retrain, no GT labelling) and no seal before the end of
-/// the recording, frame-by-frame `advance` runs the same shared pipeline
-/// as one `IngestEngine::ingest` call, so the index is byte-identical and
-/// the ingest GPU seconds bitwise equal.
+/// The live driver against the batch reference, on a two-camera workload:
+/// with the model fixed (no bootstrap, no retrain, no GT labelling) and no
+/// seal before the end of the recording, frame-by-frame `advance` runs the
+/// same shared pipeline as one `IngestEngine::ingest` call per stream, so
+/// the merged index is byte-identical, every object is indexed exactly
+/// once, every centroid is retained and the ingest GPU seconds are what the
+/// batch runs charged — bitwise, where the summation order is the same.
 #[test]
 fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
-    let dataset = VideoDataset::generate(profile_by_name("lausanne").unwrap(), 90.0);
-    let batch = IngestEngine::new(
+    let datasets: Vec<VideoDataset> = ["lausanne", "auburn_c"]
+        .iter()
+        .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), 90.0))
+        .collect();
+    let engine = IngestEngine::new(
         IngestCnn::generic(ModelSpec::cheap_cnn_1()),
         config(1e9).worker.params,
-    )
-    .ingest(&dataset, &GpuMeter::new());
-
-    let (mut service, dir) = service_with("live_vs_batch", 1e9, std::slice::from_ref(&dataset));
-    for frame in &dataset.frames {
-        let report = service.advance(std::slice::from_ref(frame)).unwrap();
-        assert_eq!((report.segments_sealed, report.retrains), (0, 0));
+    );
+    let batch_meter = GpuMeter::new();
+    let mut batch_index = TopKIndex::new();
+    let mut batch_costs = Vec::new();
+    for dataset in &datasets {
+        let batch = engine.ingest(dataset, &batch_meter);
+        assert_eq!(batch.objects_total, dataset.object_count());
+        batch_costs.push(batch.gpu_cost);
+        assert_eq!(batch_index.merge(batch.index), 0);
     }
-    assert_eq!(service.seal_all().unwrap().len(), 1);
+
+    let (mut service, dir) = service_with("live_vs_batch", 1e9, &datasets);
+    for (i, dataset) in datasets.iter().enumerate() {
+        for frame in &dataset.frames {
+            let report = service.advance(std::slice::from_ref(frame)).unwrap();
+            assert_eq!((report.segments_sealed, report.retrains), (0, 0));
+        }
+        if i == 0 {
+            // One stream in: the scheduler has summed exactly the charges
+            // the batch run summed, in the same order.
+            assert_eq!(
+                service.stats().gpu.submitted_by_phase["ingest"].to_bits(),
+                batch_costs[0].seconds().to_bits()
+            );
+        }
+    }
+    assert_eq!(service.seal_all().unwrap().len(), datasets.len());
 
     let stats = service.stats();
-    assert_eq!(stats.objects_indexed, batch.objects_total);
     assert_eq!(
-        stats.gpu.submitted_by_phase["ingest"].to_bits(),
-        batch.gpu_cost.seconds().to_bits()
+        stats.objects_indexed,
+        datasets.iter().map(|d| d.object_count()).sum::<usize>()
     );
+    let ingest_secs = stats.gpu.submitted_by_phase["ingest"];
+    assert!((ingest_secs - batch_meter.phase("ingest").seconds()).abs() < 1e-9 * ingest_secs);
+    let merged = service.store().merged_index().unwrap();
     assert_eq!(
-        persist::to_json(&service.store().merged_index().unwrap()).unwrap(),
-        persist::to_json(&batch.index).unwrap()
+        persist::to_json(&merged).unwrap(),
+        persist::to_json(&batch_index).unwrap()
     );
+    assert_eq!(merged.stats().objects, stats.objects_indexed);
+    for record in merged.clusters() {
+        assert!(service
+            .corpus()
+            .centroids
+            .contains_key(&record.centroid_object));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,27 +1,27 @@
-//! Integration tests for the durable, time-partitioned segment store: a
-//! segmented corpus must answer queries byte-identically to the merged
-//! in-memory index while opening strictly fewer segments under time
-//! filters, and must recover every sealed segment after crashes and
-//! corruption.
+//! Integration tests for the durable, time-partitioned segment store, all
+//! driven through the one durable driver: a [`FocusService`] recovered from
+//! disk — the writing service dropped first, nothing carried over but the
+//! directory — must answer queries byte-identically to the in-memory
+//! reference while opening strictly fewer segments under time filters, and
+//! must recover every sealed segment after crashes and corruption.
+
+mod common;
 
 use proptest::prelude::*;
 
-use focus::cnn::{GroundTruthCnn, ModelSpec};
-use focus::core::segment_ingest::{SealPolicy, SegmentedIngest, SegmentedIngestOutput};
-use focus::core::{
-    FocusService, IngestCnn, IngestParams, QueryRequest, QueryServer, SegmentedCorpus,
-    ServiceConfig,
-};
+use common::{config, interleave, reference_output, service_at, workload};
+use focus::cnn::GroundTruthCnn;
+use focus::core::service::{SERVICE_STATE_FILE, SERVICE_STATE_VERSION};
+use focus::core::{FocusService, IngestOutput, QueryRequest, QueryServer, ServiceConfig};
 use focus::index::persist::{self, PersistError};
 use focus::index::{
-    binseg, ClusterKey, ClusterRecord, Manifest, MemberRef, QueryFilter, SegmentError,
+    binseg, ClusterKey, ClusterRecord, Manifest, MemberRef, QueryFilter, SegmentError, SegmentMeta,
     SegmentStore, TopKIndex,
 };
-use focus::runtime::{GpuClusterSpec, GpuMeter, IoMeter};
-use focus::video::profile::profile_by_name;
+use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::{ClassId, FrameId, ObjectId, StreamId, TrackId, VideoDataset};
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("focus_segment_durability_{name}"));
@@ -29,123 +29,64 @@ fn test_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn workload(secs: f64) -> Vec<VideoDataset> {
-    ["auburn_c", "lausanne"]
-        .iter()
-        .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), secs))
-        .collect()
+/// What a finished, dropped ingest run leaves behind: the directory, plus
+/// — for the assertions only, never handed to the serving side — the
+/// segments it sealed and the in-memory reference of what it indexed.
+struct Archive {
+    datasets: Vec<VideoDataset>,
+    sealed: Vec<SegmentMeta>,
+    reference: IngestOutput,
+    dir: PathBuf,
 }
 
-fn segmented(policy: SealPolicy, shards: usize) -> SegmentedIngest {
-    SegmentedIngest::new(
-        IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-        IngestParams {
-            k: 10,
-            ..IngestParams::default()
-        },
-        policy,
-        shards,
-    )
-}
-
-fn build(
-    name: &str,
-    secs: f64,
-    policy: SealPolicy,
-    shards: usize,
-) -> (Vec<VideoDataset>, SegmentedIngestOutput, PathBuf) {
+/// Replays the two-camera workload through a fixed-model service (frames
+/// arriving interleaved in `chunk`-frame runs), seals everything and drops
+/// the service.
+fn build(name: &str, secs: f64, seal_secs: f64, chunk: usize) -> Archive {
     let datasets = workload(secs);
     let dir = test_dir(name);
-    let mut store = SegmentStore::create(&dir).unwrap();
-    let output = segmented(policy, shards)
-        .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-        .unwrap();
-    (datasets, output, dir)
+    let mut service = service_at(&dir, seal_secs, &datasets);
+    service.advance(&interleave(&datasets, chunk)).unwrap();
+    service.seal_all().unwrap();
+    Archive {
+        sealed: service.store().segments().to_vec(),
+        reference: reference_output(&service),
+        datasets,
+        dir,
+    }
 }
 
+/// The restart: a service recovered from nothing but the directory.
+fn recover(dir: &Path, seal_secs: f64) -> (FocusService, focus::index::OpenReport) {
+    FocusService::recover(dir, config(seal_secs), GroundTruthCnn::resnet152()).unwrap()
+}
+
+/// A cold in-memory server with the GPU cluster of [`config`].
 fn server() -> QueryServer {
     QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4))
 }
 
-/// Satellite: round-trip save/open across 1/2/4 shards asserting
-/// canonical-JSON equality between the store (reopened from disk) and the
-/// in-memory combined index — and that the pool width changes nothing a
-/// caller can observe: index and GPU accounting are bitwise what
-/// per-dataset [`IngestEngine`](focus::core::IngestEngine) runs produce.
-#[test]
-fn store_roundtrip_matches_in_memory_index_across_shard_counts() {
-    let datasets = workload(45.0);
-    let bits = |cost: focus::cnn::GpuCost| cost.seconds().to_bits();
-    let ingest = |policy, shards, datasets: &[VideoDataset], name: &str, meter: &GpuMeter| {
-        let dir = test_dir(&format!("roundtrip_{name}_{shards}"));
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let output = segmented(policy, shards)
-            .ingest_to_store(datasets, &mut store, meter)
-            .unwrap();
-        (output, dir)
-    };
-
-    // One shard is one direct engine run: the driver adds nothing and loses
-    // nothing. (Sealed as a single segment — a seal boundary closes the
-    // clusters open across it, so only that run compares to the engine's.)
-    let whole = SealPolicy::every_secs(f64::INFINITY);
-    let engine = segmented(whole, 1).engine().clone();
-    let direct_meter = GpuMeter::new();
-    let mut direct_index = TopKIndex::new();
-    for dataset in &datasets {
-        let direct = engine.ingest(dataset, &direct_meter);
-        let one = std::slice::from_ref(dataset);
-        let (single, dir) = ingest(whole, 1, one, "single", &GpuMeter::new());
-        assert_eq!(bits(single.combined.gpu_cost), bits(direct.gpu_cost));
-        assert_eq!(direct_index.merge(direct.index), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    let direct_index = persist::to_json(&direct_index).unwrap();
-
-    let mut canonical: Option<String> = None;
-    for shards in [1usize, 2, 4] {
-        // At any width the whole workload equals the per-dataset engine
-        // runs charged in workload order, bit for bit.
-        let meter = GpuMeter::new();
-        let (output, dir) = ingest(whole, shards, &datasets, "whole", &meter);
-        let combined = output.combined;
-        assert_eq!(persist::to_json(&combined.index).unwrap(), direct_index);
-        for (got, want) in [
-            (meter.total(), direct_meter.total()),
-            (meter.phase("ingest"), direct_meter.phase("ingest")),
-            (combined.gpu_cost, direct_meter.total()),
-        ] {
-            assert_eq!(bits(got), bits(want), "shards={shards}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-
-        let policy = SealPolicy::every_secs(15.0);
-        let (output, dir) = ingest(policy, shards, &datasets, "sealed", &GpuMeter::new());
-        let (reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert!(report.is_clean(), "shards={shards}: {report:?}");
-        let from_disk = persist::to_json(&reopened.merged_index().unwrap()).unwrap();
-        let in_memory = persist::to_json(&output.combined.index).unwrap();
-        assert_eq!(from_disk, in_memory, "shards={shards}");
-        // Every shard count produces the same canonical bytes.
-        match &canonical {
-            None => canonical = Some(from_disk),
-            Some(expected) => assert_eq!(&from_disk, expected, "shards={shards}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
+/// Every file in `dir` with its bytes, sorted by name.
+fn listing(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap())
+        .map(|entry| (entry.file_name(), std::fs::read(entry.path()).unwrap()))
+        .collect();
+    files.sort();
+    files
 }
 
-/// Acceptance criterion: time-filtered queries over a segmented store
+/// Acceptance criterion: time-filtered queries over a recovered store
 /// return byte-identical results to the merged in-memory index while
 /// opening strictly fewer segments.
 #[test]
 fn time_filtered_queries_are_identical_and_open_fewer_segments() {
-    let (datasets, output, dir) = build("pruned_query", 60.0, SealPolicy::every_secs(15.0), 2);
-    let (store, report) = SegmentStore::open(&dir).unwrap();
+    let archive = build("pruned_query", 60.0, 15.0, 64);
+    let (recovered, report) = recover(&archive.dir, 15.0);
     assert!(report.is_clean(), "{report:?}");
-    let corpus = SegmentedCorpus::from_output(store, &output);
 
-    let classes = datasets[0].dominant_classes(3);
+    let classes = archive.datasets[0].dominant_classes(3);
     let requests: Vec<QueryRequest> = classes
         .iter()
         .flat_map(|c| {
@@ -159,13 +100,11 @@ fn time_filtered_queries_are_identical_and_open_fewer_segments() {
         })
         .collect();
 
-    // The segmented server and the in-memory server run the same model on
-    // the same candidates: outcomes must serialize byte-identically.
-    let io = IoMeter::new();
-    let served = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &io)
-        .unwrap();
-    let reference = server().serve(&output.combined, &requests, &GpuMeter::new());
+    // The recovered service and the cold in-memory server run the same
+    // model on the same candidates: outcomes must serialize
+    // byte-identically, accounting fields included.
+    let served = recovered.serve(&requests).unwrap();
+    let reference = server().serve(&archive.reference, &requests, &GpuMeter::new());
     assert_eq!(
         serde_json::to_string(&served).unwrap(),
         serde_json::to_string(&reference).unwrap()
@@ -177,43 +116,43 @@ fn time_filtered_queries_are_identical_and_open_fewer_segments() {
     // Strictly fewer segments opened than the store holds, per query and in
     // total: every time-restricted request above spans at most half the
     // timeline.
-    let total_segments = corpus.store().len();
+    let total_segments = recovered.store().len();
     assert!(total_segments >= 8, "expected a well-segmented store");
     for request in requests.iter().filter(|r| r.filter.time_range.is_some()) {
-        let planned = corpus.plan(request).unwrap();
+        let planned = recovered.corpus().plan_with_tail(request, None).unwrap();
         assert!(
             planned.access.segments_considered < total_segments,
             "request {request:?} opened {} of {total_segments}",
             planned.access.segments_considered
         );
     }
-    // The IoMeter saw the storage work.
-    let stats = io.snapshot();
-    assert!(stats.segments_opened() > 0);
-    assert!(stats.segment_loads > 0);
-    assert!(stats.bytes_read > 0);
-    std::fs::remove_dir_all(&dir).ok();
+    // The service's I/O meter saw the storage work.
+    let io = recovered.stats().io;
+    assert!(io.segments_opened() > 0);
+    assert!(io.blocks_fetched() > 0);
+    std::fs::remove_dir_all(&archive.dir).ok();
 }
 
 /// Satellite: a bit-flipped segment is detected by its manifest checksum
-/// and quarantined on open instead of being silently loaded.
+/// and quarantined on recovery instead of being silently loaded.
 #[test]
 fn corrupted_segment_is_quarantined_not_loaded() {
-    let (_, output, dir) = build("corrupt", 45.0, SealPolicy::every_secs(15.0), 2);
-    let victim = output.sealed[2].file.clone();
-    let path = dir.join(&victim);
+    let archive = build("corrupt", 45.0, 15.0, 64);
+    let victim = archive.sealed[2].file.clone();
+    let path = archive.dir.join(&victim);
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
 
-    let (store, report) = SegmentStore::open(&dir).unwrap();
+    let (recovered, report) = recover(&archive.dir, 15.0);
     assert_eq!(report.quarantined, vec![victim.clone()]);
-    assert!(dir.join(format!("{victim}.quarantined")).exists());
-    assert_eq!(store.len(), output.sealed.len() - 1);
+    assert!(archive.dir.join(format!("{victim}.quarantined")).exists());
+    let store = recovered.store();
+    assert_eq!(store.len(), archive.sealed.len() - 1);
     // The survivors are exactly the other segments' records.
-    let mut expected = focus::index::TopKIndex::new();
-    for meta in output.sealed.iter().filter(|m| m.file != victim) {
+    let mut expected = TopKIndex::new();
+    for meta in archive.sealed.iter().filter(|m| m.file != victim) {
         let loaded = store.load(meta.id).unwrap();
         assert_eq!(expected.merge_from(&loaded), 0);
     }
@@ -221,7 +160,7 @@ fn corrupted_segment_is_quarantined_not_loaded() {
         persist::to_json(&store.merged_index().unwrap()).unwrap(),
         persist::to_json(&expected).unwrap()
     );
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&archive.dir).ok();
 }
 
 /// Acceptance criterion: a kill between the two-step write (segment file,
@@ -230,34 +169,87 @@ fn corrupted_segment_is_quarantined_not_loaded() {
 /// unacknowledged orphan is quarantined rather than trusted.
 #[test]
 fn kill_between_writes_recovers_every_sealed_segment() {
-    let (_, output, dir) = build("crash", 45.0, SealPolicy::every_secs(15.0), 1);
-    let sealed_json = {
-        let (store, _) = SegmentStore::open(&dir).unwrap();
-        persist::to_json(&store.merged_index().unwrap()).unwrap()
-    };
+    let archive = build("crash", 45.0, 15.0, 64);
+    let dir = &archive.dir;
+    let sealed_json = persist::to_json(&archive.reference.index).unwrap();
 
     // Crash A: killed mid-segment-write — a partial temp file remains.
     std::fs::write(dir.join("seg-000099.json.tmp"), b"{\"version\":1,\"ind").unwrap();
     // Crash B: killed after the segment rename but before the manifest
     // update — a complete, valid-looking segment the manifest never saw.
-    let orphan_payload = persist::to_json(&focus::index::TopKIndex::new()).unwrap();
+    let orphan_payload = persist::to_json(&TopKIndex::new()).unwrap();
     std::fs::write(dir.join("seg-000098.json"), orphan_payload).unwrap();
 
-    let (recovered, report) = SegmentStore::open(&dir).unwrap();
+    let (recovered, report) = recover(dir, 15.0);
     assert_eq!(report.removed_temp, vec!["seg-000099.json.tmp".to_string()]);
     assert_eq!(report.quarantined, vec!["seg-000098.json".to_string()]);
     assert!(report.missing.is_empty());
     // Every sealed segment is back, byte-identically.
-    assert_eq!(recovered.len(), output.sealed.len());
+    assert_eq!(recovered.store().len(), archive.sealed.len());
     assert_eq!(
-        persist::to_json(&recovered.merged_index().unwrap()).unwrap(),
+        persist::to_json(&recovered.store().merged_index().unwrap()).unwrap(),
         sealed_json
     );
-    // And the repaired store opens clean the next time.
+    // And the repaired store recovers clean the next time.
     drop(recovered);
-    let (_, report) = SegmentStore::open(&dir).unwrap();
+    let (_, report) = recover(dir, 15.0);
     assert!(report.is_clean(), "{report:?}");
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Satellite: `recover` refuses before it repairs. A sealed store whose
+/// `service_state.json` is missing, malformed or of another version is
+/// refused with a typed error naming the sidecar, and the refusal touches
+/// nothing — in particular the stray temp file `SegmentStore::open` would
+/// sweep is still there.
+#[test]
+fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
+    let archive = build("refuse", 30.0, 10.0, 64);
+    let dir = &archive.dir;
+    let sidecar = dir.join(SERVICE_STATE_FILE);
+    let valid = std::fs::read_to_string(&sidecar).unwrap();
+    // Bait for the open-time sweep, should it run before the refusal.
+    std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
+
+    let version = format!("\"version\":{SERVICE_STATE_VERSION}");
+    assert!(valid.contains(&version), "{valid}");
+    let bumped = valid.replace(
+        &version,
+        &format!("\"version\":{}", SERVICE_STATE_VERSION + 1),
+    );
+    type Expected = fn(&PersistError) -> bool;
+    let cases: [(Option<&str>, Expected); 3] = [
+        (None, |e| matches!(e, PersistError::Io { .. })),
+        (Some("not json"), |e| {
+            matches!(e, PersistError::Format { .. })
+        }),
+        (Some(&bumped), |e| {
+            matches!(e, PersistError::VersionMismatch { .. })
+        }),
+    ];
+    for (content, is_expected) in cases {
+        match content {
+            None => std::fs::remove_file(&sidecar).unwrap(),
+            Some(text) => std::fs::write(&sidecar, text).unwrap(),
+        }
+        let before = listing(dir);
+        let Err(SegmentError::Persist(e)) =
+            FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152())
+        else {
+            panic!("a directory with sidecar {content:?} must be refused");
+        };
+        assert!(is_expected(&e), "sidecar {content:?}: {e:?}");
+        assert_eq!(e.path(), Some(sidecar.as_path()), "{e}");
+        assert_eq!(listing(dir), before, "sidecar {content:?}");
+    }
+
+    // With the sidecar back the same directory recovers (and only now is
+    // the temp file swept).
+    std::fs::write(&sidecar, valid).unwrap();
+    let (recovered, report) = recover(dir, 10.0);
+    assert_eq!(report.removed_temp, vec!["seg-000099.bin.tmp".to_string()]);
+    assert_eq!(recovered.store().len(), archive.sealed.len());
+    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Satellite: a store from before binary became the only segment format —
@@ -279,15 +271,6 @@ fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
     });
     let segment = persist::to_json(&index).unwrap();
     let checksum = focus::index::manifest::fnv1a64(segment.as_bytes());
-    let listing = |dir: &PathBuf| -> Vec<(std::ffi::OsString, Vec<u8>)> {
-        let mut files: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|entry| entry.unwrap())
-            .map(|entry| (entry.file_name(), std::fs::read(entry.path()).unwrap()))
-            .collect();
-        files.sort();
-        files
-    };
 
     for (name, tag) in [("tagged", ",\"format\":\"Json\""), ("untagged", "")] {
         let dir = test_dir(&format!("legacy_{name}"));
@@ -300,6 +283,9 @@ fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
         );
         let json = format!("{{\"version\":1,\"next_segment_id\":1,\"segments\":[{entry}]}}");
         std::fs::write(&manifest, json).unwrap();
+        // A valid sidecar, so `recover` gets as far as the manifest.
+        let sidecar = format!("{{\"version\":{SERVICE_STATE_VERSION},\"streams\":[[0,30]]}}");
+        std::fs::write(dir.join(SERVICE_STATE_FILE), sidecar).unwrap();
         // Bait for the open-time sweep, should it ever run.
         std::fs::write(dir.join("seg-000001.bin.tmp"), b"partial").unwrap();
         let before = listing(&dir);
@@ -328,13 +314,14 @@ fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
 /// next open quarantines the segment through the usual report machinery.
 #[test]
 fn bit_flipped_binary_block_fails_block_checksum_at_lookup() {
-    let (_, output, dir) = build("block_corrupt", 45.0, SealPolicy::every_secs(15.0), 2);
-    let victim = output.sealed[1].clone();
+    let archive = build("block_corrupt", 45.0, 15.0, 64);
+    let dir = &archive.dir;
+    let victim = archive.sealed[1].clone();
 
     // The class held by the victim's first record block, discovered via a
     // scratch handle so the store under test caches nothing.
     let first_class = {
-        let (scratch, _) = SegmentStore::open(&dir).unwrap();
+        let (scratch, _) = SegmentStore::open(dir).unwrap();
         let segment = scratch.load(victim.id).unwrap();
         segment
             .clusters()
@@ -343,7 +330,7 @@ fn bit_flipped_binary_block_fails_block_checksum_at_lookup() {
             .top_k_classes[0]
     };
 
-    let (store, report) = SegmentStore::open(&dir).unwrap();
+    let (store, report) = SegmentStore::open(dir).unwrap();
     assert!(report.is_clean(), "{report:?}");
     // Flip one bit inside the first record block (just past the magic).
     let path = dir.join(&victim.file);
@@ -356,138 +343,139 @@ fn bit_flipped_binary_block_fails_block_checksum_at_lookup() {
 
     // Same detection, same quarantine machinery on the next open.
     drop(store);
-    let (reopened, report) = SegmentStore::open(&dir).unwrap();
+    let (reopened, report) = SegmentStore::open(dir).unwrap();
     assert_eq!(report.quarantined, vec![victim.file.clone()]);
-    assert_eq!(reopened.len(), output.sealed.len() - 1);
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(reopened.len(), archive.sealed.len() - 1);
+    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Compaction folds small adjacent segments without changing query results.
 #[test]
 fn compaction_preserves_query_results() {
-    let (datasets, output, dir) = build("compact", 60.0, SealPolicy::every_secs(10.0), 2);
-    let (store, _) = SegmentStore::open(&dir).unwrap();
-    let mut corpus = SegmentedCorpus::from_output(store, &output);
-    let before_segments = corpus.store().len();
-
-    let class = datasets[0].dominant_classes(1)[0];
+    let archive = build("compact", 60.0, 10.0, 64);
+    let class = archive.datasets[0].dominant_classes(1)[0];
     let requests = vec![
         QueryRequest::new(class),
         QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(0.0, 25.0)),
     ];
-    let before = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
+    let reference =
+        serde_json::to_string(&server().serve(&archive.reference, &requests, &GpuMeter::new()))
+            .unwrap();
 
-    let folded = corpus.store_mut().compact(200).unwrap();
+    // An aggressive trigger, so one maintenance tick compacts.
+    let compacting = ServiceConfig {
+        small_segment_clusters: 1_000,
+        compact_small_threshold: 2,
+        compact_max_clusters: 200,
+        ..config(10.0)
+    };
+    let recover_compacting = || {
+        FocusService::recover(
+            &archive.dir,
+            compacting.clone(),
+            GroundTruthCnn::resnet152(),
+        )
+        .unwrap()
+        .0
+    };
+    let mut recovered = recover_compacting();
+    let before_segments = recovered.store().len();
+    let before = recovered.serve(&requests).unwrap();
+    assert_eq!(serde_json::to_string(&before).unwrap(), reference);
+
+    let folded = recovered.maintain().unwrap().segments_folded;
     assert!(folded > 0, "expected the 10-second segments to fold");
-    assert!(corpus.store().len() < before_segments);
+    assert!(recovered.store().len() < before_segments);
 
-    // A fresh (cold) server: the accounting fields must match too, not just
-    // the result sets.
-    let after = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    assert_eq!(
-        serde_json::to_string(&before).unwrap(),
-        serde_json::to_string(&after).unwrap()
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    // A restart over the compacted layout serves cold: the accounting
+    // fields must match too, not just the result sets.
+    drop(recovered);
+    let after = recover_compacting().serve(&requests).unwrap();
+    assert_eq!(serde_json::to_string(&after).unwrap(), reference);
+    std::fs::remove_dir_all(&archive.dir).ok();
 }
 
 /// Satellite regression: a frame landing exactly on a
-/// [`SealPolicy::every_secs`] boundary must land in exactly one segment —
-/// no duplicate, no drop — for 1, 2 and 4 shards. The boundary frame
-/// starts the *next* segment: its timestamp equals the new segment's
+/// [`SealPolicy::every_secs`](focus::core::SealPolicy::every_secs) boundary
+/// must land in exactly one segment — no duplicate, no drop. The boundary
+/// frame starts the *next* segment: its timestamp equals the new segment's
 /// `t_start`.
 #[test]
 fn seal_boundary_frame_lands_in_exactly_one_segment() {
     // 30 s at a 10-s budget: boundary frames sit exactly at t = 10 and
     // t = 20 (frame ids fps*10 and fps*20, both exactly representable).
-    let secs = 30.0;
     let budget = 10.0;
-    let datasets = workload(secs);
-    for shards in [1usize, 2, 4] {
-        let dir = test_dir(&format!("boundary_{shards}"));
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let output = segmented(SealPolicy::every_secs(budget), shards)
-            .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-            .unwrap();
+    let archive = build("boundary", 30.0, budget, 64);
+    let (recovered, _) = recover(&archive.dir, budget);
+    let store = recovered.store();
 
-        // Every object of the workload is a member of exactly one sealed
-        // record: totals match and no member object id repeats.
-        let mut member_objects = Vec::new();
-        for meta in store.segments() {
-            let segment = store.load(meta.id).unwrap();
-            for record in segment.clusters() {
-                member_objects.extend(record.members.iter().map(|m| m.object));
-            }
+    // Every object of the workload is a member of exactly one sealed
+    // record: totals match and no member object id repeats.
+    let mut member_objects = Vec::new();
+    for meta in store.segments() {
+        let segment = store.load(meta.id).unwrap();
+        for record in segment.clusters() {
+            member_objects.extend(record.members.iter().map(|m| m.object));
         }
-        let total = member_objects.len();
-        assert_eq!(
-            total,
-            datasets.iter().map(|d| d.object_count()).sum::<usize>(),
-            "shards={shards}: every frame's objects sealed exactly once"
-        );
-        member_objects.sort();
-        member_objects.dedup();
-        assert_eq!(
-            total,
-            member_objects.len(),
-            "shards={shards}: no duplicates"
-        );
-
-        // The boundary frame belongs to the segment that *starts* at the
-        // boundary, for every stream that has motion in that frame.
-        for ds in &datasets {
-            let fps = ds.profile.fps;
-            for boundary in [budget, 2.0 * budget] {
-                let boundary_frame = focus::video::FrameId((boundary * fps as f64) as u64);
-                let with_objects = ds
-                    .frames
-                    .iter()
-                    .find(|f| f.frame_id == boundary_frame)
-                    .map(|f| !f.objects.is_empty())
-                    .unwrap_or(false);
-                if !with_objects {
-                    continue;
-                }
-                let mut holders = Vec::new();
-                for meta in store.segments() {
-                    let segment = store.load(meta.id).unwrap();
-                    let members: usize = segment
-                        .clusters()
-                        .filter(|r| r.key.stream == ds.profile.stream_id)
-                        .flat_map(|r| r.members.iter())
-                        .filter(|m| m.frame == boundary_frame)
-                        .count();
-                    if members > 0 {
-                        holders.push((meta.t_start, members));
-                    }
-                }
-                assert_eq!(
-                    holders.len(),
-                    1,
-                    "shards={shards}: boundary frame {boundary_frame:?} in one segment"
-                );
-                // It opens the next window: the holding segment starts at
-                // the boundary.
-                assert!(
-                    (holders[0].0 - boundary).abs() < 1e-9,
-                    "shards={shards}: boundary frame starts the next segment \
-                     (t_start = {}, boundary = {boundary})",
-                    holders[0].0
-                );
-            }
-        }
-
-        // Whole-store invariant unchanged by the boundary handling.
-        assert_eq!(
-            persist::to_json(&store.merged_index().unwrap()).unwrap(),
-            persist::to_json(&output.combined.index).unwrap()
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
+    let total = member_objects.len();
+    assert_eq!(
+        total,
+        archive
+            .datasets
+            .iter()
+            .map(|d| d.object_count())
+            .sum::<usize>(),
+        "every frame's objects sealed exactly once"
+    );
+    member_objects.sort();
+    member_objects.dedup();
+    assert_eq!(total, member_objects.len(), "no duplicates");
+
+    // The boundary frame belongs to the segment that *starts* at the
+    // boundary, for every stream that has motion in that frame.
+    for ds in &archive.datasets {
+        let fps = ds.profile.fps;
+        for boundary in [budget, 2.0 * budget] {
+            let boundary_frame = FrameId((boundary * fps as f64) as u64);
+            let with_objects = ds
+                .frames
+                .iter()
+                .find(|f| f.frame_id == boundary_frame)
+                .map(|f| !f.objects.is_empty())
+                .unwrap_or(false);
+            if !with_objects {
+                continue;
+            }
+            let mut holders = Vec::new();
+            for meta in store.segments() {
+                let segment = store.load(meta.id).unwrap();
+                let members: usize = segment
+                    .clusters()
+                    .filter(|r| r.key.stream == ds.profile.stream_id)
+                    .flat_map(|r| r.members.iter())
+                    .filter(|m| m.frame == boundary_frame)
+                    .count();
+                if members > 0 {
+                    holders.push((meta.t_start, members));
+                }
+            }
+            assert_eq!(
+                holders.len(),
+                1,
+                "boundary frame {boundary_frame:?} in one segment"
+            );
+            // It opens the next window: the holding segment starts at
+            // the boundary.
+            assert!(
+                (holders[0].0 - boundary).abs() < 1e-9,
+                "boundary frame starts the next segment \
+                 (t_start = {}, boundary = {boundary})",
+                holders[0].0
+            );
+        }
+    }
+    std::fs::remove_dir_all(&archive.dir).ok();
 }
 
 proptest! {
@@ -497,27 +485,22 @@ proptest! {
     })]
 
     /// Satellite: arbitrary seal boundaries never change query results —
-    /// for any (duration, seal budget, shard count), serving over the
-    /// segmented store is byte-identical to serving over the merged
-    /// in-memory index, filtered and unfiltered.
+    /// for any (duration, seal budget, arrival-interleave chunk), serving
+    /// from the recovered store is byte-identical to serving over the
+    /// merged in-memory index, filtered and unfiltered.
     #[test]
     fn arbitrary_seal_boundaries_never_change_query_results(
-        (secs, budget_secs, shards, case) in (
+        (secs, budget_secs, chunk, case) in (
             20.0f64..40.0,
             3.0f64..20.0,
-            prop_oneof![Just(1usize), Just(2), Just(3)],
+            prop_oneof![Just(1usize), Just(17), Just(256)],
             0u64..1_000_000,
         )
     ) {
-        let datasets = workload(secs);
-        let dir = test_dir(&format!("proptest_{case}_{shards}"));
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let output = segmented(SealPolicy::every_secs(budget_secs), shards)
-            .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
-            .unwrap();
-        let corpus = SegmentedCorpus::from_output(store, &output);
+        let archive = build(&format!("proptest_{case}_{chunk}"), secs, budget_secs, chunk);
+        let (recovered, _) = recover(&archive.dir, budget_secs);
 
-        let class = datasets[0].dominant_classes(1)[0];
+        let class = archive.datasets[0].dominant_classes(1)[0];
         let half = secs / 2.0;
         let requests = vec![
             QueryRequest::new(class),
@@ -526,16 +509,13 @@ proptest! {
             QueryRequest::new(class)
                 .with_filter(QueryFilter::any().with_time_range(half, secs).with_kx(3)),
         ];
-        let srv = server();
-        let segmented_outcomes = srv
-            .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-            .unwrap();
-        let reference = server().serve(&output.combined, &requests, &GpuMeter::new());
+        let served = recovered.serve(&requests).unwrap();
+        let reference = server().serve(&archive.reference, &requests, &GpuMeter::new());
         prop_assert_eq!(
-            serde_json::to_string(&segmented_outcomes).unwrap(),
+            serde_json::to_string(&served).unwrap(),
             serde_json::to_string(&reference).unwrap()
         );
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&archive.dir).ok();
     }
 }
 

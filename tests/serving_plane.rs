@@ -7,17 +7,19 @@
 //! A 10× overload soak pins the bounded queue, the convergent shed
 //! fraction and post-storm latency recovery.
 
+mod common;
+
 use proptest::prelude::*;
 
-use focus::cnn::{GpuCost, GroundTruthCnn};
-use focus::core::service::{FocusService, ServiceConfig};
+use common::{interleave, service_at, workload};
+use focus::cnn::GpuCost;
+use focus::core::service::FocusService;
 use focus::core::serving::{
     Completed, RequestPlane, Response, ServingConfig, ShedReason, TenantConfig, TenantId,
 };
-use focus::core::{IngestParams, QueryRequest, SealPolicy, StreamWorkerConfig};
+use focus::core::QueryRequest;
 use focus::index::QueryFilter;
-use focus::runtime::{GpuClusterSpec, VirtualClock};
-use focus::video::profile::profile_by_name;
+use focus::runtime::VirtualClock;
 use focus::video::{Frame, VideoDataset};
 
 use std::collections::BTreeMap;
@@ -30,62 +32,12 @@ fn test_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Specialization disabled (stable ground-truth epoch), short seals: the
-/// backend is deterministic, so plane-vs-direct comparisons are exact.
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        worker: StreamWorkerConfig {
-            params: IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-            bootstrap_secs: 1e9,
-            retrain_interval_secs: 1e9,
-            gt_label_fraction: 0.0,
-            ..StreamWorkerConfig::default()
-        },
-        seal: SealPolicy::every_secs(8.0),
-        gpus: GpuClusterSpec::new(4),
-        ..ServiceConfig::default()
-    }
-}
-
-fn workload(secs: f64) -> Vec<VideoDataset> {
-    ["auburn_c", "lausanne"]
-        .iter()
-        .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), secs))
-        .collect()
-}
-
-fn interleave(datasets: &[VideoDataset], chunk: usize) -> Vec<Frame> {
-    let mut cursors = vec![0usize; datasets.len()];
-    let mut frames = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (ds, cursor) in datasets.iter().zip(cursors.iter_mut()) {
-            let end = (*cursor + chunk).min(ds.frames.len());
-            if *cursor < end {
-                frames.extend(ds.frames[*cursor..end].iter().cloned());
-                *cursor = end;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return frames;
-        }
-    }
-}
-
 /// A fully ingested service: the plane then runs a pure query phase
 /// against it (queries never mutate the index).
 fn ingested_service(name: &str, datasets: &[VideoDataset], frames: &[Frame]) -> FocusService {
-    let dir = test_dir(name);
-    let mut service = FocusService::create(&dir, config(), GroundTruthCnn::resnet152()).unwrap();
-    for ds in datasets {
-        service
-            .register_stream(ds.profile.stream_id, ds.profile.fps)
-            .unwrap();
-    }
+    // Specialization disabled (stable ground-truth epoch), short seals:
+    // the backend is deterministic, so plane-vs-direct comparisons are exact.
+    let mut service = service_at(&test_dir(name), 8.0, datasets);
     service.advance(frames).unwrap();
     service
 }
