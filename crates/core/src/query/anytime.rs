@@ -137,9 +137,12 @@ impl SegmentedCorpus {
     /// segments-plus-tail lookup as
     /// [`plan_with_tail`](Self::plan_with_tail), but keeping each
     /// segment's candidates as a separate sampling chunk instead of
-    /// flattening them. The union of the chunks is byte-identical to the
-    /// exhaustive plan's candidate set (segments are key-disjoint and the
-    /// tail is asserted disjoint from them), so
+    /// flattening them — the same single
+    /// [`lookup_classes_grouped`](focus_index::SegmentStore::lookup_classes_grouped)
+    /// call, consumed group by group. The union of the chunks is
+    /// byte-identical to the exhaustive plan's candidate set (the store
+    /// checks segments key-disjoint and the tail is asserted disjoint from
+    /// them), so
     /// [`AnytimePlan::exhaustive_plan`] reproduces
     /// [`plan_with_tail`](Self::plan_with_tail) exactly.
     pub fn plan_anytime_with_tail(
@@ -148,23 +151,21 @@ impl SegmentedCorpus {
         tail: Option<&TailOverlay>,
     ) -> Result<AnytimePlan, SegmentError> {
         let classes = self.lookup_classes(request.class, &request.filter);
-        let mut access = SegmentAccess::default();
-        // A record can match under more than one lookup class (its top-K
-        // holds both the class and OTHER), but always lives in exactly one
-        // segment — so per-segment key-dedupe reproduces the exhaustive
-        // planner's global dedupe.
-        let mut by_segment: BTreeMap<u64, BTreeMap<ClusterKey, ClusterRecord>> = BTreeMap::new();
+        // The store's grouped answer is the chunking: one group per
+        // contributing segment, each deduplicated by key across the lookup
+        // classes (a record whose top-K holds both the class and OTHER
+        // matches twice but lives in exactly one segment) and checked
+        // key-disjoint from the others — the exhaustive planner's
+        // candidate set, partitioned.
+        let grouped = self
+            .store()
+            .lookup_classes_grouped(&classes, &request.filter)?;
+        let mut access = grouped.access;
+        let mut by_segment = grouped.groups;
+        by_segment.sort_by_key(|(segment, _)| *segment);
         let mut tail_hits: BTreeMap<ClusterKey, ClusterRecord> = BTreeMap::new();
-        for &lookup_class in &classes {
-            let grouped = self.store().lookup_grouped(lookup_class, &request.filter)?;
-            access.merge(&grouped.access);
-            for (segment, records) in grouped.groups {
-                let chunk = by_segment.entry(segment).or_default();
-                for record in records {
-                    chunk.insert(record.key, record);
-                }
-            }
-            if let Some(tail) = tail {
+        if let Some(tail) = tail {
+            for &lookup_class in &classes {
                 for record in tail.lookup(lookup_class, &request.filter) {
                     tail_hits.insert(record.key, record);
                 }
@@ -180,8 +181,8 @@ impl SegmentedCorpus {
                     .iter()
                     .any(|m| track_scope.admits(TrackKey::new(record.key.stream, m.track)))
             };
-            for chunk in by_segment.values_mut() {
-                chunk.retain(|_, record| admits(record));
+            for (_, chunk) in &mut by_segment {
+                chunk.retain(|record| admits(record));
             }
             tail_hits.retain(|_, record| admits(record));
         }
@@ -191,12 +192,12 @@ impl SegmentedCorpus {
             if chunk_records.is_empty() {
                 continue;
             }
-            let candidates = chunk_records.values().map(CentroidHandle::from).collect();
+            let candidates = chunk_records.iter().map(CentroidHandle::from).collect();
             chunks.push(AnytimeChunk {
                 source: ChunkSource::Segment(segment),
                 candidates,
             });
-            records.extend(chunk_records);
+            records.extend(chunk_records.into_iter().map(|record| (record.key, record)));
         }
         let tail_records = tail_hits.len();
         if !tail_hits.is_empty() {

@@ -306,8 +306,12 @@ impl SegmentedCorpus {
     /// the default model and the per-stream overrides the query's camera
     /// restriction can actually reach — an override on a stream the filter
     /// excludes cannot contribute records, so its routing must not inflate
-    /// the scan (extra lookup classes cost segment opens and GT
-    /// verifications). One entry for a single-model corpus; at most two
+    /// the scan. An extra lookup class does not cost segment opens — the
+    /// planners hand the whole set to one
+    /// [`SegmentStore::lookup_classes_grouped`] walk, where it costs one
+    /// more postings block per segment that posts it, plus the record
+    /// blocks only it reaches — but every candidate it adds still costs a
+    /// GT verification. One entry for a single-model corpus; at most two
     /// (the class itself and OTHER) in practice.
     pub fn lookup_classes(&self, class: ClassId, filter: &QueryFilter) -> Vec<ClassId> {
         let reachable = |stream: &StreamId| {
@@ -356,7 +360,9 @@ impl SegmentedCorpus {
     ///
     /// With per-stream model overrides, the candidate set is the union of
     /// every lookup class's matches (deduplicated by key — a record whose
-    /// top-K contains both the class and OTHER matches twice). Records
+    /// top-K contains both the class and OTHER matches twice), gathered in
+    /// one walk of the store: `access` counts each segment once per
+    /// request, not once per lookup class. Records
     /// indexed under an *earlier* model's routing therefore stay
     /// reachable after a retrain: hiding them behind the current model's
     /// routing would silently drop a stream's pre-retrain history. OTHER
@@ -446,20 +452,23 @@ impl SegmentedCorpus {
                 ..QueryFilter::any()
             }
         };
-        let mut access = SegmentAccess::default();
-        let mut merged: BTreeMap<ClusterKey, ClusterRecord> = BTreeMap::new();
+        // One store call for every lookup class: each segment is visited
+        // (and each of its blocks fetched) once, and each group comes back
+        // deduplicated by key and checked key-disjoint from the others.
+        let grouped = self
+            .store
+            .lookup_classes_grouped(lookup_classes, &open_filter)?;
+        let mut access = grouped.access;
+        let mut merged: BTreeMap<ClusterKey, ClusterRecord> = grouped
+            .groups
+            .into_iter()
+            .flat_map(|(_, records)| records)
+            .filter(|record| prune_segments || request.filter.admits(record))
+            .map(|record| (record.key, record))
+            .collect();
         let mut tail_hits: BTreeMap<ClusterKey, ClusterRecord> = BTreeMap::new();
-        for &lookup_class in lookup_classes {
-            let lookup = self.store.lookup(lookup_class, &open_filter)?;
-            access.merge(&lookup.access);
-            let mut records = lookup.records;
-            if !prune_segments {
-                records.retain(|record| request.filter.admits(record));
-            }
-            for record in records {
-                merged.insert(record.key, record);
-            }
-            if let Some(tail) = tail {
+        if let Some(tail) = tail {
+            for &lookup_class in lookup_classes {
                 for record in tail.lookup(lookup_class, &request.filter) {
                     tail_hits.insert(record.key, record);
                 }
@@ -999,19 +1008,72 @@ mod tests {
         );
         // The override routes `rare` through OTHER — but only for queries
         // that can reach lausanne. The auburn-restricted query's scan is
-        // unchanged; an unrestricted query pays the extra lookup class.
+        // unchanged; an unrestricted query carries the extra lookup class.
         let after = corpus.plan_with_tail(&only_auburn, None).unwrap();
         assert_eq!(
             after.access.segments_considered,
             before.access.segments_considered
         );
-        let unrestricted = corpus
-            .plan_with_tail(&QueryRequest::new(rare), None)
-            .unwrap();
-        assert!(
-            unrestricted.access.segments_considered > after.access.segments_considered,
-            "the reachable override adds the OTHER scan"
+        assert_eq!(corpus.lookup_classes(rare, &only_auburn.filter).len(), 1);
+        assert_eq!(corpus.lookup_classes(rare, &QueryFilter::any()).len(), 2);
+        // Both classes ride one walk of the store: every segment is
+        // considered once per request, not once per lookup class.
+        let unrestricted = QueryRequest::new(rare);
+        let flat = corpus.plan_with_tail(&unrestricted, None).unwrap();
+        assert_eq!(flat.access.segments_considered, corpus.store().len());
+        let chunked = corpus.plan_anytime_with_tail(&unrestricted, None).unwrap();
+        assert_eq!(chunked.access.segments_considered, corpus.store().len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shared_keys_across_segments_fail_both_planners_with_a_typed_error() {
+        use focus_index::{MemberRef, TopKIndex};
+        use focus_video::{FrameId, TrackId};
+        let record = |local: u64, class: u16| ClusterRecord {
+            key: ClusterKey::new(StreamId(0), local),
+            centroid_object: ObjectId(local),
+            centroid_frame: FrameId(local),
+            top_k_classes: vec![ClassId(class)],
+            members: vec![MemberRef {
+                object: ObjectId(local),
+                frame: FrameId(local),
+                track: TrackId(0),
+            }],
+            start_secs: local as f64,
+            end_secs: local as f64 + 1.0,
+        };
+        // Two hand-sealed segments that both hold cluster key (0, 1).
+        let dir = test_dir("duplicate_key");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut ids = [0u64; 2];
+        for (slot, locals) in [[0u64, 1], [1, 2]].into_iter().enumerate() {
+            let mut index = TopKIndex::new();
+            for local in locals {
+                index.insert(record(local, 5));
+            }
+            ids[slot] = store.seal(&index).unwrap().unwrap().id;
+        }
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let corpus = SegmentedCorpus::new(store, HashMap::new(), model);
+        let request = QueryRequest::new(ClassId(5));
+        let expect = |error: SegmentError| match error {
+            SegmentError::DuplicateKey { key, segments } => {
+                assert_eq!(key, ClusterKey::new(StreamId(0), 1));
+                assert_eq!(segments, ids);
+            }
+            other => panic!("expected DuplicateKey, got {other:?}"),
+        };
+        expect(corpus.plan_with_tail(&request, None).unwrap_err());
+        expect(corpus.plan_anytime_with_tail(&request, None).unwrap_err());
+        expect(
+            corpus
+                .store()
+                .lookup(ClassId(5), &request.filter)
+                .unwrap_err(),
         );
+        let grouped = corpus.store().lookup_grouped(ClassId(5), &request.filter);
+        expect(grouped.unwrap_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -28,14 +28,20 @@
 //! instead of silently loaded. See [`crate::manifest`] for the crash
 //! analysis.
 //!
-//! Reads go through a two-tier cache: a decoded-block LRU (whole indexes,
-//! footers, record blocks, postings blocks) above a raw-bytes LRU, so a
-//! decoded eviction costs a re-decode rather than a disk read. Lookups
-//! read and checksum-verify only the blocks a query needs — the
-//! trailer/footer, one postings block, and the record blocks covering the
-//! candidate keys; [`SegmentAccess`] reports per-call pruning, cache and
-//! block behaviour so callers can account for storage cost (the runtime
-//! crate's `IoMeter`).
+//! Every live segment's footer (its block table, ~1 KB) stays resident in
+//! a *footer directory* outside the caches, filled from the bytes `open`
+//! verifies and `seal`/`compact` encode — so a lookup knows which classes a
+//! segment posts, and skips one that posts none of them, without touching
+//! the file. Blocks go through a two-tier cache: a decoded-block LRU (whole
+//! indexes, record blocks, postings blocks, tracks blocks) above a
+//! raw-bytes LRU that doubles as the decoded tier's probation: a block read
+//! from disk enters the raw tier only, and earns a decoded entry on its
+//! second touch, so a scan larger than the decoded tier cannot flush it.
+//! Lookups read and checksum-verify only the blocks a query needs — the
+//! postings block of each lookup class and the record blocks covering the
+//! union of their candidate keys, each once per request;
+//! [`SegmentAccess`] reports per-call pruning, cache and block behaviour so
+//! callers can account for storage cost (the runtime crate's `IoMeter`).
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -56,8 +62,8 @@ use crate::topk::TopKIndex;
 use crate::track::{TrackKey, TrackSketch};
 
 /// Default capacity of the decoded-block LRU cache, in entries. An entry is
-/// one decoded unit — a whole segment index, a footer, a record block or a
-/// postings block.
+/// one decoded unit — a whole segment index, a record block, a postings
+/// block or a tracks block.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// Default capacity of the raw-bytes LRU tier, in bytes.
@@ -96,6 +102,15 @@ pub enum SegmentError {
         /// The requested id.
         id: u64,
     },
+    /// Two segments answered one lookup with the same cluster key. Segments
+    /// are key-disjoint by construction, so the store is corrupt; dropping
+    /// either record silently would mask it.
+    DuplicateKey {
+        /// The key both segments hold.
+        key: ClusterKey,
+        /// The two segments (manifest ids) that returned it.
+        segments: [u64; 2],
+    },
 }
 
 impl std::fmt::Display for SegmentError {
@@ -119,6 +134,12 @@ impl std::fmt::Display for SegmentError {
             SegmentError::UnknownSegment { id } => {
                 write!(f, "segment store: unknown segment id {id}")
             }
+            SegmentError::DuplicateKey { key, segments } => write!(
+                f,
+                "segment store: segments {} and {} both hold cluster key {key:?}; \
+                 segments must be key-disjoint",
+                segments[0], segments[1]
+            ),
         }
     }
 }
@@ -167,16 +188,26 @@ impl OpenReport {
 /// store holds, how many survived pruning, how the opened ones were served
 /// (cold disk load vs cache), and at block granularity how many block
 /// fetches went to disk vs either cache tier.
+///
+/// A segment is counted once per store call however many lookup classes the
+/// call carries ([`SegmentStore::lookup_classes_grouped`] walks the
+/// segments once), so `segments_considered`, `cold_loads` and `cache_hits`
+/// in a planner's account — and the `IoMeter` totals a service accumulates
+/// from it — are per request, not per lookup class. Footers are resident
+/// ([`SegmentStore`]'s footer directory) and are not block fetches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentAccess {
     /// Live segments in the store at lookup time.
     pub segments_total: usize,
     /// Segments whose bounds intersected the filter (the rest were pruned
-    /// without being opened).
+    /// without being opened). A considered segment whose footer posts none
+    /// of the lookup classes (or, for sketches, holds no tracks block) is
+    /// skipped there and then: it is neither a cold load nor a cache hit.
     pub segments_considered: usize,
     /// Considered segments that needed at least one disk read.
     pub cold_loads: usize,
-    /// Considered segments served entirely from the cache tiers.
+    /// Considered segments that had blocks to fetch and were served
+    /// entirely from the cache tiers.
     pub cache_hits: usize,
     /// Bytes read from disk for the cold loads.
     pub bytes_read: u64,
@@ -189,7 +220,8 @@ pub struct SegmentAccess {
 }
 
 impl SegmentAccess {
-    /// Segments actually opened (cold or cached).
+    /// Segments actually opened (cold or cached): the considered ones the
+    /// footer directory could not rule out.
     pub fn segments_opened(&self) -> usize {
         self.cold_loads + self.cache_hits
     }
@@ -216,11 +248,14 @@ impl SegmentAccess {
 /// Occupancy and hit-rate snapshot of the two cache tiers, as returned by
 /// [`SegmentStore::cache_occupancy`] — what a serving layer folds into its
 /// stats to see how much of the working set is resident and where cold
-/// reads actually land.
+/// reads actually land. The footer directory is outside both tiers and is
+/// not counted here: it holds one footer per live segment, always.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LruOccupancy {
-    /// Decoded entries currently resident (whole indexes, footers, record
-    /// and postings blocks).
+    /// Decoded entries currently resident (whole indexes, record, postings
+    /// and tracks blocks). A block is admitted on its second touch — the
+    /// first leaves it in the raw tier only — so a one-pass scan adds
+    /// nothing here.
     pub occupancy: usize,
     /// Maximum decoded entries the cache holds.
     pub capacity: usize,
@@ -300,11 +335,14 @@ pub struct SegmentLookup {
 
 /// The result of a pruned lookup kept grouped by contributing segment:
 /// one `(segment id, records)` entry per segment that matched the filter
-/// and contributed at least one record, in manifest (seal) order.
-/// Flattening the groups and sorting by cluster key reproduces
-/// [`SegmentLookup::records`] exactly — segments are key-disjoint, so the
-/// groups partition the result set. This is the shape the anytime query
-/// planner consumes: each group is one sampling chunk.
+/// and contributed at least one record, in manifest (seal) order, each
+/// group sorted by cluster key and holding a record once however many
+/// lookup classes it matched. Flattening the groups and sorting by cluster
+/// key reproduces [`SegmentLookup::records`] exactly — segments are
+/// key-disjoint (checked: [`SegmentError::DuplicateKey`]), so the groups
+/// partition the result set. This is the shape both query planners
+/// consume: the anytime planner samples each group as one chunk, the
+/// exhaustive planner drains them all.
 #[derive(Debug, Clone)]
 pub struct GroupedLookup {
     /// Per-segment record groups, manifest order, empty groups omitted.
@@ -313,12 +351,11 @@ pub struct GroupedLookup {
     pub access: SegmentAccess,
 }
 
-/// What a cache entry holds for one segment: the whole decoded index, its
-/// footer, one record block, or one class's postings block.
+/// What a cache entry holds for one segment: the whole decoded index, one
+/// record block, one class's postings block, or the tracks block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BlockKey {
     Whole,
-    Footer,
     Records(u32),
     Postings(u16),
     Tracks,
@@ -330,7 +367,6 @@ type CacheKey = (u64, BlockKey);
 #[derive(Debug, Clone)]
 enum DecodedEntry {
     Whole(Arc<TopKIndex>),
-    Footer(Arc<SegmentFooter>),
     Records(Arc<Vec<ClusterRecord>>),
     Postings(Arc<Vec<ClusterKey>>),
     Tracks(Arc<Vec<TrackSketch>>),
@@ -339,6 +375,12 @@ enum DecodedEntry {
 /// The two-tier cache: a decoded-block LRU (entry-capped) above a raw-bytes
 /// LRU (byte-capped). A decoded miss that hits the raw tier costs a
 /// re-decode instead of a disk read; only a miss in both goes to disk.
+///
+/// The raw tier is also the decoded tier's probationary queue: a block
+/// fetched from disk is inserted here only ([`SegmentReader::block`]), and
+/// the raw hit of its second touch is what promotes it. Whole-segment
+/// loads (recovery, compaction, prefetch) are not scan traffic and enter
+/// both tiers at once.
 #[derive(Debug)]
 struct TieredCache {
     decoded_capacity: usize,
@@ -412,12 +454,14 @@ impl TieredCache {
         Some(bytes)
     }
 
-    fn raw_insert(&mut self, key: CacheKey, bytes: Arc<Vec<u8>>) {
+    /// Inserts `bytes` into the raw tier; `false` when the tier cannot hold
+    /// them at all.
+    fn raw_insert(&mut self, key: CacheKey, bytes: Arc<Vec<u8>>) -> bool {
         let len = bytes.len() as u64;
         // An entry bigger than the whole tier would evict everything for
         // nothing; skip it (and everything, when the tier is disabled).
         if len > self.raw_capacity {
-            return;
+            return false;
         }
         if let Some(old) = self.raw.insert(key, bytes) {
             self.raw_used -= old.len() as u64;
@@ -433,6 +477,7 @@ impl TieredCache {
                 }
             }
         }
+        true
     }
 
     /// Drops every entry (both tiers) belonging to segment `id`.
@@ -480,52 +525,182 @@ impl TieredCache {
     }
 }
 
-/// A lazily opened read handle on one segment file. A block-granular
-/// lookup may read several ranges of the same file; opening it once and
-/// seeking keeps the cold path at one `open` syscall per segment instead
-/// of one per block.
-struct SegmentFile<'a> {
-    path: &'a Path,
-    file: Option<fs::File>,
+/// A block payload the decoded tier can hold.
+trait CachedBlock: Sized {
+    fn wrap(block: Arc<Self>) -> DecodedEntry;
+    fn extract(entry: DecodedEntry) -> Option<Arc<Self>>;
 }
 
-impl<'a> SegmentFile<'a> {
-    fn new(path: &'a Path) -> Self {
-        Self { path, file: None }
+impl CachedBlock for Vec<ClusterRecord> {
+    fn wrap(block: Arc<Self>) -> DecodedEntry {
+        DecodedEntry::Records(block)
+    }
+    fn extract(entry: DecodedEntry) -> Option<Arc<Self>> {
+        match entry {
+            DecodedEntry::Records(block) => Some(block),
+            _ => None,
+        }
+    }
+}
+
+impl CachedBlock for Vec<ClusterKey> {
+    fn wrap(block: Arc<Self>) -> DecodedEntry {
+        DecodedEntry::Postings(block)
+    }
+    fn extract(entry: DecodedEntry) -> Option<Arc<Self>> {
+        match entry {
+            DecodedEntry::Postings(block) => Some(block),
+            _ => None,
+        }
+    }
+}
+
+impl CachedBlock for Vec<TrackSketch> {
+    fn wrap(block: Arc<Self>) -> DecodedEntry {
+        DecodedEntry::Tracks(block)
+    }
+    fn extract(entry: DecodedEntry) -> Option<Arc<Self>> {
+        match entry {
+            DecodedEntry::Tracks(block) => Some(block),
+            _ => None,
+        }
+    }
+}
+
+/// A fetched block, by where it came from.
+enum Fetched<T> {
+    /// Shared with the decoded tier: a decoded hit, or a raw-tier hit that
+    /// was just promoted.
+    Shared(Arc<T>),
+    /// Decoded from bytes this fetch read (and verified) off disk. Nothing
+    /// else holds it, so the caller may take it apart instead of cloning.
+    Fresh(T),
+}
+
+impl<T> std::ops::Deref for Fetched<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match self {
+            Fetched::Shared(block) => block,
+            Fetched::Fresh(block) => block,
+        }
+    }
+}
+
+/// One segment's share of one request: the lazily opened file — a request
+/// may read several ranges of it, and opening once and seeking keeps the
+/// cold path at one `open` syscall per segment instead of one per block —
+/// and the request's access account.
+struct SegmentReader<'a> {
+    store: &'a SegmentStore,
+    id: u64,
+    path: PathBuf,
+    file: Option<fs::File>,
+    access: &'a mut SegmentAccess,
+}
+
+impl<'a> SegmentReader<'a> {
+    fn new(store: &'a SegmentStore, meta: &SegmentMeta, access: &'a mut SegmentAccess) -> Self {
+        Self {
+            store,
+            id: meta.id,
+            path: store.dir.join(&meta.file),
+            file: None,
+            access,
+        }
     }
 
-    fn io_err(&self, source: std::io::Error) -> SegmentError {
-        SegmentError::Persist(PersistError::Io {
-            path: self.path.to_path_buf(),
+    fn invalid(&self, source: BinsegError) -> SegmentError {
+        SegmentError::InvalidSegment {
+            path: self.path.clone(),
             source,
-        })
-    }
-
-    /// The open descriptor, opening the file on first use.
-    fn open(&mut self) -> Result<&mut fs::File, SegmentError> {
-        if self.file.is_none() {
-            let file = fs::File::open(self.path).map_err(|e| self.io_err(e))?;
-            self.file = Some(file);
         }
-        Ok(self.file.as_mut().expect("just opened"))
     }
 
-    /// Total length of the file in bytes.
-    fn len(&mut self) -> Result<u64, SegmentError> {
-        let metadata = self.open()?.metadata();
-        metadata.map(|m| m.len()).map_err(|e| self.io_err(e))
-    }
-
-    /// Reads `len` bytes at `offset`.
+    /// Reads `len` bytes at `offset`, opening the file on first use.
     fn read_range(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, SegmentError> {
-        let file = self.open()?;
-        if let Err(source) = file.seek(SeekFrom::Start(offset)) {
-            return Err(self.io_err(source));
-        }
+        let io_err = |source| {
+            SegmentError::Persist(PersistError::Io {
+                path: self.path.clone(),
+                source,
+            })
+        };
+        let file = match self.file.take() {
+            Some(file) => file,
+            None => fs::File::open(&self.path).map_err(io_err)?,
+        };
+        let file = self.file.insert(file);
+        file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
         let mut buf = vec![0u8; len];
-        match file.read_exact(&mut buf) {
-            Ok(()) => Ok(buf),
-            Err(source) => Err(self.io_err(source)),
+        file.read_exact(&mut buf).map_err(io_err)?;
+        Ok(buf)
+    }
+
+    /// One verified block of the segment, through both cache tiers, with
+    /// second-touch admission to the decoded one: a block that has to come
+    /// from disk is left in the raw tier only and handed back
+    /// [`Fetched::Fresh`]; the raw hit of its next fetch decodes it again
+    /// and promotes it; from then on it is a decoded hit. A one-pass scan
+    /// therefore never inserts into (or evicts from) the decoded tier.
+    fn block<T: CachedBlock>(
+        &mut self,
+        key: BlockKey,
+        offset: u64,
+        len: u64,
+        checksum: u64,
+        decode: impl Fn(&[u8]) -> Result<T, BinsegError>,
+    ) -> Result<Fetched<T>, SegmentError> {
+        let cache_key = (self.id, key);
+        let raw = {
+            let mut cache = self.store.cache.lock();
+            if let Some(block) = cache.decoded_get(cache_key).and_then(T::extract) {
+                self.access.block_hits += 1;
+                return Ok(Fetched::Shared(block));
+            }
+            cache.raw_get(cache_key)
+        };
+        if let Some(bytes) = raw {
+            let block = Arc::new(decode(&bytes).map_err(|e| self.invalid(e))?);
+            self.access.block_raw_hits += 1;
+            self.store
+                .cache
+                .lock()
+                .decoded_insert(cache_key, T::wrap(Arc::clone(&block)));
+            return Ok(Fetched::Shared(block));
+        }
+        let bytes = self.read_range(offset, len as usize)?;
+        let found = fnv1a64(&bytes);
+        if found != checksum {
+            return Err(SegmentError::Corrupt {
+                path: self.path.clone(),
+                expected: checksum,
+                found,
+            });
+        }
+        let block = decode(&bytes).map_err(|e| self.invalid(e))?;
+        self.access.blocks_read += 1;
+        self.access.bytes_read += len;
+        let mut cache = self.store.cache.lock();
+        cache.disk_reads += 1;
+        cache.note_cold(self.id);
+        if cache.raw_insert(cache_key, Arc::new(bytes)) {
+            return Ok(Fetched::Fresh(block));
+        }
+        // No probation to serve — the raw tier is off, or smaller than this
+        // block — so a second touch could never be told from a first:
+        // admit at once, as a one-tier cache does.
+        let block = Arc::new(block);
+        cache.decoded_insert(cache_key, T::wrap(Arc::clone(&block)));
+        Ok(Fetched::Shared(block))
+    }
+
+    /// Closes the segment's account: cold if any fetch went to disk, a
+    /// cache hit otherwise.
+    fn finish(self) {
+        if self.file.is_some() {
+            self.access.cold_loads += 1;
+        } else {
+            self.access.cache_hits += 1;
         }
     }
 }
@@ -575,6 +750,11 @@ impl<'a> SegmentFile<'a> {
 pub struct SegmentStore {
     dir: PathBuf,
     manifest: Manifest,
+    /// The footer directory: every live segment's decoded footer, by
+    /// segment id. Filled from bytes already verified in memory (`open`'s
+    /// whole-file read, the encoder's output at `seal`/`compact`), dropped
+    /// with the segment, never evicted — a lookup never reads a footer.
+    footers: HashMap<u64, Arc<SegmentFooter>>,
     cache: Mutex<TieredCache>,
 }
 
@@ -614,6 +794,7 @@ impl SegmentStore {
         Ok(SegmentStore {
             dir,
             manifest,
+            footers: HashMap::new(),
             cache: Mutex::new(TieredCache::new(
                 DEFAULT_CACHE_CAPACITY,
                 DEFAULT_RAW_CACHE_BYTES,
@@ -633,13 +814,21 @@ impl SegmentStore {
         let mut manifest = Manifest::load(&manifest_path)?;
         let mut report = OpenReport::default();
 
-        // Verify every listed segment's bytes against its checksum.
+        // Verify every listed segment's bytes against its checksum, and
+        // keep the footer of each one that passes: the bytes are in memory
+        // and vouched for, so the directory costs no I/O of its own.
         let listed_count = manifest.segments.len();
         let mut verified = Vec::with_capacity(listed_count);
+        let mut footers = HashMap::with_capacity(listed_count);
         for meta in std::mem::take(&mut manifest.segments) {
             let path = dir.join(&meta.file);
             match fs::read(&path) {
-                Ok(bytes) if fnv1a64(&bytes) == meta.checksum => verified.push(meta),
+                Ok(bytes) if fnv1a64(&bytes) == meta.checksum => {
+                    let footer = binseg::footer_of(&bytes)
+                        .map_err(|source| SegmentError::InvalidSegment { path, source })?;
+                    footers.insert(meta.id, Arc::new(footer));
+                    verified.push(meta);
+                }
                 Ok(_) => {
                     // Torn or rotted: move aside for post-mortem, never load.
                     let _ = fs::rename(&path, quarantine_path(&path));
@@ -693,6 +882,7 @@ impl SegmentStore {
             SegmentStore {
                 dir,
                 manifest,
+                footers,
                 cache: Mutex::new(TieredCache::new(
                     DEFAULT_CACHE_CAPACITY,
                     DEFAULT_RAW_CACHE_BYTES,
@@ -768,10 +958,12 @@ impl SegmentStore {
         })
     }
 
-    /// Encodes `index` as the next segment and writes its file atomically.
-    /// The returned entry is not live until the caller commits it to the
-    /// manifest; until then the file is an orphan [`open`](Self::open)
-    /// would quarantine.
+    /// Encodes `index` as the next segment, writes its file atomically and
+    /// enters its footer (decoded back out of the encoder's bytes) in the
+    /// directory. The returned entry is not live until the caller commits
+    /// it to the manifest; until then the file is an orphan
+    /// [`open`](Self::open) would quarantine, and its directory entry is
+    /// as inert — ids are never reused and lookups walk the manifest.
     fn write_segment(
         &mut self,
         index: &TopKIndex,
@@ -783,8 +975,14 @@ impl SegmentStore {
         let file = format.file_name(id);
         let payload = binseg::encode(index);
         let path = self.dir.join(&file);
+        let footer =
+            binseg::footer_of(&payload).map_err(|source| SegmentError::InvalidSegment {
+                path: path.clone(),
+                source,
+            })?;
         write_atomic_bytes(&path, &payload)
             .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
+        self.footers.insert(id, Arc::new(footer));
         Ok(SegmentMeta {
             id,
             file,
@@ -907,213 +1105,88 @@ impl SegmentStore {
         Ok((index, false))
     }
 
-    /// The footer of a binary segment: from the decoded tier when resident,
-    /// otherwise a trailer + footer range read (never the whole file).
-    fn binary_footer(
-        &self,
-        meta: &SegmentMeta,
-        file: &mut SegmentFile<'_>,
-        access: &mut SegmentAccess,
-        touched_disk: &mut bool,
-    ) -> Result<Arc<SegmentFooter>, SegmentError> {
-        let key = (meta.id, BlockKey::Footer);
-        if let Some(DecodedEntry::Footer(footer)) = self.cache.lock().decoded_get(key) {
-            access.block_hits += 1;
-            return Ok(footer);
-        }
-        let invalid = |source| SegmentError::InvalidSegment {
-            path: file.path.to_path_buf(),
-            source,
-        };
-        let file_len = file.len()?;
-        if (file_len as usize) < binseg::BINSEG_MAGIC.len() + binseg::TRAILER_LEN {
-            return Err(invalid(BinsegError::Truncated));
-        }
-        let trailer_offset = file_len - binseg::TRAILER_LEN as u64;
-        let trailer = file.read_range(trailer_offset, binseg::TRAILER_LEN)?;
-        let (offset, len, checksum, version) = binseg::parse_trailer(&trailer).map_err(invalid)?;
-        if offset
-            .checked_add(len)
-            .is_none_or(|end| end > trailer_offset)
-        {
-            return Err(invalid(BinsegError::Truncated));
-        }
-        let footer_bytes = file.read_range(offset, len as usize)?;
-        let found = fnv1a64(&footer_bytes);
-        if found != checksum {
-            return Err(SegmentError::Corrupt {
-                path: file.path.to_path_buf(),
-                expected: checksum,
-                found,
-            });
-        }
-        let footer = Arc::new(binseg::decode_footer(&footer_bytes, version).map_err(invalid)?);
-        access.blocks_read += 1;
-        access.bytes_read += binseg::TRAILER_LEN as u64 + len;
-        *touched_disk = true;
-        let mut cache = self.cache.lock();
-        cache.disk_reads += 1;
-        cache.decoded_insert(key, DecodedEntry::Footer(Arc::clone(&footer)));
-        Ok(footer)
+    /// Segment `id`'s footer, from the directory.
+    fn footer(&self, id: u64) -> Result<&SegmentFooter, SegmentError> {
+        let footer = self.footers.get(&id);
+        Ok(footer.ok_or(SegmentError::UnknownSegment { id })?)
     }
 
-    /// One verified block of a binary segment, through both cache tiers.
-    /// `decode` turns verified raw bytes into the decoded entry; `extract`
-    /// pulls the typed payload back out of a cached entry.
-    #[allow(clippy::too_many_arguments)]
-    fn binary_block<T>(
+    /// Block-granular lookup of `classes` in one segment: each class's
+    /// postings block, then only the record blocks covering the union of
+    /// their candidate keys — every block fetched, verified against its
+    /// footer checksum and decoded once, whatever the number of classes.
+    /// A record qualifies when it passes the single-class predicate (key in
+    /// that class's postings, `kx`, `filter.admits`) for any class.
+    fn lookup_segment(
         &self,
         meta: &SegmentMeta,
-        file: &mut SegmentFile<'_>,
-        key: BlockKey,
-        offset: u64,
-        len: u64,
-        checksum: u64,
-        access: &mut SegmentAccess,
-        touched_disk: &mut bool,
-        decode: impl Fn(&[u8]) -> Result<T, BinsegError>,
-        wrap: impl Fn(Arc<T>) -> DecodedEntry,
-        extract: impl Fn(DecodedEntry) -> Option<Arc<T>>,
-    ) -> Result<Arc<T>, SegmentError> {
-        let cache_key = (meta.id, key);
-        let raw = {
-            let mut cache = self.cache.lock();
-            if let Some(entry) = cache.decoded_get(cache_key) {
-                if let Some(value) = extract(entry) {
-                    access.block_hits += 1;
-                    return Ok(value);
-                }
-            }
-            cache.raw_get(cache_key)
-        };
-        let invalid = |source| SegmentError::InvalidSegment {
-            path: file.path.to_path_buf(),
-            source,
-        };
-        if let Some(bytes) = raw {
-            let value = Arc::new(decode(&bytes).map_err(invalid)?);
-            access.block_raw_hits += 1;
-            self.cache
-                .lock()
-                .decoded_insert(cache_key, wrap(Arc::clone(&value)));
-            return Ok(value);
-        }
-        let bytes = file.read_range(offset, len as usize)?;
-        let found = fnv1a64(&bytes);
-        if found != checksum {
-            return Err(SegmentError::Corrupt {
-                path: file.path.to_path_buf(),
-                expected: checksum,
-                found,
-            });
-        }
-        let value = Arc::new(decode(&bytes).map_err(invalid)?);
-        access.blocks_read += 1;
-        access.bytes_read += len;
-        *touched_disk = true;
-        let mut cache = self.cache.lock();
-        cache.disk_reads += 1;
-        cache.note_cold(meta.id);
-        cache.raw_insert(cache_key, Arc::new(bytes));
-        cache.decoded_insert(cache_key, wrap(Arc::clone(&value)));
-        Ok(value)
-    }
-
-    /// Block-granular lookup in one binary segment: trailer/footer, the
-    /// class's postings block, then only the record blocks covering the
-    /// candidate keys — each read verified against its footer checksum.
-    fn lookup_binary(
-        &self,
-        meta: &SegmentMeta,
-        class: ClassId,
+        footer: &SegmentFooter,
+        classes: &[ClassId],
         filter: &QueryFilter,
         access: &mut SegmentAccess,
-        out: &mut Vec<ClusterRecord>,
-    ) -> Result<(), SegmentError> {
-        let mut touched_disk = false;
-        // One descriptor serves every cold block of this lookup: the cache
-        // tiers absorb repeats, so re-opening the file per block would only
-        // add syscalls to the cold path.
-        let path = self.dir.join(&meta.file);
-        let mut file = SegmentFile::new(&path);
-        let footer = self.binary_footer(meta, &mut file, access, &mut touched_disk)?;
-        if let Some(pmeta) = footer.postings_for(class).copied() {
-            let keys = self.binary_block(
-                meta,
-                &mut file,
-                BlockKey::Postings(class.0),
-                pmeta.offset,
-                pmeta.len,
-                pmeta.checksum,
-                access,
-                &mut touched_disk,
-                binseg::decode_postings_block,
-                DecodedEntry::Postings,
-                |entry| match entry {
-                    DecodedEntry::Postings(keys) => Some(keys),
-                    _ => None,
-                },
-            )?;
-            // A stream restriction narrows the candidate keys before any
-            // record block is chosen — fewer blocks read, fewer bytes.
-            let narrowed: Vec<ClusterKey>;
-            let candidates: &[ClusterKey] = match &filter.streams {
-                Some(streams) => {
-                    narrowed = keys
-                        .iter()
-                        .copied()
-                        .filter(|k| streams.contains(&k.stream))
-                        .collect();
-                    &narrowed
-                }
-                None => &keys,
-            };
-            for block_idx in footer.blocks_covering(candidates) {
-                let bmeta = footer.record_blocks[block_idx];
-                let records = self.binary_block(
-                    meta,
-                    &mut file,
-                    BlockKey::Records(block_idx as u32),
-                    bmeta.offset,
-                    bmeta.len,
-                    bmeta.checksum,
-                    access,
-                    &mut touched_disk,
-                    |block| binseg::decode_record_block(block, footer.version),
-                    DecodedEntry::Records,
-                    |entry| match entry {
-                        DecodedEntry::Records(records) => Some(records),
-                        _ => None,
-                    },
+    ) -> Result<Vec<ClusterRecord>, SegmentError> {
+        let mut reader = SegmentReader::new(self, meta, access);
+        let mut postings = Vec::with_capacity(classes.len());
+        for &class in classes {
+            if let Some(pmeta) = footer.postings_for(class) {
+                let keys = reader.block(
+                    BlockKey::Postings(class.0),
+                    pmeta.offset,
+                    pmeta.len,
+                    pmeta.checksum,
+                    binseg::decode_postings_block,
                 )?;
-                for record in records.iter() {
-                    if candidates.binary_search(&record.key).is_err() {
-                        continue;
-                    }
-                    if let Some(kx) = filter.kx {
-                        if !record.matches_class(class, kx) {
-                            continue;
-                        }
-                    }
-                    if filter.admits(record) {
-                        out.push(record.clone());
-                    }
-                }
+                postings.push((class, keys));
             }
         }
-        if touched_disk {
-            access.cold_loads += 1;
-        } else {
-            access.cache_hits += 1;
+        // A stream restriction narrows the candidate keys before any
+        // record block is chosen — fewer blocks read, fewer bytes.
+        let mut candidates: Vec<ClusterKey> = postings
+            .iter()
+            .flat_map(|(_, keys)| keys.iter().copied())
+            .filter(|key| {
+                filter
+                    .streams
+                    .as_ref()
+                    .is_none_or(|streams| streams.contains(&key.stream))
+            })
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        let qualifies = |record: &ClusterRecord| {
+            filter.admits(record)
+                && postings.iter().any(|(class, keys)| {
+                    keys.binary_search(&record.key).is_ok()
+                        && filter.kx.is_none_or(|kx| record.matches_class(*class, kx))
+                })
+        };
+        let mut out = Vec::new();
+        for block_idx in footer.blocks_covering(&candidates) {
+            let bmeta = footer.record_blocks[block_idx];
+            let block = reader.block(
+                BlockKey::Records(block_idx as u32),
+                bmeta.offset,
+                bmeta.len,
+                bmeta.checksum,
+                |bytes| binseg::decode_record_block(bytes, footer.version),
+            )?;
+            match block {
+                Fetched::Shared(records) => {
+                    out.extend(records.iter().filter(|r| qualifies(r)).cloned())
+                }
+                Fetched::Fresh(records) => out.extend(records.into_iter().filter(|r| qualifies(r))),
+            }
         }
-        Ok(())
+        reader.finish();
+        Ok(out)
     }
 
     /// Pruned lookup: opens only the segments intersecting `filter`, runs
     /// [`TopKIndex::lookup`] in each (reading only the needed blocks), and
     /// returns the union sorted by cluster key — byte-identical to looking
     /// `class` up in the merged in-memory index (segments are key-disjoint,
-    /// so no deduplication across segments is ever needed).
+    /// so no deduplication across segments is ever needed; a store that
+    /// breaks this fails with [`SegmentError::DuplicateKey`]).
     pub fn lookup(
         &self,
         class: ClassId,
@@ -1125,23 +1198,38 @@ impl SegmentStore {
             .flat_map(|(_, records)| records)
             .collect();
         records.sort_by_key(|r| r.key);
-        // Segments are key-disjoint by construction; a duplicate here means
-        // a corrupt store, and silently dropping one record would mask it —
-        // fail as loudly as merged_index() does.
-        assert!(
-            records.windows(2).all(|w| w[0].key != w[1].key),
-            "segments must be key-disjoint"
-        );
         Ok(SegmentLookup { records, access })
     }
 
     /// The same pruned lookup as [`lookup`](Self::lookup), but keeping each
     /// contributing segment's records as a separate group (manifest order,
-    /// empty groups dropped) instead of flattening into one sorted run.
-    /// The anytime query planner samples these groups as chunks.
+    /// empty groups dropped) instead of flattening into one sorted run:
+    /// [`lookup_classes_grouped`](Self::lookup_classes_grouped) for one
+    /// class.
     pub fn lookup_grouped(
         &self,
         class: ClassId,
+        filter: &QueryFilter,
+    ) -> Result<GroupedLookup, SegmentError> {
+        self.lookup_classes_grouped(&[class], filter)
+    }
+
+    /// The store's one lookup body: every record matching *any* of the
+    /// (distinct) `classes` under `filter`, grouped by contributing
+    /// segment — the union of the per-class [`lookup`](Self::lookup)s,
+    /// with a record that matches several classes returned once.
+    ///
+    /// The walk is segment-major: each segment admitted by `filter` is
+    /// visited once. Its footer comes from the resident directory, so a
+    /// segment that posts none of `classes` is skipped without opening its
+    /// file; otherwise each class's postings block and each record block
+    /// covering the union of their keys is fetched once. Cross-segment
+    /// key-disjointness is checked over the whole answer, across classes
+    /// too; a violation is [`SegmentError::DuplicateKey`] naming both
+    /// segments.
+    pub fn lookup_classes_grouped(
+        &self,
+        classes: &[ClassId],
         filter: &QueryFilter,
     ) -> Result<GroupedLookup, SegmentError> {
         let mut access = SegmentAccess {
@@ -1156,20 +1244,43 @@ impl SegmentStore {
             .filter(|m| m.admits_filter(filter))
         {
             access.segments_considered += 1;
-            let mut records: Vec<ClusterRecord> = Vec::new();
+            let footer = self.footer(meta.id)?;
+            if !classes.iter().any(|c| footer.postings_for(*c).is_some()) {
+                continue;
+            }
             // A resident whole index is the fastest path: no block
             // navigation at all.
             let whole = self.cache.lock().decoded_get((meta.id, BlockKey::Whole));
-            if let Some(DecodedEntry::Whole(index)) = whole {
+            let records = if let Some(DecodedEntry::Whole(index)) = whole {
                 access.cache_hits += 1;
                 access.block_hits += 1;
-                records.extend(index.lookup(class, filter).into_iter().cloned());
+                let mut hits: Vec<&ClusterRecord> = classes
+                    .iter()
+                    .flat_map(|class| index.lookup(*class, filter))
+                    .collect();
+                hits.sort_by_key(|r| r.key);
+                hits.dedup_by_key(|r| r.key);
+                hits.into_iter().cloned().collect()
             } else {
-                self.lookup_binary(meta, class, filter, &mut access, &mut records)?;
-            }
+                self.lookup_segment(meta, footer, classes, filter, &mut access)?
+            };
             if !records.is_empty() {
                 groups.push((meta.id, records));
             }
+        }
+        // Segments are key-disjoint by construction; a key two groups share
+        // means a corrupt store, and silently dropping one record would
+        // mask it.
+        let mut keys: Vec<(ClusterKey, u64)> = groups
+            .iter()
+            .flat_map(|(id, records)| records.iter().map(move |r| (r.key, *id)))
+            .collect();
+        keys.sort_unstable();
+        if let Some(pair) = keys.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(SegmentError::DuplicateKey {
+                key: pair[0].0,
+                segments: [pair[0].1, pair[1].1],
+            });
         }
         Ok(GroupedLookup { groups, access })
     }
@@ -1181,10 +1292,12 @@ impl SegmentStore {
     /// life, so a time-restricted query must still see the complete path —
     /// pruning by the filter's time range would truncate sketches at
     /// segment boundaries and turn the conservative track planner unsound.
-    /// Reads only each segment's trailer/footer and tracks block, each
-    /// verified against its checksum — a flipped bit inside the tracks
-    /// block surfaces as [`SegmentError::Corrupt`] exactly like record and
-    /// postings blocks.
+    /// Reads only each segment's tracks block, verified against its
+    /// footer checksum — a flipped bit inside the tracks block surfaces as
+    /// [`SegmentError::Corrupt`] exactly like record and postings blocks —
+    /// and through both cache tiers like them. The footer comes from the
+    /// resident directory, so a segment without a tracks block is skipped
+    /// without opening its file.
     pub fn sketches(
         &self,
         filter: &QueryFilter,
@@ -1217,6 +1330,9 @@ impl SegmentStore {
             })
         {
             access.segments_considered += 1;
+            let Some(tmeta) = self.footer(meta.id)?.tracks else {
+                continue;
+            };
             // A resident whole index is the fastest path.
             if let Some(DecodedEntry::Whole(index)) =
                 self.cache.lock().decoded_get((meta.id, BlockKey::Whole))
@@ -1228,36 +1344,18 @@ impl SegmentStore {
                 }
                 continue;
             }
-            let mut touched_disk = false;
-            let path = self.dir.join(&meta.file);
-            let mut file = SegmentFile::new(&path);
-            let footer = self.binary_footer(meta, &mut file, &mut access, &mut touched_disk)?;
-            if let Some(tmeta) = footer.tracks {
-                let sketches = self.binary_block(
-                    meta,
-                    &mut file,
-                    BlockKey::Tracks,
-                    tmeta.offset,
-                    tmeta.len,
-                    tmeta.checksum,
-                    &mut access,
-                    &mut touched_disk,
-                    binseg::decode_tracks_block,
-                    DecodedEntry::Tracks,
-                    |entry| match entry {
-                        DecodedEntry::Tracks(sketches) => Some(sketches),
-                        _ => None,
-                    },
-                )?;
-                for sketch in sketches.iter() {
-                    absorb(&mut merged, sketch);
-                }
+            let mut reader = SegmentReader::new(self, meta, &mut access);
+            let sketches = reader.block(
+                BlockKey::Tracks,
+                tmeta.offset,
+                tmeta.len,
+                tmeta.checksum,
+                binseg::decode_tracks_block,
+            )?;
+            for sketch in sketches.iter() {
+                absorb(&mut merged, sketch);
             }
-            if touched_disk {
-                access.cold_loads += 1;
-            } else {
-                access.cache_hits += 1;
-            }
+            reader.finish();
         }
         Ok((merged, access))
     }
@@ -1354,6 +1452,7 @@ impl SegmentStore {
         let mut cache = self.cache.lock();
         for meta in &obsolete {
             cache.remove_segment(meta.id);
+            self.footers.remove(&meta.id);
             let _ = fs::remove_file(self.dir.join(&meta.file));
         }
         drop(cache);
@@ -1480,22 +1579,36 @@ mod tests {
     }
 
     /// What one cold lookup of `class` costs in each segment, read off the
-    /// file's own footer: the block fetches (footer, the class's postings
-    /// block, the record blocks covering its keys — each also one decoded
-    /// entry) and the bytes that land in the raw tier (every block but the
-    /// footer, which is cached decoded only).
+    /// file's own footer: the block fetches (the class's postings block and
+    /// the record blocks covering its keys; the footer is resident and is
+    /// not a fetch) and their bytes, which is what lands in the raw tier.
     fn lookup_costs(store: &SegmentStore, class: u16) -> Vec<(usize, u64)> {
-        let cost = |meta: &SegmentMeta| {
-            let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
-            let footer = binseg::footer_of(&bytes).unwrap();
-            let postings = footer.postings_for(ClassId(class)).unwrap();
-            let end = (postings.offset + postings.len) as usize;
-            let block = &bytes[postings.offset as usize..end];
-            let covering = footer.blocks_covering(&binseg::decode_postings_block(block).unwrap());
-            let record_bytes: u64 = covering.iter().map(|b| footer.record_blocks[*b].len).sum();
-            (2 + covering.len(), postings.len + record_bytes)
-        };
-        store.segments().iter().map(cost).collect()
+        let segments = store.segments().iter();
+        segments
+            .map(|meta| lookup_cost(store, meta, class))
+            .collect()
+    }
+
+    /// [`lookup_costs`] for one segment (which must post `class`).
+    fn lookup_cost(store: &SegmentStore, meta: &SegmentMeta, class: u16) -> (usize, u64) {
+        let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
+        let footer = binseg::footer_of(&bytes).unwrap();
+        let postings = footer.postings_for(ClassId(class)).unwrap();
+        let end = (postings.offset + postings.len) as usize;
+        let block = &bytes[postings.offset as usize..end];
+        let covering = footer.blocks_covering(&binseg::decode_postings_block(block).unwrap());
+        let record_bytes: u64 = covering.iter().map(|b| footer.record_blocks[*b].len).sum();
+        (1 + covering.len(), postings.len + record_bytes)
+    }
+
+    /// One segment of 256 records whose classes cycle 1..=8 (and all carry
+    /// class 0 second), so every class's keys touch every record block.
+    fn one_big_segment(store: &mut SegmentStore) -> SegmentMeta {
+        let mut idx = TopKIndex::new();
+        for local in 0..256u64 {
+            idx.insert(record(0, local, (local % 8) as u16 + 1, local as f64));
+        }
+        store.seal(&idx).unwrap().unwrap()
     }
 
     #[test]
@@ -1574,38 +1687,80 @@ mod tests {
     fn binary_cold_lookup_reads_only_needed_blocks() {
         let dir = test_dir("block_reads");
         let mut store = SegmentStore::create(&dir).unwrap();
-        // One big segment: 256 records, classes spread 0..8, so one class's
-        // postings + covering record blocks are a fraction of the file.
-        let mut idx = TopKIndex::new();
-        for local in 0..256u64 {
-            idx.insert(record(0, local, (local % 8) as u16 + 1, local as f64));
-        }
-        let meta = store.seal(&idx).unwrap().unwrap();
+        let meta = one_big_segment(&mut store);
         let file_len = fs::metadata(dir.join(&meta.file)).unwrap().len();
+        let (blocks, bytes) = lookup_costs(&store, 3)[0];
 
-        // Cold class-filtered lookup reads footer + 1 postings block + the
-        // record blocks covering that class's keys — not the whole file.
-        let lookup = store.lookup(ClassId(3), &QueryFilter::any()).unwrap();
-        assert_eq!(lookup.records.len(), 32);
-        assert_eq!(lookup.access.cold_loads, 1);
-        assert!(lookup.access.blocks_read >= 2, "{:?}", lookup.access);
+        // First touch: the class's postings block and the record blocks
+        // covering its keys come from disk — not the footer (resident), not
+        // the whole file — and land in the raw tier only.
+        let any = QueryFilter::any();
+        let cold = store.lookup(ClassId(3), &any).unwrap();
+        assert_eq!(cold.records.len(), 32);
+        assert_eq!(cold.access.cold_loads, 1);
+        assert_eq!(cold.access.blocks_read, blocks);
+        assert_eq!(cold.access.bytes_read, bytes);
         assert!(
-            lookup.access.bytes_read < file_len,
-            "block reads ({}) must undercut the whole file ({file_len})",
-            lookup.access.bytes_read
+            bytes < file_len,
+            "{bytes} must undercut the file ({file_len})"
         );
-        // The same lookup again is all decoded-tier hits.
-        let warm = store.lookup(ClassId(3), &QueryFilter::any()).unwrap();
-        assert_eq!(warm.access.cache_hits, 1);
-        assert_eq!(warm.access.blocks_read, 0);
-        assert_eq!(warm.access.bytes_read, 0);
-        assert!(warm.access.block_hits > 0);
-        assert_eq!(warm.records, lookup.records);
-        // An unindexed class reads only the footer.
-        let store = SegmentStore::open(&dir).unwrap().0;
-        let none = store.lookup(ClassId(99), &QueryFilter::any()).unwrap();
+        let occ = store.cache_occupancy();
+        assert_eq!((occ.occupancy, occ.raw_entries), (0, blocks));
+        // Second touch: every block is a raw-tier hit, re-decoded and
+        // promoted; nothing is read.
+        let second = store.lookup(ClassId(3), &any).unwrap();
+        assert_eq!(second.access.cache_hits, 1);
+        assert_eq!(second.access.block_raw_hits, blocks);
+        assert_eq!(second.access.blocks_read, 0);
+        assert_eq!(second.access.bytes_read, 0);
+        assert_eq!(store.cache_occupancy().occupancy, blocks);
+        // Third touch: all decoded-tier hits.
+        let third = store.lookup(ClassId(3), &any).unwrap();
+        assert_eq!(third.access.cache_hits, 1);
+        assert_eq!(third.access.block_hits, blocks);
+        assert_eq!(third.access.block_raw_hits + third.access.blocks_read, 0);
+        assert_eq!(second.records, cold.records);
+        assert_eq!(third.records, cold.records);
+        // A class the segment does not post is answered by the footer
+        // directory: considered, never opened.
+        let none = store.lookup(ClassId(99), &any).unwrap();
         assert!(none.records.is_empty());
-        assert_eq!(none.access.blocks_read, 1, "{:?}", none.access);
+        assert_eq!(none.access.segments_considered, 1);
+        assert_eq!(none.access.segments_opened(), 0);
+        assert_eq!(none.access.blocks_read + none.access.block_hits, 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn two_class_lookup_fetches_each_block_once() {
+        let dir = test_dir("two_class");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        one_big_segment(&mut store);
+        // Classes 3 and 0 share every record block (class 0 is every
+        // record's second choice).
+        let (blocks_3, _) = lookup_costs(&store, 3)[0];
+        let (blocks_0, _) = lookup_costs(&store, 0)[0];
+        assert_eq!(blocks_3, blocks_0);
+        let record_blocks = blocks_3 - 1;
+        let both = store
+            .lookup_classes_grouped(&[ClassId(0), ClassId(3)], &QueryFilter::any())
+            .unwrap();
+        // Two postings blocks and each distinct record block, each fetched
+        // exactly once, all from disk: a walk that returned to the segment
+        // for the second class would fetch the record blocks twice.
+        assert_eq!(both.access.blocks_read, 2 + record_blocks);
+        assert_eq!(both.access.block_raw_hits + both.access.block_hits, 0);
+        assert_eq!(both.access.segments_considered, 1);
+        assert_eq!(both.access.cold_loads, 1);
+        // Every record carries class 0, a few also class 3: each once.
+        assert_eq!(both.groups.len(), 1);
+        assert_eq!(both.groups[0].1.len(), 256);
+        // With kx = 1 only the class-3 records qualify, through either
+        // class's postings.
+        let top = store
+            .lookup_classes_grouped(&[ClassId(0), ClassId(3)], &QueryFilter::any().with_kx(1))
+            .unwrap();
+        assert_eq!(top.groups[0].1.len(), 32);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1615,8 +1770,9 @@ mod tests {
         let store = populated(&dir);
         let blocks: Vec<usize> = lookup_costs(&store, 5).iter().map(|c| c.0).collect();
         let all_blocks: usize = blocks.iter().sum();
-        // Raw tier off, and a decoded tier that holds exactly the blocks of
-        // the two most recently read segments.
+        // Raw tier off — no probation to serve, so blocks are admitted to
+        // the decoded tier on first touch — and a decoded tier that holds
+        // exactly the blocks of the two most recently read segments.
         let store = store
             .with_cache_capacity(blocks[1] + blocks[2])
             .with_raw_capacity(0);
@@ -1644,14 +1800,21 @@ mod tests {
         assert_eq!(rescan.access.block_hits, 0);
         assert_eq!(rescan.access.block_raw_hits, 0);
         assert_eq!(rescan.records, cold.records);
-        // A large-capacity store is fully warm on the second pass.
+        // A default store walks the three touches: disk, then raw hits
+        // that promote, then decoded hits — and reads nothing after the
+        // first.
         let (store, _) = SegmentStore::open(&dir).unwrap();
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        let warm = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(warm.access.cache_hits, 3);
-        assert_eq!(warm.access.cold_loads, 0);
-        assert_eq!(warm.access.block_hits, all_blocks);
-        assert_eq!(warm.access.bytes_read, 0);
+        let second = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
+        assert_eq!(second.access.cache_hits, 3);
+        assert_eq!(second.access.cold_loads, 0);
+        assert_eq!(second.access.block_raw_hits, all_blocks);
+        assert_eq!(second.access.bytes_read, 0);
+        let third = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
+        assert_eq!(third.access.cache_hits, 3);
+        assert_eq!(third.access.block_hits, all_blocks);
+        assert_eq!(third.access.block_raw_hits, 0);
+        assert_eq!(third.access.bytes_read, 0);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1660,7 +1823,7 @@ mod tests {
         let dir = test_dir("raw_tier");
         // One segment, the first half of its records class 1 and the second
         // half class 2: each class's keys live in their own record blocks,
-        // so the two lookups share nothing but the footer.
+        // so the two lookups share no block.
         let mut store = SegmentStore::create(&dir).unwrap();
         let records: Vec<ClusterRecord> = (0..256u64)
             .map(|local| record(0, local, 1 + (local / 128) as u16, local as f64))
@@ -1670,33 +1833,135 @@ mod tests {
         let (other_blocks, other_raw_bytes) = lookup_costs(&store, 2)[0];
         assert_eq!(other_blocks, blocks);
         assert!(blocks > 3, "each class must span several record blocks");
-        // The decoded tier holds one lookup's blocks, not two: alternating
-        // the classes evicts every block of the other class, while the
-        // footer (touched first by every lookup) stays resident.
+        // The decoded tier holds one lookup's blocks, not two.
         let store = store.with_cache_capacity(blocks);
-        let first = store.lookup(ClassId(1), &QueryFilter::any()).unwrap();
+        let any = QueryFilter::any();
+        // First touches go to disk and stay on probation in the raw tier.
+        let first = store.lookup(ClassId(1), &any).unwrap();
         assert_eq!(first.access.cold_loads, 1);
         assert_eq!(first.access.blocks_read, blocks);
-        let other = store.lookup(ClassId(2), &QueryFilter::any()).unwrap();
-        assert_eq!(other.access.block_hits, 1, "the footer");
-        assert_eq!(other.access.blocks_read, blocks - 1);
+        let other = store.lookup(ClassId(2), &any).unwrap();
+        assert_eq!(other.access.blocks_read, blocks);
         let disk_reads = store.cache_occupancy().disk_reads;
-        assert_eq!(disk_reads as usize, 2 * blocks - 1);
+        assert_eq!(disk_reads as usize, 2 * blocks);
+        assert_eq!(store.cache_occupancy().occupancy, 0);
+        // Second touches promote; class 2's promotion evicts every decoded
+        // block of class 1.
+        for class in [1, 2] {
+            let again = store.lookup(ClassId(class), &any).unwrap();
+            assert_eq!(again.access.block_raw_hits, blocks);
+            assert_eq!(again.access.blocks_read, 0);
+        }
+        assert_eq!(store.cache_occupancy().occupancy, blocks);
         // The evicted blocks are re-decoded from the raw tier, never re-read.
-        let again = store.lookup(ClassId(1), &QueryFilter::any()).unwrap();
+        let again = store.lookup(ClassId(1), &any).unwrap();
         assert_eq!(again.records, first.records);
         assert_eq!(again.access.cold_loads, 0);
         assert_eq!(again.access.cache_hits, 1);
-        assert_eq!(again.access.block_hits, 1, "the footer");
-        assert_eq!(again.access.block_raw_hits, blocks - 1);
+        assert_eq!(again.access.block_hits, 0);
+        assert_eq!(again.access.block_raw_hits, blocks);
         assert_eq!(again.access.blocks_read, 0);
         assert_eq!(again.access.bytes_read, 0);
+        // And what is resident is served decoded.
+        let resident = store.lookup(ClassId(1), &any).unwrap();
+        assert_eq!(resident.access.block_hits, blocks);
         let occ = store.cache_occupancy();
         assert_eq!(occ.disk_reads, disk_reads);
-        assert_eq!(occ.raw_hits as usize, blocks - 1);
-        assert_eq!(occ.raw_entries, 2 * (blocks - 1));
+        assert_eq!(occ.raw_hits as usize, 3 * blocks);
+        assert_eq!(occ.raw_entries, 2 * blocks);
         assert_eq!(occ.raw_occupancy_bytes, raw_bytes + other_raw_bytes);
         assert!(occ.raw_hit_rate() > 0.0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn class_absent_segments_are_skipped_without_opening_the_file() {
+        let dir = test_dir("class_skip");
+        let store = populated(&dir);
+        // Delete the middle segment (the only one posting class 6) behind
+        // the store's back.
+        let victim = store.segments()[1].clone();
+        fs::remove_file(dir.join(&victim.file)).unwrap();
+        // Class 7 lives in the last segment only: the footer directory rules
+        // the other two out, so the missing file is never asked for.
+        let found = store.lookup(ClassId(7), &QueryFilter::any()).unwrap();
+        assert_eq!(found.records.len(), 1);
+        assert_eq!(found.access.segments_considered, 3);
+        assert_eq!(found.access.cold_loads, 1);
+        assert_eq!(found.access.cache_hits, 0);
+        assert_eq!(
+            found.access.blocks_read,
+            lookup_cost(&store, &store.segments()[2], 7).0
+        );
+        // A class the missing segment does post has to open it.
+        match store.lookup(ClassId(6), &QueryFilter::any()) {
+            Err(SegmentError::Persist(PersistError::Io { path, .. })) => {
+                assert_eq!(path, dir.join(&victim.file))
+            }
+            other => panic!("expected an I/O error naming the file, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn footer_directory_tracks_the_live_segments() {
+        let dir = test_dir("directory");
+        let store = populated(&dir);
+        let on_disk = |store: &SegmentStore| -> HashMap<u64, SegmentFooter> {
+            let footer = |meta: &SegmentMeta| {
+                let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
+                (meta.id, binseg::footer_of(&bytes).unwrap())
+            };
+            store.segments().iter().map(footer).collect()
+        };
+        let resident = |store: &SegmentStore| -> HashMap<u64, SegmentFooter> {
+            let footers = store.footers.iter();
+            footers.map(|(id, f)| (*id, (**f).clone())).collect()
+        };
+        // Sealed, reopened, sealed again, compacted, reopened: at every
+        // step the directory holds exactly the live segments' footers.
+        assert_eq!(resident(&store), on_disk(&store));
+        let (mut store, _) = SegmentStore::open(&dir).unwrap();
+        assert_eq!(resident(&store), on_disk(&store));
+        store.seal(&segment_of(&[record(2, 0, 9, 50.0)])).unwrap();
+        assert_eq!(resident(&store), on_disk(&store));
+        // Budget 4 folds the four segments (2, 2, 2 and 1 records) pairwise.
+        let folded_away: Vec<u64> = store.segments().iter().map(|m| m.id).collect();
+        assert_eq!(store.compact(4).unwrap(), 2);
+        assert_eq!(store.len(), 2);
+        assert_eq!(resident(&store), on_disk(&store));
+        assert!(folded_away.iter().all(|id| !store.footers.contains_key(id)));
+        let (store, report) = SegmentStore::open(&dir).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(resident(&store), on_disk(&store));
+        assert_eq!(store.footers.len(), 2);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn key_disjointness_holds_across_lookup_classes() {
+        let dir = test_dir("duplicate_key");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        // Two hand-sealed segments holding the same cluster key, posted
+        // under class 5 in one and class 6 in the other.
+        store
+            .seal(&segment_of(&[record(0, 0, 5, 0.0), record(0, 1, 5, 10.0)]))
+            .unwrap();
+        store
+            .seal(&segment_of(&[record(0, 1, 6, 10.0), record(0, 2, 6, 20.0)]))
+            .unwrap();
+        let any = QueryFilter::any();
+        // Either class alone sees one copy and answers; together they
+        // collide, and the error names the key and both segments.
+        assert_eq!(store.lookup(ClassId(5), &any).unwrap().records.len(), 2);
+        assert_eq!(store.lookup(ClassId(6), &any).unwrap().records.len(), 2);
+        match store.lookup_classes_grouped(&[ClassId(5), ClassId(6)], &any) {
+            Err(SegmentError::DuplicateKey { key, segments }) => {
+                assert_eq!(key, ClusterKey::new(StreamId(0), 1));
+                assert_eq!(segments, [store.segments()[0].id, store.segments()[1].id]);
+            }
+            other => panic!("expected DuplicateKey, got {other:?}"),
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2035,16 +2300,24 @@ mod tests {
         assert_eq!(empty.fill_fraction(), 0.0);
         assert_eq!(empty.decoded_hit_rate(), 0.0);
         assert_eq!(empty.raw_hit_rate(), 0.0);
+        // A first pass leaves every block in the raw tier and none in the
+        // decoded one.
+        store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
+        let scanned = store.cache_occupancy();
+        assert_eq!(scanned.occupancy, 0, "first touch admits nothing");
+        assert_eq!(scanned.disk_reads as usize, blocks);
+        assert_eq!(scanned.raw_entries, blocks);
+        assert_eq!(scanned.raw_occupancy_bytes, raw_bytes);
+        assert!(scanned.raw_fill_fraction() > 0.0);
+        assert_eq!(scanned.raw_capacity_bytes, DEFAULT_RAW_CACHE_BYTES);
+        // The second pass promotes them all.
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         let full = store.cache_occupancy();
-        assert_eq!(full.occupancy, capacity, "the scan overflows the LRU");
+        assert_eq!(full.occupancy, capacity, "the promotions overflow the LRU");
         assert_eq!(full.fill_fraction(), 1.0);
+        assert_eq!(full.raw_hits as usize, blocks);
         assert_eq!(full.disk_reads as usize, blocks);
-        // Every block but the three footers also sits in the raw tier.
-        assert_eq!(full.raw_entries, blocks - 3);
-        assert_eq!(full.raw_occupancy_bytes, raw_bytes);
-        assert!(full.raw_fill_fraction() > 0.0);
-        assert_eq!(full.raw_capacity_bytes, DEFAULT_RAW_CACHE_BYTES);
+        assert_eq!(full.raw_hit_rate(), 0.5);
         assert_eq!(LruOccupancy::default().fill_fraction(), 0.0);
         assert_eq!(LruOccupancy::default().raw_fill_fraction(), 0.0);
         fs::remove_dir_all(&dir).ok();
@@ -2085,7 +2358,7 @@ mod tests {
 
     #[test]
     fn errors_display_their_context() {
-        let errors: [SegmentError; 4] = [
+        let errors: [SegmentError; 5] = [
             SegmentError::Persist(PersistError::VersionMismatch {
                 path: None,
                 found: 9,
@@ -2101,9 +2374,174 @@ mod tests {
                 source: BinsegError::BadMagic,
             },
             SegmentError::UnknownSegment { id: 7 },
+            SegmentError::DuplicateKey {
+                key: ClusterKey::new(StreamId(0), 3),
+                segments: [1, 4],
+            },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());
+        }
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use crate::cluster_store::MemberRef;
+    use focus_video::{FrameId, ObjectId, StreamId, TrackId};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// A record on one of `streams` streams whose ranking holds one to
+    /// three distinct classes out of `1..=classes`.
+    fn arbitrary_record(
+        rng: &mut TestRng,
+        streams: u64,
+        classes: u64,
+        local: u64,
+    ) -> ClusterRecord {
+        let mut top_k_classes = Vec::new();
+        for _ in 0..=rng.below(3) {
+            let class = ClassId(1 + rng.below(classes) as u16);
+            if !top_k_classes.contains(&class) {
+                top_k_classes.push(class);
+            }
+        }
+        let start_secs = rng.below(200) as f64;
+        ClusterRecord {
+            key: ClusterKey::new(StreamId(rng.below(streams) as u32), local),
+            centroid_object: ObjectId(local),
+            centroid_frame: FrameId(local),
+            top_k_classes,
+            members: vec![MemberRef {
+                object: ObjectId(local),
+                frame: FrameId(local),
+                track: TrackId(local % 4),
+            }],
+            start_secs,
+            end_secs: start_secs + rng.below(10) as f64,
+        }
+    }
+
+    /// One to three distinct classes out of `1..=classes + 1` — the last is
+    /// a class no segment posts — and a filter with each of the stream, time
+    /// and `kx` restrictions present half the time.
+    fn arbitrary_request(
+        rng: &mut TestRng,
+        streams: u64,
+        classes: u64,
+    ) -> (Vec<ClassId>, QueryFilter) {
+        let mut wanted = Vec::new();
+        for _ in 0..=rng.below(3) {
+            let class = ClassId(1 + rng.below(classes + 1) as u16);
+            if !wanted.contains(&class) {
+                wanted.push(class);
+            }
+        }
+        let mut filter = QueryFilter::any();
+        if rng.below(2) == 1 {
+            let picked = (0..=rng.below(streams)).map(|_| StreamId(rng.below(streams) as u32));
+            filter = filter.with_streams(picked.collect::<Vec<_>>());
+        }
+        if rng.below(2) == 1 {
+            let from = rng.below(200) as f64;
+            filter = filter.with_time_range(from, from + rng.below(100) as f64);
+        }
+        if rng.below(2) == 1 {
+            filter = filter.with_kx(1 + rng.below(3) as usize);
+        }
+        (wanted, filter)
+    }
+
+    /// The union of the per-class lookups on the merged index, by key.
+    fn reference(merged: &TopKIndex, classes: &[ClassId], filter: &QueryFilter) -> String {
+        let mut hits: Vec<&ClusterRecord> = classes
+            .iter()
+            .flat_map(|class| merged.lookup(*class, filter))
+            .collect();
+        hits.sort_by_key(|r| r.key);
+        hits.dedup_by_key(|r| r.key);
+        serde_json::to_string(&hits).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The segment-major multi-class lookup is the union of the
+        /// per-class lookups on the merged index — cold, on every later
+        /// touch, and after compaction — whatever the cache tiers hold.
+        #[test]
+        fn multi_class_lookup_is_the_union_of_per_class_lookups(
+            seed in 0u64..1 << 48,
+            segments in 1usize..9,
+            streams in 1u64..4,
+            classes in 1u64..7,
+            decoded_capacity in prop_oneof![Just(1usize), Just(3), Just(DEFAULT_CACHE_CAPACITY)],
+            raw_tier in 0usize..3,
+        ) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let dir = std::env::temp_dir().join(format!("focus_segment_prop_{seed}"));
+            let _ = fs::remove_dir_all(&dir);
+            let mut store = SegmentStore::create(&dir).unwrap();
+            let mut local = 0u64;
+            for _ in 0..segments {
+                let mut index = TopKIndex::new();
+                for _ in 0..=rng.below(100) {
+                    index.insert(arbitrary_record(&mut rng, streams, classes, local));
+                    local += 1;
+                }
+                store.seal(&index).unwrap();
+            }
+            // Raw tier: off, exactly one (largest) record block, or default.
+            let largest_block = store
+                .footers
+                .values()
+                .flat_map(|f| f.record_blocks.iter().map(|b| b.len))
+                .max()
+                .unwrap();
+            let raw_capacity = [0, largest_block, DEFAULT_RAW_CACHE_BYTES][raw_tier];
+            let mut store = store
+                .with_cache_capacity(decoded_capacity)
+                .with_raw_capacity(raw_capacity);
+            // The reference comes from a second store on the same directory,
+            // so loading it leaves this store's cache tiers alone.
+            let merged = SegmentStore::open(&dir).unwrap().0.merged_index().unwrap();
+            let requests: Vec<_> = (0..6)
+                .map(|_| arbitrary_request(&mut rng, streams, classes))
+                .collect();
+
+            for compacted in [false, true] {
+                if compacted {
+                    store.compact(1 + rng.below(300) as usize).unwrap();
+                }
+                // Three passes: first, second and third touch of every block.
+                for _ in 0..3 {
+                    for (wanted, filter) in &requests {
+                        let found = store.lookup_classes_grouped(wanted, filter).unwrap();
+                        let order: Vec<u64> = store.segments().iter().map(|m| m.id).collect();
+                        let mut at = 0;
+                        for (id, group) in &found.groups {
+                            prop_assert!(!group.is_empty(), "empty group for segment {id}");
+                            let Some(step) = order[at..].iter().position(|live| live == id) else {
+                                return Err(TestCaseError::fail(format!(
+                                    "group {id} is out of manifest order {order:?}"
+                                )));
+                            };
+                            at += step + 1;
+                        }
+                        let mut flat: Vec<&ClusterRecord> =
+                            found.groups.iter().flat_map(|(_, group)| group).collect();
+                        flat.sort_by_key(|r| r.key);
+                        prop_assert!(
+                            serde_json::to_string(&flat).unwrap()
+                                == reference(&merged, wanted, filter),
+                            "classes {wanted:?} filter {filter:?} compacted {compacted}"
+                        );
+                    }
+                }
+            }
+            fs::remove_dir_all(&dir).ok();
         }
     }
 }
