@@ -76,6 +76,10 @@ pub struct IncrementalClusterer {
     threshold: f32,
     max_active: usize,
     dim: Option<usize>,
+    /// The active clusters' centroids, row-major: row `i` (`dim` floats) is
+    /// the running mean of `active[i]`. One contiguous buffer, because every
+    /// `add` walks all of it.
+    centroids: Vec<f32>,
     active: Vec<ClusterState>,
     sealed: Vec<Cluster>,
     next_id: u64,
@@ -90,10 +94,15 @@ pub struct IncrementalClusterer {
 /// what should be one cluster into many.
 const SPILL_RECENCY_GRACE: u64 = 32;
 
+/// How many lanes [`bounded_squared_distance`] sums between two looks at
+/// its bound.
+const DISTANCE_CHECK_LANES: usize = 8;
+
+/// An active cluster; its centroid is its row of
+/// [`IncrementalClusterer::centroids`].
 #[derive(Debug, Clone)]
 struct ClusterState {
     id: ClusterId,
-    centroid: Vec<f32>,
     sum: Vec<f32>,
     members: Vec<ClusterMember>,
     /// Value of the clusterer's add counter when this cluster last absorbed
@@ -102,13 +111,36 @@ struct ClusterState {
 }
 
 impl ClusterState {
-    fn to_cluster(&self) -> Cluster {
+    fn into_cluster(self, centroid: &[f32]) -> Cluster {
         Cluster {
             id: self.id,
-            centroid: self.centroid.clone(),
-            members: self.members.clone(),
+            centroid: centroid.to_vec(),
+            members: self.members,
         }
     }
+}
+
+/// Squared Euclidean distance, summed left to right exactly like
+/// `a.zip(b).map(|(x, y)| (x - y) * (x - y)).sum()`, except that it gives up
+/// once the running sum exceeds `bound` and returns that partial sum. Every
+/// term is non-negative, so a running sum above `bound` means the full
+/// distance is above it too: a caller that only keeps distances `<= bound`
+/// decides the same either way, and a distance it keeps is the full sum,
+/// bit for bit.
+fn bounded_squared_distance(a: &[f32], b: &[f32], bound: f32) -> f32 {
+    let mut sum = 0.0f32;
+    for (lanes_a, lanes_b) in a
+        .chunks(DISTANCE_CHECK_LANES)
+        .zip(b.chunks(DISTANCE_CHECK_LANES))
+    {
+        for (x, y) in lanes_a.iter().zip(lanes_b) {
+            sum += (x - y) * (x - y);
+        }
+        if sum > bound {
+            break;
+        }
+    }
+    sum
 }
 
 impl IncrementalClusterer {
@@ -128,6 +160,7 @@ impl IncrementalClusterer {
             threshold,
             max_active,
             dim: None,
+            centroids: Vec::new(),
             active: Vec::new(),
             sealed: Vec::new(),
             next_id: 0,
@@ -157,12 +190,16 @@ impl IncrementalClusterer {
         self.active.len()
     }
 
-    fn squared_distance(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
-    }
-
     /// Adds one object (identified by `item`/`tag`) with feature vector
-    /// `features`; returns the cluster it was assigned to.
+    /// `features`; returns the cluster it was assigned to — the active
+    /// cluster whose centroid is nearest among those within `T` (the first
+    /// examined on an exact tie), or a new one.
+    ///
+    /// Every active centroid is examined — the paper's `O(M·n)` term, and
+    /// what [`ClusteringStats::distance_evaluations`] counts — but an
+    /// examination stops summing lanes as soon as the distance is known to
+    /// exceed `min(T², nearest so far)`, which decides the same assignment
+    /// as the full distance would.
     ///
     /// # Panics
     ///
@@ -170,19 +207,21 @@ impl IncrementalClusterer {
     /// objects.
     pub fn add(&mut self, item: u64, tag: u64, features: &[f32]) -> ClusterId {
         assert!(!features.is_empty(), "features must not be empty");
-        match self.dim {
-            None => self.dim = Some(features.len()),
-            Some(d) => assert_eq!(d, features.len(), "feature dimension changed mid-stream"),
-        }
+        let dim = *self.dim.get_or_insert(features.len());
+        assert_eq!(dim, features.len(), "feature dimension changed mid-stream");
         self.objects += 1;
         let member = ClusterMember { item, tag };
         let threshold_sq = self.threshold * self.threshold;
         let mut best: Option<(usize, f32)> = None;
-        for (idx, cluster) in self.active.iter().enumerate() {
+        // `min(T², nearest so far)`: a centroid farther than this cannot be
+        // chosen.
+        let mut bound = threshold_sq;
+        for (idx, centroid) in self.centroids.chunks_exact(dim).enumerate() {
             self.distance_evaluations += 1;
-            let d = Self::squared_distance(&cluster.centroid, features);
+            let d = bounded_squared_distance(centroid, features, bound);
             if d <= threshold_sq && best.map(|(_, bd)| d < bd).unwrap_or(true) {
                 best = Some((idx, d));
+                bound = d;
             }
         }
         if let Some((idx, _)) = best {
@@ -193,7 +232,8 @@ impl IncrementalClusterer {
             cluster.members.push(member);
             cluster.last_update = self.objects as u64;
             let n = cluster.members.len() as f32;
-            for (c, s) in cluster.centroid.iter_mut().zip(cluster.sum.iter()) {
+            let centroid = &mut self.centroids[idx * dim..(idx + 1) * dim];
+            for (c, s) in centroid.iter_mut().zip(cluster.sum.iter()) {
                 *c = s / n;
             }
             return cluster.id;
@@ -201,15 +241,15 @@ impl IncrementalClusterer {
         // No cluster close enough: open a new one.
         let id = ClusterId(self.next_id);
         self.next_id += 1;
+        self.centroids.extend_from_slice(features);
         self.active.push(ClusterState {
             id,
-            centroid: features.to_vec(),
             sum: features.to_vec(),
             members: vec![member],
             last_update: self.objects as u64,
         });
         if self.active.len() > self.max_active {
-            self.spill_one();
+            self.spill_one(dim);
         }
         id
     }
@@ -222,29 +262,36 @@ impl IncrementalClusterer {
     /// almost always the one that is *currently being formed* (evicting it
     /// would shatter ongoing tracks into singleton clusters). Among the
     /// non-recent clusters the smallest is sealed, oldest first on ties.
-    fn spill_one(&mut self) {
-        if self.active.is_empty() {
-            return;
-        }
+    fn spill_one(&mut self, dim: usize) {
         let cutoff = (self.objects as u64).saturating_sub(SPILL_RECENCY_GRACE);
-        let (idx, _) = self
-            .active
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| {
-                let recently_updated = c.last_update >= cutoff;
-                (recently_updated, c.members.len(), c.last_update)
-            })
-            .expect("active set is non-empty");
+        let Some((idx, _)) = self.active.iter().enumerate().min_by_key(|(_, c)| {
+            let recently_updated = c.last_update >= cutoff;
+            (recently_updated, c.members.len(), c.last_update)
+        }) else {
+            return;
+        };
+        // `swap_remove` on both: the last cluster's row moves into the hole.
+        let last = self.active.len() - 1;
         let state = self.active.swap_remove(idx);
-        self.sealed.push(state.to_cluster());
+        self.sealed
+            .push(state.into_cluster(&self.centroids[idx * dim..(idx + 1) * dim]));
+        self.centroids
+            .copy_within(last * dim..(last + 1) * dim, idx * dim);
+        self.centroids.truncate(last * dim);
         self.spilled += 1;
     }
 
     /// Finishes clustering, returning every cluster (sealed and active).
     pub fn finish(mut self) -> (Vec<Cluster>, ClusteringStats) {
         let mut clusters = std::mem::take(&mut self.sealed);
-        clusters.extend(self.active.iter().map(ClusterState::to_cluster));
+        if let Some(dim) = self.dim {
+            clusters.extend(
+                self.active
+                    .into_iter()
+                    .zip(self.centroids.chunks_exact(dim))
+                    .map(|(state, centroid)| state.into_cluster(centroid)),
+            );
+        }
         clusters.sort_by_key(|c| c.id);
         let stats = ClusteringStats {
             objects: self.objects,
@@ -407,6 +454,44 @@ mod tests {
         assert_eq!(joined, b);
         assert_ne!(joined, a);
     }
+
+    #[test]
+    fn a_partial_sum_at_the_bound_is_not_a_verdict() {
+        // Nine lanes, so the first look at the bound comes with one lane
+        // still to add. After eight lanes both points sit at exactly T² = 4
+        // from the origin; only the full sum tells them apart.
+        let mut c = IncrementalClusterer::new(2.0, 16);
+        let origin = c.add(0, 0, &[0.0; 9]);
+        let mut at_t = [0.0f32; 9];
+        at_t[0] = 2.0;
+        let mut beyond_t = at_t;
+        beyond_t[8] = 1.0;
+        assert_ne!(
+            c.add(1, 0, &beyond_t),
+            origin,
+            "distance² 5 is outside T² 4"
+        );
+        let mut c = IncrementalClusterer::new(2.0, 16);
+        let origin = c.add(0, 0, &[0.0; 9]);
+        assert_eq!(c.add(1, 0, &at_t), origin, "a point exactly at T joins");
+    }
+
+    #[test]
+    fn spilling_keeps_centroid_rows_with_their_clusters() {
+        // Cap 2: opening the third cluster seals the oldest singleton
+        // (cluster 0) and moves the last row into its place. Cluster 1 must
+        // still answer with its own centroid afterwards.
+        let mut c = IncrementalClusterer::new(0.5, 2);
+        c.add(0, 0, &point(&[0.0, 0.0]));
+        let b = c.add(1, 0, &point(&[10.0, 0.0]));
+        let d = c.add(2, 0, &point(&[20.0, 0.0]));
+        assert_eq!(c.add(3, 0, &point(&[10.25, 0.0])), b);
+        assert_eq!(c.add(4, 0, &point(&[20.25, 0.0])), d);
+        let (clusters, stats) = c.finish();
+        assert_eq!(stats.spilled, 1);
+        let centroids: Vec<f32> = clusters.iter().map(|cl| cl.centroid[0]).collect();
+        assert_eq!(centroids, vec![0.0, 10.125, 20.125]);
+    }
 }
 
 #[cfg(test)]
@@ -418,7 +503,194 @@ mod property_tests {
         prop::collection::vec(prop::collection::vec(-100.0f32..100.0, 4), 1..200)
     }
 
+    /// The clusterer as it was before the contiguous centroid buffer and the
+    /// bounded distance: one `Vec` per centroid and the full distance to
+    /// every active one. Kept as the reference [`IncrementalClusterer`] is
+    /// compared against, bit for bit.
+    struct FullDistanceClusterer {
+        threshold: f32,
+        max_active: usize,
+        active: Vec<ReferenceCluster>,
+        sealed: Vec<Cluster>,
+        next_id: u64,
+        objects: usize,
+        spilled: usize,
+        distance_evaluations: u64,
+    }
+
+    struct ReferenceCluster {
+        cluster: Cluster,
+        sum: Vec<f32>,
+        last_update: u64,
+    }
+
+    impl FullDistanceClusterer {
+        fn new(threshold: f32, max_active: usize) -> Self {
+            Self {
+                threshold,
+                max_active,
+                active: Vec::new(),
+                sealed: Vec::new(),
+                next_id: 0,
+                objects: 0,
+                spilled: 0,
+                distance_evaluations: 0,
+            }
+        }
+
+        fn add(&mut self, item: u64, tag: u64, features: &[f32]) -> ClusterId {
+            self.objects += 1;
+            let member = ClusterMember { item, tag };
+            let threshold_sq = self.threshold * self.threshold;
+            let mut best: Option<(usize, f32)> = None;
+            for (idx, state) in self.active.iter().enumerate() {
+                self.distance_evaluations += 1;
+                let d: f32 = state
+                    .cluster
+                    .centroid
+                    .iter()
+                    .zip(features.iter())
+                    .map(|(x, y)| (x - y) * (x - y))
+                    .sum();
+                if d <= threshold_sq && best.map(|(_, bd)| d < bd).unwrap_or(true) {
+                    best = Some((idx, d));
+                }
+            }
+            if let Some((idx, _)) = best {
+                let state = &mut self.active[idx];
+                for (s, f) in state.sum.iter_mut().zip(features.iter()) {
+                    *s += f;
+                }
+                state.cluster.members.push(member);
+                state.last_update = self.objects as u64;
+                let n = state.cluster.members.len() as f32;
+                for (c, s) in state.cluster.centroid.iter_mut().zip(state.sum.iter()) {
+                    *c = s / n;
+                }
+                return state.cluster.id;
+            }
+            let id = ClusterId(self.next_id);
+            self.next_id += 1;
+            self.active.push(ReferenceCluster {
+                cluster: Cluster {
+                    id,
+                    centroid: features.to_vec(),
+                    members: vec![member],
+                },
+                sum: features.to_vec(),
+                last_update: self.objects as u64,
+            });
+            if self.active.len() > self.max_active {
+                let cutoff = (self.objects as u64).saturating_sub(SPILL_RECENCY_GRACE);
+                let (idx, _) = self
+                    .active
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, c)| {
+                        (
+                            c.last_update >= cutoff,
+                            c.cluster.members.len(),
+                            c.last_update,
+                        )
+                    })
+                    .unwrap();
+                self.sealed.push(self.active.swap_remove(idx).cluster);
+                self.spilled += 1;
+            }
+            id
+        }
+
+        fn finish(mut self) -> (Vec<Cluster>, ClusteringStats) {
+            let mut clusters = std::mem::take(&mut self.sealed);
+            clusters.extend(self.active.into_iter().map(|state| state.cluster));
+            clusters.sort_by_key(|c| c.id);
+            let stats = ClusteringStats {
+                objects: self.objects,
+                clusters: clusters.len(),
+                spilled: self.spilled,
+                mean_cluster_size: if clusters.is_empty() {
+                    0.0
+                } else {
+                    self.objects as f64 / clusters.len() as f64
+                },
+                distance_evaluations: self.distance_evaluations,
+            };
+            (clusters, stats)
+        }
+    }
+
+    /// Feeds `points` to both clusterers and demands the same answer at
+    /// every step and at the end: assigned ids, cluster ids, member order,
+    /// centroid bits and statistics.
+    fn assert_matches_reference(
+        points: &[Vec<f32>],
+        threshold: f32,
+        max_active: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut fast = IncrementalClusterer::new(threshold, max_active);
+        let mut reference = FullDistanceClusterer::new(threshold, max_active);
+        for (i, p) in points.iter().enumerate() {
+            prop_assert_eq!(
+                fast.add(i as u64, 7 * i as u64, p),
+                reference.add(i as u64, 7 * i as u64, p)
+            );
+        }
+        let (clusters, stats) = fast.finish();
+        let (expected, expected_stats) = reference.finish();
+        prop_assert_eq!(stats, expected_stats);
+        prop_assert_eq!(clusters.len(), expected.len());
+        for (got, want) in clusters.iter().zip(&expected) {
+            prop_assert_eq!(got.id, want.id);
+            prop_assert_eq!(&got.members, &want.members);
+            let bits = |c: &Cluster| c.centroid.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got), bits(want));
+        }
+        Ok(())
+    }
+
+    fn caps() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(1usize), Just(2), Just(256)]
+    }
+
     proptest! {
+        /// Random 32-dimensional points, each fed twice (so exact
+        /// duplicates, distance 0, are everywhere), at thresholds that make
+        /// some join and some not.
+        #[test]
+        fn matches_the_full_distance_reference_on_random_points(
+            points in prop::collection::vec(prop::collection::vec(-2.0f32..2.0, 32), 1..120),
+            threshold in 0.0f32..16.0,
+            cap in caps(),
+        ) {
+            let mut twice = points.clone();
+            twice.extend(points);
+            assert_matches_reference(&twice, threshold, cap)?;
+        }
+
+        /// Points on a half-integer lattice in 12 dimensions (so the bound
+        /// is looked at after lane 8 with lanes still to add), of which only
+        /// the first `varying` move: squared distances are exact multiples
+        /// of 0.25, so points land exactly at `T`, partial sums land exactly
+        /// on `T²` with more to come, and two centroids tie exactly.
+        #[test]
+        fn matches_the_full_distance_reference_on_lattice_points(
+            coords in prop::collection::vec(prop::collection::vec(0usize..4, 12), 1..150),
+            varying in 1usize..13,
+            threshold in prop_oneof![Just(0.5f32), Just(1.0), Just(1.5), Just(2.0)],
+            cap in caps(),
+        ) {
+            let points: Vec<Vec<f32>> = coords
+                .iter()
+                .map(|p| {
+                    p.iter()
+                        .enumerate()
+                        .map(|(lane, c)| if lane < varying { *c as f32 * 0.5 } else { 0.0 })
+                        .collect()
+                })
+                .collect();
+            assert_matches_reference(&points, threshold, cap)?;
+        }
+
         /// Every object ends up in exactly one cluster, regardless of the
         /// threshold or cap.
         #[test]

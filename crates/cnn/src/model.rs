@@ -70,7 +70,12 @@ pub trait Classifier: Send + Sync {
     /// How many times cheaper one inference is than the ground-truth CNN.
     fn cheapness_vs_gt(&self) -> f64;
 
-    /// Returns the `k` most confident classes for the object.
+    /// Returns the `k` most confident classes for the object, most confident
+    /// first and each at most once — fewer than `k` when the model has fewer
+    /// labels to give: a generic model or the ground truth returns
+    /// `min(k, NUM_CLASSES)` classes (one fewer when the true class ranks
+    /// beyond them), a specialized model at most its `Ls + 1` labels. Any
+    /// `k` is safe to ask for; `0` is read as `1`.
     fn classify_top_k(&self, obj: &ObjectObservation, k: usize) -> RankedClasses;
 
     /// Extracts the penultimate-layer feature vector for the object.
@@ -176,9 +181,45 @@ pub fn confusion_class(true_class: ClassId, slot: usize, seed: u64) -> ClassId {
     ClassId(((h >> 5) % NUM_CLASSES as u64) as u16)
 }
 
+/// The classes a ranking under construction has already used: one bit per
+/// class of the label space (128 bytes — the ground-truth `classify_top1`
+/// on the query path builds one per call), so asking "is this filler
+/// taken?" does not rescan the list.
+struct TakenClasses {
+    bits: [u64; (NUM_CLASSES as usize).div_ceil(64)],
+    /// Classes of the label space not taken yet.
+    free: usize,
+}
+
+impl TakenClasses {
+    fn new() -> Self {
+        Self {
+            bits: [0; (NUM_CLASSES as usize).div_ceil(64)],
+            free: NUM_CLASSES as usize,
+        }
+    }
+
+    /// Marks `class` as taken; `false` when it already was. A class outside
+    /// the label space is never a filler candidate and is not tracked.
+    fn take(&mut self, class: ClassId) -> bool {
+        if !class.is_valid() {
+            return false;
+        }
+        let (word, bit) = (class.0 as usize / 64, 1u64 << (class.0 % 64));
+        let fresh = self.bits[word] & bit == 0;
+        if fresh {
+            self.bits[word] |= bit;
+            self.free -= 1;
+        }
+        fresh
+    }
+}
+
 /// Builds the ranked output list for an object given the rank at which the
 /// ground-truth class must appear (`usize::MAX` places it beyond every
-/// returned slot).
+/// returned slot). The list ends early when the label space is exhausted:
+/// at most `NUM_CLASSES` entries, one fewer when the true class ranks beyond
+/// them.
 fn build_ranked(
     true_class: ClassId,
     true_rank: usize,
@@ -186,31 +227,30 @@ fn build_ranked(
     fill_seed: u64,
     confidence_seed: u64,
 ) -> RankedClasses {
-    let mut ranked = Vec::with_capacity(k);
-    let mut slot = 0usize;
+    let mut ranked = Vec::with_capacity(k.min(NUM_CLASSES as usize));
+    // The true class is never a filler, so it appears exactly once (at its
+    // rank) or not at all.
+    let mut taken = TakenClasses::new();
+    taken.take(true_class);
     let mut filler = 0usize;
     while ranked.len() < k {
         let position = ranked.len() + 1;
         let class = if position == true_rank {
             true_class
+        } else if taken.free == 0 {
+            break;
         } else {
-            // Skip filler entries that collide with the true class so it
-            // appears exactly once.
-            let mut cand = confusion_class(true_class, filler, fill_seed);
-            filler += 1;
-            while cand == true_class || ranked.iter().any(|(c, _)| *c == cand) {
-                cand = confusion_class(true_class, filler, fill_seed);
+            loop {
+                let cand = confusion_class(true_class, filler, fill_seed);
                 filler += 1;
+                if taken.take(cand) {
+                    break cand;
+                }
             }
-            cand
         };
         let noise = unit_from_hash(hash64(&[confidence_seed, position as u64])) as f32;
         let confidence = (1.0 / position as f32) * (0.85 + 0.15 * noise);
         ranked.push((class, confidence));
-        slot += 1;
-        if slot > k + 16 {
-            break;
-        }
     }
     RankedClasses { ranked }
 }
@@ -338,8 +378,14 @@ impl Classifier for GroundTruthCnn {
                 confidence_seed,
                 confidence_seed,
             );
-            if let Some(first) = ranked.ranked.first_mut() {
-                first.0 = wrong;
+            if let Some((first, rest)) = ranked.ranked.split_first_mut() {
+                // `wrong` may already sit in a filler slot further down;
+                // that slot takes the class `wrong` displaces, so the list
+                // stays duplicate-free.
+                let displaced = std::mem::replace(&mut first.0, wrong);
+                if let Some(slot) = rest.iter_mut().find(|(c, _)| *c == wrong) {
+                    slot.0 = displaced;
+                }
             }
             return ranked;
         }
@@ -615,6 +661,130 @@ mod tests {
             assert_eq!(*label, gt.classify_top1(obj));
         }
         assert!(gt.classify_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn oversized_k_returns_the_label_space_instead_of_spinning() {
+        // Regression: with 999 non-true classes to fill from, asking for
+        // more never terminated. Every model must now hand back the classes
+        // there are, each once.
+        let objects = sample_objects(4);
+        let models: Vec<Box<dyn Classifier>> = vec![
+            Box::new(GroundTruthCnn::with_flicker(0.0)),
+            Box::new(GroundTruthCnn::with_flicker(1.0)),
+            Box::new(CheapCnn::cheap_cnn_1()),
+            Box::new(CheapCnn::cheap_cnn_2()),
+            Box::new(CheapCnn::cheap_cnn_3()),
+        ];
+        let label_space = NUM_CLASSES as usize;
+        for model in &models {
+            for k in [999usize, 1000, 1001, 5000] {
+                for o in &objects {
+                    let out = model.classify_top_k(o, k);
+                    let mut seen = std::collections::HashSet::new();
+                    for (c, _) in &out.ranked {
+                        assert!(c.is_valid());
+                        assert!(seen.insert(*c), "{} k={k}: duplicate {c:?}", model.name());
+                    }
+                    // The true class is the one label that can be missing:
+                    // it is placed at its rank or not at all.
+                    let expected = if seen.contains(&o.true_class) {
+                        k.min(label_space)
+                    } else {
+                        k.min(label_space - 1)
+                    };
+                    assert_eq!(out.ranked.len(), expected, "{} k={k}", model.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flicker_replaces_the_top_answer_without_duplicating_it() {
+        let gt = GroundTruthCnn::with_flicker(1.0);
+        for o in &sample_objects(300) {
+            let out = gt.classify_top_k(o, 200);
+            assert_eq!(out.ranked.len(), 200);
+            assert_ne!(out.ranked[0].0, o.true_class);
+            assert_eq!(out.ranked[1].0, o.true_class);
+            let distinct: std::collections::HashSet<_> = out.classes().into_iter().collect();
+            assert_eq!(distinct.len(), 200);
+        }
+    }
+
+    /// The list builder as it was before the taken set: every filler
+    /// candidate is checked against the whole list so far, O(K²). Kept as
+    /// the reference `build_ranked` is compared against. One deviation: the
+    /// original looped forever once all 999 non-true classes were placed;
+    /// this one stops there.
+    fn build_ranked_quadratic(
+        true_class: ClassId,
+        true_rank: usize,
+        k: usize,
+        fill_seed: u64,
+        confidence_seed: u64,
+    ) -> RankedClasses {
+        let mut ranked: Vec<(ClassId, f32)> = Vec::new();
+        let mut filler = 0usize;
+        let mut fillers_placed = 0usize;
+        while ranked.len() < k {
+            let position = ranked.len() + 1;
+            let class = if position == true_rank {
+                true_class
+            } else {
+                if fillers_placed == NUM_CLASSES as usize - 1 {
+                    break;
+                }
+                let mut cand = confusion_class(true_class, filler, fill_seed);
+                filler += 1;
+                while cand == true_class || ranked.iter().any(|(c, _)| *c == cand) {
+                    cand = confusion_class(true_class, filler, fill_seed);
+                    filler += 1;
+                }
+                fillers_placed += 1;
+                cand
+            };
+            let noise = unit_from_hash(hash64(&[confidence_seed, position as u64])) as f32;
+            let confidence = (1.0 / position as f32) * (0.85 + 0.15 * noise);
+            ranked.push((class, confidence));
+        }
+        RankedClasses { ranked }
+    }
+
+    mod property {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// The O(K) builder returns exactly the `(class, confidence)`
+            /// list of the O(K²) original, wherever the true class ranks.
+            #[test]
+            fn build_ranked_matches_the_quadratic_original(
+                k in 1usize..1001,
+                true_class in 0usize..NUM_CLASSES as usize,
+                // 0: inside the list, 1: just beyond it, 2: `usize::MAX`,
+                // 3: rank 2 with one seed for both roles, as the ground
+                // truth's flicker path calls it.
+                placement in 0usize..4,
+                offset in 0usize..1000,
+                fill_seed in 0u64..u64::MAX,
+                confidence_seed in 0u64..u64::MAX,
+            ) {
+                let true_class = ClassId(true_class as u16);
+                let (true_rank, fill_seed) = match placement {
+                    0 => (1 + offset % k, fill_seed),
+                    1 => (k + 1 + offset, fill_seed),
+                    2 => (usize::MAX, fill_seed),
+                    _ => (2, confidence_seed),
+                };
+                let fast = build_ranked(true_class, true_rank, k, fill_seed, confidence_seed);
+                let slow =
+                    build_ranked_quadratic(true_class, true_rank, k, fill_seed, confidence_seed);
+                prop_assert_eq!(fast, slow);
+            }
+        }
     }
 
     #[test]

@@ -152,9 +152,19 @@ impl GroundTruthLabels {
     /// Evaluates a query's returned frames against the ground truth for
     /// `class`.
     pub fn evaluate(&self, class: ClassId, returned_frames: &[FrameId]) -> AccuracyReport {
-        let truth = self.truth_segments(class);
+        self.evaluate_against(&self.truth_segments(class), returned_frames)
+    }
+
+    /// [`evaluate`](Self::evaluate) for a caller that scores many answers
+    /// for one class: `truth` is that class's
+    /// [`truth_segments`](Self::truth_segments), computed once.
+    pub fn evaluate_against(
+        &self,
+        truth: &HashSet<u64>,
+        returned_frames: &[FrameId],
+    ) -> AccuracyReport {
         let retrieved = self.retrieved_segments(returned_frames);
-        let correct = retrieved.intersection(&truth).count();
+        let correct = retrieved.intersection(truth).count();
         let precision = if retrieved.is_empty() {
             1.0
         } else {

@@ -278,21 +278,22 @@ impl SelectionResult {
         if candidates.is_empty() {
             return None;
         }
+        // `total_cmp` orders every float: this runs on the service's
+        // `maintain` path, where a NaN cost must not be a panic.
         let point = match policy {
             TradeoffPolicy::OptIngest => candidates.iter().min_by(|a, b| {
-                (a.ingest_cost_norm, a.query_latency_norm)
-                    .partial_cmp(&(b.ingest_cost_norm, b.query_latency_norm))
-                    .unwrap()
+                a.ingest_cost_norm
+                    .total_cmp(&b.ingest_cost_norm)
+                    .then(a.query_latency_norm.total_cmp(&b.query_latency_norm))
             }),
             TradeoffPolicy::OptQuery => candidates.iter().min_by(|a, b| {
-                (a.query_latency_norm, a.ingest_cost_norm)
-                    .partial_cmp(&(b.query_latency_norm, b.ingest_cost_norm))
-                    .unwrap()
+                a.query_latency_norm
+                    .total_cmp(&b.query_latency_norm)
+                    .then(a.ingest_cost_norm.total_cmp(&b.ingest_cost_norm))
             }),
             TradeoffPolicy::Balance => candidates.iter().min_by(|a, b| {
                 (a.ingest_cost_norm + a.query_latency_norm)
-                    .partial_cmp(&(b.ingest_cost_norm + b.query_latency_norm))
-                    .unwrap()
+                    .total_cmp(&(b.ingest_cost_norm + b.query_latency_norm))
             }),
         }?
         .clone();
@@ -323,13 +324,8 @@ pub fn pareto_boundary(points: &[ConfigurationPoint]) -> Vec<ConfigurationPoint>
         .collect();
     boundary.sort_by(|a, b| {
         a.ingest_cost_norm
-            .partial_cmp(&b.ingest_cost_norm)
-            .unwrap()
-            .then(
-                a.query_latency_norm
-                    .partial_cmp(&b.query_latency_norm)
-                    .unwrap(),
-            )
+            .total_cmp(&b.ingest_cost_norm)
+            .then(a.query_latency_norm.total_cmp(&b.query_latency_norm))
     });
     boundary.dedup_by(|a, b| {
         a.ingest_cost_norm == b.ingest_cost_norm && a.query_latency_norm == b.query_latency_norm
@@ -345,13 +341,43 @@ pub struct ParameterSelector {
     target: AccuracyTarget,
 }
 
-/// Pre-processed sample object: its observation, ground-truth label and
-/// whether pixel differencing would have skipped its inference.
-struct SampleObject {
-    observation: ObjectObservation,
+/// Pre-processed sample object: its observation (borrowed from the
+/// sample), ground-truth label and whether pixel differencing would have
+/// skipped its inference.
+struct SampleObject<'a> {
+    observation: &'a ObjectObservation,
     gt_label: ClassId,
     frame: FrameId,
     needs_inference: bool,
+}
+
+/// One candidate ingest model and the K values it is evaluated at.
+#[derive(Clone)]
+struct Candidate {
+    choice: ModelChoice,
+    cnn: IngestCnn,
+    k_values: Vec<usize>,
+}
+
+/// One dominant class as one candidate model sees it: everything about the
+/// class that does not depend on `T` or `K`.
+struct ClassTarget<'a> {
+    class: ClassId,
+    /// The class looked up in the index (OTHER when a specialized model
+    /// does not cover `class`).
+    lookup_class: ClassId,
+    /// The class's ground-truth segments on the sample.
+    truth: &'a HashSet<u64>,
+}
+
+/// The labelled sample one sweep evaluates every configuration on.
+struct SweepSample<'a> {
+    objects: &'a [SampleObject<'a>],
+    labels: &'a GroundTruthLabels,
+    /// Seconds of one GT-CNN inference.
+    gt_cost: f64,
+    /// Cost of classifying every sampled object with the GT-CNN.
+    normalizer: f64,
 }
 
 impl ParameterSelector {
@@ -381,6 +407,16 @@ impl ParameterSelector {
     /// drift-triggered re-selection competes for the same budget as ingest
     /// and queries instead of being free.
     ///
+    /// The bill is every candidate's forward pass over the *whole* sample —
+    /// a real sweep needs each object's features to cluster it. The CPU
+    /// work is smaller: per candidate the sample is featurized once,
+    /// clustered once per `T`, and only the cluster representatives are
+    /// ranked (once each, however many `T` values pick them), because a
+    /// configuration's expected accuracy and latency read nothing of a
+    /// non-representative's ranking — the index stores one top-K list per
+    /// cluster, the representative's. `docs/adaptation.md` ("What a
+    /// re-selection costs") has the per-stage times.
+    ///
     /// [`GpuScheduler`]: focus_runtime::GpuScheduler
     pub fn select_metered(
         &self,
@@ -388,12 +424,21 @@ impl ParameterSelector {
         gt: &GroundTruthCnn,
         meter: &focus_runtime::GpuMeter,
     ) -> SelectionResult {
-        // Ground-truth label every sampled object once; this is the paper's
-        // "sample a representative fraction of frames and classify them with
-        // GT-CNN for the ground truth".
+        let objects = Self::label_sample(sample, gt);
+        // Ground-truth segments (the paper's one-second / 50% smoothing
+        // rule) and the dominant classes the expectations are averaged over.
+        let labels = GroundTruthLabels::compute(sample, gt);
+        let candidates = self.candidates(sample, &objects);
+        self.sweep(&objects, &labels, &candidates, gt, meter)
+    }
+
+    /// Ground-truth labels every sampled object once; this is the paper's
+    /// "sample a representative fraction of frames and classify them with
+    /// GT-CNN for the ground truth".
+    fn label_sample<'a>(sample: &'a VideoDataset, gt: &GroundTruthCnn) -> Vec<SampleObject<'a>> {
         let mut motion = MotionFilter::new();
         let mut pixel_diff = PixelDiff::new();
-        let mut objects: Vec<SampleObject> = Vec::new();
+        let mut objects = Vec::new();
         for frame in &sample.frames {
             if !motion.admit(frame) {
                 continue;
@@ -402,35 +447,34 @@ impl ParameterSelector {
                 let needs_inference =
                     !matches!(pixel_diff.check(obj), PixelDiffOutcome::DuplicateOf(_));
                 objects.push(SampleObject {
-                    observation: obj.clone(),
+                    observation: obj,
                     gt_label: gt.classify_top1(obj),
                     frame: obj.frame_id,
                     needs_inference,
                 });
             }
         }
-        let labelled: Vec<(ObjectObservation, ClassId)> = objects
-            .iter()
-            .map(|o| (o.observation.clone(), o.gt_label))
-            .collect();
+        objects
+    }
 
-        // Ground-truth segments (the paper's one-second / 50% smoothing
-        // rule) and the dominant classes the expectations are averaged over.
-        let labels = GroundTruthLabels::compute(sample, gt);
-        let dominant: Vec<ClassId> = labels.dominant_classes(self.space.dominant_classes);
-
-        // Build the candidate models.
-        let mut candidates: Vec<(ModelChoice, IngestCnn, Vec<usize>)> = Vec::new();
+    /// Builds the candidate models of the sweep space, training the
+    /// specialized ones on the labelled sample.
+    fn candidates(&self, sample: &VideoDataset, objects: &[SampleObject]) -> Vec<Candidate> {
+        let mut candidates = Vec::new();
         if self.space.include_generic {
             for spec in &self.space.generic_specs {
-                candidates.push((
-                    ModelChoice::Generic(*spec),
-                    IngestCnn::generic(*spec),
-                    self.space.generic_k.clone(),
-                ));
+                candidates.push(Candidate {
+                    choice: ModelChoice::Generic(*spec),
+                    cnn: IngestCnn::generic(*spec),
+                    k_values: self.space.generic_k.clone(),
+                });
             }
         }
-        if self.space.include_specialized && !labelled.is_empty() {
+        if self.space.include_specialized && !objects.is_empty() {
+            let labelled: Vec<(ObjectObservation, ClassId)> = objects
+                .iter()
+                .map(|o| (o.observation.clone(), o.gt_label))
+                .collect();
             for level in &self.space.specialization_levels {
                 for ls in &self.space.ls_values {
                     if let Some(model) = focus_cnn::SpecializedCnn::train(
@@ -439,92 +483,143 @@ impl ParameterSelector {
                         &labelled,
                         *ls,
                     ) {
-                        candidates.push((
-                            ModelChoice::Specialized {
+                        candidates.push(Candidate {
+                            choice: ModelChoice::Specialized {
                                 level: *level,
                                 ls: *ls,
                             },
-                            IngestCnn::specialized(model),
-                            self.space.specialized_k.clone(),
-                        ));
+                            cnn: IngestCnn::specialized(model),
+                            k_values: self.space.specialized_k.clone(),
+                        });
                     }
                 }
             }
         }
+        candidates
+    }
 
+    /// Evaluates every (candidate, T, K) configuration on the labelled
+    /// sample and charges the sweep's bill to `meter`.
+    fn sweep(
+        &self,
+        objects: &[SampleObject],
+        labels: &GroundTruthLabels,
+        candidates: &[Candidate],
+        gt: &GroundTruthCnn,
+        meter: &focus_runtime::GpuMeter,
+    ) -> SelectionResult {
+        let dominant: Vec<ClassId> = labels.dominant_classes(self.space.dominant_classes);
         let gt_cost = gt.cost_per_inference().seconds();
-        let total_objects = objects.len().max(1);
-        let normalizer = gt_cost * total_objects as f64;
+        let sample = SweepSample {
+            objects,
+            labels,
+            gt_cost,
+            normalizer: gt_cost * objects.len().max(1) as f64,
+        };
         let inferences_needed = objects.iter().filter(|o| o.needs_inference).count();
 
         // The sweep's GPU bill: the GT labelling pass plus one
         // classification pass per candidate model over the sample.
         meter.charge_inferences("selection", gt.cost_per_inference(), objects.len());
-        for (_, ingest_cnn, _) in &candidates {
+        for candidate in candidates {
             meter.charge_inferences(
                 "selection",
-                ingest_cnn.classifier.cost_per_inference(),
+                candidate.cnn.classifier.cost_per_inference(),
                 objects.len(),
             );
         }
 
+        // A class without a ground-truth segment on the sample has no
+        // recall to estimate and is left out of every average.
+        let truths: Vec<(ClassId, HashSet<u64>)> = dominant
+            .iter()
+            .map(|&class| (class, labels.truth_segments(class)))
+            .filter(|(_, truth)| !truth.is_empty())
+            .collect();
+
         let mut evaluated = Vec::new();
         let mut models: HashMap<String, IngestCnn> = HashMap::new();
 
-        for (choice, ingest_cnn, k_values) in &candidates {
-            models.insert(choice.display_name(), ingest_cnn.clone());
-            let classifier = ingest_cnn.classifier.as_ref();
-            let max_k = k_values.iter().copied().max().unwrap_or(1);
-            // Classify and featurize every sampled object once per model.
-            let ranked_classes: Vec<Vec<ClassId>> = objects
+        for candidate in candidates {
+            models.insert(candidate.choice.display_name(), candidate.cnn.clone());
+            let classifier = candidate.cnn.classifier.as_ref();
+            let max_k = candidate.k_values.iter().copied().max().unwrap_or(1);
+            let targets: Vec<ClassTarget> = truths
                 .iter()
-                .map(|o| classifier.classify_top_k(&o.observation, max_k).classes())
+                .map(|(class, truth)| ClassTarget {
+                    class: *class,
+                    lookup_class: candidate.cnn.effective_query_class(*class),
+                    truth,
+                })
                 .collect();
+            // Featurize every sampled object once per model.
             let features: Vec<Vec<f32>> = objects
                 .iter()
-                .map(|o| classifier.extract_features(&o.observation).0)
+                .map(|o| classifier.extract_features(o.observation).0)
                 .collect();
+            // The model's ranking of an object, filled in when the object
+            // first represents a cluster and kept across the `T` values.
+            let mut ranked: Vec<Option<Vec<ClassId>>> = vec![None; objects.len()];
             let ingest_cost = classifier.cost_per_inference().seconds() * inferences_needed as f64;
-            let ingest_cost_norm = ingest_cost / normalizer;
+            let ingest_cost_norm = ingest_cost / sample.normalizer;
 
             for &threshold in &self.space.thresholds {
                 // Cluster once per (model, T); cluster membership does not
                 // depend on K.
-                let clusters: Vec<Vec<usize>> = if self.space.clustering && threshold > 0.0 {
-                    let mut clusterer =
-                        IncrementalClusterer::new(threshold, self.space.max_active_clusters);
-                    for (i, f) in features.iter().enumerate() {
-                        clusterer.add(i as u64, 0, f);
-                    }
-                    let (clusters, _) = clusterer.finish();
-                    clusters
-                        .into_iter()
-                        .map(|c| c.members.iter().map(|m| m.item as usize).collect())
-                        .collect()
-                } else {
-                    (0..objects.len()).map(|i| vec![i]).collect()
-                };
+                let clusters = self.cluster_members(&features, threshold);
+                for members in &clusters {
+                    let representative = members[0];
+                    ranked[representative].get_or_insert_with(|| {
+                        classifier
+                            .classify_top_k(objects[representative].observation, max_k)
+                            .classes()
+                    });
+                }
 
-                for &k in k_values {
-                    let point = self.evaluate_configuration(
-                        choice,
-                        ingest_cnn,
+                for &k in &candidate.k_values {
+                    evaluated.push(Self::evaluate_configuration(
+                        &candidate.choice,
                         k,
                         threshold,
                         ingest_cost_norm,
-                        &objects,
-                        &ranked_classes,
+                        &sample,
+                        &ranked,
                         &clusters,
-                        &dominant,
-                        &labels,
-                        gt_cost,
-                        normalizer,
-                    );
-                    evaluated.push(point);
+                        &targets,
+                    ));
                 }
             }
         }
 
+        self.conclude(evaluated, dominant, models)
+    }
+
+    /// Clusters `features` at one threshold: each cluster's members as
+    /// object indices, representative first. With clustering off every
+    /// object is its own cluster.
+    fn cluster_members(&self, features: &[Vec<f32>], threshold: f32) -> Vec<Vec<usize>> {
+        if !(self.space.clustering && threshold > 0.0) {
+            return (0..features.len()).map(|i| vec![i]).collect();
+        }
+        let mut clusterer = IncrementalClusterer::new(threshold, self.space.max_active_clusters);
+        for (i, f) in features.iter().enumerate() {
+            clusterer.add(i as u64, 0, f);
+        }
+        let (clusters, _) = clusterer.finish();
+        clusters
+            .into_iter()
+            .map(|c| c.members.iter().map(|m| m.item as usize).collect())
+            .collect()
+    }
+
+    /// Filters the evaluated configurations down to the viable ones and
+    /// their Pareto boundary.
+    fn conclude(
+        &self,
+        evaluated: Vec<ConfigurationPoint>,
+        dominant_classes: Vec<ClassId>,
+        models: HashMap<String, IngestCnn>,
+    ) -> SelectionResult {
         let viable: Vec<ConfigurationPoint> = evaluated
             .iter()
             .filter(|p| self.target.met_by(p.worst_precision, p.worst_recall))
@@ -535,7 +630,7 @@ impl ParameterSelector {
             viable,
             pareto,
             evaluated,
-            dominant_classes: dominant,
+            dominant_classes,
             models,
         }
     }
@@ -545,66 +640,61 @@ impl ParameterSelector {
     /// evaluation measures them — over one-second ground-truth segments —
     /// so the expectations used for selection are unbiased estimates of what
     /// the full run will achieve.
+    ///
+    /// `ranked` holds the model's ranking of every cluster representative
+    /// (it is never read for any other object).
     #[allow(clippy::too_many_arguments)]
     fn evaluate_configuration(
-        &self,
         choice: &ModelChoice,
-        ingest_cnn: &IngestCnn,
         k: usize,
         threshold: f32,
         ingest_cost_norm: f64,
-        objects: &[SampleObject],
-        ranked_classes: &[Vec<ClassId>],
+        sample: &SweepSample,
+        ranked: &[Option<Vec<ClassId>>],
         clusters: &[Vec<usize>],
-        dominant: &[ClassId],
-        labels: &GroundTruthLabels,
-        gt_cost: f64,
-        normalizer: f64,
+        targets: &[ClassTarget],
     ) -> ConfigurationPoint {
         let mut precision_sum = 0.0;
         let mut recall_sum = 0.0;
         let mut worst_precision = 1.0f64;
         let mut worst_recall = 1.0f64;
         let mut query_cost_sum = 0.0;
-        let mut classes_counted = 0usize;
 
-        for &class in dominant {
-            let lookup_class = ingest_cnn.effective_query_class(class);
+        for target in targets {
             let mut matched_clusters = 0usize;
             let mut retrieved_frames: HashSet<FrameId> = HashSet::new();
             for members in clusters {
                 let representative = members[0];
-                let rep_classes = &ranked_classes[representative];
-                let in_top_k = rep_classes.iter().take(k).any(|c| *c == lookup_class);
+                let in_top_k = ranked[representative]
+                    .iter()
+                    .flatten()
+                    .take(k)
+                    .any(|c| *c == target.lookup_class);
                 if !in_top_k {
                     continue;
                 }
                 matched_clusters += 1;
                 // Query-time GT confirmation of the representative.
-                if objects[representative].gt_label == class {
-                    retrieved_frames.extend(members.iter().map(|&i| objects[i].frame));
+                if sample.objects[representative].gt_label == target.class {
+                    retrieved_frames.extend(members.iter().map(|&i| sample.objects[i].frame));
                 }
             }
             let frames: Vec<FrameId> = retrieved_frames.into_iter().collect();
-            let report = labels.evaluate(class, &frames);
-            if report.truth_segments == 0 {
-                continue;
-            }
-            classes_counted += 1;
+            let report = sample.labels.evaluate_against(target.truth, &frames);
             precision_sum += report.precision;
             recall_sum += report.recall;
             worst_precision = worst_precision.min(report.precision);
             worst_recall = worst_recall.min(report.recall);
-            query_cost_sum += matched_clusters as f64 * gt_cost;
+            query_cost_sum += matched_clusters as f64 * sample.gt_cost;
         }
 
-        let divisor = classes_counted.max(1) as f64;
+        let divisor = targets.len().max(1) as f64;
         ConfigurationPoint {
             model: choice.clone(),
             k,
             threshold,
             ingest_cost_norm,
-            query_latency_norm: (query_cost_sum / divisor) / normalizer,
+            query_latency_norm: (query_cost_sum / divisor) / sample.normalizer,
             precision: precision_sum / divisor,
             recall: recall_sum / divisor,
             worst_precision,
@@ -764,6 +854,283 @@ mod tests {
         assert!(
             SweepSpace::adaptive().generic_specs.len() < SweepSpace::full().generic_specs.len()
         );
+    }
+
+    /// The sweep as it was before it ranked representatives only: every
+    /// sampled object ranked by every candidate, and the per-class work
+    /// (`effective_query_class`, the truth segments inside `evaluate`)
+    /// redone for every (T, K). Kept as the reference [`ParameterSelector::sweep`]
+    /// is compared against.
+    fn eager_sweep(
+        selector: &ParameterSelector,
+        objects: &[SampleObject],
+        labels: &GroundTruthLabels,
+        candidates: &[Candidate],
+        gt: &GroundTruthCnn,
+        meter: &focus_runtime::GpuMeter,
+    ) -> SelectionResult {
+        let space = &selector.space;
+        let dominant = labels.dominant_classes(space.dominant_classes);
+        let gt_cost = gt.cost_per_inference().seconds();
+        let normalizer = gt_cost * objects.len().max(1) as f64;
+        let inferences_needed = objects.iter().filter(|o| o.needs_inference).count();
+        meter.charge_inferences("selection", gt.cost_per_inference(), objects.len());
+        for candidate in candidates {
+            meter.charge_inferences(
+                "selection",
+                candidate.cnn.classifier.cost_per_inference(),
+                objects.len(),
+            );
+        }
+        let mut evaluated = Vec::new();
+        let mut models = HashMap::new();
+        for candidate in candidates {
+            models.insert(candidate.choice.display_name(), candidate.cnn.clone());
+            let classifier = candidate.cnn.classifier.as_ref();
+            let max_k = candidate.k_values.iter().copied().max().unwrap_or(1);
+            let ranked_classes: Vec<Vec<ClassId>> = objects
+                .iter()
+                .map(|o| classifier.classify_top_k(o.observation, max_k).classes())
+                .collect();
+            let features: Vec<Vec<f32>> = objects
+                .iter()
+                .map(|o| classifier.extract_features(o.observation).0)
+                .collect();
+            let ingest_cost = classifier.cost_per_inference().seconds() * inferences_needed as f64;
+            for &threshold in &space.thresholds {
+                let clusters = selector.cluster_members(&features, threshold);
+                for &k in &candidate.k_values {
+                    let mut precision_sum = 0.0;
+                    let mut recall_sum = 0.0;
+                    let mut worst_precision = 1.0f64;
+                    let mut worst_recall = 1.0f64;
+                    let mut query_cost_sum = 0.0;
+                    let mut classes_counted = 0usize;
+                    for &class in &dominant {
+                        let lookup_class = candidate.cnn.effective_query_class(class);
+                        let mut matched_clusters = 0usize;
+                        let mut retrieved_frames: HashSet<FrameId> = HashSet::new();
+                        for members in &clusters {
+                            let rep_classes = &ranked_classes[members[0]];
+                            if !rep_classes.iter().take(k).any(|c| *c == lookup_class) {
+                                continue;
+                            }
+                            matched_clusters += 1;
+                            if objects[members[0]].gt_label == class {
+                                retrieved_frames.extend(members.iter().map(|&i| objects[i].frame));
+                            }
+                        }
+                        let frames: Vec<FrameId> = retrieved_frames.into_iter().collect();
+                        let report = labels.evaluate(class, &frames);
+                        if report.truth_segments == 0 {
+                            continue;
+                        }
+                        classes_counted += 1;
+                        precision_sum += report.precision;
+                        recall_sum += report.recall;
+                        worst_precision = worst_precision.min(report.precision);
+                        worst_recall = worst_recall.min(report.recall);
+                        query_cost_sum += matched_clusters as f64 * gt_cost;
+                    }
+                    let divisor = classes_counted.max(1) as f64;
+                    evaluated.push(ConfigurationPoint {
+                        model: candidate.choice.clone(),
+                        k,
+                        threshold,
+                        ingest_cost_norm: ingest_cost / normalizer,
+                        query_latency_norm: (query_cost_sum / divisor) / normalizer,
+                        precision: precision_sum / divisor,
+                        recall: recall_sum / divisor,
+                        worst_precision,
+                        worst_recall,
+                    });
+                }
+            }
+        }
+        selector.conclude(evaluated, dominant, models)
+    }
+
+    #[test]
+    fn sweep_matches_the_eager_reference_bit_for_bit() {
+        let gt = GroundTruthCnn::resnet152();
+        for stream in ["auburn_c", "cnn", "lausanne"] {
+            let ds = sample(stream, 30.0);
+            // Ls = 2 under five dominant classes: three of them are looked
+            // up through OTHER.
+            let through_other = SweepSpace {
+                ls_values: vec![2],
+                dominant_classes: 5,
+                ..SweepSpace::quick()
+            };
+            for space in [SweepSpace::quick(), SweepSpace::adaptive(), through_other] {
+                let selector = ParameterSelector::new(space, AccuracyTarget::both(0.9));
+                let objects = ParameterSelector::label_sample(&ds, &gt);
+                let labels = GroundTruthLabels::compute(&ds, &gt);
+                let candidates = selector.candidates(&ds, &objects);
+                assert!(candidates.len() >= 3, "{stream}: generic and specialized");
+                assert!(objects.len() > 300, "{stream}: {} objects", objects.len());
+
+                let meter = focus_runtime::GpuMeter::new();
+                let got = selector.sweep(&objects, &labels, &candidates, &gt, &meter);
+                let reference_meter = focus_runtime::GpuMeter::new();
+                let want = eager_sweep(
+                    &selector,
+                    &objects,
+                    &labels,
+                    &candidates,
+                    &gt,
+                    &reference_meter,
+                );
+
+                assert!(!got.evaluated.is_empty());
+                assert_eq!(got.evaluated, want.evaluated, "{stream}");
+                assert_eq!(got.viable, want.viable, "{stream}");
+                assert_eq!(got.pareto, want.pareto, "{stream}");
+                assert_eq!(got.dominant_classes, want.dominant_classes, "{stream}");
+                assert_eq!(
+                    meter.phase("selection").seconds().to_bits(),
+                    reference_meter.phase("selection").seconds().to_bits()
+                );
+                for policy in [
+                    TradeoffPolicy::OptIngest,
+                    TradeoffPolicy::Balance,
+                    TradeoffPolicy::OptQuery,
+                ] {
+                    let got = got.choose_or_best_effort(policy).unwrap();
+                    let want = want.choose_or_best_effort(policy).unwrap();
+                    assert_eq!(got.point, want.point);
+                    assert_eq!(got.params, want.params);
+                    assert_eq!(got.met_targets, want.met_targets);
+                    assert_eq!(got.model.descriptor, want.model.descriptor);
+                }
+
+                // The public entry point is the same sweep on the same
+                // inputs.
+                let public = selector.select(&ds, &gt);
+                assert_eq!(public.evaluated, want.evaluated, "{stream}");
+            }
+        }
+    }
+
+    /// Counts the rankings a candidate is asked for.
+    struct CountingClassifier {
+        inner: std::sync::Arc<dyn Classifier>,
+        top_k_calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Classifier for CountingClassifier {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn cost_per_inference(&self) -> focus_cnn::GpuCost {
+            self.inner.cost_per_inference()
+        }
+        fn cheapness_vs_gt(&self) -> f64 {
+            self.inner.cheapness_vs_gt()
+        }
+        fn classify_top_k(&self, obj: &ObjectObservation, k: usize) -> focus_cnn::RankedClasses {
+            self.top_k_calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.classify_top_k(obj, k)
+        }
+        fn extract_features(&self, obj: &ObjectObservation) -> focus_cnn::FeatureVector {
+            self.inner.extract_features(obj)
+        }
+    }
+
+    #[test]
+    fn sweep_ranks_each_cluster_representative_once_and_nothing_else() {
+        let gt = GroundTruthCnn::resnet152();
+        let ds = sample("auburn_c", 60.0);
+        let selector = ParameterSelector::new(SweepSpace::adaptive(), AccuracyTarget::both(0.9));
+        let objects = ParameterSelector::label_sample(&ds, &gt);
+        let labels = GroundTruthLabels::compute(&ds, &gt);
+        let mut candidates = selector.candidates(&ds, &objects);
+        let counters: Vec<std::sync::Arc<CountingClassifier>> = candidates
+            .iter_mut()
+            .map(|candidate| {
+                let counter = std::sync::Arc::new(CountingClassifier {
+                    inner: candidate.cnn.classifier.clone(),
+                    top_k_calls: Default::default(),
+                });
+                candidate.cnn.classifier = counter.clone();
+                counter
+            })
+            .collect();
+        selector.sweep(
+            &objects,
+            &labels,
+            &candidates,
+            &gt,
+            &focus_runtime::GpuMeter::new(),
+        );
+
+        let space = selector.space();
+        assert!(
+            space.thresholds.len() > 1,
+            "the memo needs two T values to matter"
+        );
+        for counter in &counters {
+            let features: Vec<Vec<f32>> = objects
+                .iter()
+                .map(|o| counter.inner.extract_features(o.observation).0)
+                .collect();
+            // Objects that represent a cluster at some T, and how often.
+            let mut representatives = HashSet::new();
+            let mut clusters_total = 0usize;
+            for &threshold in &space.thresholds {
+                for members in selector.cluster_members(&features, threshold) {
+                    representatives.insert(members[0]);
+                    clusters_total += 1;
+                }
+            }
+            let calls = counter
+                .top_k_calls
+                .load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(calls, representatives.len(), "{}", counter.name());
+            assert!(
+                calls < clusters_total,
+                "{}: some object represents a cluster at two T values",
+                counter.name()
+            );
+            assert!(calls < objects.len(), "{}", counter.name());
+        }
+    }
+
+    #[test]
+    fn a_nan_cost_is_ordered_not_a_panic() {
+        // `maintain` reaches these through `maybe_reconfigure`; a NaN must
+        // come out as an answer.
+        let ds = sample("bend", 20.0);
+        let gt = GroundTruthCnn::resnet152();
+        let selector = ParameterSelector::new(SweepSpace::quick(), AccuracyTarget::both(0.9));
+        let mut result = selector.select(&ds, &gt);
+        assert!(!result.evaluated.is_empty());
+        let mut poisoned = result.evaluated[0].clone();
+        poisoned.ingest_cost_norm = f64::NAN;
+        poisoned.query_latency_norm = f64::NAN;
+        result.evaluated.push(poisoned.clone());
+        result.viable.push(poisoned.clone());
+        result.pareto = pareto_boundary(&result.viable);
+        assert!(result.pareto.iter().any(|p| p.ingest_cost_norm.is_nan()));
+        for policy in [
+            TradeoffPolicy::OptIngest,
+            TradeoffPolicy::Balance,
+            TradeoffPolicy::OptQuery,
+        ] {
+            let chosen = result.choose_or_best_effort(policy).unwrap();
+            // NaN orders after every number, so a finite point wins.
+            assert!(chosen.point.ingest_cost_norm.is_finite());
+        }
+        // Best effort over nothing but the NaN point still answers.
+        result.viable.clear();
+        result.pareto.clear();
+        result.evaluated = vec![poisoned];
+        let chosen = result
+            .choose_or_best_effort(TradeoffPolicy::Balance)
+            .unwrap();
+        assert!(chosen.point.ingest_cost_norm.is_nan());
+        assert!(!chosen.met_targets);
     }
 
     #[test]
