@@ -1139,23 +1139,25 @@ fn plan_on_shard(
     let corpus = service.corpus();
     let mut per_request = Vec::with_capacity(msg.requests.len());
     for (request, classes) in msg.requests.iter().zip(msg.lookup_classes) {
-        let planned = corpus.plan_with_tail_scoped(
+        let mut planned = corpus.plan_with_tail_scoped(
             request,
             Some(&tail),
             classes,
             msg.prune_segments,
             true,
         )?;
-        let mut records: Vec<ClusterRecord> = planned.records.into_values().collect();
-        records.sort_by_key(|record| record.key);
+        let records: Vec<ClusterRecord> = planned
+            .plan
+            .candidates
+            .iter()
+            .filter_map(|handle| planned.records.remove(&handle.cluster))
+            .collect();
         let mut centroids = records
             .iter()
             .map(|record| {
                 let id = record.centroid_object;
                 corpus
-                    .centroids
-                    .get(&id)
-                    .or_else(|| tail.centroid(id))
+                    .centroid(id, &tail)
                     .map(|observation| (id, observation.clone()))
                     .ok_or_else(|| {
                         FleetError::Scatter(format!(

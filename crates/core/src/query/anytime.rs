@@ -8,9 +8,10 @@
 //! an ExSample-style anytime loop:
 //!
 //! 1. **Chunk** the candidate set — sealed segments give a natural
-//!    partition for free ([`SegmentedCorpus::plan_anytime_with_tail`]
-//!    keeps each segment's candidates as one chunk), and the not-yet-
-//!    sealed hot tail is one more chunk.
+//!    partition for free, and the not-yet-sealed hot tail is one more
+//!    chunk. The loop samples the [`SegmentedPlan::chunks`] of the one
+//!    segmented planner and assembles over the same plan's flat candidate
+//!    list.
 //! 2. **Estimate** each chunk's probability of yielding a *new* distinct
 //!    result object per GT inference, Good-Turing style: discovered
 //!    distinct objects over fresh inferences spent, with an optimistic
@@ -42,188 +43,20 @@
 //! [`GpuScheduler`]: focus_runtime::GpuScheduler
 //! [`SegmentedCorpus::plan_with_tail`]: crate::query::segmented::SegmentedCorpus::plan_with_tail
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GpuCost;
-use focus_index::{
-    CentroidHandle, ClusterKey, ClusterRecord, SegmentAccess, SegmentError, TrackKey,
-};
+use focus_index::{ClusterKey, TrackKey};
 use focus_runtime::GpuMeter;
 use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation};
 
 use crate::query::execute::assemble_outcome_from;
-use crate::query::plan::{AnytimeMode, QueryPlan, QueryRequest};
-use crate::query::segmented::{SegmentedCorpus, TailOverlay};
-use crate::query::track::TrackScope;
+use crate::query::plan::{AnytimeMode, QueryPlan};
+use crate::query::segmented::SegmentedPlan;
 use crate::query::QueryOutcome;
 use crate::query_server::QueryServer;
-
-/// Where one sampling chunk's candidates came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChunkSource {
-    /// One sealed segment (by manifest id).
-    Segment(u64),
-    /// The in-memory hot tail (not-yet-sealed records).
-    Tail,
-}
-
-/// One sampling chunk: a key-disjoint slice of the query's candidate set,
-/// in cluster-key order.
-#[derive(Debug, Clone)]
-pub struct AnytimeChunk {
-    /// The segment (or tail) this chunk's candidates live in.
-    pub source: ChunkSource,
-    /// Candidate centroids, sorted by cluster key.
-    pub candidates: Vec<CentroidHandle>,
-}
-
-/// A chunked query plan: the exhaustive candidate set partitioned into
-/// per-segment chunks (plus one tail chunk), with the records backing
-/// every candidate. Built by
-/// [`SegmentedCorpus::plan_anytime_with_tail`]; consumed by
-/// [`run_anytime`].
-#[derive(Debug)]
-pub struct AnytimePlan {
-    /// The class the user queried.
-    pub class: ClassId,
-    /// The class the default model routes the query through.
-    pub lookup_class: ClassId,
-    /// The candidate partition: one chunk per contributing segment
-    /// (manifest-id order) plus, when non-empty, the tail chunk last.
-    pub chunks: Vec<AnytimeChunk>,
-    /// The cluster record behind every candidate, keyed by cluster key.
-    pub records: HashMap<ClusterKey, ClusterRecord>,
-    /// What the pruned lookup touched.
-    pub access: SegmentAccess,
-    /// Candidates resolved from the tail overlay (the tail chunk's size).
-    pub tail_records: usize,
-    /// The planner's track-sketch verdict, applied to member assembly in
-    /// every round exactly as the exhaustive path applies it.
-    pub track_scope: TrackScope,
-}
-
-impl AnytimePlan {
-    /// Total candidates across all chunks (the exhaustive plan's
-    /// `matched_clusters`).
-    pub fn total_candidates(&self) -> usize {
-        self.chunks.iter().map(|c| c.candidates.len()).sum()
-    }
-
-    /// The equivalent exhaustive [`QueryPlan`]: all chunks flattened and
-    /// sorted by cluster key — exactly what
-    /// [`SegmentedCorpus::plan_with_tail`] would have produced.
-    ///
-    /// [`SegmentedCorpus::plan_with_tail`]: crate::query::segmented::SegmentedCorpus::plan_with_tail
-    pub fn exhaustive_plan(&self) -> QueryPlan {
-        let mut candidates: Vec<CentroidHandle> = self
-            .chunks
-            .iter()
-            .flat_map(|c| c.candidates.iter().copied())
-            .collect();
-        candidates.sort_by_key(|h| h.cluster);
-        QueryPlan {
-            class: self.class,
-            lookup_class: self.lookup_class,
-            candidates,
-            track_scope: self.track_scope.clone(),
-        }
-    }
-}
-
-impl SegmentedCorpus {
-    /// Plans one query for anytime execution: the same pruned
-    /// segments-plus-tail lookup as
-    /// [`plan_with_tail`](Self::plan_with_tail), but keeping each
-    /// segment's candidates as a separate sampling chunk instead of
-    /// flattening them — the same single
-    /// [`lookup_classes_grouped`](focus_index::SegmentStore::lookup_classes_grouped)
-    /// call, consumed group by group. The union of the chunks is
-    /// byte-identical to the exhaustive plan's candidate set (the store
-    /// checks segments key-disjoint and the tail is asserted disjoint from
-    /// them), so
-    /// [`AnytimePlan::exhaustive_plan`] reproduces
-    /// [`plan_with_tail`](Self::plan_with_tail) exactly.
-    pub fn plan_anytime_with_tail(
-        &self,
-        request: &QueryRequest,
-        tail: Option<&TailOverlay>,
-    ) -> Result<AnytimePlan, SegmentError> {
-        let classes = self.lookup_classes(request.class, &request.filter);
-        // The store's grouped answer is the chunking: one group per
-        // contributing segment, each deduplicated by key across the lookup
-        // classes (a record whose top-K holds both the class and OTHER
-        // matches twice but lives in exactly one segment) and checked
-        // key-disjoint from the others — the exhaustive planner's
-        // candidate set, partitioned.
-        let grouped = self
-            .store()
-            .lookup_classes_grouped(&classes, &request.filter)?;
-        let mut access = grouped.access;
-        let mut by_segment = grouped.groups;
-        by_segment.sort_by_key(|(segment, _)| *segment);
-        let mut tail_hits: BTreeMap<ClusterKey, ClusterRecord> = BTreeMap::new();
-        if let Some(tail) = tail {
-            for &lookup_class in &classes {
-                for record in tail.lookup(lookup_class, &request.filter) {
-                    tail_hits.insert(record.key, record);
-                }
-            }
-        }
-        let track_scope = self.track_scope_with_tail(request, tail, &mut access)?;
-        if !track_scope.is_empty() {
-            // Same intersection-before-verification rule as the exhaustive
-            // planner: all-rejected candidates never reach a sampling chunk.
-            let admits = |record: &ClusterRecord| {
-                record
-                    .members
-                    .iter()
-                    .any(|m| track_scope.admits(TrackKey::new(record.key.stream, m.track)))
-            };
-            for (_, chunk) in &mut by_segment {
-                chunk.retain(|record| admits(record));
-            }
-            tail_hits.retain(|_, record| admits(record));
-        }
-        let mut chunks = Vec::with_capacity(by_segment.len() + 1);
-        let mut records: HashMap<ClusterKey, ClusterRecord> = HashMap::new();
-        for (segment, chunk_records) in by_segment {
-            if chunk_records.is_empty() {
-                continue;
-            }
-            let candidates = chunk_records.iter().map(CentroidHandle::from).collect();
-            chunks.push(AnytimeChunk {
-                source: ChunkSource::Segment(segment),
-                candidates,
-            });
-            records.extend(chunk_records.into_iter().map(|record| (record.key, record)));
-        }
-        let tail_records = tail_hits.len();
-        if !tail_hits.is_empty() {
-            let candidates = tail_hits.values().map(CentroidHandle::from).collect();
-            chunks.push(AnytimeChunk {
-                source: ChunkSource::Tail,
-                candidates,
-            });
-            for (key, record) in tail_hits {
-                assert!(
-                    records.insert(key, record).is_none(),
-                    "tail and segment records must be key-disjoint"
-                );
-            }
-        }
-        Ok(AnytimePlan {
-            class: request.class,
-            lookup_class: self.model.effective_query_class(request.class),
-            chunks,
-            records,
-            access,
-            tail_records,
-            track_scope,
-        })
-    }
-}
 
 /// One round's emission from the anytime loop: what was newly discovered,
 /// what it cost, and how much is estimated to remain.
@@ -348,7 +181,7 @@ pub fn pick_most_promising(estimates: &[ChunkEstimate]) -> usize {
 /// [`FocusService::serve_anytime`]: crate::service::FocusService::serve_anytime
 pub fn run_anytime(
     server: &QueryServer,
-    plan: &AnytimePlan,
+    plan: &SegmentedPlan,
     mode: &AnytimeMode,
     resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
     meter: &GpuMeter,
@@ -378,7 +211,7 @@ pub fn run_anytime(
 /// remaining candidates.
 pub fn run_anytime_with_picker(
     server: &QueryServer,
-    plan: &AnytimePlan,
+    plan: &SegmentedPlan,
     mode: &AnytimeMode,
     resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
     meter: &GpuMeter,
@@ -437,7 +270,7 @@ pub fn run_anytime_with_picker(
             if fresh {
                 estimates[chunk_idx].sampled += 1;
             }
-            if verified.labels[i] != plan.class {
+            if verified.labels[i] != plan.plan.class {
                 continue;
             }
             let record = plan
@@ -449,6 +282,7 @@ pub fn run_anytime_with_picker(
                 // (`assemble_outcome_from`), so partial results never leak
                 // a rejected track's frames.
                 if !plan
+                    .plan
                     .track_scope
                     .admits(TrackKey::new(handle.cluster.stream, member.track))
                 {
@@ -497,23 +331,22 @@ pub fn run_anytime_with_picker(
         }
     };
 
-    // Assemble over the verified prefix of the exhaustive plan: at
-    // candidate exhaustion this is the whole plan in cluster-key order,
-    // so frames and objects are byte-identical to the exhaustive path.
-    let exhaustive = plan.exhaustive_plan();
+    // Assemble over the verified prefix of the flat plan: at candidate
+    // exhaustion this is the whole plan in cluster-key order, so frames
+    // and objects are byte-identical to the exhaustive path.
     let mut candidates = Vec::new();
     let mut ordered_verdicts = Vec::new();
-    for handle in &exhaustive.candidates {
+    for handle in &plan.plan.candidates {
         if let Some(label) = verdicts.get(&handle.cluster) {
             candidates.push(*handle);
             ordered_verdicts.push(*label);
         }
     }
     let verified_plan = QueryPlan {
-        class: plan.class,
-        lookup_class: plan.lookup_class,
+        class: plan.plan.class,
+        lookup_class: plan.plan.lookup_class,
         candidates,
-        track_scope: plan.track_scope.clone(),
+        track_scope: plan.plan.track_scope.clone(),
     };
     let outcome = assemble_outcome_from(
         &verified_plan,

@@ -23,9 +23,9 @@
 //!   [`SegmentStore`](focus_index::SegmentStore): time/camera-restricted
 //!   queries open only the segments whose bounds intersect (see
 //!   `docs/storage.md`).
-//! * [`anytime`] — incremental execution: the candidate set partitioned
-//!   into per-segment chunks, GT verification spent adaptively on the
-//!   chunk most likely to yield new distinct results, and partial results
+//! * [`anytime`] — incremental execution over the segmented plan's
+//!   per-segment chunks: GT verification spent adaptively on the chunk
+//!   most likely to yield new distinct results, and partial results
 //!   streamed out after every round (see `docs/query-path.md`).
 //! * [`track`] — trajectory restrictions: the [`TrackFilter`] predicate
 //!   language (region entry/exit/visit, transit, dwell, speed bands)
@@ -46,11 +46,13 @@ pub mod serve;
 pub mod track;
 
 pub use anytime::{
-    pick_most_promising, run_anytime, run_anytime_with_picker, AnytimeChunk, AnytimeOutcome,
-    AnytimePartial, AnytimePlan, AnytimeTermination, ChunkEstimate, ChunkSource,
+    pick_most_promising, run_anytime, run_anytime_with_picker, AnytimeOutcome, AnytimePartial,
+    AnytimeTermination, ChunkEstimate,
 };
 pub use execute::{assemble_outcome, assemble_outcome_from, QueryOutcome};
 pub use plan::{AnytimeMode, QueryPlan, QueryRequest};
-pub use segmented::{RetiredRouting, SegmentedCorpus, SegmentedPlan, TailOverlay};
+pub use segmented::{
+    AnytimeChunk, ChunkSource, RetiredRouting, SegmentedCorpus, SegmentedPlan, TailOverlay,
+};
 pub use serve::QueryEngine;
 pub use track::{Region, TrackFilter, TrackPredicate, TrackPredicateKind, TrackScope};

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use focus_index::{CentroidHandle, QueryFilter, TrackKey};
+use focus_index::{CentroidHandle, QueryFilter};
 use focus_video::ClassId;
 
 use crate::ingest::IngestOutput;
@@ -226,12 +226,7 @@ impl QueryPlan {
             .index
             .lookup(lookup_class, &request.filter)
             .into_iter()
-            .filter(|record| {
-                record
-                    .members
-                    .iter()
-                    .any(|m| track_scope.admits(TrackKey::new(record.key.stream, m.track)))
-            })
+            .filter(|record| track_scope.admits_record(record))
             .map(CentroidHandle::from)
             .collect();
         QueryPlan {

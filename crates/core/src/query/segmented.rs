@@ -28,16 +28,26 @@
 //! the union needs no reconciliation and is byte-identical to sealing the
 //! tail first and planning over segments alone.
 //!
+//! **One planner body** — [`SegmentedCorpus::plan_with_tail_scoped`] is
+//! the only place a query over a segmented corpus is planned. Its output
+//! is chunked: one [`AnytimeChunk`] per contributing sealed segment
+//! (ascending segment id) plus the tail chunk last, and the flat candidate
+//! list is those chunks concatenated and sorted by key. The exhaustive
+//! path verifies the flat list, the [anytime loop](crate::query::anytime)
+//! samples the chunks, and a fleet shard ships the records in candidate
+//! order.
+//!
 //! [`QueryServer::serve_resolved`]: crate::query_server::QueryServer::serve_resolved
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::OTHER_CLASS;
 use focus_index::{
-    ClusterKey, ClusterRecord, QueryFilter, SegmentAccess, SegmentError, SegmentStore, TrackKey,
+    CentroidHandle, ClusterKey, ClusterRecord, QueryFilter, SegmentAccess, SegmentError,
+    SegmentStore,
 };
 use focus_video::{ClassId, ObjectId, ObjectObservation, StreamId};
 
@@ -109,18 +119,43 @@ impl TailOverlay {
         self.parts.iter().find_map(|p| p.centroids().get(&id))
     }
 
-    /// Tail records matching `class` under `filter`, cloned and sorted by
-    /// cluster key — the same contract as a segment lookup.
-    pub fn lookup(&self, class: ClassId, filter: &QueryFilter) -> Vec<ClusterRecord> {
-        let mut records: Vec<ClusterRecord> = self
+    /// Tail records matching any of `classes` under `filter`, cloned,
+    /// sorted and deduplicated by cluster key — the same contract as one
+    /// store group (a record posting several of the classes comes back
+    /// once).
+    pub fn lookup(&self, classes: &[ClassId], filter: &QueryFilter) -> Vec<ClusterRecord> {
+        let mut hits: Vec<&ClusterRecord> = self
             .parts
             .iter()
-            .flat_map(|p| p.index().lookup(class, filter))
-            .cloned()
+            .flat_map(|p| {
+                classes
+                    .iter()
+                    .flat_map(move |c| p.index().lookup(*c, filter))
+            })
             .collect();
-        records.sort_by_key(|r| r.key);
-        records
+        hits.sort_unstable_by_key(|r| r.key);
+        hits.dedup_by_key(|r| r.key);
+        hits.into_iter().cloned().collect()
     }
+}
+
+/// Where one plan chunk's candidates came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ChunkSource {
+    /// One sealed segment (by manifest id).
+    Segment(u64),
+    /// The in-memory hot tail (not-yet-sealed records).
+    Tail,
+}
+
+/// One plan chunk: a key-disjoint slice of the query's candidate set, in
+/// cluster-key order — the anytime loop's sampling unit.
+#[derive(Debug, Clone)]
+pub struct AnytimeChunk {
+    /// The segment (or tail) this chunk's candidates live in.
+    pub source: ChunkSource,
+    /// Candidate centroids, sorted by cluster key.
+    pub candidates: Vec<CentroidHandle>,
 }
 
 /// The query-side view of a segmented corpus: the durable store plus the
@@ -272,6 +307,16 @@ impl SegmentedCorpus {
         }
     }
 
+    /// The centroid observation behind cluster centroid `id`: a sealed
+    /// cluster's from this corpus, a not-yet-sealed one's from `tail`.
+    pub fn centroid<'a>(
+        &'a self,
+        id: ObjectId,
+        tail: &'a TailOverlay,
+    ) -> Option<&'a ObjectObservation> {
+        self.centroids.get(&id).or_else(|| tail.centroid(id))
+    }
+
     /// The underlying segment store.
     pub fn store(&self) -> &SegmentStore {
         &self.store
@@ -307,7 +352,7 @@ impl SegmentedCorpus {
     /// restriction can actually reach — an override on a stream the filter
     /// excludes cannot contribute records, so its routing must not inflate
     /// the scan. An extra lookup class does not cost segment opens — the
-    /// planners hand the whole set to one
+    /// planner hands the whole set to one
     /// [`SegmentStore::lookup_classes_grouped`] walk, where it costs one
     /// more postings block per segment that posts it, plus the record
     /// blocks only it reaches — but every candidate it adds still costs a
@@ -383,7 +428,7 @@ impl SegmentedCorpus {
     /// *not* time-pruned, since a truncated sketch would not be
     /// conservative), evaluated against the filter's predicates. Sketch
     /// loads are charged to `access`.
-    pub(crate) fn track_scope_with_tail(
+    fn track_scope_with_tail(
         &self,
         request: &QueryRequest,
         tail: Option<&TailOverlay>,
@@ -455,51 +500,59 @@ impl SegmentedCorpus {
         // One store call for every lookup class: each segment is visited
         // (and each of its blocks fetched) once, and each group comes back
         // deduplicated by key and checked key-disjoint from the others.
+        // After `compact` manifest order is not id order; chunks go in
+        // ascending segment id, the tail last.
         let grouped = self
             .store
             .lookup_classes_grouped(lookup_classes, &open_filter)?;
         let mut access = grouped.access;
-        let mut merged: BTreeMap<ClusterKey, ClusterRecord> = grouped
-            .groups
+        let mut groups = grouped.groups;
+        groups.sort_unstable_by_key(|(id, _)| *id);
+        let tail_group = tail.map(|tail| {
+            let records = tail.lookup(lookup_classes, &request.filter);
+            (ChunkSource::Tail, records)
+        });
+        let sources = groups
             .into_iter()
-            .flat_map(|(_, records)| records)
-            .filter(|record| prune_segments || request.filter.admits(record))
-            .map(|record| (record.key, record))
-            .collect();
-        let mut tail_hits: BTreeMap<ClusterKey, ClusterRecord> = BTreeMap::new();
-        if let Some(tail) = tail {
-            for &lookup_class in lookup_classes {
-                for record in tail.lookup(lookup_class, &request.filter) {
-                    tail_hits.insert(record.key, record);
-                }
+            .map(|(id, records)| (ChunkSource::Segment(id), records))
+            .chain(tail_group);
+        let track_scope = self.track_scope_with_tail(request, tail, &mut access)?;
+        // Intersection before verification: a candidate whose members all
+        // belong to sketch-rejected tracks can contribute nothing after
+        // member filtering, so verifying its centroid would be a wasted GT
+        // inference.
+        let prune_tracks = prune_tracks && !track_scope.is_empty();
+        let mut chunks = Vec::new();
+        let mut records = HashMap::new();
+        let mut tail_records = 0;
+        for (source, mut group) in sources {
+            group.retain(|record| {
+                (prune_segments || request.filter.admits(record))
+                    && (!prune_tracks || track_scope.admits_record(record))
+            });
+            if group.is_empty() {
+                continue;
+            }
+            if source == ChunkSource::Tail {
+                tail_records = group.len();
+            }
+            chunks.push(AnytimeChunk {
+                source,
+                candidates: group.iter().map(CentroidHandle::from).collect(),
+            });
+            records.reserve(group.len());
+            for record in group {
+                assert!(
+                    records.insert(record.key, record).is_none(),
+                    "tail and segment records must be key-disjoint"
+                );
             }
         }
-        let tail_keys: Vec<ClusterKey> = tail_hits.keys().copied().collect();
-        for (key, record) in tail_hits {
-            assert!(
-                merged.insert(key, record).is_none(),
-                "tail and segment records must be key-disjoint"
-            );
-        }
-        let track_scope = self.track_scope_with_tail(request, tail, &mut access)?;
-        if prune_tracks && !track_scope.is_empty() {
-            // Intersection before verification: a candidate whose members
-            // all belong to sketch-rejected tracks can contribute nothing
-            // after member filtering, so verifying its centroid would be a
-            // wasted GT inference.
-            merged.retain(|key, record| {
-                record
-                    .members
-                    .iter()
-                    .any(|m| track_scope.admits(TrackKey::new(key.stream, m.track)))
-            });
-        }
-        let tail_records = tail_keys.iter().filter(|k| merged.contains_key(k)).count();
-        let candidates = merged
-            .values()
-            .map(focus_index::CentroidHandle::from)
+        let mut candidates: Vec<CentroidHandle> = chunks
+            .iter()
+            .flat_map(|chunk| chunk.candidates.iter().copied())
             .collect();
-        let records = merged.into_iter().collect();
+        candidates.sort_unstable_by_key(|h| h.cluster);
         Ok(SegmentedPlan {
             plan: QueryPlan {
                 class: request.class,
@@ -507,6 +560,7 @@ impl SegmentedCorpus {
                 candidates,
                 track_scope,
             },
+            chunks,
             records,
             access,
             tail_records,
@@ -523,6 +577,10 @@ pub struct SegmentedPlan {
     /// [`QueryPlan::build`](crate::query::QueryPlan::build) would produce
     /// over the merged index.
     pub plan: QueryPlan,
+    /// The same candidates partitioned by source: one chunk per
+    /// contributing segment (ascending id) plus, when non-empty, the tail
+    /// chunk last — what the anytime loop samples.
+    pub chunks: Vec<AnytimeChunk>,
     /// The cluster record behind every candidate, keyed by cluster key.
     pub records: HashMap<ClusterKey, ClusterRecord>,
     /// What the pruned lookup touched.
@@ -1021,20 +1079,18 @@ mod tests {
         let unrestricted = QueryRequest::new(rare);
         let flat = corpus.plan_with_tail(&unrestricted, None).unwrap();
         assert_eq!(flat.access.segments_considered, corpus.store().len());
-        let chunked = corpus.plan_anytime_with_tail(&unrestricted, None).unwrap();
-        assert_eq!(chunked.access.segments_considered, corpus.store().len());
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn shared_keys_across_segments_fail_both_planners_with_a_typed_error() {
-        use focus_index::{MemberRef, TopKIndex};
+    /// A one-member class-5 record of stream 0 with cluster key `local`.
+    fn hand_record(local: u64) -> ClusterRecord {
+        use focus_index::MemberRef;
         use focus_video::{FrameId, TrackId};
-        let record = |local: u64, class: u16| ClusterRecord {
+        ClusterRecord {
             key: ClusterKey::new(StreamId(0), local),
             centroid_object: ObjectId(local),
             centroid_frame: FrameId(local),
-            top_k_classes: vec![ClassId(class)],
+            top_k_classes: vec![ClassId(5)],
             members: vec![MemberRef {
                 object: ObjectId(local),
                 frame: FrameId(local),
@@ -1042,30 +1098,59 @@ mod tests {
             }],
             start_secs: local as f64,
             end_secs: local as f64 + 1.0,
-        };
+        }
+    }
+
+    /// A store of one hand-sealed segment per entry of `segments`, each
+    /// holding the [`hand_record`]s of its keys; returns the segment ids.
+    fn hand_sealed(name: &str, segments: &[&[u64]]) -> (SegmentStore, Vec<u64>) {
+        let mut store = SegmentStore::create(test_dir(name)).unwrap();
+        let ids = segments
+            .iter()
+            .map(|locals| {
+                let mut index = focus_index::TopKIndex::new();
+                for &local in *locals {
+                    index.insert(hand_record(local));
+                }
+                store.seal(&index).unwrap().unwrap().id
+            })
+            .collect();
+        (store, ids)
+    }
+
+    /// The planner's one tail/segment disjointness check: a tail record
+    /// whose key is already sealed is a broken pipeline, and the planner
+    /// refuses to pick one of the two copies.
+    #[test]
+    #[should_panic(expected = "key-disjoint")]
+    fn a_tail_key_already_sealed_fails_the_planner() {
+        let (store, _) = hand_sealed("tail_collision", &[&[0, 1]]);
+        let mut tail_index = focus_index::TopKIndex::new();
+        tail_index.insert(hand_record(1));
+        let mut tail = TailOverlay::new();
+        let part = TailPart::new(StreamId(0), tail_index, HashMap::new());
+        tail.add_shared(Arc::new(part));
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let corpus = SegmentedCorpus::new(store, HashMap::new(), model);
+        let _ = corpus.plan_with_tail(&QueryRequest::new(ClassId(5)), Some(&tail));
+    }
+
+    #[test]
+    fn shared_keys_across_segments_fail_both_planners_with_a_typed_error() {
         // Two hand-sealed segments that both hold cluster key (0, 1).
         let dir = test_dir("duplicate_key");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let mut ids = [0u64; 2];
-        for (slot, locals) in [[0u64, 1], [1, 2]].into_iter().enumerate() {
-            let mut index = TopKIndex::new();
-            for local in locals {
-                index.insert(record(local, 5));
-            }
-            ids[slot] = store.seal(&index).unwrap().unwrap().id;
-        }
+        let (store, ids) = hand_sealed("duplicate_key", &[&[0, 1], &[1, 2]]);
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
         let corpus = SegmentedCorpus::new(store, HashMap::new(), model);
         let request = QueryRequest::new(ClassId(5));
         let expect = |error: SegmentError| match error {
             SegmentError::DuplicateKey { key, segments } => {
                 assert_eq!(key, ClusterKey::new(StreamId(0), 1));
-                assert_eq!(segments, ids);
+                assert_eq!(segments.to_vec(), ids);
             }
             other => panic!("expected DuplicateKey, got {other:?}"),
         };
         expect(corpus.plan_with_tail(&request, None).unwrap_err());
-        expect(corpus.plan_anytime_with_tail(&request, None).unwrap_err());
         expect(
             corpus
                 .store()
@@ -1074,6 +1159,85 @@ mod tests {
         );
         let grouped = corpus.store().lookup_grouped(ClassId(5), &request.filter);
         expect(grouped.unwrap_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Asserts `planned.chunks` partition the flat candidate list in the
+    /// anytime loop's order: segment chunks in strictly ascending id, then
+    /// the tail chunk of `tail_records` candidates, and no key in two
+    /// chunks.
+    fn assert_partition(planned: &SegmentedPlan) {
+        let rank = |chunk: &AnytimeChunk| match chunk.source {
+            ChunkSource::Segment(id) => id,
+            ChunkSource::Tail => u64::MAX,
+        };
+        assert!(planned.chunks.windows(2).all(|w| rank(&w[0]) < rank(&w[1])));
+        let tail = planned
+            .chunks
+            .iter()
+            .filter(|c| c.source == ChunkSource::Tail);
+        let tail_len: usize = tail.map(|c| c.candidates.len()).sum();
+        assert_eq!(tail_len, planned.tail_records);
+        let candidates = &planned.plan.candidates;
+        assert!(candidates.windows(2).all(|w| w[0].cluster < w[1].cluster));
+        // Against a strictly increasing list, equality of the sorted union
+        // also rules out a key shared by two chunks.
+        let mut union: Vec<CentroidHandle> = planned
+            .chunks
+            .iter()
+            .flat_map(|c| c.candidates.iter().copied())
+            .collect();
+        union.sort_by_key(|h| h.cluster);
+        assert_eq!(&union, candidates);
+    }
+
+    #[test]
+    fn chunks_partition_the_candidates_in_segment_id_order() {
+        use crate::query::{TrackFilter, TrackPredicate};
+        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
+        let class = ds.dominant_classes(1)[0];
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let dir = test_dir("chunk_order");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut pipeline =
+            crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params());
+        // Three sealed quarters; the rest stays in the pipeline as the tail.
+        for (i, frames) in ds.frames.chunks(ds.frames.len() / 4).enumerate() {
+            for frame in frames {
+                pipeline.push_frame(frame, model.classifier.as_ref());
+            }
+            if i < 3 {
+                store.seal(&pipeline.seal_segment()).unwrap();
+            }
+        }
+        let mut tail = TailOverlay::new();
+        tail.add_shared(pipeline.peek_shared());
+        // Fold segments 0 and 1: the replacement takes a fresh id but the
+        // first manifest slot, so manifest order is no longer id order.
+        let folded = store.segments()[0].clusters + store.segments()[1].clusters;
+        store.compact(folded).unwrap();
+        let manifest_ids: Vec<u64> = store.segments().iter().map(|m| m.id).collect();
+        assert_eq!(manifest_ids, [3, 2]);
+        let corpus = SegmentedCorpus::new(store, HashMap::new(), model);
+
+        let plain = QueryRequest::new(class);
+        let windowed =
+            QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(10.0, 50.0));
+        let tracked = QueryRequest::new(class)
+            .with_tracks(TrackFilter::new().and(TrackPredicate::speed_above(60.0)));
+        let classes = corpus.lookup_classes(class, &QueryFilter::any());
+        for planned in [
+            corpus.plan_with_tail(&plain, Some(&tail)),
+            corpus.plan_with_tail(&windowed, Some(&tail)),
+            corpus.plan_with_tail(&tracked, Some(&tail)),
+            corpus.plan_with_tail_scoped(&tracked, Some(&tail), &classes, true, false),
+            corpus.plan_with_tail_scoped(&windowed, Some(&tail), &classes, false, true),
+        ] {
+            assert_partition(&planned.unwrap());
+        }
+        // Both segments and the tail contribute.
+        let full = corpus.plan_with_tail(&plain, Some(&tail)).unwrap();
+        assert_eq!(full.chunks.len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -64,7 +64,7 @@
 use serde::{Deserialize, Serialize};
 
 use focus_index::track::{cell_coords, TRACK_CELL_PX};
-use focus_index::{QueryFilter, TrackKey, TrackSketch};
+use focus_index::{ClusterRecord, QueryFilter, TrackKey, TrackSketch};
 
 /// An axis-aligned pixel rectangle, the spatial operand of every region
 /// predicate. Bounds are inclusive; coordinates clamp at zero to match the
@@ -466,6 +466,15 @@ impl TrackScope {
     /// not rejected — unknown tracks are admitted).
     pub fn admits(&self, key: TrackKey) -> bool {
         self.rejected.binary_search(&key).is_err()
+    }
+
+    /// Whether any of `record`'s members may appear in results — the
+    /// planners drop a cluster that fails this before verifying it.
+    pub fn admits_record(&self, record: &ClusterRecord) -> bool {
+        record
+            .members
+            .iter()
+            .any(|m| self.admits(TrackKey::new(record.key.stream, m.track)))
     }
 
     /// Whether the scope rejects nothing.

@@ -737,13 +737,7 @@ impl FocusService {
         let outcomes = self.server.serve_resolved(
             &plans,
             &records,
-            |id| {
-                self.corpus
-                    .centroids
-                    .get(&id)
-                    .or_else(|| tail.centroid(id))
-                    .cloned()
-            },
+            |id| self.corpus.centroid(id, &tail).cloned(),
             &meter,
         );
         self.scheduler.submit("query", meter.phase("query"));
@@ -777,24 +771,18 @@ impl FocusService {
         on_partial: impl FnMut(&AnytimePartial),
     ) -> Result<AnytimeOutcome, SegmentError> {
         let tail = self.tail_snapshot();
-        let plan = self.corpus.plan_anytime_with_tail(request, Some(&tail))?;
+        let plan = self.corpus.plan_with_tail(request, Some(&tail))?;
         self.charge_access(&plan.access);
         self.tail_candidates_served
             .fetch_add(plan.tail_records, Ordering::SeqCst);
         self.candidates_served
-            .fetch_add(plan.total_candidates(), Ordering::SeqCst);
+            .fetch_add(plan.plan.candidates.len(), Ordering::SeqCst);
         let meter = GpuMeter::new();
         let outcome = run_anytime(
             &self.server,
             &plan,
             &request.anytime,
-            |id| {
-                self.corpus
-                    .centroids
-                    .get(&id)
-                    .or_else(|| tail.centroid(id))
-                    .cloned()
-            },
+            |id| self.corpus.centroid(id, &tail).cloned(),
             &meter,
             on_partial,
         );

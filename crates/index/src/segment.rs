@@ -340,9 +340,9 @@ pub struct SegmentLookup {
 /// lookup classes it matched. Flattening the groups and sorting by cluster
 /// key reproduces [`SegmentLookup::records`] exactly — segments are
 /// key-disjoint (checked: [`SegmentError::DuplicateKey`]), so the groups
-/// partition the result set. This is the shape both query planners
-/// consume: the anytime planner samples each group as one chunk, the
-/// exhaustive planner drains them all.
+/// partition the result set. This is the shape the query planner
+/// consumes: each group becomes one plan chunk, which the anytime loop
+/// samples and the exhaustive path drains.
 #[derive(Debug, Clone)]
 pub struct GroupedLookup {
     /// Per-segment record groups, manifest order, empty groups omitted.

@@ -101,7 +101,7 @@ proptest! {
         let tail = service.tail_snapshot();
         let plan = service
             .corpus()
-            .plan_anytime_with_tail(&request, Some(&tail))
+            .plan_with_tail(&request, Some(&tail))
             .unwrap();
         let meter = GpuMeter::new();
         let mut seed = pick_seed;
@@ -109,14 +109,7 @@ proptest! {
             service.query_server(),
             &plan,
             &request.anytime,
-            |id| {
-                service
-                    .corpus()
-                    .centroids
-                    .get(&id)
-                    .or_else(|| tail.centroid(id))
-                    .cloned()
-            },
+            |id| service.corpus().centroid(id, &tail).cloned(),
             &meter,
             |_| {},
             |estimates: &[ChunkEstimate]| {
