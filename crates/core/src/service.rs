@@ -55,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use focus_cnn::GroundTruthCnn;
 use focus_index::persist::{write_atomic, PersistError};
 use focus_index::{
-    LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
+    ClusterKey, LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
 use focus_runtime::{
     GpuClusterSpec, GpuMeter, GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats,
@@ -392,10 +392,14 @@ impl FocusService {
     /// Reopens a service from a store directory: reads and validates the
     /// `service_state.json` sidecar (a directory without a usable one is
     /// refused before anything in it is touched), verifies and repairs the
-    /// manifest ([`SegmentStore::open`]), reads the per-seal centroid
-    /// deltas, checks that every sealed cluster's centroid observation is
-    /// resolvable, re-registers the recorded streams and resumes their
-    /// cluster-key counters past the sealed segments.
+    /// manifest while reading each segment once
+    /// ([`SegmentStore::open_scanning`], which also leaves the most recent
+    /// segments warm in the decoded tier), reads the per-seal centroid
+    /// deltas, checks that no cluster key is sealed twice
+    /// ([`SegmentError::DuplicateKey`] naming both segments) and that every
+    /// sealed cluster's centroid observation is resolvable, re-registers the
+    /// recorded streams and resumes their cluster-key counters past the
+    /// sealed segments.
     ///
     /// Ingest models restart from the bootstrap model and re-specialize on
     /// fresh samples (models are process state, not data); sealed records
@@ -430,29 +434,40 @@ impl FocusService {
                 expected: SERVICE_STATE_VERSION,
             }));
         }
-        let (store, report) = SegmentStore::open(&dir)?;
-        let (centroids, next_delta) = Self::load_centroid_deltas(&dir)?;
+        // One read per segment: the open's own pass over the verified bytes
+        // yields every sealed record's key and centroid.
+        let mut sealed: Vec<(ClusterKey, u64, ObjectId)> = Vec::new();
+        let (store, report) = SegmentStore::open_scanning(&dir, |segment, record| {
+            sealed.push((record.key, segment, record.centroid_object))
+        })?;
+        let (centroids, next_delta) = Self::load_centroid_deltas(&dir, store.total_clusters())?;
 
-        // Every sealed cluster must be verifiable after recovery, and new
-        // cluster keys must continue past the sealed ones.
-        let merged = store.merged_index()?;
+        // Segments must be key-disjoint, every sealed cluster must be
+        // verifiable after recovery, and new cluster keys must continue
+        // past the sealed ones.
+        sealed.sort_unstable();
+        if let Some(pair) = sealed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(SegmentError::DuplicateKey {
+                key: pair[0].0,
+                segments: [pair[0].1, pair[1].1],
+            });
+        }
         let mut next_keys: HashMap<StreamId, u64> = HashMap::new();
-        for record in merged.clusters() {
-            if !centroids.contains_key(&record.centroid_object) {
+        for (key, _, centroid) in &sealed {
+            if !centroids.contains_key(centroid) {
                 return Err(SegmentError::Persist(PersistError::Io {
                     path: dir.clone(),
                     source: std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!(
-                            "sealed cluster {:?} has no centroid observation in any \
-                             centroid delta",
-                            record.key
+                            "sealed cluster {key:?} has no centroid observation in any \
+                             centroid delta"
                         ),
                     ),
                 }));
             }
-            let next = next_keys.entry(record.key.stream).or_insert(0);
-            *next = (*next).max(record.key.local + 1);
+            let next = next_keys.entry(key.stream).or_insert(0);
+            *next = (*next).max(key.local + 1);
         }
 
         let mut service = Self::assemble(store, config, gt);
@@ -483,11 +498,13 @@ impl FocusService {
     /// map plus the next delta sequence number. Extra deltas (from a crash
     /// between delta write and segment seal, or from quarantined segments)
     /// are harmless supersets; a torn delta cannot exist (atomic writes)
-    /// and a malformed one is a structured error.
+    /// and a malformed one is a structured error. The map is sized for
+    /// `expected` centroids (one per sealed cluster).
     fn load_centroid_deltas(
         dir: &std::path::Path,
+        expected: usize,
     ) -> Result<(HashMap<ObjectId, ObjectObservation>, u64), SegmentError> {
-        let mut centroids = HashMap::new();
+        let mut centroids = HashMap::with_capacity(expected);
         let mut next_delta = 0u64;
         let entries = std::fs::read_dir(dir).map_err(|source| {
             SegmentError::Persist(PersistError::Io {
@@ -1511,6 +1528,79 @@ mod tests {
             FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
         assert!(service.serve(&[]).unwrap().is_empty());
         assert_eq!(service.stats().queries_served, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two hand-sealed segments that both hold cluster key (0, 1), beside
+    /// a valid sidecar and a centroid delta covering every record, so the
+    /// shared key is the store's only defect: recovery refuses it with the
+    /// typed error naming both segments, not a panic.
+    #[test]
+    fn recover_refuses_a_key_sealed_twice_with_a_typed_error() {
+        use focus_index::{ClusterRecord, MemberRef};
+        use focus_video::{ClassId, FrameId, TrackId};
+
+        let dir = test_dir("duplicate_key");
+        let record = |local: u64| ClusterRecord {
+            key: ClusterKey::new(StreamId(0), local),
+            centroid_object: ObjectId(local),
+            centroid_frame: FrameId(local),
+            top_k_classes: vec![ClassId(5)],
+            members: vec![MemberRef {
+                object: ObjectId(local),
+                frame: FrameId(local),
+                track: TrackId(0),
+            }],
+            start_secs: local as f64,
+            end_secs: local as f64 + 1.0,
+        };
+        let mut store = SegmentStore::create(&dir).unwrap();
+        let ids: Vec<u64> = [[0, 1], [1, 2]]
+            .iter()
+            .map(|locals| {
+                let mut index = TopKIndex::new();
+                for &local in locals {
+                    index.insert(record(local));
+                }
+                store.seal(&index).unwrap().unwrap().id
+            })
+            .collect();
+        drop(store);
+
+        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 5.0);
+        let observation = ds.frames.iter().flat_map(|f| &f.objects).next().unwrap();
+        let centroids = (0..3)
+            .map(|local| {
+                let object_id = ObjectId(local);
+                let observation = ObjectObservation {
+                    object_id,
+                    stream_id: StreamId(0),
+                    ..observation.clone()
+                };
+                (object_id, observation)
+            })
+            .collect();
+        let delta = CentroidDelta {
+            version: SERVICE_STATE_VERSION,
+            centroids,
+        };
+        let state = ServiceState {
+            version: SERVICE_STATE_VERSION,
+            streams: vec![(0, 30)],
+            retired_routes: Vec::new(),
+        };
+        let delta_path = dir.join(format!("{CENTROID_DELTA_PREFIX}000000.json"));
+        std::fs::write(delta_path, serde_json::to_string(&delta).unwrap()).unwrap();
+        let state_path = dir.join(SERVICE_STATE_FILE);
+        std::fs::write(state_path, serde_json::to_string(&state).unwrap()).unwrap();
+
+        match FocusService::recover(&dir, quiet_config(), GroundTruthCnn::resnet152()) {
+            Err(SegmentError::DuplicateKey { key, segments }) => {
+                assert_eq!(key, ClusterKey::new(StreamId(0), 1));
+                assert_eq!(segments.to_vec(), ids);
+            }
+            other => panic!("expected DuplicateKey, got {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

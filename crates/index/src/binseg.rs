@@ -869,16 +869,21 @@ pub fn footer_of(bytes: &[u8]) -> Result<SegmentFooter, BinsegError> {
     decode_footer(footer_bytes, version)
 }
 
-/// Verifies and extracts one block's byte range out of a complete
-/// segment's bytes.
-fn block_bytes(bytes: &[u8], offset: u64, len: u64, checksum: u64) -> Result<&[u8], BinsegError> {
+/// Extracts one block's byte range out of a complete segment's bytes.
+fn block_slice(bytes: &[u8], offset: u64, len: u64) -> Result<&[u8], BinsegError> {
     let offset = narrow_usize(offset, "block offset overflows usize")?;
     let len = narrow_usize(len, "block length overflows usize")?;
     let end = offset
         .checked_add(len)
         .filter(|end| *end <= bytes.len())
         .ok_or(BinsegError::Truncated)?;
-    let block = &bytes[offset..end];
+    Ok(&bytes[offset..end])
+}
+
+/// Verifies and extracts one block's byte range out of a complete
+/// segment's bytes.
+fn block_bytes(bytes: &[u8], offset: u64, len: u64, checksum: u64) -> Result<&[u8], BinsegError> {
+    let block = block_slice(bytes, offset, len)?;
     let found = fnv1a64(block);
     if found != checksum {
         return Err(BinsegError::ChecksumMismatch {
@@ -890,28 +895,35 @@ fn block_bytes(bytes: &[u8], offset: u64, len: u64, checksum: u64) -> Result<&[u
 }
 
 /// Decodes an entire binary segment back into an index, verifying every
-/// block checksum along the way. The inverse of [`encode`].
+/// block checksum first — postings blocks too, though they are derived
+/// data the inserts rebuild, so that `decode` vouches for every byte. The
+/// inverse of [`encode`].
 pub fn decode(bytes: &[u8]) -> Result<TopKIndex, BinsegError> {
     let footer = footer_of(bytes)?;
-    let mut index = TopKIndex::new();
-    for meta in &footer.record_blocks {
-        let block = block_bytes(bytes, meta.offset, meta.len, meta.checksum)?;
-        let records = decode_record_block(block, footer.version)?;
-        if records.len() != meta.count {
-            return Err(BinsegError::Malformed("record block count mismatch"));
-        }
-        for record in records {
-            index.insert(record);
-        }
+    for m in &footer.record_blocks {
+        block_bytes(bytes, m.offset, m.len, m.checksum)?;
     }
-    // Postings blocks are derived data (rebuilt by the inserts above), but
-    // verify their integrity anyway so decode() vouches for every byte.
-    for meta in &footer.postings {
-        block_bytes(bytes, meta.offset, meta.len, meta.checksum)?;
+    for m in &footer.postings {
+        block_bytes(bytes, m.offset, m.len, m.checksum)?;
+    }
+    if let Some(m) = &footer.tracks {
+        block_bytes(bytes, m.offset, m.len, m.checksum)?;
+    }
+    decode_vouched(bytes, &footer)
+}
+
+/// Decodes an entire segment whose bytes the caller has already verified
+/// as a whole (they match the checksum its manifest entry records), so the
+/// per-block checksums are not run again; `footer` is [`footer_of`] the
+/// same bytes. Structure is still checked: block bounds, counts, and that
+/// no key repeats.
+pub fn decode_vouched(bytes: &[u8], footer: &SegmentFooter) -> Result<TopKIndex, BinsegError> {
+    let mut index = TopKIndex::new();
+    for record in decode_records(bytes, footer)? {
+        index.insert(record);
     }
     if let Some(meta) = &footer.tracks {
-        let block = block_bytes(bytes, meta.offset, meta.len, meta.checksum)?;
-        let sketches = decode_tracks_block(block)?;
+        let sketches = decode_tracks_block(block_slice(bytes, meta.offset, meta.len)?)?;
         if sketches.len() != meta.count {
             return Err(BinsegError::Malformed("tracks block count mismatch"));
         }
@@ -923,6 +935,28 @@ pub fn decode(bytes: &[u8]) -> Result<TopKIndex, BinsegError> {
         return Err(BinsegError::Malformed("footer cluster count mismatch"));
     }
     Ok(index)
+}
+
+/// Every record of a segment whose bytes the caller has already verified
+/// as a whole (see [`decode_vouched`]), in key order — the record blocks
+/// alone, without building an index.
+pub fn decode_records(
+    bytes: &[u8],
+    footer: &SegmentFooter,
+) -> Result<Vec<ClusterRecord>, BinsegError> {
+    let mut records = Vec::new();
+    for meta in &footer.record_blocks {
+        let block =
+            decode_record_block(block_slice(bytes, meta.offset, meta.len)?, footer.version)?;
+        if block.len() != meta.count {
+            return Err(BinsegError::Malformed("record block count mismatch"));
+        }
+        records.extend(block);
+    }
+    if records.len() != footer.clusters {
+        return Err(BinsegError::Malformed("footer cluster count mismatch"));
+    }
+    Ok(records)
 }
 
 #[cfg(test)]

@@ -379,8 +379,9 @@ enum DecodedEntry {
 /// The raw tier is also the decoded tier's probationary queue: a block
 /// fetched from disk is inserted here only ([`SegmentReader::block`]), and
 /// the raw hit of its second touch is what promotes it. Whole-segment
-/// loads (recovery, compaction, prefetch) are not scan traffic and enter
-/// both tiers at once.
+/// loads (`load`, compaction, prefetch) are not scan traffic and enter
+/// both tiers at once; recovery's warm set
+/// ([`SegmentStore::open_scanning`]) enters the decoded tier only.
 #[derive(Debug)]
 struct TieredCache {
     decoded_capacity: usize,
@@ -705,6 +706,10 @@ impl<'a> SegmentReader<'a> {
     }
 }
 
+/// What a scanning open ([`SegmentStore::open_scanning`]) hands every
+/// record it decodes to, with the record's segment id.
+type RecordVisitor<'a> = &'a mut dyn FnMut(u64, &ClusterRecord);
+
 /// A durable, time-partitioned index store (see the module docs for the
 /// on-disk layout and durability protocol).
 ///
@@ -808,24 +813,79 @@ impl SegmentStore {
     /// and dropped from the manifest), and complete segment files the
     /// manifest never acknowledged are quarantined too. The returned
     /// [`OpenReport`] lists every repair.
+    ///
+    /// Every segment file is read once, whole; nothing enters the cache
+    /// tiers.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        let dir = dir.into();
+        Self::open_body(dir.into(), DEFAULT_CACHE_CAPACITY, None)
+    }
+
+    /// [`open`](Self::open), plus a record pass over the same verified
+    /// bytes — still one read per segment. Every record of every segment
+    /// that verifies is handed to `visit` with its segment id, segment by
+    /// segment in manifest order (within a segment, in no particular
+    /// order). Of the `n` listed segments, the last `min(n, capacity)` —
+    /// those of them that verify — are decoded whole from the same bytes
+    /// and left resident in the decoded tier in manifest order: what a pass
+    /// of whole-segment loads over the store would leave there, so the
+    /// first requests after a restart find the recent segments warm. The
+    /// raw tier stays empty.
+    ///
+    /// This is the open `FocusService::recover` runs: its checks (centroid
+    /// resolvability, key-disjointness, next cluster keys) need every
+    /// record once, and a second pass would read and decode every segment
+    /// again.
+    pub fn open_scanning(
+        dir: impl Into<PathBuf>,
+        mut visit: impl FnMut(u64, &ClusterRecord),
+    ) -> Result<(SegmentStore, OpenReport), SegmentError> {
+        Self::open_body(dir.into(), DEFAULT_CACHE_CAPACITY, Some(&mut visit))
+    }
+
+    /// The one open body: [`open`](Self::open) when `visit` is `None`,
+    /// [`open_scanning`](Self::open_scanning) otherwise.
+    fn open_body(
+        dir: PathBuf,
+        decoded_capacity: usize,
+        mut visit: Option<RecordVisitor<'_>>,
+    ) -> Result<(SegmentStore, OpenReport), SegmentError> {
         let manifest_path = dir.join(MANIFEST_FILE);
         let mut manifest = Manifest::load(&manifest_path)?;
         let mut report = OpenReport::default();
+        let mut cache = TieredCache::new(decoded_capacity, DEFAULT_RAW_CACHE_BYTES);
 
         // Verify every listed segment's bytes against its checksum, and
         // keep the footer of each one that passes: the bytes are in memory
-        // and vouched for, so the directory costs no I/O of its own.
+        // and vouched for, so the directory costs no I/O of its own — and
+        // neither does the record pass.
         let listed_count = manifest.segments.len();
+        let warm_from = listed_count.saturating_sub(cache.decoded_capacity);
         let mut verified = Vec::with_capacity(listed_count);
         let mut footers = HashMap::with_capacity(listed_count);
-        for meta in std::mem::take(&mut manifest.segments) {
+        for (position, meta) in std::mem::take(&mut manifest.segments)
+            .into_iter()
+            .enumerate()
+        {
             let path = dir.join(&meta.file);
             match fs::read(&path) {
                 Ok(bytes) if fnv1a64(&bytes) == meta.checksum => {
-                    let footer = binseg::footer_of(&bytes)
-                        .map_err(|source| SegmentError::InvalidSegment { path, source })?;
+                    let invalid = |source| SegmentError::InvalidSegment {
+                        path: path.clone(),
+                        source,
+                    };
+                    let footer = binseg::footer_of(&bytes).map_err(invalid)?;
+                    if let Some(visit) = visit.as_deref_mut() {
+                        if position >= warm_from {
+                            let index = binseg::decode_vouched(&bytes, &footer).map_err(invalid)?;
+                            index.clusters().for_each(|r| visit(meta.id, r));
+                            let entry = DecodedEntry::Whole(Arc::new(index));
+                            cache.decoded_insert((meta.id, BlockKey::Whole), entry);
+                        } else {
+                            let records =
+                                binseg::decode_records(&bytes, &footer).map_err(invalid)?;
+                            records.iter().for_each(|r| visit(meta.id, r));
+                        }
+                    }
                     footers.insert(meta.id, Arc::new(footer));
                     verified.push(meta);
                 }
@@ -883,10 +943,7 @@ impl SegmentStore {
                 dir,
                 manifest,
                 footers,
-                cache: Mutex::new(TieredCache::new(
-                    DEFAULT_CACHE_CAPACITY,
-                    DEFAULT_RAW_CACHE_BYTES,
-                )),
+                cache: Mutex::new(cache),
             },
             report,
         ))
@@ -1362,7 +1419,10 @@ impl SegmentStore {
 
     /// Merges every live segment into one in-memory index (manifest order).
     /// This is the reference the pruned query path is tested against, and
-    /// the recovery path for callers that want the whole corpus in memory.
+    /// an inspection tool for callers that want the whole corpus in memory;
+    /// it reads and decodes every segment again, so recovery does not use
+    /// it ([`open_scanning`](Self::open_scanning) checks records in the
+    /// open's own pass).
     pub fn merged_index(&self) -> Result<TopKIndex, SegmentError> {
         let mut merged = TopKIndex::new();
         for meta in &self.manifest.segments {
@@ -1978,6 +2038,58 @@ mod tests {
             expected
         );
         assert_eq!(reopened.total_clusters(), 6);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Recovery's open visits every record once and leaves warm exactly
+    /// what a full pass of whole-segment loads (`merged_index`, the pass it
+    /// replaces) leaves: the last `capacity` segments, in manifest order —
+    /// here two of three, after a compaction made manifest order differ
+    /// from id order. Plain `open` leaves both tiers empty.
+    #[test]
+    fn scanning_open_warms_the_last_segments_in_manifest_order() {
+        let dir = test_dir("open_scanning");
+        let mut store = populated(&dir);
+        let three = [0, 1, 2].map(|local| record(2, local, 5, local as f64));
+        store.seal(&segment_of(&three)).unwrap();
+        // Sizes 2, 2, 2, 3 under a cap of 4: only [0, 1] fold, into id 4,
+        // listed where they were: manifest [4, 2, 3].
+        store.compact(4).unwrap();
+        let order: Vec<u64> = store.segments().iter().map(|m| m.id).collect();
+        assert_eq!(order, vec![4, 2, 3]);
+        drop(store);
+
+        let mut seen = Vec::new();
+        let mut visit = |id: u64, record: &ClusterRecord| seen.push((record.key, id));
+        let (scanned, report) = SegmentStore::open_body(dir.clone(), 2, Some(&mut visit)).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        seen.sort();
+        let mut expected: Vec<(ClusterKey, u64)> = Vec::new();
+        for meta in scanned.segments() {
+            let segment = binseg::decode(&fs::read(dir.join(&meta.file)).unwrap()).unwrap();
+            expected.extend(segment.clusters().map(|r| (r.key, meta.id)));
+        }
+        expected.sort();
+        assert_eq!(seen, expected);
+        assert_eq!(seen.len(), scanned.total_clusters());
+
+        let resident = |store: &SegmentStore| -> Vec<CacheKey> {
+            store.cache.lock().decoded_order.iter().copied().collect()
+        };
+        assert_eq!(
+            resident(&scanned),
+            vec![(2, BlockKey::Whole), (3, BlockKey::Whole)]
+        );
+        let occupancy = scanned.cache_occupancy();
+        assert_eq!((occupancy.occupancy, occupancy.raw_entries), (2, 0));
+        assert_eq!(occupancy.disk_reads, 0);
+
+        let (plain, _) = SegmentStore::open(&dir).unwrap();
+        assert_eq!(plain.cache_occupancy().occupancy, 0);
+        assert_eq!(plain.cache_occupancy().raw_entries, 0);
+        let plain = plain.with_cache_capacity(2);
+        plain.merged_index().unwrap();
+        assert_eq!(resident(&plain), resident(&scanned));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -252,6 +252,76 @@ fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Satellite: a sealed cluster whose centroid observation is in no
+/// centroid delta — here one seal's delta file is gone — cannot be
+/// verified, so `recover` refuses the store with a typed error naming that
+/// cluster, and the refusal changes no file.
+#[test]
+fn recover_refuses_a_sealed_cluster_without_a_centroid_and_changes_nothing() {
+    let archive = build("missing_centroid", 30.0, 10.0, 64);
+    let dir = &archive.dir;
+    // Seal k writes delta k and then segment id k; drop the second seal's
+    // delta. The refusal names the smallest key of that segment.
+    let victim = archive.sealed.iter().find(|m| m.id == 1).unwrap();
+    let expected = {
+        let (reader, _) = SegmentStore::open(dir).unwrap();
+        let segment = reader.load(victim.id).unwrap();
+        segment.clusters().map(|r| r.key).min().unwrap()
+    };
+    std::fs::remove_file(dir.join("centroids-000001.json")).unwrap();
+
+    let before = listing(dir);
+    match FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152()) {
+        Err(SegmentError::Persist(PersistError::Io { path, source })) => {
+            assert_eq!(&path, dir);
+            assert_eq!(source.kind(), std::io::ErrorKind::InvalidData);
+            let message = source.to_string();
+            assert!(
+                message.contains(&format!("sealed cluster {expected:?} has no centroid")),
+                "{message}"
+            );
+        }
+        other => panic!("expected a missing-centroid refusal, got {other:?}"),
+    }
+    assert_eq!(listing(dir), before);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Satellite: recovery leaves the store warm — every segment of a store
+/// smaller than the decoded tier resident as a whole index, so an
+/// unfiltered lookup reads no block from disk — while a plain
+/// `SegmentStore::open` leaves the cache cold.
+#[test]
+fn recover_leaves_a_small_store_resident_and_plain_open_leaves_it_cold() {
+    let archive = build("warm_set", 45.0, 10.0, 64);
+    let class = archive.datasets[0].dominant_classes(1)[0];
+
+    let (recovered, _) = recover(&archive.dir, 10.0);
+    let store = recovered.store();
+    assert!(store.len() >= 4, "expected a segmented store");
+    let occupancy = store.cache_occupancy();
+    assert!(store.len() <= occupancy.capacity);
+    assert_eq!(occupancy.occupancy, store.len());
+    let lookup = store.lookup(class, &QueryFilter::any()).unwrap();
+    assert!(!lookup.records.is_empty());
+    assert_eq!(lookup.access.blocks_read, 0, "{:?}", lookup.access);
+    assert_eq!(lookup.access.cold_loads, 0, "{:?}", lookup.access);
+    drop(recovered);
+
+    let (plain, report) = SegmentStore::open(&archive.dir).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(plain.cache_occupancy().occupancy, 0);
+    assert!(
+        plain
+            .lookup(class, &QueryFilter::any())
+            .unwrap()
+            .access
+            .blocks_read
+            > 0
+    );
+    std::fs::remove_dir_all(&archive.dir).ok();
+}
+
 /// Satellite: a store from before binary became the only segment format —
 /// its manifest lists a `"format":"Json"` segment or, older still, carries
 /// no format tag at all — is refused with a typed error naming the
