@@ -38,13 +38,14 @@ mod wire;
 
 pub use manifest::{ClusterManifest, ShardAssignment, CLUSTER_MANIFEST_FILE};
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
-use focus_index::{CentroidHandle, ClusterKey, ClusterRecord, SegmentError, TrackKey};
+use focus_index::{CentroidHandle, ClusterRecord, SegmentError, TrackKey};
 use focus_runtime::{GpuMeter, NetCostModel, NetMeter, NetStats, VirtualClock};
 use focus_video::{ClassId, Frame, ObjectId, ObjectObservation, StreamId};
 
@@ -237,7 +238,9 @@ impl WireAccess {
 pub struct ShardRequestPlan {
     /// Matching records, sorted by cluster key (key-disjoint across shards
     /// by construction, which is what makes the gather merge exactly-once).
-    pub records: Vec<ClusterRecord>,
+    /// In process they are the shard's own shared records; on the wire, the
+    /// records themselves.
+    pub records: Vec<Arc<ClusterRecord>>,
     /// The centroid observation behind every record, sorted by object id.
     pub centroids: Vec<(ObjectId, ObjectObservation)>,
     /// Records resolved from the shard's in-memory tail.
@@ -846,11 +849,14 @@ impl FleetCoordinator {
 
     /// Merges a scattered batch and verifies/assembles centrally through
     /// [`QueryServer::serve_resolved`] — the exact single-node seam, fed
-    /// the exact single-node plan: shard record maps are key-disjoint, so
-    /// the merged, key-sorted candidate set is byte-identical to planning
-    /// on one node over the union of streams. The batch is consumed:
-    /// records, centroid observations and rejected tracks move into the
-    /// merged plan. A cluster contributed twice (a double-counted scatter),
+    /// the exact single-node plan: each request's key-sorted shard record
+    /// vectors are k-way merged into one key-sorted vector (shards are
+    /// key-disjoint, so it is byte-identical to planning on one node over
+    /// the union of streams), and a fresh inference's centroid observation
+    /// is found by binary search in the shards' id-sorted centroid vectors.
+    /// The batch is consumed: records, centroid observations and rejected
+    /// tracks move into the merged plan. A cluster contributed twice (a
+    /// double-counted scatter — two equal keys side by side in the merge),
     /// or a `requests` slice of a different length than the batch was
     /// scattered with, is a [`FleetError::Scatter`] — nothing is served.
     pub fn gather(
@@ -865,43 +871,32 @@ impl FleetCoordinator {
                 requests.len()
             )));
         }
-        let mut records: Vec<HashMap<ClusterKey, ClusterRecord>> =
-            vec![HashMap::new(); requests.len()];
+        let mut runs: Vec<Vec<ShardRun>> = vec![Vec::new(); requests.len()];
         let mut rejected: Vec<Vec<TrackKey>> = vec![Vec::new(); requests.len()];
-        let mut centroids: HashMap<ObjectId, ObjectObservation> = HashMap::new();
+        let mut centroids: Vec<Vec<(ObjectId, ObjectObservation)>> = Vec::new();
         let mut segments_opened = 0;
         for response in batch.responses {
             let parts = response.per_request.into_iter();
-            for ((part, records), rejected) in parts.zip(&mut records).zip(&mut rejected) {
+            for ((part, runs), rejected) in parts.zip(&mut runs).zip(&mut rejected) {
                 segments_opened += part.access.opened();
                 rejected.extend(part.rejected_tracks);
-                centroids.extend(part.centroids);
-                for record in part.records {
-                    let key = record.key;
-                    if records.insert(key, record).is_some() {
-                        return Err(FleetError::Scatter(format!(
-                            "cluster {key:?} contributed twice (by shard {} and an earlier \
-                             response) — scatter must be exactly-once",
-                            response.shard
-                        )));
-                    }
-                }
+                centroids.push(part.centroids);
+                runs.push((response.shard, part.records.into_iter().peekable()));
             }
         }
+        let records = runs
+            .into_iter()
+            .map(merge_shard_runs)
+            .collect::<Result<Vec<_>, _>>()?;
         let plans: Vec<QueryPlan> = requests
             .iter()
             .zip(&records)
             .zip(rejected)
-            .map(|((request, records), rejected)| {
-                let mut candidates: Vec<CentroidHandle> =
-                    records.values().map(CentroidHandle::from).collect();
-                candidates.sort_unstable_by_key(|handle| handle.cluster);
-                QueryPlan {
-                    class: request.class,
-                    lookup_class: self.bootstrap.effective_query_class(request.class),
-                    candidates,
-                    track_scope: TrackScope::from_rejected(rejected),
-                }
+            .map(|((request, records), rejected)| QueryPlan {
+                class: request.class,
+                lookup_class: self.bootstrap.effective_query_class(request.class),
+                candidates: records.iter().map(CentroidHandle::from).collect(),
+                track_scope: TrackScope::from_rejected(rejected),
             })
             .collect();
         let meter = GpuMeter::new();
@@ -910,7 +905,12 @@ impl FleetCoordinator {
         let outcomes = self.gather_server.serve_resolved(
             &plans,
             &records,
-            |id| centroids.get(&id).cloned(),
+            |id| {
+                centroids.iter().find_map(|shard| {
+                    let at = shard.binary_search_by_key(&id, |(id, _)| *id).ok()?;
+                    Some(shard[at].1.clone())
+                })
+            },
             &meter,
         );
         self.stats.serves += 1;
@@ -1126,10 +1126,42 @@ impl FleetCoordinator {
     }
 }
 
+/// One shard's key-sorted records for one request, tagged with the shard,
+/// as [`FleetCoordinator::gather`] merges them.
+type ShardRun = (
+    u32,
+    std::iter::Peekable<std::vec::IntoIter<Arc<ClusterRecord>>>,
+);
+
+/// K-way merges one request's shard runs into one key-sorted record vector.
+/// Shards are key-disjoint, so a key met twice in a row — from two
+/// responses, or twice in one — is a double-counted scatter.
+fn merge_shard_runs(mut runs: Vec<ShardRun>) -> Result<Vec<Arc<ClusterRecord>>, FleetError> {
+    let mut merged: Vec<Arc<ClusterRecord>> =
+        Vec::with_capacity(runs.iter().map(|(_, run)| run.len()).sum());
+    while let Some((key, i)) = runs
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, (_, run))| run.peek().map(|record| (record.key, i)))
+        .min()
+    {
+        let (shard, run) = &mut runs[i];
+        if merged.last().is_some_and(|last| last.key == key) {
+            return Err(FleetError::Scatter(format!(
+                "cluster {key:?} contributed twice (by shard {shard} and an earlier \
+                 response) — scatter must be exactly-once"
+            )));
+        }
+        merged.extend(run.next());
+    }
+    Ok(merged)
+}
+
 /// The node-side plan handler: plans every request of the batch against
 /// this shard's sealed segments + hot tail with the coordinator's global
 /// lookup-class set, and resolves each record's centroid observation so
-/// the coordinator can verify centrally without another round trip.
+/// the coordinator can verify centrally without another round trip. The
+/// plan's key-sorted records ship as they are.
 fn plan_on_shard(
     shard: u32,
     service: &FocusService,
@@ -1139,19 +1171,14 @@ fn plan_on_shard(
     let corpus = service.corpus();
     let mut per_request = Vec::with_capacity(msg.requests.len());
     for (request, classes) in msg.requests.iter().zip(msg.lookup_classes) {
-        let mut planned = corpus.plan_with_tail_scoped(
+        let planned = corpus.plan_with_tail_scoped(
             request,
             Some(&tail),
             classes,
             msg.prune_segments,
             true,
         )?;
-        let records: Vec<ClusterRecord> = planned
-            .plan
-            .candidates
-            .iter()
-            .filter_map(|handle| planned.records.remove(&handle.cluster))
-            .collect();
+        let records = planned.records;
         let mut centroids = records
             .iter()
             .map(|record| {

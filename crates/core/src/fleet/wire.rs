@@ -113,7 +113,7 @@ impl WireLen for [Frame] {
 
 impl WireLen for ShardRequestPlan {
     fn wire_len(&self) -> u64 {
-        seq(&self.records, record_len)
+        seq(&self.records, |record| record_len(record))
             + fixed_seq(self.centroids.len(), CENTROID_ENTRY)
             + WORD
             + ACCESS
@@ -212,7 +212,7 @@ mod tests {
                 .iter()
                 .map(|r| (r.centroid_object, observation(r.centroid_object.0)))
                 .collect(),
-            records,
+            records: records.into_iter().map(std::sync::Arc::new).collect(),
             tail_records: 0,
             access: WireAccess::default(),
             rejected_tracks: Vec::new(),

@@ -43,12 +43,12 @@
 //! [`GpuScheduler`]: focus_runtime::GpuScheduler
 //! [`SegmentedCorpus::plan_with_tail`]: crate::query::segmented::SegmentedCorpus::plan_with_tail
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GpuCost;
-use focus_index::{ClusterKey, TrackKey};
+use focus_index::TrackKey;
 use focus_runtime::GpuMeter;
 use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation};
 
@@ -229,7 +229,10 @@ pub fn run_anytime_with_picker(
         })
         .collect();
     let mut cursors = vec![0usize; plan.chunks.len()];
-    let mut verdicts: HashMap<ClusterKey, ClassId> = HashMap::new();
+    // One slot per flat candidate: a chunk's candidate is found in the
+    // key-sorted flat list by binary search, and its record at the same
+    // position of `plan.records`.
+    let mut verdicts: Vec<Option<ClassId>> = vec![None; plan.plan.candidates.len()];
     let mut seen_objects: BTreeSet<ObjectId> = BTreeSet::new();
     let mut seen_frames: BTreeSet<FrameId> = BTreeSet::new();
     let mut partials: Vec<AnytimePartial> = Vec::new();
@@ -265,7 +268,12 @@ pub fn run_anytime_with_picker(
         let mut new_objects: BTreeSet<ObjectId> = BTreeSet::new();
         let mut new_frames: BTreeSet<FrameId> = BTreeSet::new();
         for (i, handle) in batch.iter().enumerate() {
-            verdicts.insert(handle.cluster, verified.labels[i]);
+            let position = plan
+                .plan
+                .candidates
+                .binary_search_by_key(&handle.cluster, |h| h.cluster)
+                .expect("every chunk candidate is a flat candidate");
+            verdicts[position] = Some(verified.labels[i]);
             let fresh = verified.fresh_mask[i];
             if fresh {
                 estimates[chunk_idx].sampled += 1;
@@ -273,11 +281,7 @@ pub fn run_anytime_with_picker(
             if verified.labels[i] != plan.plan.class {
                 continue;
             }
-            let record = plan
-                .records
-                .get(&handle.cluster)
-                .expect("planned cluster resolved by the planner");
-            for member in &record.members {
+            for member in &plan.records[position].members {
                 // Same member-level track filtering as exhaustive assembly
                 // (`assemble_outcome_from`), so partial results never leak
                 // a rejected track's frames.
@@ -334,10 +338,12 @@ pub fn run_anytime_with_picker(
     // Assemble over the verified prefix of the flat plan: at candidate
     // exhaustion this is the whole plan in cluster-key order, so frames
     // and objects are byte-identical to the exhaustive path.
+    let mut positions = Vec::new();
     let mut candidates = Vec::new();
     let mut ordered_verdicts = Vec::new();
-    for handle in &plan.plan.candidates {
-        if let Some(label) = verdicts.get(&handle.cluster) {
+    for (position, (handle, label)) in plan.plan.candidates.iter().zip(&verdicts).enumerate() {
+        if let Some(label) = label {
+            positions.push(position);
             candidates.push(*handle);
             ordered_verdicts.push(*label);
         }
@@ -354,11 +360,7 @@ pub fn run_anytime_with_picker(
         total_fresh,
         total_cost,
         total_latency,
-        |handle| {
-            plan.records
-                .get(&handle.cluster)
-                .expect("planned cluster resolved by the planner")
-        },
+        |i, _| &plan.records[positions[i]],
     );
     AnytimeOutcome {
         outcome,

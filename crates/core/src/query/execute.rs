@@ -1,8 +1,6 @@
 //! Result assembly (QT4): applying ground-truth verdicts to a plan and
 //! collecting the confirmed clusters' frames and objects.
 
-use std::collections::HashSet;
-
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GpuCost;
@@ -73,7 +71,7 @@ pub fn assemble_outcome(
         centroid_inferences,
         gpu_cost,
         latency_secs,
-        |handle| {
+        |_, handle| {
             ingest
                 .index
                 .get(handle.cluster)
@@ -83,9 +81,11 @@ pub fn assemble_outcome(
 }
 
 /// Like [`assemble_outcome`], but resolves each confirmed candidate's
-/// cluster record through `get_record` instead of a monolithic in-memory
-/// index — the segmented query path resolves records from the segments the
-/// plan actually opened ([`crate::query::segmented`]).
+/// cluster record through `get_record(i, handle)`, where `i` is the
+/// candidate's position in `plan.candidates`, instead of a monolithic
+/// in-memory index — the segmented query path resolves records from the
+/// plan's own key-aligned record vector
+/// ([`SegmentedPlan::records`](crate::query::segmented::SegmentedPlan::records)).
 ///
 /// # Panics
 ///
@@ -96,22 +96,22 @@ pub fn assemble_outcome_from<'a>(
     centroid_inferences: usize,
     gpu_cost: GpuCost,
     latency_secs: f64,
-    mut get_record: impl FnMut(&focus_index::CentroidHandle) -> &'a focus_index::ClusterRecord,
+    mut get_record: impl FnMut(usize, &focus_index::CentroidHandle) -> &'a focus_index::ClusterRecord,
 ) -> QueryOutcome {
     assert_eq!(
         verdicts.len(),
         plan.candidates.len(),
         "one verdict per planned candidate"
     );
-    let mut frames: HashSet<FrameId> = HashSet::new();
+    let mut frames: Vec<FrameId> = Vec::new();
     let mut objects: Vec<ObjectId> = Vec::new();
     let mut confirmed = 0usize;
-    for (handle, verdict) in plan.candidates.iter().zip(verdicts.iter()) {
+    for (i, (handle, verdict)) in plan.candidates.iter().zip(verdicts).enumerate() {
         if *verdict != plan.class {
             continue;
         }
         confirmed += 1;
-        let record = get_record(handle);
+        let record = get_record(i, handle);
         for member in &record.members {
             // A confirmed cluster may still mix tracks; members whose track
             // the planner's sketch scope rejected are filtered here (the
@@ -123,13 +123,13 @@ pub fn assemble_outcome_from<'a>(
             {
                 continue;
             }
-            frames.insert(member.frame);
+            frames.push(member.frame);
             objects.push(member.object);
         }
     }
-    let mut frames: Vec<FrameId> = frames.into_iter().collect();
-    frames.sort();
-    objects.sort();
+    frames.sort_unstable();
+    frames.dedup();
+    objects.sort_unstable();
     objects.dedup();
 
     QueryOutcome {
@@ -212,5 +212,145 @@ mod tests {
         let plan = QueryPlan::build(&out, &QueryRequest::new(class));
         assert!(!plan.candidates.is_empty());
         let _ = assemble_outcome(&out, &plan, &[], 0, GpuCost::ZERO, 0.0);
+    }
+
+    /// The assembly body `assemble_outcome_from` replaced — frames
+    /// collected into a `HashSet`, then sorted — kept as the reference the
+    /// property below holds the sort-dedup body to.
+    fn assemble_outcome_reference<'a>(
+        plan: &QueryPlan,
+        verdicts: &[ClassId],
+        centroid_inferences: usize,
+        gpu_cost: GpuCost,
+        latency_secs: f64,
+        mut get_record: impl FnMut(&focus_index::CentroidHandle) -> &'a focus_index::ClusterRecord,
+    ) -> QueryOutcome {
+        assert_eq!(
+            verdicts.len(),
+            plan.candidates.len(),
+            "one verdict per planned candidate"
+        );
+        let mut frames: std::collections::HashSet<FrameId> = std::collections::HashSet::new();
+        let mut objects: Vec<ObjectId> = Vec::new();
+        let mut confirmed = 0usize;
+        for (handle, verdict) in plan.candidates.iter().zip(verdicts.iter()) {
+            if *verdict != plan.class {
+                continue;
+            }
+            confirmed += 1;
+            let record = get_record(handle);
+            for member in &record.members {
+                if !plan
+                    .track_scope
+                    .admits(focus_index::TrackKey::new(record.key.stream, member.track))
+                {
+                    continue;
+                }
+                frames.insert(member.frame);
+                objects.push(member.object);
+            }
+        }
+        let mut frames: Vec<FrameId> = frames.into_iter().collect();
+        frames.sort();
+        objects.sort();
+        objects.dedup();
+
+        QueryOutcome {
+            class: plan.class,
+            frames,
+            objects,
+            matched_clusters: plan.candidates.len(),
+            confirmed_clusters: confirmed,
+            centroid_inferences,
+            gpu_cost,
+            latency_secs,
+        }
+    }
+
+    mod property {
+        use super::*;
+        use crate::query::track::TrackScope;
+        use focus_index::{CentroidHandle, ClusterKey, ClusterRecord, MemberRef, TrackKey};
+        use focus_video::{StreamId, TrackId};
+        use proptest::prelude::*;
+
+        /// SplitMix64: the case's whole shape from one seed.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// Random candidates over a few streams, members whose frames,
+            /// objects and tracks collide across clusters, verdicts over a
+            /// few classes and a random rejected-track scope: the
+            /// sort-dedup assembly returns the reference's outcome exactly.
+            #[test]
+            fn sort_dedup_assembly_matches_the_hash_set_reference(
+                clusters in 0usize..48,
+                max_members in 1u64..12,
+                (frames, objects, tracks) in (1u64..80, 1u64..120, 1u64..6),
+                (classes, rejected) in (1u64..4, 0usize..8),
+                seed in 0u64..u64::MAX,
+            ) {
+                let mut state = seed;
+                let mut records: Vec<ClusterRecord> = (0..clusters as u64)
+                    .map(|local| {
+                        let stream = StreamId((next(&mut state) % 3) as u32);
+                        let members = 1 + next(&mut state) % max_members;
+                        ClusterRecord {
+                            key: ClusterKey::new(stream, local),
+                            centroid_object: ObjectId(local),
+                            centroid_frame: FrameId(local),
+                            top_k_classes: vec![ClassId(0)],
+                            members: (0..members)
+                                .map(|_| MemberRef {
+                                    object: ObjectId(next(&mut state) % objects),
+                                    frame: FrameId(next(&mut state) % frames),
+                                    track: TrackId(next(&mut state) % tracks),
+                                })
+                                .collect(),
+                            start_secs: 0.0,
+                            end_secs: 1.0,
+                        }
+                    })
+                    .collect();
+                records.sort_by_key(|record| record.key);
+                let verdicts: Vec<ClassId> = records
+                    .iter()
+                    .map(|_| ClassId((next(&mut state) % classes) as u16))
+                    .collect();
+                let scope = TrackScope::from_rejected(
+                    (0..rejected)
+                        .map(|_| {
+                            TrackKey::new(
+                                StreamId((next(&mut state) % 3) as u32),
+                                TrackId(next(&mut state) % tracks),
+                            )
+                        })
+                        .collect(),
+                );
+                let plan = QueryPlan {
+                    class: ClassId(0),
+                    lookup_class: ClassId(0),
+                    candidates: records.iter().map(CentroidHandle::from).collect(),
+                    track_scope: scope,
+                };
+                let fast = assemble_outcome_from(&plan, &verdicts, 3, GpuCost(0.5), 0.25, |i, _| {
+                    &records[i]
+                });
+                let reference =
+                    assemble_outcome_reference(&plan, &verdicts, 3, GpuCost(0.5), 0.25, |handle| {
+                        let at = records.binary_search_by_key(&handle.cluster, |r| r.key);
+                        &records[at.unwrap()]
+                    });
+                prop_assert_eq!(fast, reference);
+            }
+        }
     }
 }

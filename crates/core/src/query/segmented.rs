@@ -46,8 +46,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::OTHER_CLASS;
 use focus_index::{
-    CentroidHandle, ClusterKey, ClusterRecord, QueryFilter, SegmentAccess, SegmentError,
-    SegmentStore,
+    CentroidHandle, ClusterRecord, QueryFilter, SegmentAccess, SegmentError, SegmentStore,
 };
 use focus_video::{ClassId, ObjectId, ObjectObservation, StreamId};
 
@@ -119,12 +118,12 @@ impl TailOverlay {
         self.parts.iter().find_map(|p| p.centroids().get(&id))
     }
 
-    /// Tail records matching any of `classes` under `filter`, cloned,
-    /// sorted and deduplicated by cluster key — the same contract as one
-    /// store group (a record posting several of the classes comes back
-    /// once).
-    pub fn lookup(&self, classes: &[ClassId], filter: &QueryFilter) -> Vec<ClusterRecord> {
-        let mut hits: Vec<&ClusterRecord> = self
+    /// Tail records matching any of `classes` under `filter`, shared with
+    /// their parts, sorted and deduplicated by cluster key — the same
+    /// contract as one store group (a record posting several of the classes
+    /// comes back once).
+    pub fn lookup(&self, classes: &[ClassId], filter: &QueryFilter) -> Vec<Arc<ClusterRecord>> {
+        let mut hits: Vec<&Arc<ClusterRecord>> = self
             .parts
             .iter()
             .flat_map(|p| {
@@ -397,9 +396,10 @@ impl SegmentedCorpus {
     /// only the sealed segments are planned.
     ///
     /// Candidates come back sorted by cluster key across both sources, and
-    /// tail/segment key-disjointness is asserted, so the plan is
-    /// byte-identical to sealing the tail into the store first and
-    /// planning over segments alone (`tests/live_service.rs` pins this).
+    /// tail/segment key-disjointness is checked
+    /// ([`SegmentError::TailKeySealed`]), so the plan is byte-identical to
+    /// sealing the tail into the store first and planning over segments
+    /// alone (`tests/live_service.rs` pins this).
     /// Segment opens are unchanged by the overlay: the tail is resolved
     /// from memory, never from disk.
     ///
@@ -523,7 +523,7 @@ impl SegmentedCorpus {
         // inference.
         let prune_tracks = prune_tracks && !track_scope.is_empty();
         let mut chunks = Vec::new();
-        let mut records = HashMap::new();
+        let mut planned: Vec<(CentroidHandle, Arc<ClusterRecord>)> = Vec::new();
         let mut tail_records = 0;
         for (source, mut group) in sources {
             group.retain(|record| {
@@ -536,23 +536,20 @@ impl SegmentedCorpus {
             if source == ChunkSource::Tail {
                 tail_records = group.len();
             }
+            let start = planned.len();
+            planned.extend(group.into_iter().map(|r| (CentroidHandle::from(&r), r)));
             chunks.push(AnytimeChunk {
                 source,
-                candidates: group.iter().map(CentroidHandle::from).collect(),
+                candidates: planned[start..].iter().map(|(handle, _)| *handle).collect(),
             });
-            records.reserve(group.len());
-            for record in group {
-                assert!(
-                    records.insert(record.key, record).is_none(),
-                    "tail and segment records must be key-disjoint"
-                );
-            }
         }
-        let mut candidates: Vec<CentroidHandle> = chunks
-            .iter()
-            .flat_map(|chunk| chunk.candidates.iter().copied())
-            .collect();
-        candidates.sort_unstable_by_key(|h| h.cluster);
+        // Each chunk is a key-sorted run; a stable sort merges the runs,
+        // comparing the handles' keys rather than reaching into records.
+        planned.sort_by_key(|(handle, _)| handle.cluster);
+        let (candidates, records): (Vec<_>, Vec<_>) = planned.into_iter().unzip();
+        if let Some(collision) = tail_collision(&candidates, &chunks) {
+            return Err(collision);
+        }
         Ok(SegmentedPlan {
             plan: QueryPlan {
                 class: request.class,
@@ -568,6 +565,28 @@ impl SegmentedCorpus {
     }
 }
 
+/// The error for a key two chunks of one plan share, given the plan's
+/// key-sorted candidates: an adjacent equal pair. Segment chunks are
+/// key-disjoint (the store checks that), so a repeated key is a tail
+/// record whose key a segment already holds.
+fn tail_collision(candidates: &[CentroidHandle], chunks: &[AnytimeChunk]) -> Option<SegmentError> {
+    let key = candidates
+        .windows(2)
+        .find(|pair| pair[0].cluster == pair[1].cluster)?[0]
+        .cluster;
+    chunks.iter().find_map(|chunk| match chunk.source {
+        ChunkSource::Segment(segment)
+            if chunk
+                .candidates
+                .binary_search_by_key(&key, |handle| handle.cluster)
+                .is_ok() =>
+        {
+            Some(SegmentError::TailKeySealed { key, segment })
+        }
+        _ => None,
+    })
+}
+
 /// A pruned query plan plus everything assembly and accounting need: the
 /// candidate records (resolved from the segments the plan opened) and the
 /// segment-access report.
@@ -581,8 +600,11 @@ pub struct SegmentedPlan {
     /// contributing segment (ascending id) plus, when non-empty, the tail
     /// chunk last — what the anytime loop samples.
     pub chunks: Vec<AnytimeChunk>,
-    /// The cluster record behind every candidate, keyed by cluster key.
-    pub records: HashMap<ClusterKey, ClusterRecord>,
+    /// The cluster record behind every candidate, aligned with
+    /// `plan.candidates` (`records[i]` backs `plan.candidates[i]`), so
+    /// strictly key-sorted. Shared with the store's decoded tier and the
+    /// tail's parts, never copied.
+    pub records: Vec<Arc<ClusterRecord>>,
     /// What the pruned lookup touched.
     pub access: SegmentAccess,
     /// Candidates resolved from the in-memory tail overlay instead of a
@@ -599,6 +621,7 @@ mod tests {
     use crate::query::plan::QueryPlan;
     use crate::segment_ingest::{SealPolicy, StreamSegmenter};
     use focus_cnn::{GpuCost, ModelSpec};
+    use focus_index::ClusterKey;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
     use std::path::PathBuf;
@@ -683,13 +706,9 @@ mod tests {
             let request = QueryRequest::new(class).with_filter(filter);
             let segmented = corpus.plan_with_tail(&request, None).unwrap();
             assert_eq!(segmented.plan, QueryPlan::build(&reference, &request));
-            // Every candidate's record was captured for assembly.
-            for handle in &segmented.plan.candidates {
-                assert_eq!(
-                    segmented.records[&handle.cluster].centroid_object,
-                    handle.centroid
-                );
-            }
+            // Every candidate's record was captured for assembly, at the
+            // candidate's own position.
+            assert_aligned(&segmented);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1120,19 +1139,27 @@ mod tests {
 
     /// The planner's one tail/segment disjointness check: a tail record
     /// whose key is already sealed is a broken pipeline, and the planner
-    /// refuses to pick one of the two copies.
+    /// refuses to pick one of the two copies — with a typed error naming
+    /// the key and the segment, not a panic.
     #[test]
-    #[should_panic(expected = "key-disjoint")]
     fn a_tail_key_already_sealed_fails_the_planner() {
-        let (store, _) = hand_sealed("tail_collision", &[&[0, 1]]);
+        let (store, ids) = hand_sealed("tail_collision", &[&[0], &[1, 2]]);
         let mut tail_index = focus_index::TopKIndex::new();
         tail_index.insert(hand_record(1));
+        tail_index.insert(hand_record(3));
         let mut tail = TailOverlay::new();
         let part = TailPart::new(StreamId(0), tail_index, HashMap::new());
         tail.add_shared(Arc::new(part));
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
         let corpus = SegmentedCorpus::new(store, HashMap::new(), model);
-        let _ = corpus.plan_with_tail(&QueryRequest::new(ClassId(5)), Some(&tail));
+        match corpus.plan_with_tail(&QueryRequest::new(ClassId(5)), Some(&tail)) {
+            Err(SegmentError::TailKeySealed { key, segment }) => {
+                assert_eq!(key, ClusterKey::new(StreamId(0), 1));
+                assert_eq!(segment, ids[1]);
+            }
+            other => panic!("expected TailKeySealed, got {other:?}"),
+        }
+        std::fs::remove_dir_all(test_dir("tail_collision")).ok();
     }
 
     #[test]
@@ -1162,11 +1189,24 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Asserts `planned.records` is aligned with the candidate list —
+    /// `records[i]` is the record of `candidates[i]` — and so strictly
+    /// key-sorted.
+    fn assert_aligned(planned: &SegmentedPlan) {
+        let candidates = &planned.plan.candidates;
+        assert_eq!(planned.records.len(), candidates.len());
+        for (record, handle) in planned.records.iter().zip(candidates) {
+            assert_eq!(CentroidHandle::from(record), *handle);
+        }
+        assert!(planned.records.windows(2).all(|w| w[0].key < w[1].key));
+    }
+
     /// Asserts `planned.chunks` partition the flat candidate list in the
     /// anytime loop's order: segment chunks in strictly ascending id, then
     /// the tail chunk of `tail_records` candidates, and no key in two
-    /// chunks.
+    /// chunks; and that the records are aligned with the candidates.
     fn assert_partition(planned: &SegmentedPlan) {
+        assert_aligned(planned);
         let rank = |chunk: &AnytimeChunk| match chunk.source {
             ChunkSource::Segment(id) => id,
             ChunkSource::Tail => u64::MAX,
@@ -1238,6 +1278,67 @@ mod tests {
         // Both segments and the tail contribute.
         let full = corpus.plan_with_tail(&plain, Some(&tail)).unwrap();
         assert_eq!(full.chunks.len(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Records are shared, never copied: planned twice on a warm store,
+    /// every segment record (a decoded hit both times) is the same
+    /// allocation in both plans, and every tail record is the tail part's
+    /// own.
+    #[test]
+    fn plans_share_records_with_the_decoded_tier_and_the_tail() {
+        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
+        let class = ds.dominant_classes(1)[0];
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let dir = test_dir("shared_records");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut pipeline =
+            crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params());
+        for (i, frames) in ds.frames.chunks(ds.frames.len() / 3).enumerate() {
+            for frame in frames {
+                pipeline.push_frame(frame, model.classifier.as_ref());
+            }
+            if i < 2 {
+                store.seal(&pipeline.seal_segment()).unwrap();
+            }
+        }
+        let mut tail = TailOverlay::new();
+        tail.add_shared(pipeline.peek_shared());
+        let corpus = SegmentedCorpus::new(store, HashMap::new(), model);
+        let request = QueryRequest::new(class);
+        // Disk, then the raw tier's promotion: from the third plan on every
+        // block is a decoded hit.
+        for _ in 0..2 {
+            corpus.plan_with_tail(&request, Some(&tail)).unwrap();
+        }
+        let first = corpus.plan_with_tail(&request, Some(&tail)).unwrap();
+        let second = corpus.plan_with_tail(&request, Some(&tail)).unwrap();
+        for planned in [&first, &second] {
+            assert!(planned.access.block_hits > 0, "{:?}", planned.access);
+            assert_eq!(planned.access.blocks_read, 0, "{:?}", planned.access);
+            assert_eq!(planned.access.block_raw_hits, 0, "{:?}", planned.access);
+        }
+        assert!(first.tail_records > 0);
+        assert!(first.tail_records < first.records.len());
+
+        let part = &tail.parts()[0];
+        let classes = corpus.lookup_classes(class, &QueryFilter::any());
+        let tail_records = part.index().lookup(classes[0], &QueryFilter::any());
+        let from_tail = |record: &Arc<ClusterRecord>| {
+            tail_records
+                .binary_search_by_key(&record.key, |r| r.key)
+                .ok()
+                .map(|at| tail_records[at])
+        };
+        let mut shared_with_tail = 0;
+        for (a, b) in first.records.iter().zip(&second.records) {
+            assert!(Arc::ptr_eq(a, b), "{:?} copied between plans", a.key);
+            if let Some(own) = from_tail(a) {
+                assert!(Arc::ptr_eq(a, own), "{:?} copied out of the tail", a.key);
+                shared_with_tail += 1;
+            }
+        }
+        assert_eq!(shared_with_tail, first.tail_records);
         std::fs::remove_dir_all(&dir).ok();
     }
 

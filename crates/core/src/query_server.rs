@@ -287,7 +287,7 @@ impl QueryServer {
             &plans,
             |id| ingest.centroids.get(&id).cloned(),
             meter,
-            |_, handle| {
+            |_, _, handle| {
                 ingest
                     .index
                     .get(handle.cluster)
@@ -300,10 +300,11 @@ impl QueryServer {
     /// by the caller — the entry point for every planner over durable
     /// storage: the live service's segments-plus-tail union
     /// ([`SegmentedCorpus::plan_with_tail`]) and the fleet's gathered shard
-    /// plans. `records[i]` must hold the cluster record of every candidate
-    /// in `plans[i]`; `resolve_centroid` must return the observation behind
-    /// every candidate centroid (from the durable corpus or the in-memory
-    /// tail).
+    /// plans. `records[i]` must be aligned with `plans[i].candidates` —
+    /// `records[i][j]` is the cluster record of candidate `j`, as
+    /// [`SegmentedPlan::records`] is — so a record is found by position, not
+    /// by key; `resolve_centroid` must return the observation behind every
+    /// candidate centroid (from the durable corpus or the in-memory tail).
     ///
     /// Runs the exact QT3/QT4 pipeline of [`serve`](Self::serve) — dedupe
     /// against the verdict cache for the current ground-truth epoch,
@@ -312,23 +313,32 @@ impl QueryServer {
     /// candidates inherits the full cache/batching contract unchanged.
     ///
     /// [`SegmentedCorpus::plan_with_tail`]: crate::query::segmented::SegmentedCorpus::plan_with_tail
+    /// [`SegmentedPlan::records`]: crate::query::segmented::SegmentedPlan::records
     ///
     /// # Panics
     ///
-    /// Panics if `records` and `plans` differ in length, a candidate's
-    /// record is missing, or `resolve_centroid` fails for a candidate.
+    /// Panics if `records` and `plans` differ in length, a confirmed
+    /// candidate has no record at its position, or `resolve_centroid` fails
+    /// for a candidate.
     pub fn serve_resolved(
         &self,
         plans: &[QueryPlan],
-        records: &[HashMap<focus_index::ClusterKey, ClusterRecord>],
+        records: &[Vec<Arc<ClusterRecord>>],
         resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
         meter: &GpuMeter,
     ) -> Vec<QueryOutcome> {
-        assert_eq!(plans.len(), records.len(), "one record map per served plan");
-        self.verify_and_assemble(plans, resolve_centroid, meter, |i, handle| {
-            records[i]
-                .get(&handle.cluster)
-                .expect("planned cluster resolved by the caller")
+        assert_eq!(
+            plans.len(),
+            records.len(),
+            "one record vector per served plan"
+        );
+        self.verify_and_assemble(plans, resolve_centroid, meter, |i, j, handle| {
+            let record = &*records[i][j];
+            debug_assert_eq!(
+                record.key, handle.cluster,
+                "records aligned with candidates"
+            );
+            record
         })
     }
 
@@ -466,14 +476,15 @@ impl QueryServer {
     /// [`serve_resolved`](Self::serve_resolved): one
     /// [`verify_round`](Self::verify_round) over the plans' candidate
     /// centroids, flattened in plan order, then one assembled outcome per
-    /// plan. `get_record(i, handle)` resolves a confirmed candidate of
-    /// `plans[i]` to its cluster record.
+    /// plan. `get_record(i, j, handle)` resolves a confirmed candidate —
+    /// `handle`, at position `j` of `plans[i].candidates` — to its cluster
+    /// record.
     fn verify_and_assemble<'a>(
         &self,
         plans: &[QueryPlan],
         resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
         meter: &GpuMeter,
-        get_record: impl Fn(usize, &CentroidHandle) -> &'a ClusterRecord,
+        get_record: impl Fn(usize, usize, &CentroidHandle) -> &'a ClusterRecord,
     ) -> Vec<QueryOutcome> {
         let centroids: Vec<ObjectId> = plans
             .iter()
@@ -506,7 +517,7 @@ impl QueryServer {
                     fresh_count,
                     share * fresh_count,
                     verified.latency_secs,
-                    |handle| get_record(plan_idx, handle),
+                    |j, handle| get_record(plan_idx, j, handle),
                 )
             })
             .collect()

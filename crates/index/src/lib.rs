@@ -15,7 +15,8 @@
 //! system self-contained.
 //!
 //! Lookups come in two shapes: [`TopKIndex::lookup`] borrows the full
-//! cluster records, and [`TopKIndex::lookup_centroids`] returns owned,
+//! cluster records (each a shared `Arc`, so a caller that keeps one clones
+//! a pointer, not the record), and [`TopKIndex::lookup_centroids`] returns owned,
 //! stable [`CentroidHandle`]s — the form the query-serving layer plans with
 //! and keys its cross-query verdict cache by.
 //!

@@ -111,6 +111,16 @@ pub enum SegmentError {
         /// The two segments (manifest ids) that returned it.
         segments: [u64; 2],
     },
+    /// A not-yet-sealed tail record has the key of a sealed record. A
+    /// stream's pipeline only drains keys it has never drained before, so
+    /// the tail and the store disagree; a planner refuses to pick one of
+    /// the two copies.
+    TailKeySealed {
+        /// The key the tail and the segment both hold.
+        key: ClusterKey,
+        /// The segment (manifest id) that already holds it.
+        segment: u64,
+    },
 }
 
 impl std::fmt::Display for SegmentError {
@@ -139,6 +149,11 @@ impl std::fmt::Display for SegmentError {
                 "segment store: segments {} and {} both hold cluster key {key:?}; \
                  segments must be key-disjoint",
                 segments[0], segments[1]
+            ),
+            SegmentError::TailKeySealed { key, segment } => write!(
+                f,
+                "segment store: the tail holds cluster key {key:?}, already sealed in \
+                 segment {segment}; tail and segments must be key-disjoint"
             ),
         }
     }
@@ -327,8 +342,9 @@ impl LruOccupancy {
 /// them) plus the access account.
 #[derive(Debug, Clone)]
 pub struct SegmentLookup {
-    /// Matching cluster records, sorted by key.
-    pub records: Vec<ClusterRecord>,
+    /// Matching cluster records, sorted by key — shared with the decoded
+    /// tier when that is where they came from.
+    pub records: Vec<Arc<ClusterRecord>>,
     /// What the lookup touched.
     pub access: SegmentAccess,
 }
@@ -343,10 +359,14 @@ pub struct SegmentLookup {
 /// partition the result set. This is the shape the query planner
 /// consumes: each group becomes one plan chunk, which the anytime loop
 /// samples and the exhaustive path drains.
+///
+/// A record served from the decoded tier (a record block or a resident
+/// whole segment) is the tier's own [`Arc`]: a hit costs a reference-count
+/// bump per record, not a copy.
 #[derive(Debug, Clone)]
 pub struct GroupedLookup {
     /// Per-segment record groups, manifest order, empty groups omitted.
-    pub groups: Vec<(u64, Vec<ClusterRecord>)>,
+    pub groups: Vec<(u64, Vec<Arc<ClusterRecord>>)>,
     /// What the lookup touched (summed across all opened segments).
     pub access: SegmentAccess,
 }
@@ -367,7 +387,7 @@ type CacheKey = (u64, BlockKey);
 #[derive(Debug, Clone)]
 enum DecodedEntry {
     Whole(Arc<TopKIndex>),
-    Records(Arc<Vec<ClusterRecord>>),
+    Records(Arc<Vec<Arc<ClusterRecord>>>),
     Postings(Arc<Vec<ClusterKey>>),
     Tracks(Arc<Vec<TrackSketch>>),
 }
@@ -526,13 +546,22 @@ impl TieredCache {
     }
 }
 
-/// A block payload the decoded tier can hold.
+/// A block payload the decoded tier can hold, and what decoding its bytes
+/// yields before it is shared.
 trait CachedBlock: Sized {
+    type Decoded;
+    fn share(decoded: Self::Decoded) -> Self;
     fn wrap(block: Arc<Self>) -> DecodedEntry;
     fn extract(entry: DecodedEntry) -> Option<Arc<Self>>;
 }
 
-impl CachedBlock for Vec<ClusterRecord> {
+/// A record block decodes to owned records; the decoded tier holds each
+/// one shared, so a hit hands out reference-count bumps.
+impl CachedBlock for Vec<Arc<ClusterRecord>> {
+    type Decoded = Vec<ClusterRecord>;
+    fn share(decoded: Vec<ClusterRecord>) -> Self {
+        decoded.into_iter().map(Arc::new).collect()
+    }
     fn wrap(block: Arc<Self>) -> DecodedEntry {
         DecodedEntry::Records(block)
     }
@@ -545,6 +574,10 @@ impl CachedBlock for Vec<ClusterRecord> {
 }
 
 impl CachedBlock for Vec<ClusterKey> {
+    type Decoded = Self;
+    fn share(decoded: Self) -> Self {
+        decoded
+    }
     fn wrap(block: Arc<Self>) -> DecodedEntry {
         DecodedEntry::Postings(block)
     }
@@ -557,6 +590,10 @@ impl CachedBlock for Vec<ClusterKey> {
 }
 
 impl CachedBlock for Vec<TrackSketch> {
+    type Decoded = Self;
+    fn share(decoded: Self) -> Self {
+        decoded
+    }
     fn wrap(block: Arc<Self>) -> DecodedEntry {
         DecodedEntry::Tracks(block)
     }
@@ -569,16 +606,17 @@ impl CachedBlock for Vec<TrackSketch> {
 }
 
 /// A fetched block, by where it came from.
-enum Fetched<T> {
+enum Fetched<T: CachedBlock> {
     /// Shared with the decoded tier: a decoded hit, or a raw-tier hit that
     /// was just promoted.
     Shared(Arc<T>),
     /// Decoded from bytes this fetch read (and verified) off disk. Nothing
-    /// else holds it, so the caller may take it apart instead of cloning.
-    Fresh(T),
+    /// else holds it, so the caller may take it apart instead of sharing it
+    /// whole.
+    Fresh(T::Decoded),
 }
 
-impl<T> std::ops::Deref for Fetched<T> {
+impl<T: CachedBlock<Decoded = T>> std::ops::Deref for Fetched<T> {
     type Target = T;
     fn deref(&self) -> &T {
         match self {
@@ -649,7 +687,7 @@ impl<'a> SegmentReader<'a> {
         offset: u64,
         len: u64,
         checksum: u64,
-        decode: impl Fn(&[u8]) -> Result<T, BinsegError>,
+        decode: impl Fn(&[u8]) -> Result<T::Decoded, BinsegError>,
     ) -> Result<Fetched<T>, SegmentError> {
         let cache_key = (self.id, key);
         let raw = {
@@ -661,7 +699,7 @@ impl<'a> SegmentReader<'a> {
             cache.raw_get(cache_key)
         };
         if let Some(bytes) = raw {
-            let block = Arc::new(decode(&bytes).map_err(|e| self.invalid(e))?);
+            let block = Arc::new(T::share(decode(&bytes).map_err(|e| self.invalid(e))?));
             self.access.block_raw_hits += 1;
             self.store
                 .cache
@@ -690,7 +728,7 @@ impl<'a> SegmentReader<'a> {
         // No probation to serve — the raw tier is off, or smaller than this
         // block — so a second touch could never be told from a first:
         // admit at once, as a one-tier cache does.
-        let block = Arc::new(block);
+        let block = Arc::new(T::share(block));
         cache.decoded_insert(cache_key, T::wrap(Arc::clone(&block)));
         Ok(Fetched::Shared(block))
     }
@@ -1181,12 +1219,12 @@ impl SegmentStore {
         classes: &[ClassId],
         filter: &QueryFilter,
         access: &mut SegmentAccess,
-    ) -> Result<Vec<ClusterRecord>, SegmentError> {
+    ) -> Result<Vec<Arc<ClusterRecord>>, SegmentError> {
         let mut reader = SegmentReader::new(self, meta, access);
         let mut postings = Vec::with_capacity(classes.len());
         for &class in classes {
             if let Some(pmeta) = footer.postings_for(class) {
-                let keys = reader.block(
+                let keys = reader.block::<Vec<ClusterKey>>(
                     BlockKey::Postings(class.0),
                     pmeta.offset,
                     pmeta.len,
@@ -1220,18 +1258,22 @@ impl SegmentStore {
         let mut out = Vec::new();
         for block_idx in footer.blocks_covering(&candidates) {
             let bmeta = footer.record_blocks[block_idx];
-            let block = reader.block(
+            let block = reader.block::<Vec<Arc<ClusterRecord>>>(
                 BlockKey::Records(block_idx as u32),
                 bmeta.offset,
                 bmeta.len,
                 bmeta.checksum,
                 |bytes| binseg::decode_record_block(bytes, footer.version),
             )?;
+            // A shared block's records are handed out as they are; a fresh
+            // one's are wrapped once, only those that qualify.
             match block {
                 Fetched::Shared(records) => {
                     out.extend(records.iter().filter(|r| qualifies(r)).cloned())
                 }
-                Fetched::Fresh(records) => out.extend(records.into_iter().filter(|r| qualifies(r))),
+                Fetched::Fresh(records) => {
+                    out.extend(records.into_iter().filter(|r| qualifies(r)).map(Arc::new))
+                }
             }
         }
         reader.finish();
@@ -1250,7 +1292,7 @@ impl SegmentStore {
         filter: &QueryFilter,
     ) -> Result<SegmentLookup, SegmentError> {
         let GroupedLookup { groups, access } = self.lookup_grouped(class, filter)?;
-        let mut records: Vec<ClusterRecord> = groups
+        let mut records: Vec<Arc<ClusterRecord>> = groups
             .into_iter()
             .flat_map(|(_, records)| records)
             .collect();
@@ -1293,7 +1335,7 @@ impl SegmentStore {
             segments_total: self.manifest.segments.len(),
             ..SegmentAccess::default()
         };
-        let mut groups: Vec<(u64, Vec<ClusterRecord>)> = Vec::new();
+        let mut groups: Vec<(u64, Vec<Arc<ClusterRecord>>)> = Vec::new();
         for meta in self
             .manifest
             .segments
@@ -1311,7 +1353,7 @@ impl SegmentStore {
             let records = if let Some(DecodedEntry::Whole(index)) = whole {
                 access.cache_hits += 1;
                 access.block_hits += 1;
-                let mut hits: Vec<&ClusterRecord> = classes
+                let mut hits: Vec<&Arc<ClusterRecord>> = classes
                     .iter()
                     .flat_map(|class| index.lookup(*class, filter))
                     .collect();
@@ -1402,7 +1444,7 @@ impl SegmentStore {
                 continue;
             }
             let mut reader = SegmentReader::new(self, meta, &mut access);
-            let sketches = reader.block(
+            let sketches = reader.block::<Vec<TrackSketch>>(
                 BlockKey::Tracks,
                 tmeta.offset,
                 tmeta.len,
@@ -1718,7 +1760,7 @@ mod tests {
             ),
         ] {
             let lookup = store.lookup(ClassId(5), &filter).unwrap();
-            let expected: Vec<ClusterRecord> = merged
+            let expected: Vec<Arc<ClusterRecord>> = merged
                 .lookup(ClassId(5), &filter)
                 .into_iter()
                 .cloned()
@@ -2571,6 +2613,7 @@ mod property_tests {
         let mut hits: Vec<&ClusterRecord> = classes
             .iter()
             .flat_map(|class| merged.lookup(*class, filter))
+            .map(|record| &**record)
             .collect();
         hits.sort_by_key(|r| r.key);
         hits.dedup_by_key(|r| r.key);
@@ -2642,8 +2685,11 @@ mod property_tests {
                             };
                             at += step + 1;
                         }
-                        let mut flat: Vec<&ClusterRecord> =
-                            found.groups.iter().flat_map(|(_, group)| group).collect();
+                        let mut flat: Vec<&ClusterRecord> = found
+                            .groups
+                            .iter()
+                            .flat_map(|(_, group)| group.iter().map(|record| &**record))
+                            .collect();
                         flat.sort_by_key(|r| r.key);
                         prop_assert!(
                             serde_json::to_string(&flat).unwrap()

@@ -1,6 +1,7 @@
 //! The top-K inverted index.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -54,6 +55,12 @@ impl From<&ClusterRecord> for CentroidHandle {
     }
 }
 
+impl From<&Arc<ClusterRecord>> for CentroidHandle {
+    fn from(record: &Arc<ClusterRecord>) -> Self {
+        Self::from(&**record)
+    }
+}
+
 /// Summary statistics of an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct IndexStats {
@@ -71,13 +78,17 @@ pub struct IndexStats {
 /// whose ingest-time top-K contains that class, plus the cluster records
 /// themselves.
 ///
+/// Records are held as shared [`Arc<ClusterRecord>`]s: cloning an index,
+/// merging one into another, or handing a looked-up record to a query plan
+/// costs a reference-count bump per record, never a deep copy.
+///
 /// Serialization stores only the cluster records and track sketches; the
 /// inverted postings are rebuilt on deserialization (they are derived data,
 /// and JSON maps require string keys anyway).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "SerializedIndex", into = "SerializedIndex")]
 pub struct TopKIndex {
-    clusters: HashMap<ClusterKey, ClusterRecord>,
+    clusters: HashMap<ClusterKey, Arc<ClusterRecord>>,
     postings: HashMap<ClassId, Vec<ClusterKey>>,
     sketches: HashMap<TrackKey, TrackSketch>,
 }
@@ -107,7 +118,11 @@ impl From<SerializedIndex> for TopKIndex {
 
 impl From<TopKIndex> for SerializedIndex {
     fn from(index: TopKIndex) -> Self {
-        let mut clusters: Vec<ClusterRecord> = index.clusters.into_values().collect();
+        let mut clusters: Vec<ClusterRecord> = index
+            .clusters
+            .into_values()
+            .map(Arc::unwrap_or_clone)
+            .collect();
         clusters.sort_by_key(|r| r.key);
         let mut sketches: Vec<TrackSketch> = index.sketches.into_values().collect();
         sketches.sort_by_key(|s| s.key);
@@ -122,10 +137,12 @@ impl TopKIndex {
     }
 
     /// Inserts (or replaces) a cluster record, updating the inverted index.
+    /// An owned record is wrapped once; a shared one is stored as is.
     ///
     /// Replacing an existing key removes its old postings first, so the
     /// index never accumulates stale entries.
-    pub fn insert(&mut self, record: ClusterRecord) {
+    pub fn insert(&mut self, record: impl Into<Arc<ClusterRecord>>) {
+        let record = record.into();
         if self.clusters.contains_key(&record.key) {
             self.remove(record.key);
         }
@@ -137,7 +154,7 @@ impl TopKIndex {
 
     /// Removes a cluster record and its postings; returns the record if it
     /// existed.
-    pub fn remove(&mut self, key: ClusterKey) -> Option<ClusterRecord> {
+    pub fn remove(&mut self, key: ClusterKey) -> Option<Arc<ClusterRecord>> {
         let record = self.clusters.remove(&key)?;
         for class in &record.top_k_classes {
             if let Some(list) = self.postings.get_mut(class) {
@@ -152,12 +169,12 @@ impl TopKIndex {
 
     /// Looks up a cluster record by key.
     pub fn get(&self, key: ClusterKey) -> Option<&ClusterRecord> {
-        self.clusters.get(&key)
+        self.clusters.get(&key).map(|record| &**record)
     }
 
     /// All cluster records, in unspecified order.
     pub fn clusters(&self) -> impl Iterator<Item = &ClusterRecord> {
-        self.clusters.values()
+        self.clusters.values().map(|record| &**record)
     }
 
     /// Number of clusters stored.
@@ -206,16 +223,17 @@ impl TopKIndex {
     }
 
     /// Clusters matching `class` under `filter`, sorted by key for
-    /// deterministic iteration order.
+    /// deterministic iteration order. The records are the index's own
+    /// shared ones: cloning a hit shares it.
     ///
     /// A cluster matches when `class` appears within the first
     /// `filter.kx.unwrap_or(stored K)` entries of its stored ranking and the
     /// camera/time restrictions admit it.
-    pub fn lookup(&self, class: ClassId, filter: &QueryFilter) -> Vec<&ClusterRecord> {
+    pub fn lookup(&self, class: ClassId, filter: &QueryFilter) -> Vec<&Arc<ClusterRecord>> {
         let Some(keys) = self.postings.get(&class) else {
             return Vec::new();
         };
-        let mut result: Vec<&ClusterRecord> = keys
+        let mut result: Vec<&Arc<ClusterRecord>> = keys
             .iter()
             .filter_map(|k| self.clusters.get(k))
             .filter(|r| match filter.kx {
@@ -313,8 +331,8 @@ impl TopKIndex {
         replaced
     }
 
-    /// Like [`merge`](Self::merge), but borrows the other index, cloning
-    /// only its cluster records (the inverted postings are rebuilt here, so
+    /// Like [`merge`](Self::merge), but borrows the other index, sharing
+    /// its cluster records (the inverted postings are rebuilt here, so
     /// copying them — as `other.clone()` + `merge` would — is wasted work).
     pub fn merge_from(&mut self, other: &TopKIndex) -> usize {
         let mut replaced = 0;
@@ -322,7 +340,7 @@ impl TopKIndex {
             if self.clusters.contains_key(&record.key) {
                 replaced += 1;
             }
-            self.insert(record.clone());
+            self.insert(Arc::clone(record));
         }
         for sketch in other.sketches.values() {
             self.insert_sketch(sketch.clone());
