@@ -982,7 +982,7 @@ mod tests {
             if reference_keys.contains(&record.key) {
                 assert_eq!(
                     serde_json::to_string(record).unwrap(),
-                    serde_json::to_string(reference.get(record.key).unwrap()).unwrap()
+                    serde_json::to_string(&**reference.get(record.key).unwrap()).unwrap()
                 );
             } else {
                 assert_eq!(record.top_k_classes.len(), after.k);

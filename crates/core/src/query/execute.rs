@@ -72,7 +72,7 @@ pub fn assemble_outcome(
         gpu_cost,
         latency_secs,
         |_, handle| {
-            ingest
+            &**ingest
                 .index
                 .get(handle.cluster)
                 .expect("planned cluster still present in the index")

@@ -23,10 +23,12 @@
 //!   [`SegmentStore`](focus_index::SegmentStore): time/camera-restricted
 //!   queries open only the segments whose bounds intersect (see
 //!   `docs/storage.md`).
-//! * [`anytime`] — incremental execution over the segmented plan's
-//!   per-segment chunks: GT verification spent adaptively on the chunk
-//!   most likely to yield new distinct results, and partial results
-//!   streamed out after every round (see `docs/query-path.md`).
+//! * [`anytime`] — the one executor: a batch of planned requests verified
+//!   in rounds. An exact request takes all its candidates in round 1; an
+//!   incremental one samples the segmented plan's per-segment chunks,
+//!   spending GT verification on the chunk most likely to yield new
+//!   distinct results and streaming partial results after every round
+//!   (see `docs/query-path.md`).
 //! * [`track`] — trajectory restrictions: the [`TrackFilter`] predicate
 //!   language (region entry/exit/visit, transit, dwell, speed bands)
 //!   evaluated conservatively against the per-track sketches persisted in
@@ -46,8 +48,8 @@ pub mod serve;
 pub mod track;
 
 pub use anytime::{
-    pick_most_promising, run_anytime, run_anytime_with_picker, AnytimeOutcome, AnytimePartial,
-    AnytimeTermination, ChunkEstimate,
+    pick_most_promising, run_batch, AnytimeOutcome, AnytimePartial, AnytimeTermination,
+    ChunkEstimate, PlannedRequest,
 };
 pub use execute::{assemble_outcome, assemble_outcome_from, QueryOutcome};
 pub use plan::{AnytimeMode, QueryPlan, QueryRequest};

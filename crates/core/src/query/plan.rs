@@ -6,9 +6,11 @@
 //! key, which is what lets the serving layer deduplicate GT-CNN work across
 //! concurrent queries and key its verdict cache by centroid object id.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
-use focus_index::{CentroidHandle, QueryFilter};
+use focus_index::{CentroidHandle, ClusterRecord, QueryFilter};
 use focus_video::ClassId;
 
 use crate::ingest::IngestOutput;
@@ -210,31 +212,33 @@ impl QueryPlan {
     /// members all belong to rejected tracks — before any of them would
     /// cost a GT inference.
     pub fn build(ingest: &IngestOutput, request: &QueryRequest) -> QueryPlan {
+        Self::build_resolved(ingest, request).0
+    }
+
+    /// [`build`](Self::build), also returning each candidate's record —
+    /// the index's own shared one — aligned with `candidates`.
+    pub fn build_resolved(
+        ingest: &IngestOutput,
+        request: &QueryRequest,
+    ) -> (QueryPlan, Vec<Arc<ClusterRecord>>) {
         let lookup_class = ingest.model.effective_query_class(request.class);
-        if request.tracks.is_empty() {
-            return QueryPlan {
-                class: request.class,
-                lookup_class,
-                candidates: ingest.index.lookup_centroids(lookup_class, &request.filter),
-                track_scope: TrackScope::default(),
-            };
-        }
-        let track_scope = request
-            .tracks
-            .scope_over(&request.filter, ingest.index.sketches());
-        let candidates = ingest
-            .index
-            .lookup(lookup_class, &request.filter)
-            .into_iter()
-            .filter(|record| track_scope.admits_record(record))
-            .map(CentroidHandle::from)
-            .collect();
-        QueryPlan {
+        let mut matched = ingest.index.lookup(lookup_class, &request.filter);
+        let track_scope = if request.tracks.is_empty() {
+            TrackScope::default()
+        } else {
+            let scope = request
+                .tracks
+                .scope_over(&request.filter, ingest.index.sketches());
+            matched.retain(|record| scope.admits_record(record));
+            scope
+        };
+        let plan = QueryPlan {
             class: request.class,
             lookup_class,
-            candidates,
+            candidates: matched.iter().copied().map(CentroidHandle::from).collect(),
             track_scope,
-        }
+        };
+        (plan, matched.into_iter().map(Arc::clone).collect())
     }
 
     /// Number of candidate clusters (the matched-cluster count of the

@@ -32,8 +32,8 @@
 //! the only place a query over a segmented corpus is planned. Its output
 //! is chunked: one [`AnytimeChunk`] per contributing sealed segment
 //! (ascending segment id) plus the tail chunk last, and the flat candidate
-//! list is those chunks concatenated and sorted by key. The exhaustive
-//! path verifies the flat list, the [anytime loop](crate::query::anytime)
+//! list is those chunks concatenated and sorted by key. An exact request
+//! verifies the flat list, an [incremental](crate::query::anytime) one
 //! samples the chunks, and a fleet shard ships the records in candidate
 //! order.
 //!

@@ -21,6 +21,12 @@
 //!    or re-ingesting data ([`invalidate`](QueryServer::invalidate)) bumps
 //!    the epoch, which atomically invalidates every cached verdict.
 //!
+//! The server owns one verification round (dedupe, batch, memoize); the
+//! rounds themselves are run by the one executor, [`run_batch`], which
+//! both [`serve`](QueryServer::serve) and
+//! [`serve_resolved`](QueryServer::serve_resolved) wrap: an exact request
+//! is an anytime request run to exhaustion in one round.
+//!
 //! The server is required to return byte-identical frames and objects to
 //! the serial engine while performing strictly fewer GT-CNN inferences on
 //! overlapping workloads (`tests/query_server.rs` pins this).
@@ -33,12 +39,13 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::{Classifier, GpuCost, GroundTruthCnn};
-use focus_index::{CentroidHandle, ClusterRecord};
+use focus_index::ClusterRecord;
 use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter, WorkerPool};
 use focus_video::{ClassId, ObjectId, ObjectObservation};
 
 use crate::ingest::IngestOutput;
-use crate::query::{assemble_outcome_from, QueryOutcome, QueryPlan, QueryRequest};
+use crate::query::anytime::{pick_most_promising, run_batch, PlannedRequest};
+use crate::query::{AnytimeMode, QueryOutcome, QueryPlan, QueryRequest};
 
 /// Snapshot of the verdict cache's activity, as returned by
 /// [`QueryServer::cache_stats`].
@@ -247,72 +254,47 @@ impl QueryServer {
     /// Serves a batch of concurrent queries over `ingest`, returning one
     /// outcome per request, in request order.
     ///
-    /// The serving pipeline:
-    ///
     /// 1. **Plan** (QT1/QT2) — every request's candidate set is built from
-    ///    the top-K index, in parallel on the worker pool.
-    /// 2. **Dedupe** — the union of candidate centroids is walked in
-    ///    request order; centroids with a cached verdict for the current
-    ///    epoch (or already scheduled by an earlier in-flight query) count
-    ///    as cache hits, the rest form the fresh set.
-    /// 3. **Batched verification** (QT3) — fresh centroids are split into
-    ///    GPU-sized batches, classified via
-    ///    [`GroundTruthCnn::classify_batch`] across the pool, and charged
-    ///    to `meter` (phase `"query"`) at the amortized
-    ///    [`BatchCostModel`] rate.
-    /// 4. **Memoize + assemble** (QT4) — fresh verdicts enter the cache
-    ///    for future calls; every outcome is assembled from the batch's own
-    ///    verdict snapshot (captured at dedupe time), so a concurrent
-    ///    epoch bump can never starve an in-flight batch.
+    ///    the top-K index, in parallel on the worker pool, each candidate's
+    ///    record shared from the index.
+    /// 2. **Execute** (QT3/QT4) — the one executor, [`run_batch`]: an
+    ///    exact request finishes in one round with the rest of the batch
+    ///    (phase `"query"`), an incremental one samples its candidates, as
+    ///    one chunk, in rounds (phase `"anytime"`). Each round dedupes
+    ///    against the verdict cache for the current epoch and across the
+    ///    batch, sends only the fresh centroids to
+    ///    [`GroundTruthCnn::classify_batch`] at the amortized
+    ///    [`BatchCostModel`] cost, memoizes, and assembles from its own
+    ///    verdict snapshot, so a concurrent epoch bump never starves it.
     ///
     /// Accounting: each outcome's `centroid_inferences` counts only the
     /// fresh inferences that query was first to need; `gpu_cost` is its
-    /// proportional share of the batch cost; `latency_secs` is the batch's
-    /// wall-clock latency on the GPU cluster, shared by every outcome
-    /// served in the batch.
+    /// proportional share of each round's cost; `latency_secs` is the
+    /// latency of the rounds it took part in, shared within a round.
     pub fn serve(
         &self,
         ingest: &IngestOutput,
         requests: &[QueryRequest],
         meter: &GpuMeter,
     ) -> Vec<QueryOutcome> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        // QT1/QT2: plan every query concurrently on the worker pool.
-        let plans: Vec<QueryPlan> = self.pool.map(requests.to_vec(), |request| {
-            QueryPlan::build(ingest, request)
+        let planned = self.pool.map(requests.to_vec(), |request| {
+            QueryPlan::build_resolved(ingest, request)
         });
-        self.verify_and_assemble(
-            &plans,
-            |id| ingest.centroids.get(&id).cloned(),
-            meter,
-            |_, _, handle| {
-                ingest
-                    .index
-                    .get(handle.cluster)
-                    .expect("planned cluster still present in the index")
-            },
-        )
+        let modes = requests.iter().map(|request| request.anytime);
+        let resolve_centroid = |id| ingest.centroids.get(&id).cloned();
+        let planned = planned.iter().map(|(plan, records)| (plan, records));
+        self.execute(planned, modes, resolve_centroid, meter)
     }
 
     /// Serves pre-built plans whose candidate records were already resolved
-    /// by the caller — the entry point for every planner over durable
-    /// storage: the live service's segments-plus-tail union
-    /// ([`SegmentedCorpus::plan_with_tail`]) and the fleet's gathered shard
-    /// plans. `records[i]` must be aligned with `plans[i].candidates` —
-    /// `records[i][j]` is the cluster record of candidate `j`, as
-    /// [`SegmentedPlan::records`] is — so a record is found by position, not
-    /// by key; `resolve_centroid` must return the observation behind every
-    /// candidate centroid (from the durable corpus or the in-memory tail).
+    /// by the caller — the exact seam the fleet's gather feeds with its
+    /// merged shard plans. `records[i]` must be aligned with
+    /// `plans[i].candidates`, as [`SegmentedPlan::records`] is, so a record
+    /// is found by position, not by key; `resolve_centroid` must return the
+    /// observation behind every candidate centroid. Every plan runs exactly
+    /// through the executor [`serve`](Self::serve) uses: one round, charged
+    /// to `meter` as `"query"`.
     ///
-    /// Runs the exact QT3/QT4 pipeline of [`serve`](Self::serve) — dedupe
-    /// against the verdict cache for the current ground-truth epoch,
-    /// batched verification of only the fresh centroids, memoization, and
-    /// batch-local assembly — so a caller mixing tail and segment
-    /// candidates inherits the full cache/batching contract unchanged.
-    ///
-    /// [`SegmentedCorpus::plan_with_tail`]: crate::query::segmented::SegmentedCorpus::plan_with_tail
     /// [`SegmentedPlan::records`]: crate::query::segmented::SegmentedPlan::records
     ///
     /// # Panics
@@ -327,47 +309,72 @@ impl QueryServer {
         resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
         meter: &GpuMeter,
     ) -> Vec<QueryOutcome> {
-        assert_eq!(
-            plans.len(),
-            records.len(),
-            "one record vector per served plan"
-        );
-        self.verify_and_assemble(plans, resolve_centroid, meter, |i, j, handle| {
-            let record = &*records[i][j];
-            debug_assert_eq!(
-                record.key, handle.cluster,
-                "records aligned with candidates"
-            );
-            record
-        })
+        assert_eq!(plans.len(), records.len(), "one record vector per plan");
+        let modes = std::iter::repeat(AnytimeMode::exhaustive());
+        self.execute(plans.iter().zip(records), modes, resolve_centroid, meter)
     }
 
-    /// One round of centroid verification — the core every
-    /// [`serve`](Self::serve) batch and every anytime round runs:
-    /// classifies exactly the given centroids (in order) through the
-    /// pin-epoch / dedupe-against-cache / batched-classify / memoize
-    /// pipeline, charging the amortized batch cost to `meter` under the
-    /// caller-named `phase` (the anytime loop passes `"anytime"` so the
-    /// [`GpuScheduler`] can arbitrate it on the query side of the budget).
+    /// [`run_batch`] over aligned plans and records, with the default
+    /// picker and no partial or stop stream, keeping only the outcomes.
+    fn execute<'a>(
+        &self,
+        planned: impl Iterator<Item = (&'a QueryPlan, &'a Vec<Arc<ClusterRecord>>)>,
+        modes: impl Iterator<Item = AnytimeMode>,
+        resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
+        meter: &GpuMeter,
+    ) -> Vec<QueryOutcome> {
+        let requests: Vec<PlannedRequest> = planned
+            .zip(modes)
+            .map(|((plan, records), mode)| {
+                debug_assert!(
+                    plan.candidates
+                        .iter()
+                        .map(|h| h.cluster)
+                        .eq(records.iter().map(|r| r.key)),
+                    "records aligned with candidates"
+                );
+                PlannedRequest {
+                    plan,
+                    records,
+                    chunks: &[],
+                    mode,
+                }
+            })
+            .collect();
+        run_batch(
+            self,
+            &requests,
+            resolve_centroid,
+            meter,
+            |_, _| {},
+            |_| {},
+            pick_most_promising,
+        )
+        .into_iter()
+        .map(|run| run.outcome)
+        .collect()
+    }
+
+    /// One round of centroid verification — what every round of
+    /// [`run_batch`] runs: classifies exactly the given centroids (in
+    /// order) through the pin-epoch / dedupe-against-cache /
+    /// batched-classify / memoize pipeline. The caller charges the
+    /// returned cost to its meter, under the phase of whoever scheduled
+    /// the work.
     ///
-    /// The returned [`VerifiedBatch`] keeps cache hits and fresh GT
-    /// inferences separate: a cached verdict costs nothing and must not
+    /// The returned [`VerifiedBatch`] marks which positions scheduled a
+    /// fresh GT inference: a cached verdict costs nothing and must not
     /// feed the anytime sampler's per-chunk yield estimates, while every
-    /// fresh verdict is both charged and memoized for future queries —
-    /// anytime rounds and exhaustive serves share one verdict cache.
-    ///
-    /// [`GpuScheduler`]: focus_runtime::GpuScheduler
+    /// fresh verdict is both charged and memoized for future queries.
     ///
     /// # Panics
     ///
     /// Panics if `resolve_centroid` fails for a centroid that needs a
     /// fresh inference.
-    pub fn verify_round(
+    pub(crate) fn verify_round(
         &self,
         centroids: &[ObjectId],
         resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
-        meter: &GpuMeter,
-        phase: &str,
     ) -> VerifiedBatch {
         /// Where one position's verdict comes from: copied out of the cache
         /// at dedupe time, or an index into the round's fresh results.
@@ -383,9 +390,9 @@ impl QueryServer {
             (Arc::clone(&guard), self.epoch())
         };
 
-        // Dedupe against the cache (and within the round) exactly as one
-        // serve batch would; each verdict source is captured locally so a
-        // concurrent epoch bump cannot starve the in-flight round.
+        // Dedupe against the cache and within the round; each verdict
+        // source is captured locally so a concurrent epoch bump cannot
+        // starve the in-flight round.
         let mut fresh: Vec<ObjectId> = Vec::new();
         let mut sources: Vec<VerdictSource> = Vec::with_capacity(centroids.len());
         let mut hits = 0usize;
@@ -432,7 +439,6 @@ impl QueryServer {
         let cost = self
             .batching
             .batch_cost(gt.cost_per_inference(), fresh.len());
-        meter.charge(phase, cost);
 
         // Memoize under the pinned epoch, shared with every other path. (If
         // a concurrent bump raced past the pinned epoch, these entries are
@@ -466,84 +472,27 @@ impl QueryServer {
             labels,
             fresh_mask,
             fresh_inferences: fresh.len(),
-            cached_verdicts: hits,
             cost,
             latency_secs: self.gpus.latency_secs(cost),
         }
     }
-
-    /// QT3/QT4 shared by [`serve`](Self::serve) and
-    /// [`serve_resolved`](Self::serve_resolved): one
-    /// [`verify_round`](Self::verify_round) over the plans' candidate
-    /// centroids, flattened in plan order, then one assembled outcome per
-    /// plan. `get_record(i, j, handle)` resolves a confirmed candidate —
-    /// `handle`, at position `j` of `plans[i].candidates` — to its cluster
-    /// record.
-    fn verify_and_assemble<'a>(
-        &self,
-        plans: &[QueryPlan],
-        resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
-        meter: &GpuMeter,
-        get_record: impl Fn(usize, usize, &CentroidHandle) -> &'a ClusterRecord,
-    ) -> Vec<QueryOutcome> {
-        let centroids: Vec<ObjectId> = plans
-            .iter()
-            .flat_map(|plan| plan.candidates.iter().map(|handle| handle.centroid))
-            .collect();
-        let verified = self.verify_round(&centroids, resolve_centroid, meter, "query");
-
-        // QT4: fresh work is attributed to the first query that needed it
-        // (the `true`s of its slice of the mask); the batch's wall-clock
-        // latency is shared.
-        let share = if verified.fresh_inferences == 0 {
-            GpuCost::ZERO
-        } else {
-            verified.cost / verified.fresh_inferences as f64
-        };
-        let mut start = 0;
-        plans
-            .iter()
-            .enumerate()
-            .map(|(plan_idx, plan)| {
-                let slice = start..start + plan.candidates.len();
-                start = slice.end;
-                let fresh_count = verified.fresh_mask[slice.clone()]
-                    .iter()
-                    .filter(|fresh| **fresh)
-                    .count();
-                assemble_outcome_from(
-                    plan,
-                    &verified.labels[slice],
-                    fresh_count,
-                    share * fresh_count,
-                    verified.latency_secs,
-                    |j, handle| get_record(plan_idx, j, handle),
-                )
-            })
-            .collect()
-    }
 }
 
 /// The result of one [`QueryServer::verify_round`] call: one verdict per
-/// input centroid (input order), with cache hits and fresh GT inferences
-/// accounted separately so the anytime sampler's yield estimates only see
-/// work that actually cost GPU time.
+/// input centroid (input order), with the positions that scheduled a fresh
+/// GT inference marked, so attribution and the anytime sampler's yield
+/// estimates only see work that actually cost GPU time.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VerifiedBatch {
+pub(crate) struct VerifiedBatch {
     /// One GT verdict per input centroid, in input order.
     pub labels: Vec<ClassId>,
     /// `fresh_mask[i]` is true when `labels[i]` came from a fresh GT
     /// inference scheduled by position `i` (false for cache hits and
-    /// within-round duplicates). Sampling estimators must only learn from
-    /// positions marked fresh.
+    /// within-round duplicates).
     pub fresh_mask: Vec<bool>,
     /// Fresh GT-CNN inferences this round performed (deduplicated).
     pub fresh_inferences: usize,
-    /// Verdicts served from the cross-query cache (or deduplicated within
-    /// the round) — free, and excluded from sampling estimates.
-    pub cached_verdicts: usize,
-    /// Amortized GPU cost of the fresh inferences, as charged to the
-    /// meter under the caller's phase.
+    /// Amortized GPU cost of the fresh inferences.
     pub cost: GpuCost,
     /// Wall-clock latency of the round on the GPU cluster.
     pub latency_secs: f64,

@@ -69,7 +69,9 @@ use crate::adapt::{
 use crate::ingest::IngestCnn;
 use crate::params::SelectedConfiguration;
 use crate::pipeline::FramePipeline;
-use crate::query::anytime::{run_anytime, AnytimeOutcome, AnytimePartial};
+use crate::query::anytime::{
+    pick_most_promising, run_batch, AnytimeOutcome, AnytimePartial, PlannedRequest,
+};
 use crate::query::segmented::{SegmentedCorpus, TailOverlay};
 use crate::query::{QueryOutcome, QueryRequest};
 use crate::query_server::{CacheStats, QueryServer};
@@ -722,15 +724,52 @@ impl FocusService {
     /// Serves a batch of queries over the snapshot-consistent union of
     /// sealed segments and every stream's hot tail. The tail overlay is
     /// built once per call; the verdict cache, dedupe and batched GT
-    /// verification behave exactly as in [`QueryServer::serve`], and the
-    /// query-side GPU work is submitted to the shared scheduler.
+    /// verification behave exactly as in [`QueryServer::serve`] — each
+    /// request run as its [`anytime`](QueryRequest::anytime) mode says —
+    /// and the GPU work is submitted to the shared scheduler.
     pub fn serve(&self, requests: &[QueryRequest]) -> Result<Vec<QueryOutcome>, SegmentError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
+        let runs = self.serve_streaming(requests, |_, _| {}, |_| {})?;
+        Ok(runs.into_iter().map(|run| run.outcome).collect())
+    }
+
+    /// Serves one query with its round trail ([`crate::query::anytime`]):
+    /// an incremental request samples its sealed-segment and tail chunks
+    /// under `request.anytime`'s budget, confidence and round size, with
+    /// one [`AnytimePartial`] per round and its rounds submitted to the
+    /// scheduler as `"anytime"`; an exact request is one round with no
+    /// partials, its outcome equal to [`serve`](Self::serve)'s.
+    pub fn serve_anytime(&self, request: &QueryRequest) -> Result<AnytimeOutcome, SegmentError> {
+        self.serve_anytime_with(request, |_| {})
+    }
+
+    /// [`serve_anytime`](Self::serve_anytime), streaming each round's
+    /// [`AnytimePartial`] to `on_partial` as it is produced.
+    pub fn serve_anytime_with(
+        &self,
+        request: &QueryRequest,
+        mut on_partial: impl FnMut(&AnytimePartial),
+    ) -> Result<AnytimeOutcome, SegmentError> {
+        let mut runs = self.serve_streaming(
+            std::slice::from_ref(request),
+            |_, partial| on_partial(partial),
+            |_| {},
+        )?;
+        Ok(runs.remove(0))
+    }
+
+    /// The one serving body behind [`serve`](Self::serve),
+    /// [`serve_anytime`](Self::serve_anytime) and the request plane: plan
+    /// over one tail snapshot, execute ([`run_batch`], `on_partial(i, _)`
+    /// after each round of incremental request `i`, `on_stop(i)` once
+    /// request `i` has stopped), submit each phase.
+    pub(crate) fn serve_streaming(
+        &self,
+        requests: &[QueryRequest],
+        on_partial: impl FnMut(usize, &AnytimePartial),
+        on_stop: impl FnMut(usize),
+    ) -> Result<Vec<AnytimeOutcome>, SegmentError> {
         let tail = self.tail_snapshot();
         let mut plans = Vec::with_capacity(requests.len());
-        let mut records = Vec::with_capacity(requests.len());
         // Accumulate accounting locally and commit only once every plan
         // succeeded: a planning error mid-batch serves nothing, so it must
         // also count nothing.
@@ -742,70 +781,34 @@ impl FocusService {
             access.merge(&planned.access);
             tail_candidates += planned.tail_records;
             candidates += planned.plan.candidates.len();
-            plans.push(planned.plan);
-            records.push(planned.records);
+            plans.push(planned);
         }
         self.charge_access(&access);
         self.tail_candidates_served
             .fetch_add(tail_candidates, Ordering::SeqCst);
         self.candidates_served
             .fetch_add(candidates, Ordering::SeqCst);
+        let planned: Vec<PlannedRequest> = plans
+            .iter()
+            .zip(requests)
+            .map(|(plan, request)| PlannedRequest::new(plan, request.anytime))
+            .collect();
         let meter = GpuMeter::new();
-        let outcomes = self.server.serve_resolved(
-            &plans,
-            &records,
-            |id| self.corpus.centroid(id, &tail).cloned(),
-            &meter,
-        );
-        self.scheduler.submit("query", meter.phase("query"));
-        self.queries_served
-            .fetch_add(requests.len(), Ordering::SeqCst);
-        Ok(outcomes)
-    }
-
-    /// Serves one query incrementally through the anytime loop
-    /// ([`crate::query::anytime`]): the candidate set is chunked by
-    /// sealed segment (plus the hot tail), GT verification is spent
-    /// adaptively on the most promising chunk, and the returned
-    /// [`AnytimeOutcome`] carries every round's [`AnytimePartial`]. The
-    /// per-round verification work is submitted to the shared scheduler
-    /// under the `"anytime"` phase, so interactive anytime queries
-    /// coexist with exact queries and ingest on one GPU budget.
-    ///
-    /// Termination (budget / confidence / exhaustion) follows
-    /// `request.anytime`; run to candidate exhaustion, the outcome's
-    /// frames and objects are byte-identical to [`serve`](Self::serve)'s.
-    pub fn serve_anytime(&self, request: &QueryRequest) -> Result<AnytimeOutcome, SegmentError> {
-        self.serve_anytime_with(request, |_| {})
-    }
-
-    /// [`serve_anytime`](Self::serve_anytime), streaming each round's
-    /// [`AnytimePartial`] to `on_partial` as it is produced — the hook the
-    /// request plane's streaming-partials dispatch uses.
-    pub fn serve_anytime_with(
-        &self,
-        request: &QueryRequest,
-        on_partial: impl FnMut(&AnytimePartial),
-    ) -> Result<AnytimeOutcome, SegmentError> {
-        let tail = self.tail_snapshot();
-        let plan = self.corpus.plan_with_tail(request, Some(&tail))?;
-        self.charge_access(&plan.access);
-        self.tail_candidates_served
-            .fetch_add(plan.tail_records, Ordering::SeqCst);
-        self.candidates_served
-            .fetch_add(plan.plan.candidates.len(), Ordering::SeqCst);
-        let meter = GpuMeter::new();
-        let outcome = run_anytime(
+        let runs = run_batch(
             &self.server,
-            &plan,
-            &request.anytime,
+            &planned,
             |id| self.corpus.centroid(id, &tail).cloned(),
             &meter,
             on_partial,
+            on_stop,
+            pick_most_promising,
         );
-        self.scheduler.submit("anytime", meter.phase("anytime"));
-        self.queries_served.fetch_add(1, Ordering::SeqCst);
-        Ok(outcome)
+        for phase in ["query", "anytime"] {
+            self.scheduler.submit(phase, meter.phase(phase));
+        }
+        self.queries_served
+            .fetch_add(requests.len(), Ordering::SeqCst);
+        Ok(runs)
     }
 
     /// Charges what one planning pass touched in the store to the

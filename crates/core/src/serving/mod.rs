@@ -24,7 +24,9 @@
 //!   budget says it must (`now ≥ deadline − dispatch_margin_secs`).
 //!   Requests whose deadline has already passed at batch formation are
 //!   answered [`Response::DeadlineExpired`] and never reach the backend —
-//!   an expired request costs zero GT-CNN inferences.
+//!   an expired request costs zero GT-CNN inferences. A batch may mix
+//!   exact and anytime requests in one backend call
+//!   ([`RequestPlane::dispatch_streaming`] streams the partials).
 //! * **SLO accounting** ([`ServingStats`]): log-bucketed, exactly
 //!   mergeable latency histograms ([`LatencyHistogram`]) per plane and per
 //!   tenant, plus admitted/shed/expired counters, folded into
@@ -50,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use focus_runtime::LatencyHistogram;
 
 pub use bucket::TokenBucket;
-pub use plane::{AnytimeCompleted, AnytimeResponse, Completed, RequestPlane, Ticket};
+pub use plane::{Completed, RequestPlane, Ticket};
 pub use queue::MIN_WEIGHT;
 
 use crate::query::QueryOutcome;
@@ -225,7 +227,7 @@ pub struct ServingStats {
     /// Submit-to-first-result latency of anytime requests: the GPU time
     /// accumulated up to the first round that surfaced a new distinct
     /// result (queue wait included). Empty unless anytime requests were
-    /// dispatched through the plane.
+    /// dispatched through the live service.
     #[serde(default)]
     pub first_result_latency: LatencyHistogram,
     /// Per-tenant breakdown, ordered by tenant id.

@@ -1,6 +1,11 @@
 //! [`RequestPlane`]: the front door that turns individual tenant submits
 //! into deadline-respecting [`FocusService::serve`] batches.
 //!
+//! One dispatch body books every batch: [`RequestPlane::dispatch_with`]
+//! hands it any batch backend, [`RequestPlane::dispatch_streaming`] the
+//! live service, where each request runs as its anytime mode says and
+//! incremental requests stream their partials per ticket.
+//!
 //! [`FocusService::serve`]: crate::service::FocusService::serve
 
 use std::collections::BTreeMap;
@@ -11,7 +16,7 @@ use parking_lot::Mutex;
 use focus_index::SegmentError;
 use focus_runtime::Clock;
 
-use crate::query::anytime::{AnytimeOutcome, AnytimePartial};
+use crate::query::anytime::{AnytimePartial, AnytimeTermination};
 use crate::query::{QueryOutcome, QueryRequest};
 use crate::service::{FocusService, ServiceStats};
 use crate::serving::{
@@ -33,42 +38,21 @@ pub struct Completed {
     pub tenant: TenantId,
     /// The answer (or the expiry).
     pub response: Response,
-    /// Submit-to-completion time as seen by the plane's clock.
+    /// Submit-to-completion time on the plane's clock; a request the live
+    /// service runs completes when it stops, an exact one after round 1.
     pub latency_secs: f64,
+    /// Queue wait plus GPU time up to the end of the first round that
+    /// surfaced a new distinct result; `f64::INFINITY` when no streamed
+    /// round did (an exact request, nothing matched, or the request
+    /// expired). Finite values land in
+    /// [`ServingStats::first_result_latency`].
+    pub first_result_latency_secs: f64,
+    /// Why an incremental request stopped; `None` for exact requests,
+    /// expiries and [`dispatch_with`](RequestPlane::dispatch_with) answers.
+    pub termination: Option<AnytimeTermination>,
     /// Whether completion happened after the request's deadline. Always
     /// `true` for [`Response::DeadlineExpired`]; for answered requests it
     /// can only be `true` when the clock advanced during the backend call.
-    pub deadline_missed: bool,
-}
-
-/// The terminal answer of an admitted anytime request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnytimeResponse {
-    /// The backend ran the anytime loop; the outcome carries the partial
-    /// trail and the termination reason.
-    Answered(AnytimeOutcome),
-    /// The request's deadline passed while it was queued; no round ran.
-    DeadlineExpired,
-}
-
-/// One finished anytime request, with first-result timing alongside the
-/// terminal answer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnytimeCompleted {
-    /// The ticket handed back by [`RequestPlane::submit`].
-    pub ticket: Ticket,
-    /// The tenant that submitted the request.
-    pub tenant: TenantId,
-    /// The answer (or the expiry).
-    pub response: AnytimeResponse,
-    /// Submit-to-completion time as seen by the plane's clock.
-    pub latency_secs: f64,
-    /// Queue wait plus GPU time up to the end of the first round that
-    /// surfaced a new distinct result; `f64::INFINITY` when no round did
-    /// (nothing matched, or the request expired). Finite values land in
-    /// [`ServingStats::first_result_latency`].
-    pub first_result_latency_secs: f64,
-    /// Whether completion happened after the request's deadline.
     pub deadline_missed: bool,
 }
 
@@ -219,33 +203,6 @@ impl RequestPlane {
                 .is_some_and(|d| now >= d - self.config.dispatch_margin_secs)
     }
 
-    /// Batch formation, shared by both dispatch paths: pops up to
-    /// `batch_max_requests` requests off the fair queue. Those whose
-    /// deadline passed before `now` come back first (booked as expired;
-    /// they occupy no batch slot), the rest form the batch, which is
-    /// counted when non-empty.
-    fn close_batch(&self, now: f64) -> (Vec<Queued>, Vec<Queued>) {
-        let mut expired = Vec::new();
-        let mut batch = Vec::new();
-        let mut state = self.inner.lock();
-        while batch.len() < self.config.batch_max_requests {
-            let Some(queued) = state.queue.pop() else {
-                break;
-            };
-            if now > queued.deadline_secs {
-                state.stats.expired += 1;
-                state.stats.tenant_mut(queued.tenant).expired += 1;
-                expired.push(queued);
-            } else {
-                batch.push(queued);
-            }
-        }
-        if !batch.is_empty() {
-            state.stats.batches += 1;
-        }
-        (expired, batch)
-    }
-
     /// Closes one batch and serves it through `serve`, returning every
     /// request completed by the call (answers and expiries, in fair-queue
     /// order). Returns an empty vec when nothing is due.
@@ -260,25 +217,123 @@ impl RequestPlane {
     where
         F: FnOnce(&[QueryRequest]) -> Result<Vec<QueryOutcome>, SegmentError>,
     {
+        self.dispatch_body(
+            |requests, _, _| {
+                let outcomes = serve(requests)?;
+                Ok(outcomes
+                    .into_iter()
+                    .map(|outcome| (outcome, None))
+                    .collect())
+            },
+            |_, _| {},
+        )
+    }
+
+    /// [`dispatch_streaming`](Self::dispatch_streaming) with no partial
+    /// stream.
+    pub fn dispatch(&self, service: &FocusService) -> Result<Vec<Completed>, SegmentError> {
+        self.dispatch_streaming(service, |_, _| {})
+    }
+
+    /// [`dispatch_with`](Self::dispatch_with) against the live service,
+    /// each request run as its [`anytime`](QueryRequest::anytime) mode
+    /// says, in one backend call. Every round's [`AnytimePartial`] of an
+    /// incremental request streams to `on_partial` under its ticket (its
+    /// one admission token bought the whole stream), and the
+    /// queue-wait-plus-GPU-time to its first result lands in
+    /// [`ServingStats::first_result_latency`]. Latency and deadline are
+    /// booked when each request stops, not when the batch does.
+    pub fn dispatch_streaming(
+        &self,
+        service: &FocusService,
+        on_partial: impl FnMut(Ticket, &AnytimePartial),
+    ) -> Result<Vec<Completed>, SegmentError> {
+        self.dispatch_body(
+            |requests, stream, stop| {
+                let runs = service.serve_streaming(requests, stream, stop)?;
+                Ok(runs
+                    .into_iter()
+                    .zip(requests)
+                    .map(|(run, request)| {
+                        let termination = request.anytime.incremental.then_some(run.termination);
+                        (run.outcome, termination)
+                    })
+                    .collect())
+            },
+            on_partial,
+        )
+    }
+
+    /// The one dispatch body: closes a batch, books its expiries, calls
+    /// `serve` outside the plane lock, then books the answers. `serve`
+    /// answers one `(outcome, termination)` per request, in order, and
+    /// reports request `i`'s partials and stop to the two hooks it is
+    /// handed (a stop not reported is booked when `serve` returns).
+    fn dispatch_body<F>(
+        &self,
+        serve: F,
+        mut on_partial: impl FnMut(Ticket, &AnytimePartial),
+    ) -> Result<Vec<Completed>, SegmentError>
+    where
+        F: FnOnce(
+            &[QueryRequest],
+            &mut dyn FnMut(usize, &AnytimePartial),
+            &mut dyn FnMut(usize),
+        ) -> Result<Vec<(QueryOutcome, Option<AnytimeTermination>)>, SegmentError>,
+    {
+        // Batch formation: pop up to `batch_max_requests` live requests;
+        // those whose deadline passed complete as expired without taking a
+        // slot.
         let now = self.clock.now_secs();
-        let (expired, batch) = self.close_batch(now);
-        let mut completed: Vec<Completed> = expired
-            .into_iter()
-            .map(|queued| Completed {
-                ticket: Ticket(queued.ticket),
-                tenant: queued.tenant,
-                response: Response::DeadlineExpired,
-                latency_secs: now - queued.arrival_secs,
-                deadline_missed: true,
-            })
-            .collect();
-        if batch.is_empty() {
-            return Ok(completed);
+        let mut completed = Vec::new();
+        let mut batch: Vec<Queued> = Vec::new();
+        {
+            let mut state = self.inner.lock();
+            while batch.len() < self.config.batch_max_requests {
+                let Some(queued) = state.queue.pop() else {
+                    break;
+                };
+                if now <= queued.deadline_secs {
+                    batch.push(queued);
+                    continue;
+                }
+                state.stats.expired += 1;
+                state.stats.tenant_mut(queued.tenant).expired += 1;
+                completed.push(Completed {
+                    ticket: Ticket(queued.ticket),
+                    tenant: queued.tenant,
+                    response: Response::DeadlineExpired,
+                    latency_secs: now - queued.arrival_secs,
+                    first_result_latency_secs: f64::INFINITY,
+                    termination: None,
+                    deadline_missed: true,
+                });
+            }
+            if batch.is_empty() {
+                return Ok(completed);
+            }
+            state.stats.batches += 1;
         }
 
         let requests: Vec<QueryRequest> = batch.iter().map(|q| q.request.clone()).collect();
-        let outcomes = match serve(&requests) {
-            Ok(outcomes) => outcomes,
+        // GPU time per request over its streamed rounds, and that time at
+        // the end of the first round that surfaced a new distinct result.
+        let mut gpu_secs = vec![0.0f64; batch.len()];
+        let mut to_first = vec![f64::INFINITY; batch.len()];
+        let mut stopped_at: Vec<Option<f64>> = vec![None; batch.len()];
+        let answers = serve(
+            &requests,
+            &mut |i, partial| {
+                gpu_secs[i] += partial.latency_secs;
+                if !partial.new_results.is_empty() && to_first[i].is_infinite() {
+                    to_first[i] = gpu_secs[i];
+                }
+                on_partial(Ticket(batch[i].ticket), partial);
+            },
+            &mut |i| stopped_at[i] = Some(self.clock.now_secs()),
+        );
+        let answers = match answers {
+            Ok(answers) => answers,
             Err(err) => {
                 let mut state = self.inner.lock();
                 state.stats.batches -= 1;
@@ -288,147 +343,39 @@ impl RequestPlane {
                 return Err(err);
             }
         };
-        debug_assert_eq!(outcomes.len(), batch.len(), "serve answers 1:1 in order");
+        debug_assert_eq!(answers.len(), batch.len(), "serve answers 1:1 in order");
 
         let finished = self.clock.now_secs();
         let mut state = self.inner.lock();
-        for (queued, outcome) in batch.into_iter().zip(outcomes) {
-            let (latency_secs, deadline_missed) =
-                record_answered(&mut state.stats, &queued, finished);
+        for (((queued, (outcome, termination)), to_first), stopped_at) in
+            batch.into_iter().zip(answers).zip(to_first).zip(stopped_at)
+        {
+            let done = stopped_at.unwrap_or(finished);
+            let latency_secs = done - queued.arrival_secs;
+            let deadline_missed = done > queued.deadline_secs;
+            let first_result_latency_secs = now - queued.arrival_secs + to_first;
+            let stats = &mut state.stats;
+            stats.answered += 1;
+            stats.deadline_misses += u64::from(deadline_missed);
+            stats.latency.record(latency_secs);
+            if to_first.is_finite() {
+                stats.first_result_latency.record(first_result_latency_secs);
+            }
+            let tenant = stats.tenant_mut(queued.tenant);
+            tenant.answered += 1;
+            tenant.deadline_misses += u64::from(deadline_missed);
+            tenant.latency.record(latency_secs);
             completed.push(Completed {
                 ticket: Ticket(queued.ticket),
                 tenant: queued.tenant,
                 response: Response::Answered(outcome),
                 latency_secs,
-                deadline_missed,
-            });
-        }
-        Ok(completed)
-    }
-
-    /// [`dispatch_with`](Self::dispatch_with) against a live service's
-    /// [`serve`](FocusService::serve) seam.
-    pub fn dispatch(&self, service: &FocusService) -> Result<Vec<Completed>, SegmentError> {
-        self.dispatch_with(|batch| service.serve(batch))
-    }
-
-    /// Closes one batch and serves each request through the anytime loop,
-    /// streaming every round's [`AnytimePartial`] to `on_partial` (tagged
-    /// with the request's ticket) as it is produced, and returning one
-    /// [`AnytimeCompleted`] per finished request.
-    ///
-    /// Admission is unchanged: an anytime request spent exactly one token
-    /// at [`submit`](Self::submit) time, and its partials cost the tenant
-    /// nothing more — the admission fee covers the whole stream. Batch
-    /// formation and expiry follow [`dispatch_with`](Self::dispatch_with);
-    /// requests are then served *sequentially* outside the plane lock
-    /// (the anytime loop batches internally per round). If the backend
-    /// fails, the failing request and every not-yet-served one are
-    /// restored to the queue front; requests already served stay
-    /// completed (their partials were already streamed).
-    ///
-    /// Each answered request whose rounds surfaced at least one result
-    /// records queue-wait-plus-GPU-time-to-that-round into
-    /// [`ServingStats::first_result_latency`].
-    pub fn dispatch_anytime_with<F>(
-        &self,
-        mut serve: F,
-        mut on_partial: impl FnMut(Ticket, &AnytimePartial),
-    ) -> Result<Vec<AnytimeCompleted>, SegmentError>
-    where
-        F: FnMut(
-            &QueryRequest,
-            &mut dyn FnMut(&AnytimePartial),
-        ) -> Result<AnytimeOutcome, SegmentError>,
-    {
-        let now = self.clock.now_secs();
-        let (expired, batch) = self.close_batch(now);
-        let mut completed: Vec<AnytimeCompleted> = expired
-            .into_iter()
-            .map(|queued| AnytimeCompleted {
-                ticket: Ticket(queued.ticket),
-                tenant: queued.tenant,
-                response: AnytimeResponse::DeadlineExpired,
-                latency_secs: now - queued.arrival_secs,
-                first_result_latency_secs: f64::INFINITY,
-                deadline_missed: true,
-            })
-            .collect();
-        if batch.is_empty() {
-            return Ok(completed);
-        }
-
-        let mut answered: Vec<(Queued, AnytimeOutcome, f64)> = Vec::new();
-        let mut iter = batch.into_iter();
-        while let Some(queued) = iter.next() {
-            let ticket = Ticket(queued.ticket);
-            // GPU time accumulated up to (and including) the first round
-            // that surfaced a new distinct result.
-            let mut gpu_latency = 0.0f64;
-            let mut to_first_result = f64::INFINITY;
-            let result = serve(&queued.request, &mut |partial: &AnytimePartial| {
-                gpu_latency += partial.latency_secs;
-                if !partial.new_results.is_empty() && to_first_result.is_infinite() {
-                    to_first_result = gpu_latency;
-                }
-                on_partial(ticket, partial);
-            });
-            match result {
-                Ok(outcome) => answered.push((queued, outcome, to_first_result)),
-                Err(err) => {
-                    // Restore the failing request ahead of the untouched
-                    // tail; the already-served prefix stays completed.
-                    let mut state = self.inner.lock();
-                    if answered.is_empty() {
-                        state.stats.batches -= 1;
-                    }
-                    let mut restore = vec![queued];
-                    restore.extend(iter);
-                    for q in restore.into_iter().rev() {
-                        state.queue.requeue_front(q);
-                    }
-                    return Err(err);
-                }
-            }
-        }
-
-        let finished = self.clock.now_secs();
-        let mut state = self.inner.lock();
-        for (queued, outcome, to_first) in answered {
-            let (latency_secs, deadline_missed) =
-                record_answered(&mut state.stats, &queued, finished);
-            let queue_wait = now - queued.arrival_secs;
-            let first_result_latency_secs = if to_first.is_finite() {
-                let total = queue_wait + to_first;
-                state.stats.first_result_latency.record(total);
-                total
-            } else {
-                f64::INFINITY
-            };
-            completed.push(AnytimeCompleted {
-                ticket: Ticket(queued.ticket),
-                tenant: queued.tenant,
-                response: AnytimeResponse::Answered(outcome),
-                latency_secs,
                 first_result_latency_secs,
+                termination,
                 deadline_missed,
             });
         }
         Ok(completed)
-    }
-
-    /// [`dispatch_anytime_with`](Self::dispatch_anytime_with) against a
-    /// live service's [`serve_anytime_with`](FocusService::serve_anytime_with)
-    /// seam.
-    pub fn dispatch_anytime(
-        &self,
-        service: &FocusService,
-        on_partial: impl FnMut(Ticket, &AnytimePartial),
-    ) -> Result<Vec<AnytimeCompleted>, SegmentError> {
-        self.dispatch_anytime_with(
-            |request, stream| service.serve_anytime_with(request, stream),
-            on_partial,
-        )
     }
 
     /// Drains the queue completely (repeated dispatches), regardless of
@@ -456,22 +403,6 @@ impl RequestPlane {
         stats.serving = self.serving_stats();
         stats
     }
-}
-
-/// Books one request answered at `finished` into the global and per-tenant
-/// counters and latency histograms; returns its `(latency_secs,
-/// deadline_missed)`.
-fn record_answered(stats: &mut ServingStats, queued: &Queued, finished: f64) -> (f64, bool) {
-    let latency_secs = finished - queued.arrival_secs;
-    let deadline_missed = finished > queued.deadline_secs;
-    stats.answered += 1;
-    stats.deadline_misses += u64::from(deadline_missed);
-    stats.latency.record(latency_secs);
-    let tenant = stats.tenant_mut(queued.tenant);
-    tenant.answered += 1;
-    tenant.deadline_misses += u64::from(deadline_missed);
-    tenant.latency.record(latency_secs);
-    (latency_secs, deadline_missed)
 }
 
 impl std::fmt::Debug for RequestPlane {

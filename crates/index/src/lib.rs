@@ -14,11 +14,10 @@
 //! in-process store preserves the measured quantities while keeping the
 //! system self-contained.
 //!
-//! Lookups come in two shapes: [`TopKIndex::lookup`] borrows the full
-//! cluster records (each a shared `Arc`, so a caller that keeps one clones
-//! a pointer, not the record), and [`TopKIndex::lookup_centroids`] returns owned,
-//! stable [`CentroidHandle`]s — the form the query-serving layer plans with
-//! and keys its cross-query verdict cache by.
+//! [`TopKIndex::lookup`] borrows the full cluster records (each a shared
+//! `Arc`, so a caller that keeps one clones a pointer, not the record);
+//! a record's stable [`CentroidHandle`] is the form the query-serving layer
+//! plans with and keys its cross-query verdict cache by.
 //!
 //! The [`segment`] module is the persistence API, a durable,
 //! time-partitioned store: ingest seals immutable checksummed [`segment`]

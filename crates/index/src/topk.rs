@@ -11,8 +11,8 @@ use crate::cluster_store::{ClusterKey, ClusterRecord};
 use crate::query::QueryFilter;
 use crate::track::{TrackKey, TrackSketch};
 
-/// A stable reference to the centroid of one matched cluster, as returned by
-/// [`TopKIndex::lookup_centroids`].
+/// A stable reference to the centroid of one matched cluster, taken from its
+/// record (`CentroidHandle::from`).
 ///
 /// The handle is what the query-serving layer caches verdicts under: the
 /// `centroid` object id identifies the exact observation the ground-truth
@@ -167,9 +167,10 @@ impl TopKIndex {
         Some(record)
     }
 
-    /// Looks up a cluster record by key.
-    pub fn get(&self, key: ClusterKey) -> Option<&ClusterRecord> {
-        self.clusters.get(&key).map(|record| &**record)
+    /// Looks up a cluster record by key, as the index's own shared record:
+    /// cloning the result shares it.
+    pub fn get(&self, key: ClusterKey) -> Option<&Arc<ClusterRecord>> {
+        self.clusters.get(&key)
     }
 
     /// All cluster records, in unspecified order.
@@ -245,44 +246,6 @@ impl TopKIndex {
         result.sort_by_key(|r| r.key);
         result.dedup_by_key(|r| r.key);
         result
-    }
-
-    /// Like [`lookup`](Self::lookup), but returns stable
-    /// [`CentroidHandle`]s instead of borrowed records — the shape the
-    /// query-serving layer plans with and keys its cross-query verdict
-    /// cache by. Handles come back sorted by cluster key, so the plan for a
-    /// given `(class, filter)` is deterministic.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use focus_index::{ClusterKey, ClusterRecord, MemberRef, QueryFilter, TopKIndex};
-    /// use focus_video::{ClassId, FrameId, ObjectId, StreamId, TrackId};
-    ///
-    /// let mut index = TopKIndex::new();
-    /// index.insert(ClusterRecord {
-    ///     key: ClusterKey::new(StreamId(0), 1),
-    ///     centroid_object: ObjectId(10),
-    ///     centroid_frame: FrameId(5),
-    ///     top_k_classes: vec![ClassId(2), ClassId(4)],
-    ///     members: vec![MemberRef { object: ObjectId(10), frame: FrameId(5), track: TrackId(0) }],
-    ///     start_secs: 0.0,
-    ///     end_secs: 1.0,
-    /// });
-    ///
-    /// let handles = index.lookup_centroids(ClassId(4), &QueryFilter::any());
-    /// assert_eq!(handles.len(), 1);
-    /// assert_eq!(handles[0].centroid, ObjectId(10));
-    /// // Under kx = 1 only the top-ranked class matches.
-    /// assert!(index
-    ///     .lookup_centroids(ClassId(4), &QueryFilter::any().with_kx(1))
-    ///     .is_empty());
-    /// ```
-    pub fn lookup_centroids(&self, class: ClassId, filter: &QueryFilter) -> Vec<CentroidHandle> {
-        self.lookup(class, filter)
-            .into_iter()
-            .map(CentroidHandle::from)
-            .collect()
     }
 
     /// Total number of objects (members) that would be returned for `class`
@@ -506,33 +469,8 @@ mod tests {
         assert_eq!(owned.merge(other), 1);
         assert_eq!(owned.stats(), borrowed.stats());
         for record in owned.clusters() {
-            assert_eq!(borrowed.get(record.key), Some(record));
+            assert_eq!(borrowed.get(record.key).map(|r| &**r), Some(record));
         }
-    }
-
-    #[test]
-    fn lookup_centroids_mirrors_lookup() {
-        let mut idx = TopKIndex::new();
-        idx.insert(record(0, 2, &[0, 3], 2, 5.0));
-        idx.insert(record(0, 1, &[0], 3, 0.0));
-        idx.insert(record(1, 9, &[7], 1, 0.0));
-        let handles = idx.lookup_centroids(ClassId(0), &QueryFilter::any());
-        let records = idx.lookup(ClassId(0), &QueryFilter::any());
-        assert_eq!(handles.len(), records.len());
-        for (handle, record) in handles.iter().zip(records.iter()) {
-            assert_eq!(handle.cluster, record.key);
-            assert_eq!(handle.centroid, record.centroid_object);
-            assert_eq!(handle.centroid_frame, record.centroid_frame);
-        }
-        // Sorted by cluster key, like lookup.
-        assert!(handles.windows(2).all(|w| w[0].cluster < w[1].cluster));
-        // Filters apply identically.
-        let filtered =
-            idx.lookup_centroids(ClassId(0), &QueryFilter::any().with_time_range(0.0, 1.0));
-        assert_eq!(filtered.len(), 1);
-        assert!(idx
-            .lookup_centroids(ClassId(99), &QueryFilter::any())
-            .is_empty());
     }
 
     #[test]

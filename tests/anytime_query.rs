@@ -6,8 +6,10 @@
 //! inferences than it, and its per-round `inferences_spent` sums exactly
 //! to the meter's `"anytime"` phase total. Deterministic tests pin the
 //! budget and confidence terminations, the `"anytime"` scheduler phase in
-//! `ServiceStats`, and the request plane's streaming-partials dispatch
-//! with its `first_result_latency` histogram.
+//! `ServiceStats`, the request plane's streaming dispatch with its
+//! `first_result_latency` histogram, and the one executor's batches:
+//! exact and anytime requests of one batch share rounds and GT batches,
+//! and a request's mode decides how it runs wherever it is submitted.
 
 mod common;
 
@@ -15,9 +17,9 @@ use proptest::prelude::*;
 
 use common::{interleave, service_at, workload};
 use focus::cnn::Classifier;
-use focus::core::query::{AnytimeMode, AnytimeTermination, ChunkEstimate};
+use focus::core::query::{AnytimeMode, AnytimeTermination, ChunkEstimate, PlannedRequest};
 use focus::core::service::FocusService;
-use focus::core::serving::{AnytimeResponse, RequestPlane, ServingConfig, TenantId};
+use focus::core::serving::{RequestPlane, Response, ServingConfig, TenantId};
 use focus::core::QueryRequest;
 use focus::runtime::{GpuMeter, VirtualClock};
 use focus::video::{ClassId, Frame, FrameId, ObjectId, VideoDataset};
@@ -90,9 +92,10 @@ proptest! {
         let request = QueryRequest::new(class).with_anytime(AnytimeMode::incremental(round_budget));
 
         // Exhaustive answer and its fresh-inference bill, on an identical
-        // twin whose verdict cache has seen nothing else.
+        // twin whose verdict cache has seen nothing else. `serve` honours
+        // the request's mode, so the reference is the exact request.
         let exhaustive = reference
-            .serve(std::slice::from_ref(&request))
+            .serve(&[QueryRequest::new(class)])
             .unwrap()
             .remove(0);
 
@@ -105,12 +108,12 @@ proptest! {
             .unwrap();
         let meter = GpuMeter::new();
         let mut seed = pick_seed;
-        let anytime = focus::core::query::run_anytime_with_picker(
+        let anytime = focus::core::query::run_batch(
             service.query_server(),
-            &plan,
-            &request.anytime,
+            &[PlannedRequest::new(&plan, request.anytime)],
             |id| service.corpus().centroid(id, &tail).cloned(),
             &meter,
+            |_, _| {},
             |_| {},
             |estimates: &[ChunkEstimate]| {
                 let eligible: Vec<usize> = estimates
@@ -121,7 +124,8 @@ proptest! {
                     .collect();
                 eligible[(xorshift(&mut seed) as usize) % eligible.len()]
             },
-        );
+        )
+        .remove(0);
 
         // (a) byte-identical payload at candidate exhaustion.
         prop_assert_eq!(anytime.termination, AnytimeTermination::CandidatesExhausted);
@@ -325,11 +329,11 @@ fn confidence_threshold_terminates_before_exhaustion() {
     }
 }
 
-/// The request plane's streaming-partials dispatch: an anytime request
-/// spends one admission token at submit, streams ticket-tagged partials
-/// during dispatch, lands its first-result latency in the
-/// `first_result_latency` histogram, and folds into the unified
-/// `ServiceStats` snapshot.
+/// The request plane's streaming dispatch: an anytime request spends one
+/// admission token at submit, streams ticket-tagged partials during
+/// dispatch — exactly the trail `serve_anytime_with` streams on a twin —
+/// lands its first-result latency in the `first_result_latency`
+/// histogram, and folds into the unified `ServiceStats` snapshot.
 #[test]
 fn plane_streams_partials_and_records_first_result_latency() {
     let secs = 20.0;
@@ -348,37 +352,44 @@ fn plane_streams_partials_and_records_first_result_latency() {
 
     let mut streamed = Vec::new();
     let completed = plane
-        .dispatch_anytime(&service, |t, partial| streamed.push((t, partial.clone())))
+        .dispatch_streaming(&service, |t, partial| streamed.push((t, partial.clone())))
         .unwrap();
     assert_eq!(completed.len(), 1);
     let done = &completed[0];
     assert_eq!(done.ticket, ticket);
     assert_eq!(done.tenant, tenant);
     assert!(!done.deadline_missed);
-
-    let AnytimeResponse::Answered(outcome) = &done.response else {
+    assert_eq!(
+        done.termination,
+        Some(AnytimeTermination::CandidatesExhausted)
+    );
+    let Response::Answered(outcome) = &done.response else {
         panic!("request answered");
     };
-    assert_eq!(outcome.termination, AnytimeTermination::CandidatesExhausted);
-    // The streamed partials are exactly the outcome's trail, all tagged
-    // with this request's ticket.
-    assert_eq!(streamed.len(), outcome.partials.len());
-    for ((t, streamed_partial), partial) in streamed.iter().zip(outcome.partials.iter()) {
-        assert_eq!(*t, ticket);
-        assert_eq!(streamed_partial, partial);
-    }
-    // Byte-identical to a direct exhaustive serve.
+
+    // The streamed partials, all tagged with this request's ticket, are
+    // exactly what `serve_anytime_with` streams on an identical twin.
+    let mut direct_trail = Vec::new();
     let direct = reference
-        .serve(std::slice::from_ref(&request))
+        .serve_anytime_with(&request, |partial| direct_trail.push(partial.clone()))
+        .unwrap();
+    assert!(streamed.iter().all(|(t, _)| *t == ticket));
+    let trail: Vec<_> = streamed.iter().map(|(_, p)| p.clone()).collect();
+    assert_eq!(trail, direct_trail);
+    assert_eq!(payload_json(outcome), payload_json(&direct.outcome));
+    // Byte-identical to the exact answer (the twin's verdict cache is warm
+    // now, which moves the accounting but not the payload).
+    let exact = reference
+        .serve(&[QueryRequest::new(class)])
         .unwrap()
         .remove(0);
-    assert_eq!(payload_json(&outcome.outcome), payload_json(&direct));
+    assert_eq!(payload_json(outcome), payload_json(&exact));
 
     // First-result latency: finite (results exist), at least the queue
     // wait, and recorded in the plane histogram that ServiceStats folds.
     assert!(done.first_result_latency_secs.is_finite());
     assert!(done.first_result_latency_secs >= 0.01);
-    assert!(done.first_result_latency_secs <= done.latency_secs + outcome.outcome.latency_secs);
+    assert!(done.first_result_latency_secs <= done.latency_secs + outcome.latency_secs);
     let stats = plane.stats(&service);
     assert_eq!(stats.serving.first_result_latency.count(), 1);
     assert_eq!(stats.serving.answered, 1);
@@ -387,4 +398,201 @@ fn plane_streams_partials_and_records_first_result_latency() {
     // submit is accounted, however many rounds streamed.
     assert_eq!(stats.serving.submitted, 1);
     assert!(streamed.len() > 1, "multiple rounds streamed");
+}
+
+/// One dispatch answers an exact and an anytime request of one batch with
+/// one backend call: partials stream under the anytime ticket only, only
+/// the anytime request records a first-result latency, and each request's
+/// latency and deadline are booked when it stops — the exact one after
+/// round 1, not after the anytime request's last round.
+#[test]
+fn one_dispatch_answers_exact_and_anytime_requests_together() {
+    let datasets = workload(20.0);
+    let frames = interleave(&datasets, 64);
+    let service = ingested_service("plane_mixed", 6.0, &datasets, &frames);
+    let classes = [
+        datasets[0].dominant_classes(1)[0],
+        datasets[1].dominant_classes(1)[0],
+    ];
+
+    let clock = VirtualClock::new();
+    let plane = RequestPlane::new(ServingConfig::default(), Arc::new(clock.clone()));
+    let exact = plane
+        .submit(TenantId(1), QueryRequest::new(classes[0]))
+        .unwrap();
+    let anytime = plane
+        .submit(
+            TenantId(2),
+            QueryRequest::new(classes[1]).with_anytime(AnytimeMode::incremental(4)),
+        )
+        .unwrap();
+
+    // Every streamed round takes 0.75 s of plane time, so the anytime
+    // request, at two rounds or more, overruns its one-second deadline.
+    let mut streamed = Vec::new();
+    let completed = plane
+        .dispatch_streaming(&service, |t, _| {
+            streamed.push(t);
+            clock.advance(0.75);
+        })
+        .unwrap();
+    assert_eq!(completed.len(), 2, "both answered by one dispatch");
+    assert_eq!(plane.queue_len(), 0);
+    assert!(!streamed.is_empty());
+    assert!(
+        streamed.iter().all(|t| *t == anytime),
+        "partials of the anytime request only"
+    );
+
+    let by_ticket = |ticket| completed.iter().find(|c| c.ticket == ticket).unwrap();
+    let (exact_done, anytime_done) = (by_ticket(exact), by_ticket(anytime));
+    assert!(matches!(exact_done.response, Response::Answered(_)));
+    assert!(matches!(anytime_done.response, Response::Answered(_)));
+    assert_eq!(exact_done.termination, None);
+    assert_eq!(
+        anytime_done.termination,
+        Some(AnytimeTermination::CandidatesExhausted)
+    );
+    assert!(exact_done.first_result_latency_secs.is_infinite());
+    assert!(anytime_done.first_result_latency_secs.is_finite());
+
+    // The exact request is first in the batch and stops in round 1, before
+    // any round has streamed; the anytime request stops after its last.
+    assert!(streamed.len() > 1, "multiple rounds streamed");
+    assert_eq!(exact_done.latency_secs, 0.0);
+    assert!(!exact_done.deadline_missed);
+    assert_eq!(anytime_done.latency_secs, 0.75 * streamed.len() as f64);
+    assert!(anytime_done.deadline_missed);
+
+    let stats = plane.serving_stats();
+    assert_eq!(stats.batches, 1, "one backend call");
+    assert_eq!(stats.first_result_latency.count(), 1);
+    assert_eq!(stats.answered, 2);
+    assert_eq!(stats.deadline_misses, 1);
+    assert!(stats.conserves(0));
+    assert_eq!(service.stats().queries_served, 2);
+}
+
+/// `serve` runs a request the way its mode says: an incremental request
+/// with a budget of three fresh inferences spends at most three, where the
+/// exact answer needs more.
+#[test]
+fn serve_honours_an_incremental_budget() {
+    let datasets = workload(20.0);
+    let frames = interleave(&datasets, 64);
+    let service = ingested_service("serve_budget", 6.0, &datasets, &frames);
+    let reference = ingested_service("serve_budget_ref", 6.0, &datasets, &frames);
+    let class = datasets[0].dominant_classes(1)[0];
+
+    let exhaustive = reference
+        .serve(&[QueryRequest::new(class)])
+        .unwrap()
+        .remove(0);
+    assert!(exhaustive.centroid_inferences > 3);
+    let request =
+        QueryRequest::new(class).with_anytime(AnytimeMode::incremental(2).with_max_inferences(3));
+    let outcome = service.serve(&[request]).unwrap().remove(0);
+    assert!(outcome.centroid_inferences <= 3, "budget respected");
+    assert!(service.stats().cache.misses <= 3, "no unbudgeted GT work");
+}
+
+/// `serve_anytime` on an exact request is one round: no partials, run to
+/// exhaustion, and the outcome `serve` returns on a cold twin, GPU cost
+/// bits included.
+#[test]
+fn serve_anytime_runs_an_exact_request_in_one_round() {
+    let datasets = workload(20.0);
+    let frames = interleave(&datasets, 64);
+    let service = ingested_service("anytime_exact", 6.0, &datasets, &frames);
+    let reference = ingested_service("anytime_exact_ref", 6.0, &datasets, &frames);
+    let request = QueryRequest::new(datasets[0].dominant_classes(1)[0]);
+
+    let run = service.serve_anytime(&request).unwrap();
+    let served = reference
+        .serve(std::slice::from_ref(&request))
+        .unwrap()
+        .remove(0);
+    assert!(run.partials.is_empty());
+    assert_eq!(run.termination, AnytimeTermination::CandidatesExhausted);
+    assert!(served.centroid_inferences > 1);
+    assert_eq!(run.outcome, served);
+    assert_eq!(
+        run.outcome.gpu_cost.seconds().to_bits(),
+        served.gpu_cost.seconds().to_bits()
+    );
+}
+
+/// Two same-class anytime requests in one batch share their rounds' GT
+/// batches: together they spend strictly fewer fresh inferences than each
+/// served alone on a cold twin, and each returns its lone payload.
+#[test]
+fn same_class_anytime_requests_share_verification_in_one_batch() {
+    let datasets = workload(20.0);
+    let frames = interleave(&datasets, 64);
+    let service = ingested_service("share_anytime", 6.0, &datasets, &frames);
+    let twin = ingested_service("share_anytime_twin", 6.0, &datasets, &frames);
+    let class = datasets[0].dominant_classes(1)[0];
+    let requests = [
+        QueryRequest::new(class).with_anytime(AnytimeMode::incremental(2)),
+        QueryRequest::new(class).with_anytime(AnytimeMode::incremental(3)),
+    ];
+
+    let together = service.serve(&requests).unwrap();
+    let alone: Vec<_> = requests
+        .iter()
+        .map(|request| {
+            twin.query_server().invalidate();
+            twin.serve(std::slice::from_ref(request)).unwrap().remove(0)
+        })
+        .collect();
+    let spent = |outcomes: &[focus::core::QueryOutcome]| -> usize {
+        outcomes.iter().map(|o| o.centroid_inferences).sum()
+    };
+    assert!(alone.iter().all(|o| o.centroid_inferences > 0));
+    assert!(
+        spent(&together) < spent(&alone),
+        "together {} vs alone {}",
+        spent(&together),
+        spent(&alone)
+    );
+    for (shared, lone) in together.iter().zip(&alone) {
+        assert_eq!(payload_json(shared), payload_json(lone));
+    }
+}
+
+/// An exact request ahead of a same-class anytime request in one batch is
+/// answered exactly as if alone (every field, GPU cost bits included); the
+/// anytime request rides on its verdicts for free and returns the same
+/// payload, so nothing is charged to the `"anytime"` phase.
+#[test]
+fn an_exact_request_pays_for_a_same_class_anytime_request_in_its_batch() {
+    let datasets = workload(20.0);
+    let frames = interleave(&datasets, 64);
+    let service = ingested_service("exact_first", 6.0, &datasets, &frames);
+    let twin = ingested_service("exact_first_twin", 6.0, &datasets, &frames);
+    let class = datasets[0].dominant_classes(1)[0];
+    let exact = QueryRequest::new(class);
+    let requests = [
+        exact.clone(),
+        QueryRequest::new(class).with_anytime(AnytimeMode::incremental(2)),
+    ];
+
+    let together = service.serve(&requests).unwrap();
+    let alone = twin.serve(std::slice::from_ref(&exact)).unwrap().remove(0);
+    assert!(alone.centroid_inferences > 0);
+    assert_eq!(together[0], alone);
+    assert_eq!(
+        together[0].gpu_cost.seconds().to_bits(),
+        alone.gpu_cost.seconds().to_bits()
+    );
+    assert_eq!(together[1].centroid_inferences, 0);
+    assert_eq!(payload_json(&together[1]), payload_json(&alone));
+    let gpu = service.stats().gpu;
+    assert_eq!(
+        gpu.submitted_by_phase
+            .get("anytime")
+            .copied()
+            .unwrap_or(0.0),
+        0.0
+    );
 }
