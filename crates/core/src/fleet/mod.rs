@@ -668,7 +668,7 @@ impl FleetCoordinator {
     }
 
     /// Runs one maintenance tick on every alive shard (budget-due seals,
-    /// compaction, migration, prefetch), trimming replay buffers after
+    /// compaction, migration), trimming replay buffers after
     /// maintenance-driven seals.
     pub fn maintain(&mut self) -> Result<MaintenanceReport, FleetError> {
         let mut total = MaintenanceReport::default();
@@ -691,7 +691,6 @@ impl FleetCoordinator {
             self.tick(self.config.net.exchange_secs(received));
             total.segments_sealed += report.segments_sealed;
             total.segments_folded += report.segments_folded;
-            total.segments_prefetched += report.segments_prefetched;
             self.trim_replay(&pending);
         }
         Ok(total)

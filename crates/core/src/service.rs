@@ -114,12 +114,6 @@ pub struct ServiceConfig {
     /// Fold budget handed to [`SegmentStore::compact`]: adjacent segments
     /// are merged while their combined record count stays within this.
     pub compact_max_clusters: usize,
-    /// Manifest-adjacent segments prefetched into the cache per maintenance
-    /// tick ([`SegmentStore::prefetch_adjacent`]; 0 disables prefetch —
-    /// the value a config persisted before this field existed deserializes
-    /// to).
-    #[serde(default)]
-    pub prefetch_per_maintain: usize,
     /// Drift-aware per-stream adaptation (`None` disables it): every
     /// stream gets a [`StreamController`] auditing the live class
     /// distribution and re-selecting the configuration when it drifts
@@ -144,7 +138,6 @@ impl Default for ServiceConfig {
             small_segment_clusters: 32,
             compact_small_threshold: 8,
             compact_max_clusters: 256,
-            prefetch_per_maintain: 2,
             adaptation: None,
             governor: None,
         }
@@ -172,10 +165,6 @@ pub struct MaintenanceReport {
     /// Segments folded away by compaction (zero when the small-segment
     /// trigger was not crossed).
     pub segments_folded: usize,
-    /// Recently-cold-adjacent segments prefetched into the cache this tick
-    /// (see [`ServiceConfig::prefetch_per_maintain`]).
-    #[serde(default)]
-    pub segments_prefetched: usize,
     /// Streams whose controller detected drift and installed a re-selected
     /// configuration during this tick.
     #[serde(default)]
@@ -840,12 +829,10 @@ impl FocusService {
     /// hit its seal budget (exactly the segments the next frame push would
     /// have sealed, so maintenance never changes the partitioning),
     /// compacts the store when the small-segment count crosses the
-    /// configured threshold, prefetches segments adjacent to recently-cold
-    /// ones (see [`ServiceConfig::prefetch_per_maintain`]), runs the adaptation
-    /// controllers (drift check → re-select → install, when
-    /// [`ServiceConfig::adaptation`] is on) and the workload governor
-    /// (when [`ServiceConfig::governor`] is on), and drains one
-    /// GPU-scheduler tick.
+    /// configured threshold, runs the adaptation controllers (drift check →
+    /// re-select → install, when [`ServiceConfig::adaptation`] is on) and
+    /// the workload governor (when [`ServiceConfig::governor`] is on), and
+    /// drains one GPU-scheduler tick.
     pub fn maintain(&mut self) -> Result<MaintenanceReport, SegmentError> {
         let mut report = MaintenanceReport::default();
         let due: Vec<StreamId> = self
@@ -876,14 +863,6 @@ impl FocusService {
             if report.segments_folded > 0 {
                 self.compactions += 1;
             }
-        }
-        // Adjacency prefetch is steady background work: a bounded budget
-        // each tick, never a stop-the-world pass.
-        if self.config.prefetch_per_maintain > 0 {
-            report.segments_prefetched = self
-                .corpus
-                .store()
-                .prefetch_adjacent(self.config.prefetch_per_maintain)?;
         }
 
         // Drift check → re-select → install, one pass over the streams.

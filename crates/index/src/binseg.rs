@@ -869,8 +869,9 @@ pub fn footer_of(bytes: &[u8]) -> Result<SegmentFooter, BinsegError> {
     decode_footer(footer_bytes, version)
 }
 
-/// Extracts one block's byte range out of a complete segment's bytes.
-fn block_slice(bytes: &[u8], offset: u64, len: u64) -> Result<&[u8], BinsegError> {
+/// Extracts one block's byte range out of a complete segment's bytes,
+/// unverified: the caller vouches for them (see [`decode_vouched`]).
+pub fn block_slice(bytes: &[u8], offset: u64, len: u64) -> Result<&[u8], BinsegError> {
     let offset = narrow_usize(offset, "block offset overflows usize")?;
     let len = narrow_usize(len, "block length overflows usize")?;
     let end = offset
@@ -919,7 +920,7 @@ pub fn decode(bytes: &[u8]) -> Result<TopKIndex, BinsegError> {
 /// no key repeats.
 pub fn decode_vouched(bytes: &[u8], footer: &SegmentFooter) -> Result<TopKIndex, BinsegError> {
     let mut index = TopKIndex::new();
-    for record in decode_records(bytes, footer)? {
+    for record in decode_record_blocks(bytes, footer)?.into_iter().flatten() {
         index.insert(record);
     }
     if let Some(meta) = &footer.tracks {
@@ -937,26 +938,29 @@ pub fn decode_vouched(bytes: &[u8], footer: &SegmentFooter) -> Result<TopKIndex,
     Ok(index)
 }
 
-/// Every record of a segment whose bytes the caller has already verified
-/// as a whole (see [`decode_vouched`]), in key order — the record blocks
-/// alone, without building an index.
-pub fn decode_records(
+/// Every record block of a segment whose bytes the caller has already
+/// verified as a whole (see [`decode_vouched`]), one vector per block in
+/// footer (key) order — the record blocks alone, without building an
+/// index.
+pub fn decode_record_blocks(
     bytes: &[u8],
     footer: &SegmentFooter,
-) -> Result<Vec<ClusterRecord>, BinsegError> {
-    let mut records = Vec::new();
+) -> Result<Vec<Vec<ClusterRecord>>, BinsegError> {
+    let mut blocks = Vec::with_capacity(footer.record_blocks.len());
+    let mut records = 0;
     for meta in &footer.record_blocks {
         let block =
             decode_record_block(block_slice(bytes, meta.offset, meta.len)?, footer.version)?;
         if block.len() != meta.count {
             return Err(BinsegError::Malformed("record block count mismatch"));
         }
-        records.extend(block);
+        records += block.len();
+        blocks.push(block);
     }
-    if records.len() != footer.clusters {
+    if records != footer.clusters {
         return Err(BinsegError::Malformed("footer cluster count mismatch"));
     }
-    Ok(records)
+    Ok(blocks)
 }
 
 #[cfg(test)]

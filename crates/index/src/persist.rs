@@ -7,7 +7,7 @@
 //! * [`to_json`] / [`from_json`] — a self-describing, versioned JSON
 //!   rendering of a whole [`TopKIndex`]. Nothing is stored in it; it is the
 //!   canonical form byte-identity tests compare indexes through, and the way
-//!   to look inside a segment (`to_json(&*store.load(id)?)`).
+//!   to look inside a segment (`to_json(&store.load(id)?)`).
 //! * [`write_atomic`] / [`write_atomic_bytes`] (temp file + `fsync` +
 //!   rename) — a crash mid-write can never truncate an existing file: the
 //!   target path either still holds the previous complete contents or

@@ -32,18 +32,23 @@
 //! a *footer directory* outside the caches, filled from the bytes `open`
 //! verifies and `seal`/`compact` encode — so a lookup knows which classes a
 //! segment posts, and skips one that posts none of them, without touching
-//! the file. Blocks go through a two-tier cache: a decoded-block LRU (whole
-//! indexes, record blocks, postings blocks, tracks blocks) above a
-//! raw-bytes LRU that doubles as the decoded tier's probation: a block read
-//! from disk enters the raw tier only, and earns a decoded entry on its
-//! second touch, so a scan larger than the decoded tier cannot flush it.
-//! Lookups read and checksum-verify only the blocks a query needs — the
-//! postings block of each lookup class and the record blocks covering the
-//! union of their candidate keys, each once per request;
+//! the file. The block — a record block, a postings block or the tracks
+//! block — is the only unit the store reads and caches. Blocks go through
+//! two tiers of one byte-weighted LRU, each entry weighing its block's
+//! encoded length: decoded blocks above raw verified bytes, the raw tier
+//! doubling as the decoded tier's probation — a block read from disk enters
+//! the raw tier only, and earns a decoded entry on its second touch, so a
+//! scan larger than the decoded tier cannot flush it. Two warmers fill the
+//! tiers from bytes the store already holds: recovery's open
+//! ([`SegmentStore::open_scanning`]) leaves the newest segments' blocks
+//! decoded, and `seal`/`compact` leave the blocks they have just encoded in
+//! the raw tier. Lookups read and checksum-verify only the blocks a query
+//! needs — the postings block of each lookup class and the record blocks
+//! covering the union of their candidate keys, each once per request;
 //! [`SegmentAccess`] reports per-call pruning, cache and block behaviour so
 //! callers can account for storage cost (the runtime crate's `IoMeter`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -61,17 +66,13 @@ use crate::query::QueryFilter;
 use crate::topk::TopKIndex;
 use crate::track::{TrackKey, TrackSketch};
 
-/// Default capacity of the decoded-block LRU cache, in entries. An entry is
-/// one decoded unit — a whole segment index, a record block, a postings
-/// block or a tracks block.
-pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
+/// Default byte budget of the decoded-block tier. A decoded block weighs its
+/// encoded length, so this is about what 1024 whole segments of a
+/// ten-second, four-camera archive hold.
+pub const DEFAULT_DECODED_CACHE_BYTES: u64 = 28 * 1024 * 1024;
 
-/// Default capacity of the raw-bytes LRU tier, in bytes.
+/// Default byte budget of the raw-bytes tier.
 pub const DEFAULT_RAW_CACHE_BYTES: u64 = 8 * 1024 * 1024;
-
-/// How many recently-cold segment ids the cache remembers for
-/// [`SegmentStore::prefetch_adjacent`].
-const RECENT_COLD_CAP: usize = 32;
 
 /// Errors produced by the segment store.
 #[derive(Debug)]
@@ -267,13 +268,16 @@ impl SegmentAccess {
 /// not counted here: it holds one footer per live segment, always.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LruOccupancy {
-    /// Decoded entries currently resident (whole indexes, record, postings
-    /// and tracks blocks). A block is admitted on its second touch — the
-    /// first leaves it in the raw tier only — so a one-pass scan adds
-    /// nothing here.
-    pub occupancy: usize,
-    /// Maximum decoded entries the cache holds.
-    pub capacity: usize,
+    /// Bytes currently resident in the decoded tier, each decoded block
+    /// weighed by its encoded length. A block is admitted on its second
+    /// touch — the first leaves it in the raw tier only — so a one-pass
+    /// scan adds nothing here.
+    pub decoded_occupancy_bytes: u64,
+    /// Byte budget of the decoded tier (0 disables it).
+    pub decoded_capacity_bytes: u64,
+    /// Entries (record, postings and tracks blocks) currently resident in
+    /// the decoded tier.
+    pub decoded_entries: usize,
     /// Bytes currently resident in the raw tier.
     #[serde(default)]
     pub raw_occupancy_bytes: u64,
@@ -295,13 +299,12 @@ pub struct LruOccupancy {
 }
 
 impl LruOccupancy {
-    /// Fraction of the decoded tier in use (0.0 for an unbounded-but-empty
-    /// cache).
+    /// Fraction of the decoded tier's byte budget in use.
     pub fn fill_fraction(&self) -> f64 {
-        if self.capacity == 0 {
+        if self.decoded_capacity_bytes == 0 {
             0.0
         } else {
-            self.occupancy as f64 / self.capacity as f64
+            self.decoded_occupancy_bytes as f64 / self.decoded_capacity_bytes as f64
         }
     }
 
@@ -360,9 +363,8 @@ pub struct SegmentLookup {
 /// consumes: each group becomes one plan chunk, which the anytime loop
 /// samples and the exhaustive path drains.
 ///
-/// A record served from the decoded tier (a record block or a resident
-/// whole segment) is the tier's own [`Arc`]: a hit costs a reference-count
-/// bump per record, not a copy.
+/// A record served from the decoded tier is its record block's own
+/// [`Arc`]: a hit costs a reference-count bump per record, not a copy.
 #[derive(Debug, Clone)]
 pub struct GroupedLookup {
     /// Per-segment record groups, manifest order, empty groups omitted.
@@ -371,11 +373,10 @@ pub struct GroupedLookup {
     pub access: SegmentAccess,
 }
 
-/// What a cache entry holds for one segment: the whole decoded index, one
-/// record block, one class's postings block, or the tracks block.
+/// Which block of a segment a cache entry holds: one record block, one
+/// class's postings block, or the tracks block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum BlockKey {
-    Whole,
     Records(u32),
     Postings(u16),
     Tracks,
@@ -383,161 +384,200 @@ enum BlockKey {
 
 type CacheKey = (u64, BlockKey);
 
-/// A decoded unit in the top cache tier.
+/// A decoded block in the top cache tier.
 #[derive(Debug, Clone)]
 enum DecodedEntry {
-    Whole(Arc<TopKIndex>),
     Records(Arc<Vec<Arc<ClusterRecord>>>),
     Postings(Arc<Vec<ClusterKey>>),
     Tracks(Arc<Vec<TrackSketch>>),
 }
 
-/// The two-tier cache: a decoded-block LRU (entry-capped) above a raw-bytes
-/// LRU (byte-capped). A decoded miss that hits the raw tier costs a
-/// re-decode instead of a disk read; only a miss in both goes to disk.
-///
-/// The raw tier is also the decoded tier's probationary queue: a block
-/// fetched from disk is inserted here only ([`SegmentReader::block`]), and
-/// the raw hit of its second touch is what promotes it. Whole-segment
-/// loads (`load`, compaction, prefetch) are not scan traffic and enter
-/// both tiers at once; recovery's warm set
-/// ([`SegmentStore::open_scanning`]) enters the decoded tier only.
+/// One resident [`Lru`] entry.
 #[derive(Debug)]
-struct TieredCache {
-    decoded_capacity: usize,
-    decoded_order: VecDeque<CacheKey>,
-    decoded: HashMap<CacheKey, DecodedEntry>,
-    raw_capacity: u64,
-    raw_used: u64,
-    raw_order: VecDeque<CacheKey>,
-    raw: HashMap<CacheKey, Arc<Vec<u8>>>,
-    decoded_hits: u64,
-    raw_hits: u64,
-    disk_reads: u64,
-    /// Segment ids that recently went to disk on the query path, feeding
-    /// adjacency prefetch. Deduplicated, capped, drained by
-    /// [`SegmentStore::prefetch_adjacent`].
-    recent_cold: VecDeque<u64>,
+struct LruEntry<V> {
+    value: V,
+    weight: u64,
+    /// When the entry was last used: its key in [`Lru::order`].
+    stamp: u64,
 }
 
-impl TieredCache {
-    fn new(decoded_capacity: usize, raw_capacity: u64) -> Self {
+/// A byte-weighted LRU map: each entry carries a weight (its block's
+/// encoded length), and inserting past the byte budget evicts the least
+/// recently used entries until the weights fit again. Recency is a
+/// monotonic stamp kept in an ordered map, so a hit, an insert and an
+/// eviction each cost O(log n).
+#[derive(Debug)]
+struct Lru<V> {
+    budget: u64,
+    used: u64,
+    next_stamp: u64,
+    entries: HashMap<CacheKey, LruEntry<V>>,
+    /// Resident keys by stamp, least recently used first.
+    order: BTreeMap<u64, CacheKey>,
+}
+
+impl<V: Clone> Lru<V> {
+    fn new(budget: u64) -> Self {
         Self {
-            decoded_capacity: decoded_capacity.max(1),
-            decoded_order: VecDeque::new(),
-            decoded: HashMap::new(),
-            raw_capacity,
-            raw_used: 0,
-            raw_order: VecDeque::new(),
-            raw: HashMap::new(),
-            decoded_hits: 0,
-            raw_hits: 0,
-            disk_reads: 0,
-            recent_cold: VecDeque::new(),
+            budget,
+            used: 0,
+            next_stamp: 0,
+            entries: HashMap::new(),
+            order: BTreeMap::new(),
         }
     }
 
-    fn touch(order: &mut VecDeque<CacheKey>, key: CacheKey) {
-        if let Some(pos) = order.iter().position(|x| *x == key) {
-            order.remove(pos);
-        }
-        order.push_back(key);
+    /// The value under `key`, which becomes the most recently used entry.
+    fn get(&mut self, key: CacheKey) -> Option<V> {
+        let entry = self.entries.get_mut(&key)?;
+        self.order.remove(&entry.stamp);
+        entry.stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.order.insert(entry.stamp, key);
+        Some(entry.value.clone())
     }
 
-    fn decoded_get(&mut self, key: CacheKey) -> Option<DecodedEntry> {
-        let entry = self.decoded.get(&key)?.clone();
-        Self::touch(&mut self.decoded_order, key);
-        self.decoded_hits += 1;
-        Some(entry)
-    }
-
-    fn decoded_contains(&self, key: CacheKey) -> bool {
-        self.decoded.contains_key(&key)
-    }
-
-    fn decoded_insert(&mut self, key: CacheKey, entry: DecodedEntry) {
-        if self.decoded.insert(key, entry).is_none() {
-            self.decoded_order.push_back(key);
-        } else {
-            Self::touch(&mut self.decoded_order, key);
-        }
-        while self.decoded.len() > self.decoded_capacity {
-            if let Some(evicted) = self.decoded_order.pop_front() {
-                self.decoded.remove(&evicted);
-            }
-        }
-    }
-
-    fn raw_get(&mut self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
-        let bytes = Arc::clone(self.raw.get(&key)?);
-        Self::touch(&mut self.raw_order, key);
-        self.raw_hits += 1;
-        Some(bytes)
-    }
-
-    /// Inserts `bytes` into the raw tier; `false` when the tier cannot hold
-    /// them at all.
-    fn raw_insert(&mut self, key: CacheKey, bytes: Arc<Vec<u8>>) -> bool {
-        let len = bytes.len() as u64;
-        // An entry bigger than the whole tier would evict everything for
-        // nothing; skip it (and everything, when the tier is disabled).
-        if len > self.raw_capacity {
+    /// Stores `value` under `key` as the most recently used entry — a key
+    /// already resident is replaced and re-weighed — then evicts from the
+    /// least recently used end until the weights fit the budget. An entry
+    /// heavier than the whole budget would evict everything for nothing:
+    /// it is refused (`false`) and nothing changes.
+    fn insert(&mut self, key: CacheKey, value: V, weight: u64) -> bool {
+        if weight > self.budget {
             return false;
         }
-        if let Some(old) = self.raw.insert(key, bytes) {
-            self.raw_used -= old.len() as u64;
-            Self::touch(&mut self.raw_order, key);
-        } else {
-            self.raw_order.push_back(key);
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.order.insert(stamp, key);
+        let entry = LruEntry {
+            value,
+            weight,
+            stamp,
+        };
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.used -= old.weight;
+            self.order.remove(&old.stamp);
         }
-        self.raw_used += len;
-        while self.raw_used > self.raw_capacity {
-            if let Some(evicted) = self.raw_order.pop_front() {
-                if let Some(old) = self.raw.remove(&evicted) {
-                    self.raw_used -= old.len() as u64;
-                }
+        self.used += weight;
+        while self.used > self.budget {
+            let Some((_, evicted)) = self.order.pop_first() else {
+                break;
+            };
+            if let Some(old) = self.entries.remove(&evicted) {
+                self.used -= old.weight;
             }
         }
         true
     }
 
+    /// Drops every entry of segment `id`, releasing its weight.
+    fn remove_segment(&mut self, id: u64) {
+        let (used, order) = (&mut self.used, &mut self.order);
+        self.entries.retain(|key, entry| {
+            if key.0 != id {
+                return true;
+            }
+            *used -= entry.weight;
+            order.remove(&entry.stamp);
+            false
+        });
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// The two-tier cache: one [`Lru`] of decoded blocks above one of raw
+/// verified block bytes, both weighed by the blocks' encoded length. A
+/// decoded miss that hits the raw tier costs a re-decode instead of a disk
+/// read; only a miss in both goes to disk.
+///
+/// The raw tier is also the decoded tier's probationary queue: a block
+/// fetched from disk is inserted there only ([`SegmentReader::block`]), and
+/// the raw hit of its second touch is what promotes it. Two warmers skip
+/// probation, because the store holds the bytes already: recovery's open
+/// ([`SegmentStore::open_scanning`]) decodes every block into the decoded
+/// tier, and `write_segment` puts a fresh segment's encoded blocks into the
+/// raw tier.
+#[derive(Debug)]
+struct TieredCache {
+    decoded: Lru<DecodedEntry>,
+    raw: Lru<Arc<Vec<u8>>>,
+    decoded_hits: u64,
+    raw_hits: u64,
+    disk_reads: u64,
+}
+
+impl TieredCache {
+    fn new(decoded_bytes: u64, raw_bytes: u64) -> Self {
+        Self {
+            decoded: Lru::new(decoded_bytes),
+            raw: Lru::new(raw_bytes),
+            decoded_hits: 0,
+            raw_hits: 0,
+            disk_reads: 0,
+        }
+    }
+
+    fn decoded_get(&mut self, key: CacheKey) -> Option<DecodedEntry> {
+        let entry = self.decoded.get(key)?;
+        self.decoded_hits += 1;
+        Some(entry)
+    }
+
+    fn raw_get(&mut self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
+        let bytes = self.raw.get(key)?;
+        self.raw_hits += 1;
+        Some(bytes)
+    }
+
     /// Drops every entry (both tiers) belonging to segment `id`.
     fn remove_segment(&mut self, id: u64) {
-        self.decoded_order.retain(|k| k.0 != id);
-        self.decoded.retain(|k, _| k.0 != id);
-        self.raw_order.retain(|k| k.0 != id);
-        let raw_used = &mut self.raw_used;
-        self.raw.retain(|k, v| {
-            if k.0 == id {
-                *raw_used -= v.len() as u64;
-                false
-            } else {
-                true
-            }
-        });
-        self.recent_cold.retain(|x| *x != id);
+        self.decoded.remove_segment(id);
+        self.raw.remove_segment(id);
     }
 
-    fn note_cold(&mut self, id: u64) {
-        if self.recent_cold.contains(&id) {
-            return;
+    /// Recovery's warmer: decodes every block of one segment out of its
+    /// verified bytes — each record handed to `visit` on the way — and
+    /// keeps them in the decoded tier. Called segment by segment in
+    /// manifest order, it leaves the newest blocks that fit the budget.
+    fn warm_segment(
+        &mut self,
+        id: u64,
+        bytes: &[u8],
+        footer: &SegmentFooter,
+        visit: RecordVisitor<'_>,
+    ) -> Result<(), BinsegError> {
+        let blocks = binseg::decode_record_blocks(bytes, footer)?;
+        for (index, (records, meta)) in blocks.into_iter().zip(&footer.record_blocks).enumerate() {
+            records.iter().for_each(|record| visit(id, record));
+            let entry =
+                DecodedEntry::Records(Arc::new(records.into_iter().map(Arc::new).collect()));
+            let key = (id, BlockKey::Records(index as u32));
+            self.decoded.insert(key, entry, meta.len);
         }
-        if self.recent_cold.len() >= RECENT_COLD_CAP {
-            self.recent_cold.pop_front();
+        for meta in &footer.postings {
+            let block = binseg::block_slice(bytes, meta.offset, meta.len)?;
+            let entry = DecodedEntry::Postings(Arc::new(binseg::decode_postings_block(block)?));
+            let key = (id, BlockKey::Postings(meta.class.0));
+            self.decoded.insert(key, entry, meta.len);
         }
-        self.recent_cold.push_back(id);
-    }
-
-    fn take_recent_cold(&mut self) -> Vec<u64> {
-        self.recent_cold.drain(..).collect()
+        if let Some(meta) = &footer.tracks {
+            let block = binseg::block_slice(bytes, meta.offset, meta.len)?;
+            let entry = DecodedEntry::Tracks(Arc::new(binseg::decode_tracks_block(block)?));
+            self.decoded.insert((id, BlockKey::Tracks), entry, meta.len);
+        }
+        Ok(())
     }
 
     fn occupancy(&self) -> LruOccupancy {
         LruOccupancy {
-            occupancy: self.decoded.len(),
-            capacity: self.decoded_capacity,
-            raw_occupancy_bytes: self.raw_used,
-            raw_capacity_bytes: self.raw_capacity,
+            decoded_occupancy_bytes: self.decoded.used,
+            decoded_capacity_bytes: self.decoded.budget,
+            decoded_entries: self.decoded.len(),
+            raw_occupancy_bytes: self.raw.used,
+            raw_capacity_bytes: self.raw.budget,
             raw_entries: self.raw.len(),
             decoded_hits: self.decoded_hits,
             raw_hits: self.raw_hits,
@@ -701,10 +741,12 @@ impl<'a> SegmentReader<'a> {
         if let Some(bytes) = raw {
             let block = Arc::new(T::share(decode(&bytes).map_err(|e| self.invalid(e))?));
             self.access.block_raw_hits += 1;
+            let entry = T::wrap(Arc::clone(&block));
             self.store
                 .cache
                 .lock()
-                .decoded_insert(cache_key, T::wrap(Arc::clone(&block)));
+                .decoded
+                .insert(cache_key, entry, len);
             return Ok(Fetched::Shared(block));
         }
         let bytes = self.read_range(offset, len as usize)?;
@@ -721,15 +763,16 @@ impl<'a> SegmentReader<'a> {
         self.access.bytes_read += len;
         let mut cache = self.store.cache.lock();
         cache.disk_reads += 1;
-        cache.note_cold(self.id);
-        if cache.raw_insert(cache_key, Arc::new(bytes)) {
+        if cache.raw.insert(cache_key, Arc::new(bytes), len) {
             return Ok(Fetched::Fresh(block));
         }
         // No probation to serve — the raw tier is off, or smaller than this
         // block — so a second touch could never be told from a first:
         // admit at once, as a one-tier cache does.
         let block = Arc::new(T::share(block));
-        cache.decoded_insert(cache_key, T::wrap(Arc::clone(&block)));
+        cache
+            .decoded
+            .insert(cache_key, T::wrap(Arc::clone(&block)), len);
         Ok(Fetched::Shared(block))
     }
 
@@ -752,9 +795,9 @@ type RecordVisitor<'a> = &'a mut dyn FnMut(u64, &ClusterRecord);
 /// on-disk layout and durability protocol).
 ///
 /// All mutations (`seal`, `compact`) take `&mut self` and serialize their
-/// atomic writes; reads (`load`, `lookup`,
-/// `prefetch_adjacent`) take `&self` and share the tiered cache behind a
-/// mutex, so a store can serve concurrent queries.
+/// atomic writes; reads (`load`, `lookup`, `sketches`) take `&self`, and
+/// the lookups share the tiered cache behind a mutex, so a store can serve
+/// concurrent queries.
 ///
 /// # Examples
 ///
@@ -839,7 +882,7 @@ impl SegmentStore {
             manifest,
             footers: HashMap::new(),
             cache: Mutex::new(TieredCache::new(
-                DEFAULT_CACHE_CAPACITY,
+                DEFAULT_DECODED_CACHE_BYTES,
                 DEFAULT_RAW_CACHE_BYTES,
             )),
         })
@@ -855,19 +898,18 @@ impl SegmentStore {
     /// Every segment file is read once, whole; nothing enters the cache
     /// tiers.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        Self::open_body(dir.into(), DEFAULT_CACHE_CAPACITY, None)
+        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, None)
     }
 
     /// [`open`](Self::open), plus a record pass over the same verified
     /// bytes — still one read per segment. Every record of every segment
     /// that verifies is handed to `visit` with its segment id, segment by
-    /// segment in manifest order (within a segment, in no particular
-    /// order). Of the `n` listed segments, the last `min(n, capacity)` —
-    /// those of them that verify — are decoded whole from the same bytes
-    /// and left resident in the decoded tier in manifest order: what a pass
-    /// of whole-segment loads over the store would leave there, so the
-    /// first requests after a restart find the recent segments warm. The
-    /// raw tier stays empty.
+    /// segment in manifest order (within a segment, in key order). Every
+    /// block of those segments — record, postings and tracks — is decoded
+    /// from the same bytes into the decoded tier, in manifest order, so the
+    /// tier keeps the newest blocks that fit its byte budget and the first
+    /// requests after a restart find the recent segments warm. The raw tier
+    /// stays empty.
     ///
     /// This is the open `FocusService::recover` runs: its checks (centroid
     /// resolvability, key-disjointness, next cluster keys) need every
@@ -877,33 +919,29 @@ impl SegmentStore {
         dir: impl Into<PathBuf>,
         mut visit: impl FnMut(u64, &ClusterRecord),
     ) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        Self::open_body(dir.into(), DEFAULT_CACHE_CAPACITY, Some(&mut visit))
+        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, Some(&mut visit))
     }
 
     /// The one open body: [`open`](Self::open) when `visit` is `None`,
     /// [`open_scanning`](Self::open_scanning) otherwise.
     fn open_body(
         dir: PathBuf,
-        decoded_capacity: usize,
+        decoded_bytes: u64,
         mut visit: Option<RecordVisitor<'_>>,
     ) -> Result<(SegmentStore, OpenReport), SegmentError> {
         let manifest_path = dir.join(MANIFEST_FILE);
         let mut manifest = Manifest::load(&manifest_path)?;
         let mut report = OpenReport::default();
-        let mut cache = TieredCache::new(decoded_capacity, DEFAULT_RAW_CACHE_BYTES);
+        let mut cache = TieredCache::new(decoded_bytes, DEFAULT_RAW_CACHE_BYTES);
 
         // Verify every listed segment's bytes against its checksum, and
         // keep the footer of each one that passes: the bytes are in memory
         // and vouched for, so the directory costs no I/O of its own — and
         // neither does the record pass.
         let listed_count = manifest.segments.len();
-        let warm_from = listed_count.saturating_sub(cache.decoded_capacity);
         let mut verified = Vec::with_capacity(listed_count);
         let mut footers = HashMap::with_capacity(listed_count);
-        for (position, meta) in std::mem::take(&mut manifest.segments)
-            .into_iter()
-            .enumerate()
-        {
+        for meta in std::mem::take(&mut manifest.segments) {
             let path = dir.join(&meta.file);
             match fs::read(&path) {
                 Ok(bytes) if fnv1a64(&bytes) == meta.checksum => {
@@ -913,16 +951,9 @@ impl SegmentStore {
                     };
                     let footer = binseg::footer_of(&bytes).map_err(invalid)?;
                     if let Some(visit) = visit.as_deref_mut() {
-                        if position >= warm_from {
-                            let index = binseg::decode_vouched(&bytes, &footer).map_err(invalid)?;
-                            index.clusters().for_each(|r| visit(meta.id, r));
-                            let entry = DecodedEntry::Whole(Arc::new(index));
-                            cache.decoded_insert((meta.id, BlockKey::Whole), entry);
-                        } else {
-                            let records =
-                                binseg::decode_records(&bytes, &footer).map_err(invalid)?;
-                            records.iter().for_each(|r| visit(meta.id, r));
-                        }
+                        cache
+                            .warm_segment(meta.id, &bytes, &footer, visit)
+                            .map_err(invalid)?;
                     }
                     footers.insert(meta.id, Arc::new(footer));
                     verified.push(meta);
@@ -987,23 +1018,24 @@ impl SegmentStore {
         ))
     }
 
-    /// Returns the store with the decoded-block LRU capacity set to
-    /// `capacity` entries (minimum 1; the default is
-    /// [`DEFAULT_CACHE_CAPACITY`]).
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        let raw_capacity = self.cache.lock().raw_capacity;
+    /// Returns the store, both cache tiers empty, with the decoded tier
+    /// capped at `bytes` of encoded blocks (0 disables the tier; the default
+    /// is [`DEFAULT_DECODED_CACHE_BYTES`]).
+    pub fn with_decoded_bytes(self, bytes: u64) -> Self {
+        let raw_bytes = self.cache.lock().raw.budget;
         SegmentStore {
-            cache: Mutex::new(TieredCache::new(capacity, raw_capacity)),
+            cache: Mutex::new(TieredCache::new(bytes, raw_bytes)),
             ..self
         }
     }
 
-    /// Returns the store with the raw-bytes tier capped at `bytes` (0
-    /// disables the tier; the default is [`DEFAULT_RAW_CACHE_BYTES`]).
+    /// Returns the store, both cache tiers empty, with the raw-bytes tier
+    /// capped at `bytes` (0 disables the tier; the default is
+    /// [`DEFAULT_RAW_CACHE_BYTES`]).
     pub fn with_raw_capacity(self, bytes: u64) -> Self {
-        let decoded_capacity = self.cache.lock().decoded_capacity;
+        let decoded_bytes = self.cache.lock().decoded.budget;
         SegmentStore {
-            cache: Mutex::new(TieredCache::new(decoded_capacity, bytes)),
+            cache: Mutex::new(TieredCache::new(decoded_bytes, bytes)),
             ..self
         }
     }
@@ -1045,20 +1077,14 @@ impl SegmentStore {
         self.cache.lock().occupancy()
     }
 
-    /// Decodes a whole segment's bytes.
-    fn decode_segment(&self, meta: &SegmentMeta, bytes: &[u8]) -> Result<TopKIndex, SegmentError> {
-        binseg::decode(bytes).map_err(|source| SegmentError::InvalidSegment {
-            path: self.dir.join(&meta.file),
-            source,
-        })
-    }
-
-    /// Encodes `index` as the next segment, writes its file atomically and
+    /// Encodes `index` as the next segment, writes its file atomically,
     /// enters its footer (decoded back out of the encoder's bytes) in the
-    /// directory. The returned entry is not live until the caller commits
-    /// it to the manifest; until then the file is an orphan
-    /// [`open`](Self::open) would quarantine, and its directory entry is
-    /// as inert — ids are never reused and lookups walk the manifest.
+    /// directory and its blocks in the raw tier — they are in hand, so the
+    /// segment's first lookup is a raw hit, not a disk read. The returned
+    /// entry is not live until the caller commits it to the manifest; until
+    /// then the file is an orphan [`open`](Self::open) would quarantine,
+    /// and its directory and cache entries are as inert — ids are never
+    /// reused and lookups walk the manifest.
     fn write_segment(
         &mut self,
         index: &TopKIndex,
@@ -1070,13 +1096,22 @@ impl SegmentStore {
         let file = format.file_name(id);
         let payload = binseg::encode(index);
         let path = self.dir.join(&file);
-        let footer =
-            binseg::footer_of(&payload).map_err(|source| SegmentError::InvalidSegment {
+        let invalid = |source| SegmentError::InvalidSegment {
+            path: path.clone(),
+            source,
+        };
+        let footer = binseg::footer_of(&payload).map_err(invalid)?;
+        write_atomic_bytes(&path, &payload).map_err(|source| {
+            SegmentError::Persist(PersistError::Io {
                 path: path.clone(),
                 source,
-            })?;
-        write_atomic_bytes(&path, &payload)
-            .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
+            })
+        })?;
+        let cache = self.cache.get_mut();
+        for (key, offset, len) in blocks_of(&footer) {
+            let block = binseg::block_slice(&payload, offset, len).map_err(invalid)?;
+            cache.raw.insert((id, key), Arc::new(block.to_vec()), len);
+        }
         self.footers.insert(id, Arc::new(footer));
         Ok(SegmentMeta {
             id,
@@ -1113,8 +1148,9 @@ impl SegmentStore {
         Ok(Some(meta))
     }
 
-    /// Loads segment `id`, serving it from the cache tiers when possible
-    /// and verifying the manifest checksum on every cold load.
+    /// Reads segment `id` whole, verifies its manifest checksum and decodes
+    /// it. An uncached reader for tests and inspection: it neither consults
+    /// nor fills the cache tiers, whose unit is the block.
     ///
     /// Segment files are binary; to read one as text, render the loaded
     /// index in its canonical JSON form:
@@ -1138,42 +1174,23 @@ impl SegmentStore {
     /// });
     /// let id = store.seal(&seg).unwrap().unwrap().id;
     ///
-    /// let text = persist::to_json(&*store.load(id).unwrap()).unwrap();
+    /// let text = persist::to_json(&store.load(id).unwrap()).unwrap();
     /// assert!(text.starts_with("{\"version\":1,"));
     /// assert_eq!(text, persist::to_json(&seg).unwrap());
     /// # std::fs::remove_dir_all(&dir).ok();
     /// ```
-    pub fn load(&self, id: u64) -> Result<Arc<TopKIndex>, SegmentError> {
+    pub fn load(&self, id: u64) -> Result<TopKIndex, SegmentError> {
         let meta = self
             .manifest
             .segment(id)
             .ok_or(SegmentError::UnknownSegment { id })?;
-        let (index, _) = self.load_whole(meta, true)?;
-        Ok(index)
+        self.read_segment(meta)
     }
 
-    /// Loads a whole segment through the cache tiers; returns the decoded
-    /// index and whether it was already resident in the decoded tier.
-    fn load_whole(
-        &self,
-        meta: &SegmentMeta,
-        note_cold: bool,
-    ) -> Result<(Arc<TopKIndex>, bool), SegmentError> {
-        let key = (meta.id, BlockKey::Whole);
-        let raw = {
-            let mut cache = self.cache.lock();
-            if let Some(DecodedEntry::Whole(index)) = cache.decoded_get(key) {
-                return Ok((index, true));
-            }
-            cache.raw_get(key)
-        };
-        if let Some(bytes) = raw {
-            let index = Arc::new(self.decode_segment(meta, &bytes)?);
-            self.cache
-                .lock()
-                .decoded_insert(key, DecodedEntry::Whole(Arc::clone(&index)));
-            return Ok((index, false));
-        }
+    /// [`load`](Self::load) for a live segment's manifest entry. The
+    /// footer comes from the directory: the whole-file checksum vouches
+    /// that the bytes are the ones it was decoded from.
+    fn read_segment(&self, meta: &SegmentMeta) -> Result<TopKIndex, SegmentError> {
         let path = self.dir.join(&meta.file);
         let bytes = fs::read(&path).map_err(|source| {
             SegmentError::Persist(PersistError::Io {
@@ -1189,15 +1206,23 @@ impl SegmentStore {
                 found,
             });
         }
-        let index = Arc::new(self.decode_segment(meta, &bytes)?);
-        let mut cache = self.cache.lock();
-        cache.disk_reads += 1;
-        if note_cold {
-            cache.note_cold(meta.id);
+        binseg::decode_vouched(&bytes, self.footer(meta.id)?)
+            .map_err(|source| SegmentError::InvalidSegment { path, source })
+    }
+
+    /// Reads `segments` (uncached) and merges them into one index. They
+    /// must be key-disjoint: a key two of them hold is
+    /// [`SegmentError::DuplicateKey`] naming both.
+    fn merge_segments(&self, segments: &[SegmentMeta]) -> Result<TopKIndex, SegmentError> {
+        let mut merged = TopKIndex::new();
+        let mut keys = Vec::new();
+        for meta in segments {
+            let index = self.read_segment(meta)?;
+            keys.extend(index.clusters().map(|record| (record.key, meta.id)));
+            merged.merge(index);
         }
-        cache.raw_insert(key, Arc::new(bytes));
-        cache.decoded_insert(key, DecodedEntry::Whole(Arc::clone(&index)));
-        Ok((index, false))
+        check_disjoint(keys)?;
+        Ok(merged)
     }
 
     /// Segment `id`'s footer, from the directory.
@@ -1347,40 +1372,17 @@ impl SegmentStore {
             if !classes.iter().any(|c| footer.postings_for(*c).is_some()) {
                 continue;
             }
-            // A resident whole index is the fastest path: no block
-            // navigation at all.
-            let whole = self.cache.lock().decoded_get((meta.id, BlockKey::Whole));
-            let records = if let Some(DecodedEntry::Whole(index)) = whole {
-                access.cache_hits += 1;
-                access.block_hits += 1;
-                let mut hits: Vec<&Arc<ClusterRecord>> = classes
-                    .iter()
-                    .flat_map(|class| index.lookup(*class, filter))
-                    .collect();
-                hits.sort_by_key(|r| r.key);
-                hits.dedup_by_key(|r| r.key);
-                hits.into_iter().cloned().collect()
-            } else {
-                self.lookup_segment(meta, footer, classes, filter, &mut access)?
-            };
+            let records = self.lookup_segment(meta, footer, classes, filter, &mut access)?;
             if !records.is_empty() {
                 groups.push((meta.id, records));
             }
         }
-        // Segments are key-disjoint by construction; a key two groups share
-        // means a corrupt store, and silently dropping one record would
-        // mask it.
-        let mut keys: Vec<(ClusterKey, u64)> = groups
-            .iter()
-            .flat_map(|(id, records)| records.iter().map(move |r| (r.key, *id)))
-            .collect();
-        keys.sort_unstable();
-        if let Some(pair) = keys.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            return Err(SegmentError::DuplicateKey {
-                key: pair[0].0,
-                segments: [pair[0].1, pair[1].1],
-            });
-        }
+        check_disjoint(
+            groups
+                .iter()
+                .flat_map(|(id, records)| records.iter().map(move |r| (r.key, *id)))
+                .collect(),
+        )?;
         Ok(GroupedLookup { groups, access })
     }
 
@@ -1432,17 +1434,6 @@ impl SegmentStore {
             let Some(tmeta) = self.footer(meta.id)?.tracks else {
                 continue;
             };
-            // A resident whole index is the fastest path.
-            if let Some(DecodedEntry::Whole(index)) =
-                self.cache.lock().decoded_get((meta.id, BlockKey::Whole))
-            {
-                access.cache_hits += 1;
-                access.block_hits += 1;
-                for sketch in index.sketches() {
-                    absorb(&mut merged, sketch);
-                }
-                continue;
-            }
             let mut reader = SegmentReader::new(self, meta, &mut access);
             let sketches = reader.block::<Vec<TrackSketch>>(
                 BlockKey::Tracks,
@@ -1462,17 +1453,12 @@ impl SegmentStore {
     /// Merges every live segment into one in-memory index (manifest order).
     /// This is the reference the pruned query path is tested against, and
     /// an inspection tool for callers that want the whole corpus in memory;
-    /// it reads and decodes every segment again, so recovery does not use
-    /// it ([`open_scanning`](Self::open_scanning) checks records in the
-    /// open's own pass).
+    /// it reads and decodes every segment again, uncached, so recovery does
+    /// not use it ([`open_scanning`](Self::open_scanning) checks records in
+    /// the open's own pass). Segments sharing a key are
+    /// [`SegmentError::DuplicateKey`].
     pub fn merged_index(&self) -> Result<TopKIndex, SegmentError> {
-        let mut merged = TopKIndex::new();
-        for meta in &self.manifest.segments {
-            let (index, _) = self.load_whole(meta, false)?;
-            let replaced = merged.merge_from(&index);
-            assert_eq!(replaced, 0, "segments must be key-disjoint");
-        }
-        Ok(merged)
+        self.merge_segments(&self.manifest.segments)
     }
 
     /// Folds runs of adjacent small segments into larger ones: consecutive
@@ -1486,7 +1472,9 @@ impl SegmentStore {
     /// orphans that the next [`open`](Self::open) quarantines).
     ///
     /// Returns the number of segments folded away (old segments removed
-    /// minus replacements added).
+    /// minus replacements added). A run whose segments share a key is
+    /// refused with [`SegmentError::DuplicateKey`] before its replacement
+    /// is written, and the manifest is left as it was.
     pub fn compact(&mut self, max_clusters: usize) -> Result<usize, SegmentError> {
         // Work on a copy: the live segment list must stay intact if any
         // write below fails (replacement files already written become
@@ -1509,22 +1497,13 @@ impl SegmentStore {
                 new_segments.append(run);
                 return Ok(());
             }
-            let mut merged = TopKIndex::new();
-            for meta in run.iter() {
-                let (index, _) = this.load_whole(meta, false)?;
-                let replaced = merged.merge_from(&index);
-                assert_eq!(replaced, 0, "segments must be key-disjoint");
-            }
+            let merged = this.merge_segments(run)?;
             let t_start = run.iter().map(|m| m.t_start).fold(f64::INFINITY, f64::min);
             let t_end = run
                 .iter()
                 .map(|m| m.t_end)
                 .fold(f64::NEG_INFINITY, f64::max);
             let meta = this.write_segment(&merged, t_start, t_end)?;
-            this.cache.lock().decoded_insert(
-                (meta.id, BlockKey::Whole),
-                DecodedEntry::Whole(Arc::new(merged)),
-            );
             obsolete.append(run);
             new_segments.push(meta);
             Ok(())
@@ -1560,52 +1539,33 @@ impl SegmentStore {
         drop(cache);
         Ok(before - self.manifest.segments.len())
     }
+}
 
-    /// Warms up to `budget` segments that are manifest-adjacent to segments
-    /// recently served cold on the query path — the background prefetch
-    /// `FocusService::maintain()` drives between queries. Segments already
-    /// resident in the decoded tier are skipped, and prefetch loads are
-    /// never fed back into the recently-cold set (no cascading).
-    ///
-    /// Returns how many segments were actually warmed.
-    pub fn prefetch_adjacent(&self, budget: usize) -> Result<usize, SegmentError> {
-        if budget == 0 || self.manifest.segments.is_empty() {
-            return Ok(0);
-        }
-        let cold = self.cache.lock().take_recent_cold();
-        if cold.is_empty() {
-            return Ok(0);
-        }
-        let mut targets: Vec<u64> = Vec::new();
-        for id in cold {
-            if let Some(pos) = self.manifest.segments.iter().position(|m| m.id == id) {
-                if pos > 0 {
-                    targets.push(self.manifest.segments[pos - 1].id);
-                }
-                if pos + 1 < self.manifest.segments.len() {
-                    targets.push(self.manifest.segments[pos + 1].id);
-                }
-            }
-        }
-        targets.sort_unstable();
-        targets.dedup();
-        let mut warmed = 0usize;
-        for id in targets {
-            if warmed >= budget {
-                break;
-            }
-            let Some(meta) = self.manifest.segment(id) else {
-                continue;
-            };
-            if self.cache.lock().decoded_contains((id, BlockKey::Whole)) {
-                continue;
-            }
-            let (_, resident) = self.load_whole(meta, false)?;
-            if !resident {
-                warmed += 1;
-            }
-        }
-        Ok(warmed)
+/// Every block of a segment and where its bytes lie: the record blocks in
+/// key order, the postings blocks in class order, then the tracks block.
+fn blocks_of(footer: &SegmentFooter) -> impl Iterator<Item = (BlockKey, u64, u64)> + '_ {
+    let records = footer.record_blocks.iter().enumerate();
+    let records = records.map(|(index, m)| (BlockKey::Records(index as u32), m.offset, m.len));
+    let postings = footer.postings.iter();
+    let postings = postings.map(|m| (BlockKey::Postings(m.class.0), m.offset, m.len));
+    let tracks = footer
+        .tracks
+        .iter()
+        .map(|m| (BlockKey::Tracks, m.offset, m.len));
+    records.chain(postings).chain(tracks)
+}
+
+/// Segments are key-disjoint by construction: a key two of them hold means
+/// a corrupt store, and silently keeping one of the records would mask it.
+/// `keys` pairs each key with the segment holding it.
+fn check_disjoint(mut keys: Vec<(ClusterKey, u64)>) -> Result<(), SegmentError> {
+    keys.sort_unstable();
+    match keys.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+        Some(pair) => Err(SegmentError::DuplicateKey {
+            key: pair[0].0,
+            segments: [pair[0].1, pair[1].1],
+        }),
+        None => Ok(()),
     }
 }
 
@@ -1673,11 +1633,24 @@ mod tests {
     }
 
     /// Seals three binary segments: stream 0 at [0,15], stream 0 at
-    /// [100,115], stream 1 at [0,15].
+    /// [100,115], stream 1 at [0,15] — and returns the store reopened, so
+    /// both cache tiers start empty.
     fn populated(dir: &Path) -> SegmentStore {
         let mut store = SegmentStore::create(dir).unwrap();
         seal_populated(&mut store);
-        store
+        cold(store)
+    }
+
+    /// `store` reopened by a plain `open`: the same segments, both cache
+    /// tiers empty (sealing leaves the fresh blocks in the raw tier).
+    fn cold(store: SegmentStore) -> SegmentStore {
+        SegmentStore::open(store.dir()).unwrap().0
+    }
+
+    /// What every block of segment `id` weighs in either tier: the sum of
+    /// their encoded lengths.
+    fn weight(store: &SegmentStore, id: u64) -> u64 {
+        blocks_of(&store.footers[&id]).map(|(_, _, len)| len).sum()
     }
 
     /// What one cold lookup of `class` costs in each segment, read off the
@@ -1790,6 +1763,7 @@ mod tests {
         let dir = test_dir("block_reads");
         let mut store = SegmentStore::create(&dir).unwrap();
         let meta = one_big_segment(&mut store);
+        let store = cold(store);
         let file_len = fs::metadata(dir.join(&meta.file)).unwrap().len();
         let (blocks, bytes) = lookup_costs(&store, 3)[0];
 
@@ -1807,7 +1781,7 @@ mod tests {
             "{bytes} must undercut the file ({file_len})"
         );
         let occ = store.cache_occupancy();
-        assert_eq!((occ.occupancy, occ.raw_entries), (0, blocks));
+        assert_eq!((occ.decoded_entries, occ.raw_entries), (0, blocks));
         // Second touch: every block is a raw-tier hit, re-decoded and
         // promoted; nothing is read.
         let second = store.lookup(ClassId(3), &any).unwrap();
@@ -1815,7 +1789,7 @@ mod tests {
         assert_eq!(second.access.block_raw_hits, blocks);
         assert_eq!(second.access.blocks_read, 0);
         assert_eq!(second.access.bytes_read, 0);
-        assert_eq!(store.cache_occupancy().occupancy, blocks);
+        assert_eq!(store.cache_occupancy().decoded_entries, blocks);
         // Third touch: all decoded-tier hits.
         let third = store.lookup(ClassId(3), &any).unwrap();
         assert_eq!(third.access.cache_hits, 1);
@@ -1838,6 +1812,7 @@ mod tests {
         let dir = test_dir("two_class");
         let mut store = SegmentStore::create(&dir).unwrap();
         one_big_segment(&mut store);
+        let store = cold(store);
         // Classes 3 and 0 share every record block (class 0 is every
         // record's second choice).
         let (blocks_3, _) = lookup_costs(&store, 3)[0];
@@ -1870,13 +1845,15 @@ mod tests {
     fn lru_cache_serves_warm_lookups_without_reads() {
         let dir = test_dir("lru");
         let store = populated(&dir);
-        let blocks: Vec<usize> = lookup_costs(&store, 5).iter().map(|c| c.0).collect();
+        let costs = lookup_costs(&store, 5);
+        let blocks: Vec<usize> = costs.iter().map(|c| c.0).collect();
         let all_blocks: usize = blocks.iter().sum();
         // Raw tier off — no probation to serve, so blocks are admitted to
-        // the decoded tier on first touch — and a decoded tier that holds
-        // exactly the blocks of the two most recently read segments.
+        // the decoded tier on first touch — and a decoded tier whose byte
+        // budget holds exactly the blocks of the two most recently read
+        // segments.
         let store = store
-            .with_cache_capacity(blocks[1] + blocks[2])
+            .with_decoded_bytes(costs[1].1 + costs[2].1)
             .with_raw_capacity(0);
         let cold = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         assert_eq!(cold.access.cold_loads, 3);
@@ -1935,8 +1912,11 @@ mod tests {
         let (other_blocks, other_raw_bytes) = lookup_costs(&store, 2)[0];
         assert_eq!(other_blocks, blocks);
         assert!(blocks > 3, "each class must span several record blocks");
+        // Class 2's keys are the larger ones, so its blocks weigh at least
+        // as much as class 1's.
+        assert!(other_raw_bytes >= raw_bytes);
         // The decoded tier holds one lookup's blocks, not two.
-        let store = store.with_cache_capacity(blocks);
+        let store = store.with_decoded_bytes(other_raw_bytes);
         let any = QueryFilter::any();
         // First touches go to disk and stay on probation in the raw tier.
         let first = store.lookup(ClassId(1), &any).unwrap();
@@ -1946,7 +1926,7 @@ mod tests {
         assert_eq!(other.access.blocks_read, blocks);
         let disk_reads = store.cache_occupancy().disk_reads;
         assert_eq!(disk_reads as usize, 2 * blocks);
-        assert_eq!(store.cache_occupancy().occupancy, 0);
+        assert_eq!(store.cache_occupancy().decoded_entries, 0);
         // Second touches promote; class 2's promotion evicts every decoded
         // block of class 1.
         for class in [1, 2] {
@@ -1954,7 +1934,7 @@ mod tests {
             assert_eq!(again.access.block_raw_hits, blocks);
             assert_eq!(again.access.blocks_read, 0);
         }
-        assert_eq!(store.cache_occupancy().occupancy, blocks);
+        assert_eq!(store.cache_occupancy().decoded_entries, blocks);
         // The evicted blocks are re-decoded from the raw tier, never re-read.
         let again = store.lookup(ClassId(1), &any).unwrap();
         assert_eq!(again.records, first.records);
@@ -2083,13 +2063,14 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// Recovery's open visits every record once and leaves warm exactly
-    /// what a full pass of whole-segment loads (`merged_index`, the pass it
-    /// replaces) leaves: the last `capacity` segments, in manifest order —
-    /// here two of three, after a compaction made manifest order differ
-    /// from id order. Plain `open` leaves both tiers empty.
+    /// Recovery's open visits every record once and leaves the decoded tier
+    /// holding every block of the newest segments that fit its byte
+    /// budget, in manifest order — here two of three, after a compaction
+    /// made manifest order differ from id order: a lookup on the newest
+    /// segment reads nothing, one on the oldest reads from disk. Plain
+    /// `open` leaves both tiers empty.
     #[test]
-    fn scanning_open_warms_the_last_segments_in_manifest_order() {
+    fn recovery_warms_the_newest_segments_that_fit() {
         let dir = test_dir("open_scanning");
         let mut store = populated(&dir);
         let three = [0, 1, 2].map(|local| record(2, local, 5, local as f64));
@@ -2099,11 +2080,15 @@ mod tests {
         store.compact(4).unwrap();
         let order: Vec<u64> = store.segments().iter().map(|m| m.id).collect();
         assert_eq!(order, vec![4, 2, 3]);
+        let budget = weight(&store, 2) + weight(&store, 3);
+        let entries = |id: u64| blocks_of(&store.footers[&id]).count();
+        let newest_entries = entries(2) + entries(3);
         drop(store);
 
         let mut seen = Vec::new();
         let mut visit = |id: u64, record: &ClusterRecord| seen.push((record.key, id));
-        let (scanned, report) = SegmentStore::open_body(dir.clone(), 2, Some(&mut visit)).unwrap();
+        let (scanned, report) =
+            SegmentStore::open_body(dir.clone(), budget, Some(&mut visit)).unwrap();
         assert!(report.is_clean(), "{report:?}");
         seen.sort();
         let mut expected: Vec<(ClusterKey, u64)> = Vec::new();
@@ -2115,24 +2100,154 @@ mod tests {
         assert_eq!(seen, expected);
         assert_eq!(seen.len(), scanned.total_clusters());
 
-        let resident = |store: &SegmentStore| -> Vec<CacheKey> {
-            store.cache.lock().decoded_order.iter().copied().collect()
-        };
-        assert_eq!(
-            resident(&scanned),
-            vec![(2, BlockKey::Whole), (3, BlockKey::Whole)]
-        );
         let occupancy = scanned.cache_occupancy();
-        assert_eq!((occupancy.occupancy, occupancy.raw_entries), (2, 0));
-        assert_eq!(occupancy.disk_reads, 0);
+        assert_eq!(occupancy.decoded_occupancy_bytes, budget);
+        assert_eq!(occupancy.decoded_entries, newest_entries);
+        assert_eq!((occupancy.raw_entries, occupancy.disk_reads), (0, 0));
+        // Segment 3 (stream 2) is the newest: served decoded, nothing read.
+        let newest = QueryFilter::for_stream(StreamId(2));
+        let newest = scanned.lookup(ClassId(5), &newest).unwrap();
+        assert_eq!(newest.records.len(), 3);
+        assert_eq!(
+            (newest.access.cache_hits, newest.access.blocks_read),
+            (1, 0)
+        );
+        assert_eq!(newest.access.block_hits, lookup_costs(&scanned, 5)[2].0);
+        // Segment 4 (stream 0) is the oldest: evicted, so it comes off disk.
+        let oldest = QueryFilter::for_stream(StreamId(0));
+        let oldest = scanned.lookup(ClassId(5), &oldest).unwrap();
+        assert_eq!(oldest.access.cold_loads, 1);
+        assert_eq!(oldest.access.block_hits, 0);
+        assert_eq!(oldest.access.blocks_read, lookup_costs(&scanned, 5)[0].0);
 
         let (plain, _) = SegmentStore::open(&dir).unwrap();
-        assert_eq!(plain.cache_occupancy().occupancy, 0);
-        assert_eq!(plain.cache_occupancy().raw_entries, 0);
-        let plain = plain.with_cache_capacity(2);
-        plain.merged_index().unwrap();
-        assert_eq!(resident(&plain), resident(&scanned));
+        let occupancy = plain.cache_occupancy();
+        assert_eq!((occupancy.decoded_entries, occupancy.raw_entries), (0, 0));
+        assert_eq!(occupancy.decoded_occupancy_bytes, 0);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `seal` and `compact` leave the blocks they have just encoded in the
+    /// raw tier, so a fresh segment's first lookup is a raw hit, never a
+    /// disk read; a folded segment's entries go with it.
+    #[test]
+    fn a_fresh_segment_is_a_raw_hit_on_first_lookup() {
+        let dir = test_dir("fresh_raw");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        seal_populated(&mut store);
+        let any = QueryFilter::any();
+        let sealed = store.lookup(ClassId(5), &any).unwrap();
+        assert_eq!(sealed.records.len(), 4);
+        assert_eq!(sealed.access.blocks_read, 0, "{:?}", sealed.access);
+        assert!(sealed.access.block_raw_hits > 0, "{:?}", sealed.access);
+
+        assert_eq!(store.compact(usize::MAX).unwrap(), 2);
+        let compacted = store.lookup(ClassId(5), &any).unwrap();
+        assert_eq!(compacted.records, sealed.records);
+        assert_eq!(compacted.access.blocks_read, 0, "{:?}", compacted.access);
+        assert!(
+            compacted.access.block_raw_hits > 0,
+            "{:?}",
+            compacted.access
+        );
+        let occupancy = store.cache_occupancy();
+        let replacement = store.segments()[0].id;
+        assert_eq!(occupancy.raw_occupancy_bytes, weight(&store, replacement));
+        assert_eq!(occupancy.disk_reads, 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A run of segments sharing a key is refused before its replacement is
+    /// written: the manifest and every segment file stay as they were, and
+    /// the uncached reference reader refuses the store the same way.
+    #[test]
+    fn compact_refuses_segments_sharing_a_key_and_changes_nothing() {
+        let dir = test_dir("compact_duplicate");
+        let mut store = SegmentStore::create(&dir).unwrap();
+        store
+            .seal(&segment_of(&[record(0, 0, 5, 0.0), record(0, 1, 5, 10.0)]))
+            .unwrap();
+        store
+            .seal(&segment_of(&[record(0, 1, 6, 10.0), record(0, 2, 6, 20.0)]))
+            .unwrap();
+        let listing = || {
+            let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let entry = entry.unwrap();
+                    let name = entry.file_name().to_string_lossy().into_owned();
+                    (name, fs::read(entry.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = listing();
+        let live = store.segments().to_vec();
+        let ids = [live[0].id, live[1].id];
+        let duplicate = ClusterKey::new(StreamId(0), 1);
+        match store.compact(usize::MAX) {
+            Err(SegmentError::DuplicateKey { key, segments }) => {
+                assert_eq!((key, segments), (duplicate, ids))
+            }
+            other => panic!("expected DuplicateKey, got {other:?}"),
+        }
+        assert_eq!(listing(), before);
+        assert_eq!(store.segments(), &live[..]);
+        match store.merged_index() {
+            Err(SegmentError::DuplicateKey { key, segments }) => {
+                assert_eq!((key, segments), (duplicate, ids))
+            }
+            other => panic!("expected DuplicateKey, got {other:?}"),
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The byte-weighted LRU both tiers use.
+    #[test]
+    fn lru_evicts_by_bytes_in_least_recently_used_order() {
+        let key = |id: u64, block: u32| (id, BlockKey::Records(block));
+        let mut lru: Lru<u64> = Lru::new(100);
+        let state = |lru: &Lru<u64>| {
+            assert_eq!(lru.order.len(), lru.len(), "order and entries agree");
+            (lru.used, lru.len())
+        };
+        // The byte budget is honoured: 30 + 30 + 30 fit, 20 more does not,
+        // and the least recently used entry goes first.
+        for id in 1..=3 {
+            assert!(lru.insert(key(id, 0), id, 30));
+        }
+        assert_eq!(state(&lru), (90, 3));
+        assert_eq!(lru.get(key(1, 0)), Some(1));
+        assert!(lru.insert(key(4, 0), 4, 20));
+        assert_eq!(lru.get(key(2, 0)), None);
+        assert_eq!(state(&lru), (80, 3));
+        // Eviction walks recency, not insertion: 3, then 1 (last used
+        // before 4 was inserted), go before 4 would.
+        assert!(lru.insert(key(5, 0), 5, 70));
+        assert_eq!(lru.get(key(3, 0)), None);
+        assert_eq!(lru.get(key(1, 0)), None);
+        assert_eq!(state(&lru), (90, 2));
+        // A re-insert re-weighs: 5 shrinks from 70 to 10.
+        assert!(lru.insert(key(5, 0), 50, 10));
+        assert_eq!(state(&lru), (30, 2));
+        assert_eq!(lru.get(key(5, 0)), Some(50));
+        // `remove_segment` releases every block of one segment.
+        assert!(lru.insert(key(4, 1), 41, 25));
+        assert_eq!(state(&lru), (55, 3));
+        lru.remove_segment(4);
+        assert_eq!(state(&lru), (10, 1));
+        // An entry heavier than the budget is refused and changes nothing;
+        // one of exactly the budget evicts everything else.
+        assert!(!lru.insert(key(6, 0), 6, 101));
+        assert_eq!(state(&lru), (10, 1));
+        assert!(lru.insert(key(7, 0), 7, 100));
+        assert_eq!(state(&lru), (100, 1));
+        assert_eq!(lru.get(key(5, 0)), None);
+        // A budget of 0 holds nothing.
+        let mut off: Lru<u64> = Lru::new(0);
+        assert!(!off.insert(key(1, 0), 1, 1));
+        assert_eq!(state(&off), (0, 0));
     }
 
     #[test]
@@ -2262,13 +2377,13 @@ mod tests {
             track: TrackId(3),
         }));
 
-        // Resident whole indexes answer identically to the tracks blocks:
-        // sketches ride the decoded index too.
-        store.merged_index().unwrap();
-        let (from_whole, whole_access) = store.sketches(&QueryFilter::any()).unwrap();
-        assert_eq!(from_whole, all);
-        assert_eq!(whole_access.block_hits, 3);
-        assert_eq!(whole_access.blocks_read, 0);
+        // Tracks blocks ride the cache tiers like every other block: sealing
+        // left them in the raw tier, the first pass promoted them, and now
+        // every one is a decoded hit that answers identically.
+        let (warm, warm_access) = store.sketches(&QueryFilter::any()).unwrap();
+        assert_eq!(warm, all);
+        assert_eq!(warm_access.block_hits, 3);
+        assert_eq!(warm_access.blocks_read, 0);
 
         fs::remove_dir_all(&dir).ok();
     }
@@ -2278,6 +2393,7 @@ mod tests {
         let dir = test_dir("sketch_corrupt");
         let mut store = SegmentStore::create(&dir).unwrap();
         store.seal(&sketched_index(0, 0, 0.0, 1)).unwrap();
+        let store = cold(store);
         let meta = store.segments()[0].clone();
         let path = dir.join(&meta.file);
         // Flip one byte inside the tracks block (located via the trailer
@@ -2419,38 +2535,17 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_warms_manifest_adjacent_segments() {
-        let dir = test_dir("prefetch");
-        let store = populated(&dir);
-        // Nothing recently cold: prefetch is a no-op.
-        assert_eq!(store.prefetch_adjacent(8).unwrap(), 0);
-        // A pruned cold lookup touches only the middle segment...
-        let mid = QueryFilter::for_stream(StreamId(0)).with_time_range(90.0, 200.0);
-        let cold = store.lookup(ClassId(5), &mid).unwrap();
-        assert_eq!(cold.access.cold_loads, 1);
-        // ...so prefetch warms its two manifest neighbours.
-        assert_eq!(store.prefetch_adjacent(8).unwrap(), 2);
-        let warm = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(warm.access.cold_loads, 0);
-        assert_eq!(warm.access.cache_hits, 3);
-        // The recently-cold set was drained; prefetch loads did not refill
-        // it (no cascade).
-        assert_eq!(store.prefetch_adjacent(8).unwrap(), 0);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn cache_occupancy_tracks_both_tiers() {
         let dir = test_dir("occupancy");
         let store = populated(&dir);
         let costs = lookup_costs(&store, 5);
         let blocks: usize = costs.iter().map(|c| c.0).sum();
         let raw_bytes: u64 = costs.iter().map(|c| c.1).sum();
-        let capacity = blocks - costs[0].0;
-        let store = store.with_cache_capacity(capacity);
+        let capacity = raw_bytes - costs[0].1;
+        let store = store.with_decoded_bytes(capacity);
         let empty = store.cache_occupancy();
-        assert_eq!(empty.occupancy, 0);
-        assert_eq!(empty.capacity, capacity);
+        assert_eq!(empty.decoded_occupancy_bytes, 0);
+        assert_eq!(empty.decoded_capacity_bytes, capacity);
         assert_eq!(empty.fill_fraction(), 0.0);
         assert_eq!(empty.decoded_hit_rate(), 0.0);
         assert_eq!(empty.raw_hit_rate(), 0.0);
@@ -2458,7 +2553,7 @@ mod tests {
         // decoded one.
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         let scanned = store.cache_occupancy();
-        assert_eq!(scanned.occupancy, 0, "first touch admits nothing");
+        assert_eq!(scanned.decoded_entries, 0, "first touch admits nothing");
         assert_eq!(scanned.disk_reads as usize, blocks);
         assert_eq!(scanned.raw_entries, blocks);
         assert_eq!(scanned.raw_occupancy_bytes, raw_bytes);
@@ -2467,7 +2562,9 @@ mod tests {
         // The second pass promotes them all.
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         let full = store.cache_occupancy();
-        assert_eq!(full.occupancy, capacity, "the promotions overflow the LRU");
+        let overflow = "the promotions overflow the LRU";
+        assert_eq!(full.decoded_occupancy_bytes, capacity, "{overflow}");
+        assert_eq!(full.decoded_entries, blocks - costs[0].0, "{overflow}");
         assert_eq!(full.fill_fraction(), 1.0);
         assert_eq!(full.raw_hits as usize, blocks);
         assert_eq!(full.disk_reads as usize, blocks);
@@ -2632,7 +2729,7 @@ mod property_tests {
             segments in 1usize..9,
             streams in 1u64..4,
             classes in 1u64..7,
-            decoded_capacity in prop_oneof![Just(1usize), Just(3), Just(DEFAULT_CACHE_CAPACITY)],
+            decoded_tier in 0usize..3,
             raw_tier in 0usize..3,
         ) {
             let mut rng = TestRng::from_name(&seed.to_string());
@@ -2656,8 +2753,18 @@ mod property_tests {
                 .max()
                 .unwrap();
             let raw_capacity = [0, largest_block, DEFAULT_RAW_CACHE_BYTES][raw_tier];
+            // Decoded tier: the heaviest block, the three heaviest blocks,
+            // or default.
+            let mut weights: Vec<u64> = store
+                .footers
+                .values()
+                .flat_map(|f| blocks_of(f).map(|(_, _, len)| len))
+                .collect();
+            weights.sort_unstable_by(|a, b| b.cmp(a));
+            let three: u64 = weights.iter().take(3).sum();
+            let decoded_bytes = [weights[0], three, DEFAULT_DECODED_CACHE_BYTES][decoded_tier];
             let mut store = store
-                .with_cache_capacity(decoded_capacity)
+                .with_decoded_bytes(decoded_bytes)
                 .with_raw_capacity(raw_capacity);
             // The reference comes from a second store on the same directory,
             // so loading it leaves this store's cache tiers alone.

@@ -311,7 +311,7 @@ fn maintenance_seals_due_tails_and_compacts() {
     assert!(stats.compactions >= 1);
     assert!(stats.gpu.ticks >= 1);
     // Both cache tiers are live and visible through the service stats.
-    assert!(stats.lru.capacity > 0);
+    assert!(stats.lru.decoded_capacity_bytes > 0);
     assert!(stats.lru.raw_capacity_bytes > 0);
     assert!(stats.lru.decoded_hits + stats.lru.raw_hits > 0);
     std::fs::remove_dir_all(&dir).ok();

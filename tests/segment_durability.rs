@@ -287,21 +287,35 @@ fn recover_refuses_a_sealed_cluster_without_a_centroid_and_changes_nothing() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Satellite: recovery leaves the store warm — every segment of a store
-/// smaller than the decoded tier resident as a whole index, so an
-/// unfiltered lookup reads no block from disk — while a plain
-/// `SegmentStore::open` leaves the cache cold.
+/// Satellite: recovery leaves the store warm — every block of a store
+/// smaller than the decoded tier resident, so an unfiltered lookup reads no
+/// block from disk — while a plain `SegmentStore::open` leaves the cache
+/// cold.
 #[test]
 fn recover_leaves_a_small_store_resident_and_plain_open_leaves_it_cold() {
     let archive = build("warm_set", 45.0, 10.0, 64);
     let class = archive.datasets[0].dominant_classes(1)[0];
+    // What every block of every segment weighs: its encoded length.
+    let store_bytes: u64 = archive
+        .sealed
+        .iter()
+        .map(|meta| {
+            let footer =
+                binseg::footer_of(&std::fs::read(archive.dir.join(&meta.file)).unwrap()).unwrap();
+            let records = footer.record_blocks.iter().map(|b| b.len);
+            let postings = footer.postings.iter().map(|b| b.len);
+            let tracks = footer.tracks.iter().map(|b| b.len);
+            records.chain(postings).chain(tracks).sum::<u64>()
+        })
+        .sum();
 
     let (recovered, _) = recover(&archive.dir, 10.0);
     let store = recovered.store();
     assert!(store.len() >= 4, "expected a segmented store");
     let occupancy = store.cache_occupancy();
-    assert!(store.len() <= occupancy.capacity);
-    assert_eq!(occupancy.occupancy, store.len());
+    assert!(store_bytes <= occupancy.decoded_capacity_bytes);
+    assert_eq!(occupancy.decoded_occupancy_bytes, store_bytes);
+    assert_eq!(occupancy.raw_occupancy_bytes, 0);
     let lookup = store.lookup(class, &QueryFilter::any()).unwrap();
     assert!(!lookup.records.is_empty());
     assert_eq!(lookup.access.blocks_read, 0, "{:?}", lookup.access);
@@ -310,7 +324,9 @@ fn recover_leaves_a_small_store_resident_and_plain_open_leaves_it_cold() {
 
     let (plain, report) = SegmentStore::open(&archive.dir).unwrap();
     assert!(report.is_clean(), "{report:?}");
-    assert_eq!(plain.cache_occupancy().occupancy, 0);
+    let occupancy = plain.cache_occupancy();
+    assert_eq!(occupancy.decoded_occupancy_bytes, 0);
+    assert_eq!(occupancy.raw_occupancy_bytes, 0);
     assert!(
         plain
             .lookup(class, &QueryFilter::any())
