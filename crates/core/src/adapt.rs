@@ -1,15 +1,13 @@
-//! Live adaptation: drift-aware per-stream reconfiguration and a
-//! workload-driven GPU governor.
+//! Live adaptation: drift-aware per-stream reconfiguration.
 //!
 //! Focus picks each stream's configuration — cheap CNN, top-K width,
 //! clustering threshold — *once*, on a short sample, under a fixed
 //! ingest/query trade-off policy (§4.4, Figures 1/6 of the paper). That is
 //! the right shape for a recorded experiment and the wrong shape for a
 //! long-lived service: class distributions drift (day/night,
-//! weekday/weekend), the query:ingest mix swings, and a one-shot choice
-//! decays silently — the specialized model keeps mapping the new dominant
-//! classes through OTHER, recall slides below the accuracy target, and
-//! nothing notices. This module closes the loop between the offline
+//! weekday/weekend), and a one-shot choice decays silently — the
+//! specialized model keeps mapping the new dominant classes through OTHER,
+//! recall slides below the accuracy target, and nothing notices. This module closes the loop between the offline
 //! [`ParameterSelector`] and the online
 //! [`FocusService`](crate::service::FocusService):
 //!
@@ -28,10 +26,6 @@
 //!   before the switch are untouched and stay reachable exactly as after a
 //!   scheduled retrain (`tests/adaptive_drift.rs` pins this byte-identical
 //!   against a seal-then-reconfigure reference).
-//! * [`WorkloadGovernor`] — service-level controller that retargets the
-//!   shared [`GpuScheduler`]'s `Weighted { query_share }` from the
-//!   observed backlogs each maintenance tick, with a dead-band and a step
-//!   limit so it converges instead of flapping.
 //!
 //! All adaptation GPU work — audit labelling and re-selection sweeps — is
 //! submitted to the same scheduler as ingest and queries, so adapting is a
@@ -46,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::{Classifier, GroundTruthCnn};
-use focus_runtime::{GpuMeter, GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats};
+use focus_runtime::GpuMeter;
 use focus_video::profile::StreamDomain;
 use focus_video::{ClassId, Frame, ObjectObservation, StreamId, StreamProfile, VideoDataset};
 
@@ -426,142 +420,9 @@ impl StreamController {
     }
 }
 
-/// Configuration of the service-level GPU governor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GovernorConfig {
-    /// Lower bound on the query share (ingest can never be fully starved
-    /// by the governor).
-    pub min_share: f64,
-    /// Upper bound on the query share.
-    pub max_share: f64,
-    /// Dead-band: the governor only acts when the desired share differs
-    /// from the current one by at least this much (hysteresis against
-    /// flapping on noisy backlogs).
-    pub deadband: f64,
-    /// Largest share change applied per tick (the governor walks towards
-    /// the desired share instead of jumping).
-    pub max_step: f64,
-}
-
-impl Default for GovernorConfig {
-    fn default() -> Self {
-        Self {
-            min_share: 0.05,
-            max_share: 0.95,
-            deadband: 0.10,
-            max_step: 0.25,
-        }
-    }
-}
-
-impl GovernorConfig {
-    fn validate(&self) {
-        assert!(
-            0.0 <= self.min_share && self.min_share <= self.max_share && self.max_share <= 1.0,
-            "governor shares must satisfy 0 <= min <= max <= 1"
-        );
-        assert!(self.deadband >= 0.0, "deadband must be non-negative");
-        assert!(self.max_step > 0.0, "max step must be positive");
-    }
-}
-
-/// Retargets the shared [`GpuScheduler`]'s `Weighted { query_share }` from
-/// the observed backlogs (see the module docs). Only acts when the
-/// scheduler is running a `Weighted` policy — strict priorities are a
-/// deliberate operator choice the governor must not override.
-///
-/// # Examples
-///
-/// ```
-/// use focus_cnn::GpuCost;
-/// use focus_core::adapt::{GovernorConfig, WorkloadGovernor};
-/// use focus_runtime::{GpuClusterSpec, GpuPriorityPolicy, GpuScheduler};
-///
-/// let sched = GpuScheduler::new(
-///     GpuClusterSpec::new(2),
-///     GpuPriorityPolicy::Weighted { query_share: 0.5 },
-///     1.0,
-/// );
-/// let mut governor = WorkloadGovernor::new(GovernorConfig::default());
-///
-/// // A query-heavy backlog pulls the share towards queries, one bounded
-/// // step per tick.
-/// sched.submit("query", GpuCost(9.0));
-/// sched.submit("ingest", GpuCost(1.0));
-/// let new_share = governor.tick(&sched).unwrap();
-/// assert!(new_share > 0.5);
-/// assert!(new_share <= 0.5 + GovernorConfig::default().max_step);
-/// ```
-#[derive(Debug)]
-pub struct WorkloadGovernor {
-    config: GovernorConfig,
-    retargets: usize,
-}
-
-impl WorkloadGovernor {
-    /// Creates a governor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent (see
-    /// [`GovernorConfig`]).
-    pub fn new(config: GovernorConfig) -> Self {
-        config.validate();
-        Self {
-            config,
-            retargets: 0,
-        }
-    }
-
-    /// The governor's configuration.
-    pub fn config(&self) -> GovernorConfig {
-        self.config
-    }
-
-    /// Times this governor retargeted the scheduler.
-    pub fn retargets(&self) -> usize {
-        self.retargets
-    }
-
-    /// The share of capacity the query side is asking for, from the
-    /// observed backlogs: `query_backlog / (query_backlog +
-    /// ingest_backlog)`. `None` when both backlogs are (numerically)
-    /// empty — an idle scheduler gives the governor nothing to react to.
-    pub fn desired_share(stats: &GpuSchedulerStats) -> Option<f64> {
-        let total = stats.query_backlog_secs + stats.ingest_backlog_secs;
-        if total <= 1e-12 {
-            return None;
-        }
-        Some(stats.query_backlog_secs / total)
-    }
-
-    /// One governor step, run per maintenance tick **before** the
-    /// scheduler drains: reads the backlogs, and when the desired share is
-    /// outside the dead-band around the current one, retargets the
-    /// scheduler by at most `max_step`, clamped to `[min_share,
-    /// max_share]`. Returns the new share when a retarget happened.
-    pub fn tick(&mut self, scheduler: &GpuScheduler) -> Option<f64> {
-        let GpuPriorityPolicy::Weighted { query_share } = scheduler.policy() else {
-            return None;
-        };
-        let desired = Self::desired_share(&scheduler.stats())?
-            .clamp(self.config.min_share, self.config.max_share);
-        if (desired - query_share).abs() < self.config.deadband {
-            return None;
-        }
-        let step = (desired - query_share).clamp(-self.config.max_step, self.config.max_step);
-        let new_share = (query_share + step).clamp(self.config.min_share, self.config.max_share);
-        scheduler.set_query_share(new_share);
-        self.retargets += 1;
-        Some(new_share)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use focus_cnn::GpuCost;
-    use focus_runtime::GpuClusterSpec;
     use focus_video::profile::profile_by_name;
 
     fn hist(entries: &[(u16, usize)]) -> HashMap<ClassId, usize> {
@@ -779,83 +640,5 @@ mod tests {
         c.set_reference(hist(&[(999, 5)]));
         assert!(c.maybe_reconfigure(50.0, &meter).is_none());
         assert!(c.maybe_reconfigure(110.0, &meter).is_some());
-    }
-
-    fn weighted_scheduler(share: f64) -> GpuScheduler {
-        GpuScheduler::new(
-            GpuClusterSpec::new(2),
-            GpuPriorityPolicy::Weighted { query_share: share },
-            1.0,
-        )
-    }
-
-    #[test]
-    fn governor_moves_towards_demand_with_bounded_steps() {
-        let sched = weighted_scheduler(0.5);
-        let mut gov = WorkloadGovernor::new(GovernorConfig::default());
-        sched.submit("query", GpuCost(90.0));
-        sched.submit("ingest", GpuCost(10.0));
-        // Demand says 0.9; one tick moves at most max_step.
-        let share = gov.tick(&sched).unwrap();
-        assert!((share - 0.75).abs() < 1e-12);
-        let share = gov.tick(&sched).unwrap();
-        assert!((share - 0.9).abs() < 1e-12);
-        assert_eq!(gov.retargets(), 2);
-        assert_eq!(
-            sched.policy(),
-            GpuPriorityPolicy::Weighted { query_share: 0.9 }
-        );
-    }
-
-    #[test]
-    fn governor_deadband_prevents_flapping() {
-        let sched = weighted_scheduler(0.5);
-        let mut gov = WorkloadGovernor::new(GovernorConfig {
-            deadband: 0.2,
-            ..GovernorConfig::default()
-        });
-        sched.submit("query", GpuCost(6.0));
-        sched.submit("ingest", GpuCost(4.0));
-        // Demand 0.6 is within the 0.2 dead-band around 0.5: no retarget.
-        assert!(gov.tick(&sched).is_none());
-        assert_eq!(gov.retargets(), 0);
-        assert_eq!(sched.stats().retargets, 0);
-    }
-
-    #[test]
-    fn governor_is_inert_without_backlog_or_weighted_policy() {
-        let sched = weighted_scheduler(0.5);
-        let mut gov = WorkloadGovernor::new(GovernorConfig::default());
-        assert!(gov.tick(&sched).is_none(), "idle scheduler");
-
-        let strict = GpuScheduler::new(GpuClusterSpec::new(2), GpuPriorityPolicy::QueryFirst, 1.0);
-        strict.submit("query", GpuCost(10.0));
-        assert!(gov.tick(&strict).is_none(), "strict priority untouched");
-        assert_eq!(strict.policy(), GpuPriorityPolicy::QueryFirst);
-    }
-
-    #[test]
-    fn governor_clamps_to_the_configured_share_range() {
-        let sched = weighted_scheduler(0.9);
-        let mut gov = WorkloadGovernor::new(GovernorConfig {
-            min_share: 0.2,
-            max_share: 0.95,
-            deadband: 0.05,
-            max_step: 1.0,
-        });
-        // Pure ingest demand: desired clamps to min_share.
-        sched.submit("ingest", GpuCost(10.0));
-        let share = gov.tick(&sched).unwrap();
-        assert!((share - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "governor shares")]
-    fn inconsistent_governor_config_panics() {
-        let _ = WorkloadGovernor::new(GovernorConfig {
-            min_share: 0.9,
-            max_share: 0.1,
-            ..GovernorConfig::default()
-        });
     }
 }

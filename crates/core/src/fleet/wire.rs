@@ -145,7 +145,7 @@ impl WireLen for AdvanceReport {
 
 impl WireLen for MaintenanceReport {
     fn wire_len(&self) -> u64 {
-        3 * WORD + option(self.governor_query_share.map(|_| WORD)) + TICK_REPORT
+        3 * WORD + TICK_REPORT
     }
 }
 
@@ -317,12 +317,7 @@ mod tests {
     #[test]
     fn reports_are_fixed_width() {
         assert_eq!(AdvanceReport::default().wire_len(), 24);
-        let idle = MaintenanceReport::default();
-        let governed = MaintenanceReport {
-            governor_query_share: Some(0.4),
-            ..MaintenanceReport::default()
-        };
-        assert_eq!(idle.wire_len(), 24 + 1 + 40);
-        assert_eq!(governed.wire_len(), idle.wire_len() + 8);
+        // Three counters and the scheduler tick's five f64.
+        assert_eq!(MaintenanceReport::default().wire_len(), 24 + 40);
     }
 }

@@ -80,10 +80,7 @@ pub mod serving;
 pub mod worker;
 
 pub use accuracy::{AccuracyReport, GroundTruthLabels};
-pub use adapt::{
-    AdaptationConfig, DriftDetector, GovernorConfig, Reconfiguration, StreamController,
-    WorkloadGovernor,
-};
+pub use adapt::{AdaptationConfig, DriftDetector, Reconfiguration, StreamController};
 pub use baselines::{AllQueriedComparison, BaselineCosts, QueryTimeOnlyComparison};
 pub use config::{AblationMode, AccuracyTarget, TradeoffPolicy};
 pub use experiment::{
@@ -113,7 +110,7 @@ pub use worker::{SpecializationLifecycle, StreamWorkerConfig};
 /// Convenience prelude re-exporting the types most applications need.
 pub mod prelude {
     pub use crate::accuracy::GroundTruthLabels;
-    pub use crate::adapt::{AdaptationConfig, DriftDetector, GovernorConfig, WorkloadGovernor};
+    pub use crate::adapt::{AdaptationConfig, DriftDetector};
     pub use crate::config::{AblationMode, AccuracyTarget, TradeoffPolicy};
     pub use crate::experiment::{ExperimentConfig, ExperimentRunner, StreamExperimentReport};
     pub use crate::fleet::{FleetConfig, FleetCoordinator};

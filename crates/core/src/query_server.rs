@@ -173,21 +173,12 @@ impl QueryServer {
     /// with the default [`BatchCostModel`] and a worker pool sized to the
     /// cluster.
     pub fn new(gt: GroundTruthCnn, gpus: GpuClusterSpec) -> Self {
-        Self::with_batching(gt, gpus, BatchCostModel::default())
-    }
-
-    /// Creates a server with an explicit batched-inference cost model.
-    pub fn with_batching(
-        gt: GroundTruthCnn,
-        gpus: GpuClusterSpec,
-        batching: BatchCostModel,
-    ) -> Self {
         Self {
             gt: Mutex::new(Arc::new(gt)),
             epoch: AtomicU64::new(0),
             gpus,
             pool: WorkerPool::new(gpus.num_gpus.clamp(1, 16)),
-            batching,
+            batching: BatchCostModel::default(),
             cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -715,13 +706,9 @@ mod tests {
 
     #[test]
     fn accessors_report_configuration() {
-        let server = QueryServer::with_batching(
-            GroundTruthCnn::resnet152(),
-            GpuClusterSpec::new(8),
-            BatchCostModel::new(0.1, 16),
-        );
+        let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(8));
         assert_eq!(server.gpus().num_gpus, 8);
-        assert_eq!(server.batching().max_batch, 16);
+        assert_eq!(server.batching(), BatchCostModel::default());
         assert_eq!(server.ground_truth().name(), "ResNet152");
         assert_eq!(server.epoch(), 0);
     }

@@ -30,8 +30,8 @@
 //!   server's verdict-cache epoch automatically.
 //! * **One GPU budget**: ingest classification, specialization labelling
 //!   and query-time GT verification are all submitted to a shared
-//!   [`GpuScheduler`], whose priority policy decides who gets capacity
-//!   when both sides want it (the paper's §5 tradeoff, live).
+//!   [`GpuScheduler`], which keeps the per-phase accounting and models
+//!   each tick's drain: queries first, ingest from what is left.
 //! * **Background maintenance**: [`maintain`](FocusService::maintain)
 //!   seals tails that hit their [`SealPolicy`] budget, triggers
 //!   [`compact`](focus_index::SegmentStore::compact) when the
@@ -58,14 +58,11 @@ use focus_index::{
     ClusterKey, LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
 use focus_runtime::{
-    GpuClusterSpec, GpuMeter, GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats,
-    TickReport,
+    GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats, TickReport,
 };
 use focus_video::{Frame, ObjectId, ObjectObservation, StreamId};
 
-use crate::adapt::{
-    AdaptationConfig, GovernorConfig, Reconfiguration, StreamController, WorkloadGovernor,
-};
+use crate::adapt::{AdaptationConfig, Reconfiguration, StreamController};
 use crate::ingest::IngestCnn;
 use crate::params::SelectedConfiguration;
 use crate::pipeline::FramePipeline;
@@ -99,9 +96,6 @@ pub struct ServiceConfig {
     pub seal: SealPolicy,
     /// The GPU fleet shared by ingest and queries.
     pub gpus: GpuClusterSpec,
-    /// How the shared fleet's capacity is split between ingest and query
-    /// backlogs.
-    pub priority: GpuPriorityPolicy,
     /// Wall-clock length of one scheduler tick
     /// ([`FocusService::maintain`] drains one tick per call).
     pub tick_secs: f64,
@@ -120,11 +114,6 @@ pub struct ServiceConfig {
     /// (see [`crate::adapt`]).
     #[serde(default)]
     pub adaptation: Option<AdaptationConfig>,
-    /// Workload-driven GPU governor (`None` disables it): retargets a
-    /// `Weighted` [`GpuPriorityPolicy`] from the observed backlogs each
-    /// maintenance tick.
-    #[serde(default)]
-    pub governor: Option<GovernorConfig>,
 }
 
 impl Default for ServiceConfig {
@@ -133,13 +122,11 @@ impl Default for ServiceConfig {
             worker: StreamWorkerConfig::default(),
             seal: SealPolicy::default(),
             gpus: GpuClusterSpec::default(),
-            priority: GpuPriorityPolicy::QueryFirst,
             tick_secs: 1.0,
             small_segment_clusters: 32,
             compact_small_threshold: 8,
             compact_max_clusters: 256,
             adaptation: None,
-            governor: None,
         }
     }
 }
@@ -169,10 +156,6 @@ pub struct MaintenanceReport {
     /// configuration during this tick.
     #[serde(default)]
     pub reconfigured_streams: usize,
-    /// The query share the workload governor retargeted the scheduler to,
-    /// when it acted this tick.
-    #[serde(default)]
-    pub governor_query_share: Option<f64>,
     /// The GPU scheduler tick drained by this call.
     pub tick: TickReport,
 }
@@ -199,9 +182,6 @@ pub struct ServiceStats {
     /// inference on the shared budget, phase `"audit"`).
     #[serde(default)]
     pub audit_labels: usize,
-    /// Times the workload governor retargeted the scheduler's query share.
-    #[serde(default)]
-    pub governor_retargets: usize,
     /// Live segments in the store.
     pub segments: usize,
     /// Cluster records in live segments.
@@ -348,7 +328,6 @@ pub struct FocusService {
     streams: BTreeMap<StreamId, StreamState>,
     server: QueryServer,
     scheduler: GpuScheduler,
-    governor: Option<WorkloadGovernor>,
     io: IoMeter,
     segments_sealed: usize,
     reconfigurations: usize,
@@ -425,6 +404,15 @@ impl FocusService {
                 expected: SERVICE_STATE_VERSION,
             }));
         }
+        // A stream listed twice would be registered twice below; refuse it
+        // here, before the open repairs anything.
+        let mut listed: Vec<u32> = state.streams.iter().map(|(stream, _)| *stream).collect();
+        listed.sort_unstable();
+        if let Some(pair) = listed.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(SegmentError::StreamRegistered {
+                stream: StreamId(pair[0]),
+            });
+        }
         // One read per segment: the open's own pass over the verified bytes
         // yields every sealed record's key and centroid.
         let mut sealed: Vec<(ClusterKey, u64, ObjectId)> = Vec::new();
@@ -470,7 +458,7 @@ impl FocusService {
             if let Some(next) = next_keys.get(&stream) {
                 pipeline.start_cluster_keys_at(*next);
             }
-            service.insert_stream(stream, pipeline);
+            service.insert_stream(stream, pipeline)?;
         }
         // Every specialized generation that ever indexed records — the
         // retired ones and the one live at crash time — stays in the query
@@ -542,8 +530,7 @@ impl FocusService {
         let bootstrap = IngestCnn::generic(config.worker.bootstrap_model);
         let corpus = SegmentedCorpus::new(store, HashMap::new(), bootstrap);
         let server = QueryServer::new(gt.clone(), config.gpus);
-        let scheduler = GpuScheduler::new(config.gpus, config.priority, config.tick_secs);
-        let governor = config.governor.map(WorkloadGovernor::new);
+        let scheduler = GpuScheduler::new(config.gpus, config.tick_secs);
         Self {
             gt_template: gt,
             config,
@@ -551,7 +538,6 @@ impl FocusService {
             streams: BTreeMap::new(),
             server,
             scheduler,
-            governor,
             io: IoMeter::new(),
             segments_sealed: 0,
             reconfigurations: 0,
@@ -563,25 +549,23 @@ impl FocusService {
         }
     }
 
-    /// Registers a stream; frames for unregistered streams panic in
-    /// [`advance`](Self::advance). Persists the sidecar so the stream
-    /// survives recovery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is already registered.
+    /// Registers a stream and persists the sidecar so the stream survives
+    /// recovery. A stream registered twice is
+    /// [`SegmentError::StreamRegistered`], and the service is unchanged.
     pub fn register_stream(&mut self, stream: StreamId, fps: u32) -> Result<(), SegmentError> {
         let pipeline = FramePipeline::new(stream, fps, self.config.worker.params);
-        self.insert_stream(stream, pipeline);
+        self.insert_stream(stream, pipeline)?;
         self.persist_state()
     }
 
-    fn insert_stream(&mut self, stream: StreamId, pipeline: FramePipeline) {
-        assert!(
-            !self.streams.contains_key(&stream),
-            "stream {} is already registered",
-            stream.0
-        );
+    fn insert_stream(
+        &mut self,
+        stream: StreamId,
+        pipeline: FramePipeline,
+    ) -> Result<(), SegmentError> {
+        if self.streams.contains_key(&stream) {
+            return Err(SegmentError::StreamRegistered { stream });
+        }
         let controller = self.config.adaptation.clone().map(|config| {
             StreamController::new(stream, pipeline.fps(), config, self.gt_template.clone())
         });
@@ -597,6 +581,7 @@ impl FocusService {
             inferences_metered: 0,
         };
         self.streams.insert(stream, state);
+        Ok(())
     }
 
     /// Pushes a batch of live frames (any interleaving of registered
@@ -605,19 +590,34 @@ impl FocusService {
     /// coming due swap stream models and bump the verdict-cache epoch.
     /// All GPU work is submitted to the shared scheduler.
     ///
-    /// # Panics
-    ///
-    /// Panics if a frame belongs to an unregistered stream.
+    /// A frame of an unregistered stream is [`SegmentError::UnknownStream`].
+    /// An error stops the batch at the failing frame: the frames before it
+    /// stay ingested, and their GPU work stays charged.
     pub fn advance(&mut self, frames: &[Frame]) -> Result<AdvanceReport, SegmentError> {
         let spec_meter = GpuMeter::new();
         let mut report = AdvanceReport::default();
+        let pushed = self.push_frames(frames, &spec_meter, &mut report);
+        let labelling = spec_meter.phase("specialization");
+        self.scheduler.submit("specialization", labelling);
+        self.scheduler.submit("audit", spec_meter.phase("audit"));
+        pushed.map(|()| report)
+    }
+
+    /// [`advance`](Self::advance)'s frame loop, with labelling charged to
+    /// `spec_meter`.
+    fn push_frames(
+        &mut self,
+        frames: &[Frame],
+        spec_meter: &GpuMeter,
+        report: &mut AdvanceReport,
+    ) -> Result<(), SegmentError> {
         for frame in frames {
             let stream = frame.stream_id;
             let (sealed, retrained) = {
                 let state = self
                     .streams
                     .get_mut(&stream)
-                    .unwrap_or_else(|| panic!("stream {} is not registered", stream.0));
+                    .ok_or(SegmentError::UnknownStream { stream })?;
                 let StreamState {
                     segmenter,
                     lifecycle,
@@ -630,9 +630,9 @@ impl FocusService {
                 }
                 let part =
                     segmenter.push_frame_observed(frame, model.classifier.as_ref(), |obj, n| {
-                        lifecycle.observe(obj, n, &spec_meter);
+                        lifecycle.observe(obj, n, spec_meter);
                         if let Some(controller) = controller.as_mut() {
-                            controller.observe(obj, n, &spec_meter);
+                            controller.observe(obj, n, spec_meter);
                         }
                     });
                 let classified = segmenter.pipeline().stats().objects_classified;
@@ -681,10 +681,7 @@ impl FocusService {
             }
             report.frames += 1;
         }
-        let labelling = spec_meter.phase("specialization");
-        self.scheduler.submit("specialization", labelling);
-        self.scheduler.submit("audit", spec_meter.phase("audit"));
-        Ok(report)
+        Ok(())
     }
 
     /// Frames pushed since each registered stream's last durable seal —
@@ -831,7 +828,6 @@ impl FocusService {
     /// compacts the store when the small-segment count crosses the
     /// configured threshold, runs the adaptation controllers (drift check →
     /// re-select → install, when [`ServiceConfig::adaptation`] is on) and
-    /// the workload governor (when [`ServiceConfig::governor`] is on), and
     /// drains one GPU-scheduler tick.
     pub fn maintain(&mut self) -> Result<MaintenanceReport, SegmentError> {
         let mut report = MaintenanceReport::default();
@@ -886,9 +882,6 @@ impl FocusService {
             report.reconfigured_streams += 1;
         }
 
-        if let Some(governor) = self.governor.as_mut() {
-            report.governor_query_share = governor.tick(&self.scheduler);
-        }
         report.tick = self.scheduler.tick();
         Ok(report)
     }
@@ -908,11 +901,8 @@ impl FocusService {
     ///
     /// The adaptation controllers call this on drift; it is public so an
     /// operator (or a test building a reference run) can install a
-    /// configuration by hand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stream is not registered.
+    /// configuration by hand. An unregistered stream is
+    /// [`SegmentError::UnknownStream`], returned before anything changes.
     pub fn install_configuration(
         &mut self,
         stream: StreamId,
@@ -921,7 +911,7 @@ impl FocusService {
         let state = self
             .streams
             .get_mut(&stream)
-            .unwrap_or_else(|| panic!("stream {} is not registered", stream.0));
+            .ok_or(SegmentError::UnknownStream { stream })?;
         let pipeline = state.segmenter.pipeline_mut();
         pipeline.seal_epoch();
         pipeline.set_params(selection.params);
@@ -1137,7 +1127,6 @@ impl FocusService {
             retrains,
             reconfigurations: self.reconfigurations,
             audit_labels,
-            governor_retargets: self.governor.as_ref().map_or(0, |g| g.retargets()),
             segments: self.corpus.store().len(),
             store_clusters: self.corpus.store().total_clusters(),
             segments_sealed: self.segments_sealed,
@@ -1239,7 +1228,6 @@ mod tests {
         let dir = test_dir("budget");
         let config = ServiceConfig {
             gpus: GpuClusterSpec::new(2),
-            priority: GpuPriorityPolicy::QueryFirst,
             tick_secs: 0.05,
             ..quiet_config()
         };
@@ -1451,56 +1439,96 @@ mod tests {
     }
 
     #[test]
-    fn governor_retargets_the_shared_scheduler() {
+    fn advancing_an_unregistered_stream_is_an_error() {
         let profile = profile_by_name("auburn_c").unwrap();
-        let ds = VideoDataset::generate(profile.clone(), 30.0);
-        let dir = test_dir("governor");
+        let ds = VideoDataset::generate(profile.clone(), 5.0);
+        let dir = test_dir("unregistered");
         let config = ServiceConfig {
-            priority: GpuPriorityPolicy::Weighted { query_share: 0.9 },
-            governor: Some(crate::adapt::GovernorConfig::default()),
+            worker: StreamWorkerConfig {
+                gt_label_fraction: 0.5,
+                ..quiet_config().worker
+            },
             ..quiet_config()
         };
         let mut service = FocusService::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
         service
             .register_stream(profile.stream_id, profile.fps)
             .unwrap();
-        // A pure-ingest backlog: the governor must walk the query share
-        // down towards ingest.
-        service.advance(&ds.frames).unwrap();
-        let report = service.maintain().unwrap();
-        let share = report
-            .governor_query_share
-            .expect("imbalanced backlog retargets");
-        assert!(share < 0.9);
-        let stats = service.stats();
-        assert_eq!(stats.governor_retargets, 1);
-        assert_eq!(stats.gpu.retargets, 1);
+        let stranger = StreamId(profile.stream_id.0 + 1);
+        let mut frames = ds.frames.clone();
+        let last = frames.len() - 1;
+        frames[last].stream_id = stranger;
+        match service.advance(&frames) {
+            Err(SegmentError::UnknownStream { stream }) => assert_eq!(stream, stranger),
+            other => panic!("expected UnknownStream, got {other:?}"),
+        }
+        // The frames before the offending one stay ingested, and the
+        // labelling they drew stays charged.
+        assert_eq!(service.stats().frames_ingested, last);
+        let meter = service.scheduler().meter();
+        assert!(meter.phase("specialization").seconds() > 0.0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn double_registration_is_an_error_and_changes_nothing() {
+        let dir = test_dir("double_reg");
+        let mut service =
+            FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
+        service.register_stream(StreamId(1), 30).unwrap();
+        let sidecar = std::fs::read(dir.join(SERVICE_STATE_FILE)).unwrap();
+        match service.register_stream(StreamId(1), 15) {
+            Err(SegmentError::StreamRegistered { stream }) => assert_eq!(stream, StreamId(1)),
+            other => panic!("expected StreamRegistered, got {other:?}"),
+        }
         assert_eq!(
-            service.scheduler().policy(),
-            GpuPriorityPolicy::Weighted { query_share: share }
+            service.registered_streams(),
+            BTreeMap::from([(StreamId(1), 30)])
+        );
+        assert_eq!(
+            std::fs::read(dir.join(SERVICE_STATE_FILE)).unwrap(),
+            sidecar
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    #[should_panic(expected = "not registered")]
-    fn advancing_an_unregistered_stream_panics() {
-        let profile = profile_by_name("auburn_c").unwrap();
-        let ds = VideoDataset::generate(profile, 2.0);
-        let dir = test_dir("unregistered");
-        let mut service =
-            FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
-        let _ = service.advance(&ds.frames);
-    }
+    fn installing_on_an_unknown_stream_is_an_error_and_changes_nothing() {
+        use crate::ingest::IngestParams;
+        use crate::params::{ConfigurationPoint, ModelChoice};
+        use focus_cnn::ModelSpec;
 
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn double_registration_panics() {
-        let dir = test_dir("double_reg");
+        let dir = test_dir("install_unknown");
         let mut service =
             FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
         service.register_stream(StreamId(1), 30).unwrap();
-        let _ = service.register_stream(StreamId(1), 30);
+        let epoch = service.query_server().epoch();
+        let selection = SelectedConfiguration {
+            point: ConfigurationPoint {
+                model: ModelChoice::Generic(ModelSpec::cheap_cnn_1()),
+                k: 2,
+                threshold: 1.5,
+                ingest_cost_norm: 0.0,
+                query_latency_norm: 0.0,
+                precision: 1.0,
+                recall: 1.0,
+                worst_precision: 1.0,
+                worst_recall: 1.0,
+            },
+            model: IngestCnn::generic(ModelSpec::cheap_cnn_1()),
+            params: IngestParams {
+                k: 2,
+                ..IngestParams::default()
+            },
+            met_targets: true,
+        };
+        match service.install_configuration(StreamId(2), &selection) {
+            Err(SegmentError::UnknownStream { stream }) => assert_eq!(stream, StreamId(2)),
+            other => panic!("expected UnknownStream, got {other:?}"),
+        }
+        assert_eq!(service.query_server().epoch(), epoch, "no cache bump");
+        assert_eq!(service.stats().reconfigurations, 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

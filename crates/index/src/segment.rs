@@ -56,7 +56,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use focus_video::ClassId;
+use focus_video::{ClassId, StreamId};
 
 use crate::binseg::{self, BinsegError, SegmentFooter};
 use crate::cluster_store::{ClusterKey, ClusterRecord};
@@ -122,6 +122,18 @@ pub enum SegmentError {
         /// The segment (manifest id) that already holds it.
         segment: u64,
     },
+    /// A stream was named that the service has not registered: a frame
+    /// handed to `advance`, or a configuration installed on it.
+    UnknownStream {
+        /// The unregistered stream.
+        stream: StreamId,
+    },
+    /// A stream was registered twice, by a caller or by a
+    /// `service_state.json` sidecar that lists it twice.
+    StreamRegistered {
+        /// The stream already registered.
+        stream: StreamId,
+    },
 }
 
 impl std::fmt::Display for SegmentError {
@@ -156,6 +168,12 @@ impl std::fmt::Display for SegmentError {
                 "segment store: the tail holds cluster key {key:?}, already sealed in \
                  segment {segment}; tail and segments must be key-disjoint"
             ),
+            SegmentError::UnknownStream { stream } => {
+                write!(f, "service: stream {} is not registered", stream.0)
+            }
+            SegmentError::StreamRegistered { stream } => {
+                write!(f, "service: stream {} is already registered", stream.0)
+            }
         }
     }
 }
@@ -2609,7 +2627,7 @@ mod tests {
 
     #[test]
     fn errors_display_their_context() {
-        let errors: [SegmentError; 5] = [
+        let errors: [SegmentError; 7] = [
             SegmentError::Persist(PersistError::VersionMismatch {
                 path: None,
                 found: 9,
@@ -2628,6 +2646,12 @@ mod tests {
             SegmentError::DuplicateKey {
                 key: ClusterKey::new(StreamId(0), 3),
                 segments: [1, 4],
+            },
+            SegmentError::UnknownStream {
+                stream: StreamId(2),
+            },
+            SegmentError::StreamRegistered {
+                stream: StreamId(2),
             },
         ];
         for e in errors {

@@ -21,8 +21,8 @@
 //!   fetches per cache tier, bytes read), so the service can report what
 //!   paging the index in actually costs.
 //! * [`GpuScheduler`] — one metered budget shared by ingest classification
-//!   and query-time GT verification, drained in ticks under a configurable
-//!   ingest/query priority policy (the paper's §5 tradeoff, live).
+//!   and query-time GT verification: per-phase accounting, drained in
+//!   modelled ticks that serve queries first and ingest from what is left.
 //! * [`Clock`] / [`RealClock`] / [`VirtualClock`] — time as a capability,
 //!   so the serving layer's admission, batching and shedding decisions are
 //!   deterministic under test.
@@ -42,5 +42,5 @@ pub use gpu::{BatchCostModel, GpuClusterSpec, GpuMeter, PhaseBreakdown};
 pub use hist::LatencyHistogram;
 pub use io::{IoMeter, IoStats};
 pub use net::{NetCostModel, NetMeter, NetStats};
-pub use sched::{GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats, GpuSide, TickReport};
+pub use sched::{GpuScheduler, GpuSchedulerStats, GpuSide, TickReport};
 pub use workers::WorkerPool;

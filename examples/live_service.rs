@@ -19,7 +19,6 @@ use focus::cnn::GroundTruthCnn;
 use focus::core::service::{FocusService, ServiceConfig};
 use focus::core::{QueryRequest, SealPolicy, StreamWorkerConfig};
 use focus::index::QueryFilter;
-use focus::runtime::GpuPriorityPolicy;
 use focus::video::profile::profile_by_name;
 use focus::video::VideoDataset;
 
@@ -27,8 +26,8 @@ fn main() {
     let dir = std::env::temp_dir().join("focus_example_live_service");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // 1. A service with 30-second segments, specialization after one
-    //    minute, and a query-first GPU budget.
+    // 1. A service with 30-second segments and specialization after one
+    //    minute.
     let config = ServiceConfig {
         worker: StreamWorkerConfig {
             bootstrap_secs: 60.0,
@@ -36,7 +35,6 @@ fn main() {
             ..StreamWorkerConfig::default()
         },
         seal: SealPolicy::every_secs(30.0),
-        priority: GpuPriorityPolicy::QueryFirst,
         ..ServiceConfig::default()
     };
     let mut service =

@@ -252,6 +252,35 @@ fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A sidecar that lists one stream twice passes the version check but
+/// would register the stream twice; `recover` refuses it with a typed
+/// error before the open repairs anything, and the refusal changes no file.
+#[test]
+fn recover_refuses_a_sidecar_listing_a_stream_twice_and_changes_nothing() {
+    let archive = build("stream_twice", 30.0, 10.0, 64);
+    let dir = &archive.dir;
+    let sidecar = dir.join(SERVICE_STATE_FILE);
+    let valid = std::fs::read_to_string(&sidecar).unwrap();
+    let profile = &archive.datasets[0].profile;
+    let doubled = valid.replacen(
+        "\"streams\":[",
+        &format!("\"streams\":[[{},{}],", profile.stream_id.0, profile.fps),
+        1,
+    );
+    assert_ne!(doubled, valid, "{valid}");
+    std::fs::write(&sidecar, doubled).unwrap();
+    // Bait for the open-time sweep, should it run before the refusal.
+    std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
+
+    let before = listing(dir);
+    match FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152()) {
+        Err(SegmentError::StreamRegistered { stream }) => assert_eq!(stream, profile.stream_id),
+        other => panic!("expected StreamRegistered, got {other:?}"),
+    }
+    assert_eq!(listing(dir), before);
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Satellite: a sealed cluster whose centroid observation is in no
 /// centroid delta — here one seal's delta file is gone — cannot be
 /// verified, so `recover` refuses the store with a typed error naming that
