@@ -15,7 +15,7 @@
 //! and node-loss schedules).
 //!
 //! **Failover.** Node loss drops process state only: the lost shards'
-//! segments, centroid deltas and service sidecars are durable, so a
+//! segments (centroids included) and service sidecars are durable, so a
 //! survivor re-opens them with [`FocusService::recover`] and the
 //! coordinator replays each stream's since-last-seal frame suffix from its
 //! replay buffer. Every seal starts a fresh pipeline epoch (and resets the
@@ -947,8 +947,8 @@ impl FleetCoordinator {
     }
 
     /// Marks a node dead, dropping its in-process services (their durable
-    /// state — segments, manifests, sidecars, centroid deltas — stays on
-    /// disk). Queries and ingest for its shards fail with
+    /// state — segments, manifests, sidecars — stays on disk). Queries and
+    /// ingest for its shards fail with
     /// [`FleetError::NodeDown`] until [`failover`](Self::failover) runs.
     pub fn kill_node(&mut self, node: u32) {
         if let Some(runtime) = self.nodes.get_mut(&node) {

@@ -9,7 +9,6 @@
 //! durable driver is [`FocusService`](crate::service::FocusService); this
 //! one is the in-memory reference it is compared against.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -19,7 +18,7 @@ use focus_cnn::{
 };
 use focus_index::TopKIndex;
 use focus_runtime::GpuMeter;
-use focus_video::{ClassId, ObjectId, ObjectObservation, VideoDataset};
+use focus_video::{ClassId, VideoDataset};
 
 use crate::pipeline::{FramePipeline, PipelineOutput};
 
@@ -164,12 +163,10 @@ impl IngestCnn {
 /// the query path and the evaluation need.
 #[derive(Debug, Clone)]
 pub struct IngestOutput {
-    /// The top-K index produced by ingest.
+    /// The top-K index produced by ingest, with the centroid
+    /// (representative) observation of every cluster in its centroid
+    /// section — the only objects the GT-CNN touches at query time.
     pub index: TopKIndex,
-    /// The centroid (representative) observation of every cluster, keyed by
-    /// object id; these are the only objects the GT-CNN touches at query
-    /// time.
-    pub centroids: HashMap<ObjectId, ObjectObservation>,
     /// The ingest model used.
     pub model: IngestCnn,
     /// Parameters used.
@@ -194,14 +191,12 @@ impl IngestOutput {
     pub fn from_pipeline(output: PipelineOutput, model: IngestCnn) -> Self {
         let PipelineOutput {
             index,
-            centroids,
             gpu_cost,
             stats,
             params,
         } = output;
         Self {
             index,
-            centroids,
             model,
             params,
             gpu_cost,
@@ -315,7 +310,7 @@ mod tests {
         // Every cluster's centroid observation is available for query-time
         // classification.
         for record in out.index.clusters() {
-            assert!(out.centroids.contains_key(&record.centroid_object));
+            assert!(out.index.centroid(record.centroid_object).is_some());
             assert_eq!(record.top_k_classes.len(), engine.params().k.min(1000));
         }
     }

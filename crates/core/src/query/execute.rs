@@ -176,7 +176,7 @@ mod tests {
         let verdicts: Vec<ClassId> = plan
             .candidates
             .iter()
-            .map(|h| gt.classify_top1(&out.centroids[&h.centroid]))
+            .map(|h| gt.classify_top1(out.index.centroid(h.centroid).unwrap()))
             .collect();
         let outcome = assemble_outcome(&out, &plan, &verdicts, verdicts.len(), GpuCost(1.0), 0.5);
         assert_eq!(outcome.class, class);

@@ -180,7 +180,7 @@ impl AnytimeMode {
 /// assert_eq!(plan.class, class);
 /// assert!(!plan.candidates.is_empty());
 /// // Every candidate's centroid observation was retained at ingest time.
-/// assert!(plan.candidates.iter().all(|h| ingest.centroids.contains_key(&h.centroid)));
+/// assert!(plan.candidates.iter().all(|h| ingest.index.centroid(h.centroid).is_some()));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryPlan {

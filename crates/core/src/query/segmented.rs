@@ -115,7 +115,7 @@ impl TailOverlay {
 
     /// The centroid observation behind a tail record, if present.
     pub fn centroid(&self, id: ObjectId) -> Option<&ObjectObservation> {
-        self.parts.iter().find_map(|p| p.centroids().get(&id))
+        self.parts.iter().find_map(|p| p.index().centroid(id))
     }
 
     /// Tail records matching any of `classes` under `filter`, shared with
@@ -651,19 +651,21 @@ mod tests {
         let dir = test_dir(name);
         let mut store = SegmentStore::create(&dir).unwrap();
         let mut centroids = HashMap::new();
+        let mut seal = |part: focus_index::TopKIndex| {
+            store.seal(&part).unwrap();
+            centroids.extend(part.centroids().map(|o| (o.object_id, o.clone())));
+        };
         for ds in datasets {
             let mut segmenter =
                 StreamSegmenter::new(ds.profile.stream_id, ds.profile.fps, params(), policy);
             for frame in &ds.frames {
                 if let Some(part) = segmenter.push_frame(frame, model.classifier.as_ref()) {
-                    store.seal(&part).unwrap();
+                    seal(part);
                 }
             }
-            let (part, output) = segmenter.finish();
-            if let Some(part) = part {
-                store.seal(&part).unwrap();
+            if let Some(part) = segmenter.finish().0 {
+                seal(part);
             }
-            centroids.extend(output.centroids);
         }
         (SegmentedCorpus::new(store, centroids, model), dir)
     }
@@ -690,7 +692,6 @@ mod tests {
             objects_total: index.stats().objects,
             objects_classified: index.stats().objects,
             index,
-            centroids: corpus.centroids.clone(),
             model: corpus.model.clone(),
             params: params(),
             gpu_cost: GpuCost::ZERO,
@@ -1121,7 +1122,8 @@ mod tests {
     }
 
     /// A store of one hand-sealed segment per entry of `segments`, each
-    /// holding the [`hand_record`]s of its keys; returns the segment ids.
+    /// holding the [`hand_record`]s of its keys and their centroids;
+    /// returns the segment ids.
     fn hand_sealed(name: &str, segments: &[&[u64]]) -> (SegmentStore, Vec<u64>) {
         let mut store = SegmentStore::create(test_dir(name)).unwrap();
         let ids = segments
@@ -1130,6 +1132,10 @@ mod tests {
                 let mut index = focus_index::TopKIndex::new();
                 for &local in *locals {
                     index.insert(hand_record(local));
+                    index.insert_centroid(focus_video::ObjectObservation {
+                        object_id: ObjectId(local),
+                        ..Default::default()
+                    });
                 }
                 store.seal(&index).unwrap().unwrap().id
             })
@@ -1148,7 +1154,7 @@ mod tests {
         tail_index.insert(hand_record(1));
         tail_index.insert(hand_record(3));
         let mut tail = TailOverlay::new();
-        let part = TailPart::new(StreamId(0), tail_index, HashMap::new());
+        let part = TailPart::new(StreamId(0), tail_index);
         tail.add_shared(Arc::new(part));
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
         let corpus = SegmentedCorpus::new(store, HashMap::new(), model);

@@ -104,8 +104,8 @@ impl QueryEngine {
             .iter()
             .map(|handle| {
                 ingest
-                    .centroids
-                    .get(&handle.centroid)
+                    .index
+                    .centroid(handle.centroid)
                     .cloned()
                     .expect("ingest stored every centroid observation")
             })

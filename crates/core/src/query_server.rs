@@ -272,7 +272,7 @@ impl QueryServer {
             QueryPlan::build_resolved(ingest, request)
         });
         let modes = requests.iter().map(|request| request.anytime);
-        let resolve_centroid = |id| ingest.centroids.get(&id).cloned();
+        let resolve_centroid = |id| ingest.index.centroid(id).cloned();
         let planned = planned.iter().map(|(plan, records)| (plan, records));
         self.execute(planned, modes, resolve_centroid, meter)
     }

@@ -8,8 +8,9 @@
 //! [`FocusService`](crate::service::FocusService) instead owns one
 //! [`StreamSegmenter`] per stream and seals the records it drains — whenever
 //! a configurable frame or time budget is hit — durably into a
-//! [`SegmentStore`](focus_index::SegmentStore) (centroid delta, then atomic
-//! segment file, then crash-safe manifest) as ingest progresses.
+//! [`SegmentStore`](focus_index::SegmentStore) (one atomic segment file
+//! holding the records and their centroids, then the crash-safe manifest)
+//! as ingest progresses.
 //! Time-restricted queries then open only the segments whose bounds
 //! intersect (see [`crate::query::segmented`]).
 //!

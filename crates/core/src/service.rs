@@ -37,12 +37,12 @@
 //!   [`compact`](focus_index::SegmentStore::compact) when the
 //!   small-segment count crosses a threshold, and drains one scheduler
 //!   tick.
-//! * **Durability**: the service persists a `service_state.json` stream
-//!   registry plus one append-only `centroids-NNNNNN.json` delta per seal
-//!   (written *before* the segment, so a sealed segment is always
-//!   verifiable), and [`recover`](FocusService::recover) reopens the
-//!   manifest, unions the deltas, resumes cluster-key counters past the
-//!   sealed segments and keeps ingesting.
+//! * **Durability**: every seal is one segment file holding its records
+//!   and their centroid observations, plus the `service_state.json` stream
+//!   registry beside the manifest; [`recover`](FocusService::recover)
+//!   reopens the manifest, reads each segment's centroids in the same pass
+//!   as its records, resumes cluster-key counters past the sealed segments
+//!   and keeps ingesting.
 //!
 //! See `docs/service.md` for the lifecycle walkthrough.
 
@@ -60,7 +60,7 @@ use focus_index::{
 use focus_runtime::{
     GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats, TickReport,
 };
-use focus_video::{Frame, ObjectId, ObjectObservation, StreamId};
+use focus_video::{Frame, StreamId};
 
 use crate::adapt::{AdaptationConfig, Reconfiguration, StreamController};
 use crate::ingest::IngestCnn;
@@ -81,10 +81,6 @@ pub const SERVICE_STATE_FILE: &str = "service_state.json";
 
 /// Version of the service-state sidecar format.
 pub const SERVICE_STATE_VERSION: u32 = 1;
-
-/// File-name prefix of the per-seal centroid delta files (see
-/// [`FocusService::recover`]).
-pub const CENTROID_DELTA_PREFIX: &str = "centroids-";
 
 /// Configuration of a [`FocusService`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -248,22 +244,6 @@ struct ServiceState {
     retired_routes: Vec<(u32, crate::query::segmented::RetiredRouting)>,
 }
 
-/// One durable centroid delta: the observations behind one sealed
-/// segment's records (segment files store records, not observations, and
-/// the GT-CNN needs the observation to verify a centroid at query time).
-///
-/// Deltas are append-only — one `centroids-NNNNNN.json` file per seal,
-/// written atomically *before* the segment itself — so each seal's sidecar
-/// I/O is proportional to that segment, not to the service's lifetime, and
-/// a crash between the two writes leaves a harmless extra delta, never an
-/// unverifiable segment. [`FocusService::recover`] unions every delta.
-#[derive(Debug, Serialize, Deserialize)]
-struct CentroidDelta {
-    version: u32,
-    /// Centroid observations, sorted by object id for deterministic bytes.
-    centroids: Vec<(ObjectId, ObjectObservation)>,
-}
-
 /// Per-stream live state: the incremental segmenter (hot tail) plus the
 /// specialization lifecycle and the live ingest model.
 struct StreamState {
@@ -331,8 +311,6 @@ pub struct FocusService {
     io: IoMeter,
     segments_sealed: usize,
     reconfigurations: usize,
-    /// Sequence number of the next per-seal centroid delta file.
-    next_centroid_delta: u64,
     compactions: usize,
     queries_served: AtomicUsize,
     candidates_served: AtomicUsize,
@@ -364,11 +342,11 @@ impl FocusService {
     /// refused before anything in it is touched), verifies and repairs the
     /// manifest while reading each segment once
     /// ([`SegmentStore::open_scanning`], which also leaves the most recent
-    /// segments warm in the decoded tier), reads the per-seal centroid
-    /// deltas, checks that no cluster key is sealed twice
-    /// ([`SegmentError::DuplicateKey`] naming both segments) and that every
-    /// sealed cluster's centroid observation is resolvable, re-registers the
-    /// recorded streams and resumes their cluster-key counters past the
+    /// segments warm in the decoded tier and hands back every segment's
+    /// centroid observations — a segment missing one is refused by the
+    /// format), checks that no cluster key is sealed twice
+    /// ([`SegmentError::DuplicateKey`] naming both segments), re-registers
+    /// the recorded streams and resumes their cluster-key counters past the
     /// sealed segments.
     ///
     /// Ingest models restart from the bootstrap model and re-specialize on
@@ -414,15 +392,16 @@ impl FocusService {
             });
         }
         // One read per segment: the open's own pass over the verified bytes
-        // yields every sealed record's key and centroid.
-        let mut sealed: Vec<(ClusterKey, u64, ObjectId)> = Vec::new();
-        let (store, report) = SegmentStore::open_scanning(&dir, |segment, record| {
-            sealed.push((record.key, segment, record.centroid_object))
-        })?;
-        let (centroids, next_delta) = Self::load_centroid_deltas(&dir, store.total_clusters())?;
+        // yields every sealed record's key and every segment's centroids.
+        let mut sealed: Vec<(ClusterKey, u64)> = Vec::new();
+        let mut centroids = HashMap::new();
+        let (store, report) = SegmentStore::open_scanning(
+            &dir,
+            |segment, record| sealed.push((record.key, segment)),
+            |segment| centroids.extend(segment.into_iter().map(|o| (o.object_id, o))),
+        )?;
 
-        // Segments must be key-disjoint, every sealed cluster must be
-        // verifiable after recovery, and new cluster keys must continue
+        // Segments must be key-disjoint, and new cluster keys must continue
         // past the sealed ones.
         sealed.sort_unstable();
         if let Some(pair) = sealed.windows(2).find(|pair| pair[0].0 == pair[1].0) {
@@ -432,26 +411,13 @@ impl FocusService {
             });
         }
         let mut next_keys: HashMap<StreamId, u64> = HashMap::new();
-        for (key, _, centroid) in &sealed {
-            if !centroids.contains_key(centroid) {
-                return Err(SegmentError::Persist(PersistError::Io {
-                    path: dir.clone(),
-                    source: std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "sealed cluster {key:?} has no centroid observation in any \
-                             centroid delta"
-                        ),
-                    ),
-                }));
-            }
+        for (key, _) in &sealed {
             let next = next_keys.entry(key.stream).or_insert(0);
             *next = (*next).max(key.local + 1);
         }
 
         let mut service = Self::assemble(store, config, gt);
         service.corpus.centroids = centroids;
-        service.next_centroid_delta = next_delta;
         for (stream, fps) in state.streams {
             let stream = StreamId(stream);
             let mut pipeline = FramePipeline::new(stream, fps, service.config.worker.params);
@@ -473,59 +439,6 @@ impl FocusService {
         Ok((service, report))
     }
 
-    /// Unions every `centroids-NNNNNN.json` delta in `dir` and returns the
-    /// map plus the next delta sequence number. Extra deltas (from a crash
-    /// between delta write and segment seal, or from quarantined segments)
-    /// are harmless supersets; a torn delta cannot exist (atomic writes)
-    /// and a malformed one is a structured error. The map is sized for
-    /// `expected` centroids (one per sealed cluster).
-    fn load_centroid_deltas(
-        dir: &std::path::Path,
-        expected: usize,
-    ) -> Result<(HashMap<ObjectId, ObjectObservation>, u64), SegmentError> {
-        let mut centroids = HashMap::with_capacity(expected);
-        let mut next_delta = 0u64;
-        let entries = std::fs::read_dir(dir).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: dir.to_path_buf(),
-                source,
-            })
-        })?;
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(seq) = name
-                .strip_prefix(CENTROID_DELTA_PREFIX)
-                .and_then(|rest| rest.strip_suffix(".json"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let path = entry.path();
-            let json = std::fs::read_to_string(&path).map_err(|source| {
-                SegmentError::Persist(PersistError::Io {
-                    path: path.clone(),
-                    source,
-                })
-            })?;
-            let delta: CentroidDelta = serde_json::from_str(&json).map_err(|source| {
-                SegmentError::Persist(PersistError::Format {
-                    path: Some(path.clone()),
-                    source,
-                })
-            })?;
-            if delta.version != SERVICE_STATE_VERSION {
-                return Err(SegmentError::Persist(PersistError::VersionMismatch {
-                    path: Some(path),
-                    found: delta.version,
-                    expected: SERVICE_STATE_VERSION,
-                }));
-            }
-            centroids.extend(delta.centroids);
-            next_delta = next_delta.max(seq + 1);
-        }
-        Ok((centroids, next_delta))
-    }
-
     fn assemble(store: SegmentStore, config: ServiceConfig, gt: GroundTruthCnn) -> Self {
         let bootstrap = IngestCnn::generic(config.worker.bootstrap_model);
         let corpus = SegmentedCorpus::new(store, HashMap::new(), bootstrap);
@@ -541,7 +454,6 @@ impl FocusService {
             io: IoMeter::new(),
             segments_sealed: 0,
             reconfigurations: 0,
-            next_centroid_delta: 0,
             compactions: 0,
             queries_served: AtomicUsize::new(0),
             candidates_served: AtomicUsize::new(0),
@@ -642,10 +554,6 @@ impl FocusService {
                         .submit("ingest", model.cost_per_inference() * new_inferences);
                     *inferences_metered = classified;
                 }
-                let sealed = part.map(|part| {
-                    let centroids = part_centroids(&part, segmenter.pipeline().centroids());
-                    (part, centroids)
-                });
                 let retrained = lifecycle.maybe_retrain(frame.timestamp_secs);
                 if let Some(m) = &retrained {
                     // Feature spaces of different models are not
@@ -660,10 +568,10 @@ impl FocusService {
                         controller.set_reference(lifecycle.sample_class_histogram());
                     }
                 }
-                (sealed, retrained)
+                (part, retrained)
             };
-            if let Some((part, centroids)) = sealed {
-                self.seal_durably(stream, part, centroids)?;
+            if let Some(part) = sealed {
+                self.seal_durably(stream, part)?;
                 report.segments_sealed += 1;
             }
             if let Some(model) = retrained {
@@ -942,16 +850,12 @@ impl FocusService {
     /// Drains one stream's pending tail and seals it durably. Returns
     /// whether a segment was sealed.
     fn seal_stream_unconditionally(&mut self, stream: StreamId) -> Result<bool, SegmentError> {
-        let (part, centroids) = {
-            let state = self.streams.get_mut(&stream).expect("registered stream");
-            let part = state.segmenter.seal_pending();
-            if part.is_empty() {
-                return Ok(false);
-            }
-            let centroids = part_centroids(&part, state.segmenter.pipeline().centroids());
-            (part, centroids)
-        };
-        self.seal_durably(stream, part, centroids)?;
+        let state = self.streams.get_mut(&stream).expect("registered stream");
+        let part = state.segmenter.seal_pending();
+        if part.is_empty() {
+            return Ok(false);
+        }
+        self.seal_durably(stream, part)?;
         Ok(true)
     }
 
@@ -961,13 +865,8 @@ impl FocusService {
     /// they stay visible to [`serve`](Self::serve) and the next seal
     /// attempt re-drains them — a transient I/O error never silently loses
     /// a time window.
-    fn seal_durably(
-        &mut self,
-        stream: StreamId,
-        part: TopKIndex,
-        centroids: Vec<(ObjectId, ObjectObservation)>,
-    ) -> Result<(), SegmentError> {
-        if let Err(e) = self.seal_part(&part, centroids) {
+    fn seal_durably(&mut self, stream: StreamId, part: TopKIndex) -> Result<(), SegmentError> {
+        if let Err(e) = self.seal_part(&part) {
             self.streams
                 .get_mut(&stream)
                 .expect("registered stream")
@@ -979,32 +878,13 @@ impl FocusService {
         Ok(())
     }
 
-    /// Seals one drained part durably. Ordering: the part's centroid delta
-    /// is persisted *first* (an extra delta is harmless; a segment whose
-    /// centroids are missing would be unrecoverable), then the segment
-    /// file + manifest. Each seal's sidecar I/O is proportional to the
-    /// part, not to the service's history.
-    fn seal_part(
-        &mut self,
-        part: &TopKIndex,
-        mut centroids: Vec<(ObjectId, ObjectObservation)>,
-    ) -> Result<(), SegmentError> {
-        centroids.sort_by_key(|(id, _)| *id);
-        let delta = CentroidDelta {
-            version: SERVICE_STATE_VERSION,
-            centroids,
-        };
-        let json = serde_json::to_string(&delta)
-            .map_err(|source| SegmentError::Persist(PersistError::Format { path: None, source }))?;
-        let path = self.corpus.store().dir().join(format!(
-            "{CENTROID_DELTA_PREFIX}{:06}.json",
-            self.next_centroid_delta
-        ));
-        write_atomic(&path, &json)
-            .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
-        self.next_centroid_delta += 1;
-        self.corpus.centroids.extend(delta.centroids);
+    /// Seals one drained part durably — records and centroid observations
+    /// in one segment file, then the manifest — and makes its centroids
+    /// resolvable through the corpus.
+    fn seal_part(&mut self, part: &TopKIndex) -> Result<(), SegmentError> {
         let meta = self.corpus.store_mut().seal(part)?;
+        let centroids = part.centroids().map(|o| (o.object_id, o.clone()));
+        self.corpus.centroids.extend(centroids);
         if meta.is_some() {
             self.segments_sealed += 1;
         }
@@ -1141,22 +1021,6 @@ impl FocusService {
             serving: ServingStats::default(),
         }
     }
-}
-
-/// The centroid observations behind a drained part's records, read from
-/// the pipeline's cumulative centroid map.
-fn part_centroids(
-    part: &TopKIndex,
-    centroids: &HashMap<ObjectId, ObjectObservation>,
-) -> Vec<(ObjectId, ObjectObservation)> {
-    part.clusters()
-        .map(|record| {
-            (
-                record.centroid_object,
-                centroids[&record.centroid_object].clone(),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1541,14 +1405,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Two hand-sealed segments that both hold cluster key (0, 1), beside
-    /// a valid sidecar and a centroid delta covering every record, so the
-    /// shared key is the store's only defect: recovery refuses it with the
-    /// typed error naming both segments, not a panic.
+    /// Two hand-sealed segments that both hold cluster key (0, 1), each
+    /// with its records' centroids, beside a valid sidecar, so the shared
+    /// key is the store's only defect: recovery refuses it with the typed
+    /// error naming both segments, not a panic.
     #[test]
     fn recover_refuses_a_key_sealed_twice_with_a_typed_error() {
         use focus_index::{ClusterRecord, MemberRef};
-        use focus_video::{ClassId, FrameId, TrackId};
+        use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, TrackId};
 
         let dir = test_dir("duplicate_key");
         let record = |local: u64| ClusterRecord {
@@ -1571,36 +1435,21 @@ mod tests {
                 let mut index = TopKIndex::new();
                 for &local in locals {
                     index.insert(record(local));
+                    index.insert_centroid(ObjectObservation {
+                        object_id: ObjectId(local),
+                        ..ObjectObservation::default()
+                    });
                 }
                 store.seal(&index).unwrap().unwrap().id
             })
             .collect();
         drop(store);
 
-        let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 5.0);
-        let observation = ds.frames.iter().flat_map(|f| &f.objects).next().unwrap();
-        let centroids = (0..3)
-            .map(|local| {
-                let object_id = ObjectId(local);
-                let observation = ObjectObservation {
-                    object_id,
-                    stream_id: StreamId(0),
-                    ..observation.clone()
-                };
-                (object_id, observation)
-            })
-            .collect();
-        let delta = CentroidDelta {
-            version: SERVICE_STATE_VERSION,
-            centroids,
-        };
         let state = ServiceState {
             version: SERVICE_STATE_VERSION,
             streams: vec![(0, 30)],
             retired_routes: Vec::new(),
         };
-        let delta_path = dir.join(format!("{CENTROID_DELTA_PREFIX}000000.json"));
-        std::fs::write(delta_path, serde_json::to_string(&delta).unwrap()).unwrap();
         let state_path = dir.join(SERVICE_STATE_FILE);
         std::fs::write(state_path, serde_json::to_string(&state).unwrap()).unwrap();
 

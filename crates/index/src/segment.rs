@@ -33,7 +33,10 @@
 //! verifies and `seal`/`compact` encode — so a lookup knows which classes a
 //! segment posts, and skips one that posts none of them, without touching
 //! the file. The block — a record block, a postings block or the tracks
-//! block — is the only unit the store reads and caches. Blocks go through
+//! block — is the only unit the store reads and caches. (The centroid
+//! block is never cached: lookups do not read it, and recovery's open
+//! decodes it once, from the bytes it verifies, to hand the centroids to
+//! its caller.) Blocks go through
 //! two tiers of one byte-weighted LRU, each entry weighing its block's
 //! encoded length: decoded blocks above raw verified bytes, the raw tier
 //! doubling as the decoded tier's probation — a block read from disk enters
@@ -56,9 +59,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use focus_video::{ClassId, StreamId};
+use focus_video::{ClassId, ObjectObservation, StreamId};
 
-use crate::binseg::{self, BinsegError, SegmentFooter};
+use crate::binseg::{self, BinsegError, BlockMeta, SegmentFooter};
 use crate::cluster_store::{ClusterKey, ClusterRecord};
 use crate::manifest::{fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE};
 use crate::persist::{write_atomic_bytes, PersistError};
@@ -556,37 +559,40 @@ impl TieredCache {
         self.raw.remove_segment(id);
     }
 
-    /// Recovery's warmer: decodes every block of one segment out of its
-    /// verified bytes — each record handed to `visit` on the way — and
+    /// Recovery's warmer: decodes every cached block of one segment out of
+    /// its verified bytes — each record handed to `visit` on the way — and
     /// keeps them in the decoded tier. Called segment by segment in
     /// manifest order, it leaves the newest blocks that fit the budget.
+    /// Returns the segment's centroid observations, checked against its
+    /// records (the centroid block itself stays out of the tiers).
     fn warm_segment(
         &mut self,
         id: u64,
         bytes: &[u8],
         footer: &SegmentFooter,
-        visit: RecordVisitor<'_>,
-    ) -> Result<(), BinsegError> {
+        visit: &mut dyn FnMut(u64, &ClusterRecord),
+    ) -> Result<Vec<ObjectObservation>, BinsegError> {
         let blocks = binseg::decode_record_blocks(bytes, footer)?;
+        let centroids = binseg::decode_centroids(bytes, footer, blocks.iter().flatten())?;
         for (index, (records, meta)) in blocks.into_iter().zip(&footer.record_blocks).enumerate() {
             records.iter().for_each(|record| visit(id, record));
             let entry =
                 DecodedEntry::Records(Arc::new(records.into_iter().map(Arc::new).collect()));
             let key = (id, BlockKey::Records(index as u32));
-            self.decoded.insert(key, entry, meta.len);
+            self.decoded.insert(key, entry, meta.block.len);
         }
         for meta in &footer.postings {
-            let block = binseg::block_slice(bytes, meta.offset, meta.len)?;
+            let block = binseg::block_slice(bytes, &meta.block)?;
             let entry = DecodedEntry::Postings(Arc::new(binseg::decode_postings_block(block)?));
             let key = (id, BlockKey::Postings(meta.class.0));
-            self.decoded.insert(key, entry, meta.len);
+            self.decoded.insert(key, entry, meta.block.len);
         }
         if let Some(meta) = &footer.tracks {
-            let block = binseg::block_slice(bytes, meta.offset, meta.len)?;
+            let block = binseg::block_slice(bytes, meta)?;
             let entry = DecodedEntry::Tracks(Arc::new(binseg::decode_tracks_block(block)?));
             self.decoded.insert((id, BlockKey::Tracks), entry, meta.len);
         }
-        Ok(())
+        Ok(centroids)
     }
 
     fn occupancy(&self) -> LruOccupancy {
@@ -742,11 +748,10 @@ impl<'a> SegmentReader<'a> {
     fn block<T: CachedBlock>(
         &mut self,
         key: BlockKey,
-        offset: u64,
-        len: u64,
-        checksum: u64,
+        meta: &BlockMeta,
         decode: impl Fn(&[u8]) -> Result<T::Decoded, BinsegError>,
     ) -> Result<Fetched<T>, SegmentError> {
+        let (len, checksum) = (meta.len, meta.checksum);
         let cache_key = (self.id, key);
         let raw = {
             let mut cache = self.store.cache.lock();
@@ -767,7 +772,7 @@ impl<'a> SegmentReader<'a> {
                 .insert(cache_key, entry, len);
             return Ok(Fetched::Shared(block));
         }
-        let bytes = self.read_range(offset, len as usize)?;
+        let bytes = self.read_range(meta.offset, len as usize)?;
         let found = fnv1a64(&bytes);
         if found != checksum {
             return Err(SegmentError::Corrupt {
@@ -806,8 +811,12 @@ impl<'a> SegmentReader<'a> {
 }
 
 /// What a scanning open ([`SegmentStore::open_scanning`]) hands every
-/// record it decodes to, with the record's segment id.
-type RecordVisitor<'a> = &'a mut dyn FnMut(u64, &ClusterRecord);
+/// record it decodes to (with the record's segment id), and every
+/// segment's centroid observations to.
+struct Scan<'a> {
+    record: &'a mut dyn FnMut(u64, &ClusterRecord),
+    centroids: &'a mut dyn FnMut(Vec<ObjectObservation>),
+}
 
 /// A durable, time-partitioned index store (see the module docs for the
 /// on-disk layout and durability protocol).
@@ -821,15 +830,17 @@ type RecordVisitor<'a> = &'a mut dyn FnMut(u64, &ClusterRecord);
 ///
 /// ```
 /// use focus_index::{ClusterKey, ClusterRecord, MemberRef, QueryFilter, SegmentStore, TopKIndex};
-/// use focus_video::{ClassId, FrameId, ObjectId, StreamId, TrackId};
+/// use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId};
 ///
 /// let dir = std::env::temp_dir().join("focus_segment_doc_example");
 /// let _ = std::fs::remove_dir_all(&dir);
 /// let mut store = SegmentStore::create(&dir).unwrap();
 ///
-/// // Seal two single-record segments covering different time windows.
+/// // Seal two single-record segments covering different time windows,
+/// // each record with its centroid observation.
 /// for (local, start) in [(0u64, 0.0f64), (1, 100.0)] {
 ///     let mut seg = TopKIndex::new();
+///     seg.insert_centroid(ObjectObservation { object_id: ObjectId(local), ..Default::default() });
 ///     seg.insert(ClusterRecord {
 ///         key: ClusterKey::new(StreamId(0), local),
 ///         centroid_object: ObjectId(local),
@@ -922,30 +933,36 @@ impl SegmentStore {
     /// [`open`](Self::open), plus a record pass over the same verified
     /// bytes — still one read per segment. Every record of every segment
     /// that verifies is handed to `visit` with its segment id, segment by
-    /// segment in manifest order (within a segment, in key order). Every
-    /// block of those segments — record, postings and tracks — is decoded
-    /// from the same bytes into the decoded tier, in manifest order, so the
-    /// tier keeps the newest blocks that fit its byte budget and the first
-    /// requests after a restart find the recent segments warm. The raw tier
-    /// stays empty.
+    /// segment in manifest order (within a segment, in key order), and each
+    /// segment's centroid observations — one per record, or the open fails
+    /// with [`BinsegError::MissingCentroid`] — to `centroids`. Every record,
+    /// postings and tracks block of those segments is decoded from the same
+    /// bytes into the decoded tier, in manifest order, so the tier keeps the
+    /// newest blocks that fit its byte budget and the first requests after
+    /// a restart find the recent segments warm. The raw tier stays empty.
     ///
-    /// This is the open `FocusService::recover` runs: its checks (centroid
-    /// resolvability, key-disjointness, next cluster keys) need every
-    /// record once, and a second pass would read and decode every segment
-    /// again.
+    /// This is the open `FocusService::recover` runs: its checks
+    /// (key-disjointness, next cluster keys) need every record once, its
+    /// corpus every centroid, and a second pass would read and decode every
+    /// segment again.
     pub fn open_scanning(
         dir: impl Into<PathBuf>,
         mut visit: impl FnMut(u64, &ClusterRecord),
+        mut centroids: impl FnMut(Vec<ObjectObservation>),
     ) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, Some(&mut visit))
+        let scan = Scan {
+            record: &mut visit,
+            centroids: &mut centroids,
+        };
+        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, Some(scan))
     }
 
-    /// The one open body: [`open`](Self::open) when `visit` is `None`,
+    /// The one open body: [`open`](Self::open) when `scan` is `None`,
     /// [`open_scanning`](Self::open_scanning) otherwise.
     fn open_body(
         dir: PathBuf,
         decoded_bytes: u64,
-        mut visit: Option<RecordVisitor<'_>>,
+        mut scan: Option<Scan<'_>>,
     ) -> Result<(SegmentStore, OpenReport), SegmentError> {
         let manifest_path = dir.join(MANIFEST_FILE);
         let mut manifest = Manifest::load(&manifest_path)?;
@@ -968,10 +985,11 @@ impl SegmentStore {
                         source,
                     };
                     let footer = binseg::footer_of(&bytes).map_err(invalid)?;
-                    if let Some(visit) = visit.as_deref_mut() {
-                        cache
-                            .warm_segment(meta.id, &bytes, &footer, visit)
+                    if let Some(scan) = scan.as_mut() {
+                        let centroids = cache
+                            .warm_segment(meta.id, &bytes, &footer, scan.record)
                             .map_err(invalid)?;
+                        (scan.centroids)(centroids);
                     }
                     footers.insert(meta.id, Arc::new(footer));
                     verified.push(meta);
@@ -1101,23 +1119,26 @@ impl SegmentStore {
     /// segment's first lookup is a raw hit, not a disk read. The returned
     /// entry is not live until the caller commits it to the manifest; until
     /// then the file is an orphan [`open`](Self::open) would quarantine,
-    /// and its directory and cache entries are as inert — ids are never
-    /// reused and lookups walk the manifest.
+    /// and its directory and cache entries are as inert — an id is spent
+    /// once its file is written, so a written id is never reused, and
+    /// lookups walk the manifest. A failed write spends nothing: the retry
+    /// writes the same file name.
     fn write_segment(
         &mut self,
         index: &TopKIndex,
         t_start: f64,
         t_end: f64,
     ) -> Result<SegmentMeta, SegmentError> {
-        let id = self.manifest.allocate_id();
         let format = SegmentFormat::Binary;
+        let id = self.manifest.next_segment_id;
         let file = format.file_name(id);
-        let payload = binseg::encode(index);
         let path = self.dir.join(&file);
         let invalid = |source| SegmentError::InvalidSegment {
             path: path.clone(),
             source,
         };
+        binseg::check_centroids(index).map_err(invalid)?;
+        let payload = binseg::encode(index);
         let footer = binseg::footer_of(&payload).map_err(invalid)?;
         write_atomic_bytes(&path, &payload).map_err(|source| {
             SegmentError::Persist(PersistError::Io {
@@ -1125,10 +1146,13 @@ impl SegmentStore {
                 source,
             })
         })?;
+        self.manifest.allocate_id();
         let cache = self.cache.get_mut();
-        for (key, offset, len) in blocks_of(&footer) {
-            let block = binseg::block_slice(&payload, offset, len).map_err(invalid)?;
-            cache.raw.insert((id, key), Arc::new(block.to_vec()), len);
+        for (key, meta) in blocks_of(&footer) {
+            let block = binseg::block_slice(&payload, meta).map_err(invalid)?;
+            cache
+                .raw
+                .insert((id, key), Arc::new(block.to_vec()), meta.len);
         }
         self.footers.insert(id, Arc::new(footer));
         Ok(SegmentMeta {
@@ -1150,6 +1174,12 @@ impl SegmentStore {
     /// The segment's time bounds are the tight cover of the records' time
     /// ranges and its stream list is exactly the records' streams, which is
     /// what makes later pruning sound (see [`SegmentMeta::admits_filter`]).
+    ///
+    /// An index whose centroid section does not hold exactly one
+    /// observation per record ([`binseg::check_centroids`]) is refused
+    /// before anything is written: [`SegmentError::InvalidSegment`] naming
+    /// the file it would have become, carrying
+    /// [`BinsegError::MissingCentroid`] with the smallest key lacking one.
     pub fn seal(&mut self, index: &TopKIndex) -> Result<Option<SegmentMeta>, SegmentError> {
         if index.is_empty() {
             return Ok(None);
@@ -1175,12 +1205,13 @@ impl SegmentStore {
     ///
     /// ```
     /// use focus_index::{persist, ClusterKey, ClusterRecord, MemberRef, SegmentStore, TopKIndex};
-    /// use focus_video::{ClassId, FrameId, ObjectId, StreamId, TrackId};
+    /// use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId};
     ///
     /// let dir = std::env::temp_dir().join("focus_segment_inspect_doc_example");
     /// let _ = std::fs::remove_dir_all(&dir);
     /// let mut store = SegmentStore::create(&dir).unwrap();
     /// let mut seg = TopKIndex::new();
+    /// seg.insert_centroid(ObjectObservation { object_id: ObjectId(0), ..Default::default() });
     /// seg.insert(ClusterRecord {
     ///     key: ClusterKey::new(StreamId(0), 0),
     ///     centroid_object: ObjectId(0),
@@ -1269,9 +1300,7 @@ impl SegmentStore {
             if let Some(pmeta) = footer.postings_for(class) {
                 let keys = reader.block::<Vec<ClusterKey>>(
                     BlockKey::Postings(class.0),
-                    pmeta.offset,
-                    pmeta.len,
-                    pmeta.checksum,
+                    &pmeta.block,
                     binseg::decode_postings_block,
                 )?;
                 postings.push((class, keys));
@@ -1303,10 +1332,8 @@ impl SegmentStore {
             let bmeta = footer.record_blocks[block_idx];
             let block = reader.block::<Vec<Arc<ClusterRecord>>>(
                 BlockKey::Records(block_idx as u32),
-                bmeta.offset,
-                bmeta.len,
-                bmeta.checksum,
-                |bytes| binseg::decode_record_block(bytes, footer.version),
+                &bmeta.block,
+                binseg::decode_record_block,
             )?;
             // A shared block's records are handed out as they are; a fresh
             // one's are wrapped once, only those that qualify.
@@ -1455,9 +1482,7 @@ impl SegmentStore {
             let mut reader = SegmentReader::new(self, meta, &mut access);
             let sketches = reader.block::<Vec<TrackSketch>>(
                 BlockKey::Tracks,
-                tmeta.offset,
-                tmeta.len,
-                tmeta.checksum,
+                &tmeta,
                 binseg::decode_tracks_block,
             )?;
             for sketch in sketches.iter() {
@@ -1559,17 +1584,15 @@ impl SegmentStore {
     }
 }
 
-/// Every block of a segment and where its bytes lie: the record blocks in
-/// key order, the postings blocks in class order, then the tracks block.
-fn blocks_of(footer: &SegmentFooter) -> impl Iterator<Item = (BlockKey, u64, u64)> + '_ {
+/// Every cached block of a segment and where its bytes lie: the record
+/// blocks in key order, the postings blocks in class order, then the tracks
+/// block. The centroid block is not among them: no lookup reads it.
+fn blocks_of(footer: &SegmentFooter) -> impl Iterator<Item = (BlockKey, &BlockMeta)> + '_ {
     let records = footer.record_blocks.iter().enumerate();
-    let records = records.map(|(index, m)| (BlockKey::Records(index as u32), m.offset, m.len));
+    let records = records.map(|(index, m)| (BlockKey::Records(index as u32), &m.block));
     let postings = footer.postings.iter();
-    let postings = postings.map(|m| (BlockKey::Postings(m.class.0), m.offset, m.len));
-    let tracks = footer
-        .tracks
-        .iter()
-        .map(|m| (BlockKey::Tracks, m.offset, m.len));
+    let postings = postings.map(|m| (BlockKey::Postings(m.class.0), &m.block));
+    let tracks = footer.tracks.iter().map(|m| (BlockKey::Tracks, m));
     records.chain(postings).chain(tracks)
 }
 
@@ -1627,9 +1650,21 @@ mod tests {
         }
     }
 
+    /// The centroid observation behind `record`.
+    pub(super) fn centroid_of(record: &ClusterRecord) -> ObjectObservation {
+        ObjectObservation {
+            object_id: record.centroid_object,
+            frame_id: record.centroid_frame,
+            stream_id: record.key.stream,
+            ..ObjectObservation::default()
+        }
+    }
+
+    /// An index of `records`, each with its centroid observation.
     fn segment_of(records: &[ClusterRecord]) -> TopKIndex {
         let mut idx = TopKIndex::new();
         for r in records {
+            idx.insert_centroid(centroid_of(r));
             idx.insert(r.clone());
         }
         idx
@@ -1668,7 +1703,7 @@ mod tests {
     /// What every block of segment `id` weighs in either tier: the sum of
     /// their encoded lengths.
     fn weight(store: &SegmentStore, id: u64) -> u64 {
-        blocks_of(&store.footers[&id]).map(|(_, _, len)| len).sum()
+        blocks_of(&store.footers[&id]).map(|(_, m)| m.len).sum()
     }
 
     /// What one cold lookup of `class` costs in each segment, read off the
@@ -1686,22 +1721,23 @@ mod tests {
     fn lookup_cost(store: &SegmentStore, meta: &SegmentMeta, class: u16) -> (usize, u64) {
         let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
         let footer = binseg::footer_of(&bytes).unwrap();
-        let postings = footer.postings_for(ClassId(class)).unwrap();
-        let end = (postings.offset + postings.len) as usize;
-        let block = &bytes[postings.offset as usize..end];
+        let postings = footer.postings_for(ClassId(class)).unwrap().block;
+        let block = binseg::block_slice(&bytes, &postings).unwrap();
         let covering = footer.blocks_covering(&binseg::decode_postings_block(block).unwrap());
-        let record_bytes: u64 = covering.iter().map(|b| footer.record_blocks[*b].len).sum();
+        let record_bytes: u64 = covering
+            .iter()
+            .map(|b| footer.record_blocks[*b].block.len)
+            .sum();
         (1 + covering.len(), postings.len + record_bytes)
     }
 
     /// One segment of 256 records whose classes cycle 1..=8 (and all carry
     /// class 0 second), so every class's keys touch every record block.
     fn one_big_segment(store: &mut SegmentStore) -> SegmentMeta {
-        let mut idx = TopKIndex::new();
-        for local in 0..256u64 {
-            idx.insert(record(0, local, (local % 8) as u16 + 1, local as f64));
-        }
-        store.seal(&idx).unwrap().unwrap()
+        let records: Vec<ClusterRecord> = (0..256u64)
+            .map(|local| record(0, local, (local % 8) as u16 + 1, local as f64))
+            .collect();
+        store.seal(&segment_of(&records)).unwrap().unwrap()
     }
 
     #[test]
@@ -1720,7 +1756,7 @@ mod tests {
         assert_eq!(meta.clusters, 2);
         let bytes = fs::read(dir.join(&meta.file)).unwrap();
         assert_eq!(fnv1a64(&bytes), meta.checksum);
-        assert!(crate::binseg::is_binseg(&bytes));
+        assert!(bytes.starts_with(&crate::binseg::BINSEG_MAGIC));
         // Sealing an empty index is a no-op.
         assert!(store.seal(&TopKIndex::new()).unwrap().is_none());
         assert_eq!(store.len(), 1);
@@ -2104,9 +2140,13 @@ mod tests {
         drop(store);
 
         let mut seen = Vec::new();
-        let mut visit = |id: u64, record: &ClusterRecord| seen.push((record.key, id));
-        let (scanned, report) =
-            SegmentStore::open_body(dir.clone(), budget, Some(&mut visit)).unwrap();
+        let mut centroids = 0;
+        let scan = Scan {
+            record: &mut |id: u64, record: &ClusterRecord| seen.push((record.key, id)),
+            centroids: &mut |segment: Vec<ObjectObservation>| centroids += segment.len(),
+        };
+        let (scanned, report) = SegmentStore::open_body(dir.clone(), budget, Some(scan)).unwrap();
+        assert_eq!(centroids, scanned.total_clusters());
         assert!(report.is_clean(), "{report:?}");
         seen.sort();
         let mut expected: Vec<(ClusterKey, u64)> = Vec::new();
@@ -2417,10 +2457,7 @@ mod tests {
         // Flip one byte inside the tracks block (located via the trailer
         // and footer), leaving every other block intact.
         let mut bytes = fs::read(&path).unwrap();
-        let trailer = bytes[bytes.len() - binseg::TRAILER_LEN..].to_vec();
-        let (foff, flen, _, version) = binseg::parse_trailer(&trailer).unwrap();
-        let footer =
-            binseg::decode_footer(&bytes[foff as usize..(foff + flen) as usize], version).unwrap();
+        let footer = binseg::footer_of(&bytes).unwrap();
         let tmeta = footer
             .tracks
             .expect("sealed segment carries a tracks block");
@@ -2764,7 +2801,9 @@ mod property_tests {
             for _ in 0..segments {
                 let mut index = TopKIndex::new();
                 for _ in 0..=rng.below(100) {
-                    index.insert(arbitrary_record(&mut rng, streams, classes, local));
+                    let record = arbitrary_record(&mut rng, streams, classes, local);
+                    index.insert_centroid(tests::centroid_of(&record));
+                    index.insert(record);
                     local += 1;
                 }
                 store.seal(&index).unwrap();
@@ -2773,7 +2812,7 @@ mod property_tests {
             let largest_block = store
                 .footers
                 .values()
-                .flat_map(|f| f.record_blocks.iter().map(|b| b.len))
+                .flat_map(|f| f.record_blocks.iter().map(|b| b.block.len))
                 .max()
                 .unwrap();
             let raw_capacity = [0, largest_block, DEFAULT_RAW_CACHE_BYTES][raw_tier];
@@ -2782,7 +2821,7 @@ mod property_tests {
             let mut weights: Vec<u64> = store
                 .footers
                 .values()
-                .flat_map(|f| blocks_of(f).map(|(_, _, len)| len))
+                .flat_map(|f| blocks_of(f).map(|(_, m)| m.len))
                 .collect();
             weights.sort_unstable_by(|a, b| b.cmp(a));
             let three: u64 = weights.iter().take(3).sum();

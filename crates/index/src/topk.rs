@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use focus_video::{ClassId, FrameId, ObjectId, StreamId};
+use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, StreamId};
 
 use crate::cluster_store::{ClusterKey, ClusterRecord};
 use crate::query::QueryFilter;
@@ -76,31 +76,37 @@ pub struct IndexStats {
 
 /// The top-K index: an inverted mapping from object class to the clusters
 /// whose ingest-time top-K contains that class, plus the cluster records
-/// themselves.
+/// themselves and the centroid observation behind each record (what the
+/// ground-truth CNN classifies at query time, §4).
 ///
 /// Records are held as shared [`Arc<ClusterRecord>`]s: cloning an index,
 /// merging one into another, or handing a looked-up record to a query plan
 /// costs a reference-count bump per record, never a deep copy.
 ///
-/// Serialization stores only the cluster records and track sketches; the
-/// inverted postings are rebuilt on deserialization (they are derived data,
-/// and JSON maps require string keys anyway).
+/// Serialization stores only the cluster records, track sketches and
+/// centroid observations; the inverted postings are rebuilt on
+/// deserialization (they are derived data, and JSON maps require string
+/// keys anyway).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "SerializedIndex", into = "SerializedIndex")]
 pub struct TopKIndex {
     clusters: HashMap<ClusterKey, Arc<ClusterRecord>>,
     postings: HashMap<ClassId, Vec<ClusterKey>>,
     sketches: HashMap<TrackKey, TrackSketch>,
+    centroids: HashMap<ObjectId, ObjectObservation>,
 }
 
-/// On-disk shape of [`TopKIndex`]: the records plus the per-track sketches
-/// (both sorted by key for canonical output; `sketches` defaults to empty
-/// so pre-track snapshots still load).
+/// On-disk shape of [`TopKIndex`]: the records, the per-track sketches and
+/// the centroid observations (each sorted by key for canonical output;
+/// `sketches` and `centroids` default to empty so older snapshots still
+/// load).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SerializedIndex {
     clusters: Vec<ClusterRecord>,
     #[serde(default)]
     sketches: Vec<TrackSketch>,
+    #[serde(default)]
+    centroids: Vec<ObjectObservation>,
 }
 
 impl From<SerializedIndex> for TopKIndex {
@@ -111,6 +117,9 @@ impl From<SerializedIndex> for TopKIndex {
         }
         for sketch in s.sketches {
             index.insert_sketch(sketch);
+        }
+        for centroid in s.centroids {
+            index.insert_centroid(centroid);
         }
         index
     }
@@ -126,7 +135,13 @@ impl From<TopKIndex> for SerializedIndex {
         clusters.sort_by_key(|r| r.key);
         let mut sketches: Vec<TrackSketch> = index.sketches.into_values().collect();
         sketches.sort_by_key(|s| s.key);
-        SerializedIndex { clusters, sketches }
+        let mut centroids: Vec<ObjectObservation> = index.centroids.into_values().collect();
+        centroids.sort_by_key(|o| o.object_id);
+        SerializedIndex {
+            clusters,
+            sketches,
+            centroids,
+        }
     }
 }
 
@@ -139,8 +154,10 @@ impl TopKIndex {
     /// Inserts (or replaces) a cluster record, updating the inverted index.
     /// An owned record is wrapped once; a shared one is stored as is.
     ///
-    /// Replacing an existing key removes its old postings first, so the
-    /// index never accumulates stale entries.
+    /// Replacing an existing key [`remove`](Self::remove)s the old record
+    /// first, so the index never accumulates stale entries. A record's
+    /// centroid observation goes in through
+    /// [`insert_centroid`](Self::insert_centroid).
     pub fn insert(&mut self, record: impl Into<Arc<ClusterRecord>>) {
         let record = record.into();
         if self.clusters.contains_key(&record.key) {
@@ -152,10 +169,11 @@ impl TopKIndex {
         self.clusters.insert(record.key, record);
     }
 
-    /// Removes a cluster record and its postings; returns the record if it
-    /// existed.
+    /// Removes a cluster record, its postings and its centroid observation;
+    /// returns the record if it existed.
     pub fn remove(&mut self, key: ClusterKey) -> Option<Arc<ClusterRecord>> {
         let record = self.clusters.remove(&key)?;
+        self.centroids.remove(&record.centroid_object);
         for class in &record.top_k_classes {
             if let Some(list) = self.postings.get_mut(class) {
                 list.retain(|k| *k != key);
@@ -214,6 +232,22 @@ impl TopKIndex {
     /// Number of tracks with a sketch.
     pub fn sketch_count(&self) -> usize {
         self.sketches.len()
+    }
+
+    /// Stores the centroid observation of a record (keyed by its object
+    /// id, replacing any earlier one).
+    pub fn insert_centroid(&mut self, observation: ObjectObservation) {
+        self.centroids.insert(observation.object_id, observation);
+    }
+
+    /// The centroid observation stored under object `id`.
+    pub fn centroid(&self, id: ObjectId) -> Option<&ObjectObservation> {
+        self.centroids.get(&id)
+    }
+
+    /// All centroid observations, in unspecified order.
+    pub fn centroids(&self) -> impl Iterator<Item = &ObjectObservation> {
+        self.centroids.values()
     }
 
     /// The classes that have at least one posting.
@@ -291,6 +325,7 @@ impl TopKIndex {
         for (_, sketch) in other.sketches {
             self.insert_sketch(sketch);
         }
+        self.centroids.extend(other.centroids);
         replaced
     }
 
@@ -308,6 +343,8 @@ impl TopKIndex {
         for sketch in other.sketches.values() {
             self.insert_sketch(sketch.clone());
         }
+        self.centroids
+            .extend(other.centroids().map(|o| (o.object_id, o.clone())));
         replaced
     }
 }
@@ -487,6 +524,39 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn centroids_travel_with_their_records() {
+        let observation = |id| ObjectObservation {
+            object_id: ObjectId(id),
+            ..ObjectObservation::default()
+        };
+        let mut a = TopKIndex::new();
+        a.insert(record(0, 1, &[0], 2, 0.0));
+        a.insert_centroid(observation(1000));
+        // Replacing a record replaces its centroid too.
+        a.insert(record(0, 1, &[2], 2, 0.0));
+        assert!(a.centroid(ObjectId(1000)).is_none());
+        a.insert_centroid(observation(1000));
+
+        let mut b = TopKIndex::new();
+        b.insert(record(1, 2, &[0], 1, 5.0));
+        b.insert_centroid(observation(2000));
+        let mut borrowed = a.clone();
+        borrowed.merge_from(&b);
+        a.merge(b);
+        assert_eq!(a.centroids().count(), 2);
+        let json = crate::persist::to_json(&a).unwrap();
+        assert_eq!(json, crate::persist::to_json(&borrowed).unwrap());
+        let restored = crate::persist::from_json(&json).unwrap();
+        assert_eq!(restored.centroid(ObjectId(2000)), Some(&observation(2000)));
+        assert_eq!(crate::persist::to_json(&restored).unwrap(), json);
+
+        // Removing a record drops its centroid.
+        a.remove(ClusterKey::new(StreamId(1), 2));
+        assert!(a.centroid(ObjectId(2000)).is_none());
+        assert_eq!(a.centroids().count(), 1);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use serde::{Deserialize, Serialize};
 use crate::class::ClassId;
 
 /// Identifier of a video stream (camera).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+)]
 pub struct StreamId(pub u32);
 
 /// Identifier of a frame within a stream (frame index since stream start).
@@ -106,7 +108,7 @@ impl BoundingBox {
 /// nothing here names the true class directly (that lives in
 /// [`ObjectObservation::true_class`], which only the ground-truth oracle and
 /// the workload generator read).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct Appearance {
     /// Stable per-track appearance seed: two observations of the same track
     /// share it, observations of different tracks (even of the same class)
@@ -127,7 +129,7 @@ pub struct Appearance {
 /// This is the unit of work for the entire system: ingest-time CNNs classify
 /// observations, the clusterer groups them, the index stores them, and
 /// queries return the frames that contain them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ObjectObservation {
     /// Unique id of this observation within its stream.
     pub object_id: ObjectId,

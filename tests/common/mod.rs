@@ -77,21 +77,19 @@ pub fn service_at(dir: &Path, seal_secs: f64, datasets: &[VideoDataset]) -> Focu
 }
 
 /// Everything a fixed-model service holds — its sealed segments merged,
-/// plus the hot tail — as one in-memory [`IngestOutput`]: the corpus
+/// plus the hot tail, centroid observations included — as one in-memory
+/// [`IngestOutput`]: the corpus
 /// `QueryServer::serve` and `QueryEngine::query` answer from, and so the
 /// reference a durable serve is compared against.
 pub fn reference_output(service: &FocusService) -> IngestOutput {
     let mut index = service.store().merged_index().unwrap();
-    let mut centroids = service.corpus().centroids.clone();
     for part in service.tail_snapshot().parts() {
         assert_eq!(index.merge_from(part.index()), 0);
-        centroids.extend(part.centroids().clone());
     }
     let objects_total = index.stats().objects;
     IngestOutput {
         clusters: index.len(),
         index,
-        centroids,
         model: IngestCnn::generic(service.config().worker.bootstrap_model),
         params: service.config().worker.params,
         gpu_cost: GpuCost::ZERO,

@@ -60,7 +60,7 @@ proptest! {
         // Every stored cluster has a centroid observation and valid time
         // bounds.
         for record in out.index.clusters() {
-            prop_assert!(out.centroids.contains_key(&record.centroid_object));
+            prop_assert!(out.index.centroid(record.centroid_object).is_some());
             prop_assert!(record.start_secs <= record.end_secs + 1e-9);
             prop_assert!(record.top_k_classes.len() <= k);
             prop_assert!(!record.is_empty());

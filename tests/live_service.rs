@@ -386,9 +386,9 @@ fn failed_seal_restores_the_tail() {
     let before = service.serve(&requests).unwrap();
     assert!(service.store().is_empty());
 
-    // Block the first centroid delta's path with a directory: the atomic
+    // Block the next segment file's path with a directory: the atomic
     // rename fails, the seal errors out.
-    let blocker = dir.join("centroids-000000.json");
+    let blocker = dir.join("seg-000000.bin");
     std::fs::create_dir(&blocker).unwrap();
     assert!(service.seal_all().is_err());
     assert!(service.store().is_empty(), "nothing was half-sealed");

@@ -15,11 +15,14 @@ use focus::core::service::{SERVICE_STATE_FILE, SERVICE_STATE_VERSION};
 use focus::core::{FocusService, IngestOutput, QueryRequest, QueryServer, ServiceConfig};
 use focus::index::persist::{self, PersistError};
 use focus::index::{
-    binseg, ClusterKey, ClusterRecord, Manifest, MemberRef, QueryFilter, SegmentError, SegmentMeta,
-    SegmentStore, TopKIndex,
+    binseg, BinsegError, ClusterKey, ClusterRecord, Manifest, MemberRef, QueryFilter, SegmentError,
+    SegmentMeta, SegmentStore, TopKIndex,
 };
 use focus::runtime::{GpuClusterSpec, GpuMeter};
-use focus::video::{ClassId, FrameId, ObjectId, StreamId, TrackId, VideoDataset};
+use focus::video::{
+    Appearance, BoundingBox, ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId,
+    VideoDataset,
+};
 
 use std::path::{Path, PathBuf};
 
@@ -281,39 +284,168 @@ fn recover_refuses_a_sidecar_listing_a_stream_twice_and_changes_nothing() {
     std::fs::remove_dir_all(dir).ok();
 }
 
-/// Satellite: a sealed cluster whose centroid observation is in no
-/// centroid delta — here one seal's delta file is gone — cannot be
-/// verified, so `recover` refuses the store with a typed error naming that
-/// cluster, and the refusal changes no file.
+/// Replaces `meta`'s segment file with `bytes` and points its manifest
+/// entry's checksum at them, so the store's whole-file check passes.
+fn rewrite_segment(dir: &Path, meta: &SegmentMeta, bytes: &[u8]) {
+    std::fs::write(dir.join(&meta.file), bytes).unwrap();
+    let path = dir.join("MANIFEST.json");
+    let mut manifest = Manifest::load(&path).unwrap();
+    let entry = manifest.segments.iter_mut().find(|m| m.id == meta.id);
+    entry.unwrap().checksum = focus::index::manifest::fnv1a64(bytes);
+    manifest.save(&path).unwrap();
+}
+
+/// Satellite: a segment whose centroid block lacks one record's centroid
+/// — every checksum valid — cannot be verified at query time, so `recover`
+/// refuses the store with a typed error naming that cluster (and a plain
+/// open's `load` refuses the segment the same way), and the refusal
+/// changes no file.
 #[test]
 fn recover_refuses_a_sealed_cluster_without_a_centroid_and_changes_nothing() {
     let archive = build("missing_centroid", 30.0, 10.0, 64);
     let dir = &archive.dir;
-    // Seal k writes delta k and then segment id k; drop the second seal's
-    // delta. The refusal names the smallest key of that segment.
     let victim = archive.sealed.iter().find(|m| m.id == 1).unwrap();
-    let expected = {
-        let (reader, _) = SegmentStore::open(dir).unwrap();
-        let segment = reader.load(victim.id).unwrap();
-        segment.clusters().map(|r| r.key).min().unwrap()
-    };
-    std::fs::remove_file(dir.join("centroids-000001.json")).unwrap();
+    let segment = SegmentStore::open(dir).unwrap().0.load(victim.id).unwrap();
+    let expected = segment.clusters().map(|r| r.key).min().unwrap();
+    let orphan = segment.get(expected).unwrap().centroid_object;
+    // The same segment, minus that record's centroid observation.
+    let mut damaged = TopKIndex::new();
+    for record in segment.clusters() {
+        damaged.insert(record.clone());
+    }
+    for sketch in segment.sketches() {
+        damaged.insert_sketch(sketch.clone());
+    }
+    for observation in segment.centroids().filter(|o| o.object_id != orphan) {
+        damaged.insert_centroid(observation.clone());
+    }
+    rewrite_segment(dir, victim, &binseg::encode(&damaged));
+    // A plain open checks no centroid: lookups never read them.
+    let (store, report) = SegmentStore::open(dir).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    // Bait for the open-time sweep, should it run before the refusal.
+    std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
 
     let before = listing(dir);
-    match FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152()) {
-        Err(SegmentError::Persist(PersistError::Io { path, source })) => {
-            assert_eq!(&path, dir);
-            assert_eq!(source.kind(), std::io::ErrorKind::InvalidData);
-            let message = source.to_string();
-            assert!(
-                message.contains(&format!("sealed cluster {expected:?} has no centroid")),
-                "{message}"
-            );
+    let path = dir.join(&victim.file);
+    for refused in [
+        store.load(victim.id).map(|_| ()),
+        FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152()).map(|_| ()),
+    ] {
+        match refused {
+            Err(SegmentError::InvalidSegment {
+                path: at,
+                source: BinsegError::MissingCentroid(key),
+            }) => assert_eq!((at, key), (path.clone(), expected)),
+            other => panic!("expected a missing-centroid refusal, got {other:?}"),
         }
-        other => panic!("expected a missing-centroid refusal, got {other:?}"),
     }
     assert_eq!(listing(dir), before);
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// Satellite: a store in the layout from before segments held their
+/// centroids — `FSG2` segments beside per-seal `centroids-NNNNNN.json`
+/// deltas — is refused by `SegmentStore::open` and by `recover` with a
+/// typed error naming the segment, and the refusal changes no file.
+#[test]
+fn a_store_in_the_old_layout_is_refused_and_left_untouched() {
+    let archive = build("old_layout", 20.0, 10.0, 64);
+    let dir = &archive.dir;
+    let victim = &archive.sealed[0];
+    let path = dir.join(&victim.file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let end = bytes.len();
+    bytes[..4].copy_from_slice(b"FSG2");
+    bytes[end - 4..].copy_from_slice(b"FSG2");
+    rewrite_segment(dir, victim, &bytes);
+    let delta = "{\"version\":1,\"centroids\":[]}";
+    std::fs::write(dir.join("centroids-000000.json"), delta).unwrap();
+    std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
+
+    let before = listing(dir);
+    let gt = GroundTruthCnn::resnet152();
+    for refused in [
+        SegmentStore::open(dir).map(|_| ()),
+        FocusService::recover(dir, config(10.0), gt).map(|_| ()),
+    ] {
+        match refused {
+            Err(SegmentError::InvalidSegment {
+                path: at,
+                source: BinsegError::UnsupportedVersion(magic),
+            }) => assert_eq!((at, magic), (path.clone(), *b"FSG2")),
+            other => panic!("expected an unsupported-version refusal, got {other:?}"),
+        }
+    }
+    assert_eq!(listing(dir), before);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Satellite: `seal` refuses an index holding a record without its
+/// centroid observation, with a typed error naming the key, before it
+/// writes anything: no file appears and the manifest is unchanged.
+#[test]
+fn seal_refuses_a_record_without_a_centroid_and_writes_nothing() {
+    let dir = test_dir("seal_missing_centroid");
+    let mut store = SegmentStore::create(&dir).unwrap();
+    let record = |local: u64| ClusterRecord {
+        key: ClusterKey::new(StreamId(0), local),
+        centroid_object: ObjectId(local),
+        centroid_frame: FrameId(local),
+        top_k_classes: vec![ClassId(7)],
+        members: Vec::new(),
+        start_secs: local as f64,
+        end_secs: local as f64 + 1.0,
+    };
+    let centroid = |local: u64| ObjectObservation {
+        object_id: ObjectId(local),
+        ..ObjectObservation::default()
+    };
+    let mut valid = TopKIndex::new();
+    valid.insert(record(0));
+    valid.insert_centroid(centroid(0));
+    store.seal(&valid).unwrap().unwrap();
+
+    let mut index = TopKIndex::new();
+    for local in [1, 2, 3] {
+        index.insert(record(local));
+    }
+    index.insert_centroid(centroid(1));
+    let before = listing(&dir);
+    let live = store.segments().to_vec();
+    match store.seal(&index) {
+        Err(SegmentError::InvalidSegment {
+            source: BinsegError::MissingCentroid(key),
+            ..
+        }) => assert_eq!(key, ClusterKey::new(StreamId(0), 2)),
+        other => panic!("expected a missing-centroid refusal, got {other:?}"),
+    }
+    assert_eq!(listing(&dir), before);
+    assert_eq!(store.segments(), &live[..]);
+    // The store still seals: the refused index left no gap behind.
+    index.insert_centroid(centroid(2));
+    index.insert_centroid(centroid(3));
+    let meta = store.seal(&index).unwrap().unwrap();
+    assert_eq!(meta.file, "seg-000001.bin");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Satellite: a segment holds its own centroids, so after `seal_all` a
+/// service directory holds the manifest, the sidecar and one file per
+/// segment — nothing else.
+#[test]
+fn a_sealed_service_directory_holds_only_the_manifest_sidecar_and_segments() {
+    let archive = build("directory_contents", 30.0, 10.0, 64);
+    let names: Vec<String> = listing(&archive.dir)
+        .into_iter()
+        .map(|(name, _)| name.to_string_lossy().into_owned())
+        .collect();
+    let mut expected: Vec<String> = archive.sealed.iter().map(|m| m.file.clone()).collect();
+    expected.extend(["MANIFEST.json".to_string(), SERVICE_STATE_FILE.to_string()]);
+    expected.sort();
+    assert_eq!(names, expected);
+    assert!(archive.sealed.iter().all(|m| m.file.ends_with(".bin")));
+    std::fs::remove_dir_all(&archive.dir).ok();
 }
 
 /// Satellite: recovery leaves the store warm — every block of a store
@@ -331,8 +463,8 @@ fn recover_leaves_a_small_store_resident_and_plain_open_leaves_it_cold() {
         .map(|meta| {
             let footer =
                 binseg::footer_of(&std::fs::read(archive.dir.join(&meta.file)).unwrap()).unwrap();
-            let records = footer.record_blocks.iter().map(|b| b.len);
-            let postings = footer.postings.iter().map(|b| b.len);
+            let records = footer.record_blocks.iter().map(|b| b.block.len);
+            let postings = footer.postings.iter().map(|b| b.block.len);
             let tracks = footer.tracks.iter().map(|b| b.len);
             records.chain(postings).chain(tracks).sum::<u64>()
         })
@@ -643,7 +775,8 @@ proptest! {
     /// Satellite: the binary segment codec round-trips *arbitrary* indexes
     /// to canonical-JSON byte identity — including empty indexes, records
     /// with empty top-K lists (no postings entry anywhere), single-class
-    /// segments, and key gaps far beyond one delta block's span — and
+    /// segments, key gaps far beyond one delta block's span, and arbitrary
+    /// centroid observations (floats included, bit for bit) — and
     /// re-encoding the decoded index reproduces the exact bytes.
     #[test]
     fn binseg_roundtrip_is_byte_identical_for_arbitrary_indexes(
@@ -665,6 +798,12 @@ proptest! {
                     -1.0e9f64..1.0e9,                       // start_secs
                     0.0f64..1.0e6,                          // duration
                 ),
+                (
+                    0u64..u64::MAX,                         // centroid track, class,
+                    0u64..u64::MAX,                         // signatures
+                    -1.0e6f32..1.0e6,                       // bbox corner
+                    0.0f32..1.0,                            // drift
+                ),
             ),
             0..60,
         ),
@@ -673,8 +812,28 @@ proptest! {
         let single_class = single_class == 1;
         let mut index = TopKIndex::new();
         let mut local = 0u64;
-        for ((stream, gap, object, frame), (classes, members, start, duration)) in parts {
+        for ((stream, gap, object, frame), (classes, members, start, duration), centroid) in parts {
             local += gap;
+            let (track, signature, corner, drift) = centroid;
+            index.insert_centroid(ObjectObservation {
+                object_id: ObjectId(object),
+                track_id: TrackId(track),
+                frame_id: FrameId(frame),
+                stream_id: StreamId(stream as u32),
+                true_class: ClassId((track % 1000) as u16),
+                bbox: BoundingBox {
+                    x: corner,
+                    y: -corner,
+                    width: drift * 64.0,
+                    height: f32::from_bits(signature as u32 & 0x7f7f_ffff),
+                },
+                appearance: Appearance {
+                    track_signature: track,
+                    class_signature: signature,
+                    drift,
+                    pixel_signature: (signature >> 32) as u32,
+                },
+            });
             // A ranked top-K list never repeats a class; duplicates would
             // double-post the key, which the postings codec rejects.
             let mut top_k_classes: Vec<ClassId> = if single_class {
