@@ -190,6 +190,21 @@ impl IncrementalClusterer {
         self.active.len()
     }
 
+    /// Every cluster so far, spilled and active, as its id and members —
+    /// borrowed, unsorted: spilled clusters in spill order, then the active
+    /// set in its slot order.
+    ///
+    /// What a reader may rely on: ids are dense from 0 in opening order,
+    /// each id is yielded exactly once, and a cluster's members only ever
+    /// grow at the end, so `members[0]` (the representative) never changes.
+    /// A reader that remembers how many members it saw per id can therefore
+    /// pick up exactly the members added since.
+    pub fn clusters(&self) -> impl Iterator<Item = (ClusterId, &[ClusterMember])> {
+        let spilled = self.sealed.iter().map(|c| (c.id, c.members.as_slice()));
+        let active = self.active.iter().map(|s| (s.id, s.members.as_slice()));
+        spilled.chain(active)
+    }
+
     /// Adds one object (identified by `item`/`tag`) with feature vector
     /// `features`; returns the cluster it was assigned to — the active
     /// cluster whose centroid is nearest among those within `T` (the first
@@ -491,6 +506,61 @@ mod tests {
         assert_eq!(stats.spilled, 1);
         let centroids: Vec<f32> = clusters.iter().map(|cl| cl.centroid[0]).collect();
         assert_eq!(centroids, vec![0.0, 10.125, 20.125]);
+    }
+
+    /// Adds `n` points cycling over `spread` far-apart positions, so with a
+    /// small cap clusters keep opening and spilling.
+    fn spilling_clusterer(n: u64, spread: u64, cap: usize) -> IncrementalClusterer {
+        let mut c = IncrementalClusterer::new(0.5, cap);
+        for i in 0..n {
+            c.add(i, 3 * i, &point(&[((i * 7) % spread) as f32 * 10.0, 0.0]));
+        }
+        c
+    }
+
+    #[test]
+    fn clusters_yields_ids_dense_from_zero_once_each_and_agrees_with_finish() {
+        for cap in [1, 2, 3, 64] {
+            let c = spilling_clusterer(150, 11, cap);
+            let mut borrowed: Vec<(ClusterId, Vec<ClusterMember>)> =
+                c.clusters().map(|(id, m)| (id, m.to_vec())).collect();
+            borrowed.sort_by_key(|(id, _)| *id);
+            let ids: Vec<u64> = borrowed.iter().map(|(id, _)| id.0).collect();
+            let (finished, stats) = c.finish();
+            assert!(
+                cap == 64 || stats.spilled > 0,
+                "cap {cap} must force spills"
+            );
+            assert_eq!(
+                ids,
+                (0..stats.clusters as u64).collect::<Vec<_>>(),
+                "cap {cap}"
+            );
+            let finished: Vec<_> = finished.into_iter().map(|c| (c.id, c.members)).collect();
+            assert_eq!(borrowed, finished, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn members_are_append_only_with_a_stable_representative() {
+        let mut c = IncrementalClusterer::new(0.5, 2);
+        let mut seen: Vec<Vec<ClusterMember>> = Vec::new();
+        for i in 0..300u64 {
+            c.add(i, i, &point(&[((i * 5) % 9) as f32 * 10.0]));
+            for (id, members) in c.clusters() {
+                let id = id.0 as usize;
+                if seen.len() <= id {
+                    seen.resize(id + 1, Vec::new());
+                }
+                // What was seen before is still a prefix, so `members[0]`
+                // never moved.
+                let before = &seen[id];
+                assert!(members.len() >= before.len(), "cluster {id} shrank");
+                assert_eq!(&members[..before.len()], &before[..], "cluster {id}");
+                seen[id] = members.to_vec();
+            }
+        }
+        assert!(seen.len() > 2, "clusters must have spilled");
     }
 }
 

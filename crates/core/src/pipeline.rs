@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use focus_cluster::IncrementalClusterer;
+use focus_cluster::{ClusterMember, IncrementalClusterer};
 use focus_cnn::{Classifier, GpuCost};
 use focus_index::{ClusterKey, ClusterRecord, MemberRef, TopKIndex, TrackSketcher};
 use focus_video::motion::PixelDiffOutcome;
@@ -101,6 +101,52 @@ impl Epoch {
             observations: HashMap::new(),
         }
     }
+
+    /// The index record of the epoch's cluster `members` under `key`, with
+    /// the centroid observation query-time verification classifies: the
+    /// representative (`members[0]`) is the centroid, and its cached top-K
+    /// are the record's classes. The one record builder behind a seal, the
+    /// clustering-off path and the tail part.
+    fn make_record(
+        &self,
+        fps: u32,
+        key: ClusterKey,
+        members: &[ClusterMember],
+    ) -> (ClusterRecord, ObjectObservation) {
+        let representative = ObjectId(members[0].item);
+        let centroid = self.observations[&representative].clone();
+        let record = ClusterRecord {
+            key,
+            centroid_object: representative,
+            centroid_frame: centroid.frame_id,
+            top_k_classes: self.top_k.get(&representative).cloned().unwrap_or_default(),
+            members: Vec::with_capacity(members.len()),
+            start_secs: 0.0,
+            end_secs: 0.0,
+        };
+        (self.extend_record(record, members, fps), centroid)
+    }
+
+    /// `record` with the epoch's members `added` appended and its time span
+    /// re-taken over every member frame; key, classes and centroid stay.
+    /// Growing a record member by member therefore yields the record built
+    /// from all members at once, bit for bit.
+    fn extend_record(
+        &self,
+        mut record: ClusterRecord,
+        added: &[ClusterMember],
+        fps: u32,
+    ) -> ClusterRecord {
+        record.members.extend(added.iter().map(|m| MemberRef {
+            object: ObjectId(m.item),
+            frame: FrameId(m.tag),
+            track: self.observations[&ObjectId(m.item)].track_id,
+        }));
+        let frames = || record.members.iter().map(|m| m.frame.0);
+        record.start_secs = frames().min().unwrap_or(0) as f64 / fps as f64;
+        record.end_secs = frames().max().unwrap_or(0) as f64 / fps as f64;
+        record
+    }
 }
 
 /// One stream's hot tail as an immutable value: the records, sketches and
@@ -111,7 +157,9 @@ impl Epoch {
 /// [`FramePipeline::peek_shared`] and never change afterwards, which is
 /// what lets any number of readers share one build and keeps a
 /// [`TailOverlay`](crate::query::segmented::TailOverlay) holding them
-/// snapshot-consistent while the pipeline moves on.
+/// snapshot-consistent while the pipeline moves on. Their records are the
+/// pipeline's shared `Arc`s: a record whose cluster did not grow between
+/// two parts is the same allocation in both.
 #[derive(Debug)]
 pub struct TailPart {
     stream: StreamId,
@@ -121,17 +169,12 @@ pub struct TailPart {
 impl TailPart {
     /// Wraps one stream's tail snapshot.
     ///
-    /// # Panics
-    ///
-    /// Panics if a record belongs to a stream other than `stream` (the
-    /// per-stream uniqueness check of a
+    /// A part is stamped by the pipeline that built it: every record in
+    /// `index` belongs to `stream`, because a pipeline only assigns keys of
+    /// its own stream. The per-stream uniqueness check of a
     /// [`TailOverlay`](crate::query::segmented::TailOverlay) relies on the
-    /// stamp).
-    pub fn new(stream: StreamId, index: TopKIndex) -> Self {
-        assert!(
-            index.clusters().all(|r| r.key.stream == stream),
-            "a tail part holds the records of exactly one stream"
-        );
+    /// stamp, so only this crate constructs parts.
+    pub(crate) fn new(stream: StreamId, index: TopKIndex) -> Self {
         Self { stream, index }
     }
 
@@ -166,11 +209,28 @@ pub struct FramePipeline {
     /// generation see the same pipeline state, so they can share one
     /// [`TailPart`].
     generation: u64,
-    /// The part built at `generation` (first field), if any reader asked
-    /// since. Writers never touch the slot — a stale part is replaced by
-    /// the next [`peek_shared`](Self::peek_shared), not freed on the write
-    /// path.
-    tail_cache: Mutex<Option<(u64, Arc<TailPart>)>>,
+    /// The generation of the last mutator that changed the tail other than
+    /// by growing the live epoch's clusters — every one but a
+    /// clustering-on frame push. A part built at the same base can be
+    /// brought up to date from the clusterer alone.
+    base: u64,
+    /// The last part built, if any reader asked since. Writers never touch
+    /// the slot — a stale part is replaced by the next
+    /// [`peek_shared`](Self::peek_shared), not freed on the write path.
+    tail_cache: Mutex<Option<TailCache>>,
+}
+
+/// The last [`TailPart`] a pipeline built, and what the next build needs to
+/// start from it instead of from scratch.
+struct TailCache {
+    /// The pipeline generation the part was built at.
+    generation: u64,
+    /// The pipeline's `base` at that build.
+    base: u64,
+    /// How many members each live-epoch cluster (by `ClusterId`) had in
+    /// the part; clusters past the end had none.
+    seen: Vec<usize>,
+    part: Arc<TailPart>,
 }
 
 impl std::fmt::Debug for FramePipeline {
@@ -201,6 +261,7 @@ impl FramePipeline {
             epochs_sealed: 0,
             gpu_cost: GpuCost(0.0),
             generation: 0,
+            base: 0,
             tail_cache: Mutex::new(None),
         }
     }
@@ -240,7 +301,7 @@ impl FramePipeline {
             next >= self.next_cluster_key,
             "cluster keys must not move backwards"
         );
-        self.generation += 1;
+        self.rebase();
         self.next_cluster_key = next;
     }
 
@@ -260,9 +321,17 @@ impl FramePipeline {
             self.epoch.observations.is_empty(),
             "parameters can only change on an epoch boundary: seal the epoch first"
         );
-        self.generation += 1;
+        self.rebase();
         self.params = params;
         self.epoch = Epoch::new(&params);
+    }
+
+    /// Marks a change to the tail beyond the live epoch's clusters
+    /// growing: the next [`peek_shared`](Self::peek_shared) builds from
+    /// scratch.
+    fn rebase(&mut self) {
+        self.generation += 1;
+        self.base = self.generation;
     }
 
     /// Activity counters.
@@ -306,6 +375,11 @@ impl FramePipeline {
         mut observer: impl FnMut(&ObjectObservation, usize),
     ) {
         self.generation += 1;
+        if !self.params.enable_clustering {
+            // Singletons go straight into `self.index`, which a part only
+            // takes in on a build from scratch.
+            self.base = self.generation;
+        }
         if !self.motion.admit(frame) {
             return;
         }
@@ -363,20 +437,15 @@ impl FramePipeline {
         } else {
             // Without clustering every object is sealed immediately as a
             // singleton cluster.
-            build_record(
-                self.stream,
-                self.fps,
-                &self.epoch.top_k,
-                &self.epoch.observations,
-                &mut self.index,
-                &mut self.next_cluster_key,
-                obj.object_id,
-                vec![MemberRef {
-                    object: obj.object_id,
-                    frame: obj.frame_id,
-                    track: obj.track_id,
-                }],
-            );
+            let key = ClusterKey::new(self.stream, self.next_cluster_key);
+            let member = ClusterMember {
+                item: obj.object_id.0,
+                tag: obj.frame_id.0,
+            };
+            let (record, centroid) = self.epoch.make_record(self.fps, key, &[member]);
+            self.index.insert(record);
+            self.index.insert_centroid(centroid);
+            self.next_cluster_key += 1;
             self.clusters += 1;
         }
     }
@@ -385,7 +454,7 @@ impl FramePipeline {
     /// epoch. The streaming driver calls this when its model changes; both
     /// drivers call it (via [`finish`](Self::finish)) at the end of input.
     pub fn seal_epoch(&mut self) {
-        self.generation += 1;
+        self.rebase();
         // Pixel-diff reuse is scoped to one epoch (the gate in
         // `ingest_object` already rejected cross-epoch duplicates), so the
         // filter's signature window resets with the epoch. This keeps the
@@ -396,15 +465,16 @@ impl FramePipeline {
         self.pixel_diff.reset_window();
         let finished = std::mem::replace(&mut self.epoch, Epoch::new(&self.params));
         if self.params.enable_clustering {
-            self.clusters += epoch_records(
-                self.stream,
+            let mut seen = Vec::new();
+            epoch_records(
+                &finished,
                 self.fps,
-                finished.clusterer,
-                &finished.top_k,
-                &finished.observations,
+                ClusterKey::new(self.stream, self.next_cluster_key),
                 &mut self.index,
-                &mut self.next_cluster_key,
+                &mut seen,
             );
+            self.clusters += seen.len();
+            self.next_cluster_key += seen.len() as u64;
         }
         self.epochs_sealed += 1;
     }
@@ -426,7 +496,7 @@ impl FramePipeline {
     /// absorb-merging downstream reconstructs exactly the continuous
     /// sketch — seal boundaries never change a track query's answer).
     pub fn seal_segment(&mut self) -> TopKIndex {
-        self.generation += 1;
+        self.rebase();
         self.seal_epoch();
         for sketch in self.sketcher.drain_window() {
             self.index.insert_sketch(sketch);
@@ -440,92 +510,106 @@ impl FramePipeline {
     /// centroid observations — in the index's centroid section, and again
     /// as a map by object id.
     ///
-    /// The snapshot replays the sealing logic on a clone of the live
-    /// epoch's state — same clusterer outcome, same cluster-key assignment
-    /// — so its records are byte-identical to the records an actual seal
+    /// The snapshot runs the sealing logic over the live epoch's state
+    /// without consuming it — the same record builder, the same key rule —
+    /// so its records are byte-identical to the records an actual seal
     /// at this instant would persist. This is the *hot tail* the live
     /// service overlays on top of its durable segments: a query issued
     /// mid-ingest sees exactly the union it would see after
     /// seal-everything-then-query (`tests/live_service.rs` pins this).
+    /// It is always a build from scratch; [`peek_shared`](Self::peek_shared)
+    /// is the cached, incremental form.
     pub fn peek_segment(&self) -> (TopKIndex, HashMap<ObjectId, ObjectObservation>) {
-        let index = self.peek_index();
+        let (index, _) = self.tail_index(None);
         let centroids = index.centroids().map(|o| (o.object_id, o.clone()));
         let centroids = centroids.collect();
         (index, centroids)
     }
 
-    /// [`peek_segment`](Self::peek_segment)'s index alone.
-    fn peek_index(&self) -> TopKIndex {
-        let mut index = self.index.clone();
-        let mut next_key = self.next_cluster_key;
+    /// [`peek_segment`](Self::peek_segment)'s index, built on `previous` —
+    /// an earlier part's index at the current base and the member counts it
+    /// saw — or, without one, on a clone of the pipeline's index; returns
+    /// it with the member counts it now holds. Either way the result is the
+    /// same: a build from scratch is this build from an empty base.
+    fn tail_index(&self, previous: Option<(TopKIndex, Vec<usize>)>) -> (TopKIndex, Vec<usize>) {
+        let (mut index, mut seen) = previous.unwrap_or_else(|| (self.index.clone(), Vec::new()));
         if self.params.enable_clustering {
             epoch_records(
-                self.stream,
+                &self.epoch,
                 self.fps,
-                self.epoch.clusterer.clone(),
-                &self.epoch.top_k,
-                &self.epoch.observations,
+                ClusterKey::new(self.stream, self.next_cluster_key),
                 &mut index,
-                &mut next_key,
+                &mut seen,
             );
+        }
+        // `insert_sketch` merges, so the previous part's window sketches
+        // must go before the current window's come in.
+        index.clear_sketches();
+        for sketch in self.index.sketches() {
+            index.insert_sketch(sketch.clone());
         }
         for sketch in self.sketcher.snapshot_window() {
             index.insert_sketch(sketch);
         }
-        index
+        (index, seen)
     }
 
     /// The [`peek_segment`](Self::peek_segment) snapshot as a shared,
-    /// immutable [`TailPart`], built at most once per pipeline state.
+    /// immutable [`TailPart`], built at most once per pipeline state and
+    /// incrementally.
     ///
     /// Every `&mut self` mutator bumps the pipeline's generation; a part
     /// cached at the current generation is therefore exactly what
     /// `peek_segment` would rebuild, and is returned as is (O(1)).
     /// Otherwise the part is built while the cache slot is held, so
     /// concurrent readers of a freshly written pipeline wait for one build
-    /// instead of each doing their own. The cost model is one build per
-    /// write burst, not one per read.
+    /// instead of each doing their own. If only clustering-on frame pushes
+    /// came since the last build, the build starts from that part: its
+    /// records stay shared, only clusters that gained members since get a
+    /// new record (the old one plus the new members) and new clusters are
+    /// added. Any other mutator makes the next build start from scratch.
+    /// The cost model is reference-count bumps per tail record plus the
+    /// records of the clusters that grew since the last read.
     ///
-    /// Debug builds rebuild on every hit and assert the cached part still
-    /// equals a fresh peek, which turns every test that reads a live tail
-    /// into a stale-cache detector; release builds skip the check.
+    /// Debug builds check every part they hand out — built or cached —
+    /// against a fresh `peek_segment`, which turns every test that reads a
+    /// live tail into a stale-cache detector; release builds skip the check.
     pub fn peek_shared(&self) -> Arc<TailPart> {
         let mut slot = self.tail_cache.lock();
-        if let Some((generation, part)) = slot.as_ref() {
-            if *generation == self.generation {
-                #[cfg(debug_assertions)]
-                self.assert_coherent(part);
-                return Arc::clone(part);
-            }
+        if let Some(cache) = slot.as_ref().filter(|c| c.generation == self.generation) {
+            #[cfg(debug_assertions)]
+            self.assert_coherent(&cache.part);
+            return Arc::clone(&cache.part);
         }
-        let part = Arc::new(TailPart::new(self.stream, self.peek_index()));
-        *slot = Some((self.generation, Arc::clone(&part)));
+        let previous = slot.take().filter(|c| c.base == self.base).map(|c| {
+            // Readers done with the old part leave it to be reused in place.
+            let index = Arc::try_unwrap(c.part).map_or_else(|p| p.index.clone(), |p| p.index);
+            (index, c.seen)
+        });
+        let (index, seen) = self.tail_index(previous);
+        let part = Arc::new(TailPart::new(self.stream, index));
+        #[cfg(debug_assertions)]
+        self.assert_coherent(&part);
+        *slot = Some(TailCache {
+            generation: self.generation,
+            base: self.base,
+            seen,
+            part: Arc::clone(&part),
+        });
         part
     }
 
-    /// Panics unless `cached` equals a fresh
+    /// Panics unless `part` equals a fresh
     /// [`peek_segment`](Self::peek_segment): same records, same sketches,
     /// same centroids. A failure means some mutator forgot to bump the
-    /// generation.
+    /// generation or the base, or an incremental build drifted from a
+    /// build from scratch.
     #[cfg(debug_assertions)]
-    fn assert_coherent(&self, cached: &TailPart) {
-        type Sorted<'a> = (
-            Vec<&'a ClusterRecord>,
-            Vec<&'a focus_index::TrackSketch>,
-            Vec<&'a ObjectObservation>,
-        );
-        fn sorted(index: &TopKIndex) -> Sorted<'_> {
-            let mut records: Vec<_> = index.clusters().collect();
-            records.sort_by_key(|r| r.key);
-            let mut sketches: Vec<_> = index.sketches().collect();
-            sketches.sort_by_key(|s| s.key);
-            let mut centroids: Vec<_> = index.centroids().collect();
-            centroids.sort_by_key(|o| o.object_id);
-            (records, sketches, centroids)
-        }
+    fn assert_coherent(&self, part: &TailPart) {
         assert!(
-            sorted(&self.peek_index()) == sorted(&cached.index),
-            "stale tail part for stream {}: a mutator did not bump the generation",
+            sorted_contents(&self.tail_index(None).0) == sorted_contents(&part.index),
+            "stale tail part for stream {}: a mutator did not rebase, or an \
+             incremental build drifted from a build from scratch",
             self.stream.0
         );
     }
@@ -546,7 +630,7 @@ impl FramePipeline {
     /// Panics if the part shares a key with a live record (meaning it was
     /// not drained from this pipeline, or was restored twice).
     pub fn restore_drained(&mut self, part: TopKIndex) {
-        self.generation += 1;
+        self.rebase();
         let replaced = self.index.merge(part);
         assert_eq!(replaced, 0, "restored part must be key-disjoint");
     }
@@ -573,79 +657,75 @@ impl FramePipeline {
     }
 }
 
-/// Writes an epoch's finished clusters into `index`, in the clusterer's
-/// finish order: resolves each cluster's members and builds its record
-/// ([`build_record`]), drawing keys from `next_cluster_key`; returns how
-/// many. The one loop behind both [`FramePipeline::seal_epoch`] (the
-/// epoch's own clusterer, the pipeline's index and key counter) and
-/// [`FramePipeline::peek_segment`] (a clone of the clusterer, index and
-/// counter), so a peek and a real seal cannot drift apart.
+/// Brings `index` up to date with `epoch`'s clusters — the one loop behind
+/// [`FramePipeline::seal_epoch`] (the pipeline's index, nothing seen yet)
+/// and every tail build (a clone of that index, or the previous part's).
+///
+/// Cluster `id`'s key is `base.local + id`: ids are dense from 0, so these
+/// are exactly the keys sealing in id order from `base` would assign, and
+/// a peek and a real seal cannot drift apart. `seen[id]` is how many of the
+/// cluster's members `index` already holds (a missing entry: none) and is
+/// updated to all of them. A cluster that gained members has its record
+/// grown in place by just those members; a new cluster — or one whose
+/// earlier record `index` lacks — gets a record built whole, centroid
+/// observation included; an unchanged one is left alone.
 fn epoch_records(
-    stream: StreamId,
+    epoch: &Epoch,
     fps: u32,
-    clusterer: IncrementalClusterer,
-    top_k: &HashMap<ObjectId, Vec<ClassId>>,
-    observations: &HashMap<ObjectId, ObjectObservation>,
+    base: ClusterKey,
     index: &mut TopKIndex,
-    next_cluster_key: &mut u64,
-) -> usize {
-    let (clusters, _stats) = clusterer.finish();
-    let count = clusters.len();
-    for cluster in clusters {
-        let members = cluster
-            .members
-            .iter()
-            .map(|m| MemberRef {
-                object: ObjectId(m.item),
-                frame: FrameId(m.tag),
-                track: observations[&ObjectId(m.item)].track_id,
-            })
-            .collect();
-        build_record(
-            stream,
-            fps,
-            top_k,
-            observations,
-            index,
-            next_cluster_key,
-            ObjectId(cluster.representative().item),
-            members,
-        );
+    seen: &mut Vec<usize>,
+) {
+    for (id, members) in epoch.clusterer.clusters() {
+        let id = id.0 as usize;
+        if seen.len() <= id {
+            seen.resize(id + 1, 0);
+        }
+        let held = std::mem::replace(&mut seen[id], members.len());
+        if held == members.len() {
+            continue;
+        }
+        let key = ClusterKey::new(base.stream, base.local + id as u64);
+        // A grown record has the old one's shape, so it swaps in with
+        // postings and centroid untouched.
+        let grown = match (index.get(key), members.get(held..)) {
+            (Some(old), Some(added)) if held > 0 => {
+                let mut kept = Vec::with_capacity(old.members.len() + added.len());
+                kept.extend_from_slice(&old.members);
+                let record = ClusterRecord {
+                    members: kept,
+                    top_k_classes: old.top_k_classes.clone(),
+                    ..**old
+                };
+                Some(epoch.extend_record(record, added, fps))
+            }
+            _ => None,
+        };
+        if !grown.is_some_and(|record| index.replace_same_shape(record)) {
+            let (record, centroid) = epoch.make_record(fps, key, members);
+            index.insert(record);
+            index.insert_centroid(centroid);
+        }
     }
-    count
 }
 
-/// Builds the index record for a finished cluster: resolves the
-/// representative's cached top-K and observation, assigns the next
-/// sequential cluster key, and inserts the record into `index` with the
-/// centroid observation query-time verification classifies.
-#[allow(clippy::too_many_arguments)]
-fn build_record(
-    stream: StreamId,
-    fps: u32,
-    top_k: &HashMap<ObjectId, Vec<ClassId>>,
-    observations: &HashMap<ObjectId, ObjectObservation>,
-    index: &mut TopKIndex,
-    next_cluster_key: &mut u64,
-    representative: ObjectId,
-    members: Vec<MemberRef>,
+/// An index's records, sketches and centroid observations, each sorted by
+/// key: what two tail builds must agree on.
+#[cfg(any(test, debug_assertions))]
+fn sorted_contents(
+    index: &TopKIndex,
+) -> (
+    Vec<&ClusterRecord>,
+    Vec<&focus_index::TrackSketch>,
+    Vec<&ObjectObservation>,
 ) {
-    let classes = top_k.get(&representative).cloned().unwrap_or_default();
-    let start = members.iter().map(|m| m.frame.0).min().unwrap_or(0) as f64 / fps as f64;
-    let end = members.iter().map(|m| m.frame.0).max().unwrap_or(0) as f64 / fps as f64;
-    let centroid = observations[&representative].clone();
-    let key = ClusterKey::new(stream, *next_cluster_key);
-    *next_cluster_key += 1;
-    index.insert(ClusterRecord {
-        key,
-        centroid_object: representative,
-        centroid_frame: centroid.frame_id,
-        top_k_classes: classes,
-        members,
-        start_secs: start,
-        end_secs: end,
-    });
-    index.insert_centroid(centroid);
+    let mut records: Vec<_> = index.clusters().collect();
+    records.sort_by_key(|r| r.key);
+    let mut sketches: Vec<_> = index.sketches().collect();
+    sketches.sort_by_key(|s| s.key);
+    let mut centroids: Vec<_> = index.centroids().collect();
+    centroids.sort_by_key(|o| o.object_id);
+    (records, sketches, centroids)
 }
 
 #[cfg(test)]
@@ -887,6 +967,46 @@ mod tests {
         assert!(!part.index().is_empty());
     }
 
+    /// A part built after frame pushes alone starts from the previous part:
+    /// a record whose cluster gained no member in between is the same
+    /// allocation in both parts, and only the clusters that grew got a new
+    /// one. A builder that quietly rebuilt every record would fail here.
+    #[test]
+    fn records_of_clusters_that_did_not_grow_are_shared_between_parts() {
+        let profile = profile_by_name("auburn_c").unwrap();
+        let dataset = VideoDataset::generate(profile.clone(), 30.0);
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let mut pipeline =
+            FramePipeline::new(profile.stream_id, profile.fps, IngestParams::default());
+        let (first, second) = dataset.frames.split_at(dataset.frames.len() / 2);
+        for frame in first {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        let before = pipeline.peek_shared();
+        for frame in &second[..30] {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        let after = pipeline.peek_shared();
+        let (mut shared, mut grown) = (0, 0);
+        for record in before.index().clusters() {
+            let old = before.index().get(record.key).unwrap();
+            let new = after.index().get(record.key).unwrap();
+            if new.len() == old.len() {
+                assert!(Arc::ptr_eq(old, new), "{:?} did not grow", record.key);
+                shared += 1;
+            } else {
+                assert!(!Arc::ptr_eq(old, new));
+                assert_eq!(new.members[..old.len()], old.members[..]);
+                grown += 1;
+            }
+        }
+        assert!(shared > 0 && grown > 0, "{shared} shared, {grown} grown");
+        assert!(
+            after.index().len() > before.index().len(),
+            "clusters opened"
+        );
+    }
+
     #[test]
     fn resumed_cluster_keys_start_where_told() {
         let profile = profile_by_name("auburn_c").unwrap();
@@ -1008,5 +1128,111 @@ mod tests {
             focus_index::persist::to_json(&a.index).unwrap(),
             focus_index::persist::to_json(&b.index).unwrap()
         );
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use crate::ingest::IngestCnn;
+    use focus_cnn::ModelSpec;
+    use focus_video::profile::profile_by_name;
+    use focus_video::VideoDataset;
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
+
+    fn dataset() -> &'static VideoDataset {
+        static DATASET: OnceLock<VideoDataset> = OnceLock::new();
+        DATASET.get_or_init(|| VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0))
+    }
+
+    /// The parameters a `set_params` step installs: the defaults, another
+    /// K and threshold, a two-cluster cap (so clusters spill), or clustering
+    /// switched.
+    fn params_variant(current: IngestParams, variant: usize) -> IngestParams {
+        match variant % 4 {
+            0 => IngestParams::default(),
+            1 => IngestParams {
+                k: 3,
+                cluster_threshold: 0.8,
+                ..current
+            },
+            2 => IngestParams {
+                max_active_clusters: 2,
+                ..current
+            },
+            _ => IngestParams {
+                enable_clustering: !current.enable_clustering,
+                ..current
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Incremental equals from scratch: across random interleavings of
+        /// frame bursts, reads, epoch seals, parameter switches, segment
+        /// drains and restores, and re-keying while no cluster is sealed —
+        /// clustering on and off, keys started anywhere — every part `peek_shared` hands out holds exactly the
+        /// records, sketches and centroids of a fresh `peek_segment`. Release
+        /// builds skip the debug stale-tail check, so this is what holds the
+        /// path the service runs to the reference.
+        #[test]
+        fn every_shared_part_equals_a_build_from_scratch(
+            (clustering, small_cap, first_key) in (0usize..2, 0usize..3, 0u64..1_000),
+            steps in prop::collection::vec((0usize..11, 0usize..61), 1..28),
+        ) {
+            let dataset = dataset();
+            let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+            let params = IngestParams {
+                enable_clustering: clustering == 1,
+                max_active_clusters: if small_cap == 0 { 3 } else { 512 },
+                ..IngestParams::default()
+            };
+            let mut pipeline =
+                FramePipeline::new(dataset.profile.stream_id, dataset.profile.fps, params);
+            pipeline.start_cluster_keys_at(first_key);
+            let mut frames = dataset.frames.iter();
+            let mut drained = None;
+            // A part a reader still holds: the next build cannot reuse it
+            // in place and must copy it.
+            let mut held = None;
+            for (i, &(op, arg)) in steps.iter().enumerate() {
+                match op {
+                    0..=4 => {
+                        for frame in frames.by_ref().take(arg) {
+                            pipeline.push_frame(frame, model.classifier.as_ref());
+                        }
+                    }
+                    5 => held = Some(pipeline.peek_shared()),
+                    6 => pipeline.seal_epoch(),
+                    7 => {
+                        pipeline.seal_epoch();
+                        pipeline.set_params(params_variant(pipeline.params(), arg));
+                    }
+                    8 => drained = Some(pipeline.seal_segment()),
+                    9 => {
+                        if let Some(part) = drained.take() {
+                            pipeline.restore_drained(part);
+                        }
+                    }
+                    // Re-keying is allowed until a cluster is sealed, so
+                    // also mid-epoch, after a read.
+                    _ => {
+                        if pipeline.stats().clusters == 0 {
+                            pipeline.start_cluster_keys_at(pipeline.next_cluster_key() + arg as u64);
+                        }
+                    }
+                }
+                let part = pipeline.peek_shared();
+                let (fresh, _) = pipeline.peek_segment();
+                prop_assert!(
+                    sorted_contents(part.index()) == sorted_contents(&fresh),
+                    "step {i} (op {op}, arg {arg}): the shared part differs from peek_segment"
+                );
+            }
+            drop(held);
+        }
     }
 }

@@ -65,7 +65,8 @@ use crate::query::track::TrackScope;
 /// The parts are built by the pipelines at most once per write (any `&mut`
 /// on a pipeline bumps its generation; a read at an unchanged generation
 /// reuses the cached part), so a serve call pays for a build only on the
-/// first read after a stream moved.
+/// first read after a stream moved — and that build rebuilds only the
+/// records of the clusters that grew since the previous part.
 ///
 /// Serving stays snapshot-consistent: a part never changes after it is
 /// built, so every query planned against one overlay sees the same tail

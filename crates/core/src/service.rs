@@ -13,7 +13,8 @@
 //!   in memory; sealed segments live in the durable [`SegmentStore`]. A
 //!   [`serve`](FocusService::serve) call takes every stream's shared tail
 //!   part ([`FramePipeline::peek_shared`] — built once per write to the
-//!   stream, reused by every read until the next one), overlays the parts
+//!   stream, from the previous part plus the clusters that grew, and
+//!   reused by every read until the next one), overlays the parts
 //!   on the store ([`SegmentedCorpus::plan_with_tail`]) and answers from
 //!   the union — proven byte-identical to sealing everything first and
 //!   then querying (`tests/live_service.rs`).

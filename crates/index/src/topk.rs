@@ -169,6 +169,26 @@ impl TopKIndex {
         self.clusters.insert(record.key, record);
     }
 
+    /// Swaps `record` in for the stored record with the same key, provided
+    /// both have the same shape — equal `top_k_classes` and
+    /// `centroid_object` — so the postings and the centroid observation stay
+    /// as they are (O(1), where [`insert`](Self::insert) on a stored key
+    /// rewrites every posting list the old record was on). Returns whether
+    /// it swapped; an index without a same-shape record is left unchanged.
+    pub fn replace_same_shape(&mut self, record: impl Into<Arc<ClusterRecord>>) -> bool {
+        let record = record.into();
+        match self.clusters.get_mut(&record.key) {
+            Some(stored)
+                if stored.top_k_classes == record.top_k_classes
+                    && stored.centroid_object == record.centroid_object =>
+            {
+                *stored = record;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Removes a cluster record, its postings and its centroid observation;
     /// returns the record if it existed.
     pub fn remove(&mut self, key: ClusterKey) -> Option<Arc<ClusterRecord>> {
@@ -232,6 +252,13 @@ impl TopKIndex {
     /// Number of tracks with a sketch.
     pub fn sketch_count(&self) -> usize {
         self.sketches.len()
+    }
+
+    /// Drops every track sketch, leaving records, postings and centroid
+    /// observations as they are. Because [`insert_sketch`](Self::insert_sketch)
+    /// merges, this is how a caller replaces the sketches wholesale.
+    pub fn clear_sketches(&mut self) {
+        self.sketches.clear();
     }
 
     /// Stores the centroid observation of a record (keyed by its object
@@ -445,6 +472,30 @@ mod tests {
     }
 
     #[test]
+    fn replace_same_shape_keeps_postings_and_centroid() {
+        let mut idx = TopKIndex::new();
+        idx.insert(record(0, 1, &[0, 1], 3, 0.0));
+        idx.insert_centroid(ObjectObservation {
+            object_id: ObjectId(1000),
+            ..ObjectObservation::default()
+        });
+        let postings = idx.stats();
+        // Same classes and centroid, more members: swapped in place.
+        let grown = record(0, 1, &[0, 1], 5, 0.0);
+        assert!(idx.replace_same_shape(grown.clone()));
+        assert_eq!(idx.get(grown.key).map(|r| &**r), Some(&grown));
+        assert_eq!(idx.stats().postings, postings.postings);
+        assert_eq!(idx.stats().objects, 5);
+        assert!(idx.centroid(ObjectId(1000)).is_some());
+        assert_eq!(idx.lookup(ClassId(1), &QueryFilter::any()).len(), 1);
+        // A different shape, or no stored record, changes nothing.
+        assert!(!idx.replace_same_shape(record(0, 1, &[2], 5, 0.0)));
+        assert!(!idx.replace_same_shape(record(0, 2, &[0, 1], 5, 0.0)));
+        assert_eq!(idx.get(grown.key).map(|r| &**r), Some(&grown));
+        assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
     fn remove_cleans_postings() {
         let mut idx = TopKIndex::new();
         idx.insert(record(0, 1, &[0, 1], 3, 0.0));
@@ -573,6 +624,10 @@ mod tests {
         assert_eq!(s.t_end, 3.0);
         assert_eq!(s.cells.len(), 2);
         assert!(idx.sketch(TrackKey::new(StreamId(1), TrackId(4))).is_none());
+        // Clearing is the only way to replace rather than absorb.
+        idx.clear_sketches();
+        idx.insert_sketch(TrackSketch::first(key, 3.0, 300.0, 10.0));
+        assert_eq!(idx.sketch(key).unwrap().observations, 1);
     }
 
     #[test]
