@@ -27,11 +27,10 @@
 //! is an in-process call whose messages are weighed by the wire layout's
 //! length function (`fleet/wire.rs` — nothing is encoded) and charged to a
 //! [`NetMeter`]/[`NetCostModel`] (and, when attached, a [`VirtualClock`]),
-//! the same capability discipline `GpuMeter`/`IoMeter` apply to compute and
-//! storage. Scatter width, bytes over the wire and failover time are
-//! therefore exact and machine-independent — CI asserts them
-//! (`fleet-faults` job), the benchmark's `fleet_scatter` workload tracks
-//! them.
+//! the same capability discipline `GpuMeter` applies to compute. Scatter
+//! width, bytes over the wire and failover time are therefore exact and
+//! machine-independent — CI asserts them (`fleet-faults` job), the
+//! benchmark's `fleet_scatter` workload tracks them.
 
 pub mod manifest;
 mod wire;
@@ -45,7 +44,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
-use focus_index::{CentroidHandle, ClusterRecord, SegmentError, TrackKey};
+use focus_index::{CentroidHandle, ClusterRecord, SegmentAccess, SegmentError, TrackKey};
 use focus_runtime::{GpuMeter, NetCostModel, NetMeter, NetStats, VirtualClock};
 use focus_video::{ClassId, Frame, ObjectId, ObjectObservation, StreamId};
 
@@ -196,8 +195,11 @@ pub struct FleetStats {
     pub serves: usize,
     /// Queries served.
     pub queries: usize,
-    /// Segments opened by scattered plans, summed over serves.
-    pub segments_opened: usize,
+    /// Every shard plan's [`SegmentAccess`], merged over serves: segments
+    /// opened, bytes read and block fetches per cache tier across the
+    /// fleet's stores. Its `segments_total` is the largest shard store any
+    /// plan saw, not a sum.
+    pub reads: SegmentAccess,
     /// Shards contacted by the most recent serve.
     pub last_scatter_width: usize,
     /// Node losses processed by [`failover`](FleetCoordinator::failover).
@@ -209,28 +211,6 @@ pub struct FleetStats {
     pub rebalances: usize,
     /// GPU seconds spent on gather-side verification.
     pub query_gpu_secs: f64,
-}
-
-/// Scalar projection of a shard plan's `SegmentAccess` (the wire carries
-/// plain counts).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WireAccess {
-    /// Live segments in the shard's store.
-    pub segments_total: usize,
-    /// Segments whose bounds intersected the filter.
-    pub segments_considered: usize,
-    /// Considered segments needing a disk read.
-    pub cold_loads: usize,
-    /// Considered segments served from cache.
-    pub cache_hits: usize,
-    /// Bytes read from disk.
-    pub bytes_read: u64,
-}
-
-impl WireAccess {
-    fn opened(&self) -> usize {
-        self.cold_loads + self.cache_hits
-    }
 }
 
 /// One shard's answer for one request of a scattered batch.
@@ -246,7 +226,7 @@ pub struct ShardRequestPlan {
     /// Records resolved from the shard's in-memory tail.
     pub tail_records: usize,
     /// Segment-access account of the shard-local plan.
-    pub access: WireAccess,
+    pub access: SegmentAccess,
     /// Tracks this shard's sketches rejected for the request's track
     /// filter (empty without one). Shards hold disjoint streams, so the
     /// coordinator unions these losslessly into the gathered plan's
@@ -873,11 +853,11 @@ impl FleetCoordinator {
         let mut runs: Vec<Vec<ShardRun>> = vec![Vec::new(); requests.len()];
         let mut rejected: Vec<Vec<TrackKey>> = vec![Vec::new(); requests.len()];
         let mut centroids: Vec<Vec<(ObjectId, ObjectObservation)>> = Vec::new();
-        let mut segments_opened = 0;
+        let mut reads = SegmentAccess::default();
         for response in batch.responses {
             let parts = response.per_request.into_iter();
             for ((part, runs), rejected) in parts.zip(&mut runs).zip(&mut rejected) {
-                segments_opened += part.access.opened();
+                reads.merge(&part.access);
                 rejected.extend(part.rejected_tracks);
                 centroids.push(part.centroids);
                 runs.push((response.shard, part.records.into_iter().peekable()));
@@ -914,7 +894,7 @@ impl FleetCoordinator {
         );
         self.stats.serves += 1;
         self.stats.queries += requests.len();
-        self.stats.segments_opened += segments_opened;
+        self.stats.reads.merge(&reads);
         self.stats.last_scatter_width = batch.contacted.len();
         self.stats.query_gpu_secs += meter.phase("query").0;
         Ok(outcomes)
@@ -1201,13 +1181,7 @@ fn plan_on_shard(
             centroids,
             tail_records: planned.tail_records,
             rejected_tracks: planned.plan.track_scope.rejected,
-            access: WireAccess {
-                segments_total: planned.access.segments_total,
-                segments_considered: planned.access.segments_considered,
-                cold_loads: planned.access.cold_loads,
-                cache_hits: planned.access.cache_hits,
-                bytes_read: planned.access.bytes_read,
-            },
+            access: planned.access,
         });
     }
     Ok(ShardPlanMsg { shard, per_request })

@@ -52,8 +52,8 @@ const APPEARANCE: u64 = 2 * WORD + 4 + 4;
 const OBSERVATION: u64 = 3 * WORD + STREAM_ID + CLASS_ID + BOUNDING_BOX + APPEARANCE;
 /// A `(ObjectId, ObjectObservation)` centroid entry.
 const CENTROID_ENTRY: u64 = WORD + OBSERVATION;
-/// `WireAccess`: five counters.
-const ACCESS: u64 = 5 * WORD;
+/// `SegmentAccess`: eight counters.
+const ACCESS: u64 = 8 * WORD;
 /// `AnytimeMode`: flag, two budgets, confidence.
 const ANYTIME_MODE: u64 = 1 + 3 * WORD;
 /// `Region`: four `f64`.
@@ -151,12 +151,11 @@ impl WireLen for MaintenanceReport {
 
 #[cfg(test)]
 mod tests {
-    use focus_index::{ClusterKey, MemberRef};
+    use focus_index::{ClusterKey, MemberRef, SegmentAccess};
     use focus_video::{
         Appearance, BoundingBox, ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId,
     };
 
-    use super::super::WireAccess;
     use super::*;
 
     fn observation(id: u64) -> ObjectObservation {
@@ -214,7 +213,7 @@ mod tests {
                 .collect(),
             records: records.into_iter().map(std::sync::Arc::new).collect(),
             tail_records: 0,
-            access: WireAccess::default(),
+            access: SegmentAccess::default(),
             rejected_tracks: Vec::new(),
         }
     }
@@ -244,10 +243,10 @@ mod tests {
         let centroid = 8 + (8 + 8 + 8 + 4 + 2 + 16 + 24);
         assert_eq!(centroid, 78);
         // Request plan: records 4 + .., centroids 4 + .., tail count 8,
-        // access 5·8, rejected tracks 4.
-        let plan = (4 + record) + (4 + centroid) + 8 + 40 + 4;
+        // access 8·8, rejected tracks 4.
+        let plan = (4 + record) + (4 + centroid) + 8 + 64 + 4;
         assert_eq!(msg.wire_len(), 4 + 4 + plan);
-        assert_eq!(msg.wire_len(), 274);
+        assert_eq!(msg.wire_len(), 298);
     }
 
     #[test]

@@ -51,6 +51,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
@@ -58,9 +59,7 @@ use focus_index::persist::{write_atomic, PersistError};
 use focus_index::{
     ClusterKey, LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
-use focus_runtime::{
-    GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats, TickReport,
-};
+use focus_runtime::{GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, TickReport};
 use focus_video::{Frame, StreamId};
 
 use crate::adapt::{AdaptationConfig, Reconfiguration, StreamController};
@@ -196,11 +195,14 @@ pub struct ServiceStats {
     pub tail_candidates_served: usize,
     /// Verdict-cache activity of the embedded [`QueryServer`].
     pub cache: CacheStats,
-    /// Storage-I/O counters (cold loads, cache hits, bytes).
-    pub io: IoStats,
-    /// Tiered segment-cache snapshot: decoded-block and raw-bytes
-    /// occupancy plus per-tier hit counters, so dashboards see where cold
-    /// reads actually land.
+    /// Every store read since the service started: the [`SegmentAccess`]
+    /// of each serve's and each anytime request's planning, merged —
+    /// segments opened cold or cached, bytes read, block fetches per cache
+    /// tier. Its `segments_total` is the largest store any plan saw, not a
+    /// sum.
+    pub io: SegmentAccess,
+    /// Tiered segment-cache occupancy: decoded-block and raw-bytes tiers'
+    /// bytes, budgets and entries. Where fetches land is in `io`.
     pub lru: LruOccupancy,
     /// Shared GPU scheduler breakdown (per-phase submissions, per-side
     /// served/backlog, utilization inputs).
@@ -309,7 +311,7 @@ pub struct FocusService {
     streams: BTreeMap<StreamId, StreamState>,
     server: QueryServer,
     scheduler: GpuScheduler,
-    io: IoMeter,
+    io: Mutex<SegmentAccess>,
     segments_sealed: usize,
     reconfigurations: usize,
     compactions: usize,
@@ -452,7 +454,7 @@ impl FocusService {
             streams: BTreeMap::new(),
             server,
             scheduler,
-            io: IoMeter::new(),
+            io: Mutex::new(SegmentAccess::default()),
             segments_sealed: 0,
             reconfigurations: 0,
             compactions: 0,
@@ -678,7 +680,7 @@ impl FocusService {
             candidates += planned.plan.candidates.len();
             plans.push(planned);
         }
-        self.charge_access(&access);
+        self.io.lock().merge(&access);
         self.tail_candidates_served
             .fetch_add(tail_candidates, Ordering::SeqCst);
         self.candidates_served
@@ -704,15 +706,6 @@ impl FocusService {
         self.queries_served
             .fetch_add(requests.len(), Ordering::SeqCst);
         Ok(runs)
-    }
-
-    /// Charges what one planning pass touched in the store to the
-    /// service's I/O meter.
-    fn charge_access(&self, access: &SegmentAccess) {
-        self.io.record_loads(access.cold_loads, access.bytes_read);
-        self.io.record_cache_hits(access.cache_hits);
-        self.io
-            .record_blocks(access.blocks_read, access.block_raw_hits, access.block_hits);
     }
 
     /// A snapshot of every stream's not-yet-sealed records, taken at one
@@ -1016,7 +1009,7 @@ impl FocusService {
             candidates_served: self.candidates_served.load(Ordering::SeqCst),
             tail_candidates_served: self.tail_candidates_served.load(Ordering::SeqCst),
             cache: self.server.cache_stats(),
-            io: self.io.snapshot(),
+            io: *self.io.lock(),
             lru: self.corpus.store().cache_occupancy(),
             gpu: self.scheduler.stats(),
             serving: ServingStats::default(),

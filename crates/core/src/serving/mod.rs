@@ -282,34 +282,4 @@ impl ServingStats {
     }
 }
 
-impl ServingStats {
-    /// Folds another snapshot into this one — counters add, histograms
-    /// merge exactly, per-tenant slices align by tenant id. Used to
-    /// aggregate stats across planes (e.g. replicas) or windows.
-    pub fn merge(&mut self, other: &ServingStats) {
-        self.submitted += other.submitted;
-        self.admitted += other.admitted;
-        self.shed_rate_limited += other.shed_rate_limited;
-        self.shed_queue_full += other.shed_queue_full;
-        self.answered += other.answered;
-        self.expired += other.expired;
-        self.deadline_misses += other.deadline_misses;
-        self.batches += other.batches;
-        self.max_queue_len = self.max_queue_len.max(other.max_queue_len);
-        self.latency.merge(&other.latency);
-        self.first_result_latency.merge(&other.first_result_latency);
-        for theirs in &other.per_tenant {
-            let mine = self.tenant_mut(theirs.tenant);
-            mine.submitted += theirs.submitted;
-            mine.admitted += theirs.admitted;
-            mine.shed_rate_limited += theirs.shed_rate_limited;
-            mine.shed_queue_full += theirs.shed_queue_full;
-            mine.answered += theirs.answered;
-            mine.expired += theirs.expired;
-            mine.deadline_misses += theirs.deadline_misses;
-            mine.latency.merge(&theirs.latency);
-        }
-    }
-}
-
 pub(crate) use queue::{FairQueue, Queued};

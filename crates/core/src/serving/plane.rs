@@ -623,29 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_aggregates_two_planes() {
-        let (a, clock_a) = plane(ServingConfig {
-            dispatch_margin_secs: 0.0,
-            ..ServingConfig::default()
-        });
-        let (b, _clock_b) = plane(ServingConfig::default());
-        a.submit(TenantId(1), request()).unwrap();
-        clock_a.advance(0.1);
-        let calls = std::cell::Cell::new(0);
-        a.dispatch_with(echo(&calls)).unwrap();
-        b.submit(TenantId(1), request()).unwrap();
-        b.submit(TenantId(2), request()).unwrap();
-
-        let mut merged = a.serving_stats();
-        merged.merge(&b.serving_stats());
-        assert_eq!(merged.submitted, 3);
-        assert_eq!(merged.answered, 1);
-        assert_eq!(merged.latency.count(), 1);
-        assert_eq!(merged.per_tenant.len(), 2);
-        assert_eq!(merged.tenant(TenantId(1)).unwrap().submitted, 2);
-    }
-
-    #[test]
     #[should_panic(expected = "queue bound")]
     fn zero_queue_bound_panics() {
         let _ = RequestPlane::new(

@@ -48,8 +48,10 @@
 //! the raw tier. Lookups read and checksum-verify only the blocks a query
 //! needs — the postings block of each lookup class and the record blocks
 //! covering the union of their candidate keys, each once per request;
-//! [`SegmentAccess`] reports per-call pruning, cache and block behaviour so
-//! callers can account for storage cost (the runtime crate's `IoMeter`).
+//! [`SegmentAccess`] reports per-call pruning, cache and block behaviour,
+//! and is the one account of store reads: each block fetch is counted once,
+//! in the account of the call that made it, and the cache tiers keep no
+//! counters of their own.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -229,10 +231,11 @@ impl OpenReport {
 /// A segment is counted once per store call however many lookup classes the
 /// call carries ([`SegmentStore::lookup_classes_grouped`] walks the
 /// segments once), so `segments_considered`, `cold_loads` and `cache_hits`
-/// in a planner's account — and the `IoMeter` totals a service accumulates
-/// from it — are per request, not per lookup class. Footers are resident
-/// ([`SegmentStore`]'s footer directory) and are not block fetches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// in a planner's account — and in the totals a service or a fleet merges
+/// from such accounts — are per request, not per lookup class. Footers are
+/// resident ([`SegmentStore`]'s footer directory) and are not block
+/// fetches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct SegmentAccess {
     /// Live segments in the store at lookup time.
     pub segments_total: usize,
@@ -282,11 +285,12 @@ impl SegmentAccess {
     }
 }
 
-/// Occupancy and hit-rate snapshot of the two cache tiers, as returned by
+/// Occupancy snapshot of the two cache tiers, as returned by
 /// [`SegmentStore::cache_occupancy`] — what a serving layer folds into its
-/// stats to see how much of the working set is resident and where cold
-/// reads actually land. The footer directory is outside both tiers and is
-/// not counted here: it holds one footer per live segment, always.
+/// stats to see how much of the working set is resident. Where fetches
+/// land is counted per call, in [`SegmentAccess`]. The footer directory is
+/// outside both tiers and is not counted here: it holds one footer per
+/// live segment, always.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LruOccupancy {
     /// Bytes currently resident in the decoded tier, each decoded block
@@ -308,15 +312,6 @@ pub struct LruOccupancy {
     /// Entries currently resident in the raw tier.
     #[serde(default)]
     pub raw_entries: usize,
-    /// Cumulative fetches served from the decoded tier.
-    #[serde(default)]
-    pub decoded_hits: u64,
-    /// Cumulative fetches served by re-decoding raw-tier bytes.
-    #[serde(default)]
-    pub raw_hits: u64,
-    /// Cumulative fetches that went to disk.
-    #[serde(default)]
-    pub disk_reads: u64,
 }
 
 impl LruOccupancy {
@@ -335,28 +330,6 @@ impl LruOccupancy {
             0.0
         } else {
             self.raw_occupancy_bytes as f64 / self.raw_capacity_bytes as f64
-        }
-    }
-
-    /// Fraction of all fetches served from the decoded tier (0.0 before any
-    /// fetch).
-    pub fn decoded_hit_rate(&self) -> f64 {
-        let total = self.decoded_hits + self.raw_hits + self.disk_reads;
-        if total == 0 {
-            0.0
-        } else {
-            self.decoded_hits as f64 / total as f64
-        }
-    }
-
-    /// Fraction of decoded-tier misses rescued by the raw tier (0.0 before
-    /// any miss).
-    pub fn raw_hit_rate(&self) -> f64 {
-        let misses = self.raw_hits + self.disk_reads;
-        if misses == 0 {
-            0.0
-        } else {
-            self.raw_hits as f64 / misses as f64
         }
     }
 }
@@ -525,9 +498,6 @@ impl<V: Clone> Lru<V> {
 struct TieredCache {
     decoded: Lru<DecodedEntry>,
     raw: Lru<Arc<Vec<u8>>>,
-    decoded_hits: u64,
-    raw_hits: u64,
-    disk_reads: u64,
 }
 
 impl TieredCache {
@@ -535,22 +505,7 @@ impl TieredCache {
         Self {
             decoded: Lru::new(decoded_bytes),
             raw: Lru::new(raw_bytes),
-            decoded_hits: 0,
-            raw_hits: 0,
-            disk_reads: 0,
         }
-    }
-
-    fn decoded_get(&mut self, key: CacheKey) -> Option<DecodedEntry> {
-        let entry = self.decoded.get(key)?;
-        self.decoded_hits += 1;
-        Some(entry)
-    }
-
-    fn raw_get(&mut self, key: CacheKey) -> Option<Arc<Vec<u8>>> {
-        let bytes = self.raw.get(key)?;
-        self.raw_hits += 1;
-        Some(bytes)
     }
 
     /// Drops every entry (both tiers) belonging to segment `id`.
@@ -603,9 +558,6 @@ impl TieredCache {
             raw_occupancy_bytes: self.raw.used,
             raw_capacity_bytes: self.raw.budget,
             raw_entries: self.raw.len(),
-            decoded_hits: self.decoded_hits,
-            raw_hits: self.raw_hits,
-            disk_reads: self.disk_reads,
         }
     }
 }
@@ -755,11 +707,11 @@ impl<'a> SegmentReader<'a> {
         let cache_key = (self.id, key);
         let raw = {
             let mut cache = self.store.cache.lock();
-            if let Some(block) = cache.decoded_get(cache_key).and_then(T::extract) {
+            if let Some(block) = cache.decoded.get(cache_key).and_then(T::extract) {
                 self.access.block_hits += 1;
                 return Ok(Fetched::Shared(block));
             }
-            cache.raw_get(cache_key)
+            cache.raw.get(cache_key)
         };
         if let Some(bytes) = raw {
             let block = Arc::new(T::share(decode(&bytes).map_err(|e| self.invalid(e))?));
@@ -785,7 +737,6 @@ impl<'a> SegmentReader<'a> {
         self.access.blocks_read += 1;
         self.access.bytes_read += len;
         let mut cache = self.store.cache.lock();
-        cache.disk_reads += 1;
         if cache.raw.insert(cache_key, Arc::new(bytes), len) {
             return Ok(Fetched::Fresh(block));
         }
@@ -1108,7 +1059,7 @@ impl SegmentStore {
         self.manifest.segments.iter().map(|s| s.clusters).sum()
     }
 
-    /// Occupancy and hit rates of both cache tiers.
+    /// Occupancy of both cache tiers.
     pub fn cache_occupancy(&self) -> LruOccupancy {
         self.cache.lock().occupancy()
     }
@@ -1972,25 +1923,30 @@ mod tests {
         // The decoded tier holds one lookup's blocks, not two.
         let store = store.with_decoded_bytes(other_raw_bytes);
         let any = QueryFilter::any();
+        // Every call's account, merged: what the store read, and from where.
+        let mut reads = SegmentAccess::default();
+        let mut lookup = |class: u16| {
+            let found = store.lookup(ClassId(class), &any).unwrap();
+            reads.merge(&found.access);
+            found
+        };
         // First touches go to disk and stay on probation in the raw tier.
-        let first = store.lookup(ClassId(1), &any).unwrap();
+        let first = lookup(1);
         assert_eq!(first.access.cold_loads, 1);
         assert_eq!(first.access.blocks_read, blocks);
-        let other = store.lookup(ClassId(2), &any).unwrap();
+        let other = lookup(2);
         assert_eq!(other.access.blocks_read, blocks);
-        let disk_reads = store.cache_occupancy().disk_reads;
-        assert_eq!(disk_reads as usize, 2 * blocks);
         assert_eq!(store.cache_occupancy().decoded_entries, 0);
         // Second touches promote; class 2's promotion evicts every decoded
         // block of class 1.
         for class in [1, 2] {
-            let again = store.lookup(ClassId(class), &any).unwrap();
+            let again = lookup(class);
             assert_eq!(again.access.block_raw_hits, blocks);
             assert_eq!(again.access.blocks_read, 0);
         }
         assert_eq!(store.cache_occupancy().decoded_entries, blocks);
         // The evicted blocks are re-decoded from the raw tier, never re-read.
-        let again = store.lookup(ClassId(1), &any).unwrap();
+        let again = lookup(1);
         assert_eq!(again.records, first.records);
         assert_eq!(again.access.cold_loads, 0);
         assert_eq!(again.access.cache_hits, 1);
@@ -1999,14 +1955,17 @@ mod tests {
         assert_eq!(again.access.blocks_read, 0);
         assert_eq!(again.access.bytes_read, 0);
         // And what is resident is served decoded.
-        let resident = store.lookup(ClassId(1), &any).unwrap();
+        let resident = lookup(1);
         assert_eq!(resident.access.block_hits, blocks);
+        // Only the first touches read the disk; the raw tier rescued more
+        // decoded misses than the disk served.
+        assert_eq!(reads.blocks_read, 2 * blocks);
+        assert_eq!(reads.block_raw_hits, 3 * blocks);
+        assert_eq!(reads.block_hits, blocks);
+        assert!(reads.block_raw_hits > reads.blocks_read);
         let occ = store.cache_occupancy();
-        assert_eq!(occ.disk_reads, disk_reads);
-        assert_eq!(occ.raw_hits as usize, 3 * blocks);
         assert_eq!(occ.raw_entries, 2 * blocks);
         assert_eq!(occ.raw_occupancy_bytes, raw_bytes + other_raw_bytes);
-        assert!(occ.raw_hit_rate() > 0.0);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2161,10 +2120,11 @@ mod tests {
         let occupancy = scanned.cache_occupancy();
         assert_eq!(occupancy.decoded_occupancy_bytes, budget);
         assert_eq!(occupancy.decoded_entries, newest_entries);
-        assert_eq!((occupancy.raw_entries, occupancy.disk_reads), (0, 0));
+        assert_eq!(occupancy.raw_entries, 0);
         // Segment 3 (stream 2) is the newest: served decoded, nothing read.
         let newest = QueryFilter::for_stream(StreamId(2));
         let newest = scanned.lookup(ClassId(5), &newest).unwrap();
+        let mut reads = newest.access;
         assert_eq!(newest.records.len(), 3);
         assert_eq!(
             (newest.access.cache_hits, newest.access.blocks_read),
@@ -2177,6 +2137,11 @@ mod tests {
         assert_eq!(oldest.access.cold_loads, 1);
         assert_eq!(oldest.access.block_hits, 0);
         assert_eq!(oldest.access.blocks_read, lookup_costs(&scanned, 5)[0].0);
+        // Recovery's own reads are not fetches: across both lookups, the
+        // disk served the oldest segment's blocks and nothing else.
+        reads.merge(&oldest.access);
+        assert_eq!(reads.blocks_read, lookup_costs(&scanned, 5)[0].0);
+        assert_eq!(reads.block_raw_hits, 0);
 
         let (plain, _) = SegmentStore::open(&dir).unwrap();
         let occupancy = plain.cache_occupancy();
@@ -2211,7 +2176,9 @@ mod tests {
         let occupancy = store.cache_occupancy();
         let replacement = store.segments()[0].id;
         assert_eq!(occupancy.raw_occupancy_bytes, weight(&store, replacement));
-        assert_eq!(occupancy.disk_reads, 0);
+        let mut reads = sealed.access;
+        reads.merge(&compacted.access);
+        assert_eq!(reads.blocks_read, 0, "{reads:?}");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2602,28 +2569,27 @@ mod tests {
         assert_eq!(empty.decoded_occupancy_bytes, 0);
         assert_eq!(empty.decoded_capacity_bytes, capacity);
         assert_eq!(empty.fill_fraction(), 0.0);
-        assert_eq!(empty.decoded_hit_rate(), 0.0);
-        assert_eq!(empty.raw_hit_rate(), 0.0);
-        // A first pass leaves every block in the raw tier and none in the
-        // decoded one.
-        store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
+        // A first pass reads every block from disk and leaves it in the raw
+        // tier, none in the decoded one.
+        let pass = || store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
+        let mut reads = pass().access;
+        assert_eq!(reads.blocks_read, blocks);
         let scanned = store.cache_occupancy();
         assert_eq!(scanned.decoded_entries, 0, "first touch admits nothing");
-        assert_eq!(scanned.disk_reads as usize, blocks);
         assert_eq!(scanned.raw_entries, blocks);
         assert_eq!(scanned.raw_occupancy_bytes, raw_bytes);
         assert!(scanned.raw_fill_fraction() > 0.0);
         assert_eq!(scanned.raw_capacity_bytes, DEFAULT_RAW_CACHE_BYTES);
-        // The second pass promotes them all.
-        store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
+        // The second pass promotes them all: half of all fetches were raw
+        // hits, half disk reads.
+        reads.merge(&pass().access);
+        assert_eq!((reads.block_raw_hits, reads.blocks_read), (blocks, blocks));
+        assert_eq!(reads.block_hits, 0);
         let full = store.cache_occupancy();
         let overflow = "the promotions overflow the LRU";
         assert_eq!(full.decoded_occupancy_bytes, capacity, "{overflow}");
         assert_eq!(full.decoded_entries, blocks - costs[0].0, "{overflow}");
         assert_eq!(full.fill_fraction(), 1.0);
-        assert_eq!(full.raw_hits as usize, blocks);
-        assert_eq!(full.disk_reads as usize, blocks);
-        assert_eq!(full.raw_hit_rate(), 0.5);
         assert_eq!(LruOccupancy::default().fill_fraction(), 0.0);
         assert_eq!(LruOccupancy::default().raw_fill_fraction(), 0.0);
         fs::remove_dir_all(&dir).ok();

@@ -17,9 +17,6 @@
 //! * [`WorkerPool`] — a real thread pool (crossbeam channels) used to
 //!   parallelize query-time classification across workers, mirroring the
 //!   paper's worker processes.
-//! * [`IoMeter`] — storage-I/O accounting (cold segment loads, block
-//!   fetches per cache tier, bytes read), so the service can report what
-//!   paging the index in actually costs.
 //! * [`GpuScheduler`] — one metered budget shared by ingest classification
 //!   and query-time GT verification: per-phase accounting, drained in
 //!   modelled ticks that serve queries first and ingest from what is left.
@@ -32,7 +29,6 @@
 pub mod clock;
 pub mod gpu;
 pub mod hist;
-pub mod io;
 pub mod net;
 pub mod sched;
 pub mod workers;
@@ -40,7 +36,6 @@ pub mod workers;
 pub use clock::{Clock, RealClock, VirtualClock};
 pub use gpu::{BatchCostModel, GpuClusterSpec, GpuMeter, PhaseBreakdown};
 pub use hist::LatencyHistogram;
-pub use io::{IoMeter, IoStats};
 pub use net::{NetCostModel, NetMeter, NetStats};
 pub use sched::{GpuScheduler, GpuSchedulerStats, GpuSide, TickReport};
 pub use workers::WorkerPool;

@@ -1,6 +1,6 @@
 //! Simulated network transport accounting: a latency/bandwidth cost model
 //! plus a shared-handle meter, mirroring how [`GpuMeter`](crate::GpuMeter)
-//! and [`IoMeter`](crate::IoMeter) stand in for compute and storage.
+//! stands in for compute.
 //!
 //! A multi-node deployment's distributed behaviour (scatter width, bytes
 //! over the wire, failover time) must be provable in CI on any machine, so

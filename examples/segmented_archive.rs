@@ -81,9 +81,9 @@ fn main() {
     println!("  ... ({} more)", stats.segments.saturating_sub(3));
 
     // 2. Restart: the ingesting service is gone, and everything the serving
-    //    side knows comes from the directory — manifest, segments, centroid
-    //    deltas, stream registry. Serve a time-windowed investigation:
-    //    "cars around the 2-minute mark".
+    //    side knows comes from the directory — manifest, segments (records
+    //    and their centroids), stream registry. Serve a time-windowed
+    //    investigation: "cars around the 2-minute mark".
     let class = datasets[0].dominant_classes(1)[0];
     drop(service);
     let (mut service, report) =
@@ -111,15 +111,21 @@ fn main() {
         served.segments,
         served.segments - served.io.segments_opened(),
     );
-    // Recovery checked every sealed cluster against its centroid, so it
-    // paid the cold reads; the query found the segments it needed cached.
+    // Recovery read and verified every segment file whole, checking each
+    // sealed cluster against its centroid, and left the newest segments'
+    // blocks decoded; the query's block fetches are its own account.
+    let io = served.io;
     println!(
-        "  cold: recovery read {} segment files; warm: the query took {} cache hits, \
-         {} cold loads, {} file reads",
-        recovered.lru.disk_reads,
-        served.io.cache_hits,
-        served.io.segment_loads,
-        served.lru.disk_reads - recovered.lru.disk_reads,
+        "  cold: recovery read {} segment files; warm: the query opened {} segments \
+         ({} cached, {} cold) and fetched {} blocks ({} decoded, {} raw, {} from disk)",
+        recovered.segments,
+        io.segments_opened(),
+        io.cache_hits,
+        io.cold_loads,
+        io.block_hits + io.block_raw_hits + io.blocks_read,
+        io.block_hits,
+        io.block_raw_hits,
+        io.blocks_read,
     );
 
     // 3. Compact: a maintenance tick folds the 30-second segments into few

@@ -127,7 +127,11 @@ fn fleet_serves_byte_identical_to_single_node_twin() {
             "scatter contacted {} shards",
             stats.last_scatter_width
         );
-        let scatter_opened = stats.segments_opened;
+        let scatter_opened = stats.reads.segments_opened();
+        // The shards' own accounts come back with their plans: the scatter
+        // fetched blocks from some tier of some shard's store.
+        let fetched = stats.reads.block_hits + stats.reads.block_raw_hits + stats.reads.blocks_read;
+        assert!(fetched > 0, "{nodes} nodes: {:?}", stats.reads);
 
         // Broadcast: identical answers (the verdict cache is warm now, so
         // compare content, not accounting), strictly more segment opens.
@@ -138,7 +142,7 @@ fn fleet_serves_byte_identical_to_single_node_twin() {
             assert_eq!(a.matched_clusters, b.matched_clusters);
             assert_eq!(a.confirmed_clusters, b.confirmed_clusters);
         }
-        let broadcast_opened = fleet.stats().segments_opened - scatter_opened;
+        let broadcast_opened = fleet.stats().reads.segments_opened() - scatter_opened;
         assert!(
             scatter_opened < broadcast_opened,
             "{nodes} nodes: scatter opened {scatter_opened}, broadcast {broadcast_opened}"
@@ -547,7 +551,7 @@ proptest! {
         }
         fleet.advance(&frames[cut..]).unwrap();
         let outcomes = fleet.serve(&requests).unwrap();
-        let scatter_opened = fleet.stats().segments_opened;
+        let scatter_opened = fleet.stats().reads.segments_opened();
 
         let (mut twin, twin_dir) =
             twin_with(&format!("prop_twin_{case}"), seal_secs, &datasets);
@@ -558,7 +562,7 @@ proptest! {
         // Broadcast is never cheaper, and strictly costlier whenever it
         // actually opened something (the mix's filters always prune).
         fleet.serve_broadcast(&requests).unwrap();
-        let broadcast_opened = fleet.stats().segments_opened - scatter_opened;
+        let broadcast_opened = fleet.stats().reads.segments_opened() - scatter_opened;
         if broadcast_opened > 0 {
             prop_assert!(
                 scatter_opened < broadcast_opened,

@@ -313,7 +313,7 @@ fn maintenance_seals_due_tails_and_compacts() {
     // Both cache tiers are live and visible through the service stats.
     assert!(stats.lru.decoded_capacity_bytes > 0);
     assert!(stats.lru.raw_capacity_bytes > 0);
-    assert!(stats.lru.decoded_hits + stats.lru.raw_hits > 0);
+    assert!(stats.io.block_hits + stats.io.block_raw_hits > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
