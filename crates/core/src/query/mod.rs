@@ -5,7 +5,7 @@
 //!
 //! 1. looks up the matching clusters in the top-K index,
 //! 2. classifies only the cluster centroids with the ground-truth CNN
-//!    (parallelised across the GPU cluster / worker pool),
+//!    (its latency divided across the modelled GPU cluster),
 //! 3. keeps the clusters whose centroid the GT-CNN confirms as the queried
 //!    class, and
 //! 4. returns all frames of the confirmed clusters.

@@ -1,5 +1,5 @@
 //! The serial, single-query driver: one GT-CNN inference per matched
-//! cluster, parallelised across the worker pool but neither batched nor
+//! cluster, run in order on the caller's thread, neither batched nor
 //! cached.
 //!
 //! [`QueryEngine`] is the reference implementation of the query path — the
@@ -7,19 +7,17 @@
 //! (and tested) to return byte-identical frames and objects while doing
 //! strictly less GT-CNN work on overlapping workloads.
 
-use std::sync::Arc;
-
 use focus_cnn::{Classifier, GroundTruthCnn};
 use focus_index::QueryFilter;
-use focus_runtime::{GpuClusterSpec, GpuMeter, WorkerPool};
+use focus_runtime::{GpuClusterSpec, GpuMeter};
 use focus_video::ClassId;
 
 use crate::ingest::IngestOutput;
 use crate::query::execute::{assemble_outcome, QueryOutcome};
 use crate::query::plan::{QueryPlan, QueryRequest};
 
-/// The query engine: owns the ground-truth CNN, the GPU-cluster model and
-/// the worker pool that parallelises centroid classification.
+/// The query engine: owns the ground-truth CNN and the GPU-cluster model
+/// that turns its GPU work into latency.
 ///
 /// Every call to [`query`](Self::query) re-verifies every matched centroid
 /// with the GT-CNN, one inference at a time. For serving many (possibly
@@ -56,21 +54,15 @@ use crate::query::plan::{QueryPlan, QueryRequest};
 /// ```
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
-    gt: Arc<GroundTruthCnn>,
+    gt: GroundTruthCnn,
     gpus: GpuClusterSpec,
-    pool: WorkerPool,
 }
 
 impl QueryEngine {
     /// Creates a query engine around the given ground-truth CNN and GPU
     /// cluster.
     pub fn new(gt: GroundTruthCnn, gpus: GpuClusterSpec) -> Self {
-        let pool = WorkerPool::new(gpus.num_gpus.clamp(1, 16));
-        Self {
-            gt: Arc::new(gt),
-            gpus,
-            pool,
-        }
+        Self { gt, gpus }
     }
 
     /// The GPU cluster serving queries.
@@ -97,23 +89,19 @@ impl QueryEngine {
         let request = QueryRequest::new(class).with_filter(filter.clone());
         let plan = QueryPlan::build(ingest, &request);
 
-        // QT3: classify only the centroids with the GT-CNN, in parallel
-        // across the worker pool — one un-batched inference each.
-        let centroid_objects: Vec<_> = plan
+        // QT3: classify only the centroids with the GT-CNN — one
+        // un-batched inference each.
+        let labels: Vec<ClassId> = plan
             .candidates
             .iter()
             .map(|handle| {
-                ingest
+                let centroid = ingest
                     .index
                     .centroid(handle.centroid)
-                    .cloned()
-                    .expect("ingest stored every centroid observation")
+                    .expect("ingest stored every centroid observation");
+                self.gt.classify_top1(centroid)
             })
             .collect();
-        let gt = Arc::clone(&self.gt);
-        let labels: Vec<ClassId> = self
-            .pool
-            .map(centroid_objects, move |obj| gt.classify_top1(obj));
         let inferences = labels.len();
         let gpu_cost = self.gt.cost_per_inference() * inferences;
         meter.charge("query", gpu_cost);

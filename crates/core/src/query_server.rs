@@ -8,8 +8,11 @@
 //! axes:
 //!
 //! 1. **Concurrency** — many [`QueryRequest`]s are accepted per
-//!    [`serve`](QueryServer::serve) call; planning and verification fan out
-//!    over the runtime [`WorkerPool`].
+//!    [`serve`](QueryServer::serve) call, and one server is shared by
+//!    every request thread (it is `Send + Sync`). The callers supply the
+//!    concurrency: a call plans and verifies on its own thread, and the
+//!    GPU cluster's parallelism is modelled by
+//!    [`GpuClusterSpec::latency_secs`], not by threads.
 //! 2. **Deduplication + batching** — the union of the in-flight queries'
 //!    candidate centroids is deduplicated, and only the *fresh* centroids
 //!    go to the GT-CNN, in batches whose amortized GPU cost comes from
@@ -40,7 +43,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::{Classifier, GpuCost, GroundTruthCnn};
 use focus_index::ClusterRecord;
-use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter, WorkerPool};
+use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter};
 use focus_video::{ClassId, ObjectId, ObjectObservation};
 
 use crate::ingest::IngestOutput;
@@ -153,7 +156,6 @@ pub struct QueryServer {
     gt: Mutex<Arc<GroundTruthCnn>>,
     epoch: AtomicU64,
     gpus: GpuClusterSpec,
-    pool: WorkerPool,
     batching: BatchCostModel,
     cache: Mutex<HashMap<(ObjectId, u64), ClassId>>,
     hits: AtomicUsize,
@@ -170,14 +172,12 @@ const _: () = {
 
 impl QueryServer {
     /// Creates a server around the given ground-truth CNN and GPU cluster,
-    /// with the default [`BatchCostModel`] and a worker pool sized to the
-    /// cluster.
+    /// with the default [`BatchCostModel`].
     pub fn new(gt: GroundTruthCnn, gpus: GpuClusterSpec) -> Self {
         Self {
             gt: Mutex::new(Arc::new(gt)),
             epoch: AtomicU64::new(0),
             gpus,
-            pool: WorkerPool::new(gpus.num_gpus.clamp(1, 16)),
             batching: BatchCostModel::default(),
             cache: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
@@ -246,8 +246,8 @@ impl QueryServer {
     /// outcome per request, in request order.
     ///
     /// 1. **Plan** (QT1/QT2) — every request's candidate set is built from
-    ///    the top-K index, in parallel on the worker pool, each candidate's
-    ///    record shared from the index.
+    ///    the top-K index, in request order, each candidate's record shared
+    ///    from the index.
     /// 2. **Execute** (QT3/QT4) — the one executor, [`run_batch`]: an
     ///    exact request finishes in one round with the rest of the batch
     ///    (phase `"query"`), an incremental one samples its candidates, as
@@ -268,9 +268,10 @@ impl QueryServer {
         requests: &[QueryRequest],
         meter: &GpuMeter,
     ) -> Vec<QueryOutcome> {
-        let planned = self.pool.map(requests.to_vec(), |request| {
-            QueryPlan::build_resolved(ingest, request)
-        });
+        let planned: Vec<_> = requests
+            .iter()
+            .map(|request| QueryPlan::build_resolved(ingest, request))
+            .collect();
         let modes = requests.iter().map(|request| request.anytime);
         let resolve_centroid = |id| ingest.index.centroid(id).cloned();
         let planned = planned.iter().map(|(plan, records)| (plan, records));
@@ -408,25 +409,12 @@ impl QueryServer {
         self.hits.fetch_add(hits, Ordering::SeqCst);
         self.misses.fetch_add(fresh.len(), Ordering::SeqCst);
 
-        // Batched GT-CNN verification of the fresh set.
-        let batches: Vec<Vec<ObjectObservation>> = fresh
-            .chunks(self.batching.max_batch)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|id| {
-                        resolve_centroid(*id).expect("ingest stored every centroid observation")
-                    })
-                    .collect()
-            })
+        // Batched GT-CNN verification of the fresh set, on this thread.
+        let observations: Vec<ObjectObservation> = fresh
+            .iter()
+            .map(|id| resolve_centroid(*id).expect("ingest stored every centroid observation"))
             .collect();
-        let gt_worker = Arc::clone(&gt);
-        let fresh_labels: Vec<ClassId> = self
-            .pool
-            .map(batches, move |batch| gt_worker.classify_batch(batch))
-            .into_iter()
-            .flatten()
-            .collect();
+        let fresh_labels = gt.classify_batch(&observations);
         let cost = self
             .batching
             .batch_cost(gt.cost_per_inference(), fresh.len());

@@ -195,7 +195,9 @@ impl BatchCostModel {
 /// resulting wall-clock latency is the GPU work divided by that parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GpuClusterSpec {
-    /// Number of GPUs available to a query.
+    /// Number of GPUs available to a query. It models latency only
+    /// ([`latency_secs`](Self::latency_secs) divides GPU work by it); it
+    /// sizes no threads.
     pub num_gpus: usize,
 }
 

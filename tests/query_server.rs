@@ -1,9 +1,14 @@
 //! End-to-end guarantees of the concurrent query-serving subsystem:
 //! byte-identical results to the serial engine, strictly fewer GT-CNN
-//! inferences on overlapping workloads, and epoch-keyed cache invalidation.
+//! inferences on overlapping workloads, epoch-keyed cache invalidation, and
+//! one server shared by concurrent callers.
+
+use std::sync::Barrier;
 
 use focus::cnn::{GroundTruthCnn, ModelSpec};
-use focus::core::{IngestCnn, IngestEngine, IngestParams, QueryEngine, QueryRequest, QueryServer};
+use focus::core::{
+    IngestCnn, IngestEngine, IngestParams, QueryEngine, QueryOutcome, QueryRequest, QueryServer,
+};
 use focus::index::QueryFilter;
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
@@ -157,4 +162,83 @@ fn server_handles_absent_classes_and_empty_batches() {
     let outcome = &server.serve(&out, &[QueryRequest::new(ClassId(850))], &GpuMeter::new())[0];
     assert_eq!(outcome.confirmed_clusters, 0);
     assert!(outcome.frames.is_empty());
+}
+
+/// The answer an outcome gives, as bytes: everything but the accounting
+/// fields, which depend on what the shared cache already held.
+fn answer_bytes(outcome: &QueryOutcome) -> String {
+    serde_json::to_string(&(
+        outcome.class,
+        &outcome.frames,
+        &outcome.objects,
+        (outcome.matched_clusters, outcome.confirmed_clusters),
+    ))
+    .unwrap()
+}
+
+#[test]
+fn callers_supply_the_concurrency_on_one_shared_server() {
+    let (ds, out) = ingest(120.0, 10);
+    let first = overlapping_workload(&ds);
+    // A second batch that shares classes and candidates with the first, in
+    // another order and with its own filter.
+    let mut second: Vec<QueryRequest> = first.iter().rev().cloned().collect();
+    second.push(
+        QueryRequest::new(ds.dominant_classes(2)[1])
+            .with_filter(QueryFilter::any().with_time_range(30.0, 120.0)),
+    );
+    let batches = [first, second];
+    const WAVES: usize = 3;
+
+    // Each batch served alone, on a fresh server.
+    let serial: Vec<Vec<String>> = batches
+        .iter()
+        .map(|batch| {
+            let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
+            server
+                .serve(&out, batch, &GpuMeter::new())
+                .iter()
+                .map(answer_bytes)
+                .collect()
+        })
+        .collect();
+
+    // Both batches served at once from two threads, a few waves each, on
+    // one server: the threads share its verdict cache and epoch.
+    let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
+    let start = Barrier::new(batches.len());
+    let concurrent: Vec<Vec<Vec<QueryOutcome>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = batches
+            .iter()
+            .map(|batch| {
+                let (server, out, start) = (&server, &out, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    (0..WAVES)
+                        .map(|_| server.serve(out, batch, &GpuMeter::new()))
+                        .collect()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut candidates_verified = 0;
+    let mut fresh_inferences = 0;
+    for (waves, expected) in concurrent.iter().zip(&serial) {
+        for outcomes in waves {
+            let answers: Vec<String> = outcomes.iter().map(answer_bytes).collect();
+            assert_eq!(&answers, expected);
+            // An exact request verifies each of its candidates once.
+            candidates_verified += outcomes.iter().map(|o| o.matched_clusters).sum::<usize>();
+            fresh_inferences += outcomes
+                .iter()
+                .map(|o| o.centroid_inferences)
+                .sum::<usize>();
+        }
+    }
+    let stats = server.cache_stats();
+    assert!(candidates_verified > 0);
+    assert_eq!(stats.hits + stats.misses, candidates_verified);
+    assert_eq!(stats.misses, fresh_inferences);
 }
