@@ -180,11 +180,6 @@ impl IncrementalClusterer {
         self.max_active
     }
 
-    /// Number of objects added so far.
-    pub fn objects_added(&self) -> usize {
-        self.objects
-    }
-
     /// Number of clusters currently active (not yet sealed).
     pub fn active_clusters(&self) -> usize {
         self.active.len()

@@ -450,11 +450,6 @@ impl CheapCnn {
         self.spec
     }
 
-    /// The calibrated rank-error parameters `(top1_probability, tail_decay)`.
-    pub fn rank_parameters(&self) -> (f64, f64) {
-        (self.top1_probability, self.tail_decay)
-    }
-
     /// The rank at which the ground-truth class appears in this model's
     /// output for `obj`. Deterministic per (model, track, drift bucket).
     fn true_class_rank(&self, obj: &ObjectObservation) -> usize {

@@ -19,6 +19,7 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
+use focus_index::manifest::fnv1a64;
 use focus_index::persist::write_atomic;
 
 use super::FleetError;
@@ -57,15 +58,6 @@ pub struct ClusterManifest {
     pub assignments: Vec<ShardAssignment>,
     /// FNV-1a over the canonical JSON of the body with `checksum` zeroed.
     pub checksum: u64,
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 impl ClusterManifest {

@@ -197,8 +197,8 @@ pub struct FleetStats {
     pub queries: usize,
     /// Every shard plan's [`SegmentAccess`], merged over serves: segments
     /// opened, bytes read and block fetches per cache tier across the
-    /// fleet's stores. Its `segments_total` is the largest shard store any
-    /// plan saw, not a sum.
+    /// fleet's stores. Its `segments_total` is the sum of the segments each
+    /// shard plan saw, so `segments_pruned()` is the segments they pruned.
     pub reads: SegmentAccess,
     /// Shards contacted by the most recent serve.
     pub last_scatter_width: usize,

@@ -6,21 +6,24 @@
 //! unfinished request asks for, in request order. An **exact** request
 //! ([`AnytimeMode::exhaustive`], the default) asks for all its candidates,
 //! so it finishes in round 1 and a batch of exact requests is one round.
-//! An **incremental** request runs ExSample-style:
+//! An **incremental** request verifies its candidates in one fixed order,
+//! computed once before its first round:
 //!
-//! 1. **Chunk** — the [`SegmentedPlan::chunks`] of the one planner: one per
-//!    sealed segment, plus the hot tail.
-//! 2. **Estimate** each chunk's chance of yielding a *new* distinct result
-//!    per GT inference, Good-Turing style, with an optimistic `+1/+1`
-//!    prior so unsampled chunks look most promising
-//!    ([`ChunkEstimate::yield_rate`]).
-//! 3. **Loop** — each round the picked chunk contributes at most
-//!    [`AnytimeMode::round_budget`] candidates (capped by what is left of
-//!    `max_inferences`), and the request emits an [`AnytimePartial`]: the
-//!    round's new results and the estimate of what remains. It stops on
-//!    its budget, on its confidence threshold, or at candidate exhaustion,
-//!    where its [`QueryOutcome`] is byte-identical to the exact answer
-//!    (`tests/anytime_query.rs`).
+//! 1. **Rank** — the queried class's rank in the cluster's cheap-CNN
+//!    top-K ([`ClusterRecord::rank_of`]; the lookup class's rank when the
+//!    class itself is not listed, as for a cluster found through OTHER),
+//!    unranked clusters last. The higher the rank, the likelier the
+//!    GT-CNN confirms the cluster (§4 of the paper).
+//! 2. **Size** — then member count, largest first: a confirmed cluster
+//!    returns all its members.
+//! 3. **Position** — then plan position (cluster-key order).
+//!
+//! Each round takes the next [`AnytimeMode::round_budget`] candidates of
+//! that order (capped by what is left of `max_inferences`), and the
+//! request emits an [`AnytimePartial`] with the round's new results. It
+//! stops once its budget is spent or every candidate is verified; then
+//! its [`QueryOutcome`] is byte-identical to the exact answer, because
+//! assembly runs over the plan in key order (`tests/anytime_query.rs`).
 //!
 //! **Accounting.** A fresh inference belongs to the first request that
 //! scheduled it; a request's `gpu_cost` is its per-fresh-inference share
@@ -30,29 +33,30 @@
 //! [`GpuScheduler`]): the whole batch cost when one kind took part, split
 //! by fresh inferences when both did. A free verdict — cached, or
 //! scheduled by an earlier request of the round — still confirms its
-//! cluster and surfaces results, but never teaches the chunk estimators
-//! and never counts in `inferences_spent`.
+//! cluster and surfaces results, but never counts in `inferences_spent`.
 //!
 //! [`GpuScheduler`]: focus_runtime::GpuScheduler
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GpuCost;
-use focus_index::{CentroidHandle, ClusterRecord, TrackKey};
+use focus_index::{ClusterRecord, TrackKey};
 use focus_runtime::GpuMeter;
 use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation};
 
 use crate::query::execute::assemble_outcome_from;
 use crate::query::plan::{AnytimeMode, QueryPlan};
-use crate::query::segmented::{AnytimeChunk, SegmentedPlan};
+use crate::query::segmented::SegmentedPlan;
 use crate::query::QueryOutcome;
 use crate::query_server::QueryServer;
 
 /// One round's emission for an incremental request: what was newly
-/// discovered, what it cost, and how much is estimated to remain.
+/// discovered and what it cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnytimePartial {
     /// Distinct matching objects first discovered this round, sorted.
@@ -64,11 +68,8 @@ pub struct AnytimePartial {
     pub inferences_spent: usize,
     /// Verdicts this round applied for free — from the cross-query cache
     /// or scheduled by an earlier request of the round — accounted
-    /// separately so they never distort chunk estimates.
+    /// separately from `inferences_spent`.
     pub cached_verdicts: usize,
-    /// Estimated fraction of the query's distinct results still
-    /// undiscovered (`0.0` once every candidate is verified).
-    pub est_remaining_frac: f64,
     /// GPU wall-clock latency of this round's verification batch.
     pub latency_secs: f64,
 }
@@ -78,9 +79,6 @@ pub struct AnytimePartial {
 pub enum AnytimeTermination {
     /// The total fresh-inference budget was spent.
     BudgetExhausted,
-    /// The estimated remaining-result fraction dropped to the confidence
-    /// threshold.
-    ConfidenceReached,
     /// Every candidate was verified; the outcome equals the exact
     /// answer's. Always the reason for an exact request.
     CandidatesExhausted,
@@ -108,62 +106,6 @@ pub struct AnytimeOutcome {
     pub cached_verdicts: usize,
 }
 
-/// One chunk's sampling state, visible to pluggable pickers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkEstimate {
-    /// Candidates not yet verified in this chunk.
-    pub remaining: usize,
-    /// Fresh GT inferences spent on this chunk so far.
-    pub sampled: usize,
-    /// Distinct new result objects those fresh inferences surfaced.
-    pub discovered: usize,
-}
-
-impl ChunkEstimate {
-    /// Good-Turing-style estimate of new distinct objects per additional
-    /// GT inference on this chunk, with an optimistic `+1/+1` prior: an
-    /// unsampled chunk scores `1.0`, and the score decays toward the
-    /// observed discovery rate as fresh samples accumulate.
-    pub fn yield_rate(&self) -> f64 {
-        (self.discovered as f64 + 1.0) / (self.sampled as f64 + 1.0)
-    }
-}
-
-/// Estimated fraction of distinct results still undiscovered: expected
-/// new objects from the remaining candidates (each chunk's yield rate
-/// times its remaining count) over found-plus-expected.
-fn est_remaining_frac(estimates: &[ChunkEstimate], found: usize) -> f64 {
-    let expected: f64 = estimates
-        .iter()
-        .filter(|e| e.remaining > 0)
-        .map(|e| e.yield_rate() * e.remaining as f64)
-        .sum();
-    if expected == 0.0 {
-        0.0
-    } else {
-        expected / (found as f64 + expected)
-    }
-}
-
-/// The default chunk picker: highest [`ChunkEstimate::yield_rate`] among
-/// chunks with remaining candidates, lowest index on ties (deterministic).
-pub fn pick_most_promising(estimates: &[ChunkEstimate]) -> usize {
-    let mut best = usize::MAX;
-    let mut best_rate = f64::NEG_INFINITY;
-    for (i, est) in estimates.iter().enumerate() {
-        if est.remaining == 0 {
-            continue;
-        }
-        let rate = est.yield_rate();
-        if rate > best_rate {
-            best_rate = rate;
-            best = i;
-        }
-    }
-    assert!(best != usize::MAX, "picker called with no remaining work");
-    best
-}
-
 /// One request as [`run_batch`] executes it.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannedRequest<'a> {
@@ -171,9 +113,6 @@ pub struct PlannedRequest<'a> {
     pub plan: &'a QueryPlan,
     /// `records[i]` backs `plan.candidates[i]`.
     pub records: &'a [Arc<ClusterRecord>],
-    /// Key-sorted chunks partitioning `plan.candidates`, sampled by an
-    /// incremental request; empty means one chunk of every candidate.
-    pub chunks: &'a [AnytimeChunk],
     /// Exact (every candidate in round 1) or incremental.
     pub mode: AnytimeMode,
 }
@@ -184,7 +123,6 @@ impl<'a> PlannedRequest<'a> {
         Self {
             plan: &planned.plan,
             records: &planned.records,
-            chunks: &planned.chunks,
             mode,
         }
     }
@@ -195,15 +133,11 @@ impl<'a> PlannedRequest<'a> {
 /// request, in order. `on_partial(i, partial)` is called after every round
 /// of incremental request `i`, `on_stop(i)` once request `i` has stopped
 /// (an exact one after round 1); `resolve_centroid` must return the
-/// observation behind every centroid that needs a fresh inference; `pick`
-/// gets an incremental request's [`ChunkEstimate`]s and returns a chunk
-/// with `remaining > 0` ([`pick_most_promising`] by default — correctness
-/// holds for any such policy, only the results-per-inference curve moves).
+/// observation behind every centroid that needs a fresh inference.
 ///
 /// # Panics
 ///
-/// Panics if `pick` breaks that contract, a chunk candidate is not a plan
-/// candidate, or `resolve_centroid` fails for a fresh centroid.
+/// Panics if `resolve_centroid` fails for a fresh centroid.
 pub fn run_batch(
     server: &QueryServer,
     requests: &[PlannedRequest<'_>],
@@ -211,7 +145,6 @@ pub fn run_batch(
     meter: &GpuMeter,
     mut on_partial: impl FnMut(usize, &AnytimePartial),
     mut on_stop: impl FnMut(usize),
-    mut pick: impl FnMut(&[ChunkEstimate]) -> usize,
 ) -> Vec<AnytimeOutcome> {
     let mut runs: Vec<Run> = requests.iter().map(Run::new).collect();
     // A request with nothing to verify stops before round 1.
@@ -223,9 +156,10 @@ pub fn run_batch(
         let mut centroids: Vec<ObjectId> = Vec::new();
         let mut slices = Vec::new();
         for (i, run) in runs.iter().enumerate() {
-            if let Some((chunk, handles)) = run.next_slice(&mut pick) {
-                centroids.extend(handles.iter().map(|handle| handle.centroid));
-                slices.push((i, chunk, handles));
+            if let Some(slice) = run.next_slice() {
+                let candidates = &run.request.plan.candidates;
+                centroids.extend(slice.clone().map(|k| candidates[run.position(k)].centroid));
+                slices.push((i, slice));
             }
         }
         if slices.is_empty() {
@@ -238,22 +172,22 @@ pub fn run_batch(
         // fresh inferences it scheduled.
         let mut phases = [(false, 0usize); 2];
         let mut start = 0;
-        for (i, chunk, handles) in slices {
-            let span = start..start + handles.len();
+        for (i, slice) in slices {
+            let span = start..start + slice.len();
             start = span.end;
-            let fresh_mask = &round.fresh_mask[span.clone()];
-            let fresh = fresh_mask.iter().filter(|fresh| **fresh).count();
+            let fresh = round.fresh_mask[span.clone()]
+                .iter()
+                .filter(|fresh| **fresh)
+                .count();
             let phase = &mut phases[usize::from(requests[i].mode.incremental)];
             *phase = (true, phase.1 + fresh);
             let run = &mut runs[i];
             run.fresh += fresh;
-            run.cached += handles.len() - fresh;
+            run.cached += slice.len() - fresh;
             run.cost += share * fresh;
             run.latency_secs += round.latency_secs;
             let labels = &round.labels[span];
-            if let Some(partial) =
-                run.absorb(chunk, handles, labels, fresh_mask, round.latency_secs)
-            {
+            if let Some(partial) = run.absorb(slice, labels, fresh, round.latency_secs) {
                 on_partial(i, partial);
             }
             if run.stopped.is_some() {
@@ -272,13 +206,17 @@ pub fn run_batch(
     runs.into_iter().map(Run::finish).collect()
 }
 
-/// One request's state between rounds: an incremental request's chunks,
-/// their estimates, its verdicts (one slot per plan candidate) and what it
-/// has surfaced; an exact request's outcome; every request's accounts.
+/// One request's state between rounds: an incremental request's
+/// verification order, its verdicts (one slot per plan candidate) and what
+/// it has surfaced; an exact request's outcome; every request's accounts.
 struct Run<'a> {
     request: PlannedRequest<'a>,
-    chunks: Vec<&'a [CentroidHandle]>,
-    estimates: Vec<ChunkEstimate>,
+    /// An incremental request's plan positions in verification order (see
+    /// the [module docs](self)); empty for an exact request, which
+    /// verifies in plan order.
+    order: Vec<usize>,
+    /// How many of `order` have been verified.
+    verified: usize,
     verdicts: Vec<Option<ClassId>>,
     /// An exact request's outcome, assembled in its one round.
     outcome: Option<QueryOutcome>,
@@ -297,8 +235,8 @@ impl<'a> Run<'a> {
     fn new(request: &PlannedRequest<'a>) -> Self {
         let mut run = Self {
             request: *request,
-            chunks: Vec::new(),
-            estimates: Vec::new(),
+            order: Vec::new(),
+            verified: 0,
             verdicts: Vec::new(),
             outcome: None,
             seen_objects: BTreeSet::new(),
@@ -313,67 +251,65 @@ impl<'a> Run<'a> {
         if !request.mode.incremental {
             return run;
         }
-        let plan = request.plan;
-        run.chunks = if request.chunks.is_empty() {
-            vec![&plan.candidates[..]]
-        } else {
-            request.chunks.iter().map(|c| &c.candidates[..]).collect()
+        let PlannedRequest { plan, records, .. } = *request;
+        let rank = |record: &ClusterRecord| {
+            record
+                .rank_of(plan.class)
+                .or_else(|| record.rank_of(plan.lookup_class))
+                .unwrap_or(usize::MAX)
         };
-        run.estimates = run
-            .chunks
-            .iter()
-            .map(|chunk| ChunkEstimate {
-                remaining: chunk.len(),
-                sampled: 0,
-                discovered: 0,
-            })
-            .collect();
+        run.order = (0..plan.candidates.len()).collect();
+        run.order.sort_unstable_by_key(|&position| {
+            let record = &records[position];
+            (rank(record), Reverse(record.members.len()), position)
+        });
         run.verdicts = vec![None; plan.candidates.len()];
-        if run.estimates.iter().all(|e| e.remaining == 0) {
+        if run.order.is_empty() {
             // Nothing to verify: the request never takes part.
             run.stopped = Some(AnytimeTermination::CandidatesExhausted);
         }
         run
     }
 
-    /// This round's slice, unless the request stopped: every candidate of
-    /// an exact request; for an incremental one, at most `round_budget` of
-    /// the picked chunk, capped so fresh inferences can never overshoot
-    /// the total budget (every candidate costs at most one).
-    fn next_slice(
-        &self,
-        pick: &mut impl FnMut(&[ChunkEstimate]) -> usize,
-    ) -> Option<(usize, &'a [CentroidHandle])> {
+    /// The plan position of the `k`-th candidate this request verifies.
+    fn position(&self, k: usize) -> usize {
+        if self.request.mode.incremental {
+            self.order[k]
+        } else {
+            k
+        }
+    }
+
+    /// This round's slice of the verification order, unless the request
+    /// stopped: every candidate of an exact request; for an incremental
+    /// one, the next `round_budget`, capped so fresh inferences can never
+    /// overshoot the total budget (every candidate costs at most one).
+    fn next_slice(&self) -> Option<Range<usize>> {
         let mode = &self.request.mode;
         if self.stopped.is_some() {
             return None;
         } else if !mode.incremental {
-            return Some((0, &self.request.plan.candidates[..]));
+            return Some(0..self.request.plan.candidates.len());
         }
-        let chunk = pick(&self.estimates);
-        let remaining = self.estimates[chunk].remaining;
-        assert!(
-            remaining > 0,
-            "picker must choose a chunk with remaining candidates"
-        );
-        let mut take = mode.round_budget.max(1).min(remaining);
+        let mut take = mode
+            .round_budget
+            .max(1)
+            .min(self.order.len() - self.verified);
         if mode.max_inferences > 0 {
             take = take.min(mode.max_inferences - self.fresh);
         }
-        let cursor = self.chunks[chunk].len() - remaining;
-        Some((chunk, &self.chunks[chunk][cursor..cursor + take]))
+        Some(self.verified..self.verified + take)
     }
 
-    /// Applies one round's verdicts on `handles` (the slice taken from
-    /// `chunk`; the accounts are already booked) and decides whether the
-    /// request stops. An exact request stops at once; an incremental one
-    /// returns the round's partial.
+    /// Applies one round's verdicts on `slice` (`fresh` of them fresh; the
+    /// accounts are already booked) and decides whether the request
+    /// stops. An exact request stops at once; an incremental one returns
+    /// the round's partial.
     fn absorb(
         &mut self,
-        chunk: usize,
-        handles: &[CentroidHandle],
+        slice: Range<usize>,
         labels: &[ClassId],
-        fresh_mask: &[bool],
+        fresh: usize,
         latency_secs: f64,
     ) -> Option<&AnytimePartial> {
         let (plan, records, mode) = (self.request.plan, self.request.records, self.request.mode);
@@ -393,43 +329,31 @@ impl<'a> Run<'a> {
         }
         let mut new_objects: BTreeSet<ObjectId> = BTreeSet::new();
         let mut new_frames: BTreeSet<FrameId> = BTreeSet::new();
-        for ((handle, label), &fresh) in handles.iter().zip(labels).zip(fresh_mask) {
-            let position = plan
-                .candidates
-                .binary_search_by_key(&handle.cluster, |h| h.cluster)
-                .expect("every chunk candidate is a flat candidate");
+        let verified = slice.len();
+        for (k, label) in slice.zip(labels) {
+            let position = self.order[k];
             self.verdicts[position] = Some(*label);
-            self.estimates[chunk].sampled += usize::from(fresh);
             if *label != plan.class {
                 continue;
             }
+            let stream = plan.candidates[position].cluster.stream;
             for member in &records[position].members {
                 // Same member-level track filtering as assembly, so partial
                 // results never leak a rejected track's frames.
-                if !plan
-                    .track_scope
-                    .admits(TrackKey::new(handle.cluster.stream, member.track))
-                {
+                if !plan.track_scope.admits(TrackKey::new(stream, member.track)) {
                     continue;
                 }
                 if self.seen_objects.insert(member.object) {
                     new_objects.insert(member.object);
-                    // Only fresh inferences teach the sampler; results a
-                    // free verdict surfaced were paid for elsewhere.
-                    self.estimates[chunk].discovered += usize::from(fresh);
                 }
                 if self.seen_frames.insert(member.frame) {
                     new_frames.insert(member.frame);
                 }
             }
         }
-        self.estimates[chunk].remaining -= handles.len();
-        let fresh = fresh_mask.iter().filter(|fresh| **fresh).count();
-        let frac = est_remaining_frac(&self.estimates, self.seen_objects.len());
-        self.stopped = if self.estimates.iter().all(|e| e.remaining == 0) {
+        self.verified += verified;
+        self.stopped = if self.verified == self.order.len() {
             Some(AnytimeTermination::CandidatesExhausted)
-        } else if mode.confidence_remaining > 0.0 && frac <= mode.confidence_remaining {
-            Some(AnytimeTermination::ConfidenceReached)
         } else if mode.max_inferences > 0 && self.fresh >= mode.max_inferences {
             Some(AnytimeTermination::BudgetExhausted)
         } else {
@@ -439,8 +363,7 @@ impl<'a> Run<'a> {
             new_results: new_objects.into_iter().collect(),
             new_frames: new_frames.into_iter().collect(),
             inferences_spent: fresh,
-            cached_verdicts: handles.len() - fresh,
-            est_remaining_frac: frac,
+            cached_verdicts: verified - fresh,
             latency_secs,
         });
         self.partials.last()
@@ -501,234 +424,102 @@ mod tests {
     use focus_video::VideoDataset;
     use proptest::prelude::*;
 
-    /// What a verification round returned before the executor took over
-    /// charging: the round, with its cost charged to `meter` under
-    /// `phase` and its free verdicts counted.
-    struct ChargedRound {
-        labels: Vec<ClassId>,
-        fresh_mask: Vec<bool>,
-        fresh_inferences: usize,
-        cached_verdicts: usize,
-        cost: GpuCost,
-        latency_secs: f64,
-    }
-
-    fn verify_round_charged(
+    /// A single-request fixed-order loop, written apart from [`run_batch`]
+    /// as the reference the property below holds the executor to: sort the
+    /// plan positions by (rank of the class, else of the lookup class;
+    /// members, largest first; position), verify them `round_budget` at a
+    /// time, each round charged to `meter` as `"anytime"`, until the
+    /// candidates or the budget run out, and assemble over the verified
+    /// subset of the plan in key order.
+    fn run_fixed_order(
         server: &QueryServer,
-        centroids: &[ObjectId],
-        resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
-        meter: &GpuMeter,
-        phase: &str,
-    ) -> ChargedRound {
-        let round = server.verify_round(centroids, resolve_centroid);
-        meter.charge(phase, round.cost);
-        ChargedRound {
-            cached_verdicts: centroids.len() - round.fresh_inferences,
-            labels: round.labels,
-            fresh_mask: round.fresh_mask,
-            fresh_inferences: round.fresh_inferences,
-            cost: round.cost,
-            latency_secs: round.latency_secs,
-        }
-    }
-
-    /// The single-request anytime loop [`run_batch`] replaced, kept as the
-    /// reference the property below holds the executor to. Verbatim but
-    /// for its one verification call, which goes through
-    /// `verify_round_charged` because a round no longer charges the meter
-    /// itself. Its documentation, as it was:
-    ///
-    /// [`run_anytime`] with an explicit chunk-pick policy. The picker is
-    /// handed every chunk's current [`ChunkEstimate`] and must return the
-    /// index of a chunk with `remaining > 0`; correctness (exhaustion
-    /// byte-identity, accounting) holds for *any* such policy — only the
-    /// results-per-inference curve depends on it (`tests/anytime_query.rs`
-    /// exercises arbitrary pick orders).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the picker returns an out-of-range index or a chunk with no
-    /// remaining candidates.
-    pub fn run_anytime_with_picker(
-        server: &QueryServer,
-        plan: &SegmentedPlan,
+        planned: &SegmentedPlan,
         mode: &AnytimeMode,
         resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
         meter: &GpuMeter,
-        mut on_partial: impl FnMut(&AnytimePartial),
-        mut pick: impl FnMut(&[ChunkEstimate]) -> usize,
     ) -> AnytimeOutcome {
-        let round_budget = mode.round_budget.max(1);
-        let mut estimates: Vec<ChunkEstimate> = plan
-            .chunks
-            .iter()
-            .map(|c| ChunkEstimate {
-                remaining: c.candidates.len(),
-                sampled: 0,
-                discovered: 0,
-            })
-            .collect();
-        let mut cursors = vec![0usize; plan.chunks.len()];
-        // One slot per flat candidate: a chunk's candidate is found in the
-        // key-sorted flat list by binary search, and its record at the same
-        // position of `plan.records`.
-        let mut verdicts: Vec<Option<ClassId>> = vec![None; plan.plan.candidates.len()];
-        let mut seen_objects: BTreeSet<ObjectId> = BTreeSet::new();
-        let mut seen_frames: BTreeSet<FrameId> = BTreeSet::new();
-        let mut partials: Vec<AnytimePartial> = Vec::new();
-        let mut total_fresh = 0usize;
-        let mut total_cached = 0usize;
-        let mut total_cost = GpuCost::ZERO;
-        let mut total_latency = 0.0f64;
+        let (plan, records) = (&planned.plan, &planned.records);
+        let rank = |r: &ClusterRecord| {
+            let rank = r.rank_of(plan.class).or(r.rank_of(plan.lookup_class));
+            rank.unwrap_or(usize::MAX)
+        };
+        let mut order: Vec<usize> = (0..plan.candidates.len()).collect();
+        order.sort_by_key(|&p| (rank(&records[p]), Reverse(records[p].members.len()), p));
 
+        let mut verdicts: Vec<Option<ClassId>> = vec![None; order.len()];
+        let (mut seen_objects, mut seen_frames) = (BTreeSet::new(), BTreeSet::new());
+        let mut partials = Vec::new();
+        let (mut fresh, mut cached, mut cost, mut latency) = (0, 0, GpuCost::ZERO, 0.0);
+        let mut rest = &order[..];
         let termination = loop {
-            if estimates.iter().all(|e| e.remaining == 0) {
+            if rest.is_empty() {
                 break AnytimeTermination::CandidatesExhausted;
             }
-            if mode.max_inferences > 0 && total_fresh >= mode.max_inferences {
+            if mode.max_inferences > 0 && fresh >= mode.max_inferences {
                 break AnytimeTermination::BudgetExhausted;
             }
-            let chunk_idx = pick(&estimates);
-            let est = &estimates[chunk_idx];
-            assert!(
-                est.remaining > 0,
-                "picker must choose a chunk with remaining candidates"
-            );
-            // Cap the round so fresh inferences can never overshoot the total
-            // budget (every batched candidate costs at most one).
-            let mut take = round_budget.min(est.remaining);
+            let mut take = mode.round_budget.max(1).min(rest.len());
             if mode.max_inferences > 0 {
-                take = take.min(mode.max_inferences - total_fresh);
+                take = take.min(mode.max_inferences - fresh);
             }
-            let cursor = cursors[chunk_idx];
-            let batch = &plan.chunks[chunk_idx].candidates[cursor..cursor + take];
-            let ids: Vec<ObjectId> = batch.iter().map(|h| h.centroid).collect();
-            let verified = verify_round_charged(server, &ids, &resolve_centroid, meter, "anytime");
-
-            let mut new_objects: BTreeSet<ObjectId> = BTreeSet::new();
-            let mut new_frames: BTreeSet<FrameId> = BTreeSet::new();
-            for (i, handle) in batch.iter().enumerate() {
-                let position = plan
-                    .plan
-                    .candidates
-                    .binary_search_by_key(&handle.cluster, |h| h.cluster)
-                    .expect("every chunk candidate is a flat candidate");
-                verdicts[position] = Some(verified.labels[i]);
-                let fresh = verified.fresh_mask[i];
-                if fresh {
-                    estimates[chunk_idx].sampled += 1;
-                }
-                if verified.labels[i] != plan.plan.class {
+            let (batch, later) = rest.split_at(take);
+            rest = later;
+            let ids: Vec<ObjectId> = batch.iter().map(|&p| plan.candidates[p].centroid).collect();
+            let round = server.verify_round(&ids, &resolve_centroid);
+            meter.charge("anytime", round.cost);
+            let (mut new_results, mut new_frames) = (Vec::new(), Vec::new());
+            for (&p, label) in batch.iter().zip(&round.labels) {
+                verdicts[p] = Some(*label);
+                if *label != plan.class {
                     continue;
                 }
-                for member in &plan.records[position].members {
-                    // Same member-level track filtering as exhaustive assembly
-                    // (`assemble_outcome_from`), so partial results never leak
-                    // a rejected track's frames.
-                    if !plan
-                        .plan
-                        .track_scope
-                        .admits(TrackKey::new(handle.cluster.stream, member.track))
-                    {
+                for member in &records[p].members {
+                    let track = TrackKey::new(plan.candidates[p].cluster.stream, member.track);
+                    if !plan.track_scope.admits(track) {
                         continue;
                     }
                     if seen_objects.insert(member.object) {
-                        new_objects.insert(member.object);
-                        // Only fresh inferences teach the sampler; results a
-                        // cache hit surfaced were already paid for elsewhere.
-                        if fresh {
-                            estimates[chunk_idx].discovered += 1;
-                        }
+                        new_results.push(member.object);
                     }
                     if seen_frames.insert(member.frame) {
-                        new_frames.insert(member.frame);
+                        new_frames.push(member.frame);
                     }
                 }
             }
-            cursors[chunk_idx] += take;
-            estimates[chunk_idx].remaining -= take;
-            total_fresh += verified.fresh_inferences;
-            total_cached += verified.cached_verdicts;
-            total_cost += verified.cost;
-            total_latency += verified.latency_secs;
-
-            let frac = est_remaining_frac(&estimates, seen_objects.len());
-            let partial = AnytimePartial {
-                new_results: new_objects.into_iter().collect(),
-                new_frames: new_frames.into_iter().collect(),
-                inferences_spent: verified.fresh_inferences,
-                cached_verdicts: verified.cached_verdicts,
-                est_remaining_frac: frac,
-                latency_secs: verified.latency_secs,
-            };
-            on_partial(&partial);
-            partials.push(partial);
-
-            if estimates.iter().all(|e| e.remaining == 0) {
-                break AnytimeTermination::CandidatesExhausted;
-            }
-            if mode.confidence_remaining > 0.0 && frac <= mode.confidence_remaining {
-                break AnytimeTermination::ConfidenceReached;
-            }
-            if mode.max_inferences > 0 && total_fresh >= mode.max_inferences {
-                break AnytimeTermination::BudgetExhausted;
-            }
+            new_results.sort();
+            new_frames.sort();
+            fresh += round.fresh_inferences;
+            cached += take - round.fresh_inferences;
+            cost += round.cost;
+            latency += round.latency_secs;
+            partials.push(AnytimePartial {
+                new_results,
+                new_frames,
+                inferences_spent: round.fresh_inferences,
+                cached_verdicts: take - round.fresh_inferences,
+                latency_secs: round.latency_secs,
+            });
         };
 
-        // Assemble over the verified prefix of the flat plan: at candidate
-        // exhaustion this is the whole plan in cluster-key order, so frames
-        // and objects are byte-identical to the exhaustive path.
-        let mut positions = Vec::new();
-        let mut candidates = Vec::new();
-        let mut ordered_verdicts = Vec::new();
-        for (position, (handle, label)) in plan.plan.candidates.iter().zip(&verdicts).enumerate() {
-            if let Some(label) = label {
-                positions.push(position);
-                candidates.push(*handle);
-                ordered_verdicts.push(*label);
-            }
-        }
-        let verified_plan = QueryPlan {
-            class: plan.plan.class,
-            lookup_class: plan.plan.lookup_class,
-            candidates,
-            track_scope: plan.plan.track_scope.clone(),
+        let positions: Vec<usize> = (0..order.len())
+            .filter(|&p| verdicts[p].is_some())
+            .collect();
+        let verified = QueryPlan {
+            candidates: positions.iter().map(|&p| plan.candidates[p]).collect(),
+            track_scope: plan.track_scope.clone(),
+            ..*plan
         };
-        let outcome = assemble_outcome_from(
-            &verified_plan,
-            &ordered_verdicts,
-            total_fresh,
-            total_cost,
-            total_latency,
-            |i, _| &plan.records[positions[i]],
-        );
+        let labels: Vec<ClassId> = verdicts.into_iter().flatten().collect();
+        let outcome = assemble_outcome_from(&verified, &labels, fresh, cost, latency, |i, _| {
+            &records[positions[i]]
+        });
         AnytimeOutcome {
             outcome,
             partials,
             termination,
-            fresh_inferences: total_fresh,
-            cached_verdicts: total_cached,
+            fresh_inferences: fresh,
+            cached_verdicts: cached,
         }
-    }
-
-    fn xorshift(state: &mut u64) -> u64 {
-        let mut x = *state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *state = x;
-        x
-    }
-
-    /// A uniformly random chunk with candidates left, from `state`.
-    fn random_pick(state: &mut u64, estimates: &[ChunkEstimate]) -> usize {
-        let eligible: Vec<usize> = estimates
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.remaining > 0)
-            .map(|(i, _)| i)
-            .collect();
-        eligible[(xorshift(state) as usize) % eligible.len()]
     }
 
     /// A fixed-model service over one recording, sealed every `seal_secs`.
@@ -762,29 +553,24 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
         /// A lone incremental request through the executor is the
-        /// reference loop, for any seal cadence (chunk partition), round
-        /// budget, total budget, confidence threshold and seeded pick
-        /// order, from a cold or a partly warm verdict cache: the same
-        /// partials field for field, termination, payload, fresh and
-        /// cached counts, and the same `"anytime"` meter seconds, bit for
-        /// bit.
+        /// fixed-order reference loop, for any seal cadence, round budget
+        /// and total budget, from a cold or a partly warm verdict cache:
+        /// the same partials field for field, termination, payload, fresh
+        /// and cached counts, and the same `"anytime"` meter seconds, bit
+        /// for bit.
         #[test]
         fn a_lone_anytime_request_matches_the_reference_loop(
-            (seal_secs, round_budget, budget, confidence) in
-                (3.0f64..12.0, 1usize..9, 0usize..150, 0.0f64..1.0),
-            (pick_seed, warm, case) in (1u64..1_000_000, 0usize..2, 0u64..1_000_000),
+            (seal_secs, round_budget, budget) in (3.0f64..12.0, 1usize..9, 0usize..150),
+            (warm, case) in (0usize..2, 0u64..1_000_000),
         ) {
             let dataset =
                 VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
             let service = ingested(&format!("prop_{case}"), &dataset, seal_secs);
             let class = dataset.dominant_classes(1)[0];
-            // A third of the cases have no total budget, half no
-            // confidence stop; with neither, the request runs to exhaustion.
+            // A third of the cases have no total budget and run to
+            // exhaustion.
             let max_inferences = budget.saturating_sub(45);
-            let confidence = if confidence < 0.5 { 0.0 } else { confidence - 0.45 };
-            let mode = AnytimeMode::incremental(round_budget)
-                .with_max_inferences(max_inferences)
-                .with_confidence_remaining(confidence);
+            let mode = AnytimeMode::incremental(round_budget).with_max_inferences(max_inferences);
             let request = QueryRequest::new(class).with_anytime(mode);
             // An exact query over the first quarter leaves part of the
             // cache warm.
@@ -802,21 +588,12 @@ mod tests {
 
             warm_up();
             let reference_meter = GpuMeter::new();
-            let mut seed = pick_seed;
-            let reference = run_anytime_with_picker(
-                service.query_server(),
-                &plan,
-                &mode,
-                resolve,
-                &reference_meter,
-                |_| {},
-                |estimates: &[ChunkEstimate]| random_pick(&mut seed, estimates),
-            );
+            let reference =
+                run_fixed_order(service.query_server(), &plan, &mode, resolve, &reference_meter);
 
             service.query_server().invalidate();
             warm_up();
             let meter = GpuMeter::new();
-            let mut seed = pick_seed;
             let streamed = std::cell::RefCell::new(Vec::new());
             let mut stops = Vec::new();
             let run = run_batch(
@@ -826,7 +603,6 @@ mod tests {
                 &meter,
                 |i, partial| streamed.borrow_mut().push((i, partial.clone())),
                 |i| stops.push((i, streamed.borrow().len())),
-                |estimates: &[ChunkEstimate]| random_pick(&mut seed, estimates),
             )
             .remove(0);
 

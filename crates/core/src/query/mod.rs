@@ -25,10 +25,10 @@
 //!   `docs/storage.md`).
 //! * [`anytime`] — the one executor: a batch of planned requests verified
 //!   in rounds. An exact request takes all its candidates in round 1; an
-//!   incremental one samples the segmented plan's per-segment chunks,
-//!   spending GT verification on the chunk most likely to yield new
-//!   distinct results and streaming partial results after every round
-//!   (see `docs/query-path.md`).
+//!   incremental one takes them a round budget at a time in one fixed
+//!   order — the queried class's rank in each cluster's top-K, then
+//!   cluster size, largest first — streaming partial results after every
+//!   round (see `docs/query-path.md`).
 //! * [`track`] — trajectory restrictions: the [`TrackFilter`] predicate
 //!   language (region entry/exit/visit, transit, dwell, speed bands)
 //!   evaluated conservatively against the per-track sketches persisted in
@@ -47,14 +47,9 @@ pub mod segmented;
 pub mod serve;
 pub mod track;
 
-pub use anytime::{
-    pick_most_promising, run_batch, AnytimeOutcome, AnytimePartial, AnytimeTermination,
-    ChunkEstimate, PlannedRequest,
-};
+pub use anytime::{run_batch, AnytimeOutcome, AnytimePartial, AnytimeTermination, PlannedRequest};
 pub use execute::{assemble_outcome, assemble_outcome_from, QueryOutcome};
 pub use plan::{AnytimeMode, QueryPlan, QueryRequest};
-pub use segmented::{
-    AnytimeChunk, ChunkSource, RetiredRouting, SegmentedCorpus, SegmentedPlan, TailOverlay,
-};
+pub use segmented::{RetiredRouting, SegmentedCorpus, SegmentedPlan, TailOverlay};
 pub use serve::QueryEngine;
 pub use track::{Region, TrackFilter, TrackPredicate, TrackPredicateKind, TrackScope};

@@ -84,13 +84,12 @@ impl QueryRequest {
 /// `Exhaustive` is the classic plan-verify-assemble path: every candidate
 /// centroid is verified before anything is returned. `Incremental` runs
 /// the anytime loop (`focus_core::query::anytime`): verification proceeds
-/// in rounds of at most `round_budget` GT inferences, partial results
-/// stream out after every round, and the loop stops early once the
-/// estimated fraction of still-undiscovered results drops to
-/// `confidence_remaining` or the total inference budget `max_inferences`
-/// is spent (`0` in either field disables that bound — `f64`/`usize`
-/// sentinels keep the struct serializable with the vendored serde, which
-/// cannot derive `Option` defaults inside adjacent enums).
+/// in rounds of at most `round_budget` GT inferences over the candidates
+/// in one fixed order, partial results stream out after every round, and
+/// the loop stops once the total inference budget `max_inferences` is
+/// spent (`0` disables the bound — a `usize` sentinel keeps the struct
+/// serializable with the vendored serde, which cannot derive `Option`
+/// defaults inside adjacent enums) or every candidate is verified.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AnytimeMode {
     /// `false` = exhaustive (the default); `true` = incremental anytime
@@ -99,12 +98,9 @@ pub struct AnytimeMode {
     /// GT inferences allowed per verification round (minimum 1 when
     /// incremental).
     pub round_budget: usize,
-    /// Total fresh-GT-inference budget; `0` = unbounded (run until the
-    /// confidence threshold or candidate exhaustion).
+    /// Total fresh-GT-inference budget; `0` = unbounded (run to candidate
+    /// exhaustion).
     pub max_inferences: usize,
-    /// Stop once the estimated remaining-result fraction falls to or
-    /// below this; `0.0` = run to candidate exhaustion.
-    pub confidence_remaining: f64,
 }
 
 impl Default for AnytimeMode {
@@ -120,35 +116,22 @@ impl AnytimeMode {
             incremental: false,
             round_budget: 0,
             max_inferences: 0,
-            confidence_remaining: 0.0,
         }
     }
 
     /// Incremental execution with `round_budget` GT inferences per round
-    /// and no total budget or confidence stop (runs to exhaustion).
+    /// and no total budget (runs to exhaustion).
     pub fn incremental(round_budget: usize) -> Self {
         Self {
             incremental: true,
             round_budget: round_budget.max(1),
             max_inferences: 0,
-            confidence_remaining: 0.0,
         }
     }
 
     /// Returns a copy with a total fresh-inference budget.
     pub fn with_max_inferences(mut self, max_inferences: usize) -> Self {
         self.max_inferences = max_inferences;
-        self
-    }
-
-    /// Returns a copy that stops once the estimated remaining-result
-    /// fraction drops to or below `frac`.
-    pub fn with_confidence_remaining(mut self, frac: f64) -> Self {
-        assert!(
-            frac.is_finite() && frac >= 0.0,
-            "confidence threshold must be finite and non-negative"
-        );
-        self.confidence_remaining = frac;
         self
     }
 }

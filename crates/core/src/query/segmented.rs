@@ -29,13 +29,13 @@
 //! tail first and planning over segments alone.
 //!
 //! **One planner body** — [`SegmentedCorpus::plan_with_tail_scoped`] is
-//! the only place a query over a segmented corpus is planned. Its output
-//! is chunked: one [`AnytimeChunk`] per contributing sealed segment
-//! (ascending segment id) plus the tail chunk last, and the flat candidate
-//! list is those chunks concatenated and sorted by key. An exact request
-//! verifies the flat list, an [incremental](crate::query::anytime) one
-//! samples the chunks, and a fleet shard ships the records in candidate
-//! order.
+//! the only place a query over a segmented corpus is planned. It makes one
+//! store call for every lookup class, which returns one record group per
+//! contributing sealed segment; the groups and the tail's records are
+//! merged into one candidate list sorted by key, with the records aligned
+//! to it. An exact request verifies that list in key order, an
+//! [incremental](crate::query::anytime) one in its fixed order, and a
+//! fleet shard ships the records in candidate order.
 //!
 //! [`QueryServer::serve_resolved`]: crate::query_server::QueryServer::serve_resolved
 
@@ -46,7 +46,8 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::OTHER_CLASS;
 use focus_index::{
-    CentroidHandle, ClusterRecord, QueryFilter, SegmentAccess, SegmentError, SegmentStore,
+    CentroidHandle, ClusterKey, ClusterRecord, QueryFilter, SegmentAccess, SegmentError,
+    SegmentStore,
 };
 use focus_video::{ClassId, ObjectId, ObjectObservation, StreamId};
 
@@ -137,25 +138,6 @@ impl TailOverlay {
         hits.dedup_by_key(|r| r.key);
         hits.into_iter().cloned().collect()
     }
-}
-
-/// Where one plan chunk's candidates came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChunkSource {
-    /// One sealed segment (by manifest id).
-    Segment(u64),
-    /// The in-memory hot tail (not-yet-sealed records).
-    Tail,
-}
-
-/// One plan chunk: a key-disjoint slice of the query's candidate set, in
-/// cluster-key order — the anytime loop's sampling unit.
-#[derive(Debug, Clone)]
-pub struct AnytimeChunk {
-    /// The segment (or tail) this chunk's candidates live in.
-    pub source: ChunkSource,
-    /// Candidate centroids, sorted by cluster key.
-    pub candidates: Vec<CentroidHandle>,
 }
 
 /// The query-side view of a segmented corpus: the durable store plus the
@@ -501,56 +483,42 @@ impl SegmentedCorpus {
         // One store call for every lookup class: each segment is visited
         // (and each of its blocks fetched) once, and each group comes back
         // deduplicated by key and checked key-disjoint from the others.
-        // After `compact` manifest order is not id order; chunks go in
-        // ascending segment id, the tail last.
         let grouped = self
             .store
             .lookup_classes_grouped(lookup_classes, &open_filter)?;
         let mut access = grouped.access;
-        let mut groups = grouped.groups;
-        groups.sort_unstable_by_key(|(id, _)| *id);
-        let tail_group = tail.map(|tail| {
-            let records = tail.lookup(lookup_classes, &request.filter);
-            (ChunkSource::Tail, records)
-        });
-        let sources = groups
-            .into_iter()
-            .map(|(id, records)| (ChunkSource::Segment(id), records))
-            .chain(tail_group);
         let track_scope = self.track_scope_with_tail(request, tail, &mut access)?;
         // Intersection before verification: a candidate whose members all
         // belong to sketch-rejected tracks can contribute nothing after
         // member filtering, so verifying its centroid would be a wasted GT
         // inference.
         let prune_tracks = prune_tracks && !track_scope.is_empty();
-        let mut chunks = Vec::new();
+        let admits = |record: &Arc<ClusterRecord>| {
+            (prune_segments || request.filter.admits(record))
+                && (!prune_tracks || track_scope.admits_record(record))
+        };
+        let mut tail_group = tail.map_or_else(Vec::new, |tail| {
+            tail.lookup(lookup_classes, &request.filter)
+        });
+        tail_group.retain(admits);
         let mut planned: Vec<(CentroidHandle, Arc<ClusterRecord>)> = Vec::new();
-        let mut tail_records = 0;
-        for (source, mut group) in sources {
-            group.retain(|record| {
-                (prune_segments || request.filter.admits(record))
-                    && (!prune_tracks || track_scope.admits_record(record))
-            });
-            if group.is_empty() {
-                continue;
+        for (segment, mut group) in grouped.groups {
+            group.retain(admits);
+            if let Some(key) = shared_key(&group, &tail_group) {
+                return Err(SegmentError::TailKeySealed { key, segment });
             }
-            if source == ChunkSource::Tail {
-                tail_records = group.len();
-            }
-            let start = planned.len();
             planned.extend(group.into_iter().map(|r| (CentroidHandle::from(&r), r)));
-            chunks.push(AnytimeChunk {
-                source,
-                candidates: planned[start..].iter().map(|(handle, _)| *handle).collect(),
-            });
         }
-        // Each chunk is a key-sorted run; a stable sort merges the runs,
+        let tail_records = tail_group.len();
+        planned.extend(
+            tail_group
+                .into_iter()
+                .map(|r| (CentroidHandle::from(&r), r)),
+        );
+        // Each group is a key-sorted run; a stable sort merges the runs,
         // comparing the handles' keys rather than reaching into records.
         planned.sort_by_key(|(handle, _)| handle.cluster);
-        let (candidates, records): (Vec<_>, Vec<_>) = planned.into_iter().unzip();
-        if let Some(collision) = tail_collision(&candidates, &chunks) {
-            return Err(collision);
-        }
+        let (candidates, records) = planned.into_iter().unzip();
         Ok(SegmentedPlan {
             plan: QueryPlan {
                 class: request.class,
@@ -558,7 +526,6 @@ impl SegmentedCorpus {
                 candidates,
                 track_scope,
             },
-            chunks,
             records,
             access,
             tail_records,
@@ -566,26 +533,29 @@ impl SegmentedCorpus {
     }
 }
 
-/// The error for a key two chunks of one plan share, given the plan's
-/// key-sorted candidates: an adjacent equal pair. Segment chunks are
-/// key-disjoint (the store checks that), so a repeated key is a tail
-/// record whose key a segment already holds.
-fn tail_collision(candidates: &[CentroidHandle], chunks: &[AnytimeChunk]) -> Option<SegmentError> {
-    let key = candidates
-        .windows(2)
-        .find(|pair| pair[0].cluster == pair[1].cluster)?[0]
-        .cluster;
-    chunks.iter().find_map(|chunk| match chunk.source {
-        ChunkSource::Segment(segment)
-            if chunk
-                .candidates
-                .binary_search_by_key(&key, |handle| handle.cluster)
-                .is_ok() =>
-        {
-            Some(SegmentError::TailKeySealed { key, segment })
+/// The first key a segment's record `group` shares with the `tail`'s
+/// records, both sorted by key. Segment groups are key-disjoint (the store
+/// checks that), so a shared key is a tail record a segment already holds.
+/// The tail is searched a stream at a time, from the stream's first tail
+/// key on: a seal drains a stream's whole tail and later clusters take
+/// higher keys, so that part of the group is normally empty and the check
+/// costs a binary search per tail stream.
+fn shared_key(group: &[Arc<ClusterRecord>], tail: &[Arc<ClusterRecord>]) -> Option<ClusterKey> {
+    let mut rest = tail;
+    while let Some(first) = rest.first() {
+        let stream = first.key.stream;
+        let (run, later) = rest.split_at(rest.partition_point(|r| r.key.stream == stream));
+        rest = later;
+        let from = group.partition_point(|r| r.key < first.key);
+        let shared = group[from..]
+            .iter()
+            .take_while(|r| r.key.stream == stream)
+            .find(|r| run.binary_search_by_key(&r.key, |t| t.key).is_ok());
+        if let Some(record) = shared {
+            return Some(record.key);
         }
-        _ => None,
-    })
+    }
+    None
 }
 
 /// A pruned query plan plus everything assembly and accounting need: the
@@ -597,10 +567,6 @@ pub struct SegmentedPlan {
     /// [`QueryPlan::build`](crate::query::QueryPlan::build) would produce
     /// over the merged index.
     pub plan: QueryPlan,
-    /// The same candidates partitioned by source: one chunk per
-    /// contributing segment (ascending id) plus, when non-empty, the tail
-    /// chunk last — what the anytime loop samples.
-    pub chunks: Vec<AnytimeChunk>,
     /// The cluster record behind every candidate, aligned with
     /// `plan.candidates` (`records[i]` backs `plan.candidates[i]`), so
     /// strictly key-sorted. Shared with the store's decoded tier and the
@@ -622,7 +588,6 @@ mod tests {
     use crate::query::plan::QueryPlan;
     use crate::segment_ingest::{SealPolicy, StreamSegmenter};
     use focus_cnn::{GpuCost, ModelSpec};
-    use focus_index::ClusterKey;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
     use std::path::PathBuf;
@@ -1169,6 +1134,30 @@ mod tests {
         std::fs::remove_dir_all(test_dir("tail_collision")).ok();
     }
 
+    /// The collision search walks every stream of the tail, including
+    /// tail keys below the group's keys of that stream.
+    #[test]
+    fn the_tail_collision_search_covers_every_tail_stream() {
+        let record = |stream, local| {
+            Arc::new(ClusterRecord {
+                key: ClusterKey::new(StreamId(stream), local),
+                ..hand_record(local)
+            })
+        };
+        let group = [record(0, 1), record(0, 2), record(1, 4), record(1, 7)];
+        assert_eq!(shared_key(&group, &[record(0, 3), record(1, 5)]), None);
+        assert_eq!(
+            shared_key(&group, &[record(0, 3), record(1, 7)]),
+            Some(ClusterKey::new(StreamId(1), 7))
+        );
+        assert_eq!(
+            shared_key(&group, &[record(1, 0), record(1, 4)]),
+            Some(ClusterKey::new(StreamId(1), 4))
+        );
+        assert_eq!(shared_key(&[], &group), None);
+        assert_eq!(shared_key(&group, &[]), None);
+    }
+
     #[test]
     fn shared_keys_across_segments_fail_both_planners_with_a_typed_error() {
         // Two hand-sealed segments that both hold cluster key (0, 1).
@@ -1208,43 +1197,17 @@ mod tests {
         assert!(planned.records.windows(2).all(|w| w[0].key < w[1].key));
     }
 
-    /// Asserts `planned.chunks` partition the flat candidate list in the
-    /// anytime loop's order: segment chunks in strictly ascending id, then
-    /// the tail chunk of `tail_records` candidates, and no key in two
-    /// chunks; and that the records are aligned with the candidates.
-    fn assert_partition(planned: &SegmentedPlan) {
-        assert_aligned(planned);
-        let rank = |chunk: &AnytimeChunk| match chunk.source {
-            ChunkSource::Segment(id) => id,
-            ChunkSource::Tail => u64::MAX,
-        };
-        assert!(planned.chunks.windows(2).all(|w| rank(&w[0]) < rank(&w[1])));
-        let tail = planned
-            .chunks
-            .iter()
-            .filter(|c| c.source == ChunkSource::Tail);
-        let tail_len: usize = tail.map(|c| c.candidates.len()).sum();
-        assert_eq!(tail_len, planned.tail_records);
-        let candidates = &planned.plan.candidates;
-        assert!(candidates.windows(2).all(|w| w[0].cluster < w[1].cluster));
-        // Against a strictly increasing list, equality of the sorted union
-        // also rules out a key shared by two chunks.
-        let mut union: Vec<CentroidHandle> = planned
-            .chunks
-            .iter()
-            .flat_map(|c| c.candidates.iter().copied())
-            .collect();
-        union.sort_by_key(|h| h.cluster);
-        assert_eq!(&union, candidates);
-    }
-
+    /// Over compacted segments (manifest order no longer id order) and a
+    /// tail, with and without windows and track pruning, every plan keeps
+    /// its records aligned with its key-sorted candidates and counts its
+    /// tail candidates.
     #[test]
-    fn chunks_partition_the_candidates_in_segment_id_order() {
+    fn plans_stay_aligned_over_compacted_segments_and_the_tail() {
         use crate::query::{TrackFilter, TrackPredicate};
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
         let class = ds.dominant_classes(1)[0];
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let dir = test_dir("chunk_order");
+        let dir = test_dir("aligned_plans");
         let mut store = SegmentStore::create(&dir).unwrap();
         let mut pipeline =
             crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params());
@@ -1280,11 +1243,18 @@ mod tests {
             corpus.plan_with_tail_scoped(&tracked, Some(&tail), &classes, true, false),
             corpus.plan_with_tail_scoped(&windowed, Some(&tail), &classes, false, true),
         ] {
-            assert_partition(&planned.unwrap());
+            let planned = planned.unwrap();
+            assert_aligned(&planned);
+            let candidates = &planned.plan.candidates;
+            let from_tail = candidates
+                .iter()
+                .filter(|h| tail.centroid(h.centroid).is_some());
+            assert_eq!(from_tail.count(), planned.tail_records);
         }
         // Both segments and the tail contribute.
         let full = corpus.plan_with_tail(&plain, Some(&tail)).unwrap();
-        assert_eq!(full.chunks.len(), 3);
+        assert_eq!(full.access.segments_opened(), 2);
+        assert!(full.tail_records > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

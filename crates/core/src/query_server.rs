@@ -47,7 +47,7 @@ use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter};
 use focus_video::{ClassId, ObjectId, ObjectObservation};
 
 use crate::ingest::IngestOutput;
-use crate::query::anytime::{pick_most_promising, run_batch, PlannedRequest};
+use crate::query::anytime::{run_batch, PlannedRequest};
 use crate::query::{AnytimeMode, QueryOutcome, QueryPlan, QueryRequest};
 
 /// Snapshot of the verdict cache's activity, as returned by
@@ -250,8 +250,8 @@ impl QueryServer {
     ///    from the index.
     /// 2. **Execute** (QT3/QT4) — the one executor, [`run_batch`]: an
     ///    exact request finishes in one round with the rest of the batch
-    ///    (phase `"query"`), an incremental one samples its candidates, as
-    ///    one chunk, in rounds (phase `"anytime"`). Each round dedupes
+    ///    (phase `"query"`), an incremental one verifies its candidates in
+    ///    rounds, in its fixed order (phase `"anytime"`). Each round dedupes
     ///    against the verdict cache for the current epoch and across the
     ///    batch, sends only the fresh centroids to
     ///    [`GroundTruthCnn::classify_batch`] at the amortized
@@ -306,8 +306,8 @@ impl QueryServer {
         self.execute(plans.iter().zip(records), modes, resolve_centroid, meter)
     }
 
-    /// [`run_batch`] over aligned plans and records, with the default
-    /// picker and no partial or stop stream, keeping only the outcomes.
+    /// [`run_batch`] over aligned plans and records, with no partial or
+    /// stop stream, keeping only the outcomes.
     fn execute<'a>(
         &self,
         planned: impl Iterator<Item = (&'a QueryPlan, &'a Vec<Arc<ClusterRecord>>)>,
@@ -328,23 +328,14 @@ impl QueryServer {
                 PlannedRequest {
                     plan,
                     records,
-                    chunks: &[],
                     mode,
                 }
             })
             .collect();
-        run_batch(
-            self,
-            &requests,
-            resolve_centroid,
-            meter,
-            |_, _| {},
-            |_| {},
-            pick_most_promising,
-        )
-        .into_iter()
-        .map(|run| run.outcome)
-        .collect()
+        run_batch(self, &requests, resolve_centroid, meter, |_, _| {}, |_| {})
+            .into_iter()
+            .map(|run| run.outcome)
+            .collect()
     }
 
     /// One round of centroid verification — what every round of
@@ -355,9 +346,9 @@ impl QueryServer {
     /// the work.
     ///
     /// The returned [`VerifiedBatch`] marks which positions scheduled a
-    /// fresh GT inference: a cached verdict costs nothing and must not
-    /// feed the anytime sampler's per-chunk yield estimates, while every
-    /// fresh verdict is both charged and memoized for future queries.
+    /// fresh GT inference: a cached verdict costs nothing and does not
+    /// count in an anytime partial's `inferences_spent`, while every fresh
+    /// verdict is both charged and memoized for future queries.
     ///
     /// # Panics
     ///

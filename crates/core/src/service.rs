@@ -66,9 +66,7 @@ use crate::adapt::{AdaptationConfig, Reconfiguration, StreamController};
 use crate::ingest::IngestCnn;
 use crate::params::SelectedConfiguration;
 use crate::pipeline::FramePipeline;
-use crate::query::anytime::{
-    pick_most_promising, run_batch, AnytimeOutcome, AnytimePartial, PlannedRequest,
-};
+use crate::query::anytime::{run_batch, AnytimeOutcome, AnytimePartial, PlannedRequest};
 use crate::query::segmented::{SegmentedCorpus, TailOverlay};
 use crate::query::{QueryOutcome, QueryRequest};
 use crate::query_server::{CacheStats, QueryServer};
@@ -198,8 +196,8 @@ pub struct ServiceStats {
     /// Every store read since the service started: the [`SegmentAccess`]
     /// of each serve's and each anytime request's planning, merged —
     /// segments opened cold or cached, bytes read, block fetches per cache
-    /// tier. Its `segments_total` is the largest store any plan saw, not a
-    /// sum.
+    /// tier. Its `segments_total` is the sum of the segments each plan
+    /// saw, so `segments_pruned()` is the segments the plans pruned.
     pub io: SegmentAccess,
     /// Tiered segment-cache occupancy: decoded-block and raw-bytes tiers'
     /// bytes, budgets and entries. Where fetches land is in `io`.
@@ -630,8 +628,8 @@ impl FocusService {
     }
 
     /// Serves one query with its round trail ([`crate::query::anytime`]):
-    /// an incremental request samples its sealed-segment and tail chunks
-    /// under `request.anytime`'s budget, confidence and round size, with
+    /// an incremental request verifies its sealed and tail candidates in
+    /// one fixed order under `request.anytime`'s budget and round size, with
     /// one [`AnytimePartial`] per round and its rounds submitted to the
     /// scheduler as `"anytime"`; an exact request is one round with no
     /// partials, its outcome equal to [`serve`](Self::serve)'s.
@@ -698,7 +696,6 @@ impl FocusService {
             &meter,
             on_partial,
             on_stop,
-            pick_most_promising,
         );
         for phase in ["query", "anytime"] {
             self.scheduler.submit(phase, meter.phase(phase));

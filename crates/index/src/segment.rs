@@ -271,10 +271,13 @@ impl SegmentAccess {
         self.segments_total - self.segments_considered
     }
 
-    /// Accumulates another access report into this one.
+    /// Accumulates another access report into this one. Every count
+    /// adds, `segments_total` included: each walk of the store could have
+    /// considered every segment it saw, so the merged total bounds the
+    /// merged `segments_considered` and `segments_pruned` stays the sum of
+    /// the reports' pruned segments.
     pub fn merge(&mut self, other: &SegmentAccess) {
-        // `segments_total` is a store-level snapshot, not additive.
-        self.segments_total = self.segments_total.max(other.segments_total);
+        self.segments_total += other.segments_total;
         self.segments_considered += other.segments_considered;
         self.cold_loads += other.cold_loads;
         self.cache_hits += other.cache_hits;
@@ -2622,10 +2625,29 @@ mod tests {
         assert_eq!(a.segments_considered, 5);
         assert_eq!(a.cold_loads, 3);
         assert_eq!(a.bytes_read, 150);
-        assert_eq!(a.segments_total, 5);
+        assert_eq!(a.segments_total, 10);
         assert_eq!(a.blocks_read, 6);
         assert_eq!(a.block_raw_hits, 3);
         assert_eq!(a.block_hits, 4);
+    }
+
+    /// Merged accounts stay consistent: three full-scan reports merged
+    /// prune exactly what they pruned between them, and never underflow.
+    #[test]
+    fn merged_accounts_prune_the_sum_of_their_parts() {
+        let reports = [(7, 7), (7, 3), (4, 0)].map(|(total, considered)| SegmentAccess {
+            segments_total: total,
+            segments_considered: considered,
+            ..SegmentAccess::default()
+        });
+        let mut merged = SegmentAccess::default();
+        for report in &reports {
+            merged.merge(report);
+        }
+        let pruned: usize = reports.iter().map(SegmentAccess::segments_pruned).sum();
+        assert_eq!(pruned, 8);
+        assert_eq!(merged.segments_pruned(), pruned);
+        assert_eq!(merged.segments_total, 18);
     }
 
     #[test]

@@ -383,11 +383,6 @@ impl StreamGenerator {
         self.spawn_tracks();
         self.emit_frame()
     }
-
-    /// Generates `n` consecutive frames.
-    pub fn generate_frames(&mut self, n: u64) -> Vec<Frame> {
-        (0..n).map(|_| self.next_frame()).collect()
-    }
 }
 
 /// An iterator adapter over [`StreamGenerator`], producing an endless live
