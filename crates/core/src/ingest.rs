@@ -7,7 +7,10 @@
 //! driver ([`IngestEngine`]), the ingest model handle ([`IngestCnn`]) and
 //! the output bookkeeping ([`IngestOutput`]). The live, frame-by-frame,
 //! durable driver is [`FocusService`](crate::service::FocusService); this
-//! one is the in-memory reference it is compared against.
+//! one is the in-memory reference it is compared against, and its
+//! [`IngestOutput`] is the corpus
+//! [`QueryServer::serve`](crate::query_server::QueryServer::serve) answers
+//! from.
 
 use std::sync::Arc;
 

@@ -55,11 +55,11 @@
 //!
 //! // Query for the dominant class and check the result is non-empty.
 //! let class = dataset.dominant_classes(1)[0];
-//! let engine = QueryEngine::new(
+//! let server = QueryServer::new(
 //!     focus_cnn::GroundTruthCnn::resnet152(),
 //!     focus_runtime::GpuClusterSpec::new(10),
 //! );
-//! let outcome = engine.query(&ingested, class, &focus_index::QueryFilter::any(), &meter);
+//! let outcome = server.serve(&ingested, &[QueryRequest::new(class)], &meter).remove(0);
 //! assert!(!outcome.frames.is_empty());
 //! ```
 
@@ -97,7 +97,7 @@ pub use params::{
     SelectionResult, SweepSpace,
 };
 pub use pipeline::{FramePipeline, PipelineOutput, PipelineStats, TailPart};
-pub use query::{QueryEngine, QueryOutcome, QueryPlan, QueryRequest, SegmentedCorpus, TailOverlay};
+pub use query::{QueryOutcome, QueryPlan, QueryRequest, SegmentedCorpus, TailOverlay};
 pub use query_server::{CacheStats, QueryServer};
 pub use segment_ingest::{SealPolicy, StreamSegmenter};
 pub use service::{AdvanceReport, FocusService, MaintenanceReport, ServiceConfig, ServiceStats};
@@ -117,7 +117,7 @@ pub mod prelude {
     pub use crate::ingest::{IngestCnn, IngestEngine, IngestParams};
     pub use crate::params::{ParameterSelector, SweepSpace};
     pub use crate::pipeline::FramePipeline;
-    pub use crate::query::{QueryEngine, QueryOutcome, QueryRequest, SegmentedCorpus};
+    pub use crate::query::{QueryOutcome, QueryRequest, SegmentedCorpus};
     pub use crate::query_server::{CacheStats, QueryServer};
     pub use crate::segment_ingest::SealPolicy;
     pub use crate::service::{FocusService, ServiceConfig, ServiceStats};

@@ -49,7 +49,7 @@ use focus_index::{ClusterRecord, TrackKey};
 use focus_runtime::GpuMeter;
 use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation};
 
-use crate::query::execute::assemble_outcome_from;
+use crate::query::execute::assemble_outcome;
 use crate::query::plan::{AnytimeMode, QueryPlan};
 use crate::query::segmented::SegmentedPlan;
 use crate::query::QueryOutcome;
@@ -316,7 +316,7 @@ impl<'a> Run<'a> {
         if !mode.incremental {
             // The slice is the whole plan, in plan order: assemble over it.
             let (fresh, cost, latency) = (self.fresh, self.cost, self.latency_secs);
-            self.outcome = Some(assemble_outcome_from(
+            self.outcome = Some(assemble_outcome(
                 plan,
                 labels,
                 fresh,
@@ -391,9 +391,7 @@ impl<'a> Run<'a> {
         let verdicts: Vec<ClassId> = self.verdicts.iter().flatten().copied().collect();
         let (fresh, cost, latency) = (self.fresh, self.cost, self.latency_secs);
         if verdicts.len() == plan.candidates.len() {
-            return assemble_outcome_from(plan, &verdicts, fresh, cost, latency, |i, _| {
-                &records[i]
-            });
+            return assemble_outcome(plan, &verdicts, fresh, cost, latency, |i, _| &records[i]);
         }
         let positions: Vec<usize> = (0..plan.candidates.len())
             .filter(|&i| self.verdicts[i].is_some())
@@ -403,7 +401,7 @@ impl<'a> Run<'a> {
             track_scope: plan.track_scope.clone(),
             ..*plan
         };
-        assemble_outcome_from(&verified, &verdicts, fresh, cost, latency, |i, _| {
+        assemble_outcome(&verified, &verdicts, fresh, cost, latency, |i, _| {
             &records[positions[i]]
         })
     }
@@ -510,7 +508,7 @@ mod tests {
             ..*plan
         };
         let labels: Vec<ClassId> = verdicts.into_iter().flatten().collect();
-        let outcome = assemble_outcome_from(&verified, &labels, fresh, cost, latency, |i, _| {
+        let outcome = assemble_outcome(&verified, &labels, fresh, cost, latency, |i, _| {
             &records[positions[i]]
         });
         AnytimeOutcome {

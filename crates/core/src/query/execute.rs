@@ -6,7 +6,6 @@ use serde::{Deserialize, Serialize};
 use focus_cnn::GpuCost;
 use focus_video::{ClassId, FrameId, ObjectId};
 
-use crate::ingest::IngestOutput;
 use crate::query::plan::QueryPlan;
 
 /// The result of one class query.
@@ -22,23 +21,20 @@ pub struct QueryOutcome {
     pub matched_clusters: usize,
     /// Clusters whose centroid the GT-CNN confirmed as the queried class.
     pub confirmed_clusters: usize,
-    /// Ground-truth CNN inferences performed *for this outcome*.
-    ///
-    /// On the serial [`QueryEngine`](crate::query::QueryEngine) path this is
-    /// one per matched cluster. On the
-    /// [`QueryServer`](crate::query_server::QueryServer) path it counts only
-    /// the **fresh** inferences this query was first to need: verdicts
-    /// served from the cross-query centroid-verdict cache, or computed once
-    /// for several overlapping in-flight queries, are not re-counted — a
+    /// Ground-truth CNN inferences performed *for this outcome*: only the
+    /// **fresh** inferences this query was first to need. Verdicts served
+    /// from the cross-query centroid-verdict cache, or computed once for
+    /// several overlapping in-flight queries, are not re-counted — a
     /// repeated query can return a full result set with
-    /// `centroid_inferences == 0`.
+    /// `centroid_inferences == 0`, and a cold
+    /// [`QueryServer`](crate::query_server::QueryServer) serving one exact
+    /// request counts one per matched cluster.
     pub centroid_inferences: usize,
-    /// GPU time consumed by the query. On the batched server path this is
-    /// the query's amortized share of the batch it was verified in.
+    /// GPU time consumed by the query: its amortized share of the batched
+    /// verification rounds it took part in.
     pub gpu_cost: GpuCost,
-    /// Wall-clock latency of the query on the configured GPU cluster. On
-    /// the server path, queries served in one batch share the batch's
-    /// wall-clock latency.
+    /// Wall-clock latency of the query on the configured GPU cluster.
+    /// Queries verified in one round share the round's wall-clock latency.
     pub latency_secs: f64,
 }
 
@@ -48,49 +44,19 @@ pub struct QueryOutcome {
 /// discarded.
 ///
 /// `verdicts[i]` must be the ground-truth class of
-/// `plan.candidates[i].centroid`. The accounting fields
+/// `plan.candidates[i].centroid`, and `get_record(i, handle)` must return
+/// that candidate's cluster record — both planners hand back records
+/// aligned with the candidates ([`QueryPlan::build`],
+/// [`SegmentedPlan::records`](crate::query::segmented::SegmentedPlan::records)),
+/// so a record is found by position. The accounting fields
 /// (`centroid_inferences`, `gpu_cost`, `latency_secs`) are passed through
-/// from the caller, because how much work the verdicts actually cost depends
-/// on the serving path (serial, batched, or cached).
-///
-/// # Panics
-///
-/// Panics if `verdicts.len() != plan.candidates.len()` or a planned cluster
-/// has disappeared from the index.
-pub fn assemble_outcome(
-    ingest: &IngestOutput,
-    plan: &QueryPlan,
-    verdicts: &[ClassId],
-    centroid_inferences: usize,
-    gpu_cost: GpuCost,
-    latency_secs: f64,
-) -> QueryOutcome {
-    assemble_outcome_from(
-        plan,
-        verdicts,
-        centroid_inferences,
-        gpu_cost,
-        latency_secs,
-        |_, handle| {
-            &**ingest
-                .index
-                .get(handle.cluster)
-                .expect("planned cluster still present in the index")
-        },
-    )
-}
-
-/// Like [`assemble_outcome`], but resolves each confirmed candidate's
-/// cluster record through `get_record(i, handle)`, where `i` is the
-/// candidate's position in `plan.candidates`, instead of a monolithic
-/// in-memory index — the segmented query path resolves records from the
-/// plan's own key-aligned record vector
-/// ([`SegmentedPlan::records`](crate::query::segmented::SegmentedPlan::records)).
+/// from the caller, because how much work the verdicts actually cost
+/// depends on what the verifier's cache and batch already held.
 ///
 /// # Panics
 ///
 /// Panics if `verdicts.len() != plan.candidates.len()`.
-pub fn assemble_outcome_from<'a>(
+pub fn assemble_outcome<'a>(
     plan: &QueryPlan,
     verdicts: &[ClassId],
     centroid_inferences: usize,
@@ -171,14 +137,15 @@ mod tests {
     fn assembles_only_confirmed_clusters() {
         let (ds, out) = setup();
         let class = ds.dominant_classes(1)[0];
-        let plan = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
         let gt = GroundTruthCnn::resnet152();
         let verdicts: Vec<ClassId> = plan
             .candidates
             .iter()
             .map(|h| gt.classify_top1(out.index.centroid(h.centroid).unwrap()))
             .collect();
-        let outcome = assemble_outcome(&out, &plan, &verdicts, verdicts.len(), GpuCost(1.0), 0.5);
+        let n = verdicts.len();
+        let outcome = assemble_outcome(&plan, &verdicts, n, GpuCost(1.0), 0.5, |i, _| &records[i]);
         assert_eq!(outcome.class, class);
         assert_eq!(outcome.matched_clusters, plan.candidates.len());
         assert!(outcome.confirmed_clusters <= outcome.matched_clusters);
@@ -194,10 +161,10 @@ mod tests {
     fn all_rejecting_verdicts_return_nothing() {
         let (ds, out) = setup();
         let class = ds.dominant_classes(1)[0];
-        let plan = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
         let wrong = ClassId(class.0.wrapping_add(1));
         let verdicts = vec![wrong; plan.candidates.len()];
-        let outcome = assemble_outcome(&out, &plan, &verdicts, 0, GpuCost::ZERO, 0.0);
+        let outcome = assemble_outcome(&plan, &verdicts, 0, GpuCost::ZERO, 0.0, |i, _| &records[i]);
         assert_eq!(outcome.confirmed_clusters, 0);
         assert!(outcome.frames.is_empty());
         assert!(outcome.objects.is_empty());
@@ -209,12 +176,12 @@ mod tests {
     fn verdict_count_mismatch_panics() {
         let (ds, out) = setup();
         let class = ds.dominant_classes(1)[0];
-        let plan = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
         assert!(!plan.candidates.is_empty());
-        let _ = assemble_outcome(&out, &plan, &[], 0, GpuCost::ZERO, 0.0);
+        let _ = assemble_outcome(&plan, &[], 0, GpuCost::ZERO, 0.0, |i, _| &records[i]);
     }
 
-    /// The assembly body `assemble_outcome_from` replaced — frames
+    /// The assembly body `assemble_outcome` replaced — frames
     /// collected into a `HashSet`, then sorted — kept as the reference the
     /// property below holds the sort-dedup body to.
     fn assemble_outcome_reference<'a>(
@@ -341,7 +308,7 @@ mod tests {
                     candidates: records.iter().map(CentroidHandle::from).collect(),
                     track_scope: scope,
                 };
-                let fast = assemble_outcome_from(&plan, &verdicts, 3, GpuCost(0.5), 0.25, |i, _| {
+                let fast = assemble_outcome(&plan, &verdicts, 3, GpuCost(0.5), 0.25, |i, _| {
                     &records[i]
                 });
                 let reference =

@@ -12,23 +12,23 @@
 //!
 //! The pipeline is split by phase:
 //!
-//! * [`plan`] — QT1/QT2: mapping the queried class through the specialized
-//!   model's OTHER handling and retrieving the candidate centroid set from
-//!   the index as stable [`focus_index::CentroidHandle`]s.
+//! * [`plan`] — QT1/QT2 over an in-memory index: mapping the queried class
+//!   through the specialized model's OTHER handling and retrieving the
+//!   candidate centroid set from the index as stable
+//!   [`focus_index::CentroidHandle`]s, with their records aligned.
 //! * [`execute`] — QT4: applying per-centroid GT verdicts and assembling
 //!   the [`QueryOutcome`].
-//! * [`serve`] — the serial, single-query driver ([`QueryEngine`]), which
-//!   runs QT3 one centroid inference at a time.
 //! * [`segmented`] — QT1/QT2 with segment pruning over a durable
 //!   [`SegmentStore`](focus_index::SegmentStore): time/camera-restricted
 //!   queries open only the segments whose bounds intersect (see
 //!   `docs/storage.md`).
-//! * [`anytime`] — the one executor: a batch of planned requests verified
-//!   in rounds. An exact request takes all its candidates in round 1; an
-//!   incremental one takes them a round budget at a time in one fixed
-//!   order — the queried class's rank in each cluster's top-K, then
-//!   cluster size, largest first — streaming partial results after every
-//!   round (see `docs/query-path.md`).
+//! * [`anytime`] — the one executor (QT3): a batch of planned requests
+//!   verified in rounds by [`QueryServer`](crate::query_server::QueryServer).
+//!   An exact request takes all its candidates in round 1; an incremental
+//!   one takes them a round budget at a time in one fixed order — the
+//!   queried class's rank in each cluster's top-K, then cluster size,
+//!   largest first — streaming partial results after every round (see
+//!   `docs/query-path.md`).
 //! * [`track`] — trajectory restrictions: the [`TrackFilter`] predicate
 //!   language (region entry/exit/visit, transit, dwell, speed bands)
 //!   evaluated conservatively against the per-track sketches persisted in
@@ -44,12 +44,10 @@ pub mod anytime;
 pub mod execute;
 pub mod plan;
 pub mod segmented;
-pub mod serve;
 pub mod track;
 
 pub use anytime::{run_batch, AnytimeOutcome, AnytimePartial, AnytimeTermination, PlannedRequest};
-pub use execute::{assemble_outcome, assemble_outcome_from, QueryOutcome};
+pub use execute::{assemble_outcome, QueryOutcome};
 pub use plan::{AnytimeMode, QueryPlan, QueryRequest};
 pub use segmented::{RetiredRouting, SegmentedCorpus, SegmentedPlan, TailOverlay};
-pub use serve::QueryEngine;
 pub use track::{Region, TrackFilter, TrackPredicate, TrackPredicateKind, TrackScope};

@@ -139,10 +139,11 @@ impl AnytimeMode {
 /// The planned candidate set of one query: which cluster centroids the
 /// ground-truth CNN must pass verdict on before members can be returned.
 ///
-/// Built by [`QueryPlan::build`]; consumed by
-/// [`QueryEngine`](crate::query::QueryEngine) (serial) and
-/// [`QueryServer`](crate::query_server::QueryServer) (concurrent, batched,
-/// cached).
+/// Built by [`QueryPlan::build`] (in memory) or
+/// [`SegmentedCorpus::plan_with_tail`](crate::query::SegmentedCorpus::plan_with_tail)
+/// (durable); verified by the one executor,
+/// [`run_batch`](crate::query::run_batch), under
+/// [`QueryServer`](crate::query_server::QueryServer).
 ///
 /// # Examples
 ///
@@ -159,11 +160,13 @@ impl AnytimeMode {
 /// .ingest(&ds, &focus_runtime::GpuMeter::new());
 ///
 /// let class = ds.dominant_classes(1)[0];
-/// let plan = QueryPlan::build(&ingest, &QueryRequest::new(class));
+/// let (plan, records) = QueryPlan::build(&ingest, &QueryRequest::new(class));
 /// assert_eq!(plan.class, class);
 /// assert!(!plan.candidates.is_empty());
 /// // Every candidate's centroid observation was retained at ingest time.
 /// assert!(plan.candidates.iter().all(|h| ingest.index.centroid(h.centroid).is_some()));
+/// // The records come back aligned with the candidates.
+/// assert!(plan.candidates.iter().map(|h| h.cluster).eq(records.iter().map(|r| r.key)));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueryPlan {
@@ -194,13 +197,10 @@ impl QueryPlan {
     /// whole-life track sketches and drops every candidate cluster whose
     /// members all belong to rejected tracks — before any of them would
     /// cost a GT inference.
-    pub fn build(ingest: &IngestOutput, request: &QueryRequest) -> QueryPlan {
-        Self::build_resolved(ingest, request).0
-    }
-
-    /// [`build`](Self::build), also returning each candidate's record —
-    /// the index's own shared one — aligned with `candidates`.
-    pub fn build_resolved(
+    ///
+    /// Returns the plan together with each candidate's record — the
+    /// index's own shared one — aligned with `candidates`.
+    pub fn build(
         ingest: &IngestOutput,
         request: &QueryRequest,
     ) -> (QueryPlan, Vec<Arc<ClusterRecord>>) {
@@ -257,14 +257,17 @@ mod tests {
     fn plan_matches_index_lookup() {
         let (ds, out) = ingest(10);
         let class = ds.dominant_classes(1)[0];
-        let plan = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
         assert_eq!(plan.class, class);
         assert_eq!(plan.lookup_class, class);
         let direct = out.index.lookup(class, &QueryFilter::any());
         assert_eq!(plan.matched_clusters(), direct.len());
-        for (handle, record) in plan.candidates.iter().zip(direct.iter()) {
+        assert_eq!(records.len(), direct.len());
+        for ((handle, record), shared) in plan.candidates.iter().zip(direct.iter()).zip(&records) {
             assert_eq!(handle.cluster, record.key);
             assert_eq!(handle.centroid, record.centroid_object);
+            // The plan's records are the index's own, not copies.
+            assert!(Arc::ptr_eq(record, shared));
         }
     }
 
@@ -273,8 +276,8 @@ mod tests {
         let (ds, out) = ingest(10);
         let class = ds.dominant_classes(1)[0];
         let request = QueryRequest::new(class);
-        let a = QueryPlan::build(&out, &request);
-        let b = QueryPlan::build(&out, &request);
+        let (a, _) = QueryPlan::build(&out, &request);
+        let (b, _) = QueryPlan::build(&out, &request);
         assert_eq!(a, b);
         assert!(a.candidates.windows(2).all(|w| w[0].cluster < w[1].cluster));
     }
@@ -283,13 +286,13 @@ mod tests {
     fn filters_shrink_the_plan() {
         let (ds, out) = ingest(20);
         let class = ds.dominant_classes(1)[0];
-        let full = QueryPlan::build(&out, &QueryRequest::new(class));
-        let narrow = QueryPlan::build(
+        let (full, _) = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (narrow, _) = QueryPlan::build(
             &out,
             &QueryRequest::new(class).with_filter(QueryFilter::any().with_kx(2)),
         );
         assert!(narrow.matched_clusters() <= full.matched_clusters());
-        let early = QueryPlan::build(
+        let (early, _) = QueryPlan::build(
             &out,
             &QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(0.0, 10.0)),
         );

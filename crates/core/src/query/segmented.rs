@@ -565,7 +565,7 @@ fn shared_key(group: &[Arc<ClusterRecord>], tail: &[Arc<ClusterRecord>]) -> Opti
 pub struct SegmentedPlan {
     /// The candidate set, exactly as the in-memory
     /// [`QueryPlan::build`](crate::query::QueryPlan::build) would produce
-    /// over the merged index.
+    /// over the merged index (which also returns equal `records`).
     pub plan: QueryPlan,
     /// The cluster record behind every candidate, aligned with
     /// `plan.candidates` (`records[i]` backs `plan.candidates[i]`), so
@@ -672,10 +672,12 @@ mod tests {
         ] {
             let request = QueryRequest::new(class).with_filter(filter);
             let segmented = corpus.plan_with_tail(&request, None).unwrap();
-            assert_eq!(segmented.plan, QueryPlan::build(&reference, &request));
+            let (plan, records) = QueryPlan::build(&reference, &request);
+            assert_eq!(segmented.plan, plan);
             // Every candidate's record was captured for assembly, at the
-            // candidate's own position.
+            // candidate's own position, equal to the merged index's.
             assert_aligned(&segmented);
+            assert_eq!(segmented.records, records);
         }
         std::fs::remove_dir_all(&dir).ok();
     }

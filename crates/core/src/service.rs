@@ -2,8 +2,8 @@
 //! at the same time.
 //!
 //! The in-memory reference pair ([`IngestEngine`](crate::ingest::IngestEngine)
-//! then [`QueryEngine`](crate::query::QueryEngine)) runs the paper's two
-//! sides as disjoint phases — ingest finishes, *then* queries are served —
+//! then [`QueryServer::serve`](crate::query_server::QueryServer::serve))
+//! runs the paper's two sides as disjoint phases — ingest finishes, *then* queries are served —
 //! so nothing is durable, nothing is visible before the end of the
 //! recording and nothing arbitrates the GPU between the sides.
 //! [`FocusService`] is the one durable driver and unifies them:

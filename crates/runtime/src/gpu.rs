@@ -96,8 +96,8 @@ impl GpuMeter {
 /// cost(n) = per_inference × ((1 − f)·n + f·⌈n / max_batch⌉)
 /// ```
 ///
-/// so a lone inference costs exactly `per_inference` (the serial path and
-/// the batched path agree at n = 1), and a full batch of `max_batch` images
+/// so a lone inference costs exactly `per_inference` (an un-batched
+/// inference and a batch of one agree), and a full batch of `max_batch` images
 /// approaches a `1 − f` discount per image.
 ///
 /// # Examples

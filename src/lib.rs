@@ -16,8 +16,8 @@
 //! | [`cnn`] | `focus-cnn` | Simulated CNN substrate: ground-truth CNN, compressed cheap CNNs, per-stream specialization, feature vectors, GPU cost model |
 //! | [`cluster`] | `focus-cluster` | Single-pass incremental clustering |
 //! | [`index`] | `focus-index` | The top-K inverted index with camera/time/Kx filtering, merging and the durable segment store |
-//! | [`runtime`] | `focus-runtime` | GPU accounting, the GPU-cluster latency model, the reusable worker pool, the shared ingest/query `GpuScheduler` |
-//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, the in-memory batch ingest driver and the live, durable `FocusService`, the query subsystem (serial engine plus the concurrent, batched, cached `QueryServer`), the live `FocusService`, parameter selection, policies, baselines, experiment runner |
+//! | [`runtime`] | `focus-runtime` | GPU accounting, the GPU-cluster latency model, the shared ingest/query `GpuScheduler` |
+//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, the in-memory batch ingest driver and the live, durable `FocusService`, the query subsystem (one concurrent, batched, cached `QueryServer`), the live `FocusService`, parameter selection, policies, baselines, experiment runner |
 //!
 //! # Quick start
 //!
@@ -36,12 +36,12 @@
 //! )
 //! .ingest(&dataset, &meter);
 //!
-//! let engine = QueryEngine::new(
+//! let server = QueryServer::new(
 //!     focus::cnn::GroundTruthCnn::resnet152(),
 //!     focus::runtime::GpuClusterSpec::new(10),
 //! );
 //! let class = dataset.dominant_classes(1)[0];
-//! let result = engine.query(&ingest, class, &focus::index::QueryFilter::any(), &meter);
+//! let result = server.serve(&ingest, &[QueryRequest::new(class)], &meter).remove(0);
 //! assert!(!result.frames.is_empty());
 //! ```
 //!
@@ -95,14 +95,15 @@
 //!
 //! # Concurrent query serving
 //!
-//! Heavy query traffic goes through
-//! [`QueryServer`](focus_core::query_server::QueryServer) instead of the
-//! serial engine: requests are planned concurrently, the union of their
-//! candidate centroids is deduplicated and verified through the batched
-//! GT-CNN path, and verdicts are memoized across queries under the current
-//! ground-truth epoch. Results are byte-identical to the serial engine with
-//! strictly fewer GT-CNN inferences on overlapping workloads — see
-//! `docs/query-path.md` for the full walkthrough.
+//! Every query goes through
+//! [`QueryServer`](focus_core::query_server::QueryServer), the one
+//! query-time verifier: a batch of requests is planned in order, the union
+//! of their candidate centroids is deduplicated and verified through the
+//! batched GT-CNN path, and verdicts are memoized across queries under the
+//! current ground-truth epoch. Results are byte-identical to serving each
+//! request alone on a cold server, with strictly fewer GT-CNN inferences on
+//! overlapping workloads — see `docs/query-path.md` for the full
+//! walkthrough.
 
 pub use focus_cluster as cluster;
 pub use focus_cnn as cnn;

@@ -4,10 +4,10 @@
 
 use focus::cnn::{GpuCost, GroundTruthCnn};
 use focus::core::{
-    FocusService, IngestCnn, IngestOutput, IngestParams, SealPolicy, ServiceConfig,
-    StreamWorkerConfig,
+    FocusService, IngestCnn, IngestOutput, IngestParams, QueryOutcome, QueryRequest, QueryServer,
+    SealPolicy, ServiceConfig, StreamWorkerConfig,
 };
-use focus::runtime::GpuClusterSpec;
+use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{Frame, VideoDataset};
 
@@ -78,8 +78,7 @@ pub fn service_at(dir: &Path, seal_secs: f64, datasets: &[VideoDataset]) -> Focu
 
 /// Everything a fixed-model service holds — its sealed segments merged,
 /// plus the hot tail, centroid observations included — as one in-memory
-/// [`IngestOutput`]: the corpus
-/// `QueryServer::serve` and `QueryEngine::query` answer from, and so the
+/// [`IngestOutput`]: the corpus [`cold_serve`] answers from, and so the
 /// reference a durable serve is compared against.
 pub fn reference_output(service: &FocusService) -> IngestOutput {
     let mut index = service.store().merged_index().unwrap();
@@ -98,4 +97,13 @@ pub fn reference_output(service: &FocusService) -> IngestOutput {
         objects_total,
         objects_classified: objects_total,
     }
+}
+
+/// `request` served alone by a fresh [`QueryServer`] over `ingest`: every
+/// candidate verified exactly once, with no cache and nothing shared — the
+/// reference a shared, cached or durable serve is compared against.
+pub fn cold_serve(ingest: &IngestOutput, request: &QueryRequest) -> QueryOutcome {
+    QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4))
+        .serve(ingest, std::slice::from_ref(request), &GpuMeter::new())
+        .remove(0)
 }

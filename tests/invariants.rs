@@ -2,12 +2,14 @@
 //! stream characteristics and parameter choices, structural invariants of
 //! ingest and query must hold.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::cold_serve;
 use focus::cnn::{Classifier, GroundTruthCnn, ModelSpec};
-use focus::core::{IngestCnn, IngestEngine, IngestParams, QueryEngine};
-use focus::index::QueryFilter;
-use focus::runtime::{GpuClusterSpec, GpuMeter};
+use focus::core::{IngestCnn, IngestEngine, IngestParams, QueryRequest};
+use focus::runtime::{BatchCostModel, GpuMeter};
 use focus::video::profile::{profile_by_name, table1_profiles};
 use focus::video::VideoDataset;
 
@@ -68,8 +70,9 @@ proptest! {
     }
 
     /// Query results are always consistent: returned frames exist in the
-    /// dataset, confirmed clusters never exceed matched clusters, and the
-    /// GPU cost equals one GT-CNN inference per matched cluster.
+    /// dataset, confirmed clusters never exceed matched clusters, and a cold
+    /// server runs one GT-CNN inference per matched cluster, charged at the
+    /// batched cost of that many.
     #[test]
     fn query_structural_invariants((stream, duration, k, threshold) in pipeline_inputs()) {
         let profile = table1_profiles().swap_remove(stream);
@@ -87,13 +90,14 @@ proptest! {
         )
         .ingest(&dataset, &GpuMeter::new());
         let gt = GroundTruthCnn::resnet152();
-        let engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
         let class = dataset.dominant_classes(1)[0];
-        let outcome = engine.query(&out, class, &QueryFilter::any(), &GpuMeter::new());
+        let outcome = cold_serve(&out, &QueryRequest::new(class));
 
         prop_assert!(outcome.confirmed_clusters <= outcome.matched_clusters);
         prop_assert_eq!(outcome.centroid_inferences, outcome.matched_clusters);
-        let expected_cost = gt.cost_per_inference().seconds() * outcome.matched_clusters as f64;
+        let expected_cost = BatchCostModel::default()
+            .batch_cost(gt.cost_per_inference(), outcome.matched_clusters)
+            .seconds();
         prop_assert!((outcome.gpu_cost.seconds() - expected_cost).abs() < 1e-9);
         // Frames are sorted, unique, and belong to the dataset.
         let frame_ids: std::collections::HashSet<_> =
@@ -129,8 +133,7 @@ fn dominant_class_query_recall_holds_across_streams() {
         let gt = GroundTruthCnn::resnet152();
         let labels = focus::core::GroundTruthLabels::compute(&dataset, &gt);
         let class = labels.dominant_classes(1)[0];
-        let engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
-        let outcome = engine.query(&out, class, &QueryFilter::any(), &GpuMeter::new());
+        let outcome = cold_serve(&out, &QueryRequest::new(class));
         let report = labels.evaluate(class, &outcome.frames);
         assert!(
             report.recall > 0.85,

@@ -8,15 +8,15 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{config, interleave, reference_output, service_at, workload};
+use common::{cold_serve, config, interleave, reference_output, service_at, workload};
 use focus::cnn::{GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
 use focus::core::{
-    ConfigurationPoint, IngestCnn, IngestEngine, IngestParams, ModelChoice, QueryEngine,
-    QueryRequest, SealPolicy, SelectedConfiguration, StreamWorkerConfig,
+    ConfigurationPoint, IngestCnn, IngestEngine, IngestParams, ModelChoice, QueryRequest,
+    SealPolicy, SelectedConfiguration, StreamWorkerConfig,
 };
 use focus::index::{persist, QueryFilter, TopKIndex};
-use focus::runtime::{GpuClusterSpec, GpuMeter};
+use focus::runtime::GpuMeter;
 use focus::video::profile::profile_by_name;
 use focus::video::{Frame, VideoDataset};
 
@@ -95,8 +95,9 @@ fn mid_ingest_serve_equals_seal_all_then_serve() {
     }
 }
 
-/// The service's GT work is bounded by the uncached serial engine: batched,
-/// deduplicated, cached verification can only do fewer inferences.
+/// The service's GT work is bounded by the uncached serial reference — each
+/// request served alone by a cold server: batched, deduplicated, cached
+/// verification can only do fewer inferences.
 #[test]
 fn gt_inferences_never_exceed_the_serial_engine() {
     let secs = 45.0;
@@ -111,10 +112,9 @@ fn gt_inferences_never_exceed_the_serial_engine() {
 
     // Serial reference over the same corpus: merged segments + tail.
     let reference = reference_output(&service);
-    let engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
     let mut serial_inferences = 0;
     for (request, outcome) in requests.iter().zip(outcomes.iter()) {
-        let serial = engine.query(&reference, request.class, &request.filter, &GpuMeter::new());
+        let serial = cold_serve(&reference, request);
         assert_eq!(outcome.frames, serial.frames);
         assert_eq!(outcome.objects, serial.objects);
         serial_inferences += serial.centroid_inferences;
@@ -518,7 +518,8 @@ proptest! {
     /// included, which is where a stale shared tail part would show — is
     /// byte-identical to a fresh service replaying the same writes up to
     /// that point, sealing everything and serving cold; and its
-    /// GT-inference count never exceeds the uncached serial engine's.
+    /// GT-inference count never exceeds one inference per matched cluster,
+    /// what an uncached serve of each request costs.
     #[test]
     fn arbitrary_interleavings_serve_identically(
         (raw_ops, seal_secs, case) in (
@@ -566,8 +567,7 @@ proptest! {
                 );
             }
             // Inference bound: a wave costs the live service at most what
-            // it costs the serial engine (one inference per matched
-            // cluster).
+            // it costs uncached (one inference per matched cluster).
             prop_assert!(
                 outcomes.iter().map(|o| o.centroid_inferences).sum::<usize>()
                     <= expected.iter().map(|o| o.matched_clusters).sum::<usize>()

@@ -5,11 +5,10 @@
 
 mod common;
 
-use common::{interleave, reference_output, service_at};
+use common::{cold_serve, interleave, reference_output, service_at};
 use focus::cnn::GroundTruthCnn;
-use focus::core::{FocusService, QueryEngine, QueryRequest};
+use focus::core::{FocusService, QueryRequest};
 use focus::index::QueryFilter;
-use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{StreamId, VideoDataset};
 
@@ -43,22 +42,18 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
     });
 
     let class = datasets[0].dominant_classes(1)[0];
-    let query_engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(8));
-    let meter = GpuMeter::new();
-    let serve = |filter: &QueryFilter| {
-        let request = QueryRequest::new(class).with_filter(filter.clone());
-        service.serve(&[request]).unwrap().remove(0)
-    };
+    let request = |filter: &QueryFilter| QueryRequest::new(class).with_filter(filter.clone());
+    let serve = |filter: &QueryFilter| service.serve(&[request(filter)]).unwrap().remove(0);
 
     // Unrestricted query sees frames from both cameras.
-    let all = query_engine.query(&combined, class, &QueryFilter::any(), &meter);
+    let all = cold_serve(&combined, &request(&QueryFilter::any()));
     assert!(!all.frames.is_empty());
     assert_eq!(serve(&QueryFilter::any()).frames, all.frames);
 
     // Camera-restricted query only returns clusters of that camera.
     for stream in &stream_ids {
         let filter = QueryFilter::for_stream(*stream);
-        let restricted = query_engine.query(&combined, class, &filter, &meter);
+        let restricted = cold_serve(&combined, &request(&filter));
         assert!(restricted.matched_clusters <= all.matched_clusters);
         assert_eq!(serve(&filter).frames, restricted.frames);
         for record in combined.index.lookup(class, &filter) {

@@ -1,14 +1,15 @@
 //! End-to-end guarantees of the concurrent query-serving subsystem:
-//! byte-identical results to the serial engine, strictly fewer GT-CNN
-//! inferences on overlapping workloads, epoch-keyed cache invalidation, and
-//! one server shared by concurrent callers.
+//! byte-identical results to cold, one-request servers, strictly fewer
+//! GT-CNN inferences on overlapping workloads, epoch-keyed cache
+//! invalidation, and one server shared by concurrent callers.
+
+mod common;
 
 use std::sync::Barrier;
 
+use common::cold_serve;
 use focus::cnn::{GroundTruthCnn, ModelSpec};
-use focus::core::{
-    IngestCnn, IngestEngine, IngestParams, QueryEngine, QueryOutcome, QueryRequest, QueryServer,
-};
+use focus::core::{IngestCnn, IngestEngine, IngestParams, QueryOutcome, QueryRequest, QueryServer};
 use focus::index::QueryFilter;
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
@@ -51,13 +52,9 @@ fn concurrent_cached_run_is_byte_identical_to_serial_uncached_with_fewer_inferen
     let (ds, out) = ingest(120.0, 10);
     let workload = overlapping_workload(&ds);
 
-    // (a) Serial, uncached: one engine, every query re-verifies everything.
-    let engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
-    let serial_meter = GpuMeter::new();
-    let serial: Vec<_> = workload
-        .iter()
-        .map(|req| engine.query(&out, req.class, &req.filter, &serial_meter))
-        .collect();
+    // (a) Serial, uncached: each query alone on a cold server, so every
+    // query re-verifies everything.
+    let serial: Vec<_> = workload.iter().map(|req| cold_serve(&out, req)).collect();
 
     // (b) Concurrent, cached: one server call over the whole workload.
     let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
@@ -81,6 +78,9 @@ fn concurrent_cached_run_is_byte_identical_to_serial_uncached_with_fewer_inferen
 
     // Strictly fewer GT-CNN inferences: the serial run verified every
     // matched cluster of every query; the server deduplicated the overlap.
+    for outcome in &serial {
+        assert_eq!(outcome.centroid_inferences, outcome.matched_clusters);
+    }
     let serial_inferences: usize = serial.iter().map(|o| o.centroid_inferences).sum();
     let served_inferences: usize = served.iter().map(|o| o.centroid_inferences).sum();
     assert!(serial_inferences > 0);
@@ -89,7 +89,8 @@ fn concurrent_cached_run_is_byte_identical_to_serial_uncached_with_fewer_inferen
         "server performed {served_inferences} inferences vs {serial_inferences} serial"
     );
     // The amortized batched cost is cheaper too.
-    assert!(served_meter.phase("query").seconds() < serial_meter.phase("query").seconds());
+    let serial_cost: f64 = serial.iter().map(|o| o.gpu_cost.seconds()).sum();
+    assert!(served_meter.phase("query").seconds() < serial_cost);
 
     // The cache saw the overlap.
     let stats = server.cache_stats();
