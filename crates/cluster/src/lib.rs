@@ -24,7 +24,5 @@
 //! isolation.
 
 pub mod incremental;
-pub mod metrics;
 
 pub use incremental::{Cluster, ClusterId, ClusterMember, ClusteringStats, IncrementalClusterer};
-pub use metrics::{purity, ClusterQualityReport};

@@ -201,7 +201,6 @@ pub struct StreamController {
     stream: StreamId,
     fps: u32,
     config: AdaptationConfig,
-    gt: GroundTruthCnn,
     detector: DriftDetector,
     /// The class histogram the current configuration was selected on.
     reference: Option<HashMap<ClassId, usize>>,
@@ -218,13 +217,12 @@ pub struct StreamController {
 
 impl StreamController {
     /// Creates a controller for one stream.
-    pub fn new(stream: StreamId, fps: u32, config: AdaptationConfig, gt: GroundTruthCnn) -> Self {
+    pub fn new(stream: StreamId, fps: u32, config: AdaptationConfig) -> Self {
         let detector = DriftDetector::new(config.drift_threshold);
         Self {
             stream,
             fps: fps.max(1),
             config,
-            gt,
             detector,
             reference: None,
             recent: VecDeque::new(),
@@ -274,14 +272,9 @@ impl StreamController {
         self.reference = Some(histogram);
     }
 
-    /// Replaces the ground-truth CNN used for audit labels and window
-    /// re-selection (the service propagates GT retrains here too).
-    pub fn set_ground_truth(&mut self, gt: GroundTruthCnn) {
-        self.gt = gt;
-    }
-
-    /// Feeds one object observation: draws it as an audit label when the
-    /// configured fraction is due, charging `meter` under `"audit"`.
+    /// Feeds one object observation: draws it as an audit label from `gt`
+    /// when the configured fraction is due, charging `meter` under
+    /// `"audit"`.
     /// `objects_seen` is the running 1-based count of observed objects, as
     /// delivered by the pipeline's observer hook. Returns whether the
     /// object was audited.
@@ -289,6 +282,7 @@ impl StreamController {
         &mut self,
         obj: &ObjectObservation,
         objects_seen: usize,
+        gt: &GroundTruthCnn,
         meter: &GpuMeter,
     ) -> bool {
         let due =
@@ -297,8 +291,8 @@ impl StreamController {
             return false;
         }
         self.audit_labels += 1;
-        meter.charge("audit", self.gt.cost_per_inference());
-        let label = self.gt.classify_top1(obj);
+        meter.charge("audit", gt.cost_per_inference());
+        let label = gt.classify_top1(obj);
         self.recent.push_back(label);
         while self.recent.len() > self.config.window_labels.max(1) {
             self.recent.pop_front();
@@ -351,16 +345,17 @@ impl StreamController {
     /// The detect → re-select step, run once per maintenance tick: if the
     /// cooldown has passed and the audit histogram has drifted past the
     /// threshold, re-runs the parameter sweep on the rolling frame window
-    /// (GPU bill charged to `meter` under `"selection"`) and returns the
-    /// chosen configuration for the service to install. The audit window
-    /// becomes the new reference, so the detector re-arms against the
-    /// distribution just reconfigured for.
+    /// against `gt` (GPU bill charged to `meter` under `"selection"`) and
+    /// returns the chosen configuration for the service to install. The
+    /// audit window becomes the new reference, so the detector re-arms
+    /// against the distribution just reconfigured for.
     ///
     /// Returns `None` when nothing needs to change (no drift, cooldown,
     /// window empty, or the sweep found nothing to run).
     pub fn maybe_reconfigure(
         &mut self,
         now_secs: f64,
+        gt: &GroundTruthCnn,
         meter: &GpuMeter,
     ) -> Option<Reconfiguration> {
         if now_secs - self.last_reconfiguration_secs < self.config.cooldown_secs {
@@ -376,7 +371,7 @@ impl StreamController {
         self.generation += 1;
         let sample = self.window_sample();
         let selector = ParameterSelector::new(self.config.sweep.clone(), self.config.target);
-        let result = selector.select_metered(&sample, &self.gt, meter);
+        let result = selector.select_metered(&sample, gt, meter);
         let selection = result.choose_or_best_effort(self.config.policy)?;
         self.reconfigurations += 1;
         self.last_reconfiguration_secs = now_secs;
@@ -476,7 +471,7 @@ mod tests {
     }
 
     fn controller(config: AdaptationConfig) -> StreamController {
-        StreamController::new(StreamId(0), 30, config, GroundTruthCnn::resnet152())
+        StreamController::new(StreamId(0), 30, config)
     }
 
     #[test]
@@ -488,19 +483,19 @@ mod tests {
             ..AdaptationConfig::default()
         });
         let meter = GpuMeter::new();
+        let gt = GroundTruthCnn::resnet152();
         let mut seen = 0usize;
         for frame in &ds.frames {
             c.note_frame(frame);
             for obj in &frame.objects {
                 seen += 1;
-                c.observe(obj, seen, &meter);
+                c.observe(obj, seen, &gt, &meter);
             }
         }
         let expected = (seen as f64 * 0.05).floor() as usize;
         assert_eq!(c.audit_labels(), expected);
         assert!(
-            (meter.phase("audit").seconds()
-                - GroundTruthCnn::resnet152().cost_per_inference().seconds() * expected as f64)
+            (meter.phase("audit").seconds() - gt.cost_per_inference().seconds() * expected as f64)
                 .abs()
                 < 1e-9
         );
@@ -525,13 +520,14 @@ mod tests {
             ..AdaptationConfig::default()
         });
         let meter = GpuMeter::new();
+        let gt = GroundTruthCnn::resnet152();
         let mut seen = 0usize;
         let mut armed = false;
         for frame in &ds.frames {
             c.note_frame(frame);
             for obj in &frame.objects {
                 seen += 1;
-                c.observe(obj, seen, &meter);
+                c.observe(obj, seen, &gt, &meter);
             }
             if !armed && c.recent.len() >= 60 {
                 // Arm the detector with the live distribution itself, as a
@@ -541,7 +537,8 @@ mod tests {
             }
             if armed {
                 assert!(
-                    c.maybe_reconfigure(frame.timestamp_secs, &meter).is_none(),
+                    c.maybe_reconfigure(frame.timestamp_secs, &gt, &meter)
+                        .is_none(),
                     "stationary stream reconfigured at {}s (distance {:?})",
                     frame.timestamp_secs,
                     c.drift_distance()
@@ -560,7 +557,8 @@ mod tests {
         c.set_reference(hist(&[(1, 10)]));
         assert_eq!(c.drift_distance(), None, "window below minimum");
         let meter = GpuMeter::new();
-        assert!(c.maybe_reconfigure(1_000.0, &meter).is_none());
+        let gt = GroundTruthCnn::resnet152();
+        assert!(c.maybe_reconfigure(1_000.0, &gt, &meter).is_none());
     }
 
     #[test]
@@ -580,19 +578,20 @@ mod tests {
             ..AdaptationConfig::default()
         });
         let meter = GpuMeter::new();
+        let gt = GroundTruthCnn::resnet152();
         let mut seen = 0usize;
         let mut reconfigured = None;
         for frame in &spliced.frames {
             c.note_frame(frame);
             for obj in &frame.objects {
                 seen += 1;
-                c.observe(obj, seen, &meter);
+                c.observe(obj, seen, &gt, &meter);
             }
             if frame.timestamp_secs >= 29.0 && c.reference().is_none() {
                 c.set_reference(c.recent_histogram());
             }
             if c.reference().is_some() && reconfigured.is_none() {
-                reconfigured = c.maybe_reconfigure(frame.timestamp_secs, &meter);
+                reconfigured = c.maybe_reconfigure(frame.timestamp_secs, &gt, &meter);
                 if reconfigured.is_some() {
                     // The detector re-armed on the distribution it just
                     // reconfigured for: at this instant there is no drift
@@ -624,21 +623,22 @@ mod tests {
         let profile = profile_by_name("auburn_c").unwrap();
         let ds = VideoDataset::generate(profile, 5.0);
         let meter = GpuMeter::new();
+        let gt = GroundTruthCnn::resnet152();
         let mut seen = 0usize;
         for frame in &ds.frames {
             c.note_frame(frame);
             for obj in &frame.objects {
                 seen += 1;
-                c.observe(obj, seen, &meter);
+                c.observe(obj, seen, &gt, &meter);
             }
         }
         c.set_reference(hist(&[(999, 5)]));
-        let first = c.maybe_reconfigure(10.0, &meter);
+        let first = c.maybe_reconfigure(10.0, &gt, &meter);
         assert!(first.is_some());
         // Within the cooldown nothing fires, even though the reference was
         // re-armed and the distance may still be non-zero.
         c.set_reference(hist(&[(999, 5)]));
-        assert!(c.maybe_reconfigure(50.0, &meter).is_none());
-        assert!(c.maybe_reconfigure(110.0, &meter).is_some());
+        assert!(c.maybe_reconfigure(50.0, &gt, &meter).is_none());
+        assert!(c.maybe_reconfigure(110.0, &gt, &meter).is_some());
     }
 }

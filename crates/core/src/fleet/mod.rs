@@ -283,7 +283,6 @@ struct NodeRuntime {
 pub struct FleetCoordinator {
     root: PathBuf,
     config: FleetConfig,
-    gt: GroundTruthCnn,
     bootstrap: IngestCnn,
     manifest: ClusterManifest,
     nodes: BTreeMap<u32, NodeRuntime>,
@@ -312,50 +311,22 @@ impl std::fmt::Debug for FleetCoordinator {
 impl FleetCoordinator {
     /// Creates a fresh fleet rooted at `root`: `nodes` empty nodes and an
     /// epoch-0 manifest replicated to the root and every node directory.
+    /// A fleet of zero nodes is [`FleetError::Manifest`], refused before
+    /// anything is written.
     pub fn create(
         root: impl Into<PathBuf>,
         config: FleetConfig,
         gt: GroundTruthCnn,
     ) -> Result<Self, FleetError> {
-        assert!(config.nodes > 0, "a fleet needs at least one node");
-        let root = root.into();
-        std::fs::create_dir_all(&root).map_err(|source| FleetError::Io {
-            path: root.clone(),
-            source,
-        })?;
-        let mut nodes = BTreeMap::new();
-        for node in 0..config.nodes as u32 {
-            let dir = root.join(format!("node-{node}"));
-            std::fs::create_dir_all(&dir).map_err(|source| FleetError::Io {
+        let coordinator = Self::assemble(root.into(), config, gt)?;
+        let replicas = coordinator.replica_dirs();
+        for dir in &replicas {
+            std::fs::create_dir_all(dir).map_err(|source| FleetError::Io {
                 path: dir.clone(),
                 source,
             })?;
-            nodes.insert(
-                node,
-                NodeRuntime {
-                    alive: true,
-                    shards: BTreeMap::new(),
-                },
-            );
         }
-        let manifest = ClusterManifest::new();
-        let bootstrap = IngestCnn::generic(config.service.worker.bootstrap_model);
-        let gather_server = QueryServer::new(gt.clone(), config.service.gpus);
-        let coordinator = Self {
-            root,
-            config,
-            gt,
-            bootstrap,
-            manifest,
-            nodes,
-            fps: BTreeMap::new(),
-            replay: BTreeMap::new(),
-            gather_server,
-            net: NetMeter::new(),
-            clock: None,
-            stats: FleetStats::default(),
-        };
-        coordinator.manifest.save(&coordinator.replica_dirs())?;
+        coordinator.manifest.save(&replicas)?;
         Ok(coordinator)
     }
 
@@ -369,56 +340,49 @@ impl FleetCoordinator {
         config: FleetConfig,
         gt: GroundTruthCnn,
     ) -> Result<Self, FleetError> {
-        let root = root.into();
-        let mut replicas = vec![root.clone()];
-        for node in 0..config.nodes as u32 {
-            replicas.push(root.join(format!("node-{node}")));
+        let mut coordinator = Self::assemble(root.into(), config, gt)?;
+        coordinator.manifest = ClusterManifest::load(&coordinator.replica_dirs())?;
+        for assignment in coordinator.manifest.assignments.clone() {
+            let service = coordinator.open_shard(&assignment)?;
+            for (stream, rate) in service.registered_streams() {
+                coordinator.fps.insert(stream, rate);
+            }
+            coordinator.place(assignment.node, assignment.shard, service)?;
         }
-        let manifest = ClusterManifest::load(&replicas)?;
-        let bootstrap = IngestCnn::generic(config.service.worker.bootstrap_model);
-        let gather_server = QueryServer::new(gt.clone(), config.service.gpus);
-        let mut nodes: BTreeMap<u32, NodeRuntime> = (0..config.nodes as u32)
+        Ok(coordinator)
+    }
+
+    /// A coordinator with `config.nodes` alive, empty nodes and an epoch-0
+    /// manifest, touching nothing on disk. The gather server holds the
+    /// fleet's one ground-truth CNN; shards open with a copy of it.
+    fn assemble(
+        root: PathBuf,
+        config: FleetConfig,
+        gt: GroundTruthCnn,
+    ) -> Result<Self, FleetError> {
+        if config.nodes == 0 {
+            return Err(FleetError::Manifest(
+                "a fleet needs at least one node".into(),
+            ));
+        }
+        let nodes = (0..config.nodes as u32)
             .map(|node| {
-                (
-                    node,
-                    NodeRuntime {
-                        alive: true,
-                        shards: BTreeMap::new(),
-                    },
-                )
+                let runtime = NodeRuntime {
+                    alive: true,
+                    shards: BTreeMap::new(),
+                };
+                (node, runtime)
             })
             .collect();
-        let mut fps = BTreeMap::new();
-        for assignment in &manifest.assignments {
-            let (service, _report) = FocusService::recover(
-                root.join(&assignment.dir),
-                config.service.clone(),
-                gt.clone(),
-            )?;
-            for (stream, rate) in service.registered_streams() {
-                fps.insert(stream, rate);
-            }
-            nodes
-                .get_mut(&assignment.node)
-                .ok_or_else(|| {
-                    FleetError::Manifest(format!(
-                        "assignment of shard {} names node {} outside the fleet",
-                        assignment.shard, assignment.node
-                    ))
-                })?
-                .shards
-                .insert(assignment.shard, service);
-        }
         Ok(Self {
             root,
+            bootstrap: IngestCnn::generic(config.service.worker.bootstrap_model),
+            gather_server: QueryServer::new(gt, config.service.gpus),
             config,
-            gt,
-            bootstrap,
-            manifest,
+            manifest: ClusterManifest::new(),
             nodes,
-            fps,
+            fps: BTreeMap::new(),
             replay: BTreeMap::new(),
-            gather_server,
             net: NetMeter::new(),
             clock: None,
             stats: FleetStats::default(),
@@ -484,26 +448,67 @@ impl FleetCoordinator {
             .ok_or(FleetError::UnknownStream(stream))
     }
 
-    fn shard_service(&self, shard: u32) -> Result<(u32, &FocusService), FleetError> {
-        let assignment = self
-            .manifest
+    /// `shard`'s placement in the current manifest.
+    fn assignment(&self, shard: u32) -> Result<&ShardAssignment, FleetError> {
+        self.manifest
             .assignment(shard)
-            .ok_or_else(|| FleetError::Manifest(format!("shard {shard} has no assignment")))?;
-        let node =
-            self.nodes
-                .get(&assignment.node)
-                .filter(|n| n.alive)
-                .ok_or(FleetError::NodeDown {
-                    node: assignment.node,
-                    shard,
-                })?;
-        node.shards
-            .get(&shard)
-            .map(|service| (assignment.node, service))
-            .ok_or(FleetError::NodeDown {
-                node: assignment.node,
-                shard,
-            })
+            .ok_or_else(|| FleetError::Manifest(format!("shard {shard} has no assignment")))
+    }
+
+    /// `shard`'s service on its owner; [`FleetError::NodeDown`] when the
+    /// owner is dead or no longer runs it.
+    fn shard_service(&self, shard: u32) -> Result<&FocusService, FleetError> {
+        let node = self.assignment(shard)?.node;
+        self.nodes
+            .get(&node)
+            .filter(|n| n.alive)
+            .and_then(|n| n.shards.get(&shard))
+            .ok_or(FleetError::NodeDown { node, shard })
+    }
+
+    /// [`shard_service`](Self::shard_service), mutably.
+    fn shard_service_mut(&mut self, shard: u32) -> Result<&mut FocusService, FleetError> {
+        let node = self.assignment(shard)?.node;
+        self.nodes
+            .get_mut(&node)
+            .filter(|n| n.alive)
+            .and_then(|n| n.shards.get_mut(&shard))
+            .ok_or(FleetError::NodeDown { node, shard })
+    }
+
+    /// Opens a shard's durable store ([`FocusService::recover`]) with the
+    /// fleet's service configuration and ground-truth CNN.
+    fn open_shard(&self, assignment: &ShardAssignment) -> Result<FocusService, FleetError> {
+        let (service, _report) = FocusService::recover(
+            self.root.join(&assignment.dir),
+            self.config.service.clone(),
+            GroundTruthCnn::clone(&self.gather_server.ground_truth()),
+        )?;
+        Ok(service)
+    }
+
+    /// Runs `service` as `shard` on `node`.
+    fn place(&mut self, node: u32, shard: u32, service: FocusService) -> Result<(), FleetError> {
+        let runtime = self.nodes.get_mut(&node).ok_or_else(|| {
+            FleetError::Manifest(format!(
+                "shard {shard} is placed on node {node}, outside the fleet"
+            ))
+        })?;
+        runtime.shards.insert(shard, service);
+        Ok(())
+    }
+
+    /// The placement commit every placement change goes through: `manifest`
+    /// becomes the next epoch, is sealed, validated and saved to every
+    /// alive replica, and only then adopted. Returns the bytes of one
+    /// replica — what the placement round ships to each node.
+    fn commit_placement(&mut self, mut manifest: ClusterManifest) -> Result<u64, FleetError> {
+        manifest.epoch = self.manifest.epoch + 1;
+        let manifest = manifest.seal();
+        manifest.validate()?;
+        let bytes = manifest.save(&self.replica_dirs())?;
+        self.manifest = manifest;
+        Ok(bytes)
     }
 
     /// Registers a stream: a fresh single-stream shard is created on the
@@ -528,7 +533,7 @@ impl FleetCoordinator {
         let mut service = FocusService::create(
             self.root.join(&dir),
             self.config.service.clone(),
-            self.gt.clone(),
+            GroundTruthCnn::clone(&self.gather_server.ground_truth()),
         )?;
         service.register_stream(stream, fps)?;
         let mut manifest = self.manifest.clone();
@@ -538,16 +543,8 @@ impl FleetCoordinator {
             dir,
             streams: vec![stream.0],
         });
-        manifest.epoch += 1;
-        let manifest = manifest.seal();
-        manifest.validate()?;
-        manifest.save(&self.replica_dirs())?;
-        self.manifest = manifest;
-        self.nodes
-            .get_mut(&node)
-            .expect("alive node exists")
-            .shards
-            .insert(shard, service);
+        self.commit_placement(manifest)?;
+        self.place(node, shard, service)?;
         self.fps.insert(stream, fps);
         self.replay.insert(stream, Vec::new());
         Ok(shard)
@@ -605,14 +602,7 @@ impl FleetCoordinator {
     ) -> Result<BTreeMap<StreamId, usize>, FleetError> {
         // Resolve ownership fresh per shard: an earlier error leaves
         // untouched shards untouched.
-        let (node_id, _) = self.shard_service(shard)?;
-        let service = self
-            .nodes
-            .get_mut(&node_id)
-            .expect("owner checked alive")
-            .shards
-            .get_mut(&shard)
-            .expect("owner checked present");
+        let service = self.shard_service_mut(shard)?;
         let shard_report = service.advance(batch)?;
         let pending = service.pending_frames_by_stream();
         let (sent, received) = (batch.wire_len(), shard_report.wire_len());
@@ -654,16 +644,9 @@ impl FleetCoordinator {
         let mut total = MaintenanceReport::default();
         let shards: Vec<u32> = self.manifest.assignments.iter().map(|a| a.shard).collect();
         for shard in shards {
-            let Ok((node_id, _)) = self.shard_service(shard) else {
+            let Ok(service) = self.shard_service_mut(shard) else {
                 continue; // dead owner: maintenance resumes after failover
             };
-            let service = self
-                .nodes
-                .get_mut(&node_id)
-                .expect("owner checked alive")
-                .shards
-                .get_mut(&shard)
-                .expect("owner checked present");
             let report = service.maintain()?;
             let pending = service.pending_frames_by_stream();
             let received = report.wire_len();
@@ -683,14 +666,7 @@ impl FleetCoordinator {
         let mut sealed = 0;
         let shards: Vec<u32> = self.manifest.assignments.iter().map(|a| a.shard).collect();
         for shard in shards {
-            let (node_id, _) = self.shard_service(shard)?;
-            let service = self
-                .nodes
-                .get_mut(&node_id)
-                .expect("owner checked alive")
-                .shards
-                .get_mut(&shard)
-                .expect("owner checked present");
+            let service = self.shard_service_mut(shard)?;
             sealed += service.seal_all()?.len();
             let pending = service.pending_frames_by_stream();
             self.trim_replay(&pending);
@@ -799,7 +775,7 @@ impl FleetCoordinator {
         let sent = plan_request.wire_len();
         let mut per_node_bytes = Vec::new();
         for assignment in &self.manifest.assignments {
-            let (_, service) = self.shard_service(assignment.shard)?;
+            let service = self.shard_service(assignment.shard)?;
             let relevant = !prune
                 || requests
                     .iter()
@@ -903,11 +879,7 @@ impl FleetCoordinator {
     /// Scatter + gather with filter pushdown: queries touch only the
     /// shards whose segment/tail bounds intersect them.
     pub fn serve(&mut self, requests: &[QueryRequest]) -> Result<Vec<QueryOutcome>, FleetError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let batch = self.scatter(requests, true)?;
-        self.gather(requests, batch)
+        self.scatter_gather(requests, true)
     }
 
     /// The broadcast baseline: every alive shard is contacted and plans
@@ -919,10 +891,21 @@ impl FleetCoordinator {
         &mut self,
         requests: &[QueryRequest],
     ) -> Result<Vec<QueryOutcome>, FleetError> {
+        self.scatter_gather(requests, false)
+    }
+
+    /// The body of [`serve`](Self::serve) and
+    /// [`serve_broadcast`](Self::serve_broadcast): an empty batch serves
+    /// nothing and contacts no shard.
+    fn scatter_gather(
+        &mut self,
+        requests: &[QueryRequest],
+        prune: bool,
+    ) -> Result<Vec<QueryOutcome>, FleetError> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let batch = self.scatter(requests, false)?;
+        let batch = self.scatter(requests, prune)?;
         self.gather(requests, batch)
     }
 
@@ -976,11 +959,7 @@ impl FleetCoordinator {
         let mut manifest = self.manifest.clone();
         for assignment in orphaned {
             let target = self.least_loaded_alive().ok_or(FleetError::NoSurvivor)?;
-            let (mut service, _open_report) = FocusService::recover(
-                self.root.join(&assignment.dir),
-                self.config.service.clone(),
-                self.gt.clone(),
-            )?;
+            let mut service = self.open_shard(&assignment)?;
             // Replay the lost tail from the coordinator's buffers. Single
             // stream per shard, so buffer order is exactly arrival order.
             let mut replayed: Vec<Frame> = Vec::new();
@@ -1006,18 +985,10 @@ impl FleetCoordinator {
                     entry.node = target;
                 }
             }
-            self.nodes
-                .get_mut(&target)
-                .expect("alive target exists")
-                .shards
-                .insert(assignment.shard, service);
+            self.place(target, assignment.shard, service)?;
             report.shards_recovered += 1;
         }
-        manifest.epoch += 1;
-        let manifest = manifest.seal();
-        manifest.validate()?;
-        let manifest_bytes = manifest.save(&self.replica_dirs())?;
-        self.manifest = manifest;
+        let manifest_bytes = self.commit_placement(manifest)?;
         report.secs += self.config.net.exchange_secs(manifest_bytes);
         self.tick(report.secs);
         self.stats.failovers += 1;
@@ -1031,11 +1002,7 @@ impl FleetCoordinator {
     /// open on the target and drop the source's handle. A crash between
     /// commit and open recovers onto the target with nothing lost.
     pub fn rebalance(&mut self, shard: u32, to_node: u32) -> Result<(), FleetError> {
-        let assignment = self
-            .manifest
-            .assignment(shard)
-            .ok_or_else(|| FleetError::Manifest(format!("shard {shard} has no assignment")))?
-            .clone();
+        let assignment = self.assignment(shard)?.clone();
         if assignment.node == to_node {
             return Ok(());
         }
@@ -1045,15 +1012,8 @@ impl FleetCoordinator {
                 shard,
             });
         }
-        let (source_id, _) = self.shard_service(shard)?;
         // 1. Drain the tail to durable segments on the source.
-        let source = self
-            .nodes
-            .get_mut(&source_id)
-            .expect("source checked alive")
-            .shards
-            .get_mut(&shard)
-            .expect("source checked present");
+        let source = self.shard_service_mut(shard)?;
         source.seal_all()?;
         let pending = source.pending_frames_by_stream();
         self.trim_replay(&pending);
@@ -1064,27 +1024,13 @@ impl FleetCoordinator {
                 entry.node = to_node;
             }
         }
-        manifest.epoch += 1;
-        let manifest = manifest.seal();
-        manifest.validate()?;
-        let manifest_bytes = manifest.save(&self.replica_dirs())?;
-        self.manifest = manifest;
+        let manifest_bytes = self.commit_placement(manifest)?;
         // 3. Open on the target, drop the source handle.
-        self.nodes
-            .get_mut(&source_id)
-            .expect("source exists")
-            .shards
-            .remove(&shard);
-        let (service, _report) = FocusService::recover(
-            self.root.join(&assignment.dir),
-            self.config.service.clone(),
-            self.gt.clone(),
-        )?;
-        self.nodes
-            .get_mut(&to_node)
-            .expect("target checked alive")
-            .shards
-            .insert(shard, service);
+        if let Some(source) = self.nodes.get_mut(&assignment.node) {
+            source.shards.remove(&shard);
+        }
+        let service = self.open_shard(&assignment)?;
+        self.place(to_node, shard, service)?;
         self.net.record_exchange(manifest_bytes, 0);
         self.tick(self.config.net.exchange_secs(manifest_bytes) + 2.0 * self.config.net.rtt_secs);
         self.stats.rebalances += 1;
@@ -1211,6 +1157,19 @@ mod tests {
             .unwrap();
         fleet.advance(&ds.frames).unwrap();
         (fleet, ds.dominant_classes(1)[0], dir)
+    }
+
+    #[test]
+    fn a_fleet_of_no_nodes_is_refused_before_anything_is_written() {
+        let dir = std::env::temp_dir().join("focus_fleet_unit_no_nodes");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = FleetConfig {
+            nodes: 0,
+            ..FleetConfig::default()
+        };
+        let err = FleetCoordinator::create(&dir, config, GroundTruthCnn::resnet152()).unwrap_err();
+        assert!(matches!(err, FleetError::Manifest(_)), "{err}");
+        assert!(!dir.exists(), "nothing was written");
     }
 
     #[test]

@@ -323,10 +323,14 @@ impl SegmentedCorpus {
     /// OTHER). Ground-truth verification keeps precision regardless of
     /// which lookup class surfaced a candidate.
     pub fn route(&self, stream: StreamId, class: ClassId) -> ClassId {
-        self.stream_models
-            .get(&stream)
-            .unwrap_or(&self.model)
-            .effective_query_class(class)
+        self.stream_model(stream).effective_query_class(class)
+    }
+
+    /// `stream`'s current model: its override when one exists, the corpus
+    /// default otherwise. The live service classifies the stream's frames
+    /// with exactly this model.
+    pub(crate) fn stream_model(&self, stream: StreamId) -> &IngestCnn {
+        self.stream_models.get(&stream).unwrap_or(&self.model)
     }
 
     /// The distinct lookup classes a query for `class` must scan, across

@@ -452,8 +452,8 @@ impl QueryServer {
 
 /// The result of one [`QueryServer::verify_round`] call: one verdict per
 /// input centroid (input order), with the positions that scheduled a fresh
-/// GT inference marked, so attribution and the anytime sampler's yield
-/// estimates only see work that actually cost GPU time.
+/// GT inference marked, so each request's cost share and fresh/cached
+/// counts only see work that actually cost GPU time.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct VerifiedBatch {
     /// One GT verdict per input centroid, in input order.

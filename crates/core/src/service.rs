@@ -26,9 +26,12 @@
 //!   is ever re-verified.
 //! * **Specialization behind the service**: each stream runs the
 //!   bootstrap → specialize → retrain lifecycle
-//!   ([`SpecializationLifecycle`]); a retrain seals the pipeline's model
-//!   epoch, installs the stream's new routing model, and bumps the query
-//!   server's verdict-cache epoch automatically.
+//!   ([`SpecializationLifecycle`]), labelling with the query server's
+//!   current ground-truth CNN. A stream has one model: the corpus's routing
+//!   model for it ([`SegmentedCorpus::route`]) is the model that classifies
+//!   its frames, and a retrain goes through the same install body as a
+//!   reconfiguration — seal the pipeline's model epoch, install the model,
+//!   bump the query server's verdict-cache epoch, persist the sidecar.
 //! * **One GPU budget**: ingest classification, specialization labelling
 //!   and query-time GT verification are all submitted to a shared
 //!   [`GpuScheduler`], which keeps the per-phase accounting and models
@@ -63,7 +66,7 @@ use focus_runtime::{GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, T
 use focus_video::{Frame, StreamId};
 
 use crate::adapt::{AdaptationConfig, Reconfiguration, StreamController};
-use crate::ingest::IngestCnn;
+use crate::ingest::{IngestCnn, IngestParams};
 use crate::params::SelectedConfiguration;
 use crate::pipeline::FramePipeline;
 use crate::query::anytime::{run_batch, AnytimeOutcome, AnytimePartial, PlannedRequest};
@@ -246,14 +249,14 @@ struct ServiceState {
 }
 
 /// Per-stream live state: the incremental segmenter (hot tail) plus the
-/// specialization lifecycle and the live ingest model.
+/// specialization lifecycle. The stream's ingest model is its routing
+/// model in the corpus, so the two cannot disagree.
 struct StreamState {
     segmenter: StreamSegmenter,
     lifecycle: SpecializationLifecycle,
     /// The drift-aware adaptation controller (present when the service
     /// runs with [`ServiceConfig::adaptation`]).
     controller: Option<StreamController>,
-    model: IngestCnn,
     /// Classifications already submitted to the scheduler (per-frame
     /// deltas, exact inference counts — no float telescoping).
     inferences_metered: usize,
@@ -301,10 +304,6 @@ struct StreamState {
 /// ```
 pub struct FocusService {
     config: ServiceConfig,
-    /// The ground-truth CNN handed to newly registered streams' labelling
-    /// lifecycles (the query server holds its own copy behind the epoch
-    /// lock).
-    gt_template: GroundTruthCnn,
     corpus: SegmentedCorpus,
     streams: BTreeMap<StreamId, StreamState>,
     server: QueryServer,
@@ -443,10 +442,9 @@ impl FocusService {
     fn assemble(store: SegmentStore, config: ServiceConfig, gt: GroundTruthCnn) -> Self {
         let bootstrap = IngestCnn::generic(config.worker.bootstrap_model);
         let corpus = SegmentedCorpus::new(store, HashMap::new(), bootstrap);
-        let server = QueryServer::new(gt.clone(), config.gpus);
+        let server = QueryServer::new(gt, config.gpus);
         let scheduler = GpuScheduler::new(config.gpus, config.tick_secs);
         Self {
-            gt_template: gt,
             config,
             corpus,
             streams: BTreeMap::new(),
@@ -479,18 +477,15 @@ impl FocusService {
         if self.streams.contains_key(&stream) {
             return Err(SegmentError::StreamRegistered { stream });
         }
-        let controller = self.config.adaptation.clone().map(|config| {
-            StreamController::new(stream, pipeline.fps(), config, self.gt_template.clone())
-        });
+        let controller = self
+            .config
+            .adaptation
+            .clone()
+            .map(|config| StreamController::new(stream, pipeline.fps(), config));
         let state = StreamState {
             segmenter: StreamSegmenter::from_pipeline(pipeline, self.config.seal),
-            lifecycle: SpecializationLifecycle::new(
-                stream,
-                self.config.worker.clone(),
-                self.gt_template.clone(),
-            ),
+            lifecycle: SpecializationLifecycle::new(stream, self.config.worker.clone()),
             controller,
-            model: IngestCnn::generic(self.config.worker.bootstrap_model),
             inferences_metered: 0,
         };
         self.streams.insert(stream, state);
@@ -517,77 +512,62 @@ impl FocusService {
     }
 
     /// [`advance`](Self::advance)'s frame loop, with labelling charged to
-    /// `spec_meter`.
+    /// `spec_meter`. A frame that crosses a seal boundary and brings a
+    /// retrain due installs the model and then seals the part it drained:
+    /// both run whatever the other returns, so the drained part is sealed
+    /// or restored on every exit and the stream always routes through the
+    /// model that indexes it.
     fn push_frames(
         &mut self,
         frames: &[Frame],
         spec_meter: &GpuMeter,
         report: &mut AdvanceReport,
     ) -> Result<(), SegmentError> {
+        let gt = self.server.ground_truth();
         for frame in frames {
             let stream = frame.stream_id;
-            let (sealed, retrained) = {
-                let state = self
-                    .streams
-                    .get_mut(&stream)
-                    .ok_or(SegmentError::UnknownStream { stream })?;
-                let StreamState {
-                    segmenter,
-                    lifecycle,
-                    controller,
-                    model,
-                    inferences_metered,
-                } = state;
-                if let Some(controller) = controller.as_mut() {
-                    controller.note_frame(frame);
-                }
-                let part =
-                    segmenter.push_frame_observed(frame, model.classifier.as_ref(), |obj, n| {
-                        lifecycle.observe(obj, n, spec_meter);
-                        if let Some(controller) = controller.as_mut() {
-                            controller.observe(obj, n, spec_meter);
-                        }
-                    });
-                let classified = segmenter.pipeline().stats().objects_classified;
-                let new_inferences = classified - *inferences_metered;
-                if new_inferences > 0 {
-                    self.scheduler
-                        .submit("ingest", model.cost_per_inference() * new_inferences);
-                    *inferences_metered = classified;
-                }
-                let retrained = lifecycle.maybe_retrain(frame.timestamp_secs);
-                if let Some(m) = &retrained {
-                    // Feature spaces of different models are not
-                    // comparable: the old model's clusters seal into the
-                    // tail before the swap.
-                    segmenter.pipeline_mut().seal_epoch();
-                    *model = m.clone();
-                    // The specialization sample's class mix becomes the
-                    // drift detector's reference: the configuration now in
-                    // force was chosen for exactly that distribution.
+            let StreamState {
+                segmenter,
+                lifecycle,
+                controller,
+                inferences_metered,
+            } = self
+                .streams
+                .get_mut(&stream)
+                .ok_or(SegmentError::UnknownStream { stream })?;
+            let model = self.corpus.stream_model(stream);
+            if let Some(controller) = controller.as_mut() {
+                controller.note_frame(frame);
+            }
+            let sealed =
+                segmenter.push_frame_observed(frame, model.classifier.as_ref(), |obj, n| {
+                    lifecycle.observe(obj, n, &gt, spec_meter);
                     if let Some(controller) = controller.as_mut() {
-                        controller.set_reference(lifecycle.sample_class_histogram());
+                        controller.observe(obj, n, &gt, spec_meter);
                     }
-                }
-                (part, retrained)
-            };
-            if let Some(part) = sealed {
-                self.seal_durably(stream, part)?;
-                report.segments_sealed += 1;
+                });
+            let classified = segmenter.pipeline().stats().objects_classified;
+            let new_inferences = classified - *inferences_metered;
+            if new_inferences > 0 {
+                self.scheduler
+                    .submit("ingest", model.cost_per_inference() * new_inferences);
+                *inferences_metered = classified;
             }
-            if let Some(model) = retrained {
-                self.corpus.install_stream_model(stream, model);
-                // Conservative by design (the verdict cache would stay
-                // correct: GT verdicts depend only on the observation and
-                // the GT model, and object ids are never reused): bumping
-                // the epoch on every model generation keeps cache lifetime
-                // aligned with ingest epochs, at the cost of re-verifying
-                // the working set after a retrain.
-                self.server.invalidate();
-                // The new generation's routing must survive a restart.
-                self.persist_state()?;
-                report.retrains += 1;
+            let retrained = lifecycle.maybe_retrain(frame.timestamp_secs);
+            if let (Some(_), Some(controller)) = (&retrained, controller.as_mut()) {
+                // The specialization sample's class mix becomes the drift
+                // detector's reference: the configuration now in force was
+                // chosen for exactly that distribution.
+                controller.set_reference(lifecycle.sample_class_histogram());
             }
+            let installed = retrained
+                .map(|model| self.install_model(stream, model, None))
+                .transpose();
+            let sealed = sealed
+                .map(|part| self.seal_durably(stream, part))
+                .transpose();
+            report.retrains += usize::from(installed?.is_some());
+            report.segments_sealed += usize::from(sealed?.is_some());
             report.frames += 1;
         }
         Ok(())
@@ -765,11 +745,12 @@ impl FocusService {
         // which is submitted to the shared scheduler below — adapting
         // competes for the same GPU budget as ingest and queries.
         let adapt_meter = GpuMeter::new();
+        let gt = self.server.ground_truth();
         let mut reconfigured: Vec<(StreamId, Reconfiguration)> = Vec::new();
         for (stream, state) in self.streams.iter_mut() {
             if let Some(controller) = state.controller.as_mut() {
                 let now = controller.last_seen_secs();
-                if let Some(event) = controller.maybe_reconfigure(now, &adapt_meter) {
+                if let Some(event) = controller.maybe_reconfigure(now, &gt, &adapt_meter) {
                     reconfigured.push((*stream, event));
                 }
             }
@@ -786,8 +767,7 @@ impl FocusService {
     }
 
     /// Installs a (re-)selected configuration on one stream through the
-    /// model-epoch seal machinery — the same path a scheduled retrain
-    /// takes, plus the parameter switch:
+    /// install body a scheduled retrain takes, plus the parameter switch:
     ///
     /// 1. the old configuration's live epoch seals into the hot tail
     ///    (records indexed before the switch are untouched and stay
@@ -795,8 +775,9 @@ impl FocusService {
     ///    `tests/adaptive_drift.rs` pins this);
     /// 2. the pipeline's parameters (K, clustering threshold) switch on
     ///    the now-empty epoch;
-    /// 3. the stream's ingest model and query routing swap, and the
-    ///    verdict-cache epoch bumps exactly as after a retrain.
+    /// 3. the stream's model — its ingest model and its query routing,
+    ///    one value — swaps, the verdict-cache epoch bumps and the sidecar
+    ///    is rewritten, exactly as after a retrain.
     ///
     /// The adaptation controllers call this on drift; it is public so an
     /// operator (or a test building a reference run) can install a
@@ -807,22 +788,38 @@ impl FocusService {
         stream: StreamId,
         selection: &SelectedConfiguration,
     ) -> Result<(), SegmentError> {
+        self.install_model(stream, selection.model.clone(), Some(selection.params))?;
+        self.reconfigurations += 1;
+        Ok(())
+    }
+
+    /// The one model-install body, behind a retrain and a reconfiguration:
+    /// seals the stream's live model epoch into its tail (feature spaces of
+    /// different models are not comparable), switches the pipeline's
+    /// parameters when `params` is given, installs `model` as the stream's
+    /// ingest and routing model, bumps the verdict-cache epoch and persists
+    /// the sidecar so the new generation's routing survives a restart.
+    ///
+    /// The cache bump is conservative by design: GT verdicts depend only on
+    /// the observation and the GT model, and object ids are never reused,
+    /// but keeping cache lifetime aligned with model epochs is cheap.
+    fn install_model(
+        &mut self,
+        stream: StreamId,
+        model: IngestCnn,
+        params: Option<IngestParams>,
+    ) -> Result<(), SegmentError> {
         let state = self
             .streams
             .get_mut(&stream)
             .ok_or(SegmentError::UnknownStream { stream })?;
         let pipeline = state.segmenter.pipeline_mut();
         pipeline.seal_epoch();
-        pipeline.set_params(selection.params);
-        state.model = selection.model.clone();
-        self.corpus
-            .install_stream_model(stream, selection.model.clone());
-        // Conservative, matching the retrain path: GT verdicts would stay
-        // valid, but keeping cache lifetime aligned with configuration
-        // epochs is cheap and simple.
+        if let Some(params) = params {
+            pipeline.set_params(params);
+        }
+        self.corpus.install_stream_model(stream, model);
         self.server.invalidate();
-        self.reconfigurations += 1;
-        // The new generation's routing must survive a restart.
         self.persist_state()
     }
 
@@ -841,7 +838,10 @@ impl FocusService {
     /// Drains one stream's pending tail and seals it durably. Returns
     /// whether a segment was sealed.
     fn seal_stream_unconditionally(&mut self, stream: StreamId) -> Result<bool, SegmentError> {
-        let state = self.streams.get_mut(&stream).expect("registered stream");
+        let state = self
+            .streams
+            .get_mut(&stream)
+            .ok_or(SegmentError::UnknownStream { stream })?;
         let part = state.segmenter.seal_pending();
         if part.is_empty() {
             return Ok(false);
@@ -850,36 +850,32 @@ impl FocusService {
         Ok(true)
     }
 
-    /// [`seal_part`](Self::seal_part) with the failure path a live service
-    /// needs: if the durable write fails, the drained records are restored
-    /// into the stream's hot tail ([`FramePipeline::restore_drained`]), so
-    /// they stay visible to [`serve`](Self::serve) and the next seal
-    /// attempt re-drains them — a transient I/O error never silently loses
-    /// a time window.
-    fn seal_durably(&mut self, stream: StreamId, part: TopKIndex) -> Result<(), SegmentError> {
-        if let Err(e) = self.seal_part(&part) {
-            self.streams
-                .get_mut(&stream)
-                .expect("registered stream")
-                .segmenter
-                .pipeline_mut()
-                .restore_drained(part);
-            return Err(e);
-        }
-        Ok(())
-    }
-
     /// Seals one drained part durably — records and centroid observations
     /// in one segment file, then the manifest — and makes its centroids
-    /// resolvable through the corpus.
-    fn seal_part(&mut self, part: &TopKIndex) -> Result<(), SegmentError> {
-        let meta = self.corpus.store_mut().seal(part)?;
-        let centroids = part.centroids().map(|o| (o.object_id, o.clone()));
-        self.corpus.centroids.extend(centroids);
-        if meta.is_some() {
-            self.segments_sealed += 1;
+    /// resolvable through the corpus. If the durable write fails, the
+    /// drained records are restored into the stream's hot tail
+    /// ([`FramePipeline::restore_drained`]), so they stay visible to
+    /// [`serve`](Self::serve) and the next seal attempt re-drains them — a
+    /// transient I/O error never silently loses a time window.
+    fn seal_durably(&mut self, stream: StreamId, part: TopKIndex) -> Result<(), SegmentError> {
+        let state = self
+            .streams
+            .get_mut(&stream)
+            .ok_or(SegmentError::UnknownStream { stream })?;
+        match self.corpus.store_mut().seal(&part) {
+            Ok(meta) => {
+                let centroids = part.centroids().map(|o| (o.object_id, o.clone()));
+                self.corpus.centroids.extend(centroids);
+                if meta.is_some() {
+                    self.segments_sealed += 1;
+                }
+                Ok(())
+            }
+            Err(e) => {
+                state.segmenter.pipeline_mut().restore_drained(part);
+                Err(e)
+            }
         }
-        Ok(())
     }
 
     /// Writes the durable stream registry and routing history atomically
@@ -923,18 +919,13 @@ impl FocusService {
             .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))
     }
 
-    /// Replaces the ground-truth CNN everywhere it is consulted — the
-    /// query server's verification (bumping the verdict-cache epoch) and
-    /// every stream's labelling lifecycle.
+    /// Replaces the ground-truth CNN (bumping the verdict-cache epoch).
+    /// The query server holds the service's one copy: verification,
+    /// specialization labelling, audit labels and re-selection all read
+    /// it, so this is the same as
+    /// [`QueryServer::retrain_ground_truth`] on [`query_server`](Self::query_server).
     pub fn retrain_ground_truth(&mut self, gt: GroundTruthCnn) {
-        self.server.retrain_ground_truth(gt.clone());
-        for state in self.streams.values_mut() {
-            state.lifecycle.set_ground_truth(gt.clone());
-            if let Some(controller) = state.controller.as_mut() {
-                controller.set_ground_truth(gt.clone());
-            }
-        }
-        self.gt_template = gt;
+        self.server.retrain_ground_truth(gt);
     }
 
     /// The adaptation controller of one stream (`None` for unregistered
@@ -970,10 +961,12 @@ impl FocusService {
         self.corpus.store()
     }
 
-    /// The live ingest model of one stream (bootstrap model until the
-    /// first specialization).
+    /// The live ingest model of one stream — its routing model in the
+    /// corpus (bootstrap model until the first specialization).
     pub fn stream_model(&self, stream: StreamId) -> Option<&IngestCnn> {
-        self.streams.get(&stream).map(|s| &s.model)
+        self.streams
+            .contains_key(&stream)
+            .then(|| self.corpus.stream_model(stream))
     }
 
     /// Unified stats snapshot across every subsystem.

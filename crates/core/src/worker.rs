@@ -71,7 +71,8 @@ impl Default for StreamWorkerConfig {
 /// pipeline (bootstrap → specialize → periodic retrain):
 ///
 /// * [`observe`](Self::observe) maintains the ground-truth-labelled sample
-///   (a small fraction of objects goes through the GT-CNN, charged to the
+///   (a small fraction of objects goes through the caller's GT-CNN — in
+///   the service, the query server's current model — charged to the
 ///   caller's meter under `"specialization"`);
 /// * [`maybe_retrain`](Self::maybe_retrain) trains a specialized model once
 ///   the schedule and the sample allow, returning the new ingest CNN; the
@@ -81,7 +82,6 @@ impl Default for StreamWorkerConfig {
 pub struct SpecializationLifecycle {
     stream_id: StreamId,
     config: StreamWorkerConfig,
-    gt: GroundTruthCnn,
     labelled_sample: Vec<(ObjectObservation, ClassId)>,
     objects_gt_labelled: usize,
     retrains: usize,
@@ -91,27 +91,15 @@ pub struct SpecializationLifecycle {
 impl SpecializationLifecycle {
     /// Creates the lifecycle for one stream; the first (re)train fires
     /// after `config.bootstrap_secs` of stream time.
-    pub fn new(stream_id: StreamId, config: StreamWorkerConfig, gt: GroundTruthCnn) -> Self {
+    pub fn new(stream_id: StreamId, config: StreamWorkerConfig) -> Self {
         Self {
             stream_id,
             next_retrain_at_secs: config.bootstrap_secs,
             config,
-            gt,
             labelled_sample: Vec::new(),
             objects_gt_labelled: 0,
             retrains: 0,
         }
-    }
-
-    /// The ground-truth CNN labelling the retraining sample.
-    pub fn ground_truth(&self) -> &GroundTruthCnn {
-        &self.gt
-    }
-
-    /// Replaces the ground-truth CNN (the service propagates a GT retrain
-    /// to every stream's labeller).
-    pub fn set_ground_truth(&mut self, gt: GroundTruthCnn) {
-        self.gt = gt;
     }
 
     /// Class histogram of the ground-truth-labelled sample accumulated so
@@ -132,9 +120,9 @@ impl SpecializationLifecycle {
         self.retrains
     }
 
-    /// Feeds one object observation: sends it through the ground-truth CNN
-    /// for the labelled sample when the configured fraction is due
-    /// (charging `meter` under `"specialization"`). `objects_seen` is the
+    /// Feeds one object observation: sends it through `gt` for the
+    /// labelled sample when the configured fraction is due (charging
+    /// `meter` under `"specialization"`). `objects_seen` is the
     /// running 1-based count of observed objects, as delivered by
     /// [`FramePipeline::push_frame_observed`](crate::pipeline::FramePipeline::push_frame_observed).
     /// Returns whether the object was labelled.
@@ -142,6 +130,7 @@ impl SpecializationLifecycle {
         &mut self,
         obj: &ObjectObservation,
         objects_seen: usize,
+        gt: &GroundTruthCnn,
         meter: &GpuMeter,
     ) -> bool {
         let labelling_due = (objects_seen as f64 * self.config.gt_label_fraction).floor()
@@ -150,8 +139,8 @@ impl SpecializationLifecycle {
             return false;
         }
         self.objects_gt_labelled += 1;
-        meter.charge("specialization", self.gt.cost_per_inference());
-        let label = self.gt.classify_top1(obj);
+        meter.charge("specialization", gt.cost_per_inference());
+        let label = gt.classify_top1(obj);
         self.labelled_sample.push((obj.clone(), label));
         true
     }

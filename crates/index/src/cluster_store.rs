@@ -30,8 +30,8 @@ pub struct MemberRef {
     pub frame: FrameId,
     /// The stream-local track the observation belongs to (qualify with the
     /// cluster key's stream to get a [`crate::track::TrackKey`]). Defaults
-    /// to track 0 when absent, e.g. in pre-track snapshots or v1 binary
-    /// segments.
+    /// to track 0 when absent from a JSON snapshot written before tracks
+    /// existed.
     #[serde(default)]
     pub track: TrackId,
 }

@@ -357,8 +357,8 @@ pub struct SegmentLookup {
 /// key reproduces [`SegmentLookup::records`] exactly — segments are
 /// key-disjoint (checked: [`SegmentError::DuplicateKey`]), so the groups
 /// partition the result set. This is the shape the query planner
-/// consumes: each group becomes one plan chunk, which the anytime loop
-/// samples and the exhaustive path drains.
+/// consumes: it merges the groups and the tail into one key-sorted
+/// candidate list.
 ///
 /// A record served from the decoded tier is its record block's own
 /// [`Arc`]: a hit costs a reference-count bump per record, not a copy.
@@ -827,8 +827,9 @@ pub struct SegmentStore {
     cache: Mutex<TieredCache>,
 }
 
-// The query layer shares one store across its worker threads; keep the
-// store's cross-thread shareability an explicit API guarantee.
+// Callers share one store across their own threads (the library spawns
+// none); keep the store's cross-thread shareability an explicit API
+// guarantee.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SegmentStore>();

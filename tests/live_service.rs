@@ -12,13 +12,13 @@ use common::{cold_serve, config, interleave, reference_output, service_at, workl
 use focus::cnn::{GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
 use focus::core::{
-    ConfigurationPoint, IngestCnn, IngestEngine, IngestParams, ModelChoice, QueryRequest,
-    SealPolicy, SelectedConfiguration, StreamWorkerConfig,
+    AdaptationConfig, ConfigurationPoint, IngestCnn, IngestEngine, IngestParams, ModelChoice,
+    QueryRequest, SealPolicy, SelectedConfiguration, StreamWorkerConfig,
 };
 use focus::index::{persist, QueryFilter, TopKIndex};
 use focus::runtime::GpuMeter;
 use focus::video::profile::profile_by_name;
-use focus::video::{Frame, VideoDataset};
+use focus::video::{ClassId, Frame, VideoDataset, NUM_CLASSES};
 
 use std::path::PathBuf;
 
@@ -419,6 +419,126 @@ fn failed_seal_restores_the_tail() {
         assert_eq!(a.frames, b.frames);
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A retrain that comes due on a seal boundary whose durable write fails:
+/// the stream has one model, so its query routing is still the model that
+/// indexes its records after the failed `advance`, and once the fault is
+/// cleared and ingest resumes at the next frame every class answers as on
+/// a twin whose seal succeeded.
+#[test]
+fn a_failed_seal_on_the_retrain_frame_keeps_routing_on_the_live_model() {
+    let ds = VideoDataset::generate(profile_by_name("jacksonh").unwrap(), 60.0);
+    let stream = ds.profile.stream_id;
+    let config = ServiceConfig {
+        worker: StreamWorkerConfig {
+            bootstrap_secs: 20.0,
+            ls: 2,
+            ..StreamWorkerConfig::default()
+        },
+        seal: SealPolicy::every_secs(20.0),
+        ..ServiceConfig::default()
+    };
+    let open = |name: &str| {
+        let dir = test_dir(name);
+        let mut service =
+            FocusService::create(&dir, config.clone(), GroundTruthCnn::resnet152()).unwrap();
+        service.register_stream(stream, ds.profile.fps).unwrap();
+        (service, dir)
+    };
+    let (mut twin, twin_dir) = open("retrain_seal_twin");
+    twin.advance(&ds.frames).unwrap();
+
+    // Block the first segment file's path with a directory: the first seal
+    // boundary, which is also the retrain frame, fails its durable write.
+    let (mut service, dir) = open("retrain_seal_fault");
+    let blocker = dir.join("seg-000000.bin");
+    std::fs::create_dir(&blocker).unwrap();
+    assert!(service.advance(&ds.frames).is_err());
+    assert!(service.store().is_empty(), "nothing was half-sealed");
+    let stats = service.stats();
+    assert_eq!(stats.retrains, 1, "the retrain landed on the failing frame");
+    let live = service.stream_model(stream).unwrap();
+    assert!(live.descriptor.is_specialized());
+    let stale: Vec<ClassId> = (0..NUM_CLASSES)
+        .map(ClassId)
+        .filter(|&class| service.corpus().route(stream, class) != live.effective_query_class(class))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "{} classes route differently from the live model",
+        stale.len()
+    );
+
+    // Clear the fault and resume at the frame after the failing one.
+    std::fs::remove_dir(&blocker).unwrap();
+    service
+        .advance(&ds.frames[stats.frames_ingested..])
+        .unwrap();
+    let requests: Vec<QueryRequest> = (0..NUM_CLASSES)
+        .map(|class| QueryRequest::new(ClassId(class)))
+        .collect();
+    let expected = twin.serve(&requests).unwrap();
+    let got = service.serve(&requests).unwrap();
+    for (a, b) in expected.iter().zip(&got) {
+        assert_eq!(a.frames, b.frames, "class {:?}", a.class);
+        assert_eq!(a.objects, b.objects, "class {:?}", a.class);
+        assert_eq!(
+            a.matched_clusters, b.matched_clusters,
+            "class {:?}",
+            a.class
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&twin_dir).ok();
+}
+
+/// The labellers read the query server's ground-truth model: a GT retrain
+/// made through `query_server()` relabels the specialization sample and
+/// the audit window exactly as a service created with that model does.
+#[test]
+fn a_ground_truth_retrain_through_the_query_server_relabels_the_samples() {
+    let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
+    let config = ServiceConfig {
+        worker: StreamWorkerConfig {
+            bootstrap_secs: 20.0,
+            ..StreamWorkerConfig::default()
+        },
+        adaptation: Some(AdaptationConfig {
+            audit_fraction: 0.05,
+            ..AdaptationConfig::default()
+        }),
+        ..ServiceConfig::default()
+    };
+    let samples = |name: &str, created_with: GroundTruthCnn, retrain_to: Option<GroundTruthCnn>| {
+        let dir = test_dir(name);
+        let mut service = FocusService::create(&dir, config.clone(), created_with).unwrap();
+        service
+            .register_stream(ds.profile.stream_id, ds.profile.fps)
+            .unwrap();
+        if let Some(gt) = retrain_to {
+            service.query_server().retrain_ground_truth(gt);
+        }
+        service.advance(&ds.frames).unwrap();
+        let controller = service.stream_controller(ds.profile.stream_id).unwrap();
+        let specialization = controller.reference().cloned();
+        let audit = controller.recent_histogram();
+        std::fs::remove_dir_all(&dir).ok();
+        (specialization, audit)
+    };
+    let flickering = GroundTruthCnn::with_flicker(1.0);
+    let retrained = samples(
+        "gt_retrain_via_server",
+        GroundTruthCnn::resnet152(),
+        Some(flickering.clone()),
+    );
+    let created = samples("gt_created_flickering", flickering, None);
+    let untouched = samples("gt_untouched", GroundTruthCnn::resnet152(), None);
+    assert!(retrained.0.is_some(), "the stream specialized");
+    assert!(!retrained.1.is_empty(), "the controller audited");
+    assert_eq!(retrained, created);
+    assert_ne!(retrained.0, untouched.0);
+    assert_ne!(retrained.1, untouched.1);
 }
 
 /// One operation of the proptest interleaving.
