@@ -17,11 +17,12 @@
 //! **Failover.** Node loss drops process state only: the lost shards'
 //! segments (centroids included) and service sidecars are durable, so a
 //! survivor re-opens them with [`FocusService::recover`] and the
-//! coordinator replays each stream's since-last-seal frame suffix from its
-//! replay buffer. Every seal starts a fresh pipeline epoch (and resets the
-//! pixel-diff window), so the rebuilt hot tail — cluster keys, classes,
-//! geometry — is exactly the one that was lost, and post-failover answers
-//! stay byte-identical to a never-crashed single node.
+//! coordinator replays each stream's buffered frames from its unsealed
+//! watermark ([`FocusService::unsealed_from_by_stream`], which a failed
+//! seal does not move). Every seal starts a fresh pipeline epoch (and
+//! resets the pixel-diff window), so the rebuilt hot tail — cluster keys,
+//! classes, geometry — is exactly the one that was lost, and post-failover
+//! answers stay byte-identical to a never-crashed single node.
 //!
 //! **Simulated transport.** No sockets: every coordinator↔node exchange
 //! is an in-process call whose messages are weighed by the wire layout's
@@ -287,7 +288,7 @@ pub struct FleetCoordinator {
     manifest: ClusterManifest,
     nodes: BTreeMap<u32, NodeRuntime>,
     fps: BTreeMap<StreamId, u32>,
-    /// Per-stream frames since that stream's last durable seal — exactly
+    /// Per-stream frames from that stream's unsealed watermark on — exactly
     /// the suffix a failover must replay to rebuild the lost hot tail.
     replay: BTreeMap<StreamId, Vec<Frame>>,
     /// Gather-side verification server: the verdict cache, dedupe and
@@ -422,14 +423,6 @@ impl FleetCoordinator {
         }
     }
 
-    fn alive_node_ids(&self) -> Vec<u32> {
-        self.nodes
-            .iter()
-            .filter(|(_, n)| n.alive)
-            .map(|(id, _)| *id)
-            .collect()
-    }
-
     /// The alive node with the fewest shards (ties to the lowest id).
     fn least_loaded_alive(&self) -> Option<u32> {
         self.nodes
@@ -555,11 +548,12 @@ impl FleetCoordinator {
     /// routing is ingest-equivalent to a single node seeing the full
     /// interleaving). Each touched shard costs one simulated exchange.
     /// Each routed batch is moved into its streams' replay buffers once its
-    /// shard call returns, and the buffers are then trimmed to each stream's
-    /// since-last-seal suffix.
+    /// shard call returns, and the buffers are then trimmed to the frames
+    /// from each stream's unsealed watermark on.
     ///
     /// On an error nothing further is sent, but every frame routed before
-    /// the error is still buffered — the failed shard's batch and the
+    /// the error that is not yet durable stays buffered — the failed
+    /// shard's batch and the
     /// batches of shards not reached — so a [`failover`](Self::failover)
     /// after a [`FleetError::NodeDown`] replays the dead owner's share of
     /// the batch.
@@ -579,10 +573,10 @@ impl FleetCoordinator {
         let mut routed = by_shard.into_iter();
         let result = routing.and_then(|()| {
             routed.by_ref().try_for_each(|(shard, batch)| {
-                let pending = self.advance_shard(shard, &batch, &mut report);
+                let advanced = self.advance_shard(shard, &batch, &mut report);
                 self.buffer_for_replay(batch);
-                self.trim_replay(&pending?);
-                Ok(())
+                self.trim_replay(shard);
+                advanced
             })
         });
         for (_, batch) in routed {
@@ -591,20 +585,17 @@ impl FleetCoordinator {
         result.map(|()| report)
     }
 
-    /// One ingest exchange with `shard`'s owner: ships `batch`, folds the
-    /// shard's report into `report`, and returns the shard's pending-frame
-    /// counts (what its replay buffers must keep).
+    /// One ingest exchange with `shard`'s owner: ships `batch` and folds
+    /// the shard's report into `report`.
     fn advance_shard(
         &mut self,
         shard: u32,
         batch: &[Frame],
         report: &mut FleetAdvanceReport,
-    ) -> Result<BTreeMap<StreamId, usize>, FleetError> {
+    ) -> Result<(), FleetError> {
         // Resolve ownership fresh per shard: an earlier error leaves
         // untouched shards untouched.
-        let service = self.shard_service_mut(shard)?;
-        let shard_report = service.advance(batch)?;
-        let pending = service.pending_frames_by_stream();
+        let shard_report = self.shard_service_mut(shard)?.advance(batch)?;
         let (sent, received) = (batch.wire_len(), shard_report.wire_len());
         self.net.record_exchange(sent, received);
         self.tick(self.config.net.exchange_secs(sent + received));
@@ -617,7 +608,7 @@ impl FleetCoordinator {
         report.segments_sealed += shard_report.segments_sealed;
         report.retrains += shard_report.retrains;
         report.shards_touched += 1;
-        Ok(pending)
+        Ok(())
     }
 
     fn buffer_for_replay(&mut self, batch: Vec<Frame>) {
@@ -626,13 +617,20 @@ impl FleetCoordinator {
         }
     }
 
-    fn trim_replay(&mut self, pending: &BTreeMap<StreamId, usize>) {
-        for (stream, keep) in pending {
-            if let Some(buffer) = self.replay.get_mut(stream) {
-                if buffer.len() > *keep {
-                    let drop = buffer.len() - *keep;
-                    buffer.drain(..drop);
-                }
+    /// Drops the replay frames `shard` has made durable: each of its
+    /// streams keeps the frames from its unsealed watermark on, and none
+    /// when nothing is pending. A shard no node runs (its owner died)
+    /// keeps its buffers.
+    fn trim_replay(&mut self, shard: u32) {
+        let Some(service) = self.nodes.values().find_map(|node| node.shards.get(&shard)) else {
+            return;
+        };
+        for (stream, unsealed_from) in service.unsealed_from_by_stream() {
+            if let Some(buffer) = self.replay.get_mut(&stream) {
+                let durable = unsealed_from.map_or(buffer.len(), |from| {
+                    buffer.partition_point(|frame| frame.frame_id < from)
+                });
+                buffer.drain(..durable);
             }
         }
     }
@@ -648,13 +646,12 @@ impl FleetCoordinator {
                 continue; // dead owner: maintenance resumes after failover
             };
             let report = service.maintain()?;
-            let pending = service.pending_frames_by_stream();
             let received = report.wire_len();
             self.net.record_exchange(0, received);
             self.tick(self.config.net.exchange_secs(received));
             total.segments_sealed += report.segments_sealed;
             total.segments_folded += report.segments_folded;
-            self.trim_replay(&pending);
+            self.trim_replay(shard);
         }
         Ok(total)
     }
@@ -666,10 +663,8 @@ impl FleetCoordinator {
         let mut sealed = 0;
         let shards: Vec<u32> = self.manifest.assignments.iter().map(|a| a.shard).collect();
         for shard in shards {
-            let service = self.shard_service_mut(shard)?;
-            sealed += service.seal_all()?.len();
-            let pending = service.pending_frames_by_stream();
-            self.trim_replay(&pending);
+            sealed += self.shard_service_mut(shard)?.seal_all()?.len();
+            self.trim_replay(shard);
         }
         Ok(sealed)
     }
@@ -701,8 +696,9 @@ impl FleetCoordinator {
     /// streams must pass the stream filter, and under a time filter either
     /// a sealed segment's bounds or the buffered tail interval must
     /// intersect the range. Conservative by construction — sealed bounds
-    /// tightly cover sealed records and the replay buffer tightly covers
-    /// tail records — so skipping a shard never drops an answer.
+    /// tightly cover sealed records, and the replay buffer starts at the
+    /// unsealed watermark, so it covers every tail record (a failed seal's
+    /// too) — so skipping a shard never drops an answer.
     fn shard_intersects(
         &self,
         assignment: &ShardAssignment,
@@ -736,16 +732,13 @@ impl FleetCoordinator {
             return true;
         }
         reachable.iter().any(|stream| {
-            let Some(buffer) = self.replay.get(stream) else {
-                return false;
-            };
-            let (Some(first), Some(last)) = (buffer.first(), buffer.last()) else {
-                return false;
-            };
-            let fps = self.fps.get(stream).copied().unwrap_or(1).max(1) as f64;
-            let t_first = first.frame_id.0 as f64 / fps;
-            let t_last = last.frame_id.0 as f64 / fps;
-            t_last >= from && t_first <= to
+            let fps = self.fps.get(stream).copied().unwrap_or(1);
+            let secs = |frame: &Frame| frame.frame_id.timestamp_secs(fps);
+            let buffer = self.replay.get(stream).map_or(&[][..], Vec::as_slice);
+            match (buffer.first(), buffer.last()) {
+                (Some(first), Some(last)) => secs(last) >= from && secs(first) <= to,
+                _ => false,
+            }
         })
     }
 
@@ -930,10 +923,10 @@ impl FleetCoordinator {
 
     /// Adopts every dead node's shards onto survivors: re-opens each
     /// shard's durable store ([`FocusService::recover`]), replays the
-    /// coordinator's buffered since-last-seal frames to rebuild the lost
-    /// hot tail byte-identically, reassigns the shard in a fresh manifest
-    /// epoch, and charges the simulated cost (detection RTT + replay
-    /// shipping + manifest round) to the meter/clock.
+    /// coordinator's buffered frames from each stream's unsealed watermark
+    /// to rebuild the lost hot tail byte-identically, reassigns the shard
+    /// in a fresh manifest epoch, and charges the simulated cost (detection
+    /// RTT + replay shipping + manifest round) to the meter/clock.
     pub fn failover(&mut self) -> Result<FailoverReport, FleetError> {
         let orphaned: Vec<ShardAssignment> = self
             .manifest
@@ -962,12 +955,13 @@ impl FleetCoordinator {
             let mut service = self.open_shard(&assignment)?;
             // Replay the lost tail from the coordinator's buffers. Single
             // stream per shard, so buffer order is exactly arrival order.
-            let mut replayed: Vec<Frame> = Vec::new();
-            for stream in assignment.streams.iter().map(|s| StreamId(*s)) {
-                if let Some(buffer) = self.replay.get(&stream) {
-                    replayed.extend(buffer.iter().cloned());
-                }
-            }
+            let replayed: Vec<Frame> = assignment
+                .streams
+                .iter()
+                .filter_map(|stream| self.replay.get(&StreamId(*stream)))
+                .flatten()
+                .cloned()
+                .collect();
             let replay_bytes = replayed.wire_len();
             if !replayed.is_empty() {
                 let shard_report = service.advance(&replayed)?;
@@ -976,8 +970,6 @@ impl FleetCoordinator {
                 }
                 report.frames_replayed += replayed.len();
             }
-            let pending = service.pending_frames_by_stream();
-            self.trim_replay(&pending);
             self.net.record_exchange(replay_bytes, 0);
             report.secs += self.config.net.exchange_secs(replay_bytes);
             for entry in manifest.assignments.iter_mut() {
@@ -986,6 +978,7 @@ impl FleetCoordinator {
                 }
             }
             self.place(target, assignment.shard, service)?;
+            self.trim_replay(assignment.shard);
             report.shards_recovered += 1;
         }
         let manifest_bytes = self.commit_placement(manifest)?;
@@ -1013,10 +1006,8 @@ impl FleetCoordinator {
             });
         }
         // 1. Drain the tail to durable segments on the source.
-        let source = self.shard_service_mut(shard)?;
-        source.seal_all()?;
-        let pending = source.pending_frames_by_stream();
-        self.trim_replay(&pending);
+        self.shard_service_mut(shard)?.seal_all()?;
+        self.trim_replay(shard);
         // 2. Commit the new placement (the crash-safe point).
         let mut manifest = self.manifest.clone();
         for entry in manifest.assignments.iter_mut() {
@@ -1042,7 +1033,7 @@ impl FleetCoordinator {
     pub fn stats(&self) -> FleetStats {
         let mut stats = self.stats.clone();
         stats.nodes = self.nodes.len();
-        stats.nodes_alive = self.alive_node_ids().len();
+        stats.nodes_alive = self.nodes.values().filter(|n| n.alive).count();
         stats.shards = self.manifest.assignments.len();
         stats.streams = self.fps.len();
         stats.manifest_epoch = self.manifest.epoch;
@@ -1157,6 +1148,97 @@ mod tests {
             .unwrap();
         fleet.advance(&ds.frames).unwrap();
         (fleet, ds.dominant_classes(1)[0], dir)
+    }
+
+    /// On a fault-free run the watermark keeps replay buffers as short as
+    /// a pending-frame count did: after every `advance` and `maintain`,
+    /// each stream's buffer holds exactly the frames from its pending
+    /// segment's first frame on (none once a seal left nothing pending).
+    /// The pending segment comes from a model of the seal policy. A 1-s
+    /// window is short enough that some windows hold no record and drain
+    /// empty, which must move the watermark too.
+    #[test]
+    fn replay_buffers_hold_exactly_the_pending_segment() {
+        use crate::segment_ingest::SealPolicy;
+        use focus_video::FrameId;
+
+        let dir = std::env::temp_dir().join("focus_fleet_unit_replay_bound");
+        let _ = std::fs::remove_dir_all(&dir);
+        let seal_secs = 1.0;
+        let config = FleetConfig {
+            nodes: 2,
+            service: ServiceConfig {
+                seal: SealPolicy::every_secs(seal_secs),
+                ..ServiceConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let mut fleet =
+            FleetCoordinator::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        let datasets: Vec<VideoDataset> = ["auburn_c", "bend"]
+            .iter()
+            .map(|name| VideoDataset::generate(profile_by_name(name).unwrap(), 20.0))
+            .collect();
+        for ds in &datasets {
+            fleet
+                .register_stream(ds.profile.stream_id, ds.profile.fps)
+                .unwrap();
+        }
+        // Per stream: the pending segment's first frame, the last frame
+        // pushed, and the frames pushed so far.
+        let mut model: Vec<(Option<FrameId>, FrameId, &[Frame])> = datasets
+            .iter()
+            .map(|_| (None, FrameId(0), &[][..]))
+            .collect();
+        let secs = |id: FrameId, ds: &VideoDataset| id.timestamp_secs(ds.profile.fps);
+        let (mut windows, mut sealed) = (0, 0);
+        let check = |fleet: &FleetCoordinator, model: &[(Option<FrameId>, FrameId, &[Frame])]| {
+            for (ds, (first, _, pushed)) in datasets.iter().zip(model) {
+                let expected: Vec<FrameId> = pushed
+                    .iter()
+                    .map(|frame| frame.frame_id)
+                    .filter(|id| first.is_some_and(|first| *id >= first))
+                    .collect();
+                let buffered: Vec<FrameId> = fleet.replay[&ds.profile.stream_id]
+                    .iter()
+                    .map(|frame| frame.frame_id)
+                    .collect();
+                assert_eq!(buffered, expected, "stream {}", ds.profile.name);
+            }
+        };
+        for round in 0..30 {
+            let mut batch = Vec::new();
+            for (ds, (first, last, pushed)) in datasets.iter().zip(&mut model) {
+                let chunk = &ds.frames[round * 20..(round + 1) * 20];
+                for frame in chunk {
+                    let at = secs(frame.frame_id, ds);
+                    if first.is_some_and(|first| at - secs(first, ds) >= seal_secs) {
+                        (*first, windows) = (None, windows + 1);
+                    }
+                    first.get_or_insert(frame.frame_id);
+                    *last = frame.frame_id;
+                }
+                *pushed = &ds.frames[..(round + 1) * 20];
+                batch.extend(chunk.iter().cloned());
+            }
+            sealed += fleet.advance(&batch).unwrap().segments_sealed;
+            check(&fleet, &model);
+            if round % 3 == 2 {
+                for (ds, (first, last, _)) in datasets.iter().zip(&mut model) {
+                    let next = secs(*last, ds) + 1.0 / ds.profile.fps as f64;
+                    if first.is_some_and(|first| next - secs(first, ds) >= seal_secs) {
+                        (*first, windows) = (None, windows + 1);
+                    }
+                }
+                sealed += fleet.maintain().unwrap().segments_sealed;
+                check(&fleet, &model);
+            }
+        }
+        assert!(
+            windows > sealed,
+            "{windows} windows closed and {sealed} segments sealed: none drained empty"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::Classifier;
 use focus_index::TopKIndex;
-use focus_video::{Frame, ObjectObservation, StreamId};
+use focus_video::{Frame, FrameId, ObjectObservation, StreamId};
 
 use crate::ingest::IngestParams;
 use crate::pipeline::{FramePipeline, PipelineOutput};
@@ -135,8 +135,9 @@ pub struct StreamSegmenter {
     pipeline: FramePipeline,
     policy: SealPolicy,
     frames_in_segment: usize,
-    segment_start_secs: f64,
+    segment_first: FrameId,
     last_frame_secs: f64,
+    unsealed_from: Option<FrameId>,
 }
 
 impl StreamSegmenter {
@@ -152,8 +153,9 @@ impl StreamSegmenter {
             pipeline,
             policy,
             frames_in_segment: 0,
-            segment_start_secs: 0.0,
+            segment_first: FrameId(0),
             last_frame_secs: 0.0,
+            unsealed_from: None,
         }
     }
 
@@ -168,15 +170,25 @@ impl StreamSegmenter {
         &mut self.pipeline
     }
 
-    /// Frames pushed since the last seal (the pending tail of this stream).
-    pub fn pending_frames(&self) -> usize {
-        self.frames_in_segment
+    /// The unsealed watermark: the first frame whose records are in no
+    /// durable segment (`None` when nothing is pending). Only
+    /// [`mark_sealed`](Self::mark_sealed) and an empty drain move it, so it
+    /// still covers the records a failed seal put back into the tail.
+    pub(crate) fn unsealed_from(&self) -> Option<FrameId> {
+        self.unsealed_from
     }
 
-    /// Stream time of `frame`, derived from its id so a resumed stream
+    /// Marks every part drained so far durable (the service calls this once
+    /// a part's store write returns): the watermark moves to the pending
+    /// segment's first frame, or to `None` when nothing is pending.
+    pub(crate) fn mark_sealed(&mut self) {
+        self.unsealed_from = (self.frames_in_segment > 0).then_some(self.segment_first);
+    }
+
+    /// Stream time of a frame, derived from its id so a resumed stream
     /// keeps a consistent clock.
-    fn now_secs(&self, frame: &Frame) -> f64 {
-        frame.frame_id.0 as f64 / self.pipeline.fps() as f64
+    fn secs_of(&self, frame: FrameId) -> f64 {
+        frame.timestamp_secs(self.pipeline.fps())
     }
 
     /// The single seal predicate both the push path and the maintenance
@@ -186,7 +198,7 @@ impl StreamSegmenter {
     fn seal_due(&self, at_secs: f64) -> bool {
         self.frames_in_segment > 0
             && (self.frames_in_segment >= self.policy.max_frames.max(1)
-                || at_secs - self.segment_start_secs >= self.policy.max_secs)
+                || at_secs - self.secs_of(self.segment_first) >= self.policy.max_secs)
     }
 
     /// Whether the pending records have hit a seal budget — true exactly
@@ -199,7 +211,7 @@ impl StreamSegmenter {
 
     /// Pushes one frame; returns the drained segment index when the push
     /// crossed a seal boundary (the boundary frame itself starts the new
-    /// segment). Empty drains are swallowed.
+    /// segment). Empty drains are swallowed and move the watermark.
     pub fn push_frame(&mut self, frame: &Frame, classifier: &dyn Classifier) -> Option<TopKIndex> {
         self.push_frame_observed(frame, classifier, |_, _| {})
     }
@@ -213,21 +225,24 @@ impl StreamSegmenter {
         classifier: &dyn Classifier,
         observer: impl FnMut(&ObjectObservation, usize),
     ) -> Option<TopKIndex> {
-        let now_secs = self.now_secs(frame);
+        let now_secs = self.secs_of(frame.frame_id);
         let mut part = None;
         if self.seal_due(now_secs) {
             let drained = self.pipeline.seal_segment();
-            if !drained.is_empty() {
+            self.frames_in_segment = 0;
+            if drained.is_empty() {
+                self.mark_sealed();
+            } else {
                 part = Some(drained);
             }
-            self.frames_in_segment = 0;
         }
         if self.frames_in_segment == 0 {
             // A segment's clock starts at its first frame, which also makes
             // a segmenter resumed mid-stream (recovery) start its first
             // segment at the resume point instead of spuriously sealing.
-            self.segment_start_secs = now_secs;
+            self.segment_first = frame.frame_id;
         }
+        self.unsealed_from.get_or_insert(frame.frame_id);
         self.pipeline
             .push_frame_observed(frame, classifier, observer);
         self.frames_in_segment += 1;

@@ -63,7 +63,7 @@ use focus_index::{
     ClusterKey, LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
 use focus_runtime::{GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, TickReport};
-use focus_video::{Frame, StreamId};
+use focus_video::{Frame, FrameId, StreamId};
 
 use crate::adapt::{AdaptationConfig, Reconfiguration, StreamController};
 use crate::ingest::{IngestCnn, IngestParams};
@@ -567,24 +567,22 @@ impl FocusService {
                 .map(|part| self.seal_durably(stream, part))
                 .transpose();
             report.retrains += usize::from(installed?.is_some());
-            report.segments_sealed += usize::from(sealed?.is_some());
+            report.segments_sealed += usize::from(sealed?.unwrap_or(false));
             report.frames += 1;
         }
         Ok(())
     }
 
-    /// Frames pushed since each registered stream's last durable seal —
-    /// exactly the suffix of that stream's pushed frame sequence whose
-    /// records live only in the in-memory tail. A coordinator that keeps a
-    /// replay buffer per stream trims it to this count after every
-    /// [`advance`](Self::advance)/[`maintain`](Self::maintain): replaying
-    /// the retained suffix into a [`recover`](Self::recover)ed service
-    /// rebuilds the tail byte-identically (each seal starts a fresh
-    /// pipeline epoch, so the tail is a pure function of these frames).
-    pub fn pending_frames_by_stream(&self) -> BTreeMap<StreamId, usize> {
+    /// Each registered stream's unsealed watermark: the first frame whose
+    /// records are in no durable segment (`None` when nothing is pending).
+    /// A failed seal does not move it. Replaying a stream's frames from it
+    /// into a [`recover`](Self::recover)ed service rebuilds the tail
+    /// byte-identically (each seal starts a fresh pipeline epoch, so the
+    /// tail is a pure function of these frames).
+    pub fn unsealed_from_by_stream(&self) -> BTreeMap<StreamId, Option<FrameId>> {
         self.streams
             .iter()
-            .map(|(stream, state)| (*stream, state.segmenter.pending_frames()))
+            .map(|(stream, state)| (*stream, state.segmenter.unsealed_from()))
             .collect()
     }
 
@@ -717,8 +715,6 @@ impl FocusService {
             .map(|(id, _)| *id)
             .collect();
         for stream in due {
-            // seal_pending on a tail that emptied since the filter ran is
-            // a no-op, so no re-check is needed.
             if self.seal_stream_unconditionally(stream)? {
                 report.segments_sealed += 1;
             }
@@ -843,33 +839,30 @@ impl FocusService {
             .get_mut(&stream)
             .ok_or(SegmentError::UnknownStream { stream })?;
         let part = state.segmenter.seal_pending();
-        if part.is_empty() {
-            return Ok(false);
-        }
-        self.seal_durably(stream, part)?;
-        Ok(true)
+        self.seal_durably(stream, part)
     }
 
     /// Seals one drained part durably — records and centroid observations
-    /// in one segment file, then the manifest — and makes its centroids
-    /// resolvable through the corpus. If the durable write fails, the
-    /// drained records are restored into the stream's hot tail
-    /// ([`FramePipeline::restore_drained`]), so they stay visible to
-    /// [`serve`](Self::serve) and the next seal attempt re-drains them — a
-    /// transient I/O error never silently loses a time window.
-    fn seal_durably(&mut self, stream: StreamId, part: TopKIndex) -> Result<(), SegmentError> {
+    /// in one segment file, then the manifest — makes its centroids
+    /// resolvable through the corpus and moves the unsealed watermark (the
+    /// service's one call). Returns whether a segment was written. If the
+    /// durable write fails, the drained records are restored into the
+    /// stream's hot tail ([`FramePipeline::restore_drained`]) and the
+    /// watermark stays, so they stay visible to [`serve`](Self::serve),
+    /// the next seal attempt re-drains them and a restart or failover
+    /// replays them: a transient I/O error never loses a time window.
+    fn seal_durably(&mut self, stream: StreamId, part: TopKIndex) -> Result<bool, SegmentError> {
         let state = self
             .streams
             .get_mut(&stream)
             .ok_or(SegmentError::UnknownStream { stream })?;
         match self.corpus.store_mut().seal(&part) {
             Ok(meta) => {
+                state.segmenter.mark_sealed();
                 let centroids = part.centroids().map(|o| (o.object_id, o.clone()));
                 self.corpus.centroids.extend(centroids);
-                if meta.is_some() {
-                    self.segments_sealed += 1;
-                }
-                Ok(())
+                self.segments_sealed += usize::from(meta.is_some());
+                Ok(meta.is_some())
             }
             Err(e) => {
                 state.segmenter.pipeline_mut().restore_drained(part);

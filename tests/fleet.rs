@@ -13,14 +13,15 @@ use proptest::prelude::*;
 use common::{config, interleave, service_at};
 use focus::cnn::GroundTruthCnn;
 use focus::core::fleet::{FleetConfig, FleetCoordinator, FleetError};
-use focus::core::service::FocusService;
-use focus::core::QueryRequest;
+use focus::core::service::{FocusService, ServiceConfig};
+use focus::core::{QueryOutcome, QueryRequest};
 use focus::index::QueryFilter;
 use focus::runtime::{Clock, NetCostModel, VirtualClock};
 use focus::video::profile::profile_by_name;
-use focus::video::VideoDataset;
+use focus::video::{ClassId, Frame, VideoDataset, NUM_CLASSES};
 
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("focus_fleet_{name}"));
@@ -350,6 +351,297 @@ fn owner_lost_mid_advance_is_made_whole_by_failover() {
         canonical(&fleet.serve(&requests).unwrap()),
         canonical(&twin.serve(&requests).unwrap())
     );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&twin_dir).ok();
+}
+
+/// One step of a failed-seal schedule.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Advance the recording's frames in this index range.
+    Advance(Range<usize>),
+    Maintain,
+    SealAll,
+    /// Block this segment file's path with a directory, so the next step's
+    /// durable write fails.
+    Block(&'static str),
+    /// Clear the fault.
+    Unblock,
+    /// Lose the process state: a single node is dropped, recovered and fed
+    /// the frames from its pre-crash unsealed watermark; a fleet loses the
+    /// shard's owner and fails over. Either replays this many frames: every
+    /// frame from the first one whose records are in no durable segment.
+    Crash(usize),
+}
+
+/// What a failed-seal schedule runs on: one service, or a 2-node fleet
+/// holding the stream's one shard.
+enum Target {
+    Node(Box<FocusService>),
+    Fleet(Box<FleetCoordinator>),
+}
+
+/// One row per site that writes a segment, each on one 30-s `auburn_c`
+/// stream sealing every 10 s (a boundary every 300 frames).
+fn failed_seal_rows() -> Vec<(&'static str, Vec<Step>)> {
+    use Step::*;
+    vec![
+        // The push-driven boundary: the batch ends on the boundary frame,
+        // whose seal fails, and nothing is sealed before the crash.
+        (
+            "boundary",
+            vec![
+                Block("seg-000000.bin"),
+                Advance(0..301),
+                Unblock,
+                Advance(301..450),
+                Crash(450),
+                Advance(450..900),
+            ],
+        ),
+        // A `maintain` budget seal: the same boundary, reached by the tick.
+        (
+            "maintain",
+            vec![
+                Advance(0..300),
+                Block("seg-000000.bin"),
+                Maintain,
+                Unblock,
+                Advance(300..450),
+                Crash(450),
+                Advance(450..900),
+            ],
+        ),
+        // `seal_all` between boundaries; the checkpoint is retried once the
+        // fault clears.
+        (
+            "seal_all",
+            vec![
+                Advance(0..200),
+                Block("seg-000000.bin"),
+                SealAll,
+                Unblock,
+                Crash(200),
+                SealAll,
+                Advance(200..900),
+            ],
+        ),
+        // `compact` inside `maintain`: two segments are live, no seal is
+        // due, and the replacement's file is blocked.
+        (
+            "compact",
+            vec![
+                Advance(0..601),
+                Block("seg-000002.bin"),
+                Maintain,
+                Unblock,
+                Advance(601..750),
+                Crash(150),
+                Advance(750..900),
+            ],
+        ),
+    ]
+}
+
+/// The failed-seal rows' configuration: the equivalence config, sealing
+/// every 10 s, with a compaction trigger that two segments reach.
+fn failed_seal_config() -> ServiceConfig {
+    ServiceConfig {
+        small_segment_clusters: usize::MAX,
+        compact_small_threshold: 2,
+        ..config(10.0)
+    }
+}
+
+/// A fresh [`Target`] at `dir` with `ds`'s stream registered.
+fn failed_seal_target(dir: &Path, ds: &VideoDataset, fleet: bool) -> Target {
+    let (stream, fps) = (ds.profile.stream_id, ds.profile.fps);
+    let gt = GroundTruthCnn::resnet152();
+    if fleet {
+        let config = FleetConfig {
+            service: failed_seal_config(),
+            ..fleet_config(2, 10.0)
+        };
+        let mut fleet = FleetCoordinator::create(dir, config, gt).unwrap();
+        fleet.register_stream(stream, fps).unwrap();
+        Target::Fleet(Box::new(fleet))
+    } else {
+        let mut service = FocusService::create(dir, failed_seal_config(), gt).unwrap();
+        service.register_stream(stream, fps).unwrap();
+        Target::Node(Box::new(service))
+    }
+}
+
+impl Target {
+    /// Runs one ingest or seal step.
+    fn apply(&mut self, step: &Step, frames: &[Frame]) -> Result<(), String> {
+        match (self, step) {
+            (Target::Node(s), Step::Advance(range)) => s
+                .advance(&frames[range.clone()])
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            (Target::Node(s), Step::Maintain) => s.maintain().map(drop).map_err(|e| e.to_string()),
+            (Target::Node(s), Step::SealAll) => s.seal_all().map(drop).map_err(|e| e.to_string()),
+            (Target::Fleet(f), Step::Advance(range)) => f
+                .advance(&frames[range.clone()])
+                .map(drop)
+                .map_err(|e| e.to_string()),
+            (Target::Fleet(f), Step::Maintain) => f.maintain().map(drop).map_err(|e| e.to_string()),
+            (Target::Fleet(f), Step::SealAll) => f.seal_all().map(drop).map_err(|e| e.to_string()),
+            (_, step) => panic!("{step:?} is not an ingest or seal step"),
+        }
+    }
+
+    /// Loses the process state and restores it from the durable store plus
+    /// the frames from the unsealed watermark on, which must number
+    /// `replayed`.
+    fn crash(self, dir: &Path, pushed: &[Frame], replayed: usize) -> Self {
+        match self {
+            Target::Node(service) => {
+                let from = service.unsealed_from_by_stream()[&pushed[0].stream_id];
+                drop(service);
+                let replay: Vec<Frame> = pushed
+                    .iter()
+                    .filter(|frame| from.is_some_and(|from| frame.frame_id >= from))
+                    .cloned()
+                    .collect();
+                assert_eq!(replay.len(), replayed, "frames replayed");
+                let (mut service, _) =
+                    FocusService::recover(dir, failed_seal_config(), GroundTruthCnn::resnet152())
+                        .unwrap();
+                service.advance(&replay).unwrap();
+                Target::Node(Box::new(service))
+            }
+            Target::Fleet(mut fleet) => {
+                fleet.kill_node(fleet.manifest().assignments[0].node);
+                let report = fleet.failover().unwrap();
+                assert_eq!(report.shards_recovered, 1);
+                assert_eq!(report.frames_replayed, replayed, "frames replayed");
+                Target::Fleet(fleet)
+            }
+        }
+    }
+
+    fn serve(&mut self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+        match self {
+            Target::Node(service) => service.serve(requests).unwrap(),
+            Target::Fleet(fleet) => fleet.serve(requests).unwrap(),
+        }
+    }
+}
+
+/// Runs `steps` on `target` over `ds`'s frames. In the `faulty` run the
+/// step after each `Block` must fail and every other step must succeed;
+/// the never-failed twin skips the fault and crash steps.
+fn run_schedule(
+    mut target: Target,
+    dir: &Path,
+    ds: &VideoDataset,
+    steps: &[Step],
+    faulty: bool,
+) -> Target {
+    let store = match target {
+        Target::Node(_) => dir.to_path_buf(),
+        Target::Fleet(_) => dir.join("shard-0000"),
+    };
+    let (mut pushed, mut blocked, mut fails) = (0, None, false);
+    for step in steps {
+        match step {
+            Step::Block(_) | Step::Unblock | Step::Crash(_) if !faulty => {}
+            Step::Block(file) => {
+                let path = store.join(file);
+                std::fs::create_dir(&path).unwrap();
+                (blocked, fails) = (Some(path), true);
+            }
+            Step::Unblock => std::fs::remove_dir(blocked.take().unwrap()).unwrap(),
+            Step::Crash(replayed) => target = target.crash(dir, &ds.frames[..pushed], *replayed),
+            step => {
+                if let Step::Advance(range) = step {
+                    pushed = range.end;
+                }
+                let result = target.apply(step, &ds.frames);
+                assert_eq!(result.is_err(), fails, "{step:?}: {result:?}");
+                fails = false;
+            }
+        }
+    }
+    target
+}
+
+/// A failed seal loses nothing, at every site that writes a segment, on one
+/// node (drop, `recover`, replay from the pre-crash watermark) and across a
+/// fleet failover: once the fault clears, every class's answer — and the
+/// dominant class's over `[0, 9 s]` — equals the never-failed twin's. The
+/// boundary row's fleet run is the failover that replayed 150 of 450
+/// frames when the replay buffers were trimmed to a pending-frame count.
+#[test]
+fn a_failed_seal_loses_nothing_at_any_seal_site_or_across_a_failover() {
+    let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 30.0);
+    let dominant = ds.dominant_classes(1)[0];
+    let mut requests: Vec<QueryRequest> = (0..NUM_CLASSES)
+        .map(|class| QueryRequest::new(ClassId(class)))
+        .collect();
+    requests.push(
+        QueryRequest::new(dominant).with_filter(QueryFilter::any().with_time_range(0.0, 9.0)),
+    );
+    for (row, steps) in failed_seal_rows() {
+        let twin_dir = test_dir(&format!("seal_{row}_twin"));
+        let twin = failed_seal_target(&twin_dir, &ds, false);
+        let expected = run_schedule(twin, &twin_dir, &ds, &steps, false).serve(&requests);
+        assert!(!expected.last().unwrap().frames.is_empty());
+        for fleet in [false, true] {
+            let mode = if fleet { "fleet" } else { "node" };
+            let dir = test_dir(&format!("seal_{row}_{mode}"));
+            let target = failed_seal_target(&dir, &ds, fleet);
+            let got = run_schedule(target, &dir, &ds, &steps, true).serve(&requests);
+            for (a, b) in expected.iter().zip(&got) {
+                let counts =
+                    |o: &QueryOutcome| (o.frames.len(), o.objects.len(), o.matched_clusters);
+                let at = format!("{row} ({mode}), class {:?}", a.class);
+                assert_eq!(
+                    counts(a),
+                    counts(b),
+                    "{at}: frames, objects, matched clusters"
+                );
+                assert!(a.frames == b.frames && a.objects == b.objects, "{at}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        std::fs::remove_dir_all(&twin_dir).ok();
+    }
+}
+
+/// A time-windowed fleet `serve` after a failed seal prunes by the replay
+/// buffer's span, which must still cover the restored window: before any
+/// node is lost, it answers as `serve_broadcast` and the never-failed twin
+/// do (with buffers trimmed to a pending-frame count it answered 0 frames
+/// where they answered 50).
+#[test]
+fn a_pruned_fleet_query_after_a_failed_seal_still_sees_the_restored_window() {
+    let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 15.0);
+    let windowed = [QueryRequest::new(ds.dominant_classes(1)[0])
+        .with_filter(QueryFilter::any().with_time_range(0.0, 9.0))];
+    let steps = [
+        Step::Block("seg-000000.bin"),
+        Step::Advance(0..301),
+        Step::Unblock,
+        Step::Advance(301..450),
+    ];
+    let dir = test_dir("pruned_after_failed_seal");
+    let target = failed_seal_target(&dir, &ds, true);
+    let Target::Fleet(mut fleet) = run_schedule(target, &dir, &ds, &steps, true) else {
+        unreachable!("a fleet target")
+    };
+    let twin_dir = test_dir("pruned_after_failed_seal_twin");
+    let twin = failed_seal_target(&twin_dir, &ds, false);
+    let expected = run_schedule(twin, &twin_dir, &ds, &steps, false).serve(&windowed);
+    assert!(!expected[0].frames.is_empty());
+    let pruned = fleet.serve(&windowed).unwrap();
+    let broadcast = fleet.serve_broadcast(&windowed).unwrap();
+    let frames = |outcomes: &[QueryOutcome]| outcomes[0].frames.len();
+    assert_eq!(frames(&pruned), frames(&broadcast), "pruned vs broadcast");
+    assert_eq!(frames(&pruned), frames(&expected), "pruned vs twin");
+    assert!(pruned[0].frames == expected[0].frames && pruned[0].objects == expected[0].objects);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&twin_dir).ok();
 }

@@ -423,9 +423,10 @@ fn failed_seal_restores_the_tail() {
 
 /// A retrain that comes due on a seal boundary whose durable write fails:
 /// the stream has one model, so its query routing is still the model that
-/// indexes its records after the failed `advance`, and once the fault is
-/// cleared and ingest resumes at the next frame every class answers as on
-/// a twin whose seal succeeded.
+/// indexes its records after the failed `advance`; its unsealed watermark
+/// stays on the failed segment's first frame until the resumed seal
+/// succeeds; and once the fault is cleared and ingest resumes at the next
+/// frame every class answers as on a twin whose seal succeeded.
 #[test]
 fn a_failed_seal_on_the_retrain_frame_keeps_routing_on_the_live_model() {
     let ds = VideoDataset::generate(profile_by_name("jacksonh").unwrap(), 60.0);
@@ -469,12 +470,21 @@ fn a_failed_seal_on_the_retrain_frame_keeps_routing_on_the_live_model() {
         "{} classes route differently from the live model",
         stale.len()
     );
+    // The unsealed watermark still names the failed segment's first frame,
+    // so a restart or a failover would replay the restored window.
+    let failed_from = Some(ds.frames[0].frame_id);
+    assert_eq!(service.unsealed_from_by_stream()[&stream], failed_from);
 
     // Clear the fault and resume at the frame after the failing one.
     std::fs::remove_dir(&blocker).unwrap();
     service
         .advance(&ds.frames[stats.frames_ingested..])
         .unwrap();
+    // The resumed seal succeeded: the watermark moved past the failed
+    // segment, to where the twin's stands.
+    let unsealed_from = service.unsealed_from_by_stream()[&stream];
+    assert!(unsealed_from > failed_from, "{unsealed_from:?}");
+    assert_eq!(unsealed_from, twin.unsealed_from_by_stream()[&stream]);
     let requests: Vec<QueryRequest> = (0..NUM_CLASSES)
         .map(|class| QueryRequest::new(ClassId(class)))
         .collect();
