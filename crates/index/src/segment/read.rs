@@ -1,75 +1,26 @@
-//! Durable, time-partitioned index segments.
-//!
-//! A [`SegmentStore`] is the on-disk home of a top-K index that has grown
-//! past what one monolithic snapshot should hold: ingest seals batches of
-//! cluster records into immutable *segments* (each covering the tight time
-//! range of its records, per stream), and queries open only the segments
-//! whose bounds intersect their camera/time restriction — the rest are
-//! pruned without touching disk.
-//!
-//! Layout of a store directory:
-//!
-//! ```text
-//! store/
-//!   MANIFEST.json      # versioned list of live segments (see `manifest`)
-//!   seg-000000.bin     # one immutable index snapshot per segment
-//!   seg-000001.bin     # (binary columnar, see `binseg`)
-//!   ...
-//! ```
-//!
-//! Segments are written and read in the binary columnar format of
-//! [`crate::binseg`], the one module that knows how a segment is laid out.
-//!
-//! Durability protocol: a segment file is written atomically (temp +
-//! rename), then the manifest is rewritten atomically to list it. The
-//! manifest is the source of truth — on [`open`](SegmentStore::open),
-//! unlisted segment files and stray temp files are quarantined/removed, and
-//! listed segments whose bytes fail their manifest checksum are quarantined
-//! instead of silently loaded. See [`crate::manifest`] for the crash
-//! analysis.
-//!
-//! Every live segment's footer (its block table, ~1 KB) stays resident in
-//! a *footer directory* outside the caches, filled from the bytes `open`
-//! verifies and `seal`/`compact` encode — so a lookup knows which classes a
-//! segment posts, and skips one that posts none of them, without touching
-//! the file. The block — a record block, a postings block or the tracks
-//! block — is the only unit the store reads and caches. (The centroid
-//! block is never cached: lookups do not read it, and recovery's open
-//! decodes it once, from the bytes it verifies, to hand the centroids to
-//! its caller.) Blocks go through
-//! two tiers of one byte-weighted LRU, each entry weighing its block's
-//! encoded length: decoded blocks above raw verified bytes, the raw tier
-//! doubling as the decoded tier's probation — a block read from disk enters
-//! the raw tier only, and earns a decoded entry on its second touch, so a
-//! scan larger than the decoded tier cannot flush it. Two warmers fill the
-//! tiers from bytes the store already holds: recovery's open
-//! ([`SegmentStore::open_scanning`]) leaves the newest segments' blocks
-//! decoded, and `seal`/`compact` leave the blocks they have just encoded in
-//! the raw tier. Lookups read and checksum-verify only the blocks a query
-//! needs — the postings block of each lookup class and the record blocks
-//! covering the union of their candidate keys, each once per request;
-//! [`SegmentAccess`] reports per-call pruning, cache and block behaviour,
-//! and is the one account of store reads: each block fetch is counted once,
-//! in the account of the call that made it, and the cache tiers keep no
-//! counters of their own.
+//! The resident read path: what is resident. The footer directory, the two
+//! cache tiers (a byte-weighted [`Lru`] of decoded blocks above one of raw
+//! verified bytes) and the block-granular lookups and track sketches that
+//! read through them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use focus_video::{ClassId, ObjectObservation, StreamId};
+use focus_video::{ClassId, ObjectObservation};
 
 use crate::binseg::{self, BinsegError, BlockMeta, SegmentFooter};
 use crate::cluster_store::{ClusterKey, ClusterRecord};
-use crate::manifest::{fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE};
-use crate::persist::{write_atomic_bytes, PersistError};
+use crate::manifest::{fnv1a64, SegmentMeta};
+use crate::persist::PersistError;
 use crate::query::QueryFilter;
-use crate::topk::TopKIndex;
 use crate::track::{TrackKey, TrackSketch};
+
+use super::{check_disjoint, SegmentError, SegmentStore};
 
 /// Default byte budget of the decoded-block tier. A decoded block weighs its
 /// encoded length, so this is about what 1024 whole segments of a
@@ -78,150 +29,6 @@ pub const DEFAULT_DECODED_CACHE_BYTES: u64 = 28 * 1024 * 1024;
 
 /// Default byte budget of the raw-bytes tier.
 pub const DEFAULT_RAW_CACHE_BYTES: u64 = 8 * 1024 * 1024;
-
-/// Errors produced by the segment store.
-#[derive(Debug)]
-pub enum SegmentError {
-    /// Reading or writing a snapshot/manifest failed (carries the path).
-    Persist(PersistError),
-    /// A segment file's bytes (or one of its blocks) do not match the
-    /// recorded checksum (torn write or bit rot).
-    Corrupt {
-        /// The corrupt segment file.
-        path: PathBuf,
-        /// Checksum recorded in the manifest (or the segment's footer, for
-        /// block-level reads).
-        expected: u64,
-        /// Checksum of the bytes actually on disk.
-        found: u64,
-    },
-    /// A binary segment file could not be parsed (bad magic, truncation, or
-    /// a structural invariant failure).
-    InvalidSegment {
-        /// The unparsable segment file.
-        path: PathBuf,
-        /// What the binary decoder rejected.
-        source: BinsegError,
-    },
-    /// A segment id was requested that the manifest does not list.
-    UnknownSegment {
-        /// The requested id.
-        id: u64,
-    },
-    /// Two segments answered one lookup with the same cluster key. Segments
-    /// are key-disjoint by construction, so the store is corrupt; dropping
-    /// either record silently would mask it.
-    DuplicateKey {
-        /// The key both segments hold.
-        key: ClusterKey,
-        /// The two segments (manifest ids) that returned it.
-        segments: [u64; 2],
-    },
-    /// A not-yet-sealed tail record has the key of a sealed record. A
-    /// stream's pipeline only drains keys it has never drained before, so
-    /// the tail and the store disagree; a planner refuses to pick one of
-    /// the two copies.
-    TailKeySealed {
-        /// The key the tail and the segment both hold.
-        key: ClusterKey,
-        /// The segment (manifest id) that already holds it.
-        segment: u64,
-    },
-    /// A stream was named that the service has not registered: a frame
-    /// handed to `advance`, or a configuration installed on it.
-    UnknownStream {
-        /// The unregistered stream.
-        stream: StreamId,
-    },
-    /// A stream was registered twice, by a caller or by a
-    /// `service_state.json` sidecar that lists it twice.
-    StreamRegistered {
-        /// The stream already registered.
-        stream: StreamId,
-    },
-}
-
-impl std::fmt::Display for SegmentError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SegmentError::Persist(e) => write!(f, "segment store: {e}"),
-            SegmentError::Corrupt {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "segment store: corrupt segment `{}`: checksum {found:#018x}, expected {expected:#018x}",
-                path.display()
-            ),
-            SegmentError::InvalidSegment { path, source } => write!(
-                f,
-                "segment store: invalid segment `{}`: {source}",
-                path.display()
-            ),
-            SegmentError::UnknownSegment { id } => {
-                write!(f, "segment store: unknown segment id {id}")
-            }
-            SegmentError::DuplicateKey { key, segments } => write!(
-                f,
-                "segment store: segments {} and {} both hold cluster key {key:?}; \
-                 segments must be key-disjoint",
-                segments[0], segments[1]
-            ),
-            SegmentError::TailKeySealed { key, segment } => write!(
-                f,
-                "segment store: the tail holds cluster key {key:?}, already sealed in \
-                 segment {segment}; tail and segments must be key-disjoint"
-            ),
-            SegmentError::UnknownStream { stream } => {
-                write!(f, "service: stream {} is not registered", stream.0)
-            }
-            SegmentError::StreamRegistered { stream } => {
-                write!(f, "service: stream {} is already registered", stream.0)
-            }
-        }
-    }
-}
-
-impl std::error::Error for SegmentError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SegmentError::Persist(e) => Some(e),
-            SegmentError::InvalidSegment { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
-
-impl From<PersistError> for SegmentError {
-    fn from(e: PersistError) -> Self {
-        SegmentError::Persist(e)
-    }
-}
-
-/// What [`SegmentStore::open`] had to repair: files that were present but
-/// untrusted (quarantined by renaming to `<name>.quarantined`) and stray
-/// temp files from interrupted writes (deleted).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpenReport {
-    /// Segment files moved aside instead of loaded: manifest-listed files
-    /// whose checksum did not match (corrupt), plus complete-looking segment
-    /// files the manifest never acknowledged (orphans from a crash between
-    /// segment rename and manifest update).
-    pub quarantined: Vec<String>,
-    /// Manifest-listed segments whose file was missing entirely (dropped
-    /// from the manifest; nothing on disk to quarantine).
-    pub missing: Vec<String>,
-    /// Leftover `*.tmp` files from interrupted atomic writes, deleted.
-    pub removed_temp: Vec<String>,
-}
-
-impl OpenReport {
-    /// Whether the store opened without finding anything to repair.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && self.missing.is_empty() && self.removed_temp.is_empty()
-    }
-}
 
 /// Per-call account of what a pruned lookup touched: how many segments the
 /// store holds, how many survived pruning, how the opened ones were served
@@ -338,7 +145,7 @@ impl LruOccupancy {
 }
 
 /// The result of a pruned lookup: the matching records (sorted by cluster
-/// key, exactly as [`TopKIndex::lookup`] on the merged index would return
+/// key, exactly as [`TopKIndex::lookup`](crate::TopKIndex::lookup) on the merged index would return
 /// them) plus the access account.
 #[derive(Debug, Clone)]
 pub struct SegmentLookup {
@@ -373,13 +180,13 @@ pub struct GroupedLookup {
 /// Which block of a segment a cache entry holds: one record block, one
 /// class's postings block, or the tracks block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum BlockKey {
+pub(super) enum BlockKey {
     Records(u32),
     Postings(u16),
     Tracks,
 }
 
-type CacheKey = (u64, BlockKey);
+pub(super) type CacheKey = (u64, BlockKey);
 
 /// A decoded block in the top cache tier.
 #[derive(Debug, Clone)]
@@ -404,7 +211,7 @@ struct LruEntry<V> {
 /// monotonic stamp kept in an ordered map, so a hit, an insert and an
 /// eviction each cost O(log n).
 #[derive(Debug)]
-struct Lru<V> {
+pub(crate) struct Lru<V> {
     budget: u64,
     used: u64,
     next_stamp: u64,
@@ -439,7 +246,7 @@ impl<V: Clone> Lru<V> {
     /// least recently used end until the weights fit the budget. An entry
     /// heavier than the whole budget would evict everything for nothing:
     /// it is refused (`false`) and nothing changes.
-    fn insert(&mut self, key: CacheKey, value: V, weight: u64) -> bool {
+    pub(super) fn insert(&mut self, key: CacheKey, value: V, weight: u64) -> bool {
         if weight > self.budget {
             return false;
         }
@@ -498,13 +305,13 @@ impl<V: Clone> Lru<V> {
 /// tier, and `write_segment` puts a fresh segment's encoded blocks into the
 /// raw tier.
 #[derive(Debug)]
-struct TieredCache {
+pub(super) struct TieredCache {
     decoded: Lru<DecodedEntry>,
-    raw: Lru<Arc<Vec<u8>>>,
+    pub(super) raw: Lru<Arc<Vec<u8>>>,
 }
 
 impl TieredCache {
-    fn new(decoded_bytes: u64, raw_bytes: u64) -> Self {
+    pub(super) fn new(decoded_bytes: u64, raw_bytes: u64) -> Self {
         Self {
             decoded: Lru::new(decoded_bytes),
             raw: Lru::new(raw_bytes),
@@ -512,7 +319,7 @@ impl TieredCache {
     }
 
     /// Drops every entry (both tiers) belonging to segment `id`.
-    fn remove_segment(&mut self, id: u64) {
+    pub(super) fn remove_segment(&mut self, id: u64) {
         self.decoded.remove_segment(id);
         self.raw.remove_segment(id);
     }
@@ -523,7 +330,7 @@ impl TieredCache {
     /// manifest order, it leaves the newest blocks that fit the budget.
     /// Returns the segment's centroid observations, checked against its
     /// records (the centroid block itself stays out of the tiers).
-    fn warm_segment(
+    pub(super) fn warm_segment(
         &mut self,
         id: u64,
         bytes: &[u8],
@@ -764,251 +571,7 @@ impl<'a> SegmentReader<'a> {
     }
 }
 
-/// What a scanning open ([`SegmentStore::open_scanning`]) hands every
-/// record it decodes to (with the record's segment id), and every
-/// segment's centroid observations to.
-struct Scan<'a> {
-    record: &'a mut dyn FnMut(u64, &ClusterRecord),
-    centroids: &'a mut dyn FnMut(Vec<ObjectObservation>),
-}
-
-/// A durable, time-partitioned index store (see the module docs for the
-/// on-disk layout and durability protocol).
-///
-/// All mutations (`seal`, `compact`) take `&mut self` and serialize their
-/// atomic writes; reads (`load`, `lookup`, `sketches`) take `&self`, and
-/// the lookups share the tiered cache behind a mutex, so a store can serve
-/// concurrent queries.
-///
-/// # Examples
-///
-/// ```
-/// use focus_index::{ClusterKey, ClusterRecord, MemberRef, QueryFilter, SegmentStore, TopKIndex};
-/// use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId};
-///
-/// let dir = std::env::temp_dir().join("focus_segment_doc_example");
-/// let _ = std::fs::remove_dir_all(&dir);
-/// let mut store = SegmentStore::create(&dir).unwrap();
-///
-/// // Seal two single-record segments covering different time windows,
-/// // each record with its centroid observation.
-/// for (local, start) in [(0u64, 0.0f64), (1, 100.0)] {
-///     let mut seg = TopKIndex::new();
-///     seg.insert_centroid(ObjectObservation { object_id: ObjectId(local), ..Default::default() });
-///     seg.insert(ClusterRecord {
-///         key: ClusterKey::new(StreamId(0), local),
-///         centroid_object: ObjectId(local),
-///         centroid_frame: FrameId(local),
-///         top_k_classes: vec![ClassId(7)],
-///         members: vec![MemberRef { object: ObjectId(local), frame: FrameId(local), track: TrackId(0) }],
-///         start_secs: start,
-///         end_secs: start + 10.0,
-///     });
-///     store.seal(&seg).unwrap();
-/// }
-///
-/// // A time-restricted lookup opens only the intersecting segment.
-/// let early = QueryFilter::any().with_time_range(0.0, 20.0);
-/// let hit = store.lookup(ClassId(7), &early).unwrap();
-/// assert_eq!(hit.records.len(), 1);
-/// assert_eq!(hit.access.segments_considered, 1);
-/// assert_eq!(hit.access.segments_pruned(), 1);
-/// # std::fs::remove_dir_all(&dir).ok();
-/// ```
-#[derive(Debug)]
-pub struct SegmentStore {
-    dir: PathBuf,
-    manifest: Manifest,
-    /// The footer directory: every live segment's decoded footer, by
-    /// segment id. Filled from bytes already verified in memory (`open`'s
-    /// whole-file read, the encoder's output at `seal`/`compact`), dropped
-    /// with the segment, never evicted — a lookup never reads a footer.
-    footers: HashMap<u64, Arc<SegmentFooter>>,
-    cache: Mutex<TieredCache>,
-}
-
-// Callers share one store across their own threads (the library spawns
-// none); keep the store's cross-thread shareability an explicit API
-// guarantee.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SegmentStore>();
-};
-
 impl SegmentStore {
-    /// Creates a fresh, empty store at `dir` (creating the directory if
-    /// needed) and writes its initial manifest.
-    ///
-    /// Fails with an I/O error if `dir` already contains a manifest — use
-    /// [`open`](Self::open) for an existing store.
-    pub fn create(dir: impl Into<PathBuf>) -> Result<SegmentStore, SegmentError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: dir.clone(),
-                source,
-            })
-        })?;
-        let manifest_path = dir.join(MANIFEST_FILE);
-        if manifest_path.exists() {
-            return Err(SegmentError::Persist(PersistError::Io {
-                path: manifest_path,
-                source: std::io::Error::new(
-                    std::io::ErrorKind::AlreadyExists,
-                    "store already exists; use SegmentStore::open",
-                ),
-            }));
-        }
-        let manifest = Manifest::new();
-        manifest.save(&manifest_path)?;
-        Ok(SegmentStore {
-            dir,
-            manifest,
-            footers: HashMap::new(),
-            cache: Mutex::new(TieredCache::new(
-                DEFAULT_DECODED_CACHE_BYTES,
-                DEFAULT_RAW_CACHE_BYTES,
-            )),
-        })
-    }
-
-    /// Opens an existing store, verifying it and repairing crash leftovers:
-    /// stray `*.tmp` files are deleted, manifest-listed segments whose bytes
-    /// fail their checksum are quarantined (renamed to `<name>.quarantined`
-    /// and dropped from the manifest), and complete segment files the
-    /// manifest never acknowledged are quarantined too. The returned
-    /// [`OpenReport`] lists every repair.
-    ///
-    /// Every segment file is read once, whole; nothing enters the cache
-    /// tiers.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, None)
-    }
-
-    /// [`open`](Self::open), plus a record pass over the same verified
-    /// bytes — still one read per segment. Every record of every segment
-    /// that verifies is handed to `visit` with its segment id, segment by
-    /// segment in manifest order (within a segment, in key order), and each
-    /// segment's centroid observations — one per record, or the open fails
-    /// with [`BinsegError::MissingCentroid`] — to `centroids`. Every record,
-    /// postings and tracks block of those segments is decoded from the same
-    /// bytes into the decoded tier, in manifest order, so the tier keeps the
-    /// newest blocks that fit its byte budget and the first requests after
-    /// a restart find the recent segments warm. The raw tier stays empty.
-    ///
-    /// This is the open `FocusService::recover` runs: its checks
-    /// (key-disjointness, next cluster keys) need every record once, its
-    /// corpus every centroid, and a second pass would read and decode every
-    /// segment again.
-    pub fn open_scanning(
-        dir: impl Into<PathBuf>,
-        mut visit: impl FnMut(u64, &ClusterRecord),
-        mut centroids: impl FnMut(Vec<ObjectObservation>),
-    ) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        let scan = Scan {
-            record: &mut visit,
-            centroids: &mut centroids,
-        };
-        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, Some(scan))
-    }
-
-    /// The one open body: [`open`](Self::open) when `scan` is `None`,
-    /// [`open_scanning`](Self::open_scanning) otherwise.
-    fn open_body(
-        dir: PathBuf,
-        decoded_bytes: u64,
-        mut scan: Option<Scan<'_>>,
-    ) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let mut manifest = Manifest::load(&manifest_path)?;
-        let mut report = OpenReport::default();
-        let mut cache = TieredCache::new(decoded_bytes, DEFAULT_RAW_CACHE_BYTES);
-
-        // Verify every listed segment's bytes against its checksum, and
-        // keep the footer of each one that passes: the bytes are in memory
-        // and vouched for, so the directory costs no I/O of its own — and
-        // neither does the record pass.
-        let listed_count = manifest.segments.len();
-        let mut verified = Vec::with_capacity(listed_count);
-        let mut footers = HashMap::with_capacity(listed_count);
-        for meta in std::mem::take(&mut manifest.segments) {
-            let path = dir.join(&meta.file);
-            match fs::read(&path) {
-                Ok(bytes) if fnv1a64(&bytes) == meta.checksum => {
-                    let invalid = |source| SegmentError::InvalidSegment {
-                        path: path.clone(),
-                        source,
-                    };
-                    let footer = binseg::footer_of(&bytes).map_err(invalid)?;
-                    if let Some(scan) = scan.as_mut() {
-                        let centroids = cache
-                            .warm_segment(meta.id, &bytes, &footer, scan.record)
-                            .map_err(invalid)?;
-                        (scan.centroids)(centroids);
-                    }
-                    footers.insert(meta.id, Arc::new(footer));
-                    verified.push(meta);
-                }
-                Ok(_) => {
-                    // Torn or rotted: move aside for post-mortem, never load.
-                    let _ = fs::rename(&path, quarantine_path(&path));
-                    report.quarantined.push(meta.file);
-                }
-                // Only a confirmed absence may delist a segment. Any other
-                // read failure (permissions, fd exhaustion, transient I/O)
-                // aborts the open: dropping a healthy segment from the
-                // manifest over a transient error would be permanent.
-                Err(source) if source.kind() == std::io::ErrorKind::NotFound => {
-                    report.missing.push(meta.file)
-                }
-                Err(source) => {
-                    return Err(SegmentError::Persist(PersistError::Io { path, source }))
-                }
-            }
-        }
-        let entries_dropped = verified.len() != listed_count;
-        manifest.segments = verified;
-
-        // Sweep the directory for crash leftovers: interrupted temp writes
-        // and complete segment files the manifest never acknowledged
-        // (`.json` too: a leftover from a store that once held JSON
-        // segments is as unlisted as any other).
-        let listed: HashMap<&str, ()> = manifest
-            .segments
-            .iter()
-            .map(|m| (m.file.as_str(), ()))
-            .collect();
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let path = entry.path();
-                if name.ends_with(".tmp") {
-                    let _ = fs::remove_file(&path);
-                    report.removed_temp.push(name);
-                } else if name.starts_with("seg-")
-                    && (name.ends_with(".json") || name.ends_with(".bin"))
-                    && !listed.contains_key(name.as_str())
-                {
-                    let _ = fs::rename(&path, quarantine_path(&path));
-                    report.quarantined.push(name);
-                }
-            }
-        }
-
-        if entries_dropped {
-            manifest.save(&manifest_path)?;
-        }
-        Ok((
-            SegmentStore {
-                dir,
-                manifest,
-                footers,
-                cache: Mutex::new(cache),
-            },
-            report,
-        ))
-    }
-
     /// Returns the store, both cache tiers empty, with the decoded tier
     /// capped at `bytes` of encoded blocks (0 disables the tier; the default
     /// is [`DEFAULT_DECODED_CACHE_BYTES`]).
@@ -1031,206 +594,13 @@ impl SegmentStore {
         }
     }
 
-    /// Returns the store unchanged: [`SegmentFormat::Binary`] is the only
-    /// format, and this builder remains only because the benchmark's probe
-    /// names it.
-    pub fn with_seal_format(self, _format: SegmentFormat) -> Self {
-        self
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The live segments, in seal order.
-    pub fn segments(&self) -> &[SegmentMeta] {
-        &self.manifest.segments
-    }
-
-    /// Number of live segments.
-    pub fn len(&self) -> usize {
-        self.manifest.segments.len()
-    }
-
-    /// Whether the store holds no segments.
-    pub fn is_empty(&self) -> bool {
-        self.manifest.segments.is_empty()
-    }
-
-    /// Total cluster records across all live segments.
-    pub fn total_clusters(&self) -> usize {
-        self.manifest.segments.iter().map(|s| s.clusters).sum()
-    }
-
     /// Occupancy of both cache tiers.
     pub fn cache_occupancy(&self) -> LruOccupancy {
         self.cache.lock().occupancy()
     }
 
-    /// Encodes `index` as the next segment, writes its file atomically,
-    /// enters its footer (decoded back out of the encoder's bytes) in the
-    /// directory and its blocks in the raw tier — they are in hand, so the
-    /// segment's first lookup is a raw hit, not a disk read. The returned
-    /// entry is not live until the caller commits it to the manifest; until
-    /// then the file is an orphan [`open`](Self::open) would quarantine,
-    /// and its directory and cache entries are as inert — an id is spent
-    /// once its file is written, so a written id is never reused, and
-    /// lookups walk the manifest. A failed write spends nothing: the retry
-    /// writes the same file name.
-    fn write_segment(
-        &mut self,
-        index: &TopKIndex,
-        t_start: f64,
-        t_end: f64,
-    ) -> Result<SegmentMeta, SegmentError> {
-        let format = SegmentFormat::Binary;
-        let id = self.manifest.next_segment_id;
-        let file = format.file_name(id);
-        let path = self.dir.join(&file);
-        let invalid = |source| SegmentError::InvalidSegment {
-            path: path.clone(),
-            source,
-        };
-        binseg::check_centroids(index).map_err(invalid)?;
-        let payload = binseg::encode(index);
-        let footer = binseg::footer_of(&payload).map_err(invalid)?;
-        write_atomic_bytes(&path, &payload).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: path.clone(),
-                source,
-            })
-        })?;
-        self.manifest.allocate_id();
-        let cache = self.cache.get_mut();
-        for (key, meta) in blocks_of(&footer) {
-            let block = binseg::block_slice(&payload, meta).map_err(invalid)?;
-            cache
-                .raw
-                .insert((id, key), Arc::new(block.to_vec()), meta.len);
-        }
-        self.footers.insert(id, Arc::new(footer));
-        Ok(SegmentMeta {
-            id,
-            file,
-            t_start,
-            t_end,
-            streams: index.streams(),
-            clusters: index.len(),
-            checksum: fnv1a64(&payload),
-            format,
-        })
-    }
-
-    /// Seals `index` as one new immutable segment: writes the segment file
-    /// atomically, then commits it to the manifest. An empty index seals
-    /// nothing and returns `Ok(None)`.
-    ///
-    /// The segment's time bounds are the tight cover of the records' time
-    /// ranges and its stream list is exactly the records' streams, which is
-    /// what makes later pruning sound (see [`SegmentMeta::admits_filter`]).
-    ///
-    /// An index whose centroid section does not hold exactly one
-    /// observation per record ([`binseg::check_centroids`]) is refused
-    /// before anything is written: [`SegmentError::InvalidSegment`] naming
-    /// the file it would have become, carrying
-    /// [`BinsegError::MissingCentroid`] with the smallest key lacking one.
-    pub fn seal(&mut self, index: &TopKIndex) -> Result<Option<SegmentMeta>, SegmentError> {
-        if index.is_empty() {
-            return Ok(None);
-        }
-        let mut t_start = f64::INFINITY;
-        let mut t_end = f64::NEG_INFINITY;
-        for record in index.clusters() {
-            t_start = t_start.min(record.start_secs);
-            t_end = t_end.max(record.end_secs);
-        }
-        let meta = self.write_segment(index, t_start, t_end)?;
-        self.manifest.segments.push(meta.clone());
-        self.manifest.save(&self.dir.join(MANIFEST_FILE))?;
-        Ok(Some(meta))
-    }
-
-    /// Reads segment `id` whole, verifies its manifest checksum and decodes
-    /// it. An uncached reader for tests and inspection: it neither consults
-    /// nor fills the cache tiers, whose unit is the block.
-    ///
-    /// Segment files are binary; to read one as text, render the loaded
-    /// index in its canonical JSON form:
-    ///
-    /// ```
-    /// use focus_index::{persist, ClusterKey, ClusterRecord, MemberRef, SegmentStore, TopKIndex};
-    /// use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId};
-    ///
-    /// let dir = std::env::temp_dir().join("focus_segment_inspect_doc_example");
-    /// let _ = std::fs::remove_dir_all(&dir);
-    /// let mut store = SegmentStore::create(&dir).unwrap();
-    /// let mut seg = TopKIndex::new();
-    /// seg.insert_centroid(ObjectObservation { object_id: ObjectId(0), ..Default::default() });
-    /// seg.insert(ClusterRecord {
-    ///     key: ClusterKey::new(StreamId(0), 0),
-    ///     centroid_object: ObjectId(0),
-    ///     centroid_frame: FrameId(0),
-    ///     top_k_classes: vec![ClassId(7)],
-    ///     members: vec![MemberRef { object: ObjectId(0), frame: FrameId(0), track: TrackId(0) }],
-    ///     start_secs: 0.0,
-    ///     end_secs: 10.0,
-    /// });
-    /// let id = store.seal(&seg).unwrap().unwrap().id;
-    ///
-    /// let text = persist::to_json(&store.load(id).unwrap()).unwrap();
-    /// assert!(text.starts_with("{\"version\":1,"));
-    /// assert_eq!(text, persist::to_json(&seg).unwrap());
-    /// # std::fs::remove_dir_all(&dir).ok();
-    /// ```
-    pub fn load(&self, id: u64) -> Result<TopKIndex, SegmentError> {
-        let meta = self
-            .manifest
-            .segment(id)
-            .ok_or(SegmentError::UnknownSegment { id })?;
-        self.read_segment(meta)
-    }
-
-    /// [`load`](Self::load) for a live segment's manifest entry. The
-    /// footer comes from the directory: the whole-file checksum vouches
-    /// that the bytes are the ones it was decoded from.
-    fn read_segment(&self, meta: &SegmentMeta) -> Result<TopKIndex, SegmentError> {
-        let path = self.dir.join(&meta.file);
-        let bytes = fs::read(&path).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: path.clone(),
-                source,
-            })
-        })?;
-        let found = fnv1a64(&bytes);
-        if found != meta.checksum {
-            return Err(SegmentError::Corrupt {
-                path,
-                expected: meta.checksum,
-                found,
-            });
-        }
-        binseg::decode_vouched(&bytes, self.footer(meta.id)?)
-            .map_err(|source| SegmentError::InvalidSegment { path, source })
-    }
-
-    /// Reads `segments` (uncached) and merges them into one index. They
-    /// must be key-disjoint: a key two of them hold is
-    /// [`SegmentError::DuplicateKey`] naming both.
-    fn merge_segments(&self, segments: &[SegmentMeta]) -> Result<TopKIndex, SegmentError> {
-        let mut merged = TopKIndex::new();
-        let mut keys = Vec::new();
-        for meta in segments {
-            let index = self.read_segment(meta)?;
-            keys.extend(index.clusters().map(|record| (record.key, meta.id)));
-            merged.merge(index);
-        }
-        check_disjoint(keys)?;
-        Ok(merged)
-    }
-
     /// Segment `id`'s footer, from the directory.
-    fn footer(&self, id: u64) -> Result<&SegmentFooter, SegmentError> {
+    pub(super) fn footer(&self, id: u64) -> Result<&SegmentFooter, SegmentError> {
         let footer = self.footers.get(&id);
         Ok(footer.ok_or(SegmentError::UnknownSegment { id })?)
     }
@@ -1306,7 +676,7 @@ impl SegmentStore {
     }
 
     /// Pruned lookup: opens only the segments intersecting `filter`, runs
-    /// [`TopKIndex::lookup`] in each (reading only the needed blocks), and
+    /// [`TopKIndex::lookup`](crate::TopKIndex::lookup) in each (reading only the needed blocks), and
     /// returns the union sorted by cluster key — byte-identical to looking
     /// `class` up in the merged in-memory index (segments are key-disjoint,
     /// so no deduplication across segments is ever needed; a store that
@@ -1447,102 +817,14 @@ impl SegmentStore {
         }
         Ok((merged, access))
     }
-
-    /// Merges every live segment into one in-memory index (manifest order).
-    /// This is the reference the pruned query path is tested against, and
-    /// an inspection tool for callers that want the whole corpus in memory;
-    /// it reads and decodes every segment again, uncached, so recovery does
-    /// not use it ([`open_scanning`](Self::open_scanning) checks records in
-    /// the open's own pass). Segments sharing a key are
-    /// [`SegmentError::DuplicateKey`].
-    pub fn merged_index(&self) -> Result<TopKIndex, SegmentError> {
-        self.merge_segments(&self.manifest.segments)
-    }
-
-    /// Folds runs of adjacent small segments into larger ones: consecutive
-    /// segments (in seal order) whose combined record count stays within
-    /// `max_clusters` are merged into a single new segment. Query results are
-    /// unchanged — the same records end up live, in fewer files.
-    ///
-    /// Crash-safe in the same way as sealing: each replacement segment file
-    /// is written atomically before the manifest commits the swap, and the
-    /// obsolete files are deleted only afterwards (a crash in between leaves
-    /// orphans that the next [`open`](Self::open) quarantines).
-    ///
-    /// Returns the number of segments folded away (old segments removed
-    /// minus replacements added). A run whose segments share a key is
-    /// refused with [`SegmentError::DuplicateKey`] before its replacement
-    /// is written, and the manifest is left as it was.
-    pub fn compact(&mut self, max_clusters: usize) -> Result<usize, SegmentError> {
-        // Work on a copy: the live segment list must stay intact if any
-        // write below fails (replacement files already written become
-        // orphans that the next open() quarantines — never data loss).
-        let old = self.manifest.segments.clone();
-        let before = old.len();
-        let mut new_segments: Vec<SegmentMeta> = Vec::with_capacity(before);
-        let mut obsolete: Vec<SegmentMeta> = Vec::new();
-        let mut run: Vec<SegmentMeta> = Vec::new();
-        let mut run_clusters = 0usize;
-
-        // Writes a run back: runs of one keep their segment untouched; runs
-        // of two or more are merged into a freshly sealed replacement.
-        let flush = |this: &mut Self,
-                     run: &mut Vec<SegmentMeta>,
-                     new_segments: &mut Vec<SegmentMeta>,
-                     obsolete: &mut Vec<SegmentMeta>|
-         -> Result<(), SegmentError> {
-            if run.len() < 2 {
-                new_segments.append(run);
-                return Ok(());
-            }
-            let merged = this.merge_segments(run)?;
-            let t_start = run.iter().map(|m| m.t_start).fold(f64::INFINITY, f64::min);
-            let t_end = run
-                .iter()
-                .map(|m| m.t_end)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let meta = this.write_segment(&merged, t_start, t_end)?;
-            obsolete.append(run);
-            new_segments.push(meta);
-            Ok(())
-        };
-
-        for meta in old.iter().cloned() {
-            if !run.is_empty() && run_clusters + meta.clusters > max_clusters {
-                flush(self, &mut run, &mut new_segments, &mut obsolete)?;
-                run_clusters = 0;
-            }
-            run_clusters += meta.clusters;
-            run.push(meta);
-        }
-        flush(self, &mut run, &mut new_segments, &mut obsolete)?;
-
-        if obsolete.is_empty() {
-            return Ok(0);
-        }
-        // Commit: swap the list in memory, persist it, then retire the old
-        // files. A failed save restores the old list so the in-memory store
-        // keeps matching the manifest on disk.
-        self.manifest.segments = new_segments;
-        if let Err(e) = self.manifest.save(&self.dir.join(MANIFEST_FILE)) {
-            self.manifest.segments = old;
-            return Err(e.into());
-        }
-        let mut cache = self.cache.lock();
-        for meta in &obsolete {
-            cache.remove_segment(meta.id);
-            self.footers.remove(&meta.id);
-            let _ = fs::remove_file(self.dir.join(&meta.file));
-        }
-        drop(cache);
-        Ok(before - self.manifest.segments.len())
-    }
 }
 
 /// Every cached block of a segment and where its bytes lie: the record
 /// blocks in key order, the postings blocks in class order, then the tracks
 /// block. The centroid block is not among them: no lookup reads it.
-fn blocks_of(footer: &SegmentFooter) -> impl Iterator<Item = (BlockKey, &BlockMeta)> + '_ {
+pub(super) fn blocks_of(
+    footer: &SegmentFooter,
+) -> impl Iterator<Item = (BlockKey, &BlockMeta)> + '_ {
     let records = footer.record_blocks.iter().enumerate();
     let records = records.map(|(index, m)| (BlockKey::Records(index as u32), &m.block));
     let postings = footer.postings.iter();
@@ -1551,180 +833,14 @@ fn blocks_of(footer: &SegmentFooter) -> impl Iterator<Item = (BlockKey, &BlockMe
     records.chain(postings).chain(tracks)
 }
 
-/// Segments are key-disjoint by construction: a key two of them hold means
-/// a corrupt store, and silently keeping one of the records would mask it.
-/// `keys` pairs each key with the segment holding it.
-fn check_disjoint(mut keys: Vec<(ClusterKey, u64)>) -> Result<(), SegmentError> {
-    keys.sort_unstable();
-    match keys.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-        Some(pair) => Err(SegmentError::DuplicateKey {
-            key: pair[0].0,
-            segments: [pair[0].1, pair[1].1],
-        }),
-        None => Ok(()),
-    }
-}
-
-/// The quarantine name for an untrusted file: `<name>.quarantined` next to
-/// the original.
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".quarantined");
-    path.with_file_name(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster_store::{ClusterKey, MemberRef};
-    use crate::persist;
-    use focus_video::{FrameId, ObjectId, StreamId, TrackId};
-
-    fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("focus_segment_{name}"));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn record(stream: u32, local: u64, class: u16, start: f64) -> ClusterRecord {
-        ClusterRecord {
-            key: ClusterKey::new(StreamId(stream), local),
-            centroid_object: ObjectId((stream as u64) << 32 | local),
-            centroid_frame: FrameId(local),
-            top_k_classes: vec![ClassId(class), ClassId(0)],
-            members: vec![MemberRef {
-                object: ObjectId((stream as u64) << 32 | local),
-                frame: FrameId(local),
-                track: TrackId(local % 4),
-            }],
-            start_secs: start,
-            end_secs: start + 5.0,
-        }
-    }
-
-    /// The centroid observation behind `record`.
-    pub(super) fn centroid_of(record: &ClusterRecord) -> ObjectObservation {
-        ObjectObservation {
-            object_id: record.centroid_object,
-            frame_id: record.centroid_frame,
-            stream_id: record.key.stream,
-            ..ObjectObservation::default()
-        }
-    }
-
-    /// An index of `records`, each with its centroid observation.
-    fn segment_of(records: &[ClusterRecord]) -> TopKIndex {
-        let mut idx = TopKIndex::new();
-        for r in records {
-            idx.insert_centroid(centroid_of(r));
-            idx.insert(r.clone());
-        }
-        idx
-    }
-
-    fn seal_populated(store: &mut SegmentStore) {
-        store
-            .seal(&segment_of(&[record(0, 0, 5, 0.0), record(0, 1, 5, 10.0)]))
-            .unwrap();
-        store
-            .seal(&segment_of(&[
-                record(0, 2, 5, 100.0),
-                record(0, 3, 6, 110.0),
-            ]))
-            .unwrap();
-        store
-            .seal(&segment_of(&[record(1, 0, 5, 0.0), record(1, 1, 7, 10.0)]))
-            .unwrap();
-    }
-
-    /// Seals three binary segments: stream 0 at [0,15], stream 0 at
-    /// [100,115], stream 1 at [0,15] — and returns the store reopened, so
-    /// both cache tiers start empty.
-    fn populated(dir: &Path) -> SegmentStore {
-        let mut store = SegmentStore::create(dir).unwrap();
-        seal_populated(&mut store);
-        cold(store)
-    }
-
-    /// `store` reopened by a plain `open`: the same segments, both cache
-    /// tiers empty (sealing leaves the fresh blocks in the raw tier).
-    fn cold(store: SegmentStore) -> SegmentStore {
-        SegmentStore::open(store.dir()).unwrap().0
-    }
-
-    /// What every block of segment `id` weighs in either tier: the sum of
-    /// their encoded lengths.
-    fn weight(store: &SegmentStore, id: u64) -> u64 {
-        blocks_of(&store.footers[&id]).map(|(_, m)| m.len).sum()
-    }
-
-    /// What one cold lookup of `class` costs in each segment, read off the
-    /// file's own footer: the block fetches (the class's postings block and
-    /// the record blocks covering its keys; the footer is resident and is
-    /// not a fetch) and their bytes, which is what lands in the raw tier.
-    fn lookup_costs(store: &SegmentStore, class: u16) -> Vec<(usize, u64)> {
-        let segments = store.segments().iter();
-        segments
-            .map(|meta| lookup_cost(store, meta, class))
-            .collect()
-    }
-
-    /// [`lookup_costs`] for one segment (which must post `class`).
-    fn lookup_cost(store: &SegmentStore, meta: &SegmentMeta, class: u16) -> (usize, u64) {
-        let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
-        let footer = binseg::footer_of(&bytes).unwrap();
-        let postings = footer.postings_for(ClassId(class)).unwrap().block;
-        let block = binseg::block_slice(&bytes, &postings).unwrap();
-        let covering = footer.blocks_covering(&binseg::decode_postings_block(block).unwrap());
-        let record_bytes: u64 = covering
-            .iter()
-            .map(|b| footer.record_blocks[*b].block.len)
-            .sum();
-        (1 + covering.len(), postings.len + record_bytes)
-    }
-
-    /// One segment of 256 records whose classes cycle 1..=8 (and all carry
-    /// class 0 second), so every class's keys touch every record block.
-    fn one_big_segment(store: &mut SegmentStore) -> SegmentMeta {
-        let records: Vec<ClusterRecord> = (0..256u64)
-            .map(|local| record(0, local, (local % 8) as u16 + 1, local as f64))
-            .collect();
-        store.seal(&segment_of(&records)).unwrap().unwrap()
-    }
-
-    #[test]
-    fn seal_assigns_bounds_streams_and_checksums() {
-        let dir = test_dir("seal_bounds");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        let meta = store
-            .seal(&segment_of(&[record(0, 0, 5, 2.0), record(0, 1, 5, 30.0)]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(meta.id, 0);
-        assert_eq!(meta.file, "seg-000000.bin");
-        assert_eq!(meta.t_start, 2.0);
-        assert_eq!(meta.t_end, 35.0);
-        assert_eq!(meta.streams, vec![StreamId(0)]);
-        assert_eq!(meta.clusters, 2);
-        let bytes = fs::read(dir.join(&meta.file)).unwrap();
-        assert_eq!(fnv1a64(&bytes), meta.checksum);
-        assert!(bytes.starts_with(&crate::binseg::BINSEG_MAGIC));
-        // Sealing an empty index is a no-op.
-        assert!(store.seal(&TopKIndex::new()).unwrap().is_none());
-        assert_eq!(store.len(), 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn create_refuses_to_clobber_an_existing_store() {
-        let dir = test_dir("create_clobber");
-        let _store = SegmentStore::create(&dir).unwrap();
-        assert!(SegmentStore::create(&dir).is_err());
-        fs::remove_dir_all(&dir).ok();
-    }
+    use crate::segment::tests::{
+        cold, lookup_cost, lookup_costs, one_big_segment, populated, record, seal_populated,
+        segment_of, sketched_index, test_dir, weight,
+    };
+    use focus_video::{StreamId, TrackId};
 
     #[test]
     fn lookup_equals_merged_index_and_prunes() {
@@ -2003,41 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn footer_directory_tracks_the_live_segments() {
-        let dir = test_dir("directory");
-        let store = populated(&dir);
-        let on_disk = |store: &SegmentStore| -> HashMap<u64, SegmentFooter> {
-            let footer = |meta: &SegmentMeta| {
-                let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
-                (meta.id, binseg::footer_of(&bytes).unwrap())
-            };
-            store.segments().iter().map(footer).collect()
-        };
-        let resident = |store: &SegmentStore| -> HashMap<u64, SegmentFooter> {
-            let footers = store.footers.iter();
-            footers.map(|(id, f)| (*id, (**f).clone())).collect()
-        };
-        // Sealed, reopened, sealed again, compacted, reopened: at every
-        // step the directory holds exactly the live segments' footers.
-        assert_eq!(resident(&store), on_disk(&store));
-        let (mut store, _) = SegmentStore::open(&dir).unwrap();
-        assert_eq!(resident(&store), on_disk(&store));
-        store.seal(&segment_of(&[record(2, 0, 9, 50.0)])).unwrap();
-        assert_eq!(resident(&store), on_disk(&store));
-        // Budget 4 folds the four segments (2, 2, 2 and 1 records) pairwise.
-        let folded_away: Vec<u64> = store.segments().iter().map(|m| m.id).collect();
-        assert_eq!(store.compact(4).unwrap(), 2);
-        assert_eq!(store.len(), 2);
-        assert_eq!(resident(&store), on_disk(&store));
-        assert!(folded_away.iter().all(|id| !store.footers.contains_key(id)));
-        let (store, report) = SegmentStore::open(&dir).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(resident(&store), on_disk(&store));
-        assert_eq!(store.footers.len(), 2);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn key_disjointness_holds_across_lookup_classes() {
         let dir = test_dir("duplicate_key");
         let mut store = SegmentStore::create(&dir).unwrap();
@@ -2061,96 +1142,6 @@ mod tests {
             }
             other => panic!("expected DuplicateKey, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_roundtrips_a_clean_store() {
-        let dir = test_dir("open_clean");
-        let store = populated(&dir);
-        let expected = persist::to_json(&store.merged_index().unwrap()).unwrap();
-        let (reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(reopened.len(), 3);
-        assert_eq!(
-            persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
-            expected
-        );
-        assert_eq!(reopened.total_clusters(), 6);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Recovery's open visits every record once and leaves the decoded tier
-    /// holding every block of the newest segments that fit its byte
-    /// budget, in manifest order — here two of three, after a compaction
-    /// made manifest order differ from id order: a lookup on the newest
-    /// segment reads nothing, one on the oldest reads from disk. Plain
-    /// `open` leaves both tiers empty.
-    #[test]
-    fn recovery_warms_the_newest_segments_that_fit() {
-        let dir = test_dir("open_scanning");
-        let mut store = populated(&dir);
-        let three = [0, 1, 2].map(|local| record(2, local, 5, local as f64));
-        store.seal(&segment_of(&three)).unwrap();
-        // Sizes 2, 2, 2, 3 under a cap of 4: only [0, 1] fold, into id 4,
-        // listed where they were: manifest [4, 2, 3].
-        store.compact(4).unwrap();
-        let order: Vec<u64> = store.segments().iter().map(|m| m.id).collect();
-        assert_eq!(order, vec![4, 2, 3]);
-        let budget = weight(&store, 2) + weight(&store, 3);
-        let entries = |id: u64| blocks_of(&store.footers[&id]).count();
-        let newest_entries = entries(2) + entries(3);
-        drop(store);
-
-        let mut seen = Vec::new();
-        let mut centroids = 0;
-        let scan = Scan {
-            record: &mut |id: u64, record: &ClusterRecord| seen.push((record.key, id)),
-            centroids: &mut |segment: Vec<ObjectObservation>| centroids += segment.len(),
-        };
-        let (scanned, report) = SegmentStore::open_body(dir.clone(), budget, Some(scan)).unwrap();
-        assert_eq!(centroids, scanned.total_clusters());
-        assert!(report.is_clean(), "{report:?}");
-        seen.sort();
-        let mut expected: Vec<(ClusterKey, u64)> = Vec::new();
-        for meta in scanned.segments() {
-            let segment = binseg::decode(&fs::read(dir.join(&meta.file)).unwrap()).unwrap();
-            expected.extend(segment.clusters().map(|r| (r.key, meta.id)));
-        }
-        expected.sort();
-        assert_eq!(seen, expected);
-        assert_eq!(seen.len(), scanned.total_clusters());
-
-        let occupancy = scanned.cache_occupancy();
-        assert_eq!(occupancy.decoded_occupancy_bytes, budget);
-        assert_eq!(occupancy.decoded_entries, newest_entries);
-        assert_eq!(occupancy.raw_entries, 0);
-        // Segment 3 (stream 2) is the newest: served decoded, nothing read.
-        let newest = QueryFilter::for_stream(StreamId(2));
-        let newest = scanned.lookup(ClassId(5), &newest).unwrap();
-        let mut reads = newest.access;
-        assert_eq!(newest.records.len(), 3);
-        assert_eq!(
-            (newest.access.cache_hits, newest.access.blocks_read),
-            (1, 0)
-        );
-        assert_eq!(newest.access.block_hits, lookup_costs(&scanned, 5)[2].0);
-        // Segment 4 (stream 0) is the oldest: evicted, so it comes off disk.
-        let oldest = QueryFilter::for_stream(StreamId(0));
-        let oldest = scanned.lookup(ClassId(5), &oldest).unwrap();
-        assert_eq!(oldest.access.cold_loads, 1);
-        assert_eq!(oldest.access.block_hits, 0);
-        assert_eq!(oldest.access.blocks_read, lookup_costs(&scanned, 5)[0].0);
-        // Recovery's own reads are not fetches: across both lookups, the
-        // disk served the oldest segment's blocks and nothing else.
-        reads.merge(&oldest.access);
-        assert_eq!(reads.blocks_read, lookup_costs(&scanned, 5)[0].0);
-        assert_eq!(reads.block_raw_hits, 0);
-
-        let (plain, _) = SegmentStore::open(&dir).unwrap();
-        let occupancy = plain.cache_occupancy();
-        assert_eq!((occupancy.decoded_entries, occupancy.raw_entries), (0, 0));
-        assert_eq!(occupancy.decoded_occupancy_bytes, 0);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2183,52 +1174,6 @@ mod tests {
         let mut reads = sealed.access;
         reads.merge(&compacted.access);
         assert_eq!(reads.blocks_read, 0, "{reads:?}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A run of segments sharing a key is refused before its replacement is
-    /// written: the manifest and every segment file stay as they were, and
-    /// the uncached reference reader refuses the store the same way.
-    #[test]
-    fn compact_refuses_segments_sharing_a_key_and_changes_nothing() {
-        let dir = test_dir("compact_duplicate");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        store
-            .seal(&segment_of(&[record(0, 0, 5, 0.0), record(0, 1, 5, 10.0)]))
-            .unwrap();
-        store
-            .seal(&segment_of(&[record(0, 1, 6, 10.0), record(0, 2, 6, 20.0)]))
-            .unwrap();
-        let listing = || {
-            let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
-                .unwrap()
-                .map(|entry| {
-                    let entry = entry.unwrap();
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    (name, fs::read(entry.path()).unwrap())
-                })
-                .collect();
-            files.sort();
-            files
-        };
-        let before = listing();
-        let live = store.segments().to_vec();
-        let ids = [live[0].id, live[1].id];
-        let duplicate = ClusterKey::new(StreamId(0), 1);
-        match store.compact(usize::MAX) {
-            Err(SegmentError::DuplicateKey { key, segments }) => {
-                assert_eq!((key, segments), (duplicate, ids))
-            }
-            other => panic!("expected DuplicateKey, got {other:?}"),
-        }
-        assert_eq!(listing(), before);
-        assert_eq!(store.segments(), &live[..]);
-        match store.merged_index() {
-            Err(SegmentError::DuplicateKey { key, segments }) => {
-                assert_eq!((key, segments), (duplicate, ids))
-            }
-            other => panic!("expected DuplicateKey, got {other:?}"),
-        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2280,58 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_segments_are_quarantined_on_open() {
-        let dir = test_dir("quarantine");
-        let store = populated(&dir);
-        let victim = store.segments()[1].file.clone();
-        // Flip one byte in the middle of the file.
-        let path = dir.join(&victim);
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        drop(store);
-
-        let (reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert_eq!(report.quarantined, vec![victim.clone()]);
-        assert_eq!(reopened.len(), 2);
-        assert!(!dir.join(&victim).exists());
-        assert!(dir.join(format!("{victim}.quarantined")).exists());
-        // The surviving segments still load and answer.
-        let lookup = reopened.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(lookup.records.len(), 3);
-        // A second open is clean: the repair was persisted to the manifest.
-        let (_, report) = SegmentStore::open(&dir).unwrap();
-        assert!(report.quarantined.is_empty(), "{report:?}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corruption_after_open_is_detected_at_load_time() {
-        let dir = test_dir("late_corrupt");
-        let store = populated(&dir);
-        let meta = store.segments()[0].clone();
-        let path = dir.join(&meta.file);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[0] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
-        match store.load(meta.id) {
-            Err(SegmentError::Corrupt {
-                expected, found, ..
-            }) => {
-                assert_eq!(expected, meta.checksum);
-                assert_ne!(found, expected);
-            }
-            other => panic!("expected corruption error, got {other:?}"),
-        }
-        assert!(matches!(
-            store.load(999),
-            Err(SegmentError::UnknownSegment { id: 999 })
-        ));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn block_corruption_is_detected_at_lookup_time() {
         let dir = test_dir("block_corrupt");
         let store = populated(&dir);
@@ -2350,20 +1243,6 @@ mod tests {
             other => panic!("expected block corruption error, got {other:?}"),
         }
         fs::remove_dir_all(&dir).ok();
-    }
-
-    /// One-record index with a two-observation sketch for `track` on
-    /// `stream`, windowed at `start`.
-    fn sketched_index(stream: u32, local: u64, start: f64, track: u64) -> TopKIndex {
-        let mut idx = segment_of(&[record(stream, local, 5, start)]);
-        let key = TrackKey {
-            stream: StreamId(stream),
-            track: TrackId(track),
-        };
-        let mut sketch = TrackSketch::first(key, start, 40.0, 40.0);
-        sketch.absorb(&TrackSketch::first(key, start + 2.0, 200.0, 40.0));
-        idx.insert_sketch(sketch);
-        idx
     }
 
     #[test]
@@ -2414,149 +1293,6 @@ mod tests {
         assert_eq!(warm_access.block_hits, 3);
         assert_eq!(warm_access.blocks_read, 0);
 
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sketch_block_corruption_fails_checksum_and_quarantines_on_open() {
-        let dir = test_dir("sketch_corrupt");
-        let mut store = SegmentStore::create(&dir).unwrap();
-        store.seal(&sketched_index(0, 0, 0.0, 1)).unwrap();
-        let store = cold(store);
-        let meta = store.segments()[0].clone();
-        let path = dir.join(&meta.file);
-        // Flip one byte inside the tracks block (located via the trailer
-        // and footer), leaving every other block intact.
-        let mut bytes = fs::read(&path).unwrap();
-        let footer = binseg::footer_of(&bytes).unwrap();
-        let tmeta = footer
-            .tracks
-            .expect("sealed segment carries a tracks block");
-        bytes[tmeta.offset as usize + 2] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-
-        // Lookup-time: the tracks block fails its footer checksum, exactly
-        // like record/postings block corruption.
-        match store.sketches(&QueryFilter::any()) {
-            Err(SegmentError::Corrupt {
-                expected, found, ..
-            }) => assert_ne!(expected, found),
-            other => panic!("expected tracks-block corruption, got {other:?}"),
-        }
-        // The damage is confined: record lookups in the same segment still
-        // serve (their blocks verify).
-        let lookup = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(lookup.records.len(), 1);
-        drop(store);
-
-        // Open-time: the whole-file checksum quarantines the segment via
-        // the same OpenReport machinery as any other corruption.
-        let (reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert_eq!(report.quarantined, vec![meta.file.clone()]);
-        assert_eq!(reopened.len(), 0);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn open_sweeps_temp_files_and_orphans() {
-        let dir = test_dir("sweep");
-        let store = populated(&dir);
-        let expected = persist::to_json(&store.merged_index().unwrap()).unwrap();
-        drop(store);
-        // A crash mid-write leaves a temp file; a crash between segment
-        // rename and manifest update leaves a complete but unlisted segment;
-        // a `.json` leftover from a store that once held JSON segments is
-        // swept the same way.
-        fs::write(dir.join("seg-000099.json.tmp"), "{\"partial").unwrap();
-        fs::write(
-            dir.join("seg-000098.json"),
-            "{\"version\":1,\"index\":{\"clusters\":[]}}",
-        )
-        .unwrap();
-        fs::write(
-            dir.join("seg-000097.bin"),
-            crate::binseg::encode(&TopKIndex::new()),
-        )
-        .unwrap();
-        let (reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert_eq!(report.removed_temp, vec!["seg-000099.json.tmp".to_string()]);
-        let mut quarantined = report.quarantined.clone();
-        quarantined.sort();
-        assert_eq!(
-            quarantined,
-            vec!["seg-000097.bin".to_string(), "seg-000098.json".to_string()]
-        );
-        assert!(!dir.join("seg-000099.json.tmp").exists());
-        assert!(dir.join("seg-000098.json.quarantined").exists());
-        assert!(dir.join("seg-000097.bin.quarantined").exists());
-        // Every sealed segment survived untouched.
-        assert_eq!(
-            persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
-            expected
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compact_folds_small_adjacent_segments_without_changing_results() {
-        let dir = test_dir("compact");
-        let mut store = populated(&dir);
-        let before = persist::to_json(&store.merged_index().unwrap()).unwrap();
-        // Each segment holds 2 clusters: a budget of 4 folds the first two
-        // and leaves the third alone.
-        let folded = store.compact(4).unwrap();
-        assert_eq!(folded, 1);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.segments()[0].clusters, 4);
-        assert_eq!(store.segments()[0].t_start, 0.0);
-        assert_eq!(store.segments()[0].t_end, 115.0);
-        assert_eq!(
-            persist::to_json(&store.merged_index().unwrap()).unwrap(),
-            before
-        );
-        // Old files are gone; the store reopens cleanly and still matches.
-        let (reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(
-            persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
-            before
-        );
-        // Compacting an already-compact store is a no-op.
-        let mut reopened = reopened;
-        assert_eq!(reopened.compact(4).unwrap(), 0);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn compact_everything_into_one_segment() {
-        let dir = test_dir("compact_all");
-        let mut store = populated(&dir);
-        let before = persist::to_json(&store.merged_index().unwrap()).unwrap();
-        let folded = store.compact(usize::MAX).unwrap();
-        assert_eq!(folded, 2);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.segments()[0].streams, vec![StreamId(0), StreamId(1)]);
-        assert_eq!(
-            persist::to_json(&store.merged_index().unwrap()).unwrap(),
-            before
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_compaction_leaves_the_segment_list_intact() {
-        let dir = test_dir("compact_fail");
-        let mut store = populated(&dir);
-        // Delete one segment file out from under the store: the fold's load
-        // fails mid-compaction. The live segment list must survive — losing
-        // it would delist every segment on the next manifest save.
-        let victim = store.segments()[1].file.clone();
-        fs::remove_file(dir.join(&victim)).unwrap();
-        assert!(store.compact(usize::MAX).is_err());
-        assert_eq!(store.len(), 3);
-        // And it still matches the manifest on disk.
-        let manifest = Manifest::load(&dir.join(MANIFEST_FILE)).unwrap();
-        assert_eq!(manifest.segments, store.segments());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2650,46 +1386,13 @@ mod tests {
         assert_eq!(merged.segments_pruned(), pruned);
         assert_eq!(merged.segments_total, 18);
     }
-
-    #[test]
-    fn errors_display_their_context() {
-        let errors: [SegmentError; 7] = [
-            SegmentError::Persist(PersistError::VersionMismatch {
-                path: None,
-                found: 9,
-                expected: 1,
-            }),
-            SegmentError::Corrupt {
-                path: PathBuf::from("/s/seg-000001.bin"),
-                expected: 1,
-                found: 2,
-            },
-            SegmentError::InvalidSegment {
-                path: PathBuf::from("/s/seg-000002.bin"),
-                source: BinsegError::BadMagic,
-            },
-            SegmentError::UnknownSegment { id: 7 },
-            SegmentError::DuplicateKey {
-                key: ClusterKey::new(StreamId(0), 3),
-                segments: [1, 4],
-            },
-            SegmentError::UnknownStream {
-                stream: StreamId(2),
-            },
-            SegmentError::StreamRegistered {
-                stream: StreamId(2),
-            },
-        ];
-        for e in errors {
-            assert!(!e.to_string().is_empty());
-        }
-    }
 }
 
 #[cfg(test)]
 mod property_tests {
     use super::*;
     use crate::cluster_store::MemberRef;
+    use crate::topk::TopKIndex;
     use focus_video::{FrameId, ObjectId, StreamId, TrackId};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -2791,7 +1494,7 @@ mod property_tests {
                 let mut index = TopKIndex::new();
                 for _ in 0..=rng.below(100) {
                     let record = arbitrary_record(&mut rng, streams, classes, local);
-                    index.insert_centroid(tests::centroid_of(&record));
+                    index.insert_centroid(super::super::tests::centroid_of(&record));
                     index.insert(record);
                     local += 1;
                 }
