@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use serde::{Deserialize, Serialize};
 
 use focus_index::manifest::fnv1a64;
-use focus_index::persist::write_atomic;
+use focus_index::persist::{read_document, write_document, PersistError, Versioned};
 
 use super::FleetError;
 
@@ -61,7 +61,8 @@ pub struct ClusterManifest {
 }
 
 impl ClusterManifest {
-    /// An empty epoch-0 manifest.
+    /// An empty epoch-0 manifest, not yet sealed: [`seal`](Self::seal) it
+    /// before it is validated or saved.
     pub fn new() -> Self {
         Self {
             version: CLUSTER_MANIFEST_VERSION,
@@ -69,23 +70,22 @@ impl ClusterManifest {
             assignments: Vec::new(),
             checksum: 0,
         }
-        .seal()
     }
 
-    fn body_checksum(&self) -> u64 {
+    fn body_checksum(&self) -> Result<u64, FleetError> {
         let body = Self {
             checksum: 0,
             ..self.clone()
         };
-        let json = serde_json::to_string(&body).expect("manifest body serializes");
-        fnv1a64(json.as_bytes())
+        let json = serde_json::to_string(&body).map_err(PersistError::from)?;
+        Ok(fnv1a64(json.as_bytes()))
     }
 
     /// Recomputes the checksum after a mutation.
-    pub fn seal(mut self) -> Self {
+    pub fn seal(mut self) -> Result<Self, FleetError> {
         self.assignments.sort_by_key(|a| a.shard);
-        self.checksum = self.body_checksum();
-        self
+        self.checksum = self.body_checksum()?;
+        Ok(self)
     }
 
     /// The assignment of `shard`, if any.
@@ -93,17 +93,11 @@ impl ClusterManifest {
         self.assignments.iter().find(|a| a.shard == shard)
     }
 
-    /// Structural validation: version, checksum, and — the split-brain
-    /// guard — no shard claimed by two entries and no stream claimed by
-    /// two shards.
+    /// Structural validation: checksum, and — the split-brain guard — no
+    /// shard claimed by two entries and no stream claimed by two shards.
+    /// (The version is checked where a replica is read.)
     pub fn validate(&self) -> Result<(), FleetError> {
-        if self.version != CLUSTER_MANIFEST_VERSION {
-            return Err(FleetError::Manifest(format!(
-                "cluster manifest version {} (expected {})",
-                self.version, CLUSTER_MANIFEST_VERSION
-            )));
-        }
-        if self.checksum != self.body_checksum() {
+        if self.checksum != self.body_checksum()? {
             return Err(FleetError::Manifest(
                 "cluster manifest checksum mismatch (torn or tampered replica)".into(),
             ));
@@ -143,50 +137,43 @@ impl ClusterManifest {
     /// highest valid epoch. Returns the bytes of one replica — what a
     /// placement round ships to each node.
     pub fn save(&self, replicas: &[PathBuf]) -> Result<u64, FleetError> {
-        let json = serde_json::to_string(self).expect("manifest serializes");
+        let mut bytes = 0;
         for dir in replicas {
-            let path = dir.join(CLUSTER_MANIFEST_FILE);
-            write_atomic(&path, &json).map_err(|source| FleetError::Io { path, source })?;
+            bytes = write_document(&dir.join(CLUSTER_MANIFEST_FILE), self)?;
         }
-        Ok(json.len() as u64)
+        Ok(bytes)
     }
 
     /// Loads the highest-epoch valid replica. Replicas that are missing,
-    /// torn, or fail [`validate`](Self::validate) are skipped; if *no*
-    /// replica is loadable the fleet refuses to start (better no placement
-    /// than a split-brain one).
+    /// torn, of another version, or fail [`validate`](Self::validate) are
+    /// skipped; if *no* replica is loadable the fleet refuses to start
+    /// (better no placement than a split-brain one).
     pub fn load(replicas: &[PathBuf]) -> Result<Self, FleetError> {
         let mut best: Option<Self> = None;
         let mut last_error: Option<FleetError> = None;
         for dir in replicas {
-            let path = dir.join(CLUSTER_MANIFEST_FILE);
-            let json = match std::fs::read_to_string(&path) {
-                Ok(json) => json,
-                Err(source) => {
-                    last_error = Some(FleetError::Io { path, source });
-                    continue;
+            let replica = read_document::<Self>(&dir.join(CLUSTER_MANIFEST_FILE));
+            match replica
+                .map_err(FleetError::from)
+                .and_then(|m| m.validate().map(|()| m))
+            {
+                Ok(manifest) if best.as_ref().is_none_or(|b| manifest.epoch > b.epoch) => {
+                    best = Some(manifest)
                 }
-            };
-            let manifest: Self = match serde_json::from_str(&json) {
-                Ok(manifest) => manifest,
-                Err(err) => {
-                    last_error = Some(FleetError::Manifest(format!(
-                        "replica {path:?} is malformed: {err}"
-                    )));
-                    continue;
-                }
-            };
-            if let Err(err) = manifest.validate() {
-                last_error = Some(err);
-                continue;
-            }
-            if best.as_ref().is_none_or(|b| manifest.epoch > b.epoch) {
-                best = Some(manifest);
+                Ok(_) => {}
+                Err(err) => last_error = Some(err),
             }
         }
         best.ok_or_else(|| {
             last_error.unwrap_or_else(|| FleetError::Manifest("no manifest replica found".into()))
         })
+    }
+}
+
+impl Versioned for ClusterManifest {
+    const VERSION: u32 = CLUSTER_MANIFEST_VERSION;
+    fn version(&self) -> u32 {
+        self.version
     }
 }
 
@@ -226,7 +213,7 @@ mod tests {
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[7]));
         manifest.epoch = 3;
-        let manifest = manifest.seal();
+        let manifest = manifest.seal().unwrap();
         manifest.save(&dirs).unwrap();
         let loaded = ClusterManifest::load(&dirs).unwrap();
         assert_eq!(loaded, manifest);
@@ -241,11 +228,11 @@ mod tests {
         let mut old = ClusterManifest::new();
         old.assignments.push(assignment(0, 0, &[1]));
         old.epoch = 1;
-        old.seal().save(&dirs[..1]).unwrap();
+        old.seal().unwrap().save(&dirs[..1]).unwrap();
         let mut new = ClusterManifest::new();
         new.assignments.push(assignment(0, 1, &[1]));
         new.epoch = 2;
-        new.seal().save(&dirs[1..2]).unwrap();
+        new.seal().unwrap().save(&dirs[1..2]).unwrap();
         // The third replica is torn mid-write.
         std::fs::write(dirs[2].join(CLUSTER_MANIFEST_FILE), "{\"version\":").unwrap();
         let loaded = ClusterManifest::load(&dirs).unwrap();
@@ -264,10 +251,10 @@ mod tests {
         let mut twin = assignment(0, 1, &[2]);
         twin.dir = "shard-9999".into();
         manifest.assignments.push(twin);
-        let mut manifest = manifest.seal();
+        let mut manifest = manifest.seal().unwrap();
         // Bypass validation at write time to model a corrupted/hostile
         // replica: recompute the checksum so only the claim check fires.
-        manifest.checksum = manifest.body_checksum();
+        manifest.checksum = manifest.body_checksum().unwrap();
         let json = serde_json::to_string(&manifest).unwrap();
         std::fs::write(dirs[0].join(CLUSTER_MANIFEST_FILE), json).unwrap();
         let err = ClusterManifest::load(&dirs).unwrap_err();
@@ -284,7 +271,7 @@ mod tests {
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[1, 2]));
         manifest.assignments.push(assignment(1, 1, &[2, 3]));
-        let manifest = manifest.seal();
+        let manifest = manifest.seal().unwrap();
         let json = serde_json::to_string(&manifest).unwrap();
         std::fs::write(dirs[0].join(CLUSTER_MANIFEST_FILE), json).unwrap();
         let err = ClusterManifest::load(&dirs).unwrap_err();
@@ -300,7 +287,7 @@ mod tests {
         let dirs = temp_dirs("tamper", 1);
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[1]));
-        manifest.seal().save(&dirs).unwrap();
+        manifest.seal().unwrap().save(&dirs).unwrap();
         let path = dirs[0].join(CLUSTER_MANIFEST_FILE);
         let tampered = std::fs::read_to_string(&path)
             .unwrap()
@@ -308,5 +295,22 @@ mod tests {
         std::fs::write(&path, tampered).unwrap();
         assert!(ClusterManifest::load(&dirs).is_err());
         std::fs::remove_dir_all(&dirs[0]).ok();
+    }
+
+    #[test]
+    fn a_replica_nested_past_the_parser_limit_is_an_error() {
+        let dirs = temp_dirs("deep_nest", 2);
+        for dir in &dirs {
+            std::fs::write(dir.join(CLUSTER_MANIFEST_FILE), "[".repeat(100_000)).unwrap();
+        }
+        match ClusterManifest::load(&dirs) {
+            Err(FleetError::Persist(e)) => {
+                assert!(e.to_string().contains("recursion limit"), "{e}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        for dir in &dirs {
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 }

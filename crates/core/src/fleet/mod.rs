@@ -45,6 +45,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
+use focus_index::persist::{create_dir_all, PersistError};
 use focus_index::{CentroidHandle, ClusterRecord, SegmentAccess, SegmentError, TrackKey};
 use focus_runtime::{GpuMeter, NetCostModel, NetMeter, NetStats, VirtualClock};
 use focus_video::{ClassId, Frame, ObjectId, ObjectObservation, StreamId};
@@ -64,13 +65,9 @@ use wire::WireLen;
 pub enum FleetError {
     /// A per-shard service operation failed.
     Segment(SegmentError),
-    /// Reading or writing fleet state failed.
-    Io {
-        /// The path involved.
-        path: PathBuf,
-        /// The underlying error.
-        source: std::io::Error,
-    },
+    /// Reading or writing fleet state (a `CLUSTER.json` replica or a node
+    /// directory) failed; the error names the path.
+    Persist(PersistError),
     /// The cluster manifest is invalid (torn replica, version skew, or a
     /// duplicate shard/stream claim — the split-brain guard).
     Manifest(String),
@@ -96,7 +93,7 @@ impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Segment(err) => write!(f, "shard service error: {err}"),
-            Self::Io { path, source } => write!(f, "fleet i/o error at {path:?}: {source}"),
+            Self::Persist(err) => write!(f, "fleet state: {err}"),
             Self::Manifest(msg) => write!(f, "cluster manifest rejected: {msg}"),
             Self::UnknownStream(stream) => write!(f, "no shard owns stream {}", stream.0),
             Self::NodeDown { node, shard } => {
@@ -115,7 +112,7 @@ impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Segment(err) => Some(err),
-            Self::Io { source, .. } => Some(source),
+            Self::Persist(err) => Some(err),
             _ => None,
         }
     }
@@ -124,6 +121,12 @@ impl std::error::Error for FleetError {
 impl From<SegmentError> for FleetError {
     fn from(err: SegmentError) -> Self {
         Self::Segment(err)
+    }
+}
+
+impl From<PersistError> for FleetError {
+    fn from(err: PersistError) -> Self {
+        Self::Persist(err)
     }
 }
 
@@ -322,10 +325,7 @@ impl FleetCoordinator {
         let coordinator = Self::assemble(root.into(), config, gt)?;
         let replicas = coordinator.replica_dirs();
         for dir in &replicas {
-            std::fs::create_dir_all(dir).map_err(|source| FleetError::Io {
-                path: dir.clone(),
-                source,
-            })?;
+            create_dir_all(dir)?;
         }
         coordinator.manifest.save(&replicas)?;
         Ok(coordinator)
@@ -380,7 +380,7 @@ impl FleetCoordinator {
             bootstrap: IngestCnn::generic(config.service.worker.bootstrap_model),
             gather_server: QueryServer::new(gt, config.service.gpus),
             config,
-            manifest: ClusterManifest::new(),
+            manifest: ClusterManifest::new().seal()?,
             nodes,
             fps: BTreeMap::new(),
             replay: BTreeMap::new(),
@@ -497,7 +497,7 @@ impl FleetCoordinator {
     /// replica — what the placement round ships to each node.
     fn commit_placement(&mut self, mut manifest: ClusterManifest) -> Result<u64, FleetError> {
         manifest.epoch = self.manifest.epoch + 1;
-        let manifest = manifest.seal();
+        let manifest = manifest.seal()?;
         manifest.validate()?;
         let bytes = manifest.save(&self.replica_dirs())?;
         self.manifest = manifest;

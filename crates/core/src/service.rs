@@ -58,7 +58,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
-use focus_index::persist::{write_atomic, PersistError};
+use focus_index::persist::{read_document, write_document, Versioned};
 use focus_index::{
     ClusterKey, LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
@@ -248,6 +248,13 @@ struct ServiceState {
     retired_routes: Vec<(u32, crate::query::segmented::RetiredRouting)>,
 }
 
+impl Versioned for ServiceState {
+    const VERSION: u32 = SERVICE_STATE_VERSION;
+    fn version(&self) -> u32 {
+        self.version
+    }
+}
+
 /// Per-stream live state: the incremental segmenter (hot tail) plus the
 /// specialization lifecycle. The stream's ingest model is its routing
 /// model in the corpus, so the two cannot disagree.
@@ -362,26 +369,7 @@ impl FocusService {
         // (sweeps temp files, quarantines orphans, may rewrite the
         // manifest), and a directory this service cannot serve must be
         // refused untouched.
-        let state_path = dir.join(SERVICE_STATE_FILE);
-        let json = std::fs::read_to_string(&state_path).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: state_path.clone(),
-                source,
-            })
-        })?;
-        let state: ServiceState = serde_json::from_str(&json).map_err(|source| {
-            SegmentError::Persist(PersistError::Format {
-                path: Some(state_path.clone()),
-                source,
-            })
-        })?;
-        if state.version != SERVICE_STATE_VERSION {
-            return Err(SegmentError::Persist(PersistError::VersionMismatch {
-                path: Some(state_path),
-                found: state.version,
-                expected: SERVICE_STATE_VERSION,
-            }));
-        }
+        let state: ServiceState = read_document(&dir.join(SERVICE_STATE_FILE))?;
         // A stream listed twice would be registered twice below; refuse it
         // here, before the open repairs anything.
         let mut listed: Vec<u32> = state.streams.iter().map(|(stream, _)| *stream).collect();
@@ -905,11 +893,9 @@ impl FocusService {
                 .collect(),
             retired_routes,
         };
-        let json = serde_json::to_string(&state)
-            .map_err(|source| SegmentError::Persist(PersistError::Format { path: None, source }))?;
         let path = self.corpus.store().dir().join(SERVICE_STATE_FILE);
-        write_atomic(&path, &json)
-            .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))
+        write_document(&path, &state)?;
+        Ok(())
     }
 
     /// Replaces the ground-truth CNN (bumping the verdict-cache epoch).
@@ -1438,5 +1424,142 @@ mod tests {
             other => panic!("expected DuplicateKey, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Bytes a durable document may hold after a torn write, bit rot or
+    /// tampering: one of the three versioned JSON documents (`MANIFEST.json`,
+    /// `service_state.json`, a `CLUSTER.json` replica) with a few bytes
+    /// flipped, overwritten, inserted, cut or truncated away, a deep nest
+    /// spliced in, or arbitrary bytes instead. Yields the document's index
+    /// (0, 1, 2 in that order) and the bytes, and no mutation one case in
+    /// eight.
+    struct HostileDocuments;
+
+    impl HostileDocuments {
+        fn valid(kind: usize) -> Vec<u8> {
+            use crate::fleet::{ClusterManifest, ShardAssignment};
+            use focus_index::{Manifest, SegmentFormat};
+            use focus_video::ClassId;
+            let json = match kind {
+                0 => {
+                    let mut manifest = Manifest::new();
+                    for id in 0..2 {
+                        manifest.allocate_id();
+                        manifest.segments.push(SegmentMeta {
+                            id,
+                            file: SegmentFormat::Binary.file_name(id),
+                            t_start: id as f64 * 10.0,
+                            t_end: id as f64 * 10.0 + 9.5,
+                            streams: vec![StreamId(id as u32)],
+                            clusters: 3,
+                            checksum: 0xfeed_beef,
+                            format: SegmentFormat::Binary,
+                        });
+                    }
+                    serde_json::to_string(&manifest)
+                }
+                1 => serde_json::to_string(&ServiceState {
+                    version: SERVICE_STATE_VERSION,
+                    streams: vec![(0, 30), (3, 15)],
+                    retired_routes: vec![(
+                        3,
+                        crate::query::segmented::RetiredRouting {
+                            generations: 2,
+                            specialized_union: vec![ClassId(1), ClassId(4)],
+                            specialized_intersection: vec![ClassId(4)],
+                        },
+                    )],
+                }),
+                _ => {
+                    let mut manifest = ClusterManifest::new();
+                    manifest.epoch = 4;
+                    manifest.assignments.push(ShardAssignment {
+                        shard: 0,
+                        node: 1,
+                        dir: "shard-0000".into(),
+                        streams: vec![0, 3],
+                    });
+                    serde_json::to_string(&manifest.seal().unwrap())
+                }
+            };
+            json.unwrap().into_bytes()
+        }
+    }
+
+    impl proptest::Strategy for HostileDocuments {
+        type Value = (usize, Vec<u8>);
+        fn sample(&self, rng: &mut proptest::test_runner::TestRng) -> (usize, Vec<u8>) {
+            let kind = rng.below(3) as usize;
+            let mut bytes = Self::valid(kind);
+            if rng.below(8) == 0 {
+                return (kind, bytes);
+            }
+            if rng.below(8) == 0 {
+                let len = rng.below(64) as usize;
+                return (kind, (0..len).map(|_| rng.below(256) as u8).collect());
+            }
+            const INTERESTING: &[u8] = b"[]{}\",:-09e.tnf \\\xff\x00";
+            for _ in 0..=rng.below(4) {
+                let at = rng.below(bytes.len() as u64 + 1) as usize;
+                match rng.below(6) {
+                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                    1 if at < bytes.len() => {
+                        bytes[at] = INTERESTING[rng.below(INTERESTING.len() as u64) as usize]
+                    }
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    3 => bytes.truncate(at),
+                    4 => {
+                        let open: &[u8] = if rng.below(2) == 0 { b"[" } else { b"{\"a\":" };
+                        let depth = [1, 127, 128, 129, 100_000][rng.below(5) as usize];
+                        let nest = open.repeat(depth);
+                        bytes.splice(at..at, nest);
+                    }
+                    _ => {
+                        let byte = INTERESTING[rng.below(INTERESTING.len() as u64) as usize];
+                        bytes.insert(at, byte);
+                    }
+                }
+            }
+            (kind, bytes)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Whatever bytes a durable document holds, its loader returns
+        /// `Ok` or `Err` — never a panic, and never an abort from a
+        /// recursion that overflows the stack. An unmutated document
+        /// loads.
+        #[test]
+        fn hostile_bytes_in_a_durable_document_are_an_error_not_a_crash(
+            (kind, bytes) in HostileDocuments
+        ) {
+            use crate::fleet::{ClusterManifest, CLUSTER_MANIFEST_FILE};
+            use focus_index::manifest::MANIFEST_FILE;
+            use focus_index::Manifest;
+            let dir = std::env::temp_dir().join("focus_service_unit_hostile_documents");
+            std::fs::create_dir_all(&dir).unwrap();
+            let file = [MANIFEST_FILE, SERVICE_STATE_FILE, CLUSTER_MANIFEST_FILE][kind];
+            std::fs::write(dir.join(file), &bytes).unwrap();
+            let loaded = match kind {
+                0 => Manifest::load(&dir.join(file)).map(drop).map_err(|e| e.to_string()),
+                1 => read_document::<ServiceState>(&dir.join(file))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+                _ => ClusterManifest::load(std::slice::from_ref(&dir))
+                    .map(drop)
+                    .map_err(|e| e.to_string()),
+            };
+            std::fs::remove_file(dir.join(file)).ok();
+            if bytes == HostileDocuments::valid(kind) {
+                proptest::prop_assert!(loaded.is_ok(), "{file}: {loaded:?}");
+            }
+        }
     }
 }

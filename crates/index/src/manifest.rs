@@ -4,7 +4,7 @@
 //! a [`SegmentStore`](crate::segment::SegmentStore) directory are live: a
 //! segment exists exactly when the manifest lists it. Because both segment
 //! files and the manifest are written atomically (temp file + rename, see
-//! [`crate::persist::write_atomic`]) and always in the order *segment file
+//! [`crate::persist::write_atomic_bytes`]) and always in the order *segment file
 //! first, manifest second*, a crash at any point leaves the store
 //! recoverable:
 //!
@@ -20,14 +20,13 @@
 //! being silently loaded.
 
 use std::collections::HashSet;
-use std::fs;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use focus_video::StreamId;
 
-use crate::persist::{write_atomic, PersistError};
+use crate::persist::{read_document, write_document, PersistError, Versioned};
 use crate::query::QueryFilter;
 
 /// Current manifest format version.
@@ -176,33 +175,20 @@ impl Manifest {
 
     /// Loads a manifest from `path`, verifying the format version.
     pub fn load(path: &Path) -> Result<Manifest, PersistError> {
-        let json = fs::read_to_string(path).map_err(|source| PersistError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let manifest: Manifest =
-            serde_json::from_str(&json).map_err(|source| PersistError::Format {
-                path: Some(path.to_path_buf()),
-                source,
-            })?;
-        if manifest.version != MANIFEST_VERSION {
-            return Err(PersistError::VersionMismatch {
-                path: Some(path.to_path_buf()),
-                found: manifest.version,
-                expected: MANIFEST_VERSION,
-            });
-        }
-        Ok(manifest)
+        read_document(path)
     }
 
     /// Writes the manifest to `path` atomically (temp file + rename): a
     /// crash mid-write leaves the previous manifest intact.
     pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        let json = serde_json::to_string(self)?;
-        write_atomic(path, &json).map_err(|source| PersistError::Io {
-            path: path.to_path_buf(),
-            source,
-        })
+        write_document(path, self).map(drop)
+    }
+}
+
+impl Versioned for Manifest {
+    const VERSION: u32 = MANIFEST_VERSION;
+    fn version(&self) -> u32 {
+        self.version
     }
 }
 

@@ -1,22 +1,29 @@
-//! The canonical text form of an index, and the durability primitives.
+//! The durability primitives under the segment store, and the one codec
+//! for its versioned JSON documents.
 //!
 //! The paper stores the index in MongoDB; here it persists through the
 //! segment store (see [`crate::segment`]). This module holds what that
 //! store is built on:
 //!
-//! * [`to_json`] / [`from_json`] — a self-describing, versioned JSON
-//!   rendering of a whole [`TopKIndex`]. Nothing is stored in it; it is the
-//!   canonical form byte-identity tests compare indexes through, and the way
+//! * [`write_atomic_bytes`] (temp file + `fsync` + rename) — a crash
+//!   mid-write can never truncate an existing file: the target path either
+//!   still holds the previous complete contents or already holds the new
+//!   ones. Segment files and every JSON document are written through it.
+//! * [`read_document`] / [`write_document`] — the codec of every
+//!   [`Versioned`] JSON document: read → parse → version check, and
+//!   serialize → atomic write → bytes written. The segment manifest
+//!   (`MANIFEST.json`), the service sidecar (`service_state.json`) and the
+//!   fleet's `CLUSTER.json` replicas go through it.
+//! * [`to_json`] / [`from_json`] — the canonical text form of a whole
+//!   [`TopKIndex`], decoded by the same codec. Nothing is stored in it; it
+//!   is the form byte-identity tests compare indexes through, and the way
 //!   to look inside a segment (`to_json(&store.load(id)?)`).
-//! * [`write_atomic`] / [`write_atomic_bytes`] (temp file + `fsync` +
-//!   rename) — a crash mid-write can never truncate an existing file: the
-//!   target path either still holds the previous complete contents or
-//!   already holds the new ones. Manifests and segment files are written
-//!   through them.
 //!
 //! Every [`PersistError`] carries the file path it occurred on (when a file
 //! was involved), so a failed load in a store of hundreds of segments points
-//! at the exact file instead of a bare "invalid JSON".
+//! at the exact file instead of a bare "invalid JSON". The JSON parser
+//! refuses documents nested deeper than 128 containers, so a hostile file
+//! is a [`PersistError::Format`], not a stack overflow.
 
 use std::fs;
 use std::io::{self, Write};
@@ -26,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::topk::TopKIndex;
 
-/// Current snapshot format version.
+/// Version of the canonical index text form ([`to_json`]).
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Errors produced by reading or writing persisted state, each carrying the path of the
@@ -40,14 +47,14 @@ pub enum PersistError {
         /// The I/O failure.
         source: io::Error,
     },
-    /// The snapshot could not be encoded or decoded.
+    /// The document could not be encoded or decoded.
     Format {
         /// The file being decoded, if the bytes came from a file.
         path: Option<PathBuf>,
         /// The underlying encode/decode failure.
         source: serde_json::Error,
     },
-    /// The snapshot was written by an incompatible version of this crate.
+    /// The document was written by an incompatible version of this crate.
     VersionMismatch {
         /// The file carrying the incompatible snapshot, if any.
         path: Option<PathBuf>,
@@ -73,24 +80,16 @@ impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PersistError::Io { path, source } => {
-                write!(
-                    f,
-                    "index snapshot I/O error at `{}`: {source}",
-                    path.display()
-                )
+                write!(f, "I/O error at `{}`: {source}", path.display())
             }
             PersistError::Format {
                 path: Some(path),
                 source,
             } => {
-                write!(
-                    f,
-                    "index snapshot format error in `{}`: {source}",
-                    path.display()
-                )
+                write!(f, "format error in `{}`: {source}", path.display())
             }
             PersistError::Format { path: None, source } => {
-                write!(f, "index snapshot format error: {source}")
+                write!(f, "format error: {source}")
             }
             PersistError::VersionMismatch {
                 path,
@@ -99,7 +98,7 @@ impl std::fmt::Display for PersistError {
             } => {
                 write!(
                     f,
-                    "index snapshot version mismatch{}: found {found}, expected {expected}",
+                    "version mismatch{}: found {found}, expected {expected}",
                     match path {
                         Some(p) => format!(" in `{}`", p.display()),
                         None => String::new(),
@@ -129,10 +128,64 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
+/// A JSON document that carries its format version in a `version` field.
+/// [`read_document`], [`write_document`] and [`decode`] are its one codec.
+pub trait Versioned: Serialize + Deserialize {
+    /// The one version this build reads and writes.
+    const VERSION: u32;
+    /// The version this document carries.
+    fn version(&self) -> u32;
+}
+
+/// Parses `json` as a `T` and checks its version. Errors name `path`, the
+/// file the text came from, when there is one.
+pub fn decode<T: Versioned>(json: &str, path: Option<&Path>) -> Result<T, PersistError> {
+    let path = || path.map(Path::to_path_buf);
+    let doc: T = serde_json::from_str(json).map_err(|source| PersistError::Format {
+        path: path(),
+        source,
+    })?;
+    if doc.version() != T::VERSION {
+        return Err(PersistError::VersionMismatch {
+            path: path(),
+            found: doc.version(),
+            expected: T::VERSION,
+        });
+    }
+    Ok(doc)
+}
+
+/// Reads the document at `path`: read, parse, version check.
+pub fn read_document<T: Versioned>(path: &Path) -> Result<T, PersistError> {
+    let json = fs::read_to_string(path).map_err(|source| PersistError::Io {
+        path: path.to_path_buf(),
+        source,
+    })?;
+    decode(&json, Some(path))
+}
+
+/// Writes `doc` to `path` atomically ([`write_atomic_bytes`]) and returns
+/// the number of bytes written.
+pub fn write_document<T: Versioned>(path: &Path, doc: &T) -> Result<u64, PersistError> {
+    let json = serde_json::to_string(doc).map_err(|source| PersistError::Format {
+        path: Some(path.to_path_buf()),
+        source,
+    })?;
+    write_atomic_bytes(path, json.as_bytes())?;
+    Ok(json.len() as u64)
+}
+
 #[derive(Debug, Serialize, Deserialize)]
 struct Snapshot {
     version: u32,
     index: TopKIndex,
+}
+
+impl Versioned for Snapshot {
+    const VERSION: u32 = SNAPSHOT_VERSION;
+    fn version(&self) -> u32 {
+        self.version
+    }
 }
 
 /// Serializes `index` to a JSON string.
@@ -146,15 +199,15 @@ pub fn to_json(index: &TopKIndex) -> Result<String, PersistError> {
 
 /// Deserializes an index from a JSON string produced by [`to_json`].
 pub fn from_json(json: &str) -> Result<TopKIndex, PersistError> {
-    let snapshot: Snapshot = serde_json::from_str(json)?;
-    if snapshot.version != SNAPSHOT_VERSION {
-        return Err(PersistError::VersionMismatch {
-            path: None,
-            found: snapshot.version,
-            expected: SNAPSHOT_VERSION,
-        });
-    }
-    Ok(snapshot.index)
+    decode::<Snapshot>(json, None).map(|snapshot| snapshot.index)
+}
+
+/// Creates `dir` and any missing parents.
+pub fn create_dir_all(dir: &Path) -> Result<(), PersistError> {
+    fs::create_dir_all(dir).map_err(|source| PersistError::Io {
+        path: dir.to_path_buf(),
+        source,
+    })
 }
 
 /// Writes `contents` to `path` atomically: the bytes go to a sibling
@@ -162,40 +215,38 @@ pub fn from_json(json: &str) -> Result<TopKIndex, PersistError> {
 /// over `path`, and the parent directory is fsynced so the rename itself
 /// survives power loss. A crash at any point leaves `path` either untouched
 /// (still the previous complete file) or fully replaced — never truncated.
+/// A failure is [`PersistError::Io`] naming `path`.
 ///
 /// The temp name is deterministic, so two concurrent writers to the same
 /// path race on it; callers that share a path must serialize writes (the
 /// segment store does, by requiring `&mut self` for all writes).
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    write_atomic_bytes(path, contents.as_bytes())
-}
-
-/// Byte-level twin of [`write_atomic`], for non-text payloads (the binary
-/// segment format). Same protocol: temp file, fsync, rename, parent-dir
-/// fsync; same deterministic temp name, so the same single-writer rule
-/// applies.
-pub fn write_atomic_bytes(path: &Path, contents: &[u8]) -> io::Result<()> {
-    let mut file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
-        .to_os_string();
-    file_name.push(".tmp");
-    let tmp = path.with_file_name(file_name);
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(contents)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    // Durability of the rename: the directory entry must reach disk too,
-    // or a power cut can resurrect the old file (or lose the new name)
-    // after the caller was told the write succeeded.
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
+pub fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), PersistError> {
+    let write = || -> io::Result<()> {
+        let mut file_name = path
+            .file_name()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
+            .to_os_string();
+        file_name.push(".tmp");
+        let tmp = path.with_file_name(file_name);
+        {
+            let mut file = fs::File::create(&tmp)?;
+            file.write_all(contents)?;
+            file.sync_all()?;
+        }
+        fs::rename(&tmp, path)?;
+        // Durability of the rename: the directory entry must reach disk
+        // too, or a power cut can resurrect the old file (or lose the new
+        // name) after the caller was told the write succeeded.
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        fs::File::open(parent)?.sync_all()
     };
-    fs::File::open(parent)?.sync_all()?;
-    Ok(())
+    write().map_err(|source| PersistError::Io {
+        path: path.to_path_buf(),
+        source,
+    })
 }
 
 #[cfg(test)]
@@ -245,9 +296,9 @@ mod tests {
         let path = dir.join("index.json");
         // Overwrite a snapshot with a bigger one: the temp file must not
         // linger and the final content must be the second snapshot.
-        write_atomic(&path, &to_json(&TopKIndex::new()).unwrap()).unwrap();
+        write_atomic_bytes(&path, to_json(&TopKIndex::new()).unwrap().as_bytes()).unwrap();
         let full = to_json(&sample_index()).unwrap();
-        write_atomic(&path, &full).unwrap();
+        write_atomic_bytes(&path, full.as_bytes()).unwrap();
         assert!(!path.with_file_name("index.json.tmp").exists());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
         std::fs::remove_file(&path).ok();

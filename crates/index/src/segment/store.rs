@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use crate::binseg;
 use crate::manifest::{fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE};
-use crate::persist::{write_atomic_bytes, PersistError};
+use crate::persist::{create_dir_all, write_atomic_bytes, PersistError};
 use crate::topk::TopKIndex;
 
 use super::read::{blocks_of, TieredCache, DEFAULT_DECODED_CACHE_BYTES, DEFAULT_RAW_CACHE_BYTES};
@@ -25,12 +25,7 @@ impl SegmentStore {
     /// [`open`](Self::open) for an existing store.
     pub fn create(dir: impl Into<PathBuf>) -> Result<SegmentStore, SegmentError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: dir.clone(),
-                source,
-            })
-        })?;
+        create_dir_all(&dir)?;
         let manifest_path = dir.join(MANIFEST_FILE);
         if manifest_path.exists() {
             return Err(SegmentError::Persist(PersistError::Io {
@@ -113,12 +108,7 @@ impl SegmentStore {
         binseg::check_centroids(index).map_err(invalid)?;
         let payload = binseg::encode(index);
         let footer = binseg::footer_of(&payload).map_err(invalid)?;
-        write_atomic_bytes(&path, &payload).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: path.clone(),
-                source,
-            })
-        })?;
+        write_atomic_bytes(&path, &payload)?;
         self.manifest.allocate_id();
         let cache = self.cache.get_mut();
         for (key, meta) in blocks_of(&footer) {

@@ -222,7 +222,7 @@ fn conflicting_segment_range_claims_rejected_at_recover() {
         streams: vec![7],
     });
     manifest.epoch = 1;
-    let manifest = manifest.seal();
+    let manifest = manifest.seal().unwrap();
     let json = serde_json::to_string(&manifest).unwrap();
     std::fs::write(dir.join("CLUSTER.json"), &json).unwrap();
     std::fs::write(dir.join("node-0").join("CLUSTER.json"), &json).unwrap();

@@ -255,6 +255,37 @@ fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A document nested 100,000 containers deep — past the JSON parser's
+/// limit of 128, and deep enough to overflow the stack of a parser without
+/// one — in place of the sidecar or of the manifest is refused with a
+/// format error naming the file, not a crash, and the refusal changes no
+/// file.
+#[test]
+fn recover_refuses_a_document_nested_past_the_parser_limit_and_changes_nothing() {
+    let archive = build("deep_nest", 30.0, 10.0, 64);
+    let dir = &archive.dir;
+    // Bait for the open-time sweep, should it run before the refusal.
+    std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
+    for file in [SERVICE_STATE_FILE, "MANIFEST.json"] {
+        let path = dir.join(file);
+        let valid = std::fs::read(&path).unwrap();
+        std::fs::write(&path, "[".repeat(100_000)).unwrap();
+        let before = listing(dir);
+        match FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152()) {
+            Err(SegmentError::Persist(e @ PersistError::Format { .. })) => {
+                assert_eq!(e.path(), Some(path.as_path()), "{e}");
+                assert!(e.to_string().contains("recursion limit"), "{e}");
+            }
+            other => panic!("{file} nested 100,000 deep must be refused, got {other:?}"),
+        }
+        assert_eq!(listing(dir), before, "{file}");
+        std::fs::write(&path, valid).unwrap();
+    }
+    let (recovered, _) = recover(dir, 10.0);
+    assert_eq!(recovered.store().len(), archive.sealed.len());
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// A sidecar that lists one stream twice passes the version check but
 /// would register the stream twice; `recover` refuses it with a typed
 /// error before the open repairs anything, and the refusal changes no file.
