@@ -552,11 +552,16 @@ impl FleetCoordinator {
     /// from each stream's unsealed watermark on.
     ///
     /// On an error nothing further is sent, but every frame routed before
-    /// the error that is not yet durable stays buffered — the failed
-    /// shard's batch and the
-    /// batches of shards not reached — so a [`failover`](Self::failover)
-    /// after a [`FleetError::NodeDown`] replays the dead owner's share of
-    /// the batch.
+    /// the error that is not yet durable stays buffered — the frames the
+    /// failed shard took, the whole batch of a shard whose owner is down,
+    /// and the batches of shards not reached — so a
+    /// [`failover`](Self::failover) after a [`FleetError::NodeDown`]
+    /// replays the dead owner's share of the batch.
+    ///
+    /// The resume rule is [`FocusService::advance`]'s: a frame whose seal
+    /// failed was ingested, so a caller resumes after it; a frame of a
+    /// stream no shard owns ([`FleetError::UnknownStream`]) was not, and
+    /// nothing after it was routed.
     pub fn advance(&mut self, frames: &[Frame]) -> Result<FleetAdvanceReport, FleetError> {
         let mut by_shard: BTreeMap<u32, Vec<Frame>> = BTreeMap::new();
         let mut routing = Ok(());
@@ -572,8 +577,16 @@ impl FleetCoordinator {
         let mut report = FleetAdvanceReport::default();
         let mut routed = by_shard.into_iter();
         let result = routing.and_then(|()| {
-            routed.by_ref().try_for_each(|(shard, batch)| {
+            routed.by_ref().try_for_each(|(shard, mut batch)| {
+                let before = self.shard_service(shard).map(FocusService::frames_ingested);
                 let advanced = self.advance_shard(shard, &batch, &mut report);
+                if let (Err(_), Ok(before), Ok(service)) =
+                    (&advanced, before, self.shard_service(shard))
+                {
+                    // The shard stopped at a failing frame: buffer only
+                    // the frames it took.
+                    batch.truncate(service.frames_ingested() - before);
+                }
                 self.buffer_for_replay(batch);
                 self.trim_replay(shard);
                 advanced

@@ -488,7 +488,10 @@ impl FocusService {
     ///
     /// A frame of an unregistered stream is [`SegmentError::UnknownStream`].
     /// An error stops the batch at the failing frame: the frames before it
-    /// stay ingested, and their GPU work stays charged.
+    /// stay ingested, and their GPU work stays charged. The resume rule: a
+    /// frame whose seal failed is ingested (its records wait in the tail
+    /// for the next seal), so a caller resumes after it; a frame of an
+    /// unknown stream is not.
     pub fn advance(&mut self, frames: &[Frame]) -> Result<AdvanceReport, SegmentError> {
         let spec_meter = GpuMeter::new();
         let mut report = AdvanceReport::default();
@@ -948,16 +951,19 @@ impl FocusService {
             .then(|| self.corpus.stream_model(stream))
     }
 
+    /// Frames ingested across every stream ([`ServiceStats::frames_ingested`]).
+    pub(crate) fn frames_ingested(&self) -> usize {
+        let streams = self.streams.values();
+        streams.map(|s| s.segmenter.pipeline().stats().frames).sum()
+    }
+
     /// Unified stats snapshot across every subsystem.
     pub fn stats(&self) -> ServiceStats {
-        let mut frames = 0;
         let mut objects = 0;
         let mut retrains = 0;
         let mut audit_labels = 0;
         for state in self.streams.values() {
-            let stats = state.segmenter.pipeline().stats();
-            frames += stats.frames;
-            objects += stats.objects;
+            objects += state.segmenter.pipeline().stats().objects;
             retrains += state.lifecycle.retrains();
             if let Some(controller) = state.controller.as_ref() {
                 audit_labels += controller.audit_labels();
@@ -965,7 +971,7 @@ impl FocusService {
         }
         ServiceStats {
             streams: self.streams.len(),
-            frames_ingested: frames,
+            frames_ingested: self.frames_ingested(),
             objects_indexed: objects,
             retrains,
             reconfigurations: self.reconfigurations,

@@ -399,6 +399,19 @@ fn failed_seal_rows() -> Vec<(&'static str, Vec<Step>)> {
                 Advance(450..900),
             ],
         ),
+        // A batch that runs past the failing boundary: the shard takes the
+        // frames up to the failing one, and the caller resumes after it.
+        (
+            "mid_batch",
+            vec![
+                Block("seg-000000.bin"),
+                Advance(0..400),
+                Unblock,
+                Advance(301..450),
+                Crash(450),
+                Advance(450..900),
+            ],
+        ),
         // A `maintain` budget seal: the same boundary, reached by the tick.
         (
             "maintain",
@@ -556,10 +569,18 @@ fn run_schedule(
             Step::Unblock => std::fs::remove_dir(blocked.take().unwrap()).unwrap(),
             Step::Crash(replayed) => target = target.crash(dir, &ds.frames[..pushed], *replayed),
             step => {
-                if let Step::Advance(range) = step {
+                let step = match step {
+                    // A faulty run resumes after the frame whose seal
+                    // failed; the twin takes each frame once.
+                    Step::Advance(range) if !faulty => {
+                        Step::Advance(range.start.max(pushed)..range.end)
+                    }
+                    step => step.clone(),
+                };
+                if let Step::Advance(range) = &step {
                     pushed = range.end;
                 }
-                let result = target.apply(step, &ds.frames);
+                let result = target.apply(&step, &ds.frames);
                 assert_eq!(result.is_err(), fails, "{step:?}: {result:?}");
                 fails = false;
             }
@@ -573,7 +594,9 @@ fn run_schedule(
 /// fleet failover: once the fault clears, every class's answer — and the
 /// dominant class's over `[0, 9 s]` — equals the never-failed twin's. The
 /// boundary row's fleet run is the failover that replayed 150 of 450
-/// frames when the replay buffers were trimmed to a pending-frame count.
+/// frames when the replay buffers were trimmed to a pending-frame count;
+/// the mid-batch row's replayed 549 (frames 301–399 twice) when a failed
+/// shard's whole batch was buffered, frames it never took included.
 #[test]
 fn a_failed_seal_loses_nothing_at_any_seal_site_or_across_a_failover() {
     let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 30.0);
