@@ -67,14 +67,6 @@ impl GpuCost {
             other.0 / self.0
         }
     }
-
-    /// Approximate dollar cost of this much GPU time in a public cloud.
-    ///
-    /// The paper quotes $250/month for one ResNet152 stream at 30 fps, which
-    /// works out to roughly $0.90 per GPU-hour; that rate is used here.
-    pub fn dollars(self) -> f64 {
-        self.hours() * 0.90
-    }
 }
 
 impl Add for GpuCost {
@@ -159,15 +151,5 @@ mod tests {
         assert_eq!(GpuCost(2.0).ratio_of(GpuCost(10.0)), 5.0);
         assert_eq!(GpuCost::ZERO.ratio_of(GpuCost::ZERO), 1.0);
         assert!(GpuCost::ZERO.ratio_of(GpuCost(1.0)).is_infinite());
-    }
-
-    #[test]
-    fn dollars_are_proportional_to_hours() {
-        let one_hour = GpuCost(3600.0);
-        assert!((one_hour.dollars() - 0.90).abs() < 1e-9);
-        // A month of 30 fps ingest with motion-filtered frames lands in the
-        // same order of magnitude as the paper's $250/month figure.
-        let month = GpuCost::gt_inference() * (10.0 * 3600.0 * 24.0 * 30.0);
-        assert!(month.dollars() > 50.0 && month.dollars() < 400.0);
     }
 }

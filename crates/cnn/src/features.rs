@@ -83,11 +83,6 @@ impl FeatureVector {
         Self(values)
     }
 
-    /// The zero vector.
-    pub fn zeros() -> Self {
-        Self(vec![0.0; FEATURE_DIM])
-    }
-
     /// Dimensionality of the vector.
     pub fn dim(&self) -> usize {
         self.0.len()
@@ -116,13 +111,6 @@ impl FeatureVector {
     /// L2 norm of the vector.
     pub fn norm(&self) -> f32 {
         self.0.iter().map(|a| a * a).sum::<f32>().sqrt()
-    }
-
-    /// Element-wise addition used for centroid maintenance.
-    pub fn add_assign(&mut self, other: &FeatureVector) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += b;
-        }
     }
 
     /// Element-wise scaling used for centroid maintenance.
@@ -322,11 +310,9 @@ mod tests {
 
     #[test]
     fn vector_arithmetic() {
-        let mut v = FeatureVector::zeros();
-        assert_eq!(v.dim(), FEATURE_DIM);
         let ones = FeatureVector::new(vec![1.0; FEATURE_DIM]);
-        v.add_assign(&ones);
-        assert_eq!(v, ones);
+        assert_eq!(ones.dim(), FEATURE_DIM);
+        let mut v = ones.clone();
         v.scale(2.0);
         assert!((v.norm() - (4.0 * FEATURE_DIM as f32).sqrt()).abs() < 1e-4);
         assert!((v.l2_distance(&ones) - (FEATURE_DIM as f32).sqrt()).abs() < 1e-4);

@@ -8,11 +8,8 @@
 //! * **Specialized models** — retrained per stream from a ground-truth
 //!   labelled sample, for each combination of specialization level and `Ls`.
 
-use focus_video::{ClassId, ObjectObservation};
-
 use crate::architecture::{Architecture, CompressionSpec, ModelSpec};
 use crate::model::CheapCnn;
-use crate::specialize::{SpecializationLevel, SpecializedCnn};
 
 /// Factory for ingest-CNN candidates.
 #[derive(Debug, Clone, Default)]
@@ -54,14 +51,6 @@ impl ModelZoo {
         specs
     }
 
-    /// Instantiates every generic compressed candidate.
-    pub fn generic_models(&self) -> Vec<CheapCnn> {
-        self.generic_specs()
-            .into_iter()
-            .map(CheapCnn::from_spec)
-            .collect()
-    }
-
     /// The three canonical cheap CNNs annotated in Figure 5 of the paper.
     pub fn figure5_models(&self) -> [CheapCnn; 3] {
         [
@@ -97,32 +86,12 @@ impl ModelZoo {
     pub fn adaptive_ls_candidates(&self) -> Vec<usize> {
         vec![10, 20]
     }
-
-    /// Trains the specialized candidates for one stream from a ground-truth
-    /// labelled sample: every combination of specialization level and `Ls`.
-    pub fn specialized_models(
-        &self,
-        stream_name: &str,
-        labelled_sample: &[(ObjectObservation, ClassId)],
-    ) -> Vec<SpecializedCnn> {
-        let mut models = Vec::new();
-        for level in SpecializationLevel::all() {
-            for ls in self.ls_candidates() {
-                if let Some(model) = SpecializedCnn::train(stream_name, level, labelled_sample, ls)
-                {
-                    models.push(model);
-                }
-            }
-        }
-        models
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Classifier, GroundTruthCnn};
-    use focus_video::{profile, VideoDataset};
+    use crate::model::Classifier;
 
     #[test]
     fn generic_specs_are_sorted_and_include_figure5_models() {
@@ -138,43 +107,10 @@ mod tests {
     }
 
     #[test]
-    fn generic_models_match_specs() {
-        let zoo = ModelZoo::new();
-        let models = zoo.generic_models();
-        assert_eq!(models.len(), zoo.generic_specs().len());
-        for m in &models {
-            assert!(m.cheapness_vs_gt() > 1.0);
-        }
-    }
-
-    #[test]
     fn figure5_models_have_increasing_cheapness() {
         let [a, b, c] = ModelZoo::new().figure5_models();
         assert!(a.cheapness_vs_gt() < b.cheapness_vs_gt());
         assert!(b.cheapness_vs_gt() < c.cheapness_vs_gt());
-    }
-
-    #[test]
-    fn specialized_models_cover_levels_and_ls() {
-        let zoo = ModelZoo::new();
-        let ds = VideoDataset::generate(profile::profile_by_name("auburn_c").unwrap(), 120.0);
-        let gt = GroundTruthCnn::resnet152();
-        let sample: Vec<_> = ds
-            .objects()
-            .map(|o| (o.clone(), gt.classify_top1(o)))
-            .collect();
-        let models = zoo.specialized_models("auburn_c", &sample);
-        assert_eq!(models.len(), 3 * zoo.ls_candidates().len());
-        for m in &models {
-            assert!(m.ls() > 0);
-            assert!(m.cheapness_vs_gt() > 10.0);
-        }
-    }
-
-    #[test]
-    fn specialized_models_with_empty_sample_is_empty() {
-        let zoo = ModelZoo::new();
-        assert!(zoo.specialized_models("auburn_c", &[]).is_empty());
     }
 
     #[test]

@@ -124,26 +124,6 @@ pub struct LruOccupancy {
     pub raw_entries: usize,
 }
 
-impl LruOccupancy {
-    /// Fraction of the decoded tier's byte budget in use.
-    pub fn fill_fraction(&self) -> f64 {
-        if self.decoded_capacity_bytes == 0 {
-            0.0
-        } else {
-            self.decoded_occupancy_bytes as f64 / self.decoded_capacity_bytes as f64
-        }
-    }
-
-    /// Fraction of the raw tier's byte budget in use.
-    pub fn raw_fill_fraction(&self) -> f64 {
-        if self.raw_capacity_bytes == 0 {
-            0.0
-        } else {
-            self.raw_occupancy_bytes as f64 / self.raw_capacity_bytes as f64
-        }
-    }
-}
-
 /// The result of a pruned lookup: the matching records (sorted by cluster
 /// key, exactly as [`TopKIndex::lookup`](crate::TopKIndex::lookup) on the merged index would return
 /// them) plus the access account.
@@ -1308,7 +1288,6 @@ mod tests {
         let empty = store.cache_occupancy();
         assert_eq!(empty.decoded_occupancy_bytes, 0);
         assert_eq!(empty.decoded_capacity_bytes, capacity);
-        assert_eq!(empty.fill_fraction(), 0.0);
         // A first pass reads every block from disk and leaves it in the raw
         // tier, none in the decoded one.
         let pass = || store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
@@ -1318,7 +1297,6 @@ mod tests {
         assert_eq!(scanned.decoded_entries, 0, "first touch admits nothing");
         assert_eq!(scanned.raw_entries, blocks);
         assert_eq!(scanned.raw_occupancy_bytes, raw_bytes);
-        assert!(scanned.raw_fill_fraction() > 0.0);
         assert_eq!(scanned.raw_capacity_bytes, DEFAULT_RAW_CACHE_BYTES);
         // The second pass promotes them all: half of all fetches were raw
         // hits, half disk reads.
@@ -1329,9 +1307,6 @@ mod tests {
         let overflow = "the promotions overflow the LRU";
         assert_eq!(full.decoded_occupancy_bytes, capacity, "{overflow}");
         assert_eq!(full.decoded_entries, blocks - costs[0].0, "{overflow}");
-        assert_eq!(full.fill_fraction(), 1.0);
-        assert_eq!(LruOccupancy::default().fill_fraction(), 0.0);
-        assert_eq!(LruOccupancy::default().raw_fill_fraction(), 0.0);
         fs::remove_dir_all(&dir).ok();
     }
 

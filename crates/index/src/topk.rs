@@ -309,13 +309,6 @@ impl TopKIndex {
         result
     }
 
-    /// Total number of objects (members) that would be returned for `class`
-    /// under `filter`, without deduplicating objects shared between clusters
-    /// (clusters never share objects in practice).
-    pub fn matching_objects(&self, class: ClassId, filter: &QueryFilter) -> usize {
-        self.lookup(class, filter).iter().map(|r| r.len()).sum()
-    }
-
     /// Summary statistics.
     pub fn stats(&self) -> IndexStats {
         IndexStats {
@@ -446,15 +439,6 @@ mod tests {
             1
         );
         assert_eq!(idx.lookup(ClassId(0), &QueryFilter::any()).len(), 1);
-    }
-
-    #[test]
-    fn matching_objects_counts_members() {
-        let mut idx = TopKIndex::new();
-        idx.insert(record(0, 1, &[0], 3, 0.0));
-        idx.insert(record(0, 2, &[0], 5, 0.0));
-        assert_eq!(idx.matching_objects(ClassId(0), &QueryFilter::any()), 8);
-        assert_eq!(idx.matching_objects(ClassId(1), &QueryFilter::any()), 0);
     }
 
     #[test]

@@ -288,11 +288,6 @@ impl TrackSketcher {
         out.sort_by_key(|s| s.key);
         out
     }
-
-    /// Whether the current window holds no sketches.
-    pub fn window_is_empty(&self) -> bool {
-        self.windows.values().all(|w| w.sketch.is_none())
-    }
 }
 
 #[cfg(test)]
@@ -425,7 +420,6 @@ mod tests {
         assert_eq!(sketches[0].observations, 2);
         assert_eq!(sketches[1].key, TrackKey::new(StreamId(1), TrackId(2)));
         assert_eq!(sketches[1].observations, 1);
-        assert!(sketcher.window_is_empty());
         // A later observation of track 1 starts a fresh window but still
         // pairs with the carried point for speed.
         sketcher.observe(TrackId(1), 2.0, 80.0, 0.0);

@@ -173,19 +173,6 @@ impl BatchCostModel {
         let overhead = self.overhead_fraction * self.launches(n) as f64;
         per_inference * (compute + overhead)
     }
-
-    /// How many times cheaper a batch of `n` is than `n` serial inferences
-    /// (1.0 for n ≤ 1, approaching `1 / (1 − overhead_fraction)` for large
-    /// full batches).
-    pub fn amortization_factor(&self, n: usize) -> f64 {
-        if n == 0 {
-            return 1.0;
-        }
-        let serial = n as f64;
-        let batched = (1.0 - self.overhead_fraction) * n as f64
-            + self.overhead_fraction * self.launches(n) as f64;
-        serial / batched
-    }
 }
 
 /// The provisioned GPU fleet that serves queries.
@@ -321,20 +308,6 @@ mod tests {
         assert_eq!(model.launches(10), 1);
         assert_eq!(model.launches(11), 2);
         assert_eq!(model.launches(30), 3);
-    }
-
-    #[test]
-    fn amortization_factor_grows_toward_limit() {
-        let model = BatchCostModel::default();
-        assert_eq!(model.amortization_factor(0), 1.0);
-        assert_eq!(model.amortization_factor(1), 1.0);
-        let half = model.amortization_factor(16);
-        let full = model.amortization_factor(32);
-        assert!(half > 1.0);
-        assert!(half < full);
-        assert!(full < 1.0 / (1.0 - model.overhead_fraction));
-        // Whole multiples of a full launch amortize exactly as well as one.
-        assert!((model.amortization_factor(320) - full).abs() < 1e-12);
     }
 
     #[test]

@@ -81,22 +81,6 @@ impl BoundingBox {
             (self.y + self.height * 0.5) as f64,
         )
     }
-
-    /// Intersection-over-union with another box; 0.0 if they do not overlap.
-    pub fn iou(&self, other: &BoundingBox) -> f32 {
-        let ix = (self.x + self.width).min(other.x + other.width) - self.x.max(other.x);
-        let iy = (self.y + self.height).min(other.y + other.height) - self.y.max(other.y);
-        if ix <= 0.0 || iy <= 0.0 {
-            return 0.0;
-        }
-        let inter = ix * iy;
-        let union = self.area() + other.area() - inter;
-        if union <= 0.0 {
-            0.0
-        } else {
-            inter / union
-        }
-    }
 }
 
 /// Visual appearance description of an object observation.
@@ -192,31 +176,14 @@ mod tests {
     }
 
     #[test]
-    fn bounding_box_area_and_iou() {
+    fn bounding_box_area() {
         let a = BoundingBox {
             x: 0.0,
             y: 0.0,
             width: 10.0,
             height: 10.0,
         };
-        let b = BoundingBox {
-            x: 5.0,
-            y: 5.0,
-            width: 10.0,
-            height: 10.0,
-        };
-        let c = BoundingBox {
-            x: 100.0,
-            y: 100.0,
-            width: 5.0,
-            height: 5.0,
-        };
         assert_eq!(a.area(), 100.0);
-        let iou = a.iou(&b);
-        assert!(iou > 0.14 && iou < 0.15, "iou = {iou}");
-        assert_eq!(a.iou(&c), 0.0);
-        // IoU with itself is 1.
-        assert!((a.iou(&a) - 1.0).abs() < 1e-6);
     }
 
     #[test]
