@@ -251,12 +251,10 @@ mod tests {
         let mut twin = assignment(0, 1, &[2]);
         twin.dir = "shard-9999".into();
         manifest.assignments.push(twin);
-        let mut manifest = manifest.seal().unwrap();
         // Bypass validation at write time to model a corrupted/hostile
-        // replica: recompute the checksum so only the claim check fires.
-        manifest.checksum = manifest.body_checksum().unwrap();
-        let json = serde_json::to_string(&manifest).unwrap();
-        std::fs::write(dirs[0].join(CLUSTER_MANIFEST_FILE), json).unwrap();
+        // replica: a valid checksum, so only the claim check fires.
+        let manifest = manifest.seal().unwrap();
+        write_document(&dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
         let err = ClusterManifest::load(&dirs).unwrap_err();
         assert!(
             err.to_string().contains("claimed by two"),
@@ -272,8 +270,7 @@ mod tests {
         manifest.assignments.push(assignment(0, 0, &[1, 2]));
         manifest.assignments.push(assignment(1, 1, &[2, 3]));
         let manifest = manifest.seal().unwrap();
-        let json = serde_json::to_string(&manifest).unwrap();
-        std::fs::write(dirs[0].join(CLUSTER_MANIFEST_FILE), json).unwrap();
+        write_document(&dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
         let err = ClusterManifest::load(&dirs).unwrap_err();
         assert!(
             err.to_string().contains("stream 2 claimed by two shards"),

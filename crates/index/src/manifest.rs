@@ -254,27 +254,4 @@ mod tests {
         assert!(restored.segment(9).is_none());
         std::fs::remove_file(&path).ok();
     }
-
-    #[test]
-    fn manifest_version_mismatch_is_detected() {
-        let dir = std::env::temp_dir().join("focus_manifest_version_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(MANIFEST_FILE);
-        let m = Manifest::new();
-        m.save(&path).unwrap();
-        let tampered = std::fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"version\":1", "\"version\":7");
-        std::fs::write(&path, tampered).unwrap();
-        match Manifest::load(&path) {
-            Err(PersistError::VersionMismatch {
-                found, expected, ..
-            }) => {
-                assert_eq!(found, 7);
-                assert_eq!(expected, MANIFEST_VERSION);
-            }
-            other => panic!("expected version mismatch, got {other:?}"),
-        }
-        std::fs::remove_file(&path).ok();
-    }
 }

@@ -78,33 +78,15 @@ impl PersistError {
 
 impl std::fmt::Display for PersistError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(path) = self.path() {
+            write!(f, "`{}`: ", path.display())?;
+        }
         match self {
-            PersistError::Io { path, source } => {
-                write!(f, "I/O error at `{}`: {source}", path.display())
-            }
-            PersistError::Format {
-                path: Some(path),
-                source,
-            } => {
-                write!(f, "format error in `{}`: {source}", path.display())
-            }
-            PersistError::Format { path: None, source } => {
-                write!(f, "format error: {source}")
-            }
+            PersistError::Io { source, .. } => write!(f, "I/O error: {source}"),
+            PersistError::Format { source, .. } => write!(f, "format error: {source}"),
             PersistError::VersionMismatch {
-                path,
-                found,
-                expected,
-            } => {
-                write!(
-                    f,
-                    "version mismatch{}: found {found}, expected {expected}",
-                    match path {
-                        Some(p) => format!(" in `{}`", p.display()),
-                        None => String::new(),
-                    }
-                )
-            }
+                found, expected, ..
+            } => write!(f, "version mismatch: found {found}, expected {expected}"),
         }
     }
 }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::types::{Frame, ObjectId, ObjectObservation, TrackId};
+use crate::types::{Frame, ObjectId, ObjectObservation};
 
 /// Statistics produced by the motion filter over a sequence of frames.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,17 +165,12 @@ impl PixelDiff {
     }
 }
 
-// Tracks are scene positions, so reuse of `TrackId` naming is avoided here;
-// the type above is private on purpose.
-#[allow(dead_code)]
-fn _unused(_: TrackId) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profile::profile_by_name;
     use crate::stream::VideoStream;
-    use crate::types::{Appearance, BoundingBox, FrameId, StreamId};
+    use crate::types::{Appearance, BoundingBox, FrameId, StreamId, TrackId};
     use crate::ClassId;
 
     fn obs(id: u64, x: f32, sig: u32) -> ObjectObservation {

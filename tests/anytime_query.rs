@@ -17,7 +17,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{interleave, service_at, workload};
+use common::{interleave, service_at, test_dir, workload};
 use focus::cnn::Classifier;
 use focus::core::query::{AnytimeMode, AnytimeTermination, PlannedRequest, SegmentedPlan};
 use focus::core::service::FocusService;
@@ -29,14 +29,7 @@ use focus::video::{ClassId, Frame, FrameId, ObjectId, VideoDataset};
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
-use std::path::PathBuf;
 use std::sync::Arc;
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("focus_anytime_query_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn ingested_service(
     name: &str,

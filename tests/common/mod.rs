@@ -11,7 +11,16 @@ use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{Frame, VideoDataset};
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// A fresh scratch directory for one test: `focus_<suite>_<name>` under the
+/// system temp directory, removed if a previous run left it behind.
+pub fn test_dir(name: &str) -> PathBuf {
+    let suite = env!("CARGO_CRATE_NAME");
+    let dir = std::env::temp_dir().join(format!("focus_{suite}_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
 
 /// A service config with the model fixed (no bootstrap, no retrain, no GT
 /// labelling — identity query routing), so a service run is a replay of the

@@ -10,7 +10,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{config, interleave, service_at};
+use common::{config, interleave, service_at, test_dir};
 use focus::cnn::GroundTruthCnn;
 use focus::core::fleet::{FleetConfig, FleetCoordinator, FleetError};
 use focus::core::service::{FocusService, ServiceConfig};
@@ -22,12 +22,6 @@ use focus::video::{ClassId, Frame, VideoDataset, NUM_CLASSES};
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("focus_fleet_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Specialization and adaptation are per-process schedules that a failover
 /// resets, so the equivalence tests run with both disabled

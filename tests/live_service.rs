@@ -8,7 +8,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{cold_serve, config, interleave, reference_output, service_at, workload};
+use common::{cold_serve, config, interleave, reference_output, service_at, test_dir, workload};
 use focus::cnn::{GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
 use focus::core::{
@@ -21,12 +21,6 @@ use focus::video::profile::profile_by_name;
 use focus::video::{ClassId, Frame, VideoDataset, NUM_CLASSES};
 
 use std::path::PathBuf;
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("focus_live_service_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn service_with(name: &str, seal_secs: f64, datasets: &[VideoDataset]) -> (FocusService, PathBuf) {
     let dir = test_dir(name);

@@ -9,7 +9,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{config, interleave, reference_output, service_at, workload};
+use common::{config, interleave, reference_output, service_at, test_dir, workload};
 use focus::cnn::GroundTruthCnn;
 use focus::core::service::{SERVICE_STATE_FILE, SERVICE_STATE_VERSION};
 use focus::core::{FocusService, IngestOutput, QueryRequest, QueryServer, ServiceConfig};
@@ -25,12 +25,6 @@ use focus::video::{
 };
 
 use std::path::{Path, PathBuf};
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("focus_segment_durability_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// What a finished, dropped ingest run leaves behind: the directory, plus
 /// — for the assertions only, never handed to the serving side — the
@@ -201,7 +195,8 @@ fn kill_between_writes_recovers_every_sealed_segment() {
 }
 
 /// Satellite: `recover` refuses before it repairs. A sealed store whose
-/// `service_state.json` is missing, malformed or of another version is
+/// `service_state.json` is missing, malformed (nested 100,000 deep
+/// included) or of another version is
 /// refused with a typed error naming the sidecar, and the refusal touches
 /// nothing — in particular the stray temp file `SegmentStore::open` would
 /// sweep is still there.
@@ -220,12 +215,16 @@ fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
         &version,
         &format!("\"version\":{}", SERVICE_STATE_VERSION + 1),
     );
+    // Nested past the JSON parser's limit of 128, and deep enough to
+    // overflow the stack of a parser without one.
+    let deep = "[".repeat(100_000);
     type Expected = fn(&PersistError) -> bool;
-    let cases: [(Option<&str>, Expected); 3] = [
+    let cases: [(Option<&str>, Expected); 4] = [
         (None, |e| matches!(e, PersistError::Io { .. })),
         (Some("not json"), |e| {
             matches!(e, PersistError::Format { .. })
         }),
+        (Some(&deep), |e| e.to_string().contains("recursion limit")),
         (Some(&bumped), |e| {
             matches!(e, PersistError::VersionMismatch { .. })
         }),
@@ -251,37 +250,6 @@ fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
     std::fs::write(&sidecar, valid).unwrap();
     let (recovered, report) = recover(dir, 10.0);
     assert_eq!(report.removed_temp, vec!["seg-000099.bin.tmp".to_string()]);
-    assert_eq!(recovered.store().len(), archive.sealed.len());
-    std::fs::remove_dir_all(dir).ok();
-}
-
-/// A document nested 100,000 containers deep — past the JSON parser's
-/// limit of 128, and deep enough to overflow the stack of a parser without
-/// one — in place of the sidecar or of the manifest is refused with a
-/// format error naming the file, not a crash, and the refusal changes no
-/// file.
-#[test]
-fn recover_refuses_a_document_nested_past_the_parser_limit_and_changes_nothing() {
-    let archive = build("deep_nest", 30.0, 10.0, 64);
-    let dir = &archive.dir;
-    // Bait for the open-time sweep, should it run before the refusal.
-    std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
-    for file in [SERVICE_STATE_FILE, "MANIFEST.json"] {
-        let path = dir.join(file);
-        let valid = std::fs::read(&path).unwrap();
-        std::fs::write(&path, "[".repeat(100_000)).unwrap();
-        let before = listing(dir);
-        match FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152()) {
-            Err(SegmentError::Persist(e @ PersistError::Format { .. })) => {
-                assert_eq!(e.path(), Some(path.as_path()), "{e}");
-                assert!(e.to_string().contains("recursion limit"), "{e}");
-            }
-            other => panic!("{file} nested 100,000 deep must be refused, got {other:?}"),
-        }
-        assert_eq!(listing(dir), before, "{file}");
-        std::fs::write(&path, valid).unwrap();
-    }
-    let (recovered, _) = recover(dir, 10.0);
     assert_eq!(recovered.store().len(), archive.sealed.len());
     std::fs::remove_dir_all(dir).ok();
 }
@@ -534,7 +502,8 @@ fn recover_leaves_a_small_store_resident_and_plain_open_leaves_it_cold() {
 /// its manifest lists a `"format":"Json"` segment or, older still, carries
 /// no format tag at all — is refused with a typed error naming the
 /// manifest, and the refusal touches nothing: no sweep of the stray temp
-/// file, no quarantine, no manifest rewrite.
+/// file, no quarantine, no manifest rewrite. So is a manifest nested
+/// 100,000 arrays deep.
 #[test]
 fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
     let mut index = TopKIndex::new();
@@ -550,16 +519,26 @@ fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
     let segment = persist::to_json(&index).unwrap();
     let checksum = focus::index::manifest::fnv1a64(segment.as_bytes());
 
-    for (name, tag) in [("tagged", ",\"format\":\"Json\""), ("untagged", "")] {
+    let cases = [
+        ("tagged", Some(",\"format\":\"Json\"")),
+        ("untagged", Some("")),
+        ("nested", None),
+    ];
+    for (name, tag) in cases {
         let dir = test_dir(&format!("legacy_{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("seg-000000.json"), &segment).unwrap();
         let manifest = dir.join("MANIFEST.json");
         let entry = format!(
             "{{\"id\":0,\"file\":\"seg-000000.json\",\"t_start\":0.0,\"t_end\":5.0,\
-             \"streams\":[0],\"clusters\":1,\"checksum\":{checksum}{tag}}}"
+             \"streams\":[0],\"clusters\":1,\"checksum\":{checksum}{}}}",
+            tag.unwrap_or_default()
         );
-        let json = format!("{{\"version\":1,\"next_segment_id\":1,\"segments\":[{entry}]}}");
+        let json = match tag {
+            Some(_) => format!("{{\"version\":1,\"next_segment_id\":1,\"segments\":[{entry}]}}"),
+            // Nested past the JSON parser's limit: an error, not a crash.
+            None => "[".repeat(100_000),
+        };
         std::fs::write(&manifest, json).unwrap();
         // A valid sidecar, so `recover` gets as far as the manifest.
         let sidecar = format!("{{\"version\":{SERVICE_STATE_VERSION},\"streams\":[[0,30]]}}");

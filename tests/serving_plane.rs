@@ -11,7 +11,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{interleave, service_at, workload};
+use common::{interleave, service_at, test_dir, workload};
 use focus::cnn::GpuCost;
 use focus::core::service::FocusService;
 use focus::core::serving::{
@@ -23,14 +23,7 @@ use focus::runtime::VirtualClock;
 use focus::video::{Frame, VideoDataset};
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("focus_serving_plane_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A fully ingested service: the plane then runs a pure query phase
 /// against it (queries never mutate the index).
