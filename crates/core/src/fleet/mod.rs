@@ -68,8 +68,8 @@ pub enum FleetError {
     /// Reading or writing fleet state (a `CLUSTER.json` replica or a node
     /// directory) failed; the error names the path.
     Persist(PersistError),
-    /// The cluster manifest is invalid (torn replica, version skew, or a
-    /// duplicate shard/stream claim — the split-brain guard).
+    /// The cluster manifest is invalid (a checksum that does not match its
+    /// body, or a duplicate shard/stream claim — the split-brain guard).
     Manifest(String),
     /// A frame or query referenced a stream no shard owns.
     UnknownStream(StreamId),
@@ -559,9 +559,9 @@ impl FleetCoordinator {
     /// replays the dead owner's share of the batch.
     ///
     /// The resume rule is [`FocusService::advance`]'s: a frame whose seal
-    /// failed was ingested, so a caller resumes after it; a frame of a
-    /// stream no shard owns ([`FleetError::UnknownStream`]) was not, and
-    /// nothing after it was routed.
+    /// failed was ingested, so a caller resumes after it. A frame of a
+    /// stream no shard owns ([`FleetError::UnknownStream`]) is not: it is
+    /// refused while the batch is routed, before any shard is contacted.
     pub fn advance(&mut self, frames: &[Frame]) -> Result<FleetAdvanceReport, FleetError> {
         let mut by_shard: BTreeMap<u32, Vec<Frame>> = BTreeMap::new();
         let mut routing = Ok(());

@@ -56,9 +56,9 @@ pub enum PersistError {
     },
     /// The document was written by an incompatible version of this crate.
     VersionMismatch {
-        /// The file carrying the incompatible snapshot, if any.
+        /// The file carrying the incompatible document, if any.
         path: Option<PathBuf>,
-        /// Version found in the snapshot.
+        /// Version found in the document.
         found: u32,
         /// Version this build expects.
         expected: u32,
@@ -111,7 +111,8 @@ impl From<serde_json::Error> for PersistError {
 }
 
 /// A JSON document that carries its format version in a `version` field.
-/// [`read_document`], [`write_document`] and [`decode`] are its one codec.
+/// [`read_document`] and [`write_document`] are its one codec (and
+/// [`from_json`] for the in-memory index text).
 pub trait Versioned: Serialize + Deserialize {
     /// The one version this build reads and writes.
     const VERSION: u32;
@@ -121,7 +122,7 @@ pub trait Versioned: Serialize + Deserialize {
 
 /// Parses `json` as a `T` and checks its version. Errors name `path`, the
 /// file the text came from, when there is one.
-pub fn decode<T: Versioned>(json: &str, path: Option<&Path>) -> Result<T, PersistError> {
+fn decode<T: Versioned>(json: &str, path: Option<&Path>) -> Result<T, PersistError> {
     let path = || path.map(Path::to_path_buf);
     let doc: T = serde_json::from_str(json).map_err(|source| PersistError::Format {
         path: path(),
