@@ -61,8 +61,8 @@ pub struct ClusterManifest {
 }
 
 impl ClusterManifest {
-    /// An empty epoch-0 manifest, not yet sealed: [`seal`](Self::seal) it
-    /// before it is validated or saved.
+    /// An empty epoch-0 manifest, not yet sealed: [`save`](Self::save)
+    /// refuses it until it is [`seal`](Self::seal)ed.
     pub fn new() -> Self {
         Self {
             version: CLUSTER_MANIFEST_VERSION,
@@ -134,9 +134,13 @@ impl ClusterManifest {
     /// Writes the manifest atomically to every replica path (fleet root
     /// first, then each node directory). A crash between replicas leaves a
     /// mixed-epoch set; [`load`](Self::load) resolves it by taking the
-    /// highest valid epoch. Returns the bytes of one replica — what a
-    /// placement round ships to each node.
+    /// highest valid epoch. A manifest that fails
+    /// [`validate`](Self::validate) — unsealed, or with a duplicate claim —
+    /// is refused before any replica is written, so no replica `load`
+    /// would reject reaches disk. Returns the bytes of one replica — what
+    /// a placement round ships to each node.
     pub fn save(&self, replicas: &[PathBuf]) -> Result<u64, FleetError> {
+        self.validate()?;
         let mut bytes = 0;
         for dir in replicas {
             bytes = write_document(&dir.join(CLUSTER_MANIFEST_FILE), self)?;
@@ -213,6 +217,8 @@ mod tests {
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[7]));
         manifest.epoch = 3;
+        // Unsealed, it fails `validate`, so `save` refuses it.
+        assert!(matches!(manifest.save(&dirs), Err(FleetError::Manifest(_))));
         let manifest = manifest.seal().unwrap();
         manifest.save(&dirs).unwrap();
         let loaded = ClusterManifest::load(&dirs).unwrap();
@@ -224,7 +230,7 @@ mod tests {
 
     #[test]
     fn load_takes_highest_valid_epoch_and_skips_torn_replicas() {
-        let dirs = temp_dirs("epochs", 3);
+        let dirs = temp_dirs("epochs", 4);
         let mut old = ClusterManifest::new();
         old.assignments.push(assignment(0, 0, &[1]));
         old.epoch = 1;
@@ -235,6 +241,18 @@ mod tests {
         new.seal().unwrap().save(&dirs[1..2]).unwrap();
         // The third replica is torn mid-write.
         std::fs::write(dirs[2].join(CLUSTER_MANIFEST_FILE), "{\"version\":").unwrap();
+        // The fourth is a newer epoch, written by a build of another version.
+        let mut skewed = ClusterManifest::new();
+        (skewed.version, skewed.epoch) = (7, 9);
+        let skewed = skewed.seal().unwrap();
+        write_document(&dirs[3].join(CLUSTER_MANIFEST_FILE), &skewed).unwrap();
+        assert!(matches!(
+            ClusterManifest::load(&dirs[3..]),
+            Err(FleetError::Persist(PersistError::VersionMismatch {
+                found: 7,
+                ..
+            }))
+        ));
         let loaded = ClusterManifest::load(&dirs).unwrap();
         assert_eq!(loaded.epoch, 2);
         assert_eq!(loaded.assignments[0].node, 1);
@@ -251,9 +269,10 @@ mod tests {
         let mut twin = assignment(0, 1, &[2]);
         twin.dir = "shard-9999".into();
         manifest.assignments.push(twin);
-        // Bypass validation at write time to model a corrupted/hostile
+        // `save` refuses it; bypass it to model a corrupted/hostile
         // replica: a valid checksum, so only the claim check fires.
         let manifest = manifest.seal().unwrap();
+        assert!(matches!(manifest.save(&dirs), Err(FleetError::Manifest(_))));
         write_document(&dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
         let err = ClusterManifest::load(&dirs).unwrap_err();
         assert!(

@@ -498,7 +498,6 @@ impl FleetCoordinator {
     fn commit_placement(&mut self, mut manifest: ClusterManifest) -> Result<u64, FleetError> {
         manifest.epoch = self.manifest.epoch + 1;
         let manifest = manifest.seal()?;
-        manifest.validate()?;
         let bytes = manifest.save(&self.replica_dirs())?;
         self.manifest = manifest;
         Ok(bytes)

@@ -254,4 +254,19 @@ mod tests {
         assert!(restored.segment(9).is_none());
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn manifest_version_mismatch_is_detected() {
+        let path = std::env::temp_dir().join("focus_manifest_version_test.json");
+        std::fs::write(&path, r#"{"version":7,"next_segment_id":0,"segments":[]}"#).unwrap();
+        assert!(matches!(
+            Manifest::load(&path),
+            Err(PersistError::VersionMismatch {
+                found: 7,
+                expected: MANIFEST_VERSION,
+                ..
+            })
+        ));
+        std::fs::remove_file(&path).ok();
+    }
 }

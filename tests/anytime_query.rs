@@ -17,36 +17,18 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{interleave, service_at, test_dir, workload};
+use common::{ingested_service, interleave, payload_json, workload};
 use focus::cnn::Classifier;
 use focus::core::query::{AnytimeMode, AnytimeTermination, PlannedRequest, SegmentedPlan};
-use focus::core::service::FocusService;
 use focus::core::serving::{RequestPlane, Response, ServingConfig, TenantId};
 use focus::core::QueryRequest;
 use focus::index::QueryFilter;
 use focus::runtime::{GpuMeter, VirtualClock};
-use focus::video::{ClassId, Frame, FrameId, ObjectId, VideoDataset};
+use focus::video::{ClassId, FrameId, ObjectId};
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-
-fn ingested_service(
-    name: &str,
-    seal_secs: f64,
-    datasets: &[VideoDataset],
-    frames: &[Frame],
-) -> FocusService {
-    let mut service = service_at(&test_dir(name), seal_secs, datasets);
-    service.advance(frames).unwrap();
-    service
-}
-
-/// The stable payload of an outcome: result frames and objects. The
-/// accounting fields legitimately differ between execution modes.
-fn payload_json(outcome: &focus::core::QueryOutcome) -> String {
-    serde_json::to_string(&(&outcome.frames, &outcome.objects)).unwrap()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig {

@@ -85,6 +85,25 @@ pub fn service_at(dir: &Path, seal_secs: f64, datasets: &[VideoDataset]) -> Focu
     service
 }
 
+/// [`service_at`] a fresh [`test_dir`], with `frames` ingested.
+pub fn ingested_service(
+    name: &str,
+    seal_secs: f64,
+    datasets: &[VideoDataset],
+    frames: &[Frame],
+) -> FocusService {
+    let mut service = service_at(&test_dir(name), seal_secs, datasets);
+    service.advance(frames).unwrap();
+    service
+}
+
+/// The stable payload of an outcome: result frames and objects. The
+/// accounting fields (inference counts, GPU cost, latency) legitimately
+/// differ between execution modes.
+pub fn payload_json(outcome: &QueryOutcome) -> String {
+    serde_json::to_string(&(&outcome.frames, &outcome.objects)).unwrap()
+}
+
 /// Everything a fixed-model service holds — its sealed segments merged,
 /// plus the hot tail, centroid observations included — as one in-memory
 /// [`IngestOutput`]: the corpus [`cold_serve`] answers from, and so the

@@ -11,7 +11,7 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{interleave, service_at, test_dir, workload};
+use common::{interleave, payload_json, service_at, test_dir, workload};
 use focus::cnn::GpuCost;
 use focus::core::service::FocusService;
 use focus::core::serving::{
@@ -45,13 +45,6 @@ fn request_pool(datasets: &[VideoDataset], secs: f64) -> Vec<QueryRequest> {
         QueryRequest::new(second),
         QueryRequest::new(second).with_filter(QueryFilter::any().with_time_range(secs / 3.0, secs)),
     ]
-}
-
-/// The stable payload of an outcome: result frames and objects. The
-/// accounting fields (inference counts, GPU cost, latency) legitimately
-/// differ between batched-plane and one-at-a-time serving.
-fn payload_json(outcome: &focus::core::QueryOutcome) -> String {
-    serde_json::to_string(&(&outcome.frames, &outcome.objects)).unwrap()
 }
 
 /// Three tenants with different rates, weights and latency budgets.

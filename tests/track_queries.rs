@@ -21,96 +21,19 @@
 //!   fall, and that on every service the filtered payload is exactly the
 //!   plain payload restricted to scope-admitted tracks.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{ingested_service, interleave, payload_json, workload};
 use focus::cnn::GroundTruthCnn;
 use focus::core::query::{Region, TrackFilter, TrackPredicate};
-use focus::core::service::{FocusService, ServiceConfig};
-use focus::core::{
-    IngestParams, QueryOutcome, QueryRequest, QueryServer, SealPolicy, StreamWorkerConfig,
-};
+use focus::core::service::FocusService;
+use focus::core::{QueryRequest, QueryServer};
 use focus::runtime::{GpuClusterSpec, GpuMeter};
-use focus::video::profile::profile_by_name;
-use focus::video::{Frame, ObjectId, StreamId, TrackId, VideoDataset};
+use focus::video::{ObjectId, StreamId, TrackId, VideoDataset};
 
 use std::collections::{BTreeSet, HashMap};
-use std::path::PathBuf;
-
-fn test_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("focus_track_queries_{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Specialization disabled (stable ground-truth epoch) so sketch-planned
-/// vs baseline comparisons are exact.
-fn config(seal_secs: f64) -> ServiceConfig {
-    ServiceConfig {
-        worker: StreamWorkerConfig {
-            params: IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-            bootstrap_secs: 1e9,
-            retrain_interval_secs: 1e9,
-            gt_label_fraction: 0.0,
-            ..StreamWorkerConfig::default()
-        },
-        seal: SealPolicy::every_secs(seal_secs),
-        gpus: GpuClusterSpec::new(4),
-        ..ServiceConfig::default()
-    }
-}
-
-fn workload(secs: f64) -> Vec<VideoDataset> {
-    ["auburn_c", "lausanne"]
-        .iter()
-        .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), secs))
-        .collect()
-}
-
-fn interleave(datasets: &[VideoDataset], chunk: usize) -> Vec<Frame> {
-    let mut cursors = vec![0usize; datasets.len()];
-    let mut frames = Vec::new();
-    loop {
-        let mut progressed = false;
-        for (ds, cursor) in datasets.iter().zip(cursors.iter_mut()) {
-            let end = (*cursor + chunk).min(ds.frames.len());
-            if *cursor < end {
-                frames.extend(ds.frames[*cursor..end].iter().cloned());
-                *cursor = end;
-                progressed = true;
-            }
-        }
-        if !progressed {
-            return frames;
-        }
-    }
-}
-
-fn ingested_service(
-    name: &str,
-    seal_secs: f64,
-    datasets: &[VideoDataset],
-    frames: &[Frame],
-) -> FocusService {
-    let dir = test_dir(name);
-    let mut service =
-        FocusService::create(&dir, config(seal_secs), GroundTruthCnn::resnet152()).unwrap();
-    for ds in datasets {
-        service
-            .register_stream(ds.profile.stream_id, ds.profile.fps)
-            .unwrap();
-    }
-    service.advance(frames).unwrap();
-    service
-}
-
-/// The stable payload of an outcome: result frames and objects. The
-/// accounting fields legitimately differ between execution modes.
-fn payload_json(outcome: &QueryOutcome) -> String {
-    serde_json::to_string(&(&outcome.frames, &outcome.objects)).unwrap()
-}
 
 /// The query mix the harness (and the `track_queries` bench) exercises:
 /// region visits/entries, a cross-frame transit, a dwell, and speed bands.
