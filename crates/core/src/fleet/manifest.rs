@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_index::manifest::fnv1a64;
 use focus_index::persist::{read_document, write_document, PersistError, Versioned};
+use focus_index::Fs;
 
 use super::FleetError;
 
@@ -131,32 +132,33 @@ impl ClusterManifest {
         Ok(())
     }
 
-    /// Writes the manifest atomically to every replica path (fleet root
-    /// first, then each node directory). A crash between replicas leaves a
-    /// mixed-epoch set; [`load`](Self::load) resolves it by taking the
-    /// highest valid epoch. A manifest that fails
+    /// Writes the manifest atomically through `fs` to every replica path
+    /// (fleet root first, then each node directory). A crash between
+    /// replicas leaves a mixed-epoch set; [`load`](Self::load) resolves it
+    /// by taking the highest valid epoch. A manifest that fails
     /// [`validate`](Self::validate) — unsealed, or with a duplicate claim —
     /// is refused before any replica is written, so no replica `load`
     /// would reject reaches disk. Returns the bytes of one replica — what
     /// a placement round ships to each node.
-    pub fn save(&self, replicas: &[PathBuf]) -> Result<u64, FleetError> {
+    pub fn save(&self, fs: &dyn Fs, replicas: &[PathBuf]) -> Result<u64, FleetError> {
         self.validate()?;
         let mut bytes = 0;
         for dir in replicas {
-            bytes = write_document(&dir.join(CLUSTER_MANIFEST_FILE), self)?;
+            bytes = write_document(fs, &dir.join(CLUSTER_MANIFEST_FILE), self)?;
         }
         Ok(bytes)
     }
 
-    /// Loads the highest-epoch valid replica. Replicas that are missing,
-    /// torn, of another version, or fail [`validate`](Self::validate) are
-    /// skipped; if *no* replica is loadable the fleet refuses to start
-    /// (better no placement than a split-brain one).
-    pub fn load(replicas: &[PathBuf]) -> Result<Self, FleetError> {
+    /// Loads the highest-epoch valid replica through `fs`. Replicas that
+    /// are missing, torn, of another version, or fail
+    /// [`validate`](Self::validate) are skipped; if *no* replica is
+    /// loadable the fleet refuses to start (better no placement than a
+    /// split-brain one).
+    pub fn load(fs: &dyn Fs, replicas: &[PathBuf]) -> Result<Self, FleetError> {
         let mut best: Option<Self> = None;
         let mut last_error: Option<FleetError> = None;
         for dir in replicas {
-            let replica = read_document::<Self>(&dir.join(CLUSTER_MANIFEST_FILE));
+            let replica = read_document::<Self>(fs, &dir.join(CLUSTER_MANIFEST_FILE));
             match replica
                 .map_err(FleetError::from)
                 .and_then(|m| m.validate().map(|()| m))
@@ -190,6 +192,7 @@ impl Default for ClusterManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_index::OsFs;
 
     fn assignment(shard: u32, node: u32, streams: &[u32]) -> ShardAssignment {
         ShardAssignment {
@@ -218,10 +221,13 @@ mod tests {
         manifest.assignments.push(assignment(0, 0, &[7]));
         manifest.epoch = 3;
         // Unsealed, it fails `validate`, so `save` refuses it.
-        assert!(matches!(manifest.save(&dirs), Err(FleetError::Manifest(_))));
+        assert!(matches!(
+            manifest.save(&OsFs, &dirs),
+            Err(FleetError::Manifest(_))
+        ));
         let manifest = manifest.seal().unwrap();
-        manifest.save(&dirs).unwrap();
-        let loaded = ClusterManifest::load(&dirs).unwrap();
+        manifest.save(&OsFs, &dirs).unwrap();
+        let loaded = ClusterManifest::load(&OsFs, &dirs).unwrap();
         assert_eq!(loaded, manifest);
         for dir in &dirs {
             std::fs::remove_dir_all(dir).ok();
@@ -234,26 +240,26 @@ mod tests {
         let mut old = ClusterManifest::new();
         old.assignments.push(assignment(0, 0, &[1]));
         old.epoch = 1;
-        old.seal().unwrap().save(&dirs[..1]).unwrap();
+        old.seal().unwrap().save(&OsFs, &dirs[..1]).unwrap();
         let mut new = ClusterManifest::new();
         new.assignments.push(assignment(0, 1, &[1]));
         new.epoch = 2;
-        new.seal().unwrap().save(&dirs[1..2]).unwrap();
+        new.seal().unwrap().save(&OsFs, &dirs[1..2]).unwrap();
         // The third replica is torn mid-write.
         std::fs::write(dirs[2].join(CLUSTER_MANIFEST_FILE), "{\"version\":").unwrap();
         // The fourth is a newer epoch, written by a build of another version.
         let mut skewed = ClusterManifest::new();
         (skewed.version, skewed.epoch) = (7, 9);
         let skewed = skewed.seal().unwrap();
-        write_document(&dirs[3].join(CLUSTER_MANIFEST_FILE), &skewed).unwrap();
+        write_document(&OsFs, &dirs[3].join(CLUSTER_MANIFEST_FILE), &skewed).unwrap();
         assert!(matches!(
-            ClusterManifest::load(&dirs[3..]),
+            ClusterManifest::load(&OsFs, &dirs[3..]),
             Err(FleetError::Persist(PersistError::VersionMismatch {
                 found: 7,
                 ..
             }))
         ));
-        let loaded = ClusterManifest::load(&dirs).unwrap();
+        let loaded = ClusterManifest::load(&OsFs, &dirs).unwrap();
         assert_eq!(loaded.epoch, 2);
         assert_eq!(loaded.assignments[0].node, 1);
         for dir in &dirs {
@@ -272,9 +278,12 @@ mod tests {
         // `save` refuses it; bypass it to model a corrupted/hostile
         // replica: a valid checksum, so only the claim check fires.
         let manifest = manifest.seal().unwrap();
-        assert!(matches!(manifest.save(&dirs), Err(FleetError::Manifest(_))));
-        write_document(&dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
-        let err = ClusterManifest::load(&dirs).unwrap_err();
+        assert!(matches!(
+            manifest.save(&OsFs, &dirs),
+            Err(FleetError::Manifest(_))
+        ));
+        write_document(&OsFs, &dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
+        let err = ClusterManifest::load(&OsFs, &dirs).unwrap_err();
         assert!(
             err.to_string().contains("claimed by two"),
             "unexpected error: {err}"
@@ -289,8 +298,8 @@ mod tests {
         manifest.assignments.push(assignment(0, 0, &[1, 2]));
         manifest.assignments.push(assignment(1, 1, &[2, 3]));
         let manifest = manifest.seal().unwrap();
-        write_document(&dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
-        let err = ClusterManifest::load(&dirs).unwrap_err();
+        write_document(&OsFs, &dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
+        let err = ClusterManifest::load(&OsFs, &dirs).unwrap_err();
         assert!(
             err.to_string().contains("stream 2 claimed by two shards"),
             "unexpected error: {err}"
@@ -303,13 +312,13 @@ mod tests {
         let dirs = temp_dirs("tamper", 1);
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[1]));
-        manifest.seal().unwrap().save(&dirs).unwrap();
+        manifest.seal().unwrap().save(&OsFs, &dirs).unwrap();
         let path = dirs[0].join(CLUSTER_MANIFEST_FILE);
         let tampered = std::fs::read_to_string(&path)
             .unwrap()
             .replace("\"node\":0", "\"node\":5");
         std::fs::write(&path, tampered).unwrap();
-        assert!(ClusterManifest::load(&dirs).is_err());
+        assert!(ClusterManifest::load(&OsFs, &dirs).is_err());
         std::fs::remove_dir_all(&dirs[0]).ok();
     }
 
@@ -319,7 +328,7 @@ mod tests {
         for dir in &dirs {
             std::fs::write(dir.join(CLUSTER_MANIFEST_FILE), "[".repeat(100_000)).unwrap();
         }
-        match ClusterManifest::load(&dirs) {
+        match ClusterManifest::load(&OsFs, &dirs) {
             Err(FleetError::Persist(e)) => {
                 assert!(e.to_string().contains("recursion limit"), "{e}")
             }

@@ -45,8 +45,8 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
-use focus_index::persist::{create_dir_all, PersistError};
-use focus_index::{CentroidHandle, ClusterRecord, SegmentAccess, SegmentError, TrackKey};
+use focus_index::persist::PersistError;
+use focus_index::{CentroidHandle, ClusterRecord, Fs, OsFs, SegmentAccess, SegmentError, TrackKey};
 use focus_runtime::{GpuMeter, NetCostModel, NetMeter, NetStats, VirtualClock};
 use focus_video::{ClassId, Frame, ObjectId, ObjectObservation, StreamId};
 
@@ -285,6 +285,10 @@ struct NodeRuntime {
 /// The fleet coordinator: placement, ingest routing, scatter-gather
 /// serving, failover and rebalancing over N in-process nodes.
 pub struct FleetCoordinator {
+    /// How the coordinator reaches the disk: the node directories and the
+    /// `CLUSTER.json` replicas go through it (each shard's store holds its
+    /// own).
+    fs: OsFs,
     root: PathBuf,
     config: FleetConfig,
     bootstrap: IngestCnn,
@@ -325,9 +329,12 @@ impl FleetCoordinator {
         let coordinator = Self::assemble(root.into(), config, gt)?;
         let replicas = coordinator.replica_dirs();
         for dir in &replicas {
-            create_dir_all(dir)?;
+            coordinator
+                .fs
+                .create_dir_all(dir)
+                .map_err(|e| PersistError::io(dir, e))?;
         }
-        coordinator.manifest.save(&replicas)?;
+        coordinator.manifest.save(&coordinator.fs, &replicas)?;
         Ok(coordinator)
     }
 
@@ -342,7 +349,7 @@ impl FleetCoordinator {
         gt: GroundTruthCnn,
     ) -> Result<Self, FleetError> {
         let mut coordinator = Self::assemble(root.into(), config, gt)?;
-        coordinator.manifest = ClusterManifest::load(&coordinator.replica_dirs())?;
+        coordinator.manifest = ClusterManifest::load(&coordinator.fs, &coordinator.replica_dirs())?;
         for assignment in coordinator.manifest.assignments.clone() {
             let service = coordinator.open_shard(&assignment)?;
             for (stream, rate) in service.registered_streams() {
@@ -376,6 +383,7 @@ impl FleetCoordinator {
             })
             .collect();
         Ok(Self {
+            fs: OsFs,
             root,
             bootstrap: IngestCnn::generic(config.service.worker.bootstrap_model),
             gather_server: QueryServer::new(gt, config.service.gpus),
@@ -498,7 +506,7 @@ impl FleetCoordinator {
     fn commit_placement(&mut self, mut manifest: ClusterManifest) -> Result<u64, FleetError> {
         manifest.epoch = self.manifest.epoch + 1;
         let manifest = manifest.seal()?;
-        let bytes = manifest.save(&self.replica_dirs())?;
+        let bytes = manifest.save(&self.fs, &self.replica_dirs())?;
         self.manifest = manifest;
         Ok(bytes)
     }
@@ -559,37 +567,32 @@ impl FleetCoordinator {
     ///
     /// The resume rule is [`FocusService::advance`]'s: a frame whose seal
     /// failed was ingested, so a caller resumes after it. A frame of a
-    /// stream no shard owns ([`FleetError::UnknownStream`]) is not: it is
-    /// refused while the batch is routed, before any shard is contacted.
+    /// stream no shard owns ([`FleetError::UnknownStream`]) is not: the
+    /// whole batch is refused while it is routed, before any shard is
+    /// contacted, and none of it is buffered.
     pub fn advance(&mut self, frames: &[Frame]) -> Result<FleetAdvanceReport, FleetError> {
         let mut by_shard: BTreeMap<u32, Vec<Frame>> = BTreeMap::new();
-        let mut routing = Ok(());
         for frame in frames {
-            match self.shard_of_stream(frame.stream_id) {
-                Ok(shard) => by_shard.entry(shard).or_default().push(frame.clone()),
-                Err(err) => {
-                    routing = Err(err);
-                    break;
-                }
-            }
+            // A refused batch buffers nothing: the caller resends it, and
+            // a buffered copy would be replayed twice.
+            let shard = self.shard_of_stream(frame.stream_id)?;
+            by_shard.entry(shard).or_default().push(frame.clone());
         }
         let mut report = FleetAdvanceReport::default();
         let mut routed = by_shard.into_iter();
-        let result = routing.and_then(|()| {
-            routed.by_ref().try_for_each(|(shard, mut batch)| {
-                let before = self.shard_service(shard).map(FocusService::frames_ingested);
-                let advanced = self.advance_shard(shard, &batch, &mut report);
-                if let (Err(_), Ok(before), Ok(service)) =
-                    (&advanced, before, self.shard_service(shard))
-                {
-                    // The shard stopped at a failing frame: buffer only
-                    // the frames it took.
-                    batch.truncate(service.frames_ingested() - before);
-                }
-                self.buffer_for_replay(batch);
-                self.trim_replay(shard);
-                advanced
-            })
+        let result = routed.by_ref().try_for_each(|(shard, mut batch)| {
+            let before = self.shard_service(shard).map(FocusService::frames_ingested);
+            let advanced = self.advance_shard(shard, &batch, &mut report);
+            if let (Err(_), Ok(before), Ok(service)) =
+                (&advanced, before, self.shard_service(shard))
+            {
+                // The shard stopped at a failing frame: buffer only
+                // the frames it took.
+                batch.truncate(service.frames_ingested() - before);
+            }
+            self.buffer_for_replay(batch);
+            self.trim_replay(shard);
+            advanced
         });
         for (_, batch) in routed {
             self.buffer_for_replay(batch);

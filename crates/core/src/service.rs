@@ -60,7 +60,8 @@ use serde::{Deserialize, Serialize};
 use focus_cnn::GroundTruthCnn;
 use focus_index::persist::{read_document, write_document, Versioned};
 use focus_index::{
-    ClusterKey, LruOccupancy, SegmentAccess, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
+    ClusterKey, LruOccupancy, OsFs, SegmentAccess, SegmentError, SegmentMeta, SegmentStore,
+    TopKIndex,
 };
 use focus_runtime::{GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, TickReport};
 use focus_video::{Frame, FrameId, StreamId};
@@ -368,8 +369,9 @@ impl FocusService {
         // Validate the sidecar before the store is opened: opening repairs
         // (sweeps temp files, quarantines orphans, may rewrite the
         // manifest), and a directory this service cannot serve must be
-        // refused untouched.
-        let state: ServiceState = read_document(&dir.join(SERVICE_STATE_FILE))?;
+        // refused untouched. The store opened below runs on `OsFs`, and the
+        // sidecar beside it is read through the same.
+        let state: ServiceState = read_document(&OsFs, &dir.join(SERVICE_STATE_FILE))?;
         // A stream listed twice would be registered twice below; refuse it
         // here, before the open repairs anything.
         let mut listed: Vec<u32> = state.streams.iter().map(|(stream, _)| *stream).collect();
@@ -896,8 +898,8 @@ impl FocusService {
                 .collect(),
             retired_routes,
         };
-        let path = self.corpus.store().dir().join(SERVICE_STATE_FILE);
-        write_document(&path, &state)?;
+        let store = self.corpus.store();
+        write_document(store.fs(), &store.dir().join(SERVICE_STATE_FILE), &state)?;
         Ok(())
     }
 
@@ -1510,9 +1512,9 @@ mod tests {
             let file = [MANIFEST_FILE, SERVICE_STATE_FILE, CLUSTER_MANIFEST_FILE][kind];
             std::fs::write(dir.join(file), &bytes).unwrap();
             let loaded = match kind {
-                0 => Manifest::load(&dir.join(file)).is_ok(),
-                1 => read_document::<ServiceState>(&dir.join(file)).is_ok(),
-                _ => ClusterManifest::load(std::slice::from_ref(&dir)).is_ok(),
+                0 => Manifest::load(&OsFs, &dir.join(file)).is_ok(),
+                1 => read_document::<ServiceState>(&OsFs, &dir.join(file)).is_ok(),
+                _ => ClusterManifest::load(&OsFs, std::slice::from_ref(&dir)).is_ok(),
             };
             std::fs::remove_file(dir.join(file)).ok();
             if bytes == VALID_DOCUMENTS[kind].as_bytes() {

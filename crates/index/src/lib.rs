@@ -25,13 +25,15 @@
 //! lookups open only the segments whose bounds intersect the filter (see
 //! `docs/storage.md` at the workspace root). Segments persist in the binary
 //! columnar [`binseg`] format (block-granular reads, per-block checksums);
-//! [`persist`] holds the atomic-write primitives under it and the canonical
-//! JSON text form used to compare and inspect indexes.
+//! [`persist`] holds the codec of the store's versioned JSON documents and
+//! the canonical JSON text form used to compare and inspect indexes, and
+//! [`fs`] the one way both reach the disk (the [`Fs`] capability).
 
 #![deny(missing_docs)]
 
 pub mod binseg;
 pub mod cluster_store;
+pub mod fs;
 pub mod manifest;
 pub mod persist;
 pub mod query;
@@ -39,6 +41,7 @@ pub mod segment;
 pub mod topk;
 pub mod track;
 
+pub use crate::fs::{Fs, OsFs, ReadAt};
 pub use binseg::BinsegError;
 pub use cluster_store::{ClusterKey, ClusterRecord, MemberRef};
 pub use manifest::{Manifest, SegmentFormat, SegmentMeta};

@@ -3,10 +3,9 @@
 //! A [`Manifest`] is the single source of truth for which segment files of
 //! a [`SegmentStore`](crate::segment::SegmentStore) directory are live: a
 //! segment exists exactly when the manifest lists it. Because both segment
-//! files and the manifest are written atomically (temp file + rename, see
-//! [`crate::persist::write_atomic_bytes`]) and always in the order *segment file
-//! first, manifest second*, a crash at any point leaves the store
-//! recoverable:
+//! files and the manifest are written atomically ([`Fs::write_atomic`])
+//! and always in the order *segment file first, manifest second*, a crash
+//! at any point leaves the store recoverable:
 //!
 //! * crash mid-segment-write → a stray `*.tmp` file, removed on open;
 //! * crash after the segment rename but before the manifest update → a
@@ -26,6 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_video::StreamId;
 
+use crate::fs::Fs;
 use crate::persist::{read_document, write_document, PersistError, Versioned};
 use crate::query::QueryFilter;
 
@@ -173,15 +173,17 @@ impl Manifest {
         streams
     }
 
-    /// Loads a manifest from `path`, verifying the format version.
-    pub fn load(path: &Path) -> Result<Manifest, PersistError> {
-        read_document(path)
+    /// Loads a manifest from `path` through `fs`, verifying the format
+    /// version.
+    pub fn load(fs: &dyn Fs, path: &Path) -> Result<Manifest, PersistError> {
+        read_document(fs, path)
     }
 
-    /// Writes the manifest to `path` atomically (temp file + rename): a
-    /// crash mid-write leaves the previous manifest intact.
-    pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        write_document(path, self).map(drop)
+    /// Writes the manifest to `path` through `fs` atomically
+    /// ([`Fs::write_atomic`]): a crash mid-write leaves the previous
+    /// manifest intact.
+    pub fn save(&self, fs: &dyn Fs, path: &Path) -> Result<(), PersistError> {
+        write_document(fs, path, self).map(drop)
     }
 }
 
@@ -195,6 +197,7 @@ impl Versioned for Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fs::OsFs;
 
     fn meta(id: u64, t_start: f64, t_end: f64, streams: &[u32]) -> SegmentMeta {
         SegmentMeta {
@@ -246,8 +249,8 @@ mod tests {
         assert_eq!(m.allocate_id(), 1);
         m.segments.push(meta(0, 0.0, 10.0, &[0]));
         m.segments.push(meta(1, 10.0, 20.0, &[1]));
-        m.save(&path).unwrap();
-        let restored = Manifest::load(&path).unwrap();
+        m.save(&OsFs, &path).unwrap();
+        let restored = Manifest::load(&OsFs, &path).unwrap();
         assert_eq!(restored, m);
         assert_eq!(restored.streams(), vec![StreamId(0), StreamId(1)]);
         assert_eq!(restored.segment(1).unwrap().file, "seg-000001.bin");
@@ -260,7 +263,7 @@ mod tests {
         let path = std::env::temp_dir().join("focus_manifest_version_test.json");
         std::fs::write(&path, r#"{"version":7,"next_segment_id":0,"segments":[]}"#).unwrap();
         assert!(matches!(
-            Manifest::load(&path),
+            Manifest::load(&OsFs, &path),
             Err(PersistError::VersionMismatch {
                 found: 7,
                 expected: MANIFEST_VERSION,

@@ -1,19 +1,15 @@
-//! The durability primitives under the segment store, and the one codec
-//! for its versioned JSON documents.
+//! The one codec for the segment store's versioned JSON documents.
 //!
 //! The paper stores the index in MongoDB; here it persists through the
-//! segment store (see [`crate::segment`]). This module holds what that
-//! store is built on:
+//! segment store (see [`crate::segment`]). This module holds the codec its
+//! JSON documents share:
 //!
-//! * [`write_atomic_bytes`] (temp file + `fsync` + rename) — a crash
-//!   mid-write can never truncate an existing file: the target path either
-//!   still holds the previous complete contents or already holds the new
-//!   ones. Segment files and every JSON document are written through it.
 //! * [`read_document`] / [`write_document`] — the codec of every
 //!   [`Versioned`] JSON document: read → parse → version check, and
-//!   serialize → atomic write → bytes written. The segment manifest
-//!   (`MANIFEST.json`), the service sidecar (`service_state.json`) and the
-//!   fleet's `CLUSTER.json` replicas go through it.
+//!   serialize → atomic write ([`Fs::write_atomic`]) → bytes written. The
+//!   segment manifest (`MANIFEST.json`), the service sidecar
+//!   (`service_state.json`) and the fleet's `CLUSTER.json` replicas go
+//!   through it, each on the [`Fs`] its owner holds.
 //! * [`to_json`] / [`from_json`] — the canonical text form of a whole
 //!   [`TopKIndex`], decoded by the same codec. Nothing is stored in it; it
 //!   is the form byte-identity tests compare indexes through, and the way
@@ -25,12 +21,12 @@
 //! refuses documents nested deeper than 128 containers, so a hostile file
 //! is a [`PersistError::Format`], not a stack overflow.
 
-use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use crate::fs::Fs;
 use crate::topk::TopKIndex;
 
 /// Version of the canonical index text form ([`to_json`]).
@@ -66,6 +62,14 @@ pub enum PersistError {
 }
 
 impl PersistError {
+    /// A [`PersistError::Io`] naming `path`.
+    pub fn io(path: &Path, source: io::Error) -> Self {
+        PersistError::Io {
+            path: path.to_path_buf(),
+            source,
+        }
+    }
+
     /// The file the error occurred on, when one was involved.
     pub fn path(&self) -> Option<&Path> {
         match self {
@@ -138,23 +142,29 @@ fn decode<T: Versioned>(json: &str, path: Option<&Path>) -> Result<T, PersistErr
     Ok(doc)
 }
 
-/// Reads the document at `path`: read, parse, version check.
-pub fn read_document<T: Versioned>(path: &Path) -> Result<T, PersistError> {
-    let json = fs::read_to_string(path).map_err(|source| PersistError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
+/// Reads the document at `path` through `fs`: read, parse, version check.
+/// Bytes that are not UTF-8 are [`PersistError::Io`] with
+/// [`io::ErrorKind::InvalidData`].
+pub fn read_document<T: Versioned>(fs: &dyn Fs, path: &Path) -> Result<T, PersistError> {
+    let bytes = fs.read(path).map_err(|e| PersistError::io(path, e))?;
+    let json = String::from_utf8(bytes)
+        .map_err(|e| PersistError::io(path, io::Error::new(io::ErrorKind::InvalidData, e)))?;
     decode(&json, Some(path))
 }
 
-/// Writes `doc` to `path` atomically ([`write_atomic_bytes`]) and returns
-/// the number of bytes written.
-pub fn write_document<T: Versioned>(path: &Path, doc: &T) -> Result<u64, PersistError> {
+/// Writes `doc` to `path` through `fs` atomically ([`Fs::write_atomic`])
+/// and returns the number of bytes written.
+pub fn write_document<T: Versioned>(
+    fs: &dyn Fs,
+    path: &Path,
+    doc: &T,
+) -> Result<u64, PersistError> {
     let json = serde_json::to_string(doc).map_err(|source| PersistError::Format {
         path: Some(path.to_path_buf()),
         source,
     })?;
-    write_atomic_bytes(path, json.as_bytes())?;
+    fs.write_atomic(path, json.as_bytes())
+        .map_err(|e| PersistError::io(path, e))?;
     Ok(json.len() as u64)
 }
 
@@ -183,53 +193,6 @@ pub fn to_json(index: &TopKIndex) -> Result<String, PersistError> {
 /// Deserializes an index from a JSON string produced by [`to_json`].
 pub fn from_json(json: &str) -> Result<TopKIndex, PersistError> {
     decode::<Snapshot>(json, None).map(|snapshot| snapshot.index)
-}
-
-/// Creates `dir` and any missing parents.
-pub fn create_dir_all(dir: &Path) -> Result<(), PersistError> {
-    fs::create_dir_all(dir).map_err(|source| PersistError::Io {
-        path: dir.to_path_buf(),
-        source,
-    })
-}
-
-/// Writes `contents` to `path` atomically: the bytes go to a sibling
-/// `<name>.tmp` file first, are flushed to disk, the temp file is renamed
-/// over `path`, and the parent directory is fsynced so the rename itself
-/// survives power loss. A crash at any point leaves `path` either untouched
-/// (still the previous complete file) or fully replaced — never truncated.
-/// A failure is [`PersistError::Io`] naming `path`.
-///
-/// The temp name is deterministic, so two concurrent writers to the same
-/// path race on it; callers that share a path must serialize writes (the
-/// segment store does, by requiring `&mut self` for all writes).
-pub fn write_atomic_bytes(path: &Path, contents: &[u8]) -> Result<(), PersistError> {
-    let write = || -> io::Result<()> {
-        let mut file_name = path
-            .file_name()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
-            .to_os_string();
-        file_name.push(".tmp");
-        let tmp = path.with_file_name(file_name);
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(contents)?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        // Durability of the rename: the directory entry must reach disk
-        // too, or a power cut can resurrect the old file (or lose the new
-        // name) after the caller was told the write succeeded.
-        let parent = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        fs::File::open(parent)?.sync_all()
-    };
-    write().map_err(|source| PersistError::Io {
-        path: path.to_path_buf(),
-        source,
-    })
 }
 
 #[cfg(test)]
@@ -270,21 +233,6 @@ mod tests {
             idx.lookup(ClassId(0), &QueryFilter::any()).len()
         );
         assert_eq!(restored.stats(), idx.stats());
-    }
-
-    #[test]
-    fn write_atomic_replaces_existing_files_and_leaves_no_temp() {
-        let dir = std::env::temp_dir().join("focus_index_persist_atomic");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.json");
-        // Overwrite a snapshot with a bigger one: the temp file must not
-        // linger and the final content must be the second snapshot.
-        write_atomic_bytes(&path, to_json(&TopKIndex::new()).unwrap().as_bytes()).unwrap();
-        let full = to_json(&sample_index()).unwrap();
-        write_atomic_bytes(&path, full.as_bytes()).unwrap();
-        assert!(!path.with_file_name("index.json.tmp").exists());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

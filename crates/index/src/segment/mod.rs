@@ -20,13 +20,13 @@
 //! Segments are written and read in the binary columnar format of
 //! [`crate::binseg`], the one module that knows how a segment is laid out.
 //!
-//! Durability protocol: a segment file is written atomically (temp +
-//! rename), then the manifest is rewritten atomically to list it. The
-//! manifest is the source of truth — on [`open`](SegmentStore::open),
-//! unlisted segment files and stray temp files are quarantined/removed, and
-//! listed segments whose bytes fail their manifest checksum are quarantined
-//! instead of silently loaded. See [`crate::manifest`] for the crash
-//! analysis.
+//! Durability protocol: a segment file is written atomically
+//! ([`Fs::write_atomic`]), then the manifest is rewritten atomically to
+//! list it. The manifest is the source of truth — on
+//! [`open`](SegmentStore::open), unlisted segment files and stray temp
+//! files are quarantined/removed, and listed segments whose bytes fail
+//! their manifest checksum are quarantined instead of silently loaded. See
+//! [`crate::manifest`] for the crash analysis.
 //!
 //! Every live segment's footer (its block table, ~1 KB) stays resident in
 //! a *footer directory* outside the caches, filled from the bytes `open`
@@ -73,6 +73,7 @@ use focus_video::StreamId;
 
 use crate::binseg::{BinsegError, SegmentFooter};
 use crate::cluster_store::ClusterKey;
+use crate::fs::Fs;
 use crate::manifest::Manifest;
 use crate::persist::PersistError;
 
@@ -243,6 +244,9 @@ impl From<PersistError> for SegmentError {
 /// ```
 #[derive(Debug)]
 pub struct SegmentStore {
+    /// How the store reaches the disk: every file it reads or writes goes
+    /// through this capability.
+    fs: Arc<dyn Fs>,
     dir: PathBuf,
     manifest: Manifest,
     /// The footer directory: every live segment's decoded footer, by

@@ -4,7 +4,6 @@
 //! verified bytes.
 
 use std::collections::HashMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -14,6 +13,7 @@ use focus_video::ObjectObservation;
 
 use crate::binseg;
 use crate::cluster_store::ClusterRecord;
+use crate::fs::{Fs, OsFs};
 use crate::manifest::{fnv1a64, Manifest, MANIFEST_FILE};
 use crate::persist::PersistError;
 
@@ -58,12 +58,20 @@ impl SegmentStore {
     /// fail their checksum are quarantined (renamed to `<name>.quarantined`
     /// and dropped from the manifest), and complete segment files the
     /// manifest never acknowledged are quarantined too. The returned
-    /// [`OpenReport`] lists every repair.
+    /// [`OpenReport`] lists every repair, and only repairs that happened:
+    /// a rename, removal or directory listing that fails is
+    /// [`PersistError::Io`] naming the file, returned before the manifest
+    /// is rewritten.
     ///
     /// Every segment file is read once, whole; nothing enters the cache
     /// tiers.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, None)
+        Self::open_body(
+            Arc::new(OsFs),
+            dir.into(),
+            DEFAULT_DECODED_CACHE_BYTES,
+            None,
+        )
     }
 
     /// [`open`](Self::open), plus a record pass over the same verified
@@ -90,18 +98,24 @@ impl SegmentStore {
             record: &mut visit,
             centroids: &mut centroids,
         };
-        Self::open_body(dir.into(), DEFAULT_DECODED_CACHE_BYTES, Some(scan))
+        Self::open_body(
+            Arc::new(OsFs),
+            dir.into(),
+            DEFAULT_DECODED_CACHE_BYTES,
+            Some(scan),
+        )
     }
 
-    /// The one open body: [`open`](Self::open) when `scan` is `None`,
-    /// [`open_scanning`](Self::open_scanning) otherwise.
+    /// The one open body, on `fs`: [`open`](Self::open) when `scan` is
+    /// `None`, [`open_scanning`](Self::open_scanning) otherwise.
     fn open_body(
+        fs: Arc<dyn Fs>,
         dir: PathBuf,
         decoded_bytes: u64,
         mut scan: Option<Scan<'_>>,
     ) -> Result<(SegmentStore, OpenReport), SegmentError> {
         let manifest_path = dir.join(MANIFEST_FILE);
-        let mut manifest = Manifest::load(&manifest_path)?;
+        let mut manifest = Manifest::load(&*fs, &manifest_path)?;
         let mut report = OpenReport::default();
         let mut cache = TieredCache::new(decoded_bytes, DEFAULT_RAW_CACHE_BYTES);
 
@@ -114,7 +128,7 @@ impl SegmentStore {
         let mut footers = HashMap::with_capacity(listed_count);
         for meta in std::mem::take(&mut manifest.segments) {
             let path = dir.join(&meta.file);
-            match fs::read(&path) {
+            match fs.read(&path) {
                 Ok(bytes) if fnv1a64(&bytes) == meta.checksum => {
                     let invalid = |source| SegmentError::InvalidSegment {
                         path: path.clone(),
@@ -132,7 +146,7 @@ impl SegmentStore {
                 }
                 Ok(_) => {
                     // Torn or rotted: move aside for post-mortem, never load.
-                    let _ = fs::rename(&path, quarantine_path(&path));
+                    quarantine(&*fs, &path)?;
                     report.quarantined.push(meta.file);
                 }
                 // Only a confirmed absence may delist a segment. Any other
@@ -142,9 +156,7 @@ impl SegmentStore {
                 Err(source) if source.kind() == std::io::ErrorKind::NotFound => {
                     report.missing.push(meta.file)
                 }
-                Err(source) => {
-                    return Err(SegmentError::Persist(PersistError::Io { path, source }))
-                }
+                Err(source) => return Err(PersistError::io(&path, source).into()),
             }
         }
         let entries_dropped = verified.len() != listed_count;
@@ -159,28 +171,30 @@ impl SegmentStore {
             .iter()
             .map(|m| (m.file.as_str(), ()))
             .collect();
-        if let Ok(entries) = fs::read_dir(&dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let path = entry.path();
-                if name.ends_with(".tmp") {
-                    let _ = fs::remove_file(&path);
-                    report.removed_temp.push(name);
-                } else if name.starts_with("seg-")
-                    && (name.ends_with(".json") || name.ends_with(".bin"))
-                    && !listed.contains_key(name.as_str())
-                {
-                    let _ = fs::rename(&path, quarantine_path(&path));
-                    report.quarantined.push(name);
-                }
+        let entries = fs.list(&dir).map_err(|e| PersistError::io(&dir, e))?;
+        for path in entries {
+            let name = path
+                .file_name()
+                .map(|name| name.to_string_lossy().into_owned())
+                .unwrap_or_default();
+            if name.ends_with(".tmp") {
+                fs.remove(&path).map_err(|e| PersistError::io(&path, e))?;
+                report.removed_temp.push(name);
+            } else if name.starts_with("seg-")
+                && (name.ends_with(".json") || name.ends_with(".bin"))
+                && !listed.contains_key(name.as_str())
+            {
+                quarantine(&*fs, &path)?;
+                report.quarantined.push(name);
             }
         }
 
         if entries_dropped {
-            manifest.save(&manifest_path)?;
+            manifest.save(&*fs, &manifest_path)?;
         }
         Ok((
             SegmentStore {
+                fs,
                 dir,
                 manifest,
                 footers,
@@ -191,15 +205,16 @@ impl SegmentStore {
     }
 }
 
-/// The quarantine name for an untrusted file: `<name>.quarantined` next to
-/// the original.
-fn quarantine_path(path: &Path) -> PathBuf {
+/// Moves an untrusted file aside to `<name>.quarantined` next to the
+/// original. A failed rename is [`PersistError::Io`] naming the file.
+fn quarantine(fs: &dyn Fs, path: &Path) -> Result<(), PersistError> {
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
         .unwrap_or_default();
     name.push(".quarantined");
-    path.with_file_name(name)
+    fs.rename(path, &path.with_file_name(name))
+        .map_err(|e| PersistError::io(path, e))
 }
 
 #[cfg(test)]
@@ -210,10 +225,12 @@ mod tests {
     use crate::query::QueryFilter;
     use crate::segment::read::blocks_of;
     use crate::segment::tests::{
-        cold, lookup_costs, populated, record, segment_of, sketched_index, test_dir, weight,
+        cold, lookup_costs, populated, record, seal_populated, segment_of, sketched_index,
+        test_dir, weight,
     };
     use crate::topk::TopKIndex;
     use focus_video::{ClassId, StreamId};
+    use std::fs;
 
     #[test]
     fn open_roundtrips_a_clean_store() {
@@ -259,7 +276,8 @@ mod tests {
             record: &mut |id: u64, record: &ClusterRecord| seen.push((record.key, id)),
             centroids: &mut |segment: Vec<ObjectObservation>| centroids += segment.len(),
         };
-        let (scanned, report) = SegmentStore::open_body(dir.clone(), budget, Some(scan)).unwrap();
+        let (scanned, report) =
+            SegmentStore::open_body(Arc::new(OsFs), dir.clone(), budget, Some(scan)).unwrap();
         assert_eq!(centroids, scanned.total_clusters());
         assert!(report.is_clean(), "{report:?}");
         seen.sort();
@@ -370,6 +388,227 @@ mod tests {
         assert_eq!(report.quarantined, vec![meta.file.clone()]);
         assert_eq!(reopened.len(), 0);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The repair operation [`RefusingFs`] fails.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Refused {
+        Rename,
+        Remove,
+        List,
+    }
+
+    /// [`OsFs`] with one repair operation failing.
+    #[derive(Debug)]
+    struct RefusingFs(Refused);
+
+    impl RefusingFs {
+        fn check(&self, op: Refused) -> std::io::Result<()> {
+            if self.0 == op {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::PermissionDenied,
+                    "refused",
+                ));
+            }
+            Ok(())
+        }
+    }
+
+    impl Fs for RefusingFs {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            OsFs.read(path)
+        }
+        fn open(&self, path: &Path) -> std::io::Result<Box<dyn crate::fs::ReadAt>> {
+            OsFs.open(path)
+        }
+        fn write_atomic(&self, path: &Path, contents: &[u8]) -> std::io::Result<()> {
+            OsFs.write_atomic(path, contents)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.check(Refused::Rename)?;
+            OsFs.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.check(Refused::Remove)?;
+            OsFs.remove(path)
+        }
+        fn list(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+            self.check(Refused::List)?;
+            OsFs.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> std::io::Result<()> {
+            OsFs.create_dir_all(dir)
+        }
+        fn exists(&self, path: &Path) -> std::io::Result<bool> {
+            OsFs.exists(path)
+        }
+    }
+
+    /// A repair that fails is [`PersistError::Io`] naming the file, and
+    /// the open returns it before it rewrites the manifest: the store is
+    /// left as it was, and an `OpenReport` never lists a repair that did
+    /// not happen. Once the fault clears, the open makes the repair.
+    #[test]
+    fn a_failed_repair_is_an_error_naming_the_file_and_changes_nothing() {
+        // (case, refused operation, planted file, the file the error names)
+        let cases = [
+            (
+                "corrupt",
+                Refused::Rename,
+                "seg-000001.bin",
+                "seg-000001.bin",
+            ),
+            (
+                "orphan",
+                Refused::Rename,
+                "seg-000097.bin",
+                "seg-000097.bin",
+            ),
+            (
+                "temp",
+                Refused::Remove,
+                "seg-000099.bin.tmp",
+                "seg-000099.bin.tmp",
+            ),
+            ("list", Refused::List, "seg-000099.bin.tmp", ""),
+        ];
+        let snapshot = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+            let paths = OsFs.list(dir).unwrap();
+            paths
+                .into_iter()
+                .map(|path| (path.clone(), fs::read(&path).unwrap()))
+                .collect()
+        };
+        for (case, refused, planted, named) in cases {
+            let dir = test_dir(&format!("refused_repair_{case}"));
+            drop(populated(&dir));
+            let path = dir.join(planted);
+            let bytes = match fs::read(&path) {
+                Ok(mut listed) => {
+                    let mid = listed.len() / 2;
+                    listed[mid] ^= 0x01;
+                    listed
+                }
+                Err(_) => b"partial".to_vec(),
+            };
+            fs::write(&path, bytes).unwrap();
+            let before = snapshot(&dir);
+
+            let fs: Arc<dyn Fs> = Arc::new(RefusingFs(refused));
+            match SegmentStore::open_body(fs, dir.clone(), DEFAULT_DECODED_CACHE_BYTES, None) {
+                Err(SegmentError::Persist(PersistError::Io { path, source })) => {
+                    assert_eq!(path, dir.join(named), "{case}");
+                    assert_eq!(source.kind(), std::io::ErrorKind::PermissionDenied);
+                }
+                other => panic!("{case}: expected an I/O error, got {other:?}"),
+            }
+            assert_eq!(snapshot(&dir), before, "{case}: the open changed the store");
+
+            let (_, report) = SegmentStore::open(&dir).unwrap();
+            let repaired = [&report.quarantined[..], &report.removed_temp[..]].concat();
+            assert_eq!(repaired, [planted], "{case}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// One sequence on [`OsFs`] and on
+    /// [`MemFs`](crate::fs::tests::MemFs): create, seal five segments,
+    /// compact, flip one byte of a live segment, drop a temp file and an
+    /// unlisted segment file, reopen with a scanning open. Both leave the
+    /// same files holding the same bytes, repair the same way, hand the
+    /// scan the same records and answer the same lookups.
+    #[test]
+    fn os_fs_and_mem_fs_write_the_same_store_and_answer_the_same() {
+        use crate::fs::tests::MemFs;
+
+        let os_dir = test_dir("fs_equivalence");
+        let sides: [(Arc<dyn Fs>, PathBuf); 2] = [
+            (Arc::new(OsFs), os_dir.clone()),
+            (
+                Arc::new(MemFs::default()),
+                PathBuf::from("/mem/fs_equivalence"),
+            ),
+        ];
+        let outcomes: Vec<_> = sides
+            .into_iter()
+            .map(|(fs, dir)| {
+                let mut store = SegmentStore::create_with(Arc::clone(&fs), dir.clone()).unwrap();
+                seal_populated(&mut store);
+                store
+                    .seal(&segment_of(&[
+                        record(1, 2, 5, 100.0),
+                        record(1, 3, 6, 110.0),
+                    ]))
+                    .unwrap();
+                store.seal(&segment_of(&[record(0, 4, 7, 200.0)])).unwrap();
+                assert_eq!(store.compact(4).unwrap(), 2);
+                let victim = dir.join(&store.segments()[1].file);
+                drop(store);
+
+                let mut bytes = fs.read(&victim).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x01;
+                fs.write_atomic(&victim, &bytes).unwrap();
+                fs.write_atomic(&dir.join("seg-000099.bin.tmp"), b"partial")
+                    .unwrap();
+                fs.write_atomic(
+                    &dir.join("seg-000098.bin"),
+                    &binseg::encode(&TopKIndex::new()),
+                )
+                .unwrap();
+
+                let mut scanned = Vec::new();
+                let mut centroids = Vec::new();
+                let scan = Scan {
+                    record: &mut |id, record: &ClusterRecord| scanned.push((id, record.key)),
+                    centroids: &mut |segment: Vec<ObjectObservation>| {
+                        centroids.extend(segment.into_iter().map(|o| o.object_id))
+                    },
+                };
+                let (store, report) = SegmentStore::open_body(
+                    fs.clone(),
+                    dir.clone(),
+                    DEFAULT_DECODED_CACHE_BYTES,
+                    Some(scan),
+                )
+                .unwrap();
+                let lookups: Vec<_> = (5..=7)
+                    .map(|class| {
+                        let hit = store.lookup(ClassId(class), &QueryFilter::any()).unwrap();
+                        let records: Vec<ClusterRecord> =
+                            hit.records.iter().map(|r| (**r).clone()).collect();
+                        (records, hit.access)
+                    })
+                    .collect();
+                let files: Vec<(String, Vec<u8>)> = fs
+                    .list(&dir)
+                    .unwrap()
+                    .iter()
+                    .map(|path| {
+                        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                        (name, fs.read(path).unwrap())
+                    })
+                    .collect();
+                (files, report, scanned, centroids, lookups)
+            })
+            .collect();
+        assert_eq!(outcomes[0], outcomes[1]);
+        let (files, report, ..) = &outcomes[0];
+        let names: Vec<&str> = files.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "MANIFEST.json",
+                "seg-000004.bin",
+                "seg-000005.bin",
+                "seg-000006.bin.quarantined",
+                "seg-000098.bin.quarantined"
+            ]
+        );
+        assert_eq!(report.quarantined, ["seg-000006.bin", "seg-000098.bin"]);
+        assert_eq!(report.removed_temp, ["seg-000099.bin.tmp"]);
+        assert!(report.missing.is_empty());
+        fs::remove_dir_all(&os_dir).ok();
     }
 
     #[test]

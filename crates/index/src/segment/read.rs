@@ -4,8 +4,6 @@
 //! read through them.
 
 use std::collections::{BTreeMap, HashMap};
-use std::fs;
-use std::io::{Read as _, Seek as _, SeekFrom};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -15,6 +13,7 @@ use focus_video::{ClassId, ObjectObservation};
 
 use crate::binseg::{self, BinsegError, BlockMeta, SegmentFooter};
 use crate::cluster_store::{ClusterKey, ClusterRecord};
+use crate::fs::ReadAt;
 use crate::manifest::{fnv1a64, SegmentMeta};
 use crate::persist::PersistError;
 use crate::query::QueryFilter;
@@ -440,7 +439,7 @@ struct SegmentReader<'a> {
     store: &'a SegmentStore,
     id: u64,
     path: PathBuf,
-    file: Option<fs::File>,
+    file: Option<Box<dyn ReadAt>>,
     access: &'a mut SegmentAccess,
 }
 
@@ -464,20 +463,14 @@ impl<'a> SegmentReader<'a> {
 
     /// Reads `len` bytes at `offset`, opening the file on first use.
     fn read_range(&mut self, offset: u64, len: usize) -> Result<Vec<u8>, SegmentError> {
-        let io_err = |source| {
-            SegmentError::Persist(PersistError::Io {
-                path: self.path.clone(),
-                source,
-            })
-        };
+        let io_err = |source| PersistError::io(&self.path, source);
         let file = match self.file.take() {
             Some(file) => file,
-            None => fs::File::open(&self.path).map_err(io_err)?,
+            None => self.store.fs.open(&self.path).map_err(io_err)?,
         };
         let file = self.file.insert(file);
-        file.seek(SeekFrom::Start(offset)).map_err(io_err)?;
         let mut buf = vec![0u8; len];
-        file.read_exact(&mut buf).map_err(io_err)?;
+        file.read_exact_at(offset, &mut buf).map_err(io_err)?;
         Ok(buf)
     }
 
@@ -821,6 +814,7 @@ mod tests {
         segment_of, sketched_index, test_dir, weight,
     };
     use focus_video::{StreamId, TrackId};
+    use std::fs;
 
     #[test]
     fn lookup_equals_merged_index_and_prunes() {
@@ -1371,6 +1365,7 @@ mod property_tests {
     use focus_video::{FrameId, ObjectId, StreamId, TrackId};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
+    use std::fs;
 
     /// A record on one of `streams` streams whose ranking holds one to
     /// three distinct classes out of `1..=classes`.

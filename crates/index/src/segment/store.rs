@@ -3,15 +3,15 @@
 //! `merged_index` read live segments back, uncached.
 
 use std::collections::HashMap;
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::binseg;
+use crate::fs::{Fs, OsFs};
 use crate::manifest::{fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE};
-use crate::persist::{create_dir_all, write_atomic_bytes, PersistError};
+use crate::persist::PersistError;
 use crate::topk::TopKIndex;
 
 use super::read::{blocks_of, TieredCache, DEFAULT_DECODED_CACHE_BYTES, DEFAULT_RAW_CACHE_BYTES};
@@ -24,21 +24,30 @@ impl SegmentStore {
     /// Fails with an I/O error if `dir` already contains a manifest — use
     /// [`open`](Self::open) for an existing store.
     pub fn create(dir: impl Into<PathBuf>) -> Result<SegmentStore, SegmentError> {
-        let dir = dir.into();
-        create_dir_all(&dir)?;
+        Self::create_with(Arc::new(OsFs), dir.into())
+    }
+
+    /// [`create`](Self::create) on `fs`.
+    pub(crate) fn create_with(fs: Arc<dyn Fs>, dir: PathBuf) -> Result<SegmentStore, SegmentError> {
+        fs.create_dir_all(&dir)
+            .map_err(|e| PersistError::io(&dir, e))?;
         let manifest_path = dir.join(MANIFEST_FILE);
-        if manifest_path.exists() {
-            return Err(SegmentError::Persist(PersistError::Io {
-                path: manifest_path,
-                source: std::io::Error::new(
+        let exists = fs
+            .exists(&manifest_path)
+            .map_err(|e| PersistError::io(&manifest_path, e))?;
+        if exists {
+            return Err(SegmentError::Persist(PersistError::io(
+                &manifest_path,
+                std::io::Error::new(
                     std::io::ErrorKind::AlreadyExists,
                     "store already exists; use SegmentStore::open",
                 ),
-            }));
+            )));
         }
         let manifest = Manifest::new();
-        manifest.save(&manifest_path)?;
+        manifest.save(&*fs, &manifest_path)?;
         Ok(SegmentStore {
+            fs,
             dir,
             manifest,
             footers: HashMap::new(),
@@ -59,6 +68,12 @@ impl SegmentStore {
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// The filesystem the store reads and writes through; a document kept
+    /// beside the store (the service's sidecar) goes through it too.
+    pub fn fs(&self) -> &dyn Fs {
+        &*self.fs
     }
 
     /// The live segments, in seal order.
@@ -108,7 +123,9 @@ impl SegmentStore {
         binseg::check_centroids(index).map_err(invalid)?;
         let payload = binseg::encode(index);
         let footer = binseg::footer_of(&payload).map_err(invalid)?;
-        write_atomic_bytes(&path, &payload)?;
+        self.fs
+            .write_atomic(&path, &payload)
+            .map_err(|e| PersistError::io(&path, e))?;
         self.manifest.allocate_id();
         let cache = self.cache.get_mut();
         for (key, meta) in blocks_of(&footer) {
@@ -155,7 +172,8 @@ impl SegmentStore {
         }
         let meta = self.write_segment(index, t_start, t_end)?;
         self.manifest.segments.push(meta.clone());
-        self.manifest.save(&self.dir.join(MANIFEST_FILE))?;
+        self.manifest
+            .save(&*self.fs, &self.dir.join(MANIFEST_FILE))?;
         Ok(Some(meta))
     }
 
@@ -204,12 +222,10 @@ impl SegmentStore {
     /// that the bytes are the ones it was decoded from.
     fn read_segment(&self, meta: &SegmentMeta) -> Result<TopKIndex, SegmentError> {
         let path = self.dir.join(&meta.file);
-        let bytes = fs::read(&path).map_err(|source| {
-            SegmentError::Persist(PersistError::Io {
-                path: path.clone(),
-                source,
-            })
-        })?;
+        let bytes = self
+            .fs
+            .read(&path)
+            .map_err(|e| PersistError::io(&path, e))?;
         let found = fnv1a64(&bytes);
         if found != meta.checksum {
             return Err(SegmentError::Corrupt {
@@ -313,7 +329,7 @@ impl SegmentStore {
         // files. A failed save restores the old list so the in-memory store
         // keeps matching the manifest on disk.
         self.manifest.segments = new_segments;
-        if let Err(e) = self.manifest.save(&self.dir.join(MANIFEST_FILE)) {
+        if let Err(e) = self.manifest.save(&*self.fs, &self.dir.join(MANIFEST_FILE)) {
             self.manifest.segments = old;
             return Err(e.into());
         }
@@ -321,7 +337,9 @@ impl SegmentStore {
         for meta in &obsolete {
             cache.remove_segment(meta.id);
             self.footers.remove(&meta.id);
-            let _ = fs::remove_file(self.dir.join(&meta.file));
+            // The manifest no longer lists it: a file left behind is an
+            // orphan the next open quarantines.
+            let _ = self.fs.remove(&self.dir.join(&meta.file));
         }
         drop(cache);
         Ok(before - self.manifest.segments.len())
@@ -336,6 +354,7 @@ mod tests {
     use crate::persist;
     use crate::segment::tests::{populated, record, segment_of, test_dir};
     use focus_video::StreamId;
+    use std::fs;
 
     #[test]
     fn seal_assigns_bounds_streams_and_checksums() {
@@ -532,7 +551,7 @@ mod tests {
         assert!(store.compact(usize::MAX).is_err());
         assert_eq!(store.len(), 3);
         // And it still matches the manifest on disk.
-        let manifest = Manifest::load(&dir.join(MANIFEST_FILE)).unwrap();
+        let manifest = Manifest::load(&OsFs, &dir.join(MANIFEST_FILE)).unwrap();
         assert_eq!(manifest.segments, store.segments());
         fs::remove_dir_all(&dir).ok();
     }

@@ -18,7 +18,7 @@ use focus::core::{QueryOutcome, QueryRequest};
 use focus::index::QueryFilter;
 use focus::runtime::{Clock, NetCostModel, VirtualClock};
 use focus::video::profile::profile_by_name;
-use focus::video::{ClassId, Frame, VideoDataset, NUM_CLASSES};
+use focus::video::{ClassId, Frame, StreamId, VideoDataset, NUM_CLASSES};
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -347,6 +347,36 @@ fn owner_lost_mid_advance_is_made_whole_by_failover() {
     );
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&twin_dir).ok();
+}
+
+/// A batch refused for a frame of a stream no shard owns reaches no shard
+/// and buffers nothing: the caller resends its frames, and a failover
+/// replays each of them once.
+#[test]
+fn a_refused_batch_buffers_nothing() {
+    let datasets = [VideoDataset::generate(
+        profile_by_name("auburn_c").unwrap(),
+        10.0,
+    )];
+    let frames = &datasets[0].frames;
+    let (mut fleet, dir) = fleet_with("refused_batch", 2, 60.0, &datasets);
+    let mut batch = frames[..100].to_vec();
+    let mut stray = frames[100].clone();
+    stray.stream_id = StreamId(999);
+    batch.push(stray);
+    let err = fleet.advance(&batch).unwrap_err();
+    assert!(
+        matches!(err, FleetError::UnknownStream(StreamId(999))),
+        "{err}"
+    );
+
+    fleet.advance(&frames[..100]).unwrap();
+    let owner = fleet.manifest().assignments[0].node;
+    fleet.kill_node(owner);
+    let report = fleet.failover().unwrap();
+    assert_eq!(report.shards_recovered, 1);
+    assert_eq!(report.frames_replayed, 100);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One step of a failed-seal schedule.

@@ -15,8 +15,8 @@ use focus::core::service::{SERVICE_STATE_FILE, SERVICE_STATE_VERSION};
 use focus::core::{FocusService, IngestOutput, QueryRequest, QueryServer, ServiceConfig};
 use focus::index::persist::{self, PersistError};
 use focus::index::{
-    binseg, BinsegError, ClusterKey, ClusterRecord, Manifest, MemberRef, QueryFilter, SegmentError,
-    SegmentMeta, SegmentStore, TopKIndex,
+    binseg, BinsegError, ClusterKey, ClusterRecord, Manifest, MemberRef, OsFs, QueryFilter,
+    SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::{
@@ -288,10 +288,10 @@ fn recover_refuses_a_sidecar_listing_a_stream_twice_and_changes_nothing() {
 fn rewrite_segment(dir: &Path, meta: &SegmentMeta, bytes: &[u8]) {
     std::fs::write(dir.join(&meta.file), bytes).unwrap();
     let path = dir.join("MANIFEST.json");
-    let mut manifest = Manifest::load(&path).unwrap();
+    let mut manifest = Manifest::load(&OsFs, &path).unwrap();
     let entry = manifest.segments.iter_mut().find(|m| m.id == meta.id);
     entry.unwrap().checksum = focus::index::manifest::fnv1a64(bytes);
-    manifest.save(&path).unwrap();
+    manifest.save(&OsFs, &path).unwrap();
 }
 
 /// Satellite: a segment whose centroid block lacks one record's centroid
@@ -549,7 +549,9 @@ fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
 
         let gt = GroundTruthCnn::resnet152();
         for refused in [
-            Manifest::load(&manifest).map(|_| ()).map_err(Into::into),
+            Manifest::load(&OsFs, &manifest)
+                .map(|_| ())
+                .map_err(Into::into),
             SegmentStore::open(&dir).map(|_| ()),
             FocusService::recover(&dir, ServiceConfig::default(), gt).map(|_| ()),
         ] {
