@@ -192,7 +192,7 @@ impl Default for ClusterManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use focus_index::OsFs;
+    use focus_index::MemFs;
 
     fn assignment(shard: u32, node: u32, streams: &[u32]) -> ShardAssignment {
         ShardAssignment {
@@ -203,73 +203,69 @@ mod tests {
         }
     }
 
-    fn temp_dirs(name: &str, n: usize) -> Vec<PathBuf> {
-        (0..n)
-            .map(|i| {
-                let dir = std::env::temp_dir().join(format!("focus_cluster_manifest_{name}_{i}"));
-                let _ = std::fs::remove_dir_all(&dir);
-                std::fs::create_dir_all(&dir).unwrap();
-                dir
-            })
-            .collect()
+    /// `n` replica directories on a fresh in-memory filesystem.
+    fn replica_dirs(n: usize) -> (MemFs, Vec<PathBuf>) {
+        let fs = MemFs::default();
+        let dirs: Vec<PathBuf> = (0..n)
+            .map(|i| PathBuf::from(format!("/node-{i}")))
+            .collect();
+        for dir in &dirs {
+            fs.create_dir_all(dir).unwrap();
+        }
+        (fs, dirs)
     }
 
     #[test]
     fn round_trips_through_replicas() {
-        let dirs = temp_dirs("round_trip", 3);
+        let (fs, dirs) = replica_dirs(3);
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[7]));
         manifest.epoch = 3;
         // Unsealed, it fails `validate`, so `save` refuses it.
         assert!(matches!(
-            manifest.save(&OsFs, &dirs),
+            manifest.save(&fs, &dirs),
             Err(FleetError::Manifest(_))
         ));
         let manifest = manifest.seal().unwrap();
-        manifest.save(&OsFs, &dirs).unwrap();
-        let loaded = ClusterManifest::load(&OsFs, &dirs).unwrap();
+        manifest.save(&fs, &dirs).unwrap();
+        let loaded = ClusterManifest::load(&fs, &dirs).unwrap();
         assert_eq!(loaded, manifest);
-        for dir in &dirs {
-            std::fs::remove_dir_all(dir).ok();
-        }
     }
 
     #[test]
     fn load_takes_highest_valid_epoch_and_skips_torn_replicas() {
-        let dirs = temp_dirs("epochs", 4);
+        let (fs, dirs) = replica_dirs(4);
         let mut old = ClusterManifest::new();
         old.assignments.push(assignment(0, 0, &[1]));
         old.epoch = 1;
-        old.seal().unwrap().save(&OsFs, &dirs[..1]).unwrap();
+        old.seal().unwrap().save(&fs, &dirs[..1]).unwrap();
         let mut new = ClusterManifest::new();
         new.assignments.push(assignment(0, 1, &[1]));
         new.epoch = 2;
-        new.seal().unwrap().save(&OsFs, &dirs[1..2]).unwrap();
+        new.seal().unwrap().save(&fs, &dirs[1..2]).unwrap();
         // The third replica is torn mid-write.
-        std::fs::write(dirs[2].join(CLUSTER_MANIFEST_FILE), "{\"version\":").unwrap();
+        let torn = dirs[2].join(CLUSTER_MANIFEST_FILE);
+        fs.write_atomic(&torn, b"{\"version\":").unwrap();
         // The fourth is a newer epoch, written by a build of another version.
         let mut skewed = ClusterManifest::new();
         (skewed.version, skewed.epoch) = (7, 9);
         let skewed = skewed.seal().unwrap();
-        write_document(&OsFs, &dirs[3].join(CLUSTER_MANIFEST_FILE), &skewed).unwrap();
+        write_document(&fs, &dirs[3].join(CLUSTER_MANIFEST_FILE), &skewed).unwrap();
         assert!(matches!(
-            ClusterManifest::load(&OsFs, &dirs[3..]),
+            ClusterManifest::load(&fs, &dirs[3..]),
             Err(FleetError::Persist(PersistError::VersionMismatch {
                 found: 7,
                 ..
             }))
         ));
-        let loaded = ClusterManifest::load(&OsFs, &dirs).unwrap();
+        let loaded = ClusterManifest::load(&fs, &dirs).unwrap();
         assert_eq!(loaded.epoch, 2);
         assert_eq!(loaded.assignments[0].node, 1);
-        for dir in &dirs {
-            std::fs::remove_dir_all(dir).ok();
-        }
     }
 
     #[test]
     fn duplicate_shard_claim_is_rejected_at_load() {
-        let dirs = temp_dirs("dup_shard", 1);
+        let (fs, dirs) = replica_dirs(1);
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[1]));
         let mut twin = assignment(0, 1, &[2]);
@@ -279,63 +275,59 @@ mod tests {
         // replica: a valid checksum, so only the claim check fires.
         let manifest = manifest.seal().unwrap();
         assert!(matches!(
-            manifest.save(&OsFs, &dirs),
+            manifest.save(&fs, &dirs),
             Err(FleetError::Manifest(_))
         ));
-        write_document(&OsFs, &dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
-        let err = ClusterManifest::load(&OsFs, &dirs).unwrap_err();
+        write_document(&fs, &dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
+        let err = ClusterManifest::load(&fs, &dirs).unwrap_err();
         assert!(
             err.to_string().contains("claimed by two"),
             "unexpected error: {err}"
         );
-        std::fs::remove_dir_all(&dirs[0]).ok();
     }
 
     #[test]
     fn duplicate_stream_claim_is_rejected_at_load() {
-        let dirs = temp_dirs("dup_stream", 1);
+        let (fs, dirs) = replica_dirs(1);
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[1, 2]));
         manifest.assignments.push(assignment(1, 1, &[2, 3]));
         let manifest = manifest.seal().unwrap();
-        write_document(&OsFs, &dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
-        let err = ClusterManifest::load(&OsFs, &dirs).unwrap_err();
+        write_document(&fs, &dirs[0].join(CLUSTER_MANIFEST_FILE), &manifest).unwrap();
+        let err = ClusterManifest::load(&fs, &dirs).unwrap_err();
         assert!(
             err.to_string().contains("stream 2 claimed by two shards"),
             "unexpected error: {err}"
         );
-        std::fs::remove_dir_all(&dirs[0]).ok();
     }
 
     #[test]
     fn checksum_guards_against_tampering() {
-        let dirs = temp_dirs("tamper", 1);
+        let (fs, dirs) = replica_dirs(1);
         let mut manifest = ClusterManifest::new();
         manifest.assignments.push(assignment(0, 0, &[1]));
-        manifest.seal().unwrap().save(&OsFs, &dirs).unwrap();
+        manifest.seal().unwrap().save(&fs, &dirs).unwrap();
         let path = dirs[0].join(CLUSTER_MANIFEST_FILE);
-        let tampered = std::fs::read_to_string(&path)
+        let tampered = String::from_utf8(fs.read(&path).unwrap())
             .unwrap()
             .replace("\"node\":0", "\"node\":5");
-        std::fs::write(&path, tampered).unwrap();
-        assert!(ClusterManifest::load(&OsFs, &dirs).is_err());
-        std::fs::remove_dir_all(&dirs[0]).ok();
+        fs.write_atomic(&path, tampered.as_bytes()).unwrap();
+        assert!(ClusterManifest::load(&fs, &dirs).is_err());
     }
 
     #[test]
     fn a_replica_nested_past_the_parser_limit_is_an_error() {
-        let dirs = temp_dirs("deep_nest", 2);
+        let (fs, dirs) = replica_dirs(2);
         for dir in &dirs {
-            std::fs::write(dir.join(CLUSTER_MANIFEST_FILE), "[".repeat(100_000)).unwrap();
+            let nested = "[".repeat(100_000);
+            fs.write_atomic(&dir.join(CLUSTER_MANIFEST_FILE), nested.as_bytes())
+                .unwrap();
         }
-        match ClusterManifest::load(&OsFs, &dirs) {
+        match ClusterManifest::load(&fs, &dirs) {
             Err(FleetError::Persist(e)) => {
                 assert!(e.to_string().contains("recursion limit"), "{e}")
             }
             other => panic!("expected a format error, got {other:?}"),
-        }
-        for dir in &dirs {
-            std::fs::remove_dir_all(dir).ok();
         }
     }
 }

@@ -285,10 +285,9 @@ struct NodeRuntime {
 /// The fleet coordinator: placement, ingest routing, scatter-gather
 /// serving, failover and rebalancing over N in-process nodes.
 pub struct FleetCoordinator {
-    /// How the coordinator reaches the disk: the node directories and the
-    /// `CLUSTER.json` replicas go through it (each shard's store holds its
-    /// own).
-    fs: OsFs,
+    /// How the coordinator reaches the disk: the node directories, the
+    /// `CLUSTER.json` replicas and every shard's store go through it.
+    fs: Arc<dyn Fs>,
     root: PathBuf,
     config: FleetConfig,
     bootstrap: IngestCnn,
@@ -319,22 +318,41 @@ impl std::fmt::Debug for FleetCoordinator {
 impl FleetCoordinator {
     /// Creates a fresh fleet rooted at `root`: `nodes` empty nodes and an
     /// epoch-0 manifest replicated to the root and every node directory.
-    /// A fleet of zero nodes is [`FleetError::Manifest`], refused before
-    /// anything is written.
+    /// A fleet of zero nodes is [`FleetError::Manifest`], and a root or
+    /// node directory holding a `CLUSTER.json` is [`FleetError::Persist`]
+    /// (use [`recover`](Self::recover)), both before anything is written.
     pub fn create(
         root: impl Into<PathBuf>,
         config: FleetConfig,
         gt: GroundTruthCnn,
     ) -> Result<Self, FleetError> {
-        let coordinator = Self::assemble(root.into(), config, gt)?;
+        Self::create_with(Arc::new(OsFs), root, config, gt)
+    }
+
+    /// [`create`](Self::create) on `fs`, which the fleet and its shards use.
+    pub fn create_with(
+        fs: Arc<dyn Fs>,
+        root: impl Into<PathBuf>,
+        config: FleetConfig,
+        gt: GroundTruthCnn,
+    ) -> Result<Self, FleetError> {
+        let coordinator = Self::assemble(fs, root.into(), config, gt)?;
         let replicas = coordinator.replica_dirs();
+        for path in replicas.iter().map(|dir| dir.join(CLUSTER_MANIFEST_FILE)) {
+            let exists = coordinator.fs.exists(&path);
+            if exists.map_err(|e| PersistError::io(&path, e))? {
+                let msg = "fleet already exists; use FleetCoordinator::recover";
+                let err = std::io::Error::new(std::io::ErrorKind::AlreadyExists, msg);
+                return Err(PersistError::io(&path, err).into());
+            }
+        }
         for dir in &replicas {
             coordinator
                 .fs
                 .create_dir_all(dir)
                 .map_err(|e| PersistError::io(dir, e))?;
         }
-        coordinator.manifest.save(&coordinator.fs, &replicas)?;
+        coordinator.manifest.save(&*coordinator.fs, &replicas)?;
         Ok(coordinator)
     }
 
@@ -348,8 +366,19 @@ impl FleetCoordinator {
         config: FleetConfig,
         gt: GroundTruthCnn,
     ) -> Result<Self, FleetError> {
-        let mut coordinator = Self::assemble(root.into(), config, gt)?;
-        coordinator.manifest = ClusterManifest::load(&coordinator.fs, &coordinator.replica_dirs())?;
+        Self::recover_with(Arc::new(OsFs), root, config, gt)
+    }
+
+    /// [`recover`](Self::recover) on `fs`, which the fleet and its shards use.
+    pub fn recover_with(
+        fs: Arc<dyn Fs>,
+        root: impl Into<PathBuf>,
+        config: FleetConfig,
+        gt: GroundTruthCnn,
+    ) -> Result<Self, FleetError> {
+        let mut coordinator = Self::assemble(fs, root.into(), config, gt)?;
+        coordinator.manifest =
+            ClusterManifest::load(&*coordinator.fs, &coordinator.replica_dirs())?;
         for assignment in coordinator.manifest.assignments.clone() {
             let service = coordinator.open_shard(&assignment)?;
             for (stream, rate) in service.registered_streams() {
@@ -364,6 +393,7 @@ impl FleetCoordinator {
     /// manifest, touching nothing on disk. The gather server holds the
     /// fleet's one ground-truth CNN; shards open with a copy of it.
     fn assemble(
+        fs: Arc<dyn Fs>,
         root: PathBuf,
         config: FleetConfig,
         gt: GroundTruthCnn,
@@ -383,7 +413,7 @@ impl FleetCoordinator {
             })
             .collect();
         Ok(Self {
-            fs: OsFs,
+            fs,
             root,
             bootstrap: IngestCnn::generic(config.service.worker.bootstrap_model),
             gather_server: QueryServer::new(gt, config.service.gpus),
@@ -477,10 +507,11 @@ impl FleetCoordinator {
             .ok_or(FleetError::NodeDown { node, shard })
     }
 
-    /// Opens a shard's durable store ([`FocusService::recover`]) with the
-    /// fleet's service configuration and ground-truth CNN.
+    /// Opens a shard's durable store ([`FocusService::recover_with`]) on
+    /// the fleet's `Fs`, configuration and ground-truth CNN.
     fn open_shard(&self, assignment: &ShardAssignment) -> Result<FocusService, FleetError> {
-        let (service, _report) = FocusService::recover(
+        let (service, _report) = FocusService::recover_with(
+            Arc::clone(&self.fs),
             self.root.join(&assignment.dir),
             self.config.service.clone(),
             GroundTruthCnn::clone(&self.gather_server.ground_truth()),
@@ -506,7 +537,7 @@ impl FleetCoordinator {
     fn commit_placement(&mut self, mut manifest: ClusterManifest) -> Result<u64, FleetError> {
         manifest.epoch = self.manifest.epoch + 1;
         let manifest = manifest.seal()?;
-        let bytes = manifest.save(&self.fs, &self.replica_dirs())?;
+        let bytes = manifest.save(&*self.fs, &self.replica_dirs())?;
         self.manifest = manifest;
         Ok(bytes)
     }
@@ -530,7 +561,8 @@ impl FleetCoordinator {
             .unwrap_or(0);
         let node = self.least_loaded_alive().ok_or(FleetError::NoSurvivor)?;
         let dir = format!("shard-{shard:04}");
-        let mut service = FocusService::create(
+        let mut service = FocusService::create_with(
+            Arc::clone(&self.fs),
             self.root.join(&dir),
             self.config.service.clone(),
             GroundTruthCnn::clone(&self.gather_server.ground_truth()),
@@ -1142,27 +1174,45 @@ fn plan_on_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_index::MemFs;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
+    use std::path::Path;
 
-    /// A one-node, one-camera fleet with 12 s ingested, and a class that
-    /// recording contains.
-    fn small_fleet(name: &str) -> (FleetCoordinator, ClassId, PathBuf) {
-        let dir = std::env::temp_dir().join(format!("focus_fleet_unit_{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A fresh in-memory filesystem.
+    fn mem_fs() -> Arc<dyn Fs> {
+        Arc::new(MemFs::default())
+    }
+
+    /// The default configuration on `nodes` nodes.
+    fn nodes(nodes: usize) -> FleetConfig {
+        FleetConfig {
+            nodes,
+            ..FleetConfig::default()
+        }
+    }
+
+    /// `create` at `/fleet` on `fs`.
+    fn create_on(fs: &Arc<dyn Fs>, config: FleetConfig) -> Result<FleetCoordinator, FleetError> {
+        FleetCoordinator::create_with(
+            Arc::clone(fs),
+            "/fleet",
+            config,
+            GroundTruthCnn::resnet152(),
+        )
+    }
+
+    /// A one-camera fleet of `count` nodes on `fs` with 12 s ingested, and
+    /// a class that recording contains.
+    fn small_fleet(fs: &Arc<dyn Fs>, count: usize) -> (FleetCoordinator, ClassId) {
         let profile = profile_by_name("auburn_c").unwrap();
         let ds = VideoDataset::generate(profile.clone(), 12.0);
-        let config = FleetConfig {
-            nodes: 1,
-            ..FleetConfig::default()
-        };
-        let mut fleet =
-            FleetCoordinator::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        let mut fleet = create_on(fs, nodes(count)).unwrap();
         fleet
             .register_stream(profile.stream_id, profile.fps)
             .unwrap();
         fleet.advance(&ds.frames).unwrap();
-        (fleet, ds.dominant_classes(1)[0], dir)
+        (fleet, ds.dominant_classes(1)[0])
     }
 
     /// On a fault-free run the watermark keeps replay buffers as short as
@@ -1177,8 +1227,6 @@ mod tests {
         use crate::segment_ingest::SealPolicy;
         use focus_video::FrameId;
 
-        let dir = std::env::temp_dir().join("focus_fleet_unit_replay_bound");
-        let _ = std::fs::remove_dir_all(&dir);
         let seal_secs = 1.0;
         let config = FleetConfig {
             nodes: 2,
@@ -1188,8 +1236,7 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let mut fleet =
-            FleetCoordinator::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        let mut fleet = create_on(&mem_fs(), config).unwrap();
         let datasets: Vec<VideoDataset> = ["auburn_c", "bend"]
             .iter()
             .map(|name| VideoDataset::generate(profile_by_name(name).unwrap(), 20.0))
@@ -1253,25 +1300,58 @@ mod tests {
             windows > sealed,
             "{windows} windows closed and {sealed} segments sealed: none drained empty"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_fleet_of_no_nodes_is_refused_before_anything_is_written() {
-        let dir = std::env::temp_dir().join("focus_fleet_unit_no_nodes");
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = FleetConfig {
-            nodes: 0,
-            ..FleetConfig::default()
-        };
-        let err = FleetCoordinator::create(&dir, config, GroundTruthCnn::resnet152()).unwrap_err();
+        let fs = mem_fs();
+        let err = create_on(&fs, nodes(0)).unwrap_err();
         assert!(matches!(err, FleetError::Manifest(_)), "{err}");
-        assert!(!dir.exists(), "nothing was written");
+        assert!(
+            !fs.exists(Path::new("/fleet")).unwrap(),
+            "nothing was written"
+        );
+    }
+
+    /// `create` over an existing fleet is refused before it writes, whether
+    /// the root's `CLUSTER.json` or only a node's replica is there, and the
+    /// fleet still recovers with its shard, stream and epoch.
+    #[test]
+    fn create_over_an_existing_fleet_is_refused_and_leaves_it_recoverable() {
+        let fs = mem_fs();
+        let (mut fleet, _) = small_fleet(&fs, 2);
+        fleet.seal_all().unwrap();
+        drop(fleet);
+        let root = Path::new("/fleet");
+        let replica = root.join(CLUSTER_MANIFEST_FILE);
+        let written = fs.read(&replica).unwrap();
+        for refused_at in [&replica, &root.join("node-0").join(CLUSTER_MANIFEST_FILE)] {
+            match create_on(&fs, nodes(2)) {
+                Err(FleetError::Persist(err)) => {
+                    assert_eq!(err.path(), Some(refused_at.as_path()));
+                    assert!(err.to_string().contains("recover"), "{err}");
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+            // The node replicas still refuse once the root's is gone.
+            fs.remove(&replica).ok();
+        }
+        fs.write_atomic(&replica, &written).unwrap();
+
+        let gt = GroundTruthCnn::resnet152();
+        let fleet = FleetCoordinator::recover_with(fs, root, nodes(2), gt).unwrap();
+        let placed = (
+            fleet.manifest().epoch,
+            fleet.stats().shards,
+            fleet.fps.len(),
+        );
+        assert_eq!(placed, (1, 1, 1));
+        assert!(fleet.shard_service(0).unwrap().stats().segments > 0);
     }
 
     #[test]
     fn gather_rejects_a_response_counted_twice() {
-        let (mut fleet, class, dir) = small_fleet("dup");
+        let (mut fleet, class) = small_fleet(&mem_fs(), 1);
         let requests = [QueryRequest::new(class)];
         let mut batch = fleet.scatter(&requests, true).unwrap();
         assert!(!batch.responses[0].per_request[0].records.is_empty());
@@ -1279,12 +1359,11 @@ mod tests {
         let err = fleet.gather(&requests, batch).unwrap_err();
         assert!(matches!(err, FleetError::Scatter(_)), "{err}");
         assert_eq!(fleet.stats().serves, 0, "nothing was served");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn gather_rejects_a_request_slice_of_another_length() {
-        let (mut fleet, class, dir) = small_fleet("short");
+        let (mut fleet, class) = small_fleet(&mem_fs(), 1);
         let requests = [QueryRequest::new(class), QueryRequest::new(class)];
         let batch = fleet.scatter(&requests, true).unwrap();
         let err = fleet.gather(&requests[..1], batch).unwrap_err();
@@ -1293,6 +1372,5 @@ mod tests {
         // scattered with.
         let batch = fleet.scatter(&requests, true).unwrap();
         assert_eq!(fleet.gather(&requests, batch).unwrap().len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -520,10 +520,9 @@ mod tests {
         }
     }
 
-    /// A fixed-model service over one recording, sealed every `seal_secs`.
-    fn ingested(name: &str, dataset: &VideoDataset, seal_secs: f64) -> FocusService {
-        let dir = std::env::temp_dir().join(format!("focus_executor_unit_{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A fixed-model service over one recording, sealed every `seal_secs`,
+    /// on its own in-memory filesystem.
+    fn ingested(dataset: &VideoDataset, seal_secs: f64) -> FocusService {
         let config = ServiceConfig {
             worker: StreamWorkerConfig {
                 params: IngestParams {
@@ -539,7 +538,9 @@ mod tests {
             gpus: GpuClusterSpec::new(4),
             ..ServiceConfig::default()
         };
-        let mut service = FocusService::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        let fs = std::sync::Arc::new(focus_index::MemFs::default());
+        let gt = GroundTruthCnn::resnet152();
+        let mut service = FocusService::create_with(fs, "/store", config, gt).unwrap();
         service
             .register_stream(dataset.profile.stream_id, dataset.profile.fps)
             .unwrap();
@@ -559,11 +560,11 @@ mod tests {
         #[test]
         fn a_lone_anytime_request_matches_the_reference_loop(
             (seal_secs, round_budget, budget) in (3.0f64..12.0, 1usize..9, 0usize..150),
-            (warm, case) in (0usize..2, 0u64..1_000_000),
+            warm in 0usize..2,
         ) {
             let dataset =
                 VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
-            let service = ingested(&format!("prop_{case}"), &dataset, seal_secs);
+            let service = ingested(&dataset, seal_secs);
             let class = dataset.dominant_classes(1)[0];
             // A third of the cases have no total budget and run to
             // exhaustion.

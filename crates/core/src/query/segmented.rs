@@ -153,14 +153,13 @@ impl TailOverlay {
 /// use focus_video::profile::profile_by_name;
 ///
 /// let ds = focus_video::VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
-/// let dir = std::env::temp_dir().join("focus_segmented_corpus_doc");
-/// let _ = std::fs::remove_dir_all(&dir);
 /// let config = ServiceConfig {
 ///     seal: SealPolicy::every_secs(10.0),
 ///     ..ServiceConfig::default()
 /// };
-/// let mut service =
-///     FocusService::create(&dir, config, focus_cnn::GroundTruthCnn::resnet152()).unwrap();
+/// let fs = std::sync::Arc::new(focus_index::MemFs::default());
+/// let gt = focus_cnn::GroundTruthCnn::resnet152();
+/// let mut service = FocusService::create_with(fs, "/store", config, gt).unwrap();
 /// service.register_stream(ds.profile.stream_id, ds.profile.fps).unwrap();
 /// service.advance(&ds.frames).unwrap();
 /// service.seal_all().unwrap();
@@ -173,7 +172,6 @@ impl TailOverlay {
 /// let planned = service.corpus().plan_with_tail(&request, None).unwrap();
 /// assert!(planned.access.segments_considered <= 1);
 /// assert_eq!(planned.access.segments_total, 4);
-/// # std::fs::remove_dir_all(&dir).ok();
 /// ```
 #[derive(Debug)]
 pub struct SegmentedCorpus {
@@ -592,14 +590,14 @@ mod tests {
     use crate::query::plan::QueryPlan;
     use crate::segment_ingest::{SealPolicy, StreamSegmenter};
     use focus_cnn::{GpuCost, ModelSpec};
+    use focus_index::MemFs;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
-    use std::path::PathBuf;
+    use std::sync::Arc;
 
-    fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("focus_query_segmented_{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A fresh, empty store on its own in-memory filesystem.
+    fn mem_store() -> SegmentStore {
+        SegmentStore::create_with(Arc::new(MemFs::default()), "/store".into()).unwrap()
     }
 
     fn params() -> IngestParams {
@@ -612,14 +610,9 @@ mod tests {
     /// Replays each dataset through its own [`StreamSegmenter`], sealing
     /// every drained part (the final partial one included) into a fresh
     /// store, and returns the corpus over that store.
-    fn sealed_corpus(
-        name: &str,
-        datasets: &[VideoDataset],
-        policy: SealPolicy,
-    ) -> (SegmentedCorpus, PathBuf) {
+    fn sealed_corpus(datasets: &[VideoDataset], policy: SealPolicy) -> SegmentedCorpus {
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let dir = test_dir(name);
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         let mut centroids = HashMap::new();
         let mut seal = |part: focus_index::TopKIndex| {
             store.seal(&part).unwrap();
@@ -637,23 +630,19 @@ mod tests {
                 seal(part);
             }
         }
-        (SegmentedCorpus::new(store, centroids, model), dir)
+        SegmentedCorpus::new(store, centroids, model)
     }
 
     /// One minute of `auburn_c` in four 15-second segments.
-    fn corpus(name: &str) -> (VideoDataset, SegmentedCorpus, PathBuf) {
+    fn corpus() -> (VideoDataset, SegmentedCorpus) {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
-        let (corpus, dir) = sealed_corpus(
-            name,
-            std::slice::from_ref(&ds),
-            SealPolicy::every_secs(15.0),
-        );
-        (ds, corpus, dir)
+        let corpus = sealed_corpus(std::slice::from_ref(&ds), SealPolicy::every_secs(15.0));
+        (ds, corpus)
     }
 
     #[test]
     fn segmented_plan_matches_in_memory_plan() {
-        let (ds, corpus, dir) = corpus("plan_match");
+        let (ds, corpus) = corpus();
         let class = ds.dominant_classes(1)[0];
         // The in-memory reference: the same records merged into one index.
         let index = corpus.store().merged_index().unwrap();
@@ -683,12 +672,11 @@ mod tests {
             assert_aligned(&segmented);
             assert_eq!(segmented.records, records);
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn time_restriction_opens_strictly_fewer_segments() {
-        let (ds, corpus, dir) = corpus("pruning");
+        let (ds, corpus) = corpus();
         let class = ds.dominant_classes(1)[0];
         let full = corpus
             .plan_with_tail(&QueryRequest::new(class), None)
@@ -703,7 +691,6 @@ mod tests {
             .unwrap();
         assert!(narrow.access.segments_considered < narrow.access.segments_total);
         assert!(narrow.access.segments_pruned() > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -717,12 +704,11 @@ mod tests {
         let policy = SealPolicy::every_secs(15.0);
 
         // Reference: everything sealed.
-        let (reference, dir_all) = sealed_corpus("tail_ref", std::slice::from_ref(&ds), policy);
+        let reference = sealed_corpus(std::slice::from_ref(&ds), policy);
 
         // Live: only the parts drained before the midpoint reach the
         // store; the rest stays in the pipeline and is peeked as a tail.
-        let dir_live = test_dir("tail_live");
-        let mut store_live = SegmentStore::create(&dir_live).unwrap();
+        let mut store_live = mem_store();
         let mut segmenter =
             StreamSegmenter::new(ds.profile.stream_id, ds.profile.fps, params(), policy);
         for frame in &ds.frames {
@@ -773,8 +759,6 @@ mod tests {
             )
             .unwrap();
         assert!(blind.plan.candidates.len() < late.plan.candidates.len());
-        std::fs::remove_dir_all(&dir_all).ok();
-        std::fs::remove_dir_all(&dir_live).ok();
     }
 
     #[test]
@@ -804,8 +788,7 @@ mod tests {
         let class = ds.dominant_classes(1)[0];
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
         let third = ds.frames.len() / 3;
-        let dir = test_dir("tail_isolation");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         let mut pipeline =
             crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params());
         for frame in &ds.frames[..third] {
@@ -864,7 +847,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&now, &tail.parts()[0]));
 
         assert_eq!(observe(&tail), before);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -872,7 +854,7 @@ mod tests {
         use focus_cnn::{Classifier, GroundTruthCnn, SpecializedCnn, OTHER_CLASS};
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
         let class = ds.dominant_classes(1)[0];
-        let (_, mut corpus, dir) = corpus("stream_models");
+        let (_, mut corpus) = corpus();
 
         // Specialize the stream's model on a sample that does NOT include
         // some rare class: queries for it must route through OTHER for this
@@ -942,7 +924,6 @@ mod tests {
             .candidates
             .windows(2)
             .all(|w| w[0].cluster < w[1].cluster));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -953,7 +934,7 @@ mod tests {
         // itself). Without retired-model routing the gen-2 install would
         // stop scanning OTHER and gen-1's C records would vanish.
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 40.0);
-        let (_, mut corpus, dir) = corpus("retired_models");
+        let (_, mut corpus) = corpus();
         let stream = ds.profile.stream_id;
         let gt = GroundTruthCnn::resnet152();
         let sample: Vec<_> = ds
@@ -1018,7 +999,6 @@ mod tests {
         // A third install retires gen2 as well.
         corpus.install_stream_model(stream, gen1);
         assert_eq!(corpus.retired_routes[&stream].generations, 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1030,8 +1010,7 @@ mod tests {
             .iter()
             .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), 40.0))
             .collect();
-        let (mut corpus, dir) =
-            sealed_corpus("filter_scope", &datasets, SealPolicy::every_secs(10.0));
+        let mut corpus = sealed_corpus(&datasets, SealPolicy::every_secs(10.0));
 
         let gt = GroundTruthCnn::resnet152();
         let sample: Vec<_> = datasets[1]
@@ -1071,7 +1050,6 @@ mod tests {
         let unrestricted = QueryRequest::new(rare);
         let flat = corpus.plan_with_tail(&unrestricted, None).unwrap();
         assert_eq!(flat.access.segments_considered, corpus.store().len());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A one-member class-5 record of stream 0 with cluster key `local`.
@@ -1096,8 +1074,8 @@ mod tests {
     /// A store of one hand-sealed segment per entry of `segments`, each
     /// holding the [`hand_record`]s of its keys and their centroids;
     /// returns the segment ids.
-    fn hand_sealed(name: &str, segments: &[&[u64]]) -> (SegmentStore, Vec<u64>) {
-        let mut store = SegmentStore::create(test_dir(name)).unwrap();
+    fn hand_sealed(segments: &[&[u64]]) -> (SegmentStore, Vec<u64>) {
+        let mut store = mem_store();
         let ids = segments
             .iter()
             .map(|locals| {
@@ -1121,7 +1099,7 @@ mod tests {
     /// the key and the segment, not a panic.
     #[test]
     fn a_tail_key_already_sealed_fails_the_planner() {
-        let (store, ids) = hand_sealed("tail_collision", &[&[0], &[1, 2]]);
+        let (store, ids) = hand_sealed(&[&[0], &[1, 2]]);
         let mut tail_index = focus_index::TopKIndex::new();
         tail_index.insert(hand_record(1));
         tail_index.insert(hand_record(3));
@@ -1137,7 +1115,6 @@ mod tests {
             }
             other => panic!("expected TailKeySealed, got {other:?}"),
         }
-        std::fs::remove_dir_all(test_dir("tail_collision")).ok();
     }
 
     /// The collision search walks every stream of the tail, including
@@ -1167,8 +1144,7 @@ mod tests {
     #[test]
     fn shared_keys_across_segments_fail_both_planners_with_a_typed_error() {
         // Two hand-sealed segments that both hold cluster key (0, 1).
-        let dir = test_dir("duplicate_key");
-        let (store, ids) = hand_sealed("duplicate_key", &[&[0, 1], &[1, 2]]);
+        let (store, ids) = hand_sealed(&[&[0, 1], &[1, 2]]);
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
         let corpus = SegmentedCorpus::new(store, HashMap::new(), model);
         let request = QueryRequest::new(ClassId(5));
@@ -1188,7 +1164,6 @@ mod tests {
         );
         let grouped = corpus.store().lookup_grouped(ClassId(5), &request.filter);
         expect(grouped.unwrap_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Asserts `planned.records` is aligned with the candidate list —
@@ -1213,8 +1188,7 @@ mod tests {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
         let class = ds.dominant_classes(1)[0];
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let dir = test_dir("aligned_plans");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         let mut pipeline =
             crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params());
         // Three sealed quarters; the rest stays in the pipeline as the tail.
@@ -1261,7 +1235,6 @@ mod tests {
         let full = corpus.plan_with_tail(&plain, Some(&tail)).unwrap();
         assert_eq!(full.access.segments_opened(), 2);
         assert!(full.tail_records > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Records are shared, never copied: planned twice on a warm store,
@@ -1273,8 +1246,7 @@ mod tests {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
         let class = ds.dominant_classes(1)[0];
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let dir = test_dir("shared_records");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         let mut pipeline =
             crate::pipeline::FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params());
         for (i, frames) in ds.frames.chunks(ds.frames.len() / 3).enumerate() {
@@ -1322,17 +1294,15 @@ mod tests {
             }
         }
         assert_eq!(shared_with_tail, first.tail_records);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn accessors_expose_store_and_model() {
-        let (_, mut corpus, dir) = corpus("accessors");
+        let (_, mut corpus) = corpus();
         assert_eq!(corpus.store().len(), 4);
         assert!(!corpus.centroids.is_empty());
         let folded = corpus.store_mut().compact(usize::MAX).unwrap();
         assert!(folded > 0);
         assert_eq!(corpus.store().len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -53,6 +53,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -60,7 +61,7 @@ use serde::{Deserialize, Serialize};
 use focus_cnn::GroundTruthCnn;
 use focus_index::persist::{read_document, write_document, Versioned};
 use focus_index::{
-    ClusterKey, LruOccupancy, OsFs, SegmentAccess, SegmentError, SegmentMeta, SegmentStore,
+    ClusterKey, Fs, LruOccupancy, OsFs, SegmentAccess, SegmentError, SegmentMeta, SegmentStore,
     TopKIndex,
 };
 use focus_runtime::{GpuClusterSpec, GpuMeter, GpuScheduler, GpuSchedulerStats, TickReport};
@@ -280,10 +281,10 @@ struct StreamState {
 /// use focus_cnn::GroundTruthCnn;
 /// use focus_video::profile::profile_by_name;
 ///
-/// let dir = std::env::temp_dir().join("focus_service_doc");
-/// let _ = std::fs::remove_dir_all(&dir);
-/// let mut service = FocusService::create(
-///     &dir,
+/// // `FocusService::create(dir, ..)` is the same service on the disk.
+/// let mut service = FocusService::create_with(
+///     std::sync::Arc::new(focus_index::MemFs::default()),
+///     "/store",
 ///     ServiceConfig {
 ///         seal: SealPolicy::every_secs(10.0),
 ///         ..ServiceConfig::default()
@@ -308,7 +309,6 @@ struct StreamState {
 /// let stats = service.stats();
 /// assert_eq!(stats.queries_served, 1);
 /// assert!(stats.tail_hit_fraction() > 0.0, "the tail answered part of it");
-/// # std::fs::remove_dir_all(&dir).ok();
 /// ```
 pub struct FocusService {
     config: ServiceConfig,
@@ -341,7 +341,17 @@ impl FocusService {
         config: ServiceConfig,
         gt: GroundTruthCnn,
     ) -> Result<Self, SegmentError> {
-        let store = SegmentStore::create(dir)?;
+        Self::create_with(Arc::new(OsFs), dir, config, gt)
+    }
+
+    /// [`create`](Self::create) on `fs`, which the store and its sidecar use.
+    pub fn create_with(
+        fs: Arc<dyn Fs>,
+        dir: impl Into<PathBuf>,
+        config: ServiceConfig,
+        gt: GroundTruthCnn,
+    ) -> Result<Self, SegmentError> {
+        let store = SegmentStore::create_with(fs, dir.into())?;
         Ok(Self::assemble(store, config, gt))
     }
 
@@ -365,13 +375,22 @@ impl FocusService {
         config: ServiceConfig,
         gt: GroundTruthCnn,
     ) -> Result<(Self, focus_index::OpenReport), SegmentError> {
+        Self::recover_with(Arc::new(OsFs), dir, config, gt)
+    }
+
+    /// [`recover`](Self::recover) on `fs`, for the sidecar and the store.
+    pub fn recover_with(
+        fs: Arc<dyn Fs>,
+        dir: impl Into<PathBuf>,
+        config: ServiceConfig,
+        gt: GroundTruthCnn,
+    ) -> Result<(Self, focus_index::OpenReport), SegmentError> {
         let dir = dir.into();
         // Validate the sidecar before the store is opened: opening repairs
         // (sweeps temp files, quarantines orphans, may rewrite the
         // manifest), and a directory this service cannot serve must be
-        // refused untouched. The store opened below runs on `OsFs`, and the
-        // sidecar beside it is read through the same.
-        let state: ServiceState = read_document(&OsFs, &dir.join(SERVICE_STATE_FILE))?;
+        // refused untouched.
+        let state: ServiceState = read_document(&*fs, &dir.join(SERVICE_STATE_FILE))?;
         // A stream listed twice would be registered twice below; refuse it
         // here, before the open repairs anything.
         let mut listed: Vec<u32> = state.streams.iter().map(|(stream, _)| *stream).collect();
@@ -386,6 +405,7 @@ impl FocusService {
         let mut sealed: Vec<(ClusterKey, u64)> = Vec::new();
         let mut centroids = HashMap::new();
         let (store, report) = SegmentStore::open_scanning(
+            fs,
             &dir,
             |segment, record| sealed.push((record.key, segment)),
             |segment| centroids.extend(segment.into_iter().map(|o| (o.object_id, o))),
@@ -997,14 +1017,27 @@ impl FocusService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use focus_index::MemFs;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
-    use std::path::PathBuf;
+    use std::path::Path;
 
-    fn test_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("focus_service_unit_{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// Where every unit test's store lives, each on its own [`MemFs`].
+    const DIR: &str = "/store";
+
+    /// A fresh service at [`DIR`] on `fs`.
+    fn service_on(fs: &Arc<dyn Fs>, config: ServiceConfig) -> FocusService {
+        FocusService::create_with(Arc::clone(fs), DIR, config, GroundTruthCnn::resnet152()).unwrap()
+    }
+
+    /// A fresh, empty in-memory filesystem.
+    fn mem_fs() -> Arc<dyn Fs> {
+        Arc::new(MemFs::default())
+    }
+
+    /// A fresh service on a fresh in-memory filesystem.
+    fn mem_service(config: ServiceConfig) -> FocusService {
+        service_on(&mem_fs(), config)
     }
 
     fn quiet_config() -> ServiceConfig {
@@ -1024,9 +1057,7 @@ mod tests {
     fn service_stats_fold_every_subsystem_and_serialize() {
         let profile = profile_by_name("auburn_c").unwrap();
         let ds = VideoDataset::generate(profile.clone(), 25.0);
-        let dir = test_dir("stats");
-        let mut service =
-            FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
+        let mut service = mem_service(quiet_config());
         service
             .register_stream(profile.stream_id, profile.fps)
             .unwrap();
@@ -1053,20 +1084,18 @@ mod tests {
         let json = serde_json::to_string(&stats).unwrap();
         let back: ServiceStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn ingest_and_query_share_one_gpu_budget() {
         let profile = profile_by_name("auburn_c").unwrap();
         let ds = VideoDataset::generate(profile.clone(), 20.0);
-        let dir = test_dir("budget");
         let config = ServiceConfig {
             gpus: GpuClusterSpec::new(2),
             tick_secs: 0.05,
             ..quiet_config()
         };
-        let mut service = FocusService::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        let mut service = mem_service(config);
         service
             .register_stream(profile.stream_id, profile.fps)
             .unwrap();
@@ -1100,14 +1129,12 @@ mod tests {
         // The scheduler's meter carries the ordinary per-phase accounting.
         assert!(service.scheduler().meter().phase("ingest").seconds() > 0.0);
         assert!(service.scheduler().meter().phase("query").seconds() > 0.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn adaptive_service_audits_on_the_shared_budget() {
         let profile = profile_by_name("auburn_c").unwrap();
         let ds = VideoDataset::generate(profile.clone(), 30.0);
-        let dir = test_dir("adaptive_audit");
         let config = ServiceConfig {
             adaptation: Some(crate::adapt::AdaptationConfig {
                 audit_fraction: 0.05,
@@ -1115,7 +1142,7 @@ mod tests {
             }),
             ..quiet_config()
         };
-        let mut service = FocusService::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        let mut service = mem_service(config);
         service
             .register_stream(profile.stream_id, profile.fps)
             .unwrap();
@@ -1136,7 +1163,6 @@ mod tests {
         let json = serde_json::to_string(&stats).unwrap();
         let back: ServiceStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1221,9 +1247,8 @@ mod tests {
             })
             .expect("gen2 covers a real class gen1 lacks");
 
-        let dir = test_dir("retired_recover");
-        let mut service =
-            FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
+        let fs = mem_fs();
+        let mut service = service_on(&fs, quiet_config());
         service
             .register_stream(profile.stream_id, profile.fps)
             .unwrap();
@@ -1246,8 +1271,8 @@ mod tests {
 
         // A recovered service has no models (process state), but the
         // routing history must still reach gen1's OTHER-indexed epochs.
-        let (recovered, _) =
-            FocusService::recover(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
+        let gt = GroundTruthCnn::resnet152();
+        let (recovered, _) = FocusService::recover_with(fs, DIR, quiet_config(), gt).unwrap();
         let routing = &recovered.corpus().retired_routes[&profile.stream_id];
         assert!(routing.generations >= 2);
         assert!(routing.specialized_union.contains(&split_class));
@@ -1270,14 +1295,12 @@ mod tests {
             .lookup(OTHER_CLASS, &focus_index::QueryFilter::any())
             .unwrap();
         assert!(!other.records.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn advancing_an_unregistered_stream_is_an_error() {
         let profile = profile_by_name("auburn_c").unwrap();
         let ds = VideoDataset::generate(profile.clone(), 5.0);
-        let dir = test_dir("unregistered");
         let config = ServiceConfig {
             worker: StreamWorkerConfig {
                 gt_label_fraction: 0.5,
@@ -1285,7 +1308,7 @@ mod tests {
             },
             ..quiet_config()
         };
-        let mut service = FocusService::create(&dir, config, GroundTruthCnn::resnet152()).unwrap();
+        let mut service = mem_service(config);
         service
             .register_stream(profile.stream_id, profile.fps)
             .unwrap();
@@ -1302,16 +1325,15 @@ mod tests {
         assert_eq!(service.stats().frames_ingested, last);
         let meter = service.scheduler().meter();
         assert!(meter.phase("specialization").seconds() > 0.0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn double_registration_is_an_error_and_changes_nothing() {
-        let dir = test_dir("double_reg");
-        let mut service =
-            FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
+        let fs = mem_fs();
+        let mut service = service_on(&fs, quiet_config());
         service.register_stream(StreamId(1), 30).unwrap();
-        let sidecar = std::fs::read(dir.join(SERVICE_STATE_FILE)).unwrap();
+        let sidecar_path = Path::new(DIR).join(SERVICE_STATE_FILE);
+        let sidecar = fs.read(&sidecar_path).unwrap();
         match service.register_stream(StreamId(1), 15) {
             Err(SegmentError::StreamRegistered { stream }) => assert_eq!(stream, StreamId(1)),
             other => panic!("expected StreamRegistered, got {other:?}"),
@@ -1320,11 +1342,7 @@ mod tests {
             service.registered_streams(),
             BTreeMap::from([(StreamId(1), 30)])
         );
-        assert_eq!(
-            std::fs::read(dir.join(SERVICE_STATE_FILE)).unwrap(),
-            sidecar
-        );
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(fs.read(&sidecar_path).unwrap(), sidecar);
     }
 
     #[test]
@@ -1333,9 +1351,7 @@ mod tests {
         use crate::params::{ConfigurationPoint, ModelChoice};
         use focus_cnn::ModelSpec;
 
-        let dir = test_dir("install_unknown");
-        let mut service =
-            FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
+        let mut service = mem_service(quiet_config());
         service.register_stream(StreamId(1), 30).unwrap();
         let epoch = service.query_server().epoch();
         let selection = SelectedConfiguration {
@@ -1363,17 +1379,13 @@ mod tests {
         }
         assert_eq!(service.query_server().epoch(), epoch, "no cache bump");
         assert_eq!(service.stats().reconfigurations, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_serve_is_a_no_op() {
-        let dir = test_dir("empty_serve");
-        let service =
-            FocusService::create(&dir, quiet_config(), GroundTruthCnn::resnet152()).unwrap();
+        let service = mem_service(quiet_config());
         assert!(service.serve(&[]).unwrap().is_empty());
         assert_eq!(service.stats().queries_served, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Two hand-sealed segments that both hold cluster key (0, 1), each
@@ -1385,7 +1397,7 @@ mod tests {
         use focus_index::{ClusterRecord, MemberRef};
         use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, TrackId};
 
-        let dir = test_dir("duplicate_key");
+        let fs = mem_fs();
         let record = |local: u64| ClusterRecord {
             key: ClusterKey::new(StreamId(0), local),
             centroid_object: ObjectId(local),
@@ -1399,7 +1411,7 @@ mod tests {
             start_secs: local as f64,
             end_secs: local as f64 + 1.0,
         };
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = SegmentStore::create_with(Arc::clone(&fs), DIR.into()).unwrap();
         let ids: Vec<u64> = [[0, 1], [1, 2]]
             .iter()
             .map(|locals| {
@@ -1421,17 +1433,18 @@ mod tests {
             streams: vec![(0, 30)],
             retired_routes: Vec::new(),
         };
-        let state_path = dir.join(SERVICE_STATE_FILE);
-        std::fs::write(state_path, serde_json::to_string(&state).unwrap()).unwrap();
+        let state_path = Path::new(DIR).join(SERVICE_STATE_FILE);
+        let json = serde_json::to_string(&state).unwrap();
+        fs.write_atomic(&state_path, json.as_bytes()).unwrap();
 
-        match FocusService::recover(&dir, quiet_config(), GroundTruthCnn::resnet152()) {
+        let gt = GroundTruthCnn::resnet152();
+        match FocusService::recover_with(fs, DIR, quiet_config(), gt) {
             Err(SegmentError::DuplicateKey { key, segments }) => {
                 assert_eq!(key, ClusterKey::new(StreamId(0), 1));
                 assert_eq!(segments.to_vec(), ids);
             }
             other => panic!("expected DuplicateKey, got {other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Bytes a durable document may hold after a torn write, bit rot or
@@ -1507,16 +1520,15 @@ mod tests {
             use crate::fleet::{ClusterManifest, CLUSTER_MANIFEST_FILE};
             use focus_index::manifest::MANIFEST_FILE;
             use focus_index::Manifest;
-            let dir = std::env::temp_dir().join("focus_service_unit_hostile_documents");
-            std::fs::create_dir_all(&dir).unwrap();
+            let (fs, dir) = (MemFs::default(), Path::new(DIR));
+            fs.create_dir_all(dir).unwrap();
             let file = [MANIFEST_FILE, SERVICE_STATE_FILE, CLUSTER_MANIFEST_FILE][kind];
-            std::fs::write(dir.join(file), &bytes).unwrap();
+            fs.write_atomic(&dir.join(file), &bytes).unwrap();
             let loaded = match kind {
-                0 => Manifest::load(&OsFs, &dir.join(file)).is_ok(),
-                1 => read_document::<ServiceState>(&OsFs, &dir.join(file)).is_ok(),
-                _ => ClusterManifest::load(&OsFs, std::slice::from_ref(&dir)).is_ok(),
+                0 => Manifest::load(&fs, &dir.join(file)).is_ok(),
+                1 => read_document::<ServiceState>(&fs, &dir.join(file)).is_ok(),
+                _ => ClusterManifest::load(&fs, &[dir.to_path_buf()]).is_ok(),
             };
-            std::fs::remove_file(dir.join(file)).ok();
             if bytes == VALID_DOCUMENTS[kind].as_bytes() {
                 proptest::prop_assert!(loaded, "{file} as written does not load");
             }

@@ -1,23 +1,27 @@
 //! The filesystem as a capability: how bytes reach and leave the disk.
 //!
-//! The storage layer — the versioned-JSON codec in [`crate::persist`] and
-//! the segment store in [`crate::segment`] — performs every filesystem
-//! operation through an [`Fs`], the way the request plane reads time
-//! through a `Clock`. The trait has exactly the operations that layer
-//! performs: whole-file reads, positioned reads through an open handle,
-//! atomic replacement, rename, remove, directory listing, directory
-//! creation and the existence check. [`OsFs`] is the one production
-//! implementation and the one place `std::fs` is named outside tests; a
-//! store written through it is byte-for-byte what the storage layer wrote
-//! before the trait existed.
+//! The whole system performs every filesystem operation through an [`Fs`],
+//! the way the request plane reads time through a `Clock`: the codec in
+//! [`crate::persist`], the segment store, and above them the service and
+//! the fleet, on the `Fs` of the store or fleet they belong to. The trait
+//! has exactly the operations they perform: whole-file reads, positioned
+//! reads through an open handle, atomic replacement, rename, remove,
+//! directory listing, directory creation and the existence check.
+//! [`OsFs`] is the one production implementation and the one place
+//! `std::fs` is named outside tests; [`MemFs`] keeps the same tree in
+//! memory.
 //!
 //! Errors are plain [`io::Error`]s; the caller names the file (every
 //! [`PersistError::Io`](crate::persist::PersistError::Io) carries its path).
 
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 /// How the storage layer reaches the disk. Implementations are shared
 /// across the threads that query one store, hence `Send + Sync`.
@@ -140,164 +144,148 @@ impl ReadAt for File {
     }
 }
 
-#[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
+enum Entry {
+    Dir,
+    File(Arc<Vec<u8>>),
+}
 
-    use parking_lot::Mutex;
+/// An in-memory [`Fs`]: a map from path to directory or file bytes,
+/// with the semantics the storage layer relies on from [`OsFs`] — a
+/// write or rename needs its parent directory, a listing is sorted, an
+/// absent path is [`io::ErrorKind::NotFound`]. Atomic writes replace
+/// the entry in one step and leave no temp file.
+#[derive(Default)]
+pub struct MemFs {
+    entries: Mutex<BTreeMap<PathBuf, Entry>>,
+}
 
-    enum Entry {
-        Dir,
-        File(Arc<Vec<u8>>),
+impl Debug for MemFs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemFs")
+            .field("entries", &self.entries.lock().len())
+            .finish()
     }
+}
 
-    /// An in-memory [`Fs`]: a map from path to directory or file bytes,
-    /// with the semantics the storage layer relies on from [`OsFs`] — a
-    /// write or rename needs its parent directory, a listing is sorted, an
-    /// absent path is [`io::ErrorKind::NotFound`]. Atomic writes replace
-    /// the entry in one step and leave no temp file.
-    #[derive(Default)]
-    pub(crate) struct MemFs {
-        entries: Mutex<BTreeMap<PathBuf, Entry>>,
-    }
+fn not_found(path: &Path) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, path.display().to_string())
+}
 
-    impl Debug for MemFs {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("MemFs")
-                .field("entries", &self.entries.lock().len())
-                .finish()
+fn not_a_file(path: &Path) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, path.display().to_string())
+}
+
+impl MemFs {
+    fn file(entries: &BTreeMap<PathBuf, Entry>, path: &Path) -> io::Result<Arc<Vec<u8>>> {
+        match entries.get(path) {
+            Some(Entry::File(bytes)) => Ok(Arc::clone(bytes)),
+            Some(Entry::Dir) => Err(not_a_file(path)),
+            None => Err(not_found(path)),
         }
     }
 
-    fn not_found(path: &Path) -> io::Error {
-        io::Error::new(io::ErrorKind::NotFound, path.display().to_string())
-    }
-
-    fn not_a_file(path: &Path) -> io::Error {
-        io::Error::new(io::ErrorKind::InvalidInput, path.display().to_string())
-    }
-
-    impl MemFs {
-        fn file(&self, path: &Path) -> io::Result<Arc<Vec<u8>>> {
-            match self.entries.lock().get(path) {
-                Some(Entry::File(bytes)) => Ok(Arc::clone(bytes)),
-                Some(Entry::Dir) => Err(not_a_file(path)),
-                None => Err(not_found(path)),
-            }
+    /// Fails unless `path`'s parent is a directory and `path` is not.
+    fn check_writable(entries: &BTreeMap<PathBuf, Entry>, path: &Path) -> io::Result<()> {
+        let parent = path.parent().ok_or_else(|| not_a_file(path))?;
+        match entries.get(parent) {
+            Some(Entry::Dir) => {}
+            _ => return Err(not_found(parent)),
         }
+        match entries.get(path) {
+            Some(Entry::Dir) => Err(not_a_file(path)),
+            _ => Ok(()),
+        }
+    }
+}
 
-        /// Fails unless `path`'s parent is a directory and `path` is not.
-        fn check_writable(entries: &BTreeMap<PathBuf, Entry>, path: &Path) -> io::Result<()> {
-            let parent = path.parent().ok_or_else(|| not_a_file(path))?;
-            match entries.get(parent) {
+struct MemFile(Arc<Vec<u8>>);
+
+impl ReadAt for MemFile {
+    fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let start = usize::try_from(offset).unwrap_or(usize::MAX);
+        let end = start.saturating_add(buf.len());
+        let bytes = self
+            .0
+            .get(start..end)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "read past the end"))?;
+        buf.copy_from_slice(bytes);
+        Ok(())
+    }
+}
+
+impl Fs for MemFs {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        Ok(Self::file(&self.entries.lock(), path)?.to_vec())
+    }
+
+    fn open(&self, path: &Path) -> io::Result<Box<dyn ReadAt>> {
+        Ok(Box::new(MemFile(Self::file(&self.entries.lock(), path)?)))
+    }
+
+    fn write_atomic(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
+        let mut entries = self.entries.lock();
+        Self::check_writable(&entries, path)?;
+        entries.insert(path.to_path_buf(), Entry::File(Arc::new(contents.to_vec())));
+        Ok(())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let mut entries = self.entries.lock();
+        if !matches!(entries.get(from), Some(Entry::File(_))) {
+            return Err(not_found(from));
+        }
+        Self::check_writable(&entries, to)?;
+        let entry = entries.remove(from).ok_or_else(|| not_found(from))?;
+        entries.insert(to.to_path_buf(), entry);
+        Ok(())
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        let mut entries = self.entries.lock();
+        Self::file(&entries, path)?;
+        entries.remove(path);
+        Ok(())
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        let entries = self.entries.lock();
+        match entries.get(dir) {
+            Some(Entry::Dir) => Ok(entries
+                .keys()
+                .filter(|path| path.parent() == Some(dir))
+                .cloned()
+                .collect()),
+            Some(Entry::File(_)) => Err(not_a_file(dir)),
+            None => Err(not_found(dir)),
+        }
+    }
+
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        let mut entries = self.entries.lock();
+        for ancestor in dir.ancestors().filter(|a| !a.as_os_str().is_empty()) {
+            match entries.get(ancestor) {
+                Some(Entry::File(_)) => return Err(not_a_file(ancestor)),
                 Some(Entry::Dir) => {}
-                _ => return Err(not_found(parent)),
-            }
-            match entries.get(path) {
-                Some(Entry::Dir) => Err(not_a_file(path)),
-                _ => Ok(()),
-            }
-        }
-    }
-
-    struct MemFile(Arc<Vec<u8>>);
-
-    impl ReadAt for MemFile {
-        fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-            let start = usize::try_from(offset).unwrap_or(usize::MAX);
-            let end = start.saturating_add(buf.len());
-            let bytes = self
-                .0
-                .get(start..end)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "read past the end"))?;
-            buf.copy_from_slice(bytes);
-            Ok(())
-        }
-    }
-
-    impl Fs for MemFs {
-        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-            Ok(self.file(path)?.to_vec())
-        }
-
-        fn open(&self, path: &Path) -> io::Result<Box<dyn ReadAt>> {
-            Ok(Box::new(MemFile(self.file(path)?)))
-        }
-
-        fn write_atomic(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-            let mut entries = self.entries.lock();
-            Self::check_writable(&entries, path)?;
-            entries.insert(path.to_path_buf(), Entry::File(Arc::new(contents.to_vec())));
-            Ok(())
-        }
-
-        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-            let mut entries = self.entries.lock();
-            if !matches!(entries.get(from), Some(Entry::File(_))) {
-                return Err(not_found(from));
-            }
-            Self::check_writable(&entries, to)?;
-            let entry = entries.remove(from).ok_or_else(|| not_found(from))?;
-            entries.insert(to.to_path_buf(), entry);
-            Ok(())
-        }
-
-        fn remove(&self, path: &Path) -> io::Result<()> {
-            self.file(path)?;
-            self.entries.lock().remove(path);
-            Ok(())
-        }
-
-        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-            let entries = self.entries.lock();
-            match entries.get(dir) {
-                Some(Entry::Dir) => Ok(entries
-                    .keys()
-                    .filter(|path| path.parent() == Some(dir))
-                    .cloned()
-                    .collect()),
-                Some(Entry::File(_)) => Err(not_a_file(dir)),
-                None => Err(not_found(dir)),
-            }
-        }
-
-        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-            let mut entries = self.entries.lock();
-            for ancestor in dir.ancestors().filter(|a| !a.as_os_str().is_empty()) {
-                match entries.get(ancestor) {
-                    Some(Entry::File(_)) => return Err(not_a_file(ancestor)),
-                    Some(Entry::Dir) => {}
-                    None => {
-                        entries.insert(ancestor.to_path_buf(), Entry::Dir);
-                    }
+                None => {
+                    entries.insert(ancestor.to_path_buf(), Entry::Dir);
                 }
             }
-            Ok(())
         }
-
-        fn exists(&self, path: &Path) -> io::Result<bool> {
-            Ok(self.entries.lock().contains_key(path))
-        }
+        Ok(())
     }
 
-    #[test]
-    fn write_atomic_replaces_existing_files_and_leaves_no_temp() {
-        let dir = std::env::temp_dir().join("focus_index_fs_atomic");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("index.json");
-        // Overwrite a file with a bigger one: the temp file must not
-        // linger and the final content must be the second write.
-        OsFs.write_atomic(&path, b"{}").unwrap();
-        OsFs.write_atomic(&path, b"{\"version\":1}").unwrap();
-        assert!(!OsFs.exists(&dir.join("index.json.tmp")).unwrap());
-        assert_eq!(fs::read(&path).unwrap(), b"{\"version\":1}");
-        fs::remove_dir_all(&dir).ok();
+    fn exists(&self, path: &Path) -> io::Result<bool> {
+        Ok(self.entries.lock().contains_key(path))
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// The same operations on [`OsFs`] and [`MemFs`] leave the same
-    /// listing and bytes, and fail the same way.
+    /// listing and bytes, and fail the same way: a replaced file holds the
+    /// second write and no temp file is left beside it.
     #[test]
     fn mem_fs_behaves_as_os_fs() {
         let os_root = std::env::temp_dir().join("focus_index_fs_equivalence");
@@ -329,6 +317,12 @@ pub(crate) mod tests {
             fs.write_atomic(&dir.join("d"), b"gone").unwrap();
             fs.remove(&dir.join("d")).unwrap();
             assert!(fs.remove(&dir.join("d")).is_err());
+            // A directory where a file is written: the write fails (outside
+            // `dir`, whose listing is compared: `OsFs` leaves its temp file).
+            let blocked = root.join("blocked");
+            fs.create_dir_all(&blocked).unwrap();
+            assert!(fs.write_atomic(&blocked, b"x").is_err());
+            assert!(fs.read(&blocked).is_err());
             let listing: Vec<_> = fs
                 .list(&dir)
                 .unwrap()
@@ -351,5 +345,25 @@ pub(crate) mod tests {
             ]
         );
         fs::remove_dir_all(&os_root).ok();
+    }
+
+    /// Of two threads removing one file, exactly one succeeds.
+    #[test]
+    fn mem_fs_removes_a_file_once() {
+        let fs = MemFs::default();
+        let path = Path::new("/mem/racy");
+        fs.create_dir_all(path.parent().unwrap()).unwrap();
+        for _ in 0..10_000 {
+            fs.write_atomic(path, b"x").unwrap();
+            let barrier = std::sync::Barrier::new(2);
+            let removed = std::thread::scope(|scope| {
+                let remove = || {
+                    barrier.wait();
+                    fs.remove(path).is_ok()
+                };
+                [scope.spawn(remove), scope.spawn(remove)].map(|racer| racer.join().unwrap())
+            });
+            assert_eq!(removed.iter().filter(|removed| **removed).count(), 1);
+        }
     }
 }

@@ -41,7 +41,7 @@ pub mod segment;
 pub mod topk;
 pub mod track;
 
-pub use crate::fs::{Fs, OsFs, ReadAt};
+pub use crate::fs::{Fs, MemFs, OsFs, ReadAt};
 pub use binseg::BinsegError;
 pub use cluster_store::{ClusterKey, ClusterRecord, MemberRef};
 pub use manifest::{Manifest, SegmentFormat, SegmentMeta};

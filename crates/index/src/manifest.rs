@@ -197,7 +197,7 @@ impl Versioned for Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::OsFs;
+    use crate::fs::MemFs;
 
     fn meta(id: u64, t_start: f64, t_end: f64, streams: &[u32]) -> SegmentMeta {
         SegmentMeta {
@@ -241,35 +241,35 @@ mod tests {
 
     #[test]
     fn manifest_roundtrip_and_id_allocation() {
-        let dir = std::env::temp_dir().join("focus_manifest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(MANIFEST_FILE);
+        let fs = MemFs::default();
+        fs.create_dir_all(Path::new("/store")).unwrap();
+        let path = Path::new("/store").join(MANIFEST_FILE);
         let mut m = Manifest::new();
         assert_eq!(m.allocate_id(), 0);
         assert_eq!(m.allocate_id(), 1);
         m.segments.push(meta(0, 0.0, 10.0, &[0]));
         m.segments.push(meta(1, 10.0, 20.0, &[1]));
-        m.save(&OsFs, &path).unwrap();
-        let restored = Manifest::load(&OsFs, &path).unwrap();
+        m.save(&fs, &path).unwrap();
+        let restored = Manifest::load(&fs, &path).unwrap();
         assert_eq!(restored, m);
         assert_eq!(restored.streams(), vec![StreamId(0), StreamId(1)]);
         assert_eq!(restored.segment(1).unwrap().file, "seg-000001.bin");
         assert!(restored.segment(9).is_none());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn manifest_version_mismatch_is_detected() {
-        let path = std::env::temp_dir().join("focus_manifest_version_test.json");
-        std::fs::write(&path, r#"{"version":7,"next_segment_id":0,"segments":[]}"#).unwrap();
+        let (fs, path) = (MemFs::default(), Path::new("/MANIFEST.json"));
+        fs.create_dir_all(Path::new("/")).unwrap();
+        let json = r#"{"version":7,"next_segment_id":0,"segments":[]}"#;
+        fs.write_atomic(path, json.as_bytes()).unwrap();
         assert!(matches!(
-            Manifest::load(&OsFs, &path),
+            Manifest::load(&fs, path),
             Err(PersistError::VersionMismatch {
                 found: 7,
                 expected: MANIFEST_VERSION,
                 ..
             })
         ));
-        std::fs::remove_file(&path).ok();
     }
 }

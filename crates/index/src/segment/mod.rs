@@ -213,9 +213,9 @@ impl From<PersistError> for SegmentError {
 /// use focus_index::{ClusterKey, ClusterRecord, MemberRef, QueryFilter, SegmentStore, TopKIndex};
 /// use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId};
 ///
-/// let dir = std::env::temp_dir().join("focus_segment_doc_example");
-/// let _ = std::fs::remove_dir_all(&dir);
-/// let mut store = SegmentStore::create(&dir).unwrap();
+/// // In memory; `SegmentStore::create(dir)` is the same store on the disk.
+/// let fs = std::sync::Arc::new(focus_index::MemFs::default());
+/// let mut store = SegmentStore::create_with(fs, "/store".into()).unwrap();
 ///
 /// // Seal two single-record segments covering different time windows,
 /// // each record with its centroid observation.
@@ -240,7 +240,6 @@ impl From<PersistError> for SegmentError {
 /// assert_eq!(hit.records.len(), 1);
 /// assert_eq!(hit.access.segments_considered, 1);
 /// assert_eq!(hit.access.segments_pruned(), 1);
-/// # std::fs::remove_dir_all(&dir).ok();
 /// ```
 #[derive(Debug)]
 pub struct SegmentStore {
@@ -284,18 +283,22 @@ mod tests {
     use super::*;
     use crate::binseg;
     use crate::cluster_store::{ClusterRecord, MemberRef};
+    use crate::fs::MemFs;
     use crate::manifest::SegmentMeta;
     use crate::topk::TopKIndex;
     use crate::track::{TrackKey, TrackSketch};
     use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, TrackId};
-    use read::blocks_of;
-    use std::fs;
-    use std::path::Path;
+    use read::{blocks_of, DEFAULT_DECODED_CACHE_BYTES};
 
     pub(super) fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("focus_segment_{name}"));
-        let _ = fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A fresh, empty store on its own in-memory filesystem.
+    pub(super) fn mem_store() -> SegmentStore {
+        SegmentStore::create_with(Arc::new(MemFs::default()), "/store".into()).unwrap()
     }
 
     pub(super) fn record(stream: u32, local: u64, class: u16, start: f64) -> ClusterRecord {
@@ -349,19 +352,25 @@ mod tests {
             .unwrap();
     }
 
-    /// Seals three binary segments: stream 0 at [0,15], stream 0 at
-    /// [100,115], stream 1 at [0,15] — and returns the store reopened, so
-    /// both cache tiers start empty.
-    pub(super) fn populated(dir: &Path) -> SegmentStore {
-        let mut store = SegmentStore::create(dir).unwrap();
+    /// Seals three binary segments into `store`: stream 0 at [0,15],
+    /// stream 0 at [100,115], stream 1 at [0,15] — and returns it reopened,
+    /// so both cache tiers start empty.
+    pub(super) fn populated(mut store: SegmentStore) -> SegmentStore {
         seal_populated(&mut store);
         cold(store)
     }
 
-    /// `store` reopened by a plain `open`: the same segments, both cache
-    /// tiers empty (sealing leaves the fresh blocks in the raw tier).
+    /// A second store over `store`'s directory and `Fs`, opened as a plain
+    /// `open` opens it.
+    pub(super) fn reopen(store: &SegmentStore) -> (SegmentStore, OpenReport) {
+        let (fs, dir) = (Arc::clone(&store.fs), store.dir.clone());
+        SegmentStore::open_body(fs, dir, DEFAULT_DECODED_CACHE_BYTES, None).unwrap()
+    }
+
+    /// `store` reopened: the same segments, both cache tiers empty (sealing
+    /// leaves the fresh blocks in the raw tier).
     pub(super) fn cold(store: SegmentStore) -> SegmentStore {
-        SegmentStore::open(store.dir()).unwrap().0
+        reopen(&store).0
     }
 
     /// What every block of segment `id` weighs in either tier: the sum of
@@ -387,7 +396,7 @@ mod tests {
         meta: &SegmentMeta,
         class: u16,
     ) -> (usize, u64) {
-        let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
+        let bytes = store.fs().read(&store.dir().join(&meta.file)).unwrap();
         let footer = binseg::footer_of(&bytes).unwrap();
         let postings = footer.postings_for(ClassId(class)).unwrap().block;
         let block = binseg::block_slice(&bytes, &postings).unwrap();

@@ -47,7 +47,7 @@ impl OpenReport {
 /// What a scanning open ([`SegmentStore::open_scanning`]) hands every
 /// record it decodes to (with the record's segment id), and every
 /// segment's centroid observations to.
-struct Scan<'a> {
+pub(super) struct Scan<'a> {
     record: &'a mut dyn FnMut(u64, &ClusterRecord),
     centroids: &'a mut dyn FnMut(Vec<ObjectObservation>),
 }
@@ -88,8 +88,9 @@ impl SegmentStore {
     /// This is the open `FocusService::recover` runs: its checks
     /// (key-disjointness, next cluster keys) need every record once, its
     /// corpus every centroid, and a second pass would read and decode every
-    /// segment again.
+    /// segment again. It runs on `fs`, which the store keeps.
     pub fn open_scanning(
+        fs: Arc<dyn Fs>,
         dir: impl Into<PathBuf>,
         mut visit: impl FnMut(u64, &ClusterRecord),
         mut centroids: impl FnMut(Vec<ObjectObservation>),
@@ -98,17 +99,12 @@ impl SegmentStore {
             record: &mut visit,
             centroids: &mut centroids,
         };
-        Self::open_body(
-            Arc::new(OsFs),
-            dir.into(),
-            DEFAULT_DECODED_CACHE_BYTES,
-            Some(scan),
-        )
+        Self::open_body(fs, dir.into(), DEFAULT_DECODED_CACHE_BYTES, Some(scan))
     }
 
     /// The one open body, on `fs`: [`open`](Self::open) when `scan` is
     /// `None`, [`open_scanning`](Self::open_scanning) otherwise.
-    fn open_body(
+    pub(super) fn open_body(
         fs: Arc<dyn Fs>,
         dir: PathBuf,
         decoded_bytes: u64,
@@ -235,7 +231,7 @@ mod tests {
     #[test]
     fn open_roundtrips_a_clean_store() {
         let dir = test_dir("open_clean");
-        let store = populated(&dir);
+        let store = populated(SegmentStore::create(&dir).unwrap());
         let expected = persist::to_json(&store.merged_index().unwrap()).unwrap();
         let (reopened, report) = SegmentStore::open(&dir).unwrap();
         assert!(report.is_clean(), "{report:?}");
@@ -257,7 +253,7 @@ mod tests {
     #[test]
     fn recovery_warms_the_newest_segments_that_fit() {
         let dir = test_dir("open_scanning");
-        let mut store = populated(&dir);
+        let mut store = populated(SegmentStore::create(&dir).unwrap());
         let three = [0, 1, 2].map(|local| record(2, local, 5, local as f64));
         store.seal(&segment_of(&three)).unwrap();
         // Sizes 2, 2, 2, 3 under a cap of 4: only [0, 1] fold, into id 4,
@@ -326,7 +322,7 @@ mod tests {
     #[test]
     fn corrupt_segments_are_quarantined_on_open() {
         let dir = test_dir("quarantine");
-        let store = populated(&dir);
+        let store = populated(SegmentStore::create(&dir).unwrap());
         let victim = store.segments()[1].file.clone();
         // Flip one byte in the middle of the file.
         let path = dir.join(&victim);
@@ -481,7 +477,7 @@ mod tests {
         };
         for (case, refused, planted, named) in cases {
             let dir = test_dir(&format!("refused_repair_{case}"));
-            drop(populated(&dir));
+            drop(populated(SegmentStore::create(&dir).unwrap()));
             let path = dir.join(planted);
             let bytes = match fs::read(&path) {
                 Ok(mut listed) => {
@@ -512,14 +508,14 @@ mod tests {
     }
 
     /// One sequence on [`OsFs`] and on
-    /// [`MemFs`](crate::fs::tests::MemFs): create, seal five segments,
+    /// [`MemFs`](crate::fs::MemFs): create, seal five segments,
     /// compact, flip one byte of a live segment, drop a temp file and an
     /// unlisted segment file, reopen with a scanning open. Both leave the
     /// same files holding the same bytes, repair the same way, hand the
     /// scan the same records and answer the same lookups.
     #[test]
     fn os_fs_and_mem_fs_write_the_same_store_and_answer_the_same() {
-        use crate::fs::tests::MemFs;
+        use crate::fs::MemFs;
 
         let os_dir = test_dir("fs_equivalence");
         let sides: [(Arc<dyn Fs>, PathBuf); 2] = [
@@ -614,7 +610,7 @@ mod tests {
     #[test]
     fn open_sweeps_temp_files_and_orphans() {
         let dir = test_dir("sweep");
-        let store = populated(&dir);
+        let store = populated(SegmentStore::create(&dir).unwrap());
         let expected = persist::to_json(&store.merged_index().unwrap()).unwrap();
         drop(store);
         // A crash mid-write leaves a temp file; a crash between segment

@@ -810,16 +810,14 @@ pub(super) fn blocks_of(
 mod tests {
     use super::*;
     use crate::segment::tests::{
-        cold, lookup_cost, lookup_costs, one_big_segment, populated, record, seal_populated,
-        segment_of, sketched_index, test_dir, weight,
+        cold, lookup_cost, lookup_costs, mem_store, one_big_segment, populated, record, reopen,
+        seal_populated, segment_of, sketched_index, weight,
     };
     use focus_video::{StreamId, TrackId};
-    use std::fs;
 
     #[test]
     fn lookup_equals_merged_index_and_prunes() {
-        let dir = test_dir("lookup_prune");
-        let store = populated(&dir);
+        let store = populated(mem_store());
         let merged = store.merged_index().unwrap();
 
         for (filter, expect_considered) in [
@@ -854,16 +852,15 @@ mod tests {
         assert!(none.records.is_empty());
         assert_eq!(none.access.segments_opened(), 0);
         assert_eq!(none.access.segments_pruned(), 3);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn binary_cold_lookup_reads_only_needed_blocks() {
-        let dir = test_dir("block_reads");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         let meta = one_big_segment(&mut store);
         let store = cold(store);
-        let file_len = fs::metadata(dir.join(&meta.file)).unwrap().len();
+        let file = store.fs().read(&store.dir().join(&meta.file)).unwrap();
+        let file_len = file.len() as u64;
         let (blocks, bytes) = lookup_costs(&store, 3)[0];
 
         // First touch: the class's postings block and the record blocks
@@ -903,13 +900,11 @@ mod tests {
         assert_eq!(none.access.segments_considered, 1);
         assert_eq!(none.access.segments_opened(), 0);
         assert_eq!(none.access.blocks_read + none.access.block_hits, 0);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn two_class_lookup_fetches_each_block_once() {
-        let dir = test_dir("two_class");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         one_big_segment(&mut store);
         let store = cold(store);
         // Classes 3 and 0 share every record block (class 0 is every
@@ -937,13 +932,11 @@ mod tests {
             .lookup_classes_grouped(&[ClassId(0), ClassId(3)], &QueryFilter::any().with_kx(1))
             .unwrap();
         assert_eq!(top.groups[0].1.len(), 32);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn lru_cache_serves_warm_lookups_without_reads() {
-        let dir = test_dir("lru");
-        let store = populated(&dir);
+        let store = populated(mem_store());
         let costs = lookup_costs(&store, 5);
         let blocks: Vec<usize> = costs.iter().map(|c| c.0).collect();
         let all_blocks: usize = blocks.iter().sum();
@@ -981,7 +974,7 @@ mod tests {
         // A default store walks the three touches: disk, then raw hits
         // that promote, then decoded hits — and reads nothing after the
         // first.
-        let (store, _) = SegmentStore::open(&dir).unwrap();
+        let (store, _) = reopen(&store);
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         let second = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         assert_eq!(second.access.cache_hits, 3);
@@ -993,16 +986,14 @@ mod tests {
         assert_eq!(third.access.block_hits, all_blocks);
         assert_eq!(third.access.block_raw_hits, 0);
         assert_eq!(third.access.bytes_read, 0);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn raw_tier_rescues_decoded_evictions_without_disk() {
-        let dir = test_dir("raw_tier");
         // One segment, the first half of its records class 1 and the second
         // half class 2: each class's keys live in their own record blocks,
         // so the two lookups share no block.
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         let records: Vec<ClusterRecord> = (0..256u64)
             .map(|local| record(0, local, 1 + (local / 128) as u16, local as f64))
             .collect();
@@ -1060,17 +1051,16 @@ mod tests {
         let occ = store.cache_occupancy();
         assert_eq!(occ.raw_entries, 2 * blocks);
         assert_eq!(occ.raw_occupancy_bytes, raw_bytes + other_raw_bytes);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn class_absent_segments_are_skipped_without_opening_the_file() {
-        let dir = test_dir("class_skip");
-        let store = populated(&dir);
+        let store = populated(mem_store());
         // Delete the middle segment (the only one posting class 6) behind
         // the store's back.
         let victim = store.segments()[1].clone();
-        fs::remove_file(dir.join(&victim.file)).unwrap();
+        let victim_path = store.dir().join(&victim.file);
+        store.fs().remove(&victim_path).unwrap();
         // Class 7 lives in the last segment only: the footer directory rules
         // the other two out, so the missing file is never asked for.
         let found = store.lookup(ClassId(7), &QueryFilter::any()).unwrap();
@@ -1085,17 +1075,15 @@ mod tests {
         // A class the missing segment does post has to open it.
         match store.lookup(ClassId(6), &QueryFilter::any()) {
             Err(SegmentError::Persist(PersistError::Io { path, .. })) => {
-                assert_eq!(path, dir.join(&victim.file))
+                assert_eq!(path, victim_path)
             }
             other => panic!("expected an I/O error naming the file, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn key_disjointness_holds_across_lookup_classes() {
-        let dir = test_dir("duplicate_key");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         // Two hand-sealed segments holding the same cluster key, posted
         // under class 5 in one and class 6 in the other.
         store
@@ -1116,7 +1104,6 @@ mod tests {
             }
             other => panic!("expected DuplicateKey, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).ok();
     }
 
     /// `seal` and `compact` leave the blocks they have just encoded in the
@@ -1124,8 +1111,7 @@ mod tests {
     /// disk read; a folded segment's entries go with it.
     #[test]
     fn a_fresh_segment_is_a_raw_hit_on_first_lookup() {
-        let dir = test_dir("fresh_raw");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         seal_populated(&mut store);
         let any = QueryFilter::any();
         let sealed = store.lookup(ClassId(5), &any).unwrap();
@@ -1148,7 +1134,6 @@ mod tests {
         let mut reads = sealed.access;
         reads.merge(&compacted.access);
         assert_eq!(reads.blocks_read, 0, "{reads:?}");
-        fs::remove_dir_all(&dir).ok();
     }
 
     /// The byte-weighted LRU both tiers use.
@@ -1200,29 +1185,26 @@ mod tests {
 
     #[test]
     fn block_corruption_is_detected_at_lookup_time() {
-        let dir = test_dir("block_corrupt");
-        let store = populated(&dir);
+        let store = populated(mem_store());
         // Corrupt a byte early in the file — inside a record or postings
         // block, leaving the trailer/footer intact — after open-time
         // verification already passed.
         let meta = store.segments()[0].clone();
-        let path = dir.join(&meta.file);
-        let mut bytes = fs::read(&path).unwrap();
+        let path = store.dir().join(&meta.file);
+        let mut bytes = store.fs().read(&path).unwrap();
         bytes[6] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
+        store.fs().write_atomic(&path, &bytes).unwrap();
         match store.lookup(ClassId(5), &QueryFilter::any()) {
             Err(SegmentError::Corrupt {
                 expected, found, ..
             }) => assert_ne!(expected, found),
             other => panic!("expected block corruption error, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sketches_merge_across_segments_and_ignore_time_pruning() {
-        let dir = test_dir("sketches_store");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         // The same track appears in two segments (key-disjoint records);
         // a third segment covers another stream.
         store.seal(&sketched_index(0, 0, 0.0, 7)).unwrap();
@@ -1266,14 +1248,11 @@ mod tests {
         assert_eq!(warm, all);
         assert_eq!(warm_access.block_hits, 3);
         assert_eq!(warm_access.blocks_read, 0);
-
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn cache_occupancy_tracks_both_tiers() {
-        let dir = test_dir("occupancy");
-        let store = populated(&dir);
+        let store = populated(mem_store());
         let costs = lookup_costs(&store, 5);
         let blocks: usize = costs.iter().map(|c| c.0).sum();
         let raw_bytes: u64 = costs.iter().map(|c| c.1).sum();
@@ -1301,7 +1280,6 @@ mod tests {
         let overflow = "the promotions overflow the LRU";
         assert_eq!(full.decoded_occupancy_bytes, capacity, "{overflow}");
         assert_eq!(full.decoded_entries, blocks - costs[0].0, "{overflow}");
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1365,7 +1343,6 @@ mod property_tests {
     use focus_video::{FrameId, ObjectId, StreamId, TrackId};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
-    use std::fs;
 
     /// A record on one of `streams` streams whose ranking holds one to
     /// three distinct classes out of `1..=classes`.
@@ -1456,9 +1433,7 @@ mod property_tests {
             raw_tier in 0usize..3,
         ) {
             let mut rng = TestRng::from_name(&seed.to_string());
-            let dir = std::env::temp_dir().join(format!("focus_segment_prop_{seed}"));
-            let _ = fs::remove_dir_all(&dir);
-            let mut store = SegmentStore::create(&dir).unwrap();
+            let mut store = super::super::tests::mem_store();
             let mut local = 0u64;
             for _ in 0..segments {
                 let mut index = TopKIndex::new();
@@ -1493,7 +1468,7 @@ mod property_tests {
                 .with_raw_capacity(raw_capacity);
             // The reference comes from a second store on the same directory,
             // so loading it leaves this store's cache tiers alone.
-            let merged = SegmentStore::open(&dir).unwrap().0.merged_index().unwrap();
+            let merged = super::super::tests::reopen(&store).0.merged_index().unwrap();
             let requests: Vec<_> = (0..6)
                 .map(|_| arbitrary_request(&mut rng, streams, classes))
                 .collect();
@@ -1531,7 +1506,6 @@ mod property_tests {
                     }
                 }
             }
-            fs::remove_dir_all(&dir).ok();
         }
     }
 }

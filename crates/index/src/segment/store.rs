@@ -27,8 +27,8 @@ impl SegmentStore {
         Self::create_with(Arc::new(OsFs), dir.into())
     }
 
-    /// [`create`](Self::create) on `fs`.
-    pub(crate) fn create_with(fs: Arc<dyn Fs>, dir: PathBuf) -> Result<SegmentStore, SegmentError> {
+    /// [`create`](Self::create) on `fs`, which the store keeps.
+    pub fn create_with(fs: Arc<dyn Fs>, dir: PathBuf) -> Result<SegmentStore, SegmentError> {
         fs.create_dir_all(&dir)
             .map_err(|e| PersistError::io(&dir, e))?;
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -188,9 +188,8 @@ impl SegmentStore {
     /// use focus_index::{persist, ClusterKey, ClusterRecord, MemberRef, SegmentStore, TopKIndex};
     /// use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId};
     ///
-    /// let dir = std::env::temp_dir().join("focus_segment_inspect_doc_example");
-    /// let _ = std::fs::remove_dir_all(&dir);
-    /// let mut store = SegmentStore::create(&dir).unwrap();
+    /// let fs = std::sync::Arc::new(focus_index::MemFs::default());
+    /// let mut store = SegmentStore::create_with(fs, "/store".into()).unwrap();
     /// let mut seg = TopKIndex::new();
     /// seg.insert_centroid(ObjectObservation { object_id: ObjectId(0), ..Default::default() });
     /// seg.insert(ClusterRecord {
@@ -207,7 +206,6 @@ impl SegmentStore {
     /// let text = persist::to_json(&store.load(id).unwrap()).unwrap();
     /// assert!(text.starts_with("{\"version\":1,"));
     /// assert_eq!(text, persist::to_json(&seg).unwrap());
-    /// # std::fs::remove_dir_all(&dir).ok();
     /// ```
     pub fn load(&self, id: u64) -> Result<TopKIndex, SegmentError> {
         let meta = self
@@ -351,15 +349,14 @@ mod tests {
     use super::*;
     use crate::binseg::SegmentFooter;
     use crate::cluster_store::ClusterKey;
+    use crate::fs::MemFs;
     use crate::persist;
-    use crate::segment::tests::{populated, record, segment_of, test_dir};
+    use crate::segment::tests::{mem_store, populated, record, reopen, segment_of};
     use focus_video::StreamId;
-    use std::fs;
 
     #[test]
     fn seal_assigns_bounds_streams_and_checksums() {
-        let dir = test_dir("seal_bounds");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         let meta = store
             .seal(&segment_of(&[record(0, 0, 5, 2.0), record(0, 1, 5, 30.0)]))
             .unwrap()
@@ -370,30 +367,27 @@ mod tests {
         assert_eq!(meta.t_end, 35.0);
         assert_eq!(meta.streams, vec![StreamId(0)]);
         assert_eq!(meta.clusters, 2);
-        let bytes = fs::read(dir.join(&meta.file)).unwrap();
+        let bytes = store.fs().read(&store.dir().join(&meta.file)).unwrap();
         assert_eq!(fnv1a64(&bytes), meta.checksum);
         assert!(bytes.starts_with(&crate::binseg::BINSEG_MAGIC));
         // Sealing an empty index is a no-op.
         assert!(store.seal(&TopKIndex::new()).unwrap().is_none());
         assert_eq!(store.len(), 1);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn create_refuses_to_clobber_an_existing_store() {
-        let dir = test_dir("create_clobber");
-        let _store = SegmentStore::create(&dir).unwrap();
-        assert!(SegmentStore::create(&dir).is_err());
-        fs::remove_dir_all(&dir).ok();
+        let fs: Arc<dyn Fs> = Arc::new(MemFs::default());
+        let _store = SegmentStore::create_with(Arc::clone(&fs), "/store".into()).unwrap();
+        assert!(SegmentStore::create_with(fs, "/store".into()).is_err());
     }
 
     #[test]
     fn footer_directory_tracks_the_live_segments() {
-        let dir = test_dir("directory");
-        let store = populated(&dir);
+        let store = populated(mem_store());
         let on_disk = |store: &SegmentStore| -> HashMap<u64, SegmentFooter> {
             let footer = |meta: &SegmentMeta| {
-                let bytes = fs::read(store.dir().join(&meta.file)).unwrap();
+                let bytes = store.fs().read(&store.dir().join(&meta.file)).unwrap();
                 (meta.id, binseg::footer_of(&bytes).unwrap())
             };
             store.segments().iter().map(footer).collect()
@@ -405,7 +399,7 @@ mod tests {
         // Sealed, reopened, sealed again, compacted, reopened: at every
         // step the directory holds exactly the live segments' footers.
         assert_eq!(resident(&store), on_disk(&store));
-        let (mut store, _) = SegmentStore::open(&dir).unwrap();
+        let (mut store, _) = reopen(&store);
         assert_eq!(resident(&store), on_disk(&store));
         store.seal(&segment_of(&[record(2, 0, 9, 50.0)])).unwrap();
         assert_eq!(resident(&store), on_disk(&store));
@@ -415,11 +409,10 @@ mod tests {
         assert_eq!(store.len(), 2);
         assert_eq!(resident(&store), on_disk(&store));
         assert!(folded_away.iter().all(|id| !store.footers.contains_key(id)));
-        let (store, report) = SegmentStore::open(&dir).unwrap();
+        let (store, report) = reopen(&store);
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(resident(&store), on_disk(&store));
         assert_eq!(store.footers.len(), 2);
-        fs::remove_dir_all(&dir).ok();
     }
 
     /// A run of segments sharing a key is refused before its replacement is
@@ -427,27 +420,19 @@ mod tests {
     /// the uncached reference reader refuses the store the same way.
     #[test]
     fn compact_refuses_segments_sharing_a_key_and_changes_nothing() {
-        let dir = test_dir("compact_duplicate");
-        let mut store = SegmentStore::create(&dir).unwrap();
+        let mut store = mem_store();
         store
             .seal(&segment_of(&[record(0, 0, 5, 0.0), record(0, 1, 5, 10.0)]))
             .unwrap();
         store
             .seal(&segment_of(&[record(0, 1, 6, 10.0), record(0, 2, 6, 20.0)]))
             .unwrap();
-        let listing = || {
-            let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(&dir)
-                .unwrap()
-                .map(|entry| {
-                    let entry = entry.unwrap();
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    (name, fs::read(entry.path()).unwrap())
-                })
-                .collect();
-            files.sort();
-            files
+        let listing = |store: &SegmentStore| {
+            let paths = store.fs().list(store.dir()).unwrap();
+            let read = |path: &PathBuf| (path.clone(), store.fs().read(path).unwrap());
+            paths.iter().map(read).collect::<Vec<_>>()
         };
-        let before = listing();
+        let before = listing(&store);
         let live = store.segments().to_vec();
         let ids = [live[0].id, live[1].id];
         let duplicate = ClusterKey::new(StreamId(0), 1);
@@ -457,7 +442,7 @@ mod tests {
             }
             other => panic!("expected DuplicateKey, got {other:?}"),
         }
-        assert_eq!(listing(), before);
+        assert_eq!(listing(&store), before);
         assert_eq!(store.segments(), &live[..]);
         match store.merged_index() {
             Err(SegmentError::DuplicateKey { key, segments }) => {
@@ -465,18 +450,16 @@ mod tests {
             }
             other => panic!("expected DuplicateKey, got {other:?}"),
         }
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corruption_after_open_is_detected_at_load_time() {
-        let dir = test_dir("late_corrupt");
-        let store = populated(&dir);
+        let store = populated(mem_store());
         let meta = store.segments()[0].clone();
-        let path = dir.join(&meta.file);
-        let mut bytes = fs::read(&path).unwrap();
+        let path = store.dir().join(&meta.file);
+        let mut bytes = store.fs().read(&path).unwrap();
         bytes[0] ^= 0x01;
-        fs::write(&path, &bytes).unwrap();
+        store.fs().write_atomic(&path, &bytes).unwrap();
         match store.load(meta.id) {
             Err(SegmentError::Corrupt {
                 expected, found, ..
@@ -490,13 +473,11 @@ mod tests {
             store.load(999),
             Err(SegmentError::UnknownSegment { id: 999 })
         ));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compact_folds_small_adjacent_segments_without_changing_results() {
-        let dir = test_dir("compact");
-        let mut store = populated(&dir);
+        let mut store = populated(mem_store());
         let before = persist::to_json(&store.merged_index().unwrap()).unwrap();
         // Each segment holds 2 clusters: a budget of 4 folds the first two
         // and leaves the third alone.
@@ -511,7 +492,7 @@ mod tests {
             before
         );
         // Old files are gone; the store reopens cleanly and still matches.
-        let (reopened, report) = SegmentStore::open(&dir).unwrap();
+        let (reopened, report) = reopen(&store);
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(
             persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
@@ -520,13 +501,11 @@ mod tests {
         // Compacting an already-compact store is a no-op.
         let mut reopened = reopened;
         assert_eq!(reopened.compact(4).unwrap(), 0);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compact_everything_into_one_segment() {
-        let dir = test_dir("compact_all");
-        let mut store = populated(&dir);
+        let mut store = populated(mem_store());
         let before = persist::to_json(&store.merged_index().unwrap()).unwrap();
         let folded = store.compact(usize::MAX).unwrap();
         assert_eq!(folded, 2);
@@ -536,23 +515,20 @@ mod tests {
             persist::to_json(&store.merged_index().unwrap()).unwrap(),
             before
         );
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn failed_compaction_leaves_the_segment_list_intact() {
-        let dir = test_dir("compact_fail");
-        let mut store = populated(&dir);
+        let mut store = populated(mem_store());
         // Delete one segment file out from under the store: the fold's load
         // fails mid-compaction. The live segment list must survive — losing
         // it would delist every segment on the next manifest save.
         let victim = store.segments()[1].file.clone();
-        fs::remove_file(dir.join(&victim)).unwrap();
+        store.fs().remove(&store.dir().join(&victim)).unwrap();
         assert!(store.compact(usize::MAX).is_err());
         assert_eq!(store.len(), 3);
         // And it still matches the manifest on disk.
-        let manifest = Manifest::load(&OsFs, &dir.join(MANIFEST_FILE)).unwrap();
+        let manifest = Manifest::load(store.fs(), &store.dir().join(MANIFEST_FILE)).unwrap();
         assert_eq!(manifest.segments, store.segments());
-        fs::remove_dir_all(&dir).ok();
     }
 }

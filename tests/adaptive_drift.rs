@@ -31,9 +31,16 @@ use focus::core::{
     AccuracyTarget, GroundTruthLabels, IngestParams, QueryRequest, SealPolicy, StreamWorkerConfig,
     TradeoffPolicy,
 };
-use focus::index::QueryFilter;
+use focus::index::{MemFs, QueryFilter};
 use focus::video::profile::{profile_by_name, StreamDomain};
 use focus::video::{Frame, VideoDataset};
+
+use std::sync::Arc;
+
+/// A fresh service on its own in-memory filesystem.
+fn mem_service(config: ServiceConfig, gt: GroundTruthCnn) -> FocusService {
+    FocusService::create_with(Arc::new(MemFs::default()), "/store", config, gt).unwrap()
+}
 
 /// Seconds of pre-drift stream (bootstrap + stable specialized phase).
 const PRE_DRIFT_SECS: f64 = 150.0;
@@ -147,21 +154,14 @@ fn adaptive_service_restores_accuracy_after_drift_at_bounded_cost() {
     let stream = workload.profile.stream_id;
     let gt = GroundTruthCnn::resnet152();
 
-    let dir_static = std::env::temp_dir().join("focus_adaptive_drift_static");
-    let dir_adaptive = std::env::temp_dir().join("focus_adaptive_drift_adaptive");
-    let _ = std::fs::remove_dir_all(&dir_static);
-    let _ = std::fs::remove_dir_all(&dir_adaptive);
-
-    let mut static_service = FocusService::create(&dir_static, base_config(), gt.clone()).unwrap();
-    let mut adaptive_service = FocusService::create(
-        &dir_adaptive,
+    let mut static_service = mem_service(base_config(), gt.clone());
+    let mut adaptive_service = mem_service(
         ServiceConfig {
             adaptation: Some(adaptation()),
             ..base_config()
         },
         gt.clone(),
-    )
-    .unwrap();
+    );
     static_service
         .register_stream(stream, workload.profile.fps)
         .unwrap();
@@ -255,9 +255,6 @@ fn adaptive_service_restores_accuracy_after_drift_at_bounded_cost() {
         .gpu
         .submitted_by_phase
         .contains_key("selection"));
-
-    std::fs::remove_dir_all(&dir_static).ok();
-    std::fs::remove_dir_all(&dir_adaptive).ok();
 }
 
 #[test]
@@ -266,23 +263,16 @@ fn reconfiguration_is_byte_identical_to_a_seal_then_reconfigure_reference() {
     let stream = workload.profile.stream_id;
     let gt = GroundTruthCnn::resnet152();
 
-    let dir_live = std::env::temp_dir().join("focus_adaptive_pin_live");
-    let dir_ref = std::env::temp_dir().join("focus_adaptive_pin_ref");
-    let _ = std::fs::remove_dir_all(&dir_live);
-    let _ = std::fs::remove_dir_all(&dir_ref);
-
     // The live run reconfigures through the controller mid-stream; the
     // reference runs without adaptation and is driven in lockstep.
-    let mut live = FocusService::create(
-        &dir_live,
+    let mut live = mem_service(
         ServiceConfig {
             adaptation: Some(adaptation()),
             ..base_config()
         },
         gt.clone(),
-    )
-    .unwrap();
-    let mut reference = FocusService::create(&dir_ref, base_config(), gt.clone()).unwrap();
+    );
+    let mut reference = mem_service(base_config(), gt.clone());
     live.register_stream(stream, workload.profile.fps).unwrap();
     reference
         .register_stream(stream, workload.profile.fps)
@@ -370,7 +360,4 @@ fn reconfiguration_is_byte_identical_to_a_seal_then_reconfigure_reference() {
         "live reconfiguration and seal-then-reconfigure must answer \
          byte-identically on pre-switch data"
     );
-
-    std::fs::remove_dir_all(&dir_live).ok();
-    std::fs::remove_dir_all(&dir_ref).ok();
 }

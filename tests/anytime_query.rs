@@ -44,14 +44,13 @@ proptest! {
     /// partials whose union is exactly the final result set.
     #[test]
     fn exhaustion_is_byte_identical_for_any_seal_and_round_budget(
-        (seal_secs, round_budget, case) in (4.0f64..16.0, 1usize..5, 0u64..1_000_000)
+        (seal_secs, round_budget) in (4.0f64..16.0, 1usize..5)
     ) {
         let secs = 20.0;
         let datasets = workload(secs);
         let frames = interleave(&datasets, 64);
-        let service = ingested_service(&format!("prop_{case}"), seal_secs, &datasets, &frames);
-        let reference =
-            ingested_service(&format!("prop_ref_{case}"), seal_secs, &datasets, &frames);
+        let service = ingested_service(seal_secs, &datasets, &frames);
+        let reference = ingested_service(seal_secs, &datasets, &frames);
         let class = datasets[0].dominant_classes(1)[0];
         let request = QueryRequest::new(class).with_anytime(AnytimeMode::incremental(round_budget));
 
@@ -138,8 +137,8 @@ proptest! {
 fn first_result_and_90_percent_recall_cost_less_than_exhaustive() {
     let datasets = workload(30.0);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("early", 6.0, &datasets, &frames);
-    let reference = ingested_service("early_ref", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
+    let reference = ingested_service(6.0, &datasets, &frames);
 
     // The two rarest classes that still have something to find.
     let mut hist: HashMap<ClassId, usize> = HashMap::new();
@@ -206,8 +205,8 @@ fn budget_exhaustion_stops_early_with_partial_results() {
     let secs = 20.0;
     let datasets = workload(secs);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("budget", 6.0, &datasets, &frames);
-    let reference = ingested_service("budget_ref", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
+    let reference = ingested_service(6.0, &datasets, &frames);
     let class = datasets[0].dominant_classes(1)[0];
 
     let exhaustive = reference
@@ -260,8 +259,8 @@ fn plane_streams_partials_and_records_first_result_latency() {
     let secs = 20.0;
     let datasets = workload(secs);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("plane", 6.0, &datasets, &frames);
-    let reference = ingested_service("plane_ref", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
+    let reference = ingested_service(6.0, &datasets, &frames);
     let class = datasets[0].dominant_classes(1)[0];
     let request = QueryRequest::new(class).with_anytime(AnytimeMode::incremental(4));
 
@@ -330,7 +329,7 @@ fn plane_streams_partials_and_records_first_result_latency() {
 fn one_dispatch_answers_exact_and_anytime_requests_together() {
     let datasets = workload(20.0);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("plane_mixed", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
     let classes = [
         datasets[0].dominant_classes(1)[0],
         datasets[1].dominant_classes(1)[0],
@@ -401,8 +400,8 @@ fn one_dispatch_answers_exact_and_anytime_requests_together() {
 fn serve_honours_an_incremental_budget() {
     let datasets = workload(20.0);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("serve_budget", 6.0, &datasets, &frames);
-    let reference = ingested_service("serve_budget_ref", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
+    let reference = ingested_service(6.0, &datasets, &frames);
     let class = datasets[0].dominant_classes(1)[0];
 
     let exhaustive = reference
@@ -424,8 +423,8 @@ fn serve_honours_an_incremental_budget() {
 fn serve_anytime_runs_an_exact_request_in_one_round() {
     let datasets = workload(20.0);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("anytime_exact", 6.0, &datasets, &frames);
-    let reference = ingested_service("anytime_exact_ref", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
+    let reference = ingested_service(6.0, &datasets, &frames);
     let request = QueryRequest::new(datasets[0].dominant_classes(1)[0]);
 
     let run = service.serve_anytime(&request).unwrap();
@@ -450,8 +449,8 @@ fn serve_anytime_runs_an_exact_request_in_one_round() {
 fn same_class_anytime_requests_share_verification_in_one_batch() {
     let datasets = workload(20.0);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("share_anytime", 6.0, &datasets, &frames);
-    let twin = ingested_service("share_anytime_twin", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
+    let twin = ingested_service(6.0, &datasets, &frames);
     let class = datasets[0].dominant_classes(1)[0];
     let requests = [
         QueryRequest::new(class).with_anytime(AnytimeMode::incremental(2)),
@@ -489,8 +488,8 @@ fn same_class_anytime_requests_share_verification_in_one_batch() {
 fn an_exact_request_pays_for_a_same_class_anytime_request_in_its_batch() {
     let datasets = workload(20.0);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("exact_first", 6.0, &datasets, &frames);
-    let twin = ingested_service("exact_first_twin", 6.0, &datasets, &frames);
+    let service = ingested_service(6.0, &datasets, &frames);
+    let twin = ingested_service(6.0, &datasets, &frames);
     let class = datasets[0].dominant_classes(1)[0];
     let exact = QueryRequest::new(class);
     let requests = [
@@ -603,8 +602,7 @@ fn measure_orders(secs: f64, cadences: &[f64], classes: usize) -> OrderCosts {
     ];
     let mut costs = OrderCosts::default();
     for &seal_secs in cadences {
-        let name = format!("harness_{secs}_{seal_secs}");
-        let service = ingested_service(&name, seal_secs, &datasets, &frames);
+        let service = ingested_service(seal_secs, &datasets, &frames);
         let tail = service.tail_snapshot();
         let gt = service.query_server().ground_truth();
         for &(_, class) in by_count.iter().take(classes) {

@@ -7,14 +7,28 @@ use focus::core::{
     FocusService, IngestCnn, IngestOutput, IngestParams, QueryOutcome, QueryRequest, QueryServer,
     SealPolicy, ServiceConfig, StreamWorkerConfig,
 };
+use focus::index::{Fs, MemFs};
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{Frame, VideoDataset};
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::Arc;
 
-/// A fresh scratch directory for one test: `focus_<suite>_<name>` under the
-/// system temp directory, removed if a previous run left it behind.
+/// A fresh, empty in-memory filesystem: the stores of a test that needs
+/// only a scratch store live on it, so nothing reaches the disk and nothing
+/// is left behind.
+pub fn mem_fs() -> Arc<dyn Fs> {
+    Arc::new(MemFs::default())
+}
+
+/// Where a store lives on a [`mem_fs`]: every test has its own filesystem,
+/// so one path serves them all.
+pub const MEM_DIR: &str = "/store";
+
+/// A fresh scratch directory on disk, for the tests that must reach it:
+/// `focus_<suite>_<name>` under the system temp directory, removed if a
+/// previous run left it behind.
 pub fn test_dir(name: &str) -> PathBuf {
     let suite = env!("CARGO_CRATE_NAME");
     let dir = std::env::temp_dir().join(format!("focus_{suite}_{name}"));
@@ -72,11 +86,16 @@ pub fn interleave(datasets: &[VideoDataset], chunk: usize) -> Vec<Frame> {
     }
 }
 
-/// A fresh [`config`]-configured service over `dir` with every dataset's
-/// stream registered.
-pub fn service_at(dir: &Path, seal_secs: f64, datasets: &[VideoDataset]) -> FocusService {
-    let mut service =
-        FocusService::create(dir, config(seal_secs), GroundTruthCnn::resnet152()).unwrap();
+/// A fresh [`config`]-configured service over `dir` on `fs` with every
+/// dataset's stream registered.
+pub fn service_at(
+    fs: Arc<dyn Fs>,
+    dir: impl Into<PathBuf>,
+    seal_secs: f64,
+    datasets: &[VideoDataset],
+) -> FocusService {
+    let gt = GroundTruthCnn::resnet152();
+    let mut service = FocusService::create_with(fs, dir, config(seal_secs), gt).unwrap();
     for ds in datasets {
         service
             .register_stream(ds.profile.stream_id, ds.profile.fps)
@@ -85,14 +104,13 @@ pub fn service_at(dir: &Path, seal_secs: f64, datasets: &[VideoDataset]) -> Focu
     service
 }
 
-/// [`service_at`] a fresh [`test_dir`], with `frames` ingested.
+/// [`service_at`] on a fresh [`mem_fs`], with `frames` ingested.
 pub fn ingested_service(
-    name: &str,
     seal_secs: f64,
     datasets: &[VideoDataset],
     frames: &[Frame],
 ) -> FocusService {
-    let mut service = service_at(&test_dir(name), seal_secs, datasets);
+    let mut service = service_at(mem_fs(), MEM_DIR, seal_secs, datasets);
     service.advance(frames).unwrap();
     service
 }

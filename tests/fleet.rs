@@ -10,18 +10,19 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{config, interleave, service_at, test_dir};
+use common::{config, interleave, mem_fs, service_at, test_dir, MEM_DIR};
 use focus::cnn::GroundTruthCnn;
 use focus::core::fleet::{FleetConfig, FleetCoordinator, FleetError};
 use focus::core::service::{FocusService, ServiceConfig};
 use focus::core::{QueryOutcome, QueryRequest};
-use focus::index::QueryFilter;
+use focus::index::{Fs, OsFs, QueryFilter};
 use focus::runtime::{Clock, NetCostModel, VirtualClock};
 use focus::video::profile::profile_by_name;
 use focus::video::{ClassId, Frame, StreamId, VideoDataset, NUM_CLASSES};
 
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 
 /// Specialization and adaptation are per-process schedules that a failover
 /// resets, so the equivalence tests run with both disabled
@@ -62,31 +63,34 @@ fn request_mix(datasets: &[VideoDataset], secs: f64) -> Vec<QueryRequest> {
     ]
 }
 
-fn fleet_with(
-    name: &str,
+/// A fleet at `root` on `fs` with every dataset's stream registered.
+fn fleet_on(
+    fs: Arc<dyn Fs>,
+    root: &Path,
     nodes: usize,
     seal_secs: f64,
     datasets: &[VideoDataset],
-) -> (FleetCoordinator, PathBuf) {
-    let dir = test_dir(name);
-    let mut fleet = FleetCoordinator::create(
-        &dir,
-        fleet_config(nodes, seal_secs),
-        GroundTruthCnn::resnet152(),
-    )
-    .unwrap();
+) -> FleetCoordinator {
+    let config = fleet_config(nodes, seal_secs);
+    let mut fleet =
+        FleetCoordinator::create_with(fs, root, config, GroundTruthCnn::resnet152()).unwrap();
     for ds in datasets {
         fleet
             .register_stream(ds.profile.stream_id, ds.profile.fps)
             .unwrap();
     }
-    (fleet, dir)
+    fleet
 }
 
-/// The single-node twin: one `FocusService` over the union of streams.
-fn twin_with(name: &str, seal_secs: f64, datasets: &[VideoDataset]) -> (FocusService, PathBuf) {
-    let dir = test_dir(name);
-    (service_at(&dir, seal_secs, datasets), dir)
+/// [`fleet_on`] a fresh in-memory filesystem.
+fn fleet_with(nodes: usize, seal_secs: f64, datasets: &[VideoDataset]) -> FleetCoordinator {
+    fleet_on(mem_fs(), Path::new(MEM_DIR), nodes, seal_secs, datasets)
+}
+
+/// The single-node twin: one `FocusService` over the union of streams, on
+/// a fresh in-memory filesystem.
+fn twin_with(seal_secs: f64, datasets: &[VideoDataset]) -> FocusService {
+    service_at(mem_fs(), MEM_DIR, seal_secs, datasets)
 }
 
 fn canonical(outcomes: &[focus::core::QueryOutcome]) -> String {
@@ -105,12 +109,12 @@ fn fleet_serves_byte_identical_to_single_node_twin() {
     let frames = interleave(&datasets, 64);
     let requests = request_mix(&datasets, secs);
 
-    let (mut twin, twin_dir) = twin_with("twin", 6.0, &datasets);
+    let mut twin = twin_with(6.0, &datasets);
     twin.advance(&frames).unwrap();
     let expected = canonical(&twin.serve(&requests).unwrap());
 
     for nodes in [1usize, 2, 4] {
-        let (mut fleet, dir) = fleet_with(&format!("ident_{nodes}"), nodes, 6.0, &datasets);
+        let mut fleet = fleet_with(nodes, 6.0, &datasets);
         fleet.advance(&frames).unwrap();
         let outcomes = fleet.serve(&requests).unwrap();
         assert_eq!(canonical(&outcomes), expected, "{nodes} nodes");
@@ -143,9 +147,7 @@ fn fleet_serves_byte_identical_to_single_node_twin() {
             "{nodes} nodes: scatter opened {scatter_opened}, broadcast {broadcast_opened}"
         );
         assert!(fleet.stats().net.bytes_total() > 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&twin_dir).ok();
 }
 
 /// Satellite: a query scattered before a rebalance gathers correctly after
@@ -158,7 +160,7 @@ fn query_during_rebalance_sees_exactly_once_results() {
     let frames = interleave(&datasets, 64);
     let requests = request_mix(&datasets, secs);
 
-    let (mut fleet, dir) = fleet_with("rebalance_query", 2, 8.0, &datasets);
+    let mut fleet = fleet_with(2, 8.0, &datasets);
     fleet.advance(&frames).unwrap();
 
     // Scatter, then move a shard while the batch is in flight.
@@ -179,7 +181,7 @@ fn query_during_rebalance_sees_exactly_once_results() {
 
     // The rebalance sealed the shard's tail but moved no data: answers
     // still equal the never-rebalanced twin's.
-    let (mut twin, twin_dir) = twin_with("rebalance_twin", 8.0, &datasets);
+    let mut twin = twin_with(8.0, &datasets);
     twin.advance(&frames).unwrap();
     let expected = twin.serve(&requests).unwrap();
     assert_eq!(canonical(&outcomes), canonical(&expected));
@@ -190,8 +192,6 @@ fn query_during_rebalance_sees_exactly_once_results() {
     let expected_again = twin.serve(&requests).unwrap();
     assert_eq!(canonical(&again), canonical(&expected_again));
     assert_eq!(fleet.stats().rebalances, 1);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&twin_dir).ok();
 }
 
 /// Satellite: a manifest in which two nodes claim the same segment range
@@ -200,8 +200,8 @@ fn query_during_rebalance_sees_exactly_once_results() {
 #[test]
 fn conflicting_segment_range_claims_rejected_at_recover() {
     use focus::core::fleet::{ClusterManifest, ShardAssignment};
-    let dir = test_dir("split_brain");
-    std::fs::create_dir_all(dir.join("node-0")).unwrap();
+    let (fs, root) = (mem_fs(), Path::new(MEM_DIR));
+    fs.create_dir_all(&root.join("node-0")).unwrap();
     let mut manifest = ClusterManifest::new();
     manifest.assignments.push(ShardAssignment {
         shard: 0,
@@ -218,16 +218,17 @@ fn conflicting_segment_range_claims_rejected_at_recover() {
     manifest.epoch = 1;
     let manifest = manifest.seal().unwrap();
     let json = serde_json::to_string(&manifest).unwrap();
-    std::fs::write(dir.join("CLUSTER.json"), &json).unwrap();
-    std::fs::write(dir.join("node-0").join("CLUSTER.json"), &json).unwrap();
+    for dir in [root.to_path_buf(), root.join("node-0")] {
+        fs.write_atomic(&dir.join("CLUSTER.json"), json.as_bytes())
+            .unwrap();
+    }
 
-    let err = FleetCoordinator::recover(&dir, fleet_config(1, 10.0), GroundTruthCnn::resnet152())
-        .unwrap_err();
+    let gt = GroundTruthCnn::resnet152();
+    let err = FleetCoordinator::recover_with(fs, root, fleet_config(1, 10.0), gt).unwrap_err();
     assert!(
         err.to_string().contains("claimed by two shards"),
         "unexpected error: {err}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The wire account is a pure function of the messages' shapes: two fleets
@@ -238,19 +239,17 @@ fn identical_fleets_report_identical_net_stats() {
     let datasets = workload(secs);
     let frames = interleave(&datasets, 64);
     let requests = request_mix(&datasets, secs);
-    let run = |name: &str| {
-        let (mut fleet, dir) = fleet_with(name, 2, 6.0, &datasets);
+    let run = || {
+        let mut fleet = fleet_with(2, 6.0, &datasets);
         for chunk in frames.chunks(500) {
             fleet.advance(chunk).unwrap();
         }
         fleet.maintain().unwrap();
         fleet.serve(&requests).unwrap();
         fleet.serve_broadcast(&requests).unwrap();
-        let net = fleet.stats().net;
-        std::fs::remove_dir_all(&dir).ok();
-        net
+        fleet.stats().net
     };
-    let (a, b) = (run("net_a"), run("net_b"));
+    let (a, b) = (run(), run());
     assert_eq!(a, b);
     assert!(a.bytes_sent > 0 && a.bytes_received > 0);
 }
@@ -262,7 +261,7 @@ fn identical_fleets_report_identical_net_stats() {
 fn scatter_charges_no_more_wire_than_broadcast() {
     let secs = 30.0;
     let datasets = workload(secs);
-    let (mut fleet, dir) = fleet_with("wire_cost", 2, 6.0, &datasets);
+    let mut fleet = fleet_with(2, 6.0, &datasets);
     fleet.advance(&interleave(&datasets, 64)).unwrap();
     let class = datasets[0].dominant_classes(1)[0];
     let mut cost = |request: QueryRequest, broadcast: bool| {
@@ -299,7 +298,6 @@ fn scatter_charges_no_more_wire_than_broadcast() {
         bytes <= broadcast_bytes,
         "windowed scatter moved {bytes} B, broadcast {broadcast_bytes} B"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// An `advance` that fails part-way — the last touched shard's owner is
@@ -317,7 +315,7 @@ fn owner_lost_mid_advance_is_made_whole_by_failover() {
 
     // Four nodes, three shards: every shard has its own node, so killing
     // the last shard's owner fails the batch after the others were served.
-    let (mut fleet, dir) = fleet_with("mid_advance", 4, 7.0, &datasets);
+    let mut fleet = fleet_with(4, 7.0, &datasets);
     fleet.advance(first).unwrap();
     let last = fleet.manifest().assignments.last().unwrap().clone();
     fleet.kill_node(last.node);
@@ -339,14 +337,12 @@ fn owner_lost_mid_advance_is_made_whole_by_failover() {
     );
     fleet.advance(third).unwrap();
 
-    let (mut twin, twin_dir) = twin_with("mid_advance_twin", 7.0, &datasets);
+    let mut twin = twin_with(7.0, &datasets);
     twin.advance(&frames).unwrap();
     assert_eq!(
         canonical(&fleet.serve(&requests).unwrap()),
         canonical(&twin.serve(&requests).unwrap())
     );
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&twin_dir).ok();
 }
 
 /// A batch refused for a frame of a stream no shard owns reaches no shard
@@ -359,7 +355,7 @@ fn a_refused_batch_buffers_nothing() {
         10.0,
     )];
     let frames = &datasets[0].frames;
-    let (mut fleet, dir) = fleet_with("refused_batch", 2, 60.0, &datasets);
+    let mut fleet = fleet_with(2, 60.0, &datasets);
     let mut batch = frames[..100].to_vec();
     let mut stray = frames[100].clone();
     stray.stream_id = StreamId(999);
@@ -376,7 +372,6 @@ fn a_refused_batch_buffers_nothing() {
     let report = fleet.failover().unwrap();
     assert_eq!(report.shards_recovered, 1);
     assert_eq!(report.frames_replayed, 100);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One step of a failed-seal schedule.
@@ -707,7 +702,8 @@ fn fault_scenario(nodes: usize) {
     let cut = frames.len() / 2;
 
     let clock = VirtualClock::new();
-    let (fleet, dir) = fleet_with(&format!("faults_{nodes}"), nodes, 7.0, &datasets);
+    let dir = test_dir(&format!("faults_{nodes}"));
+    let fleet = fleet_on(Arc::new(OsFs), &dir, nodes, 7.0, &datasets);
     let mut fleet = fleet.with_clock(clock.clone());
 
     // Mid-ingest loss: the victim's hot tails die with it.
@@ -770,7 +766,7 @@ fn fault_scenario(nodes: usize) {
 
     // Final wave vs the never-crashed twin: warm both verdict caches with
     // one wave, then compare byte-identically, accounting included.
-    let (mut twin, twin_dir) = twin_with(&format!("faults_twin_{nodes}"), 7.0, &datasets);
+    let mut twin = twin_with(7.0, &datasets);
     twin.advance(&frames).unwrap();
     twin.serve(&requests).unwrap();
     fleet.serve(&requests).unwrap();
@@ -783,7 +779,6 @@ fn fault_scenario(nodes: usize) {
     assert_eq!(stats.failovers, if nodes > 1 { 2 } else { 1 });
     assert!(stats.last_failover_secs > 0.0);
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&twin_dir).ok();
 }
 
 #[test]
@@ -816,9 +811,8 @@ fn fleet_failover_soak() {
     let chunk = frames.len() / rounds;
 
     let clock = VirtualClock::new();
-    let (fleet, dir) = fleet_with("soak", 3, 9.0, &datasets);
-    let mut fleet = fleet.with_clock(clock.clone());
-    let (mut twin, twin_dir) = twin_with("soak_twin", 9.0, &datasets);
+    let mut fleet = fleet_with(3, 9.0, &datasets).with_clock(clock.clone());
+    let mut twin = twin_with(9.0, &datasets);
 
     for round in 0..rounds {
         let slice = &frames[round * chunk..((round + 1) * chunk).min(frames.len())];
@@ -848,8 +842,6 @@ fn fleet_failover_soak() {
     assert_eq!(stats.failovers, rounds);
     assert_eq!(stats.rebalances, rounds);
     assert!(stats.net.scatter_width() > 0.0);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&twin_dir).ok();
 }
 
 proptest! {
@@ -865,13 +857,12 @@ proptest! {
     /// fewer whenever broadcast had prunable segments to open).
     #[test]
     fn fleet_matches_twin_over_arbitrary_placements_and_losses(
-        (nodes, seal_secs, cut_fraction, kill_slot, case) in (
+        (nodes, seal_secs, cut_fraction, kill_slot) in (
             1usize..5,
             5.0f64..12.0,
             0.3f64..0.9,
             // 0..3 kills the node owning that shard slot; 3 = no kill.
             0usize..4,
-            0u64..1_000_000,
         )
     ) {
         let secs = 30.0;
@@ -880,8 +871,7 @@ proptest! {
         let requests = request_mix(&datasets, secs);
         let cut = (frames.len() as f64 * cut_fraction) as usize;
 
-        let (mut fleet, dir) =
-            fleet_with(&format!("prop_{case}"), nodes, seal_secs, &datasets);
+        let mut fleet = fleet_with(nodes, seal_secs, &datasets);
         fleet.advance(&frames[..cut]).unwrap();
         if kill_slot < datasets.len() && nodes > 1 {
             let victim = fleet.manifest().assignments[kill_slot].node;
@@ -892,8 +882,7 @@ proptest! {
         let outcomes = fleet.serve(&requests).unwrap();
         let scatter_opened = fleet.stats().reads.segments_opened();
 
-        let (mut twin, twin_dir) =
-            twin_with(&format!("prop_twin_{case}"), seal_secs, &datasets);
+        let mut twin = twin_with(seal_secs, &datasets);
         twin.advance(&frames).unwrap();
         let expected = twin.serve(&requests).unwrap();
         prop_assert_eq!(canonical(&outcomes), canonical(&expected));
@@ -908,7 +897,5 @@ proptest! {
                 "scatter {} vs broadcast {}", scatter_opened, broadcast_opened
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_dir_all(&twin_dir).ok();
     }
 }

@@ -8,23 +8,27 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{cold_serve, config, interleave, reference_output, service_at, test_dir, workload};
+use common::{
+    cold_serve, config, interleave, mem_fs, reference_output, service_at, test_dir, workload,
+    MEM_DIR,
+};
 use focus::cnn::{GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
 use focus::core::{
     AdaptationConfig, ConfigurationPoint, IngestCnn, IngestEngine, IngestParams, ModelChoice,
     QueryRequest, SealPolicy, SelectedConfiguration, StreamWorkerConfig,
 };
-use focus::index::{persist, QueryFilter, TopKIndex};
+use focus::index::{persist, Fs, OsFs, QueryFilter, TopKIndex};
 use focus::runtime::GpuMeter;
 use focus::video::profile::profile_by_name;
 use focus::video::{ClassId, Frame, VideoDataset, NUM_CLASSES};
 
-use std::path::PathBuf;
+use std::path::Path;
+use std::sync::Arc;
 
-fn service_with(name: &str, seal_secs: f64, datasets: &[VideoDataset]) -> (FocusService, PathBuf) {
-    let dir = test_dir(name);
-    (service_at(&dir, seal_secs, datasets), dir)
+/// [`service_at`] on a fresh in-memory filesystem.
+fn service_with(seal_secs: f64, datasets: &[VideoDataset]) -> FocusService {
+    service_at(mem_fs(), MEM_DIR, seal_secs, datasets)
 }
 
 fn request_mix(datasets: &[VideoDataset], secs: f64) -> Vec<QueryRequest> {
@@ -54,12 +58,12 @@ fn mid_ingest_serve_equals_seal_all_then_serve() {
 
     for cut_fraction in [0.35, 0.8] {
         let cut = (frames.len() as f64 * cut_fraction) as usize;
-        let (mut live, live_dir) = service_with("mid_live", 15.0, &datasets);
+        let mut live = service_with(15.0, &datasets);
         live.advance(&frames[..cut]).unwrap();
         let mid_ingest = live.serve(&requests).unwrap();
 
         // Twin: identical history, but every pending record sealed first.
-        let (mut sealed, sealed_dir) = service_with("mid_sealed", 15.0, &datasets);
+        let mut sealed = service_with(15.0, &datasets);
         sealed.advance(&frames[..cut]).unwrap();
         sealed.seal_all().unwrap();
         let all_sealed = sealed.serve(&requests).unwrap();
@@ -84,8 +88,6 @@ fn mid_ingest_serve_equals_seal_all_then_serve() {
         // And part of the answer really came from memory.
         assert!(live_stats.tail_hit_fraction() > 0.0);
         assert_eq!(sealed_stats.tail_hit_fraction(), 0.0);
-        std::fs::remove_dir_all(&live_dir).ok();
-        std::fs::remove_dir_all(&sealed_dir).ok();
     }
 }
 
@@ -98,7 +100,7 @@ fn gt_inferences_never_exceed_the_serial_engine() {
     let datasets = workload(secs);
     let frames = interleave(&datasets, 32);
     let requests = request_mix(&datasets, secs);
-    let (mut service, dir) = service_with("inference_bound", 12.0, &datasets);
+    let mut service = service_with(12.0, &datasets);
     service.advance(&frames[..frames.len() * 2 / 3]).unwrap();
 
     let outcomes = service.serve(&requests).unwrap();
@@ -128,7 +130,6 @@ fn gt_inferences_never_exceed_the_serial_engine() {
     for (a, b) in outcomes.iter().zip(again.iter()) {
         assert_eq!(a.frames, b.frames);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The live driver against the batch reference, on a two-camera workload:
@@ -158,7 +159,7 @@ fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
         assert_eq!(batch_index.merge(batch.index), 0);
     }
 
-    let (mut service, dir) = service_with("live_vs_batch", 1e9, &datasets);
+    let mut service = service_with(1e9, &datasets);
     for (i, dataset) in datasets.iter().enumerate() {
         for frame in &dataset.frames {
             let report = service.advance(std::slice::from_ref(frame)).unwrap();
@@ -194,7 +195,6 @@ fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
             .centroids
             .contains_key(&record.centroid_object));
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Specialization runs behind the service: retrains swap the stream's
@@ -202,9 +202,9 @@ fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
 #[test]
 fn retrain_bumps_verdict_cache_epoch() {
     let datasets = workload(120.0);
-    let dir = test_dir("retrain_epoch");
-    let mut service = FocusService::create(
-        &dir,
+    let mut service = FocusService::create_with(
+        mem_fs(),
+        MEM_DIR,
         ServiceConfig {
             worker: StreamWorkerConfig {
                 bootstrap_secs: 30.0,
@@ -249,7 +249,6 @@ fn retrain_bumps_verdict_cache_epoch() {
     let epoch = service.query_server().epoch();
     service.retrain_ground_truth(GroundTruthCnn::with_flicker(0.0));
     assert_eq!(service.query_server().epoch(), epoch + 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Maintenance seals exactly what the next push would have sealed and
@@ -259,9 +258,9 @@ fn maintenance_seals_due_tails_and_compacts() {
     let secs = 60.0;
     let datasets = workload(secs);
     let frames = interleave(&datasets, 128);
-    let dir = test_dir("maintenance");
-    let mut service = FocusService::create(
-        &dir,
+    let mut service = FocusService::create_with(
+        mem_fs(),
+        MEM_DIR,
         ServiceConfig {
             // Tiny segments + an aggressive trigger so one run exercises
             // both halves of the maintenance tick.
@@ -308,7 +307,6 @@ fn maintenance_seals_due_tails_and_compacts() {
     assert!(stats.lru.decoded_capacity_bytes > 0);
     assert!(stats.lru.raw_capacity_bytes > 0);
     assert!(stats.io.block_hits + stats.io.block_raw_hits > 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Restart-and-recover: the manifest plus the service sidecar restore the
@@ -318,10 +316,13 @@ fn recover_resumes_ingest_and_serving() {
     let secs = 40.0;
     let datasets = workload(secs);
     let requests = request_mix(&datasets, secs);
-    let dir = test_dir("recover");
+    let fs = mem_fs();
+    let recover = |fs: Arc<dyn Fs>| {
+        FocusService::recover_with(fs, MEM_DIR, config(8.0), GroundTruthCnn::resnet152())
+    };
     {
-        let mut service =
-            FocusService::create(&dir, config(8.0), GroundTruthCnn::resnet152()).unwrap();
+        let gt = GroundTruthCnn::resnet152();
+        let mut service = FocusService::create_with(fs.clone(), MEM_DIR, config(8.0), gt).unwrap();
         for ds in &datasets {
             service
                 .register_stream(ds.profile.stream_id, ds.profile.fps)
@@ -334,8 +335,7 @@ fn recover_resumes_ingest_and_serving() {
         // the in-memory tail does not.
         assert!(!service.store().is_empty());
     }
-    let (mut recovered, report) =
-        FocusService::recover(&dir, config(8.0), GroundTruthCnn::resnet152()).unwrap();
+    let (mut recovered, report) = recover(fs.clone()).unwrap();
     assert!(report.is_clean(), "{report:?}");
     let segments_after_recovery = recovered.store().len();
     assert!(segments_after_recovery > 0);
@@ -359,9 +359,9 @@ fn recover_resumes_ingest_and_serving() {
     assert!(more_frames > fewer_frames, "resumed ingest added results");
 
     // A missing sidecar is a structured error, not a panic.
-    std::fs::remove_file(dir.join(SERVICE_STATE_FILE)).unwrap();
-    assert!(FocusService::recover(&dir, config(8.0), GroundTruthCnn::resnet152()).is_err());
-    std::fs::remove_dir_all(&dir).ok();
+    fs.remove(&Path::new(MEM_DIR).join(SERVICE_STATE_FILE))
+        .unwrap();
+    assert!(recover(fs).is_err());
 }
 
 /// A failed durable seal must not lose the drained time window: the
@@ -373,7 +373,8 @@ fn failed_seal_restores_the_tail() {
     let requests = request_mix(&datasets, 20.0);
     // A seal budget beyond the recording: everything stays in the tail
     // until seal_all.
-    let (mut service, dir) = service_with("seal_failure", 1e9, &datasets);
+    let dir = test_dir("seal_failure");
+    let mut service = service_at(Arc::new(OsFs), &dir, 1e9, &datasets);
     for ds in &datasets {
         service.advance(&ds.frames).unwrap();
     }
@@ -514,9 +515,9 @@ fn a_ground_truth_retrain_through_the_query_server_relabels_the_samples() {
         }),
         ..ServiceConfig::default()
     };
-    let samples = |name: &str, created_with: GroundTruthCnn, retrain_to: Option<GroundTruthCnn>| {
-        let dir = test_dir(name);
-        let mut service = FocusService::create(&dir, config.clone(), created_with).unwrap();
+    let samples = |created_with: GroundTruthCnn, retrain_to: Option<GroundTruthCnn>| {
+        let mut service =
+            FocusService::create_with(mem_fs(), MEM_DIR, config.clone(), created_with).unwrap();
         service
             .register_stream(ds.profile.stream_id, ds.profile.fps)
             .unwrap();
@@ -527,17 +528,12 @@ fn a_ground_truth_retrain_through_the_query_server_relabels_the_samples() {
         let controller = service.stream_controller(ds.profile.stream_id).unwrap();
         let specialization = controller.reference().cloned();
         let audit = controller.recent_histogram();
-        std::fs::remove_dir_all(&dir).ok();
         (specialization, audit)
     };
     let flickering = GroundTruthCnn::with_flicker(1.0);
-    let retrained = samples(
-        "gt_retrain_via_server",
-        GroundTruthCnn::resnet152(),
-        Some(flickering.clone()),
-    );
-    let created = samples("gt_created_flickering", flickering, None);
-    let untouched = samples("gt_untouched", GroundTruthCnn::resnet152(), None);
+    let retrained = samples(GroundTruthCnn::resnet152(), Some(flickering.clone()));
+    let created = samples(flickering, None);
+    let untouched = samples(GroundTruthCnn::resnet152(), None);
     assert!(retrained.0.is_some(), "the stream specialized");
     assert!(!retrained.1.is_empty(), "the controller audited");
     assert_eq!(retrained, created);
@@ -646,10 +642,9 @@ proptest! {
     /// what an uncached serve of each request costs.
     #[test]
     fn arbitrary_interleavings_serve_identically(
-        (raw_ops, seal_secs, case) in (
+        (raw_ops, seal_secs) in (
             prop::collection::vec((0usize..5, 64usize..512), 4..12),
             4.0f64..15.0,
-            0u64..1_000_000,
         )
     ) {
         let mut ops: Vec<Op> = raw_ops.into_iter().map(decode_op).collect();
@@ -658,7 +653,7 @@ proptest! {
         let datasets = workload(secs);
         let frames = interleave(&datasets, 64);
         let requests = request_mix(&datasets, secs);
-        let (mut live, live_dir) = service_with(&format!("prop_live_{case}"), seal_secs, &datasets);
+        let mut live = service_with(seal_secs, &datasets);
 
         let mut cursor = 0usize;
         for (i, op) in ops.iter().enumerate() {
@@ -668,8 +663,7 @@ proptest! {
             }
             let outcomes = live.serve(&requests).unwrap();
 
-            let (mut reference, ref_dir) =
-                service_with(&format!("prop_ref_{case}"), seal_secs, &datasets);
+            let mut reference = service_with(seal_secs, &datasets);
             let mut ref_cursor = 0usize;
             // The reference never maintains: maintenance must not change
             // an answer, so it is left to the live side alone.
@@ -696,8 +690,6 @@ proptest! {
                 outcomes.iter().map(|o| o.centroid_inferences).sum::<usize>()
                     <= expected.iter().map(|o| o.matched_clusters).sum::<usize>()
             );
-            std::fs::remove_dir_all(&ref_dir).ok();
         }
-        std::fs::remove_dir_all(&live_dir).ok();
     }
 }

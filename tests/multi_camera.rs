@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{cold_serve, interleave, reference_output, service_at};
+use common::{cold_serve, interleave, mem_fs, reference_output, service_at, MEM_DIR};
 use focus::cnn::GroundTruthCnn;
 use focus::core::{FocusService, QueryRequest};
 use focus::index::QueryFilter;
@@ -24,16 +24,15 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
     // Both cameras arrive interleaved at one service, sealed once a minute;
     // the restart reads back nothing but the directory.
     let seal_secs = 60.0;
-    let dir = std::env::temp_dir().join("focus_multi_camera");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut service = service_at(&dir, seal_secs, &datasets);
+    let fs = mem_fs();
+    let mut service = service_at(fs.clone(), MEM_DIR, seal_secs, &datasets);
     service.advance(&interleave(&datasets, 64)).unwrap();
     service.seal_all().unwrap();
     let combined = reference_output(&service);
     drop(service);
+    let gt = GroundTruthCnn::resnet152();
     let (service, report) =
-        FocusService::recover(&dir, common::config(seal_secs), GroundTruthCnn::resnet152())
-            .unwrap();
+        FocusService::recover_with(fs, MEM_DIR, common::config(seal_secs), gt).unwrap();
     assert!(report.is_clean(), "{report:?}");
     assert_eq!(combined.index.streams(), {
         let mut ids = stream_ids.clone();
@@ -79,5 +78,4 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
         .plan_with_tail(&QueryRequest::new(class).with_filter(ghost), None)
         .unwrap();
     assert_eq!(planned.access.segments_opened(), 0);
-    std::fs::remove_dir_all(&dir).ok();
 }

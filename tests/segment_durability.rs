@@ -11,12 +11,13 @@ use proptest::prelude::*;
 
 use common::{config, interleave, reference_output, service_at, test_dir, workload};
 use focus::cnn::GroundTruthCnn;
+use focus::core::fleet::{FleetConfig, FleetCoordinator};
 use focus::core::service::{SERVICE_STATE_FILE, SERVICE_STATE_VERSION};
 use focus::core::{FocusService, IngestOutput, QueryRequest, QueryServer, ServiceConfig};
 use focus::index::persist::{self, PersistError};
 use focus::index::{
-    binseg, BinsegError, ClusterKey, ClusterRecord, Manifest, MemberRef, OsFs, QueryFilter,
-    SegmentError, SegmentMeta, SegmentStore, TopKIndex,
+    binseg, BinsegError, ClusterKey, ClusterRecord, Fs, Manifest, MemFs, MemberRef, OsFs,
+    QueryFilter, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::{
@@ -25,6 +26,7 @@ use focus::video::{
 };
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// What a finished, dropped ingest run leaves behind: the directory, plus
 /// — for the assertions only, never handed to the serving side — the
@@ -42,7 +44,7 @@ struct Archive {
 fn build(name: &str, secs: f64, seal_secs: f64, chunk: usize) -> Archive {
     let datasets = workload(secs);
     let dir = test_dir(name);
-    let mut service = service_at(&dir, seal_secs, &datasets);
+    let mut service = service_at(Arc::new(OsFs), &dir, seal_secs, &datasets);
     service.advance(&interleave(&datasets, chunk)).unwrap();
     service.seal_all().unwrap();
     Archive {
@@ -63,15 +65,24 @@ fn server() -> QueryServer {
     QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4))
 }
 
-/// Every file in `dir` with its bytes, sorted by name.
-fn listing(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
-    let mut files: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|entry| entry.unwrap())
-        .map(|entry| (entry.file_name(), std::fs::read(entry.path()).unwrap()))
-        .collect();
-    files.sort();
-    files
+/// Every directory and file below `root` on `fs`, as its path below
+/// `root` and its bytes (`None` for a directory), sorted.
+fn tree(fs: &dyn Fs, root: &Path) -> Vec<(PathBuf, Option<Vec<u8>>)> {
+    let mut entries = Vec::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for path in fs.list(&dir).unwrap() {
+            let below = path.strip_prefix(root).unwrap().to_path_buf();
+            if fs.list(&path).is_ok() {
+                entries.push((below, None));
+                dirs.push(path);
+            } else {
+                entries.push((below, Some(fs.read(&path).unwrap())));
+            }
+        }
+    }
+    entries.sort();
+    entries
 }
 
 /// Acceptance criterion: time-filtered queries over a recovered store
@@ -234,7 +245,7 @@ fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
             None => std::fs::remove_file(&sidecar).unwrap(),
             Some(text) => std::fs::write(&sidecar, text).unwrap(),
         }
-        let before = listing(dir);
+        let before = tree(&OsFs, dir);
         let Err(SegmentError::Persist(e)) =
             FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152())
         else {
@@ -242,7 +253,7 @@ fn recover_refuses_a_bad_sidecar_and_leaves_the_store_untouched() {
         };
         assert!(is_expected(&e), "sidecar {content:?}: {e:?}");
         assert_eq!(e.path(), Some(sidecar.as_path()), "{e}");
-        assert_eq!(listing(dir), before, "sidecar {content:?}");
+        assert_eq!(tree(&OsFs, dir), before, "sidecar {content:?}");
     }
 
     // With the sidecar back the same directory recovers (and only now is
@@ -274,12 +285,12 @@ fn recover_refuses_a_sidecar_listing_a_stream_twice_and_changes_nothing() {
     // Bait for the open-time sweep, should it run before the refusal.
     std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
 
-    let before = listing(dir);
+    let before = tree(&OsFs, dir);
     match FocusService::recover(dir, config(10.0), GroundTruthCnn::resnet152()) {
         Err(SegmentError::StreamRegistered { stream }) => assert_eq!(stream, profile.stream_id),
         other => panic!("expected StreamRegistered, got {other:?}"),
     }
-    assert_eq!(listing(dir), before);
+    assert_eq!(tree(&OsFs, dir), before);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -325,7 +336,7 @@ fn recover_refuses_a_sealed_cluster_without_a_centroid_and_changes_nothing() {
     // Bait for the open-time sweep, should it run before the refusal.
     std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
 
-    let before = listing(dir);
+    let before = tree(&OsFs, dir);
     let path = dir.join(&victim.file);
     for refused in [
         store.load(victim.id).map(|_| ()),
@@ -339,7 +350,7 @@ fn recover_refuses_a_sealed_cluster_without_a_centroid_and_changes_nothing() {
             other => panic!("expected a missing-centroid refusal, got {other:?}"),
         }
     }
-    assert_eq!(listing(dir), before);
+    assert_eq!(tree(&OsFs, dir), before);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -362,7 +373,7 @@ fn a_store_in_the_old_layout_is_refused_and_left_untouched() {
     std::fs::write(dir.join("centroids-000000.json"), delta).unwrap();
     std::fs::write(dir.join("seg-000099.bin.tmp"), b"partial").unwrap();
 
-    let before = listing(dir);
+    let before = tree(&OsFs, dir);
     let gt = GroundTruthCnn::resnet152();
     for refused in [
         SegmentStore::open(dir).map(|_| ()),
@@ -376,7 +387,7 @@ fn a_store_in_the_old_layout_is_refused_and_left_untouched() {
             other => panic!("expected an unsupported-version refusal, got {other:?}"),
         }
     }
-    assert_eq!(listing(dir), before);
+    assert_eq!(tree(&OsFs, dir), before);
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -410,7 +421,7 @@ fn seal_refuses_a_record_without_a_centroid_and_writes_nothing() {
         index.insert(record(local));
     }
     index.insert_centroid(centroid(1));
-    let before = listing(&dir);
+    let before = tree(&OsFs, &dir);
     let live = store.segments().to_vec();
     match store.seal(&index) {
         Err(SegmentError::InvalidSegment {
@@ -419,7 +430,7 @@ fn seal_refuses_a_record_without_a_centroid_and_writes_nothing() {
         }) => assert_eq!(key, ClusterKey::new(StreamId(0), 2)),
         other => panic!("expected a missing-centroid refusal, got {other:?}"),
     }
-    assert_eq!(listing(&dir), before);
+    assert_eq!(tree(&OsFs, &dir), before);
     assert_eq!(store.segments(), &live[..]);
     // The store still seals: the refused index left no gap behind.
     index.insert_centroid(centroid(2));
@@ -435,9 +446,9 @@ fn seal_refuses_a_record_without_a_centroid_and_writes_nothing() {
 #[test]
 fn a_sealed_service_directory_holds_only_the_manifest_sidecar_and_segments() {
     let archive = build("directory_contents", 30.0, 10.0, 64);
-    let names: Vec<String> = listing(&archive.dir)
+    let names: Vec<String> = tree(&OsFs, &archive.dir)
         .into_iter()
-        .map(|(name, _)| name.to_string_lossy().into_owned())
+        .map(|(name, _)| name.display().to_string())
         .collect();
     let mut expected: Vec<String> = archive.sealed.iter().map(|m| m.file.clone()).collect();
     expected.extend(["MANIFEST.json".to_string(), SERVICE_STATE_FILE.to_string()]);
@@ -445,6 +456,73 @@ fn a_sealed_service_directory_holds_only_the_manifest_sidecar_and_segments() {
     assert_eq!(names, expected);
     assert!(archive.sealed.iter().all(|m| m.file.ends_with(".bin")));
     std::fs::remove_dir_all(&archive.dir).ok();
+}
+
+/// The whole system writes the same bytes through `OsFs` and `MemFs`: a
+/// two-camera service (interleaved, sealing every 10 s, `advance` and
+/// `maintain`, `seal_all`, then `recover`) and a 2-node fleet over the same
+/// frames that rebalances shard 0 leave byte-identical trees — every
+/// directory, every file name and every file's bytes.
+#[test]
+fn os_fs_and_mem_fs_write_byte_identical_trees_for_a_service_and_a_fleet() {
+    let datasets = workload(40.0);
+    let frames = interleave(&datasets, 64);
+    let run = |fs: Arc<dyn Fs>, root: &Path| {
+        let dir = root.join("service");
+        let mut service = service_at(Arc::clone(&fs), &dir, 10.0, &datasets);
+        let (first, rest) = frames.split_at(frames.len() / 2);
+        for part in [first, rest] {
+            service.advance(part).unwrap();
+            service.maintain().unwrap();
+        }
+        service.seal_all().unwrap();
+        drop(service);
+        let gt = GroundTruthCnn::resnet152();
+        let (_, report) =
+            FocusService::recover_with(Arc::clone(&fs), &dir, config(10.0), gt).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+
+        let fleet_config = FleetConfig {
+            nodes: 2,
+            service: config(10.0),
+            ..FleetConfig::default()
+        };
+        let gt = GroundTruthCnn::resnet152();
+        let mut fleet =
+            FleetCoordinator::create_with(fs.clone(), root.join("fleet"), fleet_config, gt)
+                .unwrap();
+        for ds in &datasets {
+            fleet
+                .register_stream(ds.profile.stream_id, ds.profile.fps)
+                .unwrap();
+        }
+        fleet.advance(&frames).unwrap();
+        let moved = fleet.manifest().assignments[0].clone();
+        fleet.rebalance(moved.shard, (moved.node + 1) % 2).unwrap();
+        tree(&*fs, root)
+    };
+    let os_root = test_dir("os_vs_mem");
+    let on_disk = run(Arc::new(OsFs), &os_root);
+    let in_memory = run(Arc::new(MemFs::default()), Path::new("/mem"));
+    let names: Vec<&PathBuf> = on_disk.iter().map(|(path, _)| path).collect();
+    assert_eq!(
+        names,
+        in_memory.iter().map(|(path, _)| path).collect::<Vec<_>>()
+    );
+    for ((path, disk), (_, memory)) in on_disk.iter().zip(&in_memory) {
+        assert!(disk == memory, "{} differs", path.display());
+    }
+    // Both stores, the fleet's replicas, both shards and the segment the
+    // rebalance sealed are compared.
+    for written in [
+        "service/service_state.json",
+        "fleet/node-1/CLUSTER.json",
+        "fleet/shard-0000/seg-000003.bin",
+        "fleet/shard-0001/MANIFEST.json",
+    ] {
+        assert!(names.contains(&&PathBuf::from(written)), "{written}");
+    }
+    std::fs::remove_dir_all(&os_root).ok();
 }
 
 /// Satellite: recovery leaves the store warm — every block of a store
@@ -545,7 +623,7 @@ fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
         std::fs::write(dir.join(SERVICE_STATE_FILE), sidecar).unwrap();
         // Bait for the open-time sweep, should it ever run.
         std::fs::write(dir.join("seg-000001.bin.tmp"), b"partial").unwrap();
-        let before = listing(&dir);
+        let before = tree(&OsFs, &dir);
 
         let gt = GroundTruthCnn::resnet152();
         for refused in [
@@ -562,7 +640,7 @@ fn legacy_json_manifests_are_refused_and_the_store_left_untouched() {
                 other => panic!("expected a manifest format error, got {other:?}"),
             }
         }
-        assert_eq!(listing(&dir), before);
+        assert_eq!(tree(&OsFs, &dir), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -114,7 +114,7 @@ fn exactly_admitted(
 fn sketch_planned_recall_is_one_against_brute_force_trace_scan() {
     let datasets = workload(40.0);
     let frames = interleave(&datasets, 64);
-    let service = ingested_service("recall", 8.0, &datasets, &frames);
+    let service = ingested_service(8.0, &datasets, &frames);
     let class = datasets[0].dominant_classes(1)[0];
     let tracks = track_of(&datasets);
 
@@ -191,7 +191,7 @@ fn sketch_planned_recall_is_one_against_brute_force_trace_scan() {
 fn pruned_planning_is_byte_identical_and_strictly_cheaper() {
     let datasets = workload(40.0);
     let frames = interleave(&datasets, 64);
-    let mut service = ingested_service("pruned", 8.0, &datasets, &frames);
+    let mut service = ingested_service(8.0, &datasets, &frames);
     service.seal_all().unwrap();
     let corpus = service.corpus();
     let class = datasets[0].dominant_classes(1)[0];
@@ -294,14 +294,12 @@ proptest! {
     ///    contributes a pure per-track restriction and nothing else.
     #[test]
     fn seal_boundaries_never_change_track_filter_results(
-        (seal_a, seal_b, case) in (3.0f64..9.0, 9.0f64..20.0, 0u64..1_000_000)
+        (seal_a, seal_b) in (3.0f64..9.0, 9.0f64..20.0)
     ) {
         let datasets = workload(24.0);
         let frames = interleave(&datasets, 64);
-        let service_a =
-            ingested_service(&format!("seal_a_{case}"), seal_a, &datasets, &frames);
-        let service_b =
-            ingested_service(&format!("seal_b_{case}"), seal_b, &datasets, &frames);
+        let service_a = ingested_service(seal_a, &datasets, &frames);
+        let service_b = ingested_service(seal_b, &datasets, &frames);
         let class = datasets[0].dominant_classes(1)[0];
         let tracks = track_of(&datasets);
         let frame_of: HashMap<ObjectId, focus::video::FrameId> = datasets
