@@ -7,21 +7,29 @@
 //! evaluates precision/recall against the ground-truth CNN, and reports the
 //! ingest-cost and query-latency factors against the Ingest-all and
 //! Query-all baselines.
+//!
+//! Ingest and queries run on the system's one driver, a
+//! [`FocusService`] over an in-memory store: the recording is the special
+//! case of a stream whose frames all arrive before the first query.
+
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use focus_cnn::{Classifier, GroundTruthCnn};
-use focus_runtime::{GpuClusterSpec, GpuMeter};
+use focus_cnn::{Classifier, GpuCost, GroundTruthCnn};
+use focus_index::{MemFs, SegmentError};
+use focus_runtime::GpuClusterSpec;
 use focus_video::sampling::sample_dataset;
 use focus_video::{ClassId, StreamProfile, VideoDataset};
 
 use crate::accuracy::GroundTruthLabels;
 use crate::baselines::{AllQueriedComparison, BaselineCosts, QueryTimeOnlyComparison};
 use crate::config::{AblationMode, AccuracyTarget, TradeoffPolicy};
-use crate::ingest::IngestEngine;
 use crate::params::{ParameterSelector, SelectedConfiguration, SelectionResult, SweepSpace};
 use crate::query::QueryRequest;
-use crate::query_server::QueryServer;
+use crate::segment_ingest::SealPolicy;
+use crate::service::{FocusService, ServiceConfig};
+use crate::worker::StreamWorkerConfig;
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -166,6 +174,13 @@ pub enum ExperimentError {
         /// The stream that failed.
         stream: String,
     },
+    /// The service refused a step of the run.
+    Service {
+        /// The stream that failed.
+        stream: String,
+        /// The service's error.
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -178,6 +193,9 @@ impl std::fmt::Display for ExperimentError {
             ),
             ExperimentError::EmptyDataset { stream } => {
                 write!(f, "stream {stream} produced no objects to analyse")
+            }
+            ExperimentError::Service { stream, message } => {
+                write!(f, "the service failed on stream {stream}: {message}")
             }
         }
     }
@@ -293,9 +311,11 @@ impl ExperimentRunner {
         };
 
         // 2. Ingest the full recording with the chosen configuration.
-        let meter = GpuMeter::new();
-        let ingest_engine = IngestEngine::new(chosen.model.clone(), chosen.params);
-        let ingest = ingest_engine.ingest(dataset, &meter);
+        let service_error = |e: SegmentError| ExperimentError::Service {
+            stream: stream_name.clone(),
+            message: e.to_string(),
+        };
+        let service = self.ingest(dataset, &chosen).map_err(service_error)?;
 
         // 3. Baselines.
         let baselines = BaselineCosts::compute(dataset, &gt, self.config.gpus);
@@ -304,14 +324,18 @@ impl ExperimentRunner {
         let labels = GroundTruthLabels::compute(dataset, &gt);
         let classes = labels.dominant_classes(self.config.query_classes);
 
-        // 5. Queries, served in one batch by a fresh server. The figures
-        //    keep the paper's cost unit — one un-batched GT inference per
-        //    matched cluster, the unit Query-all is charged in — so neither
-        //    batch amortization nor verdicts shared across classes reach
-        //    them.
+        // 5. Queries, served in one batch. The figures keep the paper's cost
+        //    unit — one un-batched GT inference per matched cluster, the
+        //    unit Query-all is charged in — so neither batch amortization
+        //    nor verdicts shared across classes reach them.
         let requests: Vec<QueryRequest> = classes.iter().map(|c| QueryRequest::new(*c)).collect();
-        let outcomes =
-            QueryServer::new(gt.clone(), self.config.gpus).serve(&ingest, &requests, &meter);
+        let outcomes = service.serve(&requests).map_err(service_error)?;
+        let stats = service.stats();
+        // The stream's own ingest GPU seconds, summed per inference as its
+        // pipeline accrued them; the scheduler's `"ingest"` phase holds the
+        // same inferences summed per frame, across every stream.
+        let stream = service.stream_pipeline(dataset.profile.stream_id);
+        let ingest_gpu = stream.map_or(GpuCost::ZERO, |pipeline| pipeline.gpu_cost());
         let mut queries = Vec::new();
         let mut query_gpu_total = 0.0;
         for outcome in &outcomes {
@@ -336,10 +360,10 @@ impl ExperimentRunner {
 
         // 6. §6.7 extremes.
         let all_queried =
-            AllQueriedComparison::compute(ingest.gpu_cost, ingest.clusters, &gt, &baselines);
+            AllQueriedComparison::compute(ingest_gpu, stats.store_clusters, &gt, &baselines);
         let query_time_only = QueryTimeOnlyComparison::compute(
-            ingest.gpu_cost,
-            focus_cnn::GpuCost(mean_query_gpu),
+            ingest_gpu,
+            GpuCost(mean_query_gpu),
             self.config.gpus,
             &baselines,
         );
@@ -353,11 +377,11 @@ impl ExperimentRunner {
             chosen_threshold: chosen.point.threshold,
             met_accuracy_targets: chosen.met_targets,
             frames: dataset.frames.len(),
-            objects: ingest.objects_total,
-            clusters: ingest.clusters,
-            ingest_gpu_secs: ingest.gpu_cost.seconds(),
+            objects: stats.objects_indexed,
+            clusters: stats.store_clusters,
+            ingest_gpu_secs: ingest_gpu.seconds(),
             ingest_all_gpu_secs: baselines.ingest_all_gpu.seconds(),
-            ingest_cheaper_factor: baselines.ingest_cheaper_factor(ingest.gpu_cost),
+            ingest_cheaper_factor: baselines.ingest_cheaper_factor(ingest_gpu),
             mean_query_latency_secs: mean_latency,
             query_all_latency_secs: baselines.query_all_latency_secs,
             query_faster_factor: baselines.query_faster_factor(mean_latency),
@@ -367,6 +391,40 @@ impl ExperimentRunner {
             query_time_only_faster_factor: query_time_only.focus_faster_factor,
             queries,
         })
+    }
+
+    /// Ingests `dataset` with `chosen` on a fresh service over an
+    /// in-memory store: the stream registered, the configuration installed,
+    /// every frame advanced and the whole recording sealed as one segment.
+    ///
+    /// The service replays with the model held fixed: no ground-truth
+    /// labelling, so no specialization and no retrain, and a seal policy
+    /// that never fires before `seal_all`.
+    fn ingest(
+        &self,
+        dataset: &VideoDataset,
+        chosen: &SelectedConfiguration,
+    ) -> Result<FocusService, SegmentError> {
+        let config = ServiceConfig {
+            worker: StreamWorkerConfig {
+                bootstrap_secs: f64::INFINITY,
+                retrain_interval_secs: f64::INFINITY,
+                gt_label_fraction: 0.0,
+                ..StreamWorkerConfig::default()
+            },
+            seal: SealPolicy::every_frames(usize::MAX),
+            gpus: self.config.gpus,
+            ..ServiceConfig::default()
+        };
+        let gt = GroundTruthCnn::resnet152();
+        let mut service =
+            FocusService::create_with(Arc::new(MemFs::default()), "/experiment", config, gt)?;
+        let profile = &dataset.profile;
+        service.register_stream(profile.stream_id, profile.fps)?;
+        service.install_configuration(profile.stream_id, chosen)?;
+        service.advance(&dataset.frames)?;
+        service.seal_all()?;
+        Ok(service)
     }
 }
 
@@ -418,6 +476,9 @@ impl AggregateFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryPlan;
+    use crate::query_server::QueryServer;
+    use focus_runtime::GpuMeter;
     use focus_video::profile::profile_by_name;
 
     fn quick_runner(policy: TradeoffPolicy) -> ExperimentRunner {
@@ -454,8 +515,9 @@ mod tests {
 
     /// The figures charge queries in the paper's unit — one un-batched GT
     /// inference per matched cluster, whatever the verifier amortized or
-    /// shared across the stream's classes — and answer what a cold server
-    /// answers for each class alone.
+    /// shared across the stream's classes — and answer what the in-memory
+    /// reference planner and a cold server answer for each class alone over
+    /// the same records.
     #[test]
     fn query_entries_are_charged_one_unbatched_inference_per_matched_cluster() {
         let runner = quick_runner(TradeoffPolicy::Balance);
@@ -469,9 +531,9 @@ mod tests {
             .or_else(|| selection.choose_or_best_effort(TradeoffPolicy::Balance))
             .unwrap();
         assert_eq!(chosen.point.k, report.chosen_k);
-        let ingest =
-            IngestEngine::new(chosen.model, chosen.params).ingest(&dataset, &GpuMeter::new());
-        assert_eq!(ingest.clusters, report.clusters);
+        let service = runner.ingest(&dataset, &chosen).unwrap();
+        assert_eq!(service.stats().store_clusters, report.clusters);
+        let index = service.store().merged_index().unwrap();
 
         let gpus = runner.config().gpus;
         assert_eq!(report.queries.len(), 3);
@@ -482,8 +544,15 @@ mod tests {
                 entry.latency_secs.to_bits(),
                 gpus.latency_secs(cost).to_bits()
             );
+            let request = QueryRequest::new(entry.class);
+            let (plan, records) = QueryPlan::build(&index, &chosen.model, &request);
             let alone = QueryServer::new(gt.clone(), gpus)
-                .serve(&ingest, &[QueryRequest::new(entry.class)], &GpuMeter::new())
+                .serve_resolved(
+                    &[plan],
+                    &[records],
+                    |id| index.centroid(id).cloned(),
+                    &GpuMeter::new(),
+                )
                 .remove(0);
             assert_eq!(entry.frames_returned, alone.frames.len());
             assert_eq!(entry.matched_clusters, alone.matched_clusters);

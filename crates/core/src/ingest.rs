@@ -1,16 +1,13 @@
-//! The batch ingest driver: replays a recorded dataset through the shared
-//! [`FramePipeline`] (IT1–IT4 in Figure 4 of the paper).
+//! What ingest runs with: the ingest CNN handle ([`IngestCnn`]) and the
+//! parameters chosen by parameter selection ([`IngestParams`]).
 //!
-//! The per-frame work itself — motion filtering, pixel differencing,
-//! cheap-CNN classification, incremental clustering and index-record
-//! emission — lives in [`crate::pipeline`]; this module owns the batch
-//! driver ([`IngestEngine`]), the ingest model handle ([`IngestCnn`]) and
-//! the output bookkeeping ([`IngestOutput`]). The live, frame-by-frame,
-//! durable driver is [`FocusService`](crate::service::FocusService); this
-//! one is the in-memory reference it is compared against, and its
-//! [`IngestOutput`] is the corpus
-//! [`QueryServer::serve`](crate::query_server::QueryServer::serve) answers
-//! from.
+//! The per-frame work itself (IT1–IT4 in Figure 4 of the paper) — motion
+//! filtering, pixel differencing, cheap-CNN classification, incremental
+//! clustering and index-record emission — lives in [`crate::pipeline`],
+//! and the one driver that runs it is
+//! [`FocusService`](crate::service::FocusService): a recorded dataset is
+//! ingested by registering its stream, installing the configuration and
+//! advancing over its frames.
 
 use std::sync::Arc;
 
@@ -19,11 +16,7 @@ use serde::{Deserialize, Serialize};
 use focus_cnn::{
     CheapCnn, Classifier, GpuCost, GroundTruthCnn, ModelSpec, SpecializedCnn, OTHER_CLASS,
 };
-use focus_index::TopKIndex;
-use focus_runtime::GpuMeter;
-use focus_video::{ClassId, VideoDataset};
-
-use crate::pipeline::{FramePipeline, PipelineOutput};
+use focus_video::ClassId;
 
 /// Ingest-time parameters chosen by Focus's parameter selection (§4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -162,113 +155,14 @@ impl IngestCnn {
     }
 }
 
-/// The output of ingesting one stream: the top-K index plus the bookkeeping
-/// the query path and the evaluation need.
-#[derive(Debug, Clone)]
-pub struct IngestOutput {
-    /// The top-K index produced by ingest, with the centroid
-    /// (representative) observation of every cluster in its centroid
-    /// section — the only objects the GT-CNN touches at query time.
-    pub index: TopKIndex,
-    /// The ingest model used.
-    pub model: IngestCnn,
-    /// Parameters used.
-    pub params: IngestParams,
-    /// Total GPU time spent by the ingest CNN.
-    pub gpu_cost: GpuCost,
-    /// Total frames in the dataset.
-    pub frames_total: usize,
-    /// Frames that passed motion filtering.
-    pub frames_with_motion: usize,
-    /// Total object observations in motion frames.
-    pub objects_total: usize,
-    /// Observations actually classified by the ingest CNN (after pixel
-    /// differencing).
-    pub objects_classified: usize,
-    /// Number of clusters written to the index.
-    pub clusters: usize,
-}
-
-impl IngestOutput {
-    /// Assembles the output of a finished pipeline run for `model`.
-    pub fn from_pipeline(output: PipelineOutput, model: IngestCnn) -> Self {
-        let PipelineOutput {
-            index,
-            gpu_cost,
-            stats,
-            params,
-        } = output;
-        Self {
-            index,
-            model,
-            params,
-            gpu_cost,
-            frames_total: stats.frames,
-            frames_with_motion: stats.frames_with_motion,
-            objects_total: stats.objects,
-            objects_classified: stats.objects_classified,
-            clusters: stats.clusters,
-        }
-    }
-
-    /// Average number of objects per cluster (the redundancy the clustering
-    /// step eliminates at query time).
-    pub fn mean_cluster_size(&self) -> f64 {
-        if self.clusters == 0 {
-            0.0
-        } else {
-            self.objects_total as f64 / self.clusters as f64
-        }
-    }
-}
-
-/// The ingest engine: applies the ingest pipeline of Figure 4 to a recorded
-/// dataset (or, frame by frame, to a live stream).
-#[derive(Debug, Clone)]
-pub struct IngestEngine {
-    model: IngestCnn,
-    params: IngestParams,
-}
-
-impl IngestEngine {
-    /// Creates an engine for the given model and parameters.
-    pub fn new(model: IngestCnn, params: IngestParams) -> Self {
-        Self { model, params }
-    }
-
-    /// The model this engine ingests with.
-    pub fn model(&self) -> &IngestCnn {
-        &self.model
-    }
-
-    /// The parameters this engine ingests with.
-    pub fn params(&self) -> IngestParams {
-        self.params
-    }
-
-    /// Ingests a recorded dataset, producing the top-K index and cost
-    /// accounting. GPU cost is charged to `meter` under the phase
-    /// `"ingest"`.
-    pub fn ingest(&self, dataset: &VideoDataset, meter: &GpuMeter) -> IngestOutput {
-        let mut pipeline =
-            FramePipeline::new(dataset.profile.stream_id, dataset.profile.fps, self.params);
-        let classifier = self.model.classifier.as_ref();
-        for frame in &dataset.frames {
-            pipeline.push_frame(frame, classifier);
-        }
-        let output = pipeline.finish();
-        // One charge per run: the pipeline accrues cost lock-free, so the
-        // batch hot loop never touches the meter's mutex.
-        meter.charge("ingest", output.gpu_cost);
-        IngestOutput::from_pipeline(output, self.model.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use focus_index::QueryFilter;
+    use crate::pipeline::tests::replay;
+    use crate::pipeline::PipelineStats;
+    use focus_index::{QueryFilter, TopKIndex};
     use focus_video::profile::profile_by_name;
+    use focus_video::VideoDataset;
 
     fn small_dataset() -> VideoDataset {
         VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 90.0)
@@ -291,160 +185,150 @@ mod tests {
         )
     }
 
-    #[test]
-    fn ingest_produces_consistent_index() {
-        let ds = small_dataset();
-        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let engine = IngestEngine::new(model, IngestParams::default());
-        let meter = GpuMeter::new();
-        let out = engine.ingest(&ds, &meter);
-        assert_eq!(out.frames_total, ds.frames.len());
-        assert!(out.frames_with_motion <= out.frames_total);
-        assert_eq!(out.objects_total, ds.object_count());
-        assert!(out.objects_classified <= out.objects_total);
-        assert!(out.objects_classified > 0);
-        assert_eq!(out.clusters, out.index.len());
-        assert!(out.clusters > 0);
-        // Every object appears in exactly one cluster.
-        let indexed: usize = out.index.clusters().map(|c| c.len()).sum();
-        assert_eq!(indexed, out.objects_total);
-        // GPU cost was charged to the meter.
-        assert!((meter.phase("ingest").seconds() - out.gpu_cost.seconds()).abs() < 1e-9);
-        // Every cluster's centroid observation is available for query-time
-        // classification.
-        for record in out.index.clusters() {
-            assert!(out.index.centroid(record.centroid_object).is_some());
-            assert_eq!(record.top_k_classes.len(), engine.params().k.min(1000));
+    /// What one replay of a recording through a bare pipeline left: the
+    /// drained index, the ingest GPU cost and the counters.
+    struct Run {
+        index: TopKIndex,
+        cost: GpuCost,
+        stats: PipelineStats,
+    }
+
+    fn run(dataset: &VideoDataset, model: &IngestCnn, params: IngestParams) -> Run {
+        let mut pipeline = replay(dataset, model, params);
+        Run {
+            index: pipeline.seal_segment(),
+            cost: pipeline.gpu_cost(),
+            stats: pipeline.stats(),
         }
     }
 
+    /// One row per ingest property: the recording, the runs it compares and
+    /// what must hold between them.
     #[test]
-    fn clustering_reduces_cluster_count() {
+    fn ingest_properties() {
+        type Row<'a> = (
+            &'a str,
+            &'a VideoDataset,
+            Vec<(&'a IngestCnn, IngestParams)>,
+            fn(&VideoDataset, &[Run]) -> bool,
+        );
         let ds = small_dataset();
-        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let with = IngestEngine::new(
-            model.clone(),
-            IngestParams {
-                enable_clustering: true,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        let without = IngestEngine::new(
-            model,
-            IngestParams {
-                enable_clustering: false,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        assert!(with.clusters < without.clusters);
-        assert_eq!(without.clusters, without.objects_total);
-        assert!(with.mean_cluster_size() > 1.5);
-        assert!((without.mean_cluster_size() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pixel_differencing_reduces_classified_objects() {
-        let ds = small_dataset();
-        let model = IngestCnn::generic(ModelSpec::cheap_cnn_2());
-        let with = IngestEngine::new(
-            model.clone(),
-            IngestParams {
-                pixel_differencing: true,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        let without = IngestEngine::new(
-            model,
-            IngestParams {
-                pixel_differencing: false,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        assert!(with.objects_classified < without.objects_classified);
-        assert_eq!(without.objects_classified, without.objects_total);
-        // Differencing skips more than a tenth of the inferences.
-        assert!(with.objects_classified * 10 < with.objects_total * 9);
-        assert!(with.gpu_cost < without.gpu_cost);
-    }
-
-    #[test]
-    fn cheaper_models_cost_less_to_ingest() {
-        let ds = small_dataset();
-        let expensive = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams::default(),
-        )
-        .ingest(&ds, &GpuMeter::new());
-        let cheap = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_3()),
-            IngestParams::default(),
-        )
-        .ingest(&ds, &GpuMeter::new());
-        assert!(cheap.gpu_cost < expensive.gpu_cost);
-    }
-
-    #[test]
-    fn ground_truth_ingest_is_most_expensive() {
-        let ds = small_dataset();
-        let gt = IngestEngine::new(
-            IngestCnn::ground_truth(GroundTruthCnn::resnet152()),
-            IngestParams {
-                k: 1,
-                enable_clustering: false,
-                pixel_differencing: false,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        let cheap = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_3()),
-            IngestParams::default(),
-        )
-        .ingest(&ds, &GpuMeter::new());
-        assert!(gt.gpu_cost.seconds() > 10.0 * cheap.gpu_cost.seconds());
-    }
-
-    #[test]
-    fn index_lookup_finds_dominant_class_clusters() {
-        let ds = small_dataset();
-        let dominant = ds.dominant_classes(1)[0];
-        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let out = IngestEngine::new(
-            model,
-            IngestParams {
-                k: 20,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        let matches = out.index.lookup(dominant, &QueryFilter::any());
-        assert!(!matches.is_empty());
-    }
-
-    #[test]
-    fn specialized_ingest_maps_rare_classes_to_other() {
-        let ds = small_dataset();
-        let model = specialized_model(&ds, 8);
-        assert!(model.descriptor.is_specialized());
-        let rare = ClassId(999);
-        assert_eq!(model.effective_query_class(rare), OTHER_CLASS);
-        let dominant = ds.dominant_classes(1)[0];
-        assert_eq!(model.effective_query_class(dominant), dominant);
-        let out = IngestEngine::new(
-            model,
-            IngestParams {
-                k: 2,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        // Clusters of rare-class objects are indexed under OTHER.
-        let other_clusters = out.index.lookup(OTHER_CLASS, &QueryFilter::any());
-        assert!(!other_clusters.is_empty());
+        let empty = VideoDataset::from_frames(profile_by_name("bend").unwrap(), 0.0, vec![]);
+        let [cheap1, cheap2, cheap3] = [
+            ModelSpec::cheap_cnn_1(),
+            ModelSpec::cheap_cnn_2(),
+            ModelSpec::cheap_cnn_3(),
+        ]
+        .map(IngestCnn::generic);
+        let gt = IngestCnn::ground_truth(GroundTruthCnn::resnet152());
+        let specialized = specialized_model(&ds, 8);
+        let default = IngestParams::default();
+        let unclustered = IngestParams {
+            enable_clustering: false,
+            ..default
+        };
+        let undifferenced = IngestParams {
+            pixel_differencing: false,
+            ..default
+        };
+        let with_k = |k| IngestParams { k, ..default };
+        // The Ingest-all baseline: every object classified by the GT-CNN.
+        let ingest_all = IngestParams {
+            k: 1,
+            enable_clustering: false,
+            pixel_differencing: false,
+            ..default
+        };
+        let rows: Vec<Row> = vec![
+            (
+                "every object is indexed once, beside its cluster's centroid",
+                &ds,
+                vec![(&cheap1, default)],
+                |ds, r| {
+                    let indexed: usize = r[0].index.clusters().map(|c| c.len()).sum();
+                    r[0].stats.frames == ds.frames.len()
+                        && r[0].stats.objects == ds.object_count()
+                        && indexed == r[0].stats.objects
+                        && r[0].stats.clusters == r[0].index.len()
+                        && r[0].index.clusters().all(|record| {
+                            record.top_k_classes.len() == IngestParams::default().k
+                                && r[0].index.centroid(record.centroid_object).is_some()
+                        })
+                },
+            ),
+            (
+                "clustering reduces clusters",
+                &ds,
+                vec![(&cheap1, default), (&cheap1, unclustered)],
+                |_, r| {
+                    r[0].stats.clusters < r[1].stats.clusters
+                        && r[1].stats.clusters == r[1].stats.objects
+                        && r[0].stats.objects as f64 > 1.5 * r[0].stats.clusters as f64
+                },
+            ),
+            (
+                "pixel differencing reduces classified objects",
+                &ds,
+                vec![(&cheap2, default), (&cheap2, undifferenced)],
+                |_, r| {
+                    r[0].stats.objects_classified < r[1].stats.objects_classified
+                        && r[1].stats.objects_classified == r[1].stats.objects
+                        // More than a tenth of the inferences are skipped.
+                        && r[0].stats.objects_classified * 10 < r[0].stats.objects * 9
+                        && r[0].cost < r[1].cost
+                },
+            ),
+            (
+                "cheaper models cost less",
+                &ds,
+                vec![(&cheap3, default), (&cheap1, default)],
+                |_, r| r[0].cost < r[1].cost,
+            ),
+            (
+                "GT ingest is the most expensive",
+                &ds,
+                vec![(&gt, ingest_all), (&cheap3, default)],
+                |_, r| r[0].cost.seconds() > 10.0 * r[1].cost.seconds(),
+            ),
+            (
+                "a wide index posts the dominant class",
+                &ds,
+                vec![(&cheap1, with_k(20))],
+                |ds, r| {
+                    let dominant = ds.dominant_classes(1)[0];
+                    !r[0].index.lookup(dominant, &QueryFilter::any()).is_empty()
+                },
+            ),
+            (
+                "a specialized model routes rare classes to OTHER",
+                &ds,
+                vec![(&specialized, with_k(2))],
+                |_, r| {
+                    !r[0]
+                        .index
+                        .lookup(OTHER_CLASS, &QueryFilter::any())
+                        .is_empty()
+                },
+            ),
+            (
+                "an empty dataset gives an empty index",
+                &empty,
+                vec![(&cheap1, default)],
+                |_, r| {
+                    r[0].index.is_empty()
+                        && r[0].stats.objects == 0
+                        && r[0].stats.clusters == 0
+                        && r[0].cost.seconds() == 0.0
+                },
+            ),
+        ];
+        for (property, dataset, configs, check) in rows {
+            let runs: Vec<Run> = configs
+                .into_iter()
+                .map(|(model, params)| run(dataset, model, params))
+                .collect();
+            assert!(check(dataset, &runs), "{property}");
+        }
     }
 
     #[test]
@@ -457,23 +341,14 @@ mod tests {
         assert_eq!(gt.effective_query_class(ClassId(5)), ClassId(5));
         let ds = small_dataset();
         let spec = specialized_model(&ds, 10);
+        assert!(spec.descriptor.is_specialized());
         assert!(spec.descriptor.display_name().contains("Specialized"));
         let debug = format!("{spec:?}");
         assert!(debug.contains("cheapness"));
-    }
-
-    #[test]
-    fn ingest_on_empty_dataset_is_empty() {
-        let profile = profile_by_name("bend").unwrap();
-        let ds = VideoDataset::from_frames(profile, 0.0, vec![]);
-        let out = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams::default(),
-        )
-        .ingest(&ds, &GpuMeter::new());
-        assert_eq!(out.objects_total, 0);
-        assert_eq!(out.clusters, 0);
-        assert_eq!(out.gpu_cost.seconds(), 0.0);
-        assert_eq!(out.mean_cluster_size(), 0.0);
+        // Queries for a class the model was not specialized for go through
+        // OTHER; a specialized class is looked up as itself.
+        assert_eq!(spec.effective_query_class(ClassId(999)), OTHER_CLASS);
+        let dominant = ds.dominant_classes(1)[0];
+        assert_eq!(spec.effective_query_class(dominant), dominant);
     }
 }

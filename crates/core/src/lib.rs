@@ -5,10 +5,10 @@
 //! al., OSDI 2018). It ties the workspace's substrates together into the
 //! paper's architecture (Figure 4):
 //!
-//! * **Ingest time** ([`ingest`]): motion filtering, pixel differencing,
-//!   classification with a cheap (compressed + per-stream specialized) CNN,
-//!   single-pass clustering of the CNN feature vectors, and construction of
-//!   the approximate top-K index.
+//! * **Ingest time** ([`pipeline`], [`ingest`]): motion filtering, pixel
+//!   differencing, classification with a cheap (compressed + per-stream
+//!   specialized) CNN, single-pass clustering of the CNN feature vectors,
+//!   and construction of the approximate top-K index.
 //! * **Query time** ([`query`], [`query_server`]): index lookup for the
 //!   queried class, ground-truth-CNN verification of only the cluster
 //!   centroids, and return of all frames of the confirmed clusters. The
@@ -47,19 +47,23 @@
 //!     60.0,
 //! );
 //!
-//! // Ingest it with a generic compressed CNN and a top-10 index.
-//! let model = IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1());
-//! let params = IngestParams { k: 10, ..IngestParams::default() };
-//! let meter = focus_runtime::GpuMeter::new();
-//! let ingested = IngestEngine::new(model, params).ingest(&dataset, &meter);
+//! // The live service, in its default configuration, over an in-memory
+//! // store (`FocusService::create(dir, ..)` puts the store on disk).
+//! let mut service = FocusService::create_with(
+//!     std::sync::Arc::new(focus_index::MemFs::default()),
+//!     "/store",
+//!     ServiceConfig::default(),
+//!     focus_cnn::GroundTruthCnn::resnet152(),
+//! )
+//! .unwrap();
+//! let profile = &dataset.profile;
+//! service.register_stream(profile.stream_id, profile.fps).unwrap();
+//! service.advance(&dataset.frames).unwrap();
+//! service.seal_all().unwrap();
 //!
 //! // Query for the dominant class and check the result is non-empty.
 //! let class = dataset.dominant_classes(1)[0];
-//! let server = QueryServer::new(
-//!     focus_cnn::GroundTruthCnn::resnet152(),
-//!     focus_runtime::GpuClusterSpec::new(10),
-//! );
-//! let outcome = server.serve(&ingested, &[QueryRequest::new(class)], &meter).remove(0);
+//! let outcome = service.serve(&[QueryRequest::new(class)]).unwrap().remove(0);
 //! assert!(!outcome.frames.is_empty());
 //! ```
 
@@ -91,12 +95,12 @@ pub use fleet::{
     ClusterManifest, FailoverReport, FleetConfig, FleetCoordinator, FleetError, FleetStats,
     ShardAssignment,
 };
-pub use ingest::{IngestCnn, IngestEngine, IngestModelDescriptor, IngestOutput, IngestParams};
+pub use ingest::{IngestCnn, IngestModelDescriptor, IngestParams};
 pub use params::{
     pareto_boundary, ConfigurationPoint, ModelChoice, ParameterSelector, SelectedConfiguration,
     SelectionResult, SweepSpace,
 };
-pub use pipeline::{FramePipeline, PipelineOutput, PipelineStats, TailPart};
+pub use pipeline::{FramePipeline, PipelineStats, TailPart};
 pub use query::{QueryOutcome, QueryPlan, QueryRequest, SegmentedCorpus, TailOverlay};
 pub use query_server::{CacheStats, QueryServer};
 pub use segment_ingest::{SealPolicy, StreamSegmenter};
@@ -114,7 +118,7 @@ pub mod prelude {
     pub use crate::config::{AblationMode, AccuracyTarget, TradeoffPolicy};
     pub use crate::experiment::{ExperimentConfig, ExperimentRunner, StreamExperimentReport};
     pub use crate::fleet::{FleetConfig, FleetCoordinator};
-    pub use crate::ingest::{IngestCnn, IngestEngine, IngestParams};
+    pub use crate::ingest::{IngestCnn, IngestParams};
     pub use crate::params::{ParameterSelector, SweepSpace};
     pub use crate::pipeline::FramePipeline;
     pub use crate::query::{QueryOutcome, QueryRequest, SegmentedCorpus};

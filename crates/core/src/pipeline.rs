@@ -1,14 +1,11 @@
 //! The shared per-frame ingest pipeline (IT1–IT4 in Figure 4 of the paper).
 //!
-//! [`FramePipeline`] is the single implementation of the per-frame work
-//! every ingest driver runs on:
-//!
-//! * [`IngestEngine`](crate::ingest::IngestEngine) replays a recorded
-//!   dataset through one pipeline (batch driver);
-//! * [`FocusService`](crate::service::FocusService) pushes live frames
-//!   through one pipeline per stream, sealing an epoch whenever the
-//!   stream's model changes and draining segments into a durable store
-//!   (streaming driver).
+//! [`FramePipeline`] is the single implementation of the per-frame work.
+//! Its driver is [`FocusService`](crate::service::FocusService), which
+//! pushes frames through one pipeline per stream, sealing an epoch whenever
+//! the stream's model changes and draining segments into a durable store;
+//! a recorded dataset is replayed through the same driver with the model
+//! held fixed.
 //!
 //! For every frame the pipeline
 //!
@@ -33,7 +30,8 @@
 //! sequence, the parameters and the classifier. Cluster keys are assigned
 //! from a per-stream counter in epoch-seal order, so replaying the same
 //! stream always yields byte-identical cluster records — the property that
-//! makes the live service's index byte-identical to a batch run's.
+//! makes the live service's index byte-identical to a bare pipeline's
+//! replay of the same frames.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,20 +64,6 @@ pub struct PipelineStats {
     pub clusters: usize,
     /// Epochs sealed so far.
     pub epochs_sealed: usize,
-}
-
-/// Everything a finished pipeline produced.
-#[derive(Debug, Clone)]
-pub struct PipelineOutput {
-    /// The per-stream top-K index, each record's centroid observation
-    /// included.
-    pub index: TopKIndex,
-    /// Total GPU time charged for ingest CNN inferences.
-    pub gpu_cost: GpuCost,
-    /// Activity counters.
-    pub stats: PipelineStats,
-    /// Parameters the pipeline ran with.
-    pub params: IngestParams,
 }
 
 /// Per-epoch state: the clusterer plus the classification caches for the
@@ -355,10 +339,8 @@ impl FramePipeline {
     /// Pushes one frame through motion filtering, pixel differencing,
     /// classification and clustering.
     ///
-    /// GPU cost accrues lock-free in [`gpu_cost`](Self::gpu_cost); drivers
-    /// decide how to surface it on a [`GpuMeter`](focus_runtime::GpuMeter)
-    /// (the batch driver charges once per run, the streaming driver
-    /// charges per-frame deltas for live accounting).
+    /// GPU cost accrues lock-free in [`gpu_cost`](Self::gpu_cost); the
+    /// service submits per-frame deltas to its GPU scheduler.
     pub fn push_frame(&mut self, frame: &Frame, classifier: &dyn Classifier) {
         self.push_frame_observed(frame, classifier, |_, _| {});
     }
@@ -451,8 +433,8 @@ impl FramePipeline {
     }
 
     /// Seals the current epoch's clusters into the index and starts a fresh
-    /// epoch. The streaming driver calls this when its model changes; both
-    /// drivers call it (via [`finish`](Self::finish)) at the end of input.
+    /// epoch. The service calls this when a stream's model changes, and
+    /// every [`seal_segment`](Self::seal_segment) calls it before draining.
     pub fn seal_epoch(&mut self) {
         self.rebase();
         // Pixel-diff reuse is scoped to one epoch (the gate in
@@ -488,7 +470,7 @@ impl FramePipeline {
     /// drained indexes of one pipeline are key-disjoint by construction and
     /// merging them reproduces the index an undrained run of the same seal
     /// schedule would have built. Counters stay with the pipeline, so
-    /// [`finish`](Self::finish) still reports whole-stream stats; the
+    /// [`stats`](Self::stats) still reports whole-stream counters; the
     /// pipeline keeps no centroid it has drained.
     /// Sketch windows drain with the segment: every track observed since
     /// the last drain contributes one window sketch (the sketcher carries
@@ -634,27 +616,6 @@ impl FramePipeline {
         let replaced = self.index.merge(part);
         assert_eq!(replaced, 0, "restored part must be key-disjoint");
     }
-
-    /// Seals the live epoch and returns everything the pipeline produced,
-    /// consuming it.
-    ///
-    /// If [`seal_segment`](Self::seal_segment) was used to drain records
-    /// along the way, the returned index holds only the records (and
-    /// centroid observations) sealed since the last drain; the counters
-    /// always cover the whole run.
-    pub fn finish(mut self) -> PipelineOutput {
-        self.seal_epoch();
-        for sketch in self.sketcher.drain_window() {
-            self.index.insert_sketch(sketch);
-        }
-        let stats = self.stats();
-        PipelineOutput {
-            index: self.index,
-            gpu_cost: self.gpu_cost,
-            stats,
-            params: self.params,
-        }
-    }
 }
 
 /// Brings `index` up to date with `epoch`'s clusters — the one loop behind
@@ -729,22 +690,51 @@ fn sorted_contents(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ingest::IngestCnn;
     use focus_cnn::ModelSpec;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
 
-    fn run_pipeline(params: IngestParams) -> PipelineOutput {
-        let profile = profile_by_name("auburn_c").unwrap();
-        let dataset = VideoDataset::generate(profile.clone(), 60.0);
-        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+    /// `dataset` replayed frame by frame through a fresh pipeline that
+    /// classifies with `model`.
+    pub(crate) fn replay(
+        dataset: &VideoDataset,
+        model: &IngestCnn,
+        params: IngestParams,
+    ) -> FramePipeline {
+        let profile = &dataset.profile;
         let mut pipeline = FramePipeline::new(profile.stream_id, profile.fps, params);
         for frame in &dataset.frames {
             pipeline.push_frame(frame, model.classifier.as_ref());
         }
-        pipeline.finish()
+        pipeline
+    }
+
+    /// Everything a pipeline produced, once its last segment is drained.
+    struct Drained {
+        index: TopKIndex,
+        gpu_cost: GpuCost,
+        stats: PipelineStats,
+    }
+
+    /// Seals `pipeline`'s live epoch and drains it, with the whole-run
+    /// counters and GPU cost.
+    fn drain(mut pipeline: FramePipeline) -> Drained {
+        let index = pipeline.seal_segment();
+        Drained {
+            index,
+            gpu_cost: pipeline.gpu_cost(),
+            stats: pipeline.stats(),
+        }
+    }
+
+    fn run_pipeline(params: IngestParams) -> Drained {
+        let profile = profile_by_name("auburn_c").unwrap();
+        let dataset = VideoDataset::generate(profile, 60.0);
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        drain(replay(&dataset, &model, params))
     }
 
     #[test]
@@ -794,7 +784,7 @@ mod tests {
         for frame in &dataset.frames[half..] {
             pipeline.push_frame(frame, model.classifier.as_ref());
         }
-        let output = pipeline.finish();
+        let output = drain(pipeline);
         assert_eq!(output.stats.epochs_sealed, 2);
         let mut keys: Vec<_> = output.index.clusters().map(|r| r.key).collect();
         let total = keys.len();
@@ -826,7 +816,7 @@ mod tests {
         for frame in &dataset.frames[half..] {
             sealed.push_frame(frame, model.classifier.as_ref());
         }
-        let sealed = sealed.finish();
+        let sealed = drain(sealed);
 
         // Drained: same schedule, but the first seal drains a segment.
         let mut drained =
@@ -842,7 +832,7 @@ mod tests {
         for frame in &dataset.frames[half..] {
             drained.push_frame(frame, model.classifier.as_ref());
         }
-        let drained = drained.finish();
+        let drained = drain(drained);
 
         let mut merged = part1;
         assert_eq!(merged.merge_from(&drained.index), 0);
@@ -1019,7 +1009,7 @@ mod tests {
         for frame in &dataset.frames {
             pipeline.push_frame(frame, model.classifier.as_ref());
         }
-        let output = pipeline.finish();
+        let output = drain(pipeline);
         assert!(output.index.clusters().all(|r| r.key.local >= 42));
     }
 
@@ -1029,11 +1019,7 @@ mod tests {
         let profile = profile_by_name("auburn_c").unwrap();
         let dataset = VideoDataset::generate(profile.clone(), 10.0);
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let mut pipeline =
-            FramePipeline::new(profile.stream_id, profile.fps, IngestParams::default());
-        for frame in &dataset.frames {
-            pipeline.push_frame(frame, model.classifier.as_ref());
-        }
+        let mut pipeline = replay(&dataset, &model, IngestParams::default());
         pipeline.seal_epoch();
         pipeline.start_cluster_keys_at(1_000);
     }
@@ -1066,7 +1052,7 @@ mod tests {
         for frame in &dataset.frames[half..] {
             pipeline.push_frame(frame, model.classifier.as_ref());
         }
-        let output = pipeline.finish();
+        let output = drain(pipeline);
 
         // Pre-switch records are byte-identical to the pre-switch snapshot;
         // post-switch records carry the new K.
@@ -1095,11 +1081,7 @@ mod tests {
         let profile = profile_by_name("auburn_c").unwrap();
         let dataset = VideoDataset::generate(profile.clone(), 5.0);
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
-        let mut pipeline =
-            FramePipeline::new(profile.stream_id, profile.fps, IngestParams::default());
-        for frame in &dataset.frames {
-            pipeline.push_frame(frame, model.classifier.as_ref());
-        }
+        let mut pipeline = replay(&dataset, &model, IngestParams::default());
         pipeline.set_params(IngestParams::default());
     }
 

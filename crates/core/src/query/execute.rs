@@ -113,40 +113,45 @@ pub fn assemble_outcome<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{IngestCnn, IngestEngine, IngestParams};
+    use crate::ingest::{IngestCnn, IngestParams};
+    use crate::pipeline::tests::replay;
     use crate::query::plan::QueryRequest;
     use focus_cnn::{Classifier, GroundTruthCnn, ModelSpec};
-    use focus_runtime::GpuMeter;
+    use focus_index::TopKIndex;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
 
-    fn setup() -> (VideoDataset, crate::ingest::IngestOutput) {
+    /// A minute of `auburn_c` in a top-10 index, and the plan of a query
+    /// for its dominant class with the candidates' records.
+    fn setup() -> (
+        TopKIndex,
+        QueryPlan,
+        Vec<std::sync::Arc<focus_index::ClusterRecord>>,
+    ) {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
-        let out = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams {
-                k: 10,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        (ds, out)
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let params = IngestParams {
+            k: 10,
+            ..IngestParams::default()
+        };
+        let index = replay(&ds, &model, params).seal_segment();
+        let request = QueryRequest::new(ds.dominant_classes(1)[0]);
+        let (plan, records) = QueryPlan::build(&index, &model, &request);
+        (index, plan, records)
     }
 
     #[test]
     fn assembles_only_confirmed_clusters() {
-        let (ds, out) = setup();
-        let class = ds.dominant_classes(1)[0];
-        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (index, plan, records) = setup();
         let gt = GroundTruthCnn::resnet152();
         let verdicts: Vec<ClassId> = plan
             .candidates
             .iter()
-            .map(|h| gt.classify_top1(out.index.centroid(h.centroid).unwrap()))
+            .map(|h| gt.classify_top1(index.centroid(h.centroid).unwrap()))
             .collect();
         let n = verdicts.len();
         let outcome = assemble_outcome(&plan, &verdicts, n, GpuCost(1.0), 0.5, |i, _| &records[i]);
-        assert_eq!(outcome.class, class);
+        assert_eq!(outcome.class, plan.class);
         assert_eq!(outcome.matched_clusters, plan.candidates.len());
         assert!(outcome.confirmed_clusters <= outcome.matched_clusters);
         assert!(!outcome.frames.is_empty());
@@ -159,10 +164,8 @@ mod tests {
 
     #[test]
     fn all_rejecting_verdicts_return_nothing() {
-        let (ds, out) = setup();
-        let class = ds.dominant_classes(1)[0];
-        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
-        let wrong = ClassId(class.0.wrapping_add(1));
+        let (_, plan, records) = setup();
+        let wrong = ClassId(plan.class.0.wrapping_add(1));
         let verdicts = vec![wrong; plan.candidates.len()];
         let outcome = assemble_outcome(&plan, &verdicts, 0, GpuCost::ZERO, 0.0, |i, _| &records[i]);
         assert_eq!(outcome.confirmed_clusters, 0);
@@ -174,9 +177,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one verdict per planned candidate")]
     fn verdict_count_mismatch_panics() {
-        let (ds, out) = setup();
-        let class = ds.dominant_classes(1)[0];
-        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (_, plan, records) = setup();
         assert!(!plan.candidates.is_empty());
         let _ = assemble_outcome(&plan, &[], 0, GpuCost::ZERO, 0.0, |i, _| &records[i]);
     }

@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use focus_index::{CentroidHandle, ClusterRecord, QueryFilter};
+use focus_index::{CentroidHandle, ClusterRecord, QueryFilter, TopKIndex};
 use focus_video::ClassId;
 
-use crate::ingest::IngestOutput;
+use crate::ingest::IngestCnn;
 use crate::query::track::{TrackFilter, TrackScope};
 
 /// One class query as submitted to the query layer: the class the user asks
@@ -139,10 +139,10 @@ impl AnytimeMode {
 /// The planned candidate set of one query: which cluster centroids the
 /// ground-truth CNN must pass verdict on before members can be returned.
 ///
-/// Built by [`QueryPlan::build`] (in memory) or
-/// [`SegmentedCorpus::plan_with_tail`](crate::query::SegmentedCorpus::plan_with_tail)
-/// (durable); verified by the one executor,
-/// [`run_batch`](crate::query::run_batch), under
+/// Built by [`SegmentedCorpus::plan_with_tail`](crate::query::SegmentedCorpus::plan_with_tail)
+/// over the durable store and the hot tail, or by [`QueryPlan::build`],
+/// the in-memory reference planner over one index; verified by the one
+/// executor, [`run_batch`](crate::query::run_batch), under
 /// [`QueryServer`](crate::query_server::QueryServer).
 ///
 /// # Examples
@@ -153,18 +153,20 @@ impl AnytimeMode {
 /// use focus_video::profile::profile_by_name;
 ///
 /// let ds = focus_video::VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 20.0);
-/// let ingest = IngestEngine::new(
-///     IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1()),
-///     IngestParams { k: 10, ..IngestParams::default() },
-/// )
-/// .ingest(&ds, &focus_runtime::GpuMeter::new());
+/// let model = IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1());
+/// let params = IngestParams { k: 10, ..IngestParams::default() };
+/// let mut pipeline = FramePipeline::new(ds.profile.stream_id, ds.profile.fps, params);
+/// for frame in &ds.frames {
+///     pipeline.push_frame(frame, model.classifier.as_ref());
+/// }
+/// let index = pipeline.seal_segment();
 ///
 /// let class = ds.dominant_classes(1)[0];
-/// let (plan, records) = QueryPlan::build(&ingest, &QueryRequest::new(class));
+/// let (plan, records) = QueryPlan::build(&index, &model, &QueryRequest::new(class));
 /// assert_eq!(plan.class, class);
 /// assert!(!plan.candidates.is_empty());
 /// // Every candidate's centroid observation was retained at ingest time.
-/// assert!(plan.candidates.iter().all(|h| ingest.index.centroid(h.centroid).is_some()));
+/// assert!(plan.candidates.iter().all(|h| index.centroid(h.centroid).is_some()));
 /// // The records come back aligned with the candidates.
 /// assert!(plan.candidates.iter().map(|h| h.cluster).eq(records.iter().map(|r| r.key)));
 /// ```
@@ -190,28 +192,32 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Plans `request` against an ingested stream: maps the class through
-    /// the ingest model's OTHER handling (QT1) and retrieves the matching
-    /// cluster centroids from the top-K index (QT2). A request with a
-    /// [`TrackFilter`] additionally evaluates it against the index's
-    /// whole-life track sketches and drops every candidate cluster whose
-    /// members all belong to rejected tracks — before any of them would
-    /// cost a GT inference.
+    /// The in-memory reference planner: plans `request` against one
+    /// `index` built by `model`. Maps the class through the model's OTHER
+    /// handling (QT1) and retrieves the matching cluster centroids from the
+    /// top-K index (QT2). A request with a [`TrackFilter`] additionally
+    /// evaluates it against the index's whole-life track sketches and
+    /// drops every candidate cluster whose members all belong to rejected
+    /// tracks — before any of them would cost a GT inference.
+    ///
+    /// The service plans through
+    /// [`SegmentedCorpus::plan_with_tail`](crate::query::SegmentedCorpus::plan_with_tail),
+    /// over segments and the hot tail; the byte-identity tests hold it to
+    /// this plan over the same records merged into one index.
     ///
     /// Returns the plan together with each candidate's record — the
     /// index's own shared one — aligned with `candidates`.
     pub fn build(
-        ingest: &IngestOutput,
+        index: &TopKIndex,
+        model: &IngestCnn,
         request: &QueryRequest,
     ) -> (QueryPlan, Vec<Arc<ClusterRecord>>) {
-        let lookup_class = ingest.model.effective_query_class(request.class);
-        let mut matched = ingest.index.lookup(lookup_class, &request.filter);
+        let lookup_class = model.effective_query_class(request.class);
+        let mut matched = index.lookup(lookup_class, &request.filter);
         let track_scope = if request.tracks.is_empty() {
             TrackScope::default()
         } else {
-            let scope = request
-                .tracks
-                .scope_over(&request.filter, ingest.index.sketches());
+            let scope = request.tracks.scope_over(&request.filter, index.sketches());
             matched.retain(|record| scope.admits_record(record));
             scope
         };
@@ -234,33 +240,31 @@ impl QueryPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{IngestCnn, IngestEngine, IngestParams};
+    use crate::ingest::IngestParams;
+    use crate::pipeline::tests::replay;
     use focus_cnn::ModelSpec;
-    use focus_runtime::GpuMeter;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
 
-    fn ingest(k: usize) -> (VideoDataset, crate::ingest::IngestOutput) {
+    fn ingest(k: usize) -> (VideoDataset, TopKIndex, IngestCnn) {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 60.0);
-        let out = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams {
-                k,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
-        (ds, out)
+        let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
+        let params = IngestParams {
+            k,
+            ..IngestParams::default()
+        };
+        let index = replay(&ds, &model, params).seal_segment();
+        (ds, index, model)
     }
 
     #[test]
     fn plan_matches_index_lookup() {
-        let (ds, out) = ingest(10);
+        let (ds, index, model) = ingest(10);
         let class = ds.dominant_classes(1)[0];
-        let (plan, records) = QueryPlan::build(&out, &QueryRequest::new(class));
+        let (plan, records) = QueryPlan::build(&index, &model, &QueryRequest::new(class));
         assert_eq!(plan.class, class);
         assert_eq!(plan.lookup_class, class);
-        let direct = out.index.lookup(class, &QueryFilter::any());
+        let direct = index.lookup(class, &QueryFilter::any());
         assert_eq!(plan.matched_clusters(), direct.len());
         assert_eq!(records.len(), direct.len());
         for ((handle, record), shared) in plan.candidates.iter().zip(direct.iter()).zip(&records) {
@@ -273,28 +277,25 @@ mod tests {
 
     #[test]
     fn plan_is_deterministic_and_sorted() {
-        let (ds, out) = ingest(10);
+        let (ds, index, model) = ingest(10);
         let class = ds.dominant_classes(1)[0];
         let request = QueryRequest::new(class);
-        let (a, _) = QueryPlan::build(&out, &request);
-        let (b, _) = QueryPlan::build(&out, &request);
+        let (a, _) = QueryPlan::build(&index, &model, &request);
+        let (b, _) = QueryPlan::build(&index, &model, &request);
         assert_eq!(a, b);
         assert!(a.candidates.windows(2).all(|w| w[0].cluster < w[1].cluster));
     }
 
     #[test]
     fn filters_shrink_the_plan() {
-        let (ds, out) = ingest(20);
+        let (ds, index, model) = ingest(20);
         let class = ds.dominant_classes(1)[0];
-        let (full, _) = QueryPlan::build(&out, &QueryRequest::new(class));
-        let (narrow, _) = QueryPlan::build(
-            &out,
-            &QueryRequest::new(class).with_filter(QueryFilter::any().with_kx(2)),
-        );
+        let plan = |request: QueryRequest| QueryPlan::build(&index, &model, &request).0;
+        let full = plan(QueryRequest::new(class));
+        let narrow = plan(QueryRequest::new(class).with_filter(QueryFilter::any().with_kx(2)));
         assert!(narrow.matched_clusters() <= full.matched_clusters());
-        let (early, _) = QueryPlan::build(
-            &out,
-            &QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(0.0, 10.0)),
+        let early = plan(
+            QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(0.0, 10.0)),
         );
         assert!(early.matched_clusters() <= full.matched_clusters());
     }

@@ -586,10 +586,10 @@ pub struct SegmentedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{IngestOutput, IngestParams};
+    use crate::ingest::IngestParams;
     use crate::query::plan::QueryPlan;
     use crate::segment_ingest::{SealPolicy, StreamSegmenter};
-    use focus_cnn::{GpuCost, ModelSpec};
+    use focus_cnn::ModelSpec;
     use focus_index::MemFs;
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
@@ -626,8 +626,9 @@ mod tests {
                     seal(part);
                 }
             }
-            if let Some(part) = segmenter.finish().0 {
-                seal(part);
+            let last = segmenter.seal_pending();
+            if !last.is_empty() {
+                seal(last);
             }
         }
         SegmentedCorpus::new(store, centroids, model)
@@ -646,17 +647,6 @@ mod tests {
         let class = ds.dominant_classes(1)[0];
         // The in-memory reference: the same records merged into one index.
         let index = corpus.store().merged_index().unwrap();
-        let reference = IngestOutput {
-            clusters: index.len(),
-            objects_total: index.stats().objects,
-            objects_classified: index.stats().objects,
-            index,
-            model: corpus.model.clone(),
-            params: params(),
-            gpu_cost: GpuCost::ZERO,
-            frames_total: ds.frames.len(),
-            frames_with_motion: 0,
-        };
         for filter in [
             QueryFilter::any(),
             QueryFilter::any().with_time_range(0.0, 10.0),
@@ -665,7 +655,7 @@ mod tests {
         ] {
             let request = QueryRequest::new(class).with_filter(filter);
             let segmented = corpus.plan_with_tail(&request, None).unwrap();
-            let (plan, records) = QueryPlan::build(&reference, &request);
+            let (plan, records) = QueryPlan::build(&index, &corpus.model, &request);
             assert_eq!(segmented.plan, plan);
             // Every candidate's record was captured for assembly, at the
             // candidate's own position, equal to the merged index's.

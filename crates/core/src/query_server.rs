@@ -8,10 +8,11 @@
 //! ingest-time clustering exists to avoid, so the server removes that
 //! redundancy along three axes:
 //!
-//! 1. **Concurrency** — many [`QueryRequest`]s are accepted per
-//!    [`serve`](QueryServer::serve) call, and one server is shared by
-//!    every request thread (it is `Send + Sync`). The callers supply the
-//!    concurrency: a call plans and verifies on its own thread, and the
+//! 1. **Concurrency** — many planned
+//!    [`QueryRequest`](crate::query::QueryRequest)s are accepted per
+//!    [`serve_resolved`](QueryServer::serve_resolved) call, and one server
+//!    is shared by every request thread (it is `Send + Sync`). The callers
+//!    supply the concurrency: a call verifies on its own thread, and the
 //!    GPU cluster's parallelism is modelled by
 //!    [`GpuClusterSpec::latency_secs`], not by threads.
 //! 2. **Deduplication + batching** — the union of the in-flight queries'
@@ -27,9 +28,9 @@
 //!
 //! The server owns one verification round (dedupe, batch, memoize); the
 //! rounds themselves are run by the one executor, [`run_batch`], which
-//! both [`serve`](QueryServer::serve) and
-//! [`serve_resolved`](QueryServer::serve_resolved) wrap: an exact request
-//! is an anytime request run to exhaustion in one round.
+//! [`serve_resolved`](QueryServer::serve_resolved) and the service's
+//! serving body wrap: an exact request is an anytime request run to
+//! exhaustion in one round.
 //!
 //! A cold server serving one exact request verifies every candidate
 //! exactly once; a shared, warm server must return byte-identical frames
@@ -48,9 +49,8 @@ use focus_index::ClusterRecord;
 use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter};
 use focus_video::{ClassId, ObjectId, ObjectObservation};
 
-use crate::ingest::IngestOutput;
 use crate::query::anytime::{run_batch, PlannedRequest};
-use crate::query::{AnytimeMode, QueryOutcome, QueryPlan, QueryRequest};
+use crate::query::{AnytimeMode, QueryOutcome, QueryPlan};
 
 /// Snapshot of the verdict cache's activity, as returned by
 /// [`QueryServer::cache_stats`].
@@ -84,74 +84,49 @@ impl CacheStats {
 
 /// A concurrent query server over one ingested video corpus.
 ///
-/// Accepts many queries per call, plans each one's candidate set from the
-/// top-K index, deduplicates the union of needed centroid inferences across
-/// the in-flight queries, verifies only the fresh centroids through the
-/// batched [`GroundTruthCnn::classify_batch`] path, and memoizes every
-/// verdict in a cross-query cache keyed by `(ObjectId, ground-truth epoch)`.
+/// Accepts many planned queries per call, deduplicates the union of needed
+/// centroid inferences across the in-flight queries, verifies only the
+/// fresh centroids through the batched [`GroundTruthCnn::classify_batch`]
+/// path, and memoizes every verdict in a cross-query cache keyed by
+/// `(ObjectId, ground-truth epoch)`.
 ///
 /// # Examples
 ///
-/// Serving two overlapping queries and reading the cache stats — the
-/// narrower query's candidates are a subset of the wider one's, so they are
-/// verified once and shared:
+/// The live service verifies through its embedded server. Serving two
+/// overlapping queries and reading the cache stats — the narrower query's
+/// candidates are a subset of the wider one's, so they are verified once
+/// and shared:
 ///
 /// ```
 /// use focus_core::prelude::*;
 /// use focus_core::query::QueryRequest;
-/// use focus_core::query_server::QueryServer;
+/// use focus_index::QueryFilter;
 /// use focus_video::profile::profile_by_name;
 ///
 /// let ds = focus_video::VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 20.0);
-/// let ingest = IngestEngine::new(
-///     IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1()),
-///     IngestParams { k: 10, ..IngestParams::default() },
-/// )
-/// .ingest(&ds, &focus_runtime::GpuMeter::new());
-///
-/// let server = QueryServer::new(
+/// let mut service = FocusService::create_with(
+///     std::sync::Arc::new(focus_index::MemFs::default()),
+///     "/store",
+///     ServiceConfig::default(),
 ///     focus_cnn::GroundTruthCnn::resnet152(),
-///     focus_runtime::GpuClusterSpec::new(4),
-/// );
+/// )?;
+/// service.register_stream(ds.profile.stream_id, ds.profile.fps)?;
+/// service.advance(&ds.frames)?;
+///
 /// let class = ds.dominant_classes(1)[0];
-/// let requests = vec![
+/// let requests = [
 ///     QueryRequest::new(class),
-///     QueryRequest::new(class)
-///         .with_filter(focus_index::QueryFilter::any().with_kx(2)),
+///     QueryRequest::new(class).with_filter(QueryFilter::any().with_kx(1)),
 /// ];
-/// let outcomes = server.serve(&ingest, &requests, &focus_runtime::GpuMeter::new());
-/// assert_eq!(outcomes.len(), 2);
+/// service.serve(&requests)?;
+/// let stats = service.query_server().cache_stats();
+/// assert!(stats.hits > 0 && stats.misses > 0, "the overlap reused verdicts");
 ///
-/// let stats = server.cache_stats();
-/// assert!(stats.hits > 0, "the overlapping query reused verdicts");
-/// assert!(stats.misses > 0);
-/// ```
-///
-/// A repeated workload is answered entirely from the cache — identical
-/// results, zero new inferences:
-///
-/// ```
-/// # use focus_core::prelude::*;
-/// # use focus_core::query::QueryRequest;
-/// # use focus_core::query_server::QueryServer;
-/// # use focus_video::profile::profile_by_name;
-/// # let ds = focus_video::VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 20.0);
-/// # let ingest = IngestEngine::new(
-/// #     IngestCnn::generic(focus_cnn::ModelSpec::cheap_cnn_1()),
-/// #     IngestParams { k: 10, ..IngestParams::default() },
-/// # )
-/// # .ingest(&ds, &focus_runtime::GpuMeter::new());
-/// # let server = QueryServer::new(
-/// #     focus_cnn::GroundTruthCnn::resnet152(),
-/// #     focus_runtime::GpuClusterSpec::new(4),
-/// # );
-/// # let class = ds.dominant_classes(1)[0];
-/// let request = vec![QueryRequest::new(class)];
-/// let first = server.serve(&ingest, &request, &focus_runtime::GpuMeter::new());
-/// let again = server.serve(&ingest, &request, &focus_runtime::GpuMeter::new());
-/// assert_eq!(first[0].frames, again[0].frames);
+/// // A repeated query is answered entirely from the cache: zero new
+/// // inferences.
+/// let again = service.serve(&requests[..1])?;
 /// assert_eq!(again[0].centroid_inferences, 0);
-/// assert_eq!(again[0].gpu_cost, focus_cnn::GpuCost::ZERO);
+/// # Ok::<(), focus_index::SegmentError>(())
 /// ```
 #[derive(Debug)]
 pub struct QueryServer {
@@ -244,50 +219,26 @@ impl QueryServer {
         }
     }
 
-    /// Serves a batch of concurrent queries over `ingest`, returning one
-    /// outcome per request, in request order.
+    /// Serves pre-built plans whose candidate records were already resolved
+    /// by the caller, returning one outcome per plan, in plan order — the
+    /// seam the fleet's gather feeds with its merged shard plans.
+    /// `records[i]` must be aligned with `plans[i].candidates`, as
+    /// [`SegmentedPlan::records`] is, so a record is found by position, not
+    /// by key; `resolve_centroid` must return the observation behind every
+    /// candidate centroid.
     ///
-    /// 1. **Plan** (QT1/QT2) — every request's candidate set is built from
-    ///    the top-K index, in request order, each candidate's record shared
-    ///    from the index.
-    /// 2. **Execute** (QT3/QT4) — the one executor, [`run_batch`]: an
-    ///    exact request finishes in one round with the rest of the batch
-    ///    (phase `"query"`), an incremental one verifies its candidates in
-    ///    rounds, in its fixed order (phase `"anytime"`). Each round dedupes
-    ///    against the verdict cache for the current epoch and across the
-    ///    batch, sends only the fresh centroids to
-    ///    [`GroundTruthCnn::classify_batch`] at the amortized
-    ///    [`BatchCostModel`] cost, memoizes, and assembles from its own
-    ///    verdict snapshot, so a concurrent epoch bump never starves it.
+    /// Every plan runs through the one executor, [`run_batch`], in one
+    /// round with the rest of the batch, charged to `meter` as `"query"`.
+    /// The round dedupes against the verdict cache for the current epoch
+    /// and across the batch, sends only the fresh centroids to
+    /// [`GroundTruthCnn::classify_batch`] at the amortized
+    /// [`BatchCostModel`] cost, memoizes, and assembles from its own
+    /// verdict snapshot, so a concurrent epoch bump never starves it.
     ///
     /// Accounting: each outcome's `centroid_inferences` counts only the
     /// fresh inferences that query was first to need; `gpu_cost` is its
-    /// proportional share of each round's cost; `latency_secs` is the
-    /// latency of the rounds it took part in, shared within a round.
-    pub fn serve(
-        &self,
-        ingest: &IngestOutput,
-        requests: &[QueryRequest],
-        meter: &GpuMeter,
-    ) -> Vec<QueryOutcome> {
-        let planned: Vec<_> = requests
-            .iter()
-            .map(|request| QueryPlan::build(ingest, request))
-            .collect();
-        let modes = requests.iter().map(|request| request.anytime);
-        let resolve_centroid = |id| ingest.index.centroid(id).cloned();
-        let planned = planned.iter().map(|(plan, records)| (plan, records));
-        self.execute(planned, modes, resolve_centroid, meter)
-    }
-
-    /// Serves pre-built plans whose candidate records were already resolved
-    /// by the caller — the exact seam the fleet's gather feeds with its
-    /// merged shard plans. `records[i]` must be aligned with
-    /// `plans[i].candidates`, as [`SegmentedPlan::records`] is, so a record
-    /// is found by position, not by key; `resolve_centroid` must return the
-    /// observation behind every candidate centroid. Every plan runs exactly
-    /// through the executor [`serve`](Self::serve) uses: one round, charged
-    /// to `meter` as `"query"`.
+    /// proportional share of the round's cost; `latency_secs` is the
+    /// round's latency, shared within the round.
     ///
     /// [`SegmentedPlan::records`]: crate::query::segmented::SegmentedPlan::records
     ///
@@ -304,22 +255,10 @@ impl QueryServer {
         meter: &GpuMeter,
     ) -> Vec<QueryOutcome> {
         assert_eq!(plans.len(), records.len(), "one record vector per plan");
-        let modes = std::iter::repeat(AnytimeMode::exhaustive());
-        self.execute(plans.iter().zip(records), modes, resolve_centroid, meter)
-    }
-
-    /// [`run_batch`] over aligned plans and records, with no partial or
-    /// stop stream, keeping only the outcomes.
-    fn execute<'a>(
-        &self,
-        planned: impl Iterator<Item = (&'a QueryPlan, &'a Vec<Arc<ClusterRecord>>)>,
-        modes: impl Iterator<Item = AnytimeMode>,
-        resolve_centroid: impl Fn(ObjectId) -> Option<ObjectObservation>,
-        meter: &GpuMeter,
-    ) -> Vec<QueryOutcome> {
-        let requests: Vec<PlannedRequest> = planned
-            .zip(modes)
-            .map(|((plan, records), mode)| {
+        let requests: Vec<PlannedRequest> = plans
+            .iter()
+            .zip(records)
+            .map(|(plan, records)| {
                 debug_assert!(
                     plan.candidates
                         .iter()
@@ -330,7 +269,7 @@ impl QueryServer {
                 PlannedRequest {
                     plan,
                     records,
-                    mode,
+                    mode: AnytimeMode::exhaustive(),
                 }
             })
             .collect();
@@ -474,29 +413,56 @@ pub(crate) struct VerifiedBatch {
 mod tests {
     use super::*;
     use crate::accuracy::GroundTruthLabels;
-    use crate::ingest::{IngestCnn, IngestEngine, IngestParams};
+    use crate::ingest::{IngestCnn, IngestParams};
+    use crate::pipeline::tests::replay;
+    use crate::query::QueryRequest;
     use focus_cnn::specialize::SpecializationLevel;
     use focus_cnn::{ModelSpec, SpecializedCnn};
-    use focus_index::QueryFilter;
+    use focus_index::{QueryFilter, TopKIndex};
     use focus_video::profile::profile_by_name;
     use focus_video::VideoDataset;
 
-    fn setup(k: usize) -> (VideoDataset, IngestOutput) {
+    /// One recording's index and the model that built it: what the
+    /// in-memory reference planner plans over.
+    struct Ingested {
+        index: TopKIndex,
+        model: IngestCnn,
+    }
+
+    fn ingest(ds: &VideoDataset, model: IngestCnn, params: IngestParams) -> Ingested {
+        let index = replay(ds, &model, params).seal_segment();
+        Ingested { index, model }
+    }
+
+    /// Plans every request with [`QueryPlan::build`] and serves the plans
+    /// in one [`QueryServer::serve_resolved`] call.
+    fn serve(
+        server: &QueryServer,
+        out: &Ingested,
+        requests: &[QueryRequest],
+        meter: &GpuMeter,
+    ) -> Vec<QueryOutcome> {
+        let (plans, records): (Vec<_>, Vec<_>) = requests
+            .iter()
+            .map(|request| QueryPlan::build(&out.index, &out.model, request))
+            .unzip();
+        let resolve = |id| out.index.centroid(id).cloned();
+        server.serve_resolved(&plans, &records, resolve, meter)
+    }
+
+    fn setup(k: usize) -> (VideoDataset, Ingested) {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 90.0);
-        let out = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-            IngestParams {
-                k,
-                ..IngestParams::default()
-            },
-        )
-        .ingest(&ds, &GpuMeter::new());
+        let params = IngestParams {
+            k,
+            ..IngestParams::default()
+        };
+        let out = ingest(&ds, IngestCnn::generic(ModelSpec::cheap_cnn_1()), params);
         (ds, out)
     }
 
     /// A 120-second recording ingested with a model specialized to its `ls`
     /// most frequent classes and a top-`k` index.
-    fn setup_specialized(k: usize, ls: usize) -> (VideoDataset, IngestOutput) {
+    fn setup_specialized(k: usize, ls: usize) -> (VideoDataset, Ingested) {
         let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), 120.0);
         let gt = GroundTruthCnn::resnet152();
         let sample: Vec<_> = ds
@@ -511,7 +477,7 @@ mod tests {
             k,
             ..IngestParams::default()
         };
-        let out = IngestEngine::new(model, params).ingest(&ds, &GpuMeter::new());
+        let out = ingest(&ds, model, params);
         (ds, out)
     }
 
@@ -521,8 +487,8 @@ mod tests {
 
     /// `request` served alone by a fresh server: every candidate verified
     /// exactly once, nothing cached, nothing shared.
-    fn cold(out: &IngestOutput, request: QueryRequest) -> QueryOutcome {
-        server().serve(out, &[request], &GpuMeter::new()).remove(0)
+    fn cold(out: &Ingested, request: QueryRequest) -> QueryOutcome {
+        serve(&server(), out, &[request], &GpuMeter::new()).remove(0)
     }
 
     #[test]
@@ -531,7 +497,7 @@ mod tests {
         let classes = ds.dominant_classes(3);
         let server = server();
         let requests: Vec<QueryRequest> = classes.iter().map(|c| QueryRequest::new(*c)).collect();
-        let served = server.serve(&out, &requests, &GpuMeter::new());
+        let served = serve(&server, &out, &requests, &GpuMeter::new());
         for (request, outcome) in requests.iter().zip(served.iter()) {
             let alone = cold(&out, request.clone());
             assert_eq!(outcome.frames, alone.frames);
@@ -549,12 +515,12 @@ mod tests {
         let server = server();
         let requests = vec![QueryRequest::new(class)];
         let meter = GpuMeter::new();
-        let first = server.serve(&out, &requests, &meter);
+        let first = serve(&server, &out, &requests, &meter);
         let charged_after_first = meter.phase("query").seconds();
         assert!(first[0].centroid_inferences > 0);
         assert!(charged_after_first > 0.0);
 
-        let second = server.serve(&out, &requests, &meter);
+        let second = serve(&server, &out, &requests, &meter);
         assert_eq!(first[0].frames, second[0].frames);
         assert_eq!(first[0].objects, second[0].objects);
         assert_eq!(second[0].centroid_inferences, 0);
@@ -572,7 +538,7 @@ mod tests {
         // The same query twice in one batch: the second instance must not
         // schedule any additional inference.
         let requests = vec![QueryRequest::new(class), QueryRequest::new(class)];
-        let served = server.serve(&out, &requests, &GpuMeter::new());
+        let served = serve(&server, &out, &requests, &GpuMeter::new());
         assert_eq!(served[0].frames, served[1].frames);
         assert!(served[0].centroid_inferences > 0);
         assert_eq!(served[1].centroid_inferences, 0);
@@ -607,9 +573,7 @@ mod tests {
         let labels = GroundTruthLabels::compute(&ds, &GroundTruthCnn::resnet152());
         let class = labels.dominant_classes(1)[0];
         let meter = GpuMeter::new();
-        let outcome = server()
-            .serve(&out, &[QueryRequest::new(class)], &meter)
-            .remove(0);
+        let outcome = serve(&server(), &out, &[QueryRequest::new(class)], &meter).remove(0);
         assert!(!outcome.frames.is_empty());
         assert!(outcome.confirmed_clusters <= outcome.matched_clusters);
         assert_eq!(outcome.centroid_inferences, outcome.matched_clusters);
@@ -625,7 +589,7 @@ mod tests {
         let (ds, out) = setup_specialized(2, 15);
         let class = ds.dominant_classes(1)[0];
         let outcome = cold(&out, QueryRequest::new(class));
-        let query_all_cost = GroundTruthCnn::resnet152().cost_per_inference() * out.objects_total;
+        let query_all_cost = GroundTruthCnn::resnet152().cost_per_inference() * ds.object_count();
         assert!(
             outcome.gpu_cost.seconds() * 5.0 < query_all_cost.seconds(),
             "query cost {} vs query-all {}",
@@ -656,7 +620,7 @@ mod tests {
         let outcome = cold(&out, QueryRequest::new(rare));
         assert_ne!(
             outcome.class,
-            QueryPlan::build(&out, &QueryRequest::new(rare))
+            QueryPlan::build(&out.index, &out.model, &QueryRequest::new(rare))
                 .0
                 .lookup_class
         );
@@ -700,8 +664,8 @@ mod tests {
         let request = [QueryRequest::new(ds.dominant_classes(1)[0])];
         let few = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(2));
         let many = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(20));
-        let a = few.serve(&out, &request, &GpuMeter::new()).remove(0);
-        let b = many.serve(&out, &request, &GpuMeter::new()).remove(0);
+        let a = serve(&few, &out, &request, &GpuMeter::new()).remove(0);
+        let b = serve(&many, &out, &request, &GpuMeter::new()).remove(0);
         assert_eq!(a.gpu_cost, b.gpu_cost);
         assert!(b.latency_secs < a.latency_secs);
         assert_eq!(few.gpus().num_gpus, 2);
@@ -716,13 +680,13 @@ mod tests {
         // flip from non-empty to empty across the retrain.
         let server = QueryServer::new(GroundTruthCnn::with_flicker(0.0), GpuClusterSpec::new(4));
         let request = vec![QueryRequest::new(class)];
-        let before = server.serve(&out, &request, &GpuMeter::new());
+        let before = serve(&server, &out, &request, &GpuMeter::new());
         assert!(before[0].confirmed_clusters > 0);
         assert_eq!(server.epoch(), 0);
 
         server.retrain_ground_truth(GroundTruthCnn::with_flicker(1.0));
         assert_eq!(server.epoch(), 1);
-        let after = server.serve(&out, &request, &GpuMeter::new());
+        let after = serve(&server, &out, &request, &GpuMeter::new());
         // Old verdicts were not served: the new model re-ran and rejected.
         assert!(after[0].centroid_inferences > 0);
         assert_ne!(before[0].confirmed_clusters, after[0].confirmed_clusters);
@@ -734,11 +698,11 @@ mod tests {
         let class = ds.dominant_classes(1)[0];
         let server = server();
         let request = vec![QueryRequest::new(class)];
-        let first = server.serve(&out, &request, &GpuMeter::new());
+        let first = serve(&server, &out, &request, &GpuMeter::new());
         assert!(server.cache_stats().entries > 0);
         server.invalidate();
         assert_eq!(server.cache_stats().entries, 0);
-        let second = server.serve(&out, &request, &GpuMeter::new());
+        let second = serve(&server, &out, &request, &GpuMeter::new());
         // Same model, so same results — but the work was re-done.
         assert_eq!(first[0].frames, second[0].frames);
         assert_eq!(first[0].centroid_inferences, second[0].centroid_inferences);
@@ -749,7 +713,7 @@ mod tests {
         let (_, out) = setup(4);
         let server = server();
         let meter = GpuMeter::new();
-        assert!(server.serve(&out, &[], &meter).is_empty());
+        assert!(serve(&server, &out, &[], &meter).is_empty());
         assert_eq!(meter.total().seconds(), 0.0);
         assert_eq!(server.cache_stats(), CacheStats::default());
     }
@@ -759,13 +723,8 @@ mod tests {
         let (_, out) = setup(4);
         let server = server();
         let meter = GpuMeter::new();
-        let outcome = server
-            .serve(
-                &out,
-                &[QueryRequest::new(ClassId(850)).with_filter(QueryFilter::any().with_kx(1))],
-                &meter,
-            )
-            .remove(0);
+        let absent = QueryRequest::new(ClassId(850)).with_filter(QueryFilter::any().with_kx(1));
+        let outcome = serve(&server, &out, &[absent], &meter).remove(0);
         // GT confirmation rejects stray postings for a class that never
         // occurs in the stream.
         assert_eq!(outcome.confirmed_clusters, 0);
@@ -800,7 +759,7 @@ mod tests {
             let reqs = &requests;
             let serving = scope.spawn(move || {
                 for _ in 0..30 {
-                    let outcomes = srv.serve(out_ref, reqs, &GpuMeter::new());
+                    let outcomes = serve(srv, out_ref, reqs, &GpuMeter::new());
                     assert_eq!(outcomes.len(), 2);
                     // Both requests of a batch share one pinned epoch.
                     assert_eq!(outcomes[0].frames, outcomes[1].frames);

@@ -19,7 +19,8 @@
 //! replaying a stream always reproduces the same segment partitioning, ids
 //! and bytes. `tests/live_service.rs`
 //! (`live_ingest_matches_batch_ingest_for_a_fixed_model`) pins the service's
-//! index and ingest GPU seconds to the in-memory batch reference.
+//! index and ingest GPU seconds to a bare pipeline's replay of the same
+//! frames.
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +29,7 @@ use focus_index::TopKIndex;
 use focus_video::{Frame, FrameId, ObjectObservation, StreamId};
 
 use crate::ingest::IngestParams;
-use crate::pipeline::{FramePipeline, PipelineOutput};
+use crate::pipeline::FramePipeline;
 
 /// When a stream's pending records are sealed into a segment: after
 /// `max_frames` frames or `max_secs` of stream time, whichever comes first.
@@ -118,8 +119,7 @@ impl SealPolicy {
 ///     .iter()
 ///     .filter_map(|frame| segmenter.push_frame(frame, model.classifier.as_ref()))
 ///     .collect();
-/// let (last, output) = segmenter.finish();
-/// parts.extend(last);
+/// parts.push(segmenter.seal_pending());
 ///
 /// // 40 seconds at a 10-second budget: four key-disjoint parts that hold
 /// // every object of the stream between them.
@@ -128,7 +128,7 @@ impl SealPolicy {
 /// for part in &parts {
 ///     assert_eq!(merged.merge_from(part), 0);
 /// }
-/// assert_eq!(merged.stats().objects, output.stats.objects);
+/// assert_eq!(merged.stats().objects, segmenter.pipeline().stats().objects);
 /// ```
 #[derive(Debug)]
 pub struct StreamSegmenter {
@@ -257,20 +257,6 @@ impl StreamSegmenter {
         self.frames_in_segment = 0;
         self.pipeline.seal_segment()
     }
-
-    /// Drains the final pending segment and finishes the pipeline,
-    /// consuming the segmenter. The output's own index is empty by
-    /// construction (every record was drained into a part).
-    pub fn finish(mut self) -> (Option<TopKIndex>, PipelineOutput) {
-        let part = self.seal_pending();
-        let part = (!part.is_empty()).then_some(part);
-        let output = self.pipeline.finish();
-        debug_assert!(
-            output.index.is_empty(),
-            "pipeline was drained before finish"
-        );
-        (part, output)
-    }
 }
 
 #[cfg(test)]
@@ -296,7 +282,10 @@ mod tests {
             .iter()
             .filter_map(|frame| segmenter.push_frame(frame, model.classifier.as_ref()))
             .collect();
-        parts.extend(segmenter.finish().0);
+        let last = segmenter.seal_pending();
+        if !last.is_empty() {
+            parts.push(last);
+        }
         parts
     }
 

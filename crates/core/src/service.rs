@@ -1,12 +1,13 @@
 //! The live Focus service: one long-lived object that ingests and serves
 //! at the same time.
 //!
-//! The in-memory reference pair ([`IngestEngine`](crate::ingest::IngestEngine)
-//! then [`QueryServer::serve`](crate::query_server::QueryServer::serve))
-//! runs the paper's two sides as disjoint phases — ingest finishes, *then* queries are served —
-//! so nothing is durable, nothing is visible before the end of the
-//! recording and nothing arbitrates the GPU between the sides.
-//! [`FocusService`] is the one durable driver and unifies them:
+//! The paper runs its two sides as phases: ingest builds the index, then
+//! queries read it. [`FocusService`] is the one driver of both, and runs
+//! them at once — a recorded dataset is the special case of a stream whose
+//! frames all arrive before the first query (`register_stream` →
+//! `advance` → `seal_all` → `serve`, which is what
+//! [`ExperimentRunner`](crate::experiment::ExperimentRunner) does for every
+//! figure):
 //!
 //! * **Hot tail + sealed past** (LSM-style read path): each stream owns a
 //!   [`StreamSegmenter`] whose pipeline accumulates not-yet-sealed records
@@ -21,9 +22,9 @@
 //! * **Snapshot consistency**: the tail overlay is assembled once per
 //!   serve call from immutable parts, so every query of the call sees the
 //!   same instant; the verdict
-//!   cache keys by `(centroid, ground-truth epoch)` exactly as in the
-//!   standalone [`QueryServer`], so nothing cached for the current epoch
-//!   is ever re-verified.
+//!   cache of the embedded [`QueryServer`] keys by `(centroid,
+//!   ground-truth epoch)`, so nothing cached for the current epoch is ever
+//!   re-verified.
 //! * **Specialization behind the service**: each stream runs the
 //!   bootstrap → specialize → retrain lifecycle
 //!   ([`SpecializationLifecycle`]), labelling with the query server's
@@ -610,9 +611,9 @@ impl FocusService {
     /// Serves a batch of queries over the snapshot-consistent union of
     /// sealed segments and every stream's hot tail. The tail overlay is
     /// built once per call; the verdict cache, dedupe and batched GT
-    /// verification behave exactly as in [`QueryServer::serve`] — each
-    /// request run as its [`anytime`](QueryRequest::anytime) mode says —
-    /// and the GPU work is submitted to the shared scheduler.
+    /// verification behave exactly as in [`QueryServer::serve_resolved`] —
+    /// each request run as its [`anytime`](QueryRequest::anytime) mode
+    /// says — and the GPU work is submitted to the shared scheduler.
     pub fn serve(&self, requests: &[QueryRequest]) -> Result<Vec<QueryOutcome>, SegmentError> {
         let runs = self.serve_streaming(requests, |_, _| {}, |_| {})?;
         Ok(runs.into_iter().map(|run| run.outcome).collect())
@@ -937,6 +938,13 @@ impl FocusService {
     /// [`ServiceConfig::adaptation`]).
     pub fn stream_controller(&self, stream: StreamId) -> Option<&StreamController> {
         self.streams.get(&stream)?.controller.as_ref()
+    }
+
+    /// The ingest pipeline of one stream (`None` for unregistered
+    /// streams): its counters and the GPU seconds its classifications
+    /// accrued, one inference at a time.
+    pub fn stream_pipeline(&self, stream: StreamId) -> Option<&FramePipeline> {
+        Some(self.streams.get(&stream)?.segmenter.pipeline())
     }
 
     /// The service configuration.

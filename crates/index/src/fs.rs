@@ -90,12 +90,7 @@ impl Fs for OsFs {
     /// writes (the segment store does, by requiring `&mut self` for all
     /// writes).
     fn write_atomic(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-        let mut file_name = path
-            .file_name()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
-            .to_os_string();
-        file_name.push(".tmp");
-        let tmp = path.with_file_name(file_name);
+        let tmp = tmp_path(path)?;
         {
             let mut file = File::create(&tmp)?;
             file.write_all(contents)?;
@@ -137,6 +132,16 @@ impl Fs for OsFs {
     }
 }
 
+/// The sibling `<name>.tmp` an atomic write of `path` goes through.
+fn tmp_path(path: &Path) -> io::Result<PathBuf> {
+    let mut file_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
+        .to_os_string();
+    file_name.push(".tmp");
+    Ok(path.with_file_name(file_name))
+}
+
 impl ReadAt for File {
     fn read_exact_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         self.seek(SeekFrom::Start(offset))?;
@@ -152,8 +157,8 @@ enum Entry {
 /// An in-memory [`Fs`]: a map from path to directory or file bytes,
 /// with the semantics the storage layer relies on from [`OsFs`] — a
 /// write or rename needs its parent directory, a listing is sorted, an
-/// absent path is [`io::ErrorKind::NotFound`]. Atomic writes replace
-/// the entry in one step and leave no temp file.
+/// absent path is [`io::ErrorKind::NotFound`]. An atomic write goes
+/// through the same temp file as on the disk, in one step under one lock.
 #[derive(Default)]
 pub struct MemFs {
     entries: Mutex<BTreeMap<PathBuf, Entry>>,
@@ -222,10 +227,19 @@ impl Fs for MemFs {
         Ok(Box::new(MemFile(Self::file(&self.entries.lock(), path)?)))
     }
 
+    /// [`OsFs::write_atomic`]'s steps, under one lock: the bytes go to a
+    /// sibling `<name>.tmp`, which then replaces `path`. A replace that
+    /// fails — `path` is a directory — leaves the temp file behind, as on
+    /// the disk.
     fn write_atomic(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
+        let tmp = tmp_path(path)?;
+        let bytes = Arc::new(contents.to_vec());
         let mut entries = self.entries.lock();
+        Self::check_writable(&entries, &tmp)?;
+        entries.insert(tmp.clone(), Entry::File(Arc::clone(&bytes)));
         Self::check_writable(&entries, path)?;
-        entries.insert(path.to_path_buf(), Entry::File(Arc::new(contents.to_vec())));
+        entries.remove(&tmp);
+        entries.insert(path.to_path_buf(), Entry::File(bytes));
         Ok(())
     }
 
@@ -285,7 +299,8 @@ mod tests {
 
     /// The same operations on [`OsFs`] and [`MemFs`] leave the same
     /// listing and bytes, and fail the same way: a replaced file holds the
-    /// second write and no temp file is left beside it.
+    /// second write and no temp file is left beside it, and a write over a
+    /// directory leaves its temp file on both.
     #[test]
     fn mem_fs_behaves_as_os_fs() {
         let os_root = std::env::temp_dir().join("focus_index_fs_equivalence");
@@ -317,9 +332,9 @@ mod tests {
             fs.write_atomic(&dir.join("d"), b"gone").unwrap();
             fs.remove(&dir.join("d")).unwrap();
             assert!(fs.remove(&dir.join("d")).is_err());
-            // A directory where a file is written: the write fails (outside
-            // `dir`, whose listing is compared: `OsFs` leaves its temp file).
-            let blocked = root.join("blocked");
+            // A directory where a file is written: the write fails and
+            // leaves its temp file, which the listing compares.
+            let blocked = dir.join("blocked");
             fs.create_dir_all(&blocked).unwrap();
             assert!(fs.write_atomic(&blocked, b"x").is_err());
             assert!(fs.read(&blocked).is_err());
@@ -330,7 +345,7 @@ mod tests {
                 .map(|path| {
                     assert_eq!(path.parent(), Some(dir.as_path()));
                     let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                    (name, fs.read(path).unwrap())
+                    (name, fs.read(path).ok())
                 })
                 .collect();
             assert!(fs.exists(&dir.join("c")).unwrap());
@@ -340,8 +355,10 @@ mod tests {
         assert_eq!(
             seen[0],
             vec![
-                ("a".to_string(), b"0123456789".to_vec()),
-                ("c".to_string(), b"second".to_vec())
+                ("a".to_string(), Some(b"0123456789".to_vec())),
+                ("blocked".to_string(), None),
+                ("blocked.tmp".to_string(), Some(b"x".to_vec())),
+                ("c".to_string(), Some(b"second".to_vec())),
             ]
         );
         fs::remove_dir_all(&os_root).ok();

@@ -3,16 +3,20 @@
 //! This is the smallest end-to-end use of the public API:
 //!
 //! 1. generate a recording of a busy traffic intersection,
-//! 2. ingest it with a cheap compressed CNN (building the top-K index),
+//! 2. ingest it into a `FocusService` with a cheap compressed CNN (building
+//!    the top-K index, sealed into segments),
 //! 3. query for the frames that contain a car,
 //! 4. verify the answer against the ground-truth CNN.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use std::sync::Arc;
+
+use focus::index::{MemFs, SegmentError};
 use focus::prelude::*;
 use focus::video::ClassRegistry;
 
-fn main() {
+fn main() -> Result<(), SegmentError> {
     // 1. A five-minute recording of the `auburn_c` traffic camera profile.
     let profile = focus::video::profile::profile_by_name("auburn_c").expect("built-in profile");
     println!(
@@ -30,32 +34,48 @@ fn main() {
     //    than the ground truth) and a top-60 index — the operating point
     //    Figure 5 of the paper picks for this model. (Per-stream specialized
     //    models do even better; see the live_service and
-    //    traffic_investigation examples.)
-    let meter = GpuMeter::new();
-    let ingest = IngestEngine::new(
-        IngestCnn::generic(focus::cnn::ModelSpec::cheap_cnn_1()),
-        IngestParams {
-            k: 60,
-            ..IngestParams::default()
+    //    traffic_investigation examples.) The service keeps its store in
+    //    memory here (`FocusService::create(dir, ..)` puts it on disk), and
+    //    draws no ground-truth labels, so it never specializes and the model
+    //    stays fixed.
+    let gt = GroundTruthCnn::resnet152();
+    let gpus = GpuClusterSpec::new(10);
+    let config = ServiceConfig {
+        worker: StreamWorkerConfig {
+            params: IngestParams {
+                k: 60,
+                ..IngestParams::default()
+            },
+            bootstrap_model: focus::cnn::ModelSpec::cheap_cnn_1(),
+            gt_label_fraction: 0.0,
+            ..StreamWorkerConfig::default()
         },
-    )
-    .ingest(&dataset, &meter);
+        gpus,
+        ..ServiceConfig::default()
+    };
+    let mut service = FocusService::create_with(
+        Arc::new(MemFs::default()),
+        "/quickstart",
+        config,
+        gt.clone(),
+    )?;
+    service.register_stream(dataset.profile.stream_id, dataset.profile.fps)?;
+    service.advance(&dataset.frames)?;
+    service.seal_all()?;
+    let stats = service.stats();
+    let ingest_gpu = focus::cnn::GpuCost(stats.gpu.submitted_by_phase["ingest"]);
     println!(
-        "ingested: {} objects classified ({} skipped by pixel differencing), {} clusters, {:.1} GPU-seconds",
-        ingest.objects_classified,
-        ingest.objects_total - ingest.objects_classified,
-        ingest.clusters,
-        ingest.gpu_cost.seconds()
+        "ingested: {} objects into {} clusters in {} segments, {:.1} GPU-seconds",
+        stats.objects_indexed,
+        stats.store_clusters,
+        stats.segments,
+        ingest_gpu.seconds()
     );
 
     // 3. Query: "find all frames with a car", on a 10-GPU cluster.
     let registry = ClassRegistry::new();
     let car = registry.find("car").expect("car is a known class");
-    let gt = GroundTruthCnn::resnet152();
-    let gpus = GpuClusterSpec::new(10);
-    let outcome = QueryServer::new(gt.clone(), gpus)
-        .serve(&ingest, &[QueryRequest::new(car)], &meter)
-        .remove(0);
+    let outcome = service.serve(&[QueryRequest::new(car)])?.remove(0);
     println!(
         "query 'car': {} frames returned, {} clusters verified by the GT-CNN, batched latency {:.2}s",
         outcome.frames.len(),
@@ -80,7 +100,8 @@ fn main() {
     let unbatched = gpus.latency_secs(gt.cost_per_inference() * outcome.matched_clusters);
     println!(
         "vs baselines: ingest {:.0}x cheaper than Ingest-all, query {:.0}x faster than Query-all",
-        baselines.ingest_cheaper_factor(ingest.gpu_cost),
+        baselines.ingest_cheaper_factor(ingest_gpu),
         baselines.query_faster_factor(unbatched)
     );
+    Ok(())
 }

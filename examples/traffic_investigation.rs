@@ -2,25 +2,31 @@
 //!
 //! "Following a theft, the police would query a few days of video from a
 //! handful of surveillance cameras" (§1). This example ingests several
-//! cameras into one combined index, then answers a time-restricted,
+//! cameras into one service, then answers a time-restricted,
 //! camera-restricted query: *which frames from the two downtown cameras
 //! contain a truck between minute 2 and minute 6?*
 //!
-//! It demonstrates: per-stream parameter selection, index merging across
-//! cameras, camera/time filters, and the dynamic-Kx knob for a fast first
-//! look at the results.
+//! It demonstrates: per-stream parameter selection installed on a live
+//! service, one store shared by every camera, camera/time filters, and the
+//! dynamic-Kx knob for a fast first look at the results.
 //!
 //! Run with `cargo run --release --example traffic_investigation`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use focus::core::{AccuracyTarget, IngestOutput, TradeoffPolicy};
+use focus::core::{AccuracyTarget, TradeoffPolicy};
+use focus::index::{MemFs, SegmentError};
 use focus::prelude::*;
 use focus::video::ClassRegistry;
 
-/// Ingest one camera with the configuration chosen by Focus's parameter
-/// selection (Balance policy).
-fn ingest_camera(name: &str, duration_secs: f64, meter: &GpuMeter) -> (VideoDataset, IngestOutput) {
+/// Ingest one camera into `service` with the configuration chosen by
+/// Focus's parameter selection (Balance policy).
+fn ingest_camera(
+    service: &mut FocusService,
+    name: &str,
+    duration_secs: f64,
+) -> Result<VideoDataset, SegmentError> {
     let profile = focus::video::profile::profile_by_name(name).expect("built-in profile");
     let dataset = VideoDataset::generate(profile, duration_secs);
     let runner = ExperimentRunner::new(ExperimentConfig {
@@ -49,35 +55,54 @@ fn ingest_camera(name: &str, duration_secs: f64, meter: &GpuMeter) -> (VideoData
             " (best effort: accuracy targets not met on the sample)"
         }
     );
-    let output = IngestEngine::new(chosen.model, chosen.params).ingest(&dataset, meter);
-    (dataset, output)
+    let stream = dataset.profile.stream_id;
+    service.register_stream(stream, dataset.profile.fps)?;
+    service.install_configuration(stream, &chosen)?;
+    service.advance(&dataset.frames)?;
+    Ok(dataset)
 }
 
-fn main() {
+fn main() -> Result<(), SegmentError> {
     let cameras = ["auburn_c", "city_a_d", "jacksonh"];
     let duration = 480.0;
-    let meter = GpuMeter::new();
+
+    // One service for every camera, its store in memory here
+    // (`FocusService::create(dir, ..)` puts it on disk). It draws no
+    // ground-truth labels, so the configurations installed below stay
+    // fixed.
+    let config = ServiceConfig {
+        worker: StreamWorkerConfig {
+            gt_label_fraction: 0.0,
+            ..StreamWorkerConfig::default()
+        },
+        gpus: GpuClusterSpec::new(10),
+        ..ServiceConfig::default()
+    };
+    let gt = GroundTruthCnn::resnet152();
+    let mut service =
+        FocusService::create_with(Arc::new(MemFs::default()), "/investigation", config, gt)?;
 
     println!(
         "ingesting {} cameras ({duration} seconds each):",
         cameras.len()
     );
-    let mut ingested: HashMap<&str, (VideoDataset, IngestOutput)> = HashMap::new();
+    let mut ingested: HashMap<&str, VideoDataset> = HashMap::new();
     for camera in cameras {
-        let (dataset, output) = ingest_camera(camera, duration, &meter);
-        ingested.insert(camera, (dataset, output));
+        ingested.insert(camera, ingest_camera(&mut service, camera, duration)?);
     }
+    service.seal_all()?;
+    let stats = service.stats();
     println!(
-        "total ingest GPU time: {:.1}s across {} cameras\n",
-        meter.phase("ingest").seconds(),
-        cameras.len()
+        "total ingest GPU time: {:.1}s across {} cameras, {} segments\n",
+        stats.gpu.submitted_by_phase["ingest"],
+        cameras.len(),
+        stats.segments
     );
 
     // The investigation: trucks seen by the two downtown cameras between
     // minute 2 and minute 6.
     let registry = ClassRegistry::new();
     let truck = registry.find("truck").expect("truck is a known class");
-    let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(10));
     let window = (120.0, 360.0);
     println!(
         "investigation: trucks on auburn_c and city_a_d between {}s and {}s",
@@ -85,17 +110,17 @@ fn main() {
     );
 
     for camera in ["auburn_c", "city_a_d"] {
-        let (dataset, output) = &ingested[camera];
+        let dataset = &ingested[camera];
         let filter =
             QueryFilter::for_stream(dataset.profile.stream_id).with_time_range(window.0, window.1);
 
         // First pass: a low dynamic Kx for a quick look (§5 of the paper).
         let request = QueryRequest::new(truck).with_filter(filter.clone().with_kx(2));
-        let quick_look = server.serve(output, &[request], &meter).remove(0);
+        let quick_look = service.serve(&[request])?.remove(0);
         // Full pass: the complete stored K for the final answer. The quick
         // look's verdicts are cached, so it verifies only the rest.
         let request = QueryRequest::new(truck).with_filter(filter);
-        let full = server.serve(output, &[request], &meter).remove(0);
+        let full = service.serve(&[request])?.remove(0);
 
         let labels = GroundTruthLabels::compute(dataset, &GroundTruthCnn::resnet152());
         let precision = labels.evaluate(truck, &full.frames).precision;
@@ -125,6 +150,7 @@ fn main() {
 
     println!(
         "\ntotal query GPU time: {:.2}s (the GT-CNN touched only cluster centroids)",
-        meter.phase("query").seconds()
+        service.stats().gpu.submitted_by_phase["query"]
     );
+    Ok(())
 }

@@ -17,7 +17,7 @@
 //! | [`cluster`] | `focus-cluster` | Single-pass incremental clustering |
 //! | [`index`] | `focus-index` | The top-K inverted index with camera/time/Kx filtering, merging and the durable segment store |
 //! | [`runtime`] | `focus-runtime` | GPU accounting, the GPU-cluster latency model, the shared ingest/query `GpuScheduler` |
-//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, the in-memory batch ingest driver and the live, durable `FocusService`, the query subsystem (one concurrent, batched, cached `QueryServer`), the live `FocusService`, parameter selection, policies, baselines, experiment runner |
+//! | [`core`] | `focus-core` | The Focus system itself: the shared `FramePipeline`, its one driver, the live, durable `FocusService`, the query subsystem (one concurrent, batched, cached `QueryServer`), parameter selection, policies, baselines, experiment runner |
 //!
 //! # Quick start
 //!
@@ -28,20 +28,21 @@
 //! let profile = focus::video::profile::profile_by_name("auburn_c").unwrap();
 //! let dataset = focus::video::VideoDataset::generate(profile, 60.0);
 //!
-//! // Ingest with a cheap compressed CNN, then query the dominant class.
-//! let meter = focus::runtime::GpuMeter::new();
-//! let ingest = IngestEngine::new(
-//!     IngestCnn::generic(focus::cnn::ModelSpec::cheap_cnn_1()),
-//!     IngestParams { k: 10, ..IngestParams::default() },
+//! // Ingest it into a service over an in-memory store, seal it, then query
+//! // the dominant class.
+//! let mut service = FocusService::create_with(
+//!     std::sync::Arc::new(focus::index::MemFs::default()),
+//!     "/store",
+//!     ServiceConfig::default(),
+//!     GroundTruthCnn::resnet152(),
 //! )
-//! .ingest(&dataset, &meter);
+//! .unwrap();
+//! service.register_stream(dataset.profile.stream_id, dataset.profile.fps).unwrap();
+//! service.advance(&dataset.frames).unwrap();
+//! service.seal_all().unwrap();
 //!
-//! let server = QueryServer::new(
-//!     focus::cnn::GroundTruthCnn::resnet152(),
-//!     focus::runtime::GpuClusterSpec::new(10),
-//! );
 //! let class = dataset.dominant_classes(1)[0];
-//! let result = server.serve(&ingest, &[QueryRequest::new(class)], &meter).remove(0);
+//! let result = service.serve(&[QueryRequest::new(class)]).unwrap().remove(0);
 //! assert!(!result.frames.is_empty());
 //! ```
 //!

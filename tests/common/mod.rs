@@ -1,13 +1,15 @@
 //! Helpers shared by the integration tests that drive a fixed-model
-//! [`FocusService`] and compare it with the in-memory reference pair.
+//! [`FocusService`] and compare it with the in-memory reference: the
+//! service's records merged into one index, planned by [`QueryPlan::build`]
+//! and verified by a cold [`QueryServer`].
 #![allow(dead_code)]
 
-use focus::cnn::{GpuCost, GroundTruthCnn};
+use focus::cnn::GroundTruthCnn;
 use focus::core::{
-    FocusService, IngestCnn, IngestOutput, IngestParams, QueryOutcome, QueryRequest, QueryServer,
+    FocusService, IngestCnn, IngestParams, QueryOutcome, QueryPlan, QueryRequest, QueryServer,
     SealPolicy, ServiceConfig, StreamWorkerConfig,
 };
-use focus::index::{Fs, MemFs};
+use focus::index::{Fs, MemFs, TopKIndex};
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{Frame, VideoDataset};
@@ -115,6 +117,22 @@ pub fn ingested_service(
     service
 }
 
+/// `dataset` replayed through a fresh [`config`]-configured service on a
+/// [`mem_fs`] with `params` in force, every record sealed.
+pub fn sealed_service(dataset: &VideoDataset, params: IngestParams) -> FocusService {
+    let mut config = config(1e9);
+    config.worker.params = params;
+    let gt = GroundTruthCnn::resnet152();
+    let mut service = FocusService::create_with(mem_fs(), MEM_DIR, config, gt).unwrap();
+    let profile = &dataset.profile;
+    service
+        .register_stream(profile.stream_id, profile.fps)
+        .unwrap();
+    service.advance(&dataset.frames).unwrap();
+    service.seal_all().unwrap();
+    service
+}
+
 /// The stable payload of an outcome: result frames and objects. The
 /// accounting fields (inference counts, GPU cost, latency) legitimately
 /// differ between execution modes.
@@ -124,32 +142,44 @@ pub fn payload_json(outcome: &QueryOutcome) -> String {
 
 /// Everything a fixed-model service holds — its sealed segments merged,
 /// plus the hot tail, centroid observations included — as one in-memory
-/// [`IngestOutput`]: the corpus [`cold_serve`] answers from, and so the
-/// reference a durable serve is compared against.
-pub fn reference_output(service: &FocusService) -> IngestOutput {
+/// index: the corpus [`reference_serve`] answers from, and so the reference
+/// a durable serve is compared against.
+pub fn reference_output(service: &FocusService) -> TopKIndex {
     let mut index = service.store().merged_index().unwrap();
     for part in service.tail_snapshot().parts() {
         assert_eq!(index.merge_from(part.index()), 0);
     }
-    let objects_total = index.stats().objects;
-    IngestOutput {
-        clusters: index.len(),
-        index,
-        model: IngestCnn::generic(service.config().worker.bootstrap_model),
-        params: service.config().worker.params,
-        gpu_cost: GpuCost::ZERO,
-        frames_total: 0,
-        frames_with_motion: 0,
-        objects_total,
-        objects_classified: objects_total,
-    }
+    index
 }
 
-/// `request` served alone by a fresh [`QueryServer`] over `ingest`: every
-/// candidate verified exactly once, with no cache and nothing shared — the
-/// reference a shared, cached or durable serve is compared against.
-pub fn cold_serve(ingest: &IngestOutput, request: &QueryRequest) -> QueryOutcome {
-    QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4))
-        .serve(ingest, std::slice::from_ref(request), &GpuMeter::new())
-        .remove(0)
+/// `requests` planned over `index` by the in-memory reference planner
+/// ([`QueryPlan::build`], under the fixed model of [`config`]) and served
+/// in one [`QueryServer::serve_resolved`] call by `server`.
+pub fn serve_planned(
+    server: &QueryServer,
+    index: &TopKIndex,
+    requests: &[QueryRequest],
+    meter: &GpuMeter,
+) -> Vec<QueryOutcome> {
+    let model = IngestCnn::generic(config(1e9).worker.bootstrap_model);
+    let (plans, records): (Vec<_>, Vec<_>) = requests
+        .iter()
+        .map(|request| QueryPlan::build(index, &model, request))
+        .unzip();
+    server.serve_resolved(&plans, &records, |id| index.centroid(id).cloned(), meter)
+}
+
+/// `requests` served in one call by the in-memory reference: planned over
+/// `index` and verified by a fresh [`QueryServer`] with the GPU cluster of
+/// [`config`], nothing cached.
+pub fn reference_serve(index: &TopKIndex, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
+    let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
+    serve_planned(&server, index, requests, &GpuMeter::new())
+}
+
+/// `request` served alone by the in-memory reference ([`reference_serve`]):
+/// every candidate verified exactly once, with no cache and nothing shared
+/// — the reference a shared, cached or durable serve is compared against.
+pub fn cold_serve(index: &TopKIndex, request: &QueryRequest) -> QueryOutcome {
+    reference_serve(index, std::slice::from_ref(request)).remove(0)
 }

@@ -6,10 +6,10 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::cold_serve;
+use common::{cold_serve, reference_output, sealed_service};
 use focus::cnn::{Classifier, GroundTruthCnn, ModelSpec};
-use focus::core::{IngestCnn, IngestEngine, IngestParams, QueryRequest};
-use focus::runtime::{BatchCostModel, GpuMeter};
+use focus::core::{IngestCnn, IngestParams, QueryRequest};
+use focus::runtime::BatchCostModel;
 use focus::video::profile::{profile_by_name, table1_profiles};
 use focus::video::VideoDataset;
 
@@ -38,31 +38,33 @@ proptest! {
         let dataset = VideoDataset::generate(profile, duration);
         let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
         let per_inference = model.cost_per_inference().seconds();
-        let meter = GpuMeter::new();
-        let out = IngestEngine::new(
-            model,
+        let service = sealed_service(
+            &dataset,
             IngestParams {
                 k,
                 cluster_threshold: threshold,
                 ..IngestParams::default()
             },
-        )
-        .ingest(&dataset, &meter);
+        );
+        let stats = service.stats();
+        let index = service.store().merged_index().unwrap();
 
         // Every object is indexed exactly once across all clusters.
-        let indexed: usize = out.index.clusters().map(|c| c.len()).sum();
-        prop_assert_eq!(indexed, out.objects_total);
-        prop_assert_eq!(out.objects_total, dataset.object_count());
-        prop_assert!(out.objects_classified <= out.objects_total);
-        prop_assert_eq!(out.clusters, out.index.len());
-        // GPU accounting matches the number of inferences.
-        let expected = per_inference * out.objects_classified as f64;
-        prop_assert!((out.gpu_cost.seconds() - expected).abs() < 1e-9);
-        prop_assert!((meter.phase("ingest").seconds() - expected).abs() < 1e-9);
+        let indexed: usize = index.clusters().map(|c| c.len()).sum();
+        prop_assert_eq!(indexed, stats.objects_indexed);
+        prop_assert_eq!(stats.objects_indexed, dataset.object_count());
+        prop_assert_eq!(stats.store_clusters, index.len());
+        // GPU accounting is a whole number of inferences of the model, no
+        // more than the objects seen.
+        let ingest = stats.gpu.submitted_by_phase.get("ingest").copied().unwrap_or(0.0);
+        let classified = (ingest / per_inference).round();
+        prop_assert!((ingest - per_inference * classified).abs() < 1e-9);
+        prop_assert!(classified as usize <= stats.objects_indexed);
         // Every stored cluster has a centroid observation and valid time
         // bounds.
-        for record in out.index.clusters() {
-            prop_assert!(out.index.centroid(record.centroid_object).is_some());
+        for record in index.clusters() {
+            prop_assert!(index.centroid(record.centroid_object).is_some());
+            prop_assert!(service.corpus().centroids.contains_key(&record.centroid_object));
             prop_assert!(record.start_secs <= record.end_secs + 1e-9);
             prop_assert!(record.top_k_classes.len() <= k);
             prop_assert!(!record.is_empty());
@@ -80,18 +82,22 @@ proptest! {
         if dataset.object_count() == 0 {
             return Ok(());
         }
-        let out = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
+        let service = sealed_service(
+            &dataset,
             IngestParams {
                 k,
                 cluster_threshold: threshold,
                 ..IngestParams::default()
             },
-        )
-        .ingest(&dataset, &GpuMeter::new());
+        );
         let gt = GroundTruthCnn::resnet152();
         let class = dataset.dominant_classes(1)[0];
-        let outcome = cold_serve(&out, &QueryRequest::new(class));
+        let request = QueryRequest::new(class);
+        let outcome = cold_serve(&reference_output(&service), &request);
+        // The service answers what the in-memory reference answers.
+        let served = service.serve(std::slice::from_ref(&request)).unwrap().remove(0);
+        prop_assert_eq!(&served.frames, &outcome.frames);
+        prop_assert_eq!(&served.objects, &outcome.objects);
 
         prop_assert!(outcome.confirmed_clusters <= outcome.matched_clusters);
         prop_assert_eq!(outcome.centroid_inferences, outcome.matched_clusters);
@@ -122,18 +128,20 @@ fn dominant_class_query_recall_holds_across_streams() {
     // high segment recall.
     for name in ["auburn_c", "lausanne", "cnn"] {
         let dataset = VideoDataset::generate(profile_by_name(name).unwrap(), 90.0);
-        let out = IngestEngine::new(
-            IngestCnn::generic(ModelSpec::cheap_cnn_1()),
+        let service = sealed_service(
+            &dataset,
             IngestParams {
                 k: 200,
                 ..IngestParams::default()
             },
-        )
-        .ingest(&dataset, &GpuMeter::new());
+        );
         let gt = GroundTruthCnn::resnet152();
         let labels = focus::core::GroundTruthLabels::compute(&dataset, &gt);
         let class = labels.dominant_classes(1)[0];
-        let outcome = cold_serve(&out, &QueryRequest::new(class));
+        let outcome = service
+            .serve(&[QueryRequest::new(class)])
+            .unwrap()
+            .remove(0);
         let report = labels.evaluate(class, &outcome.frames);
         assert!(
             report.recall > 0.85,

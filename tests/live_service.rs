@@ -12,14 +12,13 @@ use common::{
     cold_serve, config, interleave, mem_fs, reference_output, service_at, test_dir, workload,
     MEM_DIR,
 };
-use focus::cnn::{GroundTruthCnn, ModelSpec};
+use focus::cnn::{GpuCost, GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
 use focus::core::{
-    AdaptationConfig, ConfigurationPoint, IngestCnn, IngestEngine, IngestParams, ModelChoice,
+    AdaptationConfig, ConfigurationPoint, FramePipeline, IngestCnn, IngestParams, ModelChoice,
     QueryRequest, SealPolicy, SelectedConfiguration, StreamWorkerConfig,
 };
 use focus::index::{persist, Fs, OsFs, QueryFilter, TopKIndex};
-use focus::runtime::GpuMeter;
 use focus::video::profile::profile_by_name;
 use focus::video::{ClassId, Frame, VideoDataset, NUM_CLASSES};
 
@@ -132,31 +131,33 @@ fn gt_inferences_never_exceed_the_serial_engine() {
     }
 }
 
-/// The live driver against the batch reference, on a two-camera workload:
-/// with the model fixed (no bootstrap, no retrain, no GT labelling) and no
-/// seal before the end of the recording, frame-by-frame `advance` runs the
-/// same shared pipeline as one `IngestEngine::ingest` call per stream, so
-/// the merged index is byte-identical, every object is indexed exactly
-/// once, every centroid is retained and the ingest GPU seconds are what the
-/// batch runs charged — bitwise, where the summation order is the same.
+/// The live driver against a bare pipeline, on a two-camera workload: with
+/// the model fixed (no bootstrap, no retrain, no GT labelling) and no seal
+/// before the end of the recording, frame-by-frame `advance` runs the same
+/// shared pipeline as one `FramePipeline` replay per stream, so the merged
+/// index is byte-identical, every object is indexed exactly once, every
+/// centroid is retained and the ingest GPU seconds are what the replays
+/// accrued.
 #[test]
 fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
     let datasets: Vec<VideoDataset> = ["lausanne", "auburn_c"]
         .iter()
         .map(|n| VideoDataset::generate(profile_by_name(n).unwrap(), 90.0))
         .collect();
-    let engine = IngestEngine::new(
-        IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-        config(1e9).worker.params,
-    );
-    let batch_meter = GpuMeter::new();
+    let model = IngestCnn::generic(ModelSpec::cheap_cnn_1());
     let mut batch_index = TopKIndex::new();
     let mut batch_costs = Vec::new();
     for dataset in &datasets {
-        let batch = engine.ingest(dataset, &batch_meter);
-        assert_eq!(batch.objects_total, dataset.object_count());
-        batch_costs.push(batch.gpu_cost);
-        assert_eq!(batch_index.merge(batch.index), 0);
+        let profile = &dataset.profile;
+        let mut pipeline =
+            FramePipeline::new(profile.stream_id, profile.fps, config(1e9).worker.params);
+        for frame in &dataset.frames {
+            pipeline.push_frame(frame, model.classifier.as_ref());
+        }
+        let index = pipeline.seal_segment();
+        assert_eq!(pipeline.stats().objects, dataset.object_count());
+        batch_costs.push(pipeline.gpu_cost());
+        assert_eq!(batch_index.merge(index), 0);
     }
 
     let mut service = service_with(1e9, &datasets);
@@ -166,8 +167,9 @@ fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
             assert_eq!((report.segments_sealed, report.retrains), (0, 0));
         }
         if i == 0 {
-            // One stream in: the scheduler has summed exactly the charges
-            // the batch run summed, in the same order.
+            // One stream in: on this recording the scheduler's per-frame
+            // charges add up, bit for bit, to what the replay accrued per
+            // inference. The two sums round differently in general.
             assert_eq!(
                 service.stats().gpu.submitted_by_phase["ingest"].to_bits(),
                 batch_costs[0].seconds().to_bits()
@@ -182,7 +184,8 @@ fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
         datasets.iter().map(|d| d.object_count()).sum::<usize>()
     );
     let ingest_secs = stats.gpu.submitted_by_phase["ingest"];
-    assert!((ingest_secs - batch_meter.phase("ingest").seconds()).abs() < 1e-9 * ingest_secs);
+    let batch_secs = batch_costs.iter().copied().sum::<GpuCost>().seconds();
+    assert!((ingest_secs - batch_secs).abs() < 1e-9 * ingest_secs);
     let merged = service.store().merged_index().unwrap();
     assert_eq!(
         persist::to_json(&merged).unwrap(),

@@ -34,7 +34,7 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
     let (service, report) =
         FocusService::recover_with(fs, MEM_DIR, common::config(seal_secs), gt).unwrap();
     assert!(report.is_clean(), "{report:?}");
-    assert_eq!(combined.index.streams(), {
+    assert_eq!(combined.streams(), {
         let mut ids = stream_ids.clone();
         ids.sort();
         ids
@@ -55,7 +55,7 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
         let restricted = cold_serve(&combined, &request(&filter));
         assert!(restricted.matched_clusters <= all.matched_clusters);
         assert_eq!(serve(&filter).frames, restricted.frames);
-        for record in combined.index.lookup(class, &filter) {
+        for record in combined.lookup(class, &filter) {
             assert_eq!(record.key.stream, *stream);
         }
     }
@@ -63,7 +63,7 @@ fn merged_index_answers_camera_and_time_restricted_queries() {
     // Time-restricted query to the first 30 seconds never returns clusters
     // that start after the window.
     let early = QueryFilter::any().with_time_range(0.0, 30.0);
-    for record in combined.index.lookup(class, &early) {
+    for record in combined.lookup(class, &early) {
         assert!(record.start_secs <= 30.0);
     }
 

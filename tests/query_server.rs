@@ -7,25 +7,25 @@ mod common;
 
 use std::sync::Barrier;
 
-use common::cold_serve;
-use focus::cnn::{GroundTruthCnn, ModelSpec};
-use focus::core::{IngestCnn, IngestEngine, IngestParams, QueryOutcome, QueryRequest, QueryServer};
-use focus::index::QueryFilter;
+use common::{cold_serve, reference_output, sealed_service, serve_planned};
+use focus::cnn::GroundTruthCnn;
+use focus::core::{IngestParams, QueryOutcome, QueryRequest, QueryServer};
+use focus::index::{QueryFilter, TopKIndex};
 use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::profile::profile_by_name;
 use focus::video::{ClassId, VideoDataset};
 
-fn ingest(duration_secs: f64, k: usize) -> (VideoDataset, focus::core::IngestOutput) {
+/// `duration_secs` of `auburn_c` ingested by a fixed-model service with a
+/// top-`k` index and sealed, as the merged index the servers below plan
+/// over.
+fn ingest(duration_secs: f64, k: usize) -> (VideoDataset, TopKIndex) {
     let ds = VideoDataset::generate(profile_by_name("auburn_c").unwrap(), duration_secs);
-    let out = IngestEngine::new(
-        IngestCnn::generic(ModelSpec::cheap_cnn_1()),
-        IngestParams {
-            k,
-            ..IngestParams::default()
-        },
-    )
-    .ingest(&ds, &GpuMeter::new());
-    (ds, out)
+    let params = IngestParams {
+        k,
+        ..IngestParams::default()
+    };
+    let index = reference_output(&sealed_service(&ds, params));
+    (ds, index)
 }
 
 /// An overlapping query workload: repeated classes, narrowing filters, and
@@ -59,7 +59,7 @@ fn concurrent_cached_run_is_byte_identical_to_serial_uncached_with_fewer_inferen
     // (b) Concurrent, cached: one server call over the whole workload.
     let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
     let served_meter = GpuMeter::new();
-    let served = server.serve(&out, &workload, &served_meter);
+    let served = serve_planned(&server, &out, &workload, &served_meter);
 
     assert_eq!(serial.len(), served.len());
     for (a, b) in serial.iter().zip(served.iter()) {
@@ -105,12 +105,12 @@ fn second_wave_is_served_entirely_from_cache() {
     let workload = overlapping_workload(&ds);
     let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
 
-    let first = server.serve(&out, &workload, &GpuMeter::new());
+    let first = serve_planned(&server, &out, &workload, &GpuMeter::new());
     let misses_after_first = server.cache_stats().misses;
     assert!(misses_after_first > 0);
 
     let meter = GpuMeter::new();
-    let second = server.serve(&out, &workload, &meter);
+    let second = serve_planned(&server, &out, &workload, &meter);
     // Identical outcomes, zero fresh inferences, zero GPU time.
     for (a, b) in first.iter().zip(second.iter()) {
         assert_eq!(a.frames, b.frames);
@@ -129,7 +129,7 @@ fn retrain_epoch_bump_flips_centroid_verdicts_instead_of_serving_stale_ones() {
 
     // Epoch 0: a flicker-free ground truth confirms the dominant class.
     let server = QueryServer::new(GroundTruthCnn::with_flicker(0.0), GpuClusterSpec::new(4));
-    let before = server.serve(&out, &request, &GpuMeter::new());
+    let before = serve_planned(&server, &out, &request, &GpuMeter::new());
     assert!(before[0].confirmed_clusters > 0);
     assert!(!before[0].frames.is_empty());
 
@@ -137,7 +137,7 @@ fn retrain_epoch_bump_flips_centroid_verdicts_instead_of_serving_stale_ones() {
     // probability 1.0 scatters answers away from the true class). If stale
     // epoch-0 verdicts were served, the result would be unchanged.
     server.retrain_ground_truth(GroundTruthCnn::with_flicker(1.0));
-    let after = server.serve(&out, &request, &GpuMeter::new());
+    let after = serve_planned(&server, &out, &request, &GpuMeter::new());
     assert!(
         after[0].centroid_inferences > 0,
         "the retrained model must re-verify, not reuse cached verdicts"
@@ -150,7 +150,7 @@ fn retrain_epoch_bump_flips_centroid_verdicts_instead_of_serving_stale_ones() {
     // work but reproduces the rejection.
     server.invalidate();
     assert_eq!(server.epoch(), 2);
-    let again = server.serve(&out, &request, &GpuMeter::new());
+    let again = serve_planned(&server, &out, &request, &GpuMeter::new());
     assert!(again[0].centroid_inferences > 0);
     assert_eq!(again[0].frames, after[0].frames);
 }
@@ -159,8 +159,13 @@ fn retrain_epoch_bump_flips_centroid_verdicts_instead_of_serving_stale_ones() {
 fn server_handles_absent_classes_and_empty_batches() {
     let (_, out) = ingest(30.0, 4);
     let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(2));
-    assert!(server.serve(&out, &[], &GpuMeter::new()).is_empty());
-    let outcome = &server.serve(&out, &[QueryRequest::new(ClassId(850))], &GpuMeter::new())[0];
+    assert!(serve_planned(&server, &out, &[], &GpuMeter::new()).is_empty());
+    let outcome = &serve_planned(
+        &server,
+        &out,
+        &[QueryRequest::new(ClassId(850))],
+        &GpuMeter::new(),
+    )[0];
     assert_eq!(outcome.confirmed_clusters, 0);
     assert!(outcome.frames.is_empty());
 }
@@ -196,8 +201,7 @@ fn callers_supply_the_concurrency_on_one_shared_server() {
         .iter()
         .map(|batch| {
             let server = QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
-            server
-                .serve(&out, batch, &GpuMeter::new())
+            serve_planned(&server, &out, batch, &GpuMeter::new())
                 .iter()
                 .map(answer_bytes)
                 .collect()
@@ -216,7 +220,7 @@ fn callers_supply_the_concurrency_on_one_shared_server() {
                 scope.spawn(move || {
                     start.wait();
                     (0..WAVES)
-                        .map(|_| server.serve(out, batch, &GpuMeter::new()))
+                        .map(|_| serve_planned(server, out, batch, &GpuMeter::new()))
                         .collect()
                 })
             })

@@ -9,17 +9,18 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{config, interleave, reference_output, service_at, test_dir, workload};
+use common::{
+    config, interleave, reference_output, reference_serve, service_at, test_dir, workload,
+};
 use focus::cnn::GroundTruthCnn;
 use focus::core::fleet::{FleetConfig, FleetCoordinator};
 use focus::core::service::{SERVICE_STATE_FILE, SERVICE_STATE_VERSION};
-use focus::core::{FocusService, IngestOutput, QueryRequest, QueryServer, ServiceConfig};
+use focus::core::{FocusService, QueryRequest, ServiceConfig};
 use focus::index::persist::{self, PersistError};
 use focus::index::{
     binseg, BinsegError, ClusterKey, ClusterRecord, Fs, Manifest, MemFs, MemberRef, OsFs,
     QueryFilter, SegmentError, SegmentMeta, SegmentStore, TopKIndex,
 };
-use focus::runtime::{GpuClusterSpec, GpuMeter};
 use focus::video::{
     Appearance, BoundingBox, ClassId, FrameId, ObjectId, ObjectObservation, StreamId, TrackId,
     VideoDataset,
@@ -34,7 +35,7 @@ use std::sync::Arc;
 struct Archive {
     datasets: Vec<VideoDataset>,
     sealed: Vec<SegmentMeta>,
-    reference: IngestOutput,
+    reference: TopKIndex,
     dir: PathBuf,
 }
 
@@ -58,11 +59,6 @@ fn build(name: &str, secs: f64, seal_secs: f64, chunk: usize) -> Archive {
 /// The restart: a service recovered from nothing but the directory.
 fn recover(dir: &Path, seal_secs: f64) -> (FocusService, focus::index::OpenReport) {
     FocusService::recover(dir, config(seal_secs), GroundTruthCnn::resnet152()).unwrap()
-}
-
-/// A cold in-memory server with the GPU cluster of [`config`].
-fn server() -> QueryServer {
-    QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4))
 }
 
 /// Every directory and file below `root` on `fs`, as its path below
@@ -112,7 +108,7 @@ fn time_filtered_queries_are_identical_and_open_fewer_segments() {
     // model on the same candidates: outcomes must serialize
     // byte-identically, accounting fields included.
     let served = recovered.serve(&requests).unwrap();
-    let reference = server().serve(&archive.reference, &requests, &GpuMeter::new());
+    let reference = reference_serve(&archive.reference, &requests);
     assert_eq!(
         serde_json::to_string(&served).unwrap(),
         serde_json::to_string(&reference).unwrap()
@@ -179,7 +175,7 @@ fn corrupted_segment_is_quarantined_not_loaded() {
 fn kill_between_writes_recovers_every_sealed_segment() {
     let archive = build("crash", 45.0, 15.0, 64);
     let dir = &archive.dir;
-    let sealed_json = persist::to_json(&archive.reference.index).unwrap();
+    let sealed_json = persist::to_json(&archive.reference).unwrap();
 
     // Crash A: killed mid-segment-write — a partial temp file remains.
     std::fs::write(dir.join("seg-000099.json.tmp"), b"{\"version\":1,\"ind").unwrap();
@@ -695,9 +691,7 @@ fn compaction_preserves_query_results() {
         QueryRequest::new(class),
         QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(0.0, 25.0)),
     ];
-    let reference =
-        serde_json::to_string(&server().serve(&archive.reference, &requests, &GpuMeter::new()))
-            .unwrap();
+    let reference = serde_json::to_string(&reference_serve(&archive.reference, &requests)).unwrap();
 
     // An aggressive trigger, so one maintenance tick compacts.
     let compacting = ServiceConfig {
@@ -847,7 +841,7 @@ proptest! {
                 .with_filter(QueryFilter::any().with_time_range(half, secs).with_kx(3)),
         ];
         let served = recovered.serve(&requests).unwrap();
-        let reference = server().serve(&archive.reference, &requests, &GpuMeter::new());
+        let reference = reference_serve(&archive.reference, &requests);
         prop_assert_eq!(
             serde_json::to_string(&served).unwrap(),
             serde_json::to_string(&reference).unwrap()
