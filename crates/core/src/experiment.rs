@@ -315,7 +315,7 @@ impl ExperimentRunner {
             stream: stream_name.clone(),
             message: e.to_string(),
         };
-        let service = self.ingest(dataset, &chosen).map_err(service_error)?;
+        let service = self.ingest(dataset, &chosen, &gt).map_err(service_error)?;
 
         // 3. Baselines.
         let baselines = BaselineCosts::compute(dataset, &gt, self.config.gpus);
@@ -404,6 +404,7 @@ impl ExperimentRunner {
         &self,
         dataset: &VideoDataset,
         chosen: &SelectedConfiguration,
+        gt: &GroundTruthCnn,
     ) -> Result<FocusService, SegmentError> {
         let config = ServiceConfig {
             worker: StreamWorkerConfig {
@@ -416,9 +417,12 @@ impl ExperimentRunner {
             gpus: self.config.gpus,
             ..ServiceConfig::default()
         };
-        let gt = GroundTruthCnn::resnet152();
-        let mut service =
-            FocusService::create_with(Arc::new(MemFs::default()), "/experiment", config, gt)?;
+        let mut service = FocusService::create_with(
+            Arc::new(MemFs::default()),
+            "/experiment",
+            config,
+            gt.clone(),
+        )?;
         let profile = &dataset.profile;
         service.register_stream(profile.stream_id, profile.fps)?;
         service.install_configuration(profile.stream_id, chosen)?;
@@ -531,7 +535,7 @@ mod tests {
             .or_else(|| selection.choose_or_best_effort(TradeoffPolicy::Balance))
             .unwrap();
         assert_eq!(chosen.point.k, report.chosen_k);
-        let service = runner.ingest(&dataset, &chosen).unwrap();
+        let service = runner.ingest(&dataset, &chosen, &gt).unwrap();
         assert_eq!(service.stats().store_clusters, report.clusters);
         let index = service.store().merged_index().unwrap();
 

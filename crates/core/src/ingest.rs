@@ -247,7 +247,10 @@ mod tests {
                 |ds, r| {
                     let indexed: usize = r[0].index.clusters().map(|c| c.len()).sum();
                     r[0].stats.frames == ds.frames.len()
+                        && r[0].stats.frames_with_motion <= r[0].stats.frames
                         && r[0].stats.objects == ds.object_count()
+                        && r[0].stats.objects_classified > 0
+                        && r[0].stats.objects_classified <= r[0].stats.objects
                         && indexed == r[0].stats.objects
                         && r[0].stats.clusters == r[0].index.len()
                         && r[0].index.clusters().all(|record| {

@@ -63,7 +63,12 @@ fn main() -> Result<(), SegmentError> {
     service.advance(&dataset.frames)?;
     service.seal_all()?;
     let stats = service.stats();
-    let ingest_gpu = focus::cnn::GpuCost(stats.gpu.submitted_by_phase["ingest"]);
+    // The stream's ingest GPU seconds as its pipeline accrued them, one
+    // inference at a time: the figures read the same number.
+    let ingest_gpu = service
+        .stream_pipeline(dataset.profile.stream_id)
+        .expect("the stream is registered")
+        .gpu_cost();
     println!(
         "ingested: {} objects into {} clusters in {} segments, {:.1} GPU-seconds",
         stats.objects_indexed,

@@ -54,12 +54,15 @@ proptest! {
         prop_assert_eq!(indexed, stats.objects_indexed);
         prop_assert_eq!(stats.objects_indexed, dataset.object_count());
         prop_assert_eq!(stats.store_clusters, index.len());
-        // GPU accounting is a whole number of inferences of the model, no
-        // more than the objects seen.
+        // GPU accounting matches the number of inferences, on the stream's
+        // pipeline and on the scheduler's meter.
+        let pipeline = service.stream_pipeline(dataset.profile.stream_id).unwrap();
+        let classified = pipeline.stats().objects_classified;
+        prop_assert!(classified <= pipeline.stats().objects);
+        let expected = per_inference * classified as f64;
+        prop_assert!((pipeline.gpu_cost().seconds() - expected).abs() < 1e-9);
         let ingest = stats.gpu.submitted_by_phase.get("ingest").copied().unwrap_or(0.0);
-        let classified = (ingest / per_inference).round();
-        prop_assert!((ingest - per_inference * classified).abs() < 1e-9);
-        prop_assert!(classified as usize <= stats.objects_indexed);
+        prop_assert!((ingest - expected).abs() < 1e-9);
         // Every stored cluster has a centroid observation and valid time
         // bounds.
         for record in index.clusters() {
