@@ -5,7 +5,8 @@
 //! [`crate::persist`], the segment store, and above them the service and
 //! the fleet, on the `Fs` of the store or fleet they belong to. The trait
 //! has exactly the operations they perform: whole-file reads, positioned
-//! reads through an open handle, atomic replacement, rename, remove,
+//! reads through an open handle, atomic replacement, a durable append to
+//! an existing file (the segment store's manifest log), rename, remove,
 //! directory listing, directory creation and the existence check.
 //! [`OsFs`] is the one production implementation and the one place
 //! `std::fs` is named outside tests; [`MemFs`] keeps the same tree in
@@ -16,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::fs::{self, File};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -39,6 +40,14 @@ pub trait Fs: Debug + Send + Sync {
     /// absent, if it was) — never a prefix. A crash may leave a sibling
     /// `<name>.tmp` behind, which the segment store's open sweeps.
     fn write_atomic(&self, path: &Path, contents: &[u8]) -> io::Result<()>;
+
+    /// Writes `bytes` at the end of the existing file at `path` and flushes
+    /// them to disk: once this returns, the file durably ends with them. A
+    /// missing file is [`io::ErrorKind::NotFound`]. Not atomic: a crash or
+    /// a failure part-way may leave any prefix of `bytes` appended, so a
+    /// reader of an appended file must recognise a torn end (the manifest
+    /// log ends every record with `\n`).
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
 
     /// Renames `from` to `to`, replacing a file at `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -105,6 +114,15 @@ impl Fs for OsFs {
             _ => Path::new("."),
         };
         File::open(parent)?.sync_all()
+    }
+
+    /// Opens `path` for appending (never creating it), writes `bytes` and
+    /// fsyncs the file. The file already exists, so its directory entry
+    /// needs no fsync.
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut file = OpenOptions::new().append(true).open(path)?;
+        file.write_all(bytes)?;
+        file.sync_all()
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
@@ -243,6 +261,19 @@ impl Fs for MemFs {
         Ok(())
     }
 
+    /// Extends the file's bytes in place, or a copy of them when an open
+    /// handle still shares them.
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        match self.entries.lock().get_mut(path) {
+            Some(Entry::File(file)) => {
+                Arc::make_mut(file).extend_from_slice(bytes);
+                Ok(())
+            }
+            Some(Entry::Dir) => Err(not_a_file(path)),
+            None => Err(not_found(path)),
+        }
+    }
+
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut entries = self.entries.lock();
         if !matches!(entries.get(from), Some(Entry::File(_))) {
@@ -299,8 +330,9 @@ mod tests {
 
     /// The same operations on [`OsFs`] and [`MemFs`] leave the same
     /// listing and bytes, and fail the same way: a replaced file holds the
-    /// second write and no temp file is left beside it, and a write over a
-    /// directory leaves its temp file on both.
+    /// second write and no temp file is left beside it, an appended file
+    /// holds both appends, and a write over a directory leaves its temp
+    /// file on both.
     #[test]
     fn mem_fs_behaves_as_os_fs() {
         let os_root = std::env::temp_dir().join("focus_index_fs_equivalence");
@@ -329,6 +361,14 @@ mod tests {
                 fs.read(&dir.join("b")).unwrap_err().kind(),
                 io::ErrorKind::NotFound
             );
+            // An append extends an existing file and creates none.
+            assert_eq!(
+                fs.append(&dir.join("e"), b"x").unwrap_err().kind(),
+                io::ErrorKind::NotFound
+            );
+            fs.write_atomic(&dir.join("e"), b"").unwrap();
+            fs.append(&dir.join("e"), b"one\n").unwrap();
+            fs.append(&dir.join("e"), b"two\n").unwrap();
             fs.write_atomic(&dir.join("d"), b"gone").unwrap();
             fs.remove(&dir.join("d")).unwrap();
             assert!(fs.remove(&dir.join("d")).is_err());
@@ -337,6 +377,7 @@ mod tests {
             let blocked = dir.join("blocked");
             fs.create_dir_all(&blocked).unwrap();
             assert!(fs.write_atomic(&blocked, b"x").is_err());
+            assert!(fs.append(&blocked, b"x").is_err());
             assert!(fs.read(&blocked).is_err());
             let listing: Vec<_> = fs
                 .list(&dir)
@@ -359,6 +400,7 @@ mod tests {
                 ("blocked".to_string(), None),
                 ("blocked.tmp".to_string(), Some(b"x".to_vec())),
                 ("c".to_string(), Some(b"second".to_vec())),
+                ("e".to_string(), Some(b"one\ntwo\n".to_vec())),
             ]
         );
         fs::remove_dir_all(&os_root).ok();

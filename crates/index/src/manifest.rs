@@ -2,17 +2,36 @@
 //!
 //! A [`Manifest`] is the single source of truth for which segment files of
 //! a [`SegmentStore`](crate::segment::SegmentStore) directory are live: a
-//! segment exists exactly when the manifest lists it. Because both segment
-//! files and the manifest are written atomically ([`Fs::write_atomic`])
-//! and always in the order *segment file first, manifest second*, a crash
-//! at any point leaves the store recoverable:
+//! segment exists exactly when the manifest lists it. The manifest is two
+//! files:
+//!
+//! * `MANIFEST.json`, the *checkpoint*: the live list as of the last
+//!   checkpoint, and the `next_segment_id` it had reached, written
+//!   atomically ([`Fs::write_atomic`]);
+//! * `MANIFEST.log`, the *log*: one [`SegmentMeta`] per line, each line
+//!   JSON ending in `\n`, appended ([`Fs::append`]) once per seal.
+//!
+//! The live list is the checkpoint's segments plus every log record whose
+//! id is at least the checkpoint's `next_segment_id`
+//! ([`Manifest::load_live`]). A seal therefore costs one append whatever
+//! the store's size; a checkpoint (store creation, compaction, a repair on
+//! open, and the first commit after a failed one) rewrites the checkpoint
+//! and then resets the log to empty. The id rule makes a log the
+//! checkpoint already covers harmless: its records' ids are all below the
+//! new `next_segment_id`.
+//!
+//! Segment files are written atomically and always before the manifest
+//! records them, so a crash at any point leaves the store recoverable:
 //!
 //! * crash mid-segment-write → a stray `*.tmp` file, removed on open;
-//! * crash after the segment rename but before the manifest update → a
+//! * crash after the segment rename but before its log record → a
 //!   complete but unlisted segment file, quarantined on open (its data is
 //!   also still in the live in-memory index of whoever was sealing, so
 //!   nothing acknowledged is lost);
-//! * crash mid-manifest-write → the previous manifest survives intact.
+//! * crash mid-append → a last log line with no `\n`: dropped on open, its
+//!   segment quarantined as unlisted, and a checkpoint written;
+//! * crash mid-checkpoint → the previous checkpoint survives intact, or the
+//!   new one does beside the log it already covers.
 //!
 //! Every listed segment carries an FNV-1a checksum of its file bytes, so a
 //! torn or bit-rotted segment is detected and quarantined on open instead of
@@ -29,11 +48,17 @@ use crate::fs::Fs;
 use crate::persist::{read_document, write_document, PersistError, Versioned};
 use crate::query::QueryFilter;
 
-/// Current manifest format version.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Current manifest format version. Version 2 lists segments sealed since
+/// the checkpoint in [`MANIFEST_LOG_FILE`]; a version-1 checkpoint (which
+/// has no log) still loads, and the store's next commit rewrites it as
+/// version 2, which an older build refuses rather than misreads.
+pub const MANIFEST_VERSION: u32 = 2;
 
-/// File name of the manifest inside a segment store directory.
+/// File name of the manifest checkpoint inside a segment store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
+
+/// File name of the manifest log inside a segment store directory.
+pub const MANIFEST_LOG_FILE: &str = "MANIFEST.log";
 
 /// FNV-1a 64-bit hash of `bytes` — the checksum stored per segment in the
 /// manifest and verified on every cold segment load.
@@ -97,6 +122,13 @@ pub struct SegmentMeta {
 }
 
 impl SegmentMeta {
+    /// The entry as one record of the manifest log: its JSON and a `\n`.
+    pub fn log_line(&self) -> Result<String, serde_json::Error> {
+        let mut line = serde_json::to_string(self)?;
+        line.push('\n');
+        Ok(line)
+    }
+
     /// Whether the segment's time cover overlaps the closed interval
     /// `[from_secs, to_secs]` (the same overlap rule records use, see
     /// [`crate::cluster_store::ClusterRecord::overlaps_time`]).
@@ -173,10 +205,55 @@ impl Manifest {
         streams
     }
 
-    /// Loads a manifest from `path` through `fs`, verifying the format
-    /// version.
+    /// Loads a checkpoint from `path` through `fs`, verifying the format
+    /// version. The log is not read: [`load_live`](Self::load_live) is the
+    /// live list.
     pub fn load(fs: &dyn Fs, path: &Path) -> Result<Manifest, PersistError> {
         read_document(fs, path)
+    }
+
+    /// Loads the live list of the store in `dir`: its checkpoint, then
+    /// every log record with an id at or past the checkpoint's
+    /// `next_segment_id`, in log order, advancing `next_segment_id` past
+    /// each. A last line with no `\n` is a torn append and is dropped
+    /// ([`LogEnd::Torn`]); a missing log reads as empty
+    /// ([`LogEnd::Missing`]). A complete line that is not a segment entry
+    /// is [`PersistError::Format`] naming the log (bytes that are not
+    /// UTF-8 are [`PersistError::Io`] with [`std::io::ErrorKind::InvalidData`],
+    /// as in [`read_document`]). Reads only.
+    pub fn load_live(fs: &dyn Fs, dir: &Path) -> Result<(Manifest, LogEnd), PersistError> {
+        let mut manifest = Self::load(fs, &dir.join(MANIFEST_FILE))?;
+        let path = dir.join(MANIFEST_LOG_FILE);
+        let log = match fs.read(&path) {
+            Ok(log) => log,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok((manifest, LogEnd::Missing))
+            }
+            Err(e) => return Err(PersistError::io(&path, e)),
+        };
+        let mut lines = log.split(|byte| *byte == b'\n');
+        // What follows the last `\n`: empty unless an append was torn.
+        let torn = lines.next_back().is_some_and(|rest| !rest.is_empty());
+        let checkpoint = manifest.next_segment_id;
+        for line in lines {
+            let line = std::str::from_utf8(line).map_err(|e| {
+                PersistError::io(
+                    &path,
+                    std::io::Error::new(std::io::ErrorKind::InvalidData, e),
+                )
+            })?;
+            let meta: SegmentMeta =
+                serde_json::from_str(line).map_err(|source| PersistError::Format {
+                    path: Some(path.clone()),
+                    source,
+                })?;
+            if meta.id >= checkpoint {
+                manifest.next_segment_id = manifest.next_segment_id.max(meta.id.saturating_add(1));
+                manifest.segments.push(meta);
+            }
+        }
+        let end = if torn { LogEnd::Torn } else { LogEnd::Clean };
+        Ok((manifest, end))
     }
 
     /// Writes the manifest to `path` through `fs` atomically
@@ -187,8 +264,22 @@ impl Manifest {
     }
 }
 
+/// How a store's manifest log ended when [`Manifest::load_live`] read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LogEnd {
+    /// Every line ends in `\n`.
+    Clean,
+    /// The last line has no `\n`: an append that a crash or a failed write
+    /// cut short. It was dropped.
+    Torn,
+    /// There is no log: a version-1 store, or a crash between the two
+    /// writes of the store's first checkpoint.
+    Missing,
+}
+
 impl Versioned for Manifest {
     const VERSION: u32 = MANIFEST_VERSION;
+    const OLDEST_READ: u32 = 1;
     fn version(&self) -> u32 {
         self.version
     }

@@ -7,7 +7,7 @@
 //! * [`read_document`] / [`write_document`] — the codec of every
 //!   [`Versioned`] JSON document: read → parse → version check, and
 //!   serialize → atomic write ([`Fs::write_atomic`]) → bytes written. The
-//!   segment manifest (`MANIFEST.json`), the service sidecar
+//!   segment manifest's checkpoint (`MANIFEST.json`), the service sidecar
 //!   (`service_state.json`) and the fleet's `CLUSTER.json` replicas go
 //!   through it, each on the [`Fs`] its owner holds.
 //! * [`to_json`] / [`from_json`] — the canonical text form of a whole
@@ -118,8 +118,11 @@ impl From<serde_json::Error> for PersistError {
 /// [`read_document`] and [`write_document`] are its one codec (and
 /// [`from_json`] for the in-memory index text).
 pub trait Versioned: Serialize + Deserialize {
-    /// The one version this build reads and writes.
+    /// The version this build writes.
     const VERSION: u32;
+    /// The oldest version this build still reads; versions from it up to
+    /// [`VERSION`](Self::VERSION) load.
+    const OLDEST_READ: u32 = Self::VERSION;
     /// The version this document carries.
     fn version(&self) -> u32;
 }
@@ -132,7 +135,7 @@ fn decode<T: Versioned>(json: &str, path: Option<&Path>) -> Result<T, PersistErr
         path: path(),
         source,
     })?;
-    if doc.version() != T::VERSION {
+    if !(T::OLDEST_READ..=T::VERSION).contains(&doc.version()) {
         return Err(PersistError::VersionMismatch {
             path: path(),
             found: doc.version(),

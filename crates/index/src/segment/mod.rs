@@ -11,7 +11,8 @@
 //!
 //! ```text
 //! store/
-//!   MANIFEST.json      # versioned list of live segments (see `manifest`)
+//!   MANIFEST.json      # checkpoint: versioned list of live segments (see `manifest`)
+//!   MANIFEST.log       # one line per segment sealed since the checkpoint
 //!   seg-000000.bin     # one immutable index snapshot per segment
 //!   seg-000001.bin     # (binary columnar, see `binseg`)
 //!   ...
@@ -21,8 +22,9 @@
 //! [`crate::binseg`], the one module that knows how a segment is laid out.
 //!
 //! Durability protocol: a segment file is written atomically
-//! ([`Fs::write_atomic`]), then the manifest is rewritten atomically to
-//! list it. The manifest is the source of truth — on
+//! ([`Fs::write_atomic`]), then its entry is appended to the manifest log
+//! ([`Fs::append`]); compaction rewrites the checkpoint instead. The
+//! manifest is the source of truth — on
 //! [`open`](SegmentStore::open), unlisted segment files and stray temp
 //! files are quarantined/removed, and listed segments whose bytes fail
 //! their manifest checksum are quarantined instead of silently loaded. See
@@ -247,7 +249,12 @@ pub struct SegmentStore {
     /// through this capability.
     fs: Arc<dyn Fs>,
     dir: PathBuf,
+    /// The live list, as the checkpoint and the log on disk list it.
     manifest: Manifest,
+    /// Whether the next commit must write a checkpoint instead of an
+    /// append: the log is missing, may end in a torn append, or the
+    /// checkpoint is an older version.
+    checkpoint_due: bool,
     /// The footer directory: every live segment's decoded footer, by
     /// segment id. Filled from bytes already verified in memory (`open`'s
     /// whole-file read, the encoder's output at `seal`/`compact`), dropped
@@ -289,6 +296,9 @@ mod tests {
     use crate::track::{TrackKey, TrackSketch};
     use focus_video::{ClassId, FrameId, ObjectId, ObjectObservation, TrackId};
     use read::{blocks_of, DEFAULT_DECODED_CACHE_BYTES};
+    use std::io;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     pub(super) fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("focus_segment_{name}"));
@@ -299,6 +309,91 @@ mod tests {
     /// A fresh, empty store on its own in-memory filesystem.
     pub(super) fn mem_store() -> SegmentStore {
         SegmentStore::create_with(Arc::new(MemFs::default()), "/store".into()).unwrap()
+    }
+
+    /// A [`MemFs`] that counts the bytes written to the manifest's files
+    /// (`MANIFEST.*`) and, while `refuse` is set, fails every write to
+    /// them. A refused append first lands half its bytes, as a write torn
+    /// by a full disk would; a refused atomic write lands nothing.
+    #[derive(Debug, Default)]
+    pub(super) struct ManifestFs {
+        inner: MemFs,
+        pub(super) written: AtomicU64,
+        pub(super) refuse: AtomicBool,
+    }
+
+    impl ManifestFs {
+        /// A store at `/store` on a fresh `ManifestFs`, and the `Fs`.
+        pub(super) fn store() -> (SegmentStore, Arc<ManifestFs>) {
+            let fs = Arc::new(ManifestFs::default());
+            let store = SegmentStore::create_with(fs.clone(), "/store".into()).unwrap();
+            (store, fs)
+        }
+
+        /// Whether a write of `bytes` to `path` goes ahead; counts it if
+        /// it is a manifest write that does.
+        fn admit(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if !name.starts_with("MANIFEST") {
+                return Ok(());
+            }
+            if self.refuse.load(Ordering::SeqCst) {
+                return Err(io::Error::new(io::ErrorKind::PermissionDenied, "refused"));
+            }
+            self.written.fetch_add(bytes.len() as u64, Ordering::SeqCst);
+            Ok(())
+        }
+    }
+
+    impl Fs for ManifestFs {
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn open(&self, path: &Path) -> io::Result<Box<dyn crate::fs::ReadAt>> {
+            self.inner.open(path)
+        }
+        fn write_atomic(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
+            self.admit(path, contents)?;
+            self.inner.write_atomic(path, contents)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            if let Err(refused) = self.admit(path, bytes) {
+                self.inner.append(path, &bytes[..bytes.len() / 2])?;
+                return Err(refused);
+            }
+            self.inner.append(path, bytes)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            self.inner.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn exists(&self, path: &Path) -> io::Result<bool> {
+            self.inner.exists(path)
+        }
+    }
+
+    /// Every file in `store`'s directory, by name, with its bytes.
+    pub(super) fn tree(store: &SegmentStore) -> Vec<(String, Vec<u8>)> {
+        let fs = store.fs();
+        let paths = fs.list(store.dir()).unwrap();
+        let file = |path: &PathBuf| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, fs.read(path).unwrap())
+        };
+        paths.iter().map(file).collect()
+    }
+
+    /// The ids of `store`'s live segments, in manifest order.
+    pub(super) fn live_ids(store: &SegmentStore) -> Vec<u64> {
+        store.segments().iter().map(|meta| meta.id).collect()
     }
 
     pub(super) fn record(stream: u32, local: u64, class: u16, start: f64) -> ClusterRecord {

@@ -1,7 +1,7 @@
-//! Open and repair: what is trusted on open. Every listed segment is
-//! verified against its manifest checksum, untrusted files are quarantined,
-//! crash leftovers are swept, and the footer directory is filled from the
-//! verified bytes.
+//! Open and repair: what is trusted on open. The manifest log is replayed
+//! onto its checkpoint, every listed segment is verified against its
+//! manifest checksum, untrusted files are quarantined, crash leftovers are
+//! swept, and the footer directory is filled from the verified bytes.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -14,7 +14,7 @@ use focus_video::ObjectObservation;
 use crate::binseg;
 use crate::cluster_store::ClusterRecord;
 use crate::fs::{Fs, OsFs};
-use crate::manifest::{fnv1a64, Manifest, MANIFEST_FILE};
+use crate::manifest::{fnv1a64, LogEnd, Manifest, MANIFEST_VERSION};
 use crate::persist::PersistError;
 
 use super::read::{TieredCache, DEFAULT_DECODED_CACHE_BYTES, DEFAULT_RAW_CACHE_BYTES};
@@ -57,11 +57,15 @@ impl SegmentStore {
     /// stray `*.tmp` files are deleted, manifest-listed segments whose bytes
     /// fail their checksum are quarantined (renamed to `<name>.quarantined`
     /// and dropped from the manifest), and complete segment files the
-    /// manifest never acknowledged are quarantined too. The returned
+    /// manifest never acknowledged are quarantined too — among them the
+    /// segment of a torn last log record, which is dropped. The returned
     /// [`OpenReport`] lists every repair, and only repairs that happened:
     /// a rename, removal or directory listing that fails is
     /// [`PersistError::Io`] naming the file, returned before the manifest
-    /// is rewritten.
+    /// is rewritten. A log line that is not a segment entry refuses the
+    /// store ([`Manifest::load_live`]) before anything is touched. A
+    /// repair that changes the live list or drops a torn record ends in a
+    /// checkpoint; a clean open writes nothing.
     ///
     /// Every segment file is read once, whole; nothing enters the cache
     /// tiers.
@@ -110,8 +114,7 @@ impl SegmentStore {
         decoded_bytes: u64,
         mut scan: Option<Scan<'_>>,
     ) -> Result<(SegmentStore, OpenReport), SegmentError> {
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let mut manifest = Manifest::load(&*fs, &manifest_path)?;
+        let (mut manifest, log_end) = Manifest::load_live(&*fs, &dir)?;
         let mut report = OpenReport::default();
         let mut cache = TieredCache::new(decoded_bytes, DEFAULT_RAW_CACHE_BYTES);
 
@@ -185,19 +188,19 @@ impl SegmentStore {
             }
         }
 
-        if entries_dropped {
-            manifest.save(&*fs, &manifest_path)?;
+        let checkpoint_due = log_end != LogEnd::Clean || manifest.version != MANIFEST_VERSION;
+        let mut store = SegmentStore {
+            fs,
+            dir,
+            manifest,
+            checkpoint_due,
+            footers,
+            cache: Mutex::new(cache),
+        };
+        if entries_dropped || log_end == LogEnd::Torn {
+            store.checkpoint()?;
         }
-        Ok((
-            SegmentStore {
-                fs,
-                dir,
-                manifest,
-                footers,
-                cache: Mutex::new(cache),
-            },
-            report,
-        ))
+        Ok((store, report))
     }
 }
 
@@ -217,16 +220,18 @@ fn quarantine(fs: &dyn Fs, path: &Path) -> Result<(), PersistError> {
 mod tests {
     use super::*;
     use crate::cluster_store::ClusterKey;
+    use crate::manifest::{SegmentMeta, MANIFEST_FILE, MANIFEST_LOG_FILE};
     use crate::persist;
     use crate::query::QueryFilter;
     use crate::segment::read::blocks_of;
     use crate::segment::tests::{
-        cold, lookup_costs, populated, record, seal_populated, segment_of, sketched_index,
-        test_dir, weight,
+        cold, live_ids, lookup_costs, populated, record, reopen, seal_populated, segment_of,
+        sketched_index, test_dir, tree, weight, ManifestFs,
     };
     use crate::topk::TopKIndex;
     use focus_video::{ClassId, StreamId};
     use std::fs;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn open_roundtrips_a_clean_store() {
@@ -420,6 +425,9 @@ mod tests {
         fn write_atomic(&self, path: &Path, contents: &[u8]) -> std::io::Result<()> {
             OsFs.write_atomic(path, contents)
         }
+        fn append(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            OsFs.append(path, bytes)
+        }
         fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
             self.check(Refused::Rename)?;
             OsFs.rename(from, to)
@@ -595,6 +603,7 @@ mod tests {
             names,
             [
                 "MANIFEST.json",
+                "MANIFEST.log",
                 "seg-000004.bin",
                 "seg-000005.bin",
                 "seg-000006.bin.quarantined",
@@ -645,5 +654,175 @@ mod tests {
             expected
         );
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The live list as the manifest files spell it: the checkpoint's
+    /// entries, then the log's lines.
+    fn manifest_files(store: &SegmentStore) -> (Manifest, Vec<u8>) {
+        let (fs, dir) = (store.fs(), store.dir());
+        let checkpoint = Manifest::load(fs, &dir.join(MANIFEST_FILE)).unwrap();
+        (checkpoint, fs.read(&dir.join(MANIFEST_LOG_FILE)).unwrap())
+    }
+
+    /// Where a crash can stop the manifest commit, each on `MemFs`, with
+    /// what the next open must make of the directory: the segments it
+    /// quarantines, the live list, and whether it writes a checkpoint.
+    /// Every row's store then reopens clean with the same live list.
+    #[test]
+    fn every_commit_crash_point_opens_to_the_acknowledged_segments() {
+        let log_path = Path::new("/store").join(MANIFEST_LOG_FILE);
+        // Segments 0, 1 and 2, each two records, listed by the log.
+        let sealed = || {
+            let (mut store, fs) = ManifestFs::store();
+            seal_populated(&mut store);
+            (store, fs)
+        };
+        let torn = || {
+            // An append cut short: segment 2's record lost its `\n`.
+            let (store, fs) = sealed();
+            let mut log = fs.read(&log_path).unwrap();
+            log.truncate(log.len() - 7);
+            fs.write_atomic(&log_path, &log).unwrap();
+            store
+        };
+        let stale_log = || {
+            // A compaction's checkpoint landed, then the crash: the log
+            // still lists segments 0-2 and the folded files are still there.
+            let (mut store, fs) = sealed();
+            let (log, files) = (fs.read(&log_path).unwrap(), tree(&store));
+            assert_eq!(store.compact(4).unwrap(), 1);
+            fs.write_atomic(&log_path, &log).unwrap();
+            for (name, bytes) in &files[2..4] {
+                fs.write_atomic(&store.dir().join(name), bytes).unwrap();
+            }
+            store
+        };
+        let v1_then_seal = || {
+            // A version-1 store (a checkpoint, no log) opens writing
+            // nothing; its first seal writes a version-2 checkpoint.
+            let (store, fs) = sealed();
+            let mut v1 = store.manifest.clone();
+            v1.version = 1;
+            let json = serde_json::to_string(&v1).unwrap();
+            fs.write_atomic(&store.dir().join(MANIFEST_FILE), json.as_bytes())
+                .unwrap();
+            fs.remove(&log_path).unwrap();
+            let before = tree(&store);
+            let (mut store, report) = reopen(&store);
+            assert!(report.is_clean(), "{report:?}");
+            assert_eq!(tree(&store), before);
+            store.seal(&segment_of(&[record(2, 0, 5, 0.0)])).unwrap();
+            let (checkpoint, log) = manifest_files(&store);
+            assert_eq!(checkpoint.version, MANIFEST_VERSION);
+            assert_eq!((checkpoint.segments.len(), log.len()), (4, 0));
+            store
+        };
+        let failed_append_then_seal = || {
+            // The append of segment 3 fails half-way; the retry, segment
+            // 4, is the first commit after it and writes a checkpoint.
+            let (mut store, fs) = sealed();
+            let index = segment_of(&[record(2, 0, 5, 0.0)]);
+            fs.refuse.store(true, Ordering::SeqCst);
+            assert!(store.seal(&index).is_err());
+            fs.refuse.store(false, Ordering::SeqCst);
+            let log = fs.read(&log_path).unwrap();
+            assert_ne!(log.last(), Some(&b'\n'), "the append was not torn");
+            store.seal(&index).unwrap();
+            let (checkpoint, log) = manifest_files(&store);
+            assert_eq!((checkpoint.segments.len(), log.len()), (4, 0));
+            store
+        };
+        // (row, the crash, quarantined on open, live after it, whether
+        // the open writes a checkpoint)
+        type Row<'a> = (
+            &'a str,
+            &'a dyn Fn() -> SegmentStore,
+            &'a [&'a str],
+            &'a [u64],
+            bool,
+        );
+        let rows: [Row; 5] = [
+            ("clean", &|| sealed().0, &[], &[0, 1, 2], false),
+            ("torn last line", &torn, &["seg-000002.bin"], &[0, 1], true),
+            (
+                "checkpoint beside the old log",
+                &stale_log,
+                &["seg-000000.bin", "seg-000001.bin"],
+                &[3, 2],
+                false,
+            ),
+            (
+                "v1 store, then a seal",
+                &v1_then_seal,
+                &[],
+                &[0, 1, 2, 3],
+                false,
+            ),
+            (
+                "failed append, then a seal",
+                &failed_append_then_seal,
+                &["seg-000003.bin"],
+                &[0, 1, 2, 4],
+                false,
+            ),
+        ];
+        for (row, crash, quarantined, live, checkpoints) in rows {
+            let crashed = crash();
+            let log_before = crashed.fs().read(&log_path).unwrap();
+            let (store, report) = reopen(&crashed);
+            assert_eq!(report.quarantined, quarantined, "{row}");
+            assert!(
+                report.missing.is_empty() && report.removed_temp.is_empty(),
+                "{row}"
+            );
+            assert_eq!(live_ids(&store), live, "{row}");
+            let (checkpoint, log) = manifest_files(&store);
+            if checkpoints {
+                assert_eq!(
+                    (live_ids(&store), log.len()),
+                    (checkpoint.segments.iter().map(|m| m.id).collect(), 0),
+                    "{row}"
+                );
+            } else {
+                assert_eq!(log, log_before, "{row}: the open rewrote the log");
+            }
+            let (again, report) = reopen(&store);
+            assert!(report.is_clean(), "{row}: {report:?}");
+            assert_eq!(again.segments(), store.segments(), "{row}");
+        }
+    }
+
+    /// A complete log line that is not a segment entry refuses the store
+    /// with a format error naming the log, before any repair: every file
+    /// keeps its bytes, the sweep's bait included.
+    #[test]
+    fn a_corrupt_log_line_refuses_the_store_and_changes_nothing() {
+        let (mut store, fs) = ManifestFs::store();
+        seal_populated(&mut store);
+        let log_path = store.dir().join(MANIFEST_LOG_FILE);
+        let log = String::from_utf8(fs.read(&log_path).unwrap()).unwrap();
+        let mut lines: Vec<&str> = log.lines().collect();
+        let middle = lines[1].replacen("\"clusters\"", "\"clusters\"x", 1);
+        assert!(serde_json::from_str::<SegmentMeta>(&middle).is_err());
+        lines[1] = &middle;
+        fs.write_atomic(&log_path, format!("{}\n", lines.join("\n")).as_bytes())
+            .unwrap();
+        fs.write_atomic(&store.dir().join("seg-000099.bin.tmp"), b"partial")
+            .unwrap();
+        let before = tree(&store);
+
+        let opened = SegmentStore::open_body(
+            fs.clone(),
+            store.dir().to_path_buf(),
+            DEFAULT_DECODED_CACHE_BYTES,
+            None,
+        );
+        match opened {
+            Err(SegmentError::Persist(e @ PersistError::Format { .. })) => {
+                assert_eq!(e.path(), Some(log_path.as_path()), "{e}")
+            }
+            other => panic!("expected a log format error, got {other:?}"),
+        }
+        assert_eq!(tree(&store), before);
     }
 }

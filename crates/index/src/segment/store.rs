@@ -1,5 +1,6 @@
 //! The manifest commit: what is live. Sealing and compaction write segment
-//! files atomically and then commit them to the manifest; `load` and
+//! files atomically and then commit them to the manifest — a seal by one
+//! append to the manifest log, a compaction by a checkpoint; `load` and
 //! `merged_index` read live segments back, uncached.
 
 use std::collections::HashMap;
@@ -10,7 +11,10 @@ use parking_lot::Mutex;
 
 use crate::binseg;
 use crate::fs::{Fs, OsFs};
-use crate::manifest::{fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE};
+use crate::manifest::{
+    fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE, MANIFEST_LOG_FILE,
+    MANIFEST_VERSION,
+};
 use crate::persist::PersistError;
 use crate::topk::TopKIndex;
 
@@ -19,7 +23,8 @@ use super::{check_disjoint, SegmentError, SegmentStore};
 
 impl SegmentStore {
     /// Creates a fresh, empty store at `dir` (creating the directory if
-    /// needed) and writes its initial manifest.
+    /// needed) and writes its initial manifest: an empty checkpoint and an
+    /// empty log.
     ///
     /// Fails with an I/O error if `dir` already contains a manifest — use
     /// [`open`](Self::open) for an existing store.
@@ -44,18 +49,68 @@ impl SegmentStore {
                 ),
             )));
         }
-        let manifest = Manifest::new();
-        manifest.save(&*fs, &manifest_path)?;
-        Ok(SegmentStore {
+        let mut store = SegmentStore {
             fs,
             dir,
-            manifest,
+            manifest: Manifest::new(),
+            checkpoint_due: true,
             footers: HashMap::new(),
             cache: Mutex::new(TieredCache::new(
                 DEFAULT_DECODED_CACHE_BYTES,
                 DEFAULT_RAW_CACHE_BYTES,
             )),
-        })
+        };
+        store.checkpoint()?;
+        Ok(store)
+    }
+
+    /// The one checkpoint body: writes the live list to `MANIFEST.json`
+    /// atomically, at the current version, then resets `MANIFEST.log` to
+    /// empty. A crash between the two leaves a log whose records the new
+    /// checkpoint already covers, which the next open skips by id. Until
+    /// both writes succeed, the next commit is a checkpoint too.
+    pub(super) fn checkpoint(&mut self) -> Result<(), PersistError> {
+        self.checkpoint_due = true;
+        self.manifest.version = MANIFEST_VERSION;
+        self.manifest
+            .save(&*self.fs, &self.dir.join(MANIFEST_FILE))?;
+        let log = self.dir.join(MANIFEST_LOG_FILE);
+        self.fs
+            .write_atomic(&log, b"")
+            .map_err(|e| PersistError::io(&log, e))?;
+        self.checkpoint_due = false;
+        Ok(())
+    }
+
+    /// Commits `meta`, a segment whose file is written, to the manifest:
+    /// appends its entry to the log, or writes a checkpoint when one is
+    /// due. The entry is live in memory only once the commit succeeds; a
+    /// failed append makes the next commit a checkpoint, which drops
+    /// whatever part of the record reached the log.
+    fn commit(&mut self, meta: &SegmentMeta) -> Result<(), PersistError> {
+        self.manifest.segments.push(meta.clone());
+        let committed = if self.checkpoint_due {
+            self.checkpoint()
+        } else {
+            self.append_to_log(meta)
+        };
+        if committed.is_err() {
+            self.manifest.segments.pop();
+        }
+        committed
+    }
+
+    /// Appends `meta`'s log record. A failed append may have left part of
+    /// it behind, so it makes a checkpoint due.
+    fn append_to_log(&mut self, meta: &SegmentMeta) -> Result<(), PersistError> {
+        let log = self.dir.join(MANIFEST_LOG_FILE);
+        let line = meta.log_line().map_err(|source| PersistError::Format {
+            path: Some(log.clone()),
+            source,
+        })?;
+        let appended = self.fs.append(&log, line.as_bytes());
+        self.checkpoint_due = appended.is_err();
+        appended.map_err(|e| PersistError::io(&log, e))
     }
 
     /// Returns the store unchanged: [`SegmentFormat::Binary`] is the only
@@ -148,8 +203,11 @@ impl SegmentStore {
     }
 
     /// Seals `index` as one new immutable segment: writes the segment file
-    /// atomically, then commits it to the manifest. An empty index seals
-    /// nothing and returns `Ok(None)`.
+    /// atomically, then commits it to the manifest by appending its entry
+    /// to the log — one line, however many segments the store holds. An
+    /// empty index seals nothing and returns `Ok(None)`. A failed commit
+    /// leaves the segment unlisted (its file is an orphan the next open
+    /// quarantines), so sealing the same index again lists it once.
     ///
     /// The segment's time bounds are the tight cover of the records' time
     /// ranges and its stream list is exactly the records' streams, which is
@@ -171,9 +229,7 @@ impl SegmentStore {
             t_end = t_end.max(record.end_secs);
         }
         let meta = self.write_segment(index, t_start, t_end)?;
-        self.manifest.segments.push(meta.clone());
-        self.manifest
-            .save(&*self.fs, &self.dir.join(MANIFEST_FILE))?;
+        self.commit(&meta)?;
         Ok(Some(meta))
     }
 
@@ -268,7 +324,7 @@ impl SegmentStore {
     /// unchanged — the same records end up live, in fewer files.
     ///
     /// Crash-safe in the same way as sealing: each replacement segment file
-    /// is written atomically before the manifest commits the swap, and the
+    /// is written atomically before a checkpoint commits the swap, and the
     /// obsolete files are deleted only afterwards (a crash in between leaves
     /// orphans that the next [`open`](Self::open) quarantines).
     ///
@@ -323,11 +379,11 @@ impl SegmentStore {
         if obsolete.is_empty() {
             return Ok(0);
         }
-        // Commit: swap the list in memory, persist it, then retire the old
-        // files. A failed save restores the old list so the in-memory store
-        // keeps matching the manifest on disk.
+        // Commit: swap the list in memory, checkpoint it, then retire the
+        // old files. A failed checkpoint restores the old list, and the
+        // next commit checkpoints it again.
         self.manifest.segments = new_segments;
-        if let Err(e) = self.manifest.save(&*self.fs, &self.dir.join(MANIFEST_FILE)) {
+        if let Err(e) = self.checkpoint() {
             self.manifest.segments = old;
             return Err(e.into());
         }
@@ -351,8 +407,11 @@ mod tests {
     use crate::cluster_store::ClusterKey;
     use crate::fs::MemFs;
     use crate::persist;
-    use crate::segment::tests::{mem_store, populated, record, reopen, segment_of};
+    use crate::segment::tests::{
+        mem_store, populated, record, reopen, segment_of, tree, ManifestFs,
+    };
     use focus_video::StreamId;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn seal_assigns_bounds_streams_and_checksums() {
@@ -427,12 +486,7 @@ mod tests {
         store
             .seal(&segment_of(&[record(0, 1, 6, 10.0), record(0, 2, 6, 20.0)]))
             .unwrap();
-        let listing = |store: &SegmentStore| {
-            let paths = store.fs().list(store.dir()).unwrap();
-            let read = |path: &PathBuf| (path.clone(), store.fs().read(path).unwrap());
-            paths.iter().map(read).collect::<Vec<_>>()
-        };
-        let before = listing(&store);
+        let before = tree(&store);
         let live = store.segments().to_vec();
         let ids = [live[0].id, live[1].id];
         let duplicate = ClusterKey::new(StreamId(0), 1);
@@ -442,7 +496,7 @@ mod tests {
             }
             other => panic!("expected DuplicateKey, got {other:?}"),
         }
-        assert_eq!(listing(&store), before);
+        assert_eq!(tree(&store), before);
         assert_eq!(store.segments(), &live[..]);
         match store.merged_index() {
             Err(SegmentError::DuplicateKey { key, segments }) => {
@@ -528,7 +582,78 @@ mod tests {
         assert!(store.compact(usize::MAX).is_err());
         assert_eq!(store.len(), 3);
         // And it still matches the manifest on disk.
-        let manifest = Manifest::load(store.fs(), &store.dir().join(MANIFEST_FILE)).unwrap();
+        let (manifest, _) = Manifest::load_live(store.fs(), store.dir()).unwrap();
         assert_eq!(manifest.segments, store.segments());
+    }
+
+    /// A seal whose manifest commit fails lists nothing, in memory or on
+    /// disk: the store's length is unchanged, and once the fault clears,
+    /// sealing the same index again lists its records once. Reopened, the
+    /// store answers as a twin that never failed, with the refused
+    /// commit's segment file quarantined as an orphan.
+    #[test]
+    fn a_refused_commit_lists_nothing_and_the_retry_lists_the_segment_once() {
+        let (mut store, fs) = ManifestFs::store();
+        let mut twin = mem_store();
+        let first = segment_of(&[record(0, 0, 5, 0.0), record(0, 1, 5, 10.0)]);
+        let second = segment_of(&[record(0, 2, 5, 20.0), record(1, 0, 6, 20.0)]);
+        store.seal(&first).unwrap();
+        twin.seal(&first).unwrap();
+
+        fs.refuse.store(true, Ordering::SeqCst);
+        match store.seal(&second) {
+            Err(SegmentError::Persist(PersistError::Io { path, .. })) => {
+                assert_eq!(path, store.dir().join(MANIFEST_LOG_FILE))
+            }
+            other => panic!("expected the refused append, got {other:?}"),
+        }
+        assert_eq!(store.len(), 1);
+        fs.refuse.store(false, Ordering::SeqCst);
+        store.seal(&second).unwrap();
+        twin.seal(&second).unwrap();
+        assert_eq!(store.len(), 2);
+
+        let (reopened, report) = reopen(&store);
+        assert_eq!(report.quarantined, ["seg-000001.bin"]);
+        let (twin, twin_report) = reopen(&twin);
+        assert!(twin_report.is_clean(), "{twin_report:?}");
+        // The same entries but for the id the refused commit spent.
+        let entries = |store: &SegmentStore| -> Vec<_> {
+            let entry = |m: &SegmentMeta| {
+                (
+                    m.t_start,
+                    m.t_end,
+                    m.streams.clone(),
+                    m.clusters,
+                    m.checksum,
+                )
+            };
+            store.segments().iter().map(entry).collect()
+        };
+        assert_eq!(entries(&reopened), entries(&twin));
+        let merged =
+            |store: &SegmentStore| persist::to_json(&store.merged_index().unwrap()).unwrap();
+        assert_eq!(merged(&reopened), merged(&twin));
+    }
+
+    /// A seal's commit writes one log record, so the bytes a store writes
+    /// to its manifest files grow with the live list, not with its square:
+    /// over 1,000 seals they stay within twice the final list's JSON
+    /// (rewriting the whole list per seal writes ~500 times it).
+    #[test]
+    fn commit_bytes_grow_linearly_with_the_live_list() {
+        let (mut store, fs) = ManifestFs::store();
+        for local in 0..1000u64 {
+            let index = segment_of(&[record(0, local, 5, local as f64)]);
+            store.seal(&index).unwrap();
+        }
+        let live = serde_json::to_string(&store.segments().to_vec())
+            .unwrap()
+            .len() as u64;
+        let written = fs.written.load(Ordering::SeqCst);
+        assert!(
+            written <= 2 * live,
+            "{written} manifest bytes written for a {live}-byte live list"
+        );
     }
 }

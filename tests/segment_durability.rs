@@ -291,14 +291,15 @@ fn recover_refuses_a_sidecar_listing_a_stream_twice_and_changes_nothing() {
 }
 
 /// Replaces `meta`'s segment file with `bytes` and points its manifest
-/// entry's checksum at them, so the store's whole-file check passes.
+/// entry's checksum at them, so the store's whole-file check passes: the
+/// live list, so edited, becomes the checkpoint, and the log is emptied.
 fn rewrite_segment(dir: &Path, meta: &SegmentMeta, bytes: &[u8]) {
     std::fs::write(dir.join(&meta.file), bytes).unwrap();
-    let path = dir.join("MANIFEST.json");
-    let mut manifest = Manifest::load(&OsFs, &path).unwrap();
+    let (mut manifest, _) = Manifest::load_live(&OsFs, dir).unwrap();
     let entry = manifest.segments.iter_mut().find(|m| m.id == meta.id);
     entry.unwrap().checksum = focus::index::manifest::fnv1a64(bytes);
-    manifest.save(&OsFs, &path).unwrap();
+    manifest.save(&OsFs, &dir.join("MANIFEST.json")).unwrap();
+    std::fs::write(dir.join("MANIFEST.log"), b"").unwrap();
 }
 
 /// Satellite: a segment whose centroid block lacks one record's centroid
@@ -437,8 +438,8 @@ fn seal_refuses_a_record_without_a_centroid_and_writes_nothing() {
 }
 
 /// Satellite: a segment holds its own centroids, so after `seal_all` a
-/// service directory holds the manifest, the sidecar and one file per
-/// segment — nothing else.
+/// service directory holds the manifest (its checkpoint and its log), the
+/// sidecar and one file per segment — nothing else.
 #[test]
 fn a_sealed_service_directory_holds_only_the_manifest_sidecar_and_segments() {
     let archive = build("directory_contents", 30.0, 10.0, 64);
@@ -447,7 +448,7 @@ fn a_sealed_service_directory_holds_only_the_manifest_sidecar_and_segments() {
         .map(|(name, _)| name.display().to_string())
         .collect();
     let mut expected: Vec<String> = archive.sealed.iter().map(|m| m.file.clone()).collect();
-    expected.extend(["MANIFEST.json".to_string(), SERVICE_STATE_FILE.to_string()]);
+    expected.extend(["MANIFEST.json", "MANIFEST.log", SERVICE_STATE_FILE].map(String::from));
     expected.sort();
     assert_eq!(names, expected);
     assert!(archive.sealed.iter().all(|m| m.file.ends_with(".bin")));
