@@ -161,8 +161,9 @@ pub struct FleetAdvanceReport {
     pub frames: usize,
     /// Segments sealed across all shards.
     pub segments_sealed: usize,
-    /// Retrains across all shards (each invalidated the gather-side
-    /// verdict cache, mirroring the single-node epoch bump).
+    /// Retrains across all shards. Like a single-node retrain, a shard
+    /// retrain leaves the gather-side verdict cache as it was: a GT
+    /// verdict does not depend on the ingest model.
     pub retrains: usize,
     /// Shards that received at least one frame.
     pub shards_touched: usize,
@@ -646,11 +647,6 @@ impl FleetCoordinator {
         let (sent, received) = (batch.wire_len(), shard_report.wire_len());
         self.net.record_exchange(sent, received);
         self.tick(self.config.net.exchange_secs(sent + received));
-        if shard_report.retrains > 0 {
-            // Mirror the single-node epoch bump: a new model generation
-            // invalidates the (gather-side) verdict cache.
-            self.gather_server.invalidate();
-        }
         report.frames += shard_report.frames;
         report.segments_sealed += shard_report.segments_sealed;
         report.retrains += shard_report.retrains;
@@ -1011,10 +1007,7 @@ impl FleetCoordinator {
                 .collect();
             let replay_bytes = replayed.wire_len();
             if !replayed.is_empty() {
-                let shard_report = service.advance(&replayed)?;
-                if shard_report.retrains > 0 {
-                    self.gather_server.invalidate();
-                }
+                service.advance(&replayed)?;
                 report.frames_replayed += replayed.len();
             }
             self.net.record_exchange(replay_bytes, 0);

@@ -24,9 +24,9 @@
 //!   only the segments whose bounds intersect (see `docs/storage.md`). It
 //!   interleaves ingest ticks with query waves — queries see a
 //!   snapshot-consistent union of sealed segments and the in-memory hot
-//!   tail, specialization retrains bump the verdict-cache epoch
-//!   automatically, and all GPU work shares one scheduled budget (see
-//!   `docs/service.md`).
+//!   tail, specialization retrains keep every cached GT verdict (a
+//!   verdict does not depend on the ingest model), and all GPU work
+//!   shares one scheduled budget (see `docs/service.md`).
 //! * **Parameter selection** ([`params`]): the sweep over (cheap CNN, K,
 //!   Ls, T) on a GT-labelled sample, the Pareto frontier of ingest cost vs
 //!   query latency, and the Opt-Ingest / Balance / Opt-Query policies.

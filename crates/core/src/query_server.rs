@@ -21,10 +21,34 @@
 //!    [`BatchCostModel`].
 //! 3. **Memoization** — every verdict is cached under
 //!    `(centroid ObjectId, ground-truth epoch)`, so repeated and
-//!    overlapping queries skip GT-CNN work entirely. Retraining the
-//!    ground-truth model ([`retrain_ground_truth`](QueryServer::retrain_ground_truth))
-//!    or re-ingesting data ([`invalidate`](QueryServer::invalidate)) bumps
-//!    the epoch, which atomically invalidates every cached verdict.
+//!    overlapping queries skip GT-CNN work entirely. Only two things bump
+//!    the epoch, which atomically invalidates every cached verdict:
+//!    retraining the ground-truth model
+//!    ([`retrain_ground_truth`](QueryServer::retrain_ground_truth)) and an
+//!    explicit [`invalidate`](QueryServer::invalidate).
+//!
+//! # Verdict lifetime
+//!
+//! A verdict is `gt.classify_batch(observation)`: it depends on the
+//! centroid's observation and the GT-CNN, not on the ingest CNN that
+//! indexed the centroid. So a verdict lives as long as the GT model that
+//! produced it, and a stream's retrain or reconfiguration (a new ingest
+//! model) leaves the cache as it was. This is safe because an `ObjectId`
+//! names one observation for the life of a corpus: ids carry their stream
+//! in the high bits, [`VideoDataset::continue_with`] offsets a
+//! continuation's ids past the recording's, and
+//! [`SegmentedCorpus::centroids`] is keyed by them.
+//!
+//! The same invariant bounds the cache. Every entry is for a centroid some
+//! query verified, so between epoch bumps the cache holds at most one
+//! entry per centroid the corpus can resolve — never more than
+//! `corpus().centroids.len()` once every tail is sealed
+//! (`tests/live_service.rs` pins this). An entry is a 16-byte key plus a
+//! [`ClassId`], much smaller than the [`ObjectObservation`] the centroid
+//! map already holds resident for the same centroid.
+//!
+//! [`VideoDataset::continue_with`]: focus_video::VideoDataset::continue_with
+//! [`SegmentedCorpus::centroids`]: crate::query::segmented::SegmentedCorpus::centroids
 //!
 //! The server owns one verification round (dedupe, batch, memoize); the
 //! rounds themselves are run by the one executor, [`run_batch`], which
@@ -178,7 +202,8 @@ impl QueryServer {
     }
 
     /// The current ground-truth epoch. Cached verdicts are keyed by epoch,
-    /// so any bump (retrain or re-ingest) atomically invalidates them all.
+    /// so any bump (a GT retrain or an explicit
+    /// [`invalidate`](Self::invalidate)) atomically invalidates them all.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
@@ -191,9 +216,16 @@ impl QueryServer {
         self.bump_epoch_locked();
     }
 
-    /// Invalidates every cached verdict without changing the model — call
-    /// after re-ingesting data, when old centroid object ids may be reused
-    /// for different observations.
+    /// Invalidates every cached verdict without changing the model.
+    ///
+    /// Nothing in the system needs this: an ingest-model retrain or
+    /// reconfiguration keeps every verdict valid, because a verdict depends
+    /// only on the observation and the GT model and an `ObjectId` names one
+    /// observation for the life of a corpus (see the module docs' *Verdict
+    /// lifetime*, which also bounds the cache at one entry per resolvable
+    /// centroid). Call it only when that invariant is broken on purpose —
+    /// a corpus rebuilt so that old ids name different observations — or
+    /// to measure a cold cache.
     pub fn invalidate(&self) {
         let _guard = self.gt.lock();
         self.bump_epoch_locked();

@@ -32,7 +32,8 @@
 //!   model for it ([`SegmentedCorpus::route`]) is the model that classifies
 //!   its frames, and a retrain goes through the same install body as a
 //!   reconfiguration — seal the pipeline's model epoch, install the model,
-//!   bump the query server's verdict-cache epoch, persist the sidecar.
+//!   persist the sidecar. The query server's cached verdicts survive it:
+//!   a GT verdict does not depend on the ingest model.
 //! * **One GPU budget**: ingest classification, specialization labelling
 //!   and query-time GT verification are all submitted to a shared
 //!   [`GpuScheduler`], which keeps the per-phase accounting and models
@@ -139,8 +140,9 @@ pub struct AdvanceReport {
     /// Segments sealed to the store by seal-policy boundaries crossed
     /// during the call.
     pub segments_sealed: usize,
-    /// Specialized models (re)trained during the call (each bumped the
-    /// verdict-cache epoch).
+    /// Specialized models (re)trained during the call. A retrain leaves
+    /// the verdict cache as it was: only a ground-truth change bumps its
+    /// epoch.
     pub retrains: usize,
 }
 
@@ -506,7 +508,7 @@ impl FocusService {
     /// Pushes a batch of live frames (any interleaving of registered
     /// streams, in stream order per stream). Seal-policy boundaries
     /// crossed during the call seal segments durably; retrain schedules
-    /// coming due swap stream models and bump the verdict-cache epoch.
+    /// coming due swap stream models (cached GT verdicts stay valid).
     /// All GPU work is submitted to the shared scheduler.
     ///
     /// A frame of an unregistered stream is [`SegmentError::UnknownStream`].
@@ -786,8 +788,10 @@ impl FocusService {
     /// 2. the pipeline's parameters (K, clustering threshold) switch on
     ///    the now-empty epoch;
     /// 3. the stream's model — its ingest model and its query routing,
-    ///    one value — swaps, the verdict-cache epoch bumps and the sidecar
-    ///    is rewritten, exactly as after a retrain.
+    ///    one value — swaps and the sidecar is rewritten, exactly as after
+    ///    a retrain. The query server's cached verdicts stay valid: they
+    ///    depend on the observation and the ground-truth model, not on the
+    ///    ingest model that indexed the centroid.
     ///
     /// The adaptation controllers call this on drift; it is public so an
     /// operator (or a test building a reference run) can install a
@@ -807,12 +811,14 @@ impl FocusService {
     /// seals the stream's live model epoch into its tail (feature spaces of
     /// different models are not comparable), switches the pipeline's
     /// parameters when `params` is given, installs `model` as the stream's
-    /// ingest and routing model, bumps the verdict-cache epoch and persists
-    /// the sidecar so the new generation's routing survives a restart.
+    /// ingest and routing model and persists the sidecar so the new
+    /// generation's routing survives a restart.
     ///
-    /// The cache bump is conservative by design: GT verdicts depend only on
-    /// the observation and the GT model, and object ids are never reused,
-    /// but keeping cache lifetime aligned with model epochs is cheap.
+    /// The verdict cache is left alone: a GT verdict depends only on the
+    /// observation and the GT model, and an object id names one
+    /// observation for the life of the corpus, so every verdict cached
+    /// under the old ingest model is still the verdict the GT model gives
+    /// (see [`QueryServer`]'s module docs for the bound this keeps).
     fn install_model(
         &mut self,
         stream: StreamId,
@@ -829,7 +835,6 @@ impl FocusService {
             pipeline.set_params(params);
         }
         self.corpus.install_stream_model(stream, model);
-        self.server.invalidate();
         self.persist_state()
     }
 
@@ -1457,24 +1462,32 @@ mod tests {
 
     /// Bytes a durable document may hold after a torn write, bit rot or
     /// tampering: one of the three versioned JSON documents (`MANIFEST.json`,
-    /// `service_state.json`, a `CLUSTER.json` replica) with a few bytes
+    /// `service_state.json`, a `CLUSTER.json` replica) or the manifest log
+    /// (`MANIFEST.log`, one JSON segment entry per line) with a few bytes
     /// flipped, overwritten, inserted, cut or truncated away, a deep nest
     /// spliced in, or arbitrary bytes instead. Yields the document's index
-    /// (0, 1, 2 in that order) and the bytes, and no mutation one case in
-    /// eight.
+    /// (0, 1, 2, 3 in that order) and the bytes, and no mutation one case
+    /// in eight.
     struct HostileDocuments;
 
-    /// Each document as this build writes it.
-    const VALID_DOCUMENTS: [&str; 3] = [
-        r#"{"version":1,"next_segment_id":2,"segments":[{"id":0,"file":"seg-000000.bin","t_start":0.0,"t_end":9.5,"streams":[0],"clusters":3,"checksum":4276993775,"format":"Binary"},{"id":1,"file":"seg-000001.bin","t_start":10.0,"t_end":19.5,"streams":[1],"clusters":3,"checksum":4276993775,"format":"Binary"}]}"#,
+    /// Each document as this build writes it. The log's two entries follow
+    /// the checkpoint's `next_segment_id`, so both are live.
+    const VALID_DOCUMENTS: [&str; 4] = [
+        r#"{"version":2,"next_segment_id":2,"segments":[{"id":0,"file":"seg-000000.bin","t_start":0.0,"t_end":9.5,"streams":[0],"clusters":3,"checksum":4276993775,"format":"Binary"},{"id":1,"file":"seg-000001.bin","t_start":10.0,"t_end":19.5,"streams":[1],"clusters":3,"checksum":4276993775,"format":"Binary"}]}"#,
         r#"{"version":1,"streams":[[0,30],[3,15]],"retired_routes":[[3,{"generations":2,"specialized_union":[1,4],"specialized_intersection":[4]}]]}"#,
         r#"{"version":1,"epoch":4,"assignments":[{"shard":0,"node":1,"dir":"shard-0000","streams":[0,3]}],"checksum":15749359373386256733}"#,
+        concat!(
+            r#"{"id":2,"file":"seg-000002.bin","t_start":20.0,"t_end":29.5,"streams":[0],"clusters":3,"checksum":4276993775,"format":"Binary"}"#,
+            "\n",
+            r#"{"id":3,"file":"seg-000003.bin","t_start":30.0,"t_end":39.5,"streams":[1],"clusters":3,"checksum":4276993775,"format":"Binary"}"#,
+            "\n",
+        ),
     ];
 
     impl proptest::Strategy for HostileDocuments {
         type Value = (usize, Vec<u8>);
         fn sample(&self, rng: &mut proptest::test_runner::TestRng) -> (usize, Vec<u8>) {
-            let kind = rng.below(3) as usize;
+            let kind = rng.below(VALID_DOCUMENTS.len() as u64) as usize;
             let mut bytes = VALID_DOCUMENTS[kind].as_bytes().to_vec();
             if rng.below(8) == 0 {
                 return (kind, bytes);
@@ -1520,22 +1533,33 @@ mod tests {
         /// Whatever bytes a durable document holds, its loader returns
         /// `Ok` or `Err` — never a panic, and never an abort from a
         /// recursion that overflows the stack. An unmutated document
-        /// loads.
+        /// loads. The log loads through [`Manifest::load_live`] beside a
+        /// valid checkpoint.
         #[test]
         fn hostile_bytes_in_a_durable_document_are_an_error_not_a_crash(
             (kind, bytes) in HostileDocuments
         ) {
             use crate::fleet::{ClusterManifest, CLUSTER_MANIFEST_FILE};
-            use focus_index::manifest::MANIFEST_FILE;
+            use focus_index::manifest::{MANIFEST_FILE, MANIFEST_LOG_FILE};
             use focus_index::Manifest;
             let (fs, dir) = (MemFs::default(), Path::new(DIR));
             fs.create_dir_all(dir).unwrap();
-            let file = [MANIFEST_FILE, SERVICE_STATE_FILE, CLUSTER_MANIFEST_FILE][kind];
+            let file = [
+                MANIFEST_FILE,
+                SERVICE_STATE_FILE,
+                CLUSTER_MANIFEST_FILE,
+                MANIFEST_LOG_FILE,
+            ][kind];
             fs.write_atomic(&dir.join(file), &bytes).unwrap();
             let loaded = match kind {
                 0 => Manifest::load(&fs, &dir.join(file)).is_ok(),
                 1 => read_document::<ServiceState>(&fs, &dir.join(file)).is_ok(),
-                _ => ClusterManifest::load(&fs, &[dir.to_path_buf()]).is_ok(),
+                2 => ClusterManifest::load(&fs, &[dir.to_path_buf()]).is_ok(),
+                _ => {
+                    let checkpoint = VALID_DOCUMENTS[0].as_bytes();
+                    fs.write_atomic(&dir.join(MANIFEST_FILE), checkpoint).unwrap();
+                    Manifest::load_live(&fs, dir).is_ok()
+                }
             };
             if bytes == VALID_DOCUMENTS[kind].as_bytes() {
                 proptest::prop_assert!(loaded, "{file} as written does not load");

@@ -76,8 +76,8 @@ impl Default for StreamWorkerConfig {
 ///   caller's meter under `"specialization"`);
 /// * [`maybe_retrain`](Self::maybe_retrain) trains a specialized model once
 ///   the schedule and the sample allow, returning the new ingest CNN; the
-///   caller seals its pipeline's epoch and swaps models (and, in the
-///   service, bumps the query server's verdict-cache epoch).
+///   caller seals its pipeline's epoch and swaps models (the query
+///   server's cached GT verdicts stay valid across the swap).
 #[derive(Debug)]
 pub struct SpecializationLifecycle {
     stream_id: StreamId,

@@ -7,7 +7,7 @@
 //! 1. register two cameras and **bootstrap** them with a generic cheap
 //!    CNN while a GT-labelled sample accumulates,
 //! 2. keep advancing until each stream **specializes** (retrains swap the
-//!    stream's model and bump the verdict-cache epoch automatically),
+//!    stream's model; the GT verdicts cached so far stay valid),
 //! 3. issue **live queries mid-ingest**: answers come from the union of
 //!    durable segments and the in-memory hot tail, snapshot-consistently,
 //! 4. **restart**: drop the service, recover it from the manifest + the
@@ -68,14 +68,14 @@ fn main() {
                 let report = service.advance(&ds.frames[*cursor..end]).unwrap();
                 if report.retrains > 0 {
                     println!(
-                        "  stream {} specialized -> {} (verdict-cache epoch {})",
+                        "  stream {} specialized -> {} ({} cached verdicts kept)",
                         ds.profile.stream_id.0,
                         service
                             .stream_model(ds.profile.stream_id)
                             .unwrap()
                             .descriptor
                             .display_name(),
-                        service.query_server().epoch()
+                        service.query_server().cache_stats().entries
                     );
                 }
                 *cursor = end;

@@ -10,11 +10,11 @@ mod common;
 
 use proptest::prelude::*;
 
-use common::{config, interleave, mem_fs, service_at, test_dir, MEM_DIR};
+use common::{config, interleave, mem_fs, payload_json, service_at, test_dir, MEM_DIR};
 use focus::cnn::GroundTruthCnn;
 use focus::core::fleet::{FleetConfig, FleetCoordinator, FleetError};
 use focus::core::service::{FocusService, ServiceConfig};
-use focus::core::{QueryOutcome, QueryRequest};
+use focus::core::{QueryOutcome, QueryRequest, SealPolicy, StreamWorkerConfig};
 use focus::index::{Fs, OsFs, QueryFilter};
 use focus::runtime::{Clock, NetCostModel, VirtualClock};
 use focus::video::profile::profile_by_name;
@@ -192,6 +192,59 @@ fn query_during_rebalance_sees_exactly_once_results() {
     let expected_again = twin.serve(&requests).unwrap();
     assert_eq!(canonical(&again), canonical(&expected_again));
     assert_eq!(fleet.stats().rebalances, 1);
+}
+
+/// A shard retrain leaves the gather-side verdict cache alone: a GT
+/// verdict does not depend on the ingest model. A windowed query served
+/// before the shards' first retrain and again after them costs no fresh
+/// inference the second time and returns the same frames and objects.
+#[test]
+fn a_query_repeated_across_shard_retrains_is_answered_from_the_cache() {
+    let datasets = workload(120.0);
+    let config = FleetConfig {
+        nodes: 2,
+        service: ServiceConfig {
+            worker: StreamWorkerConfig {
+                bootstrap_secs: 30.0,
+                retrain_interval_secs: 45.0,
+                ..StreamWorkerConfig::default()
+            },
+            seal: SealPolicy::every_secs(20.0),
+            ..ServiceConfig::default()
+        },
+        net: NetCostModel::default(),
+    };
+    let gt = GroundTruthCnn::resnet152();
+    let mut fleet =
+        FleetCoordinator::create_with(mem_fs(), Path::new(MEM_DIR), config, gt).unwrap();
+    for ds in &datasets {
+        fleet
+            .register_stream(ds.profile.stream_id, ds.profile.fps)
+            .unwrap();
+    }
+    let (before, after): (Vec<Frame>, Vec<Frame>) = interleave(&datasets, 64)
+        .into_iter()
+        .partition(|f| f.timestamp_secs < 25.0);
+    // The window closes before any retrain's frames: both serves plan the
+    // same candidates.
+    let window = QueryFilter::any().with_time_range(0.0, 20.0);
+    let requests: Vec<QueryRequest> = datasets[0]
+        .dominant_classes(2)
+        .into_iter()
+        .map(|class| QueryRequest::new(class).with_filter(window.clone()))
+        .collect();
+
+    assert_eq!(fleet.advance(&before).unwrap().retrains, 0);
+    let first = fleet.serve(&requests).unwrap();
+    assert!(first.iter().map(|o| o.centroid_inferences).sum::<usize>() > 0);
+
+    let report = fleet.advance(&after).unwrap();
+    assert!(report.retrains >= 2, "retrains = {}", report.retrains);
+    let again = fleet.serve(&requests).unwrap();
+    for (a, b) in first.iter().zip(&again) {
+        assert_eq!(b.centroid_inferences, 0, "re-verified after a retrain");
+        assert_eq!(payload_json(a), payload_json(b));
+    }
 }
 
 /// Satellite: a manifest in which two nodes claim the same segment range

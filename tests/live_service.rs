@@ -9,8 +9,8 @@ mod common;
 use proptest::prelude::*;
 
 use common::{
-    cold_serve, config, interleave, mem_fs, reference_output, service_at, test_dir, workload,
-    MEM_DIR,
+    cold_serve, config, interleave, mem_fs, payload_json, reference_output, reference_serve,
+    service_at, test_dir, workload, MEM_DIR,
 };
 use focus::cnn::{GpuCost, GroundTruthCnn, ModelSpec};
 use focus::core::service::{FocusService, ServiceConfig, SERVICE_STATE_FILE};
@@ -200,11 +200,10 @@ fn live_ingest_matches_batch_ingest_for_a_fixed_model() {
     }
 }
 
-/// Specialization runs behind the service: retrains swap the stream's
-/// routing model and bump the verdict-cache epoch automatically.
-#[test]
-fn retrain_bumps_verdict_cache_epoch() {
-    let datasets = workload(120.0);
+/// A service whose streams specialize behind it: bootstrap ends at 30 s of
+/// stream time and each stream retrains every 45 s after that, so a 120 s
+/// recording retrains every stream at least twice.
+fn retraining_service(datasets: &[VideoDataset]) -> FocusService {
     let mut service = FocusService::create_with(
         mem_fs(),
         MEM_DIR,
@@ -220,18 +219,56 @@ fn retrain_bumps_verdict_cache_epoch() {
         GroundTruthCnn::resnet152(),
     )
     .unwrap();
-    for ds in &datasets {
+    for ds in datasets {
         service
             .register_stream(ds.profile.stream_id, ds.profile.fps)
             .unwrap();
     }
-    assert_eq!(service.query_server().epoch(), 0);
-    let report = service.advance(&interleave(&datasets, 64)).unwrap();
+    service
+}
+
+/// A verdict lives as long as the ground-truth model that produced it.
+/// Retrains swap each stream's routing model behind the service and leave
+/// the verdict cache alone, so every dominant class served before the
+/// first retrain and again after several costs no GT inference the second
+/// time and answers exactly as a cold reference does. Only a ground-truth
+/// retrain bumps the epoch, and a query then re-verifies.
+#[test]
+fn verdicts_survive_ingest_retrains_until_the_ground_truth_changes() {
+    let datasets = workload(120.0);
+    let mut service = retraining_service(&datasets);
+    let (before, after): (Vec<Frame>, Vec<Frame>) = interleave(&datasets, 64)
+        .into_iter()
+        .partition(|f| f.timestamp_secs < 25.0);
+    // The window closes before the first retrain's frames, so no record
+    // that opens later can enter it: both serves plan the same candidates.
+    let window = QueryFilter::any().with_time_range(0.0, 20.0);
+    let mut classes: Vec<ClassId> = datasets
+        .iter()
+        .flat_map(|ds| ds.dominant_classes(2))
+        .collect();
+    classes.sort();
+    classes.dedup();
+    let requests: Vec<QueryRequest> = classes
+        .iter()
+        .map(|&class| QueryRequest::new(class).with_filter(window.clone()))
+        .collect();
+
+    service.advance(&before).unwrap();
+    assert_eq!(
+        service.stats().retrains,
+        0,
+        "the first serve precedes every retrain"
+    );
+    let first = service.serve(&requests).unwrap();
+    assert!(first.iter().any(|o| o.centroid_inferences > 0));
+    assert!(first.iter().any(|o| !o.frames.is_empty()));
+    let cached = service.query_server().cache_stats();
+    assert_eq!(cached.epoch, 0);
+
+    let report = service.advance(&after).unwrap();
     assert!(report.retrains >= 2, "retrains = {}", report.retrains);
-    let stats = service.stats();
-    assert_eq!(stats.retrains, report.retrains);
-    // Each retrain invalidated the verdict cache.
-    assert_eq!(service.query_server().epoch(), report.retrains as u64);
+    assert_eq!(service.stats().retrains, report.retrains);
     // The streams now route through their own specialized models.
     for ds in &datasets {
         assert!(service
@@ -244,14 +281,82 @@ fn retrain_bumps_verdict_cache_epoch() {
             .stream_models
             .contains_key(&ds.profile.stream_id));
     }
-    // Queries still serve cleanly over epochs from different models.
-    let class = datasets[0].dominant_classes(1)[0];
-    let outcomes = service.serve(&[QueryRequest::new(class)]).unwrap();
-    assert!(!outcomes[0].frames.is_empty());
-    // A GT retrain through the service bumps the epoch too.
-    let epoch = service.query_server().epoch();
+    // No retrain touched the cache.
+    let kept = service.query_server().cache_stats();
+    assert_eq!(kept.epoch, cached.epoch, "retrains leave the epoch alone");
+    assert_eq!(kept.entries, cached.entries, "retrains drop no verdict");
+
+    let again = service.serve(&requests).unwrap();
+    let reference = reference_serve(&reference_output(&service), &requests);
+    for ((request, outcome), expected) in requests.iter().zip(&again).zip(&reference) {
+        assert_eq!(
+            outcome.centroid_inferences, 0,
+            "class {:?} was re-verified after a retrain",
+            request.class
+        );
+        assert_eq!(payload_json(outcome), payload_json(expected));
+    }
+
+    // A GT retrain through the service bumps the epoch, and the same
+    // query re-verifies under the new model.
     service.retrain_ground_truth(GroundTruthCnn::with_flicker(0.0));
-    assert_eq!(service.query_server().epoch(), epoch + 1);
+    assert_eq!(service.query_server().epoch(), cached.epoch + 1);
+    let relabelled = service.serve(&requests[..1]).unwrap();
+    assert!(relabelled[0].centroid_inferences > 0);
+}
+
+/// The verdict cache's written bound: with retrains no longer emptying it,
+/// it still holds at most one verdict per centroid the corpus can
+/// resolve, and a sweep that repeats every query adds nothing.
+#[test]
+fn the_verdict_cache_holds_at_most_one_verdict_per_centroid() {
+    let datasets = workload(120.0);
+    let mut service = retraining_service(&datasets);
+    let frames = interleave(&datasets, 64);
+    // Serve between the retrains too, so verdicts cached under every model
+    // generation (and for tail centroids not yet sealed) reach the end.
+    let mut retrains = 0;
+    for chunk in frames.chunks(frames.len() / 4 + 1) {
+        retrains += service.advance(chunk).unwrap().retrains;
+        let requests: Vec<QueryRequest> = datasets[0]
+            .dominant_classes(3)
+            .into_iter()
+            .map(QueryRequest::new)
+            .collect();
+        service.serve(&requests).unwrap();
+    }
+    assert!(retrains >= 2, "retrains = {retrains}");
+    service.seal_all().unwrap();
+
+    // Every class any sealed record posts, over the whole timeline.
+    let mut classes: Vec<ClassId> = service
+        .store()
+        .merged_index()
+        .unwrap()
+        .clusters()
+        .flat_map(|record| record.top_k_classes.iter().copied())
+        .collect();
+    classes.sort();
+    classes.dedup();
+    let requests: Vec<QueryRequest> = classes.into_iter().map(QueryRequest::new).collect();
+    service.serve(&requests).unwrap();
+    let swept = service.query_server().cache_stats();
+    assert!(
+        swept.entries <= service.corpus().centroids.len(),
+        "{} verdicts for {} centroids",
+        swept.entries,
+        service.corpus().centroids.len()
+    );
+    let again = service.serve(&requests).unwrap();
+    assert_eq!(
+        again.iter().map(|o| o.centroid_inferences).sum::<usize>(),
+        0
+    );
+    assert_eq!(
+        service.query_server().cache_stats().entries,
+        swept.entries,
+        "a repeated sweep adds no entries"
+    );
 }
 
 /// Maintenance seals exactly what the next push would have sealed and
